@@ -4,8 +4,7 @@
 // demonstration workload, and dumps the execution trace, the
 // per-quaject disassembly, and the machine counters. With -profile it
 // attaches the measurement plane and reports which named quaject
-// regions the cycles went to, with optional Chrome trace export. With
-// -table it regenerates a bench table through the shared registry.
+// regions the cycles went to, with optional Chrome trace export.
 //
 // Usage:
 //
@@ -14,7 +13,6 @@
 //	quamon -trace 64            # show the last N trace entries
 //	quamon -profile -top 12     # per-region cycle attribution
 //	quamon -profile -trace-json trace.json
-//	quamon -table 2             # regenerate one bench table
 //	quamon -faults spurious=7:20000,buserr=disk@3 -fault-seed 7
 //	quamon -watch               # live metrics: loopback traffic, per-window deltas
 //	quamon -watch -interval-us 1000 -windows 20 -prom metrics.prom
@@ -26,10 +24,10 @@
 //	quamon -cluster -flight              # arm the flight recorder (dump on VM death)
 //
 // -cluster boots N Quamachines bridged by the switch fabric under
-// multiplexed echo load (the Table 8 rig) and streams wall-clock
-// metric windows; -listen serves the live fleet's metrics over HTTP
-// as Prometheus text (/metrics), JSON (/metrics.json), a liveness
-// probe (/healthz), and the merged Chrome trace (/trace.json).
+// multiplexed echo load and streams wall-clock metric windows;
+// -listen serves the live fleet's metrics over HTTP as Prometheus
+// text (/metrics), JSON (/metrics.json), a liveness probe (/healthz),
+// and the merged Chrome trace (/trace.json).
 // -trace-every samples echo round trips through the fleet trace
 // plane, attributing each to its eight hops; -trace-json writes the
 // merged fleet timeline at exit. -flight keeps a per-VM flight
@@ -70,10 +68,8 @@ func main() {
 	top := flag.Int("top", 10, "regions to show in the -profile report")
 	traceJSON := flag.String("trace-json", "",
 		"write the Chrome trace (about:tracing JSON) here: the profile's with -profile, the merged fleet trace with -cluster")
-	table := flag.String("table", "",
-		"regenerate a bench table instead of the demo: one of "+strings.Join(bench.Names(), ","))
-	iters := flag.Int("iters", 200, "loop count for -table 1 and finite -program workloads")
-	faults := flag.String("faults", "", "inject faults into the demo or table machines; with -cluster, "+
+	iters := flag.Int("iters", 200, "loop count for finite -program workloads")
+	faults := flag.String("faults", "", "inject faults into the demo or -watch machine; with -cluster, "+
 		"fleet clauses (link=/part=/vmfault=) drive the fabric fault plane (see grammar below)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the -faults schedule; a seed replays exactly")
 	watch := flag.Bool("watch", false, "live-monitor a workload, streaming metric deltas")
@@ -114,8 +110,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "quamon: %v\n%s\n%s\n", err, fault.SpecHelp, fault.FleetSpecHelp)
 			os.Exit(2)
 		}
-		if fleet.FleetOnly() && !*clusterMode && *table == "" {
-			fmt.Fprintln(os.Stderr, "quamon: link=/part=/vmfault= clauses need -cluster (or a cluster -table)")
+		if fleet.FleetOnly() && !*clusterMode {
+			fmt.Fprintln(os.Stderr, "quamon: link=/part=/vmfault= clauses need -cluster")
 			os.Exit(2)
 		}
 	}
@@ -153,19 +149,6 @@ func main() {
 	if *watch {
 		os.Exit(runWatch(*intervalUS, *windows, *program, int32(*iters),
 			*faults, *faultSeed, *metricsJSON, *promOut))
-	}
-
-	if *table != "" {
-		t, err := bench.Run(*table, bench.RunConfig{
-			Iters: int32(*iters), Profile: *profile,
-			FaultSpec: *faults, FaultSeed: *faultSeed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quamon: table %s: %v\n", *table, err)
-			os.Exit(1)
-		}
-		fmt.Println(t.String())
-		return
 	}
 
 	cfg := m68k.Sun3Config()

@@ -1,9 +1,12 @@
 // synbench regenerates the evaluation of "Threads and Input/Output in
-// the Synthesis Kernel" (Massalin & Pu, SOSP 1989): Tables 1-5, the
-// Section 6.4 size accounting, and the design-choice ablations, all on
-// the simulated Quamachine at the SUN 3/160 emulation point. Table 6
-// extends the evaluation to the network subsystem: loopback sockets,
-// synthesized vs generic layered paths.
+// the Synthesis Kernel" (Massalin & Pu, SOSP 1989) on the simulated
+// Quamachine at the SUN 3/160 emulation point: the paper's Tables 1-5,
+// the Figure 2 path lengths, the Section 6.4 size accounting and the
+// design-choice ablations, plus three extensions measured the same
+// way (Table 6 network sockets, Table 7 faults, the /proc/metrics
+// quaject). Every table runs on the guest cycle clock, so its numbers
+// are identical on every host and every run. Wall-clock measurements
+// live in `go run ./benchmark`.
 //
 // Tables come from the bench registry, so a newly registered table is
 // runnable here without touching this command.
@@ -14,19 +17,21 @@
 //	synbench -table 1                 # one table (see -table help for names)
 //	synbench -iters 500               # heavier Table 1 loops
 //	synbench -table 1 -profile        # Table 1 with attribution coverage row
-//	synbench -json bench/out          # also write BENCH_*.json artifacts
+//	synbench -json bench/baseline     # also write BENCH_*.json artifacts
 //	synbench -profile-run "open-close tty" -top 15 -trace-json trace.json
 //	synbench -table 7 -faults drop=0.2,spurious=7:50000 -fault-seed 42
 //
-// The -json artifacts are the machine-readable side of the tables:
-// one BENCH_<table>.json per table run, comparable across runs with
-// cmd/benchdiff (see `make bench-json` / `make benchdiff`).
+// `synbench -json bench/baseline` (default -iters) regenerates the
+// committed artifacts that `go test ./internal/bench` holds every
+// table byte-equal to; run it when a change legitimately moves the
+// numbers and review the diff.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"synthesis/internal/bench"
@@ -35,10 +40,8 @@ import (
 
 func main() {
 	table := flag.String("table", "all",
-		"which table to regenerate: all or one of "+strings.Join(bench.Names(), ",")+
-			" (8 is an alias for cluster, 9 for recovery)")
-	iters := flag.Int("iters", 200, "loop count for the Table 1 programs (for the cluster table: measurement window in ms)")
-	runs := flag.Int("runs", 1, "generate each table this many times; rows report the median with min/max spread")
+		"which table to regenerate: all or one of "+strings.Join(bench.Names(), ","))
+	iters := flag.Int("iters", 200, "loop count for the Table 1 and Table 7 programs")
 	profile := flag.Bool("profile", false, "attach the profiler to Table 1 runs (adds a coverage row)")
 	profileRun := flag.String("profile-run", "",
 		"run one Table 1 program profiled and report attribution: one of "+
@@ -46,19 +49,18 @@ func main() {
 	top := flag.Int("top", 10, "regions to show in the -profile-run report")
 	traceJSON := flag.String("trace-json", "", "write the -profile-run Chrome trace (about:tracing JSON) here")
 	jsonDir := flag.String("json", "", "also write each table as a BENCH_*.json artifact into this directory")
-	faults := flag.String("faults", "", "inject faults into every machine the tables boot; "+
-		"fleet clauses (link=/part=/vmfault=) apply to the cluster tables' fabric (see grammar below)")
+	faults := flag.String("faults", "", "inject faults into every machine the tables boot (see grammar below)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the -faults schedule; a seed replays exactly")
 	defaultUsage := flag.Usage
 	flag.Usage = func() {
 		defaultUsage()
-		fmt.Fprintf(flag.CommandLine.Output(), "\n%s\n\n%s\n", fault.SpecHelp, fault.FleetSpecHelp)
+		fmt.Fprintf(flag.CommandLine.Output(), "\n%s\n", fault.SpecHelp)
 	}
 	flag.Parse()
 
 	if *faults != "" {
-		if _, err := fault.ParseFleet(*faults); err != nil {
-			fmt.Fprintf(os.Stderr, "synbench: %v\n%s\n%s\n", err, fault.SpecHelp, fault.FleetSpecHelp)
+		if _, err := fault.Parse(*faults); err != nil {
+			fmt.Fprintf(os.Stderr, "synbench: %v\n%s\n", err, fault.SpecHelp)
 			os.Exit(2)
 		}
 	}
@@ -90,23 +92,14 @@ func main() {
 	cfg := bench.RunConfig{Iters: int32(*iters), Profile: *profile, FaultSpec: *faults, FaultSeed: *faultSeed}
 	names := bench.Names()
 	if *table != "all" {
-		// Aliases ("8" -> "cluster") resolve to their canonical name,
-		// so the artifact filename is the canonical one either way.
-		want := bench.Resolve(*table)
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(names, *table) {
 			fmt.Fprintf(os.Stderr, "synbench: unknown table %q\n", *table)
 			os.Exit(2)
 		}
-		names = []string{want}
+		names = []string{*table}
 	}
 	for _, name := range names {
-		t, err := bench.RunN(name, cfg, *runs)
+		t, err := bench.Run(name, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "synbench: table %s: %v\n", name, err)
 			os.Exit(1)

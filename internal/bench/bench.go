@@ -12,13 +12,10 @@ import (
 )
 
 // Row is one experiment line: the paper's figure next to ours.
-// Min/Max carry the spread of a multi-run aggregation (RunN):
-// Measured is then the median. Both zero on a single run.
 type Row struct {
 	Name     string
 	Paper    float64 // the paper's value (same unit)
 	Measured float64
-	Min, Max float64
 	Unit     string
 	Note     string
 }
@@ -51,16 +48,7 @@ func (t Table) String() string {
 		if r.Paper != 0 {
 			paper = fmt.Sprintf("%.2f", r.Paper)
 		}
-		note := r.Note
-		if r.Min != 0 || r.Max != 0 {
-			spread := fmt.Sprintf("[%.2f .. %.2f]", r.Min, r.Max)
-			if note != "" {
-				note = spread + " " + note
-			} else {
-				note = spread
-			}
-		}
-		fmt.Fprintf(&b, "%-42s %12s %12.2f %-8s %s\n", r.Name, paper, r.Measured, r.Unit, note)
+		fmt.Fprintf(&b, "%-42s %12s %12.2f %-8s %s\n", r.Name, paper, r.Measured, r.Unit, r.Note)
 	}
 	return b.String()
 }

@@ -10,13 +10,16 @@ import (
 )
 
 // Machine-readable table artifacts. Each registered table encodes to
-// one BENCH_<name>.json file with a versioned schema, so a CI run's
-// output can be diffed against a committed baseline by cmd/benchdiff
-// without scraping the aligned-text rendering. The encoding is
-// lossless: DecodeTableJSON(EncodeTableJSON(t)) == t for every table.
+// one BENCH_<name>.json file with a versioned schema. The tables run
+// on the cycle clock, so the encoding of a regenerated table is
+// byte-equal to the committed bench/baseline artifact until the code
+// path itself changes: TestGoldenTables is that comparison, and the
+// cycle-clock half of the perf gate (docs/PERFORMANCE.md). The
+// encoding is lossless: DecodeTableJSON(EncodeTableJSON(t)) == t for
+// every table.
 
 // SchemaVersion stamps the artifact format. Bump on incompatible
-// layout changes; benchdiff refuses mixed versions.
+// layout changes; DecodeTableJSON refuses any other version.
 const SchemaVersion = 1
 
 type tableJSON struct {
@@ -31,8 +34,6 @@ type rowJSON struct {
 	Name     string  `json:"name"`
 	Paper    float64 `json:"paper,omitempty"`
 	Measured float64 `json:"measured"`
-	Min      float64 `json:"min,omitempty"`
-	Max      float64 `json:"max,omitempty"`
 	Unit     string  `json:"unit"`
 	Note     string  `json:"note,omitempty"`
 }

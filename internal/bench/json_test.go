@@ -2,14 +2,17 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestNamesOrdering(t *testing.T) {
-	want := []string{"1", "2", "3", "4", "5", "6", "7", "ablations", "cluster", "mips", "pathlen", "proc", "recovery", "rtt", "size"}
+	want := []string{"1", "2", "3", "4", "5", "6", "7", "ablations", "pathlen", "proc", "size"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -74,87 +77,98 @@ func TestDecodeRejectsWrongSchema(t *testing.T) {
 	}
 }
 
-// TestRegisteredTablesRoundTrip runs every registered table briefly
-// and proves it survives the JSON encode/decode losslessly — the
-// guarantee benchdiff depends on.
-func TestRegisteredTablesRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every bench table")
+// goldenIters is the config bench/baseline was generated at: synbench's
+// default -iters.
+const goldenIters = 200
+
+func baselinePath(name string) string {
+	return filepath.Join("..", "..", "bench", "baseline", ArtifactName(name))
+}
+
+// goldenDiff compares a table's artifact encoding with the committed
+// bytes and, when they differ, names the table and the first row that
+// moved. Empty means byte-equal.
+func goldenDiff(name string, got Table, want []byte) string {
+	var buf bytes.Buffer
+	if err := EncodeTableJSON(&buf, name, got); err != nil {
+		return fmt.Sprintf("table %s: %v", name, err)
 	}
-	dir := t.TempDir()
-	for _, name := range Names() {
-		tab, err := Run(name, RunConfig{Iters: 25})
-		if err != nil {
-			t.Fatalf("table %s: %v", name, err)
-		}
-		path, err := WriteArtifact(dir, name, tab)
-		if err != nil {
-			t.Fatalf("table %s: %v", name, err)
-		}
-		if filepath.Base(path) != ArtifactName(name) {
-			t.Fatalf("table %s written to %s", name, path)
-		}
+	if bytes.Equal(buf.Bytes(), want) {
+		return ""
 	}
-	back, err := LoadArtifactDir(dir)
+	_, base, err := DecodeTableJSON(bytes.NewReader(want))
 	if err != nil {
-		t.Fatal(err)
+		return fmt.Sprintf("table %s: baseline: %v", name, err)
 	}
-	if len(back) != len(Names()) {
-		t.Fatalf("loaded %d artifacts, want %d", len(back), len(Names()))
+	for i, r := range got.Rows {
+		if i >= len(base.Rows) {
+			return fmt.Sprintf("table %s row %q: not in the baseline", name, r.Name)
+		}
+		if r != base.Rows[i] {
+			return fmt.Sprintf("table %s row %q:\n got %+v\nwant %+v", name, base.Rows[i].Name, r, base.Rows[i])
+		}
 	}
-	for name, tab := range back {
-		again, err := Run(name, RunConfig{Iters: 25})
+	if len(got.Rows) < len(base.Rows) {
+		return fmt.Sprintf("table %s row %q: missing", name, base.Rows[len(got.Rows)].Name)
+	}
+	return fmt.Sprintf("table %s: title, note or encoding differs from the baseline", name)
+}
+
+// TestGoldenTables is the cycle-clock perf gate: every registered
+// table, regenerated at the baseline's config, must encode byte-equal
+// to its committed bench/baseline artifact. The simulator has no wall
+// time or randomness on a measured path, so any difference means a
+// code path changed; if the change is intended, refresh with
+// `go run ./cmd/synbench -json bench/baseline` and review the diff.
+// Decoding the artifact and re-encoding it must also reproduce the
+// bytes, which is the JSON round-trip on every real table.
+func TestGoldenTables(t *testing.T) {
+	names := Names()
+	for _, name := range names {
+		want, err := os.ReadFile(baselinePath(name))
 		if err != nil {
-			t.Fatalf("table %s rerun: %v", name, err)
+			t.Errorf("table %s has no baseline: %v", name, err)
+			continue
 		}
-		if tab.Title != again.Title || len(tab.Rows) != len(again.Rows) {
-			t.Fatalf("table %s: artifact shape diverged from a rerun", name)
+		decName, base, err := DecodeTableJSON(bytes.NewReader(want))
+		if err != nil || decName != name {
+			t.Errorf("table %s: baseline decodes as %q, %v", name, decName, err)
+			continue
 		}
+		if msg := goldenDiff(name, base, want); msg != "" {
+			t.Errorf("baseline does not survive decode/encode: %s", msg)
+		}
+		tab, err := Run(name, RunConfig{Iters: goldenIters})
+		if err != nil {
+			t.Errorf("table %s: %v", name, err)
+			continue
+		}
+		if msg := goldenDiff(name, tab, want); msg != "" {
+			t.Error(msg)
+		}
+	}
+	// An artifact no table regenerates would sit ungated.
+	files, err := filepath.Glob(baselinePath("*"))
+	if err != nil || len(files) != len(names) {
+		t.Errorf("bench/baseline holds %d artifacts (%v), want one per registered table (%d)", len(files), err, len(names))
 	}
 }
 
-func TestDiffTables(t *testing.T) {
-	base := map[string]Table{
-		"1": {Title: "t1", Rows: []Row{
-			{Name: "lat", Measured: 10, Unit: "usec"},
-			{Name: "tput", Measured: 1000, Unit: "fr/s"},
-			{Name: "gone", Measured: 1, Unit: "usec"},
-		}},
+// The gate must trip: one perturbed value fails the comparison, and
+// the message names the table and the row.
+func TestGoldenTablesCatchOneValue(t *testing.T) {
+	want, err := os.ReadFile(baselinePath("2"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fresh := map[string]Table{
-		"1": {Title: "t1", Rows: []Row{
-			{Name: "lat", Measured: 13, Unit: "usec"},    // +30% worse
-			{Name: "tput", Measured: 1200, Unit: "fr/s"}, // better
-			{Name: "added", Measured: 2, Unit: "usec"},
-		}},
+	_, tab, err := DecodeTableJSON(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := DiffTables(base, fresh, 10)
-	if res.Regressions != 1 {
-		t.Fatalf("Regressions = %d, want 1\n%s", res.Regressions, res.Format())
-	}
-	for _, d := range res.Rows {
-		switch d.Row {
-		case "lat":
-			if !d.Regressed || d.DeltaPct < 29 || d.DeltaPct > 31 {
-				t.Errorf("lat: %+v", d)
-			}
-		case "tput":
-			if d.Regressed || d.DeltaPct > 0 {
-				t.Errorf("tput should improve downward-normalized: %+v", d)
-			}
-		}
-	}
-	if len(res.OnlyBase) != 1 || res.OnlyBase[0] != "1/gone" {
-		t.Errorf("OnlyBase = %v", res.OnlyBase)
-	}
-	if len(res.OnlyNew) != 1 || res.OnlyNew[0] != "1/added" {
-		t.Errorf("OnlyNew = %v", res.OnlyNew)
-	}
-	// Throughput collapse must regress too.
-	res = DiffTables(base, map[string]Table{
-		"1": {Title: "t1", Rows: []Row{{Name: "tput", Measured: 500, Unit: "fr/s"}}},
-	}, 10)
-	if res.Regressions != 1 {
-		t.Fatalf("throughput drop not flagged:\n%s", res.Format())
+	const victim = 3
+	tab.Rows[victim].Measured *= 1.5 // the old "inflated latency" case
+	msg := goldenDiff("2", tab, want)
+	if !strings.Contains(msg, "table 2") || !strings.Contains(msg, strconv.Quote(tab.Rows[victim].Name)) {
+		t.Fatalf("perturbed row %q not reported: %q", tab.Rows[victim].Name, msg)
 	}
 }

@@ -40,20 +40,15 @@ func TestRunProfiledUnknown(t *testing.T) {
 	}
 }
 
-// TestRegistry covers the registry contract all three front ends
-// (synbench, quamon, the benchmark suite) rely on.
+// TestRegistry covers the Run contract the front ends (synbench, the
+// root benchmark suite) rely on; TestNamesOrdering covers Names.
 func TestRegistry(t *testing.T) {
-	names := Names()
-	want := []string{"1", "2", "3", "4", "5", "6", "7", "ablations", "cluster", "mips", "pathlen", "proc", "recovery", "rtt", "size"}
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v (numeric first, then alphabetical)", names, want)
-		}
-	}
 	if _, err := Run("no-such-table", RunConfig{}); err == nil {
 		t.Fatal("expected error for unknown table")
+	}
+	// No table owns a fabric, so fleet clauses are not part of the
+	// grammar here.
+	if _, err := Run("2", RunConfig{FaultSpec: "link=0>1:drop=0.1"}); err == nil {
+		t.Fatal("fleet fault clause accepted by a single-machine table")
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // Table registry: every table file registers its generator in an
-// init(), and synbench, quamon and the root benchmark suite all
-// dispatch through Names/Run. Adding a table means adding one file
-// with one Register call — no command edits.
+// init(), and synbench, the golden test and the root benchmark suite
+// all dispatch through Names/Run. Adding a table means adding one file
+// with one Register call and its bench/baseline artifact (`synbench
+// -table <name> -json bench/baseline`) — no command edits.
 
 // RunConfig carries the knobs a caller can set uniformly across
 // tables. Tables without an iteration knob ignore Iters; tables
@@ -31,42 +32,13 @@ type TableFunc func(RunConfig) (Table, error)
 
 var registry = map[string]TableFunc{}
 
-// aliases maps alternate invocation names onto canonical registry
-// names ("8" -> "cluster"), so a table can live in the numbered
-// sequence without its artifact taking a numbered filename.
-var aliases = map[string]string{}
-
-// Register adds a table generator under a name ("1".."6", "pathlen",
+// Register adds a table generator under a name ("1".."7", "pathlen",
 // ...). Duplicate names are a programming error.
 func Register(name string, fn TableFunc) {
 	if _, dup := registry[name]; dup {
 		panic("bench: duplicate table registration: " + name)
 	}
 	registry[name] = fn
-}
-
-// RegisterAlias makes alias resolve to an already-registered
-// canonical name. The alias is accepted by Run/RunN but does not
-// appear in Names() and never names an artifact.
-func RegisterAlias(alias, canonical string) {
-	if _, dup := registry[alias]; dup {
-		panic("bench: alias collides with a registered table: " + alias)
-	}
-	if _, dup := aliases[alias]; dup {
-		panic("bench: duplicate alias registration: " + alias)
-	}
-	aliases[alias] = canonical
-}
-
-// Resolve maps an alias to its canonical registry name; unknown and
-// canonical names pass through unchanged. Callers that write
-// artifacts resolve first, so `-table 8` still lands in
-// BENCH_cluster.json.
-func Resolve(name string) string {
-	if c, ok := aliases[name]; ok {
-		return c
-	}
-	return name
 }
 
 // fixed adapts a parameterless generator to the registry signature.
@@ -98,86 +70,30 @@ func Names() []string {
 	return names
 }
 
-// Run generates the named table. When cfg.FaultSpec is set, the spec
-// is parsed with the fleet grammar (a superset of the single-machine
-// one): the Base plan is staged for every rig booted while the table
-// generates (see attachFaults in rig.go), and the full fleet plan is
-// staged for the cluster tables, which apply it to the fabric. Fleet
-// clauses (link=/part=/vmfault=) only make sense against a fabric, so
-// they are rejected for single-machine tables.
+// Run generates the named table. A non-empty cfg.FaultSpec is parsed
+// with the single-machine grammar and staged for every rig booted
+// while the table generates (see attachFaults in rig.go); the fleet
+// clauses (link=/part=/vmfault=) need a fabric, which no table owns,
+// and are rejected as unknown keys.
 func Run(name string, cfg RunConfig) (Table, error) {
-	canonical := Resolve(name)
-	fn, ok := registry[canonical]
+	fn, ok := registry[name]
 	if !ok {
 		return Table{}, fmt.Errorf("bench: unknown table %q (have %v)", name, Names())
 	}
 	if cfg.FaultSpec != "" {
-		plan, err := fault.ParseFleet(cfg.FaultSpec)
+		plan, err := fault.Parse(cfg.FaultSpec)
 		if err != nil {
 			return Table{}, err
 		}
-		if plan.FleetOnly() && canonical != "cluster" && canonical != "recovery" {
-			return Table{}, fmt.Errorf("bench: table %q is single-machine; link=/part=/vmfault= clauses need -table cluster or recovery", name)
-		}
-		activeFaults = &plan.Base
-		activeFleet = &plan
-		activeFaultSeed = cfg.FaultSeed
-		defer func() { activeFaults, activeFleet = nil, nil }()
+		activeFaults, activeFaultSeed = &plan, cfg.FaultSeed
+		defer func() { activeFaults = nil }()
 	}
 	return fn(cfg)
 }
 
-// Staged fault schedule for the current Run call; rigs consult
-// activeFaults at boot, the cluster tables consult activeFleet. Bench
-// runs are single-goroutine, so package cells suffice.
+// Staged fault schedule for the current Run call; rigs consult it at
+// boot. Bench runs are single-goroutine, so package cells suffice.
 var (
 	activeFaults    *fault.Plan
-	activeFleet     *fault.FleetPlan
 	activeFaultSeed int64
 )
-
-// RunN generates the named table runs times and aggregates per row:
-// Measured becomes the per-row median, Min/Max the observed spread.
-// Row identity is positional — a registered table is shape-stable for
-// a fixed config, so row i means the same experiment in every run.
-// With runs <= 1 this is exactly Run. This is how nondeterministic
-// (wall-clock) tables get a gateable central value: cmd/benchdiff
-// compares medians, and the spread rides along in the artifact.
-func RunN(name string, cfg RunConfig, runs int) (Table, error) {
-	if runs <= 1 {
-		return Run(name, cfg)
-	}
-	base, err := Run(name, cfg)
-	if err != nil {
-		return Table{}, err
-	}
-	samples := make([][]float64, len(base.Rows))
-	for i, r := range base.Rows {
-		samples[i] = append(samples[i], r.Measured)
-	}
-	for n := 1; n < runs; n++ {
-		t, err := Run(name, cfg)
-		if err != nil {
-			return Table{}, err
-		}
-		if len(t.Rows) != len(base.Rows) {
-			return Table{}, fmt.Errorf("bench: table %q changed shape across runs (%d vs %d rows)",
-				name, len(t.Rows), len(base.Rows))
-		}
-		for i, r := range t.Rows {
-			samples[i] = append(samples[i], r.Measured)
-		}
-	}
-	for i := range base.Rows {
-		s := samples[i]
-		sort.Float64s(s)
-		base.Rows[i].Min = s[0]
-		base.Rows[i].Max = s[len(s)-1]
-		if n := len(s); n%2 == 1 {
-			base.Rows[i].Measured = s[n/2]
-		} else {
-			base.Rows[i].Measured = (s[n/2-1] + s[n/2]) / 2
-		}
-	}
-	return base, nil
-}

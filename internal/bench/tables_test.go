@@ -339,37 +339,3 @@ func TestFigure2PathLengths(t *testing.T) {
 		t.Errorf("batch insert %.1f instr/item not cheaper than single put (%.0f)", batch/8, ok)
 	}
 }
-
-func TestTable9Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tab, err := Run("9", RunConfig{Iters: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.String())
-	// Loss sweep + churn: clean points carry 3 rows, lossy points a
-	// resend-rate row on top; the partition cycle adds the recovery
-	// quantiles.
-	if got, want := len(tab.Rows), 3+4+4+4+3; got != want {
-		t.Errorf("table 9 has %d rows, want %d", got, want)
-	}
-	clean := row(t, tab, "loss 0% aggregate").Measured
-	lossy := row(t, tab, "loss 15% aggregate").Measured
-	if clean <= 0 || lossy <= 0 {
-		t.Errorf("aggregates must stay positive: clean=%.0f lossy=%.0f", clean, lossy)
-	}
-	if r := row(t, tab, "loss 15% resends").Measured; r <= 0 {
-		t.Errorf("15%% loss sustained zero resends (%.0f/s): the retry path is dead", r)
-	}
-	p50 := row(t, tab, "recovery p50").Measured
-	p99 := row(t, tab, "recovery p99").Measured
-	max := row(t, tab, "recovery max").Measured
-	if !(p50 <= p99 && p99 <= max) {
-		t.Errorf("recovery quantiles out of order: p50=%.0f p99=%.0f max=%.0f", p50, p99, max)
-	}
-	if max <= 0 {
-		t.Error("recovery max is zero: no severed connection measured a heal")
-	}
-}

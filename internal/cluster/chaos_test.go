@@ -80,6 +80,16 @@ func TestChaosSoak(t *testing.T) {
 	dumpFlightOnFailure(t, c)
 	c.Start()
 	waitReplies(t, c, 300, 60*time.Second)
+	// Link loss alone must drive the resend path, before the partition
+	// gives it a second reason to fire: a lost frame's resend lands one
+	// timeout after the loss, so wait for it rather than sample.
+	lossDeadline := time.Now().Add(30 * time.Second)
+	for c.Snapshot().Counters["cluster.loadgen.resends"] == 0 {
+		if time.Now().After(lossDeadline) {
+			t.Fatal("lossy links drove no resend in 30s: the retry path is dead")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 
 	// Partition vm1 from the host mid-traffic, hold, heal. 32 conns
 	// dealt round-robin over 2 VMs put 16 behind the cut.
@@ -128,6 +138,10 @@ func TestChaosSoak(t *testing.T) {
 	rec := s.Hists["cluster.loadgen.recovery_ms"]
 	if rec.Count == 0 {
 		t.Error("no recovery-latency observations after the heal")
+	}
+	p50, p99 := rec.Quantile(0.50), rec.Quantile(0.99)
+	if !(p50 <= p99 && p99 <= float64(rec.Max)) || rec.Max <= 0 {
+		t.Errorf("recovery quantiles out of order or zero: p50=%.0f p99=%.0f max=%d ms", p50, p99, rec.Max)
 	}
 	if s.Counters["cluster.fault.heals"] != 1 || s.Counters["cluster.fault.cuts"] != 1 {
 		t.Errorf("cuts/heals = %d/%d, want 1/1",

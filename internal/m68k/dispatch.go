@@ -25,16 +25,16 @@ package m68k
 // exec.go. Every specialized handler replicates its exec.go case's
 // memory-access order and flag call; ops off the hot path fall back
 // to exec.go itself (cSlow), which remains the reference
-// implementation. `benchdiff` against bench/baseline enforces the
-// invariant: every deterministic row must stay at +0.0%.
+// implementation. TestGoldenTables (internal/bench) enforces the
+// invariant: every table regenerates byte-equal to bench/baseline.
 
 // EmitBenchProgram emits the canonical dispatcher benchmark: a
 // representative mix of register ALU, memory read-modify-write,
 // compare/branch, and a DBRA loop — the shape of the synthesized
 // kernel paths whose host-side cost bounds every wall-clock number
-// above the VM. BenchmarkStepLoop and Table 11's "step loop floor"
-// row both run exactly this program, so the committed pre-dispatch
-// ns/instr measurement stays comparable.
+// above the VM. BenchmarkStepLoop and benchmark/'s
+// m68k.step_floor_ns_per_instr probe both run exactly this program,
+// so the committed pre-dispatch ns/instr measurement stays comparable.
 func EmitBenchProgram(m *Machine) uint32 {
 	return m.Emit([]Instr{
 		{Op: MOVE, Src: Imm(1000), Dst: D(0)},                              // 0: loop counter

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkStepLoop measures host nanoseconds per simulated
 // instruction through the full Run path (devices polled, interrupts
 // checked) on the canonical mixed program (EmitBenchProgram) — the
-// number Table 11 ("mips") regression-tracks. The committed
+// number benchmark/ tracks as m68k.step_floor_ns_per_instr. The committed
 // pre-dispatch measurement was 31.64 ns/instr (switch interpreter,
 // commit b5e4f6b).
 func BenchmarkStepLoop(b *testing.B) {

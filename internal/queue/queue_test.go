@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"synthesis/internal/queue"
 )
@@ -200,6 +201,28 @@ func TestQueueMatchesModel(t *testing.T) {
 // Concurrency: no lost or duplicated items under contention. Run with
 // -race.
 
+// spinTimeout bounds every spin-wait below: the other side needs one
+// step of progress to end a spin, so a spin this long is a stall, and
+// the test fails with its counts instead of sitting in the package
+// timeout.
+const spinTimeout = 10 * time.Second
+
+// spinUntil retries cond, yielding between tries, until it holds or
+// spinTimeout passes; it reports whether cond held.
+func spinUntil(cond func() bool) bool {
+	if cond() {
+		return true
+	}
+	deadline := time.Now().Add(spinTimeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
 // checkTransfer runs producers and consumers and verifies the
 // multiset of received values: nothing lost, nothing duplicated.
 func checkTransfer(t *testing.T, producers, consumers, perProducer int,
@@ -214,14 +237,19 @@ func checkTransfer(t *testing.T, producers, consumers, perProducer int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var v int
+			var ok bool
+			poll := func() bool {
+				v, ok = get()
+				return ok || received.Load() >= total
+			}
 			for {
-				v, ok := get()
+				if !spinUntil(poll) {
+					t.Errorf("consumer stalled: received %d of %d items", received.Load(), total)
+					return
+				}
 				if !ok {
-					if received.Load() >= total {
-						return
-					}
-					runtime.Gosched()
-					continue
+					return
 				}
 				if _, dup := got.LoadOrStore(v, true); dup {
 					t.Errorf("duplicate item %d", v)
@@ -234,10 +262,14 @@ func checkTransfer(t *testing.T, producers, consumers, perProducer int,
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			var v int
+			try := func() bool { return put(v) }
 			for i := 0; i < perProducer; i++ {
-				v := p*perProducer + i
-				for !put(v) {
-					runtime.Gosched()
+				v = p*perProducer + i
+				if !spinUntil(try) {
+					t.Errorf("producer %d stalled at item %d of %d: received %d of %d items",
+						p, i, perProducer, received.Load(), total)
+					return
 				}
 			}
 		}(p)
@@ -277,14 +309,24 @@ func TestLockedConcurrent(t *testing.T) {
 
 func TestBufferedConcurrent(t *testing.T) {
 	b := queue.NewBuffered[int](8, 32)
+	const n = 20000
 	put := func(v int) bool {
 		if !b.TryPut(v) {
 			return false
 		}
-		b.Flush() // keep the consumer fed even with partial chunks
+		if v < n-1 {
+			b.Flush() // keep the consumer fed even with partial chunks
+			return true
+		}
+		// No later put pushes the last item's chunk out, and a full
+		// chunk ring refuses the flush: retry it, or the item strands
+		// in the producer's chunk and the consumer waits forever.
+		if !spinUntil(b.Flush) {
+			t.Errorf("tail flush refused for %v: the chunk ring never drained", spinTimeout)
+		}
 		return true
 	}
-	checkTransfer(t, 1, 1, 20000, put, b.TryGet)
+	checkTransfer(t, 1, 1, n, put, b.TryGet)
 }
 
 func TestMPSCPutBatchAtomicity(t *testing.T) {
@@ -304,18 +346,28 @@ func TestMPSCPutBatchAtomicity(t *testing.T) {
 				for k := range items {
 					items[k] = base + k
 				}
-				for !q.PutBatch(items) {
+				if !spinUntil(func() bool { return q.PutBatch(items) }) {
+					t.Errorf("producer %d stalled at batch %d of %d", p, i, perProducer)
+					return
 				}
 			}
 		}(p)
 	}
+	const total = producers * perProducer * batch
 	got := 0
 	seen := make(map[int]bool)
-	for got < producers*perProducer*batch {
-		v, ok := q.TryGet()
-		if !ok {
-			continue
+	// next waits for the next item, failing the test with the count
+	// received if none arrives.
+	next := func() int {
+		var v int
+		var ok bool
+		if !spinUntil(func() bool { v, ok = q.TryGet(); return ok }) {
+			t.Fatalf("consumer stalled: received %d of %d items", got, total)
 		}
+		return v
+	}
+	for got < total {
+		v := next()
 		if seen[v] {
 			t.Fatalf("duplicate %d", v)
 		}
@@ -324,10 +376,7 @@ func TestMPSCPutBatchAtomicity(t *testing.T) {
 		// consecutively.
 		if v%batch == 0 {
 			for k := 1; k < batch; k++ {
-				w, ok := q.TryGet()
-				for !ok {
-					w, ok = q.TryGet()
-				}
+				w := next()
 				if w != v+k {
 					t.Fatalf("batch interleaved: got %d after %d, want %d", w, v, v+k)
 				}

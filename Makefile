@@ -1,8 +1,8 @@
-# `make tier1` is the CI gate: build, vet, and every test under a
-# bounded timeout. It includes the cycle-clock half of the perf gate
-# (internal/bench's TestGoldenTables holds every table byte-equal to
-# bench/baseline); the wall-clock half is `go run ./benchmark`, see
-# docs/PERFORMANCE.md. `make race`, `soak`, `cluster-soak` and
+# `make tier1` is the CI gate: gofmt-clean, build, vet, and every test
+# under a bounded timeout. It includes the cycle-clock half of the
+# perf gate (internal/bench's TestGoldenTables holds every table
+# byte-equal to bench/baseline); the wall-clock half is
+# `go run ./benchmark`, see docs/PERFORMANCE.md. `make race`, `soak`, `cluster-soak` and
 # `chaos-soak` are the bounded, seeded race-detector passes CI runs
 # after it (queues + packet ring + measurement plane; single-machine
 # fault injection; 2-VM fleet churn; 2-VM fleet under link faults and
@@ -16,6 +16,7 @@ GO ?= go
 .PHONY: tier1 race soak cluster-soak chaos-soak bench tables profile
 
 tier1:
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -timeout 120s ./...

@@ -18,10 +18,7 @@
 //
 //   - On the library plane, internal/queue provides the paper's
 //     optimistic lock-free queues (Figures 1 and 2: SP-SC, MP-SC with
-//     atomic multi-item insert, SP-MC, MP-MC) as production Go code,
-//     and internal/stream provides the quaject building blocks
-//     (pumps, switches, gauges, monitors, filters) with the
-//     interfacer's producer/consumer case analysis.
+//     atomic multi-item insert, SP-MC, MP-MC) as production Go code.
 //
 // See DESIGN.md for the system inventory and the per-experiment index,
 // EXPERIMENTS.md for paper-versus-measured results, and the examples/

@@ -589,7 +589,8 @@ func (c *Cluster) VMs() []*VM { return c.vms }
 
 // GuestInstrs returns the total guest instructions executed across
 // the fleet so far. A delta over a wall-clock window gives aggregate
-// fleet MIPS (Table 11).
+// fleet MIPS, and over a count of echoes the guest path length
+// (fleet_echo's cluster.guest_mips and cluster.guest_instr_per_echo).
 func (c *Cluster) GuestInstrs() uint64 {
 	var n uint64
 	for _, vm := range c.vms {

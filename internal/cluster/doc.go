@@ -27,8 +27,9 @@
 // Chrome traces, per-VM flight recorders (flight.go) that dump a
 // dying guest's tail, and the composable fault plane (fault.go):
 // per-link fault rules, scripted partition/heal windows, and per-VM
-// wire injectors, all seeded and replayable. Tables 8–11 and the
-// cluster/chaos soaks are built on these. All cluster rates are
-// host-wall-clock and therefore nondeterministic; see
-// docs/PERFORMANCE.md for how they are gated warn-only.
+// wire injectors, all seeded and replayable. benchmark/'s fleet_echo
+// workload (its cluster.* metrics and cluster.hop.<name>_p50_us rows),
+// quamon -cluster and the cluster/chaos soaks are built on these. All
+// cluster rates are host-wall-clock and therefore nondeterministic;
+// docs/PERFORMANCE.md says how fleet_echo bounds them.
 package cluster

@@ -62,10 +62,10 @@ type pending struct {
 // pendingHeap is a min-heap on due time.
 type pendingHeap []pending
 
-func (h pendingHeap) Len() int            { return len(h) }
-func (h pendingHeap) Less(i, j int) bool  { return h[i].due.Before(h[j].due) }
-func (h pendingHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pendingHeap) Push(x any)         { *h = append(*h, x.(pending)) }
+func (h pendingHeap) Len() int           { return len(h) }
+func (h pendingHeap) Less(i, j int) bool { return h[i].due.Before(h[j].due) }
+func (h pendingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *pendingHeap) Push(x any)        { *h = append(*h, x.(pending)) }
 func (h *pendingHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -119,9 +119,9 @@ func (c *cutRec) hostSevered() map[int]bool {
 // schedState tracks one scripted partition through pending -> active
 // -> healed.
 type schedState struct {
-	part  fault.Partition
-	cut   *cutRec // non-nil while active
-	done  bool
+	part fault.Partition
+	cut  *cutRec // non-nil while active
+	done bool
 }
 
 // faultPlane is the fabric's fault machinery. All state is guarded by

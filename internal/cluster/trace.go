@@ -30,7 +30,8 @@ import (
 // Because the first and last stamps are the same clock reads the
 // load generator uses for its own RTT measurement, the hop deltas
 // telescope: their sum equals the independently measured RTT
-// exactly, per trace — the conservation identity Table 10 asserts.
+// exactly, per trace — the conservation identity fleet_echo reports as
+// cluster.trace_conservation.
 // Interior stamps are attributed by a monotone chain (event k only
 // lands after k-1) plus payload and region-name matching; ambiguity
 // under concurrent traffic blurs the split between adjacent hops but
@@ -55,8 +56,8 @@ const (
 )
 
 // hopNames names the interval ending at event i+1. These are the
-// registry suffixes (cluster.trace.hop.<name>_us) and the Table 10
-// row labels.
+// registry suffixes (cluster.trace.hop.<name>_us) and fleet_echo's
+// cluster.hop.<name>_p50_us rows.
 var hopNames = [numEvents - 1]string{
 	"fabric_out",    // launch → ingress ring (fabric routing + fault delay)
 	"ingress_dwell", // ingress ring → NIC deposit (driver drain latency)

@@ -15,9 +15,9 @@ func TestParseFullSpec(t *testing.T) {
 	want := Plan{
 		Drop: 0.2, Corrupt: 0.05, Dup: 0.1, Delay: 0.5, RingFull: 0.3,
 		DelayCycles: 800, Jitter: 120,
-		Spurious:    []Spurious{{Level: 7, MeanGap: 50000}},
-		Storms:      []Storm{{Level: 1, At: 2000, Count: 40, Gap: 100}},
-		BusErrs:     []BusErr{{Dev: "disk", Nth: 3}, {Dev: "net", Nth: 7}},
+		Spurious: []Spurious{{Level: 7, MeanGap: 50000}},
+		Storms:   []Storm{{Level: 1, At: 2000, Count: 40, Gap: 100}},
+		BusErrs:  []BusErr{{Dev: "disk", Nth: 3}, {Dev: "net", Nth: 7}},
 	}
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("Parse = %+v, want %+v", p, want)
@@ -26,34 +26,34 @@ func TestParseFullSpec(t *testing.T) {
 
 func TestParseRejectsMalformedSpecs(t *testing.T) {
 	for _, spec := range []string{
-		"drop",            // no value
-		"drop=",           // empty value
-		"drop=1.5",        // probability out of range
-		"drop=NaN",        // NaN sneaks past naive range checks
-		"drop=two",        // non-numeric probability
-		"corrupt=-0.1",    // negative probability
-		"dup=1.01",        // just past the top of the range
-		"ringfull=-1",     // negative probability
-		"jitter=abc",      // non-numeric cycles
-		"jitter=-5",       // negative cycles
-		"delay=0.5",       // missing cycle count
-		"delay=0.5:",      // empty cycle count
-		"delay=2:100",     // probability out of range
-		"spurious=9:100",  // IPL out of range (high)
-		"spurious=0:100",  // IPL out of range (low)
-		"spurious=7",      // missing gap
-		"spurious=7:0",    // zero mean gap
-		"storm=1@100:5",   // missing gap
-		"storm=1@100:0x5", // zero count
-		"storm=1@100:-2x5",   // negative count
-		"storm=8@100:5x10",   // IPL out of range
-		"storm=1:100:5x10",   // missing @
-		"buserr=disk",     // missing access index
-		"buserr=disk@0",   // access index is 1-based
-		"buserr=disk@x",   // non-numeric access index
-		"buserr=@3",       // empty device
-		"warp=0.5",        // unknown kind
-		"drop=0.1,warp=1", // good item does not mask a bad one
+		"drop",             // no value
+		"drop=",            // empty value
+		"drop=1.5",         // probability out of range
+		"drop=NaN",         // NaN sneaks past naive range checks
+		"drop=two",         // non-numeric probability
+		"corrupt=-0.1",     // negative probability
+		"dup=1.01",         // just past the top of the range
+		"ringfull=-1",      // negative probability
+		"jitter=abc",       // non-numeric cycles
+		"jitter=-5",        // negative cycles
+		"delay=0.5",        // missing cycle count
+		"delay=0.5:",       // empty cycle count
+		"delay=2:100",      // probability out of range
+		"spurious=9:100",   // IPL out of range (high)
+		"spurious=0:100",   // IPL out of range (low)
+		"spurious=7",       // missing gap
+		"spurious=7:0",     // zero mean gap
+		"storm=1@100:5",    // missing gap
+		"storm=1@100:0x5",  // zero count
+		"storm=1@100:-2x5", // negative count
+		"storm=8@100:5x10", // IPL out of range
+		"storm=1:100:5x10", // missing @
+		"buserr=disk",      // missing access index
+		"buserr=disk@0",    // access index is 1-based
+		"buserr=disk@x",    // non-numeric access index
+		"buserr=@3",        // empty device
+		"warp=0.5",         // unknown kind
+		"drop=0.1,warp=1",  // good item does not mask a bad one
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted a malformed spec", spec)

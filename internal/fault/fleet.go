@@ -18,8 +18,8 @@ import (
 
 // FleetSpecHelp documents the fleet grammar for --help output and
 // EXPERIMENTS.md, alongside SpecHelp.
-const FleetSpecHelp = `fleet fault spec grammar (semicolon-separated clauses; -cluster and the
-cluster/recovery bench tables only):
+const FleetSpecHelp = `fleet fault spec grammar (semicolon-separated clauses; quamon -cluster
+and cluster.Config.Faults only):
   link=S>D:KNOBS   fault rule for fabric frames from node S to node D
                    (node 0 is the host load generator; "*" = any node).
                    KNOBS is a comma-separated list of:

@@ -74,35 +74,35 @@ func TestParseFleetSingleMachineCompat(t *testing.T) {
 
 func TestParseFleetRejectsMalformedSpecs(t *testing.T) {
 	for _, spec := range []string{
-		"link=0>1",                // no knobs
-		"link=0>1:",               // empty knob list
-		"link=01:drop=0.1",        // missing >
-		"link=0>1:drop=1.5",       // probability out of range
-		"link=0>1:drop",           // knob without value
-		"link=0>1:warp=0.5",       // unknown knob
-		"link=0>1:delay=0.5",      // delay missing MS
-		"link=0>1:delay=0.5:-2",   // negative delay
-		"link=0>1:rate=0",         // rate must be positive
-		"link=0>1:rate=-5",        // negative rate
-		"link=x>1:drop=0.1",       // bad src node
-		"link=0>900:drop=0.1",     // node out of range
-		"link=0>1:drop=0.1;link=0>1:dup=0.1", // duplicate link rule
-		"part=0|2",                // no window
-		"part=0@100-200",          // one node set
-		"part=0|@100-200",         // empty set
-		"part=0|0@100-200",        // node on both sides
-		"part=0+0|1@100-200",      // repeated node in a set
-		"part=0|1@200-100",        // window ends before it starts
-		"part=0|1@200-200",        // empty window
-		"part=0|1@abc-200",        // non-numeric window
-		"part=*|1@100-200",        // wildcard in a partition set
-		"vmfault=1",               // no spec
-		"vmfault=1:",              // empty spec
-		"vmfault=0:drop=0.1",      // host is not a member VM
-		"vmfault=x:drop=0.1",      // bad VM id
-		"vmfault=1:warp=0.5",      // bad inner spec
+		"link=0>1",                             // no knobs
+		"link=0>1:",                            // empty knob list
+		"link=01:drop=0.1",                     // missing >
+		"link=0>1:drop=1.5",                    // probability out of range
+		"link=0>1:drop",                        // knob without value
+		"link=0>1:warp=0.5",                    // unknown knob
+		"link=0>1:delay=0.5",                   // delay missing MS
+		"link=0>1:delay=0.5:-2",                // negative delay
+		"link=0>1:rate=0",                      // rate must be positive
+		"link=0>1:rate=-5",                     // negative rate
+		"link=x>1:drop=0.1",                    // bad src node
+		"link=0>900:drop=0.1",                  // node out of range
+		"link=0>1:drop=0.1;link=0>1:dup=0.1",   // duplicate link rule
+		"part=0|2",                             // no window
+		"part=0@100-200",                       // one node set
+		"part=0|@100-200",                      // empty set
+		"part=0|0@100-200",                     // node on both sides
+		"part=0+0|1@100-200",                   // repeated node in a set
+		"part=0|1@200-100",                     // window ends before it starts
+		"part=0|1@200-200",                     // empty window
+		"part=0|1@abc-200",                     // non-numeric window
+		"part=*|1@100-200",                     // wildcard in a partition set
+		"vmfault=1",                            // no spec
+		"vmfault=1:",                           // empty spec
+		"vmfault=0:drop=0.1",                   // host is not a member VM
+		"vmfault=x:drop=0.1",                   // bad VM id
+		"vmfault=1:warp=0.5",                   // bad inner spec
 		"vmfault=1:drop=0.1;vmfault=1:dup=0.1", // duplicate vmfault
-		"drop=nope",               // bad base clause
+		"drop=nope",                            // bad base clause
 	} {
 		if _, err := ParseFleet(spec); err == nil {
 			t.Errorf("ParseFleet(%q) accepted a malformed spec", spec)

@@ -533,7 +533,7 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 		e.OrSR(srIPLMask) // masked across leave-ring -> switch (see block_on)
 		e.Jsr(k.rtLeave)
 		e.Trap(TrapSwitch) // parked until start
-		e.Rte()           // restores the caller's SR, and with it the level
+		e.Rte()            // restores the caller's SR, and with it the level
 
 		e.Label("start")
 		e.MoveL(m68k.D(1), m68k.A(0))

@@ -152,7 +152,7 @@ func (io *IO) resynthNetHandler() {
 	if generic {
 		name = "net_intr_generic"
 	}
-	io.netIntH = k.C.Build(nil, name).Named("kio."+name).Counted().Emit(func(e *synth.Emitter) {
+	io.netIntH = k.C.Build(nil, name).Named("kio." + name).Counted().Emit(func(e *synth.Emitter) {
 		// Run to completion: the NIC interrupts at level 1, below the
 		// quantum timer, so without this mask the scheduler can switch
 		// away mid-drain and a fresh receive interrupt runs a second

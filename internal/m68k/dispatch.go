@@ -20,13 +20,20 @@ package m68k
 // point. A block-chained dispatcher would have to re-insert those
 // checks at every step anyway, so per-PC handlers lose nothing.
 //
-// Invariant: cycle accounting, flag results, fault ordering and
-// side-effect ordering are bit-identical to the reference switch in
-// exec.go. Every specialized handler replicates its exec.go case's
-// memory-access order and flag call; ops off the hot path fall back
-// to exec.go itself (cSlow), which remains the reference
-// implementation. TestGoldenTables (internal/bench) enforces the
-// invariant: every table regenerates byte-equal to bench/baseline.
+// exec.go's switch is the ISA: complete, the only definition of every
+// instruction, and the fuzzer's oracle. The closures here are a cache
+// in front of it, kept only for the (op, operand-mode) shapes the
+// benchmark workloads execute (at least 0.5 % of some workload's
+// dynamic instructions; docs/PERFORMANCE.md has the op mix and the
+// experiments that priced the alternatives). Every other shape runs
+// through exec itself (cSlow), so its cycle accounting, flags and
+// fault order cannot drift. A specialized shape must be bit-identical
+// to exec in all three: each handler replicates its exec.go case's
+// memory-access order and calls the same flag helper.
+// TestDispatchMatchesExec holds handlers to the switch one instruction
+// at a time, TestRunEqualsSteps holds the two step loops to each
+// other, and TestGoldenTables (internal/bench) holds every table
+// byte-equal to bench/baseline.
 
 // EmitBenchProgram emits the canonical dispatcher benchmark: a
 // representative mix of register ALU, memory read-modify-write,
@@ -79,69 +86,6 @@ func (m *Machine) translate(pc uint32, e *xent) {
 	e.cost = baseCost(in)
 	e.op = in.Op
 	e.run = compile(in, pc)
-}
-
-// maskFor returns the value mask and sign-bit mask for an operand
-// size, letting one flag helper serve all sizes without a per-call
-// size switch.
-func maskFor(sz uint8) (mask, sign uint32) {
-	switch sz {
-	case 1:
-		return 0xff, 0x80
-	case 2:
-		return 0xffff, 0x8000
-	default:
-		return 0xffff_ffff, 0x8000_0000
-	}
-}
-
-// setNZMask is setNZ with the size switch folded into masks.
-func (m *Machine) setNZMask(v, mask, sign uint32) {
-	m.SR &^= FlagN | FlagZ | FlagV | FlagC
-	if v&mask == 0 {
-		m.SR |= FlagZ
-	}
-	if v&sign != 0 {
-		m.SR |= FlagN
-	}
-}
-
-// setAddFlagsMask is setAddFlags with the size switch folded into
-// masks: identical SR results for every input.
-func (m *Machine) setAddFlagsMask(a, b, r, mask, sign uint32) {
-	m.SR &^= FlagN | FlagZ | FlagV | FlagC | FlagX
-	a, b, r = a&mask, b&mask, r&mask
-	if r == 0 {
-		m.SR |= FlagZ
-	}
-	if r&sign != 0 {
-		m.SR |= FlagN
-	}
-	if (a^b)&sign == 0 && (r^a)&sign != 0 {
-		m.SR |= FlagV
-	}
-	if r < a {
-		m.SR |= FlagC | FlagX
-	}
-}
-
-// setSubFlagsMask is setSubFlags with the size switch folded into
-// masks.
-func (m *Machine) setSubFlagsMask(a, b, r, mask, sign uint32) {
-	m.SR &^= FlagN | FlagZ | FlagV | FlagC | FlagX
-	a, b, r = a&mask, b&mask, r&mask
-	if r == 0 {
-		m.SR |= FlagZ
-	}
-	if r&sign != 0 {
-		m.SR |= FlagN
-	}
-	if (a^b)&sign != 0 && (r^b)&sign == 0 {
-		m.SR |= FlagV
-	}
-	if b > a {
-		m.SR |= FlagC | FlagX
-	}
 }
 
 // cEA compiles an effective-address computation, including the
@@ -356,20 +300,10 @@ func cJumpTarget(o Operand) readFn {
 // cSlow defers to the reference switch interpreter, re-reading the
 // instruction from code space at run time (never a cached pointer:
 // AllocCode may have reallocated the backing array since translate).
-// Used for ops off the hot path, where specialization buys nothing
-// and the duplicated logic would be pure risk.
+// Used for every shape the workloads do not execute often enough to
+// pay for a second implementation.
 func cSlow(pc uint32) runFn {
 	return func(m *Machine) error { return m.exec(&m.Code[pc]) }
-}
-
-// cRMW compiles the generic read-modify-write fallback over a copied
-// operand (exactly Machine.rmw, including the address-register case),
-// for specialized handlers whose destination is not a data register.
-func cRMW(o Operand, sz uint8) func(m *Machine, f func(uint32) uint32) (old, nw uint32, err error) {
-	dst := o
-	return func(m *Machine, f func(uint32) uint32) (uint32, uint32, error) {
-		return m.rmw(&dst, sz, f)
-	}
 }
 
 // compile translates one instruction into its handler. The handler
@@ -418,16 +352,6 @@ func compile(in *Instr, pc uint32) runFn {
 			}
 			m.A[r] = addr
 			return nil
-		}
-
-	case PEA:
-		ea := cEA(in.Src, sz)
-		return func(m *Machine) error {
-			addr, err := ea(m)
-			if err != nil {
-				return err
-			}
-			return m.push(addr)
 		}
 
 	case CLR:
@@ -548,169 +472,44 @@ func compile(in *Instr, pc uint32) runFn {
 			}
 		}
 
-	case MULU, DIVU:
-		rd := cRead(in.Src, sz)
-		div := in.Op == DIVU
-		if in.Dst.Mode == ModeDReg {
-			r := in.Dst.Reg
-			return func(m *Machine) error {
-				s, err := rd(m)
-				if err != nil {
-					return err
-				}
-				if div {
-					if s == 0 {
-						return m.Exception(VecZeroDivide)
-					}
-				}
-				old := m.D[r]
-				var nw uint32
-				if div {
-					nw = old / s
-				} else {
-					nw = old * s
-				}
-				m.D[r] = nw
-				m.setNZMask(nw, 0xffff_ffff, 0x8000_0000)
-				return nil
-			}
-		}
-		rmw := cRMW(in.Dst, 4)
-		return func(m *Machine) error {
-			s, err := rd(m)
-			if err != nil {
-				return err
-			}
-			if div && s == 0 {
-				return m.Exception(VecZeroDivide)
-			}
-			var f func(uint32) uint32
-			if div {
-				f = func(o uint32) uint32 { return o / s }
-			} else {
-				f = func(o uint32) uint32 { return o * s }
-			}
-			_, nw, err := rmw(m, f)
-			if err != nil {
-				return err
-			}
-			m.setNZ(nw, 4)
-			return nil
-		}
-
 	case AND, OR, EOR:
+		if in.Dst.Mode != ModeDReg {
+			break
+		}
 		rd := cRead(in.Src, sz)
 		op := in.Op
-		if in.Dst.Mode == ModeDReg {
-			r := in.Dst.Reg
-			return func(m *Machine) error {
-				s, err := rd(m)
-				if err != nil {
-					return err
-				}
-				old := m.D[r] & mask
-				var nw uint32
-				switch op {
-				case AND:
-					nw = old & s
-				case OR:
-					nw = old | s
-				default:
-					nw = old ^ s
-				}
-				m.D[r] = m.D[r]&^mask | nw&mask
-				m.setNZMask(nw, mask, sign)
-				return nil
-			}
-		}
-		rmw := cRMW(in.Dst, sz)
+		r := in.Dst.Reg
 		return func(m *Machine) error {
 			s, err := rd(m)
 			if err != nil {
 				return err
 			}
-			_, nw, err := rmw(m, func(o uint32) uint32 {
-				switch op {
-				case AND:
-					return o & s
-				case OR:
-					return o | s
-				default:
-					return o ^ s
-				}
-			})
-			if err != nil {
-				return err
+			old := m.D[r] & mask
+			var nw uint32
+			switch op {
+			case AND:
+				nw = old & s
+			case OR:
+				nw = old | s
+			default:
+				nw = old ^ s
 			}
+			m.D[r] = m.D[r]&^mask | nw&mask
 			m.setNZMask(nw, mask, sign)
-			return nil
-		}
-
-	case NOT:
-		if in.Dst.Mode == ModeDReg {
-			r := in.Dst.Reg
-			return func(m *Machine) error {
-				nw := ^(m.D[r] & mask)
-				m.D[r] = m.D[r]&^mask | nw&mask
-				m.setNZMask(nw, mask, sign)
-				return nil
-			}
-		}
-		rmw := cRMW(in.Dst, sz)
-		return func(m *Machine) error {
-			_, nw, err := rmw(m, func(o uint32) uint32 { return ^o })
-			if err != nil {
-				return err
-			}
-			m.setNZMask(nw, mask, sign)
-			return nil
-		}
-
-	case NEG:
-		if in.Dst.Mode == ModeDReg {
-			r := in.Dst.Reg
-			return func(m *Machine) error {
-				old := m.D[r] & mask
-				nw := -old
-				m.D[r] = m.D[r]&^mask | nw&mask
-				m.setSubFlagsMask(0, old, nw, mask, sign)
-				return nil
-			}
-		}
-		rmw := cRMW(in.Dst, sz)
-		return func(m *Machine) error {
-			old, nw, err := rmw(m, func(o uint32) uint32 { return -o })
-			if err != nil {
-				return err
-			}
-			m.setSubFlagsMask(0, old, nw, mask, sign)
-			return nil
-		}
-
-	case EXT:
-		r := in.Dst.Reg
-		s8 := sz
-		return func(m *Machine) error {
-			v := m.D[r]
-			switch s8 {
-			case 1:
-				v = uint32(int32(int8(v)))
-			case 2:
-				v = uint32(int32(int16(v)))
-			}
-			m.D[r] = v
-			m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
 			return nil
 		}
 
 	case LSL, LSR, ASR:
+		if in.Dst.Mode != ModeDReg {
+			break
+		}
 		rd := cRead(in.Src, sz)
-		var sh func(o, s uint32) uint32
+		var sh func(o, s uint32) uint32 // o arrives masked to the operand width
 		switch in.Op {
 		case LSL:
 			sh = func(o, s uint32) uint32 { return o << s }
 		case LSR:
-			sh = func(o, s uint32) uint32 { return (o & mask) >> s }
+			sh = func(o, s uint32) uint32 { return o >> s }
 		default: // ASR: arithmetic shift at the operand width
 			switch sz {
 			case 1:
@@ -721,33 +520,16 @@ func compile(in *Instr, pc uint32) runFn {
 				sh = func(o, s uint32) uint32 { return uint32(int32(o) >> s) }
 			}
 		}
-		if in.Dst.Mode == ModeDReg {
-			r := in.Dst.Reg
-			return func(m *Machine) error {
-				s, err := rd(m)
-				if err != nil {
-					return err
-				}
-				s &= 63
-				m.Cycles += uint64(s) / 2 // shifts cost ~2 cycles per 4 bits
-				nw := sh(m.D[r]&mask, s)
-				m.D[r] = m.D[r]&^mask | nw&mask
-				m.setNZMask(nw, mask, sign)
-				return nil
-			}
-		}
-		rmw := cRMW(in.Dst, sz)
+		r := in.Dst.Reg
 		return func(m *Machine) error {
 			s, err := rd(m)
 			if err != nil {
 				return err
 			}
 			s &= 63
-			m.Cycles += uint64(s) / 2
-			_, nw, err := rmw(m, func(o uint32) uint32 { return sh(o, s) })
-			if err != nil {
-				return err
-			}
+			m.Cycles += uint64(s) / 2 // shifts cost ~2 cycles per 4 bits
+			nw := sh(m.D[r]&mask, s)
+			m.D[r] = m.D[r]&^mask | nw&mask
 			m.setNZMask(nw, mask, sign)
 			return nil
 		}
@@ -776,65 +558,6 @@ func compile(in *Instr, pc uint32) runFn {
 				return err
 			}
 			m.setNZMask(v, mask, sign)
-			return nil
-		}
-
-	case BTST:
-		rd := cRead(in.Src, 4)
-		rdd := cRead(in.Dst, sz)
-		width := uint32(sz) * 8
-		return func(m *Machine) error {
-			bitn, err := rd(m)
-			if err != nil {
-				return err
-			}
-			bit := uint32(1) << (bitn % width)
-			v, err := rdd(m)
-			if err != nil {
-				return err
-			}
-			m.SR &^= FlagZ
-			if v&bit == 0 {
-				m.SR |= FlagZ
-			}
-			return nil
-		}
-
-	case BSET, BCLR:
-		rd := cRead(in.Src, 4)
-		rmw := cRMW(in.Dst, sz)
-		set := in.Op == BSET
-		width := uint32(sz) * 8
-		return func(m *Machine) error {
-			bitn, err := rd(m)
-			if err != nil {
-				return err
-			}
-			bit := uint32(1) << (bitn % width)
-			old, _, err := rmw(m, func(o uint32) uint32 {
-				if set {
-					return o | bit
-				}
-				return o &^ bit
-			})
-			if err != nil {
-				return err
-			}
-			m.SR &^= FlagZ
-			if old&bit == 0 {
-				m.SR |= FlagZ
-			}
-			return nil
-		}
-
-	case TAS:
-		rmw := cRMW(in.Dst, 1)
-		return func(m *Machine) error {
-			old, _, err := rmw(m, func(o uint32) uint32 { return o | 0x80 })
-			if err != nil {
-				return err
-			}
-			m.setNZMask(old, 0xff, 0x80)
 			return nil
 		}
 
@@ -927,7 +650,9 @@ func compile(in *Instr, pc uint32) runFn {
 	}
 
 	// Everything else — exception returns, traps, supervisor state,
-	// block moves, FP, CAS — executes through the reference switch.
+	// block moves, FP, CAS, multiply/divide, bit ops, NOT/NEG/EXT/PEA and
+	// logic or shifts into anything but a data register — executes
+	// through the reference switch.
 	return cSlow(pc)
 }
 

@@ -110,10 +110,10 @@ type spuriousDev struct {
 	done  bool
 }
 
-func (d *spuriousDev) Name() string                        { return "spurious" }
-func (d *spuriousDev) Base() uint32                        { return 0xffff_fe00 }
-func (d *spuriousDev) Size() uint32                        { return 0 }
-func (d *spuriousDev) Load(off uint32, sz uint8) uint32    { return 0 }
+func (d *spuriousDev) Name() string                         { return "spurious" }
+func (d *spuriousDev) Base() uint32                         { return 0xffff_fe00 }
+func (d *spuriousDev) Size() uint32                         { return 0 }
+func (d *spuriousDev) Load(off uint32, sz uint8) uint32     { return 0 }
 func (d *spuriousDev) Store(off uint32, sz uint8, v uint32) {}
 func (d *spuriousDev) Tick(now uint64) (int, uint64) {
 	if !d.done && now >= d.at {

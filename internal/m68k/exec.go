@@ -122,9 +122,10 @@ func (m *Machine) nextDeviceEvent() uint64 {
 // The loop body open-codes step()'s common case — translated handler,
 // no probe, no pending interrupt, no due device event, trace bit
 // clear — so the hot path runs with zero call frames between
-// instructions. Anything off that path (and the first execution of
-// every PC) falls through to Step(), the reference path; the two must
-// stay behaviorally identical.
+// instructions (worth 13–30 % of the ns/instr floor,
+// docs/PERFORMANCE.md). Anything off that path (and the first
+// execution of every PC) falls through to Step(), the reference path;
+// TestRunEqualsSteps holds the two loops behaviourally identical.
 func (m *Machine) Run(maxCycles uint64) error {
 	limit := m.Cycles + maxCycles
 	for {
@@ -164,9 +165,9 @@ func (m *Machine) Run(maxCycles uint64) error {
 	}
 }
 
-// RunUntil executes until the PC reaches target in non-supervisor...
-// (diagnostic helper) until the given code address is about to
-// execute, or the cycle budget is exhausted.
+// RunUntil is a diagnostic helper: it steps until the instruction at
+// code address target is about to execute, or the cycle budget is
+// exhausted.
 func (m *Machine) RunUntil(target uint32, maxCycles uint64) error {
 	limit := m.Cycles + maxCycles
 	for m.PC != target {
@@ -191,38 +192,43 @@ func trunc(v uint32, sz uint8) uint32 {
 	}
 }
 
-func signBit(v uint32, sz uint8) bool {
+// maskFor returns the value mask and sign-bit mask for an operand
+// size, letting one flag helper serve all sizes without a per-call
+// size switch (the closures in dispatch.go capture both at translate
+// time).
+func maskFor(sz uint8) (mask, sign uint32) {
 	switch sz {
 	case 1:
-		return v&0x80 != 0
+		return 0xff, 0x80
 	case 2:
-		return v&0x8000 != 0
+		return 0xffff, 0x8000
 	default:
-		return v&0x8000_0000 != 0
+		return 0xffff_ffff, 0x8000_0000
 	}
 }
 
-func (m *Machine) setNZ(v uint32, sz uint8) {
+// setNZMask sets N and Z from v at the given width and clears V and C.
+func (m *Machine) setNZMask(v, mask, sign uint32) {
 	m.SR &^= FlagN | FlagZ | FlagV | FlagC
-	if trunc(v, sz) == 0 {
+	if v&mask == 0 {
 		m.SR |= FlagZ
 	}
-	if signBit(v, sz) {
+	if v&sign != 0 {
 		m.SR |= FlagN
 	}
 }
 
-// setAddFlags sets CCR after r = a + b.
-func (m *Machine) setAddFlags(a, b, r uint32, sz uint8) {
+// setAddFlagsMask sets CCR after r = a + b.
+func (m *Machine) setAddFlagsMask(a, b, r, mask, sign uint32) {
 	m.SR &^= FlagN | FlagZ | FlagV | FlagC | FlagX
-	a, b, r = trunc(a, sz), trunc(b, sz), trunc(r, sz)
+	a, b, r = a&mask, b&mask, r&mask
 	if r == 0 {
 		m.SR |= FlagZ
 	}
-	if signBit(r, sz) {
+	if r&sign != 0 {
 		m.SR |= FlagN
 	}
-	if signBit(a, sz) == signBit(b, sz) && signBit(r, sz) != signBit(a, sz) {
+	if (a^b)&sign == 0 && (r^a)&sign != 0 {
 		m.SR |= FlagV
 	}
 	// Unsigned carry: r < a means the add wrapped (b is truncated to
@@ -232,18 +238,18 @@ func (m *Machine) setAddFlags(a, b, r uint32, sz uint8) {
 	}
 }
 
-// setSubFlags sets CCR after r = a - b (also used by CMP with a=dst,
-// b=src).
-func (m *Machine) setSubFlags(a, b, r uint32, sz uint8) {
+// setSubFlagsMask sets CCR after r = a - b (also used by CMP with
+// a=dst, b=src).
+func (m *Machine) setSubFlagsMask(a, b, r, mask, sign uint32) {
 	m.SR &^= FlagN | FlagZ | FlagV | FlagC | FlagX
-	a, b, r = trunc(a, sz), trunc(b, sz), trunc(r, sz)
+	a, b, r = a&mask, b&mask, r&mask
 	if r == 0 {
 		m.SR |= FlagZ
 	}
-	if signBit(r, sz) {
+	if r&sign != 0 {
 		m.SR |= FlagN
 	}
-	if signBit(a, sz) != signBit(b, sz) && signBit(r, sz) == signBit(b, sz) {
+	if (a^b)&sign != 0 && (r^b)&sign == 0 {
 		m.SR |= FlagV
 	}
 	if b > a {
@@ -422,6 +428,7 @@ func (m *Machine) privileged() error {
 
 func (m *Machine) exec(in *Instr) error {
 	sz := in.Size()
+	mask, sign := maskFor(sz)
 	switch in.Op {
 	case NOP:
 		return nil
@@ -435,7 +442,7 @@ func (m *Machine) exec(in *Instr) error {
 			return err
 		}
 		if in.Dst.Mode != ModeAReg {
-			m.setNZ(v, sz)
+			m.setNZMask(v, mask, sign)
 		}
 		return nil
 
@@ -458,7 +465,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err := m.writeOp(&in.Dst, sz, 0); err != nil {
 			return err
 		}
-		m.setNZ(0, sz)
+		m.setNZMask(0, mask, sign)
 		return nil
 
 	case ADD:
@@ -471,7 +478,7 @@ func (m *Machine) exec(in *Instr) error {
 			return err
 		}
 		if in.Dst.Mode != ModeAReg {
-			m.setAddFlags(old, s, nw, sz)
+			m.setAddFlagsMask(old, s, nw, mask, sign)
 		}
 		return nil
 
@@ -485,7 +492,7 @@ func (m *Machine) exec(in *Instr) error {
 			return err
 		}
 		if in.Dst.Mode != ModeAReg {
-			m.setSubFlags(old, s, nw, sz)
+			m.setSubFlagsMask(old, s, nw, mask, sign)
 		}
 		return nil
 
@@ -498,7 +505,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		m.setNZ(nw, 4)
+		m.setNZMask(nw, 0xffff_ffff, 0x8000_0000)
 		return nil
 
 	case DIVU:
@@ -513,7 +520,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		m.setNZ(nw, 4)
+		m.setNZMask(nw, 0xffff_ffff, 0x8000_0000)
 		return nil
 
 	case AND, OR, EOR:
@@ -535,7 +542,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		m.setNZ(nw, sz)
+		m.setNZMask(nw, mask, sign)
 		return nil
 
 	case NOT:
@@ -543,7 +550,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		m.setNZ(nw, sz)
+		m.setNZMask(nw, mask, sign)
 		return nil
 
 	case NEG:
@@ -551,7 +558,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		m.setSubFlags(0, old, nw, sz)
+		m.setSubFlagsMask(0, old, nw, mask, sign)
 		return nil
 
 	case EXT:
@@ -563,7 +570,7 @@ func (m *Machine) exec(in *Instr) error {
 			v = uint32(int32(int16(v)))
 		}
 		m.D[in.Dst.Reg] = v
-		m.setNZ(v, 4)
+		m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
 		return nil
 
 	case LSL, LSR, ASR:
@@ -594,7 +601,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		m.setNZ(nw, sz)
+		m.setNZMask(nw, mask, sign)
 		return nil
 
 	case CMP:
@@ -606,7 +613,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		m.setSubFlags(d, s, d-s, sz)
+		m.setSubFlagsMask(d, s, d-s, mask, sign)
 		return nil
 
 	case TST:
@@ -614,7 +621,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		m.setNZ(v, sz)
+		m.setNZMask(v, mask, sign)
 		return nil
 
 	case BTST, BSET, BCLR:
@@ -656,7 +663,7 @@ func (m *Machine) exec(in *Instr) error {
 		if err != nil {
 			return err
 		}
-		m.setNZ(old, 1)
+		m.setNZMask(old, 0xff, 0x80)
 		return nil
 
 	case CAS:
@@ -680,7 +687,7 @@ func (m *Machine) exec(in *Instr) error {
 			return m.Store(addr, sz, du)
 		}
 		m.writeReg(&Operand{Mode: ModeDReg, Reg: in.Src.Reg}, sz, cur)
-		if signBit(cur-dc, sz) {
+		if (cur-dc)&sign != 0 {
 			m.SR |= FlagN
 		}
 		return nil

@@ -19,11 +19,11 @@ import (
 
 // SUNOS system call numbers (the subset the benchmarks use).
 const (
-	SysExit  = 1
-	SysRead  = 3
-	SysWrite = 4
-	SysOpen  = 5
-	SysClose = 6
+	SysExit   = 1
+	SysRead   = 3
+	SysWrite  = 4
+	SysOpen   = 5
+	SysClose  = 6
 	SysLseek  = 19
 	SysPipe   = 42
 	SysSocket = 97 // 4.2BSD socket: D1 = local port, D2 = remote port

@@ -32,7 +32,7 @@ soak:
 
 cluster-soak:
 	$(GO) test -race -count 1 -timeout 180s \
-		-run 'TestClusterSoak|TestNoReecho|TestSnapshotDuringRun' ./internal/cluster/
+		-run 'TestClusterSoak|TestNoReecho|TestSnapshotDuringRun|TestIdleFleetParks' ./internal/cluster/
 
 # FLIGHT_DIR makes a failing soak write the fleet's flight-recorder
 # dumps there (CI uploads the directory as an artifact).

@@ -18,7 +18,8 @@
 //
 //   - On the library plane, internal/queue provides the paper's
 //     optimistic lock-free queues (Figures 1 and 2: SP-SC, MP-SC with
-//     atomic multi-item insert, SP-MC, MP-MC) as production Go code.
+//     atomic multi-item insert, MP-MC) as Go code, and internal/net
+//     builds the fleet fabric's signalling packet ring on the MP-SC.
 //
 // See DESIGN.md for the system inventory and the per-experiment index,
 // EXPERIMENTS.md for paper-versus-measured results, and the examples/

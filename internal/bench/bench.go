@@ -27,14 +27,6 @@ type Table struct {
 	Rows  []Row
 }
 
-// Ratio returns measured/paper (0 when the paper value is absent).
-func (r Row) Ratio() float64 {
-	if r.Paper == 0 {
-		return 0
-	}
-	return r.Measured / r.Paper
-}
-
 // String renders the table as aligned text.
 func (t Table) String() string {
 	var b strings.Builder

@@ -31,6 +31,9 @@ const (
 
 	ingressSlots = 1024 // per-VM fabric ingress ring
 	hostSlots    = 4096 // host-bound (reply) ring
+
+	chunkCycles = 4096 // guest cycles a driver runs between looks at its ingress ring
+	traceKeep   = 512  // completed traces retained for Chrome export
 )
 
 // Config parameterizes a cluster.
@@ -51,18 +54,14 @@ type Config struct {
 	// after that many echoes (0 = no churn). Frames arriving in the
 	// gap are stack drops; the load generator's timeout resends.
 	ChurnEvery int
-	// ChunkCycles bounds each VM execution chunk (default 4096).
-	ChunkCycles uint64
 	// Timeout is the load generator's initial resend timeout (default
-	// 50ms). Each unanswered resend doubles the wait up to MaxBackoff.
+	// 50ms). Each unanswered resend doubles the wait, up to 16x Timeout
+	// and at most 2s.
 	Timeout time.Duration
 	// MaxResends caps resend attempts per message; past the cap the
 	// connection gives up (counted in cluster.loadgen.gave_up) and goes
 	// silent. 0 means never give up.
 	MaxResends int
-	// MaxBackoff caps the doubled resend wait (default 16x Timeout,
-	// at most 2s).
-	MaxBackoff time.Duration
 	// Seed fixes the payload padding generator (and, xored with a
 	// plane constant, the fault plane's draws).
 	Seed int64
@@ -80,9 +79,6 @@ type Config struct {
 	// and region hooks ride on it), which slows the interpreter;
 	// tracing is an observability mode, not a benchmark default.
 	TraceEvery int
-	// TraceKeep bounds the completed traces retained for Chrome
-	// export (default 512).
-	TraceKeep int
 	// Flight arms the per-VM flight recorder: the profiler's event
 	// ring plus a hardware instruction-trace ring, rendered into a
 	// dump the moment a VM driver fails (see flight.go).
@@ -111,20 +107,8 @@ func (cfg *Config) setDefaults() {
 	if cfg.PayloadBytes > net.MTU {
 		cfg.PayloadBytes = net.MTU
 	}
-	if cfg.ChunkCycles == 0 {
-		cfg.ChunkCycles = 4096
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 16 * cfg.Timeout
-		if cfg.MaxBackoff > 2*time.Second {
-			cfg.MaxBackoff = 2 * time.Second
-		}
-	}
-	if cfg.MaxBackoff < cfg.Timeout {
-		cfg.MaxBackoff = cfg.Timeout
 	}
 }
 
@@ -162,11 +146,9 @@ func (vm *VM) Err() error {
 // drainIngress moves fabric frames into the NIC's DMA ring, popping
 // the node tag so the synthesized demux sees a plain port. Paced by
 // the ring's free space: frames the device can't take stay queued in
-// the fabric ring instead of being dropped at the device. Returns the
-// number of frames moved, the driver's busy signal.
-func (c *Cluster) drainIngress(vm *VM) int {
+// the fabric ring instead of being dropped at the device.
+func (c *Cluster) drainIngress(vm *VM) {
 	nic := vm.K.Net
-	n := 0
 	for nic.RxPending() < kio.NetRingSlots {
 		f, ok := vm.ingress.Get()
 		if !ok {
@@ -177,9 +159,7 @@ func (c *Cluster) drainIngress(vm *VM) int {
 		if c.tr != nil && c.tr.active.Load() > 0 {
 			c.tr.onDeposit(vm.ID, &f, vm.K.M.Clock())
 		}
-		n++
 	}
-	return n
 }
 
 // Cluster is a running (or runnable) fleet.
@@ -200,16 +180,21 @@ type Cluster struct {
 	tr     *tracer
 	flight *flightState
 
-	// lgMu guards the load generator's connection table; the generator
-	// holds it across each sweep, probes (ConnStates, AwaitingRecovery)
-	// take it briefly.
-	lgMu  sync.Mutex
-	conns []lgConn
+	// lgMu guards the load generator's state; the generator holds it
+	// across each pass, probes (AwaitingRecovery, SeqSum) take it
+	// briefly. sweepAt is the earliest deadline among the connections:
+	// when the generator's next sweep is due.
+	lgMu    sync.Mutex
+	conns   []lgConn
+	sweepAt time.Time
 
-	stop    atomic.Bool
-	wg      sync.WaitGroup
-	started bool
-	nActive atomic.Int64
+	// done is closed by Stop: every fleet goroutine waits on it beside
+	// whatever wakes it for work.
+	done     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+	started  bool
+	nActive  atomic.Int64
 
 	mOffered     *metrics.Counter
 	mRouted      *metrics.Counter
@@ -242,6 +227,7 @@ func New(cfg Config) *Cluster {
 		hostRing: net.NewPacketRing(hostSlots),
 		padSeed:  uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 1,
 		start:    time.Now(),
+		done:     make(chan struct{}),
 
 		mOffered:     reg.Counter("cluster.fabric.offered"),
 		mRouted:      reg.Counter("cluster.fabric.routed"),
@@ -259,7 +245,7 @@ func New(cfg Config) *Cluster {
 	}
 	c.fp = newFaultPlane(c, cfg.Faults, cfg.Seed)
 	if cfg.TraceEvery > 0 {
-		c.tr = newTracer(c, cfg.TraceEvery, cfg.TraceKeep)
+		c.tr = newTracer(c, cfg.TraceEvery)
 	}
 	if cfg.Flight {
 		c.flight = &flightState{}
@@ -462,27 +448,30 @@ func (c *Cluster) Start() {
 // chunk, repeat. The VM mutex is held across each drain+run pair so a
 // Snapshot never reads VM memory mid-chunk.
 //
-// Scheduling matters more than it looks: on a host with few cores, N
-// spinning drivers would starve the load generator into whole Go
-// preemption slices (~10ms) between turns, and measured RTT would be
-// scheduler latency, not fleet latency. So every chunk ends in a
-// Gosched, and a VM with no frame work (nothing drained, nothing
-// transmitted, nothing pending in the DMA ring) backs off with
-// escalating sleeps — guests spend idle time blocked on receive, so
-// burning host CPU to run their scheduler loop buys nothing.
+// After each chunk the driver asks the guest whether it has anything
+// to do. A CPU in STOP is the kernel's idle thread — every echo thread
+// is blocked on receive — so with the NIC ring and the ingress ring
+// both empty nothing is owed, and the driver parks until the ingress
+// ring signals a frame (or KillVM, or Stop). Guest time stands still
+// meanwhile: no timer interrupt is simulated for a fleet member
+// nobody is talking to. Otherwise it yields the core and runs the next
+// chunk.
 func (c *Cluster) drive(vm *VM) {
 	defer c.wg.Done()
-	idle := 0
-	for !c.stop.Load() {
+	for {
+		select {
+		case <-c.done:
+			return
+		default:
+		}
 		vm.mu.Lock()
 		if vm.err != nil {
 			vm.mu.Unlock()
 			return
 		}
-		busy := c.drainIngress(vm) > 0
-		tx0 := vm.K.Net.TxLaunched()
-		err := vm.K.Run(c.cfg.ChunkCycles)
-		busy = busy || vm.K.Net.TxLaunched() != tx0 || vm.K.Net.RxPending() > 0
+		c.drainIngress(vm)
+		err := vm.K.Run(chunkCycles)
+		parked := vm.K.M.Stopped() && vm.K.Net.RxPending() == 0 && vm.ingress.Len() == 0
 		if vm.clk != nil {
 			// One sync point per chunk: the cycle↔wall relation the
 			// merged trace timeline interpolates between.
@@ -499,21 +488,20 @@ func (c *Cluster) drive(vm *VM) {
 			c.recordVMErr(vm, fmt.Errorf("cluster: vm%d: %w", vm.ID, err))
 			return
 		}
-		if busy {
-			idle = 0
+		if !parked {
 			runtime.Gosched()
 			continue
 		}
-		if idle < 16 {
-			idle++
+		select {
+		case <-vm.ingress.Ready():
+		case <-c.done:
+			return
 		}
-		if idle <= 2 {
-			runtime.Gosched()
-		} else {
-			// 75us..400us: long enough to hand the core over, short
-			// enough that a frame queued meanwhile waits less than a
-			// chunk or two.
-			time.Sleep(time.Duration(idle) * 25 * time.Microsecond)
+		if vm.clk != nil {
+			// The guest clock stood still while the wall clock ran:
+			// re-anchor the same cycle, or the timeline smears the
+			// next chunk's events back over the gap.
+			vm.clk.Sync(vm.K.M.Clock(), c.nowNS(time.Now()))
 		}
 	}
 }
@@ -525,14 +513,21 @@ func (c *Cluster) recordVMErr(vm *VM, err error) {
 	vm.setErr(err)
 }
 
-// Stop halts the drivers and the load generator and waits for them.
-// The cluster can be snapshotted after Stop but not restarted.
+// Stop halts the drivers and the load generator and waits for them;
+// a second Stop is a no-op. The cluster can be snapshotted after Stop
+// but not restarted.
 func (c *Cluster) Stop() {
 	if !c.started {
 		return
 	}
-	c.stop.Store(true)
-	c.wg.Wait()
+	c.stopOnce.Do(func() {
+		close(c.done)
+		c.wg.Wait()
+		// Only now is nobody routing: a flush while a driver finishes
+		// its last chunk would miss the frame that chunk hands the
+		// plane, and the conservation identity with it.
+		c.fp.flush()
+	})
 }
 
 // Snapshot takes one registry snapshot covering the whole fleet, with
@@ -561,10 +556,11 @@ func (c *Cluster) Err() error {
 }
 
 // KillVM injects a fatal guest panic into VM id (1-based): the
-// driver's next chunk surfaces ErrPanic, the flight recorder (when
-// armed) captures the dying VM's tail, and Err() goes non-nil. A
-// chaos primitive for exercising member-death handling end to end —
-// the same path a real guest panic trap takes.
+// driver, woken if it was parked, surfaces ErrPanic from its next
+// chunk, the flight recorder (when armed) captures the dying VM's
+// tail, and Err() goes non-nil. A chaos primitive for exercising
+// member-death handling end to end — the same path a real guest panic
+// trap takes.
 func (c *Cluster) KillVM(id int, msg string) {
 	if id < 1 || id > len(c.vms) {
 		return
@@ -573,6 +569,7 @@ func (c *Cluster) KillVM(id int, msg string) {
 	vm.mu.Lock()
 	vm.K.PanicMsg = msg
 	vm.mu.Unlock()
+	vm.ingress.Wake()
 }
 
 // Replies reports completed echo round trips (host view).

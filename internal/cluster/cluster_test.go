@@ -8,19 +8,36 @@ import (
 	"synthesis/internal/net"
 )
 
-// waitReplies polls until the fleet has completed at least n echo
-// round trips or the deadline passes.
-func waitReplies(t *testing.T, c *Cluster, n uint64, d time.Duration) {
+// waitFor polls until cond holds or the deadline passes, failing the
+// test at once on a fleet error; it reports whether cond held.
+func waitFor(t *testing.T, c *Cluster, d time.Duration, cond func() bool) bool {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for c.Replies() < n && time.Now().Before(deadline) {
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
 		if err := c.Err(); err != nil {
 			t.Fatalf("fleet error while waiting: %v", err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		if time.Now().After(deadline) {
+			return false
+		}
 	}
-	if got := c.Replies(); got < n {
-		t.Fatalf("replies = %d, want >= %d within %v", got, n, d)
+	return true
+}
+
+// waitReplies waits until the fleet has completed at least n echo
+// round trips.
+func waitReplies(t *testing.T, c *Cluster, n uint64, d time.Duration) {
+	t.Helper()
+	if !waitFor(t, c, d, func() bool { return c.Replies() >= n }) {
+		t.Fatalf("replies = %d, want >= %d within %v", c.Replies(), n, d)
+	}
+}
+
+// waitActive waits until n connections have completed a round trip:
+// the fleet is warm.
+func waitActive(t *testing.T, c *Cluster, n int, d time.Duration) {
+	t.Helper()
+	if !waitFor(t, c, d, func() bool { return c.ActiveConns() >= n }) {
+		t.Fatalf("%d of %d connections live within %v", c.ActiveConns(), n, d)
 	}
 }
 
@@ -75,6 +92,11 @@ func TestClusterEcho(t *testing.T) {
 	c := New(Config{VMs: 2, SocketsPerVM: 2, Conns: 8, PayloadBytes: 32, Seed: 42})
 	c.Start()
 	waitReplies(t, c, 200, 30*time.Second)
+	// 200 replies can all be one VM's: a connection whose first frame
+	// raced its socket's open sits out a resend timeout. Every
+	// connection live is the fleet-is-warm signal, and it puts both
+	// VMs in the snapshot below.
+	waitActive(t, c, 8, 30*time.Second)
 	c.Stop()
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
@@ -169,5 +191,77 @@ func TestSnapshotDuringRun(t *testing.T) {
 	c.Stop()
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdleFleetParks pins the driver's hand-off rule from outside: a
+// fleet nobody talks to executes nothing — its drivers are asleep on
+// their ingress rings, not running the guests' idle loops — and
+// everything that must reach a parked driver does: the first frame
+// after a heal, KillVM, Stop.
+func TestIdleFleetParks(t *testing.T) {
+	c := New(Config{VMs: 2, SocketsPerVM: 2, Conns: 4, PayloadBytes: 32, Seed: 5,
+		Timeout: 20 * time.Millisecond})
+	c.Start()
+	defer c.Stop()
+	waitActive(t, c, 4, 30*time.Second)
+
+	// still reports whether the fleet executed nothing for 50 ms. A
+	// polling driver never passes: the idle loop's timer interrupt
+	// runs every few chunks.
+	still := func() bool {
+		n := c.GuestInstrs()
+		time.Sleep(50 * time.Millisecond)
+		return c.GuestInstrs() == n
+	}
+	// cutAndPark cuts the host off and waits for the fleet to park:
+	// what was in flight drains, every guest thread blocks on receive,
+	// the CPUs stop.
+	cutAndPark := func() {
+		t.Helper()
+		c.Cut([]int{net.HostNode}, []int{1, 2})
+		for deadline := time.Now().Add(10 * time.Second); !still(); {
+			if time.Now().After(deadline) {
+				t.Fatal("a cut-off fleet keeps executing guest instructions: its drivers never park")
+			}
+		}
+		// Parked is a state, not a lull.
+		if !still() {
+			t.Fatal("parked fleet executed guest instructions")
+		}
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A frame wakes a parked driver: after the heal the generator's
+	// resends get through and echoes resume.
+	cutAndPark()
+	before := c.Replies()
+	c.Heal()
+	waitReplies(t, c, before+8, 10*time.Second)
+
+	// So does KillVM.
+	cutAndPark()
+	c.KillVM(1, "killed while parked")
+	for deadline := time.Now().Add(time.Second); c.Err() == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("KillVM on a parked VM: no driver error within 1s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// And Stop (vm2's driver is still parked); stopping twice is
+	// stopping once.
+	stopped := make(chan struct{})
+	go func() {
+		c.Stop()
+		c.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("Stop with a parked driver did not return within 1s")
 	}
 }

@@ -16,7 +16,10 @@
 // are 1-based. Each VM runs one goroutine alternating between
 // draining its fabric ingress ring into the NIC (paced by the ring's
 // RxPending, so device backpressure is honored, not bypassed) and
-// executing a bounded cycle chunk. Egress rides the NIC's Tx hook:
+// executing a bounded cycle chunk, and parking on that ring's signal
+// whenever the guest's CPU is in STOP with nothing queued for it — no
+// goroutine in the fleet polls or sleeps to pass the time (the fault
+// plane's wall-clock pump aside). Egress rides the NIC's Tx hook:
 // the fabric's verdict lands in NetRegTxStat, so the synthesized
 // send's bounded retry/backoff sees fabric congestion exactly as it
 // sees a full loopback ring.

@@ -392,8 +392,9 @@ func (fp *faultPlane) removeCut(cut *cutRec, now time.Time) {
 	}
 }
 
-// flush discards everything still held when the fleet stops, counting
-// each frame so the conservation identity stays exact.
+// flush discards everything still held once the fleet has stopped
+// (Cluster.Stop calls it after the last goroutine has exited),
+// counting each frame so the conservation identity stays exact.
 func (fp *faultPlane) flush() {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
@@ -415,15 +416,22 @@ func nodeSet(ids []int) map[int]bool {
 	return m
 }
 
-// pump is the plane's goroutine: it executes the partition schedule
-// and releases held frames. Started only when the plan needs time.
+// faultPump is the plane's goroutine: it executes the partition
+// schedule and releases held frames, on a wall-clock tick because the
+// schedules it executes are wall-clock ones. Started only when the
+// plan needs time.
 func (c *Cluster) faultPump() {
 	defer c.wg.Done()
-	for !c.stop.Load() {
-		c.fp.step(time.Now())
-		time.Sleep(200 * time.Microsecond)
+	tick := time.NewTicker(200 * time.Microsecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			c.fp.step(time.Now())
+		case <-c.done:
+			return
+		}
 	}
-	c.fp.flush()
 }
 
 // Cut severs every link between node sets a and b (both directions,

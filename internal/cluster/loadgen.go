@@ -14,11 +14,20 @@ import (
 // thousands of connections multiplex over the per-VM socket capacity.
 // Lost messages (fabric drop, NIC ring overflow, a port mid-churn,
 // link faults, a partition) are resent after a wall-clock timeout;
-// each unanswered resend doubles the wait up to MaxBackoff, and a
+// each unanswered resend doubles the wait up to a ceiling, and a
 // connection that hits MaxResends gives up and goes silent — the
 // generator distinguishes suspecting loss (timeouts), acting on it
 // (resends), and abandoning the connection (gave_up). Nothing in the
 // fleet is ever blocked on the host.
+//
+// The loop is closed by construction: the reply that empties a
+// connection's window refills it on the spot (handleReply), so the
+// steady state touches one connection per reply. Everything that is
+// about time rather than about a reply — the first launch, timeouts,
+// resends, giving up — is the sweep's, and the sweep looks at every
+// connection only when the earliest deadline it knows of has come.
+// Between the two the goroutine sleeps on the host ring's signal and
+// one timer; it never polls.
 
 // lgConn is one logical connection's state.
 type lgConn struct {
@@ -57,18 +66,15 @@ func (c *Cluster) payload(id int, seq uint32) []byte {
 	return p
 }
 
+// backoffDoublings bounds the resend wait at 16x Timeout.
+const backoffDoublings = 4
+
 // backoff is the wait before declaring the attempt after `resends`
-// earlier resends lost: Timeout doubled per resend, capped at
-// MaxBackoff.
+// earlier resends lost: Timeout doubled per resend, up to 16x and at
+// most 2s (a Timeout above 2s is never doubled).
 func (c *Cluster) backoff(resends int) time.Duration {
-	w := c.cfg.Timeout
-	for i := 0; i < resends && w < c.cfg.MaxBackoff; i++ {
-		w <<= 1
-	}
-	if w > c.cfg.MaxBackoff {
-		w = c.cfg.MaxBackoff
-	}
-	return w
+	w := c.cfg.Timeout << min(resends, backoffDoublings)
+	return min(w, max(c.cfg.Timeout, 2*time.Second))
 }
 
 // sendConn launches (or relaunches) the connection's current message
@@ -95,11 +101,14 @@ func (c *Cluster) sendConn(id int, cn *lgConn) {
 	cn.inflight = true
 	cn.sentAt = now
 	cn.deadline = now.Add(c.backoff(cn.resends))
+	if cn.deadline.Before(c.sweepAt) {
+		c.sweepAt = cn.deadline
+	}
 	c.mSent.Inc()
 }
 
-// handleReply matches one host-bound frame to its connection. Callers
-// hold lgMu.
+// handleReply matches one host-bound frame to its connection and
+// launches the connection's next message. Callers hold lgMu.
 func (c *Cluster) handleReply(f net.Frame) {
 	if f.Sum != net.Checksum(f.Payload) {
 		c.mBadSum.Inc()
@@ -145,6 +154,9 @@ func (c *Cluster) handleReply(f net.Frame) {
 	}
 	cn.seq++
 	c.mReplies.Inc()
+	if !cn.gaveUp {
+		c.sendConn(id, cn)
+	}
 }
 
 // drainHeals applies pending heal events: every live connection whose
@@ -172,14 +184,52 @@ func (c *Cluster) drainHeals() {
 	}
 }
 
-// loadgen is the generator goroutine: drain replies, keep every
-// connection's window full, resend on timeout with capped exponential
-// backoff.
+// sweep is the generator's timed half, run when the earliest deadline
+// has come: launch what has nothing in flight (the first sweep
+// launches every connection), declare overdue attempts lost and resend
+// them with the wait doubled, give up past MaxResends. It leaves
+// sweepAt at the earliest deadline still running. Callers hold lgMu.
+func (c *Cluster) sweep(now time.Time) {
+	// No live deadline is further off than the longest wait; sendConn
+	// and the last case below pull sweepAt in from there.
+	c.sweepAt = now.Add(c.backoff(backoffDoublings))
+	for i := range c.conns {
+		cn := &c.conns[i]
+		switch {
+		case cn.gaveUp:
+			// Past the resend cap: silent until the run ends.
+		case !cn.inflight:
+			c.sendConn(i, cn)
+		case now.After(cn.deadline):
+			c.mTimeouts.Inc()
+			if c.tr != nil {
+				// A resent (or abandoned) message's reply can no
+				// longer be matched to one fabric transit.
+				c.tr.onAbandon(i)
+			}
+			if c.cfg.MaxResends > 0 && cn.resends >= c.cfg.MaxResends {
+				cn.gaveUp = true
+				c.mGaveUp.Inc()
+				break
+			}
+			cn.resends++
+			c.mResends.Inc()
+			c.sendConn(i, cn)
+		case cn.deadline.Before(c.sweepAt):
+			c.sweepAt = cn.deadline
+		}
+	}
+}
+
+// loadgen is the generator goroutine: woken by the host ring it drains
+// replies, each of which relaunches its connection; woken by the timer
+// it sweeps. sweepAt starts at the zero time, so the first pass sweeps.
 func (c *Cluster) loadgen() {
 	defer c.wg.Done()
-	for !c.stop.Load() {
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for {
 		c.drainHeals()
-		progress := false
 		c.lgMu.Lock()
 		for {
 			f, ok := c.hostRing.Get()
@@ -187,40 +237,17 @@ func (c *Cluster) loadgen() {
 				break
 			}
 			c.handleReply(f)
-			progress = true
 		}
-		now := time.Now()
-		for i := range c.conns {
-			cn := &c.conns[i]
-			switch {
-			case cn.gaveUp:
-				// Past the resend cap: silent until the run ends.
-			case !cn.inflight:
-				c.sendConn(i, cn)
-				progress = true
-			case now.After(cn.deadline):
-				c.mTimeouts.Inc()
-				if c.tr != nil {
-					// A resent (or abandoned) message's reply can no
-					// longer be matched to one fabric transit.
-					c.tr.onAbandon(i)
-				}
-				if c.cfg.MaxResends > 0 && cn.resends >= c.cfg.MaxResends {
-					cn.gaveUp = true
-					c.mGaveUp.Inc()
-					break
-				}
-				cn.resends++
-				c.mResends.Inc()
-				c.sendConn(i, cn)
-				progress = true
-			}
+		if now := time.Now(); !now.Before(c.sweepAt) {
+			c.sweep(now)
 		}
+		timer.Reset(time.Until(c.sweepAt))
 		c.lgMu.Unlock()
-		if !progress {
-			// Idle: every window is full and no replies are queued.
-			// Yield real CPU to the VM drivers instead of spinning.
-			time.Sleep(100 * time.Microsecond)
+		select {
+		case <-c.hostRing.Ready():
+		case <-timer.C:
+		case <-c.done:
+			return
 		}
 	}
 }

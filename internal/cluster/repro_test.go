@@ -10,6 +10,11 @@ import (
 // and drives it manually: each frame must produce exactly one echo,
 // and a drained fleet must produce nothing more. Guards against the
 // receive path re-processing stale ring slots or stale queue slots.
+//
+// It also holds the guest to what the live driver's parking rule
+// assumes: with its input drained the guest ends up in STOP with the
+// NIC ring empty (so parking it strands nothing), and from there one
+// frame is all it takes to get exactly one echo.
 func TestNoReecho(t *testing.T) {
 	c := New(Config{VMs: 1, SocketsPerVM: 8, Conns: 1, PayloadBytes: 32, Seed: 3})
 	vm := c.vms[0]
@@ -24,6 +29,15 @@ func TestNoReecho(t *testing.T) {
 		return c.routeRaw(1, b)
 	}
 
+	// inject routes one host frame at guest socket sock.
+	inject := func(sock, seq uint32) bool {
+		p := c.payload(0, seq)
+		return c.route(net.HostNode, net.Frame{
+			Dst: net.MakeAddr(1, guestPortBase+sock),
+			Src: net.MakeAddr(net.HostNode, replyPortBase+sock),
+			Sum: net.Checksum(p), Payload: p,
+		})
+	}
 	drive := func(chunks int) {
 		for i := 0; i < chunks; i++ {
 			c.drainIngress(vm)
@@ -33,19 +47,31 @@ func TestNoReecho(t *testing.T) {
 		}
 	}
 
+	// quiet asserts the parked state: a chunk can end inside the idle
+	// loop's timer interrupt, so a few more are allowed to get back to
+	// STOP.
+	quiet := func() {
+		t.Helper()
+		for i := 0; !vm.K.M.Stopped(); i++ {
+			if i == 8 {
+				t.Fatal("guest with nothing to do is not in STOP")
+			}
+			drive(1)
+		}
+		if n := vm.K.Net.RxPending(); n != 0 {
+			t.Fatalf("guest stopped with %d frames in its NIC ring", n)
+		}
+	}
+
 	// Let the guest threads boot and open all sockets.
 	drive(400)
 	if n := len(out); n != 0 {
 		t.Fatalf("fleet transmitted %d frames before any input", n)
 	}
+	quiet()
 
-	for i := 0; i < 3; i++ {
-		p := c.payload(0, uint32(i))
-		c.route(net.HostNode, net.Frame{
-			Dst: net.MakeAddr(1, guestPortBase+uint32(i)),
-			Src: net.MakeAddr(net.HostNode, replyPortBase+uint32(i)),
-			Sum: net.Checksum(p), Payload: p,
-		})
+	for i := uint32(0); i < 3; i++ {
+		inject(i, i)
 	}
 	drive(400)
 	if n := len(out); n != 3 {
@@ -56,19 +82,15 @@ func TestNoReecho(t *testing.T) {
 	if n := len(out); n != 3 {
 		t.Fatalf("re-echo: 3 frames in, %d frames out after extra chunks", n)
 	}
+	quiet()
 
 	// Overload: a 64-frame burst at one socket overflows both the NIC
 	// ring (16 slots) and the socket queue (8 slots). Echo count must
 	// never exceed input, and the fleet must go quiet once drained.
 	out = out[:0]
 	sent := 0
-	for i := 0; i < 64; i++ {
-		p := c.payload(0, uint32(100+i))
-		if c.route(net.HostNode, net.Frame{
-			Dst: net.MakeAddr(1, guestPortBase),
-			Src: net.MakeAddr(net.HostNode, replyPortBase),
-			Sum: net.Checksum(p), Payload: p,
-		}) {
+	for i := uint32(0); i < 64; i++ {
+		if inject(0, 100+i) {
 			sent++
 		}
 	}
@@ -81,4 +103,13 @@ func TestNoReecho(t *testing.T) {
 	if n := len(out); n != burst {
 		t.Fatalf("re-echo after overload: %d grew to %d with no new input", burst, n)
 	}
+	quiet()
+
+	// From the parked state, one frame in is one echo out.
+	inject(0, 200)
+	drive(400)
+	if n := len(out); n != burst+1 {
+		t.Fatalf("one frame into a parked guest: %d echoes", n-burst)
+	}
+	quiet()
 }

@@ -139,16 +139,13 @@ type tracer struct {
 	hHop       [numEvents - 1]*metrics.Hist
 }
 
-func newTracer(c *Cluster, every, keep int) *tracer {
-	if keep <= 0 {
-		keep = 512
-	}
+func newTracer(c *Cluster, every int) *tracer {
 	tr := &tracer{
 		c:       c,
 		every:   uint64(every),
 		pending: make(map[int]*traceReq),
 		byConn:  make(map[int]int),
-		done:    make([]TraceRec, keep),
+		done:    make([]TraceRec, traceKeep),
 		mSampled: c.Reg.Counter("cluster.trace.sampled",
 			"Echo requests sampled into the trace plane."),
 		mCompleted: c.Reg.Counter("cluster.trace.completed",

@@ -256,10 +256,6 @@ func (k *Kernel) UnlinkRoutine() uint32 { return k.rtUnlink }
 // InsertRoutine returns the ready-ring insert routine (A0 = TTE).
 func (k *Kernel) InsertRoutine() uint32 { return k.rtInsert }
 
-// LeaveRingRoutine returns the self-removal routine (current thread
-// steps out; idle steps in when the ring would empty).
-func (k *Kernel) LeaveRingRoutine() uint32 { return k.rtLeave }
-
 // BlockOnRoutine returns the wait-cell park routine (A0 = cell).
 func (k *Kernel) BlockOnRoutine() uint32 { return k.rtBlockOn }
 
@@ -275,9 +271,6 @@ func (k *Kernel) ChainCASRoutine() uint32 { return k.rtChainCAS }
 // LookupRoutine returns the hashed-backwards name lookup (D1 = name).
 func (k *Kernel) LookupRoutine() uint32 { return k.rtLookup }
 
-// PanicRoutine returns the catch-all exception stub.
-func (k *Kernel) PanicRoutine() uint32 { return k.rtPanicVec }
-
 // DispatchRoutine returns the native system-call dispatcher (the
 // UNIX emulator tail-jumps into it).
 func (k *Kernel) DispatchRoutine() uint32 { return k.rtSysDisp }
@@ -289,10 +282,6 @@ func (k *Kernel) AlarmRoutine() uint32 { return k.rtAlarm }
 // layer pokes its interrupt handlers into it (and into live TTEs)
 // before threads are created.
 func (k *Kernel) ProtoVectors() uint32 { return k.protoVec }
-
-// SpuriousRoutine returns the count-and-return handler for unclaimed
-// interrupt levels.
-func (k *Kernel) SpuriousRoutine() uint32 { return k.rtSpurious }
 
 // SpuriousIRQs reports how many spurious interrupts the kernel has
 // absorbed.

@@ -47,13 +47,3 @@ func MeasureSwitchMicros(k *Kernel) float64 {
 	}
 	return m.Micros(m.Cycles - start + switchDispatchCycles)
 }
-
-// MeasureUntilPC runs until the machine is about to execute the given
-// code address and returns the elapsed cycles, or -1 on error.
-func MeasureUntilPC(k *Kernel, target uint32, budget uint64) int64 {
-	start := k.M.Cycles
-	if err := k.M.RunUntil(target, budget); err != nil {
-		return -1
-	}
-	return int64(k.M.Cycles - start)
-}

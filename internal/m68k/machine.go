@@ -260,9 +260,6 @@ func (m *Machine) Charge(cycles uint64, what string) {
 	}
 }
 
-// Supervisor reports whether the CPU is in supervisor state.
-func (m *Machine) Supervisor() bool { return m.SR&FlagS != 0 }
-
 // IPL returns the current interrupt priority mask level.
 func (m *Machine) IPL() int { return int(m.SR&iplMask) >> iplShift }
 
@@ -273,6 +270,11 @@ func (m *Machine) SetIPL(l int) {
 
 // Halted reports whether HALT has been executed.
 func (m *Machine) Halted() bool { return m.halted }
+
+// Stopped reports whether the CPU sits in STOP waiting for an
+// interrupt: the guest's idle thread, i.e. every other thread is
+// blocked.
+func (m *Machine) Stopped() bool { return m.stopped }
 
 // ClearHalt lets a halted machine run again (simulation control: the
 // harness reuses one machine for several measured programs).
@@ -292,9 +294,6 @@ func (m *Machine) Attach(d Device) {
 	}
 	m.tickDevice(len(m.devices)-1, m.Cycles)
 }
-
-// Devices returns the attached devices.
-func (m *Machine) Devices() []Device { return m.devices }
 
 // FindDevice returns the attached device with the given name, or nil.
 func (m *Machine) FindDevice(name string) Device {

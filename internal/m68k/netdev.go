@@ -212,9 +212,7 @@ func (n *Net) InjectFrame(frame []byte) bool { return n.Deliver(frame) }
 func (n *Net) RxPending() uint32 { return n.rxHead - n.rxTail }
 
 // TxLaunched returns the free-running launched-frame count (host
-// view): a delta across an execution chunk tells a driving harness
-// whether the guest transmitted, i.e. whether the VM is doing useful
-// network work or idling.
+// view, for tests and diagnostics).
 func (n *Net) TxLaunched() uint32 { return n.txCnt }
 
 // Dropped returns the drop count (host view).

@@ -1,8 +1,8 @@
-// Package net is the Synthesis-style network subsystem's Go plane:
-// datagram frames, the optimistic MPSC packet ring that receive
-// contexts deposit into (Figure 2's queue discipline applied to
-// packets instead of bytes), and a loopback stack connecting sockets
-// by port.
+// Package net is the Go side of the network: datagram frames, the
+// fabric addressing on top of them (wire.go), and the optimistic MPSC
+// packet ring the fleet's fabric queues them on (Figure 2's queue
+// discipline applied to packets instead of bytes), which signals its
+// consumer the way the paper's asynchronous queues do.
 //
 // The package also owns the wire format shared with the VM plane: the
 // kio network server and the sunos baseline lay out frames in machine
@@ -11,9 +11,6 @@
 package net
 
 import (
-	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"synthesis/internal/queue"
@@ -54,37 +51,46 @@ type Frame struct {
 }
 
 // PacketRing is the optimistic multiple-producer single-consumer
-// frame queue: any number of senders and interrupt contexts may Put
-// concurrently; exactly one consumer Gets.
+// frame queue: any number of senders may Put concurrently; exactly one
+// consumer Gets. It is the paper's asynchronous queue (Section 3.2):
+// nobody blocks in it, and every Put signals the consumer, which is
+// what lets the consumer sleep instead of polling. The consumer's half
+// of the protocol is: Get until empty, then receive from Ready. A
+// frame Put after the failed Get leaves a signal behind, so none is
+// missed; a signal left by a frame already taken costs one empty pass.
 type PacketRing struct {
 	q     *queue.MPSC[Frame]
 	drops atomic.Uint64
+	ready chan struct{} // capacity 1: signals coalesce, none is lost
 }
 
 // NewPacketRing creates a ring holding up to slots frames.
 func NewPacketRing(slots int) *PacketRing {
-	return &PacketRing{q: queue.NewMPSC[Frame](slots)}
+	return &PacketRing{q: queue.NewMPSC[Frame](slots), ready: make(chan struct{}, 1)}
 }
 
-// Put deposits one frame, dropping it (and counting the drop) when
-// the ring is full — receive contexts never block.
+// Put deposits one frame and signals the consumer, dropping the frame
+// (and counting the drop) when the ring is full — senders never block.
 func (r *PacketRing) Put(f Frame) bool {
-	if r.q.TryPut(f) {
-		return true
+	if !r.q.TryPut(f) {
+		r.drops.Add(1)
+		return false
 	}
-	r.drops.Add(1)
-	return false
+	r.Wake()
+	return true
 }
 
-// PutBurst atomically deposits a batch of frames — the interrupt
-// batching case: one claim covers the whole burst. The burst is
-// dropped whole when it does not fit.
-func (r *PacketRing) PutBurst(fs []Frame) bool {
-	if r.q.PutBatch(fs) {
-		return true
+// Ready is the consumer's wait channel: a receive returns once some
+// Put (or Wake) has happened since the last receive.
+func (r *PacketRing) Ready() <-chan struct{} { return r.ready }
+
+// Wake signals the consumer without a frame — for whoever needs it to
+// look at something other than the ring.
+func (r *PacketRing) Wake() {
+	select {
+	case r.ready <- struct{}{}:
+	default: // a signal is already pending
 	}
-	r.drops.Add(uint64(len(fs)))
-	return false
 }
 
 // Get removes the oldest frame; ok is false when the ring is empty
@@ -94,172 +100,5 @@ func (r *PacketRing) Get() (Frame, bool) { return r.q.TryGet() }
 // Len reports the approximate depth.
 func (r *PacketRing) Len() int { return r.q.Len() }
 
-// Cap reports the ring capacity.
-func (r *PacketRing) Cap() int { return r.q.Cap() }
-
 // Drops reports how many frames were discarded at a full ring.
 func (r *PacketRing) Drops() uint64 { return r.drops.Load() }
-
-// ---------------------------------------------------------------------
-
-// Stack is one machine's network stack: a port table of open sockets
-// and a loopback link to a peer stack (possibly itself).
-type Stack struct {
-	mu    sync.Mutex
-	peer  *Stack
-	socks map[uint32]*Socket
-	drops atomic.Uint64
-	fault WireFault
-}
-
-// WireFault models a lossy link in the Go plane: it sees every frame
-// in transit and reports whether the frame still arrives; it may also
-// corrupt the frame in place (the receive side's checksum verify
-// catches that). Used by fault soak tests to stress the concurrent
-// receive path under the race detector.
-type WireFault func(f *Frame) bool
-
-// SetWireFault installs (or, with nil, removes) the stack's lossy
-// link.
-func (s *Stack) SetWireFault(f WireFault) {
-	s.mu.Lock()
-	s.fault = f
-	s.mu.Unlock()
-}
-
-// NewLoopback creates a stack looped onto itself: two sockets on the
-// same stack exchange frames.
-func NewLoopback() *Stack {
-	s := &Stack{socks: make(map[uint32]*Socket)}
-	s.peer = s
-	return s
-}
-
-// NewPair creates two cross-wired stacks ("two machines").
-func NewPair() (*Stack, *Stack) {
-	a := &Stack{socks: make(map[uint32]*Socket)}
-	b := &Stack{socks: make(map[uint32]*Socket)}
-	a.peer, b.peer = b, a
-	return a, b
-}
-
-// Drops reports frames that arrived for a port nobody had open.
-func (s *Stack) Drops() uint64 { return s.drops.Load() }
-
-// Socket is a connected datagram endpoint.
-type Socket struct {
-	stack         *Stack
-	Local, Remote uint32
-	rx            *PacketRing
-	avail         chan struct{}
-	closed        atomic.Bool
-	errs          atomic.Uint64 // frames dropped on checksum mismatch
-}
-
-// ErrPortInUse reports an Open on an already-bound local port.
-var ErrPortInUse = errors.New("net: local port in use")
-
-// Open binds a socket to a local port, connected to a remote port on
-// the peer stack; slots sizes its receive ring.
-func (s *Stack) Open(local, remote uint32, slots int) (*Socket, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, busy := s.socks[local]; busy {
-		return nil, fmt.Errorf("%w: %d", ErrPortInUse, local)
-	}
-	sk := &Socket{
-		stack:  s,
-		Local:  local,
-		Remote: remote,
-		rx:     NewPacketRing(slots),
-		avail:  make(chan struct{}, 1),
-	}
-	s.socks[local] = sk
-	return sk, nil
-}
-
-// deliver demultiplexes one arriving frame to the bound socket,
-// dropping (and counting, per socket) frames whose checksum no longer
-// matches their payload.
-func (s *Stack) deliver(f Frame) {
-	s.mu.Lock()
-	sk := s.socks[f.Dst]
-	fault := s.fault
-	s.mu.Unlock()
-	if fault != nil && !fault(&f) {
-		s.drops.Add(1)
-		return
-	}
-	if sk == nil {
-		s.drops.Add(1)
-		return
-	}
-	if f.Sum != Checksum(f.Payload) {
-		sk.errs.Add(1)
-		return
-	}
-	sk.rx.Put(f)
-	select {
-	case sk.avail <- struct{}{}:
-	default:
-	}
-}
-
-// Send transmits a payload to the socket's connected remote port.
-func (sk *Socket) Send(p []byte) error {
-	if sk.closed.Load() {
-		return errors.New("net: send on closed socket")
-	}
-	if len(p) > MTU {
-		p = p[:MTU]
-	}
-	f := Frame{Dst: sk.Remote, Src: sk.Local, Sum: Checksum(p), Payload: append([]byte(nil), p...)}
-	sk.stack.peer.deliver(f)
-	return nil
-}
-
-// TryRecv returns the next payload without blocking.
-func (sk *Socket) TryRecv() ([]byte, bool) {
-	f, ok := sk.rx.Get()
-	if !ok {
-		return nil, false
-	}
-	return f.Payload, true
-}
-
-// Recv blocks until a frame arrives and returns its payload, or nil
-// once the socket is closed and drained.
-func (sk *Socket) Recv() []byte {
-	for {
-		if p, ok := sk.TryRecv(); ok {
-			return p
-		}
-		if sk.closed.Load() {
-			return nil
-		}
-		<-sk.avail
-	}
-}
-
-// Close unbinds the socket and wakes any blocked receiver.
-func (sk *Socket) Close() {
-	if sk.closed.Swap(true) {
-		return
-	}
-	s := sk.stack
-	s.mu.Lock()
-	if s.socks[sk.Local] == sk {
-		delete(s.socks, sk.Local)
-	}
-	s.mu.Unlock()
-	select {
-	case sk.avail <- struct{}{}:
-	default:
-	}
-}
-
-// Drops reports frames discarded at this socket's full receive ring.
-func (sk *Socket) Drops() uint64 { return sk.rx.Drops() }
-
-// Errs reports frames dropped at this socket for checksum mismatch.
-func (sk *Socket) Errs() uint64 { return sk.errs.Load() }

@@ -2,8 +2,6 @@ package net
 
 import (
 	"bytes"
-	"runtime"
-	"sync"
 	"testing"
 )
 
@@ -58,189 +56,5 @@ func TestFabricAddressing(t *testing.T) {
 	// MakeAddr masks an oversize port rather than corrupting the node.
 	if a := MakeAddr(2, 0x01ffffff); NodeOf(a) != 2 {
 		t.Errorf("oversize port leaked into node byte: node %d", NodeOf(a))
-	}
-}
-
-// PutBurst partial-failure semantics: a burst that does not fit is
-// dropped whole — no prefix of it lands in the ring — and every frame
-// of the failed burst is counted as a drop. Frames already in the ring
-// are untouched.
-func TestPutBurstPartialFailure(t *testing.T) {
-	r := NewPacketRing(8)
-	for i := 0; i < 5; i++ {
-		if !r.Put(Frame{Src: 100, Dst: uint32(i)}) {
-			t.Fatalf("warm-up put %d failed", i)
-		}
-	}
-
-	// 5 occupied + burst of 4 > 8 slots: the burst must fail whole.
-	burst := make([]Frame, 4)
-	for i := range burst {
-		burst[i] = Frame{Src: 1, Dst: uint32(i)}
-	}
-	if r.PutBurst(burst) {
-		t.Fatal("oversized burst accepted")
-	}
-	if r.Len() != 5 {
-		t.Fatalf("ring len after failed burst = %d, want 5 (no partial deposit)", r.Len())
-	}
-	if r.Drops() != uint64(len(burst)) {
-		t.Fatalf("drops after failed burst = %d, want %d", r.Drops(), len(burst))
-	}
-
-	// A burst that exactly fills the remaining space succeeds whole.
-	fit := make([]Frame, 3)
-	for i := range fit {
-		fit[i] = Frame{Src: 2, Dst: uint32(i)}
-	}
-	if !r.PutBurst(fit) {
-		t.Fatal("exact-fit burst rejected")
-	}
-	if r.Len() != 8 {
-		t.Fatalf("ring len = %d, want 8", r.Len())
-	}
-
-	// Ring full: single put drops too, and counts exactly one.
-	if r.Put(Frame{Src: 3}) {
-		t.Fatal("put into a full ring succeeded")
-	}
-	if r.Drops() != uint64(len(burst))+1 {
-		t.Fatalf("drops = %d, want %d", r.Drops(), len(burst)+1)
-	}
-
-	// Drain: the 5 originals then the fitting burst, nothing from the
-	// failed burst.
-	for i := 0; i < 5; i++ {
-		f, ok := r.Get()
-		if !ok || f.Src != 100 {
-			t.Fatalf("drained frame %d = %+v, %v; want original", i, f, ok)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		f, ok := r.Get()
-		if !ok || f.Src != 2 || f.Dst != uint32(i) {
-			t.Fatalf("drained burst frame %d = %+v, %v", i, f, ok)
-		}
-	}
-	if _, ok := r.Get(); ok {
-		t.Fatal("ring not empty after drain: failed burst left a frame behind")
-	}
-
-	// Empty burst is a trivially successful no-op.
-	if !r.PutBurst(nil) {
-		t.Fatal("empty burst rejected")
-	}
-}
-
-// NewPair cross-wire delivery under concurrent senders: many sockets
-// on stack A all sending to sockets on stack B (and one reverse-path
-// sender) while receivers drain concurrently. Checks per-sender
-// ordering, zero loss (receivers keep rings from filling), and no
-// cross-socket leakage. Run under -race: this is the demux path the
-// fabric leans on.
-func TestNewPairConcurrentSenders(t *testing.T) {
-	const (
-		senders = 6
-		perSend = 500
-		slots   = 64
-	)
-	sa, sb := NewPair()
-
-	type pair struct{ tx, rx *Socket }
-	conns := make([]pair, senders)
-	for i := range conns {
-		lp, rp := uint32(100+i), uint32(200+i)
-		tx, err := sa.Open(lp, rp, slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rx, err := sb.Open(rp, lp, slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = pair{tx, rx}
-	}
-	// Reverse-path pair: B sends to A across the same wire at the same
-	// time, so both stacks demux under concurrent load.
-	revTx, err := sb.Open(9, 8, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	revRx, err := sa.Open(8, 9, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for i, c := range conns {
-		wg.Add(2)
-		go func(id int, sk *Socket) {
-			defer wg.Done()
-			for seq := 0; seq < perSend; seq++ {
-				p := []byte{byte(id), byte(seq), byte(seq >> 8)}
-				for sk.rx == nil || conns[id].rx.rx.Len() >= slots-senders {
-					runtime.Gosched()
-				}
-				if err := conns[id].tx.Send(p); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(i, c.tx)
-		go func(id int, sk *Socket) {
-			defer wg.Done()
-			for seq := 0; seq < perSend; seq++ {
-				p := sk.Recv()
-				if p == nil {
-					t.Errorf("conn %d: closed early at seq %d", id, seq)
-					return
-				}
-				if int(p[0]) != id {
-					t.Errorf("conn %d: received frame for sender %d (cross-socket leak)", id, p[0])
-					return
-				}
-				if got := int(p[1]) | int(p[2])<<8; got != seq {
-					t.Errorf("conn %d: seq %d arrived, want %d", id, got, seq)
-					return
-				}
-			}
-		}(i, c.rx)
-	}
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for seq := 0; seq < perSend; seq++ {
-			for revRx.rx.Len() >= slots-1 {
-				runtime.Gosched()
-			}
-			if err := revTx.Send([]byte{0xee, byte(seq), byte(seq >> 8)}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for seq := 0; seq < perSend; seq++ {
-			p := revRx.Recv()
-			if p == nil || p[0] != 0xee {
-				t.Errorf("reverse path broke at seq %d: %v", seq, p)
-				return
-			}
-			if got := int(p[1]) | int(p[2])<<8; got != seq {
-				t.Errorf("reverse path seq %d, want %d", got, seq)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	if sa.Drops() != 0 || sb.Drops() != 0 {
-		t.Errorf("stack drops = %d/%d, want 0 (all ports bound)", sa.Drops(), sb.Drops())
-	}
-	for i, c := range conns {
-		if c.rx.Drops() != 0 || c.rx.Errs() != 0 {
-			t.Errorf("conn %d: rx drops=%d errs=%d", i, c.rx.Drops(), c.rx.Errs())
-		}
 	}
 }

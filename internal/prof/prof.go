@@ -43,7 +43,6 @@ type Profiler struct {
 	cur      int    // region executing the open trace slice
 	curStart uint64 // cycle the open slice began
 	irq      [8]LatencyHist
-	excCount [m68k.NumVectors]uint64
 	ring     *Ring
 	// mIRQ mirrors the per-level latency histograms into the metrics
 	// registry when both planes are on (PublishTo). Nil handles are
@@ -146,12 +145,9 @@ func (p *Profiler) StepDone(pc uint32, cycles, instrs uint64, idle bool) {
 	}
 }
 
-// ExceptionTaken implements m68k.Probe: count per-vector exception
-// dispatches and drop an instant event in the trace.
+// ExceptionTaken implements m68k.Probe: drop an instant event in the
+// trace.
 func (p *Profiler) ExceptionTaken(vec int, pc uint32, at uint64) {
-	if vec >= 0 && vec < len(p.excCount) {
-		p.excCount[vec]++
-	}
 	p.ring.Push(Event{Name: fmt.Sprintf("exception v%d", vec), Ph: 'i', At: at})
 }
 
@@ -230,14 +226,6 @@ func (p *Profiler) IRQ(level int) *LatencyHist {
 		return nil
 	}
 	return &p.irq[level]
-}
-
-// Exceptions returns the dispatch count for one vector.
-func (p *Profiler) Exceptions(vec int) uint64 {
-	if vec < 0 || vec >= len(p.excCount) {
-		return 0
-	}
-	return p.excCount[vec]
 }
 
 // Ring returns the trace-event ring.

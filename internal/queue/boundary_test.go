@@ -31,9 +31,6 @@ func TestWraparoundTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for name, mk := range kinds(tc.size) {
-			if name == "buffered" {
-				continue // chunked capacity; covered by its own tests
-			}
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
 				q := mk()
 				capacity := q.Cap() // mpmc widens 1-slot queues to 2

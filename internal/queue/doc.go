@@ -21,12 +21,16 @@
 //     across index wraparound.
 //
 // All optimistic queues are lock-free and non-blocking: TryPut and
-// TryGet return false instead of waiting. The paper's "synchronous"
-// (blocking) and "asynchronous" (signalling) kinds are provided as
-// wrappers: Locked is a mutex-and-condition blocking queue (it doubles
-// as the traditional baseline the ablation benchmarks compare
-// against), Blocking adapts any optimistic queue into a blocking one,
-// and Notify adds edge-triggered callbacks on empty/non-empty
-// transitions. Buffered amortizes per-item overhead by batching items
-// into chunks, as the A/D device server does in Section 5.4.
+// TryGet return false instead of waiting. Of the paper's other two
+// kinds, the "synchronous" (blocking) queue is Locked, a
+// mutex-and-condition queue that doubles as the traditional baseline
+// the ablation benchmarks compare against; the "asynchronous"
+// (signalling) queue has one user and lives with it: net.PacketRing
+// puts a wake-up channel beside an MPSC, and the fleet's consumers
+// sleep on it.
+//
+// What each kind is kept for: SPSC is Figure 1, MPSC and PutBatch are
+// Figure 2 and the fleet fabric's rings, MPMC against Locked is the
+// ablation row and examples/lockfree. Dedicated and SPMC have no
+// caller outside this package's tests.
 package queue

@@ -1,19 +1,6 @@
 package queue
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
-
-// NonBlocking is the interface every optimistic queue in this package
-// satisfies: best-effort put and get.
-type NonBlocking[T any] interface {
-	TryPut(T) bool
-	TryGet() (T, bool)
-	Len() int
-	Cap() int
-}
+import "sync"
 
 // Locked is the traditional blocking bounded queue: one mutex and two
 // condition variables. It is both the paper's "synchronous queue"
@@ -131,80 +118,4 @@ func (q *Locked[T]) Close() {
 	q.closed = true
 	q.notFull.Broadcast()
 	q.notEmpty.Broadcast()
-}
-
-// Blocking adapts a non-blocking optimistic queue into a blocking
-// ("synchronous") one by spinning with progressive backoff: a few
-// busy retries, then yields, then short sleeps. This preserves the
-// lock-free fast path — when the queue is neither full nor empty, a
-// Put or Get costs exactly one underlying Try operation.
-type Blocking[T any] struct {
-	Q NonBlocking[T]
-}
-
-// backoff escalates from busy spinning to yielding to sleeping.
-func backoff(attempt int) {
-	switch {
-	case attempt < 8:
-		// busy spin
-	case attempt < 64:
-		runtime.Gosched()
-	default:
-		time.Sleep(10 * time.Microsecond)
-	}
-}
-
-// Put appends, waiting while the queue is full.
-func (b Blocking[T]) Put(v T) {
-	for i := 0; ; i++ {
-		if b.Q.TryPut(v) {
-			return
-		}
-		backoff(i)
-	}
-}
-
-// Get removes, waiting while the queue is empty.
-func (b Blocking[T]) Get() T {
-	for i := 0; ; i++ {
-		if v, ok := b.Q.TryGet(); ok {
-			return v
-		}
-		backoff(i)
-	}
-}
-
-// Notify is the paper's "asynchronous queue": instead of blocking, it
-// signals at the interesting transitions. OnNotEmpty fires after a
-// put that found the queue apparently empty; OnNotFull fires after a
-// get that found it apparently full. With a single consumer (the
-// usual kernel configuration: an interrupt handler producing, a
-// thread consuming) the empty-transition signal is exact, which is
-// what the unblocking chain in Section 4.1 needs.
-type Notify[T any] struct {
-	Q          NonBlocking[T]
-	OnNotEmpty func()
-	OnNotFull  func()
-}
-
-// TryPut appends and fires OnNotEmpty on the empty transition.
-func (n Notify[T]) TryPut(v T) bool {
-	wasEmpty := n.Q.Len() == 0
-	if !n.Q.TryPut(v) {
-		return false
-	}
-	if wasEmpty && n.OnNotEmpty != nil {
-		n.OnNotEmpty()
-	}
-	return true
-}
-
-// TryGet removes and fires OnNotFull on the full transition.
-func (n Notify[T]) TryGet() (T, bool) {
-	wasFull := n.Q.Len() == n.Q.Cap()
-	v, ok := n.Q.TryGet()
-	if ok && wasFull && n.OnNotFull != nil {
-		n.OnNotFull()
-	}
-	return v, ok
 }

@@ -30,24 +30,7 @@ func kinds(size int) map[string]func() nb {
 		"spmc":      func() nb { return queue.NewSPMC[int](size) },
 		"mpmc":      func() nb { return queue.NewMPMC[int](size) },
 		"locked":    func() nb { return queue.NewLocked[int](size) },
-		"buffered":  func() nb { return bufferedAdapter(size) },
 	}
-}
-
-// bufferedAdapter flushes eagerly so single-threaded FIFO tests see
-// items immediately.
-type flushingBuffered struct{ *queue.Buffered[int] }
-
-func (f flushingBuffered) TryPut(v int) bool {
-	if !f.Buffered.TryPut(v) {
-		return false
-	}
-	f.Buffered.Flush()
-	return true
-}
-
-func bufferedAdapter(size int) nb {
-	return flushingBuffered{queue.NewBuffered[int](4, size+1)}
 }
 
 func TestFIFOOrder(t *testing.T) {
@@ -74,9 +57,6 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestFullRejectsPut(t *testing.T) {
 	for name, mk := range kinds(4) {
-		if name == "buffered" {
-			continue // buffered capacity is chunked; tested separately
-		}
 		t.Run(name, func(t *testing.T) {
 			q := mk()
 			n := 0
@@ -144,7 +124,7 @@ func TestQueueMatchesModel(t *testing.T) {
 					ok := q.TryPut(v)
 					if ok {
 						model = append(model, v)
-					} else if len(model) < capSeen && name != "buffered" {
+					} else if len(model) < capSeen {
 						t.Logf("%s: put failed with %d/%d items", name, len(model), capSeen)
 						return false
 					}
@@ -160,26 +140,15 @@ func TestQueueMatchesModel(t *testing.T) {
 							return false
 						}
 						model = model[1:]
-					} else if len(model) != 0 && name != "buffered" {
+					} else if len(model) != 0 {
 						t.Logf("%s: get failed with %d items queued", name, len(model))
 						return false
 					}
 				}
 			}
-			// Drain and compare the remainder. The buffered queue may
-			// be holding items in a partial chunk that could not be
-			// flushed while the chunk queue was full; draining frees
-			// space, so flush between gets.
-			f, isB := q.(flushingBuffered)
-			if isB {
-				f.Buffered.Flush()
-			}
+			// Drain and compare the remainder.
 			for _, want := range model {
 				v, ok := q.TryGet()
-				if !ok && isB {
-					f.Buffered.Flush()
-					v, ok = q.TryGet()
-				}
 				if !ok || v != want {
 					t.Logf("%s: drain got (%d,%v), want %d", name, v, ok, want)
 					return false
@@ -307,28 +276,6 @@ func TestLockedConcurrent(t *testing.T) {
 	checkTransfer(t, 8, 8, 5000, q.TryPut, q.TryGet)
 }
 
-func TestBufferedConcurrent(t *testing.T) {
-	b := queue.NewBuffered[int](8, 32)
-	const n = 20000
-	put := func(v int) bool {
-		if !b.TryPut(v) {
-			return false
-		}
-		if v < n-1 {
-			b.Flush() // keep the consumer fed even with partial chunks
-			return true
-		}
-		// No later put pushes the last item's chunk out, and a full
-		// chunk ring refuses the flush: retry it, or the item strands
-		// in the producer's chunk and the consumer waits forever.
-		if !spinUntil(b.Flush) {
-			t.Errorf("tail flush refused for %v: the chunk ring never drained", spinTimeout)
-		}
-		return true
-	}
-	checkTransfer(t, 1, 1, n, put, b.TryGet)
-}
-
 func TestMPSCPutBatchAtomicity(t *testing.T) {
 	// Batches from competing producers must never interleave.
 	q := queue.NewMPSC[int](256)
@@ -412,26 +359,6 @@ func TestPutBatchRejectsOversizeAndFull(t *testing.T) {
 	}
 }
 
-func TestBlockingWrapper(t *testing.T) {
-	b := queue.Blocking[int]{Q: queue.NewSPSC[int](4)}
-	done := make(chan int)
-	go func() {
-		sum := 0
-		for i := 0; i < 100; i++ {
-			sum += b.Get()
-		}
-		done <- sum
-	}()
-	want := 0
-	for i := 0; i < 100; i++ {
-		b.Put(i)
-		want += i
-	}
-	if got := <-done; got != want {
-		t.Errorf("sum = %d, want %d", got, want)
-	}
-}
-
 func TestLockedBlockingPutGet(t *testing.T) {
 	q := queue.NewLocked[int](2)
 	var wg sync.WaitGroup
@@ -463,60 +390,6 @@ func TestLockedBlockingPutGet(t *testing.T) {
 	wg.Wait()
 	if q.Put(1) {
 		t.Error("put after close succeeded")
-	}
-}
-
-func TestNotifySignals(t *testing.T) {
-	notEmpty := 0
-	notFull := 0
-	n := queue.Notify[int]{
-		Q:          queue.NewSPSC[int](2),
-		OnNotEmpty: func() { notEmpty++ },
-		OnNotFull:  func() { notFull++ },
-	}
-	n.TryPut(1) // empty -> signals
-	n.TryPut(2) // not empty -> silent
-	if notEmpty != 1 {
-		t.Errorf("notEmpty fired %d times, want 1", notEmpty)
-	}
-	n.TryGet() // full -> signals
-	n.TryGet()
-	if notFull != 1 {
-		t.Errorf("notFull fired %d times, want 1", notFull)
-	}
-	// Empty again: next put signals again (edge-triggered).
-	n.TryPut(3)
-	if notEmpty != 2 {
-		t.Errorf("notEmpty fired %d times, want 2", notEmpty)
-	}
-}
-
-func TestBufferedChunking(t *testing.T) {
-	b := queue.NewBuffered[int](8, 4)
-	if b.BlockingFactor() != 8 {
-		t.Fatal("blocking factor lost")
-	}
-	// Items are invisible until a full chunk or a flush.
-	for i := 0; i < 7; i++ {
-		if !b.TryPut(i) {
-			t.Fatalf("put %d failed", i)
-		}
-	}
-	if _, ok := b.TryGet(); ok {
-		t.Error("partial chunk visible without flush")
-	}
-	b.TryPut(7) // completes the chunk
-	for i := 0; i < 8; i++ {
-		v, ok := b.TryGet()
-		if !ok || v != i {
-			t.Fatalf("get = (%d,%v), want (%d,true)", v, ok, i)
-		}
-	}
-	// Flush exposes partials.
-	b.TryPut(100)
-	b.Flush()
-	if v, ok := b.TryGet(); !ok || v != 100 {
-		t.Errorf("flushed partial = (%d,%v)", v, ok)
 	}
 }
 

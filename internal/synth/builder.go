@@ -12,10 +12,9 @@ import (
 //	Env binding -> (Collapse) -> Optimize -> ChargeSynthesis ->
 //	install -> region registration
 //
-// Creator.Synthesize and Creator.SynthesizeAt are thin wrappers over
-// a Builder, so code synthesized anywhere in the kernel is uniformly
-// accounted and, when a measurement plane is attached, attributable
-// by name.
+// Creator.Synthesize is a thin wrapper over a Builder, so code
+// synthesized anywhere in the kernel is uniformly accounted and, when
+// a measurement plane is attached, attributable by name.
 
 // RegionSink receives the code-space extent of every installed
 // routine. The profiler implements it; the creator reports through it

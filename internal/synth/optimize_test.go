@@ -404,11 +404,11 @@ func TestCreatorChargesSynthesisTime(t *testing.T) {
 	}
 }
 
-func TestSynthesizeAtPadsWithNops(t *testing.T) {
+func TestBuilderAtPadsWithNops(t *testing.T) {
 	m := newM()
 	c := synth.NewCreator(m)
 	base := m.AllocCode(10)
-	c.SynthesizeAt(nil, "r", base, 10, nil, func(e *synth.Emitter) {
+	c.Build(nil, "r").At(base, 10).Emit(func(e *synth.Emitter) {
 		e.MoveL(m68k.Imm(9), m68k.D(0))
 		e.Rts()
 	})

@@ -92,13 +92,3 @@ func (c *Creator) NewQuaject(name string) *Quaject {
 func (c *Creator) Synthesize(q *Quaject, entry string, env Env, emit func(*Emitter)) uint32 {
 	return c.Build(q, entry).WithEnv(env).Emit(emit)
 }
-
-// SynthesizeAt is Synthesize into a preallocated code region, used
-// when a routine must be rebuilt in place (the context-switch
-// resynthesis after the first floating-point trap rewrites the
-// thread's switch code without moving it, Section 4.2). The region
-// must hold the routine; any slack is filled with NOPs so stale tail
-// instructions cannot execute.
-func (c *Creator) SynthesizeAt(q *Quaject, entry string, base uint32, size int, env Env, emit func(*Emitter)) {
-	c.Build(q, entry).WithEnv(env).At(base, size).Emit(emit)
-}

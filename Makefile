@@ -5,11 +5,11 @@
 # `go run ./benchmark`, see docs/PERFORMANCE.md. `make race`, `soak`, `cluster-soak` and
 # `chaos-soak` are the bounded, seeded race-detector passes CI runs
 # after it (queues + packet ring + measurement plane; single-machine
-# fault injection; 2-VM fleet churn; 2-VM fleet under link faults and
-# a partition/heal cycle). `make bench` runs the root Go benchmarks
-# once, `make tables` prints every table, `make profile` runs one
-# Table 1 program under the profiler and emits trace.json (load in
-# about:tracing or ui.perfetto.dev).
+# fault injection and the open/close churn plateau; 2-VM fleet churn;
+# 2-VM fleet under link faults and a partition/heal cycle). `make
+# bench` runs the root Go benchmarks once, `make tables` prints every
+# table, `make profile` runs one Table 1 program under the profiler
+# and emits trace.json (load in about:tracing or ui.perfetto.dev).
 
 GO ?= go
 
@@ -26,7 +26,7 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnReturnsItsHeap' \
 		./internal/kio/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 

@@ -29,6 +29,12 @@ func (k *Kernel) wireMetrics(reg *metrics.Registry) {
 	k.mCreates = reg.Counter("kernel.thread.creates")
 	k.mPanics = reg.Counter("kernel.panics")
 
+	// The synthesis cache and the code space it keeps from growing.
+	reg.Sample("synth.cache.hits", func() uint64 { return k.C.CacheHits })
+	reg.Sample("synth.cache.misses", func() uint64 { return k.C.CacheMisses })
+	reg.SampleGauge("synth.cache.entries", func() float64 { return float64(k.C.CacheEntries()) })
+	reg.SampleGauge("m68k.code.slots", func() float64 { return float64(k.M.CodeTop) })
+
 	k.C.Counters = &synthCounters{k: k}
 }
 

@@ -189,8 +189,9 @@ func (io *IO) open(k *kernel.Kernel, t *kernel.Thread, name string) (int32, bool
 }
 
 // close implements CloseHook: point the vectors back at the bad-fd
-// stub and release the slot. (The synthesized routines are abandoned
-// in code space, as in the original kernel.)
+// stub and release the slot. The synthesized routines stay in code
+// space and in the creator's cache (synth.Builder.Emit), so the next
+// open that emits the same code gets them back instead of a new copy.
 func (io *IO) close(k *kernel.Kernel, t *kernel.Thread, fd int32) bool {
 	if t == nil || fd < 0 || int(fd) >= kernel.MaxFD || t.FDs[fd].Kind == "" {
 		return false

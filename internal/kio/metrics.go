@@ -110,8 +110,8 @@ func (io *IO) wireIOMetrics() {
 }
 
 // registerPipeMetrics serves one pipe's queue cells; idx is the pipe's
-// index in creation order. Pipes are never torn down (their queues are
-// abandoned like synthesized code), so there is no unregister side.
+// index in creation order. Pipes are never torn down (their queues
+// are abandoned), so there is no unregister side.
 func (io *IO) registerPipeMetrics(p *Pipe, idx int) {
 	reg := io.reg()
 	if reg == nil {

@@ -124,8 +124,9 @@ func (io *IO) installNet() {
 }
 
 // resynthNetHandler rebuilds the receive interrupt handler and
-// installs it in every vector table. The previous handler is
-// abandoned in code space, as the original kernel does.
+// installs it in every vector table. The previous handler stays in
+// code space and in the creator's cache: reopening the same socket set
+// at the same queue addresses gets it back.
 //
 // The handler is synthesized in one of two demultiplex disciplines:
 // the Synthesis one (the open sockets' ports folded in as
@@ -370,20 +371,18 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 		}
 	}
 	fd := allocFD(t)
-	if fd < 0 {
+	if fd < 0 || len(io.socks) >= maxSockets {
 		return -1
 	}
 	q, err := k.Heap.Alloc(nqSize)
 	if err != nil {
 		return -1
 	}
-	if len(io.socks) >= maxSockets {
-		return -1
-	}
 	// One long of slack past FrameMax: the send path zero-pads the
 	// payload tail long before the long-wise checksum.
 	stage, err := k.Heap.Alloc(synnet.FrameMax + 4)
 	if err != nil {
+		_ = k.Heap.Free(q)
 		return -1
 	}
 	for off := uint32(0); off < NQSlots; off += 4 {
@@ -410,13 +409,17 @@ func (io *IO) sock(k *kernel.Kernel, t *kernel.Thread, local, remote uint32) (in
 }
 
 // closeSocket removes a closed descriptor's socket from the
-// demultiplex set and rebuilds the handler.
+// demultiplex set, rebuilds the handler, and only then — when no
+// installed handler names the queue any more — returns the receive
+// queue and the staging frame to the kernel heap.
 func (io *IO) closeSocket(t *kernel.Thread, fd int32) {
 	for i, s := range io.socks {
 		if s.TTE == t.TTE && s.FD == fd {
 			io.socks = append(io.socks[:i], io.socks[i+1:]...)
 			io.unregisterSockMetrics(s)
 			io.resynthNetHandler()
+			_ = io.K.Heap.Free(s.Queue)
+			_ = io.K.Heap.Free(s.Stage)
 			return
 		}
 	}

@@ -1,0 +1,218 @@
+package kio_test
+
+import (
+	"slices"
+	"testing"
+
+	"synthesis/internal/kernel"
+	"synthesis/internal/kio"
+	"synthesis/internal/m68k"
+	"synthesis/internal/metrics"
+	"synthesis/internal/synth"
+)
+
+// emitClose closes descriptor fd; the result lands in D0.
+func emitClose(e *synth.Emitter, fd int32) {
+	e.MoveL(m68k.Imm(kernel.SysClose), m68k.D(0))
+	e.MoveL(m68k.Imm(fd), m68k.D(1))
+	e.Trap(kernel.TrapSys)
+}
+
+// TestSocketChurnReturnsItsHeap: a closed socket gives its receive
+// queue and staging frame back (ROADMAP A(3): it used to keep both, so
+// a thread could open a socket 1,757 times per boot and never again).
+func TestSocketChurnReturnsItsHeap(t *testing.T) {
+	k, _ := boot(t)
+	const cycles, res = 10_000, 0x9000
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		e.Clr(4, m68k.Abs(res))
+		e.MoveL(m68k.Imm(cycles), m68k.D(5))
+		e.Label("loop")
+		emitSock(e, 7, 7)
+		e.OrL(m68k.D(0), m68k.Abs(res)) // every open must return fd 0
+		emitClose(e, 0)
+		e.OrL(m68k.D(0), m68k.Abs(res))
+		e.SubL(m68k.Imm(1), m68k.D(5))
+		e.Bne("loop")
+		exitSeq(e)
+	})
+	th := k.SpawnKernel("main", prog)
+	free := k.Heap.FreeBytes()
+	run(t, k, th, 2_000_000_000)
+	if got := k.M.Peek(res, 4); got != 0 {
+		t.Errorf("an open or a close failed: results or to %#x", got)
+	}
+	if got := k.Heap.FreeBytes(); got != free {
+		t.Errorf("%d socket cycles moved the heap's free bytes %d -> %d", cycles, free, got)
+	}
+}
+
+// TestOpenCloseChurnPlateaus: reopening what has been open before
+// costs no code space, no profiler region, no registry entry and no
+// heap, whatever kind of descriptor it is; the routines the cache
+// hands back are the ones it installed, and they still work.
+// /proc/metrics is the one kind whose reopen can be new: its read
+// folds in the snapshot's length, so a snapshot one digit longer is a
+// routine nobody has built — a few dozen in 2,000 opens, and nothing
+// else grows.
+func TestOpenCloseChurnPlateaus(t *testing.T) {
+	reg := metrics.New()
+	k := kernel.Boot(kernel.Config{
+		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
+		Profile: true,
+		Metrics: reg,
+	})
+	io := kio.Install(k)
+	if _, err := k.FS.CreateSized("/tmp/data", nil, 256); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		warm, cycles = 2, 2000
+		res          = 0x9000 // every open's and close's result, or-ed
+		names        = 0x9100 // 32 bytes per name
+		wbuf, rbuf   = 0x9300, 0x9700
+		sockBuf      = 0x9800
+	)
+	files := []string{"/dev/tty", "/dev/rawtty", "/dev/null", "/tmp/data", kio.ProcMetricsPath}
+	const tty, data, proc = 0, 3, 4
+	for i, n := range files {
+		pokeName(k, names+uint32(i)*32, n)
+	}
+	k.M.PokeBytes(wbuf, []byte("plateau!"))
+
+	// Every descriptor is fd 0 of the one thread, so a reopen emits
+	// the code the first open did.
+	open := func(e *synth.Emitter, file uint32) {
+		emitOpen(e, names+file*32)
+		e.OrL(m68k.D(0), m68k.Abs(res))
+	}
+	sock := func(e *synth.Emitter) {
+		emitSock(e, 7, 7) // its own peer: the loopback NIC echoes
+		e.OrL(m68k.D(0), m68k.Abs(res))
+	}
+	closeFD := func(e *synth.Emitter) {
+		emitClose(e, 0)
+		e.OrL(m68k.D(0), m68k.Abs(res))
+	}
+	rw := func(e *synth.Emitter, trap uint8, buf, n int32, result uint32) {
+		e.MoveL(m68k.Imm(buf), m68k.D(1))
+		e.MoveL(m68k.Imm(n), m68k.D(2))
+		e.Trap(trap)
+		e.MoveL(m68k.D(0), m68k.Abs(result))
+	}
+	// churn emits a loop of `cycles` rounds of body that halts, for the
+	// host to take a reading, after round `warm` and after the last.
+	// (The optimizer keeps what follows a halt only under a label.)
+	churn := func(e *synth.Emitter, name string, body func()) {
+		e.Clr(4, m68k.D(5))
+		e.Label(name)
+		body()
+		e.AddL(m68k.Imm(1), m68k.D(5))
+		e.CmpL(m68k.Imm(warm), m68k.D(5))
+		e.Bne(name + "_on")
+		e.Halt()
+		e.Label(name + "_on")
+		e.CmpL(m68k.Imm(cycles), m68k.D(5))
+		e.Bne(name)
+		e.Halt()
+		e.Label(name + "_done")
+	}
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		e.Clr(4, m68k.Abs(res))
+		churn(e, "five", func() {
+			for file := uint32(0); file < proc; file++ {
+				open(e, file)
+				closeFD(e)
+			}
+			sock(e)
+			closeFD(e)
+		})
+		// Every open here is served from the cache (while the heap is
+		// as the loop left it: the socket's routines fold its queue's
+		// address in).
+		open(e, tty)
+		rw(e, kernel.TrapWrite, wbuf, 8, res+4)
+		closeFD(e)
+		open(e, data)
+		rw(e, kernel.TrapWrite, wbuf, 8, res+8)
+		closeFD(e)
+		open(e, data)
+		rw(e, kernel.TrapRead, rbuf, 64, res+12)
+		closeFD(e)
+		sock(e)
+		rw(e, kernel.TrapWrite, wbuf, 8, res+16)
+		rw(e, kernel.TrapRead, sockBuf, 64, res+20)
+		closeFD(e)
+		churn(e, "proc", func() {
+			open(e, proc)
+			closeFD(e)
+		})
+		exitSeq(e)
+	})
+	k.Start(k.SpawnKernel("main", prog))
+
+	type reading struct {
+		regions, metrics int
+		heapFree         uint32
+		codeTop          uint32
+		entries          int
+	}
+	// next runs the guest to its next halt and takes a reading.
+	next := func(round uint32) reading {
+		t.Helper()
+		k.M.ClearHalt()
+		if err := k.Run(4_000_000_000); err != nil {
+			t.Fatalf("run: %v\ntrace:\n%s", err, tail(k))
+		}
+		if round != 0 && k.M.D[5] != round {
+			t.Fatalf("halted after round %d, want %d", k.M.D[5], round)
+		}
+		return reading{k.Prof.Regions(), len(reg.Names()), k.Heap.FreeBytes(), k.M.CodeTop, k.C.CacheEntries()}
+	}
+
+	early := next(warm)
+	installed := slices.Clone(k.M.Code) // every cached routine, and the rest of code space
+	if late := next(cycles); late != early {
+		t.Errorf("rounds %d..%d of five kinds moved the kernel:\n after %4d: %+v\n after %4d: %+v",
+			warm, cycles, warm, early, cycles, late)
+	}
+
+	misses := k.C.CacheMisses
+	early = next(warm) // through the working descriptors into the /proc/metrics loop
+	if k.C.CacheMisses > misses+warm {
+		t.Errorf("%d routines built since the five kinds' loop, and only the %d /proc/metrics opens may have",
+			k.C.CacheMisses-misses, warm)
+	}
+	late := next(cycles)
+	built := late.entries - early.entries
+	slots := uint32(built * k.C.LastStats.InstrsAfter) // the last build was a proc read
+	if built > cycles/20 {
+		t.Errorf("%d of %d /proc/metrics reopens built a new read routine", built, cycles-warm)
+	}
+	t.Logf("/proc/metrics: %d of %d reopens had a new snapshot length, %d code slots", built, cycles-warm, slots)
+	early.entries, early.codeTop = late.entries, early.codeTop+slots
+	if late != early {
+		t.Errorf("rounds %d..%d of /proc/metrics moved more than its %d new read routines:\n after %4d: %+v\n after %4d: %+v",
+			warm, cycles, built, warm, early, cycles, late)
+	}
+	if !slices.Equal(k.M.Code[:len(installed)], installed) {
+		t.Errorf("code installed by round %d changed under churn", warm)
+	}
+
+	next(0) // to the exit
+	if got := k.M.Peek(res, 4); got != 0 {
+		t.Errorf("an open or a close failed: results or to %#x", got)
+	}
+	if n := k.M.Peek(res+4, 4); n != 8 || string(k.TTY.Output()) != "plateau!" {
+		t.Errorf("tty write returned %d and emitted %q", int32(n), k.TTY.Output())
+	}
+	if w, r := k.M.Peek(res+8, 4), k.M.Peek(res+12, 4); w != 8 || r != 8 || string(k.M.PeekBytes(rbuf, 8)) != "plateau!" {
+		t.Errorf("file write returned %d, read %d bytes %q", int32(w), int32(r), k.M.PeekBytes(rbuf, 8))
+	}
+	if w, r := k.M.Peek(res+16, 4), k.M.Peek(res+20, 4); w != 8 || r != 8 || string(k.M.PeekBytes(sockBuf, 8)) != "plateau!" {
+		t.Errorf("socket send returned %d, echo %d bytes %q", int32(w), int32(r), k.M.PeekBytes(sockBuf, 8))
+	}
+	if io.NetStackDrops() != 0 {
+		t.Errorf("stack drops = %d", io.NetStackDrops())
+	}
+}

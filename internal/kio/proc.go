@@ -26,7 +26,8 @@ import (
 // already knows where the snapshot lives and how long it is. Each
 // open resynthesizes the routine around the freshly cut snapshot;
 // close frees the buffer (the code, as everywhere else in this
-// kernel, is abandoned in code space).
+// kernel, stays in the creator's cache: an open whose snapshot lands
+// at the same address with the same length reuses it).
 //
 // SynthGenericProcRead builds the SAME template with both holes bound
 // to descriptor cells instead of constants and the block copy behind
@@ -196,8 +197,7 @@ func (io *IO) SynthGenericProcRead(t *kernel.Thread, procFD int32) int32 {
 }
 
 // closeProc releases the open's snapshot buffer. The synthesized
-// routine is abandoned in code space like every other per-open
-// routine.
+// routine stays cached like every other per-open routine.
 func (io *IO) closeProc(t *kernel.Thread, fd int32) {
 	buf := io.K.M.Peek(kernel.FDCell(t.TTE, int(fd), kernel.FDAux), 4)
 	if buf != 0 {

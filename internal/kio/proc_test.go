@@ -267,7 +267,7 @@ func TestProcPromVariant(t *testing.T) {
 }
 
 // TestProcCloseFreesSnapshotBuffer: open/close cycles must not leak
-// the per-open snapshot buffer (the code is abandoned, the data is
+// the per-open snapshot buffer (the code stays cached, the data does
 // not).
 func TestProcCloseFreesSnapshotBuffer(t *testing.T) {
 	k, io, _ := bootProcMetrics(t)

@@ -3,6 +3,7 @@ package m68k
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Status register bits.
@@ -468,13 +469,15 @@ func (m *Machine) PokeBytes(addr uint32, b []byte) {
 // the address of the first. Synthesized routines are emitted here at
 // run time; the kernel allocates regions per quaject. The translation
 // cache grows in lockstep: xcache and Code are always the same
-// length, so the step loop's single bounds check covers both.
+// length, so the step loop's single bounds check covers both. Both
+// only ever grow, so the slots a reslice uncovers are still zero and
+// the call allocates only when a backing array is full.
 func (m *Machine) AllocCode(n int) uint32 {
-	addr := uint32(len(m.Code))
-	m.Code = append(m.Code, make([]Instr, n)...)
-	m.xcache = append(m.xcache, make([]xent, n)...)
-	m.CodeTop = uint32(len(m.Code))
-	return addr
+	addr := len(m.Code)
+	m.Code = slices.Grow(m.Code, n)[:addr+n]
+	m.xcache = slices.Grow(m.xcache, n)[:addr+n]
+	m.CodeTop = uint32(addr + n)
+	return uint32(addr)
 }
 
 // SetCode installs instructions at a previously allocated code

@@ -114,6 +114,10 @@ func (p *Profiler) RegisterRegion(name string, base uint32, instrs int) {
 	}
 }
 
+// Regions returns the number of regions registered, pseudo-regions
+// included.
+func (p *Profiler) Regions() int { return len(p.regions) }
+
 // regionAt resolves a PC to a region id.
 func (p *Profiler) regionAt(pc uint32) int {
 	if int(pc) < len(p.pcMap) {

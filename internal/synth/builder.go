@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"crypto/sha256"
+
 	"synthesis/internal/asmkit"
 	"synthesis/internal/m68k"
 )
@@ -130,22 +132,95 @@ func (b *Builder) regionName() string {
 	return b.entry
 }
 
+// cached is one synthesis-cache entry: where a routine was installed
+// and the statistics its synthesis produced, which is all a later
+// Emit of the same routine needs.
+type cached struct {
+	addr uint32
+	st   OptStats
+}
+
 // Emit runs the template closure and the rest of the pipeline, then
 // returns the installed entry address.
+//
+// Synthesized code is a pure function of what the template emitted,
+// so the optimize-link-install half of the pipeline runs once per
+// distinct routine: the emitted program is looked up in the creator's
+// cache under a digest of everything the later stages read
+// (asmkit.Builder.AppendKey, plus DoOptimize) and a hit returns the
+// address installed the first time. Sharing is sound because installed
+// code outside At regions is never patched; At builds, whose regions
+// the caller owns and rewrites, and Inline builds are not cached. A
+// hit is accounted exactly like a miss — the cycle model and the size
+// tables describe the paper's kernel, which synthesizes on every open
+// (DESIGN.md Section 4) — except that it registers no region: a
+// profiler charges a shared routine to the name it was installed
+// under.
 func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 	c := b.c
-	name := b.regionName()
-	e := NewEmitter(b.env)
+	// Templates emit into the creator's one emitter. It is checked out
+	// while in use, so a template that itself synthesizes gets a fresh
+	// one.
+	e := c.scratch
+	c.scratch = nil
+	if e == nil {
+		e = NewEmitter(nil)
+	}
+	e.Reset()
+	e.env = b.env
 	if b.counted && c.Counters != nil {
 		// Self-measurement stitched into the quaject: one AddL to a
 		// folded cell address before the template body runs.
+		name := b.regionName()
 		if cell := c.Counters.InvocationCell(name); cell != 0 {
 			e.AddL(m68k.Imm(1), m68k.Abs(cell))
 		}
 		c.Counters.Resynthesized(name)
 	}
 	emit(e)
-	p := e.Export()
+
+	var ent cached
+	if b.inPlace || len(b.callees) > 0 {
+		ent = b.install(e.Export())
+	} else {
+		c.key = append(c.key[:0], 0)
+		if c.DoOptimize {
+			c.key[0] = 1
+		}
+		c.key = e.AppendKey(c.key)
+		key := sha256.Sum256(c.key)
+		if got, hit := c.cache[key]; hit {
+			ent = got
+			c.CacheHits++
+		} else {
+			ent = b.install(e.Export())
+			c.cache[key] = ent
+			c.CacheMisses++
+		}
+	}
+	c.scratch = e
+
+	// From here a hit and a miss are the same build.
+	st := &ent.st
+	c.LastStats = *st
+	if c.ChargeTime {
+		ChargeSynthesis(c.M, st.InstrsBefore)
+	}
+	if b.q != nil {
+		b.q.Entries[b.entry] = ent.addr
+		b.q.Instrs += st.InstrsAfter
+		b.q.Bytes += st.BytesAfter
+	}
+	c.TotalInstrs += st.InstrsAfter
+	c.TotalBytes += st.BytesAfter
+	c.Routines++
+	return ent.addr
+}
+
+// install is the part of the pipeline a cache hit skips: collapse,
+// optimize, link into code space and register the region.
+func (b *Builder) install(p asmkit.Program) cached {
+	c := b.c
 	if len(b.callees) > 0 {
 		p, _ = Collapse(p, b.callees)
 	}
@@ -160,12 +235,8 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 		}
 		st.BytesAfter = st.BytesBefore
 	}
-	c.LastStats = st
 	if b.inPlace && len(p.Ins) > b.size {
 		panic("synth: routine does not fit its preallocated region: " + b.entry)
-	}
-	if c.ChargeTime {
-		ChargeSynthesis(c.M, st.InstrsBefore)
 	}
 	bb := asmkit.FromProgram(p)
 	addr := b.base
@@ -181,16 +252,8 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 	} else {
 		addr = bb.Link(c.M)
 	}
-	if b.q != nil {
-		b.q.Entries[b.entry] = addr
-		b.q.Instrs += st.InstrsAfter
-		b.q.Bytes += st.BytesAfter
-	}
-	c.TotalInstrs += st.InstrsAfter
-	c.TotalBytes += st.BytesAfter
-	c.Routines++
 	if c.Regions != nil {
-		c.Regions.RegisterRegion(name, addr, regionLen)
+		c.Regions.RegisterRegion(b.regionName(), addr, regionLen)
 	}
-	return addr
+	return cached{addr: addr, st: st}
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"crypto/sha256"
 	"sort"
 
 	"synthesis/internal/m68k"
@@ -72,12 +73,25 @@ type Creator struct {
 	TotalBytes  int
 	Routines    int
 	LastStats   OptStats
+
+	// The synthesis cache (Builder.Emit): installed routines by the
+	// digest of the program their template emitted, how often a build
+	// was served from it, and the emitter and key buffer every build
+	// reuses.
+	CacheHits   uint64
+	CacheMisses uint64
+	cache       map[[sha256.Size]byte]cached
+	scratch     *Emitter
+	key         []byte
 }
+
+// CacheEntries returns the number of routines in the synthesis cache.
+func (c *Creator) CacheEntries() int { return len(c.cache) }
 
 // NewCreator returns a creator with optimization on and time charging
 // off (boot mode).
 func NewCreator(m *m68k.Machine) *Creator {
-	return &Creator{M: m, DoOptimize: true}
+	return &Creator{M: m, DoOptimize: true, cache: make(map[[sha256.Size]byte]cached)}
 }
 
 // NewQuaject starts an empty quaject record.

@@ -7,9 +7,12 @@
 # after it (queues + packet ring + measurement plane; single-machine
 # fault injection and the open/close churn plateau; 2-VM fleet churn;
 # 2-VM fleet under link faults and a partition/heal cycle). `make
-# bench` runs the root Go benchmarks once, `make tables` prints every
-# table, `make profile` runs one Table 1 program under the profiler
-# and emits trace.json (load in about:tracing or ui.perfetto.dev).
+# bench` runs the root Go benchmarks once and then the dispatcher's two
+# inner loops for a second each (internal/m68k: BenchmarkStepLoop and
+# BenchmarkCopyLoop, host ns per guest instruction), `make tables`
+# prints every table, `make profile` runs one Table 1 program under the
+# profiler and emits trace.json (load in about:tracing or
+# ui.perfetto.dev).
 
 GO ?= go
 
@@ -44,6 +47,7 @@ chaos-soak:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
+	$(GO) test -bench . -run ^$$ ./internal/m68k
 
 tables:
 	$(GO) run ./cmd/synbench

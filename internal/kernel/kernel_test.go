@@ -9,6 +9,7 @@ import (
 	"synthesis/internal/fault"
 	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
+	"synthesis/internal/metrics"
 	"synthesis/internal/synth"
 )
 
@@ -480,6 +481,42 @@ func TestUserThreadQuaspaceConfinement(t *testing.T) {
 	}
 	if k.M.Peek(ub+okFlagOff, 4) != 7 {
 		t.Error("error handler did not run for quaspace violation")
+	}
+}
+
+// TestPrivilegedOpInUserThreadIsAnErrorTrap: a user thread that
+// executes a privileged instruction gets the error trap and nothing
+// else. RTE is the telling case: if it ran after vectoring it would pop
+// the trap's own frame, the handler would never run and the thread
+// would carry on past it. The dispatcher's two tallies are served from
+// the same machine.
+func TestPrivilegedOpInUserThreadIsAnErrorTrap(t *testing.T) {
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256}, Metrics: metrics.New()})
+	ub, ul := k.AllocUserSpace(4096)
+	handler := k.C.Synthesize(nil, "errh", nil, func(e *synth.Emitter) {
+		e.AddL(m68k.Imm(1), m68k.Abs(ub+16))
+		e.MoveL(m68k.Imm(kernel.SysExit), m68k.D(0))
+		e.Trap(kernel.TrapSys)
+	})
+	prog := k.C.Synthesize(nil, "user", nil, func(e *synth.Emitter) {
+		e.Rte()
+		e.MoveL(m68k.Imm(1), m68k.Abs(ub+20)) // not reached: the handler exits the thread
+		exitSeq(e)
+	})
+	th := k.SpawnUser("user", prog, ub, ul)
+	k.M.Poke(th.TTE+kernel.TTEErrPC, 4, handler)
+	runToCompletion(t, k, th, 5_000_000)
+	if got := k.M.Peek(ub+16, 4); got != 1 {
+		t.Errorf("error handler ran %d times for a user-state RTE, want 1", got)
+	}
+	if k.M.Peek(ub+20, 4) != 0 {
+		t.Error("thread continued past its privileged instruction")
+	}
+	c := k.Metrics.Snapshot().Counters
+	if c["m68k.dispatch.translations"] != k.M.Translations || k.M.Translations == 0 ||
+		c["m68k.dispatch.slow_instrs"] != k.M.SlowInstrs {
+		t.Errorf("registry serves %d translations and %d slow instructions, the machine counted %d and %d",
+			c["m68k.dispatch.translations"], c["m68k.dispatch.slow_instrs"], k.M.Translations, k.M.SlowInstrs)
 	}
 }
 

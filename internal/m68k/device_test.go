@@ -90,25 +90,93 @@ func TestMoveFromToSR(t *testing.T) {
 	}
 }
 
+// TestPrivilegedOpsTrapInUserMode: each of the seven privileged
+// instructions, executed in user state, takes the privilege violation
+// and does nothing else — the handler is entered once, in supervisor
+// state with the user's CCR and interrupt mask, over the frame
+// Exception pushed, and neither the instruction's target nor any other
+// register has moved. (An instruction that vectors and then still runs
+// lets user code rewrite the quaspace bound with MOVEC, and its RTE
+// pops the frame the trap just pushed, so the handler never runs.) In
+// supervisor state the same instruction does its work and takes no
+// exception.
 func TestPrivilegedOpsTrapInUserMode(t *testing.T) {
-	m := newM(t)
-	h := asmkit.New()
-	h.MoveL(m68k.Imm(0xbad), m68k.D(6))
-	h.Halt()
-	m.Poke(m.VBR+uint32(m68k.VecPrivilege)*4, 4, h.Link(m))
-
-	b := asmkit.New()
-	b.MoveL(m68k.Imm(0x4000), m68k.D(0))
-	b.MovecTo(m68k.CtrlUSP, m68k.D(0))
-	b.MoveLabelL("user", m68k.PreDec(7))
-	b.MoveL(m68k.Imm(0), m68k.PreDec(7))
-	b.Rte()
-	b.Label("user")
-	b.OrSR(0x0700) // privileged in user mode: traps
-	b.Halt()
-	run(t, m, b.Link(m))
-	if m.D[6] != 0xbad {
-		t.Error("privileged instruction in user mode did not trap")
+	const (
+		usp, ssp = 0x4000, 0x8000
+		sr       = 0x0300 | m68k.FlagX | m68k.FlagC // IPL 3, two CCR bits
+		newSR    = m68k.FlagS | 0x0500 | m68k.FlagZ
+	)
+	ops := []struct {
+		in m68k.Instr
+		// did reports the instruction's own effect, given the SR before.
+		did func(m *m68k.Machine, before uint16) bool
+	}{
+		{m68k.Instr{Op: m68k.MOVEC, Vec: m68k.CtrlULimit, Src: m68k.D(0)},
+			func(m *m68k.Machine, _ uint16) bool { return m.ULimit == m.D[0] }},
+		{m68k.Instr{Op: m68k.ORSR, Src: m68k.Imm(0x0700)},
+			func(m *m68k.Machine, before uint16) bool { return m.SR == before|0x0700 }},
+		{m68k.Instr{Op: m68k.ANDSR, Src: m68k.Imm(0xf8ff)},
+			func(m *m68k.Machine, before uint16) bool { return m.SR == before&0xf8ff }},
+		{m68k.Instr{Op: m68k.MOVETSR, Src: m68k.D(1)},
+			func(m *m68k.Machine, _ uint16) bool { return m.SR == newSR }},
+		{m68k.Instr{Op: m68k.MOVEFSR, Dst: m68k.D(2)},
+			func(m *m68k.Machine, before uint16) bool { return m.D[2] == uint32(before) }},
+		{m68k.Instr{Op: m68k.RTE},
+			func(m *m68k.Machine, _ uint16) bool { return m.SR == newSR && m.A[7] == ssp }},
+		{m68k.Instr{Op: m68k.STOP, Src: m68k.Imm(int32(newSR))},
+			func(m *m68k.Machine, _ uint16) bool { return m.Stopped() && m.SR == newSR }},
+	}
+	for _, op := range ops {
+		for _, user := range []bool{true, false} {
+			m := newM(t)
+			handler := m.Emit([]m68k.Instr{
+				{Op: m68k.ADD, Src: m68k.Imm(1), Dst: m68k.D(6)},
+				{Op: m68k.HALT},
+			})
+			m.Poke(m.VBR+uint32(m68k.VecPrivilege)*4, 4, handler)
+			entry := m.Emit([]m68k.Instr{op.in, {Op: m68k.HALT}, {Op: m68k.HALT}})
+			m.D[0], m.D[1], m.D[2] = 0x1234, uint32(newSR), 0xdead_beef
+			// A frame RTE can return through sits under the supervisor
+			// stack pointer either way; only supervisor RTE may pop it.
+			m.Poke(ssp-8, 4, uint32(newSR))
+			m.Poke(ssp-4, 4, entry+2)
+			m.SSP, m.USP = ssp-8, usp
+			m.SR, m.A[7] = sr|m68k.FlagS, ssp-8
+			if user {
+				m.SR, m.A[7] = sr, usp
+			}
+			before := *m
+			m.PC = entry
+			if err := m.Step(); err != nil {
+				t.Fatalf("%v user=%v: %v", op.in, user, err)
+			}
+			if !user {
+				if m.PC == handler || !op.did(m, before.SR) {
+					t.Errorf("%v in supervisor state: PC %d SR %04x, the instruction did not execute", op.in, m.PC, m.SR)
+				}
+				continue
+			}
+			if m.PC != handler {
+				t.Errorf("%v in user state: PC = %d after one step, want the privilege handler at %d", op.in, m.PC, handler)
+				continue
+			}
+			if want := sr | m68k.FlagS; m.SR != want {
+				t.Errorf("%v: handler entered with SR %04x, want %04x (S | the user's CCR, IPL unchanged)", op.in, m.SR, want)
+			}
+			if m.A[7] != ssp-16 || m.Peek(ssp-16, 4) != uint32(sr) || m.Peek(ssp-12, 4) != entry+1 {
+				t.Errorf("%v: at handler entry A7=%#x frame SR=%04x PC=%d, want A7=%#x SR=%04x PC=%d",
+					op.in, m.A[7], m.Peek(ssp-16, 4), m.Peek(ssp-12, 4), ssp-16, sr, entry+1)
+			}
+			a := m.A
+			a[7] = before.A[7]
+			if m.D != before.D || a != before.A || m.USP != usp || m.ULimit != before.ULimit || m.Stopped() {
+				t.Errorf("%v in user state executed after trapping: D=%x A=%x USP=%#x ULimit=%#x stopped=%v",
+					op.in, m.D, m.A, m.USP, m.ULimit, m.Stopped())
+			}
+			if err := m.Run(1000); !errors.Is(err, m68k.ErrHalted) || m.D[6] != 1 {
+				t.Errorf("%v: run = %v with the handler entered %d times, want one entry then HALT", op.in, err, m.D[6])
+			}
+		}
 	}
 }
 

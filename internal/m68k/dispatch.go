@@ -30,7 +30,24 @@ package m68k
 // fault order cannot drift. A specialized shape must be bit-identical
 // to exec in all three: each handler replicates its exec.go case's
 // memory-access order and calls the same flag helper.
-// TestDispatchMatchesExec holds handlers to the switch one instruction
+//
+// Memory operands are resolved at translate time too. The four
+// register-relative modes — (An), (An)+, -(An), d(An) — are one form,
+// addr = A[r]+disp then A[r] += inc (relOperand), which cRead, cWrite,
+// the ADD/SUB read-modify-write and the fused long MOVE open-code, so
+// the common operand costs no cEA call and no mode branch; indexed and
+// absolute operands, LEA and JMP/JSR go through cEA. Byte and long
+// accesses call the size-resolved accessors in machine.go
+// (load8/load32/store8/store32), which open-code plain RAM and nothing
+// else: a device window, the injector, Kick and the bus fault are
+// reachable only through Machine.Load and Machine.Store, which those
+// accessors call for every address that is not plain RAM. A handler
+// never tests devFloor or builds a BusFault for a memory access itself.
+//
+// TestDispatchMatchesExec (random, over the whole op list) and
+// TestDispatchMatchesExecDirected (every specialized memory shape and
+// supervisor op, driven into devices, injected faults, the end of RAM
+// and the quaspace bounds) hold handlers to the switch one instruction
 // at a time, TestRunEqualsSteps holds the two step loops to each
 // other, and TestGoldenTables (internal/bench) holds every table
 // byte-equal to bench/baseline.
@@ -83,34 +100,41 @@ type (
 // currently installed there.
 func (m *Machine) translate(pc uint32, e *xent) {
 	in := &m.Code[pc]
+	m.Translations++
 	e.cost = baseCost(in)
 	e.op = in.Op
 	e.run = compile(in, pc)
 }
 
+// relOperand resolves the four register-relative memory modes to one
+// form — addr = A[r]+disp, then A[r] += inc — so an accessor is one
+// body with no mode branch: (An) is (0, 0), (An)+ is (0, +sz), -(An)
+// is (-sz, -sz) and d(An) is (d, 0).
+func relOperand(o Operand, sz uint8) (r uint8, disp, inc uint32, ok bool) {
+	switch o.Mode {
+	case ModeInd:
+		return o.Reg, 0, 0, true
+	case ModePostInc:
+		return o.Reg, 0, uint32(sz), true
+	case ModePreDec:
+		return o.Reg, -uint32(sz), -uint32(sz), true
+	case ModeDisp:
+		return o.Reg, uint32(o.Imm), 0, true
+	}
+	return 0, 0, 0, false
+}
+
 // cEA compiles an effective-address computation, including the
 // post-increment/pre-decrement side effects, mirroring Machine.ea.
 func cEA(o Operand, sz uint8) eaFn {
+	if r, disp, inc, ok := relOperand(o, sz); ok {
+		return func(m *Machine) (uint32, error) {
+			addr := m.A[r] + disp
+			m.A[r] += inc
+			return addr, nil
+		}
+	}
 	switch o.Mode {
-	case ModeInd:
-		r := o.Reg
-		return func(m *Machine) (uint32, error) { return m.A[r], nil }
-	case ModePostInc:
-		r, d := o.Reg, uint32(sz)
-		return func(m *Machine) (uint32, error) {
-			a := m.A[r]
-			m.A[r] += d
-			return a, nil
-		}
-	case ModePreDec:
-		r, d := o.Reg, uint32(sz)
-		return func(m *Machine) (uint32, error) {
-			m.A[r] -= d
-			return m.A[r], nil
-		}
-	case ModeDisp:
-		r, d := o.Reg, uint32(o.Imm)
-		return func(m *Machine) (uint32, error) { return m.A[r] + d, nil }
 	case ModeIdx:
 		r, d := o.Reg, uint32(o.Imm)
 		scale := uint32(o.Scale)
@@ -150,28 +174,39 @@ func cRead(o Operand, sz uint8) readFn {
 	case ModeAReg:
 		r := o.Reg
 		return func(m *Machine) (uint32, error) { return m.A[r], nil }
-	case ModeInd:
-		r, s := o.Reg, sz
-		return func(m *Machine) (uint32, error) {
-			addr := m.A[r]
-			if err := m.checkUserAccess(addr); err != nil {
-				return 0, err
+	}
+	if r, disp, inc, ok := relOperand(o, sz); ok {
+		switch sz {
+		case 1:
+			return func(m *Machine) (uint32, error) {
+				addr := m.A[r] + disp
+				m.A[r] += inc
+				if err := m.checkUserAccess(addr); err != nil {
+					return 0, err
+				}
+				return m.load8(addr)
 			}
-			return m.Load(addr, s)
+		case 4:
+			return func(m *Machine) (uint32, error) {
+				addr := m.A[r] + disp
+				m.A[r] += inc
+				if err := m.checkUserAccess(addr); err != nil {
+					return 0, err
+				}
+				return m.load32(addr)
+			}
 		}
-	default:
-		ea := cEA(o, sz)
-		s := sz
-		return func(m *Machine) (uint32, error) {
-			addr, err := ea(m)
-			if err != nil {
-				return 0, err
-			}
-			if err := m.checkUserAccess(addr); err != nil {
-				return 0, err
-			}
-			return m.Load(addr, s)
+	}
+	ea := cEA(o, sz)
+	return func(m *Machine) (uint32, error) {
+		addr, err := ea(m)
+		if err != nil {
+			return 0, err
 		}
+		if err := m.checkUserAccess(addr); err != nil {
+			return 0, err
+		}
+		return m.Load(addr, sz)
 	}
 }
 
@@ -207,28 +242,39 @@ func cWrite(o Operand, sz uint8) writeFn {
 		return func(m *Machine, v uint32) error {
 			return &BusFault{Addr: 0xffff_fffe, PC: m.PC}
 		}
-	case ModeInd:
-		r, s := o.Reg, sz
-		return func(m *Machine, v uint32) error {
-			addr := m.A[r]
-			if err := m.checkUserAccess(addr); err != nil {
-				return err
+	}
+	if r, disp, inc, ok := relOperand(o, sz); ok {
+		switch sz {
+		case 1:
+			return func(m *Machine, v uint32) error {
+				addr := m.A[r] + disp
+				m.A[r] += inc
+				if err := m.checkUserAccess(addr); err != nil {
+					return err
+				}
+				return m.store8(addr, v)
 			}
-			return m.Store(addr, s, v)
+		case 4:
+			return func(m *Machine, v uint32) error {
+				addr := m.A[r] + disp
+				m.A[r] += inc
+				if err := m.checkUserAccess(addr); err != nil {
+					return err
+				}
+				return m.store32(addr, v)
+			}
 		}
-	default:
-		ea := cEA(o, sz)
-		s := sz
-		return func(m *Machine, v uint32) error {
-			addr, err := ea(m)
-			if err != nil {
-				return err
-			}
-			if err := m.checkUserAccess(addr); err != nil {
-				return err
-			}
-			return m.Store(addr, s, v)
+	}
+	ea := cEA(o, sz)
+	return func(m *Machine, v uint32) error {
+		addr, err := ea(m)
+		if err != nil {
+			return err
 		}
+		if err := m.checkUserAccess(addr); err != nil {
+			return err
+		}
+		return m.Store(addr, sz, v)
 	}
 }
 
@@ -303,7 +349,10 @@ func cJumpTarget(o Operand) readFn {
 // Used for every shape the workloads do not execute often enough to
 // pay for a second implementation.
 func cSlow(pc uint32) runFn {
-	return func(m *Machine) error { return m.exec(&m.Code[pc]) }
+	return func(m *Machine) error {
+		m.SlowInstrs++
+		return m.exec(&m.Code[pc])
+	}
 }
 
 // compile translates one instruction into its handler. The handler
@@ -317,6 +366,35 @@ func compile(in *Instr, pc uint32) runFn {
 		return func(*Machine) error { return nil }
 
 	case MOVE:
+		sr, sdisp, sinc, srel := relOperand(in.Src, sz)
+		dr, ddisp, dinc, drel := relOperand(in.Dst, sz)
+		if srel && drel && sz == 4 {
+			// The long memory-to-memory move, fused: the bulk-copy
+			// instruction (65 % of file_rw) is one indirect call, in
+			// exec's order — source step, check, load, destination
+			// step, check, store, and flags only after the store.
+			return func(m *Machine) error {
+				src := m.A[sr] + sdisp
+				m.A[sr] += sinc
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				v, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				dst := m.A[dr] + ddisp
+				m.A[dr] += dinc
+				if err := m.checkUserAccess(dst); err != nil {
+					return err
+				}
+				if err := m.store32(dst, v); err != nil {
+					return err
+				}
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		}
 		rd := cRead(in.Src, sz)
 		if in.Dst.Mode == ModeAReg {
 			r := in.Dst.Reg
@@ -404,72 +482,46 @@ func compile(in *Instr, pc uint32) runFn {
 				}
 				return nil
 			}
-		case ModeInd:
-			r, s8 := in.Dst.Reg, sz
-			return func(m *Machine) error {
-				s, err := rd(m)
-				if err != nil {
-					return err
-				}
-				addr := m.A[r]
-				if err := m.checkUserAccess(addr); err != nil {
-					return err
-				}
-				old, err := m.Load(addr, s8)
-				if err != nil {
-					return err
-				}
-				var nw uint32
-				if sub {
-					nw = old - s
-				} else {
-					nw = old + s
-				}
-				if err := m.Store(addr, s8, nw); err != nil {
-					return err
-				}
-				if sub {
-					m.setSubFlagsMask(old, s, nw, mask, sign)
-				} else {
-					m.setAddFlagsMask(old, s, nw, mask, sign)
-				}
-				return nil
+		}
+		// Memory destination: read-modify-write with the address computed
+		// once, register-relative modes open-coded and the rest through
+		// cEA.
+		ea := cEA(in.Dst, sz)
+		r, disp, inc, rel := relOperand(in.Dst, sz)
+		return func(m *Machine) error {
+			s, err := rd(m)
+			if err != nil {
+				return err
 			}
-		default:
-			ea := cEA(in.Dst, sz)
-			s8 := sz
-			return func(m *Machine) error {
-				s, err := rd(m)
-				if err != nil {
-					return err
-				}
-				addr, err := ea(m)
-				if err != nil {
-					return err
-				}
-				if err := m.checkUserAccess(addr); err != nil {
-					return err
-				}
-				old, err := m.Load(addr, s8)
-				if err != nil {
-					return err
-				}
-				var nw uint32
-				if sub {
-					nw = old - s
-				} else {
-					nw = old + s
-				}
-				if err := m.Store(addr, s8, nw); err != nil {
-					return err
-				}
-				if sub {
-					m.setSubFlagsMask(old, s, nw, mask, sign)
-				} else {
-					m.setAddFlagsMask(old, s, nw, mask, sign)
-				}
-				return nil
+			var addr uint32
+			if rel {
+				addr = m.A[r] + disp
+				m.A[r] += inc
+			} else if addr, err = ea(m); err != nil {
+				return err
 			}
+			if err := m.checkUserAccess(addr); err != nil {
+				return err
+			}
+			old, err := m.Load(addr, sz)
+			if err != nil {
+				return err
+			}
+			var nw uint32
+			if sub {
+				nw = old - s
+			} else {
+				nw = old + s
+			}
+			if err := m.Store(addr, sz, nw); err != nil {
+				return err
+			}
+			if sub {
+				m.setSubFlagsMask(old, s, nw, mask, sign)
+			} else {
+				m.setAddFlagsMask(old, s, nw, mask, sign)
+			}
+			return nil
 		}
 
 	case AND, OR, EOR:
@@ -631,6 +683,64 @@ func compile(in *Instr, pc uint32) runFn {
 			return nil
 		}
 
+	case RTE:
+		return func(m *Machine) error {
+			if m.SR&FlagS == 0 {
+				return m.Exception(VecPrivilege)
+			}
+			sr, err := m.pop()
+			if err != nil {
+				return err
+			}
+			pc, err := m.pop()
+			if err != nil {
+				return err
+			}
+			m.applySR(uint16(sr))
+			m.PC = pc
+			return nil
+		}
+
+	case TRAP:
+		vec := VecTrapBase + int(in.Vec)
+		return func(m *Machine) error { return m.Exception(vec) }
+
+	case ORSR, ANDSR: // SR = SR&and | or
+		and, or := ^uint16(0), uint16(in.Src.Imm)
+		if in.Op == ANDSR {
+			and, or = or, 0
+		}
+		return func(m *Machine) error {
+			if m.SR&FlagS == 0 {
+				return m.Exception(VecPrivilege)
+			}
+			m.applySR(m.SR&and | or)
+			return nil
+		}
+
+	case MOVEFSR:
+		wr := cWrite(in.Dst, 4)
+		return func(m *Machine) error {
+			if m.SR&FlagS == 0 {
+				return m.Exception(VecPrivilege)
+			}
+			return wr(m, uint32(m.SR))
+		}
+
+	case MOVETSR:
+		rd := cRead(in.Src, 4)
+		return func(m *Machine) error {
+			if m.SR&FlagS == 0 {
+				return m.Exception(VecPrivilege)
+			}
+			v, err := rd(m)
+			if err != nil {
+				return err
+			}
+			m.applySR(uint16(v))
+			return nil
+		}
+
 	case HALT:
 		return func(m *Machine) error {
 			m.halted = true
@@ -649,10 +759,10 @@ func compile(in *Instr, pc uint32) runFn {
 		}
 	}
 
-	// Everything else — exception returns, traps, supervisor state,
-	// block moves, FP, CAS, multiply/divide, bit ops, NOT/NEG/EXT/PEA and
-	// logic or shifts into anything but a data register — executes
-	// through the reference switch.
+	// Everything else — STOP, MOVEC, block moves, FP, CAS,
+	// multiply/divide, bit ops, NOT/NEG/EXT/PEA and logic or shifts into
+	// anything but a data register — executes through the reference
+	// switch.
 	return cSlow(pc)
 }
 

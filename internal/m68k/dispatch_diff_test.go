@@ -1,7 +1,11 @@
 package m68k
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -142,6 +146,311 @@ func TestDispatchMatchesExec(t *testing.T) {
 				t.Fatalf("iter %d op %v %+v: mem mismatch at %#x exec=%08x dispatch=%08x",
 					iter, in.Op, in, i, va, vb)
 			}
+		}
+	}
+}
+
+// The directed pass. The random pass above draws a long (An)+,(An)+
+// move about three times in 20,000, keeps every address in plain RAM,
+// attaches no device, sets no injector, leaves the quaspace bounds off
+// and never runs a supervisor op, so it cannot see what the
+// specialized memory operands and supervisor closures must get right.
+// TestDispatchMatchesExecDirected walks the specialized shapes
+// themselves, each over states built to reach every way out of the
+// RAM fast path.
+
+const (
+	dirMem     = 0x1000 // RAM size: small, so a fresh image per state is cheap
+	dirDevBase = 0x0e00 // the device window lies inside the RAM range, so only
+	dirDevSize = 0x0040 // devFloor keeps an access to it off the RAM path
+	dirVBR     = 0x0100
+)
+
+// recDev is a recording device: it logs every register access and
+// counts Tick calls (one per Kick).
+type recDev struct {
+	log   []recAccess
+	ticks int
+}
+
+type recAccess struct {
+	off, val uint32
+	sz       uint8
+	write    bool
+}
+
+func (d *recDev) Name() string { return "rec" }
+func (d *recDev) Base() uint32 { return dirDevBase }
+func (d *recDev) Size() uint32 { return dirDevSize }
+func (d *recDev) Load(off uint32, sz uint8) uint32 {
+	v := 0x80a5_0000 | off<<8 | uint32(len(d.log))
+	d.log = append(d.log, recAccess{off, v, sz, false})
+	return v
+}
+func (d *recDev) Store(off uint32, sz uint8, val uint32) {
+	d.log = append(d.log, recAccess{off, val, sz, true})
+}
+func (d *recDev) Tick(uint64) (int, uint64) { d.ticks++; return 0, 0 }
+
+// dirFaulter bus-errors every device access in one direction.
+type dirFaulter struct {
+	write bool
+	hits  int
+}
+
+func (f *dirFaulter) AccessFault(_ Device, _ uint32, write bool) bool {
+	if write != f.write {
+		return false
+	}
+	f.hits++
+	return true
+}
+func (f *dirFaulter) Frame(frame []byte) ([][]byte, uint64) { return [][]byte{frame}, 0 }
+func (f *dirFaulter) RingFull() bool                        { return false }
+func (f *dirFaulter) TimerArm(c uint64) uint64              { return c }
+
+// dirState is one start state, applied to both machines.
+type dirState struct {
+	D, A                    [8]uint32
+	SR                      uint16
+	USP, SSP, UBase, ULimit uint32
+	faultReads, faultWrites bool
+}
+
+// dirSide is one of the two machines with its device and injector.
+type dirSide struct {
+	m   *Machine
+	dev *recDev
+	inj *dirFaulter
+}
+
+func newDirSide() *dirSide {
+	s := &dirSide{m: New(Config{MemSize: dirMem, CodeSize: 8}), dev: &recDev{}}
+	s.m.Attach(s.dev)
+	s.m.Emit([]Instr{{Op: HALT}, {Op: HALT}, {Op: NOP}}) // 0, 1: vector targets; 2: the instruction under test
+	return s
+}
+
+func (s *dirSide) reset(in Instr, st *dirState, image []byte) {
+	m := s.m
+	m.SetCode(2, []Instr{in})
+	m.D, m.A, m.SR = st.D, st.A, st.SR
+	m.USP, m.SSP, m.VBR, m.UBase, m.ULimit = st.USP, st.SSP, dirVBR, st.UBase, st.ULimit
+	m.Cycles, m.Instrs, m.MemRefs, m.stopped, m.halted = 0, 0, 0, false, false
+	copy(m.Mem, image)
+	s.dev.log, s.dev.ticks = s.dev.log[:0], 0
+	s.inj, m.Inj = nil, nil
+	if st.faultReads || st.faultWrites {
+		s.inj = &dirFaulter{write: st.faultWrites}
+		m.Inj = s.inj
+	}
+	m.PC = 3
+}
+
+// dirDiff runs in from st through exec on one machine and through a
+// fresh translation on the other and describes the first difference.
+func dirDiff(ref, xl *dirSide, in Instr, st *dirState, image []byte) string {
+	ref.reset(in, st, image)
+	xl.reset(in, st, image)
+	ref.m.Cycles += baseCost(&in)
+	errA := ref.m.exec(&ref.m.Code[2])
+	var e xent
+	xl.m.translate(2, &e)
+	xl.m.Cycles += e.cost
+	errB := e.run(xl.m)
+
+	a, b := ref.m, xl.m
+	switch {
+	case (errA == nil) != (errB == nil) || errA != nil && errA.Error() != errB.Error():
+		return fmt.Sprintf("error: exec %v, dispatch %v", errA, errB)
+	case a.D != b.D || a.A != b.A:
+		return fmt.Sprintf("registers: exec D=%x A=%x, dispatch D=%x A=%x", a.D, a.A, b.D, b.A)
+	case a.SR != b.SR || a.PC != b.PC || a.USP != b.USP || a.SSP != b.SSP || a.stopped != b.stopped:
+		return fmt.Sprintf("control state: exec SR=%04x PC=%d USP=%#x SSP=%#x stopped=%v, dispatch SR=%04x PC=%d USP=%#x SSP=%#x stopped=%v",
+			a.SR, a.PC, a.USP, a.SSP, a.stopped, b.SR, b.PC, b.USP, b.SSP, b.stopped)
+	case a.Cycles != b.Cycles || a.MemRefs != b.MemRefs:
+		return fmt.Sprintf("accounting: exec %d cycles %d refs, dispatch %d cycles %d refs", a.Cycles, a.MemRefs, b.Cycles, b.MemRefs)
+	case !bytes.Equal(a.Mem, b.Mem):
+		return "memory images differ"
+	case !slices.Equal(ref.dev.log, xl.dev.log) || ref.dev.ticks != xl.dev.ticks:
+		return fmt.Sprintf("device: exec saw %+v and %d kicks, dispatch %+v and %d kicks", ref.dev.log, ref.dev.ticks, xl.dev.log, xl.dev.ticks)
+	case ref.inj != nil && ref.inj.hits != xl.inj.hits:
+		return fmt.Sprintf("injector: exec faulted %d accesses, dispatch %d", ref.inj.hits, xl.inj.hits)
+	}
+	return ""
+}
+
+// The ways a state is directed at a shape's memory operands.
+const (
+	dirPlain       = iota // both operands in plain RAM
+	dirSrcRAMEnd          // source in the last 1-3 bytes of RAM
+	dirDstRAMEnd          // destination there
+	dirSrcDev             // source in the device window
+	dirDstDev             // destination there
+	dirBothDev            // both
+	dirSrcDevFault        // source in the window, injector faults reads
+	dirDstDevFault        // destination in the window, injector faults writes
+	dirUserNoSrc          // user state, [UBase, ULimit) excludes the source only
+	dirUserNoDst          // ... the destination only
+	dirSameReg            // one register on both sides
+	dirSrcA7              // the stack pointer as source
+	dirDstA7              // ... as destination
+	dirCases
+)
+
+// TestDispatchMatchesExecDirected holds the specialized shapes to
+// exec: MOVE/ADD/SUB/CMP/TST/CLR over every pair of register-relative
+// modes at every size, and the six supervisor ops with closures in
+// both processor states — registers, SR, PC, both stack pointers,
+// accounting, memory, the device's access log and Kick count, and the
+// injector's tally. Mutation-checked against dispatch.go and
+// machine.go (PR 21); each of these fails it: dropping the
+// destination checkUserAccess in the fused MOVE; stepping the fused
+// MOVE's source register after a faulting load instead of before;
+// letting load32/store32 take the RAM path at or above devFloor;
+// setting N/Z before the fused MOVE's store.
+func TestDispatchMatchesExecDirected(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ref, xl := newDirSide(), newDirSide()
+	image := make([]byte, dirMem)
+	relModes := []AddrMode{ModeInd, ModePostInc, ModePreDec, ModeDisp}
+
+	// newState draws registers, flags and a RAM image (a quarter of it
+	// zero, so Z is reachable; every vector points at slot 0 or 1).
+	newState := func(user bool) *dirState {
+		st := &dirState{SR: uint16(rng.Intn(32) | rng.Intn(8)<<iplShift), SSP: 0x400, USP: 0x800}
+		rng.Read(image)
+		for i := 0; i < dirMem/16; i++ {
+			binary.BigEndian.PutUint32(image[rng.Intn(dirMem-4):], 0)
+		}
+		for v := 0; v < NumVectors; v++ {
+			binary.BigEndian.PutUint32(image[dirVBR+4*v:], uint32(v&1))
+		}
+		for i := range st.D {
+			st.D[i] = rng.Uint32()
+			st.A[i] = 0x400 + uint32(rng.Intn(0x800))
+		}
+		if user {
+			st.A[7] = st.USP
+		} else {
+			st.SR |= FlagS
+			st.A[7] = st.SSP
+		}
+		return st
+	}
+	operand := func(mode AddrMode, reg int) Operand {
+		o := Operand{Mode: mode, Reg: uint8(reg)}
+		if mode == ModeDisp {
+			o.Imm = int32(rng.Intn(33)) - 16
+		}
+		return o
+	}
+	ramEnd := func() uint32 { return dirMem - 1 - uint32(rng.Intn(3)) }
+	inDev := func() uint32 { return dirDevBase + uint32(rng.Intn(dirDevSize)) }
+
+	shape := func(op Op, sm, dm AddrMode, sz uint8) {
+		for n := 0; n < 16*dirCases; n++ {
+			c := n % dirCases
+			sr := rng.Intn(7)
+			dr := (sr + 1 + rng.Intn(6)) % 7
+			switch c {
+			case dirSameReg:
+				dr = sr
+			case dirSrcA7:
+				sr = 7
+			case dirDstA7:
+				dr = 7
+			}
+			in := Instr{Op: op, Sz: sz, Src: operand(sm, sr), Dst: operand(dm, dr)}
+			st := newState(c == dirUserNoSrc || c == dirUserNoDst || rng.Intn(2) == 0)
+			// place points an operand's effective address at target.
+			place := func(o Operand, target uint32) {
+				switch o.Mode {
+				case ModePreDec:
+					st.A[o.Reg] = target + uint32(sz)
+				case ModeDisp:
+					st.A[o.Reg] = target - uint32(o.Imm)
+				case ModeInd, ModePostInc:
+					st.A[o.Reg] = target
+				}
+			}
+			src, dst := st.A[sr], st.A[dr] // plain RAM unless the case says otherwise
+			switch c {
+			case dirSrcRAMEnd:
+				src = ramEnd()
+			case dirDstRAMEnd:
+				dst = ramEnd()
+			case dirSrcDev, dirSrcDevFault:
+				src = inDev()
+			case dirDstDev, dirDstDevFault:
+				dst = inDev()
+			case dirBothDev:
+				src, dst = inDev(), inDev()
+			}
+			place(in.Src, src)
+			place(in.Dst, dst)
+			st.faultReads, st.faultWrites = c == dirSrcDevFault, c == dirDstDevFault
+			// The quaspace window that shuts out one operand and, where the
+			// two addresses allow it, admits the other.
+			out, other := src, dst
+			if c == dirUserNoDst {
+				out, other = dst, src
+			}
+			switch {
+			case c != dirUserNoSrc && c != dirUserNoDst:
+				if rng.Intn(4) == 0 {
+					st.UBase, st.ULimit = 0, dirMem // on, and admits everything mapped
+				}
+			case other > out:
+				st.UBase, st.ULimit = out+1, dirMem
+			default:
+				st.UBase, st.ULimit = 0, out
+			}
+			if d := dirDiff(ref, xl, in, st, image); d != "" {
+				t.Fatalf("%v (case %d) from %+v:\n%s", in, c, *st, d)
+			}
+		}
+	}
+	for _, sz := range []uint8{1, 2, 4} {
+		for _, sm := range relModes {
+			for _, dm := range relModes {
+				for _, op := range []Op{MOVE, ADD, SUB, CMP} {
+					shape(op, sm, dm, sz)
+				}
+			}
+			shape(TST, sm, ModeNone, sz)
+			shape(CLR, ModeNone, sm, sz)
+		}
+	}
+
+	// The supervisor ops, 256 states each in user and in supervisor
+	// state: immediate, register and register-relative operands, and for
+	// RTE whatever frame the random image holds under the stack pointer.
+	anyOperand := func(modes ...AddrMode) Operand {
+		return operand(append(modes, relModes...)[rng.Intn(len(modes)+len(relModes))], rng.Intn(8))
+	}
+	for n := 0; n < 6*2*256; n++ {
+		var in Instr
+		switch n % 6 {
+		case 0:
+			in = Instr{Op: ORSR, Src: Imm(int32(rng.Intn(1 << 16)))}
+		case 1:
+			in = Instr{Op: ANDSR, Src: Imm(int32(rng.Intn(1 << 16)))}
+		case 2:
+			in = Instr{Op: RTE}
+		case 3:
+			in = Instr{Op: TRAP, Vec: uint8(rng.Intn(16))}
+		case 4:
+			in = Instr{Op: MOVEFSR, Dst: anyOperand(ModeDReg)}
+		case 5:
+			in = Instr{Op: MOVETSR, Src: anyOperand(ModeDReg, ModeImm)}
+			if in.Src.Mode == ModeImm {
+				in.Src.Imm = int32(rng.Intn(1 << 16))
+			}
+		}
+		st := newState(n/6%2 == 0)
+		if d := dirDiff(ref, xl, in, st, image); d != "" {
+			t.Fatalf("%v from %+v:\n%s", in, *st, d)
 		}
 	}
 }

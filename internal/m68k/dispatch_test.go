@@ -304,3 +304,61 @@ func TestRunEqualsSteps(t *testing.T) {
 		}
 	}
 }
+
+// TestDispatchCounters: SlowInstrs/Instrs is the share of a run that
+// had no closure, Translations counts slots translated. In a
+// trap-and-mask pass of the kind thread_ops spends a seventh of its
+// instructions in, 9 of 10 instructions are supervisor or slow-path
+// ops; with closures for ORSR, ANDSR, MOVEFSR, MOVETSR, TRAP and RTE
+// only the two no workload pays for (MOVEC, MULU) reach cSlow — 2 of
+// 10 where it would be 9 of 10 without them. EmitBenchProgram, the
+// dispatcher's best case, must read zero.
+func TestDispatchCounters(t *testing.T) {
+	m := New(Config{MemSize: 1 << 16})
+	m.VBR, m.A[7], m.SSP = 0x100, 0x8000, 0x8000
+	m.Poke(m.VBR+uint32(VecTrapBase+1)*4, 4, m.Emit([]Instr{
+		{Op: ORSR, Src: Imm(0x0700)},
+		{Op: MOVEC, Vec: CtrlVBR, Dst: D(3)},
+		{Op: RTE},
+	}))
+	const passes = 3
+	entry := m.CodeTop
+	m.Emit([]Instr{
+		{Op: MOVE, Src: Imm(passes - 1), Dst: D(7)},
+		{Op: MOVEFSR, Dst: D(0)}, // 1
+		{Op: ORSR, Src: Imm(0x0700)},
+		{Op: TRAP, Vec: 1},
+		{Op: MULU, Src: Imm(3), Dst: D(2)},
+		{Op: ANDSR, Src: Imm(0xf8ff)},
+		{Op: MOVETSR, Src: D(0)},
+		{Op: DBRA, Src: D(7), Dst: Abs(entry + 1)},
+		{Op: HALT},
+	})
+	m.PC = entry
+	if err := m.Run(1 << 20); err != ErrHalted {
+		t.Fatal(err)
+	}
+	if want := uint64(2 + 10*passes); m.Instrs != want || m.SlowInstrs != 2*passes || m.Translations != 12 {
+		t.Errorf("%d instructions, %d through cSlow, %d translations; want %d, %d, 12",
+			m.Instrs, m.SlowInstrs, m.Translations, want, 2*passes)
+	}
+	// A patched slot is translated again on its next fetch, and only it.
+	m.PatchCode(entry+4, Instr{Op: NOP})
+	m.ClearHalt()
+	m.PC = entry
+	if err := m.Run(1 << 20); err != ErrHalted {
+		t.Fatal(err)
+	}
+	if m.SlowInstrs != 3*passes || m.Translations != 13 {
+		t.Errorf("after patching MULU out: %d through cSlow, %d translations; want %d, 13", m.SlowInstrs, m.Translations, 3*passes)
+	}
+
+	b := New(Config{})
+	b.PC = EmitBenchProgram(b)
+	if err := b.Run(1 << 30); err != ErrHalted {
+		t.Fatal(err)
+	}
+	if b.SlowInstrs != 0 || b.Translations != 9 {
+		t.Errorf("EmitBenchProgram: %d of %d instructions through cSlow, %d translations; want 0 and 9", b.SlowInstrs, b.Instrs, b.Translations)
+	}
+}

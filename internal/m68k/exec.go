@@ -419,16 +419,17 @@ func (m *Machine) rmw(o *Operand, sz uint8, f func(old uint32) uint32) (old, nw 
 	}
 }
 
-func (m *Machine) privileged() error {
-	if m.SR&FlagS == 0 {
-		return m.Exception(VecPrivilege)
-	}
-	return nil
-}
-
 func (m *Machine) exec(in *Instr) error {
 	sz := in.Size()
 	mask, sign := maskFor(sz)
+	switch in.Op {
+	case RTE, STOP, MOVEC, ORSR, ANDSR, MOVEFSR, MOVETSR:
+		// Privileged: in user state the instruction takes the privilege
+		// violation and does nothing else.
+		if m.SR&FlagS == 0 {
+			return m.Exception(VecPrivilege)
+		}
+	}
 	switch in.Op {
 	case NOP:
 		return nil
@@ -743,9 +744,6 @@ func (m *Machine) exec(in *Instr) error {
 		return nil
 
 	case RTE:
-		if err := m.privileged(); err != nil {
-			return err
-		}
 		sr, err := m.pop()
 		if err != nil {
 			return err
@@ -762,9 +760,6 @@ func (m *Machine) exec(in *Instr) error {
 		return m.Exception(VecTrapBase + int(in.Vec))
 
 	case STOP:
-		if err := m.privileged(); err != nil {
-			return err
-		}
 		m.applySR(uint16(in.Src.Imm))
 		m.stopped = true
 		return nil
@@ -777,9 +772,6 @@ func (m *Machine) exec(in *Instr) error {
 		return m.execMovem(in)
 
 	case MOVEC:
-		if err := m.privileged(); err != nil {
-			return err
-		}
 		if in.Src.Mode != ModeNone {
 			v, err := m.readOp(&in.Src, 4)
 			if err != nil {
@@ -821,29 +813,17 @@ func (m *Machine) exec(in *Instr) error {
 		return m.writeOp(&in.Dst, 4, v)
 
 	case ORSR:
-		if err := m.privileged(); err != nil {
-			return err
-		}
 		m.applySR(m.SR | uint16(in.Src.Imm))
 		return nil
 
 	case ANDSR:
-		if err := m.privileged(); err != nil {
-			return err
-		}
 		m.applySR(m.SR & uint16(in.Src.Imm))
 		return nil
 
 	case MOVEFSR:
-		if err := m.privileged(); err != nil {
-			return err
-		}
 		return m.writeOp(&in.Dst, 4, uint32(m.SR))
 
 	case MOVETSR:
-		if err := m.privileged(); err != nil {
-			return err
-		}
 		v, err := m.readOp(&in.Src, 4)
 		if err != nil {
 			return err

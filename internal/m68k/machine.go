@@ -1,6 +1,7 @@
 package m68k
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -205,6 +206,15 @@ type Machine struct {
 	// executing the old instruction — self-modifying synthesized code
 	// is the kernel's normal mode of operation, not a corner case.
 	xcache []xent
+
+	// The dispatcher's own tallies, bumped off the fast path only:
+	// slots translated (first fetches plus refetches after a patch), and
+	// instructions that had no closure and ran through the reference
+	// switch. SlowInstrs/Instrs is the share of traffic the
+	// specializations do not cover. They sit after every field the step
+	// loop reads so that adding them moved none of those.
+	Translations uint64
+	SlowInstrs   uint64
 }
 
 // New creates a machine with the given configuration.
@@ -388,10 +398,9 @@ func (m *Machine) loadRaw(addr uint32, sz uint8) uint32 {
 	case 1:
 		return uint32(m.Mem[addr])
 	case 2:
-		return uint32(m.Mem[addr])<<8 | uint32(m.Mem[addr+1])
+		return uint32(binary.BigEndian.Uint16(m.Mem[addr:]))
 	default:
-		return uint32(m.Mem[addr])<<24 | uint32(m.Mem[addr+1])<<16 |
-			uint32(m.Mem[addr+2])<<8 | uint32(m.Mem[addr+3])
+		return binary.BigEndian.Uint32(m.Mem[addr:])
 	}
 }
 
@@ -427,14 +436,57 @@ func (m *Machine) storeRaw(addr uint32, sz uint8, val uint32) {
 	case 1:
 		m.Mem[addr] = byte(val)
 	case 2:
-		m.Mem[addr] = byte(val >> 8)
-		m.Mem[addr+1] = byte(val)
+		binary.BigEndian.PutUint16(m.Mem[addr:], uint16(val))
 	default:
-		m.Mem[addr] = byte(val >> 24)
-		m.Mem[addr+1] = byte(val >> 16)
-		m.Mem[addr+2] = byte(val >> 8)
-		m.Mem[addr+3] = byte(val)
+		binary.BigEndian.PutUint32(m.Mem[addr:], val)
 	}
+}
+
+// ram reports whether [addr, addr+sz) is plain RAM: below every device
+// window (see Load) and inside Mem.
+func (m *Machine) ram(addr uint32, sz int) bool {
+	return addr < m.devFloor && int(addr)+sz <= len(m.Mem)
+}
+
+// load8..store32 are Load and Store with the size resolved by the
+// caller (dispatch.go picks one per operand at translate time) and the
+// RAM case open-coded: same count, same charge, one bounds check and
+// one byte-swapped access. Every other address — a device window, the
+// end of RAM, unmapped space — is handed to Load or Store, so device
+// routing, Kick, fault injection and the bus fault are defined there
+// and nowhere else.
+func (m *Machine) load8(addr uint32) (uint32, error) {
+	if m.ram(addr, 1) {
+		m.chargeMem(1)
+		return uint32(m.Mem[addr]), nil
+	}
+	return m.Load(addr, 1)
+}
+
+func (m *Machine) load32(addr uint32) (uint32, error) {
+	if m.ram(addr, 4) {
+		m.chargeMem(1)
+		return binary.BigEndian.Uint32(m.Mem[addr:]), nil
+	}
+	return m.Load(addr, 4)
+}
+
+func (m *Machine) store8(addr, val uint32) error {
+	if m.ram(addr, 1) {
+		m.chargeMem(1)
+		m.Mem[addr] = byte(val)
+		return nil
+	}
+	return m.Store(addr, 1, val)
+}
+
+func (m *Machine) store32(addr, val uint32) error {
+	if m.ram(addr, 4) {
+		m.chargeMem(1)
+		binary.BigEndian.PutUint32(m.Mem[addr:], val)
+		return nil
+	}
+	return m.Store(addr, 4, val)
 }
 
 // Peek reads memory for the benefit of the host (no cycle charge, no

@@ -4,15 +4,16 @@
 # byte-equal to bench/baseline); the wall-clock half is
 # `go run ./benchmark`, see docs/PERFORMANCE.md. `make race`, `soak`, `cluster-soak` and
 # `chaos-soak` are the bounded, seeded race-detector passes CI runs
-# after it (queues + packet ring + measurement plane; single-machine
-# fault injection and the open/close churn plateau; 2-VM fleet churn;
-# 2-VM fleet under link faults and a partition/heal cycle). `make
-# bench` runs the root Go benchmarks once and then the dispatcher's two
-# inner loops for a second each (internal/m68k: BenchmarkStepLoop and
-# BenchmarkCopyLoop, host ns per guest instruction), `make tables`
-# prints every table, `make profile` runs one Table 1 program under the
-# profiler and emits trace.json (load in about:tracing or
-# ui.perfetto.dev).
+# after it (queues + packet ring + measurement plane, then the machine's
+# two step loops and its self-modifying-code tests in internal/m68k;
+# single-machine fault injection and the open/close churn plateau; 2-VM
+# fleet churn; 2-VM fleet under link faults and a partition/heal
+# cycle). `make bench` runs the root Go benchmarks once and then the
+# dispatcher's two inner loops for a second each (internal/m68k:
+# BenchmarkStepLoop and BenchmarkCopyLoop, host ns per guest
+# instruction), `make tables` prints every table, `make profile` runs
+# one Table 1 program under the profiler and emits trace.json (load in
+# about:tracing or ui.perfetto.dev).
 
 GO ?= go
 
@@ -26,6 +27,7 @@ tier1:
 
 race:
 	$(GO) test -race ./internal/queue/... ./internal/net/... ./internal/prof/... ./internal/metrics/...
+	$(GO) test -race -count 1 -run 'TestRunEqualsSteps|TestSelfModifyingCode|TestPatchHelpersInvalidate' ./internal/m68k
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \

@@ -488,8 +488,8 @@ func TestUserThreadQuaspaceConfinement(t *testing.T) {
 // executes a privileged instruction gets the error trap and nothing
 // else. RTE is the telling case: if it ran after vectoring it would pop
 // the trap's own frame, the handler would never run and the thread
-// would carry on past it. The dispatcher's two tallies are served from
-// the same machine.
+// would carry on past it. The dispatcher's three tallies are served
+// from the same machine.
 func TestPrivilegedOpInUserThreadIsAnErrorTrap(t *testing.T) {
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256}, Metrics: metrics.New()})
 	ub, ul := k.AllocUserSpace(4096)
@@ -514,9 +514,11 @@ func TestPrivilegedOpInUserThreadIsAnErrorTrap(t *testing.T) {
 	}
 	c := k.Metrics.Snapshot().Counters
 	if c["m68k.dispatch.translations"] != k.M.Translations || k.M.Translations == 0 ||
-		c["m68k.dispatch.slow_instrs"] != k.M.SlowInstrs {
-		t.Errorf("registry serves %d translations and %d slow instructions, the machine counted %d and %d",
-			c["m68k.dispatch.translations"], c["m68k.dispatch.slow_instrs"], k.M.Translations, k.M.SlowInstrs)
+		c["m68k.dispatch.slow_instrs"] != k.M.SlowInstrs ||
+		c["m68k.dispatch.slow_steps"] != k.M.SlowSteps || k.M.SlowSteps == 0 {
+		t.Errorf("registry serves %d translations, %d slow instructions and %d slow steps, the machine counted %d, %d and %d",
+			c["m68k.dispatch.translations"], c["m68k.dispatch.slow_instrs"], c["m68k.dispatch.slow_steps"],
+			k.M.Translations, k.M.SlowInstrs, k.M.SlowSteps)
 	}
 }
 

@@ -35,10 +35,13 @@ func (k *Kernel) wireMetrics(reg *metrics.Registry) {
 	reg.SampleGauge("synth.cache.entries", func() float64 { return float64(k.C.CacheEntries()) })
 	reg.SampleGauge("m68k.code.slots", func() float64 { return float64(k.M.CodeTop) })
 
-	// The dispatcher cache: slow_instrs over the run's instruction count
-	// is the share of traffic with no closure (docs/PERFORMANCE.md).
+	// The dispatcher cache: over the run's instruction count, slow_instrs
+	// is the share of traffic with no closure and slow_steps the share of
+	// instruction boundaries that left Run's fast loop
+	// (docs/PERFORMANCE.md).
 	reg.Sample("m68k.dispatch.translations", func() uint64 { return k.M.Translations })
 	reg.Sample("m68k.dispatch.slow_instrs", func() uint64 { return k.M.SlowInstrs })
+	reg.Sample("m68k.dispatch.slow_steps", func() uint64 { return k.M.SlowSteps })
 
 	k.C.Counters = &synthCounters{k: k}
 }

@@ -14,11 +14,13 @@ package m68k
 // next fetch, exactly as the switch interpreter did.
 //
 // Granularity is deliberately one instruction, not one basic block:
-// the machine checks devices and pending interrupts between every two
-// instructions, and the kernel's preemption-window story (DESIGN.md
-// §3a) depends on every instruction boundary being an interrupt
-// point. A block-chained dispatcher would have to re-insert those
-// checks at every step anyway, so per-PC handlers lose nothing.
+// the kernel's preemption-window story (DESIGN.md §3a) depends on
+// every instruction boundary being an interrupt point, and Run keeps
+// it one with a single compare per boundary — the clock against
+// Machine.horizon, which whatever posts an interrupt or moves a device
+// event earlier zeroes (machine.go states the rule). A block-chained
+// dispatcher would have to re-insert that compare at every step
+// anyway, so per-PC handlers lose nothing.
 //
 // exec.go's switch is the ISA: complete, the only definition of every
 // instruction, and the fuzzer's oracle. The closures here are a cache
@@ -407,6 +409,36 @@ func compile(in *Instr, pc uint32) runFn {
 				return nil
 			}
 		}
+		// The long moves the workloads run most after the fused one — into
+		// a data register, and of a register or immediate to a
+		// register-relative destination — write it without a cWrite call.
+		switch {
+		case sz == 4 && in.Dst.Mode == ModeDReg:
+			r := in.Dst.Reg
+			return func(m *Machine) error {
+				v, err := rd(m)
+				if err != nil {
+					return err
+				}
+				m.D[r] = v
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case sz == 4 && drel && (in.Src.Mode == ModeDReg || in.Src.Mode == ModeAReg || in.Src.Mode == ModeImm):
+			return func(m *Machine) error {
+				v, _ := rd(m) // a register or immediate read cannot fail
+				dst := m.A[dr] + ddisp
+				m.A[dr] += dinc
+				if err := m.checkUserAccess(dst); err != nil {
+					return err
+				}
+				if err := m.store32(dst, v); err != nil {
+					return err
+				}
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		}
 		wr := cWrite(in.Dst, sz)
 		return func(m *Machine) error {
 			v, err := rd(m)
@@ -755,6 +787,7 @@ func compile(in *Instr, pc uint32) runFn {
 				return m.Exception(VecIllegal)
 			}
 			m.Cycles += s(m)
+			m.horizon = 0
 			return nil
 		}
 	}

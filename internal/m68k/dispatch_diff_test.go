@@ -300,15 +300,19 @@ const (
 
 // TestDispatchMatchesExecDirected holds the specialized shapes to
 // exec: MOVE/ADD/SUB/CMP/TST/CLR over every pair of register-relative
-// modes at every size, and the six supervisor ops with closures in
-// both processor states — registers, SR, PC, both stack pointers,
-// accounting, memory, the device's access log and Kick count, and the
-// injector's tally. Mutation-checked against dispatch.go and
-// machine.go (PR 21); each of these fails it: dropping the
+// modes at every size, MOVE between each of those modes and a data
+// register, address register or immediate, and the six supervisor ops
+// with closures in both processor states — registers, SR, PC, both
+// stack pointers, accounting, memory, the device's access log and Kick
+// count, and the injector's tally. Mutation-checked against dispatch.go
+// and machine.go (PRs 21 and 22); each of these fails it: dropping the
 // destination checkUserAccess in the fused MOVE; stepping the fused
 // MOVE's source register after a faulting load instead of before;
 // letting load32/store32 take the RAM path at or above devFloor;
-// setting N/Z before the fused MOVE's store.
+// setting N/Z before the fused MOVE's store; writing the data register
+// before looking at the load's error in the long MOVE into Dn; setting
+// N/Z before the store in the long MOVE of a register or immediate to
+// memory.
 func TestDispatchMatchesExecDirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ref, xl := newDirSide(), newDirSide()
@@ -340,8 +344,11 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 	}
 	operand := func(mode AddrMode, reg int) Operand {
 		o := Operand{Mode: mode, Reg: uint8(reg)}
-		if mode == ModeDisp {
+		switch mode {
+		case ModeDisp:
 			o.Imm = int32(rng.Intn(33)) - 16
+		case ModeImm:
+			o.Imm = int32(rng.Uint32())
 		}
 		return o
 	}
@@ -420,6 +427,10 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			}
 			shape(TST, sm, ModeNone, sz)
 			shape(CLR, ModeNone, sm, sz)
+			shape(MOVE, sm, ModeDReg, sz)
+			for _, reg := range []AddrMode{ModeDReg, ModeAReg, ModeImm} {
+				shape(MOVE, reg, sm, sz)
+			}
 		}
 	}
 

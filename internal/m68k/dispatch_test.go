@@ -130,84 +130,154 @@ func (r *loopRecorder) InterruptTaken(level, vec int, raisedAt, takenAt uint64) 
 }
 func (r *loopRecorder) Charged(cycles uint64, what string) {}
 
+// timer2 is a second interval timer in its own register window, for a
+// KCALL service to attach in the middle of a run.
+type timer2 struct{ *Timer }
+
+func (timer2) Name() string { return "timer2" }
+func (timer2) Base() uint32 { return IOBase + 0x600 }
+
 // TestRunEqualsSteps holds the machine's two step loops to each other:
-// Run's open-coded fast path and Step are the same machine. One
-// program drives every way out of the fast path — a timer interrupt
-// landing in a loop, one pending behind the mask until ANDSR drops
-// it, STOP idling to the next device event, traced
-// instructions (one of them running through cSlow), a KCALL service
-// that grows code space (relocating Code and xcache under the running
-// handler) and patches a slot whose translation is hot, a subroutine
-// in the freshly grown region, and a bus fault. It makes three passes,
-// because Run takes the first execution of every slot through Step:
-// only from the second pass on does each event meet the fast path. It
-// is executed by one Run, by Run in short cycle slices, and by
-// repeated Step, each with and without a Probe. Every run must leave identical registers,
-// SR, memory, code-space size and Cycles/Instrs/MemRefs, and the
-// probed runs identical event sequences.
+// Run's fast loop, which looks at nothing but the clock and its event
+// horizon, and Step are the same machine. One program drives every way
+// out of the fast loop — a timer interrupt landing in a spin, one
+// pending behind the mask until ANDSR drops it, STOP idling to the next
+// device event, a store to a NIC register that raises the receive
+// interrupt inside the storing instruction, traced instructions (one of
+// them running through cSlow), a subroutine in freshly grown code space,
+// a bus fault, and a KCALL service that grows code space (relocating
+// Code and xcache under the running handler), patches a slot whose
+// translation is hot and then, in turn, posts an unmasked interrupt,
+// sets T in SR behind applySR's back, attaches and arms a second timer,
+// and (last call only) attaches a Probe. It makes three passes, because
+// Run takes the first execution of every slot through Step: only from
+// the second pass on does each event meet the fast loop. Every handler
+// adds the spin counter D1 to a cell of its own, so where an interrupt
+// or exception landed shows in memory, not only that it did. The
+// program is executed by one Run, by Run in slices of 97, 1 and 0
+// cycles, and by repeated Step, each bare, with a Probe and with a
+// Trace ring. Every run must leave identical registers, SR, memory,
+// code-space size and Cycles/Instrs/MemRefs, every run with the same
+// plane identical Probe events and trace entries, and none may move
+// once halted.
+//
+// Mutation-checked against exec.go, machine.go and dispatch.go: it
+// fails with any one condition dropped from runHorizon (Probe, Trace,
+// halted, stopped, pendIRQ, T, nextPoll), and with any one horizon = 0
+// deleted — PostInterrupt's (the NIC store's interrupt lands late),
+// tickDevice's (the quantum does), applySR's (ORSR #T traces nothing),
+// STOP's (the program runs on without idling) and the KCALL return's
+// (the service's T and Probe are noticed late or never).
 func TestRunEqualsSteps(t *testing.T) {
 	const (
-		timerCount = 0x4000 // bumped by the timer interrupt handler
-		traceCount = 0x4004 // bumped by the trace exception handler
-		busCount   = 0x4008 // bumped by the bus-error handler
-		kcalls     = 4      // per pass
-		passes     = 3      // the first translates every slot, the rest run hot
-		patched    = 18     // the slot every KCALL rewrites
+		timerCell = 0x4000 // count, then sum of D1, kept by the timer interrupt handler
+		traceCell = 0x4008 // ... by the trace exception handler
+		busCell   = 0x4010 // ... by the bus-error handler
+		netCell   = 0x4018 // ... by the NIC receive handler
+		postCell  = 0x4020 // ... by the handler of the level the service posts
+		alarmCell = 0x4028 // ... by the second timer's alarm handler
+		frame     = 0x5000 // the staged frame
+		ring      = 0x6000 // the NIC receive ring
+		postLevel = 4
+		kcalls    = 4  // per pass, one of each kind of service call
+		passes    = 3  // the first translates every slot, the rest run hot
+		patched   = 22 // the slot every KCALL rewrites
+		spin      = 4  // a slot that is hot by the time the machine halts
+	)
+	const (
+		bare = iota
+		probed
+		traced
+		planes
 	)
 	type outcome struct {
-		D, A                     [8]uint32
-		PC, VBR, USP, SSP        uint32
-		SR                       uint16
-		Cycles, Instrs, MemRefs  uint64
-		codeLen, serviceCalls    int
-		events                   []loopEvent
-		timers, traces, busFault uint32
+		D, A                    [8]uint32
+		PC, VBR, USP, SSP       uint32
+		SR                      uint16
+		Cycles, Instrs, MemRefs uint64
+		codeLen, serviceCalls   int
+		counts                  [6]uint32 // the handlers' cells, in the order above
 	}
-	execute := func(probe bool, drive func(m *Machine) error) (outcome, []byte) {
-		m := New(Config{MemSize: 1 << 16})
-		m.Attach(NewTimer(m))
-		m.VBR, m.A[7], m.SSP = 0x100, 0x8000, 0x8000
-		handler := func(vec int, body ...Instr) {
-			m.Poke(m.VBR+uint32(vec)*4, 4, m.Emit(append(body, Instr{Op: RTE})))
+	// seen is what the measurement planes recorded: it depends on which
+	// plane is armed, never on how the machine was driven.
+	type seen struct {
+		events, late []loopEvent // the Probe's, and those of the one the service attached
+		trace        []TraceEntry
+	}
+	execute := func(plane int, drive func(m *Machine) error) (outcome, seen, []byte) {
+		cfg := Config{MemSize: 1 << 16}
+		if plane == traced {
+			cfg.TraceDepth = 1 << 12 // the whole run
 		}
-		handler(VecAutovector+IRQTimer,
-			Instr{Op: MOVE, Src: Abs(TimerBase + TimerRegAck), Dst: D(7)},
-			Instr{Op: ADD, Src: Imm(1), Dst: Abs(timerCount)})
-		handler(VecTrace, Instr{Op: ADD, Src: Imm(1), Dst: Abs(traceCount)})
-		handler(VecBusError, Instr{Op: ADD, Src: Imm(1), Dst: Abs(busCount)})
+		m := New(cfg)
+		m.Attach(NewTimer(m))
+		nic := NewNet(m)
+		m.Attach(nic)
+		nic.Store(NetRegRxBase, 4, ring)
+		nic.Store(NetRegRxSlots, 4, 4)
+		nic.Store(NetRegSlotSz, 4, 64)
+		nic.Store(NetRegCtl, 4, 1)
+		m.PokeBytes(frame, []byte("loopback"))
+		second := timer2{NewTimer(m)}
+		m.VBR, m.A[7], m.SSP = 0x100, 0x8000, 0x8000
+		// Each handler acknowledges its device, then counts itself and
+		// records where the program was.
+		handler := func(vec int, cell uint32, ack ...Instr) {
+			m.Poke(m.VBR+uint32(vec)*4, 4, m.Emit(append(ack,
+				Instr{Op: ADD, Src: Imm(1), Dst: Abs(cell)},
+				Instr{Op: ADD, Src: D(1), Dst: Abs(cell + 4)},
+				Instr{Op: RTE})))
+		}
+		handler(VecAutovector+IRQTimer, timerCell, Instr{Op: MOVE, Src: Abs(TimerBase + TimerRegAck), Dst: D(7)})
+		handler(VecTrace, traceCell)
+		handler(VecBusError, busCell)
+		handler(VecAutovector+IRQNet, netCell,
+			Instr{Op: MOVE, Src: Abs(NetBase + NetRegRxHead), Dst: D(7)},
+			Instr{Op: MOVE, Src: D(7), Dst: Abs(NetBase + NetRegRxTail)})
+		handler(VecAutovector+postLevel, postCell)
+		handler(VecAutovector+IRQAlarm, alarmCell, Instr{Op: MOVE, Src: Abs(second.Base() + TimerRegAck), Dst: D(7)})
 
 		base := m.CodeTop
 		quantum := Abs(TimerBase + TimerRegQuantum)
+		count := Instr{Op: ADD, Src: Imm(1), Dst: D(1)}
 		m.Emit([]Instr{
-			{Op: MOVE, Src: Imm(passes - 1), Dst: D(6)},     // 0
-			{Op: ORSR, Src: Imm(0x0700)},                    // 1: mask interrupts
-			{Op: MOVE, Src: Imm(40), Dst: quantum},          // 2: expires in the spin, pends behind the mask
-			{Op: MOVE, Src: Imm(30), Dst: D(0)},             // 3
-			{Op: ADD, Src: Imm(1), Dst: D(1)},               // 4: spin
-			{Op: DBRA, Src: D(0), Dst: Abs(base + 4)},       // 5
-			{Op: ANDSR, Src: Imm(0xf8ff)},                   // 6: unmask; the interrupt is taken before 7
-			{Op: MOVE, Src: Imm(40), Dst: quantum},          // 7: expires in the spin and is taken there
-			{Op: MOVE, Src: Imm(30), Dst: D(0)},             // 8
-			{Op: ADD, Src: Imm(1), Dst: D(1)},               // 9: spin
-			{Op: DBRA, Src: D(0), Dst: Abs(base + 9)},       // 10
-			{Op: MOVE, Src: Imm(200), Dst: quantum},         // 11
-			{Op: STOP, Src: Imm(0x2000)},                    // 12: idle to the quantum
-			{Op: ORSR, Src: Imm(int32(FlagT))},              // 13: trace on
-			{Op: MOVE, Src: Imm(5), Dst: D(2)},              // 14: traced
-			{Op: MULU, Src: Imm(3), Dst: D(2)},              // 15: traced, via cSlow
-			{Op: ANDSR, Src: Imm(int32(^FlagT))},            // 16: trace off
-			{Op: MOVE, Src: Imm(kcalls - 1), Dst: D(4)},     // 17
-			{Op: MOVE, Src: Imm(1), Dst: D(2)},              // 18: patched by every KCALL
-			{Op: ADD, Src: D(2), Dst: D(3)},                 // 19
-			{Op: KCALL, Vec: 1},                             // 20
-			{Op: DBRA, Src: D(4), Dst: Abs(base + patched)}, // 21
-			{Op: JSR, Dst: Ind(1)},                          // 22: into grown code space
-			{Op: MOVE, Src: D(3), Dst: Abs(0x2_0000)},       // 23: bus fault
-			{Op: NOT, Dst: D(5)},                            // 24: resumes here
-			{Op: DBRA, Src: D(6), Dst: Abs(base + 1)},       // 25: next pass
-			{Op: HALT}, // 26
+			{Op: MOVE, Src: Imm(passes - 1), Dst: D(6)},                   // 0
+			{Op: ORSR, Src: Imm(0x0700)},                                  // 1: mask interrupts
+			{Op: MOVE, Src: Imm(40), Dst: quantum},                        // 2: expires in the spin, pends behind the mask
+			{Op: MOVE, Src: Imm(30), Dst: D(0)},                           // 3
+			count,                                                         // 4: spin
+			{Op: DBRA, Src: D(0), Dst: Abs(base + spin)},                  // 5
+			{Op: ANDSR, Src: Imm(0xf8ff)},                                 // 6: unmask; the interrupt is taken before 7
+			{Op: MOVE, Src: Imm(40), Dst: quantum},                        // 7: expires in the spin and is taken there
+			{Op: MOVE, Src: Imm(30), Dst: D(0)},                           // 8
+			count,                                                         // 9: spin
+			{Op: DBRA, Src: D(0), Dst: Abs(base + 9)},                     // 10
+			{Op: MOVE, Src: Imm(200), Dst: quantum},                       // 11
+			{Op: STOP, Src: Imm(0x2000)},                                  // 12: idle to the quantum
+			{Op: MOVE, Src: Imm(frame), Dst: Abs(NetBase + NetRegTxAddr)}, // 13
+			{Op: MOVE, Src: Imm(8), Dst: Abs(NetBase + NetRegTxLen)},      // 14: launches; the frame loops back and interrupts
+			count,                                       // 15: the receive interrupt is taken before this
+			count,                                       // 16
+			{Op: ORSR, Src: Imm(int32(FlagT))},          // 17: trace on
+			{Op: MOVE, Src: Imm(5), Dst: D(2)},          // 18: traced
+			{Op: MULU, Src: Imm(3), Dst: D(2)},          // 19: traced, via cSlow
+			{Op: ANDSR, Src: Imm(int32(^FlagT))},        // 20: trace off
+			{Op: MOVE, Src: Imm(kcalls - 1), Dst: D(4)}, // 21
+			{Op: MOVE, Src: Imm(1), Dst: D(2)},          // 22: patched by every KCALL
+			{Op: ADD, Src: D(2), Dst: D(3)},             // 23
+			{Op: KCALL, Vec: 1},                         // 24
+			count,                                       // 25: traced when the service set T
+			count,                                       // 26
+			{Op: ANDSR, Src: Imm(int32(^FlagT))},        // 27: ... and off again
+			{Op: DBRA, Src: D(4), Dst: Abs(base + patched)}, // 28
+			{Op: JSR, Dst: Ind(1)},                          // 29: into grown code space
+			{Op: MOVE, Src: D(3), Dst: Abs(0x2_0000)},       // 30: bus fault
+			{Op: NOT, Dst: D(5)},                            // 31: resumes here
+			{Op: DBRA, Src: D(6), Dst: Abs(base + 1)},       // 32: next pass
+			{Op: HALT}, // 33
 		})
 		calls := 0
+		late := &loopRecorder{}
 		m.RegisterService(1, func(m *Machine) uint64 {
 			calls++
 			// One slot more than Code has room for: Code (and xcache
@@ -220,10 +290,28 @@ func TestRunEqualsSteps(t *testing.T) {
 			})
 			m.A[1] = sub
 			m.PatchCode(base+patched, Instr{Op: MOVE, Src: Imm(int32(10 * calls)), Dst: D(2)})
+			// What a service may do to the machine that Run's loop has to
+			// notice at the very next boundary.
+			switch (calls - 1) % kcalls {
+			case 0:
+				m.PostInterrupt(postLevel)
+			case 1:
+				m.SR |= FlagT
+			case 2:
+				if calls < kcalls {
+					m.Attach(second)
+				}
+				second.Store(TimerRegAlarm, 4, 25)
+				m.Kick(second)
+			case 3:
+				if calls == passes*kcalls {
+					m.Probe = late
+				}
+			}
 			return 7
 		})
 		var rec *loopRecorder
-		if probe {
+		if plane == probed {
 			rec = &loopRecorder{}
 			m.Probe = rec
 		}
@@ -231,30 +319,51 @@ func TestRunEqualsSteps(t *testing.T) {
 		if err := drive(m); err != ErrHalted {
 			t.Fatalf("run ended with %v, want ErrHalted", err)
 		}
+		// A halted machine stays put, even with a hot slot under its PC
+		// and no probe attached.
+		halt := m.PC
+		m.PC, m.Probe = base+spin, nil
+		if err := drive(m); err != ErrHalted {
+			t.Fatalf("run of a halted machine ended with %v, want ErrHalted", err)
+		}
+		if m.PC != base+spin {
+			t.Fatalf("a halted machine ran on to pc %d", m.PC)
+		}
 		o := outcome{
-			D: m.D, A: m.A, PC: m.PC, VBR: m.VBR, USP: m.USP, SSP: m.SSP, SR: m.SR,
+			D: m.D, A: m.A, PC: halt, VBR: m.VBR, USP: m.USP, SSP: m.SSP, SR: m.SR,
 			Cycles: m.Cycles, Instrs: m.Instrs, MemRefs: m.MemRefs,
 			codeLen: len(m.Code), serviceCalls: calls,
-			timers: m.Peek(timerCount, 4), traces: m.Peek(traceCount, 4), busFault: m.Peek(busCount, 4),
 		}
+		for i := range o.counts {
+			o.counts[i] = m.Peek(timerCell+8*uint32(i), 4)
+		}
+		log := seen{late: late.events}
 		if rec != nil {
-			o.events = rec.events
+			log.events = rec.events
 		}
-		return o, m.Mem
+		if m.Trace != nil {
+			log.trace = m.Trace.Entries()
+		}
+		return o, log, m.Mem
 	}
 
+	sliced := func(n uint64) func(m *Machine) error {
+		return func(m *Machine) error {
+			for {
+				if err := m.Run(n); err != ErrCycleLimit {
+					return err
+				}
+			}
+		}
+	}
 	drivers := []struct {
 		name  string
 		drive func(m *Machine) error
 	}{
 		{"Run", func(m *Machine) error { return m.Run(1 << 30) }},
-		{"Run in 97-cycle slices", func(m *Machine) error {
-			for {
-				if err := m.Run(97); err != ErrCycleLimit {
-					return err
-				}
-			}
-		}},
+		{"Run in 97-cycle slices", sliced(97)},
+		{"Run in 1-cycle slices", sliced(1)},
+		{"Run in 0-cycle slices", sliced(0)},
 		{"Step", func(m *Machine) error {
 			for {
 				if err := m.Step(); err != nil {
@@ -264,42 +373,49 @@ func TestRunEqualsSteps(t *testing.T) {
 		}},
 	}
 
-	ref, refMem := execute(false, drivers[0].drive)
-	// The program did what the comment above says it does. The
-	// patched slot loads 1 the first time and ten times the number of KCALLs so far
-	// ever after.
+	ref, refLog, refMem := execute(bare, drivers[0].drive)
+	// The program did what the comment above says it does: per pass three
+	// timer interrupts, two instructions traced by ORSR and two by the
+	// service, a bus fault, a frame received, a posted interrupt and an
+	// alarm. The patched slot loads 1 the first time and ten times the
+	// number of KCALLs so far ever after.
 	const n = passes * kcalls
-	if ref.timers != 3*passes || ref.traces != 2*passes || ref.busFault != passes || ref.serviceCalls != n {
-		t.Fatalf("program took %d timer interrupts, %d trace exceptions, %d bus faults, %d KCALLs; want %d, %d, %d, %d",
-			ref.timers, ref.traces, ref.busFault, ref.serviceCalls, 3*passes, 2*passes, passes, n)
+	if want := [6]uint32{3 * passes, 4 * passes, passes, passes, passes, passes}; ref.counts != want || ref.serviceCalls != n {
+		t.Fatalf("handlers ran %v times and the service %d; want %v and %d", ref.counts, ref.serviceCalls, want, n)
 	}
 	if want := uint32(1 + 10*(n-1)*n/2); ref.D[3] != want {
 		t.Fatalf("D3 = %d, want %d: a patched slot ran stale", ref.D[3], want)
 	}
-	probed, _ := execute(true, drivers[0].drive)
-	idle := false
-	for _, e := range probed.events {
-		idle = idle || e.idle
+	if len(refLog.late) == 0 {
+		t.Fatal("the Probe the service attached saw nothing")
 	}
-	if !idle {
-		t.Fatal("no idle step recorded: STOP never waited")
-	}
-	for _, probe := range []bool{false, true} {
-		for _, d := range drivers {
-			got, mem := execute(probe, d.drive)
-			name := d.name
-			if probe {
-				name += " with probe"
-				if !reflect.DeepEqual(got.events, probed.events) {
-					t.Errorf("%s: probe saw %d events, differing from the %d of Run with probe", name, len(got.events), len(probed.events))
+	for plane := 0; plane < planes; plane++ {
+		name := [planes]string{"", " with probe", " with trace ring"}[plane]
+		var first seen // what this plane recorded of the one Run
+		for i, d := range drivers {
+			got, log, mem := execute(plane, d.drive)
+			if i == 0 {
+				first = log
+				idle := false
+				for _, e := range log.events {
+					idle = idle || e.idle
 				}
-				got.events = nil
+				if plane == probed && !idle {
+					t.Fatal("no idle step recorded: STOP never waited")
+				}
+				if plane == traced && uint64(len(log.trace)) < got.Instrs {
+					t.Fatalf("trace ring holds %d entries of a run of %d instructions", len(log.trace), got.Instrs)
+				}
+			}
+			if !reflect.DeepEqual(log, first) {
+				t.Errorf("%s%s: probes saw %d and %d events and the ring %d entries, differing from the %d, %d and %d of Run",
+					d.name, name, len(log.events), len(log.late), len(log.trace), len(first.events), len(first.late), len(first.trace))
 			}
 			if !bytes.Equal(mem, refMem) {
-				t.Errorf("%s: memory image differs from Run", name)
+				t.Errorf("%s%s: memory image differs from Run", d.name, name)
 			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s differs from Run:\n got %+v\nwant %+v", name, got, ref)
+			if got != ref {
+				t.Errorf("%s%s differs from Run:\n got %+v\nwant %+v", d.name, name, got, ref)
 			}
 		}
 	}
@@ -312,7 +428,9 @@ func TestRunEqualsSteps(t *testing.T) {
 // ops; with closures for ORSR, ANDSR, MOVEFSR, MOVETSR, TRAP and RTE
 // only the two no workload pays for (MOVEC, MULU) reach cSlow — 2 of
 // 10 where it would be 9 of 10 without them. EmitBenchProgram, the
-// dispatcher's best case, must read zero.
+// dispatcher's best case, must read zero. SlowSteps counts the
+// boundaries Run handed to Step: with no device and no interrupt, one
+// per slot, its first fetch.
 func TestDispatchCounters(t *testing.T) {
 	m := New(Config{MemSize: 1 << 16})
 	m.VBR, m.A[7], m.SSP = 0x100, 0x8000, 0x8000
@@ -338,9 +456,9 @@ func TestDispatchCounters(t *testing.T) {
 	if err := m.Run(1 << 20); err != ErrHalted {
 		t.Fatal(err)
 	}
-	if want := uint64(2 + 10*passes); m.Instrs != want || m.SlowInstrs != 2*passes || m.Translations != 12 {
-		t.Errorf("%d instructions, %d through cSlow, %d translations; want %d, %d, 12",
-			m.Instrs, m.SlowInstrs, m.Translations, want, 2*passes)
+	if want := uint64(2 + 10*passes); m.Instrs != want || m.SlowInstrs != 2*passes || m.Translations != 12 || m.SlowSteps != 12 {
+		t.Errorf("%d instructions, %d through cSlow, %d translations, %d Steps; want %d, %d, 12, 12",
+			m.Instrs, m.SlowInstrs, m.Translations, m.SlowSteps, want, 2*passes)
 	}
 	// A patched slot is translated again on its next fetch, and only it.
 	m.PatchCode(entry+4, Instr{Op: NOP})
@@ -349,8 +467,9 @@ func TestDispatchCounters(t *testing.T) {
 	if err := m.Run(1 << 20); err != ErrHalted {
 		t.Fatal(err)
 	}
-	if m.SlowInstrs != 3*passes || m.Translations != 13 {
-		t.Errorf("after patching MULU out: %d through cSlow, %d translations; want %d, 13", m.SlowInstrs, m.Translations, 3*passes)
+	if m.SlowInstrs != 3*passes || m.Translations != 13 || m.SlowSteps != 13 {
+		t.Errorf("after patching MULU out: %d through cSlow, %d translations, %d Steps; want %d, 13, 13",
+			m.SlowInstrs, m.Translations, m.SlowSteps, 3*passes)
 	}
 
 	b := New(Config{})
@@ -358,7 +477,8 @@ func TestDispatchCounters(t *testing.T) {
 	if err := b.Run(1 << 30); err != ErrHalted {
 		t.Fatal(err)
 	}
-	if b.SlowInstrs != 0 || b.Translations != 9 {
-		t.Errorf("EmitBenchProgram: %d of %d instructions through cSlow, %d translations; want 0 and 9", b.SlowInstrs, b.Instrs, b.Translations)
+	if b.SlowInstrs != 0 || b.Translations != 9 || b.SlowSteps != 9 {
+		t.Errorf("EmitBenchProgram: %d of %d instructions through cSlow, %d translations, %d Steps; want 0, 9 and 9",
+			b.SlowInstrs, b.Instrs, b.Translations, b.SlowSteps)
 	}
 }

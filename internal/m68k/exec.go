@@ -119,50 +119,69 @@ func (m *Machine) nextDeviceEvent() uint64 {
 // Run executes until HALT, an unrecoverable error, or the cycle
 // budget is exhausted.
 //
-// The loop body open-codes step()'s common case — translated handler,
-// no probe, no pending interrupt, no due device event, trace bit
-// clear — so the hot path runs with zero call frames between
-// instructions (worth 13–30 % of the ns/instr floor,
-// docs/PERFORMANCE.md). Anything off that path (and the first
-// execution of every PC) falls through to Step(), the reference path;
-// TestRunEqualsSteps holds the two loops behaviourally identical.
+// Nothing step() tests can change between two events (a device coming
+// due, an interrupt posted, T set, STOP, a KCALL service, the cycle
+// limit), so runHorizon folds the tests into Machine.horizon — the
+// field states the rule that keeps it current — and the fast loop runs
+// translated handlers, with no call frame between instructions, while
+// the clock is short of it: it reads Cycles, horizon, PC and the cache
+// line, nothing else. A boundary the loop cannot cross (an event is
+// due, the slot is cold) goes to Step(), the reference path and the
+// only place the conditions are acted on; TestRunEqualsSteps holds the
+// two loops behaviourally identical.
 func (m *Machine) Run(maxCycles uint64) error {
 	limit := m.Cycles + maxCycles
 	for {
-		if m.Probe == nil && !m.halted && !m.stopped && m.pendIRQ == 0 &&
-			(m.nextPoll == 0 || m.nextPoll > m.Cycles) &&
-			m.SR&FlagT == 0 && int(m.PC) < len(m.Code) {
-			pc := m.PC
-			if e := &m.xcache[pc]; e.run != nil {
-				run := e.run
-				m.PC++
-				m.Instrs++
-				m.Cycles += e.cost
-				if m.Trace != nil {
-					m.Trace.Record(pc, m.Code[pc], m.Cycles)
+		m.horizon = m.runHorizon(limit)
+		ran := false
+		for m.Cycles < m.horizon {
+			xc, pc := m.xcache, uint(m.PC)
+			if pc >= uint(len(xc)) {
+				break
+			}
+			e := &xc[pc]
+			run := e.run
+			if run == nil {
+				break
+			}
+			m.PC++
+			m.Instrs++
+			m.Cycles += e.cost
+			ran = true
+			if err := run(m); err != nil {
+				var bf *BusFault
+				if !errors.As(err, &bf) {
+					return err
 				}
-				if err := run(m); err != nil {
-					var bf *BusFault
-					if !errors.As(err, &bf) {
-						return err
-					}
-					if err := m.fault(bf); err != nil {
-						return err
-					}
+				if err := m.fault(bf); err != nil {
+					return err
 				}
-				if m.Cycles >= limit {
-					return ErrCycleLimit
-				}
-				continue
 			}
 		}
-		if err := m.Step(); err != nil {
-			return err
+		if !ran {
+			m.SlowSteps++
+			if err := m.Step(); err != nil {
+				return err
+			}
 		}
 		if m.Cycles >= limit {
 			return ErrCycleLimit
 		}
 	}
+}
+
+// runHorizon returns the cycle up to which Run may execute without
+// consulting step(): 0 if any condition step() acts on holds now,
+// otherwise the earlier of the cycle limit and the next device event.
+func (m *Machine) runHorizon(limit uint64) uint64 {
+	if m.Probe != nil || m.Trace != nil || m.halted || m.stopped ||
+		m.pendIRQ != 0 || m.SR&FlagT != 0 {
+		return 0
+	}
+	if m.nextPoll != 0 && m.nextPoll < limit {
+		return m.nextPoll
+	}
+	return limit
 }
 
 // RunUntil is a diagnostic helper: it steps until the instruction at
@@ -762,6 +781,7 @@ func (m *Machine) exec(in *Instr) error {
 	case STOP:
 		m.applySR(uint16(in.Src.Imm))
 		m.stopped = true
+		m.horizon = 0
 		return nil
 
 	case HALT:

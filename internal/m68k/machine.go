@@ -188,15 +188,30 @@ type Machine struct {
 
 	// Interrupts and devices.
 	devices     []Device
-	devNext     []uint64  // per-device next event time (0 = none)
-	devFloor    uint32    // lowest device window base (max uint32 = none)
-	nextPoll    uint64    // cached earliest devNext (0 = none); see tickDevice
-	pendIRQ     uint8     // bitmask of pending interrupt levels
-	irqRaisedAt [8]uint64 // cycle each pending level was first asserted
-	stopped     bool      // STOP executed; waiting for interrupt
+	devWin      []devWindow // per-device register window, read once at Attach
+	devNext     []uint64    // per-device next event time (0 = none)
+	devFloor    uint32      // lowest device window base (max uint32 = none)
+	nextPoll    uint64      // cached earliest devNext (0 = none); see tickDevice
+	pendIRQ     uint8       // bitmask of pending interrupt levels
+	irqRaisedAt [8]uint64   // cycle each pending level was first asserted
+	stopped     bool        // STOP executed; waiting for interrupt
 	halted      bool
 	inStep      bool // executing inside Step (probe bookkeeping)
 	services    [256]Service
+
+	// horizon is the cycle up to which Run's fast loop may execute
+	// without testing anything else: runHorizon folds every condition
+	// step() acts on (probe, trace ring, halted, stopped, pending
+	// interrupt, T bit, next device event, cycle limit) into it. One rule
+	// keeps it sound: whatever can make one of those conditions true
+	// while the loop runs zeroes the horizon, which ends the loop at the
+	// next instruction boundary, so every boundary stays an interrupt
+	// point. The sites are PostInterrupt, tickDevice where it lowers
+	// nextPoll, applySR when the new SR has T, STOP, and the return of a
+	// KCALL service, which may have written SR, Probe or Trace directly.
+	// HALT and a double fault end Run with an error, and Run recomputes
+	// on entry, which covers whatever the host did between two calls.
+	horizon uint64
 
 	// xcache is the threaded-code translation cache, one entry per
 	// code-space slot (see dispatch.go). An entry with a nil run
@@ -208,13 +223,16 @@ type Machine struct {
 	xcache []xent
 
 	// The dispatcher's own tallies, bumped off the fast path only:
-	// slots translated (first fetches plus refetches after a patch), and
+	// slots translated (first fetches plus refetches after a patch),
 	// instructions that had no closure and ran through the reference
-	// switch. SlowInstrs/Instrs is the share of traffic the
-	// specializations do not cover. They sit after every field the step
-	// loop reads so that adding them moved none of those.
+	// switch, and Step calls made by Run. SlowInstrs/Instrs is the share
+	// of traffic the specializations do not cover, SlowSteps/Instrs the
+	// share of instruction boundaries that left the fast loop. They sit
+	// after every field the step loop reads so that adding them moved
+	// none of those.
 	Translations uint64
 	SlowInstrs   uint64
+	SlowSteps    uint64
 }
 
 // New creates a machine with the given configuration.
@@ -296,9 +314,13 @@ func (m *Machine) RegisterService(id uint8, s Service) {
 	m.services[id] = s
 }
 
+// devWindow is a device's register window, [base, end).
+type devWindow struct{ base, end uint32 }
+
 // Attach adds a memory-mapped device.
 func (m *Machine) Attach(d Device) {
 	m.devices = append(m.devices, d)
+	m.devWin = append(m.devWin, devWindow{d.Base(), d.Base() + d.Size()})
 	m.devNext = append(m.devNext, 0)
 	if d.Base() < m.devFloor {
 		m.devFloor = d.Base()
@@ -328,17 +350,18 @@ func (m *Machine) PostInterrupt(level int) {
 			m.irqRaisedAt[level] = m.Cycles
 		}
 		m.pendIRQ |= bit
+		m.horizon = 0
 	}
 }
 
-// deviceFor returns the device mapping addr, or nil.
-func (m *Machine) deviceFor(addr uint32) Device {
-	for _, d := range m.devices {
-		if addr >= d.Base() && addr < d.Base()+d.Size() {
-			return d
+// deviceAt returns the index of the device mapping addr, or -1.
+func (m *Machine) deviceAt(addr uint32) int {
+	for i, w := range m.devWin {
+		if addr >= w.base && addr < w.end {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // memCost is the cycle cost of one memory reference.
@@ -352,9 +375,9 @@ func (m *Machine) chargeMem(n int) {
 	m.Cycles += uint64(n) * m.memCost()
 }
 
-// Kick re-polls a device immediately. Devices call it (and the
-// machine calls it after register accesses) so that freshly armed
-// events are scheduled even between Tick calls.
+// Kick re-polls a device immediately. Devices and host code call it
+// (the machine does the same after every register access) so that
+// freshly armed events are scheduled even between Tick calls.
 func (m *Machine) Kick(d Device) {
 	for i, dd := range m.devices {
 		if dd == d {
@@ -378,12 +401,13 @@ func (m *Machine) Load(addr uint32, sz uint8) (uint32, error) {
 		}
 		return m.loadRaw(addr, sz), nil
 	}
-	if d := m.deviceFor(addr); d != nil {
-		if m.Inj != nil && m.Inj.AccessFault(d, addr-d.Base(), false) {
+	if i := m.deviceAt(addr); i >= 0 {
+		d, off := m.devices[i], addr-m.devWin[i].base
+		if m.Inj != nil && m.Inj.AccessFault(d, off, false) {
 			return 0, &BusFault{Addr: addr, PC: m.PC}
 		}
-		v := d.Load(addr-d.Base(), sz)
-		m.Kick(d)
+		v := d.Load(off, sz)
+		m.tickDevice(i, m.Cycles)
 		return v, nil
 	}
 	if int(addr)+int(sz) > len(m.Mem) {
@@ -415,12 +439,13 @@ func (m *Machine) Store(addr uint32, sz uint8, val uint32) error {
 		m.storeRaw(addr, sz, val)
 		return nil
 	}
-	if d := m.deviceFor(addr); d != nil {
-		if m.Inj != nil && m.Inj.AccessFault(d, addr-d.Base(), true) {
+	if i := m.deviceAt(addr); i >= 0 {
+		d, off := m.devices[i], addr-m.devWin[i].base
+		if m.Inj != nil && m.Inj.AccessFault(d, off, true) {
 			return &BusFault{Addr: addr, Write: true, PC: m.PC}
 		}
-		d.Store(addr-d.Base(), sz, val)
-		m.Kick(d)
+		d.Store(off, sz, val)
+		m.tickDevice(i, m.Cycles)
 		return nil
 	}
 	if int(addr)+int(sz) > len(m.Mem) {
@@ -555,9 +580,7 @@ func (m *Machine) PatchCode(addr uint32, in Instr) {
 // invalidateCode clears the translation cache lines covering
 // [addr, addr+n).
 func (m *Machine) invalidateCode(addr uint32, n int) {
-	for i := 0; i < n; i++ {
-		m.xcache[addr+uint32(i)] = xent{}
-	}
+	clear(m.xcache[addr : addr+uint32(n)])
 }
 
 // Emit appends code at the end of code space and returns its address.
@@ -594,6 +617,9 @@ func (m *Machine) enterSupervisor() {
 func (m *Machine) applySR(newSR uint16) {
 	wasS := m.SR&FlagS != 0
 	m.SR = newSR
+	if newSR&FlagT != 0 {
+		m.horizon = 0
+	}
 	isS := m.SR&FlagS != 0
 	if wasS && !isS {
 		m.SSP = m.A[7]
@@ -639,7 +665,8 @@ func (m *Machine) Exception(v int) error {
 // nextPoll cache is lowered conservatively (never raised here): it
 // may go stale-early when a device moves its event later, which costs
 // one wasted scan, but it is never later than a pending event, so the
-// step loop's single-compare fast path cannot miss a tick.
+// step loop's single-compare fast path cannot miss a tick. Lowering it
+// ends Run's fast loop, whose horizon was computed from the old value.
 func (m *Machine) tickDevice(i int, t uint64) {
 	irq, next := m.devices[i].Tick(t)
 	if irq > 0 {
@@ -648,6 +675,7 @@ func (m *Machine) tickDevice(i int, t uint64) {
 	m.devNext[i] = next
 	if next != 0 && (m.nextPoll == 0 || next < m.nextPoll) {
 		m.nextPoll = next
+		m.horizon = 0
 	}
 }
 

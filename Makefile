@@ -8,16 +8,18 @@
 # two step loops and its self-modifying-code tests in internal/m68k;
 # single-machine fault injection and the open/close churn plateau; 2-VM
 # fleet churn; 2-VM fleet under link faults and a partition/heal
-# cycle). `make bench` runs the root Go benchmarks once and then the
-# dispatcher's two inner loops for a second each (internal/m68k:
+# cycle). `make examples` runs the six self-checking examples, each of
+# which exits nonzero on failure. `make bench` runs the root Go
+# benchmarks once and then the dispatcher's two inner loops for a second each (internal/m68k:
 # BenchmarkStepLoop and BenchmarkCopyLoop, host ns per guest
 # instruction), `make tables` prints every table, `make profile` runs
 # one Table 1 program under the profiler and emits trace.json (load in
-# about:tracing or ui.perfetto.dev).
+# about:tracing or ui.perfetto.dev). `make loc` prints the number
+# ROADMAP tracks: lines of non-test Go outside benchmark/.
 
 GO ?= go
 
-.PHONY: tier1 race soak cluster-soak chaos-soak bench tables profile
+.PHONY: tier1 race soak cluster-soak chaos-soak examples bench tables profile loc
 
 tier1:
 	test -z "$$(gofmt -l .)"
@@ -47,6 +49,11 @@ chaos-soak:
 	FLIGHT_DIR=$(FLIGHT_DIR) $(GO) test -race -count 1 -timeout 180s \
 		-run 'TestChaosSoak|TestFabricDropAccountingExact' ./internal/cluster/
 
+examples:
+	set -e; for ex in quickstart audio lockfree codegen netecho procmetrics; do \
+		echo "== examples/$$ex"; $(GO) run ./examples/$$ex; \
+	done
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
 	$(GO) test -bench . -run ^$$ ./internal/m68k
@@ -56,3 +63,6 @@ tables:
 
 profile:
 	$(GO) run ./cmd/synbench -profile-run "open-close tty" -top 15 -trace-json trace.json
+
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l

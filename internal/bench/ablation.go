@@ -97,9 +97,10 @@ func Ablations() (Table, error) {
 	add("64 KB pipe transfer, fixed quanta", fgOff,
 		fmt.Sprintf("equal 500 usec round-robin slices; %.2fx", fgOff/fgOn))
 
-	// 7. Optimizer stage on vs off: path length of the same
-	// specialized read.
-	onUS, offUS, onLen, offLen, err := optimizerOnOff()
+	// 7. Env binding, constants against cells: path length of the same
+	// template. The row names are the golden table's; the optimizer
+	// removes nothing from either variant.
+	onUS, offUS, onLen, offLen, err := constVsCellBinding()
 	if err != nil {
 		return t, err
 	}
@@ -230,13 +231,13 @@ func cookedVariants() (collapsed, layered float64, err error) {
 	return collapsed, layered, err
 }
 
-// optimizerOnOff compares the quaject creator's factorization +
-// optimization against the same template bound to run-time cells: a
-// block-copy routine whose geometry (source, length in 32-byte
-// groups) is either folded in as constants and optimized, or fetched
-// from memory each call. This is the specialization the open path
-// performs on every read routine it synthesizes.
-func optimizerOnOff() (onUS, offUS float64, onLen, offLen int, err error) {
+// constVsCellBinding compares the quaject creator's factorization
+// against the same template bound to run-time cells: a block-copy
+// routine whose geometry (source, length in 32-byte groups) is either
+// folded in as constants or fetched from memory each call. This is the
+// specialization the open path performs on every read routine it
+// synthesizes.
+func constVsCellBinding() (onUS, offUS float64, onLen, offLen int, err error) {
 	rig := NewSynthRig()
 	k := rig.K
 	cells, _ := k.Heap.Alloc(16)
@@ -268,10 +269,8 @@ func optimizerOnOff() (onUS, offUS float64, onLen, offLen int, err error) {
 	genericEnv := synth.Env{"src": synth.CellAt(cells), "groups": synth.CellAt(cells + 4)}
 	constEnv := synth.Env{"src": synth.ConstOf(addrBufA), "groups": synth.ConstOf(1)}
 
-	k.C.DoOptimize = false
 	generic := k.C.Synthesize(nil, "copy_generic", genericEnv, tmpl)
 	offLen = k.C.LastStats.InstrsAfter
-	k.C.DoOptimize = true
 	special := k.C.Synthesize(nil, "copy_special", constEnv, tmpl)
 	onLen = k.C.LastStats.InstrsAfter
 

@@ -37,10 +37,8 @@ const svcProcGeneric = 122
 // newMetricsSynthRig boots the Synthesis rig with an observability
 // registry attached, so /proc/metrics serves a real snapshot.
 func newMetricsSynthRig() *SynthRig {
-	cfg := m68k.Sun3Config()
-	cfg.TraceDepth = 128
 	k := kernel.Boot(kernel.Config{
-		Machine:         cfg,
+		Machine:         m68k.Sun3Config(),
 		ChargeSynthesis: true,
 		Metrics:         metrics.New(),
 	})

@@ -83,10 +83,8 @@ func NewSynthRig() *SynthRig { return newSynthRig(false) }
 func NewProfiledSynthRig() *SynthRig { return newSynthRig(true) }
 
 func newSynthRig(profile bool) *SynthRig {
-	cfg := m68k.Sun3Config()
-	cfg.TraceDepth = 128
 	k := kernel.Boot(kernel.Config{
-		Machine:         cfg,
+		Machine:         m68k.Sun3Config(),
 		ChargeSynthesis: true,
 		Profile:         profile,
 	})

@@ -637,3 +637,63 @@ func TestKernelPumpThread(t *testing.T) {
 		}
 	}
 }
+
+// TestCookedReadLayeredMatchesCollapsed runs the same typed input
+// through both instantiations of the cooked-read template — the raw
+// get-character emitted in place (what open installs) and called
+// through a JSR (the ablation's layered variant) — and requires the
+// same bytes and count from each. Paced input parks the reader inside
+// the get-character; burst input never does.
+func TestCookedReadLayeredMatchesCollapsed(t *testing.T) {
+	const nameAddr, res, buf, layeredFD = 0x9100, 0x9000, 0x9300, 9
+	read := func(layered bool, input string, gap uint64, max int32) string {
+		k, io := boot(t)
+		pokeName(k, nameAddr, "/dev/tty")
+		k.TTY.InputString(input, 1000, gap)
+		fd := uint8(0)
+		if layered {
+			fd = layeredFD
+		}
+		prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+			if !layered {
+				emitOpen(e, nameAddr) // fd 0
+			}
+			e.MoveL(m68k.Imm(buf), m68k.D(1))
+			e.MoveL(m68k.Imm(max), m68k.D(2))
+			e.Trap(kernel.TrapRead + fd)
+			e.MoveL(m68k.D(0), m68k.Abs(res))
+			exitSeq(e)
+		})
+		th := k.SpawnKernel("main", prog)
+		if layered {
+			// The line discipline keeps no per-descriptor state, so
+			// the routine goes straight onto a slot open never touches.
+			vec := th.TTE + kernel.TTEVec + uint32(m68k.VecTrapBase+kernel.TrapRead+layeredFD)*4
+			k.M.Poke(vec, 4, io.SynthLayeredCookedRead(th))
+		}
+		run(t, k, th, 20_000_000)
+		n := k.M.Peek(res, 4)
+		if n > uint32(max) {
+			t.Fatalf("layered=%v: read returned %d for a %d-byte buffer", layered, n, max)
+		}
+		return string(k.M.PeekBytes(buf, int(n)))
+	}
+	for _, tc := range []struct {
+		name, input, want string
+		max               int32
+	}{
+		{"erase and kill", "helX\x08lo\x15hi!\n", "hi!\n", 64},
+		{"erase at line start", "\x08\x08ab\x08\x08\x08c\n", "c\n", 64},
+		{"kill twice", "one\x15\x15two\n", "two\n", 64},
+		{"buffer fills first", "abcd\x08\x08efgh\n", "abefg", 5},
+	} {
+		for _, gap := range []uint64{0, 2000} {
+			collapsed := read(false, tc.input, gap, tc.max)
+			layered := read(true, tc.input, gap, tc.max)
+			if collapsed != tc.want || layered != tc.want {
+				t.Errorf("%s, gap %d: collapsed %q, layered %q, want %q",
+					tc.name, gap, collapsed, layered, tc.want)
+			}
+		}
+	}
+}

@@ -85,9 +85,12 @@ func (io *IO) installTTY() {
 }
 
 // synthTTY builds the cooked read/write pair (or the raw pair for
-// /dev/rawtty, chosen by the open hook through synthRawTTY).
+// /dev/rawtty, chosen by the open hook through synthRawTTY). The read
+// has the raw get-character inlined rather than called — Collapsing
+// Layers, exactly the boot-time optimization Section 5.4 describes for
+// this filter.
 func (io *IO) synthTTY(t *kernel.Thread, fd int32) (read, write uint32) {
-	return io.synthCookedRead(t), io.synthTTYWrite(t)
+	return io.synthCooked(t, "cooked_read", 0), io.synthTTYWrite(t)
 }
 
 // synthRawTTY builds the raw pair: read is the plain bulk queue read.
@@ -118,99 +121,46 @@ func (io *IO) synthTTYWrite(t *kernel.Thread) uint32 {
 	})
 }
 
-// SynthLayeredCookedRead builds the UN-collapsed cooked read for the
-// ablation benchmarks: the line discipline is identical, but every
-// character is fetched by calling a separate raw get-character
-// routine — the layered structure the boot-time Collapsing Layers
-// optimization of Section 5.4 eliminates. Returns the read routine's
-// code address (installable on a descriptor by tests).
-func (io *IO) SynthLayeredCookedRead(t *kernel.Thread) uint32 {
-	q := &KQueue{Addr: io.ttyQ, Size: ttyQueueBytes}
-	head := q.Addr + KQHead
-	tail := q.Addr + KQTail
-	buf := q.Addr + KQBuf
-	rwait := q.Addr + KQRWait
-	size := q.Size
+// emitRawGetChar emits the raw server's get-character: wait for the
+// input queue to hold a character, take it, leave it in D0. The park is
+// protected by the interrupt mask (the producer is the tty interrupt).
+// Clobbers D1 and A0; A1 survives the park.
+func (io *IO) emitRawGetChar(e *synth.Emitter) {
+	head, tail := io.ttyQ+KQHead, io.ttyQ+KQTail
 
-	// The raw server's get-character entry point: blocks for a
-	// character, returns it in D0. Clobbers D1, A0.
-	getchar := io.K.C.Synthesize(t.Q, "rawtty_getchar", nil, func(e *synth.Emitter) {
-		e.Label("wait")
-		e.OrSR(iplMaskBits)
-		e.MoveL(m68k.Abs(head), m68k.D(0))
-		e.Cmp(4, m68k.Abs(tail), m68k.D(0))
-		e.Bne("have")
-		e.MoveL(m68k.A(1), m68k.PreDec(7))
-		e.Lea(m68k.Abs(rwait), 0)
-		e.Jsr(io.K.BlockOnRoutine())
-		e.MoveL(m68k.PostInc(7), m68k.A(1))
-		e.AndSR(^uint16(iplMaskBits))
-		e.Bra("wait")
-		e.Label("have")
-		e.AndSR(^uint16(iplMaskBits))
-		e.MoveL(m68k.Abs(tail), m68k.D(1))
-		e.Lea(m68k.Abs(buf), 0)
-		e.Clr(4, m68k.D(0))
-		e.MoveB(m68k.Idx(0, 0, 1, 1), m68k.D(0))
-		e.AddL(m68k.Imm(1), m68k.D(1))
-		e.CmpL(m68k.Imm(size), m68k.D(1))
-		e.Bne("nw")
-		e.Clr(4, m68k.D(1))
-		e.Label("nw")
-		e.MoveL(m68k.D(1), m68k.Abs(tail))
-		e.Rts()
-	})
-
-	return io.K.C.Synthesize(t.Q, "cooked_read_layered", nil, func(e *synth.Emitter) {
-		e.MoveL(m68k.D(1), m68k.A(1))
-		e.MoveL(m68k.D(1), m68k.PreDec(7))
-		e.MoveL(m68k.D(2), m68k.PreDec(7))
-		e.Label("loop")
-		e.TstL(m68k.D(2))
-		e.Beq("done")
-		e.Jsr(getchar) // the layer boundary the collapsed version inlines
-		e.CmpL(m68k.Imm(charErase), m68k.D(0))
-		e.Beq("erase")
-		e.CmpL(m68k.Imm(charKill), m68k.D(0))
-		e.Beq("kill")
-		e.MoveB(m68k.D(0), m68k.PostInc(1))
-		e.SubL(m68k.Imm(1), m68k.D(2))
-		e.CmpL(m68k.Imm(charNewline), m68k.D(0))
-		e.Beq("done")
-		e.Bra("loop")
-		e.Label("erase")
-		e.Cmp(4, m68k.Disp(4, 7), m68k.A(1))
-		e.Bls("loop")
-		e.SubL(m68k.Imm(1), m68k.A(1))
-		e.AddL(m68k.Imm(1), m68k.D(2))
-		e.Bra("loop")
-		e.Label("kill")
-		e.MoveL(m68k.Disp(4, 7), m68k.A(1))
-		e.MoveL(m68k.Ind(7), m68k.D(2))
-		e.Bra("loop")
-		e.Label("done")
-		e.MoveL(m68k.A(1), m68k.D(0))
-		e.SubL(m68k.Disp(4, 7), m68k.D(0))
-		e.Lea(m68k.Disp(8, 7), 7)
-		e.Rte()
-	})
+	e.Label("gc_wait")
+	e.OrSR(iplMaskBits)
+	e.MoveL(m68k.Abs(head), m68k.D(0))
+	e.Cmp(4, m68k.Abs(tail), m68k.D(0))
+	e.Bne("gc_have")
+	e.MoveL(m68k.A(1), m68k.PreDec(7))
+	e.Lea(m68k.Abs(io.ttyQ+KQRWait), 0)
+	e.Jsr(io.K.BlockOnRoutine())
+	e.MoveL(m68k.PostInc(7), m68k.A(1))
+	e.AndSR(^uint16(iplMaskBits))
+	e.Bra("gc_wait")
+	e.Label("gc_have")
+	e.AndSR(^uint16(iplMaskBits))
+	e.MoveL(m68k.Abs(tail), m68k.D(1))
+	e.Lea(m68k.Abs(io.ttyQ+KQBuf), 0)
+	e.Clr(4, m68k.D(0))
+	e.MoveB(m68k.Idx(0, 0, 1, 1), m68k.D(0)) // char = buf[tail]
+	e.AddL(m68k.Imm(1), m68k.D(1))
+	e.CmpL(m68k.Imm(ttyQueueBytes), m68k.D(1))
+	e.Bne("gc_nw")
+	e.Clr(4, m68k.D(1))
+	e.Label("gc_nw")
+	e.MoveL(m68k.D(1), m68k.Abs(tail))
 }
 
-// synthCookedRead emits the cooked (line-discipline) read: gather
+// synthCooked emits the cooked (line-discipline) read: gather
 // characters into the caller's buffer, interpreting erase and kill,
-// until a newline or the buffer fills. The raw get-character is
-// inlined rather than called — Collapsing Layers, exactly the
-// boot-time optimization Section 5.4 describes for this filter.
-// read(d1=buf, d2=len) -> d0 = line length.
-func (io *IO) synthCookedRead(t *kernel.Thread) uint32 {
-	q := &KQueue{Addr: io.ttyQ, Size: ttyQueueBytes}
-	head := q.Addr + KQHead
-	tail := q.Addr + KQTail
-	buf := q.Addr + KQBuf
-	rwait := q.Addr + KQRWait
-	size := q.Size
-
-	return io.K.C.Synthesize(t.Q, "cooked_read", nil, func(e *synth.Emitter) {
+// until a newline or the buffer fills. read(d1=buf, d2=len) -> d0 =
+// line length. The layer boundary is the parameter: with getchar 0 the
+// raw get-character is emitted in place, otherwise it is a call to the
+// routine at that address.
+func (io *IO) synthCooked(t *kernel.Thread, entry string, getchar uint32) uint32 {
+	return io.K.C.Synthesize(t.Q, entry, nil, func(e *synth.Emitter) {
 		// Stack: [orig len][buf base] (top to bottom).
 		e.MoveL(m68k.D(1), m68k.A(1)) // cursor
 		e.MoveL(m68k.D(1), m68k.PreDec(7))
@@ -219,31 +169,11 @@ func (io *IO) synthCookedRead(t *kernel.Thread) uint32 {
 		e.Label("cr_loop")
 		e.TstL(m68k.D(2))
 		e.Beq("cr_done")
-		// Inlined raw get-character with the park protected by the
-		// interrupt mask (the producer is the tty interrupt).
-		e.Label("cr_get")
-		e.OrSR(iplMaskBits)
-		e.MoveL(m68k.Abs(head), m68k.D(0))
-		e.Cmp(4, m68k.Abs(tail), m68k.D(0))
-		e.Bne("cr_have")
-		e.MoveL(m68k.A(1), m68k.PreDec(7))
-		e.Lea(m68k.Abs(rwait), 0)
-		e.Jsr(io.K.BlockOnRoutine())
-		e.MoveL(m68k.PostInc(7), m68k.A(1))
-		e.AndSR(^uint16(iplMaskBits))
-		e.Bra("cr_get")
-		e.Label("cr_have")
-		e.AndSR(^uint16(iplMaskBits))
-		e.MoveL(m68k.Abs(tail), m68k.D(1))
-		e.Lea(m68k.Abs(buf), 0)
-		e.Clr(4, m68k.D(0))
-		e.MoveB(m68k.Idx(0, 0, 1, 1), m68k.D(0)) // char = buf[tail]
-		e.AddL(m68k.Imm(1), m68k.D(1))
-		e.CmpL(m68k.Imm(size), m68k.D(1))
-		e.Bne("cr_nw")
-		e.Clr(4, m68k.D(1))
-		e.Label("cr_nw")
-		e.MoveL(m68k.D(1), m68k.Abs(tail))
+		if getchar == 0 {
+			io.emitRawGetChar(e)
+		} else {
+			e.Jsr(getchar)
+		}
 		// Line discipline.
 		e.CmpL(m68k.Imm(charErase), m68k.D(0))
 		e.Beq("cr_erase")
@@ -271,4 +201,17 @@ func (io *IO) synthCookedRead(t *kernel.Thread) uint32 {
 		e.Lea(m68k.Disp(8, 7), 7)          // drop the two saves
 		e.Rte()
 	})
+}
+
+// SynthLayeredCookedRead builds the UN-collapsed cooked read for the
+// ablation benchmarks: the same template, but every character is
+// fetched by calling a separate raw get-character routine — the
+// layered structure Collapsing Layers eliminates. Returns the read
+// routine's code address (installable on a descriptor by tests).
+func (io *IO) SynthLayeredCookedRead(t *kernel.Thread) uint32 {
+	getchar := io.K.C.Synthesize(t.Q, "rawtty_getchar", nil, func(e *synth.Emitter) {
+		io.emitRawGetChar(e)
+		e.Rts()
+	})
+	return io.synthCooked(t, "cooked_read_layered", getchar)
 }

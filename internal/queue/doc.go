@@ -6,8 +6,6 @@
 // consumer — and, applying the principle of frugality, uses the
 // cheapest implementation that is safe for each case:
 //
-//   - Dedicated: one goroutine owns both ends; no synchronization at
-//     all ("dedicated queues ... omit the synchronization code").
 //   - SPSC (Figure 1): producer and consumer touch disjoint variables
 //     (Code Isolation); the only synchronization is the ordering of
 //     the final index store.
@@ -31,6 +29,6 @@
 //
 // What each kind is kept for: SPSC is Figure 1, MPSC and PutBatch are
 // Figure 2 and the fleet fabric's rings, MPMC against Locked is the
-// ablation row and examples/lockfree. Dedicated and SPMC have no
-// caller outside this package's tests.
+// ablation row and examples/lockfree. SPMC has no caller outside this
+// package's tests.
 package queue

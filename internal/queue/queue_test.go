@@ -24,12 +24,11 @@ type nb interface {
 
 func kinds(size int) map[string]func() nb {
 	return map[string]func() nb{
-		"dedicated": func() nb { return queue.NewDedicated[int](size) },
-		"spsc":      func() nb { return queue.NewSPSC[int](size) },
-		"mpsc":      func() nb { return queue.NewMPSC[int](size) },
-		"spmc":      func() nb { return queue.NewSPMC[int](size) },
-		"mpmc":      func() nb { return queue.NewMPMC[int](size) },
-		"locked":    func() nb { return queue.NewLocked[int](size) },
+		"spsc":   func() nb { return queue.NewSPSC[int](size) },
+		"mpsc":   func() nb { return queue.NewMPSC[int](size) },
+		"spmc":   func() nb { return queue.NewSPMC[int](size) },
+		"mpmc":   func() nb { return queue.NewMPMC[int](size) },
+		"locked": func() nb { return queue.NewLocked[int](size) },
 	}
 }
 

@@ -2,68 +2,6 @@ package queue
 
 import "sync/atomic"
 
-// Dedicated is a ring buffer with no synchronization whatsoever, for
-// the case where a single goroutine owns both ends (the paper's
-// dedicated queues, used when the kernel knows only one party touches
-// the queue). It is NOT safe for concurrent use.
-type Dedicated[T any] struct {
-	buf  []T
-	head int
-	tail int
-}
-
-// NewDedicated creates a dedicated queue holding up to size items.
-func NewDedicated[T any](size int) *Dedicated[T] {
-	if size < 1 {
-		panic("queue: size must be positive")
-	}
-	return &Dedicated[T]{buf: make([]T, size+1)}
-}
-
-func (q *Dedicated[T]) next(i int) int {
-	if i == len(q.buf)-1 {
-		return 0
-	}
-	return i + 1
-}
-
-// TryPut appends an item, reporting false when full.
-func (q *Dedicated[T]) TryPut(v T) bool {
-	h := q.head
-	if q.next(h) == q.tail {
-		return false
-	}
-	q.buf[h] = v
-	q.head = q.next(h)
-	return true
-}
-
-// TryGet removes the oldest item, reporting false when empty.
-func (q *Dedicated[T]) TryGet() (T, bool) {
-	t := q.tail
-	if t == q.head {
-		var zero T
-		return zero, false
-	}
-	v := q.buf[t]
-	var zero T
-	q.buf[t] = zero // release references for the garbage collector
-	q.tail = q.next(t)
-	return v, true
-}
-
-// Len returns the number of queued items.
-func (q *Dedicated[T]) Len() int {
-	d := q.head - q.tail
-	if d < 0 {
-		d += len(q.buf)
-	}
-	return d
-}
-
-// Cap returns the queue capacity.
-func (q *Dedicated[T]) Cap() int { return len(q.buf) - 1 }
-
 // SPSC is the single-producer single-consumer optimistic queue of
 // Figure 1. Of the two index variables, head is written only by the
 // producer and tail only by the consumer (Code Isolation), so when

@@ -1,3 +1,54 @@
+// Package synth is the Synthesis kernel's code synthesizer: the
+// run-time code generation machinery of Section 2.2 of the paper.
+//
+// The paper's quaject creator runs allocation, factorization and
+// optimization. Here factorization happens while a template is
+// emitted, so every routine — boot-time shared kernel code,
+// per-thread switch procedures, per-open device paths — goes through
+// one pipeline (Builder.Emit, this file):
+//
+//	template -> cache -> peephole cleanups -> charge -> install
+//
+// Stage by stage:
+//
+//   - template: the closure runs against its Env. This is where the
+//     paper's methods are applied. Factoring Invariants: a hole bound
+//     to a constant becomes an immediate, one bound to a cell a memory
+//     reference, and IsConst lets a template pick a different code
+//     shape for a known value (env.go). Collapsing Layers: a layer is
+//     composed by calling its emit helper instead of emitting a JSR
+//     (kio's cooked tty read, /proc read and net handler each take the
+//     layer boundary as a parameter). Executable Data Structures:
+//     asmkit's patchable jumps; the kernel's ready queue uses them.
+//   - cache: the emitted program is looked up by content; a hit skips
+//     the next stages' work but is accounted like a miss.
+//   - peephole cleanups: optimize.go.
+//   - charge: the cost model of cost.go, when ChargeTime is set.
+//   - install: link into code space (or in place, Builder.At) and
+//     register the region with the measurement plane.
+//
+// What reaches the cleanups is already folded and collapsed, and the
+// stage is sized to its traffic. Measured with per-pass counters over
+// all eleven golden tables (1,537 optimizer runs, 31,991
+// instructions; the seven `go run ./benchmark` workloads, quamon
+// -watch/-cluster/-churn, synsh and the examples fire the same four
+// passes on the same templates, plus kio.sock*.send on a fleet, and
+// none of the other four):
+//
+//	pass              firings  instrs  routines
+//	removeNops              2       2  two bench victim loops
+//	dropBranchToNext       13      13  kio.net_intr
+//	deadCode               45      45  kio.net_intr
+//	redundantMoves         71      71  kio.net_intr 58, kio.sock*.recv 13
+//	threadJumps             0       0  -
+//	foldConstants           0       0  - (one operand in /dev/ad's read)
+//	strengthReduce          0       0  -
+//	deadStores              0       0  -
+//
+// optimize.go implements the four with traffic and not the four
+// without. Creator.OptRemoved and OptChanged (synth.optimize.* in the
+// metrics registry) keep the question a counter read. Collapse
+// (collapse.go) is not a stage of the pipeline.
 package synth
 
 import (
@@ -6,17 +57,6 @@ import (
 	"synthesis/internal/asmkit"
 	"synthesis/internal/m68k"
 )
-
-// This file is the single entry point for quaject construction. Every
-// synthesized routine — boot-time shared kernel code, per-thread
-// switch procedures, per-open device paths — runs the same pipeline:
-//
-//	Env binding -> (Collapse) -> Optimize -> ChargeSynthesis ->
-//	install -> region registration
-//
-// Creator.Synthesize is a thin wrapper over a Builder, so code
-// synthesized anywhere in the kernel is uniformly accounted and, when
-// a measurement plane is attached, attributable by name.
 
 // RegionSink receives the code-space extent of every installed
 // routine. The profiler implements it; the creator reports through it
@@ -54,7 +94,6 @@ type Builder struct {
 	entry   string
 	region  string
 	env     Env
-	callees map[uint32]Inlinable
 	base    uint32
 	size    int
 	inPlace bool
@@ -80,17 +119,6 @@ func (b *Builder) Bind(hole string, bind Binding) *Builder {
 		b.env = Env{}
 	}
 	b.env[hole] = bind
-	return b
-}
-
-// Inline registers a callee for the Collapsing Layers stage: after
-// the template runs, every `jsr addr` call site is spliced with the
-// callee body before optimization.
-func (b *Builder) Inline(addr uint32, callee Inlinable) *Builder {
-	if b.callees == nil {
-		b.callees = make(map[uint32]Inlinable)
-	}
-	b.callees[addr] = callee
 	return b
 }
 
@@ -147,15 +175,14 @@ type cached struct {
 // so the optimize-link-install half of the pipeline runs once per
 // distinct routine: the emitted program is looked up in the creator's
 // cache under a digest of everything the later stages read
-// (asmkit.Builder.AppendKey, plus DoOptimize) and a hit returns the
-// address installed the first time. Sharing is sound because installed
-// code outside At regions is never patched; At builds, whose regions
-// the caller owns and rewrites, and Inline builds are not cached. A
-// hit is accounted exactly like a miss — the cycle model and the size
-// tables describe the paper's kernel, which synthesizes on every open
-// (DESIGN.md Section 4) — except that it registers no region: a
-// profiler charges a shared routine to the name it was installed
-// under.
+// (asmkit.Builder.AppendKey) and a hit returns the address installed
+// the first time. Sharing is sound because installed code outside At
+// regions is never patched; At builds, whose regions the caller owns
+// and rewrites, are not cached. A hit is accounted exactly like a miss
+// — the cycle model and the size tables describe the paper's kernel,
+// which synthesizes on every open (DESIGN.md Section 4) — except that
+// it registers no region: a profiler charges a shared routine to the
+// name it was installed under.
 func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 	c := b.c
 	// Templates emit into the creator's one emitter. It is checked out
@@ -180,14 +207,10 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 	emit(e)
 
 	var ent cached
-	if b.inPlace || len(b.callees) > 0 {
+	if b.inPlace {
 		ent = b.install(e.Export())
 	} else {
-		c.key = append(c.key[:0], 0)
-		if c.DoOptimize {
-			c.key[0] = 1
-		}
-		c.key = e.AppendKey(c.key)
+		c.key = e.AppendKey(c.key[:0])
 		key := sha256.Sum256(c.key)
 		if got, hit := c.cache[key]; hit {
 			ent = got
@@ -217,23 +240,14 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 	return ent.addr
 }
 
-// install is the part of the pipeline a cache hit skips: collapse,
-// optimize, link into code space and register the region.
+// install is the part of the pipeline a cache hit skips: optimize,
+// link into code space and register the region.
 func (b *Builder) install(p asmkit.Program) cached {
 	c := b.c
-	if len(b.callees) > 0 {
-		p, _ = Collapse(p, b.callees)
-	}
-	var st OptStats
-	if c.DoOptimize {
-		p, st = Optimize(p)
-	} else {
-		st.InstrsBefore = len(p.Ins)
-		st.InstrsAfter = len(p.Ins)
-		for _, in := range p.Ins {
-			st.BytesBefore += in.ByteSize()
-		}
-		st.BytesAfter = st.BytesBefore
+	p, st := Optimize(p)
+	if st.Removed > 0 {
+		c.OptRemoved += uint64(st.Removed)
+		c.OptChanged++
 	}
 	if b.inPlace && len(p.Ins) > b.size {
 		panic("synth: routine does not fit its preallocated region: " + b.entry)

@@ -8,15 +8,18 @@ import (
 )
 
 // Collapsing Layers (Section 2.2): "eliminates unnecessary procedure
-// calls ... vertically for layered modules". The quaject interfacer
-// applies it in two ways. Most collapsing in this codebase happens at
-// template-composition time (an emitter helper is called instead of a
-// JSR being emitted — the tty's cooked read inlines the raw
-// get-character this way). This file provides the other form: an
-// inliner that splices already-emitted leaf routines into a caller's
-// Program, replacing `jsr <addr>` call sites, for when the layers
-// were composed before the optimization ran (a boot-time pass over a
-// server pipeline, as in Section 5.4).
+// calls ... vertically for layered modules". In this kernel all of it
+// happens at template-composition time: a layer is an emit helper, and
+// the template either calls the helper (collapsed) or emits a JSR to a
+// routine built from it (layered) — kio's cooked tty read, /proc read
+// and net handler take that choice as a parameter.
+//
+// This file is the other form, an inliner that splices
+// already-emitted leaf routines into a caller's Program at its
+// `jsr <addr>` sites. It is probe-only: no build goes through it, and
+// it stays because benchmark/probes.go times Collapse and
+// RegisterInline as synth.collapse_ns_per_call. Retiring that probe,
+// which is a benchmark change, is what lets this file go.
 
 // Inlinable marks a routine the inliner may splice: a leaf Program
 // whose body ends with a single RTS and contains no other returns or

@@ -11,9 +11,10 @@ import (
 // computations, much like constant folding". A code template names
 // the quantities it depends on as holes; when a quaject is created
 // the creator binds each hole either to a constant — which the
-// emitter folds straight into immediate operands, and which the
-// optimizer then propagates — or to a memory cell holding a value
-// that can still change, which the emitter loads at run time.
+// emitter folds straight into immediate operands, and which a
+// template can compute with before it emits anything — or to a memory
+// cell holding a value that can still change, which the emitter loads
+// at run time.
 
 // Binding gives a hole its value.
 type Binding struct {

@@ -1,23 +1,3 @@
-// Package synth is the Synthesis kernel's code synthesizer: the
-// run-time code generation machinery of Section 2.2 of the paper.
-//
-// It provides the three synthesis methods:
-//
-//   - Factoring Invariants: code templates carry named holes; at
-//     quaject-creation time each hole is bound either to a constant
-//     (folded into an immediate operand) or to a memory cell (loaded
-//     at run time). See env.go.
-//   - Collapsing Layers: the quaject interfacer composes building
-//     blocks either through procedure calls or by splicing the callee
-//     body inline. See quaject.go.
-//   - Executable Data Structures: helpers for emitting and patching
-//     self-traversing structures live in asmkit; the kernel's ready
-//     queue uses them.
-//
-// This file implements the peephole optimizer run by the quaject
-// creator's optimization stage: constant folding, operand
-// substitution (currying), dead-code and dead-store elimination, jump
-// threading, and strength reduction, all over asmkit.Program values.
 package synth
 
 import (
@@ -25,15 +5,20 @@ import (
 	"synthesis/internal/m68k"
 )
 
+// The optimization stage of the quaject creator (builder.go): four
+// peephole cleanups over asmkit.Program values, each of which has
+// traffic on a kernel routine (the measured table is in the package
+// comment). They tidy what template composition leaves behind — a
+// handler assembled from per-socket pieces ends a piece with a branch
+// to the next one, follows an unconditional exit with a shared tail,
+// hands a value back in the register it came from. Folding and
+// specialization are not here: they happen when the template runs
+// (env.go), before this stage sees the program.
+
 // OptStats reports what the optimizer did, for the kernel monitor and
 // the size accounting of Section 6.4.
 type OptStats struct {
-	Rounds       int
 	Removed      int // instructions deleted
-	Folded       int // instructions rewritten with folded constants
-	Substituted  int // operands replaced by immediates
-	Threaded     int // branches retargeted past unconditional jumps
-	StrengthRed  int // multiplies/divides reduced to shifts
 	BytesBefore  int
 	BytesAfter   int
 	InstrsBefore int
@@ -41,7 +26,8 @@ type OptStats struct {
 }
 
 // Optimize runs the peephole passes to a fixed point (bounded) and
-// returns the optimized program plus statistics.
+// returns the optimized program plus statistics. It consumes p: the
+// Labels map and Fixups array it was handed are rewritten in place.
 func Optimize(p asmkit.Program) (asmkit.Program, OptStats) {
 	var st OptStats
 	st.InstrsBefore = len(p.Ins)
@@ -49,16 +35,11 @@ func Optimize(p asmkit.Program) (asmkit.Program, OptStats) {
 		st.BytesBefore += in.ByteSize()
 	}
 	for round := 0; round < 8; round++ {
-		st.Rounds = round + 1
 		changed := false
 		changed = removeNops(&p, &st) || changed
-		changed = threadJumps(&p, &st) || changed
 		changed = dropBranchToNext(&p, &st) || changed
 		changed = deadCode(&p, &st) || changed
-		changed = foldConstants(&p, &st) || changed
-		changed = strengthReduce(&p, &st) || changed
 		changed = redundantMoves(&p, &st) || changed
-		changed = deadStores(&p, &st) || changed
 		if !changed {
 			break
 		}
@@ -71,8 +52,8 @@ func Optimize(p asmkit.Program) (asmkit.Program, OptStats) {
 }
 
 // leaders marks instructions that are branch targets or fall-through
-// points after labels: boundaries across which value tracking must
-// not flow.
+// points after labels: control may arrive there from elsewhere, so
+// they are reachable and never the second half of a peephole pair.
 func leaders(p *asmkit.Program) []bool {
 	l := make([]bool, len(p.Ins)+1)
 	l[0] = true
@@ -94,20 +75,14 @@ func leaders(p *asmkit.Program) []bool {
 // next kept one.
 func compact(p *asmkit.Program, keep []bool) {
 	remap := make([]int, len(p.Ins)+1)
-	n := 0
-	for i := range p.Ins {
-		remap[i] = n
-		if keep[i] {
-			n++
-		}
-	}
-	remap[len(p.Ins)] = n
-	out := make([]m68k.Instr, 0, n)
+	out := make([]m68k.Instr, 0, len(p.Ins))
 	for i, in := range p.Ins {
+		remap[i] = len(out)
 		if keep[i] {
 			out = append(out, in)
 		}
 	}
+	remap[len(p.Ins)] = len(out)
 	p.Ins = out
 	for name, idx := range p.Labels {
 		p.Labels[name] = remap[idx]
@@ -122,20 +97,26 @@ func compact(p *asmkit.Program, keep []bool) {
 	p.Fixups = fx
 }
 
-func removeNops(p *asmkit.Program, st *OptStats) bool {
+// removeIf deletes the instructions dead names, asked once each in
+// program order, and reports whether there were any.
+func removeIf(p *asmkit.Program, st *OptStats, dead func(i int) bool) bool {
 	keep := make([]bool, len(p.Ins))
-	changed := false
-	for i, in := range p.Ins {
-		keep[i] = in.Op != m68k.NOP
+	n := 0
+	for i := range keep {
+		keep[i] = !dead(i)
 		if !keep[i] {
-			changed = true
-			st.Removed++
+			n++
 		}
 	}
-	if changed {
+	if n > 0 {
+		st.Removed += n
 		compact(p, keep)
 	}
-	return changed
+	return n > 0
+}
+
+func removeNops(p *asmkit.Program, st *OptStats) bool {
+	return removeIf(p, st, func(i int) bool { return p.Ins[i].Op == m68k.NOP })
 }
 
 // isBarrier reports whether control never falls through the
@@ -152,26 +133,12 @@ func isBarrier(op m68k.Op) bool {
 // a barrier and the next leader.
 func deadCode(p *asmkit.Program, st *OptStats) bool {
 	ld := leaders(p)
-	keep := make([]bool, len(p.Ins))
 	reachable := true
-	changed := false
-	for i, in := range p.Ins {
-		if ld[i] {
-			reachable = true
-		}
-		keep[i] = reachable
-		if !reachable {
-			changed = true
-			st.Removed++
-		}
-		if isBarrier(in.Op) {
-			reachable = false
-		}
-	}
-	if changed {
-		compact(p, keep)
-	}
-	return changed
+	return removeIf(p, st, func(i int) bool {
+		dead := !reachable && !ld[i]
+		reachable = !dead && !isBarrier(p.Ins[i].Op)
+		return dead
+	})
 }
 
 // fixupAt returns the index in p.Fixups of the fixup attached to
@@ -185,467 +152,36 @@ func fixupAt(p *asmkit.Program, i int) int {
 	return -1
 }
 
-// threadJumps retargets branches whose target is an unconditional BRA.
-func threadJumps(p *asmkit.Program, st *OptStats) bool {
-	changed := false
-	for fi := range p.Fixups {
-		f := &p.Fixups[fi]
-		if f.Src {
-			continue
-		}
-		if !p.Ins[f.Idx].Op.IsBranch() && p.Ins[f.Idx].Op != m68k.JMP {
-			continue
-		}
-		// Follow chains of BRA with a depth bound.
-		label := f.Label
-		for depth := 0; depth < 4; depth++ {
-			t, ok := p.Labels[label]
-			if !ok || t >= len(p.Ins) || p.Ins[t].Op != m68k.BRA {
-				break
-			}
-			tf := fixupAt(p, t)
-			if tf < 0 || p.Fixups[tf].Label == label {
-				break
-			}
-			label = p.Fixups[tf].Label
-		}
-		if label != f.Label {
-			f.Label = label
-			st.Threaded++
-			changed = true
-		}
-	}
-	return changed
-}
-
 // dropBranchToNext removes BRA instructions that target the
 // immediately following instruction.
 func dropBranchToNext(p *asmkit.Program, st *OptStats) bool {
-	keep := make([]bool, len(p.Ins))
-	changed := false
-	for i, in := range p.Ins {
-		keep[i] = true
-		if in.Op != m68k.BRA {
-			continue
+	return removeIf(p, st, func(i int) bool {
+		if p.Ins[i].Op != m68k.BRA {
+			return false
 		}
 		fi := fixupAt(p, i)
 		if fi < 0 {
-			continue
-		}
-		if t, ok := p.Labels[p.Fixups[fi].Label]; ok && t == i+1 {
-			keep[i] = false
-			st.Removed++
-			changed = true
-		}
-	}
-	if changed {
-		compact(p, keep)
-	}
-	return changed
-}
-
-// writesAllCCR reports whether executing the instruction rewrites the
-// full condition-code register, killing any stale flags.
-func writesAllCCR(in *m68k.Instr) bool {
-	switch in.Op {
-	case m68k.ADD, m68k.SUB, m68k.CMP, m68k.TST, m68k.CLR, m68k.NOT,
-		m68k.NEG, m68k.AND, m68k.OR, m68k.EOR, m68k.LSL, m68k.LSR,
-		m68k.ASR, m68k.MULU, m68k.DIVU, m68k.EXT, m68k.TAS, m68k.CAS:
-		return in.Dst.Mode != m68k.ModeAReg
-	case m68k.MOVE:
-		return in.Dst.Mode != m68k.ModeAReg
-	}
-	return false
-}
-
-// readsCCR reports whether the instruction's behaviour depends on the
-// condition codes.
-func readsCCR(in *m68k.Instr) bool {
-	switch in.Op {
-	case m68k.BEQ, m68k.BNE, m68k.BLT, m68k.BLE, m68k.BGT, m68k.BGE,
-		m68k.BHI, m68k.BLS, m68k.BCC, m68k.BCS, m68k.BMI, m68k.BPL:
-		return true
-	case m68k.RTE, m68k.STOP, m68k.ORSR, m68k.ANDSR, m68k.TRAP,
-		m68k.MOVEM, m68k.MOVEC, m68k.KCALL, m68k.HALT, m68k.JSR,
-		m68k.MOVEFSR, m68k.MOVETSR:
-		// Conservative: these expose or save the whole SR.
-		return true
-	}
-	return false
-}
-
-// flagsDeadAt reports whether the condition codes produced by
-// instruction i are provably never observed: every path from i+1
-// reaches a full CCR write before any CCR read, without crossing a
-// block boundary (leaders, control transfer, end of program).
-func flagsDeadAt(p *asmkit.Program, i int, ld []bool) bool {
-	for j := i + 1; j < len(p.Ins); j++ {
-		if ld[j] {
-			return false // someone may jump here with live flags expected
-		}
-		in := &p.Ins[j]
-		if readsCCR(in) {
 			return false
 		}
-		if writesAllCCR(in) {
-			return true
-		}
-		if isBarrier(in.Op) || in.Op.IsBranch() {
-			return false
-		}
-	}
-	return false
+		t, ok := p.Labels[p.Fixups[fi].Label]
+		return ok && t == i+1
+	})
 }
 
-// regVal tracks the statically known long value of data registers
-// within a basic block.
-type regVal struct {
-	known [8]bool
-	val   [8]uint32
-}
-
-func (r *regVal) reset() { r.known = [8]bool{} }
-
-func (r *regVal) set(n uint8, v uint32) { r.known[n] = true; r.val[n] = v }
-
-func (r *regVal) kill(n uint8) { r.known[n] = false }
-
-// killOperandTargets invalidates tracking for registers an operand
-// writes through side effects (post-increment and pre-decrement touch
-// address registers only, which we do not track, so only direct data
-// register destinations matter).
-func (r *regVal) killDst(o *m68k.Operand) {
-	if o.Mode == m68k.ModeDReg {
-		r.kill(o.Reg)
-	}
-}
-
-// foldConstants performs Factoring-Invariants-style constant folding
-// and operand substitution inside basic blocks.
-//
-// Two transformations are applied:
-//
-//  1. Operand substitution (always safe): a source operand that is a
-//     data register with a known value becomes an immediate. The
-//     destination value and all flags are unchanged; the instruction
-//     usually gets cheaper and downstream folding is enabled.
-//  2. Instruction folding (flag-checked): an ALU op with immediate
-//     source and a destination register with known value becomes a
-//     MOVE of the computed result — but only when the instruction's
-//     flags are provably dead, because MOVE sets CCR differently.
-func foldConstants(p *asmkit.Program, st *OptStats) bool {
-	ld := leaders(p)
-	changed := false
-	var rv regVal
-	// Source-operand fixups make Src.Imm symbolic; never substitute
-	// into those instructions.
-	srcFixed := make(map[int]bool)
-	for _, f := range p.Fixups {
-		if f.Src {
-			srcFixed[f.Idx] = true
-		}
-	}
-	for i := range p.Ins {
-		if ld[i] {
-			rv.reset()
-		}
-		in := &p.Ins[i]
-
-		// Transformation 1: substitute known register sources.
-		if !srcFixed[i] && in.Src.Mode == m68k.ModeDReg && rv.known[in.Src.Reg] && in.Size() == 4 {
-			switch in.Op {
-			case m68k.MOVE, m68k.ADD, m68k.SUB, m68k.AND, m68k.OR,
-				m68k.EOR, m68k.CMP, m68k.MULU, m68k.DIVU, m68k.LSL,
-				m68k.LSR, m68k.ASR:
-				in.Src = m68k.Imm(int32(rv.val[in.Src.Reg]))
-				st.Substituted++
-				changed = true
-			}
-		}
-
-		// Transformation 2: fold imm-op-imm into a single MOVE.
-		if in.Src.Mode == m68k.ModeImm && in.Dst.Mode == m68k.ModeDReg &&
-			in.Size() == 4 && rv.known[in.Dst.Reg] && !srcFixed[i] {
-			v := rv.val[in.Dst.Reg]
-			imm := uint32(in.Src.Imm)
-			folded := false
-			var res uint32
-			switch in.Op {
-			case m68k.ADD:
-				res, folded = v+imm, true
-			case m68k.SUB:
-				res, folded = v-imm, true
-			case m68k.AND:
-				res, folded = v&imm, true
-			case m68k.OR:
-				res, folded = v|imm, true
-			case m68k.EOR:
-				res, folded = v^imm, true
-			case m68k.MULU:
-				res, folded = v*imm, true
-			case m68k.DIVU:
-				if imm != 0 {
-					res, folded = v/imm, true
-				}
-			case m68k.LSL:
-				res, folded = v<<(imm&63), true
-			case m68k.LSR:
-				res, folded = v>>(imm&63), true
-			}
-			if folded && flagsDeadAt(p, i, ld) {
-				*in = m68k.Instr{Op: m68k.MOVE, Sz: 4, Src: m68k.Imm(int32(res)), Dst: in.Dst}
-				st.Folded++
-				changed = true
-			}
-		}
-
-		// Update value tracking.
-		switch {
-		case in.Op == m68k.MOVE && in.Dst.Mode == m68k.ModeDReg &&
-			in.Src.Mode == m68k.ModeImm && in.Size() == 4 && !srcFixed[i]:
-			rv.set(in.Dst.Reg, uint32(in.Src.Imm))
-		case in.Op == m68k.CLR && in.Dst.Mode == m68k.ModeDReg && in.Size() == 4:
-			rv.set(in.Dst.Reg, 0)
-		case in.Op == m68k.JSR || in.Op == m68k.TRAP || in.Op == m68k.KCALL ||
-			in.Op == m68k.CAS || in.Op == m68k.MOVEM || in.Op == m68k.DBRA:
-			// Calls and block transfers may rewrite registers.
-			rv.reset()
-		case in.Src.Mode == m68k.ModeImm && in.Dst.Mode == m68k.ModeDReg &&
-			in.Size() == 4 && rv.known[in.Dst.Reg] && !srcFixed[i]:
-			// Unfolded ALU op (flags were live): the result is still
-			// statically known, so keep tracking it for later
-			// substitutions.
-			v := rv.val[in.Dst.Reg]
-			imm := uint32(in.Src.Imm)
-			switch in.Op {
-			case m68k.ADD:
-				rv.set(in.Dst.Reg, v+imm)
-			case m68k.SUB:
-				rv.set(in.Dst.Reg, v-imm)
-			case m68k.AND:
-				rv.set(in.Dst.Reg, v&imm)
-			case m68k.OR:
-				rv.set(in.Dst.Reg, v|imm)
-			case m68k.EOR:
-				rv.set(in.Dst.Reg, v^imm)
-			case m68k.MULU:
-				rv.set(in.Dst.Reg, v*imm)
-			case m68k.LSL:
-				rv.set(in.Dst.Reg, v<<(imm&63))
-			case m68k.LSR:
-				rv.set(in.Dst.Reg, v>>(imm&63))
-			default:
-				rv.kill(in.Dst.Reg)
-			}
-		default:
-			rv.killDst(&in.Dst)
-			if in.Op == m68k.FMOVE || in.Op == m68k.FMOVEM {
-				// FP ops do not touch data registers.
-				break
-			}
-		}
-		if in.Op.IsBranch() || isBarrier(in.Op) {
-			rv.reset()
-		}
-	}
-	return changed
-}
-
-// strengthReduce rewrites multiplies and divides by powers of two as
-// shifts (when the flags are dead, since shift CCR differs).
-func strengthReduce(p *asmkit.Program, st *OptStats) bool {
-	ld := leaders(p)
-	changed := false
-	for i := range p.Ins {
-		in := &p.Ins[i]
-		if in.Src.Mode != m68k.ModeImm || in.Dst.Mode != m68k.ModeDReg || in.Size() != 4 {
-			continue
-		}
-		imm := uint32(in.Src.Imm)
-		if imm == 0 || imm&(imm-1) != 0 {
-			continue // not a power of two
-		}
-		if imm == 1 {
-			continue // handled poorly by shift-0; leave alone
-		}
-		k := int32(0)
-		for v := imm; v > 1; v >>= 1 {
-			k++
-		}
-		switch in.Op {
-		case m68k.MULU:
-			if flagsDeadAt(p, i, ld) {
-				*in = m68k.Instr{Op: m68k.LSL, Sz: 4, Src: m68k.Imm(k), Dst: in.Dst}
-				st.StrengthRed++
-				changed = true
-			}
-		case m68k.DIVU:
-			if flagsDeadAt(p, i, ld) {
-				*in = m68k.Instr{Op: m68k.LSR, Sz: 4, Src: m68k.Imm(k), Dst: in.Dst}
-				st.StrengthRed++
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// readsDReg reports whether the instruction reads data register r.
-func readsDReg(in *m68k.Instr, r uint8) bool {
-	usesInOperand := func(o *m68k.Operand) bool {
-		if o.Mode == m68k.ModeDReg && o.Reg == r {
-			return true
-		}
-		if o.Mode == m68k.ModeIdx && o.Idx < 8 && o.Idx == r {
-			return true
-		}
-		return false
-	}
-	if usesInOperand(&in.Src) {
-		return true
-	}
-	// Destination operand: index registers are always reads; the
-	// destination register itself is read by read-modify-write ops.
-	if in.Dst.Mode == m68k.ModeIdx && in.Dst.Idx < 8 && in.Dst.Idx == r {
-		return true
-	}
-	if in.Dst.Mode == m68k.ModeDReg && in.Dst.Reg == r {
-		switch in.Op {
-		case m68k.MOVE, m68k.CLR, m68k.LEA:
-			return false
-		default:
-			return true // ADD/SUB/AND/... read their destination
-		}
-	}
-	switch in.Op {
-	case m68k.DBRA:
-		return in.Src.Mode == m68k.ModeDReg && in.Src.Reg == r
-	case m68k.CAS:
-		return in.Src.Reg == r || in.Fp == r
-	case m68k.JMP, m68k.JSR:
-		return in.Dst.Mode == m68k.ModeDReg && in.Dst.Reg == r
-	}
-	return false
-}
-
-// fullyWritesDReg reports whether the instruction overwrites all of
-// data register r without reading it.
-func fullyWritesDReg(in *m68k.Instr, r uint8) bool {
-	if in.Dst.Mode != m68k.ModeDReg || in.Dst.Reg != r || in.Size() != 4 {
-		return false
-	}
-	switch in.Op {
-	case m68k.MOVE:
-		return !(in.Src.Mode == m68k.ModeDReg && in.Src.Reg == r)
-	case m68k.CLR:
-		return true
-	}
-	return false
-}
-
-// hasSideEffects reports whether removing the instruction could be
-// observable beyond its register result and flags (memory access,
-// address-register autoincrement, control flow, privileged state).
-func hasSideEffects(in *m68k.Instr) bool {
-	if in.Src.Mode.IsMemory() || in.Dst.Mode.IsMemory() {
-		return true
-	}
-	switch in.Op {
-	case m68k.MOVE, m68k.CLR, m68k.ADD, m68k.SUB, m68k.AND, m68k.OR,
-		m68k.EOR, m68k.NOT, m68k.NEG, m68k.EXT, m68k.LSL, m68k.LSR,
-		m68k.ASR, m68k.MULU, m68k.CMP, m68k.TST:
-		return false
-	}
-	return true // DIVU can trap; everything else is conservative
-}
-
-// deadStores removes register writes that are provably overwritten
-// before being read, with dead flags. Registers are assumed live at
-// block boundaries and at the end of the routine (return values).
-func deadStores(p *asmkit.Program, st *OptStats) bool {
-	ld := leaders(p)
-	keep := make([]bool, len(p.Ins))
-	for i := range keep {
-		keep[i] = true
-	}
-	changed := false
-	// overwritten[r] is true when register r is rewritten later in
-	// the block before any read.
-	var overwritten [8]bool
-	resetAll := func() { overwritten = [8]bool{} }
-	resetAll()
-	for i := len(p.Ins) - 1; i >= 0; i-- {
-		in := &p.Ins[i]
-		if i+1 < len(ld) && ld[i+1] {
-			resetAll() // block boundary below us
-		}
-		barrier := isBarrier(in.Op) || in.Op.IsBranch() ||
-			in.Op == m68k.JSR || in.Op == m68k.TRAP || in.Op == m68k.KCALL ||
-			in.Op == m68k.MOVEM || in.Op == m68k.STOP
-		if barrier {
-			resetAll()
-		}
-		// Candidate for deletion?
-		if !barrier && in.Dst.Mode == m68k.ModeDReg && in.Size() == 4 &&
-			(in.Op == m68k.MOVE || in.Op == m68k.CLR) &&
-			!hasSideEffects(in) && overwritten[in.Dst.Reg] &&
-			flagsDeadAt(p, i, ld) {
-			keep[i] = false
-			st.Removed++
-			changed = true
-			continue // deleted: contributes no reads or writes
-		}
-		// Update sets: reads first (they make the register live
-		// again), then the write.
-		for r := uint8(0); r < 8; r++ {
-			if readsDReg(in, r) {
-				overwritten[r] = false
-			}
-		}
-		for r := uint8(0); r < 8; r++ {
-			if fullyWritesDReg(in, r) {
-				overwritten[r] = true
-			}
-		}
-		if ld[i] {
-			resetAll()
-		}
-	}
-	if changed {
-		compact(p, keep)
-	}
-	return changed
-}
-
-// redundantMoves removes register-to-register move pairs:
-// move Dm,Dn immediately followed by move Dn,Dm.
+// redundantMoves removes the second move of a register-to-register
+// pair, move Dm,Dn immediately followed by move Dn,Dm: it rewrites the
+// same value and its flag effect equals the first move's.
 func redundantMoves(p *asmkit.Program, st *OptStats) bool {
 	ld := leaders(p)
-	keep := make([]bool, len(p.Ins))
-	for i := range keep {
-		keep[i] = true
-	}
-	changed := false
-	for i := 0; i+1 < len(p.Ins); i++ {
-		if ld[i+1] {
-			continue
+	return removeIf(p, st, func(i int) bool {
+		if i == 0 || ld[i] {
+			return false
 		}
-		a, b := &p.Ins[i], &p.Ins[i+1]
-		if a.Op == m68k.MOVE && b.Op == m68k.MOVE &&
+		a, b := &p.Ins[i-1], &p.Ins[i]
+		return a.Op == m68k.MOVE && b.Op == m68k.MOVE &&
 			a.Size() == 4 && b.Size() == 4 &&
 			a.Src.Mode == m68k.ModeDReg && a.Dst.Mode == m68k.ModeDReg &&
 			b.Src.Mode == m68k.ModeDReg && b.Dst.Mode == m68k.ModeDReg &&
-			a.Src.Reg == b.Dst.Reg && a.Dst.Reg == b.Src.Reg {
-			// The second move rewrites the same value; its flag
-			// effect equals the first move's, so it is fully
-			// redundant.
-			keep[i+1] = false
-			st.Removed++
-			changed = true
-		}
-	}
-	if changed {
-		compact(p, keep)
-	}
-	return changed
+			a.Src.Reg == b.Dst.Reg && a.Dst.Reg == b.Src.Reg
+	})
 }

@@ -46,16 +46,12 @@ func (q *Quaject) EntryNames() []string {
 // Env given to the template closure), and optimization (the peephole
 // passes) — and installs the result in the machine.
 //
-// DoOptimize exists for the ablation benchmarks: with it off, the
-// factorized but unoptimized code is installed, isolating the
-// contribution of the optimization stage. ChargeTime models the cost
-// of running the synthesizer itself on the machine's clock (the 40%
-// of open's 49 microseconds that Section 6.3 attributes to code
-// synthesis); it is off for boot-time synthesis, which the paper does
-// not charge to any kernel call.
+// ChargeTime models the cost of running the synthesizer itself on the
+// machine's clock (the 40% of open's 49 microseconds that Section 6.3
+// attributes to code synthesis); it is off for boot-time synthesis,
+// which the paper does not charge to any kernel call.
 type Creator struct {
 	M          *m68k.Machine
-	DoOptimize bool
 	ChargeTime bool
 
 	// Regions, when non-nil, receives the address range of every
@@ -74,6 +70,12 @@ type Creator struct {
 	Routines    int
 	LastStats   OptStats
 
+	// What the optimization stage has done, over every run of it (a
+	// cache hit runs none): instructions removed, and routines it
+	// changed at all.
+	OptRemoved uint64
+	OptChanged uint64
+
 	// The synthesis cache (Builder.Emit): installed routines by the
 	// digest of the program their template emitted, how often a build
 	// was served from it, and the emitter and key buffer every build
@@ -88,10 +90,9 @@ type Creator struct {
 // CacheEntries returns the number of routines in the synthesis cache.
 func (c *Creator) CacheEntries() int { return len(c.cache) }
 
-// NewCreator returns a creator with optimization on and time charging
-// off (boot mode).
+// NewCreator returns a creator with time charging off (boot mode).
 func NewCreator(m *m68k.Machine) *Creator {
-	return &Creator{M: m, DoOptimize: true, cache: make(map[[sha256.Size]byte]cached)}
+	return &Creator{M: m, cache: make(map[[sha256.Size]byte]cached)}
 }
 
 // NewQuaject starts an empty quaject record.

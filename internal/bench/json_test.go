@@ -11,6 +11,13 @@ import (
 	"testing"
 )
 
+// Every rig the package's tests boot verifies its keyed synthesis
+// hits; TestGoldenTables also runs without the check.
+func TestMain(m *testing.M) {
+	checkKeys = true
+	os.Exit(m.Run())
+}
+
 func TestNamesOrdering(t *testing.T) {
 	want := []string{"1", "2", "3", "4", "5", "6", "7", "ablations", "pathlen", "proc", "size"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
@@ -121,8 +128,18 @@ func goldenDiff(name string, got Table, want []byte) string {
 // code path changed; if the change is intended, refresh with
 // `go run ./cmd/synbench -json bench/baseline` and review the diff.
 // Decoding the artifact and re-encoding it must also reproduce the
-// bytes, which is the JSON round-trip on every real table.
+// bytes, which is the JSON round-trip on every real table. The tables
+// run twice, with declared synthesis keys checked against their
+// templates and trusted (what cmd/synbench runs): the same bytes.
 func TestGoldenTables(t *testing.T) {
+	defer func(was bool) { checkKeys = was }(checkKeys)
+	for _, check := range []bool{true, false} {
+		checkKeys = check
+		goldenTables(t)
+	}
+}
+
+func goldenTables(t *testing.T) {
 	names := Names()
 	for _, name := range names {
 		want, err := os.ReadFile(baselinePath(name))

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -529,17 +530,18 @@ func (k *Kernel) registerServices() {
 	})
 }
 
-// readCString reads a NUL-terminated string from machine memory.
+// readCString reads a NUL-terminated string of at most 256 bytes from
+// machine memory.
 func (k *Kernel) readCString(addr uint32) string {
-	var out []byte
-	for i := uint32(0); i < 256; i++ {
-		c := byte(k.M.Peek(addr+i, 1))
-		if c == 0 {
-			break
-		}
-		out = append(out, c)
+	mem := k.M.Mem
+	if int(addr) >= len(mem) {
+		return ""
 	}
-	return string(out)
+	s := mem[addr:min(int(addr)+256, len(mem))]
+	if n := bytes.IndexByte(s, 0); n >= 0 {
+		s = s[:n]
+	}
+	return string(s)
 }
 
 // MarkDeltasMicros converts consecutive mark pairs into microsecond

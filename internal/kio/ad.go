@@ -169,7 +169,7 @@ func (io *IO) synthAD(t *kernel.Thread, fd int32) uint32 {
 	rwait := q.Addr + adRWait
 	bufBase := q.Addr + adBuf
 
-	return io.K.C.Synthesize(t.Q, "ad_read", nil, func(e *synth.Emitter) {
+	return io.K.C.Build(t.Q, "ad_read").Key("kio.ad_read").Emit(func(e *synth.Emitter) {
 		// Fewer than one element's worth requested: nothing to do.
 		e.CmpL(m68k.Imm(adChunkBytes), m68k.D(2))
 		e.Bcc("ar_ok")

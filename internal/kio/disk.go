@@ -96,7 +96,7 @@ func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write
 	cachedCell := kernel.FDCell(t.TTE, int(fd), kernel.FDAux)
 	k.M.Poke(cachedCell, 4, 0)
 
-	read = k.C.Synthesize(t.Q, "diskfile_read", nil, func(e *synth.Emitter) {
+	read = k.C.Build(t.Q, "diskfile_read").Key("kio.diskfile_read", t.TTE, uint32(fd), f.Entry).Emit(func(e *synth.Emitter) {
 		// Fault prologue: demand-load every block through the raw
 		// disk server on first use.
 		e.TstL(m68k.Abs(cachedCell))

@@ -21,11 +21,11 @@ import (
 // residue after every invariant folds away.
 func (io *IO) synthNull(t *kernel.Thread, fd int32) (read, write uint32) {
 	c := io.K.C
-	read = c.Synthesize(t.Q, "null_read", nil, func(e *synth.Emitter) {
+	read = c.Build(t.Q, "null_read").Key("kio.null_read").Emit(func(e *synth.Emitter) {
 		e.Clr(4, m68k.D(0))
 		e.Rte()
 	})
-	write = c.Synthesize(t.Q, "null_write", nil, func(e *synth.Emitter) {
+	write = c.Build(t.Q, "null_write").Key("kio.null_write").Emit(func(e *synth.Emitter) {
 		e.MoveL(m68k.D(2), m68k.D(0))
 		e.Rte()
 	})
@@ -44,7 +44,7 @@ func (io *IO) synthFileRead(t *kernel.Thread, fd int32, f *fs.File) uint32 {
 	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
 	sizeCell := f.Entry + fs.EntSize
 	data := f.Data
-	return c.Synthesize(t.Q, "file_read", nil, func(e *synth.Emitter) {
+	return c.Build(t.Q, "file_read").Key("kio.file_read", t.TTE, uint32(fd), f.Entry).Emit(func(e *synth.Emitter) {
 		e.MoveL(m68k.D(1), m68k.A(1))     // dst
 		e.MoveL(m68k.Abs(pos), m68k.D(0)) // position
 		e.MoveL(m68k.Abs(sizeCell), m68k.D(1))
@@ -80,7 +80,7 @@ func (io *IO) synthFileWrite(t *kernel.Thread, fd int32, f *fs.File) uint32 {
 	sizeCell := f.Entry + fs.EntSize
 	data := f.Data
 	capLimit := f.Cap
-	return c.Synthesize(t.Q, "file_write", nil, func(e *synth.Emitter) {
+	return c.Build(t.Q, "file_write").Key("kio.file_write", t.TTE, uint32(fd), f.Entry).Emit(func(e *synth.Emitter) {
 		e.MoveL(m68k.D(1), m68k.A(0))     // src
 		e.MoveL(m68k.Abs(pos), m68k.D(0)) // position
 		e.MoveL(m68k.Imm(int32(capLimit)), m68k.D(1))

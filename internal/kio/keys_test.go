@@ -1,0 +1,156 @@
+package kio_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"synthesis/internal/kernel"
+	"synthesis/internal/kio"
+	"synthesis/internal/m68k"
+	"synthesis/internal/metrics"
+)
+
+// TestKeyedBuildsMatchTemplates is the soundness check of every
+// declared key in this package (synth.Builder.Key): with CheckKeys on,
+// a keyed hit also runs its template and panics unless the template
+// emits the routine the key named. A few thousand seeded opens, closes
+// and reopens over three threads put every kind of descriptor on
+// every slot in a different order each round, with
+// two of everything a key names (files, disk files, pipes, ports,
+// peers, snapshot lengths), so a key that left out a value its
+// template folds would meet two values under one key. Each key
+// argument was removed in turn to see this test fail; it runs with and
+// without the metrics plane because the plane's counter cell tells
+// apart what only the port tells apart without it.
+func TestKeyedBuildsMatchTemplates(t *testing.T) {
+	for _, plane := range []bool{true, false} {
+		t.Run(fmt.Sprintf("plane=%v", plane), func(t *testing.T) { keyedSoak(t, plane) })
+	}
+}
+
+func keyedSoak(t *testing.T, plane bool) {
+	cfg := kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}}
+	if plane {
+		cfg.Metrics = metrics.New()
+	}
+	k := kernel.Boot(cfg)
+	k.C.CheckKeys = true
+	io := kio.Install(k)
+	for _, name := range []string{"/tmp/a", "/tmp/b"} {
+		if _, err := k.FS.CreateSized(name, []byte(name), 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"/disk/a", "/disk/b"} {
+		if _, err := io.StoreDiskFile(name, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pipes := []*kio.Pipe{io.NewPipe(64), io.NewPipe(128)}
+	idle := k.C.Synthesize(nil, "idle", nil, exitSeq)
+	var threads []*kernel.Thread
+	for i := 0; i < 3; i++ {
+		threads = append(threads, k.SpawnKernelStopped(fmt.Sprintf("t%d", i), idle))
+	}
+
+	rng := rand.New(rand.NewSource(24))
+	pick := func(names ...string) string { return names[rng.Intn(len(names))] }
+	open := func(th *kernel.Thread, names ...string) bool {
+		_, ok := k.OpenHook(k, th, pick(names...))
+		return ok
+	}
+	// What a test can open, and how many keyed routines one open builds
+	// (the templates named are the ones it must find by key).
+	kinds := []struct {
+		kind      string // kernel.FDInfo.Kind of the descriptor it makes
+		templates string
+		keyed     uint64
+		open      func(th *kernel.Thread) bool
+	}{
+		{"tty", "cooked_read tty_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/tty") }},
+		{"", "cooked_read (layered)", 1, func(th *kernel.Thread) bool { return io.SynthLayeredCookedRead(th) != 0 }},
+		{"rawtty", "rawtty_read tty_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/rawtty") }},
+		{"null", "null_read null_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/null") }},
+		{"file", "file_read file_write", 2, func(th *kernel.Thread) bool { return open(th, "/tmp/a", "/tmp/b") }},
+		{"diskfile", "diskfile_read file_write", 2, func(th *kernel.Thread) bool { return open(th, "/disk/a", "/disk/b") }},
+		{"ad", "ad_read", 1, func(th *kernel.Thread) bool { return open(th, "/dev/ad") }},
+		{"proc", "proc_read", 1, func(th *kernel.Thread) bool {
+			return open(th, kio.ProcMetricsPath, kio.ProcMetricsPromPath)
+		}},
+		{"pipe-r", "pipe_read", 1, func(th *kernel.Thread) bool { return io.OpenPipeEnd(th, pipes[rng.Intn(2)], false) >= 0 }},
+		{"pipe-w", "pipe_write", 1, func(th *kernel.Thread) bool { return io.OpenPipeEnd(th, pipes[rng.Intn(2)], true) >= 0 }},
+		{"sock", "sock_recv sock_send", 2, func(th *kernel.Thread) bool {
+			return io.OpenSocket(th, uint32(5+rng.Intn(3)), uint32(8+rng.Intn(2))) >= 0
+		}},
+	}
+	allHit := make([]int, len(kinds)) // opens that found every routine by key
+	op := "boot"
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("after %s: %v", op, r)
+		}
+	}()
+	openKind := func(th *kernel.Thread, i int) {
+		op = "an open of " + kinds[i].templates + " on " + th.Name
+		before := k.C.KeyedHits
+		if kinds[i].open(th) && k.C.KeyedHits-before == kinds[i].keyed {
+			allHit[i]++
+		}
+	}
+	// closeOne closes one of th's descriptors, if it has any, and
+	// returns which of kinds it was.
+	closeOne := func(th *kernel.Thread) (kind int, ok bool) {
+		var fds []int32
+		for fd, info := range th.FDs {
+			if info.Kind != "" {
+				fds = append(fds, int32(fd))
+			}
+		}
+		if len(fds) == 0 {
+			return 0, false
+		}
+		fd := fds[rng.Intn(len(fds))]
+		op = fmt.Sprintf("a close of %d on %s", fd, th.Name)
+		for i := range kinds {
+			if kinds[i].kind == th.FDs[fd].Kind {
+				kind = i
+			}
+		}
+		if !k.CloseHook(k, th, fd) {
+			t.Fatalf("%s failed", op)
+		}
+		return kind, true
+	}
+	ops := 0
+	for round := 0; round < 40; round++ {
+		for step := 0; step < 80; step++ {
+			th := threads[rng.Intn(len(threads))]
+			switch r := rng.Intn(10); {
+			case r < 3:
+				closeOne(th)
+			case r < 5: // a reopen: what the cache is for
+				if kind, ok := closeOne(th); ok {
+					openKind(th, kind)
+				}
+			default:
+				openKind(th, rng.Intn(len(kinds)))
+			}
+			ops++
+		}
+		// Empty every table, so the next round fills the slots afresh.
+		for _, th := range threads {
+			for range th.FDs {
+				closeOne(th)
+				ops++
+			}
+		}
+	}
+	for i, kind := range kinds {
+		if allHit[i] == 0 {
+			t.Errorf("%s: no open found its routines by key", kind.templates)
+		}
+	}
+	t.Logf("%d operations: %d keyed hits of %d routines, %d keyed entries, %d content entries",
+		ops, k.C.KeyedHits, k.C.Routines, k.C.KeyedEntries(), k.C.CacheEntries())
+}

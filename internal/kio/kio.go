@@ -190,12 +190,17 @@ func (io *IO) open(k *kernel.Kernel, t *kernel.Thread, name string) (int32, bool
 
 // close implements CloseHook: point the vectors back at the bad-fd
 // stub and release the slot. The synthesized routines stay in code
-// space and in the creator's cache (synth.Builder.Emit), so the next
-// open that emits the same code gets them back instead of a new copy.
+// space and in the creator's cache, so the next open of the same thing
+// on this slot finds them by key (synth.Builder.Key) and builds nothing.
+// The slot's byte gauge moves to the thread's, where the scheduler
+// still sees it, so the next descriptor here counts from zero.
 func (io *IO) close(k *kernel.Kernel, t *kernel.Thread, fd int32) bool {
 	if t == nil || fd < 0 || int(fd) >= kernel.MaxFD || t.FDs[fd].Kind == "" {
 		return false
 	}
+	gauge := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
+	k.M.Poke(t.TTE+kernel.TTEIOGauge, 4, k.M.Peek(t.TTE+kernel.TTEIOGauge, 4)+k.M.Peek(gauge, 4))
+	k.M.Poke(gauge, 4, 0)
 	switch t.FDs[fd].Kind {
 	case "sock":
 		io.closeSocket(t, fd)

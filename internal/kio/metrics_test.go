@@ -1,6 +1,7 @@
 package kio_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,6 +22,7 @@ func bootMetrics(t *testing.T) (*kernel.Kernel, *kio.IO, *metrics.Registry) {
 		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
 		Metrics: reg,
 	})
+	k.C.CheckKeys = true
 	io := kio.Install(k)
 	return k, io, reg
 }
@@ -140,6 +142,7 @@ func TestDisabledPlaneGeneratesIdenticalCode(t *testing.T) {
 			Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
 			Metrics: reg,
 		})
+		k.C.CheckKeys = true
 		kio.Install(k)
 		prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
 			emitSock(e, 5, 9)
@@ -174,5 +177,62 @@ func TestDisabledPlaneGeneratesIdenticalCode(t *testing.T) {
 	// The disabled build must not contain any counter bump at entry.
 	if strings.Contains(strings.SplitN(offCode, "\n", 2)[0], "add.l #1") {
 		t.Errorf("disabled sock_send carries a counter bump:\n%s", offCode)
+	}
+}
+
+// A reopened descriptor starts its byte count at zero: close moves the
+// slot's gauge cell to the thread's own gauge (the scheduler's
+// ioGauge sums both, so it still sees the events) and clears it, for
+// files, pipe ends and sockets alike.
+func TestReopenedDescriptorCountsFromZero(t *testing.T) {
+	k, _, reg := bootMetrics(t)
+	const nameAddr, buf = 0x9100, 0x9300
+	pokeName(k, nameAddr, "/tmp/f")
+	if _, err := k.FS.Create("/tmp/f", []byte("hello, world")); err != nil {
+		t.Fatal(err)
+	}
+	openAll := func(e *synth.Emitter) {
+		emitOpen(e, nameAddr) // fd 0
+		e.MoveL(m68k.Imm(kernel.SysPipe), m68k.D(0))
+		e.Trap(kernel.TrapSys) // fd 1 reads, fd 2 writes
+		emitSock(e, 5, 9)      // fd 3
+	}
+	io := func(e *synth.Emitter, trap uint8, n int32) {
+		e.MoveL(m68k.Imm(buf), m68k.D(1))
+		e.MoveL(m68k.Imm(n), m68k.D(2))
+		e.Trap(trap)
+	}
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		openAll(e)
+		io(e, kernel.TrapRead+0, 5)
+		io(e, kernel.TrapWrite+2, 3)
+		io(e, kernel.TrapRead+1, 2)
+		io(e, kernel.TrapWrite+3, 4)
+		for fd := int32(0); fd < 4; fd++ {
+			e.MoveL(m68k.Imm(kernel.SysClose), m68k.D(0))
+			e.MoveL(m68k.Imm(fd), m68k.D(1))
+			e.Trap(kernel.TrapSys)
+		}
+		openAll(e)
+		exitSeq(e)
+	})
+	th := k.SpawnKernel("main", prog)
+	run(t, k, th, 20_000_000)
+
+	snap := reg.Snapshot()
+	for fd, kind := range []string{"file", "pipe-r", "pipe-w", "sock"} {
+		if th.FDs[fd].Kind != kind {
+			t.Fatalf("fd %d is %q after the reopen, want %q", fd, th.FDs[fd].Kind, kind)
+		}
+		if got := k.M.Peek(kernel.FDCell(th.TTE, fd, kernel.FDGauge), 4); got != 0 {
+			t.Errorf("reopened %s on fd %d inherits a gauge of %d", kind, fd, got)
+		}
+		name := fmt.Sprintf("kio.fd.main.%d.bytes", fd)
+		if got, ok := snap.Counters[name]; kind != "sock" && (!ok || got != 0) {
+			t.Errorf("%s = %d (registered %v), want 0", name, got, ok)
+		}
+	}
+	if got := k.M.Peek(th.TTE+kernel.TTEIOGauge, 4); got != 5+3+2+4 {
+		t.Errorf("thread gauge holds %d events after the closes, want %d", got, 5+3+2+4)
 	}
 }

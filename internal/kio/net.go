@@ -447,6 +447,7 @@ func (io *IO) synthSockSend(t *kernel.Thread, fd int32, s *NSocket) uint32 {
 	return io.K.C.Build(t.Q, "sock_send").
 		Named(fmt.Sprintf("kio.sock%d.send", s.Local)).
 		Counted().
+		Key("kio.sock_send", t.TTE, uint32(fd), s.Stage, s.Queue, s.Local, s.Remote).
 		Bind("remote", synth.ConstOf(s.Remote)).
 		Bind("local", synth.ConstOf(s.Local)).
 		Emit(func(e *synth.Emitter) {
@@ -532,6 +533,7 @@ func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, s *NSocket) uint32 {
 	return io.K.C.Build(t.Q, "sock_recv").
 		Named(fmt.Sprintf("kio.sock%d.recv", s.Local)).
 		Counted().
+		Key("kio.sock_recv", t.TTE, uint32(fd), s.Queue).
 		Emit(func(e *synth.Emitter) {
 			e.Label("sr_wait")
 			e.OrSR(iplMaskBits)

@@ -43,13 +43,13 @@ func (io *IO) OpenPipeEnd(t *kernel.Thread, p *Pipe, writeEnd bool) int32 {
 	var read, write uint32
 	if writeEnd {
 		g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-		write = io.K.C.Synthesize(t.Q, "pipe_write", nil, func(e *synth.Emitter) {
+		write = io.K.C.Build(t.Q, "pipe_write").Key("kio.pipe_write", t.TTE, uint32(fd), p.Q.Addr).Emit(func(e *synth.Emitter) {
 			io.emitQueueWrite(e, p.Q, g)
 		})
 		t.FDs[fd] = kernel.FDInfo{Kind: "pipe-w", Aux: p.Q.Addr}
 	} else {
 		g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-		read = io.K.C.Synthesize(t.Q, "pipe_read", nil, func(e *synth.Emitter) {
+		read = io.K.C.Build(t.Q, "pipe_read").Key("kio.pipe_read", t.TTE, uint32(fd), p.Q.Addr).Emit(func(e *synth.Emitter) {
 			io.emitQueueRead(e, p.Q, g)
 		})
 		t.FDs[fd] = kernel.FDInfo{Kind: "pipe-r", Aux: p.Q.Addr}

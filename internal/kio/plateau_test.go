@@ -54,7 +54,8 @@ func TestSocketChurnReturnsItsHeap(t *testing.T) {
 // /proc/metrics is the one kind whose reopen can be new: its read
 // folds in the snapshot's length, so a snapshot one digit longer is a
 // routine nobody has built — a few dozen in 2,000 opens, and nothing
-// else grows.
+// else grows. After warm-up every reopen finds both its routines by
+// their declared keys, so no template runs for it.
 func TestOpenCloseChurnPlateaus(t *testing.T) {
 	reg := metrics.New()
 	k := kernel.Boot(kernel.Config{
@@ -62,6 +63,7 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		Profile: true,
 		Metrics: reg,
 	})
+	k.C.CheckKeys = true
 	io := kio.Install(k)
 	if _, err := k.FS.CreateSized("/tmp/data", nil, 256); err != nil {
 		t.Fatal(err)
@@ -155,7 +157,7 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		regions, metrics int
 		heapFree         uint32
 		codeTop          uint32
-		entries          int
+		entries, keyed   int
 	}
 	// next runs the guest to its next halt and takes a reading.
 	next := func(round uint32) reading {
@@ -167,17 +169,27 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		if round != 0 && k.M.D[5] != round {
 			t.Fatalf("halted after round %d, want %d", k.M.D[5], round)
 		}
-		return reading{k.Prof.Regions(), len(reg.Names()), k.Heap.FreeBytes(), k.M.CodeTop, k.C.CacheEntries()}
+		return reading{k.Prof.Regions(), len(reg.Names()), k.Heap.FreeBytes(), k.M.CodeTop, k.C.CacheEntries(), k.C.KeyedEntries()}
 	}
 
 	early := next(warm)
 	installed := slices.Clone(k.M.Code) // every cached routine, and the rest of code space
+	hits, keyedHits, misses := k.C.CacheHits, k.C.KeyedHits, k.C.CacheMisses
 	if late := next(cycles); late != early {
 		t.Errorf("rounds %d..%d of five kinds moved the kernel:\n after %4d: %+v\n after %4d: %+v",
 			warm, cycles, warm, early, cycles, late)
 	}
+	// A round is five reopens of two routines each, all found by key;
+	// the templates that ran (hits - keyed hits + misses) are the net
+	// handler's, rebuilt by content when the socket opens and closes.
+	const rounds = cycles - warm
+	keyedHits, hits, misses = k.C.KeyedHits-keyedHits, k.C.CacheHits-hits, k.C.CacheMisses-misses
+	if keyedHits != 10*rounds || hits-keyedHits != 2*rounds || misses != 0 {
+		t.Errorf("%d rounds: %d keyed hits, %d content hits, %d misses, want %d %d 0",
+			rounds, keyedHits, hits-keyedHits, misses, 10*rounds, 2*rounds)
+	}
 
-	misses := k.C.CacheMisses
+	misses = k.C.CacheMisses
 	early = next(warm) // through the working descriptors into the /proc/metrics loop
 	if k.C.CacheMisses > misses+warm {
 		t.Errorf("%d routines built since the five kinds' loop, and only the %d /proc/metrics opens may have",
@@ -190,7 +202,7 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		t.Errorf("%d of %d /proc/metrics reopens built a new read routine", built, cycles-warm)
 	}
 	t.Logf("/proc/metrics: %d of %d reopens had a new snapshot length, %d code slots", built, cycles-warm, slots)
-	early.entries, early.codeTop = late.entries, early.codeTop+slots
+	early.entries, early.keyed, early.codeTop = late.entries, early.keyed+built, early.codeTop+slots
 	if late != early {
 		t.Errorf("rounds %d..%d of /proc/metrics moved more than its %d new read routines:\n after %4d: %+v\n after %4d: %+v",
 			warm, cycles, built, warm, early, cycles, late)

@@ -102,6 +102,7 @@ func (io *IO) synthProcRead(t *kernel.Thread, fd int32, f *fs.File) uint32 {
 	return k.C.Build(t.Q, "proc_read").
 		Named("kio.proc.read").
 		Counted().
+		Key("kio.proc_read", t.TTE, uint32(fd), buf, uint32(len(data))).
 		Bind("snap_base", synth.ConstOf(buf)).
 		Bind("snap_len", synth.ConstOf(uint32(len(data)))).
 		Emit(func(e *synth.Emitter) {

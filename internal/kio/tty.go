@@ -97,7 +97,7 @@ func (io *IO) synthTTY(t *kernel.Thread, fd int32) (read, write uint32) {
 func (io *IO) synthRawTTY(t *kernel.Thread, fd int32) (read, write uint32) {
 	q := &KQueue{Addr: io.ttyQ, Size: ttyQueueBytes}
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	read = io.K.C.Synthesize(t.Q, "rawtty_read", nil, func(e *synth.Emitter) {
+	read = io.K.C.Build(t.Q, "rawtty_read").Key("kio.rawtty_read", t.TTE, uint32(fd)).Emit(func(e *synth.Emitter) {
 		io.emitQueueRead(e, q, g)
 	})
 	return read, io.synthTTYWrite(t)
@@ -106,7 +106,7 @@ func (io *IO) synthRawTTY(t *kernel.Thread, fd int32) (read, write uint32) {
 // synthTTYWrite emits the output path: write(d1=buf, d2=len) -> d0.
 // Output goes byte by byte to the device register.
 func (io *IO) synthTTYWrite(t *kernel.Thread) uint32 {
-	return io.K.C.Synthesize(t.Q, "tty_write", nil, func(e *synth.Emitter) {
+	return io.K.C.Build(t.Q, "tty_write").Key("kio.tty_write").Emit(func(e *synth.Emitter) {
 		e.MoveL(m68k.D(2), m68k.D(0)) // return count
 		e.TstL(m68k.D(2))
 		e.Beq("tw_done")
@@ -160,7 +160,7 @@ func (io *IO) emitRawGetChar(e *synth.Emitter) {
 // raw get-character is emitted in place, otherwise it is a call to the
 // routine at that address.
 func (io *IO) synthCooked(t *kernel.Thread, entry string, getchar uint32) uint32 {
-	return io.K.C.Synthesize(t.Q, entry, nil, func(e *synth.Emitter) {
+	return io.K.C.Build(t.Q, entry).Key("kio.cooked_read", getchar).Emit(func(e *synth.Emitter) {
 		// Stack: [orig len][buf base] (top to bottom).
 		e.MoveL(m68k.D(1), m68k.A(1)) // cursor
 		e.MoveL(m68k.D(1), m68k.PreDec(7))

@@ -7,10 +7,12 @@
 // per-thread switch procedures, per-open device paths — goes through
 // one pipeline (Builder.Emit, this file):
 //
-//	template -> cache -> peephole cleanups -> charge -> install
+//	declared key -> template -> content cache -> cleanups -> charge -> install
 //
 // Stage by stage:
 //
+//   - declared key: a build that names its template and the values it
+//     folds (Builder.Key) is looked up first; a hit goes to the charge.
 //   - template: the closure runs against its Env. This is where the
 //     paper's methods are applied. Factoring Invariants: a hole bound
 //     to a constant becomes an immediate, one bound to a cell a memory
@@ -20,8 +22,8 @@
 //     (kio's cooked tty read, /proc read and net handler each take the
 //     layer boundary as a parameter). Executable Data Structures:
 //     asmkit's patchable jumps; the kernel's ready queue uses them.
-//   - cache: the emitted program is looked up by content; a hit skips
-//     the next stages' work but is accounted like a miss.
+//   - content cache: the emitted program is looked up by content; a
+//     hit skips the next stages' work but is accounted like a miss.
 //   - peephole cleanups: optimize.go.
 //   - charge: the cost model of cost.go, when ChargeTime is set.
 //   - install: link into code space (or in place, Builder.At) and
@@ -53,6 +55,7 @@ package synth
 
 import (
 	"crypto/sha256"
+	"fmt"
 
 	"synthesis/internal/asmkit"
 	"synthesis/internal/m68k"
@@ -98,6 +101,7 @@ type Builder struct {
 	size    int
 	inPlace bool
 	counted bool
+	key     declKey
 }
 
 // Build starts a Builder for one entry point of q (q may be nil for
@@ -148,6 +152,29 @@ func (b *Builder) Counted() *Builder {
 	return b
 }
 
+// declKey is a declared key: a template name, up to maxKeyArgs values
+// and, in the last slot, the Counted cell, which Emit fills in.
+type declKey struct {
+	name string
+	args [maxKeyArgs + 1]uint32
+}
+
+const maxKeyArgs = 6
+
+// Key declares what the routine is a function of: a template name and
+// every value the template folds that can differ between two builds of
+// it on one creator. An Emit whose key was seen before returns the
+// routine installed then and does not run the template. DESIGN.md
+// Section 2a has the rule; Creator.CheckKeys checks it.
+func (b *Builder) Key(template string, args ...uint32) *Builder {
+	if len(args) > maxKeyArgs {
+		panic("synth: key of " + template + " has too many arguments")
+	}
+	b.key.name = template
+	copy(b.key.args[:], args)
+	return b
+}
+
 // regionName resolves the attribution name used for region
 // registration and invocation counting.
 func (b *Builder) regionName() string {
@@ -176,52 +203,77 @@ type cached struct {
 // distinct routine: the emitted program is looked up in the creator's
 // cache under a digest of everything the later stages read
 // (asmkit.Builder.AppendKey) and a hit returns the address installed
-// the first time. Sharing is sound because installed code outside At
-// regions is never patched; At builds, whose regions the caller owns
-// and rewrites, are not cached. A hit is accounted exactly like a miss
+// the first time. A template is in turn a pure function of the values
+// it folds, so a build that declares them (Key) is looked up before
+// the template runs, and a hit there runs no stage at all. Sharing is
+// sound because installed code outside At regions is never patched; At
+// builds, whose regions the caller owns and rewrites, are not cached.
+// A hit of either kind is accounted exactly like a miss
 // — the cycle model and the size tables describe the paper's kernel,
 // which synthesizes on every open (DESIGN.md Section 4) — except that
 // it registers no region: a profiler charges a shared routine to the
 // name it was installed under.
 func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 	c := b.c
-	// Templates emit into the creator's one emitter. It is checked out
-	// while in use, so a template that itself synthesizes gets a fresh
-	// one.
-	e := c.scratch
-	c.scratch = nil
-	if e == nil {
-		e = NewEmitter(nil)
-	}
-	e.Reset()
-	e.env = b.env
+	var cell uint32
 	if b.counted && c.Counters != nil {
-		// Self-measurement stitched into the quaject: one AddL to a
-		// folded cell address before the template body runs.
 		name := b.regionName()
-		if cell := c.Counters.InvocationCell(name); cell != 0 {
-			e.AddL(m68k.Imm(1), m68k.Abs(cell))
-		}
+		cell = c.Counters.InvocationCell(name)
 		c.Counters.Resynthesized(name)
 	}
-	emit(e)
-
-	var ent cached
+	k := b.key
+	k.args[maxKeyArgs] = cell
 	if b.inPlace {
-		ent = b.install(e.Export())
+		k.name = ""
+	}
+	want, keyedHit := c.keyed[k] // nothing is filed under the empty name
+	if keyedHit {
+		c.KeyedHits++
+	}
+	var ent cached
+	if keyedHit && !c.CheckKeys {
+		ent = want
+		c.CacheHits++
 	} else {
-		c.key = e.AppendKey(c.key[:0])
-		key := sha256.Sum256(c.key)
-		if got, hit := c.cache[key]; hit {
-			ent = got
-			c.CacheHits++
-		} else {
+		// Templates emit into the creator's one emitter. It is checked out
+		// while in use, so a template that itself synthesizes gets a fresh
+		// one.
+		e := c.scratch
+		c.scratch = nil
+		if e == nil {
+			e = NewEmitter(nil)
+		}
+		e.Reset()
+		e.env = b.env
+		if cell != 0 {
+			// Self-measurement stitched into the quaject: one AddL to a
+			// folded cell address before the template body runs.
+			e.AddL(m68k.Imm(1), m68k.Abs(cell))
+		}
+		emit(e)
+
+		if b.inPlace {
 			ent = b.install(e.Export())
-			c.cache[key] = ent
-			c.CacheMisses++
+		} else {
+			c.key = e.AppendKey(c.key[:0])
+			key := sha256.Sum256(c.key)
+			if got, hit := c.cache[key]; hit {
+				ent = got
+				c.CacheHits++
+			} else {
+				ent = b.install(e.Export())
+				c.cache[key] = ent
+				c.CacheMisses++
+			}
+		}
+		c.scratch = e
+		if keyedHit && ent.addr != want.addr {
+			panic(fmt.Sprintf("synth: key %s%v names the routine at %d, but its template now emits another", k.name, k.args, want.addr))
+		}
+		if k.name != "" {
+			c.keyed[k] = ent
 		}
 	}
-	c.scratch = e
 
 	// From here a hit and a miss are the same build.
 	st := &ent.st

@@ -1,6 +1,8 @@
 package synth_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"synthesis/internal/m68k"
@@ -10,7 +12,8 @@ import (
 // The synthesis cache must be invisible except in code-space growth:
 // equal programs share one address, programs that differ in anything
 // the optimizer or the linker reads do not, and a hit is accounted
-// like a miss.
+// like a miss. A build that declares a key (Builder.Key) is the same
+// build found sooner: a keyed hit runs no template.
 
 // shape is the template the soundness tests vary one property at a
 // time: a loop with a forward branch and one label nothing refers to.
@@ -122,58 +125,68 @@ func TestCacheSkipsInPlaceAndInlineBuilds(t *testing.T) {
 	}
 }
 
-// tally is a CounterPlane and RegionSink that counts its calls.
+// tally is a CounterPlane and RegionSink that counts its calls; each
+// region name of a given length gets its own cell.
 type tally struct {
 	resynth, regions int
 }
 
-func (p *tally) InvocationCell(string) uint32 { return 0x2000 }
-func (p *tally) Resynthesized(string)         { p.resynth++ }
+func (p *tally) InvocationCell(name string) uint32 { return 0x2000 + 4*uint32(len(name)) }
+func (p *tally) Resynthesized(string)              { p.resynth++ }
 func (p *tally) RegisterRegion(string, uint32, int) {
 	p.regions++
 }
 
 func TestCacheHitAccountsLikeMiss(t *testing.T) {
-	c := synth.NewCreator(newM())
-	c.ChargeTime = true
-	var plane tally
-	c.Counters, c.Regions = &plane, &plane
-	q := c.NewQuaject("q")
+	for _, keyed := range []bool{false, true} {
+		c := synth.NewCreator(newM())
+		c.ChargeTime = true
+		var plane tally
+		c.Counters, c.Regions = &plane, &plane
+		q := c.NewQuaject("q")
 
-	type account struct {
-		cycles                 uint64
-		stats                  synth.OptStats
-		qInstrs, qBytes        int
-		instrs, bytes, resynth int
-	}
-	build := func() (uint32, account) {
-		before := account{c.M.Cycles, synth.OptStats{}, q.Instrs, q.Bytes, c.TotalInstrs, c.TotalBytes, plane.resynth}
-		routines := c.Routines
-		addr := c.Build(q, "r").Counted().Emit(cacheBase)
-		if c.Routines != routines+1 {
-			t.Errorf("Routines %d -> %d", routines, c.Routines)
+		type account struct {
+			cycles                 uint64
+			stats                  synth.OptStats
+			qInstrs, qBytes        int
+			instrs, bytes, resynth int
 		}
-		if q.Entry("r") != addr {
-			t.Errorf("entry r = %d, want %d", q.Entry("r"), addr)
+		build := func() (uint32, account) {
+			before := account{c.M.Cycles, synth.OptStats{}, q.Instrs, q.Bytes, c.TotalInstrs, c.TotalBytes, plane.resynth}
+			routines := c.Routines
+			b := c.Build(q, "r").Counted()
+			if keyed {
+				b.Key("test.base", 1)
+			}
+			addr := b.Emit(cacheBase)
+			if c.Routines != routines+1 {
+				t.Errorf("Routines %d -> %d", routines, c.Routines)
+			}
+			if q.Entry("r") != addr {
+				t.Errorf("entry r = %d, want %d", q.Entry("r"), addr)
+			}
+			return addr, account{c.M.Cycles - before.cycles, c.LastStats,
+				q.Instrs - before.qInstrs, q.Bytes - before.qBytes,
+				c.TotalInstrs - before.instrs, c.TotalBytes - before.bytes, plane.resynth - before.resynth}
 		}
-		return addr, account{c.M.Cycles - before.cycles, c.LastStats,
-			q.Instrs - before.qInstrs, q.Bytes - before.qBytes,
-			c.TotalInstrs - before.instrs, c.TotalBytes - before.bytes, plane.resynth - before.resynth}
-	}
-	missAddr, miss := build()
-	c.LastStats = synth.OptStats{}
-	hitAddr, hit := build()
-	if c.CacheMisses != 1 || c.CacheHits != 1 || hitAddr != missAddr {
-		t.Fatalf("misses %d hits %d, addresses %d %d", c.CacheMisses, c.CacheHits, missAddr, hitAddr)
-	}
-	if hit != miss {
-		t.Errorf("a hit is accounted differently from a miss:\n hit  %+v\n miss %+v", hit, miss)
-	}
-	if miss.cycles == 0 || miss.stats.InstrsBefore == 0 || miss.qBytes == 0 || miss.resynth != 1 {
-		t.Errorf("the miss accounted nothing: %+v", miss)
-	}
-	if plane.regions != 1 {
-		t.Errorf("%d regions registered, want 1", plane.regions)
+		missAddr, miss := build()
+		c.LastStats = synth.OptStats{}
+		hitAddr, hit := build()
+		if c.CacheMisses != 1 || c.CacheHits != 1 || hitAddr != missAddr {
+			t.Fatalf("keyed %v: misses %d hits %d, addresses %d %d", keyed, c.CacheMisses, c.CacheHits, missAddr, hitAddr)
+		}
+		if (c.KeyedHits == 1) != keyed || c.KeyedHits > 1 {
+			t.Errorf("keyed %v: %d keyed hits", keyed, c.KeyedHits)
+		}
+		if hit != miss {
+			t.Errorf("keyed %v: a hit is accounted differently from a miss:\n hit  %+v\n miss %+v", keyed, hit, miss)
+		}
+		if miss.cycles == 0 || miss.stats.InstrsBefore == 0 || miss.qBytes == 0 || miss.resynth != 1 {
+			t.Errorf("keyed %v: the miss accounted nothing: %+v", keyed, miss)
+		}
+		if plane.regions != 1 {
+			t.Errorf("keyed %v: %d regions registered, want 1", keyed, plane.regions)
+		}
 	}
 }
 
@@ -208,7 +221,120 @@ func TestCacheHitDoesNotAllocate(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("a steady-state hit allocates %.0f times, want at most 2", allocs)
 	}
+	// A keyed hit does not call the template, and so emits, serializes
+	// and digests nothing: those all happen after the call.
+	calls := 0
+	template := func(e *synth.Emitter) { calls++; fifty(e) }
+	keyed := func() uint32 { return c.Build(q, "r").Key("test.fifty", 7, 8).Emit(template) }
+	if keyed() != addr || calls != 1 {
+		t.Fatalf("the first keyed build ran the template %d times", calls)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if keyed() != addr {
+			t.Fatal("keyed hit moved the routine")
+		}
+	})
+	if allocs > 1 || calls != 1 {
+		t.Errorf("a keyed hit allocates %.0f times and ran the template %d times, want at most 1 and none", allocs, calls-1)
+	}
 	if plane.regions != 1 {
 		t.Errorf("%d regions registered, want 1", plane.regions)
+	}
+}
+
+// What a declared key must tell apart, it does: another argument,
+// another template name, another Counted cell and an At build all run
+// the template.
+func TestKeyedBuildMisses(t *testing.T) {
+	c := synth.NewCreator(newM())
+	var plane tally
+	c.Counters = &plane
+	calls := 0
+	template := func(e *synth.Emitter) { calls++; cacheBase(e) }
+	at := c.M.AllocCode(16)
+	builds := []struct {
+		name string
+		b    *synth.Builder
+		hit  bool
+	}{
+		{"first", c.Build(nil, "r").Key("test.base", 1, 2), false},
+		{"same key", c.Build(nil, "other").Key("test.base", 1, 2), true},
+		{"one argument", c.Build(nil, "r").Key("test.base", 1, 3), false},
+		{"template name", c.Build(nil, "r").Key("test.other", 1, 2), false},
+		{"counted", c.Build(nil, "r").Key("test.base", 1, 2).Counted(), false},
+		{"counted, same cell", c.Build(nil, "s").Key("test.base", 1, 2).Counted(), true},
+		{"counted, another cell", c.Build(nil, "long").Key("test.base", 1, 2).Counted(), false},
+		{"in place", c.Build(nil, "r").Key("test.base", 1, 2).At(at, 16), false},
+		{"in place again", c.Build(nil, "r").Key("test.base", 1, 2).At(at, 16), false},
+	}
+	for _, b := range builds {
+		before, hits, entries := calls, c.KeyedHits, c.KeyedEntries()
+		b.b.Emit(template)
+		if hit := calls == before; hit != b.hit || hit != (c.KeyedHits == hits+1) {
+			t.Errorf("%s: template ran %d times, keyed hits %d -> %d, want hit %v", b.name, calls-before, hits, c.KeyedHits, b.hit)
+		}
+		inPlace := strings.HasPrefix(b.name, "in place")
+		if grew := c.KeyedEntries() - entries; (grew == 1) != (!b.hit && !inPlace) {
+			t.Errorf("%s: keyed entries grew by %d", b.name, grew)
+		}
+	}
+}
+
+// CheckKeys is the oracle for a key: a template that folds a value its
+// key leaves out is caught the first time the value differs, and the
+// panic names the template and its arguments. An honest key passes
+// with the same counters as an unchecked run.
+func TestCheckKeysCatchesAnUndeclaredValue(t *testing.T) {
+	c := synth.NewCreator(newM())
+	c.CheckKeys = true
+	build := func(declared uint32, folded int32) uint32 {
+		return c.Build(nil, "r").Key("test.shape", declared).Emit(shape{imm: folded, mark: 1, target: "out"}.emit)
+	}
+	a := build(1, 1)
+	if build(1, 1) != a || build(2, 2) == a || build(2, 2) == a {
+		t.Fatal("honest keys do not find their routines")
+	}
+	if c.KeyedHits != 2 || c.CacheHits != 2 || c.CacheMisses != 2 {
+		t.Errorf("checked: keyed hits %d hits %d misses %d, want 2 2 2", c.KeyedHits, c.CacheHits, c.CacheMisses)
+	}
+	// Caught whether what the template now emits is a routine the
+	// creator holds under another key or one it has never seen.
+	for _, folded := range []int32{2, 3} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "test.shape") || !strings.Contains(msg, "[1 0 0") {
+					t.Errorf("folded %d: panic does not name the key: %s", folded, msg)
+				}
+			}()
+			build(1, folded)
+			t.Errorf("folded %d: a key that hides a folded value was not caught", folded)
+		}()
+	}
+}
+
+var sink uint32
+
+// BenchmarkSynthHit is what a rebuild of a routine the creator already
+// holds costs the host, by the index that finds it: with a declared
+// key nothing runs; by content the template is emitted, serialized and
+// digested first.
+func BenchmarkSynthHit(b *testing.B) {
+	for _, index := range []string{"keyed", "content"} {
+		b.Run(index, func(b *testing.B) {
+			c := synth.NewCreator(newM())
+			q := c.NewQuaject("q")
+			build := func() uint32 {
+				bld := c.Build(q, "r")
+				if index == "keyed" {
+					bld.Key("bench.fifty", 1, 2, 3)
+				}
+				return bld.Emit(fifty)
+			}
+			build()
+			for b.Loop() {
+				sink = build()
+			}
+		})
 	}
 }

@@ -77,12 +77,17 @@ type Creator struct {
 	OptChanged uint64
 
 	// The synthesis cache (Builder.Emit): installed routines by the
-	// digest of the program their template emitted, how often a build
-	// was served from it, and the emitter and key buffer every build
-	// reuses.
+	// digest of the program their template emitted and by declared key,
+	// how often a build was served from it (KeyedHits: of CacheHits, the
+	// ones that ran no template), and the emitter and digest buffer every
+	// build reuses. CheckKeys, for test rigs, makes a keyed hit run its
+	// template anyway and panic unless the digest finds the same routine.
 	CacheHits   uint64
+	KeyedHits   uint64
 	CacheMisses uint64
+	CheckKeys   bool
 	cache       map[[sha256.Size]byte]cached
+	keyed       map[declKey]cached
 	scratch     *Emitter
 	key         []byte
 }
@@ -90,9 +95,12 @@ type Creator struct {
 // CacheEntries returns the number of routines in the synthesis cache.
 func (c *Creator) CacheEntries() int { return len(c.cache) }
 
+// KeyedEntries returns the number of declared keys that name one.
+func (c *Creator) KeyedEntries() int { return len(c.keyed) }
+
 // NewCreator returns a creator with time charging off (boot mode).
 func NewCreator(m *m68k.Machine) *Creator {
-	return &Creator{M: m, cache: make(map[[sha256.Size]byte]cached)}
+	return &Creator{M: m, cache: make(map[[sha256.Size]byte]cached), keyed: make(map[declKey]cached)}
 }
 
 // NewQuaject starts an empty quaject record.

@@ -13,6 +13,7 @@ import (
 func boot(t *testing.T) *kernel.Kernel {
 	t.Helper()
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 128}})
+	k.C.CheckKeys = true
 	kio.Install(k)
 	unixemu.Install(k)
 	return k
@@ -118,6 +119,7 @@ func TestEmulationOverheadIsSmall(t *testing.T) {
 	// null write with a UNIX null write at the SUN 3/160 point.
 	mkKernel := func() (*kernel.Kernel, *kernel.Thread, uint32) {
 		k := kernel.Boot(kernel.Config{Machine: m68k.Sun3Config()})
+		k.C.CheckKeys = true
 		kio.Install(k)
 		unixemu.Install(k)
 		const nameAddr = 0x9100

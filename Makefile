@@ -6,14 +6,16 @@
 # `chaos-soak` are the bounded, seeded race-detector passes CI runs
 # after it (queues + packet ring + measurement plane, then the machine's
 # two step loops and its self-modifying-code tests in internal/m68k;
-# single-machine fault injection, the open/close churn plateau and the
-# declared synthesis keys checked against their templates; 2-VM
+# single-machine fault injection, the open/close churn plateau, the
+# declared synthesis keys checked against their templates and the block
+# copy preempted mid-group; 2-VM
 # fleet churn; 2-VM fleet under link faults and a partition/heal
 # cycle). `make examples` runs the six self-checking examples, each of
 # which exits nonzero on failure. `make bench` runs the root Go
-# benchmarks once and then the dispatcher's two inner loops for a second each (internal/m68k:
-# BenchmarkStepLoop and BenchmarkCopyLoop, host ns per guest
-# instruction) and a synthesis-cache hit by either index (internal/synth:
+# benchmarks once and then the dispatcher's inner loops for a second each (internal/m68k:
+# BenchmarkStepLoop, and BenchmarkCopyLoop beside BenchmarkMovemCopyLoop,
+# the copy loop's two forms; host ns per guest instruction and per KB)
+# and a synthesis-cache hit by either index (internal/synth:
 # BenchmarkSynthHit/{keyed,content}, host ns per build), `make tables` prints every table, `make profile` runs
 # one Table 1 program under the profiler and emits trace.json (load in
 # about:tracing or ui.perfetto.dev). `make loc` prints the number
@@ -35,7 +37,7 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters' \
 		./internal/kio/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 

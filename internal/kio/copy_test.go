@@ -1,0 +1,231 @@
+package kio_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"synthesis/internal/kernel"
+	"synthesis/internal/kio"
+	"synthesis/internal/m68k"
+	"synthesis/internal/synth"
+)
+
+// The registers a caller may expect back across a read or write trap
+// (D2 too on a file, whose routines leave the length alone; the queue
+// paths use it as their remaining count, the system-call scratch set).
+var keptRegs = []m68k.Operand{
+	m68k.D(3), m68k.D(4), m68k.D(5), m68k.D(6), m68k.D(7),
+	m68k.A(2), m68k.A(3), m68k.A(4), m68k.A(5), m68k.A(6),
+}
+
+func sentinel(set, i int) int32 { return int32(0x5e000000 | set<<8 | i) }
+
+// loadSentinels puts set's values into keptRegs.
+func loadSentinels(e *synth.Emitter, set int) {
+	for i, r := range keptRegs {
+		e.MoveL(m68k.Imm(sentinel(set, i)), r)
+	}
+}
+
+// checkSentinels bumps the cell at fail once per register of keptRegs
+// that no longer holds set's value.
+func checkSentinels(e *synth.Emitter, set int, fail uint32) {
+	for i, r := range keptRegs {
+		ok := fmt.Sprintf("kept%d_%d_%d", set, i, e.Len())
+		e.CmpL(m68k.Imm(sentinel(set, i)), r)
+		e.Beq(ok)
+		e.AddL(m68k.Imm(1), m68k.Abs(fail))
+		e.Label(ok)
+	}
+}
+
+func heapBuf(t *testing.T, k *kernel.Kernel, n uint32, fill byte) uint32 {
+	t.Helper()
+	a, err := k.Heap.Alloc(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.M.PokeBytes(a, bytes.Repeat([]byte{fill}, int(n)))
+	return a
+}
+
+// TestBulkCopyPreservesRegisters holds the block form of the
+// synthesized copy (emitCopy with blockCopy: MOVEM through D2-D7/A2-A3,
+// saved around the loop) to its promises on the file and pipe paths
+// that use it. Every length from 0 through a byte past 4 KB that puts
+// the copy on a different branch — no 32-byte group, one, one and a
+// tail, many — is written and read back between misaligned buffers:
+// the bytes must arrive, nothing past either end may be touched, and
+// the caller's registers must be as they were. Then two threads stream
+// through a small pipe on a short quantum, so copies are preempted
+// between a group's two MOVEMs, and both check their registers after
+// every call.
+func TestBulkCopyPreservesRegisters(t *testing.T) {
+	k, io := boot(t)
+	lengths := []uint32{0, 1, 3, 4, 31, 32, 33, 63, 64, 100, 1024, 1025, 4096}
+	const (
+		pipeRFD, pipeWFD, fileFD = 0, 1, 2
+		guard                    = 0xee
+	)
+	if _, err := k.FS.CreateSized("/tmp/bulk", nil, 8192); err != nil {
+		t.Fatal(err)
+	}
+	name := heapBuf(t, k, 16, 0)
+	pokeName(k, name, "/tmp/bulk")
+	src := heapBuf(t, k, 4096+8, 0) + 1
+	for i := uint32(0); i < 4096; i++ {
+		k.M.Poke(src+i, 1, i*7+3)
+	}
+	fail := heapBuf(t, k, 4, 0)
+	type call struct {
+		dst, n uint32
+		file   bool
+		regs   uint32 // D0-D7/A0-A6 right after the trap
+	}
+	var calls []call
+	prog := k.C.Synthesize(nil, "bulk", nil, func(e *synth.Emitter) {
+		emitOpen(e, name)
+		for _, file := range []bool{true, false} {
+			for _, n := range lengths {
+				dst := heapBuf(t, k, n+8, guard) + 3
+				rw := func(trap uint8, buf uint32) {
+					if file {
+						e.MoveL(m68k.Imm(kernel.SysSeek), m68k.D(0))
+						e.MoveL(m68k.Imm(fileFD), m68k.D(1))
+						e.Clr(4, m68k.D(2))
+						e.Trap(kernel.TrapSys)
+					}
+					set := len(calls)
+					loadSentinels(e, set)
+					e.MoveL(m68k.Imm(int32(buf)), m68k.D(1))
+					e.MoveL(m68k.Imm(int32(n)), m68k.D(2))
+					e.Trap(trap)
+					c := call{dst: dst, n: n, file: file, regs: heapBuf(t, k, 60, 0)}
+					e.MovemSave(0x7fff, m68k.Abs(c.regs))
+					calls = append(calls, c)
+					checkSentinels(e, set, fail)
+				}
+				if file {
+					rw(kernel.TrapWrite+fileFD, src)
+					rw(kernel.TrapRead+fileFD, dst)
+				} else {
+					rw(kernel.TrapWrite+pipeWFD, src)
+					rw(kernel.TrapRead+pipeRFD, dst)
+				}
+			}
+		}
+		exitSeq(e)
+	})
+	th := k.SpawnKernel("bulk", prog)
+	p := io.NewPipe(kio.DefaultPipeBytes)
+	if r, w := io.OpenPipeEnd(th, p, false), io.OpenPipeEnd(th, p, true); r != pipeRFD || w != pipeWFD {
+		t.Fatalf("pipe ends on descriptors %d and %d, want %d and %d", r, w, pipeRFD, pipeWFD)
+	}
+	run(t, k, th, 50_000_000)
+
+	if n := k.M.Peek(fail, 4); n != 0 {
+		t.Errorf("%d registers changed across a trap", n)
+	}
+	want := k.M.PeekBytes(src, 4096)
+	for i, c := range calls {
+		r := func(n int) uint32 { return k.M.Peek(c.regs+4*uint32(n), 4) }
+		what := fmt.Sprintf("file=%v %d bytes, call %d", c.file, c.n, i)
+		if r(0) != c.n {
+			t.Errorf("%s: returned %d", what, int32(r(0)))
+		}
+		if c.file && r(2) != c.n {
+			t.Errorf("%s: D2 came back %d", what, r(2))
+		}
+		if i%2 == 0 {
+			continue
+		}
+		got := k.M.PeekBytes(c.dst-1, int(c.n)+2)
+		if !bytes.Equal(got[1:1+c.n], want[:c.n]) {
+			t.Errorf("%s: read back the wrong bytes", what)
+		}
+		if got[0] != guard || got[len(got)-1] != guard {
+			t.Errorf("%s: wrote outside the buffer: %#x before, %#x after", what, got[0], got[len(got)-1])
+		}
+	}
+	if t.Failed() {
+		return
+	}
+
+	t.Run("preempted stream", testPreemptedPipeStream)
+}
+
+// preemptProbe counts quantum interrupts taken with the PC on the
+// second MOVEM of a block-copy group: a copy preempted mid-group.
+type preemptProbe struct {
+	m       *m68k.Machine
+	between int
+}
+
+func (p *preemptProbe) StepDone(uint32, uint64, uint64, bool)   {}
+func (p *preemptProbe) InterruptTaken(int, int, uint64, uint64) {}
+func (p *preemptProbe) Charged(uint64, string)                  {}
+func (p *preemptProbe) ExceptionTaken(vec int, pc uint32, _ uint64) {
+	if vec != m68k.VecAutovector+m68k.IRQTimer || int(pc) >= len(p.m.Code) {
+		return
+	}
+	if in := p.m.Code[pc]; in.Op == m68k.MOVEM && in.Dir == 0 && in.Dst.Mode == m68k.ModeInd && in.Mask == 0x0cfc {
+		p.between++
+	}
+}
+
+func testPreemptedPipeStream(t *testing.T) {
+	k, io := boot(t)
+	const (
+		total          = 32_000
+		wchunk, rchunk = 1000, 1500
+		quantum        = 997 // cycles: a few 32-byte groups
+	)
+	src := heapBuf(t, k, total+8, 0) + 1
+	for i := uint32(0); i < total; i++ {
+		k.M.Poke(src+i, 1, i*13+5)
+	}
+	dst := heapBuf(t, k, total+8, 0) + 3
+	cells := heapBuf(t, k, 20, 0) // fail count, then each side's cursor and bytes left
+	fail, wcur, wleft, rcur, rleft := cells, cells+4, cells+8, cells+12, cells+16
+	for _, c := range [][2]uint32{{wcur, src}, {wleft, total}, {rcur, dst}, {rleft, total}} {
+		k.M.Poke(c[0], 4, c[1])
+	}
+
+	side := func(name string, set int, trap uint8, cur uint32, chunk int32, left uint32) uint32 {
+		return k.C.Synthesize(nil, name, nil, func(e *synth.Emitter) {
+			loadSentinels(e, set)
+			e.Label("loop")
+			e.MoveL(m68k.Abs(cur), m68k.D(1))
+			e.MoveL(m68k.Imm(chunk), m68k.D(2))
+			e.Trap(trap)
+			checkSentinels(e, set, fail)
+			e.AddL(m68k.D(0), m68k.Abs(cur))
+			e.SubL(m68k.D(0), m68k.Abs(left))
+			e.Bne("loop")
+			exitSeq(e)
+		})
+	}
+	writer := k.SpawnKernel("writer", side("writer", 1, kernel.TrapWrite, wcur, wchunk, wleft))
+	reader := k.SpawnKernel("reader", side("reader", 2, kernel.TrapRead, rcur, rchunk, rleft))
+	p := io.NewPipe(512)
+	if io.OpenPipeEnd(writer, p, true) != 0 || io.OpenPipeEnd(reader, p, false) != 0 {
+		t.Fatal("pipe ends not on descriptor 0")
+	}
+	for _, th := range []*kernel.Thread{writer, reader} {
+		k.M.Poke(th.TTE+kernel.TTEQuantum, 4, quantum)
+	}
+	probe := &preemptProbe{m: k.M}
+	k.M.Probe = probe
+	run(t, k, writer, 200_000_000)
+
+	if n := k.M.Peek(fail, 4); n != 0 {
+		t.Errorf("%d registers changed across a trap", n)
+	}
+	if !bytes.Equal(k.M.PeekBytes(dst, total), k.M.PeekBytes(src, total)) {
+		t.Error("the stream arrived different from what was written")
+	}
+	if probe.between == 0 {
+		t.Error("no copy was preempted between a group's two MOVEMs")
+	}
+}

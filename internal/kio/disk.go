@@ -154,7 +154,7 @@ func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write
 		e.AddL(m68k.D(1), m68k.D(0))
 		e.MoveL(m68k.D(0), m68k.Abs(pos))
 		e.MoveL(m68k.D(1), m68k.PreDec(7))
-		emitCopy(e)
+		emitCopy(e, blockCopy)
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.AddL(m68k.D(0), m68k.Abs(kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)))
 		e.Rte()

@@ -64,7 +64,7 @@ func (io *IO) synthFileRead(t *kernel.Thread, fd int32, f *fs.File) uint32 {
 		e.AddL(m68k.D(1), m68k.D(0))
 		e.MoveL(m68k.D(0), m68k.Abs(pos))
 		e.MoveL(m68k.D(1), m68k.PreDec(7)) // save n
-		emitCopy(e)                        // n bytes, clobbers d0/d1
+		emitCopy(e, blockCopy)             // n bytes, clobbers d0/d1
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		// Byte-rate gauge for the fine-grain scheduler.
 		e.AddL(m68k.D(0), m68k.Abs(kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)))
@@ -103,7 +103,7 @@ func (io *IO) synthFileWrite(t *kernel.Thread, fd int32, f *fs.File) uint32 {
 		e.MoveL(m68k.D(0), m68k.Abs(sizeCell))
 		e.Label("fw_nosz")
 		e.MoveL(m68k.D(1), m68k.PreDec(7))
-		emitCopy(e)
+		emitCopy(e, blockCopy)
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.AddL(m68k.D(0), m68k.Abs(kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)))
 		e.Rte()

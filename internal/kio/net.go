@@ -298,7 +298,7 @@ func (io *IO) resynthNetHandler() {
 		e.MoveL(m68k.D(1), m68k.Ind(1)) // slot payload length
 		e.Lea(m68k.Disp(4, 1), 1)
 		e.Lea(m68k.Disp(4+synnet.HeaderBytes, 0), 0)
-		emitCopy(e) // D1 payload bytes, (A0)+ -> (A1)+
+		emitCopy(e, longCopy) // D1 payload bytes, (A0)+ -> (A1)+
 		// Publish: only the flag makes the slot visible.
 		e.MoveL(m68k.PostInc(7), m68k.D(1))
 		e.MoveL(m68k.Imm(1), m68k.D(2))
@@ -470,7 +470,7 @@ func (io *IO) synthSockSend(t *kernel.Thread, fd int32, s *NSocket) uint32 {
 			e.MoveL(m68k.D(1), m68k.A(0))
 			e.Lea(m68k.Abs(stage+synnet.HeaderBytes), 1)
 			e.MoveL(m68k.D(2), m68k.D(1))
-			emitCopy(e)
+			emitCopy(e, longCopy)
 			// Checksum the staged payload long-wise straight into the
 			// header slot: two instructions per long.
 			e.MoveL(m68k.Ind(7), m68k.D(0))
@@ -563,7 +563,7 @@ func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, s *NSocket) uint32 {
 			e.Lea(m68k.Disp(4, 0), 0)
 			e.MoveL(m68k.D(0), m68k.PreDec(7)) // return count
 			e.MoveL(m68k.D(0), m68k.D(1))
-			emitCopy(e)
+			emitCopy(e, longCopy)
 			e.MoveL(m68k.PostInc(7), m68k.D(0))
 			// Retire the slot: clear the flag first, then advance the
 			// tail — a producer may claim the slot the moment the tail

@@ -1,5 +1,7 @@
 package m68k
 
+import "encoding/binary"
+
 // Threaded-code dispatch: the Synthesis trick applied to the machine
 // that hosts Synthesis. Instead of re-decoding every instruction on
 // every step — one big opcode switch plus an addressing-mode switch
@@ -45,6 +47,7 @@ package m68k
 // reachable only through Machine.Load and Machine.Store, which those
 // accessors call for every address that is not plain RAM. A handler
 // never tests devFloor or builds a BusFault for a memory access itself.
+// MOVEM asks ramBlock once per block and leaves any other to execMovem.
 //
 // TestDispatchMatchesExec (random, over the whole op list) and
 // TestDispatchMatchesExecDirected (every specialized memory shape and
@@ -790,13 +793,86 @@ func compile(in *Instr, pc uint32) runFn {
 			m.horizon = 0
 			return nil
 		}
+
+	case MOVEM:
+		if run := cMovem(in, pc); run != nil {
+			return run
+		}
 	}
 
-	// Everything else — STOP, MOVEC, block moves, FP, CAS,
-	// multiply/divide, bit ops, NOT/NEG/EXT/PEA and logic or shifts into
-	// anything but a data register — executes through the reference
+	// Everything else — STOP, MOVEC, the MOVEM forms cMovem leaves, FP,
+	// CAS, multiply/divide, bit ops, NOT/NEG/EXT/PEA and logic or shifts
+	// into anything but a data register — executes through the reference
 	// switch.
 	return cSlow(pc)
+}
+
+// cMovem compiles MOVEM.L as one block transfer, its register list and
+// address form resolved here: addr = A[r]&keep + disp (absolute keeps
+// no register, -(An) starts a block below An), with execMovem's
+// write-back. A block ramBlock does not admit whole runs execMovem
+// itself; the forms nothing emits (registers to (An)+, memory to -(An),
+// indexed) get no body, and nil sends them to cSlow.
+func cMovem(in *Instr, pc uint32) runFn {
+	var dl, al []uint8 // data registers, then address registers, ascending
+	for r := uint8(0); r < 8; r++ {
+		if in.Mask&(1<<r) != 0 {
+			dl = append(dl, r)
+		}
+		if in.Mask&(0x100<<r) != 0 {
+			al = append(al, r)
+		}
+	}
+	n := len(dl) + len(al)
+	size := 4 * uint32(n)
+	toMem, o := in.Dir == 0, in.Src
+	if toMem {
+		o = in.Dst
+	}
+	base, keep, disp := o.Reg, ^uint32(0), uint32(0)
+	switch {
+	case o.Mode == ModeInd:
+	case o.Mode == ModeDisp:
+		disp = uint32(o.Imm)
+	case o.Mode == ModeAbs:
+		keep, disp = 0, uint32(o.Imm)
+	case toMem && o.Mode == ModePreDec:
+		disp = -size
+	case !toMem && o.Mode == ModePostInc:
+	default:
+		return nil
+	}
+	step := o.Mode == ModePreDec || o.Mode == ModePostInc
+	return func(m *Machine) error {
+		addr := m.A[base]&keep + disp
+		if !m.ramBlock(addr, size) {
+			return m.execMovem(&m.Code[pc])
+		}
+		b := m.Mem[addr:]
+		if toMem {
+			if step {
+				m.A[base] = addr
+			}
+			for i, r := range dl {
+				binary.BigEndian.PutUint32(b[4*i:], m.D[r])
+			}
+			for i, r := range al {
+				binary.BigEndian.PutUint32(b[4*(len(dl)+i):], m.A[r])
+			}
+		} else {
+			for i, r := range dl {
+				m.D[r] = binary.BigEndian.Uint32(b[4*i:])
+			}
+			for i, r := range al {
+				m.A[r] = binary.BigEndian.Uint32(b[4*(len(dl)+i):])
+			}
+			if step {
+				m.A[base] = addr + size
+			}
+		}
+		m.chargeMem(n)
+		return nil
+	}
 }
 
 // cControlTarget compiles JMP/JSR target resolution, mirroring

@@ -36,25 +36,51 @@ func BenchmarkStepLoop(b *testing.B) {
 // BenchmarkCopyLoop runs the bulk path synthesis inlines into every
 // read and write (kio's emitCopy: eight MOVE.L (A0)+,(A1)+ and a
 // DBRA), 1 KB per pass between two RAM buffers: the dispatcher's cost
-// where file_rw spends 65 % of its instructions. Read it against
-// BenchmarkStepLoop in the same process: about 1.3x the floor with the
-// long memory-to-memory move fused, about 2.2x through the generic
-// MOVE body.
-func BenchmarkCopyLoop(b *testing.B) {
+// where file_rw spent 65 % of its instructions before the file and
+// pipe templates took the block form. Read it against BenchmarkStepLoop
+// in the same process: about 1.3x the floor with the long
+// memory-to-memory move fused, about 2.2x through the generic MOVE
+// body. ns/KB compares it with BenchmarkMovemCopyLoop.
+func BenchmarkCopyLoop(b *testing.B) { benchCopy(b, false) }
+
+// BenchmarkMovemCopyLoop is the same 1 KB pass through emitCopy's block
+// form: the eight registers saved, then per 32 bytes MOVEM (A0)+ into
+// them, MOVEM out of them to (A1), LEA 32(A1),A1 and the DBRA, then the
+// registers restored.
+func BenchmarkMovemCopyLoop(b *testing.B) { benchCopy(b, true) }
+
+func benchCopy(b *testing.B, block bool) {
+	const passes, regs = 100, 0x0cfc // D2-D7, A2-A3
 	m := New(Config{})
+	m.A[7] = 0x8000
 	entry := m.CodeTop
 	prog := []Instr{
-		{Op: MOVE, Src: Imm(99), Dst: D(1)},     // 0: 100 passes per Run
-		{Op: MOVE, Src: Imm(0x9000), Dst: A(0)}, // 1: one pass
+		{Op: MOVE, Src: Imm(passes - 1), Dst: D(1)}, // 0
+		{Op: MOVE, Src: Imm(0x9000), Dst: A(0)},     // 1: one pass
 		{Op: MOVE, Src: Imm(0xa000), Dst: A(1)},
 		{Op: MOVE, Src: Imm(1024/32 - 1), Dst: D(0)},
 	}
-	for i := 0; i < 8; i++ {
-		prog = append(prog, Instr{Op: MOVE, Src: PostInc(0), Dst: PostInc(1)}) // 4..11
+	if block {
+		prog = append(prog, Instr{Op: MOVEM, Mask: regs, Dst: PreDec(7)})
+	}
+	group := entry + uint32(len(prog))
+	if block {
+		prog = append(prog,
+			Instr{Op: MOVEM, Mask: regs, Dir: 1, Src: PostInc(0)},
+			Instr{Op: MOVEM, Mask: regs, Dst: Ind(1)},
+			Instr{Op: LEA, Src: Disp(32, 1), Dst: A(1)})
+	} else {
+		for i := 0; i < 8; i++ {
+			prog = append(prog, Instr{Op: MOVE, Src: PostInc(0), Dst: PostInc(1)})
+		}
+	}
+	prog = append(prog, Instr{Op: DBRA, Src: D(0), Dst: Abs(group)})
+	if block {
+		prog = append(prog, Instr{Op: MOVEM, Mask: regs, Dir: 1, Src: PostInc(7)})
 	}
 	prog = append(prog,
-		Instr{Op: DBRA, Src: D(0), Dst: Abs(entry + 4)},
 		Instr{Op: DBRA, Src: D(1), Dst: Abs(entry + 1)},
 		Instr{Op: HALT})
 	benchRun(b, m, m.Emit(prog))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes), "ns/KB")
 }

@@ -22,7 +22,7 @@ func TestDispatchMatchesExec(t *testing.T) {
 		NOP, MOVE, LEA, PEA, CLR, ADD, SUB, MULU, DIVU, AND, OR, EOR,
 		NOT, NEG, EXT, LSL, LSR, ASR, CMP, TST, BTST, BSET, BCLR, TAS,
 		BRA, BEQ, BNE, BLT, BLE, BGT, BGE, BHI, BLS, BCC, BCS, BMI, BPL,
-		DBRA, JMP, JSR, RTS,
+		DBRA, JMP, JSR, RTS, MOVEM,
 	}
 	sizes := []uint8{0, 1, 2, 4}
 	srcModes := []AddrMode{ModeNone, ModeImm, ModeDReg, ModeAReg, ModeInd,
@@ -72,10 +72,12 @@ func TestDispatchMatchesExec(t *testing.T) {
 
 	for iter := 0; iter < 20000; iter++ {
 		in := Instr{
-			Op:  ops[rng.Intn(len(ops))],
-			Sz:  sizes[rng.Intn(len(sizes))],
-			Src: randOperand(srcModes),
-			Dst: randOperand(srcModes),
+			Op:   ops[rng.Intn(len(ops))],
+			Sz:   sizes[rng.Intn(len(sizes))],
+			Src:  randOperand(srcModes),
+			Dst:  randOperand(srcModes),
+			Mask: uint16(rng.Uint32()),
+			Dir:  uint8(rng.Intn(2)),
 		}
 		// Keep control transfers inside code space and avoid the
 		// memory-indirect JMP/JSR form pulling a wild target: point
@@ -302,17 +304,21 @@ const (
 // exec: MOVE/ADD/SUB/CMP/TST/CLR over every pair of register-relative
 // modes at every size, MOVE between each of those modes and a data
 // register, address register or immediate, and the six supervisor ops
-// with closures in both processor states — registers, SR, PC, both
-// stack pointers, accounting, memory, the device's access log and Kick
-// count, and the injector's tally. Mutation-checked against dispatch.go
-// and machine.go (PRs 21 and 22); each of these fails it: dropping the
-// destination checkUserAccess in the fused MOVE; stepping the fused
-// MOVE's source register after a faulting load instead of before;
-// letting load32/store32 take the RAM path at or above devFloor;
-// setting N/Z before the fused MOVE's store; writing the data register
-// before looking at the load's error in the long MOVE into Dn; setting
-// N/Z before the store in the long MOVE of a register or immediate to
-// memory.
+// with closures in both processor states, and the MOVEM block forms —
+// registers, SR, PC, both stack pointers, accounting, memory, the
+// device's access log and Kick count, and the injector's tally.
+// Mutation-checked against dispatch.go and machine.go (PRs 21, 22 and
+// 25); each of these fails it: dropping the destination
+// checkUserAccess in the fused MOVE; stepping the fused MOVE's source
+// register after a faulting load instead of before; letting
+// load32/store32 take the RAM path at or above devFloor; setting N/Z
+// before the fused MOVE's store; writing the data register before
+// looking at the load's error in the long MOVE into Dn; setting N/Z
+// before the store in the long MOVE of a register or immediate to
+// memory; charging a MOVEM block one memory reference short; dropping
+// the (An)+ or the -(An) write-back; stepping the -(An) base 4 short;
+// letting ramBlock admit a block past the end of RAM, past devFloor, or
+// outside the quaspace in user state.
 func TestDispatchMatchesExecDirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ref, xl := newDirSide(), newDirSide()
@@ -462,6 +468,74 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 		st := newState(n/6%2 == 0)
 		if d := dirDiff(ref, xl, in, st, image); d != "" {
 			t.Fatalf("%v from %+v:\n%s", in, *st, d)
+		}
+	}
+
+	// MOVEM, every form with a block body in both directions, 16 states
+	// for each way a block can meet the fast path: plain RAM, across the
+	// end of RAM, into the device window (straddling its floor or inside
+	// it), there with the injector faulting the block's direction, in
+	// user state with the quaspace cutting the block, and with the base
+	// register in the list.
+	const (
+		mvPlain = iota
+		mvRAMEnd
+		mvDev
+		mvDevFault
+		mvUser
+		mvBaseInList
+		mvCases
+	)
+	forms := []struct {
+		dir  uint8
+		mode AddrMode
+	}{
+		{0, ModeInd}, {0, ModePreDec}, {0, ModeDisp}, {0, ModeAbs},
+		{1, ModeInd}, {1, ModePostInc}, {1, ModeDisp}, {1, ModeAbs},
+	}
+	for _, f := range forms {
+		for n := 0; n < 16*mvCases; n++ {
+			c := n % mvCases
+			base := rng.Intn(8)
+			mask := uint16(rng.Intn(1 << 16))
+			if c == mvBaseInList {
+				mask |= 1 << (8 + base)
+			}
+			size := 4 * popcount16(mask)
+			o := operand(f.mode, base)
+			st := newState(c == mvUser || rng.Intn(2) == 0)
+			start := 0x400 + uint32(rng.Intn(0x400))
+			switch c {
+			case mvRAMEnd:
+				start = dirMem - uint32(rng.Intn(size+3))
+			case mvDev, mvDevFault:
+				start = dirDevBase + uint32(rng.Intn(dirDevSize)) - uint32(rng.Intn(size+1))
+			case mvUser:
+				cut := start + 4*uint32(rng.Intn(size/4+1))
+				if rng.Intn(2) == 0 {
+					st.UBase, st.ULimit = 0, cut
+				} else {
+					st.UBase, st.ULimit = cut, dirMem
+				}
+			}
+			switch f.mode {
+			case ModeInd, ModePostInc:
+				st.A[base] = start
+			case ModePreDec:
+				st.A[base] = start + uint32(size)
+			case ModeDisp:
+				st.A[base] = start - uint32(o.Imm)
+			case ModeAbs:
+				o.Imm = int32(start)
+			}
+			st.faultReads, st.faultWrites = c == mvDevFault && f.dir == 1, c == mvDevFault && f.dir == 0
+			in := Instr{Op: MOVEM, Mask: mask, Dir: f.dir, Src: o}
+			if f.dir == 0 {
+				in.Src, in.Dst = Operand{}, o
+			}
+			if d := dirDiff(ref, xl, in, st, image); d != "" {
+				t.Fatalf("%v (case %d) from %+v:\n%s", in, c, *st, d)
+			}
 		}
 	}
 }

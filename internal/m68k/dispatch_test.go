@@ -140,11 +140,12 @@ func (timer2) Base() uint32 { return IOBase + 0x600 }
 // TestRunEqualsSteps holds the machine's two step loops to each other:
 // Run's fast loop, which looks at nothing but the clock and its event
 // horizon, and Step are the same machine. One program drives every way
-// out of the fast loop — a timer interrupt landing in a spin, one
-// pending behind the mask until ANDSR drops it, STOP idling to the next
-// device event, a store to a NIC register that raises the receive
-// interrupt inside the storing instruction, traced instructions (one of
-// them running through cSlow), a subroutine in freshly grown code space,
+// out of the fast loop — a timer interrupt landing in a spin, three
+// pending behind the mask (the fast loop runs on under it) until ANDSR,
+// MOVETSR and RTE drop it, STOP idling to the next device event, a
+// store to a NIC register that raises the receive interrupt inside the
+// storing instruction, traced instructions (one of them running
+// through cSlow), a subroutine in freshly grown code space,
 // a bus fault, and a KCALL service that grows code space (relocating
 // Code and xcache under the running handler), patches a slot whose
 // translation is hot and then, in turn, posts an unmasked interrupt,
@@ -163,11 +164,13 @@ func (timer2) Base() uint32 { return IOBase + 0x600 }
 //
 // Mutation-checked against exec.go, machine.go and dispatch.go: it
 // fails with any one condition dropped from runHorizon (Probe, Trace,
-// halted, stopped, pendIRQ, T, nextPoll), and with any one horizon = 0
-// deleted — PostInterrupt's (the NIC store's interrupt lands late),
-// tickDevice's (the quantum does), applySR's (ORSR #T traces nothing),
-// STOP's (the program runs on without idling) and the KCALL return's
-// (the service's T and Probe are noticed late or never).
+// halted, stopped, deliverable interrupt, T, nextPoll), and with any one
+// horizon = 0 deleted — PostInterrupt's (the NIC store's interrupt
+// lands late), tickDevice's (the quantum does), applySR's for T (ORSR
+// #T traces nothing) and for a pending interrupt (the ones MOVETSR and
+// RTE unmask land late), STOP's (the program runs on without idling)
+// and the KCALL return's (the service's T and Probe are noticed late or
+// never).
 func TestRunEqualsSteps(t *testing.T) {
 	const (
 		timerCell = 0x4000 // count, then sum of D1, kept by the timer interrupt handler
@@ -269,12 +272,28 @@ func TestRunEqualsSteps(t *testing.T) {
 			count,                                       // 25: traced when the service set T
 			count,                                       // 26
 			{Op: ANDSR, Src: Imm(int32(^FlagT))},        // 27: ... and off again
-			{Op: DBRA, Src: D(4), Dst: Abs(base + patched)}, // 28
-			{Op: JSR, Dst: Ind(1)},                          // 29: into grown code space
-			{Op: MOVE, Src: D(3), Dst: Abs(0x2_0000)},       // 30: bus fault
-			{Op: NOT, Dst: D(5)},                            // 31: resumes here
-			{Op: DBRA, Src: D(6), Dst: Abs(base + 1)},       // 32: next pass
-			{Op: HALT}, // 33
+			{Op: DBRA, Src: D(4), Dst: Abs(base + patched)},        // 28
+			{Op: JSR, Dst: Ind(1)},                                 // 29: into grown code space
+			{Op: MOVE, Src: D(3), Dst: Abs(0x2_0000)},              // 30: bus fault
+			{Op: NOT, Dst: D(5)},                                   // 31: resumes here
+			{Op: ORSR, Src: Imm(0x0700)},                           // 32: mask again
+			{Op: MOVE, Src: Imm(40), Dst: quantum},                 // 33: pends behind the mask
+			{Op: MOVE, Src: Imm(30), Dst: D(0)},                    // 34
+			count,                                                  // 35: spin
+			{Op: DBRA, Src: D(0), Dst: Abs(base + 35)},             // 36
+			{Op: MOVETSR, Src: Imm(0x2000)},                        // 37: unmask; taken before 38
+			count,                                                  // 38
+			{Op: ORSR, Src: Imm(0x0700)},                           // 39
+			{Op: MOVE, Src: Imm(40), Dst: quantum},                 // 40
+			{Op: MOVE, Src: Imm(30), Dst: D(0)},                    // 41
+			count,                                                  // 42: spin
+			{Op: DBRA, Src: D(0), Dst: Abs(base + 42)},             // 43
+			{Op: MOVE, Src: Imm(int32(base + 47)), Dst: PreDec(7)}, // 44: a frame that returns
+			{Op: MOVE, Src: Imm(0x2000), Dst: PreDec(7)},           // 45: ... unmasked
+			{Op: RTE}, // 46: unmask; taken before 47
+			count,     // 47
+			{Op: DBRA, Src: D(6), Dst: Abs(base + 1)}, // 48: next pass
+			{Op: HALT}, // 49
 		})
 		calls := 0
 		late := &loopRecorder{}
@@ -374,13 +393,13 @@ func TestRunEqualsSteps(t *testing.T) {
 	}
 
 	ref, refLog, refMem := execute(bare, drivers[0].drive)
-	// The program did what the comment above says it does: per pass three
+	// The program did what the comment above says it does: per pass five
 	// timer interrupts, two instructions traced by ORSR and two by the
 	// service, a bus fault, a frame received, a posted interrupt and an
 	// alarm. The patched slot loads 1 the first time and ten times the
 	// number of KCALLs so far ever after.
 	const n = passes * kcalls
-	if want := [6]uint32{3 * passes, 4 * passes, passes, passes, passes, passes}; ref.counts != want || ref.serviceCalls != n {
+	if want := [6]uint32{5 * passes, 4 * passes, passes, passes, passes, passes}; ref.counts != want || ref.serviceCalls != n {
 		t.Fatalf("handlers ran %v times and the service %d; want %v and %d", ref.counts, ref.serviceCalls, want, n)
 	}
 	if want := uint32(1 + 10*(n-1)*n/2); ref.D[3] != want {

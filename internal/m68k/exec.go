@@ -173,9 +173,11 @@ func (m *Machine) Run(maxCycles uint64) error {
 // runHorizon returns the cycle up to which Run may execute without
 // consulting step(): 0 if any condition step() acts on holds now,
 // otherwise the earlier of the cycle limit and the next device event.
+// A masked interrupt is not such a condition (pendingLevel's rule,
+// without its search); applySR zeroes the horizon when SR changes under one.
 func (m *Machine) runHorizon(limit uint64) uint64 {
 	if m.Probe != nil || m.Trace != nil || m.halted || m.stopped ||
-		m.pendIRQ != 0 || m.SR&FlagT != 0 {
+		m.pendIRQ>>(m.IPL()+1)|m.pendIRQ>>7 != 0 || m.SR&FlagT != 0 {
 		return 0
 	}
 	if m.nextPoll != 0 && m.nextPoll < limit {
@@ -916,7 +918,8 @@ func (m *Machine) jumpTarget(o *Operand) (uint32, error) {
 
 // execMovem transfers the masked register set to or from memory.
 // Mask bits 0-7 select D0-D7, bits 8-15 select A0-A7. Registers are
-// transferred in ascending order at ascending addresses.
+// transferred in ascending order at ascending addresses, each address
+// checked against the quaspace just before its access.
 func (m *Machine) execMovem(in *Instr) error {
 	if in.Dir == 0 { // registers -> memory
 		addr, err := m.ea(&in.Dst, 4)
@@ -937,6 +940,9 @@ func (m *Machine) execMovem(in *Instr) error {
 			if r >= 8 {
 				v = m.A[r&7]
 			}
+			if err := m.checkUserAccess(addr); err != nil {
+				return err
+			}
 			if err := m.Store(addr, 4, v); err != nil {
 				return err
 			}
@@ -952,6 +958,9 @@ func (m *Machine) execMovem(in *Instr) error {
 	for r := 0; r < 16; r++ {
 		if in.Mask&(1<<uint(r)) == 0 {
 			continue
+		}
+		if err := m.checkUserAccess(addr); err != nil {
+			return err
 		}
 		v, err := m.Load(addr, 4)
 		if err != nil {
@@ -1013,6 +1022,9 @@ func (m *Machine) fpSrc(in *Instr) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
+		if err := m.checkUserAccess(addr); err != nil {
+			return 0, err
+		}
 		return m.loadF64(addr)
 	}
 }
@@ -1022,6 +1034,9 @@ func (m *Machine) execFP(in *Instr) error {
 		// fmove fpN,<ea>
 		addr, err := m.ea(&in.Dst, 8)
 		if err != nil {
+			return err
+		}
+		if err := m.checkUserAccess(addr); err != nil {
 			return err
 		}
 		return m.storeF64(addr, m.FP[in.Fp])
@@ -1065,6 +1080,9 @@ func (m *Machine) execFmovem(in *Instr) error {
 				continue
 			}
 			m.Cycles += cycFpuMovem
+			if err := m.checkUserAccess(addr); err != nil {
+				return err
+			}
 			if err := m.storeF64(addr, m.FP[r]); err != nil {
 				return err
 			}
@@ -1082,6 +1100,9 @@ func (m *Machine) execFmovem(in *Instr) error {
 			continue
 		}
 		m.Cycles += cycFpuMovem
+		if err := m.checkUserAccess(addr); err != nil {
+			return err
+		}
 		f, err := m.loadF64(addr)
 		if err != nil {
 			return err

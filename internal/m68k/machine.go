@@ -201,14 +201,15 @@ type Machine struct {
 
 	// horizon is the cycle up to which Run's fast loop may execute
 	// without testing anything else: runHorizon folds every condition
-	// step() acts on (probe, trace ring, halted, stopped, pending
+	// step() acts on (probe, trace ring, halted, stopped, deliverable
 	// interrupt, T bit, next device event, cycle limit) into it. One rule
 	// keeps it sound: whatever can make one of those conditions true
 	// while the loop runs zeroes the horizon, which ends the loop at the
 	// next instruction boundary, so every boundary stays an interrupt
 	// point. The sites are PostInterrupt, tickDevice where it lowers
-	// nextPoll, applySR when the new SR has T, STOP, and the return of a
-	// KCALL service, which may have written SR, Probe or Trace directly.
+	// nextPoll, applySR when the new SR has T or an interrupt is pending
+	// (the new mask may let it through), STOP, and the return of a KCALL
+	// service, which may have written SR, Probe or Trace directly.
 	// HALT and a double fault end Run with an error, and Run recomputes
 	// on entry, which covers whatever the host did between two calls.
 	horizon uint64
@@ -473,6 +474,17 @@ func (m *Machine) ram(addr uint32, sz int) bool {
 	return addr < m.devFloor && int(addr)+sz <= len(m.Mem)
 }
 
+// ramBlock reports whether the size-byte block at addr is plain RAM the
+// current state may touch: below devFloor, inside Mem and, in user
+// state, inside the quaspace (supervisor code pays one SR test).
+func (m *Machine) ramBlock(addr, size uint32) bool {
+	end := uint64(addr) + uint64(size)
+	if end > uint64(m.devFloor) || end > uint64(len(m.Mem)) {
+		return false
+	}
+	return m.SR&FlagS != 0 || m.ULimit == 0 || addr >= m.UBase && end <= uint64(m.ULimit)
+}
+
 // load8..store32 are Load and Store with the size resolved by the
 // caller (dispatch.go picks one per operand at translate time) and the
 // RAM case open-coded: same count, same charge, one bounds check and
@@ -617,7 +629,7 @@ func (m *Machine) enterSupervisor() {
 func (m *Machine) applySR(newSR uint16) {
 	wasS := m.SR&FlagS != 0
 	m.SR = newSR
-	if newSR&FlagT != 0 {
+	if newSR&FlagT != 0 || m.pendIRQ != 0 {
 		m.horizon = 0
 	}
 	isS := m.SR&FlagS != 0

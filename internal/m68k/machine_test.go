@@ -355,39 +355,88 @@ func TestBitOps(t *testing.T) {
 	}
 }
 
+// TestQuaspaceProtection: in user state restricted to [0x2000, 0x3000)
+// every memory operand is checked before its access — a MOVE's, and
+// MOVEM's, FMOVEM's and FMOVE's one register at a time in transfer
+// order, so a block that crosses either edge moves the registers before
+// the edge and faults at the first one past it.
 func TestQuaspaceProtection(t *testing.T) {
-	m := newM(t)
-	busErr := asmkit.New()
-	busErr.MoveL(m68k.Imm(0xbad), m68k.D(6))
-	busErr.Halt()
-	m.Poke(m.VBR+uint32(m68k.VecBusError)*4, 4, busErr.Link(m))
+	const (
+		faulted = 0x7000                 // set by the bus-error handler, outside the quaspace
+		d1, d2  = 0x12345678, 0x9abcdef0 // what D1 and D2 hold
+		pattern = 0xa0000000             // | address: what every long near the edges holds
+	)
+	word := func(m *m68k.Machine, a uint32) uint32 { return m.Peek(a, 4) }
+	cases := []struct {
+		name  string
+		body  func(b *asmkit.Builder)
+		fault bool
+		ok    func(m *m68k.Machine) bool
+	}{
+		{"move inside", func(b *asmkit.Builder) { b.MoveL(m68k.Imm(1), m68k.Abs(0x2800)) }, false,
+			func(m *m68k.Machine) bool { return word(m, 0x2800) == 1 }},
+		{"move outside", func(b *asmkit.Builder) { b.MoveL(m68k.Imm(1), m68k.Abs(0x4000)) }, true,
+			func(m *m68k.Machine) bool { return word(m, 0x4000) == 0 }},
+		{"movem.l d1,$4000", func(b *asmkit.Builder) { b.MovemSave(0x0002, m68k.Abs(0x4000)) }, true,
+			func(m *m68k.Machine) bool { return word(m, 0x4000) == 0 }},
+		{"movem.l d1-d2,$2ff8", func(b *asmkit.Builder) { b.MovemSave(0x0006, m68k.Abs(0x2ff8)) }, false,
+			func(m *m68k.Machine) bool { return word(m, 0x2ff8) == d1 && word(m, 0x2ffc) == d2 }},
+		{"movem.l d1-d2,$2ffc", func(b *asmkit.Builder) { b.MovemSave(0x0006, m68k.Abs(0x2ffc)) }, true,
+			func(m *m68k.Machine) bool { return word(m, 0x2ffc) == d1 && word(m, 0x3000) == pattern|0x3000 }},
+		{"movem.l d1-d2,-(a0) from $2004", func(b *asmkit.Builder) { b.MovemSave(0x0006, m68k.PreDec(0)) }, true,
+			func(m *m68k.Machine) bool {
+				return word(m, 0x1ffc) == pattern|0x1ffc && word(m, 0x2000) == pattern|0x2000
+			}},
+		{"movem.l $2ffc,d1-d2", func(b *asmkit.Builder) { b.MovemRest(m68k.Abs(0x2ffc), 0x0006) }, true,
+			func(m *m68k.Machine) bool { return m.D[1] == pattern|0x2ffc && m.D[2] == d2 }},
+		{"movem.l (a0)+,d1-d2 from $1ffc", func(b *asmkit.Builder) {
+			b.Lea(m68k.Abs(0x1ffc), 0)
+			b.MovemRest(m68k.PostInc(0), 0x0006)
+		}, true, func(m *m68k.Machine) bool { return m.D[1] == d1 && m.D[2] == d2 }},
+		{"fmovem fp0-fp1,$2ff4", func(b *asmkit.Builder) { b.FmovemSave(0x03, m68k.Abs(0x2ff4)) }, true,
+			func(m *m68k.Machine) bool {
+				return word(m, 0x2ff4) != pattern|0x2ff4 && word(m, 0x3000) == pattern|0x3000
+			}},
+		{"fmovem $1ff8,fp0", func(b *asmkit.Builder) { b.FmovemRest(m68k.Abs(0x1ff8), 0x01) }, true,
+			func(m *m68k.Machine) bool { return m.FP[0] == 1.5 }},
+		{"fmove fp0,$3000", func(b *asmkit.Builder) { b.FmoveFrom(0, m68k.Abs(0x3000)) }, true,
+			func(m *m68k.Machine) bool { return word(m, 0x3000) == pattern|0x3000 }},
+		{"fmove $1ff8,fp0", func(b *asmkit.Builder) { b.FmoveTo(m68k.Abs(0x1ff8), 0) }, true,
+			func(m *m68k.Machine) bool { return m.FP[0] == 1.5 }},
+	}
+	for _, c := range cases {
+		m := newM(t)
+		busErr := asmkit.New()
+		busErr.MoveL(m68k.Imm(1), m68k.Abs(faulted))
+		busErr.Halt()
+		m.Poke(m.VBR+uint32(m68k.VecBusError)*4, 4, busErr.Link(m))
+		for a := uint32(0x1ff0); a < 0x3010; a += 4 {
+			m.Poke(a, 4, pattern|a)
+		}
+		m.D[1], m.D[2], m.A[0], m.FP[0], m.FP[1] = d1, d2, 0x2004, 1.5, 2.5
 
-	// Enter user state restricted to [0x2000, 0x3000) and poke
-	// outside it.
-	b := asmkit.New()
-	b.MoveL(m68k.Imm(0x2000), m68k.D(0))
-	b.MovecTo(m68k.CtrlUBase, m68k.D(0))
-	b.MoveL(m68k.Imm(0x3000), m68k.D(0))
-	b.MovecTo(m68k.CtrlULimit, m68k.D(0))
-	b.MoveL(m68k.Imm(0x2800), m68k.D(0))
-	b.MovecTo(m68k.CtrlUSP, m68k.D(0))
-	// Drop to user state via hand-built frame.
-	b.MoveLabelL("user", m68k.PreDec(7))
-	b.MoveL(m68k.Imm(0), m68k.PreDec(7))
-	b.Rte()
-	b.Label("user")
-	b.MoveL(m68k.Imm(1), m68k.Abs(0x2800)) // inside: fine
-	b.MoveL(m68k.Imm(1), m68k.Abs(0x4000)) // outside: bus error
-	b.Halt()
-	run(t, m, b.Link(m))
-	if m.D[6] != 0xbad {
-		t.Error("out-of-quaspace access did not raise a bus error")
-	}
-	if m.Peek(0x2800, 4) != 1 {
-		t.Error("in-quaspace access failed")
-	}
-	if m.Peek(0x4000, 4) != 0 {
-		t.Error("out-of-quaspace store went through")
+		// Enter user state restricted to [0x2000, 0x3000) via a hand-built
+		// frame and run the case there.
+		b := asmkit.New()
+		b.MoveL(m68k.Imm(0x2000), m68k.D(0))
+		b.MovecTo(m68k.CtrlUBase, m68k.D(0))
+		b.MoveL(m68k.Imm(0x3000), m68k.D(0))
+		b.MovecTo(m68k.CtrlULimit, m68k.D(0))
+		b.MoveL(m68k.Imm(0x2800), m68k.D(0))
+		b.MovecTo(m68k.CtrlUSP, m68k.D(0))
+		b.MoveLabelL("user", m68k.PreDec(7))
+		b.MoveL(m68k.Imm(0), m68k.PreDec(7))
+		b.Rte()
+		b.Label("user")
+		c.body(b)
+		b.Halt()
+		run(t, m, b.Link(m))
+		if got := word(m, faulted) != 0; got != c.fault {
+			t.Errorf("%s: bus error %v, want %v", c.name, got, c.fault)
+		}
+		if !c.ok(m) {
+			t.Errorf("%s: moved the wrong registers or memory: D1=%#x D2=%#x FP0=%v", c.name, m.D[1], m.D[2], m.FP[0])
+		}
 	}
 }
 

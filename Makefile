@@ -4,13 +4,15 @@
 # byte-equal to bench/baseline); the wall-clock half is
 # `go run ./benchmark`, see docs/PERFORMANCE.md. `make race`, `soak`, `cluster-soak` and
 # `chaos-soak` are the bounded, seeded race-detector passes CI runs
-# after it (queues + packet ring + measurement plane, then the machine's
-# two step loops and its self-modifying-code tests in internal/m68k;
+# after it (queues + packet ring + measurement plane + fault plan and
+# injector, then the machine's two step loops and its
+# self-modifying-code tests in internal/m68k;
 # single-machine fault injection, the open/close churn plateau, the
 # declared synthesis keys checked against their templates and the block
 # copy preempted mid-group; 2-VM
 # fleet churn; 2-VM fleet under link faults and a partition/heal
-# cycle). `make examples` runs the six self-checking examples, each of
+# cycle, plus the fabric's held-frame queue and cut record driven directly:
+# throttle, delay, scripted and manual cuts). `make examples` runs the six self-checking examples, each of
 # which exits nonzero on failure. `make bench` runs the root Go
 # benchmarks once and then the dispatcher's inner loops for a second each (internal/m68k:
 # BenchmarkStepLoop, and BenchmarkCopyLoop beside BenchmarkMovemCopyLoop,
@@ -32,7 +34,7 @@ tier1:
 	$(GO) test -timeout 120s ./...
 
 race:
-	$(GO) test -race ./internal/queue/... ./internal/net/... ./internal/prof/... ./internal/metrics/...
+	$(GO) test -race ./internal/queue/... ./internal/net/... ./internal/prof/... ./internal/metrics/... ./internal/fault/...
 	$(GO) test -race -count 1 -run 'TestRunEqualsSteps|TestSelfModifyingCode|TestPatchHelpersInvalidate' ./internal/m68k
 
 soak:
@@ -51,7 +53,8 @@ FLIGHT_DIR ?= bench/flight
 
 chaos-soak:
 	FLIGHT_DIR=$(FLIGHT_DIR) $(GO) test -race -count 1 -timeout 180s \
-		-run 'TestChaosSoak|TestFabricDropAccountingExact' ./internal/cluster/
+		-run 'TestChaosSoak|TestFabricDropAccountingExact|TestThrottleBackpressure|TestLinkDelayHoldsAndReleases|TestScheduledPartition|TestManualCutHeal' \
+		./internal/cluster/
 
 examples:
 	set -e; for ex in quickstart audio lockfree codegen netecho procmetrics; do \

@@ -40,7 +40,7 @@ type clusterOpts struct {
 	intervalUS        float64
 	windows           int
 	metricsJSON, prom string
-	faults            fault.FleetPlan
+	faults            fault.Plan
 	timeout           time.Duration
 	maxResends        int
 	traceEvery        int

@@ -99,21 +99,18 @@ func main() {
 	defaultUsage := flag.Usage
 	flag.Usage = func() {
 		defaultUsage()
-		fmt.Fprintf(flag.CommandLine.Output(), "\n%s\n\n%s\n", fault.SpecHelp, fault.FleetSpecHelp)
+		fmt.Fprintf(flag.CommandLine.Output(), "\n%s\n", fault.SpecHelp)
 	}
 	flag.Parse()
 
-	var fleet fault.FleetPlan
-	if *faults != "" {
-		var err error
-		if fleet, err = fault.ParseFleet(*faults); err != nil {
-			fmt.Fprintf(os.Stderr, "quamon: %v\n%s\n%s\n", err, fault.SpecHelp, fault.FleetSpecHelp)
-			os.Exit(2)
-		}
-		if fleet.FleetOnly() && !*clusterMode {
-			fmt.Fprintln(os.Stderr, "quamon: link=/part=/vmfault= clauses need -cluster")
-			os.Exit(2)
-		}
+	plan, err := fault.Parse(*faults)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "quamon: %v\n%s\n", err, fault.SpecHelp)
+		os.Exit(2)
+	}
+	if plan.Fleet() && !*clusterMode {
+		fmt.Fprintln(os.Stderr, "quamon: link=/part=/vmfault= clauses need -cluster")
+		os.Exit(2)
 	}
 
 	if *program != "" && !*watch {
@@ -142,13 +139,14 @@ func main() {
 			vms: *vms, conns: *conns, churn: *churn, seed: *seed,
 			listen: *listen, intervalUS: iv, windows: *windows,
 			metricsJSON: *metricsJSON, prom: *promOut,
-			faults: fleet, timeout: *timeout, maxResends: *maxResends,
+			faults: plan, timeout: *timeout, maxResends: *maxResends,
 			traceEvery: *traceEvery, traceJSON: *traceJSON, flight: *flight,
 		}))
 	}
 	if *watch {
-		os.Exit(runWatch(*intervalUS, *windows, *program, int32(*iters),
-			*faults, *faultSeed, *metricsJSON, *promOut))
+		_, rc := runWatch(*intervalUS, *windows, *program, int32(*iters),
+			plan, *faultSeed, *metricsJSON, *promOut)
+		os.Exit(rc)
 	}
 
 	cfg := m68k.Sun3Config()
@@ -164,8 +162,8 @@ func main() {
 	unixemu.Install(k)
 	_ = io
 	var inj *fault.Injector
-	if *faults != "" {
-		inj, _ = fault.FromSpec(*faults, *faultSeed) // validated above
+	if !plan.Empty() {
+		inj = fault.New(plan, *faultSeed)
 		inj.Attach(k.M)
 	}
 

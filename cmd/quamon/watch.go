@@ -94,8 +94,9 @@ func resolveProgram(program string, iters int32) (*asmkit.Builder, string, error
 	return b, program, nil
 }
 
-// runWatch is the -watch entry point; returns the process exit code.
-func runWatch(intervalUS float64, windows int, program string, iters int32, faults string, faultSeed int64, metricsJSON, promOut string) int {
+// runWatch is the -watch entry point; returns the monitored kernel and
+// the process exit code.
+func runWatch(intervalUS float64, windows int, program string, iters int32, faults fault.Plan, faultSeed int64, metricsJSON, promOut string) (*kernel.Kernel, int) {
 	reg := metrics.New()
 	cfg := m68k.Sun3Config()
 	k := kernel.Boot(kernel.Config{
@@ -107,15 +108,14 @@ func runWatch(intervalUS float64, windows int, program string, iters int32, faul
 	io := kio.Install(k)
 	unixemu.Install(k)
 	io.InstallWatchdog(kio.DefaultWatchdogConfig())
-	if faults != "" {
-		inj, _ := fault.FromSpec(faults, faultSeed) // validated by the caller
-		inj.Attach(k.M)
+	if !faults.Empty() {
+		fault.New(faults, faultSeed).Attach(k.M)
 	}
 	// Name strings, scratch buffer, and the benchmark file the named
 	// (and hand-assembled) workloads expect.
 	if err := bench.PrepareWatchKernel(k); err != nil {
 		fmt.Fprintf(os.Stderr, "quamon: watch: %v\n", err)
-		return 1
+		return k, 1
 	}
 	for i := uint32(0); i < watchPayload; i += 4 {
 		k.M.Poke(watchBufA+i, 4, 0x5a5a0000+i)
@@ -124,7 +124,7 @@ func runWatch(intervalUS float64, windows int, program string, iters int32, faul
 	b, progName, err := resolveProgram(program, iters)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "quamon: -program %v\n", err)
-		return 2
+		return k, 2
 	}
 	entry := b.Link(k.M)
 	if k.Prof != nil {
@@ -152,10 +152,10 @@ func runWatch(intervalUS float64, windows int, program string, iters int32, faul
 		}
 		if !errors.Is(err, m68k.ErrCycleLimit) {
 			fmt.Fprintf(os.Stderr, "quamon: watch: %v\n", err)
-			return 1
+			return k, 1
 		}
 	}
-	return exportSnapshot(reg.Snapshot(), metricsJSON, promOut)
+	return k, exportSnapshot(reg.Snapshot(), metricsJSON, promOut)
 }
 
 // printWindow streams one delta: the busiest counters as rates, any

@@ -58,11 +58,13 @@ func main() {
 	}
 	flag.Parse()
 
-	if *faults != "" {
-		if _, err := fault.Parse(*faults); err != nil {
-			fmt.Fprintf(os.Stderr, "synbench: %v\n%s\n", err, fault.SpecHelp)
-			os.Exit(2)
-		}
+	plan, err := fault.Parse(*faults)
+	if err == nil && plan.Fleet() {
+		err = fmt.Errorf("link=/part=/vmfault= clauses need a fleet (quamon -cluster)")
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "synbench: %v\n%s\n", err, fault.SpecHelp)
+		os.Exit(2)
 	}
 
 	if *profileRun != "" {

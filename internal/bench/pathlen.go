@@ -27,9 +27,15 @@ type queueGeom struct {
 }
 
 // synthFig2Put emits Q_put(data=D1) for one item; returns in D0 the
-// value 1 on success, 0 on queue-full.
-func synthFig2Put(c *synth.Creator, g queueGeom) uint32 {
-	return c.Synthesize(nil, "fig2_qput", nil, func(e *synth.Emitter) {
+// value 1 on success, 0 on queue-full. A nonzero interfere places a
+// KCALL to that service between the read of Q_head and the CAS: the
+// point where a competing processor's claim forces one retry.
+func synthFig2Put(c *synth.Creator, g queueGeom, interfere uint8) uint32 {
+	name := "fig2_qput"
+	if interfere != 0 {
+		name += "_interfered"
+	}
+	return c.Synthesize(nil, name, nil, func(e *synth.Emitter) {
 		e.Label("retry")
 		e.MoveL(m68k.Abs(g.head), m68k.D(0)) // h = Q_head
 		e.MoveL(m68k.D(0), m68k.D(2))        // hi = AddWrap(h, 1)
@@ -40,6 +46,9 @@ func synthFig2Put(c *synth.Creator, g queueGeom) uint32 {
 		e.Label("nowrap")
 		e.Cmp(4, m68k.Abs(g.tail), m68k.D(2)) // SpaceLeft(h) > 0 ?
 		e.Beq("full")
+		if interfere != 0 {
+			e.Kcall(interfere) // not counted: see PathLengths
+		}
 		e.Cas(4, 0, 2, m68k.Abs(g.head)) // stake the claim
 		e.Bne("retry")
 		// Fill the claimed slot, then publish it through the flag
@@ -85,7 +94,7 @@ func PathLengths() (Table, error) {
 		flags: heapAlloc(64),
 		size:  64,
 	}
-	put := synthFig2Put(k.C, g)
+	put := synthFig2Put(k.C, g, 0)
 	stack := heapAlloc(256) + 256
 
 	// Instruction-count a call: run from a jsr stub to completion.
@@ -132,8 +141,9 @@ func PathLengths() (Table, error) {
 	// One retry: a hook on the CAS instruction's first execution
 	// advances Q_head underneath the producer, exactly what a
 	// competing processor's successful claim does.
+	const competitor = 120 // the KCALL service standing in for the other processor
 	interfered := false
-	m.RegisterService(120, func(mm *m68k.Machine) uint64 {
+	m.RegisterService(competitor, func(mm *m68k.Machine) uint64 {
 		if !interfered {
 			interfered = true
 			h := mm.Peek(g.head, 4)
@@ -145,33 +155,7 @@ func PathLengths() (Table, error) {
 		}
 		return 0
 	})
-	// Wrap the put with an interfering twin: patch is intrusive, so
-	// instead synthesize a variant whose retry-point is instrumented.
-	putI := k.C.Synthesize(nil, "fig2_qput_interfered", nil, func(e *synth.Emitter) {
-		e.Label("retry")
-		e.MoveL(m68k.Abs(g.head), m68k.D(0))
-		e.MoveL(m68k.D(0), m68k.D(2))
-		e.AddL(m68k.Imm(1), m68k.D(2))
-		e.CmpL(m68k.Imm(g.size), m68k.D(2))
-		e.Bne("nowrap")
-		e.Clr(4, m68k.D(2))
-		e.Label("nowrap")
-		e.Cmp(4, m68k.Abs(g.tail), m68k.D(2))
-		e.Beq("full")
-		e.Kcall(120) // the competing processor strikes here (not counted below)
-		e.Cas(4, 0, 2, m68k.Abs(g.head))
-		e.Bne("retry")
-		e.Lea(m68k.Abs(g.buf), 0)
-		e.MoveB(m68k.D(1), m68k.Idx(0, 0, 0, 1))
-		e.Lea(m68k.Abs(g.flags), 0)
-		e.MoveB(m68k.Imm(1), m68k.Idx(0, 0, 0, 1))
-		e.MoveL(m68k.Imm(1), m68k.D(0))
-		e.Rts()
-		e.Label("full")
-		e.Clr(4, m68k.D(0))
-		e.Rts()
-	})
-	put = putI
+	put = synthFig2Put(k.C, g, competitor)
 	interfered = false
 	n2, err := countPut()
 	if err != nil {

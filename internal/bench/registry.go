@@ -71,10 +71,10 @@ func Names() []string {
 }
 
 // Run generates the named table. A non-empty cfg.FaultSpec is parsed
-// with the single-machine grammar and staged for every rig booted
-// while the table generates (see attachFaults in rig.go); the fleet
-// clauses (link=/part=/vmfault=) need a fabric, which no table owns,
-// and are rejected as unknown keys.
+// and its machine items staged for every rig booted while the table
+// generates (see attachFaults in rig.go); the fleet clauses
+// (link=/part=/vmfault=) need a fabric, which no table owns, and are
+// rejected.
 func Run(name string, cfg RunConfig) (Table, error) {
 	fn, ok := registry[name]
 	if !ok {
@@ -84,6 +84,9 @@ func Run(name string, cfg RunConfig) (Table, error) {
 		plan, err := fault.Parse(cfg.FaultSpec)
 		if err != nil {
 			return Table{}, err
+		}
+		if plan.Fleet() {
+			return Table{}, fmt.Errorf("bench: fault spec %q: link=/part=/vmfault= clauses need a fleet", cfg.FaultSpec)
 		}
 		activeFaults, activeFaultSeed = &plan, cfg.FaultSeed
 		defer func() { activeFaults = nil }()

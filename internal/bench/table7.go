@@ -77,7 +77,7 @@ func buildSockARQ(b *asmkit.Builder, iters int32) {
 // retransmission count and the injector's wire statistics.
 func runARQ(rate float64, seed int64, iters int32) (us float64, retx uint32, st fault.Stats, err error) {
 	r := NewSynthRig()
-	inj := fault.New(fault.Plan{Drop: rate}, seed)
+	inj := fault.New(fault.Plan{Wire: fault.Wire{Drop: rate}}, seed)
 	inj.Attach(r.Machine())
 	us, err = runMarked(r, 4_000_000_000, func(b *asmkit.Builder) {
 		buildSockARQ(b, iters)

@@ -65,10 +65,10 @@ type Config struct {
 	// Seed fixes the payload padding generator (and, xored with a
 	// plane constant, the fault plane's draws).
 	Seed int64
-	// Faults is the fleet fault schedule: per-link fabric rules,
-	// scripted partitions, and per-VM injector plans (see
-	// fault.FleetSpecHelp). The zero value injects nothing.
-	Faults fault.FleetPlan
+	// Faults is the fault schedule: machine items for every member's
+	// injector, per-link fabric rules, scripted partitions, and per-VM
+	// plans (see fault.SpecHelp). The zero value injects nothing.
+	Faults fault.Plan
 	// Metrics is the shared registry; each VM registers under a
 	// vm<i>. prefix. A fresh registry is created when nil.
 	Metrics *metrics.Registry
@@ -317,18 +317,10 @@ func (c *Cluster) bootVM(id int) *VM {
 	c.Reg.SampleGauge(fmt.Sprintf("cluster.fabric.vm%d.ingress_depth", id),
 		func() float64 { return float64(vm.ingress.Len()) })
 
-	// Compose the member's own fault injector: the Base plan (plain
-	// single-machine clauses apply fleet-wide) overlaid with this VM's
-	// vmfault= clause. The injector runs inside the driver goroutine
+	// The member's own fault injector runs inside the driver goroutine
 	// under vm.mu, so its stats are safe to sample from
 	// Cluster.Snapshot, which quiesces every VM.
-	plan := c.cfg.Faults.Base
-	for _, vf := range c.cfg.Faults.VMFaults {
-		if vf.VM == id {
-			plan = fault.Merge(plan, vf.Plan)
-		}
-	}
-	if !plan.Empty() {
+	if plan := c.cfg.Faults.VM(id); !plan.Empty() {
 		inj := fault.New(plan, c.cfg.Seed+int64(id))
 		inj.Attach(k.M)
 		pfx := fmt.Sprintf("vm%d.fault.", id)
@@ -436,7 +428,7 @@ func (c *Cluster) Start() {
 	c.fp.mu.Lock()
 	c.fp.epoch = time.Now()
 	c.fp.mu.Unlock()
-	if c.fp.timed() {
+	if c.fp.timed {
 		c.wg.Add(1)
 		go c.faultPump()
 	}

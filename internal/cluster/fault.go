@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"container/heap"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,8 +22,8 @@ import (
 // Fault semantics at the fabric mirror the single-machine injector's
 // wire semantics: silent loss (drop, partition) returns true to the
 // transmitter — a network does not tell you it ate your frame; that is
-// what timeouts and resends are for — while throttle-queue overflow
-// returns false, because a saturated link is backpressure the sender's
+// what timeouts and resends are for — while a full throttle refuses
+// with false, because a saturated link is backpressure the sender's
 // bounded-retry path is built to see. Accounting is conservative and
 // exact: after Stop,
 //
@@ -33,9 +34,13 @@ import (
 //
 // (TestChaosSoak asserts this identity across a partition/heal cycle.)
 
-// throttleSlots bounds each rate-limited rule's pending queue; a full
-// queue refuses frames (transmitter-visible backpressure).
+// throttleSlots bounds the frames a rate-limited rule holds; past it
+// the rule refuses (transmitter-visible backpressure).
 const throttleSlots = 64
+
+// throttleBurst is how far ahead of its slot a throttled frame may
+// leave: with slots 1/Rate apart, a burst of 1 + Rate/100 frames.
+const throttleBurst = 10 * time.Millisecond
 
 // reorderHoldMin/Max bracket how long a reordered frame is held so
 // that frames behind it overtake.
@@ -51,77 +56,75 @@ type healEvent struct {
 	vms map[int]bool // member VMs the cut severed from the host
 }
 
-// pending is one frame held by the plane (delay, reorder) with its
-// release time.
+// pending is one frame the plane holds — delayed, reordered or
+// throttled — until its due time.
 type pending struct {
 	due time.Time
 	dst int
 	f   net.Frame
 }
 
-// pendingHeap is a min-heap on due time.
-type pendingHeap []pending
-
-func (h pendingHeap) Len() int           { return len(h) }
-func (h pendingHeap) Less(i, j int) bool { return h[i].due.Before(h[j].due) }
-func (h pendingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pendingHeap) Push(x any)        { *h = append(*h, x.(pending)) }
-func (h *pendingHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// linkState is one rule's runtime state: the seeded draws come from
-// the plane RNG; the token bucket paces a rate-limited rule.
+// linkState is one rule's runtime state: next is the throttle's next
+// free release slot.
 type linkState struct {
-	rule   fault.LinkRule
-	tokens float64
-	filled time.Time // last token refill
-	queue  []pending // throttle backlog (due is meaningless here)
+	rule fault.Link
+	next time.Time
 }
 
-// cutRec is one active cut. Scheduled cuts are owned by their schedule
-// entry; manual cuts (Cluster.Cut) live until Heal.
+// slots gives n frames consecutive release slots 1/Rate apart and
+// returns when the last may leave: up to throttleBurst before its slot,
+// never before now. It takes no slot and reports false when the rule
+// would then hold more than throttleSlots frames.
+func (ls *linkState) slots(now time.Time, n int) (time.Time, bool) {
+	gap := time.Duration(float64(time.Second) / ls.rule.Rate)
+	next := ls.next
+	if next.Before(now) {
+		next = now
+	}
+	next = next.Add(time.Duration(n) * gap)
+	at := next.Add(-gap - throttleBurst)
+	if at.Sub(now) > throttleSlots*gap {
+		return at, false
+	}
+	ls.next = next
+	if at.Before(now) {
+		return now, true
+	}
+	return at, true
+}
+
+// cutRec is one cut, scripted (part=) or manual (Cluster.Cut): every
+// link between a and b is severed until heal, which is zero for a
+// manual cut until Heal.
 type cutRec struct {
-	a, b   map[int]bool
-	manual bool
+	a, b []int
+	heal time.Time
 }
 
 // severs reports whether the cut separates src from dst (either
 // direction).
 func (c *cutRec) severs(src, dst int) bool {
-	return (c.a[src] && c.b[dst]) || (c.a[dst] && c.b[src])
+	return (slices.Contains(c.a, src) && slices.Contains(c.b, dst)) ||
+		(slices.Contains(c.a, dst) && slices.Contains(c.b, src))
 }
 
 // hostSevered returns the member VMs this cut separates from the host.
 func (c *cutRec) hostSevered() map[int]bool {
-	var far map[int]bool
+	far := c.b
 	switch {
-	case c.a[net.HostNode]:
-		far = c.b
-	case c.b[net.HostNode]:
+	case slices.Contains(c.a, net.HostNode):
+	case slices.Contains(c.b, net.HostNode):
 		far = c.a
 	default:
 		return nil
 	}
 	out := make(map[int]bool, len(far))
-	for n := range far {
+	for _, n := range far {
 		if n != net.HostNode {
 			out[n] = true
 		}
 	}
 	return out
-}
-
-// schedState tracks one scripted partition through pending -> active
-// -> healed.
-type schedState struct {
-	part fault.Partition
-	cut  *cutRec // non-nil while active
-	done bool
 }
 
 // faultPlane is the fabric's fault machinery. All state is guarded by
@@ -130,14 +133,15 @@ type schedState struct {
 type faultPlane struct {
 	c       *Cluster
 	enabled atomic.Bool
+	timed   bool // needs the pump: a scripted window or a rule that holds frames
 
 	mu    sync.Mutex
 	rng   *rand.Rand
 	links []*linkState
 	cuts  []*cutRec
-	sched []*schedState
-	epoch time.Time // set at Start; the schedule's t=0
-	delay pendingHeap
+	parts []fault.Partition // scripted windows not yet begun
+	epoch time.Time         // set at Start; the schedule's t=0
+	held  []pending         // every held frame, in due order
 
 	healCh chan healEvent
 
@@ -156,10 +160,12 @@ type faultPlane struct {
 // newFaultPlane builds the plane from a plan. Always constructed (so
 // Cut/Heal work on any cluster); enabled only once it has something to
 // do.
-func newFaultPlane(c *Cluster, plan fault.FleetPlan, seed int64) *faultPlane {
+func newFaultPlane(c *Cluster, plan fault.Plan, seed int64) *faultPlane {
 	fp := &faultPlane{
 		c:      c,
 		rng:    rand.New(rand.NewSource(seed ^ 0x5eed_fab1)),
+		parts:  slices.Clone(plan.Partitions),
+		timed:  len(plan.Partitions) > 0,
 		healCh: make(chan healEvent, 16),
 
 		mLinkDropped:     c.Reg.Counter("cluster.fault.link.dropped"),
@@ -174,40 +180,18 @@ func newFaultPlane(c *Cluster, plan fault.FleetPlan, seed int64) *faultPlane {
 		mHeals:           c.Reg.Counter("cluster.fault.heals"),
 	}
 	for _, r := range plan.Links {
-		fp.links = append(fp.links, &linkState{rule: r, tokens: 1})
-	}
-	for _, p := range plan.Partitions {
-		fp.sched = append(fp.sched, &schedState{part: p})
+		fp.links = append(fp.links, &linkState{rule: r})
+		fp.timed = fp.timed || r.Delay > 0 || r.Reorder > 0 || r.Rate > 0
 	}
 	c.Reg.SampleGauge("cluster.fault.active_cuts", func() float64 {
 		fp.mu.Lock()
 		defer fp.mu.Unlock()
 		return float64(len(fp.cuts))
 	})
-	if len(fp.links) > 0 || len(fp.sched) > 0 {
+	if len(fp.links) > 0 || len(fp.parts) > 0 {
 		fp.enabled.Store(true)
 	}
 	return fp
-}
-
-// timed reports whether the plane needs the pump goroutine: scripted
-// partitions or any rule that holds frames for later delivery.
-func (fp *faultPlane) timed() bool {
-	if len(fp.sched) > 0 {
-		return true
-	}
-	for _, l := range fp.links {
-		r := l.rule
-		if r.Delay > 0 || r.Reorder > 0 || r.Rate > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// hit draws one Bernoulli trial; callers hold mu.
-func (fp *faultPlane) hit(p float64) bool {
-	return p > 0 && fp.rng.Float64() < p
 }
 
 // transit applies the plane to one frame from src toward dst (dst is
@@ -237,80 +221,53 @@ func (fp *faultPlane) transit(src, dst int, f *net.Frame) (deliver, ok bool) {
 	if ls == nil {
 		return true, true
 	}
-	r := ls.rule
+	r := &ls.rule
 
-	if fp.hit(r.Drop) {
+	drop, corrupt, delay, dup := r.Draw(fp.rng)
+	if drop {
 		fp.mLinkDropped.Inc()
 		return false, true // silent wire loss
 	}
-	if fp.hit(r.Corrupt) {
+	if corrupt {
 		fp.corrupt(f)
 		fp.mLinkCorrupted.Inc()
 	}
-	extra := fp.hit(r.Dup)
-	if extra {
+	n := 1
+	if dup {
+		n = 2
 		fp.mLinkDuplicated.Inc()
 	}
 
-	// Hold-back faults: the frame (and its dup) leaves through the
-	// delay heap instead of the fast path.
-	var hold time.Duration
+	// Every hold is a due time in the one held queue; the frame and its
+	// dup leave together, after anything due no later.
+	due := now
 	switch {
-	case fp.hit(r.Delay):
-		hold = r.DelayFor
+	case delay:
+		due = now.Add(time.Duration(r.Hold))
 		fp.mLinkDelayed.Inc()
-	case fp.hit(r.Reorder):
+	case r.Reorder > 0 && fp.rng.Float64() < r.Reorder:
 		span := float64(reorderHoldMax - reorderHoldMin)
-		hold = reorderHoldMin + time.Duration(fp.rng.Float64()*span)
+		due = now.Add(reorderHoldMin + time.Duration(fp.rng.Float64()*span))
 		fp.mLinkReordered.Inc()
-	}
-	if hold > 0 {
-		heap.Push(&fp.delay, pending{due: now.Add(hold), dst: dst, f: *f})
-		if extra {
-			heap.Push(&fp.delay, pending{due: now.Add(hold), dst: dst, f: *f})
-		}
-		return false, true
-	}
-
-	if r.Rate > 0 {
-		n := 1
-		if extra {
-			n = 2
-		}
-		if !fp.admit(ls, now, n) {
+	case r.Rate > 0:
+		if due, ok = ls.slots(now, n); !ok {
 			// Count every refused frame (the dup too) so the
 			// conservation identity stays exact.
 			fp.mThrottleRefused.Add(uint64(n))
 			return false, false // saturated link: visible backpressure
 		}
-		if ls.tokens >= float64(n) && len(ls.queue) == 0 {
-			ls.tokens -= float64(n)
-		} else {
-			for i := 0; i < n; i++ {
-				ls.queue = append(ls.queue, pending{dst: dst, f: *f})
-			}
-			return false, true // queued; the pump releases it
-		}
+	}
+	if due.After(now) {
+		i := sort.Search(len(fp.held), func(i int) bool { return fp.held[i].due.After(due) })
+		fp.held = slices.Insert(fp.held, i, slices.Repeat([]pending{{due, dst, *f}}, n)...)
+		return false, true // the pump releases it
 	}
 
-	if extra {
+	if dup {
 		// Deliver the dup inline; the original goes out via route.
 		fp.c.deliver(dst, *f)
 	}
 	return true, true
-}
-
-// admit refills the rule's token bucket and reports whether n more
-// frames fit in bucket+queue. Callers hold mu.
-func (fp *faultPlane) admit(ls *linkState, now time.Time, n int) bool {
-	if !ls.filled.IsZero() {
-		ls.tokens += now.Sub(ls.filled).Seconds() * ls.rule.Rate
-		if burst := 1 + ls.rule.Rate/100; ls.tokens > burst {
-			ls.tokens = burst
-		}
-	}
-	ls.filled = now
-	return len(ls.queue)+n <= throttleSlots
 }
 
 // corrupt flips one bit in the checksum/payload region, copying the
@@ -327,45 +284,29 @@ func (fp *faultPlane) corrupt(f *net.Frame) {
 	f.Payload = p
 }
 
-// step runs the time-driven machinery once: schedule transitions,
-// due delayed frames, throttle release. Called by the pump and driven
+// step runs the time-driven machinery once: scripted windows open,
+// due cuts heal, due held frames leave. Called by the pump and driven
 // directly (with a synthetic clock) by tests.
 func (fp *faultPlane) step(now time.Time) {
 	fp.mu.Lock()
 
-	// Scripted partition transitions.
-	for _, s := range fp.sched {
-		since := now.Sub(fp.epoch)
-		if s.cut == nil && !s.done && since >= s.part.From && since < s.part.To {
-			s.cut = &cutRec{a: nodeSet(s.part.A), b: nodeSet(s.part.B)}
-			fp.cuts = append(fp.cuts, s.cut)
-			fp.mCuts.Inc()
-		}
-		if s.cut != nil && since >= s.part.To {
-			fp.removeCut(s.cut, now)
-			s.cut = nil
-			s.done = true
+	// A window first seen after its end never cuts.
+	since := now.Sub(fp.epoch)
+	waiting := fp.parts[:0]
+	for _, p := range fp.parts {
+		switch {
+		case since < p.From:
+			waiting = append(waiting, p)
+		case since < p.To:
+			fp.cut(p.A, p.B, fp.epoch.Add(p.To))
 		}
 	}
+	fp.parts = waiting
+	fp.heal(now)
 
-	// Due held frames.
-	var out []pending
-	for len(fp.delay) > 0 && !fp.delay[0].due.After(now) {
-		out = append(out, heap.Pop(&fp.delay).(pending))
-	}
-
-	// Throttle release, one rule at a time.
-	for _, ls := range fp.links {
-		if ls.rule.Rate == 0 || len(ls.queue) == 0 {
-			continue
-		}
-		fp.admit(ls, now, 0)
-		for len(ls.queue) > 0 && ls.tokens >= 1 {
-			ls.tokens--
-			out = append(out, ls.queue[0])
-			ls.queue = ls.queue[1:]
-		}
-	}
+	n := sort.Search(len(fp.held), func(i int) bool { return fp.held[i].due.After(now) })
+	out := slices.Clone(fp.held[:n])
+	fp.held = slices.Delete(fp.held, 0, n)
 	fp.mu.Unlock()
 
 	// Deliver outside the lock: deliver takes ring paths and counters
@@ -375,21 +316,29 @@ func (fp *faultPlane) step(now time.Time) {
 	}
 }
 
-// removeCut drops one cut record and emits its heal event; callers
-// hold mu.
-func (fp *faultPlane) removeCut(cut *cutRec, now time.Time) {
-	for i, c := range fp.cuts {
-		if c == cut {
-			fp.cuts = append(fp.cuts[:i], fp.cuts[i+1:]...)
-			break
+// cut severs every link between node sets a and b until heal (zero:
+// until Heal); callers hold mu.
+func (fp *faultPlane) cut(a, b []int, heal time.Time) {
+	fp.cuts = append(fp.cuts, &cutRec{a: slices.Clone(a), b: slices.Clone(b), heal: heal})
+	fp.mCuts.Inc()
+}
+
+// heal removes every cut whose heal time has come and emits its heal
+// event; callers hold mu.
+func (fp *faultPlane) heal(now time.Time) {
+	live := fp.cuts[:0]
+	for _, c := range fp.cuts {
+		if c.heal.IsZero() || now.Before(c.heal) {
+			live = append(live, c)
+			continue
+		}
+		fp.mHeals.Inc()
+		select {
+		case fp.healCh <- healEvent{at: now, vms: c.hostSevered()}:
+		default: // nobody draining (manually driven fleet): drop the event
 		}
 	}
-	fp.mHeals.Inc()
-	ev := healEvent{at: now, vms: cut.hostSevered()}
-	select {
-	case fp.healCh <- ev:
-	default: // nobody draining (manually driven fleet): drop the event
-	}
+	fp.cuts = live
 }
 
 // flush discards everything still held once the fleet has stopped
@@ -398,22 +347,8 @@ func (fp *faultPlane) removeCut(cut *cutRec, now time.Time) {
 func (fp *faultPlane) flush() {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
-	n := uint64(len(fp.delay))
-	fp.delay = nil
-	for _, ls := range fp.links {
-		n += uint64(len(ls.queue))
-		ls.queue = nil
-	}
-	fp.mFlushed.Add(n)
-}
-
-// nodeSet builds a membership set.
-func nodeSet(ids []int) map[int]bool {
-	m := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
+	fp.mFlushed.Add(uint64(len(fp.held)))
+	fp.held = nil
 }
 
 // faultPump is the plane's goroutine: it executes the partition
@@ -440,26 +375,22 @@ func (c *Cluster) faultPump() {
 // precisely.
 func (c *Cluster) Cut(a, b []int) {
 	c.fp.mu.Lock()
-	c.fp.cuts = append(c.fp.cuts, &cutRec{a: nodeSet(a), b: nodeSet(b), manual: true})
-	c.fp.mCuts.Inc()
+	c.fp.cut(a, b, time.Time{})
 	c.fp.mu.Unlock()
 	c.fp.enabled.Store(true)
 }
 
-// Heal removes every manual cut, stamping the heal so the load
+// Heal heals every manual cut now, stamping the heal so the load
 // generator can measure each affected connection's time to first
 // reply. Scheduled (part=) cuts heal on their own schedule.
 func (c *Cluster) Heal() {
 	now := time.Now()
 	c.fp.mu.Lock()
-	var manual []*cutRec
 	for _, cut := range c.fp.cuts {
-		if cut.manual {
-			manual = append(manual, cut)
+		if cut.heal.IsZero() {
+			cut.heal = now
 		}
 	}
-	for _, cut := range manual {
-		c.fp.removeCut(cut, now)
-	}
+	c.fp.heal(now)
 	c.fp.mu.Unlock()
 }

@@ -14,7 +14,7 @@ import (
 
 func fleetConfig(t *testing.T, vms int, spec string) Config {
 	t.Helper()
-	plan, err := fault.ParseFleet(spec)
+	plan, err := fault.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

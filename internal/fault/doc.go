@@ -10,10 +10,12 @@
 // schedule replays exactly: a failing soak run is a repro, not an
 // anecdote.
 //
-// Schedules are built programmatically (the typed Spurious, Storm,
-// BusErr, ... specs) or parsed from the compact command-line grammar
-// shared by quamon and synbench's -faults flag (see SpecHelp and
-// FromSpec), e.g. "spurious=7:20000,buserr=disk@3". The injector's
+// A Plan is built programmatically or by Parse from the one grammar
+// that -faults and cluster.Config.Faults share (SpecHelp), e.g.
+// "spurious=7:20000,buserr=disk@3"; New(plan, seed) builds its
+// injector. The same Plan carries the fleet clauses internal/cluster
+// executes, and a fabric link decides its drop, corrupt, dup and delay
+// with the same Wire.Draw as the NIC injector. The injector's
 // Stats and the kernel's recovery counters (kernel.spurious_irq,
 // kio.net.recovery_events, ...) land in the metrics registry, so a
 // seeded soak can assert both that faults fired and that the kernel

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	"time"
 
 	"synthesis/internal/m68k"
 )
@@ -30,21 +31,105 @@ type BusErr struct {
 	Nth uint64
 }
 
-// Plan is a complete fault schedule. Probabilities are per-event
-// Bernoulli draws in [0,1]; zero values inject nothing.
-type Plan struct {
-	Drop     float64 // P(frame lost on the wire)
-	Corrupt  float64 // P(one frame byte flipped in the sum/payload region)
-	Dup      float64 // P(frame delivered twice)
-	Delay    float64 // P(receive interrupt delayed by DelayCycles)
-	RingFull float64 // P(receive ring pretends to be full)
+// Wire is the four frame faults a NIC wire and a fabric link share.
+// Probabilities are per-frame Bernoulli draws in [0,1]; Hold is in the
+// wire's unit: cycles of receive-interrupt latency on a NIC, nanoseconds
+// (parsed from milliseconds) on a link.
+type Wire struct {
+	Drop    float64 // P(frame lost on the wire)
+	Corrupt float64 // P(one frame byte flipped in the sum/payload region)
+	Dup     float64 // P(frame delivered twice)
+	Delay   float64 // P(frame held for Hold)
+	Hold    uint64
+}
 
-	DelayCycles uint64 // added receive-interrupt latency when Delay hits
-	Jitter      uint64 // timer armings gain uniform [0,Jitter) extra cycles
+// Draw decides one frame's faults with one Bernoulli trial per knob, in
+// a fixed order (drop, corrupt, delay, dup) so a seed replays. A dropped
+// frame draws nothing further, and a zero probability never draws.
+func (w Wire) Draw(rng *rand.Rand) (drop, corrupt, delay, dup bool) {
+	if hit(rng, w.Drop) {
+		return true, false, false, false
+	}
+	corrupt = hit(rng, w.Corrupt)
+	delay = hit(rng, w.Delay)
+	dup = hit(rng, w.Dup)
+	return
+}
+
+// hit draws one Bernoulli trial.
+func hit(rng *rand.Rand, p float64) bool {
+	return p > 0 && rng.Float64() < p
+}
+
+// Plan is a complete fault schedule, as Parse returns it: the machine
+// items an Injector executes, and the fleet clauses only a cluster
+// reads. Zero values inject nothing.
+type Plan struct {
+	Wire             // the NIC wire's frame faults
+	RingFull float64 // P(receive ring pretends to be full)
+	Jitter   uint64  // timer armings gain uniform [0,Jitter) extra cycles
 
 	Spurious []Spurious
 	Storms   []Storm
 	BusErrs  []BusErr
+
+	// Links are the fabric's per-link rules, consulted in order; the
+	// first matching rule governs a frame.
+	Links []Link
+	// Partitions is the scripted cut/heal schedule.
+	Partitions []Partition
+	// VMs holds the machine plan of each member VM with a vmfault=
+	// clause: the plain items followed by the VM's own.
+	VMs map[int]Plan
+}
+
+// Empty reports whether the plan's machine items inject nothing.
+func (p Plan) Empty() bool {
+	return p.Wire == (Wire{}) && p.RingFull == 0 && p.Jitter == 0 &&
+		len(p.Spurious)+len(p.Storms)+len(p.BusErrs) == 0
+}
+
+// Fleet reports whether the plan has a clause only a cluster can
+// execute — the one check single-machine consumers reject a spec by.
+func (p Plan) Fleet() bool {
+	return len(p.Links)+len(p.Partitions)+len(p.VMs) > 0
+}
+
+// VM returns member VM id's machine plan: its vmfault= plan if it has
+// one, otherwise the plan's own machine items.
+func (p Plan) VM(id int) Plan {
+	if v, ok := p.VMs[id]; ok {
+		return v
+	}
+	p.Links, p.Partitions, p.VMs = nil, nil, nil
+	return p
+}
+
+// Link is one src->dst fabric link's fault rule. Src/Dst are fabric
+// node ids (0 = host); WildcardNode matches any node.
+type Link struct {
+	Src, Dst int
+
+	Wire            // Hold is a time.Duration
+	Reorder float64 // P(frame held briefly so later frames overtake)
+	Rate    float64 // max frames/sec through the link (0 = unthrottled)
+}
+
+// WildcardNode in Link.Src/Dst matches every node.
+const WildcardNode = -1
+
+// Matches reports whether the rule governs frames from src to dst.
+func (l Link) Matches(src, dst int) bool {
+	return (l.Src == WildcardNode || l.Src == src) &&
+		(l.Dst == WildcardNode || l.Dst == dst)
+}
+
+// Partition is one scheduled cut: every link between a node in A and a
+// node in B (both directions) is severed during [From, To) measured
+// from the cluster's start, and healed at To.
+type Partition struct {
+	A, B     []int
+	From, To time.Duration
 }
 
 // Stats counts what the injector actually did, for reports and test
@@ -109,11 +194,6 @@ func (inj *Injector) Attach(m *m68k.Machine) {
 	}
 }
 
-// hit draws one Bernoulli trial.
-func (inj *Injector) hit(p float64) bool {
-	return p > 0 && inj.rng.Float64() < p
-}
-
 // AccessFault implements m68k.Injector.
 func (inj *Injector) AccessFault(dev m68k.Device, off uint32, write bool) bool {
 	if len(inj.Plan.BusErrs) == 0 {
@@ -139,12 +219,13 @@ func (inj *Injector) AccessFault(dev m68k.Device, off uint32, write bool) bool {
 // address words would model misrouting instead, a different fault.
 func (inj *Injector) Frame(frame []byte) ([][]byte, uint64) {
 	inj.Stats.Frames++
-	if inj.hit(inj.Plan.Drop) {
+	drop, corrupt, delay, dup := inj.Plan.Draw(inj.rng)
+	if drop {
 		inj.Stats.Dropped++
 		return nil, 0
 	}
 	f := append([]byte(nil), frame...)
-	if inj.hit(inj.Plan.Corrupt) {
+	if corrupt {
 		lo := 8
 		if len(f) <= lo {
 			lo = 0
@@ -154,22 +235,22 @@ func (inj *Injector) Frame(frame []byte) ([][]byte, uint64) {
 			inj.Stats.Corrupted++
 		}
 	}
-	var delay uint64
-	if inj.hit(inj.Plan.Delay) {
-		delay = inj.Plan.DelayCycles
+	var hold uint64
+	if delay {
+		hold = inj.Plan.Hold
 		inj.Stats.Delayed++
 	}
 	out := [][]byte{f}
-	if inj.hit(inj.Plan.Dup) {
+	if dup {
 		out = append(out, append([]byte(nil), f...))
 		inj.Stats.Duplicated++
 	}
-	return out, delay
+	return out, hold
 }
 
 // RingFull implements m68k.Injector.
 func (inj *Injector) RingFull() bool {
-	if inj.hit(inj.Plan.RingFull) {
+	if hit(inj.rng, inj.Plan.RingFull) {
 		inj.Stats.ForcedFull++
 		return true
 	}

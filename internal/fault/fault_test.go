@@ -13,8 +13,8 @@ func TestParseFullSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Plan{
-		Drop: 0.2, Corrupt: 0.05, Dup: 0.1, Delay: 0.5, RingFull: 0.3,
-		DelayCycles: 800, Jitter: 120,
+		Wire:     Wire{Drop: 0.2, Corrupt: 0.05, Dup: 0.1, Delay: 0.5, Hold: 800},
+		RingFull: 0.3, Jitter: 120,
 		Spurious: []Spurious{{Level: 7, MeanGap: 50000}},
 		Storms:   []Storm{{Level: 1, At: 2000, Count: 40, Gap: 100}},
 		BusErrs:  []BusErr{{Dev: "disk", Nth: 3}, {Dev: "net", Nth: 7}},
@@ -90,7 +90,7 @@ func TestParseEmptyItemsIgnored(t *testing.T) {
 // identical frame sequence identically — a failing soak run replays.
 func TestSeedDeterminism(t *testing.T) {
 	run := func() ([][]byte, Stats) {
-		inj := New(Plan{Drop: 0.3, Corrupt: 0.3, Dup: 0.2, Delay: 0.5, DelayCycles: 64}, 99)
+		inj := New(Plan{Wire: Wire{Drop: 0.3, Corrupt: 0.3, Dup: 0.2, Delay: 0.5, Hold: 64}}, 99)
 		var out [][]byte
 		for i := 0; i < 200; i++ {
 			frame := bytes.Repeat([]byte{byte(i)}, 40)
@@ -119,7 +119,7 @@ func TestSeedDeterminism(t *testing.T) {
 
 func TestDifferentSeedsDiverge(t *testing.T) {
 	drops := func(seed int64) uint64 {
-		inj := New(Plan{Drop: 0.5}, seed)
+		inj := New(Plan{Wire: Wire{Drop: 0.5}}, seed)
 		for i := 0; i < 400; i++ {
 			inj.Frame([]byte{1, 2, 3, 4})
 		}
@@ -134,7 +134,7 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 // 8 address bytes, so a corrupt frame always fails the checksum
 // rather than being misrouted.
 func TestCorruptionIsChecksumDetectable(t *testing.T) {
-	inj := New(Plan{Corrupt: 1}, 5)
+	inj := New(Plan{Wire: Wire{Corrupt: 1}}, 5)
 	orig := []byte{9, 9, 9, 9, 8, 8, 8, 8, 7, 7, 7, 7, 1, 2, 3, 4}
 	for i := 0; i < 100; i++ {
 		out, _ := inj.Frame(orig)
@@ -253,18 +253,5 @@ func TestTimerJitter(t *testing.T) {
 	}
 	if got := New(Plan{}, 3).TimerArm(1000); got != 1000 {
 		t.Fatalf("no-jitter plan changed an arming to %d", got)
-	}
-}
-
-func TestFromSpecRoundTrip(t *testing.T) {
-	inj, err := FromSpec("drop=0.25,jitter=16", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj.Plan.Drop != 0.25 || inj.Plan.Jitter != 16 {
-		t.Fatalf("FromSpec plan = %+v", inj.Plan)
-	}
-	if _, err := FromSpec("drop=nope", 11); err == nil {
-		t.Fatal("FromSpec accepted a malformed spec")
 	}
 }

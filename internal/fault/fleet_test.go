@@ -8,7 +8,7 @@ import (
 )
 
 func TestParseFleetFullSpec(t *testing.T) {
-	p, err := ParseFleet("link=0>1:drop=0.05,corrupt=0.02,dup=0.01,reorder=0.1,delay=0.2:2.5,rate=1500;" +
+	p, err := Parse("link=0>1:drop=0.05,corrupt=0.02,dup=0.01,reorder=0.1,delay=0.2:2.5,rate=1500;" +
 		"link=*>2:drop=0.15;" +
 		"part=0|2@500-1500;part=1+2|3+4@0-250;" +
 		"vmfault=1:ringfull=0.1,spurious=7:50000;" +
@@ -16,10 +16,10 @@ func TestParseFleetFullSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLinks := []LinkRule{
-		{Src: 0, Dst: 1, Drop: 0.05, Corrupt: 0.02, Dup: 0.01, Reorder: 0.1,
-			Delay: 0.2, DelayFor: 2500 * time.Microsecond, Rate: 1500},
-		{Src: WildcardNode, Dst: 2, Drop: 0.15},
+	wantLinks := []Link{
+		{Src: 0, Dst: 1, Wire: Wire{Drop: 0.05, Corrupt: 0.02, Dup: 0.01,
+			Delay: 0.2, Hold: uint64(2500 * time.Microsecond)}, Reorder: 0.1, Rate: 1500},
+		{Src: WildcardNode, Dst: 2, Wire: Wire{Drop: 0.15}},
 	}
 	if !reflect.DeepEqual(p.Links, wantLinks) {
 		t.Errorf("Links = %+v, want %+v", p.Links, wantLinks)
@@ -31,44 +31,45 @@ func TestParseFleetFullSpec(t *testing.T) {
 	if !reflect.DeepEqual(p.Partitions, wantParts) {
 		t.Errorf("Partitions = %+v, want %+v", p.Partitions, wantParts)
 	}
-	if len(p.VMFaults) != 1 || p.VMFaults[0].VM != 1 ||
-		p.VMFaults[0].Plan.RingFull != 0.1 || len(p.VMFaults[0].Plan.Spurious) != 1 {
-		t.Errorf("VMFaults = %+v", p.VMFaults)
+	// VM 1's plan is the plain items followed by its own.
+	if v, ok := p.VMs[1]; len(p.VMs) != 1 || !ok || v.RingFull != 0.1 || len(v.Spurious) != 1 ||
+		v.Drop != 0.01 || v.Jitter != 64 {
+		t.Errorf("VMs = %+v", p.VMs)
 	}
-	if p.Base.Drop != 0.01 || p.Base.Jitter != 64 {
-		t.Errorf("Base = %+v, want drop=0.01 jitter=64", p.Base)
+	if p.Drop != 0.01 || p.Jitter != 64 {
+		t.Errorf("machine items = %+v, want drop=0.01 jitter=64", p)
 	}
-	if p.Empty() || !p.FleetOnly() {
-		t.Errorf("Empty()=%v FleetOnly()=%v", p.Empty(), p.FleetOnly())
+	if p.Empty() || !p.Fleet() {
+		t.Errorf("Empty()=%v Fleet()=%v", p.Empty(), p.Fleet())
 	}
 }
 
-// TestParseFleetSingleMachineCompat: a plain single-machine spec must
-// parse into Base byte-identically with Parse, so every existing
-// -faults invocation keeps working.
+// TestParseFleetSingleMachineCompat: a plain single-machine spec parses
+// to the same machine plan whether its items are split by commas or by
+// semicolons, has no fleet clause, and is every member's plan.
 func TestParseFleetSingleMachineCompat(t *testing.T) {
-	spec := "drop=0.2,corrupt=0.05,spurious=7:50000,buserr=disk@3"
-	fp, err := ParseFleet(spec)
-	if err != nil {
-		t.Fatal(err)
+	want := Plan{
+		Wire:     Wire{Drop: 0.2, Corrupt: 0.05},
+		Spurious: []Spurious{{Level: 7, MeanGap: 50000}},
+		BusErrs:  []BusErr{{Dev: "disk", Nth: 3}},
 	}
-	direct, err := Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fp.Base, direct) {
-		t.Errorf("ParseFleet Base = %+v, Parse = %+v", fp.Base, direct)
-	}
-	if fp.FleetOnly() {
-		t.Error("single-machine spec reported FleetOnly")
-	}
-	// Base clauses split across semicolons accumulate like commas.
-	fp2, err := ParseFleet("drop=0.2;corrupt=0.05,spurious=7:50000;buserr=disk@3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fp2.Base, direct) {
-		t.Errorf("semicolon-split Base = %+v, want %+v", fp2.Base, direct)
+	for _, spec := range []string{
+		"drop=0.2,corrupt=0.05,spurious=7:50000,buserr=disk@3",
+		"drop=0.2;corrupt=0.05,spurious=7:50000;buserr=disk@3",
+	} {
+		p, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("Parse(%q) = %+v, want %+v", spec, p, want)
+		}
+		if p.Fleet() {
+			t.Errorf("%q reported a fleet clause", spec)
+		}
+		if v := p.VM(3); !reflect.DeepEqual(v, want) {
+			t.Errorf("%q: VM(3) = %+v, want the machine items", spec, v)
+		}
 	}
 }
 
@@ -104,27 +105,32 @@ func TestParseFleetRejectsMalformedSpecs(t *testing.T) {
 		"vmfault=1:drop=0.1;vmfault=1:dup=0.1", // duplicate vmfault
 		"drop=nope",                            // bad base clause
 	} {
-		if _, err := ParseFleet(spec); err == nil {
-			t.Errorf("ParseFleet(%q) accepted a malformed spec", spec)
+		if _, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) accepted a malformed spec", spec)
 		}
 	}
 }
 
 func TestLinkRuleMatches(t *testing.T) {
-	r := LinkRule{Src: WildcardNode, Dst: 2}
+	r := Link{Src: WildcardNode, Dst: 2}
 	if !r.Matches(0, 2) || !r.Matches(7, 2) || r.Matches(0, 1) {
 		t.Errorf("wildcard-src match broken")
 	}
-	exact := LinkRule{Src: 1, Dst: 0}
+	exact := Link{Src: 1, Dst: 0}
 	if !exact.Matches(1, 0) || exact.Matches(0, 1) {
 		t.Errorf("exact match broken")
 	}
 }
 
+// TestMergePlans: a vmfault= plan overrides the plain scalars it
+// repeats, concatenates the schedule lists, and shares no slice with
+// the plain plan.
 func TestMergePlans(t *testing.T) {
-	base := Plan{Drop: 0.1, Jitter: 50, Spurious: []Spurious{{Level: 7, MeanGap: 100}}}
-	over := Plan{Drop: 0.3, RingFull: 0.2, Storms: []Storm{{Level: 3, At: 10, Count: 1, Gap: 1}}}
-	m := Merge(base, over)
+	p, err := Parse("drop=0.1,jitter=50,spurious=7:100;vmfault=1:drop=0.3,ringfull=0.2,storm=3@10:1x1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := p.VMs[1]
 	if m.Drop != 0.3 {
 		t.Errorf("Drop = %v, want the overlay's 0.3", m.Drop)
 	}
@@ -137,17 +143,44 @@ func TestMergePlans(t *testing.T) {
 	if len(m.Spurious) != 1 || len(m.Storms) != 1 {
 		t.Errorf("schedule lists did not concatenate: %+v", m)
 	}
-	// Merge must not alias the inputs' slices.
 	m.Spurious[0].Level = 1
-	if base.Spurious[0].Level != 7 {
-		t.Error("Merge aliased the base plan's Spurious slice")
+	if p.Spurious[0].Level != 7 {
+		t.Error("the vmfault= plan aliased the plain plan's Spurious slice")
 	}
 }
 
+// TestFleetSpecHelpMentionsEveryClause: SpecHelp and Parse cannot
+// drift — every example in the help parses, and every key the parser
+// accepts is documented.
 func TestFleetSpecHelpMentionsEveryClause(t *testing.T) {
-	for _, kw := range []string{"link=", "part=", "vmfault=", "rate=", "reorder="} {
-		if !strings.Contains(FleetSpecHelp, kw) {
-			t.Errorf("FleetSpecHelp does not document %q", kw)
+	examples := 0
+	for _, line := range strings.Split(SpecHelp, "\n") {
+		if ex, ok := strings.CutPrefix(line, "example: "); ok {
+			examples++
+			if _, err := Parse(ex); err != nil {
+				t.Errorf("SpecHelp example %q: %v", ex, err)
+			}
+		}
+	}
+	if examples == 0 {
+		t.Error("SpecHelp has no example: line")
+	}
+	var keys []string
+	for k := range wireItems {
+		keys = append(keys, k)
+	}
+	for k := range machineItems {
+		keys = append(keys, k)
+	}
+	for k := range linkItems {
+		keys = append(keys, k)
+	}
+	for k := range fleetClauses {
+		keys = append(keys, k)
+	}
+	for _, k := range keys {
+		if !strings.Contains(SpecHelp, k+"=") {
+			t.Errorf("SpecHelp does not document %q", k+"=")
 		}
 	}
 }

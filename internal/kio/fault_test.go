@@ -80,7 +80,7 @@ func TestSendRetriesThroughTransientRingFull(t *testing.T) {
 // error counter and never reach the queue.
 func TestCorruptFrameDroppedAndCounted(t *testing.T) {
 	k, io := boot(t)
-	inj := fault.New(fault.Plan{Corrupt: 1}, 1)
+	inj := fault.New(fault.Plan{Wire: fault.Wire{Corrupt: 1}}, 1)
 	inj.Attach(k.M)
 	const wbuf = 0x9300
 	k.M.PokeBytes(wbuf, []byte("precious cargo!!"))

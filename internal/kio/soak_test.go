@@ -28,8 +28,7 @@ func TestFaultSoak(t *testing.T) {
 	)
 	k, io := boot(t)
 	inj := fault.New(fault.Plan{
-		Drop:    0.15,
-		Corrupt: 0.10,
+		Wire: fault.Wire{Drop: 0.15, Corrupt: 0.10},
 		// Level 7 is the one autovector no driver claims, so these
 		// land in the kernel's spurious counter.
 		Spurious: []fault.Spurious{{Level: 7, MeanGap: 20_000}},

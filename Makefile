@@ -15,10 +15,12 @@
 # throttle, delay, scripted and manual cuts). `make examples` runs the six self-checking examples, each of
 # which exits nonzero on failure. `make bench` runs the root Go
 # benchmarks once and then the dispatcher's inner loops for a second each (internal/m68k:
-# BenchmarkStepLoop, and BenchmarkCopyLoop beside BenchmarkMovemCopyLoop,
-# the copy loop's two forms; host ns per guest instruction and per KB)
-# and a synthesis-cache hit by either index (internal/synth:
-# BenchmarkSynthHit/{keyed,content}, host ns per build), `make tables` prints every table, `make profile` runs
+# BenchmarkStepLoop; BenchmarkShapes, one instruction shape at a time;
+# BenchmarkCopyLoop beside BenchmarkMovemCopyLoop, the copy loop's two
+# forms; host ns per guest instruction and per KB) and a synthesis-cache
+# hit by either index (internal/synth: BenchmarkSynthHit/{keyed,content},
+# host ns per build). CI runs every one of those benchmarks once
+# (-benchtime 1x), so a benchmark that fails fails CI. `make tables` prints every table, `make profile` runs
 # one Table 1 program under the profiler and emits trace.json (load in
 # about:tracing or ui.perfetto.dev). `make loc` prints the number
 # ROADMAP tracks: lines of non-test Go outside benchmark/.

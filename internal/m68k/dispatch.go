@@ -20,9 +20,12 @@ import "encoding/binary"
 // every instruction boundary being an interrupt point, and Run keeps
 // it one with a single compare per boundary — the clock against
 // Machine.horizon, which whatever posts an interrupt or moves a device
-// event earlier zeroes (machine.go states the rule). A block-chained
-// dispatcher would have to re-insert that compare at every step
-// anyway, so per-PC handlers lose nothing.
+// event earlier zeroes (machine.go states the rule). Blocks were
+// measured and do not pay: a prototype running straight-line blocks of
+// up to 32 slots, keeping that compare and the call per instruction,
+// read compute 6.58–7.02 M op/s against 6.43–6.93 M and the step loop
+// 7.6–8.8 ns/instr against 6.6–6.8. A NOP costs about 2 ns with the
+// loop; the time is in the handlers (docs/PERFORMANCE.md).
 //
 // exec.go's switch is the ISA: complete, the only definition of every
 // instruction, and the fuzzer's oracle. The closures here are a cache
@@ -35,12 +38,19 @@ import "encoding/binary"
 // to exec in all three: each handler replicates its exec.go case's
 // memory-access order and calls the same flag helper.
 //
-// Memory operands are resolved at translate time too. The four
+// Operands are resolved at translate time too. The four
 // register-relative modes — (An), (An)+, -(An), d(An) — are one form,
-// addr = A[r]+disp then A[r] += inc (relOperand), which cRead, cWrite,
-// the ADD/SUB read-modify-write and the fused long MOVE open-code, so
-// the common operand costs no cEA call and no mode branch; indexed and
-// absolute operands, LEA and JMP/JSR go through cEA. Byte and long
+// addr = A[r]+disp then A[r] += inc (relOperand); absolute and indexed
+// are another, addr = disp or A[r] + disp + X*scale with the index
+// register and scale fixed here (absIdx). cRead, cWrite, LEA, the
+// ADD/SUB read-modify-write, the long MOVE bodies and the cell of a
+// memory-indirect JMP/JSR open-code them, so no memory operand calls an
+// address closure. (Folding register-relative into the second form cost
+// thread_ops 9–10 %.) A data register or immediate source of MOVE.L,
+// ADD, SUB or CMP into Dn, and TST Dn, is read in the handler, with no
+// cRead call, and a Bcc's condition is a truth table over N, Z, V and
+// C filled in from exec's. A word memory operand, which no workload
+// has, goes through exec's readOp or writeOp. Byte and long
 // accesses call the size-resolved accessors in machine.go
 // (load8/load32/store8/store32), which open-code plain RAM and nothing
 // else: a device window, the injector, Kick and the bus fault are
@@ -94,11 +104,10 @@ type xent struct {
 // exception, or a terminal simulation error.
 type runFn func(m *Machine) error
 
-// readFn/writeFn/eaFn are compiled operand accessors.
+// readFn/writeFn are compiled operand accessors.
 type (
 	readFn  func(m *Machine) (uint32, error)
 	writeFn func(m *Machine, v uint32) error
-	eaFn    func(m *Machine) (uint32, error)
 )
 
 // translate fills the cache line for pc from the instruction
@@ -129,35 +138,64 @@ func relOperand(o Operand, sz uint8) (r uint8, disp, inc uint32, ok bool) {
 	return 0, 0, 0, false
 }
 
-// cEA compiles an effective-address computation, including the
-// post-increment/pre-decrement side effects, mirroring Machine.ea.
-func cEA(o Operand, sz uint8) eaFn {
-	if r, disp, inc, ok := relOperand(o, sz); ok {
-		return func(m *Machine) (uint32, error) {
-			addr := m.A[r] + disp
-			m.A[r] += inc
-			return addr, nil
-		}
-	}
+// absIdx is the absolute and indexed modes as one form: addr = disp
+// when absolute, A[r] + disp + X*scale when indexed, with X = D[x], or
+// A[x] when xa. Absolute returns before it reads a register: reading
+// two it then ignores cost pipe_rw 15 %.
+type absIdx struct {
+	disp, scale uint32
+	r, x        uint8
+	idx, xa     bool
+}
+
+func absIdxOperand(o Operand) (absIdx, bool) {
 	switch o.Mode {
-	case ModeIdx:
-		r, d := o.Reg, uint32(o.Imm)
-		scale := uint32(o.Scale)
-		if scale == 0 {
-			scale = 1
-		}
-		ir := o.Idx & 7
-		if o.Idx >= 8 {
-			return func(m *Machine) (uint32, error) { return m.A[r] + d + m.A[ir]*scale, nil }
-		}
-		return func(m *Machine) (uint32, error) { return m.A[r] + d + m.D[ir]*scale, nil }
 	case ModeAbs:
-		a := uint32(o.Imm)
-		return func(m *Machine) (uint32, error) { return a, nil }
+		return absIdx{disp: uint32(o.Imm)}, true
+	case ModeIdx:
+		return absIdx{disp: uint32(o.Imm), scale: uint32(max(o.Scale, 1)),
+			r: o.Reg, x: o.Idx & 7, idx: true, xa: o.Idx >= 8}, true
 	}
-	return func(m *Machine) (uint32, error) {
-		return 0, &BusFault{Addr: 0xffff_ffff, PC: m.PC}
+	return absIdx{}, false
+}
+
+func (f absIdx) addr(m *Machine) uint32 {
+	if !f.idx {
+		return f.disp
 	}
+	x := m.D[f.x]
+	if f.xa {
+		x = m.A[f.x]
+	}
+	return m.A[f.r] + f.disp + x*f.scale
+}
+
+// regImm is a data register or immediate source as one form: D[x]&mask
+// for a register, imm (truncated here) for an immediate. An immediate
+// reads no register: a masked-out read of one made each such
+// instruction wait for the last write of D[x], and cost pipe_rw 4 %.
+type regImm struct {
+	imm, mask uint32
+	x         uint8
+	reg       bool
+}
+
+func regImmOperand(o Operand, sz uint8) (regImm, bool) {
+	switch o.Mode {
+	case ModeDReg:
+		mask, _ := maskFor(sz)
+		return regImm{mask: mask, x: o.Reg, reg: true}, true
+	case ModeImm:
+		return regImm{imm: trunc(uint32(o.Imm), sz)}, true
+	}
+	return regImm{}, false
+}
+
+func (s regImm) val(m *Machine) uint32 {
+	if s.reg {
+		return m.D[s.x] & s.mask
+	}
+	return s.imm
 }
 
 // cRead compiles an operand read, mirroring Machine.readOp.
@@ -202,17 +240,29 @@ func cRead(o Operand, sz uint8) readFn {
 			}
 		}
 	}
-	ea := cEA(o, sz)
-	return func(m *Machine) (uint32, error) {
-		addr, err := ea(m)
-		if err != nil {
-			return 0, err
+	if f, ok := absIdxOperand(o); ok {
+		switch sz {
+		case 1:
+			return func(m *Machine) (uint32, error) {
+				addr := f.addr(m)
+				if err := m.checkUserAccess(addr); err != nil {
+					return 0, err
+				}
+				return m.load8(addr)
+			}
+		case 4:
+			return func(m *Machine) (uint32, error) {
+				addr := f.addr(m)
+				if err := m.checkUserAccess(addr); err != nil {
+					return 0, err
+				}
+				return m.load32(addr)
+			}
 		}
-		if err := m.checkUserAccess(addr); err != nil {
-			return 0, err
-		}
-		return m.Load(addr, sz)
 	}
+	// Word operands, which no workload reads, and modes that are no
+	// operand: exec's own accessor.
+	return func(m *Machine) (uint32, error) { return m.readOp(&o, sz) }
 }
 
 // cWrite compiles an operand write, mirroring Machine.writeOp.
@@ -243,10 +293,6 @@ func cWrite(o Operand, sz uint8) writeFn {
 			m.A[r] = v
 			return nil
 		}
-	case ModeImm:
-		return func(m *Machine, v uint32) error {
-			return &BusFault{Addr: 0xffff_fffe, PC: m.PC}
-		}
 	}
 	if r, disp, inc, ok := relOperand(o, sz); ok {
 		switch sz {
@@ -270,82 +316,29 @@ func cWrite(o Operand, sz uint8) writeFn {
 			}
 		}
 	}
-	ea := cEA(o, sz)
-	return func(m *Machine, v uint32) error {
-		addr, err := ea(m)
-		if err != nil {
-			return err
-		}
-		if err := m.checkUserAccess(addr); err != nil {
-			return err
-		}
-		return m.Store(addr, sz, v)
-	}
-}
-
-// cCond compiles a branch condition, mirroring Machine.condition.
-func cCond(op Op) func(m *Machine) bool {
-	switch op {
-	case BEQ:
-		return func(m *Machine) bool { return m.SR&FlagZ != 0 }
-	case BNE:
-		return func(m *Machine) bool { return m.SR&FlagZ == 0 }
-	case BLT:
-		return func(m *Machine) bool { return (m.SR&FlagN != 0) != (m.SR&FlagV != 0) }
-	case BLE:
-		return func(m *Machine) bool {
-			return m.SR&FlagZ != 0 || (m.SR&FlagN != 0) != (m.SR&FlagV != 0)
-		}
-	case BGT:
-		return func(m *Machine) bool {
-			return m.SR&FlagZ == 0 && (m.SR&FlagN != 0) == (m.SR&FlagV != 0)
-		}
-	case BGE:
-		return func(m *Machine) bool { return (m.SR&FlagN != 0) == (m.SR&FlagV != 0) }
-	case BHI:
-		return func(m *Machine) bool { return m.SR&(FlagC|FlagZ) == 0 }
-	case BLS:
-		return func(m *Machine) bool { return m.SR&(FlagC|FlagZ) != 0 }
-	case BCC:
-		return func(m *Machine) bool { return m.SR&FlagC == 0 }
-	case BCS:
-		return func(m *Machine) bool { return m.SR&FlagC != 0 }
-	case BMI:
-		return func(m *Machine) bool { return m.SR&FlagN != 0 }
-	case BPL:
-		return func(m *Machine) bool { return m.SR&FlagN == 0 }
-	}
-	return func(*Machine) bool { return false }
-}
-
-// cJumpTarget compiles a JMP/JSR target resolution, mirroring
-// Machine.jumpTarget.
-func cJumpTarget(o Operand) readFn {
-	switch o.Mode {
-	case ModeAbs, ModeImm:
-		t := uint32(o.Imm)
-		return func(*Machine) (uint32, error) { return t, nil }
-	case ModeAReg, ModeInd:
-		r := o.Reg
-		return func(m *Machine) (uint32, error) { return m.A[r], nil }
-	case ModeDReg:
-		r := o.Reg
-		return func(m *Machine) (uint32, error) { return m.D[r], nil }
-	case ModeDisp:
-		r, d := o.Reg, uint32(o.Imm)
-		return func(m *Machine) (uint32, error) { return m.A[r] + d, nil }
-	default:
-		// Indirect through memory: the executable-data-structure ready
-		// queue jumps through addresses stored in TTEs.
-		ea := cEA(o, 4)
-		return func(m *Machine) (uint32, error) {
-			addr, err := ea(m)
-			if err != nil {
-				return 0, err
+	if f, ok := absIdxOperand(o); ok {
+		switch sz {
+		case 1:
+			return func(m *Machine, v uint32) error {
+				addr := f.addr(m)
+				if err := m.checkUserAccess(addr); err != nil {
+					return err
+				}
+				return m.store8(addr, v)
 			}
-			return m.Load(addr, 4)
+		case 4:
+			return func(m *Machine, v uint32) error {
+				addr := f.addr(m)
+				if err := m.checkUserAccess(addr); err != nil {
+					return err
+				}
+				return m.store32(addr, v)
+			}
 		}
 	}
+	// Word operands, an immediate and modes that are no operand: exec's
+	// own accessor.
+	return func(m *Machine, v uint32) error { return m.writeOp(&o, sz, v) }
 }
 
 // cSlow defers to the reference switch interpreter, re-reading the
@@ -413,10 +406,66 @@ func compile(in *Instr, pc uint32) runFn {
 			}
 		}
 		// The long moves the workloads run most after the fused one — into
-		// a data register, and of a register or immediate to a
-		// register-relative destination — write it without a cWrite call.
+		// a data register, and of a register or immediate to memory —
+		// write their destination without a cWrite call, and an absolute
+		// or indexed operand is addressed in the handler. A data register
+		// and an immediate source into Dn have a body each: a shared body's
+		// register-or-immediate branch made MOVE.L Dn,Dn slower, and an
+		// immediate's N and Z are known here.
+		sf, sabs := absIdxOperand(in.Src)
+		df, dabs := absIdxOperand(in.Dst)
+		ri, regimm := regImmOperand(in.Src, 4)
 		switch {
-		case sz == 4 && in.Dst.Mode == ModeDReg:
+		case sz != 4:
+		case in.Dst.Mode == ModeDReg && in.Src.Mode == ModeDReg:
+			x, r := ri.x, in.Dst.Reg
+			return func(m *Machine) error {
+				v := m.D[x]
+				m.D[r] = v
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case in.Dst.Mode == ModeDReg && in.Src.Mode == ModeImm:
+			v, r, nz := ri.imm, in.Dst.Reg, uint16(0)
+			if v == 0 {
+				nz = FlagZ
+			} else if v&0x8000_0000 != 0 {
+				nz = FlagN
+			}
+			return func(m *Machine) error {
+				m.D[r] = v
+				m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC) | nz
+				return nil
+			}
+		case in.Dst.Mode == ModeDReg && sabs:
+			r := in.Dst.Reg
+			return func(m *Machine) error {
+				addr := sf.addr(m)
+				if err := m.checkUserAccess(addr); err != nil {
+					return err
+				}
+				v, err := m.load32(addr)
+				if err != nil {
+					return err
+				}
+				m.D[r] = v
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case dabs && regimm:
+			return func(m *Machine) error {
+				v := ri.val(m)
+				addr := df.addr(m)
+				if err := m.checkUserAccess(addr); err != nil {
+					return err
+				}
+				if err := m.store32(addr, v); err != nil {
+					return err
+				}
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case in.Dst.Mode == ModeDReg:
 			r := in.Dst.Reg
 			return func(m *Machine) error {
 				v, err := rd(m)
@@ -427,7 +476,7 @@ func compile(in *Instr, pc uint32) runFn {
 				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
 				return nil
 			}
-		case sz == 4 && drel && (in.Src.Mode == ModeDReg || in.Src.Mode == ModeAReg || in.Src.Mode == ModeImm):
+		case drel && (regimm || in.Src.Mode == ModeAReg):
 			return func(m *Machine) error {
 				v, _ := rd(m) // a register or immediate read cannot fail
 				dst := m.A[dr] + ddisp
@@ -456,15 +505,20 @@ func compile(in *Instr, pc uint32) runFn {
 		}
 
 	case LEA:
-		ea := cEA(in.Src, sz)
 		r := in.Dst.Reg
-		return func(m *Machine) error {
-			addr, err := ea(m)
-			if err != nil {
-				return err
+		if sr, disp, inc, ok := relOperand(in.Src, sz); ok {
+			return func(m *Machine) error {
+				addr := m.A[sr] + disp
+				m.A[sr] += inc
+				m.A[r] = addr
+				return nil
 			}
-			m.A[r] = addr
-			return nil
+		}
+		if f, ok := absIdxOperand(in.Src); ok {
+			return func(m *Machine) error {
+				m.A[r] = f.addr(m)
+				return nil
+			}
 		}
 
 	case CLR:
@@ -482,18 +536,34 @@ func compile(in *Instr, pc uint32) runFn {
 		sub := in.Op == SUB
 		switch in.Dst.Mode {
 		case ModeDReg:
+			// A data register or immediate source is read here, in a
+			// body that calls nothing it cannot inline.
 			r := in.Dst.Reg
+			if ri, ok := regImmOperand(in.Src, sz); ok {
+				return func(m *Machine) error {
+					s, old := ri.val(m), m.D[r]&mask
+					nw := old + s
+					if sub {
+						nw = old - s
+					}
+					m.D[r] = m.D[r]&^mask | nw&mask
+					if sub {
+						m.setSubFlagsMask(old, s, nw, mask, sign)
+					} else {
+						m.setAddFlagsMask(old, s, nw, mask, sign)
+					}
+					return nil
+				}
+			}
 			return func(m *Machine) error {
 				s, err := rd(m)
 				if err != nil {
 					return err
 				}
 				old := m.D[r] & mask
-				var nw uint32
+				nw := old + s
 				if sub {
 					nw = old - s
-				} else {
-					nw = old + s
 				}
 				m.D[r] = m.D[r]&^mask | nw&mask
 				if sub {
@@ -519,10 +589,12 @@ func compile(in *Instr, pc uint32) runFn {
 			}
 		}
 		// Memory destination: read-modify-write with the address computed
-		// once, register-relative modes open-coded and the rest through
-		// cEA.
-		ea := cEA(in.Dst, sz)
+		// once, in either translate-time form.
 		r, disp, inc, rel := relOperand(in.Dst, sz)
+		f, ai := absIdxOperand(in.Dst)
+		if !rel && !ai {
+			break
+		}
 		return func(m *Machine) error {
 			s, err := rd(m)
 			if err != nil {
@@ -532,8 +604,8 @@ func compile(in *Instr, pc uint32) runFn {
 			if rel {
 				addr = m.A[r] + disp
 				m.A[r] += inc
-			} else if addr, err = ea(m); err != nil {
-				return err
+			} else {
+				addr = f.addr(m)
 			}
 			if err := m.checkUserAccess(addr); err != nil {
 				return err
@@ -542,11 +614,9 @@ func compile(in *Instr, pc uint32) runFn {
 			if err != nil {
 				return err
 			}
-			var nw uint32
+			nw := old + s
 			if sub {
 				nw = old - s
-			} else {
-				nw = old + s
 			}
 			if err := m.Store(addr, sz, nw); err != nil {
 				return err
@@ -622,6 +692,14 @@ func compile(in *Instr, pc uint32) runFn {
 		}
 
 	case CMP:
+		if ri, ok := regImmOperand(in.Src, sz); ok && in.Dst.Mode == ModeDReg {
+			r := in.Dst.Reg
+			return func(m *Machine) error {
+				s, d := ri.val(m), m.D[r]&mask
+				m.setSubFlagsMask(d, s, d-s, mask, sign)
+				return nil
+			}
+		}
 		rs := cRead(in.Src, sz)
 		rdd := cRead(in.Dst, sz)
 		return func(m *Machine) error {
@@ -638,6 +716,13 @@ func compile(in *Instr, pc uint32) runFn {
 		}
 
 	case TST:
+		if in.Src.Mode == ModeDReg {
+			r := in.Src.Reg
+			return func(m *Machine) error {
+				m.setNZMask(m.D[r], mask, sign)
+				return nil
+			}
+		}
 		rd := cRead(in.Src, sz)
 		return func(m *Machine) error {
 			v, err := rd(m)
@@ -648,19 +733,18 @@ func compile(in *Instr, pc uint32) runFn {
 			return nil
 		}
 
-	case BRA:
-		tgt := uint32(in.Dst.Imm)
-		return func(m *Machine) error {
-			m.Cycles += cycBranchTak - cycReg
-			m.PC = tgt
-			return nil
+	case BRA, BEQ, BNE, BLT, BLE, BGT, BGE, BHI, BLS, BCC, BCS, BMI, BPL:
+		// The condition as a truth table over N, Z, V and C (SR's low
+		// four bits), filled in from exec's own definition.
+		var tbl uint16
+		for sr := uint16(0); sr < 16; sr++ {
+			if condition(in.Op, sr) {
+				tbl |= 1 << sr
+			}
 		}
-
-	case BEQ, BNE, BLT, BLE, BGT, BGE, BHI, BLS, BCC, BCS, BMI, BPL:
-		cond := cCond(in.Op)
 		tgt := uint32(in.Dst.Imm)
 		return func(m *Machine) error {
-			if cond(m) {
+			if tbl>>(m.SR&0xf)&1 != 0 {
 				m.Cycles += cycBranchTak - cycReg
 				m.PC = tgt
 			} else {
@@ -876,18 +960,33 @@ func cMovem(in *Instr, pc uint32) runFn {
 }
 
 // cControlTarget compiles JMP/JSR target resolution, mirroring
-// Machine.controlTarget: a populated Src operand selects the 68020
-// memory-indirect form.
+// Machine.controlTarget and jumpTarget: a populated Src operand
+// selects the 68020 memory-indirect form, and so do the Dst modes that
+// do not name a target directly. The cell is read as a long data
+// operand (cRead), so in user state the quaspace bounds apply to it.
 func cControlTarget(in *Instr) readFn {
-	if in.Src.Mode != ModeNone {
-		ea := cEA(in.Src, 4)
-		return func(m *Machine) (uint32, error) {
-			addr, err := ea(m)
-			if err != nil {
-				return 0, err
-			}
-			return m.Load(addr, 4)
+	o := in.Src
+	switch {
+	case o.Mode == ModeNone:
+		o = in.Dst
+		switch o.Mode {
+		case ModeAbs, ModeImm:
+			t := uint32(o.Imm)
+			return func(*Machine) (uint32, error) { return t, nil }
+		case ModeAReg, ModeInd:
+			r := o.Reg
+			return func(m *Machine) (uint32, error) { return m.A[r], nil }
+		case ModeDReg:
+			r := o.Reg
+			return func(m *Machine) (uint32, error) { return m.D[r], nil }
+		case ModeDisp:
+			r, d := o.Reg, uint32(o.Imm)
+			return func(m *Machine) (uint32, error) { return m.A[r] + d, nil }
 		}
+	case !o.Mode.IsMemory(): // a register or immediate "cell"
+		return func(m *Machine) (uint32, error) { return m.indirect(&o) }
 	}
-	return cJumpTarget(in.Dst)
+	// Indirect through memory: the executable-data-structure ready queue
+	// jumps through addresses stored in TTEs.
+	return cRead(o, 4)
 }

@@ -1,6 +1,9 @@
 package m68k
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // benchRun reports host nanoseconds per simulated instruction of
 // repeated full Runs (devices polled, interrupts checked) from entry
@@ -31,6 +34,41 @@ func benchRun(b *testing.B, m *Machine, entry uint32) {
 func BenchmarkStepLoop(b *testing.B) {
 	m := New(Config{})
 	benchRun(b, m, EmitBenchProgram(m))
+}
+
+// BenchmarkShapes prices one instruction shape at a time: sixteen
+// copies of it in a DBRA loop, so ns/instr is the shape's own cost plus
+// a seventeenth of the loop's. The shapes are the ones compute runs
+// (docs/PERFORMANCE.md has the op mix), a NOP for the dispatch floor,
+// and d(An) for the register-relative form beside the absolute and
+// indexed one.
+func BenchmarkShapes(b *testing.B) {
+	const cell = 0x9000
+	for _, s := range []struct {
+		name string
+		in   Instr
+	}{
+		{"nop", Instr{Op: NOP}},
+		{"move.l_d1,d2", Instr{Op: MOVE, Src: D(1), Dst: D(2)}},
+		{"move.l_#imm,d2", Instr{Op: MOVE, Src: Imm(7), Dst: D(2)}},
+		{"add.l_d1,d2", Instr{Op: ADD, Src: D(1), Dst: D(2)}},
+		{"add.l_#imm,d2", Instr{Op: ADD, Src: Imm(1), Dst: D(2)}},
+		{"cmp.l_#imm,d2", Instr{Op: CMP, Src: Imm(7), Dst: D(2)}},
+		{"tst.l_d2", Instr{Op: TST, Src: D(2)}},
+		{"move.l_abs,d2", Instr{Op: MOVE, Src: Abs(cell), Dst: D(2)}},
+		{"move.l_idx,d2", Instr{Op: MOVE, Src: Idx(-8, 0, 3, 4), Dst: D(2)}},
+		{"move.l_disp,d2", Instr{Op: MOVE, Src: Disp(8, 0), Dst: D(2)}},
+		{"move.l_d1,abs", Instr{Op: MOVE, Src: D(1), Dst: Abs(cell)}},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			m := New(Config{})
+			m.A[0], m.D[3] = cell, 4
+			entry := m.Emit([]Instr{{Op: MOVE, Src: Imm(999), Dst: D(0)}})
+			m.Emit(append(slices.Repeat([]Instr{s.in}, 16),
+				Instr{Op: DBRA, Src: D(0), Dst: Abs(entry + 1)}, Instr{Op: HALT}))
+			benchRun(b, m, entry)
+		})
+	}
 }
 
 // BenchmarkCopyLoop runs the bulk path synthesis inlines into every

@@ -301,24 +301,34 @@ const (
 )
 
 // TestDispatchMatchesExecDirected holds the specialized shapes to
-// exec: MOVE/ADD/SUB/CMP/TST/CLR over every pair of register-relative
-// modes at every size, MOVE between each of those modes and a data
-// register, address register or immediate, and the six supervisor ops
-// with closures in both processor states, and the MOVEM block forms —
+// exec: MOVE/ADD/SUB/CMP/TST/CLR over every pair of memory modes
+// (register-relative, indexed by a data or an address register at every
+// scale, absolute) at every size, MOVE/ADD/SUB/CMP from each of those
+// modes into a data register, MOVE/ADD/SUB of a data register, address
+// register or immediate to each, MOVE/ADD/SUB/CMP from a data register
+// or immediate into a data register and TST of one, LEA and the cell of
+// a memory-indirect JMP/JSR in each mode, the six supervisor ops with
+// closures in both processor states, and the MOVEM block forms —
 // registers, SR, PC, both stack pointers, accounting, memory, the
 // device's access log and Kick count, and the injector's tally.
-// Mutation-checked against dispatch.go and machine.go (PRs 21, 22 and
-// 25); each of these fails it: dropping the destination
-// checkUserAccess in the fused MOVE; stepping the fused MOVE's source
-// register after a faulting load instead of before; letting
-// load32/store32 take the RAM path at or above devFloor; setting N/Z
-// before the fused MOVE's store; writing the data register before
-// looking at the load's error in the long MOVE into Dn; setting N/Z
-// before the store in the long MOVE of a register or immediate to
-// memory; charging a MOVEM block one memory reference short; dropping
-// the (An)+ or the -(An) write-back; stepping the -(An) base 4 short;
-// letting ramBlock admit a block past the end of RAM, past devFloor, or
-// outside the quaspace in user state.
+// Mutation-checked against dispatch.go, exec.go and machine.go; each of
+// these fails it: dropping the destination checkUserAccess in the fused
+// MOVE; stepping the fused MOVE's source register after a faulting load
+// instead of before; letting load32/store32 take the RAM path at or
+// above devFloor; setting N/Z before the fused MOVE's store; writing
+// the data register before looking at the load's error in the long MOVE
+// into Dn, from a register-relative or from an absolute or indexed
+// source; setting N/Z before the store in the long MOVE of a register or
+// immediate to memory, register-relative or absolute and indexed;
+// reading An where the index is Dn; ignoring the scale; dropping
+// checkUserAccess on the absolute or indexed load, in the long MOVE into
+// Dn or in cRead; using load32 for a word operand; reading an immediate
+// source as a register; swapping N and Z of MOVE.L #imm,Dn; testing all
+// 32 bits in a byte or word TST Dn; dropping the quaspace check on
+// exec's memory-indirect JMP/JSR cell; charging a MOVEM block one memory
+// reference short; dropping the (An)+ or the -(An) write-back; stepping
+// the -(An) base 4 short; letting ramBlock admit a block past the end of
+// RAM, past devFloor, or outside the quaspace in user state.
 func TestDispatchMatchesExecDirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ref, xl := newDirSide(), newDirSide()
@@ -353,6 +363,9 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 		switch mode {
 		case ModeDisp:
 			o.Imm = int32(rng.Intn(33)) - 16
+		case ModeIdx: // the index register is drawn with the state
+			o.Imm = int32(rng.Intn(33)) - 16
+			o.Scale = []uint8{0, 1, 2, 4, 8}[rng.Intn(5)]
 		case ModeImm:
 			o.Imm = int32(rng.Uint32())
 		}
@@ -376,8 +389,26 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			}
 			in := Instr{Op: op, Sz: sz, Src: operand(sm, sr), Dst: operand(dm, dr)}
 			st := newState(c == dirUserNoSrc || c == dirUserNoDst || rng.Intn(2) == 0)
+			// An indexed operand's index is a data register, or an address
+			// register that is neither operand's base, holding a small value.
+			index := func(o *Operand) {
+				switch {
+				case o.Mode != ModeIdx:
+				case rng.Intn(2) == 0:
+					o.Idx = uint8(rng.Intn(8))
+					st.D[o.Idx] = uint32(rng.Intn(16))
+				default:
+					for o.Idx = uint8(sr); o.Idx == uint8(sr) || o.Idx == uint8(dr); {
+						o.Idx = uint8(rng.Intn(7))
+					}
+					st.A[o.Idx] = uint32(rng.Intn(16))
+					o.Idx += 8
+				}
+			}
+			index(&in.Src)
+			index(&in.Dst)
 			// place points an operand's effective address at target.
-			place := func(o Operand, target uint32) {
+			place := func(o *Operand, target uint32) {
 				switch o.Mode {
 				case ModePreDec:
 					st.A[o.Reg] = target + uint32(sz)
@@ -385,6 +416,14 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 					st.A[o.Reg] = target - uint32(o.Imm)
 				case ModeInd, ModePostInc:
 					st.A[o.Reg] = target
+				case ModeIdx:
+					x := st.D[o.Idx&7]
+					if o.Idx >= 8 {
+						x = st.A[o.Idx&7]
+					}
+					st.A[o.Reg] = target - uint32(o.Imm) - x*uint32(max(o.Scale, 1))
+				case ModeAbs:
+					o.Imm = int32(target)
 				}
 			}
 			src, dst := st.A[sr], st.A[dr] // plain RAM unless the case says otherwise
@@ -400,8 +439,8 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			case dirBothDev:
 				src, dst = inDev(), inDev()
 			}
-			place(in.Src, src)
-			place(in.Dst, dst)
+			place(&in.Src, src)
+			place(&in.Dst, dst)
 			st.faultReads, st.faultWrites = c == dirSrcDevFault, c == dirDstDevFault
 			// The quaspace window that shuts out one operand and, where the
 			// two addresses allow it, admits the other.
@@ -424,20 +463,43 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			}
 		}
 	}
+	memModes := []AddrMode{ModeInd, ModePostInc, ModePreDec, ModeDisp, ModeIdx, ModeAbs}
+	arith := []Op{MOVE, ADD, SUB, CMP}
 	for _, sz := range []uint8{1, 2, 4} {
-		for _, sm := range relModes {
-			for _, dm := range relModes {
-				for _, op := range []Op{MOVE, ADD, SUB, CMP} {
-					shape(op, sm, dm, sz)
+		for _, mm := range memModes {
+			for _, dm := range memModes {
+				for _, op := range arith {
+					shape(op, mm, dm, sz)
 				}
 			}
-			shape(TST, sm, ModeNone, sz)
-			shape(CLR, ModeNone, sm, sz)
-			shape(MOVE, sm, ModeDReg, sz)
+			for _, op := range arith {
+				shape(op, mm, ModeDReg, sz)
+			}
+			shape(TST, mm, ModeNone, sz)
+			shape(CLR, ModeNone, mm, sz)
 			for _, reg := range []AddrMode{ModeDReg, ModeAReg, ModeImm} {
-				shape(MOVE, reg, sm, sz)
+				for _, op := range []Op{MOVE, ADD, SUB} {
+					shape(op, reg, mm, sz)
+				}
 			}
 		}
+		// Register and immediate sources into a data register.
+		for _, op := range arith {
+			shape(op, ModeDReg, ModeDReg, sz)
+			shape(op, ModeImm, ModeDReg, sz)
+		}
+		shape(TST, ModeDReg, ModeNone, sz)
+	}
+	// LEA, and the cell of a memory-indirect JMP or JSR: in Src for every
+	// memory mode, in Dst for the modes that do not name a target.
+	for _, mm := range memModes {
+		shape(LEA, mm, ModeAReg, 4)
+		shape(JMP, mm, ModeNone, 4)
+		shape(JSR, mm, ModeNone, 4)
+	}
+	for _, mm := range []AddrMode{ModePostInc, ModePreDec, ModeIdx} {
+		shape(JMP, ModeNone, mm, 4)
+		shape(JSR, ModeNone, mm, 4)
 	}
 
 	// The supervisor ops, 256 states each in user and in supervisor

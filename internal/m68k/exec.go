@@ -228,61 +228,71 @@ func maskFor(sz uint8) (mask, sign uint32) {
 	}
 }
 
+// The flag helpers build the new SR in a local and store it once: SR
+// is a field, and one read-modify-write of it per flag chains every
+// flag-setting instruction to the last through the host's
+// store-to-load forwarding.
+
 // setNZMask sets N and Z from v at the given width and clears V and C.
 func (m *Machine) setNZMask(v, mask, sign uint32) {
-	m.SR &^= FlagN | FlagZ | FlagV | FlagC
+	sr := m.SR &^ (FlagN | FlagZ | FlagV | FlagC)
 	if v&mask == 0 {
-		m.SR |= FlagZ
+		sr |= FlagZ
 	}
 	if v&sign != 0 {
-		m.SR |= FlagN
+		sr |= FlagN
 	}
+	m.SR = sr
 }
 
 // setAddFlagsMask sets CCR after r = a + b.
 func (m *Machine) setAddFlagsMask(a, b, r, mask, sign uint32) {
-	m.SR &^= FlagN | FlagZ | FlagV | FlagC | FlagX
+	sr := m.SR &^ (FlagN | FlagZ | FlagV | FlagC | FlagX)
 	a, b, r = a&mask, b&mask, r&mask
 	if r == 0 {
-		m.SR |= FlagZ
+		sr |= FlagZ
 	}
 	if r&sign != 0 {
-		m.SR |= FlagN
+		sr |= FlagN
 	}
 	if (a^b)&sign == 0 && (r^a)&sign != 0 {
-		m.SR |= FlagV
+		sr |= FlagV
 	}
 	// Unsigned carry: r < a means the add wrapped (b is truncated to
 	// the operand size, so r == a happens only when b == 0).
 	if r < a {
-		m.SR |= FlagC | FlagX
+		sr |= FlagC | FlagX
 	}
+	m.SR = sr
 }
 
 // setSubFlagsMask sets CCR after r = a - b (also used by CMP with
 // a=dst, b=src).
 func (m *Machine) setSubFlagsMask(a, b, r, mask, sign uint32) {
-	m.SR &^= FlagN | FlagZ | FlagV | FlagC | FlagX
+	sr := m.SR &^ (FlagN | FlagZ | FlagV | FlagC | FlagX)
 	a, b, r = a&mask, b&mask, r&mask
 	if r == 0 {
-		m.SR |= FlagZ
+		sr |= FlagZ
 	}
 	if r&sign != 0 {
-		m.SR |= FlagN
+		sr |= FlagN
 	}
 	if (a^b)&sign != 0 && (r^b)&sign == 0 {
-		m.SR |= FlagV
+		sr |= FlagV
 	}
 	if b > a {
-		m.SR |= FlagC | FlagX
+		sr |= FlagC | FlagX
 	}
+	m.SR = sr
 }
 
-func (m *Machine) condition(op Op) bool {
-	n := m.SR&FlagN != 0
-	z := m.SR&FlagZ != 0
-	v := m.SR&FlagV != 0
-	c := m.SR&FlagC != 0
+// condition reports whether a branch on op is taken under status
+// register sr.
+func condition(op Op, sr uint16) bool {
+	n := sr&FlagN != 0
+	z := sr&FlagZ != 0
+	v := sr&FlagV != 0
+	c := sr&FlagC != 0
 	switch op {
 	case BRA:
 		return true
@@ -715,7 +725,7 @@ func (m *Machine) exec(in *Instr) error {
 		return nil
 
 	case BRA, BEQ, BNE, BLT, BLE, BGT, BGE, BHI, BLS, BCC, BCS, BMI, BPL:
-		if m.condition(in.Op) {
+		if condition(in.Op, m.SR) {
 			m.Cycles += cycBranchTak - cycReg
 			m.PC = uint32(in.Dst.Imm)
 		} else {
@@ -885,13 +895,23 @@ func (m *Machine) exec(in *Instr) error {
 // manipulation is a plain memory store.
 func (m *Machine) controlTarget(in *Instr) (uint32, error) {
 	if in.Src.Mode != ModeNone {
-		addr, err := m.ea(&in.Src, 4)
-		if err != nil {
-			return 0, err
-		}
-		return m.Load(addr, 4)
+		return m.indirect(&in.Src)
 	}
 	return m.jumpTarget(&in.Dst)
+}
+
+// indirect loads a control-transfer target from the memory cell o
+// designates. The load is a data access like any other: in user state
+// the quaspace bounds apply.
+func (m *Machine) indirect(o *Operand) (uint32, error) {
+	addr, err := m.ea(o, 4)
+	if err != nil {
+		return 0, err
+	}
+	if err := m.checkUserAccess(addr); err != nil {
+		return 0, err
+	}
+	return m.Load(addr, 4)
 }
 
 // jumpTarget resolves a control-transfer target to a code address.
@@ -908,11 +928,7 @@ func (m *Machine) jumpTarget(o *Operand) (uint32, error) {
 	default:
 		// Indirect through memory: the executable-data-structure
 		// ready queue jumps through addresses stored in TTEs.
-		addr, err := m.ea(o, 4)
-		if err != nil {
-			return 0, err
-		}
-		return m.Load(addr, 4)
+		return m.indirect(o)
 	}
 }
 

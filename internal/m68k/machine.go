@@ -602,17 +602,25 @@ func (m *Machine) Emit(code []Instr) uint32 {
 	return addr
 }
 
-// push stores a long word on the active stack.
+// push stores a long word on the active stack, as MOVE.L to -(A7)
+// would: in user state the quaspace bounds apply.
 func (m *Machine) push(val uint32) error {
 	m.A[7] -= 4
+	if err := m.checkUserAccess(m.A[7]); err != nil {
+		return err
+	}
 	return m.Store(m.A[7], 4, val)
 }
 
-// pop loads a long word from the active stack.
+// pop loads a long word from the active stack, as MOVE.L from (A7)+
+// would.
 func (m *Machine) pop() (uint32, error) {
-	v, err := m.Load(m.A[7], 4)
+	addr := m.A[7]
 	m.A[7] += 4
-	return v, err
+	if err := m.checkUserAccess(addr); err != nil {
+		return 0, err
+	}
+	return m.Load(addr, 4)
 }
 
 // enterSupervisor switches the active stack to the supervisor stack

@@ -359,14 +359,20 @@ func TestBitOps(t *testing.T) {
 // every memory operand is checked before its access — a MOVE's, and
 // MOVEM's, FMOVEM's and FMOVE's one register at a time in transfer
 // order, so a block that crosses either edge moves the registers before
-// the edge and faults at the first one past it.
+// the edge and faults at the first one past it. The stack and the cell
+// of a memory-indirect JMP or JSR are data too: a push, a pop and the
+// target load outside the quaspace fault before they touch it.
 func TestQuaspaceProtection(t *testing.T) {
 	const (
 		faulted = 0x7000                 // set by the bus-error handler, outside the quaspace
 		d1, d2  = 0x12345678, 0x9abcdef0 // what D1 and D2 hold
 		pattern = 0xa0000000             // | address: what every long near the edges holds
+		in, out = 0x2400, 0x3800         // cells holding esc's address, inside and outside
+		escaped = 0x5a5a                 // what esc leaves in D3
 	)
+	var esc uint32 // a routine that marks D3 and halts
 	word := func(m *m68k.Machine, a uint32) uint32 { return m.Peek(a, 4) }
+	notEscaped := func(m *m68k.Machine) bool { return m.D[3] != escaped }
 	cases := []struct {
 		name  string
 		body  func(b *asmkit.Builder)
@@ -403,6 +409,25 @@ func TestQuaspaceProtection(t *testing.T) {
 			func(m *m68k.Machine) bool { return word(m, 0x3000) == pattern|0x3000 }},
 		{"fmove $1ff8,fp0", func(b *asmkit.Builder) { b.FmoveTo(m68k.Abs(0x1ff8), 0) }, true,
 			func(m *m68k.Machine) bool { return m.FP[0] == 1.5 }},
+		{"jsr ([in])", func(b *asmkit.Builder) { b.JsrVia(m68k.Abs(in)) }, false,
+			func(m *m68k.Machine) bool { return m.D[3] == escaped }},
+		{"jmp ([out])", func(b *asmkit.Builder) { b.JmpVia(m68k.Abs(out)) }, true, notEscaped},
+		{"jmp ([a0,d1]) to out", func(b *asmkit.Builder) {
+			b.MoveL(m68k.Imm(out-0x2004), m68k.D(1))
+			b.JmpVia(m68k.Idx(0, 0, 1, 1))
+		}, true, notEscaped},
+		{"jsr with a7 = out+4", func(b *asmkit.Builder) {
+			b.Lea(m68k.Abs(out+4), 7)
+			b.Jsr(esc)
+		}, true, func(m *m68k.Machine) bool { return notEscaped(m) && word(m, out) == esc }},
+		{"pea with a7 = out+4", func(b *asmkit.Builder) {
+			b.Lea(m68k.Abs(out+4), 7)
+			b.I(m68k.Instr{Op: m68k.PEA, Src: m68k.Abs(0x2800)})
+		}, true, func(m *m68k.Machine) bool { return word(m, out) == esc }},
+		{"rts with a7 = out", func(b *asmkit.Builder) {
+			b.Lea(m68k.Abs(out), 7)
+			b.Rts()
+		}, true, notEscaped},
 	}
 	for _, c := range cases {
 		m := newM(t)
@@ -413,6 +438,12 @@ func TestQuaspaceProtection(t *testing.T) {
 		for a := uint32(0x1ff0); a < 0x3010; a += 4 {
 			m.Poke(a, 4, pattern|a)
 		}
+		e := asmkit.New()
+		e.MoveL(m68k.Imm(escaped), m68k.D(3))
+		e.Halt()
+		esc = e.Link(m)
+		m.Poke(in, 4, esc)
+		m.Poke(out, 4, esc)
 		m.D[1], m.D[2], m.A[0], m.FP[0], m.FP[1] = d1, d2, 0x2004, 1.5, 2.5
 
 		// Enter user state restricted to [0x2000, 0x3000) via a hand-built

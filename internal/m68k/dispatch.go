@@ -38,34 +38,37 @@ import "encoding/binary"
 // to exec in all three: each handler replicates its exec.go case's
 // memory-access order and calls the same flag helper.
 //
-// Operands are resolved at translate time too. The four
-// register-relative modes — (An), (An)+, -(An), d(An) — are one form,
-// addr = A[r]+disp then A[r] += inc (relOperand); absolute and indexed
-// are another, addr = disp or A[r] + disp + X*scale with the index
-// register and scale fixed here (absIdx). cRead, cWrite, LEA, the
-// ADD/SUB read-modify-write, the long MOVE bodies and the cell of a
-// memory-indirect JMP/JSR open-code them, so no memory operand calls an
-// address closure. (Folding register-relative into the second form cost
-// thread_ops 9–10 %.) A data register or immediate source of MOVE.L,
-// ADD, SUB or CMP into Dn, and TST Dn, is read in the handler, with no
-// cRead call, and a Bcc's condition is a truth table over N, Z, V and
-// C filled in from exec's. A word memory operand, which no workload
-// has, goes through exec's readOp or writeOp. Byte and long
-// accesses call the size-resolved accessors in machine.go
-// (load8/load32/store8/store32), which open-code plain RAM and nothing
-// else: a device window, the injector, Kick and the bus fault are
-// reachable only through Machine.Load and Machine.Store, which those
-// accessors call for every address that is not plain RAM. A handler
-// never tests devFloor or builds a BusFault for a memory access itself.
-// MOVEM asks ramBlock once per block and leaves any other to execMovem.
+// Operands are resolved at translate time too, and no handler calls
+// another: a handler reads and writes its own operands, so an
+// instruction is one indirect call. The four register-relative modes —
+// (An), (An)+, -(An), d(An) — are one form, addr = A[r]+disp then
+// A[r] += inc (rel); absolute and indexed are another, addr = disp or
+// A[r] + disp + X*scale with the index register and scale fixed here
+// (absIdx); a data register or an immediate is a third (regImm). Each
+// long shape the workloads run has a body of its own over these forms
+// (folding register-relative into absIdx cost thread_ops 9–10 %). The
+// byte and word shapes share one body per pair of operand kinds, which
+// takes either memory form (memForm) and the size at run time. Every
+// other operand combination runs through exec (cSlow), and a Bcc's
+// condition is a truth table over N, Z, V and C filled in from exec's.
+// A handler checks each address against the quaspace itself, as exec's
+// readOp and writeOp do (checkUserAccess inlines; inside the accessors,
+// which do not, it cost compute 4 %), then calls an accessor in
+// machine.go: load32/store32 for a long, load/store for any size. Those
+// open-code plain RAM and nothing else: a device window, the injector,
+// Kick and the bus fault are reachable only through Machine.Load and
+// Machine.Store, which the accessors call for every address that is not
+// plain RAM. A handler never tests devFloor or builds a BusFault for a
+// memory access itself. MOVEM asks ramBlock once per block and leaves
+// any other to execMovem.
 //
 // TestDispatchMatchesExec (random, over the whole op list) and
-// TestDispatchMatchesExecDirected (every specialized memory shape and
-// supervisor op, driven into devices, injected faults, the end of RAM
-// and the quaspace bounds) hold handlers to the switch one instruction
-// at a time, TestRunEqualsSteps holds the two step loops to each
-// other, and TestGoldenTables (internal/bench) holds every table
-// byte-equal to bench/baseline.
+// TestDispatchMatchesExecDirected (every body, driven into devices,
+// injected faults, the end of RAM and the quaspace bounds) hold
+// handlers to the switch one instruction at a time, TestStackMatchesMove
+// holds push and pop to MOVE.L on the stack, TestRunEqualsSteps holds
+// the two step loops to each other, and TestGoldenTables
+// (internal/bench) holds every table byte-equal to bench/baseline.
 
 // EmitBenchProgram emits the canonical dispatcher benchmark: a
 // representative mix of register ALU, memory read-modify-write,
@@ -104,12 +107,6 @@ type xent struct {
 // exception, or a terminal simulation error.
 type runFn func(m *Machine) error
 
-// readFn/writeFn are compiled operand accessors.
-type (
-	readFn  func(m *Machine) (uint32, error)
-	writeFn func(m *Machine, v uint32) error
-)
-
 // translate fills the cache line for pc from the instruction
 // currently installed there.
 func (m *Machine) translate(pc uint32, e *xent) {
@@ -120,22 +117,34 @@ func (m *Machine) translate(pc uint32, e *xent) {
 	e.run = compile(in, pc)
 }
 
-// relOperand resolves the four register-relative memory modes to one
-// form — addr = A[r]+disp, then A[r] += inc — so an accessor is one
-// body with no mode branch: (An) is (0, 0), (An)+ is (0, +sz), -(An)
-// is (-sz, -sz) and d(An) is (d, 0).
-func relOperand(o Operand, sz uint8) (r uint8, disp, inc uint32, ok bool) {
+// rel is the four register-relative memory modes as one form — addr =
+// A[r]+disp, then A[r] += inc — so a body has no mode branch: (An) is
+// (0, 0), (An)+ is (0, +sz), -(An) is (-sz, -sz) and d(An) is (d, 0).
+type rel struct {
+	disp, inc uint32
+	r         uint8
+}
+
+func relOperand(o Operand, sz uint8) (rel, bool) {
 	switch o.Mode {
 	case ModeInd:
-		return o.Reg, 0, 0, true
+		return rel{r: o.Reg}, true
 	case ModePostInc:
-		return o.Reg, 0, uint32(sz), true
+		return rel{inc: uint32(sz), r: o.Reg}, true
 	case ModePreDec:
-		return o.Reg, -uint32(sz), -uint32(sz), true
+		return rel{disp: -uint32(sz), inc: -uint32(sz), r: o.Reg}, true
 	case ModeDisp:
-		return o.Reg, uint32(o.Imm), 0, true
+		return rel{disp: uint32(o.Imm), r: o.Reg}, true
 	}
-	return 0, 0, 0, false
+	return rel{}, false
+}
+
+// addr steps the register and returns the operand's address, as exec's
+// ea does.
+func (f rel) addr(m *Machine) uint32 {
+	a := m.A[f.r] + f.disp
+	m.A[f.r] += f.inc
+	return a
 }
 
 // absIdx is the absolute and indexed modes as one form: addr = disp
@@ -170,6 +179,29 @@ func (f absIdx) addr(m *Machine) uint32 {
 	return m.A[f.r] + f.disp + x*f.scale
 }
 
+// memForm is a memory operand in either form, for the bodies that serve
+// both: addr takes one branch between them.
+type memForm struct {
+	rel   rel
+	ai    absIdx
+	isRel bool
+}
+
+func memOperand(o Operand, sz uint8) (memForm, bool) {
+	if f, ok := relOperand(o, sz); ok {
+		return memForm{rel: f, isRel: true}, true
+	}
+	f, ok := absIdxOperand(o)
+	return memForm{ai: f}, ok
+}
+
+func (f memForm) addr(m *Machine) uint32 {
+	if f.isRel {
+		return f.rel.addr(m)
+	}
+	return f.ai.addr(m)
+}
+
 // regImm is a data register or immediate source as one form: D[x]&mask
 // for a register, imm (truncated here) for an immediate. An immediate
 // reads no register: a masked-out read of one made each such
@@ -198,149 +230,6 @@ func (s regImm) val(m *Machine) uint32 {
 	return s.imm
 }
 
-// cRead compiles an operand read, mirroring Machine.readOp.
-func cRead(o Operand, sz uint8) readFn {
-	switch o.Mode {
-	case ModeImm:
-		v := trunc(uint32(o.Imm), sz)
-		return func(*Machine) (uint32, error) { return v, nil }
-	case ModeDReg:
-		r := o.Reg
-		switch sz {
-		case 1:
-			return func(m *Machine) (uint32, error) { return m.D[r] & 0xff, nil }
-		case 2:
-			return func(m *Machine) (uint32, error) { return m.D[r] & 0xffff, nil }
-		default:
-			return func(m *Machine) (uint32, error) { return m.D[r], nil }
-		}
-	case ModeAReg:
-		r := o.Reg
-		return func(m *Machine) (uint32, error) { return m.A[r], nil }
-	}
-	if r, disp, inc, ok := relOperand(o, sz); ok {
-		switch sz {
-		case 1:
-			return func(m *Machine) (uint32, error) {
-				addr := m.A[r] + disp
-				m.A[r] += inc
-				if err := m.checkUserAccess(addr); err != nil {
-					return 0, err
-				}
-				return m.load8(addr)
-			}
-		case 4:
-			return func(m *Machine) (uint32, error) {
-				addr := m.A[r] + disp
-				m.A[r] += inc
-				if err := m.checkUserAccess(addr); err != nil {
-					return 0, err
-				}
-				return m.load32(addr)
-			}
-		}
-	}
-	if f, ok := absIdxOperand(o); ok {
-		switch sz {
-		case 1:
-			return func(m *Machine) (uint32, error) {
-				addr := f.addr(m)
-				if err := m.checkUserAccess(addr); err != nil {
-					return 0, err
-				}
-				return m.load8(addr)
-			}
-		case 4:
-			return func(m *Machine) (uint32, error) {
-				addr := f.addr(m)
-				if err := m.checkUserAccess(addr); err != nil {
-					return 0, err
-				}
-				return m.load32(addr)
-			}
-		}
-	}
-	// Word operands, which no workload reads, and modes that are no
-	// operand: exec's own accessor.
-	return func(m *Machine) (uint32, error) { return m.readOp(&o, sz) }
-}
-
-// cWrite compiles an operand write, mirroring Machine.writeOp.
-func cWrite(o Operand, sz uint8) writeFn {
-	switch o.Mode {
-	case ModeDReg:
-		r := o.Reg
-		switch sz {
-		case 1:
-			return func(m *Machine, v uint32) error {
-				m.D[r] = m.D[r]&^0xff | v&0xff
-				return nil
-			}
-		case 2:
-			return func(m *Machine, v uint32) error {
-				m.D[r] = m.D[r]&^0xffff | v&0xffff
-				return nil
-			}
-		default:
-			return func(m *Machine, v uint32) error {
-				m.D[r] = v
-				return nil
-			}
-		}
-	case ModeAReg:
-		r := o.Reg
-		return func(m *Machine, v uint32) error {
-			m.A[r] = v
-			return nil
-		}
-	}
-	if r, disp, inc, ok := relOperand(o, sz); ok {
-		switch sz {
-		case 1:
-			return func(m *Machine, v uint32) error {
-				addr := m.A[r] + disp
-				m.A[r] += inc
-				if err := m.checkUserAccess(addr); err != nil {
-					return err
-				}
-				return m.store8(addr, v)
-			}
-		case 4:
-			return func(m *Machine, v uint32) error {
-				addr := m.A[r] + disp
-				m.A[r] += inc
-				if err := m.checkUserAccess(addr); err != nil {
-					return err
-				}
-				return m.store32(addr, v)
-			}
-		}
-	}
-	if f, ok := absIdxOperand(o); ok {
-		switch sz {
-		case 1:
-			return func(m *Machine, v uint32) error {
-				addr := f.addr(m)
-				if err := m.checkUserAccess(addr); err != nil {
-					return err
-				}
-				return m.store8(addr, v)
-			}
-		case 4:
-			return func(m *Machine, v uint32) error {
-				addr := f.addr(m)
-				if err := m.checkUserAccess(addr); err != nil {
-					return err
-				}
-				return m.store32(addr, v)
-			}
-		}
-	}
-	// Word operands, an immediate and modes that are no operand: exec's
-	// own accessor.
-	return func(m *Machine, v uint32) error { return m.writeOp(&o, sz, v) }
-}
-
 // cSlow defers to the reference switch interpreter, re-reading the
 // instruction from code space at run time (never a cached pointer:
 // AllocCode may have reallocated the backing array since translate).
@@ -359,289 +248,84 @@ func cSlow(pc uint32) runFn {
 func compile(in *Instr, pc uint32) runFn {
 	sz := in.Size()
 	mask, sign := maskFor(sz)
+	r := in.Dst.Reg // the destination register, where there is one
+	toD := in.Dst.Mode == ModeDReg
+	long := sz == 4
+	ri, regimm := regImmOperand(in.Src, sz)
+	sr, srel := relOperand(in.Src, sz)
+	dr, drel := relOperand(in.Dst, sz)
+	sf, sabs := absIdxOperand(in.Src)
+	sm, smem := memOperand(in.Src, sz)
+	dm, dmem := memOperand(in.Dst, sz)
 	switch in.Op {
 	case NOP:
 		return func(*Machine) error { return nil }
 
 	case MOVE:
-		sr, sdisp, sinc, srel := relOperand(in.Src, sz)
-		dr, ddisp, dinc, drel := relOperand(in.Dst, sz)
-		if srel && drel && sz == 4 {
-			// The long memory-to-memory move, fused: the bulk-copy
-			// instruction (65 % of file_rw) is one indirect call, in
-			// exec's order — source step, check, load, destination
-			// step, check, store, and flags only after the store.
-			return func(m *Machine) error {
-				src := m.A[sr] + sdisp
-				m.A[sr] += sinc
-				if err := m.checkUserAccess(src); err != nil {
-					return err
-				}
-				v, err := m.load32(src)
-				if err != nil {
-					return err
-				}
-				dst := m.A[dr] + ddisp
-				m.A[dr] += dinc
-				if err := m.checkUserAccess(dst); err != nil {
-					return err
-				}
-				if err := m.store32(dst, v); err != nil {
-					return err
-				}
-				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
-				return nil
-			}
-		}
-		rd := cRead(in.Src, sz)
-		if in.Dst.Mode == ModeAReg {
-			r := in.Dst.Reg
-			return func(m *Machine) error {
-				v, err := rd(m)
-				if err != nil {
-					return err
-				}
-				m.A[r] = v
-				return nil
-			}
-		}
-		// The long moves the workloads run most after the fused one — into
-		// a data register, and of a register or immediate to memory —
-		// write their destination without a cWrite call, and an absolute
-		// or indexed operand is addressed in the handler. A data register
-		// and an immediate source into Dn have a body each: a shared body's
-		// register-or-immediate branch made MOVE.L Dn,Dn slower, and an
-		// immediate's N and Z are known here.
-		sf, sabs := absIdxOperand(in.Src)
-		df, dabs := absIdxOperand(in.Dst)
-		ri, regimm := regImmOperand(in.Src, 4)
-		switch {
-		case sz != 4:
-		case in.Dst.Mode == ModeDReg && in.Src.Mode == ModeDReg:
-			x, r := ri.x, in.Dst.Reg
-			return func(m *Machine) error {
-				v := m.D[x]
-				m.D[r] = v
-				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
-				return nil
-			}
-		case in.Dst.Mode == ModeDReg && in.Src.Mode == ModeImm:
-			v, r, nz := ri.imm, in.Dst.Reg, uint16(0)
-			if v == 0 {
-				nz = FlagZ
-			} else if v&0x8000_0000 != 0 {
-				nz = FlagN
-			}
-			return func(m *Machine) error {
-				m.D[r] = v
-				m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC) | nz
-				return nil
-			}
-		case in.Dst.Mode == ModeDReg && sabs:
-			r := in.Dst.Reg
-			return func(m *Machine) error {
-				addr := sf.addr(m)
-				if err := m.checkUserAccess(addr); err != nil {
-					return err
-				}
-				v, err := m.load32(addr)
-				if err != nil {
-					return err
-				}
-				m.D[r] = v
-				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
-				return nil
-			}
-		case dabs && regimm:
-			return func(m *Machine) error {
-				v := ri.val(m)
-				addr := df.addr(m)
-				if err := m.checkUserAccess(addr); err != nil {
-					return err
-				}
-				if err := m.store32(addr, v); err != nil {
-					return err
-				}
-				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
-				return nil
-			}
-		case in.Dst.Mode == ModeDReg:
-			r := in.Dst.Reg
-			return func(m *Machine) error {
-				v, err := rd(m)
-				if err != nil {
-					return err
-				}
-				m.D[r] = v
-				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
-				return nil
-			}
-		case drel && (regimm || in.Src.Mode == ModeAReg):
-			return func(m *Machine) error {
-				v, _ := rd(m) // a register or immediate read cannot fail
-				dst := m.A[dr] + ddisp
-				m.A[dr] += dinc
-				if err := m.checkUserAccess(dst); err != nil {
-					return err
-				}
-				if err := m.store32(dst, v); err != nil {
-					return err
-				}
-				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
-				return nil
-			}
-		}
-		wr := cWrite(in.Dst, sz)
-		return func(m *Machine) error {
-			v, err := rd(m)
-			if err != nil {
-				return err
-			}
-			if err := wr(m, v); err != nil {
-				return err
-			}
-			m.setNZMask(v, mask, sign)
-			return nil
+		if run := cMove(in); run != nil {
+			return run
 		}
 
 	case LEA:
-		r := in.Dst.Reg
-		if sr, disp, inc, ok := relOperand(in.Src, sz); ok {
+		switch {
+		case srel:
 			return func(m *Machine) error {
-				addr := m.A[sr] + disp
-				m.A[sr] += inc
-				m.A[r] = addr
+				m.A[r] = sr.addr(m)
 				return nil
 			}
-		}
-		if f, ok := absIdxOperand(in.Src); ok {
+		case sabs:
 			return func(m *Machine) error {
-				m.A[r] = f.addr(m)
+				m.A[r] = sf.addr(m)
 				return nil
 			}
 		}
 
 	case CLR:
-		wr := cWrite(in.Dst, sz)
-		return func(m *Machine) error {
-			if err := wr(m, 0); err != nil {
-				return err
+		switch {
+		case toD:
+			return func(m *Machine) error {
+				m.D[r] &^= mask
+				m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC) | FlagZ
+				return nil
 			}
-			m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC) | FlagZ
-			return nil
+		case long && drel:
+			return func(m *Machine) error {
+				dst := dr.addr(m)
+				if err := m.checkUserAccess(dst); err != nil {
+					return err
+				}
+				if err := m.store32(dst, 0); err != nil {
+					return err
+				}
+				m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC) | FlagZ
+				return nil
+			}
+		case dmem:
+			return func(m *Machine) error {
+				dst := dm.addr(m)
+				if err := m.checkUserAccess(dst); err != nil {
+					return err
+				}
+				if err := m.store(dst, sz, 0); err != nil {
+					return err
+				}
+				m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC) | FlagZ
+				return nil
+			}
 		}
 
 	case ADD, SUB:
-		rd := cRead(in.Src, sz)
-		sub := in.Op == SUB
-		switch in.Dst.Mode {
-		case ModeDReg:
-			// A data register or immediate source is read here, in a
-			// body that calls nothing it cannot inline.
-			r := in.Dst.Reg
-			if ri, ok := regImmOperand(in.Src, sz); ok {
-				return func(m *Machine) error {
-					s, old := ri.val(m), m.D[r]&mask
-					nw := old + s
-					if sub {
-						nw = old - s
-					}
-					m.D[r] = m.D[r]&^mask | nw&mask
-					if sub {
-						m.setSubFlagsMask(old, s, nw, mask, sign)
-					} else {
-						m.setAddFlagsMask(old, s, nw, mask, sign)
-					}
-					return nil
-				}
-			}
-			return func(m *Machine) error {
-				s, err := rd(m)
-				if err != nil {
-					return err
-				}
-				old := m.D[r] & mask
-				nw := old + s
-				if sub {
-					nw = old - s
-				}
-				m.D[r] = m.D[r]&^mask | nw&mask
-				if sub {
-					m.setSubFlagsMask(old, s, nw, mask, sign)
-				} else {
-					m.setAddFlagsMask(old, s, nw, mask, sign)
-				}
-				return nil
-			}
-		case ModeAReg:
-			r := in.Dst.Reg
-			return func(m *Machine) error {
-				s, err := rd(m)
-				if err != nil {
-					return err
-				}
-				if sub {
-					m.A[r] -= s
-				} else {
-					m.A[r] += s
-				}
-				return nil
-			}
-		}
-		// Memory destination: read-modify-write with the address computed
-		// once, in either translate-time form.
-		r, disp, inc, rel := relOperand(in.Dst, sz)
-		f, ai := absIdxOperand(in.Dst)
-		if !rel && !ai {
-			break
-		}
-		return func(m *Machine) error {
-			s, err := rd(m)
-			if err != nil {
-				return err
-			}
-			var addr uint32
-			if rel {
-				addr = m.A[r] + disp
-				m.A[r] += inc
-			} else {
-				addr = f.addr(m)
-			}
-			if err := m.checkUserAccess(addr); err != nil {
-				return err
-			}
-			old, err := m.Load(addr, sz)
-			if err != nil {
-				return err
-			}
-			nw := old + s
-			if sub {
-				nw = old - s
-			}
-			if err := m.Store(addr, sz, nw); err != nil {
-				return err
-			}
-			if sub {
-				m.setSubFlagsMask(old, s, nw, mask, sign)
-			} else {
-				m.setAddFlagsMask(old, s, nw, mask, sign)
-			}
-			return nil
+		if run := cAddSub(in); run != nil {
+			return run
 		}
 
 	case AND, OR, EOR:
-		if in.Dst.Mode != ModeDReg {
+		if !toD || !regimm {
 			break
 		}
-		rd := cRead(in.Src, sz)
 		op := in.Op
-		r := in.Dst.Reg
 		return func(m *Machine) error {
-			s, err := rd(m)
-			if err != nil {
-				return err
-			}
-			old := m.D[r] & mask
+			s, old := ri.val(m), m.D[r]&mask
 			var nw uint32
 			switch op {
 			case AND:
@@ -657,80 +341,114 @@ func compile(in *Instr, pc uint32) runFn {
 		}
 
 	case LSL, LSR, ASR:
-		if in.Dst.Mode != ModeDReg {
+		if !toD || !regimm {
 			break
 		}
-		rd := cRead(in.Src, sz)
-		var sh func(o, s uint32) uint32 // o arrives masked to the operand width
-		switch in.Op {
-		case LSL:
-			sh = func(o, s uint32) uint32 { return o << s }
-		case LSR:
-			sh = func(o, s uint32) uint32 { return o >> s }
-		default: // ASR: arithmetic shift at the operand width
-			switch sz {
-			case 1:
-				sh = func(o, s uint32) uint32 { return uint32(int32(int8(o)) >> s) }
-			case 2:
-				sh = func(o, s uint32) uint32 { return uint32(int32(int16(o)) >> s) }
-			default:
-				sh = func(o, s uint32) uint32 { return uint32(int32(o) >> s) }
-			}
-		}
-		r := in.Dst.Reg
+		// ASR shifts at the operand width: o<<k>>k sign-extends from it.
+		op, k := in.Op, 32-8*uint32(sz)
 		return func(m *Machine) error {
-			s, err := rd(m)
-			if err != nil {
-				return err
-			}
-			s &= 63
+			s, o := ri.val(m)&63, m.D[r]&mask
 			m.Cycles += uint64(s) / 2 // shifts cost ~2 cycles per 4 bits
-			nw := sh(m.D[r]&mask, s)
+			var nw uint32
+			switch op {
+			case LSL:
+				nw = o << s
+			case LSR:
+				nw = o >> s
+			default:
+				nw = uint32(int32(o<<k) >> k >> s)
+			}
 			m.D[r] = m.D[r]&^mask | nw&mask
 			m.setNZMask(nw, mask, sign)
 			return nil
 		}
 
 	case CMP:
-		if ri, ok := regImmOperand(in.Src, sz); ok && in.Dst.Mode == ModeDReg {
-			r := in.Dst.Reg
+		switch {
+		case toD && regimm:
 			return func(m *Machine) error {
 				s, d := ri.val(m), m.D[r]&mask
 				m.setSubFlagsMask(d, s, d-s, mask, sign)
 				return nil
 			}
-		}
-		rs := cRead(in.Src, sz)
-		rdd := cRead(in.Dst, sz)
-		return func(m *Machine) error {
-			s, err := rs(m)
-			if err != nil {
-				return err
-			}
-			d, err := rdd(m)
-			if err != nil {
-				return err
-			}
-			m.setSubFlagsMask(d, s, d-s, mask, sign)
-			return nil
-		}
-
-	case TST:
-		if in.Src.Mode == ModeDReg {
-			r := in.Src.Reg
+		case toD && long && sabs:
 			return func(m *Machine) error {
-				m.setNZMask(m.D[r], mask, sign)
+				src := sf.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				s, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				d := m.D[r]
+				m.setSubFlagsMask(d, s, d-s, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case toD && smem:
+			return func(m *Machine) error {
+				src := sm.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				s, err := m.load(src, sz)
+				if err != nil {
+					return err
+				}
+				d := m.D[r] & mask
+				m.setSubFlagsMask(d, s, d-s, mask, sign)
+				return nil
+			}
+		case in.Dst.Mode == ModeAReg && long && smem:
+			return func(m *Machine) error {
+				src := sm.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				s, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				d := m.A[r]
+				m.setSubFlagsMask(d, s, d-s, 0xffff_ffff, 0x8000_0000)
 				return nil
 			}
 		}
-		rd := cRead(in.Src, sz)
-		return func(m *Machine) error {
-			v, err := rd(m)
-			if err != nil {
-				return err
+
+	case TST:
+		switch {
+		case in.Src.Mode == ModeDReg:
+			x := in.Src.Reg
+			return func(m *Machine) error {
+				m.setNZMask(m.D[x], mask, sign)
+				return nil
 			}
-			m.setNZMask(v, mask, sign)
-			return nil
+		case long && srel:
+			return func(m *Machine) error {
+				src := sr.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				v, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case smem:
+			return func(m *Machine) error {
+				src := sm.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				v, err := m.load(src, sz)
+				if err != nil {
+					return err
+				}
+				m.setNZMask(v, mask, sign)
+				return nil
+			}
 		}
 
 	case BRA, BEQ, BNE, BLT, BLE, BGT, BGE, BHI, BLS, BCC, BCS, BMI, BPL:
@@ -754,11 +472,11 @@ func compile(in *Instr, pc uint32) runFn {
 		}
 
 	case DBRA:
-		r := in.Src.Reg
+		x := in.Src.Reg
 		tgt := uint32(in.Dst.Imm)
 		return func(m *Machine) error {
-			m.D[r]--
-			if m.D[r] != 0xffff_ffff {
+			m.D[x]--
+			if m.D[x] != 0xffff_ffff {
 				m.Cycles += cycDBRATaken - cycReg
 				m.PC = tgt
 			} else {
@@ -767,24 +485,36 @@ func compile(in *Instr, pc uint32) runFn {
 			return nil
 		}
 
-	case JMP:
-		tf := cControlTarget(in)
-		return func(m *Machine) error {
-			t, err := tf(m)
-			if err != nil {
-				return err
+	case JMP, JSR:
+		// A constant target, as exec's jumpTarget reads it; and JMP
+		// through a cell addressed absolute or indexed (the executable
+		// data structures' "jmp ([next])"), read as exec's indirect does.
+		jsr := in.Op == JSR
+		if sabs && !jsr {
+			return func(m *Machine) error {
+				src := sf.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				t, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				m.PC = t
+				return nil
 			}
-			m.PC = t
-			return nil
 		}
-
-	case JSR:
-		tf := cControlTarget(in)
-		return func(m *Machine) error {
-			t, err := tf(m)
-			if err != nil {
-				return err
+		if in.Src.Mode != ModeNone || in.Dst.Mode != ModeAbs && in.Dst.Mode != ModeImm {
+			break
+		}
+		t := uint32(in.Dst.Imm)
+		if !jsr {
+			return func(m *Machine) error {
+				m.PC = t
+				return nil
 			}
+		}
+		return func(m *Machine) error {
 			if err := m.push(m.PC); err != nil {
 				return err
 			}
@@ -837,27 +567,32 @@ func compile(in *Instr, pc uint32) runFn {
 			return nil
 		}
 
+	// The interrupt-masking prologue's "move sr,-(sp)" and its
+	// epilogue's "move (sp)+,sr". Both run in supervisor state only,
+	// where the quaspace check always passes, so they make none.
 	case MOVEFSR:
-		wr := cWrite(in.Dst, 4)
-		return func(m *Machine) error {
-			if m.SR&FlagS == 0 {
-				return m.Exception(VecPrivilege)
+		if f, ok := relOperand(in.Dst, 4); ok {
+			return func(m *Machine) error {
+				if m.SR&FlagS == 0 {
+					return m.Exception(VecPrivilege)
+				}
+				return m.store32(f.addr(m), uint32(m.SR))
 			}
-			return wr(m, uint32(m.SR))
 		}
 
 	case MOVETSR:
-		rd := cRead(in.Src, 4)
-		return func(m *Machine) error {
-			if m.SR&FlagS == 0 {
-				return m.Exception(VecPrivilege)
+		if f, ok := relOperand(in.Src, 4); ok {
+			return func(m *Machine) error {
+				if m.SR&FlagS == 0 {
+					return m.Exception(VecPrivilege)
+				}
+				v, err := m.load32(f.addr(m))
+				if err != nil {
+					return err
+				}
+				m.applySR(uint16(v))
+				return nil
 			}
-			v, err := rd(m)
-			if err != nil {
-				return err
-			}
-			m.applySR(uint16(v))
-			return nil
 		}
 
 	case HALT:
@@ -884,11 +619,328 @@ func compile(in *Instr, pc uint32) runFn {
 		}
 	}
 
-	// Everything else — STOP, MOVEC, the MOVEM forms cMovem leaves, FP,
-	// CAS, multiply/divide, bit ops, NOT/NEG/EXT/PEA and logic or shifts
-	// into anything but a data register — executes through the reference
-	// switch.
+	// Every other shape executes through the reference switch: STOP,
+	// MOVEC, PEA, FP, CAS, multiply/divide, bit ops, NOT/NEG/EXT, the
+	// MOVEM forms cMovem leaves, and the operand combinations of the ops
+	// above that no workload runs at 0.5 % (docs/PERFORMANCE.md).
 	return cSlow(pc)
+}
+
+// cMove compiles MOVE. The long moves the workloads run have a body
+// each, so each body is the plain sequence exec's MOVE makes of its
+// operands: source step, check, load, destination step, check, store,
+// and N and Z only after the store. Other sizes share one body per
+// pair of operand kinds, with the size taken at run time. A data
+// register and an immediate source into Dn have a body each: a shared
+// body's register-or-immediate branch made MOVE.L Dn,Dn slower, and an
+// immediate's N and Z are known here.
+func cMove(in *Instr) runFn {
+	sz := in.Size()
+	mask, sign := maskFor(sz)
+	r, x := in.Dst.Reg, in.Src.Reg
+	toD, toA := in.Dst.Mode == ModeDReg, in.Dst.Mode == ModeAReg
+	fromA := in.Src.Mode == ModeAReg
+	ri, regimm := regImmOperand(in.Src, sz)
+	sr, srel := relOperand(in.Src, sz)
+	dr, drel := relOperand(in.Dst, sz)
+	sf, sabs := absIdxOperand(in.Src)
+	df, dabs := absIdxOperand(in.Dst)
+	sm, smem := memOperand(in.Src, sz)
+	dm, dmem := memOperand(in.Dst, sz)
+	if sz == 4 {
+		switch {
+		case srel && drel:
+			// The long memory-to-memory move (the long-form copy loop).
+			return func(m *Machine) error {
+				src := sr.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				v, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				dst := dr.addr(m)
+				if err := m.checkUserAccess(dst); err != nil {
+					return err
+				}
+				if err := m.store32(dst, v); err != nil {
+					return err
+				}
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case toD && in.Src.Mode == ModeDReg:
+			return func(m *Machine) error {
+				v := m.D[x]
+				m.D[r] = v
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case toD && in.Src.Mode == ModeImm:
+			v, nz := ri.imm, uint16(0)
+			if v == 0 {
+				nz = FlagZ
+			} else if v&0x8000_0000 != 0 {
+				nz = FlagN
+			}
+			return func(m *Machine) error {
+				m.D[r] = v
+				m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC) | nz
+				return nil
+			}
+		case toD && fromA:
+			return func(m *Machine) error {
+				v := m.A[x]
+				m.D[r] = v
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case toD && sabs:
+			return func(m *Machine) error {
+				src := sf.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				v, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				m.D[r] = v
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case toD && srel:
+			return func(m *Machine) error {
+				src := sr.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				v, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				m.D[r] = v
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case toA && regimm: // MOVEA sets no flags
+			return func(m *Machine) error {
+				m.A[r] = ri.val(m)
+				return nil
+			}
+		case toA && srel:
+			return func(m *Machine) error {
+				src := sr.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				v, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				m.A[r] = v
+				return nil
+			}
+		case toA && sabs:
+			return func(m *Machine) error {
+				src := sf.addr(m)
+				if err := m.checkUserAccess(src); err != nil {
+					return err
+				}
+				v, err := m.load32(src)
+				if err != nil {
+					return err
+				}
+				m.A[r] = v
+				return nil
+			}
+		case dabs && regimm:
+			return func(m *Machine) error {
+				v := ri.val(m)
+				dst := df.addr(m)
+				if err := m.checkUserAccess(dst); err != nil {
+					return err
+				}
+				if err := m.store32(dst, v); err != nil {
+					return err
+				}
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case drel && regimm:
+			return func(m *Machine) error {
+				v := ri.val(m)
+				dst := dr.addr(m)
+				if err := m.checkUserAccess(dst); err != nil {
+					return err
+				}
+				if err := m.store32(dst, v); err != nil {
+					return err
+				}
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		case toA && fromA:
+			return func(m *Machine) error {
+				m.A[r] = m.A[x]
+				return nil
+			}
+		case dmem && fromA: // a pointer pushed or stored into a record
+			return func(m *Machine) error {
+				v := m.A[x]
+				dst := dm.addr(m)
+				if err := m.checkUserAccess(dst); err != nil {
+					return err
+				}
+				if err := m.store32(dst, v); err != nil {
+					return err
+				}
+				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
+				return nil
+			}
+		}
+	}
+	switch {
+	case toD && smem:
+		return func(m *Machine) error {
+			src := sm.addr(m)
+			if err := m.checkUserAccess(src); err != nil {
+				return err
+			}
+			v, err := m.load(src, sz)
+			if err != nil {
+				return err
+			}
+			m.D[r] = m.D[r]&^mask | v&mask
+			m.setNZMask(v, mask, sign)
+			return nil
+		}
+	case dmem && regimm:
+		return func(m *Machine) error {
+			v := ri.val(m)
+			dst := dm.addr(m)
+			if err := m.checkUserAccess(dst); err != nil {
+				return err
+			}
+			if err := m.store(dst, sz, v); err != nil {
+				return err
+			}
+			m.setNZMask(v, mask, sign)
+			return nil
+		}
+	case dmem && smem:
+		return func(m *Machine) error {
+			src := sm.addr(m)
+			if err := m.checkUserAccess(src); err != nil {
+				return err
+			}
+			v, err := m.load(src, sz)
+			if err != nil {
+				return err
+			}
+			dst := dm.addr(m)
+			if err := m.checkUserAccess(dst); err != nil {
+				return err
+			}
+			if err := m.store(dst, sz, v); err != nil {
+				return err
+			}
+			m.setNZMask(v, mask, sign)
+			return nil
+		}
+	}
+	return nil
+}
+
+// cAddSub compiles ADD and SUB: a data register or immediate source into
+// Dn in a body that calls nothing it cannot inline, a long
+// register-relative source into Dn, a data register or immediate into
+// An, and a data register or immediate into memory, a read-modify-write
+// with the address computed once.
+func cAddSub(in *Instr) runFn {
+	sz := in.Size()
+	mask, sign := maskFor(sz)
+	sub := in.Op == SUB
+	r := in.Dst.Reg
+	ri, regimm := regImmOperand(in.Src, sz)
+	sr, srel := relOperand(in.Src, sz)
+	dm, dmem := memOperand(in.Dst, sz)
+	switch {
+	case in.Dst.Mode == ModeDReg && regimm && sub:
+		return func(m *Machine) error {
+			s, old := ri.val(m), m.D[r]&mask
+			nw := old - s
+			m.D[r] = m.D[r]&^mask | nw&mask
+			m.setSubFlagsMask(old, s, nw, mask, sign)
+			return nil
+		}
+	case in.Dst.Mode == ModeDReg && regimm:
+		return func(m *Machine) error {
+			s, old := ri.val(m), m.D[r]&mask
+			nw := old + s
+			m.D[r] = m.D[r]&^mask | nw&mask
+			m.setAddFlagsMask(old, s, nw, mask, sign)
+			return nil
+		}
+	case in.Dst.Mode == ModeDReg && srel && sz == 4: // the checksum loop's add.l (a0)+,d1
+		return func(m *Machine) error {
+			src := sr.addr(m)
+			if err := m.checkUserAccess(src); err != nil {
+				return err
+			}
+			s, err := m.load32(src)
+			if err != nil {
+				return err
+			}
+			old := m.D[r]
+			nw := old + s
+			if sub {
+				nw = old - s
+			}
+			m.D[r] = nw
+			if sub {
+				m.setSubFlagsMask(old, s, nw, 0xffff_ffff, 0x8000_0000)
+			} else {
+				m.setAddFlagsMask(old, s, nw, 0xffff_ffff, 0x8000_0000)
+			}
+			return nil
+		}
+	case in.Dst.Mode == ModeAReg && regimm: // ADDA/SUBA set no flags
+		return func(m *Machine) error {
+			if sub {
+				m.A[r] -= ri.val(m)
+			} else {
+				m.A[r] += ri.val(m)
+			}
+			return nil
+		}
+	case dmem && regimm:
+		return func(m *Machine) error {
+			s, addr := ri.val(m), dm.addr(m)
+			if err := m.checkUserAccess(addr); err != nil {
+				return err
+			}
+			old, err := m.load(addr, sz)
+			if err != nil {
+				return err
+			}
+			nw := old + s
+			if sub {
+				nw = old - s
+			}
+			if err := m.store(addr, sz, nw); err != nil {
+				return err
+			}
+			if sub {
+				m.setSubFlagsMask(old, s, nw, mask, sign)
+			} else {
+				m.setAddFlagsMask(old, s, nw, mask, sign)
+			}
+			return nil
+		}
+	}
+	return nil
 }
 
 // cMovem compiles MOVEM.L as one block transfer, its register list and
@@ -957,36 +1009,4 @@ func cMovem(in *Instr, pc uint32) runFn {
 		m.chargeMem(n)
 		return nil
 	}
-}
-
-// cControlTarget compiles JMP/JSR target resolution, mirroring
-// Machine.controlTarget and jumpTarget: a populated Src operand
-// selects the 68020 memory-indirect form, and so do the Dst modes that
-// do not name a target directly. The cell is read as a long data
-// operand (cRead), so in user state the quaspace bounds apply to it.
-func cControlTarget(in *Instr) readFn {
-	o := in.Src
-	switch {
-	case o.Mode == ModeNone:
-		o = in.Dst
-		switch o.Mode {
-		case ModeAbs, ModeImm:
-			t := uint32(o.Imm)
-			return func(*Machine) (uint32, error) { return t, nil }
-		case ModeAReg, ModeInd:
-			r := o.Reg
-			return func(m *Machine) (uint32, error) { return m.A[r], nil }
-		case ModeDReg:
-			r := o.Reg
-			return func(m *Machine) (uint32, error) { return m.D[r], nil }
-		case ModeDisp:
-			r, d := o.Reg, uint32(o.Imm)
-			return func(m *Machine) (uint32, error) { return m.A[r] + d, nil }
-		}
-	case !o.Mode.IsMemory(): // a register or immediate "cell"
-		return func(m *Machine) (uint32, error) { return m.indirect(&o) }
-	}
-	// Indirect through memory: the executable-data-structure ready queue
-	// jumps through addresses stored in TTEs.
-	return cRead(o, 4)
 }

@@ -38,12 +38,13 @@ func BenchmarkStepLoop(b *testing.B) {
 
 // BenchmarkShapes prices one instruction shape at a time: sixteen
 // copies of it in a DBRA loop, so ns/instr is the shape's own cost plus
-// a seventeenth of the loop's. The shapes are the ones compute runs
-// (docs/PERFORMANCE.md has the op mix), a NOP for the dispatch floor,
-// and d(An) for the register-relative form beside the absolute and
-// indexed one.
+// a seventeenth of the loop's. The shapes are the ones the workloads
+// run most (docs/PERFORMANCE.md has the op mix) and a NOP for the
+// dispatch floor. A prologue run once per pass resets the registers a
+// shape steps; jsr_abs+rts calls an RTS placed after the HALT, so its
+// ns/instr is the mean of the pair.
 func BenchmarkShapes(b *testing.B) {
-	const cell = 0x9000
+	const cell, stack = 0x9000, 0x20000
 	for _, s := range []struct {
 		name string
 		in   Instr
@@ -59,13 +60,27 @@ func BenchmarkShapes(b *testing.B) {
 		{"move.l_idx,d2", Instr{Op: MOVE, Src: Idx(-8, 0, 3, 4), Dst: D(2)}},
 		{"move.l_disp,d2", Instr{Op: MOVE, Src: Disp(8, 0), Dst: D(2)}},
 		{"move.l_d1,abs", Instr{Op: MOVE, Src: D(1), Dst: Abs(cell)}},
+		{"add.l_(a0)+,d1", Instr{Op: ADD, Src: PostInc(0), Dst: D(1)}},
+		{"tst.l_8(a0)", Instr{Op: TST, Src: Disp(8, 0)}},
+		{"clr.l_4(a0)", Instr{Op: CLR, Dst: Disp(4, 0)}},
+		{"move.l_a0,-(a7)", Instr{Op: MOVE, Src: A(0), Dst: PreDec(7)}},
+		{"move.l_4(a0),a1", Instr{Op: MOVE, Src: Disp(4, 0), Dst: A(1)}},
+		{"jsr_abs+rts", Instr{Op: JSR}},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			m := New(Config{})
-			m.A[0], m.D[3] = cell, 4
-			entry := m.Emit([]Instr{{Op: MOVE, Src: Imm(999), Dst: D(0)}})
-			m.Emit(append(slices.Repeat([]Instr{s.in}, 16),
-				Instr{Op: DBRA, Src: D(0), Dst: Abs(entry + 1)}, Instr{Op: HALT}))
+			m.D[3] = 4
+			entry := m.Emit([]Instr{
+				{Op: MOVE, Src: Imm(999), Dst: D(0)},
+				{Op: MOVE, Src: Imm(cell), Dst: A(0)},
+				{Op: MOVE, Src: Imm(stack), Dst: A(7)},
+			})
+			loop, in := m.CodeTop, s.in
+			if in.Op == JSR {
+				in.Dst = Abs(loop + 18) // past the sixteen, the DBRA and the HALT
+			}
+			m.Emit(append(slices.Repeat([]Instr{in}, 16),
+				Instr{Op: DBRA, Src: D(0), Dst: Abs(loop)}, Instr{Op: HALT}, Instr{Op: RTS}))
 			benchRun(b, m, entry)
 		})
 	}

@@ -152,6 +152,79 @@ func TestDispatchMatchesExec(t *testing.T) {
 	}
 }
 
+// TestStackMatchesMove holds push and pop, the stack side of JSR, RTS,
+// RTE, TRAP and every exception frame, to exec's MOVE.L D0,-(A7) and
+// MOVE.L (A7)+,D0: the same A7 and D0, charge, memory-reference count,
+// memory, device accesses and fault, with the slot in plain RAM, across
+// the end of RAM, in a device window (with and without the injector
+// faulting the access), and in user state inside and outside the
+// quaspace. It fails with the quaspace check dropped from push or pop,
+// with either one stepping A7 only after an access that succeeds, taking
+// its open-coded RAM path at or above devFloor or across the end of RAM,
+// or leaving that access uncharged.
+func TestStackMatchesMove(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	sides := [2][2]*dirSide{{newDirSide(true), newDirSide(true)}, {newDirSide(false), newDirSide(false)}}
+	image := make([]byte, dirMem)
+	const (
+		stPlain = iota
+		stRAMEnd
+		stDev
+		stDevFault
+		stUserIn
+		stUserOut
+		stCases
+	)
+	for n := 0; n < 2*stCases*64; n++ {
+		pop, c := n%2 == 1, n/2%stCases
+		rng.Read(image)
+		s := &dirState{SR: FlagS | uint16(rng.Intn(32)), SSP: 0x400, USP: 0x800}
+		for i := range s.D {
+			s.D[i] = rng.Uint32()
+		}
+		slot := 0x400 + uint32(rng.Intn(0x800))
+		switch c {
+		case stRAMEnd:
+			slot = dirMem - 1 - uint32(rng.Intn(3))
+		case stDev, stDevFault:
+			slot = dirDevBase + uint32(rng.Intn(dirDevSize))
+			s.faultReads, s.faultWrites = c == stDevFault && pop, c == stDevFault && !pop
+		case stUserIn, stUserOut:
+			s.SR &^= FlagS
+			s.UBase, s.ULimit = slot, slot+4
+			if c == stUserOut {
+				s.UBase, s.ULimit = slot+1, dirMem
+			}
+		}
+		in := Instr{Op: MOVE, Src: D(0), Dst: PreDec(7)}
+		s.A[7] = slot + 4
+		if pop {
+			in = Instr{Op: MOVE, Src: PostInc(7), Dst: D(0)}
+			s.A[7] = slot
+		}
+		ref, st := sides[0][0], sides[0][1]
+		if c == stRAMEnd {
+			ref, st = sides[1][0], sides[1][1]
+		}
+		ref.reset(in, s, image)
+		st.reset(in, s, image)
+		errA := ref.m.exec(&ref.m.Code[2])
+		var errB error
+		if pop {
+			var v uint32
+			if v, errB = st.m.pop(); errB == nil {
+				st.m.D[0] = v
+			}
+		} else {
+			errB = st.m.push(st.m.D[0])
+		}
+		st.m.SR = ref.m.SR // N and Z are MOVE's own
+		if d := dirCompare(ref, st, errA, errB); d != "" {
+			t.Fatalf("pop %v, case %d, slot %#x, from %+v:\n%s", pop, c, slot, *s, d)
+		}
+	}
+}
+
 // The directed pass. The random pass above draws a long (An)+,(An)+
 // move about three times in 20,000, keeps every address in plain RAM,
 // attaches no device, sets no injector, leaves the quaspace bounds off
@@ -226,9 +299,15 @@ type dirSide struct {
 	inj *dirFaulter
 }
 
-func newDirSide() *dirSide {
+// newDirSide builds one side, with the recording device attached or,
+// for the end-of-RAM cases, without it: the window lies inside RAM, so
+// with it attached devFloor alone would keep those accesses off the RAM
+// path and the end-of-RAM bound would go untested.
+func newDirSide(attach bool) *dirSide {
 	s := &dirSide{m: New(Config{MemSize: dirMem, CodeSize: 8}), dev: &recDev{}}
-	s.m.Attach(s.dev)
+	if attach {
+		s.m.Attach(s.dev)
+	}
 	s.m.Emit([]Instr{{Op: HALT}, {Op: HALT}, {Op: NOP}}) // 0, 1: vector targets; 2: the instruction under test
 	return s
 }
@@ -259,8 +338,12 @@ func dirDiff(ref, xl *dirSide, in Instr, st *dirState, image []byte) string {
 	var e xent
 	xl.m.translate(2, &e)
 	xl.m.Cycles += e.cost
-	errB := e.run(xl.m)
+	return dirCompare(ref, xl, errA, e.run(xl.m))
+}
 
+// dirCompare describes the first difference between two sides that ran
+// one instruction each, or returns "".
+func dirCompare(ref, xl *dirSide, errA, errB error) string {
 	a, b := ref.m, xl.m
 	switch {
 	case (errA == nil) != (errB == nil) || errA != nil && errA.Error() != errB.Error():
@@ -300,38 +383,63 @@ const (
 	dirCases
 )
 
-// TestDispatchMatchesExecDirected holds the specialized shapes to
-// exec: MOVE/ADD/SUB/CMP/TST/CLR over every pair of memory modes
+// TestDispatchMatchesExecDirected holds every body to exec:
+// MOVE/ADD/SUB/CMP/TST/CLR over every pair of memory modes
 // (register-relative, indexed by a data or an address register at every
-// scale, absolute) at every size, MOVE/ADD/SUB/CMP from each of those
-// modes into a data register, MOVE/ADD/SUB of a data register, address
-// register or immediate to each, MOVE/ADD/SUB/CMP from a data register
-// or immediate into a data register and TST of one, LEA and the cell of
-// a memory-indirect JMP/JSR in each mode, the six supervisor ops with
-// closures in both processor states, and the MOVEM block forms —
-// registers, SR, PC, both stack pointers, accounting, memory, the
-// device's access log and Kick count, and the injector's tally.
-// Mutation-checked against dispatch.go, exec.go and machine.go; each of
-// these fails it: dropping the destination checkUserAccess in the fused
-// MOVE; stepping the fused MOVE's source register after a faulting load
-// instead of before; letting load32/store32 take the RAM path at or
-// above devFloor; setting N/Z before the fused MOVE's store; writing
-// the data register before looking at the load's error in the long MOVE
-// into Dn, from a register-relative or from an absolute or indexed
-// source; setting N/Z before the store in the long MOVE of a register or
-// immediate to memory, register-relative or absolute and indexed;
-// reading An where the index is Dn; ignoring the scale; dropping
-// checkUserAccess on the absolute or indexed load, in the long MOVE into
-// Dn or in cRead; using load32 for a word operand; reading an immediate
-// source as a register; swapping N and Z of MOVE.L #imm,Dn; testing all
-// 32 bits in a byte or word TST Dn; dropping the quaspace check on
-// exec's memory-indirect JMP/JSR cell; charging a MOVEM block one memory
-// reference short; dropping the (An)+ or the -(An) write-back; stepping
-// the -(An) base 4 short; letting ramBlock admit a block past the end of
-// RAM, past devFloor, or outside the quaspace in user state.
+// scale, absolute) at every size; MOVE/ADD/SUB/CMP from each of those
+// modes into a data register, MOVE/CMP into an address register;
+// MOVE/ADD/SUB of a data register, address register or immediate to
+// each, and of a data register or immediate into an address register;
+// MOVE of an address register to either kind of register; ADD, SUB,
+// CMP, AND, OR, EOR, LSL, LSR and ASR from a data register or immediate
+// into a data register, TST and CLR of one; LEA and the cell of a
+// memory-indirect JMP/JSR in each mode; JMP and JSR to a constant
+// target, RTS and RTE, the stack slot directed like an operand; MOVE to
+// and from SR through each register-relative mode; the six supervisor
+// ops with closures in both processor states; and the MOVEM block forms.
+// It compares registers, SR, PC, both stack pointers, accounting,
+// memory, the device's access log and Kick count, and the injector's
+// tally.
+//
+// Mutation-checked against dispatch.go, exec.go and machine.go; with
+// TestStackMatchesMove, each of these fails it. Every body with a memory
+// operand: dropping its quaspace check (each of the 23 checks alone).
+// Every body over a register-relative operand (the fused move, MOVE.L
+// into Dn and into An, MOVE.L of Dn or #imm to one, CLR.L, TST.L,
+// ADD/SUB.L into Dn, MOVE to and from SR): stepping the register only
+// after an access that succeeds. Every body that stores: setting the
+// flags before the store (the fused move; MOVE.L of Dn or #imm to
+// either form and of An to memory; CLR.L and the byte and word CLR; the
+// byte and word MOVE from a register and from memory; the ADD/SUB
+// read-modify-write). The long loads into Dn and An from an absolute or
+// indexed operand writing the register before looking at the error;
+// the byte and word memory TST loading a long; MOVE memory to memory
+// forming the destination address before the source load; the byte and
+// word load into Dn merging the loaded value unmasked; MOVE.L Dn,Dn
+// taking N/Z from the low word; MOVE.L #imm,Dn with N and Z swapped;
+// MOVE.L An,Dn setting no N/Z; MOVEA of Dn or #imm setting N/Z; MOVEA
+// An,An reading Dn; SUBA adding; the long absolute or indexed CMP into
+// Dn with its operands swapped; the byte and word CMP taking flags at
+// the long width; CMP.L into An comparing Dn; TST of a byte or word Dn
+// testing 32 bits; CLR, AND/OR/EOR writing all 32 bits of Dn at every
+// size; ASR sign-extending from bit 31 at every size; JMP to a constant
+// one past the target; JSR pushing the target instead of the return
+// address; exec's indirect cell read without the quaspace check. Forms
+// and accessors: stepping a register-relative register before forming
+// the address; memForm always register-relative; reading An where the
+// index is Dn; ignoring the scale; reading an immediate source as a
+// register; load32, store32, load or store taking the RAM path at or
+// above devFloor or across the end of RAM. push and pop (these fail
+// TestStackMatchesMove): either's quaspace check dropped, A7 stepped
+// only after an access that succeeds, the RAM path taken at or above
+// devFloor or across the end of RAM, the RAM access uncharged. MOVEM: a block charged one
+// memory reference short; no (An)+ or -(An) write-back; the -(An) base 4
+// short; ramBlock admitting a block past the end of RAM, past devFloor,
+// or outside the quaspace in user state.
 func TestDispatchMatchesExecDirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	ref, xl := newDirSide(), newDirSide()
+	ref, xl := newDirSide(true), newDirSide(true)
+	bareRef, bareXl := newDirSide(false), newDirSide(false)
 	image := make([]byte, dirMem)
 	relModes := []AddrMode{ModeInd, ModePostInc, ModePreDec, ModeDisp}
 
@@ -441,6 +549,16 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			}
 			place(&in.Src, src)
 			place(&in.Dst, dst)
+			// JSR pushes and RTS and RTE pop: the stack slot is the
+			// operand the case directs.
+			switch op {
+			case JSR:
+				if sm == ModeNone {
+					place(&Operand{Mode: ModePreDec, Reg: 7}, dst)
+				}
+			case RTS, RTE:
+				place(&Operand{Mode: ModePostInc, Reg: 7}, src)
+			}
 			st.faultReads, st.faultWrites = c == dirSrcDevFault, c == dirDstDevFault
 			// The quaspace window that shuts out one operand and, where the
 			// two addresses allow it, admits the other.
@@ -458,7 +576,11 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			default:
 				st.UBase, st.ULimit = 0, out
 			}
-			if d := dirDiff(ref, xl, in, st, image); d != "" {
+			a, b := ref, xl
+			if c == dirSrcRAMEnd || c == dirDstRAMEnd {
+				a, b = bareRef, bareXl
+			}
+			if d := dirDiff(a, b, in, st, image); d != "" {
 				t.Fatalf("%v (case %d) from %+v:\n%s", in, c, *st, d)
 			}
 		}
@@ -489,6 +611,33 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			shape(op, ModeImm, ModeDReg, sz)
 		}
 		shape(TST, ModeDReg, ModeNone, sz)
+		// Into an address register, from memory and from registers, and
+		// the register-only logic ops, shifts and CLR.
+		for _, mm := range memModes {
+			shape(MOVE, mm, ModeAReg, sz)
+			shape(CMP, mm, ModeAReg, sz)
+		}
+		for _, op := range []Op{MOVE, ADD, SUB} {
+			shape(op, ModeDReg, ModeAReg, sz)
+			shape(op, ModeImm, ModeAReg, sz)
+		}
+		shape(MOVE, ModeAReg, ModeDReg, sz)
+		shape(MOVE, ModeAReg, ModeAReg, sz)
+		shape(CLR, ModeNone, ModeDReg, sz)
+		for _, op := range []Op{AND, OR, EOR, LSL, LSR, ASR} {
+			shape(op, ModeDReg, ModeDReg, sz)
+			shape(op, ModeImm, ModeDReg, sz)
+		}
+	}
+	// Control transfers to a constant target, the returns, and the SR
+	// moves of the interrupt-masking prologue and epilogue.
+	shape(JMP, ModeNone, ModeAbs, 4)
+	shape(JSR, ModeNone, ModeAbs, 4)
+	shape(RTS, ModeNone, ModeNone, 4)
+	shape(RTE, ModeNone, ModeNone, 4)
+	for _, mm := range relModes {
+		shape(MOVEFSR, ModeNone, mm, 4)
+		shape(MOVETSR, mm, ModeNone, 4)
 	}
 	// LEA, and the cell of a memory-indirect JMP or JSR: in Src for every
 	// memory mode, in Dst for the modes that do not name a target.
@@ -595,7 +744,11 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			if f.dir == 0 {
 				in.Src, in.Dst = Operand{}, o
 			}
-			if d := dirDiff(ref, xl, in, st, image); d != "" {
+			a, b := ref, xl
+			if c == mvRAMEnd {
+				a, b = bareRef, bareXl
+			}
+			if d := dirDiff(a, b, in, st, image); d != "" {
 				t.Fatalf("%v (case %d) from %+v:\n%s", in, c, *st, d)
 			}
 		}

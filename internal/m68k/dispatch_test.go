@@ -462,12 +462,12 @@ func TestDispatchCounters(t *testing.T) {
 	entry := m.CodeTop
 	m.Emit([]Instr{
 		{Op: MOVE, Src: Imm(passes - 1), Dst: D(7)},
-		{Op: MOVEFSR, Dst: D(0)}, // 1
+		{Op: MOVEFSR, Dst: PreDec(7)}, // 1: the kernel's "move sr,-(sp)"
 		{Op: ORSR, Src: Imm(0x0700)},
 		{Op: TRAP, Vec: 1},
 		{Op: MULU, Src: Imm(3), Dst: D(2)},
 		{Op: ANDSR, Src: Imm(0xf8ff)},
-		{Op: MOVETSR, Src: D(0)},
+		{Op: MOVETSR, Src: PostInc(7)}, // and its "move (sp)+,sr"
 		{Op: DBRA, Src: D(7), Dst: Abs(entry + 1)},
 		{Op: HALT},
 	})

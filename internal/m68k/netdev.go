@@ -113,23 +113,24 @@ func (n *Net) Store(off uint32, sz uint8, val uint32) {
 		n.txAddr = val
 	case NetRegTxLen:
 		n.txCnt++
-		frame := n.m.PeekBytes(n.txAddr, int(val))
-		if n.Tx != nil {
-			if n.Tx(frame) {
-				n.txStat = 1
-			} else {
-				n.txStat = 0
-			}
-			return
-		}
 		target := n.peer
 		if target == nil {
 			target = n
 		}
-		if target.Deliver(frame) {
+		var ok bool
+		switch end := uint64(n.txAddr) + uint64(val); {
+		case n.Tx != nil:
+			ok = n.Tx(n.m.PeekBytes(n.txAddr, int(val)))
+		case target.m.Inj == nil && end <= uint64(len(n.m.Mem)):
+			// Nothing on the way can keep the frame, so it is DMA'd
+			// straight from the sender's memory into the receive ring.
+			ok = target.deliverRaw(n.m.Mem[n.txAddr:end], 0)
+		default:
+			ok = target.Deliver(n.m.PeekBytes(n.txAddr, int(val)))
+		}
+		n.txStat = 0
+		if ok {
 			n.txStat = 1
-		} else {
-			n.txStat = 0
 		}
 	case NetRegRxBase:
 		n.rxBase = val
@@ -175,7 +176,8 @@ func (n *Net) Deliver(frame []byte) bool {
 	return n.deliverRaw(frame, 0)
 }
 
-// deliverRaw DMAs one post-injection frame into the receive ring.
+// deliverRaw DMAs one post-injection frame into the receive ring. The
+// frame is not retained.
 func (n *Net) deliverRaw(frame []byte, delay uint64) bool {
 	if !n.enabled || n.rxSlots == 0 || n.slotSz == 0 ||
 		uint32(len(frame))+4 > n.slotSz ||
@@ -184,9 +186,11 @@ func (n *Net) deliverRaw(frame []byte, delay uint64) bool {
 		n.drops++
 		return false
 	}
+	// The bytes go first: frame may be a view of the sender's memory,
+	// and that view must be read as it was when the frame launched.
 	slot := n.rxBase + (n.rxHead&(n.rxSlots-1))*n.slotSz
-	n.m.Poke(slot, 4, uint32(len(frame)))
 	n.m.PokeBytes(slot+4, frame)
+	n.m.Poke(slot, 4, uint32(len(frame)))
 	// The DMA engine writes whole long words: zero the pad up to the
 	// next long boundary so a long-wise payload checksum over the slot
 	// never reads a stale byte from an earlier, longer frame.

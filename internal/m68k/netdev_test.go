@@ -160,6 +160,35 @@ func TestNetRingFullDrops(t *testing.T) {
 	}
 }
 
+// TestNetLaunchDoesNotAllocate: with no Tx hook and no injector nothing
+// can keep a launched frame, so the length store DMAs it from the
+// sender's memory straight into the loopback receive ring, with no
+// per-frame copy, and the frame lands intact.
+func TestNetLaunchDoesNotAllocate(t *testing.T) {
+	m := newDeviceM(t)
+	const ring, slots, slotSz, stage = 0x4000, 4, 64, 0x2000
+	configureNet(m, ring, slots, slotSz)
+	frame := []byte("loopback, no copy")
+	m.PokeBytes(stage, frame)
+	m.Store(m68k.NetBase+m68k.NetRegTxAddr, 4, stage)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Store(m68k.NetBase+m68k.NetRegTxLen, 4, uint32(len(frame)))
+		head, _ := m.Load(m68k.NetBase+m68k.NetRegRxHead, 4)
+		m.Store(m68k.NetBase+m68k.NetRegRxTail, 4, head) // consume it
+	})
+	if allocs != 0 {
+		t.Errorf("loopback launch: %v allocations per frame, want 0", allocs)
+	}
+	head, _ := m.Load(m68k.NetBase+m68k.NetRegRxHead, 4)
+	slot := uint32(ring + (head-1)%slots*slotSz)
+	if n := m.Peek(slot, 4); n != uint32(len(frame)) || string(m.PeekBytes(slot+4, len(frame))) != string(frame) {
+		t.Fatalf("ring slot holds %d bytes %q, want %q", n, m.PeekBytes(slot+4, int(n)), frame)
+	}
+	if stat, _ := m.Load(m68k.NetBase+m68k.NetRegTxStat, 4); stat != 1 {
+		t.Fatalf("tx stat = %d, want 1", stat)
+	}
+}
+
 // TestNetTxHook: a fabric-attached NIC hands every launched frame to
 // the Tx hook instead of the peer, and the hook's verdict lands in
 // NetRegTxStat so guest-side retry/backoff sees fabric backpressure.

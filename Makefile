@@ -8,8 +8,9 @@
 # injector, then the machine's two step loops and its
 # self-modifying-code tests in internal/m68k;
 # single-machine fault injection, the open/close churn plateau, the
-# declared synthesis keys checked against their templates and the block
-# copy preempted mid-group; 2-VM
+# declared synthesis keys checked against their templates, the block
+# copy preempted mid-group and the one-byte get's masked park with a tty
+# byte injected at every cycle of its window; 2-VM
 # fleet churn; 2-VM fleet under link faults and a partition/heal
 # cycle, plus the fabric's held-frame queue and cut record driven directly:
 # throttle, delay, scripted and manual cuts). `make examples` runs the six self-checking examples, each of
@@ -41,7 +42,7 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated' \
 		./internal/kio/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 

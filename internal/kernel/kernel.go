@@ -46,7 +46,6 @@ type Kernel struct {
 	rtChain     uint32 // d1 = proc: procedure chaining (plain)
 	rtChainCAS  uint32 // d1 = proc: procedure chaining with CAS retry
 	rtLeave     uint32 // remove current from the ring, idle steps in if empty
-	rtSysDisp   uint32 // trap #1 dispatcher
 	rtTraceStop uint32 // trace-bit handler implementing step
 	rtAlarm     uint32 // shared alarm interrupt handler
 	rtSigRet    uint32 // trap #3: return from signal
@@ -272,9 +271,10 @@ func (k *Kernel) ChainCASRoutine() uint32 { return k.rtChainCAS }
 // LookupRoutine returns the hashed-backwards name lookup (D1 = name).
 func (k *Kernel) LookupRoutine() uint32 { return k.rtLookup }
 
-// DispatchRoutine returns the native system-call dispatcher (the
-// UNIX emulator tail-jumps into it).
-func (k *Kernel) DispatchRoutine() uint32 { return k.rtSysDisp }
+// SysEntry returns the body of native function code fn, read from
+// trap #1's jump table (the UNIX emulator's own table jumps straight
+// into these bodies).
+func (k *Kernel) SysEntry(fn int32) uint32 { return k.g(GSysTable + uint32(fn)*4) }
 
 // AlarmRoutine returns the shared alarm interrupt handler.
 func (k *Kernel) AlarmRoutine() uint32 { return k.rtAlarm }

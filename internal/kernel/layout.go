@@ -52,6 +52,10 @@ const (
 	// returns instead of panicking.
 	GSpuriousIRQ = GlobalsBase + 20
 
+	// GSysTable is trap #1's jump table: the body of each of the NumSys
+	// native function codes, filled when sys_dispatch is installed.
+	GSysTable = GlobalsBase + 24
+
 	// HeapBase is where the kernel heap begins.
 	HeapBase uint32 = 0x0001_0000
 )
@@ -79,10 +83,9 @@ const (
 	TTEIOGauge = 508 // I/O event count for the fine-grain scheduler
 	TTESigPC   = 512 // pending signal handler entry (0 = none)
 	TTESigOld  = 516 // interrupted PC stashed for the signal handler
-	TTESwinPtr = 520 // code address of this thread's own sw_in (no quaspace change)
+	TTESwinPtr = 520 // code address that switches this thread in: sw_in.mmu with a quaspace, plain sw_in without (fixed at creation, like TTEULimit)
 	TTESwoutPt = 524 // code address of this thread's own sw_out
 	TTEWaitsOn = 528 // wait-queue cell address this thread is blocked on (0 = runnable)
-	TTESwinMMU = 532 // code address of this thread's sw_in.mmu entry
 	TTEErrPC   = 536 // user-mode error signal handler (0 = none: panic)
 	TTEFDBase  = 544 // per-descriptor state: MaxFD slots x FDSlotSize bytes
 	TTEScratch = 928 // per-thread scratch (signal trampolines, chaining)
@@ -142,6 +145,7 @@ const (
 	SysYield    = 11 // give up the CPU voluntarily
 	SysSeek     = 12 // D1 = fd, D2 = absolute position
 	SysSock     = 13 // D1 = local port, D2 = remote port -> D0 = fd or ^0
+	NumSys      = 14 // codes at or above (unsigned) panic
 )
 
 // KCALL service ids.

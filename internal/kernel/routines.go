@@ -55,15 +55,10 @@ func (k *Kernel) synthesizeShared() {
 		e.MoveL(m68k.Disp(TTEPrev, 0), m68k.A(2)) // prev
 		e.MoveL(m68k.A(1), m68k.Disp(TTENext, 2)) // prev.next = next
 		e.MoveL(m68k.A(2), m68k.Disp(TTEPrev, 1)) // next.prev = prev
-		e.Tst(4, m68k.Disp(TTEULimit, 1))         // quaspace change needed?
-		e.Beq("plain")
-		e.MoveL(m68k.Disp(TTESwinMMU, 1), m68k.D(0))
-		e.Bra("store")
-		e.Label("plain")
-		e.MoveL(m68k.Disp(TTESwinPtr, 1), m68k.D(0))
-		e.Label("store")
-		e.MoveL(m68k.D(0), m68k.Disp(TTENextSw, 2)) // prev jumps past us now
-		e.Clr(4, m68k.Disp(TTENext, 0))             // mark unlinked
+		// prev jumps past us now, into next's switch-in entry (the TTE
+		// holds the right one, quaspace or not).
+		e.MoveL(m68k.Disp(TTESwinPtr, 1), m68k.Disp(TTENextSw, 2))
+		e.Clr(4, m68k.Disp(TTENext, 0)) // mark unlinked
 		e.MoveL(m68k.PostInc(7), m68k.A(2))
 		e.Label("out")
 		e.MoveToSR(m68k.PostInc(7))
@@ -88,24 +83,8 @@ func (k *Kernel) synthesizeShared() {
 		e.MoveL(m68k.A(0), m68k.Disp(TTENext, 1))
 		e.MoveL(m68k.A(0), m68k.Disp(TTEPrev, 2))
 		e.Clr(4, m68k.Disp(TTEWaitsOn, 0))
-		// cur.nextsw = entry(new)
-		e.Tst(4, m68k.Disp(TTEULimit, 0))
-		e.Beq("p1")
-		e.MoveL(m68k.Disp(TTESwinMMU, 0), m68k.D(0))
-		e.Bra("s1")
-		e.Label("p1")
-		e.MoveL(m68k.Disp(TTESwinPtr, 0), m68k.D(0))
-		e.Label("s1")
-		e.MoveL(m68k.D(0), m68k.Disp(TTENextSw, 1))
-		// new.nextsw = entry(oldnext)
-		e.Tst(4, m68k.Disp(TTEULimit, 2))
-		e.Beq("p2")
-		e.MoveL(m68k.Disp(TTESwinMMU, 2), m68k.D(0))
-		e.Bra("s2")
-		e.Label("p2")
-		e.MoveL(m68k.Disp(TTESwinPtr, 2), m68k.D(0))
-		e.Label("s2")
-		e.MoveL(m68k.D(0), m68k.Disp(TTENextSw, 0))
+		e.MoveL(m68k.Disp(TTESwinPtr, 0), m68k.Disp(TTENextSw, 1)) // cur.nextsw = entry(new)
+		e.MoveL(m68k.Disp(TTESwinPtr, 2), m68k.Disp(TTENextSw, 0)) // new.nextsw = entry(oldnext)
 		e.MoveL(m68k.PostInc(7), m68k.A(2))
 		e.Label("out")
 		e.MoveToSR(m68k.PostInc(7))
@@ -317,7 +296,7 @@ func (k *Kernel) synthesizeShared() {
 
 	k.rtLookup = k.synthesizeLookup(kq)
 	k.rtCreate = k.synthesizeCreate(kq)
-	k.rtSysDisp = k.synthesizeDispatch(kq)
+	sysDisp := k.synthesizeDispatch(kq)
 	for v := 0; v < m68k.NumVectors; v++ {
 		m.Poke(k.protoVec+uint32(v)*4, 4, k.rtPanicVec)
 	}
@@ -328,7 +307,7 @@ func (k *Kernel) synthesizeShared() {
 	for lvl := 1; lvl <= 7; lvl++ {
 		set(m68k.VecAutovector+lvl, k.rtSpurious)
 	}
-	set(m68k.VecTrapBase+TrapSys, k.rtSysDisp)
+	set(m68k.VecTrapBase+TrapSys, sysDisp)
 	set(m68k.VecTrapBase+TrapSig, k.rtSigRet)
 	set(m68k.VecAutovector+m68k.IRQAlarm, k.rtAlarm)
 	set(m68k.VecTrace, k.rtTraceStop)
@@ -469,35 +448,36 @@ func (k *Kernel) synthesizeCreate(kq *synth.Quaject) uint32 {
 	})
 }
 
+// sysBodies labels the body of each native function code, by code.
+var sysBodies = [NumSys]string{
+	SysOpen: "open", SysClose: "close", SysCreate: "create", SysDestroy: "destroy",
+	SysStop: "stop", SysStart: "start", SysStep: "step", SysSignal: "signal",
+	SysSetAlarm: "alarm", SysExit: "exit", SysPipe: "pipe", SysYield: "yield",
+	SysSeek: "seek", SysSock: "sock",
+}
+
 // synthesizeDispatch builds the trap #1 native system call
-// dispatcher.
+// dispatcher: one unsigned bound check on the function code, then a
+// jump through GSysTable, the vector of per-call bodies, so every call
+// pays the same four instructions.
 func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 	timerAlarm := int32(m68k.TimerBase + m68k.TimerRegAlarm)
-	return k.C.Synthesize(kq, "sys_dispatch", nil, func(e *synth.Emitter) {
-		cases := []struct {
-			fn    int32
-			label string
-		}{
-			{SysOpen, "open"}, {SysClose, "close"}, {SysCreate, "create"},
-			{SysDestroy, "destroy"}, {SysStop, "stop"}, {SysStart, "start"},
-			{SysStep, "step"}, {SysSignal, "signal"}, {SysSetAlarm, "alarm"},
-			{SysExit, "exit"}, {SysPipe, "pipe"}, {SysYield, "yield"},
-			{SysSeek, "seek"}, {SysSock, "sock"},
-		}
-		for _, cs := range cases {
-			e.Cmp(4, m68k.Imm(cs.fn), m68k.D(0))
-			e.Beq(cs.label)
-		}
+	return k.C.Build(kq, "sys_dispatch").Table(GSysTable, sysBodies[:]).Emit(func(e *synth.Emitter) {
+		e.CmpL(m68k.Imm(NumSys), m68k.D(0))
+		e.Bcc("bad") // unsigned: negative codes are out of range too
+		e.Lea(m68k.Abs(GSysTable), 1)
+		e.JmpVia(m68k.Idx(0, 1, 0, 4)) // [GSysTable + 4*D0]
+		e.Label("bad")
 		e.Kcall(SvcPanic)
 		e.Halt()
 
 		e.Label("open")
 		e.Jsr(k.rtLookup)
 		e.TstL(m68k.D(0))
-		e.Beq("openmiss")
+		e.Beq("fail")
 		e.Kcall(SvcOpen) // D1 = name; returns D0 = fd (synthesis charged)
 		e.Rte()
-		e.Label("openmiss")
+		e.Label("fail")
 		e.MoveL(m68k.Imm(-1), m68k.D(0))
 		e.Rte()
 
@@ -597,7 +577,10 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 
 		e.Label("seek")
 		// Set the descriptor's position cell: curTTE + fd table +
-		// fd*slot + pos.
+		// fd*slot + pos. One unsigned compare keeps the store inside
+		// the descriptor table.
+		e.CmpL(m68k.Imm(MaxFD), m68k.D(1))
+		e.Bcc("fail")
 		e.MoveL(m68k.Abs(GCurTTE), m68k.A(0))
 		e.LslL(m68k.Imm(5), m68k.D(1)) // fd * FDSlotSize(32)
 		e.AddL(m68k.D(1), m68k.A(0))

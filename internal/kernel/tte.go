@@ -65,6 +65,12 @@ func (k *Kernel) initThread(tte uint32, name string, ubase, ulimit uint32, kerne
 	k.Threads[tte] = t
 	k.mCreates.Inc()
 
+	if kernelMode {
+		ubase, ulimit = 0, 0
+	}
+	// The quaspace bounds are written here and nowhere else, so the
+	// switch-in entry synthesizeSwitch picks from them is fixed for the
+	// thread's life.
 	m.Poke(tte+TTEUBase, 4, ubase)
 	m.Poke(tte+TTEULimit, 4, ulimit)
 	m.Poke(tte+TTEQuantum, 4, uint32(k.defaultQuantumCycles()))
@@ -74,11 +80,6 @@ func (k *Kernel) initThread(tte uint32, name string, ubase, ulimit uint32, kerne
 	// interrupt is vectored to thread-0's context-switch-out
 	// procedure".
 	k.synthesizeSwitch(t, false)
-
-	if kernelMode {
-		m.Poke(tte+TTEUBase, 4, 0)
-		m.Poke(tte+TTEULimit, 4, 0)
-	}
 	return t
 }
 
@@ -183,11 +184,15 @@ func (k *Kernel) synthesizeSwitch(t *Thread, withFP bool) {
 		e.MovemRest(m68k.Abs(tte+TTEReg), 0x7fff)
 		e.Rte()
 	})
-	// The plain sw_in entry skips the two quaspace loads.
+	// The plain sw_in entry skips the two quaspace loads; a thread with
+	// a quaspace is switched in through the mmu entry. The ready ring
+	// copies this one cell into a predecessor's TTENextSw.
 	swin := swinMMU + 2
+	if m.Peek(tte+TTEULimit, 4) != 0 {
+		swin = swinMMU
+	}
 
 	m.Poke(tte+TTESwoutPt, 4, swout)
-	m.Poke(tte+TTESwinMMU, 4, swinMMU)
 	m.Poke(tte+TTESwinPtr, 4, swin)
 	// Quantum preemption goes through the prologue; the voluntary
 	// switch trap (always issued from thread context) skips it.
@@ -259,17 +264,7 @@ func (k *Kernel) Link(t *Thread, after *Thread) {
 	m.Poke(b+TTEPrev, 4, a)
 	m.Poke(a+TTENext, 4, b)
 	m.Poke(next+TTEPrev, 4, b)
-	m.Poke(a+TTENextSw, 4, k.swinFor(b))
-	m.Poke(b+TTENextSw, 4, k.swinFor(next))
+	m.Poke(a+TTENextSw, 4, m.Peek(b+TTESwinPtr, 4))
+	m.Poke(b+TTENextSw, 4, m.Peek(next+TTESwinPtr, 4))
 	t.Linked = true
-}
-
-// swinFor picks the correct switch-in entry for jumping to the thread
-// at TTE addr: the mmu entry when it has a quaspace, the plain entry
-// otherwise.
-func (k *Kernel) swinFor(tte uint32) uint32 {
-	if k.M.Peek(tte+TTEULimit, 4) != 0 {
-		return k.M.Peek(tte+TTESwinMMU, 4)
-	}
-	return k.M.Peek(tte+TTESwinPtr, 4)
 }

@@ -80,6 +80,11 @@ func Install(k *kernel.Kernel) *IO {
 		e.MoveL(m68k.Imm(-1), m68k.D(0))
 		e.Rte()
 	})
+	// A descriptor that was never opened fails like a closed one.
+	for fd := 0; fd < kernel.MaxFD; fd++ {
+		io.pokeAllVectors(m68k.VecTrapBase+kernel.TrapRead+fd, io.badFD)
+		io.pokeAllVectors(m68k.VecTrapBase+kernel.TrapWrite+fd, io.badFD)
+	}
 
 	io.installTTY()
 	io.installAD()

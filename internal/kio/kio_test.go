@@ -508,6 +508,43 @@ func TestCloseInvalidFD(t *testing.T) {
 	}
 }
 
+// A descriptor that was never opened fails like a closed one: its read
+// and write vectors hold bad_fd, in threads created after the install
+// and in the ones (idle) that already existed.
+func TestNeverOpenedFDFails(t *testing.T) {
+	k, _ := boot(t)
+	const res = 0x9000
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		e.MoveL(m68k.Imm(0x9200), m68k.D(1))
+		e.MoveL(m68k.Imm(1), m68k.D(2))
+		e.Trap(kernel.TrapRead + 5)
+		e.MoveL(m68k.D(0), m68k.Abs(res))
+		e.MoveL(m68k.Imm(0x9200), m68k.D(1))
+		e.MoveL(m68k.Imm(1), m68k.D(2))
+		e.Trap(kernel.TrapWrite + kernel.MaxFD - 1)
+		e.MoveL(m68k.D(0), m68k.Abs(res+4))
+		exitSeq(e)
+	})
+	th := k.SpawnKernel("main", prog)
+	run(t, k, th, 5_000_000)
+	if got := int32(k.M.Peek(res, 4)); got != -1 {
+		t.Errorf("read(5) = %d, want -1", got)
+	}
+	if got := int32(k.M.Peek(res+4, 4)); got != -1 {
+		t.Errorf("write(%d) = %d, want -1", kernel.MaxFD-1, got)
+	}
+	panicVec := k.M.Peek(k.ProtoVectors()+uint32(m68k.VecTrapBase+7)*4, 4) // trap #7 is no one's
+	for fd := 0; fd < kernel.MaxFD; fd++ {
+		for _, trap := range []int{kernel.TrapRead, kernel.TrapWrite} {
+			off := uint32(m68k.VecTrapBase+trap+fd) * 4
+			idle, proto := k.M.Peek(k.Idle.TTE+kernel.TTEVec+off, 4), k.M.Peek(k.ProtoVectors()+off, 4)
+			if proto == panicVec || idle != proto {
+				t.Errorf("trap #%d: idle thread's vector %d, prototype's %d, panic stub %d", trap+fd, idle, proto, panicVec)
+			}
+		}
+	}
+}
+
 func TestTTYQueueOverflowDropsInput(t *testing.T) {
 	k, _ := boot(t)
 	// Flood far beyond the 256-byte raw queue while nobody reads:

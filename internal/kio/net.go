@@ -307,8 +307,7 @@ func (io *IO) resynthNetHandler() {
 		e.AddL(m68k.Imm(1), m68k.Disp(NQGauge, 2))
 		// "A waiting thread's unblocking procedure is chained to the
 		// end of the interrupt handling."
-		e.Lea(m68k.Disp(NQRWait, 2), 0)
-		e.Jsr(k.WakeCellRoutine())
+		emitWake(e, k, m68k.Disp(NQRWait, 2), "nd_next")
 		e.Bra("nd_next")
 		e.Label("nd_full")
 		e.AddL(m68k.Imm(1), m68k.Disp(NQDrops, 2))

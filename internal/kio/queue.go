@@ -1,6 +1,9 @@
 package kio
 
 import (
+	"cmp"
+
+	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
 	"synthesis/internal/synth"
 )
@@ -124,6 +127,24 @@ func emitCopy(e *synth.Emitter, block bool) {
 	e.Label("kcp_done")
 }
 
+// emitWake wakes the thread parked on the wait cell, testing the cell
+// first and skipping the wake when it is empty: to after, or with
+// after "" to the next instruction (label "woke", so once per routine).
+// It follows the store that publishes the data, and a reader arms its
+// cell only in a masked section that re-checks the queue first, so an
+// empty cell means that re-check will see the data. Clobbers D0 and
+// A0-A1.
+func emitWake(e *synth.Emitter, k *kernel.Kernel, cell m68k.Operand, after string) {
+	skip := cmp.Or(after, "woke")
+	e.TstL(cell)
+	e.Beq(skip)
+	e.Lea(cell, 0)
+	e.Jsr(k.WakeCellRoutine())
+	if after == "" {
+		e.Label(skip)
+	}
+}
+
 // emitQueueWrite emits the body of a blocking bulk write into the
 // queue: D1 = source buffer, D2 = length; returns D0 = bytes written
 // (the full length) and ends with RTE. Clobbers D0-D2, A0, A1 (the
@@ -160,8 +181,7 @@ func (io *IO) emitQueueWrite(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	if fdGauge != 0 {
 		e.AddL(m68k.Imm(1), m68k.Abs(fdGauge))
 	}
-	e.Lea(m68k.Abs(rwait), 0)
-	e.Jsr(io.K.WakeCellRoutine())
+	emitWake(e, io.K, m68k.Abs(rwait), "")
 	e.MoveL(m68k.Imm(1), m68k.D(0))
 	e.Rte()
 	e.Label("qw_slow1")
@@ -267,9 +287,10 @@ func (io *IO) emitQueueRead(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	// Single-byte fast path: Figure 1's get in its shortest form.
 	e.CmpL(m68k.Imm(1), m68k.D(2))
 	e.Bne("qr_general")
+	e.Label("qr_get1")
 	e.MoveL(m68k.Abs(tail), m68k.D(0))
 	e.Cmp(4, m68k.Abs(head), m68k.D(0))
-	e.Beq("qr_general") // empty: fall into the blocking path
+	e.Beq("qr_empty1")
 	e.MoveL(m68k.D(1), m68k.A(1))
 	e.Lea(m68k.Abs(buf), 0)
 	e.MoveB(m68k.Idx(0, 0, 0, 1), m68k.D(2))
@@ -284,13 +305,22 @@ func (io *IO) emitQueueRead(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	if fdGauge != 0 {
 		e.AddL(m68k.Imm(1), m68k.Abs(fdGauge))
 	}
-	e.Lea(m68k.Abs(wwait), 0)
-	e.Jsr(io.K.WakeCellRoutine())
+	emitWake(e, io.K, m68k.Abs(wwait), "")
 	e.MoveL(m68k.Imm(1), m68k.D(0))
 	e.Rte()
+	// Empty: re-check under the mask so no producer can slip in before
+	// the park, then park and retry the get (masked; the RTE restores
+	// the caller's level). block_on keeps D1 (buffer) and D2 (1).
+	e.Label("qr_empty1")
+	e.OrSR(iplMaskBits)
+	e.MoveL(m68k.Abs(tail), m68k.D(0))
+	e.Cmp(4, m68k.Abs(head), m68k.D(0))
+	e.Bne("qr_get1")
+	e.Lea(m68k.Abs(rwait), 0)
+	e.Jsr(io.K.BlockOnRoutine())
+	e.Bra("qr_get1")
 
-	// General path. (The empty single-byte case falls through here
-	// with D2 still holding 1, so no fixup is needed.)
+	// General path.
 	e.Label("qr_general")
 	e.TstL(m68k.D(2))
 	e.Beq("qr_zero")

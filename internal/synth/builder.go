@@ -102,6 +102,8 @@ type Builder struct {
 	inPlace bool
 	counted bool
 	key     declKey
+	table   uint32   // jump table the install fills (Table), 0 for none
+	targets []string // its cells' labels
 }
 
 // Build starts a Builder for one entry point of q (q may be nil for
@@ -133,6 +135,15 @@ func (b *Builder) At(base uint32, size int) *Builder {
 	b.base = base
 	b.size = size
 	b.inPlace = true
+	return b
+}
+
+// Table makes the install fill a jump table in machine memory: the
+// long at cells+4*i gets the linked address of label targets[i]. Like
+// an At build, a table build is never served from the cache.
+func (b *Builder) Table(cells uint32, targets []string) *Builder {
+	b.table = cells
+	b.targets = targets
 	return b
 }
 
@@ -207,7 +218,8 @@ type cached struct {
 // it folds, so a build that declares them (Key) is looked up before
 // the template runs, and a hit there runs no stage at all. Sharing is
 // sound because installed code outside At regions is never patched; At
-// builds, whose regions the caller owns and rewrites, are not cached.
+// builds, whose regions the caller owns and rewrites, and Table builds,
+// whose install writes the table, are not cached.
 // A hit of either kind is accounted exactly like a miss
 // — the cycle model and the size tables describe the paper's kernel,
 // which synthesizes on every open (DESIGN.md Section 4) — except that
@@ -223,7 +235,8 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 	}
 	k := b.key
 	k.args[maxKeyArgs] = cell
-	if b.inPlace {
+	uncached := b.inPlace || b.table != 0
+	if uncached {
 		k.name = ""
 	}
 	want, keyedHit := c.keyed[k] // nothing is filed under the empty name
@@ -252,7 +265,7 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 		}
 		emit(e)
 
-		if b.inPlace {
+		if uncached {
 			ent = b.install(e.Export())
 		} else {
 			c.key = e.AppendKey(c.key[:0])
@@ -317,6 +330,9 @@ func (b *Builder) install(p asmkit.Program) cached {
 		regionLen = b.size
 	} else {
 		addr = bb.Link(c.M)
+	}
+	for i, l := range b.targets {
+		c.M.Poke(b.table+uint32(i)*4, 4, bb.AddrOf(l, addr))
 	}
 	if c.Regions != nil {
 		c.Regions.RegisterRegion(b.regionName(), addr, regionLen)

@@ -101,7 +101,7 @@ func TestCacheKeyDistinguishes(t *testing.T) {
 	}
 }
 
-// In-place builds are the only kind that bypasses the cache (the test
+// In-place builds bypass the cache, as Table builds do (below; the test
 // keeps the name the test floor lists).
 func TestCacheSkipsInPlaceAndInlineBuilds(t *testing.T) {
 	c := synth.NewCreator(newM())
@@ -122,6 +122,34 @@ func TestCacheSkipsInPlaceAndInlineBuilds(t *testing.T) {
 	}
 	if c.CacheHits != 0 || c.CacheMisses != 1 {
 		t.Errorf("hits %d misses %d, want 0 1", c.CacheHits, c.CacheMisses)
+	}
+}
+
+// A Table build fills its cells with its labels' addresses as linked,
+// after the cleanups have moved them, and bypasses the cache: two
+// builds fill two tables.
+func TestTableFillsLinkedLabels(t *testing.T) {
+	c := synth.NewCreator(newM())
+	tmpl := func(e *synth.Emitter) {
+		e.Nop() // the cleanups remove it, so every label moves up a slot
+		e.Label("a")
+		e.Rts()
+		e.Label("b")
+		e.Rts()
+	}
+	const t1, t2 = 0x3000, 0x3010
+	r1 := c.Build(nil, "tab").Table(t1, []string{"b", "a"}).Emit(tmpl)
+	r2 := c.Build(nil, "tab").Table(t2, []string{"a"}).Emit(tmpl)
+	for i, want := range []uint32{r1 + 1, r1} {
+		if got := c.M.Peek(t1+uint32(4*i), 4); got != want {
+			t.Errorf("first table cell %d = %d, want %d", i, got, want)
+		}
+	}
+	if got := c.M.Peek(t2, 4); r1 == r2 || got != r2 {
+		t.Errorf("second build at %d (first at %d) filled its table with %d", r2, r1, got)
+	}
+	if c.CacheHits != 0 || c.CacheEntries() != 0 {
+		t.Errorf("table builds touched the cache: hits %d entries %d", c.CacheHits, c.CacheEntries())
 	}
 }
 

@@ -12,6 +12,8 @@
 package unixemu
 
 import (
+	"slices"
+
 	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
 	"synthesis/internal/synth"
@@ -29,22 +31,37 @@ const (
 	SysSocket = 97 // 4.2BSD socket: D1 = local port, D2 = remote port
 )
 
+// numSys bounds the SUNOS numbers the gate's table covers.
+const numSys = SysSocket + 1
+
 // UNIX trap convention: trap #0 with the syscall number in D0 and
 // arguments in D1-D3. read/write: fd D1, buffer D2, length D3.
 // open: name pointer D1 (flags ignored — the memory file system has
 // no modes). Results come back in D0 (and D1 for pipe's second
 // descriptor), -1 on error.
 
+// translated are the calls other than read and write: each is its
+// native counterpart with the arguments already in the native
+// registers, so the gate's table can point straight at the native body.
+var translated = []struct {
+	no   int32
+	name string
+	fn   int32
+}{
+	{SysExit, "exit", kernel.SysExit}, {SysOpen, "open", kernel.SysOpen},
+	{SysClose, "close", kernel.SysClose}, {SysLseek, "lseek", kernel.SysSeek},
+	{SysPipe, "pipe", kernel.SysPipe}, {SysSocket, "socket", kernel.SysSock},
+}
+
 // Install synthesizes the emulator gate and installs it at trap #0 in
 // the prototype vector table and every live thread.
 //
 // When the kernel has a metrics registry attached, the gate is emitted
-// with one per-syscall counter cell bumped inside each branch, served
-// as unixemu.sys.<name>.calls sampled metrics — the same stitched-cell
+// with one per-syscall counter cell bumped on each call's path (a
+// counting stub in front of each native body), served as
+// unixemu.sys.<name>.calls sampled metrics — the same stitched-cell
 // self-measurement the synthesizer's Counted() option uses. Without a
-// registry no cells exist and the generated gate is byte-identical to
-// the uninstrumented one, so the Table 2 emulation-overhead numbers
-// are unaffected.
+// registry no cells or stubs exist, so Table 2 is unaffected.
 func Install(k *kernel.Kernel) uint32 {
 	count := func(e *synth.Emitter, name string) {}
 	if k.Metrics != nil {
@@ -72,87 +89,72 @@ func Install(k *kernel.Kernel) uint32 {
 		}
 	}
 
-	gate := k.C.Synthesize(nil, "unix_gate", nil, func(e *synth.Emitter) {
-		// read: shuffle (fd,buf,len) from D1-D3 to the native
-		// convention (buf D1, len D2) and tail-jump into the
-		// thread's synthesized read routine through its own vector
-		// table — the emulator "translates the UNIX kernel call into
-		// an equivalent Synthesis kernel call".
-		e.CmpL(m68k.Imm(SysRead), m68k.D(0))
-		e.Bne("notread")
-		count(e, "read")
-		e.MoveL(m68k.Abs(kernel.GCurTTE), m68k.A(0))
-		e.MoveL(m68k.D(1), m68k.D(0)) // fd
-		e.MoveL(m68k.D(2), m68k.D(1)) // buf
-		e.MoveL(m68k.D(3), m68k.D(2)) // len
-		e.JmpVia(m68k.Idx(
-			int32(kernel.TTEVec+uint32(m68k.VecTrapBase+kernel.TrapRead)*4),
-			0, 0, 4)) // [TTE.vec[32+TrapRead+fd]]
-		e.Label("notread")
+	// The jump table, one cell per SUNOS number below numSys: read's
+	// and write's stubs, a translated call's counting stub (without
+	// counters its native body, written below), else "unknown".
+	table, err := k.Heap.Alloc(numSys * 4)
+	if err != nil {
+		panic("unixemu: cannot allocate the gate's jump table")
+	}
+	targets := slices.Repeat([]string{"unknown"}, numSys)
+	targets[SysRead], targets[SysWrite] = "read", "write"
+	if k.Metrics != nil {
+		for _, c := range translated {
+			targets[c.no] = c.name
+		}
+	}
 
-		e.CmpL(m68k.Imm(SysWrite), m68k.D(0))
-		e.Bne("notwrite")
-		count(e, "write")
-		e.MoveL(m68k.Abs(kernel.GCurTTE), m68k.A(0))
-		e.MoveL(m68k.D(1), m68k.D(0))
-		e.MoveL(m68k.D(2), m68k.D(1))
-		e.MoveL(m68k.D(3), m68k.D(2))
-		e.JmpVia(m68k.Idx(
-			int32(kernel.TTEVec+uint32(m68k.VecTrapBase+kernel.TrapWrite)*4),
-			0, 0, 4))
-		e.Label("notwrite")
+	gate := k.C.Build(nil, "unix_gate").Table(table, targets).Emit(func(e *synth.Emitter) {
+		// Every call through the table (unsigned: negatives fail too).
+		e.CmpL(m68k.Imm(numSys), m68k.D(0))
+		e.Bcc("unknown")
+		e.Lea(m68k.Abs(table), 1)
+		e.JmpVia(m68k.Idx(0, 1, 0, 4)) // [table + 4*D0]
 
-		// The remaining calls translate one-to-one: load the native
-		// function code and fall into the native dispatcher (its RTE
-		// pops our trap frame — Collapsing Layers applied to the
-		// emulation layer itself).
-		e.CmpL(m68k.Imm(SysOpen), m68k.D(0))
-		e.Bne("notopen")
-		count(e, "open")
-		e.MoveL(m68k.Imm(kernel.SysOpen), m68k.D(0))
-		e.Jmp(k.DispatchRoutine())
-		e.Label("notopen")
+		// read and write: check the fd the same way, shuffle
+		// (fd,buf,len) from D1-D3 to the native convention (buf D1, len
+		// D2) and tail-jump into the thread's synthesized routine through
+		// its own vector table — the emulator "translates the UNIX kernel
+		// call into an equivalent Synthesis kernel call".
+		rw := func(name string, trap int) {
+			e.Label(name)
+			count(e, name)
+			e.CmpL(m68k.Imm(kernel.MaxFD), m68k.D(1))
+			e.Bcc("fail")
+			e.MoveL(m68k.Abs(kernel.GCurTTE), m68k.A(0))
+			e.MoveL(m68k.D(1), m68k.D(0)) // fd
+			e.MoveL(m68k.D(2), m68k.D(1)) // buf
+			e.MoveL(m68k.D(3), m68k.D(2)) // len
+			e.JmpVia(m68k.Idx(
+				int32(kernel.TTEVec+uint32(m68k.VecTrapBase+trap)*4),
+				0, 0, 4)) // [TTE.vec[32+trap+fd]]
+		}
+		rw("read", kernel.TrapRead)
+		rw("write", kernel.TrapWrite)
 
-		e.CmpL(m68k.Imm(SysClose), m68k.D(0))
-		e.Bne("notclose")
-		count(e, "close")
-		e.MoveL(m68k.Imm(kernel.SysClose), m68k.D(0))
-		e.Jmp(k.DispatchRoutine())
-		e.Label("notclose")
+		// Every other call lands straight in the native body, whose RTE
+		// pops our trap frame (Collapsing Layers applied to the
+		// emulation layer itself); with counters, through a stub.
+		if k.Metrics != nil {
+			for _, c := range translated {
+				e.Label(c.name)
+				count(e, c.name)
+				e.Jmp(k.SysEntry(c.fn))
+			}
+		}
 
-		e.CmpL(m68k.Imm(SysPipe), m68k.D(0))
-		e.Bne("notpipe")
-		count(e, "pipe")
-		e.MoveL(m68k.Imm(kernel.SysPipe), m68k.D(0))
-		e.Jmp(k.DispatchRoutine())
-		e.Label("notpipe")
-
-		e.CmpL(m68k.Imm(SysExit), m68k.D(0))
-		e.Bne("notexit")
-		count(e, "exit")
-		e.MoveL(m68k.Imm(kernel.SysExit), m68k.D(0))
-		e.Jmp(k.DispatchRoutine())
-		e.Label("notexit")
-
-		e.CmpL(m68k.Imm(SysLseek), m68k.D(0))
-		e.Bne("notseek")
-		count(e, "lseek")
-		e.MoveL(m68k.Imm(kernel.SysSeek), m68k.D(0))
-		e.Jmp(k.DispatchRoutine())
-		e.Label("notseek")
-
-		e.CmpL(m68k.Imm(SysSocket), m68k.D(0))
-		e.Bne("notsock")
-		count(e, "socket")
-		e.MoveL(m68k.Imm(kernel.SysSock), m68k.D(0))
-		e.Jmp(k.DispatchRoutine())
-		e.Label("notsock")
-
-		// Unknown syscall: error return.
+		// Unknown syscall or bad descriptor: error return.
+		e.Label("unknown")
 		count(e, "unknown")
+		e.Label("fail")
 		e.MoveL(m68k.Imm(-1), m68k.D(0))
 		e.Rte()
 	})
+	if k.Metrics == nil {
+		for _, c := range translated {
+			k.M.Poke(table+uint32(c.no)*4, 4, k.SysEntry(c.fn))
+		}
+	}
 
 	vec := uint32(m68k.VecTrapBase+kernel.TrapUnix) * 4
 	k.M.Poke(k.ProtoVectors()+vec, 4, gate)

@@ -9,8 +9,9 @@
 # self-modifying-code tests in internal/m68k;
 # single-machine fault injection, the open/close churn plateau, the
 # declared synthesis keys checked against their templates, the block
-# copy preempted mid-group and the one-byte get's masked park with a tty
-# byte injected at every cycle of its window; 2-VM
+# copy preempted mid-group, the one-byte get's masked park with a tty
+# byte injected at every cycle of its window, and the quantum expiring
+# at every cycle of the net, tty and A/D handlers' windows; 2-VM
 # fleet churn; 2-VM fleet under link faults and a partition/heal
 # cycle, plus the fabric's held-frame queue and cut record driven directly:
 # throttle, delay, scripted and manual cuts). `make examples` runs the six self-checking examples, each of
@@ -42,7 +43,7 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated' \
 		./internal/kio/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 

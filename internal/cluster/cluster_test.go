@@ -201,6 +201,34 @@ func TestSnapshotDuringRun(t *testing.T) {
 	}
 }
 
+// cutAndPark cuts the host off a two-VM fleet and waits for it to
+// park: what was in flight drains, every guest thread blocks on
+// receive, the CPUs stop.
+func cutAndPark(t *testing.T, c *Cluster) {
+	t.Helper()
+	// still reports whether the fleet executed nothing for 50 ms. A
+	// polling driver never passes: the idle loop's timer interrupt
+	// runs every few chunks.
+	still := func() bool {
+		n := c.GuestInstrs()
+		time.Sleep(50 * time.Millisecond)
+		return c.GuestInstrs() == n
+	}
+	c.Cut([]int{net.HostNode}, []int{1, 2})
+	for deadline := time.Now().Add(10 * time.Second); !still(); {
+		if time.Now().After(deadline) {
+			t.Fatal("a cut-off fleet keeps executing guest instructions: its drivers never park")
+		}
+	}
+	// Parked is a state, not a lull.
+	if !still() {
+		t.Fatal("parked fleet executed guest instructions")
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestIdleFleetParks pins the driver's hand-off rule from outside: a
 // fleet nobody talks to executes nothing — its drivers are asleep on
 // their ingress rings, not running the guests' idle loops — and
@@ -213,43 +241,15 @@ func TestIdleFleetParks(t *testing.T) {
 	defer c.Stop()
 	waitActive(t, c, 4, 30*time.Second)
 
-	// still reports whether the fleet executed nothing for 50 ms. A
-	// polling driver never passes: the idle loop's timer interrupt
-	// runs every few chunks.
-	still := func() bool {
-		n := c.GuestInstrs()
-		time.Sleep(50 * time.Millisecond)
-		return c.GuestInstrs() == n
-	}
-	// cutAndPark cuts the host off and waits for the fleet to park:
-	// what was in flight drains, every guest thread blocks on receive,
-	// the CPUs stop.
-	cutAndPark := func() {
-		t.Helper()
-		c.Cut([]int{net.HostNode}, []int{1, 2})
-		for deadline := time.Now().Add(10 * time.Second); !still(); {
-			if time.Now().After(deadline) {
-				t.Fatal("a cut-off fleet keeps executing guest instructions: its drivers never park")
-			}
-		}
-		// Parked is a state, not a lull.
-		if !still() {
-			t.Fatal("parked fleet executed guest instructions")
-		}
-		if err := c.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	// A frame wakes a parked driver: after the heal the generator's
 	// resends get through and echoes resume.
-	cutAndPark()
+	cutAndPark(t, c)
 	before := c.Replies()
 	c.Heal()
 	waitReplies(t, c, before+8, 10*time.Second)
 
 	// So does KillVM.
-	cutAndPark()
+	cutAndPark(t, c)
 	c.KillVM(1, "killed while parked")
 	for deadline := time.Now().Add(time.Second); c.Err() == nil; {
 		if time.Now().After(deadline) {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
 )
 
@@ -97,6 +98,8 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 		ttes = append(ttes, tte)
 	}
 	sort.Slice(ttes, func(i, j int) bool { return ttes[i] < ttes[j] })
+	// The state is read from the TTE: the ready ring's unlink clears
+	// TTENext, so a nonzero link means the thread is on the ring.
 	for _, tte := range ttes {
 		t := k.Threads[tte]
 		state := "blocked"
@@ -105,7 +108,7 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 			state = "dead"
 		case tte == k.CurTTE():
 			state = "running"
-		case t.Linked:
+		case m.Peek(tte+kernel.TTENext, 4) != 0:
 			state = "ready"
 		}
 		fmt.Fprintf(&b, "thread %-12s tte=%#x %s\n", t.Name, tte, state)

@@ -188,3 +188,32 @@ func TestFlightRecorderDump(t *testing.T) {
 		t.Error("DumpFlight produced no per-VM section")
 	}
 }
+
+// TestFlightDumpShowsParkedThreadsBlocked drains a flight fleet to
+// quiet and reads its thread tables: every echo thread is parked in
+// recv, off the ready ring, and must be listed blocked, not ready.
+func TestFlightDumpShowsParkedThreadsBlocked(t *testing.T) {
+	c := New(Config{VMs: 2, SocketsPerVM: 2, Conns: 4, PayloadBytes: 32, Seed: 5,
+		Timeout: 20 * time.Millisecond, Flight: true})
+	c.Start()
+	defer c.Stop()
+	waitActive(t, c, 4, 30*time.Second)
+	cutAndPark(t, c)
+
+	var buf strings.Builder
+	c.DumpFlight(&buf)
+	echoes := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "thread" || !strings.HasPrefix(f[1], "echo") {
+			continue
+		}
+		echoes++
+		if f[3] != "blocked" {
+			t.Errorf("parked fleet lists %s", line)
+		}
+	}
+	if want := 2 * 2; echoes != want {
+		t.Errorf("dump lists %d echo threads, want %d:\n%s", echoes, want, buf.String())
+	}
+}

@@ -99,8 +99,6 @@ type Thread struct {
 	CodeBase uint32         // preallocated code region for resynthesis
 	CodeSize int
 	KStack   uint32 // top of kernel stack
-	UsesFP   bool
-	Linked   bool // in the ready ring (mirror; the ring itself is in VM memory)
 	Dead     bool
 	FDs      [MaxFD]FDInfo
 }
@@ -364,7 +362,7 @@ func (k *Kernel) Start(t *Thread) {
 	// Adopt the thread's context directly: vector base, stacks,
 	// quantum, then jump to a tiny trampoline that RTEs into it.
 	fpTrap := int32(1)
-	if t.UsesFP {
+	if k.M.Peek(t.TTE+TTEFlags, 4)&TTEFlagFP != 0 {
 		fpTrap = 0
 	}
 	tramp := k.C.Synthesize(nil, "boot-handoff", nil, func(e *synth.Emitter) {
@@ -404,7 +402,6 @@ func (k *Kernel) registerServices() {
 		t := k.Cur()
 		if t != nil {
 			t.Dead = true
-			t.Linked = false
 		}
 		k.mExits.Inc()
 		live := k.g(GLiveThreads)
@@ -427,7 +424,6 @@ func (k *Kernel) registerServices() {
 		if t := k.Cur(); t != nil {
 			rec.Name = t.Name
 			t.Dead = true
-			t.Linked = false
 		}
 		k.Faults = append(k.Faults, rec)
 		k.mFaults.Inc()
@@ -453,7 +449,6 @@ func (k *Kernel) registerServices() {
 		tte := mm.D[1]
 		if t, ok := k.Threads[tte]; ok {
 			t.Dead = true
-			t.Linked = false
 			delete(k.Threads, tte)
 			// The TTE memory is reclaimed; its code region is not
 			// reused (code space is plentiful and the paper's kernel
@@ -464,12 +459,6 @@ func (k *Kernel) registerServices() {
 	})
 	m.RegisterService(SvcFPResynth, func(mm *m68k.Machine) uint64 {
 		k.resynthesizeFP(k.Cur())
-		return 0
-	})
-	m.RegisterService(SvcTrace, func(mm *m68k.Machine) uint64 {
-		if t := k.Cur(); t != nil {
-			t.Linked = false
-		}
 		return 0
 	})
 	m.RegisterService(SvcOpen, func(mm *m68k.Machine) uint64 {

@@ -348,15 +348,36 @@ func TestLazyFPResynthesis(t *testing.T) {
 	if got := read(res2); got != 550 {
 		t.Errorf("fp2 sum = %v, want 550", got)
 	}
-	if !t1.UsesFP {
+	usesFP := func(th *kernel.Thread) bool {
+		return k.M.Peek(th.TTE+kernel.TTEFlags, 4)&kernel.TTEFlagFP != 0
+	}
+	if !usesFP(t1) {
 		t.Error("thread not upgraded to FP switch variant")
 	}
-	if k.Idle.UsesFP {
+	if usesFP(k.Idle) {
 		t.Error("idle thread wrongly pays for FP state")
 	}
 }
 
 func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
+
+// The quantum is the lowest interrupt level, taken only from thread
+// context, so in every TTE it enters sw_out exactly where the
+// voluntary switch trap does.
+func TestQuantumVectorIsSwitchVector(t *testing.T) {
+	k := boot(t)
+	prog := k.C.Synthesize(nil, "main", nil, exitSeq)
+	k.SpawnKernel("kernel", prog)
+	ubase, ulimit := k.AllocUserSpace(4096)
+	k.SpawnUser("user", prog, ubase, ulimit)
+	for _, th := range k.Threads {
+		vec := func(v int) uint32 { return k.M.Peek(th.TTE+kernel.TTEVec+uint32(v)*4, 4) }
+		swout := k.M.Peek(th.TTE+kernel.TTESwoutPt, 4)
+		if q, sw := vec(m68k.VecAutovector+m68k.IRQTimer), vec(m68k.VecTrapBase+kernel.TrapSwitch); q != swout || sw != swout {
+			t.Errorf("%s: quantum vector %d, switch-trap vector %d, sw_out at %d", th.Name, q, sw, swout)
+		}
+	}
+}
 
 func TestErrorTrapReflectsToHandler(t *testing.T) {
 	k := boot(t)
@@ -758,7 +779,8 @@ func TestBusErrorStillReflectsToHandler(t *testing.T) {
 func TestSpuriousInterruptsAreCountedNotFatal(t *testing.T) {
 	k := boot(t)
 	inj := fault.New(fault.Plan{
-		Storms: []fault.Storm{{Level: 1, At: 2_000, Count: 5, Gap: 500}},
+		// The NIC's level: no driver claims it without the I/O layer.
+		Storms: []fault.Storm{{Level: m68k.IRQNet, At: 2_000, Count: 5, Gap: 500}},
 	}, 1)
 	inj.Attach(k.M)
 	const flag = 0x9300

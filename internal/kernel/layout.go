@@ -159,7 +159,6 @@ const (
 	SvcPipe        = 7  // create pipe queue + fds
 	SvcFPResynth   = 8  // line-F trap: resynthesize switch code with FP
 	SvcRegister    = 9  // post-create registration of a thread
-	SvcTrace       = 10 // trace (single-step) completion: stop the thread
 	SvcSock        = 11 // open a network socket: queue alloc + send/recv synthesis
 	SvcThreadFault = 12 // bus-error reap: log the fault, thread-exit bookkeeping
 )

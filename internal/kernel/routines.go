@@ -198,7 +198,6 @@ func (k *Kernel) synthesizeShared() {
 		e.MoveL(m68k.A(1), m68k.PreDec(7))
 		e.MoveL(m68k.D(0), m68k.PreDec(7))
 		e.Jsr(k.rtLeave)
-		e.Kcall(SvcTrace)
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.MoveL(m68k.PostInc(7), m68k.A(1))
 		e.MoveL(m68k.PostInc(7), m68k.A(0))
@@ -206,7 +205,7 @@ func (k *Kernel) synthesizeShared() {
 		e.Rte()
 	})
 
-	// --- alarm interrupt (IRQ 2): dispatch to the registered
+	// --- alarm interrupt (IRQAlarm): dispatch to the registered
 	// procedure (Table 5: "Alarm interrupt: 7 usec").
 	k.rtAlarm = c.Synthesize(kq, "alarm_int", nil, func(e *synth.Emitter) {
 		e.MoveL(m68k.D(0), m68k.PreDec(7))

@@ -16,17 +16,7 @@ import (
 // perThreadCodeSlots reserves room in code space for one thread's
 // switch procedures, sized for the largest (FP + MMU) variants so
 // resynthesis happens in place.
-const perThreadCodeSlots = 48
-
-// preSlots reserves the quantum-preemption prologue (sw_out.pre) at
-// the head of each thread's code region.
-const preSlots = 10
-
-// deferQuantumCycles re-arms the quantum when preemption is deferred
-// because the quantum caught an interrupt handler mid-flight: short,
-// so the switch happens at the first unmasked instruction boundary
-// after the handler completes.
-const deferQuantumCycles = 200
+const perThreadCodeSlots = 38
 
 // newThread allocates and initializes a thread entirely from the
 // host (used at boot and by tests; the measured creation path runs
@@ -112,35 +102,10 @@ func (k *Kernel) synthesizeSwitch(t *Thread, withFP bool) {
 		fpTrap = 0
 	}
 
-	// sw_out.pre at CodeBase: the quantum interrupt vectors here, not
-	// straight into sw_out. An interrupt handler that wants to run to
-	// completion masks as its first instruction, but the quantum can
-	// land in the one-instruction window between exception entry and
-	// that mask; switching there strands a half-started handler
-	// activation while other threads run unmasked, and a fresh device
-	// interrupt then races it through the wake and ready-ring paths.
-	// So: if the interrupted context was itself at a nonzero
-	// interrupt level (the stacked SR's IPL field — bits 0-2 of the
-	// byte at sp+2), don't switch. Re-arm a short quantum and resume;
-	// the handler finishes, and the deferred quantum preempts the
-	// thread at the next unmasked boundary. Registers stay untouched
-	// on the defer path, so nothing needs saving.
-	pre := t.CodeBase
-	swout := t.CodeBase + preSlots
-	k.C.Build(t.Q, "sw_out.pre").At(pre, preSlots).Emit(func(e *synth.Emitter) {
-		e.Btst(m68k.Imm(0), m68k.Disp(2, 7))
-		e.Bne("defer")
-		e.Btst(m68k.Imm(1), m68k.Disp(2, 7))
-		e.Bne("defer")
-		e.Btst(m68k.Imm(2), m68k.Disp(2, 7))
-		e.Bne("defer")
-		e.Jmp(swout)
-		e.Label("defer")
-		e.MoveL(m68k.Imm(deferQuantumCycles), m68k.Abs(m68k.TimerBase+m68k.TimerRegQuantum))
-		e.Rte()
-	})
-
-	// sw_out after the prologue.
+	// sw_out at CodeBase. The quantum vectors here directly: it is the
+	// lowest interrupt level (m68k.IRQTimer), so it is only ever taken
+	// at IPL 0, from thread context, never inside a handler.
+	swout := t.CodeBase
 	k.C.Build(t.Q, "sw_out").At(swout, 16).Emit(func(e *synth.Emitter) {
 		// The whole switch runs with interrupts masked: a quantum
 		// interrupt landing mid-switch would re-enter sw_out and
@@ -165,7 +130,7 @@ func (k *Kernel) synthesizeSwitch(t *Thread, withFP bool) {
 	// sw_in.mmu then sw_in, contiguous: the mmu entry performs the
 	// quaspace change and falls through.
 	swinMMU := swout + 16
-	k.C.Build(t.Q, "sw_in").At(swinMMU, perThreadCodeSlots-preSlots-16).Emit(func(e *synth.Emitter) {
+	k.C.Build(t.Q, "sw_in").At(swinMMU, perThreadCodeSlots-16).Emit(func(e *synth.Emitter) {
 		e.MovecTo(m68k.CtrlUBase, m68k.Abs(tte+TTEUBase))
 		e.MovecTo(m68k.CtrlULimit, m68k.Abs(tte+TTEULimit))
 		e.Label("swin")
@@ -194,11 +159,10 @@ func (k *Kernel) synthesizeSwitch(t *Thread, withFP bool) {
 
 	m.Poke(tte+TTESwoutPt, 4, swout)
 	m.Poke(tte+TTESwinPtr, 4, swin)
-	// Quantum preemption goes through the prologue; the voluntary
-	// switch trap (always issued from thread context) skips it.
-	m.Poke(tte+TTEVec+uint32(m68k.VecAutovector+m68k.IRQTimer)*4, 4, pre)
+	// Quantum preemption and the voluntary switch trap enter at the
+	// same place.
+	m.Poke(tte+TTEVec+uint32(m68k.VecAutovector+m68k.IRQTimer)*4, 4, swout)
 	m.Poke(tte+TTEVec+uint32(m68k.VecTrapBase+TrapSwitch)*4, 4, swout)
-	t.UsesFP = withFP
 }
 
 // resynthesizeFP upgrades the running thread's context switch to the
@@ -207,13 +171,16 @@ func (k *Kernel) synthesizeSwitch(t *Thread, withFP bool) {
 // way, only users of the floating point co-processor will pay for the
 // added overhead" (Section 4.2).
 func (k *Kernel) resynthesizeFP(t *Thread) {
-	if t == nil || t.UsesFP {
+	if t == nil {
+		return
+	}
+	flags := k.M.Peek(t.TTE+TTEFlags, 4)
+	if flags&TTEFlagFP != 0 {
 		return
 	}
 	// synthesizeSwitch re-emits in place and re-points the
 	// quantum/switch vectors.
 	k.synthesizeSwitch(t, true)
-	flags := k.M.Peek(t.TTE+TTEFlags, 4)
 	k.M.Poke(t.TTE+TTEFlags, 4, flags|TTEFlagFP)
 	// The machine must stop trapping FP for this thread right now.
 	k.M.FPTrap = false
@@ -250,7 +217,6 @@ func (k *Kernel) linkFirst(t *Thread) {
 	m.Poke(t.TTE+TTENext, 4, t.TTE)
 	m.Poke(t.TTE+TTEPrev, 4, t.TTE)
 	m.Poke(t.TTE+TTENextSw, 4, swin)
-	t.Linked = true
 }
 
 // Link inserts t into the ready ring after the thread at whose TTE
@@ -266,5 +232,4 @@ func (k *Kernel) Link(t *Thread, after *Thread) {
 	m.Poke(next+TTEPrev, 4, b)
 	m.Poke(a+TTENextSw, 4, m.Peek(b+TTESwinPtr, 4))
 	m.Poke(b+TTENextSw, 4, m.Peek(next+TTESwinPtr, 4))
-	t.Linked = true
 }

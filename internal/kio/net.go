@@ -154,13 +154,12 @@ func (io *IO) resynthNetHandler() {
 		name = "net_intr_generic"
 	}
 	io.netIntH = k.C.Build(nil, name).Named("kio." + name).Counted().Emit(func(e *synth.Emitter) {
-		// Run to completion: the NIC interrupts at level 1, below the
-		// quantum timer, so without this mask the scheduler can switch
-		// away mid-drain and a fresh receive interrupt runs a second
-		// activation of this handler concurrently — racing the ring
-		// walk, the wake path and the ready-ring insert. The RTE
-		// restores the interrupted level; a quantum that expires during
-		// the drain is latched and taken immediately after.
+		// Run to completion: the mask keeps the higher-level device
+		// handlers, whose wakes also splice the ready ring, from nesting
+		// inside the drain's wake and ready-ring insert. The quantum
+		// (IRQTimer, the lowest level) is masked from entry on: one that
+		// expires during the drain stays pending until the RTE restores
+		// IPL 0 and is taken from thread context right after.
 		e.OrSR(iplMaskBits)
 		e.MoveL(m68k.D(0), m68k.PreDec(7))
 		e.MoveL(m68k.D(1), m68k.PreDec(7))
@@ -185,14 +184,12 @@ func (io *IO) resynthNetHandler() {
 
 		// Drain every frame the NIC has DMA'd: one interrupt covers a
 		// whole delivery batch. Each ring slot is CLAIMED by CAS before
-		// it is touched: a quantum interrupt (level 6, above the NIC's
-		// level 1) can switch away mid-frame and let a fresh receive
-		// interrupt run a second activation of this handler, so the
-		// walk is multi-consumer in exactly the way the queue insert
-		// below is multi-producer. A read-process-increment walk here
-		// double-counts under that interleaving, pushes the tail past
-		// the head, and — with an equality exit test — livelocks the
-		// drain on 2^32 stale slots.
+		// it is touched. With the handler masked from entry and the
+		// quantum below it, one activation drains at a time; the claim
+		// keeps the walk single-counted should two ever overlap, where
+		// a read-process-increment walk pushes the tail past the head
+		// and — with an equality exit test — livelocks the drain on
+		// 2^32 stale slots.
 		e.Label("nd_drain")
 		e.MoveL(m68k.Abs(tailCell), m68k.D(1))
 		e.Cmp(4, m68k.Abs(rxHead), m68k.D(1))

@@ -54,6 +54,5 @@ func (io *IO) SpawnPump(name string, src, dst *Pipe, bufBytes int32) *kernel.Thr
 		panic("kio: pump write fd")
 	}
 	k.Link(t, k.Idle)
-	t.Linked = true
 	return t
 }

@@ -25,7 +25,7 @@ const (
 
 // installTTY builds the raw server: the input queue and the
 // interrupt handler (Table 5: "Service raw TTY interrupt: 16 usec"),
-// installed at IRQ 5 in the prototype vectors and all live threads.
+// installed at IRQTTY in the prototype vectors and all live threads.
 func (io *IO) installTTY() {
 	k := io.K
 	q := io.NewKQueue(ttyQueueBytes)

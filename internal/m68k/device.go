@@ -17,13 +17,18 @@ const (
 	ConsBase         = IOBase + 0x400
 )
 
-// Interrupt priority levels, descending urgency per the 68k scheme.
+// Interrupt priority levels, ascending urgency per the 68k scheme. The
+// quantum is the lowest: entry to any handler raises the mask to that
+// handler's level, so a quantum that expires inside one stays pending
+// until its RTE returns to IPL 0 and is taken from thread context.
+// That is why the quantum can vector straight to the thread's sw_out.
 const (
-	IRQTimer = 6 // quantum expiry: vectors straight to the thread's sw_out
-	IRQTTY   = 5
-	IRQAD    = 4
-	IRQDisk  = 3
-	IRQAlarm = 2 // alarm channel of the interval timer
+	IRQTimer = 1 // quantum expiry
+	IRQNet   = 2 // NIC receive: bulk frame DMA tolerates latency the byte devices do not
+	IRQAlarm = 3 // alarm channel of the interval timer
+	IRQDisk  = 4
+	IRQAD    = 5
+	IRQTTY   = 6
 )
 
 // ---------------------------------------------------------------- timer
@@ -44,8 +49,8 @@ const (
 )
 
 // Timer is the interval timer: one channel drives the scheduler
-// quantum (IRQ 6, one-shot, re-armed by each thread's sw_in), a
-// second channel drives alarms (IRQ 2; Table 5: set alarm, alarm
+// quantum (IRQTimer, one-shot, re-armed by each thread's sw_in), a
+// second channel drives alarms (IRQAlarm; Table 5: set alarm, alarm
 // interrupt).
 type Timer struct {
 	m        *Machine
@@ -114,8 +119,9 @@ func (t *Timer) arm(cycles uint64) uint64 {
 }
 
 // Tick implements Device. The two channels assert distinct interrupt
-// levels; when both fire in the same instant the quantum goes first
-// and the alarm is delivered on an immediate re-tick.
+// levels; when both fire in the same instant the quantum is posted
+// first and the alarm on an immediate re-tick, and the alarm, the
+// higher level, is taken first.
 func (t *Timer) Tick(now uint64) (int, uint64) {
 	if t.quantumA != 0 && now >= t.quantumA {
 		t.quantumA = 0
@@ -158,7 +164,7 @@ const (
 )
 
 // TTY is the console serial device. Input characters are queued by
-// the host (or by a scripted arrival schedule) and raise IRQ 5 as
+// the host (or by a scripted arrival schedule) and raise IRQTTY as
 // they become available, like a real UART.
 type TTY struct {
 	m       *Machine
@@ -265,7 +271,7 @@ const DiskBlockSize = 1024
 
 // Disk is a DMA block device with a fixed access latency, standing in
 // for the Quamachine's 390 MB hard disk. Transfers complete after
-// LatencyCycles and raise IRQ 3.
+// LatencyCycles and raise IRQDisk.
 type Disk struct {
 	m             *Machine
 	Blocks        [][]byte
@@ -360,7 +366,7 @@ const (
 )
 
 // AD is the two-channel 16-bit analog input sampler. While running it
-// raises IRQ 4 once per sample period; the paper's configuration is
+// raises IRQAD once per sample period; the paper's configuration is
 // 44,100 interrupts per second (Section 5.4).
 type AD struct {
 	m       *Machine

@@ -18,10 +18,6 @@ package m68k
 // NetBase is the NIC's 256-byte register window.
 const NetBase = IOBase + 0x500
 
-// IRQNet is the NIC's interrupt priority: below the disk — bulk frame
-// DMA tolerates latency that the byte-at-a-time devices do not.
-const IRQNet = 1
-
 // NIC register offsets.
 const (
 	NetRegTxAddr  uint32 = 0x00 // write: staged frame address

@@ -42,7 +42,7 @@ func SizeTable() (Table, error) {
 			k.C.Routines-preR, 1024),
 	})
 
-	// Marginal open cost per kind (through the Go hook directly).
+	// Marginal open cost per kind (through kio's host-side open).
 	kinds := []struct{ name, path string }{
 		{"per-open /dev/null", "/dev/null"},
 		{"per-open /dev/tty", "/dev/tty"},
@@ -50,8 +50,8 @@ func SizeTable() (Table, error) {
 	}
 	for _, kind := range kinds {
 		preB = k.C.TotalBytes
-		fd, ok := k.OpenHook(k, th, kind.path)
-		if !ok {
+		fd := rig.IO.Open(th, kind.path)
+		if fd < 0 {
 			return t, fmt.Errorf("size: open %s failed", kind.path)
 		}
 		t.Rows = append(t.Rows, Row{
@@ -60,7 +60,7 @@ func SizeTable() (Table, error) {
 			Unit:     "bytes",
 			Note:     "synthesized read+write pair",
 		})
-		k.CloseHook(k, th, fd)
+		rig.IO.Close(th, fd)
 	}
 
 	// Largest quajects by synthesized size, for the curious.

@@ -108,7 +108,7 @@ func stormRecovery(seed int64) (engageUS, releaseUS float64, err error) {
 	// Each handler entry costs ~150 cycles, which caps the scream rate
 	// near 50 entries per 500us window regardless of the storm gap —
 	// set the threshold below that so the storm registers.
-	wd := r.IO.InstallWatchdog(kio.WatchdogConfig{StormThreshold: 32})
+	wd := r.IO.InstallWatchdog(32)
 
 	// The foreground program just burns cycles long enough for the
 	// storm to run its course and the release window to pass.

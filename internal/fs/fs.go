@@ -46,15 +46,17 @@ const (
 	SpecialAD             // /dev/ad: the analog sampler stream
 	SpecialDisk           // disk-resident file, demand-loaded into the cache
 	SpecialMetrics        // /proc/metrics: snapshot of the observability plane
+	SpecialRawTTY         // /dev/rawtty: the tty's raw input queue, no line discipline
 )
 
-// File is the Go-side mirror of one directory entry.
+// File is the Go-side handle on one directory entry. The file's size
+// lives only in the entry's EntSize cell (synthesized writes grow it
+// there): read it with CurrentSize.
 type File struct {
 	Name    string
 	ID      uint32
 	Entry   uint32 // VM address of the directory entry
 	Data    uint32 // VM address of contents
-	Size    uint32
 	Cap     uint32
 	Special uint32
 	Block   uint32 // first disk block (disk-resident files)
@@ -66,7 +68,7 @@ type FS struct {
 	heap    *alloc.Heap
 	Buckets uint32 // VM address of the bucket table
 	byName  map[string]*File
-	byID    map[uint32]*File
+	byEntry map[uint32]*File
 	nextID  uint32
 }
 
@@ -84,7 +86,7 @@ func New(m *m68k.Machine, heap *alloc.Heap) *FS {
 		heap:    heap,
 		Buckets: b,
 		byName:  make(map[string]*File),
-		byID:    make(map[uint32]*File),
+		byEntry: make(map[uint32]*File),
 		nextID:  1,
 	}
 }
@@ -133,7 +135,6 @@ func (f *FS) CreateOnDisk(name string, startBlock, size, capacity uint32) (*File
 	if err != nil {
 		return nil, err
 	}
-	file.Size = size
 	file.Block = startBlock
 	f.m.Poke(file.Entry+EntSize, 4, size)
 	f.m.Poke(file.Entry+EntBlock, 4, startBlock)
@@ -166,7 +167,6 @@ func (f *FS) create(name string, data []byte, capacity uint32, special uint32) (
 		ID:      f.nextID,
 		Entry:   ent,
 		Data:    dataAddr,
-		Size:    uint32(len(data)),
 		Cap:     capacity,
 		Special: special,
 	}
@@ -179,7 +179,7 @@ func (f *FS) create(name string, data []byte, capacity uint32, special uint32) (
 	m.Poke(bucket, 4, ent)
 	m.Poke(ent+EntID, 4, file.ID)
 	m.Poke(ent+EntData, 4, dataAddr)
-	m.Poke(ent+EntSize, 4, file.Size)
+	m.Poke(ent+EntSize, 4, uint32(len(data)))
 	m.Poke(ent+EntSpecial, 4, special)
 	m.Poke(ent+EntBlock, 4, 0)
 	m.Poke(ent+EntNameLen, 4, uint32(len(name)))
@@ -189,7 +189,7 @@ func (f *FS) create(name string, data []byte, capacity uint32, special uint32) (
 	}
 
 	f.byName[name] = file
-	f.byID[file.ID] = file
+	f.byEntry[ent] = file
 	return file, nil
 }
 
@@ -197,32 +197,13 @@ func (f *FS) create(name string, data []byte, capacity uint32, special uint32) (
 // the equivalent walk in VM code).
 func (f *FS) Lookup(name string) *File { return f.byName[name] }
 
-// ByID finds a file by id (what the VM lookup returns in a register).
-func (f *FS) ByID(id uint32) *File { return f.byID[id] }
+// ByEntry finds a file by directory-entry address (what the VM lookup
+// returns in D0).
+func (f *FS) ByEntry(ent uint32) *File { return f.byEntry[ent] }
 
-// ByEntry finds a file by directory-entry address.
-func (f *FS) ByEntry(ent uint32) *File {
-	for _, file := range f.byName {
-		if file.Entry == ent {
-			return file
-		}
-	}
-	return nil
-}
-
-// SetSize updates a file's size (after a write extended it), keeping
-// the VM entry in sync.
-func (f *FS) SetSize(file *File, size uint32) {
-	if size > file.Cap {
-		size = file.Cap
-	}
-	file.Size = size
-	f.m.Poke(file.Entry+EntSize, 4, size)
-}
-
-// CurrentSize reads the file's live size from the directory entry in
-// machine memory (synthesized write routines update the entry cell
-// directly, so the Go-side mirror may be stale).
+// CurrentSize reads the file's size from its directory entry in
+// machine memory, the only copy (synthesized write routines grow it
+// there).
 func (f *FS) CurrentSize(file *File) uint32 {
 	return f.m.Peek(file.Entry+EntSize, 4)
 }

@@ -31,11 +31,11 @@ func TestCreateAndLookup(t *testing.T) {
 	if got := string(m.PeekBytes(file.Data, 5)); got != "hello" {
 		t.Errorf("contents %q", got)
 	}
-	if f.ByID(file.ID) != file {
-		t.Error("ByID failed")
-	}
 	if f.ByEntry(file.Entry) != file {
 		t.Error("ByEntry failed")
+	}
+	if f.ByEntry(file.Entry+4) != nil {
+		t.Error("ByEntry found a file at an address that is no entry")
 	}
 }
 
@@ -127,10 +127,6 @@ func TestCurrentSizeTracksEntryCell(t *testing.T) {
 	m.Poke(file.Entry+fs.EntSize, 4, 40)
 	if got := f.CurrentSize(file); got != 40 {
 		t.Errorf("size after poke = %d", got)
-	}
-	f.SetSize(file, 99) // beyond cap: clamped
-	if got := f.CurrentSize(file); got != 64 {
-		t.Errorf("clamped size = %d", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -77,30 +76,17 @@ type Kernel struct {
 	mExits   *metrics.Counter
 	mCreates *metrics.Counter
 	mPanics  *metrics.Counter
-
-	// OpenHook lets the I/O layer (kio package) implement the open
-	// bookkeeping + code synthesis. Wired by kio.Install.
-	OpenHook func(k *Kernel, t *Thread, name string) (fd int32, ok bool)
-	// CloseHook tears an fd down.
-	CloseHook func(k *Kernel, t *Thread, fd int32) bool
-	// PipeHook creates a pipe and returns its two descriptors.
-	PipeHook func(k *Kernel, t *Thread) (rfd, wfd int32, ok bool)
-	// SockHook opens a network socket bound to a local port, connected
-	// to a remote port, and returns its descriptor.
-	SockHook func(k *Kernel, t *Thread, local, remote uint32) (fd int32, ok bool)
 }
 
-// Thread is the Go-side mirror of a TTE (bookkeeping only; all thread
-// state that the machine touches lives in the TTE itself).
+// Thread is the Go-side handle on a TTE (bookkeeping only; all thread
+// state that the machine touches, descriptors included, lives in the
+// TTE itself).
 type Thread struct {
 	TTE      uint32
 	Name     string
 	Q        *synth.Quaject // per-thread synthesized routines
 	CodeBase uint32         // preallocated code region for resynthesis
-	CodeSize int
-	KStack   uint32 // top of kernel stack
 	Dead     bool
-	FDs      [MaxFD]FDInfo
 }
 
 // FaultRecord is one thread reaped after an unhandled bus or address
@@ -110,13 +96,6 @@ type FaultRecord struct {
 	Name  string
 	PC    uint32 // faulting PC, from the exception frame
 	Cycle uint64
-}
-
-// FDInfo mirrors what open installed in a descriptor slot.
-type FDInfo struct {
-	Kind string // "", "null", "tty", "file", "pipe-r", "pipe-w", "ad"
-	File string // file name for kind "file"
-	Aux  uint32 // queue address and the like
 }
 
 // SvcMark is the measurement service id: kcall #SvcMark records the
@@ -219,7 +198,7 @@ func Boot(cfg Config) *Kernel {
 		// unlinked TTE, and the ISR's rq_insert would splice against
 		// its zeroed TTENext and poison the ready ring. The STOP above
 		// reopens the mask on the next pass.
-		e.OrSR(srIPLMask)
+		e.OrSR(SRIPLMask)
 		e.Jsr(k.rtUnlink)
 		e.Trap(TrapSwitch) // re-entered here when re-inserted
 		e.Bra("loop")
@@ -277,10 +256,20 @@ func (k *Kernel) SysEntry(fn int32) uint32 { return k.g(GSysTable + uint32(fn)*4
 // AlarmRoutine returns the shared alarm interrupt handler.
 func (k *Kernel) AlarmRoutine() uint32 { return k.rtAlarm }
 
-// ProtoVectors returns the prototype vector table address; the I/O
-// layer pokes its interrupt handlers into it (and into live TTEs)
-// before threads are created.
+// ProtoVectors returns the prototype vector table address: kcreate
+// copies it into every new TTE.
 func (k *Kernel) ProtoVectors() uint32 { return k.protoVec }
+
+// SetVector points vector vec at addr in the prototype table and in
+// every live thread's own table, so threads created before and after
+// the call agree.
+func (k *Kernel) SetVector(vec int, addr uint32) {
+	off := uint32(vec) * 4
+	k.M.Poke(k.protoVec+off, 4, addr)
+	for _, t := range k.Threads {
+		k.M.Poke(t.TTE+TTEVec+off, 4, addr)
+	}
+}
 
 // SpuriousIRQs reports how many spurious interrupts the kernel has
 // absorbed.
@@ -461,76 +450,6 @@ func (k *Kernel) registerServices() {
 		k.resynthesizeFP(k.Cur())
 		return 0
 	})
-	m.RegisterService(SvcOpen, func(mm *m68k.Machine) uint64 {
-		// D1 = name pointer in the caller's quaspace. The VM side
-		// already paid for the name lookup; this service does fd
-		// bookkeeping and (charged) code synthesis.
-		t := k.Cur()
-		name := k.readCString(mm.D[1])
-		if k.OpenHook == nil {
-			mm.D[0] = ^uint32(0)
-			return 0
-		}
-		fd, ok := k.OpenHook(k, t, name)
-		if !ok {
-			mm.D[0] = ^uint32(0)
-			return 0
-		}
-		mm.D[0] = uint32(fd)
-		return 0
-	})
-	m.RegisterService(SvcClose, func(mm *m68k.Machine) uint64 {
-		t := k.Cur()
-		if k.CloseHook == nil || !k.CloseHook(k, t, int32(mm.D[1])) {
-			mm.D[0] = ^uint32(0)
-			return 0
-		}
-		mm.D[0] = 0
-		return 20
-	})
-	m.RegisterService(SvcPipe, func(mm *m68k.Machine) uint64 {
-		t := k.Cur()
-		if k.PipeHook == nil {
-			mm.D[0] = ^uint32(0)
-			return 0
-		}
-		rfd, wfd, ok := k.PipeHook(k, t)
-		if !ok {
-			mm.D[0] = ^uint32(0)
-			return 0
-		}
-		mm.D[0] = uint32(rfd)
-		mm.D[1] = uint32(wfd)
-		return 0
-	})
-	m.RegisterService(SvcSock, func(mm *m68k.Machine) uint64 {
-		t := k.Cur()
-		if k.SockHook == nil {
-			mm.D[0] = ^uint32(0)
-			return 0
-		}
-		fd, ok := k.SockHook(k, t, mm.D[1], mm.D[2])
-		if !ok {
-			mm.D[0] = ^uint32(0)
-			return 0
-		}
-		mm.D[0] = uint32(fd)
-		return 0
-	})
-}
-
-// readCString reads a NUL-terminated string of at most 256 bytes from
-// machine memory.
-func (k *Kernel) readCString(addr uint32) string {
-	mem := k.M.Mem
-	if int(addr) >= len(mem) {
-		return ""
-	}
-	s := mem[addr:min(int(addr)+256, len(mem))]
-	if n := bytes.IndexByte(s, 0); n >= 0 {
-		s = s[:n]
-	}
-	return string(s)
 }
 
 // MarkDeltasMicros converts consecutive mark pairs into microsecond

@@ -103,9 +103,9 @@ const (
 	FDSlotSize = 32
 	// Offsets within one fd slot.
 	FDPos   = 0  // current file position / queue cursor
-	FDAux   = 4  // type-specific cell (queue address, size cache...)
+	FDAux   = 4  // type-specific cell (pipe or socket queue, snapshot buffer, cached flag)
 	FDGauge = 8  // per-stream I/O gauge
-	FDKind  = 12 // host-side bookkeeping mirror (written by Go only)
+	FDKind  = 12 // kio's kind code for what the slot is open on; 0 means free
 )
 
 // FDCell returns the address of field off in fd's slot of the TTE at
@@ -148,11 +148,12 @@ const (
 	NumSys      = 14 // codes at or above (unsigned) panic
 )
 
-// KCALL service ids.
+// KCALL service ids. The I/O system (kio) registers SvcOpen, SvcClose,
+// SvcPipe and SvcSock; the kernel serves the rest.
 const (
 	SvcPanic       = 1  // unhandled exception: stop simulation loudly
 	SvcExit        = 2  // thread exit bookkeeping
-	SvcOpen        = 3  // open bookkeeping + read/write synthesis
+	SvcOpen        = 3  // D0 = directory entry: open bookkeeping + read/write synthesis
 	SvcClose       = 4  // close bookkeeping
 	SvcAllocTTE    = 5  // allocate TTE memory + code region -> D0
 	SvcFreeTTE     = 6  // release a destroyed thread's resources

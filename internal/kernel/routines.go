@@ -23,7 +23,9 @@ import (
 //     of the paper's brief critical sections);
 //   - interrupt handlers save and restore every register they touch.
 
-const srIPLMask = 0x0700
+// SRIPLMask is the status register's interrupt-level field: OR it in
+// to mask every device, AND its complement out to reopen them.
+const SRIPLMask = 0x0700
 
 // synthesizeShared builds all shared routines and the prototype
 // vector table.
@@ -44,7 +46,7 @@ func (k *Kernel) synthesizeShared() {
 	// block, stop and destroy — Table 5's "Block thread: 4 usec".
 	k.rtUnlink = c.Synthesize(kq, "rq_unlink", nil, func(e *synth.Emitter) {
 		e.MoveFromSR(m68k.PreDec(7))
-		e.OrSR(srIPLMask)
+		e.OrSR(SRIPLMask)
 		// Not in the ring (TTENext == 0)? Nothing to do: unlink and
 		// insert are idempotent, so stop/start cannot corrupt the
 		// ring however callers pair them.
@@ -70,7 +72,7 @@ func (k *Kernel) synthesizeShared() {
 	// the CPU" (Section 4.4). Table 4's "Unblock thread: 4 usec".
 	k.rtInsert = c.Synthesize(kq, "rq_insert", nil, func(e *synth.Emitter) {
 		e.MoveFromSR(m68k.PreDec(7))
-		e.OrSR(srIPLMask)
+		e.OrSR(SRIPLMask)
 		// Already in the ring? A second start must not splice the
 		// TTE in twice.
 		e.Tst(4, m68k.Disp(TTENext, 0))
@@ -127,7 +129,7 @@ func (k *Kernel) synthesizeShared() {
 		// poison the ring. The trap's stacked SR carries the mask
 		// through the park; the caller's level is restored on resume.
 		e.MoveFromSR(m68k.PreDec(7))
-		e.OrSR(srIPLMask)
+		e.OrSR(SRIPLMask)
 		e.MoveL(m68k.Abs(GCurTTE), m68k.A(1))
 		e.MoveL(m68k.A(1), m68k.Ind(0)) // cell = self
 		e.MoveL(m68k.A(0), m68k.Disp(TTEWaitsOn, 1))
@@ -193,7 +195,7 @@ func (k *Kernel) synthesizeShared() {
 	k.rtTraceStop = c.Synthesize(kq, "trace_stop", nil, func(e *synth.Emitter) {
 		// Masked across leave-ring -> switch (see block_on); the Rte
 		// restores the traced thread's own level on restart.
-		e.OrSR(srIPLMask)
+		e.OrSR(SRIPLMask)
 		e.MoveL(m68k.A(0), m68k.PreDec(7))
 		e.MoveL(m68k.A(1), m68k.PreDec(7))
 		e.MoveL(m68k.D(0), m68k.PreDec(7))
@@ -264,7 +266,7 @@ func (k *Kernel) synthesizeShared() {
 		e.Bne("killsw")
 		e.Halt() // the faulting thread was the last one
 		e.Label("killsw")
-		e.OrSR(srIPLMask) // masked across leave-ring -> switch (see block_on)
+		e.OrSR(SRIPLMask) // masked across leave-ring -> switch (see block_on)
 		e.MoveL(m68k.Abs(GCurTTE), m68k.A(0))
 		e.MoveL(m68k.A(0), m68k.D(1))
 		e.Jsr(k.rtLeave)
@@ -323,8 +325,8 @@ func (k *Kernel) synthesizeShared() {
 // compare names backwards ("hashed string names stored backwards",
 // Section 6.3 — reversed comparison rejects long-common-prefix names
 // like /dev/null vs /dev/tty at the first byte). Returns the
-// directory entry address in D0, or 0. Clobbers D0, D2, A0, A1;
-// preserves D1 (the dispatcher passes it on to the open service).
+// directory entry address in D0, or 0; the open service takes the
+// entry from D0. Clobbers D0, D2, A0, A1; preserves D1.
 func (k *Kernel) synthesizeLookup(kq *synth.Quaject) uint32 {
 	return k.C.Synthesize(kq, "fs_lookup", nil, func(e *synth.Emitter) {
 		e.MoveL(m68k.D(3), m68k.PreDec(7))
@@ -474,7 +476,7 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 		e.Jsr(k.rtLookup)
 		e.TstL(m68k.D(0))
 		e.Beq("fail")
-		e.Kcall(SvcOpen) // D1 = name; returns D0 = fd (synthesis charged)
+		e.Kcall(SvcOpen) // D0 = entry found; returns D0 = fd (synthesis charged)
 		e.Rte()
 		e.Label("fail")
 		e.MoveL(m68k.Imm(-1), m68k.D(0))
@@ -496,7 +498,7 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 		e.Kcall(SvcFreeTTE)
 		e.Rte()
 		e.Label("selfdestroy")
-		e.OrSR(srIPLMask) // masked across leave-ring -> switch (see block_on)
+		e.OrSR(SRIPLMask) // masked across leave-ring -> switch (see block_on)
 		e.Jsr(k.rtLeave)
 		e.Kcall(SvcFreeTTE)
 		e.Trap(TrapSwitch) // never resumed
@@ -509,7 +511,7 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 		e.Jsr(k.rtUnlink)
 		e.Rte()
 		e.Label("stopself")
-		e.OrSR(srIPLMask) // masked across leave-ring -> switch (see block_on)
+		e.OrSR(SRIPLMask) // masked across leave-ring -> switch (see block_on)
 		e.Jsr(k.rtLeave)
 		e.Trap(TrapSwitch) // parked until start
 		e.Rte()            // restores the caller's SR, and with it the level
@@ -554,7 +556,7 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 		e.Bne("exitsw")
 		e.Halt() // simulation over: every user thread is done
 		e.Label("exitsw")
-		e.OrSR(srIPLMask) // masked across leave-ring -> switch (see block_on)
+		e.OrSR(SRIPLMask) // masked across leave-ring -> switch (see block_on)
 		e.MoveL(m68k.Abs(GCurTTE), m68k.A(0))
 		e.MoveL(m68k.A(0), m68k.D(1))
 		e.Jsr(k.rtLeave)

@@ -49,8 +49,6 @@ func (k *Kernel) initThread(tte uint32, name string, ubase, ulimit uint32, kerne
 		Name:     name,
 		Q:        k.C.NewQuaject("thread:" + name),
 		CodeBase: m.AllocCode(perThreadCodeSlots),
-		CodeSize: perThreadCodeSlots,
-		KStack:   tte + TTESize + kstackSize,
 	}
 	k.Threads[tte] = t
 	k.mCreates.Inc()
@@ -80,10 +78,11 @@ func (k *Kernel) defaultQuantumCycles() uint64 {
 }
 
 // setEntry builds the thread's initial exception frame so that the
-// first switch-in starts it at entry with the given SR.
+// first switch-in starts it at entry with the given SR. The kernel
+// stack sits right after the TTE.
 func (k *Kernel) setEntry(t *Thread, entry, userSP uint32, sr uint16) {
 	m := k.M
-	ssp := t.KStack - 8
+	ssp := t.TTE + TTESize + kstackSize - 8
 	m.Poke(ssp, 4, uint32(sr)) // stacked SR
 	m.Poke(ssp+4, 4, entry)    // stacked PC
 	m.Poke(t.TTE+TTESSP, 4, ssp)
@@ -111,7 +110,7 @@ func (k *Kernel) synthesizeSwitch(t *Thread, withFP bool) {
 		// interrupt landing mid-switch would re-enter sw_out and
 		// overwrite the register save area with transient state. The
 		// target thread's RTE restores its own interrupt level.
-		e.OrSR(srIPLMask)
+		e.OrSR(SRIPLMask)
 		// Save the integer context into the register save area; the
 		// TTE address is a synthesis-time constant for this thread
 		// (Factoring Invariants), so no pointer is ever chased.

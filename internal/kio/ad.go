@@ -104,7 +104,7 @@ func (io *IO) installAD() {
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.Rte()
 	})
-	io.pokeAllVectors(m68k.VecAutovector+m68k.IRQAD, io.adIntH)
+	k.SetVector(m68k.VecAutovector+m68k.IRQAD, io.adIntH)
 }
 
 // SynthUnbufferedADHandler builds the ablation comparison for the
@@ -184,7 +184,7 @@ func (io *IO) synthAD(t *kernel.Thread, fd int32) uint32 {
 		e.Bcs("ar_done") // no room for another element
 		// Wait for a completed element.
 		e.Label("ar_wait")
-		e.OrSR(iplMaskBits)
+		e.OrSR(kernel.SRIPLMask)
 		e.MoveL(m68k.Abs(headC), m68k.D(0))
 		e.Cmp(4, m68k.Abs(tailC), m68k.D(0))
 		e.Bne("ar_have")
@@ -196,10 +196,10 @@ func (io *IO) synthAD(t *kernel.Thread, fd int32) uint32 {
 		e.Lea(m68k.Abs(rwait), 0)
 		e.Jsr(io.K.BlockOnRoutine())
 		e.MoveL(m68k.PostInc(7), m68k.A(1))
-		e.AndSR(^uint16(iplMaskBits))
+		e.AndSR(^uint16(kernel.SRIPLMask))
 		e.Bra("ar_wait")
 		e.Label("ar_have")
-		e.AndSR(^uint16(iplMaskBits))
+		e.AndSR(^uint16(kernel.SRIPLMask))
 		// src = buf + tail*chunkBytes
 		e.MoveL(m68k.Abs(tailC), m68k.D(0))
 		e.MoveL(m68k.D(0), m68k.D(1))
@@ -222,7 +222,7 @@ func (io *IO) synthAD(t *kernel.Thread, fd int32) uint32 {
 		e.Bra("ar_loop")
 
 		e.Label("ar_doneMasked")
-		e.AndSR(^uint16(iplMaskBits))
+		e.AndSR(^uint16(kernel.SRIPLMask))
 		e.Label("ar_done")
 		e.MoveL(m68k.A(1), m68k.D(0))
 		e.SubL(m68k.PostInc(7), m68k.D(0)) // bytes = cursor - base

@@ -48,7 +48,7 @@ func (io *IO) installDisk() {
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.Rte()
 	})
-	io.pokeAllVectors(m68k.VecAutovector+m68k.IRQDisk, io.diskIntH)
+	k.SetVector(m68k.VecAutovector+m68k.IRQDisk, io.diskIntH)
 }
 
 // StoreDiskFile writes contents onto consecutive disk blocks and
@@ -81,11 +81,9 @@ func (io *IO) StoreDiskFile(name string, contents []byte) (*fs.File, error) {
 }
 
 // synthDiskFile builds the read/write pair for a disk-resident file:
-// the plain specialized body behind a demand-load prologue.
+// the memory-resident file's read body behind a demand-load prologue.
 func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write uint32) {
 	k := io.K
-	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
-	sizeCell := f.Entry + fs.EntSize
 	data := f.Data
 	nblocks := (f.Cap + m68k.DiskBlockSize - 1) / m68k.DiskBlockSize
 	// The cached flag lives in the descriptor's aux cell so tests can
@@ -114,7 +112,7 @@ func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write
 		// Park until the completion interrupt; re-check the done bit
 		// under the mask so the wakeup cannot slip by.
 		e.Label("wait")
-		e.OrSR(iplMaskBits)
+		e.OrSR(kernel.SRIPLMask)
 		e.MoveL(m68k.Abs(m68k.DiskBase+m68k.DiskRegStatus), m68k.D(0))
 		e.Btst(m68k.Imm(1), m68k.D(0))
 		e.Bne("done")
@@ -122,10 +120,10 @@ func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write
 		e.Lea(m68k.Abs(io.diskWait), 0)
 		e.Jsr(k.BlockOnRoutine())
 		e.MoveL(m68k.PostInc(7), m68k.A(1))
-		e.AndSR(^uint16(iplMaskBits))
+		e.AndSR(^uint16(kernel.SRIPLMask))
 		e.Bra("wait")
 		e.Label("done")
-		e.AndSR(^uint16(iplMaskBits))
+		e.AndSR(^uint16(kernel.SRIPLMask))
 		e.AddL(m68k.Imm(1), m68k.D(1))
 		e.Lea(m68k.Disp(m68k.DiskBlockSize, 1), 1)
 		e.SubL(m68k.Imm(1), m68k.D(2))
@@ -134,30 +132,7 @@ func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write
 		e.MoveL(m68k.PostInc(7), m68k.D(2))
 		e.MoveL(m68k.PostInc(7), m68k.D(1))
 		e.Label("cached")
-
-		// The specialized body, identical to the memory-resident
-		// file read.
-		e.MoveL(m68k.D(1), m68k.A(1))
-		e.MoveL(m68k.Abs(pos), m68k.D(0))
-		e.MoveL(m68k.Abs(sizeCell), m68k.D(1))
-		e.SubL(m68k.D(0), m68k.D(1))
-		e.Bhi("some")
-		e.Clr(4, m68k.D(0))
-		e.Rte()
-		e.Label("some")
-		e.Cmp(4, m68k.D(2), m68k.D(1))
-		e.Bls("n")
-		e.MoveL(m68k.D(2), m68k.D(1))
-		e.Label("n")
-		e.Lea(m68k.Abs(data), 0)
-		e.AddL(m68k.D(0), m68k.A(0))
-		e.AddL(m68k.D(1), m68k.D(0))
-		e.MoveL(m68k.D(0), m68k.Abs(pos))
-		e.MoveL(m68k.D(1), m68k.PreDec(7))
-		emitCopy(e, blockCopy)
-		e.MoveL(m68k.PostInc(7), m68k.D(0))
-		e.AddL(m68k.D(0), m68k.Abs(kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)))
-		e.Rte()
+		emitFileReadBody(e, t, fd, f)
 	})
 
 	// Writes go to the cache buffer (write-back: nothing is flushed

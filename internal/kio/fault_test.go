@@ -128,7 +128,7 @@ func TestWatchdogStormThrottleEngagesAndReleases(t *testing.T) {
 		{Level: m68k.IRQNet, At: stormAt, Count: 1500, Gap: 100},
 	}}, 1)
 	inj.Attach(k.M)
-	wd := io.InstallWatchdog(kio.WatchdogConfig{StormThreshold: 8})
+	wd := io.InstallWatchdog(8)
 	th := k.SpawnKernel("spin", emitSpin(k, 80_000))
 	run(t, k, th, 100_000_000)
 
@@ -161,7 +161,7 @@ func TestWatchdogWedgeFallsBackToGeneric(t *testing.T) {
 	if io.OpenSocket(th, 9, 5) != 0 {
 		t.Fatal("socket fd")
 	}
-	wd := io.InstallWatchdog(kio.WatchdogConfig{WedgeWindows: 2})
+	wd := io.InstallWatchdog(64)
 
 	// Wedge: clobber the net vector with a handler that acknowledges
 	// nothing, in the prototype table and the existing thread.

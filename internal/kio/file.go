@@ -40,36 +40,41 @@ func (io *IO) synthFile(t *kernel.Thread, fd int32, f *fs.File) (read, write uin
 
 // synthFileRead emits read(d1=buf, d2=len) -> d0 = n.
 func (io *IO) synthFileRead(t *kernel.Thread, fd int32, f *fs.File) uint32 {
-	c := io.K.C
-	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
-	sizeCell := f.Entry + fs.EntSize
-	data := f.Data
-	return c.Build(t.Q, "file_read").Key("kio.file_read", t.TTE, uint32(fd), f.Entry).Emit(func(e *synth.Emitter) {
-		e.MoveL(m68k.D(1), m68k.A(1))     // dst
-		e.MoveL(m68k.Abs(pos), m68k.D(0)) // position
-		e.MoveL(m68k.Abs(sizeCell), m68k.D(1))
-		e.SubL(m68k.D(0), m68k.D(1)) // avail = size - pos
-		e.Bhi("fr_some")
-		e.Clr(4, m68k.D(0)) // at or past EOF
-		e.Rte()
-		e.Label("fr_some")
-		// n = min(avail, len)
-		e.Cmp(4, m68k.D(2), m68k.D(1))
-		e.Bls("fr_n")
-		e.MoveL(m68k.D(2), m68k.D(1))
-		e.Label("fr_n")
-		// src = data + pos; pos += n
-		e.Lea(m68k.Abs(data), 0)
-		e.AddL(m68k.D(0), m68k.A(0))
-		e.AddL(m68k.D(1), m68k.D(0))
-		e.MoveL(m68k.D(0), m68k.Abs(pos))
-		e.MoveL(m68k.D(1), m68k.PreDec(7)) // save n
-		emitCopy(e, blockCopy)             // n bytes, clobbers d0/d1
-		e.MoveL(m68k.PostInc(7), m68k.D(0))
-		// Byte-rate gauge for the fine-grain scheduler.
-		e.AddL(m68k.D(0), m68k.Abs(kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)))
-		e.Rte()
+	return io.K.C.Build(t.Q, "file_read").Key("kio.file_read", t.TTE, uint32(fd), f.Entry).Emit(func(e *synth.Emitter) {
+		emitFileReadBody(e, t, fd, f)
 	})
+}
+
+// emitFileReadBody is the specialized read of a file whose contents are
+// in memory, shared by plain files and, behind their demand-load
+// prologue, disk-resident ones: the file's buffer, its size cell and
+// the descriptor's position and gauge cells are folded in.
+func emitFileReadBody(e *synth.Emitter, t *kernel.Thread, fd int32, f *fs.File) {
+	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
+	e.MoveL(m68k.D(1), m68k.A(1))     // dst
+	e.MoveL(m68k.Abs(pos), m68k.D(0)) // position
+	e.MoveL(m68k.Abs(f.Entry+fs.EntSize), m68k.D(1))
+	e.SubL(m68k.D(0), m68k.D(1)) // avail = size - pos
+	e.Bhi("fr_some")
+	e.Clr(4, m68k.D(0)) // at or past EOF
+	e.Rte()
+	e.Label("fr_some")
+	// n = min(avail, len)
+	e.Cmp(4, m68k.D(2), m68k.D(1))
+	e.Bls("fr_n")
+	e.MoveL(m68k.D(2), m68k.D(1))
+	e.Label("fr_n")
+	// src = data + pos; pos += n
+	e.Lea(m68k.Abs(f.Data), 0)
+	e.AddL(m68k.D(0), m68k.A(0))
+	e.AddL(m68k.D(1), m68k.D(0))
+	e.MoveL(m68k.D(0), m68k.Abs(pos))
+	e.MoveL(m68k.D(1), m68k.PreDec(7)) // save n
+	emitCopy(e, blockCopy)             // n bytes, clobbers d0/d1
+	e.MoveL(m68k.PostInc(7), m68k.D(0))
+	// Byte-rate gauge for the fine-grain scheduler.
+	e.AddL(m68k.D(0), m68k.Abs(kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)))
+	e.Rte()
 }
 
 // synthFileWrite emits write(d1=buf, d2=len) -> d0 = n (bounded by

@@ -47,40 +47,64 @@ func keyedSoak(t *testing.T, plane bool) {
 			t.Fatal(err)
 		}
 	}
-	pipes := []*kio.Pipe{io.NewPipe(64), io.NewPipe(128)}
 	idle := k.C.Synthesize(nil, "idle", nil, exitSeq)
 	var threads []*kernel.Thread
 	for i := 0; i < 3; i++ {
 		threads = append(threads, k.SpawnKernelStopped(fmt.Sprintf("t%d", i), idle))
 	}
+	kindOf := func(th *kernel.Thread, fd int) uint32 {
+		return k.M.Peek(kernel.FDCell(th.TTE, fd, kernel.FDKind), 4)
+	}
 
 	rng := rand.New(rand.NewSource(24))
 	pick := func(names ...string) string { return names[rng.Intn(len(names))] }
 	open := func(th *kernel.Thread, names ...string) bool {
-		_, ok := k.OpenHook(k, th, pick(names...))
-		return ok
+		return io.Open(th, pick(names...)) >= 0
+	}
+	// Two pipes of different sizes. The last close of a pipe's ends frees
+	// its queue, so an end opened after that goes on a fresh pipe, which
+	// may land where the other size lived.
+	sizes := []int32{64, 128}
+	pipes := []*kio.KQueue{io.NewPipe(sizes[0]), io.NewPipe(sizes[1])}
+	opened := []bool{false, false}
+	openEnd := func(th *kernel.Thread, writeEnd bool) bool {
+		i := rng.Intn(2)
+		live := false
+		for _, th := range threads {
+			for fd := range kernel.MaxFD {
+				kind := kindOf(th, fd)
+				live = live || (kind == kio.FDPipeR || kind == kio.FDPipeW) &&
+					k.M.Peek(kernel.FDCell(th.TTE, fd, kernel.FDAux), 4) == pipes[i].Addr
+			}
+		}
+		if opened[i] && !live {
+			pipes[i], opened[i] = io.NewPipe(sizes[i]), false
+		}
+		fd := io.OpenPipeEnd(th, pipes[i], writeEnd)
+		opened[i] = opened[i] || fd >= 0
+		return fd >= 0
 	}
 	// What a test can open, and how many keyed routines one open builds
 	// (the templates named are the ones it must find by key).
 	kinds := []struct {
-		kind      string // kernel.FDInfo.Kind of the descriptor it makes
+		kind      uint32 // the FDKind code of the descriptor it makes
 		templates string
 		keyed     uint64
 		open      func(th *kernel.Thread) bool
 	}{
-		{"tty", "cooked_read tty_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/tty") }},
-		{"", "cooked_read (layered)", 1, func(th *kernel.Thread) bool { return io.SynthLayeredCookedRead(th) != 0 }},
-		{"rawtty", "rawtty_read tty_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/rawtty") }},
-		{"null", "null_read null_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/null") }},
-		{"file", "file_read file_write", 2, func(th *kernel.Thread) bool { return open(th, "/tmp/a", "/tmp/b") }},
-		{"diskfile", "diskfile_read file_write", 2, func(th *kernel.Thread) bool { return open(th, "/disk/a", "/disk/b") }},
-		{"ad", "ad_read", 1, func(th *kernel.Thread) bool { return open(th, "/dev/ad") }},
-		{"proc", "proc_read", 1, func(th *kernel.Thread) bool {
+		{kio.FDTTY, "cooked_read tty_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/tty") }},
+		{kio.FDFree, "cooked_read (layered)", 1, func(th *kernel.Thread) bool { return io.SynthLayeredCookedRead(th) != 0 }},
+		{kio.FDRawTTY, "rawtty_read tty_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/rawtty") }},
+		{kio.FDNull, "null_read null_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/null") }},
+		{kio.FDFile, "file_read file_write", 2, func(th *kernel.Thread) bool { return open(th, "/tmp/a", "/tmp/b") }},
+		{kio.FDDiskFile, "diskfile_read file_write", 2, func(th *kernel.Thread) bool { return open(th, "/disk/a", "/disk/b") }},
+		{kio.FDAD, "ad_read", 1, func(th *kernel.Thread) bool { return open(th, "/dev/ad") }},
+		{kio.FDProc, "proc_read", 1, func(th *kernel.Thread) bool {
 			return open(th, kio.ProcMetricsPath, kio.ProcMetricsPromPath)
 		}},
-		{"pipe-r", "pipe_read", 1, func(th *kernel.Thread) bool { return io.OpenPipeEnd(th, pipes[rng.Intn(2)], false) >= 0 }},
-		{"pipe-w", "pipe_write", 1, func(th *kernel.Thread) bool { return io.OpenPipeEnd(th, pipes[rng.Intn(2)], true) >= 0 }},
-		{"sock", "sock_recv sock_send", 2, func(th *kernel.Thread) bool {
+		{kio.FDPipeR, "pipe_read", 1, func(th *kernel.Thread) bool { return openEnd(th, false) }},
+		{kio.FDPipeW, "pipe_write", 1, func(th *kernel.Thread) bool { return openEnd(th, true) }},
+		{kio.FDSock, "sock_recv sock_send", 2, func(th *kernel.Thread) bool {
 			return io.OpenSocket(th, uint32(5+rng.Intn(3)), uint32(8+rng.Intn(2))) >= 0
 		}},
 	}
@@ -102,8 +126,8 @@ func keyedSoak(t *testing.T, plane bool) {
 	// returns which of kinds it was.
 	closeOne := func(th *kernel.Thread) (kind int, ok bool) {
 		var fds []int32
-		for fd, info := range th.FDs {
-			if info.Kind != "" {
+		for fd := range kernel.MaxFD {
+			if kindOf(th, fd) != kio.FDFree {
 				fds = append(fds, int32(fd))
 			}
 		}
@@ -113,11 +137,11 @@ func keyedSoak(t *testing.T, plane bool) {
 		fd := fds[rng.Intn(len(fds))]
 		op = fmt.Sprintf("a close of %d on %s", fd, th.Name)
 		for i := range kinds {
-			if kinds[i].kind == th.FDs[fd].Kind {
+			if kinds[i].kind == kindOf(th, int(fd)) {
 				kind = i
 			}
 		}
-		if !k.CloseHook(k, th, fd) {
+		if !io.Close(th, fd) {
 			t.Fatalf("%s failed", op)
 		}
 		return kind, true
@@ -140,7 +164,7 @@ func keyedSoak(t *testing.T, plane bool) {
 		}
 		// Empty every table, so the next round fills the slots afresh.
 		for _, th := range threads {
-			for range th.FDs {
+			for range kernel.MaxFD {
 				closeOne(th)
 				ops++
 			}

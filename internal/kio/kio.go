@@ -7,9 +7,11 @@
 //
 // Every data-path routine here is Quamachine code emitted through the
 // synthesizer with the quaject's invariants (buffer addresses, queue
-// geometry, descriptor cells) folded in as constants. The open/close
-// bookkeeping that the paper does not time runs in Go behind the
-// kernel's KCALL services.
+// geometry, descriptor cells) folded in as constants. The open, close,
+// pipe and socket bookkeeping that the paper does not time runs in Go
+// behind kio's own KCALL services, and keeps its state in the TTE's
+// descriptor slots: the FDKind cell says what a slot is open on, FDAux
+// which queue or buffer.
 package kio
 
 import (
@@ -31,8 +33,12 @@ type IO struct {
 	ttyIntH uint32 // synthesized tty interrupt handler
 	adIntH  uint32 // synthesized A/D interrupt handler
 	adQ     *ADQueue
-	pipes   []*Pipe
 	echo    bool
+
+	// Pipe metrics: kio.pipe.<n>.* by queue address, numbered from
+	// pipeSeq, live until the pipe's last end closes.
+	pipeMetrics map[uint32]string
+	pipeSeq     int
 
 	// Raw disk server state.
 	diskIntH      uint32 // synthesized disk completion handler
@@ -65,9 +71,9 @@ func (io *IO) TTYIntHandler() uint32 { return io.ttyIntH }
 func (io *IO) ADIntHandler() uint32 { return io.adIntH }
 
 // Install wires the I/O system into a freshly booted kernel: device
-// files, interrupt handlers, and the open/close/pipe hooks. Must run
-// before user threads are created so they inherit the interrupt
-// vectors.
+// files, interrupt handlers, and the open, close, pipe and socket
+// services. Must run before user threads are created so they inherit
+// the interrupt vectors.
 func Install(k *kernel.Kernel) *IO {
 	io := &IO{K: k, echo: true}
 
@@ -82,8 +88,8 @@ func Install(k *kernel.Kernel) *IO {
 	})
 	// A descriptor that was never opened fails like a closed one.
 	for fd := 0; fd < kernel.MaxFD; fd++ {
-		io.pokeAllVectors(m68k.VecTrapBase+kernel.TrapRead+fd, io.badFD)
-		io.pokeAllVectors(m68k.VecTrapBase+kernel.TrapWrite+fd, io.badFD)
+		k.SetVector(m68k.VecTrapBase+kernel.TrapRead+fd, io.badFD)
+		k.SetVector(m68k.VecTrapBase+kernel.TrapWrite+fd, io.badFD)
 	}
 
 	io.installTTY()
@@ -92,13 +98,56 @@ func Install(k *kernel.Kernel) *IO {
 	io.installNet()
 	io.installProc()
 	io.wireIOMetrics()
-
-	k.OpenHook = io.open
-	k.CloseHook = io.close
-	k.PipeHook = io.pipe
-	k.SockHook = io.sock
+	io.registerServices()
 	return io
 }
+
+// registerServices serves the native open, close, pipe and socket
+// calls. Open arrives with the directory entry fs_lookup left in D0.
+// Each call returns its descriptor, or -1, in D0 (pipe's write end in
+// D1); close returns 0 and charges 20 cycles.
+func (io *IO) registerServices() {
+	k := io.K
+	k.M.RegisterService(kernel.SvcOpen, func(mm *m68k.Machine) uint64 {
+		mm.D[0] = uint32(io.open(k.Cur(), k.FS.ByEntry(mm.D[0])))
+		return 0
+	})
+	k.M.RegisterService(kernel.SvcClose, func(mm *m68k.Machine) uint64 {
+		if !io.Close(k.Cur(), int32(mm.D[1])) {
+			mm.D[0] = ^uint32(0)
+			return 0
+		}
+		mm.D[0] = 0
+		return 20
+	})
+	k.M.RegisterService(kernel.SvcPipe, func(mm *m68k.Machine) uint64 {
+		rfd, wfd := io.pipe(k.Cur())
+		mm.D[0], mm.D[1] = uint32(rfd), uint32(wfd)
+		return 0
+	})
+	k.M.RegisterService(kernel.SvcSock, func(mm *m68k.Machine) uint64 {
+		mm.D[0] = uint32(io.OpenSocket(k.Cur(), mm.D[1], mm.D[2]))
+		return 0
+	})
+}
+
+// Descriptor kinds: the code open writes into a slot's FDKind cell,
+// the one record of what the slot is open on. FDFree (0) marks a free
+// slot; a TTE starts cleared, so every slot of a new thread is free.
+const (
+	FDFree uint32 = iota
+	FDNull
+	FDTTY
+	FDRawTTY
+	FDAD
+	FDDiskFile
+	FDProc
+	FDProcGeneric
+	FDFile
+	FDPipeR
+	FDPipeW
+	FDSock
+)
 
 func mustCreate(f *fs.File, err error) *fs.File {
 	if err != nil {
@@ -107,21 +156,21 @@ func mustCreate(f *fs.File, err error) *fs.File {
 	return f
 }
 
-// pokeAllVectors sets a vector in the prototype table and in every
-// existing thread.
-func (io *IO) pokeAllVectors(vec int, addr uint32) {
-	k := io.K
-	k.M.Poke(k.ProtoVectors()+uint32(vec)*4, 4, addr)
-	for _, t := range k.Threads {
-		k.M.Poke(t.TTE+kernel.TTEVec+uint32(vec)*4, 4, addr)
-	}
+// fdCell reads cell off of fd's slot in t's TTE.
+func (io *IO) fdCell(t *kernel.Thread, fd int32, off int) uint32 {
+	return io.K.M.Peek(kernel.FDCell(t.TTE, int(fd), off), 4)
+}
+
+// setFDCell writes cell off of fd's slot in t's TTE.
+func (io *IO) setFDCell(t *kernel.Thread, fd int32, off int, v uint32) {
+	io.K.M.Poke(kernel.FDCell(t.TTE, int(fd), off), 4, v)
 }
 
 // allocFD finds a free descriptor slot on the thread.
-func allocFD(t *kernel.Thread) int32 {
-	for i := range t.FDs {
-		if t.FDs[i].Kind == "" {
-			return int32(i)
+func (io *IO) allocFD(t *kernel.Thread) int32 {
+	for fd := int32(0); fd < kernel.MaxFD; fd++ {
+		if io.fdCell(t, fd, kernel.FDKind) == FDFree {
+			return fd
 		}
 	}
 	return -1
@@ -141,94 +190,85 @@ func (io *IO) installFD(t *kernel.Thread, fd int32, read, write uint32) {
 	m.Poke(t.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+kernel.TrapWrite+int(fd))*4, 4, write)
 }
 
-// open implements the kernel's OpenHook: called from the open system
-// call after the VM name lookup succeeded. It allocates a descriptor
-// and synthesizes the specialized read and write routines — this is
-// the charged code-synthesis part of open's cost (Section 6.3: "60%
-// are used to find the file ... and 40% for code synthesis").
-func (io *IO) open(k *kernel.Kernel, t *kernel.Thread, name string) (int32, bool) {
-	if t == nil {
-		return -1, false
+// Open opens the named file on t from the host: the name lookup the
+// open system call does in machine code, then the same service.
+// Returns the descriptor, or -1.
+func (io *IO) Open(t *kernel.Thread, name string) int32 {
+	return io.open(t, io.K.FS.Lookup(name))
+}
+
+// open serves the open system call once the VM name lookup has found
+// f: it allocates a descriptor and synthesizes the specialized read
+// and write routines — the charged code-synthesis part of open's cost
+// (Section 6.3: "60% are used to find the file ... and 40% for code
+// synthesis").
+func (io *IO) open(t *kernel.Thread, f *fs.File) int32 {
+	if t == nil || f == nil {
+		return -1
 	}
-	f := k.FS.Lookup(name)
-	if f == nil {
-		return -1, false
-	}
-	fd := allocFD(t)
+	fd := io.allocFD(t)
 	if fd < 0 {
-		return -1, false
+		return -1
 	}
-	var read, write uint32
-	kind := ""
+	var read, write, kind uint32
 	switch f.Special {
 	case fs.SpecialNull:
 		read, write = io.synthNull(t, fd)
-		kind = "null"
+		kind = FDNull
 	case fs.SpecialTTY:
-		if name == "/dev/rawtty" {
-			read, write = io.synthRawTTY(t, fd)
-			kind = "rawtty"
-		} else {
-			read, write = io.synthTTY(t, fd)
-			kind = "tty"
-		}
+		read, write = io.synthTTY(t, fd)
+		kind = FDTTY
+	case fs.SpecialRawTTY:
+		read, write = io.synthRawTTY(t, fd)
+		kind = FDRawTTY
 	case fs.SpecialAD:
-		read, write = io.synthAD(t, fd), 0
-		kind = "ad"
+		read = io.synthAD(t, fd)
+		kind = FDAD
 	case fs.SpecialDisk:
 		read, write = io.synthDiskFile(t, fd, f)
-		kind = "diskfile"
+		kind = FDDiskFile
 	case fs.SpecialMetrics:
-		read, write = io.synthProcRead(t, fd, f), 0
-		kind = "proc"
+		read = io.synthProcRead(t, fd, f)
+		kind = FDProc
 	default:
 		read, write = io.synthFile(t, fd, f)
-		kind = "file"
+		kind = FDFile
 	}
-	t.FDs[fd] = kernel.FDInfo{Kind: kind, File: name}
-	// Reset the descriptor's position cell.
-	k.M.Poke(kernel.FDCell(t.TTE, int(fd), kernel.FDPos), 4, 0)
+	io.setFDCell(t, fd, kernel.FDKind, kind)
+	io.setFDCell(t, fd, kernel.FDPos, 0)
 	io.installFD(t, fd, read, write)
 	io.registerFDMetrics(t, fd)
-	return fd, true
+	return fd
 }
 
-// close implements CloseHook: point the vectors back at the bad-fd
-// stub and release the slot. The synthesized routines stay in code
+// Close serves the close system call: point the vectors back at the
+// bad-fd stub and free the slot. The synthesized routines stay in code
 // space and in the creator's cache, so the next open of the same thing
-// on this slot finds them by key (synth.Builder.Key) and builds nothing.
-// The slot's byte gauge moves to the thread's, where the scheduler
-// still sees it, so the next descriptor here counts from zero.
-func (io *IO) close(k *kernel.Kernel, t *kernel.Thread, fd int32) bool {
-	if t == nil || fd < 0 || int(fd) >= kernel.MaxFD || t.FDs[fd].Kind == "" {
+// on this slot finds them by key (synth.Builder.Key) and builds
+// nothing. The slot's byte gauge moves to the thread's, where the
+// scheduler still sees it, so the next descriptor here counts from
+// zero. Returns false for a slot that is not open.
+func (io *IO) Close(t *kernel.Thread, fd int32) bool {
+	if t == nil || fd < 0 || fd >= kernel.MaxFD {
 		return false
 	}
-	gauge := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	k.M.Poke(t.TTE+kernel.TTEIOGauge, 4, k.M.Peek(t.TTE+kernel.TTEIOGauge, 4)+k.M.Peek(gauge, 4))
-	k.M.Poke(gauge, 4, 0)
-	switch t.FDs[fd].Kind {
-	case "sock":
-		io.closeSocket(t, fd)
-	case "proc":
-		io.closeProc(t, fd)
+	kind := io.fdCell(t, fd, kernel.FDKind)
+	if kind == FDFree {
+		return false
+	}
+	m := io.K.M
+	m.Poke(t.TTE+kernel.TTEIOGauge, 4, m.Peek(t.TTE+kernel.TTEIOGauge, 4)+io.fdCell(t, fd, kernel.FDGauge))
+	io.setFDCell(t, fd, kernel.FDGauge, 0)
+	io.setFDCell(t, fd, kernel.FDKind, FDFree)
+	switch aux := io.fdCell(t, fd, kernel.FDAux); kind {
+	case FDSock:
+		io.closeSocket(aux)
+	case FDProc:
+		io.closeProc(aux)
+	case FDPipeR, FDPipeW:
+		io.closePipeEnd(aux)
 	}
 	io.unregisterFDMetrics(t, fd)
 	io.installFD(t, fd, 0, 0)
-	t.FDs[fd] = kernel.FDInfo{}
 	return true
-}
-
-// pipe implements PipeHook for the native pipe call: both ends land
-// in the calling thread.
-func (io *IO) pipe(k *kernel.Kernel, t *kernel.Thread) (int32, int32, bool) {
-	if t == nil {
-		return -1, -1, false
-	}
-	p := io.NewPipe(DefaultPipeBytes)
-	rfd := io.OpenPipeEnd(t, p, false)
-	wfd := io.OpenPipeEnd(t, p, true)
-	if rfd < 0 || wfd < 0 {
-		return -1, -1, false
-	}
-	return rfd, wfd, true
 }

@@ -269,7 +269,7 @@ func TestPipeWrapAroundManyChunks(t *testing.T) {
 			t.Fatalf("byte %d = %#x, want %#x", i, got[i], pattern[i])
 		}
 	}
-	if g := p.Q.Gauge(k.M); g == 0 {
+	if g := p.Gauge(k.M); g == 0 {
 		t.Error("pipe gauge never advanced (fine-grain scheduler would be blind)")
 	}
 }
@@ -479,7 +479,7 @@ func TestFDTableExhaustion(t *testing.T) {
 	if got := int32(k.M.Peek(res, 4)); got != -1 {
 		t.Errorf("open past the fd table = %d, want -1", got)
 	}
-	if th.FDs[kernel.MaxFD-1].Kind == "" {
+	if k.M.Peek(kernel.FDCell(th.TTE, kernel.MaxFD-1, kernel.FDKind), 4) == kio.FDFree {
 		t.Error("fd table not actually full")
 	}
 }

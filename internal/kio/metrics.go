@@ -17,7 +17,8 @@ import (
 //
 // Naming scheme (documented in README): kio.sock.<port>.<what> for
 // per-socket metrics, kio.net.<what> for the shared receive path.
-// Per-socket names are unregistered when the socket closes, so a
+// Per-socket names are unregistered when the socket closes, per-pipe
+// names (kio.pipe.<n>.*) when the pipe's last end closes, so a
 // snapshot never mixes cells from a freed queue.
 
 // reg returns the registry wired at Boot, or nil (all registration
@@ -109,19 +110,31 @@ func (io *IO) wireIOMetrics() {
 	})
 }
 
-// registerPipeMetrics serves one pipe's queue cells; idx is the pipe's
-// index in creation order. Pipes are never torn down (their queues
-// are abandoned), so there is no unregister side.
-func (io *IO) registerPipeMetrics(p *Pipe, idx int) {
+// registerPipeMetrics serves one pipe's queue cells as kio.pipe.<n>.*,
+// n counting pipes in creation order.
+func (io *IO) registerPipeMetrics(q *KQueue) {
 	reg := io.reg()
 	if reg == nil {
 		return
 	}
 	m := io.K.M
-	q := p.Q
-	pre := fmt.Sprintf("kio.pipe.%d.", idx)
+	pre := fmt.Sprintf("kio.pipe.%d.", io.pipeSeq)
+	io.pipeSeq++
+	if io.pipeMetrics == nil {
+		io.pipeMetrics = make(map[uint32]string)
+	}
+	io.pipeMetrics[q.Addr] = pre
 	reg.SampleGauge(pre+"depth", func() float64 { return float64(q.Len(m)) })
 	reg.Sample(pre+"bytes", func() uint64 { return uint64(m.Peek(q.Addr+KQGauge, 4)) })
+}
+
+// unregisterPipeMetrics drops the metrics of the pipe on queue q before
+// the queue is freed.
+func (io *IO) unregisterPipeMetrics(q uint32) {
+	if pre, ok := io.pipeMetrics[q]; ok {
+		io.reg().UnregisterPrefix(pre)
+		delete(io.pipeMetrics, q)
+	}
 }
 
 // fdPrefix names one descriptor's metrics: kio.fd.<thread>.<n>.*.

@@ -220,15 +220,15 @@ func TestReopenedDescriptorCountsFromZero(t *testing.T) {
 	run(t, k, th, 20_000_000)
 
 	snap := reg.Snapshot()
-	for fd, kind := range []string{"file", "pipe-r", "pipe-w", "sock"} {
-		if th.FDs[fd].Kind != kind {
-			t.Fatalf("fd %d is %q after the reopen, want %q", fd, th.FDs[fd].Kind, kind)
+	for fd, kind := range []uint32{kio.FDFile, kio.FDPipeR, kio.FDPipeW, kio.FDSock} {
+		if got := k.M.Peek(kernel.FDCell(th.TTE, fd, kernel.FDKind), 4); got != kind {
+			t.Fatalf("fd %d is kind %d after the reopen, want %d", fd, got, kind)
 		}
 		if got := k.M.Peek(kernel.FDCell(th.TTE, fd, kernel.FDGauge), 4); got != 0 {
-			t.Errorf("reopened %s on fd %d inherits a gauge of %d", kind, fd, got)
+			t.Errorf("reopened kind %d on fd %d inherits a gauge of %d", kind, fd, got)
 		}
 		name := fmt.Sprintf("kio.fd.main.%d.bytes", fd)
-		if got, ok := snap.Counters[name]; kind != "sock" && (!ok || got != 0) {
+		if got, ok := snap.Counters[name]; kind != kio.FDSock && (!ok || got != 0) {
 			t.Errorf("%s = %d (registered %v), want 0", name, got, ok)
 		}
 	}

@@ -72,13 +72,12 @@ const (
 	sendBackoff0 = 32 // first backoff spin count, doubled per retry
 )
 
-// NSocket is the host-side mirror of one open socket.
+// NSocket is one open socket's synthesis-time constants: the
+// descriptor slot holding it keeps its queue in FDAux.
 type NSocket struct {
 	Local, Remote uint32
 	Queue         uint32 // packet queue base in machine memory
 	Stage         uint32 // transmit staging buffer
-	TTE           uint32
-	FD            int32
 }
 
 // NetIntHandler returns the current synthesized network receive
@@ -160,7 +159,7 @@ func (io *IO) resynthNetHandler() {
 		// (IRQTimer, the lowest level) is masked from entry on: one that
 		// expires during the drain stays pending until the RTE restores
 		// IPL 0 and is taken from thread context right after.
-		e.OrSR(iplMaskBits)
+		e.OrSR(kernel.SRIPLMask)
 		e.MoveL(m68k.D(0), m68k.PreDec(7))
 		e.MoveL(m68k.D(1), m68k.PreDec(7))
 		e.MoveL(m68k.D(2), m68k.PreDec(7))
@@ -333,7 +332,7 @@ func (io *IO) resynthNetHandler() {
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.Rte()
 	})
-	io.pokeAllVectors(m68k.VecAutovector+m68k.IRQNet, io.netIntH)
+	k.SetVector(m68k.VecAutovector+m68k.IRQNet, io.netIntH)
 }
 
 func sockLabel(i int) string {
@@ -366,7 +365,7 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 			return -1
 		}
 	}
-	fd := allocFD(t)
+	fd := io.allocFD(t)
 	if fd < 0 || len(io.socks) >= maxSockets {
 		return -1
 	}
@@ -384,33 +383,27 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 	for off := uint32(0); off < NQSlots; off += 4 {
 		k.M.Poke(q+off, 4, 0)
 	}
-	s := &NSocket{Local: local, Remote: remote, Queue: q, Stage: stage, TTE: t.TTE, FD: fd}
+	s := &NSocket{Local: local, Remote: remote, Queue: q, Stage: stage}
 	io.socks = append(io.socks, s)
 	io.registerSockMetrics(s)
 	io.resynthNetHandler()
 
 	read := io.synthSockRecv(t, fd, s)
 	write := io.synthSockSend(t, fd, s)
-	t.FDs[fd] = kernel.FDInfo{Kind: "sock", Aux: q}
-	k.M.Poke(kernel.FDCell(t.TTE, int(fd), kernel.FDAux), 4, q)
-	k.M.Poke(kernel.FDCell(t.TTE, int(fd), kernel.FDPos), 4, 0)
+	io.setFDCell(t, fd, kernel.FDKind, FDSock)
+	io.setFDCell(t, fd, kernel.FDAux, q)
+	io.setFDCell(t, fd, kernel.FDPos, 0)
 	io.installFD(t, fd, read, write)
 	return fd
 }
 
-// sock implements the kernel's SockHook.
-func (io *IO) sock(k *kernel.Kernel, t *kernel.Thread, local, remote uint32) (int32, bool) {
-	fd := io.OpenSocket(t, local, remote)
-	return fd, fd >= 0
-}
-
-// closeSocket removes a closed descriptor's socket from the
-// demultiplex set, rebuilds the handler, and only then — when no
-// installed handler names the queue any more — returns the receive
-// queue and the staging frame to the kernel heap.
-func (io *IO) closeSocket(t *kernel.Thread, fd int32) {
+// closeSocket removes the socket on queue q from the demultiplex set,
+// rebuilds the handler, and only then — when no installed handler
+// names the queue any more — returns the receive queue and the staging
+// frame to the kernel heap.
+func (io *IO) closeSocket(q uint32) {
 	for i, s := range io.socks {
-		if s.TTE == t.TTE && s.FD == fd {
+		if s.Queue == q {
 			io.socks = append(io.socks[:i], io.socks[i+1:]...)
 			io.unregisterSockMetrics(s)
 			io.resynthNetHandler()
@@ -488,12 +481,12 @@ func (io *IO) synthSockSend(t *kernel.Thread, fd int32, s *NSocket) uint32 {
 			// Launch. The receive interrupt for loopback traffic latches
 			// during the masked pair and is taken right after the unmask.
 			e.Label("ss_try")
-			e.OrSR(iplMaskBits)
+			e.OrSR(kernel.SRIPLMask)
 			e.MoveL(m68k.Imm(int32(stage)), m68k.Abs(txAddr))
 			e.MoveL(m68k.D(0), m68k.D(1))
 			e.AddL(m68k.Imm(synnet.HeaderBytes), m68k.D(1))
 			e.MoveL(m68k.D(1), m68k.Abs(txLen)) // the store launches the frame
-			e.AndSR(^uint16(iplMaskBits))
+			e.AndSR(^uint16(kernel.SRIPLMask))
 			e.Tst(4, m68k.Abs(txStat))
 			e.Bne("ss_sent")
 			// Refused: ring full. Back off and retry, bounded.
@@ -532,7 +525,7 @@ func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, s *NSocket) uint32 {
 		Key("kio.sock_recv", t.TTE, uint32(fd), s.Queue).
 		Emit(func(e *synth.Emitter) {
 			e.Label("sr_wait")
-			e.OrSR(iplMaskBits)
+			e.OrSR(kernel.SRIPLMask)
 			e.MoveL(m68k.Abs(q+NQTail), m68k.D(0))
 			e.AndL(m68k.Imm(NQSlotCount-1), m68k.D(0))
 			e.Lea(m68k.Abs(q+NQFlags), 0)
@@ -540,10 +533,10 @@ func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, s *NSocket) uint32 {
 			e.Bne("sr_have")
 			e.Lea(m68k.Abs(q+NQRWait), 0)
 			e.Jsr(io.K.BlockOnRoutine())
-			e.AndSR(^uint16(iplMaskBits))
+			e.AndSR(^uint16(kernel.SRIPLMask))
 			e.Bra("sr_wait")
 			e.Label("sr_have")
-			e.AndSR(^uint16(iplMaskBits))
+			e.AndSR(^uint16(kernel.SRIPLMask))
 			// A0 = slot; the flag alone published it, so the copy runs
 			// unmasked.
 			e.MoveL(m68k.D(0), m68k.PreDec(7)) // slot index

@@ -11,50 +11,104 @@ import (
 // the 1-byte case runs the same specialized path with a chunk of one,
 // which is where the paper's 56x single-byte speedup over the
 // traditional layered pipe implementation comes from.
+//
+// A pipe has no record of its own: each end is a descriptor slot whose
+// FDKind cell says FDPipeR or FDPipeW and whose FDAux cell holds the
+// queue. The queue is freed when the last end anywhere closes.
 
 // DefaultPipeBytes is the pipe buffer size: comfortably more than one
 // page so the Table 1 programs can write a full 4 KB chunk and read
 // it back within a single thread without blocking.
 const DefaultPipeBytes = 8192
 
-// Pipe is the host-side mirror of one kernel pipe.
-type Pipe struct {
-	Q *KQueue
+// NewPipe allocates a pipe's kernel queue for host-side setup; heap
+// exhaustion panics. Open its ends with OpenPipeEnd.
+func (io *IO) NewPipe(size int32) *KQueue {
+	q := io.newPipe(size)
+	if q == nil {
+		panic("kio: cannot allocate pipe queue")
+	}
+	return q
 }
 
-// NewPipe allocates the pipe's kernel queue.
-func (io *IO) NewPipe(size int32) *Pipe {
-	p := &Pipe{Q: io.NewKQueue(size)}
-	io.pipes = append(io.pipes, p)
-	io.registerPipeMetrics(p, len(io.pipes)-1)
-	return p
+// newPipe allocates a pipe's queue and serves its metrics, or returns
+// nil when the heap is exhausted.
+func (io *IO) newPipe(size int32) *KQueue {
+	q := io.newKQueue(size)
+	if q != nil {
+		io.registerPipeMetrics(q)
+	}
+	return q
 }
 
-// OpenPipeEnd synthesizes one end of the pipe for a thread and
-// installs it as a descriptor: writeEnd selects the writing side.
+// pipe serves the native pipe call: both ends land in t. Returns -1, -1
+// when the heap or t's descriptor table is full.
+func (io *IO) pipe(t *kernel.Thread) (rfd, wfd int32) {
+	if t == nil {
+		return -1, -1
+	}
+	q := io.newPipe(DefaultPipeBytes)
+	if q == nil {
+		return -1, -1
+	}
+	rfd = io.OpenPipeEnd(t, q, false)
+	wfd = io.OpenPipeEnd(t, q, true)
+	if wfd < 0 {
+		// Closing the read end, the only end, frees the queue; with no
+		// read end either, free it here.
+		if !io.Close(t, rfd) {
+			io.freePipe(q.Addr)
+		}
+		return -1, -1
+	}
+	return rfd, wfd
+}
+
+// OpenPipeEnd synthesizes one end of the pipe on queue q for a thread
+// and installs it as a descriptor: writeEnd selects the writing side.
 // Returns the descriptor, or -1 when the thread's table is full.
 // Both ends may live in the same thread (the Table 1 benchmarks) or
 // in different threads (a producer/consumer stream).
-func (io *IO) OpenPipeEnd(t *kernel.Thread, p *Pipe, writeEnd bool) int32 {
-	fd := allocFD(t)
+func (io *IO) OpenPipeEnd(t *kernel.Thread, q *KQueue, writeEnd bool) int32 {
+	fd := io.allocFD(t)
 	if fd < 0 {
 		return -1
 	}
+	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
 	var read, write uint32
+	kind := FDPipeR
 	if writeEnd {
-		g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-		write = io.K.C.Build(t.Q, "pipe_write").Key("kio.pipe_write", t.TTE, uint32(fd), p.Q.Addr).Emit(func(e *synth.Emitter) {
-			io.emitQueueWrite(e, p.Q, g)
+		write = io.K.C.Build(t.Q, "pipe_write").Key("kio.pipe_write", t.TTE, uint32(fd), q.Addr, uint32(q.Size)).Emit(func(e *synth.Emitter) {
+			io.emitQueueWrite(e, q, g)
 		})
-		t.FDs[fd] = kernel.FDInfo{Kind: "pipe-w", Aux: p.Q.Addr}
+		kind = FDPipeW
 	} else {
-		g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-		read = io.K.C.Build(t.Q, "pipe_read").Key("kio.pipe_read", t.TTE, uint32(fd), p.Q.Addr).Emit(func(e *synth.Emitter) {
-			io.emitQueueRead(e, p.Q, g)
+		read = io.K.C.Build(t.Q, "pipe_read").Key("kio.pipe_read", t.TTE, uint32(fd), q.Addr, uint32(q.Size)).Emit(func(e *synth.Emitter) {
+			io.emitQueueRead(e, q, g)
 		})
-		t.FDs[fd] = kernel.FDInfo{Kind: "pipe-r", Aux: p.Q.Addr}
 	}
+	io.setFDCell(t, fd, kernel.FDKind, kind)
+	io.setFDCell(t, fd, kernel.FDAux, q.Addr)
 	io.installFD(t, fd, read, write)
 	io.registerFDMetrics(t, fd)
 	return fd
+}
+
+// closePipeEnd frees queue q once no live thread holds an end of it:
+// the descriptor slots are the only record, so it scans them.
+func (io *IO) closePipeEnd(q uint32) {
+	for _, t := range io.K.Threads {
+		for fd := int32(0); fd < kernel.MaxFD; fd++ {
+			if kind := io.fdCell(t, fd, kernel.FDKind); (kind == FDPipeR || kind == FDPipeW) && io.fdCell(t, fd, kernel.FDAux) == q {
+				return
+			}
+		}
+	}
+	io.freePipe(q)
+}
+
+// freePipe drops a pipe's metrics and returns its queue to the heap.
+func (io *IO) freePipe(q uint32) {
+	io.unregisterPipeMetrics(q)
+	_ = io.K.Heap.Free(q)
 }

@@ -2,6 +2,7 @@ package kio_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"synthesis/internal/kernel"
@@ -44,6 +45,122 @@ func TestSocketChurnReturnsItsHeap(t *testing.T) {
 	}
 	if got := k.Heap.FreeBytes(); got != free {
 		t.Errorf("%d socket cycles moved the heap's free bytes %d -> %d", cycles, free, got)
+	}
+}
+
+// TestPipeChurnReturnsItsHeap: the last close of a pipe's ends, in
+// whichever thread, frees its 8 KB queue and its kio.pipe.<n>.*
+// metrics, and no earlier close does. Both used to stay, so a 1 MB
+// kernel ran out of heap after ~118 pipe()/close/close rounds and the
+// host process panicked inside the pipe service.
+func TestPipeChurnReturnsItsHeap(t *testing.T) {
+	k, io, reg := bootMetrics(t)
+	// Across threads: the queue lives while either end is open.
+	q := io.NewPipe(64)
+	reader, writer := k.SpawnKernelStopped("reader", 0), k.SpawnKernelStopped("writer", 0)
+	if io.OpenPipeEnd(reader, q, false) != 0 || io.OpenPipeEnd(writer, q, true) != 0 {
+		t.Fatal("pipe end fds")
+	}
+	for _, end := range []*kernel.Thread{reader, writer} {
+		if _, live := k.Heap.SizeOf(q.Addr); !live {
+			t.Fatalf("the queue was freed before %s's end closed", end.Name)
+		}
+		io.Close(end, 0)
+	}
+	if _, live := k.Heap.SizeOf(q.Addr); live {
+		t.Error("the queue outlived both ends")
+	}
+
+	const cycles, res, wbuf, rbuf = 1000, 0x9000, 0x9100, 0x9200
+	k.M.Poke(wbuf, 1, 'p')
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		e.Clr(4, m68k.Abs(res))
+		e.MoveL(m68k.Imm(cycles), m68k.D(5))
+		e.Label("loop")
+		e.MoveL(m68k.Imm(kernel.SysPipe), m68k.D(0))
+		e.Trap(kernel.TrapSys)
+		e.OrL(m68k.D(0), m68k.Abs(res)) // the read end must be fd 0 ...
+		e.SubL(m68k.Imm(1), m68k.D(1))
+		e.OrL(m68k.D(1), m68k.Abs(res)) // ... and the write end fd 1
+		for _, rw := range []struct {
+			trap uint8
+			buf  int32
+		}{{kernel.TrapWrite + 1, wbuf}, {kernel.TrapRead + 0, rbuf}} {
+			e.MoveL(m68k.Imm(rw.buf), m68k.D(1))
+			e.MoveL(m68k.Imm(1), m68k.D(2))
+			e.Trap(rw.trap)
+			e.SubL(m68k.Imm(1), m68k.D(0)) // one byte each way
+			e.OrL(m68k.D(0), m68k.Abs(res))
+		}
+		emitClose(e, 0)
+		e.OrL(m68k.D(0), m68k.Abs(res))
+		emitClose(e, 1)
+		e.OrL(m68k.D(0), m68k.Abs(res))
+		e.SubL(m68k.Imm(1), m68k.D(5))
+		e.Bne("loop")
+		exitSeq(e)
+	})
+	th := k.SpawnKernel("main", prog)
+	free := k.Heap.FreeBytes()
+	run(t, k, th, 2_000_000_000)
+	if got := k.M.Peek(res, 4); got != 0 {
+		t.Errorf("a pipe, a transfer or a close failed: results or to %#x", got)
+	}
+	if got := k.M.Peek(rbuf, 1); got != 'p' {
+		t.Errorf("the last read got %q, want 'p'", rune(got))
+	}
+	if got := k.Heap.FreeBytes(); got != free {
+		t.Errorf("%d pipe cycles moved the heap's free bytes %d -> %d", cycles, free, got)
+	}
+	for _, name := range reg.Names() {
+		if strings.HasPrefix(name, "kio.pipe.") {
+			t.Errorf("%s outlived its pipe", name)
+		}
+	}
+}
+
+// TestPipeFailsWhole: a pipe() that finds no heap for its queue, or
+// room for only one end, returns -1 in D0 and D1 and leaves nothing
+// behind: no heap, no metrics, no half-open descriptor.
+func TestPipeFailsWhole(t *testing.T) {
+	for _, short := range []string{"heap", "descriptors"} {
+		k, io, reg := bootMetrics(t)
+		const res = 0x9000
+		prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+			e.MoveL(m68k.Imm(kernel.SysPipe), m68k.D(0))
+			e.Trap(kernel.TrapSys)
+			e.MoveL(m68k.D(0), m68k.Abs(res))
+			e.MoveL(m68k.D(1), m68k.Abs(res+4))
+			exitSeq(e)
+		})
+		th := k.SpawnKernel("main", prog)
+		if short == "heap" {
+			for {
+				if _, err := k.Heap.Alloc(4096); err != nil {
+					break
+				}
+			}
+		} else {
+			for fd := int32(0); fd < kernel.MaxFD-1; fd++ {
+				if io.Open(th, "/dev/null") != fd {
+					t.Fatalf("fd %d", fd)
+				}
+			}
+		}
+		free, names := k.Heap.FreeBytes(), len(reg.Names())
+		run(t, k, th, 50_000_000)
+		if r, w := int32(k.M.Peek(res, 4)), int32(k.M.Peek(res+4, 4)); r != -1 || w != -1 {
+			t.Errorf("short of %s: pipe() = %d, %d, want -1, -1", short, r, w)
+		}
+		if got := k.Heap.FreeBytes(); got != free {
+			t.Errorf("short of %s: the failed pipe() moved the heap's free bytes %d -> %d", short, free, got)
+		}
+		if got := len(reg.Names()); got != names {
+			t.Errorf("short of %s: the failed pipe() left %d metrics behind", short, got-names)
+		}
+		if got := k.M.Peek(kernel.FDCell(th.TTE, kernel.MaxFD-1, kernel.FDKind), 4); got != kio.FDFree {
+			t.Errorf("short of %s: the last slot holds kind %d", short, got)
+		}
 	}
 }
 

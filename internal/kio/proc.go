@@ -160,7 +160,7 @@ func emitProcReadBody(e *synth.Emitter, pos, gauge uint32, copyVia *uint32) {
 // the instruction counter tells them apart.
 func (io *IO) SynthGenericProcRead(t *kernel.Thread, procFD int32) int32 {
 	k := io.K
-	fd := allocFD(t)
+	fd := io.allocFD(t)
 	if fd < 0 {
 		return -1
 	}
@@ -192,15 +192,15 @@ func (io *IO) SynthGenericProcRead(t *kernel.Thread, procFD int32) int32 {
 			emitProcReadBody(e, pos, gauge, &bcopy)
 		})
 
-	t.FDs[fd] = kernel.FDInfo{Kind: "proc-generic", File: ProcMetricsPath, Aux: 0}
+	io.setFDCell(t, fd, kernel.FDKind, FDProcGeneric)
 	io.installFD(t, fd, read, 0)
 	return fd
 }
 
-// closeProc releases the open's snapshot buffer. The synthesized
-// routine stays cached like every other per-open routine.
-func (io *IO) closeProc(t *kernel.Thread, fd int32) {
-	buf := io.K.M.Peek(kernel.FDCell(t.TTE, int(fd), kernel.FDAux), 4)
+// closeProc releases the open's snapshot buffer buf (0: the open
+// found no heap for one). The synthesized routine stays cached like
+// every other per-open routine.
+func (io *IO) closeProc(buf uint32) {
 	if buf != 0 {
 		_ = io.K.Heap.Free(buf)
 	}

@@ -22,7 +22,7 @@ import (
 // src to the write end of dst, using a transfer buffer of bufBytes.
 // The pump runs forever (it is a kernel service thread and does not
 // count toward the live-thread total).
-func (io *IO) SpawnPump(name string, src, dst *Pipe, bufBytes int32) *kernel.Thread {
+func (io *IO) SpawnPump(name string, src, dst *KQueue, bufBytes int32) *kernel.Thread {
 	k := io.K
 	buf, err := k.Heap.Alloc(uint32(bufBytes))
 	if err != nil {

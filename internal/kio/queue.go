@@ -38,12 +38,13 @@ type KQueue struct {
 	Size int32  // buffer bytes (capacity is Size-1)
 }
 
-// NewKQueue allocates a kernel queue.
-func (io *IO) NewKQueue(size int32) *KQueue {
+// newKQueue allocates a kernel queue, or returns nil when the heap is
+// exhausted.
+func (io *IO) newKQueue(size int32) *KQueue {
 	k := io.K
 	addr, err := k.Heap.Alloc(uint32(KQBuf + size))
 	if err != nil {
-		panic("kio: cannot allocate kernel queue")
+		return nil
 	}
 	for off := uint32(0); off < KQBuf; off += 4 {
 		k.M.Poke(addr+off, 4, 0)
@@ -66,8 +67,6 @@ func (q *KQueue) Len(m *m68k.Machine) int32 {
 func (q *KQueue) Gauge(m *m68k.Machine) uint32 {
 	return m.Peek(q.Addr+KQGauge, 4)
 }
-
-const iplMaskBits = 0x0700
 
 // emitCopy's group forms; the block form moves through D2-D7/A2-A3.
 const longCopy, blockCopy, copyRegs = false, true, 0x0cfc
@@ -194,7 +193,7 @@ func (io *IO) emitQueueWrite(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	e.MoveL(m68k.D(1), m68k.A(0))      // source cursor
 
 	e.Label("qw_outer")
-	e.OrSR(iplMaskBits) // space check and park are atomic vs producers/consumers
+	e.OrSR(kernel.SRIPLMask) // space check and park are atomic vs producers/consumers
 	e.TstL(m68k.D(2))
 	e.Beq("qw_done")
 	e.MoveL(m68k.Abs(head), m68k.D(0))
@@ -226,10 +225,10 @@ func (io *IO) emitQueueWrite(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	e.Lea(m68k.Abs(wwait), 0)
 	e.Jsr(io.K.BlockOnRoutine())
 	e.MoveL(m68k.PostInc(7), m68k.A(0))
-	e.AndSR(^uint16(iplMaskBits))
+	e.AndSR(^uint16(kernel.SRIPLMask))
 	e.Bra("qw_outer")
 	e.Label("qw_space")
-	e.AndSR(^uint16(iplMaskBits)) // data movement runs unmasked
+	e.AndSR(^uint16(kernel.SRIPLMask)) // data movement runs unmasked
 	// chunk = min(contig, remaining)
 	e.Cmp(4, m68k.D(2), m68k.D(1))
 	e.Bls("qw_c1")
@@ -255,7 +254,7 @@ func (io *IO) emitQueueWrite(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	e.Bra("qw_outer")
 
 	e.Label("qw_done")
-	e.AndSR(^uint16(iplMaskBits))
+	e.AndSR(^uint16(kernel.SRIPLMask))
 	e.MoveL(m68k.PostInc(7), m68k.D(0))
 	// The gauges measure data-flow rate in bytes (Section 4.4: "the
 	// rate at which I/O data flows"), charged once per call: the
@@ -312,7 +311,7 @@ func (io *IO) emitQueueRead(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	// the park, then park and retry the get (masked; the RTE restores
 	// the caller's level). block_on keeps D1 (buffer) and D2 (1).
 	e.Label("qr_empty1")
-	e.OrSR(iplMaskBits)
+	e.OrSR(kernel.SRIPLMask)
 	e.MoveL(m68k.Abs(tail), m68k.D(0))
 	e.Cmp(4, m68k.Abs(head), m68k.D(0))
 	e.Bne("qr_get1")
@@ -328,7 +327,7 @@ func (io *IO) emitQueueRead(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	e.MoveL(m68k.D(1), m68k.A(1))      // destination cursor
 
 	e.Label("qr_outer")
-	e.OrSR(iplMaskBits)
+	e.OrSR(kernel.SRIPLMask)
 	e.TstL(m68k.D(2))
 	e.Beq("qr_done")
 	e.MoveL(m68k.Abs(head), m68k.D(0))
@@ -348,10 +347,10 @@ func (io *IO) emitQueueRead(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	e.Lea(m68k.Abs(rwait), 0)
 	e.Jsr(io.K.BlockOnRoutine())
 	e.MoveL(m68k.PostInc(7), m68k.A(1))
-	e.AndSR(^uint16(iplMaskBits))
+	e.AndSR(^uint16(kernel.SRIPLMask))
 	e.Bra("qr_outer")
 	e.Label("qr_data")
-	e.AndSR(^uint16(iplMaskBits))
+	e.AndSR(^uint16(kernel.SRIPLMask))
 	// A0 = buf + tail (source), then swap so D1 = contig for min().
 	e.Lea(m68k.Abs(buf), 0)
 	e.AddL(m68k.D(1), m68k.A(0))
@@ -380,7 +379,7 @@ func (io *IO) emitQueueRead(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	e.Bra("qr_outer")
 
 	e.Label("qr_done")
-	e.AndSR(^uint16(iplMaskBits))
+	e.AndSR(^uint16(kernel.SRIPLMask))
 	e.MoveL(m68k.PostInc(7), m68k.D(0))
 	e.SubL(m68k.D(2), m68k.D(0)) // bytes read = requested - remaining
 	e.AddL(m68k.D(0), m68k.Abs(gauge))

@@ -28,7 +28,10 @@ const (
 // installed at IRQTTY in the prototype vectors and all live threads.
 func (io *IO) installTTY() {
 	k := io.K
-	q := io.NewKQueue(ttyQueueBytes)
+	q := io.newKQueue(ttyQueueBytes)
+	if q == nil {
+		panic("kio: cannot allocate tty queue")
+	}
 	io.ttyQ = q.Addr
 
 	head := q.Addr + KQHead
@@ -78,14 +81,14 @@ func (io *IO) installTTY() {
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.Rte()
 	})
-	io.pokeAllVectors(m68k.VecAutovector+m68k.IRQTTY, io.ttyIntH)
+	k.SetVector(m68k.VecAutovector+m68k.IRQTTY, io.ttyIntH)
 
 	// A raw device node alongside the cooked one.
-	mustCreate(k.FS.CreateSpecial("/dev/rawtty", fs.SpecialTTY))
+	mustCreate(k.FS.CreateSpecial("/dev/rawtty", fs.SpecialRawTTY))
 }
 
-// synthTTY builds the cooked read/write pair (or the raw pair for
-// /dev/rawtty, chosen by the open hook through synthRawTTY). The read
+// synthTTY builds the cooked read/write pair (synthRawTTY builds the
+// raw pair that /dev/rawtty's open installs instead). The read
 // has the raw get-character inlined rather than called — Collapsing
 // Layers, exactly the boot-time optimization Section 5.4 describes for
 // this filter.
@@ -129,7 +132,7 @@ func (io *IO) emitRawGetChar(e *synth.Emitter) {
 	head, tail := io.ttyQ+KQHead, io.ttyQ+KQTail
 
 	e.Label("gc_wait")
-	e.OrSR(iplMaskBits)
+	e.OrSR(kernel.SRIPLMask)
 	e.MoveL(m68k.Abs(head), m68k.D(0))
 	e.Cmp(4, m68k.Abs(tail), m68k.D(0))
 	e.Bne("gc_have")
@@ -137,10 +140,10 @@ func (io *IO) emitRawGetChar(e *synth.Emitter) {
 	e.Lea(m68k.Abs(io.ttyQ+KQRWait), 0)
 	e.Jsr(io.K.BlockOnRoutine())
 	e.MoveL(m68k.PostInc(7), m68k.A(1))
-	e.AndSR(^uint16(iplMaskBits))
+	e.AndSR(^uint16(kernel.SRIPLMask))
 	e.Bra("gc_wait")
 	e.Label("gc_have")
-	e.AndSR(^uint16(iplMaskBits))
+	e.AndSR(^uint16(kernel.SRIPLMask))
 	e.MoveL(m68k.Abs(tail), m68k.D(1))
 	e.Lea(m68k.Abs(io.ttyQ+KQBuf), 0)
 	e.Clr(4, m68k.D(0))

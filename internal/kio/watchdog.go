@@ -18,9 +18,9 @@ import (
 // alarm window and responds the way Synthesis responds to everything:
 // by resynthesizing the handler.
 //
-//   - Storm: handler entries per window exceed StormThreshold. The
+//   - Storm: handler entries per window reach the storm threshold. The
 //     handler is resynthesized with a coalescing front-end — only
-//     every CoalesceBatch-th interrupt runs the drain, so a scream
+//     every coalesceBatch-th interrupt runs the drain, so a scream
 //     costs three instructions instead of a drain attempt (Collapsing
 //     Layers applied to recovery: the mitigation is folded into the
 //     handler, not bolted on around it). When the rate falls below
@@ -29,7 +29,7 @@ import (
 //
 //   - Wedge: frames are pending (NIC head ahead of the kernel's
 //     consumed-frame cursor) but the cursor has not moved for
-//     WedgeWindows consecutive windows. The handler is resynthesized
+//     wedgeWindows consecutive windows. The handler is resynthesized
 //     in the generic layered discipline — a run-time port-table walk,
 //     the way a conventional kernel demultiplexes — on the theory
 //     that the specialized code path is what broke. One interrupt is
@@ -38,18 +38,12 @@ import (
 // Every transition is logged as a RecoveryEvent with the cycle it
 // happened at; Table 7 reports recovery latency from these.
 
-// WatchdogConfig tunes the policy.
-type WatchdogConfig struct {
-	WindowUS       float64 // alarm sampling window (default 500)
-	StormThreshold uint32  // handler entries per window that count as a storm (default 64)
-	CoalesceBatch  uint32  // drain every Nth interrupt while throttled (default 8, power of two)
-	WedgeWindows   int     // stalled windows before the generic fallback (default 2)
-}
-
-// DefaultWatchdogConfig returns the standard policy settings.
-func DefaultWatchdogConfig() WatchdogConfig {
-	return WatchdogConfig{WindowUS: 500, StormThreshold: 64, CoalesceBatch: 8, WedgeWindows: 2}
-}
+// The policy's fixed settings.
+const (
+	windowUS      = 500 // alarm sampling window
+	coalesceBatch = 8   // drain every Nth interrupt while throttled (a power of two)
+	wedgeWindows  = 2   // stalled windows before the generic fallback
+)
 
 // RecoveryEvent is one watchdog action, for reports and tests.
 type RecoveryEvent struct {
@@ -61,8 +55,8 @@ type RecoveryEvent struct {
 // same division as the fine-grain scheduler: gauges are bumped by
 // synthesized code, the policy that reads them is host code).
 type Watchdog struct {
-	io  *IO
-	Cfg WatchdogConfig
+	io    *IO
+	storm uint32 // handler entries per window that count as a storm
 
 	Events    []RecoveryEvent
 	throttled bool
@@ -82,28 +76,17 @@ const svcWatchdog = 111
 // handler from the machine's alarm channel. It owns the alarm channel
 // (like the scheduler's InstallAlarmDriver — install one or the
 // other) and resynthesizes the receive handler so it maintains the
-// storm gauge. Call before spawning threads or after; the vector
+// storm gauge. stormThreshold is the handler entries per window that
+// count as a storm. Call before spawning threads or after; the vector
 // pokes cover both.
-func (io *IO) InstallWatchdog(cfg WatchdogConfig) *Watchdog {
-	if cfg.WindowUS <= 0 {
-		cfg.WindowUS = 500
-	}
-	if cfg.StormThreshold == 0 {
-		cfg.StormThreshold = 64
-	}
-	if cfg.CoalesceBatch == 0 {
-		cfg.CoalesceBatch = 8
-	}
-	if cfg.WedgeWindows <= 0 {
-		cfg.WedgeWindows = 2
-	}
+func (io *IO) InstallWatchdog(stormThreshold uint32) *Watchdog {
 	k := io.K
-	w := &Watchdog{io: io, Cfg: cfg}
+	w := &Watchdog{io: io, storm: stormThreshold}
 	w.wireWatchdogMetrics()
 	io.netWD = w
 	io.resynthNetHandler() // now bumps the storm gauge
 
-	cycles := int32(cfg.WindowUS * k.M.ClockMHz)
+	cycles := int32(windowUS * k.M.ClockMHz)
 	k.M.RegisterService(svcWatchdog, func(mm *m68k.Machine) uint64 {
 		w.tick()
 		return 0
@@ -127,12 +110,12 @@ func (w *Watchdog) tick() {
 	entries := m.Peek(io.netStormCell, 4)
 	m.Poke(io.netStormCell, 4, 0)
 
-	if !w.throttled && entries >= w.Cfg.StormThreshold {
+	if !w.throttled && entries >= w.storm {
 		w.throttled = true
-		io.netCoalesce = w.Cfg.CoalesceBatch
+		io.netCoalesce = coalesceBatch
 		io.resynthNetHandler()
 		w.event("throttle-on")
-	} else if w.throttled && entries < w.Cfg.StormThreshold/2 {
+	} else if w.throttled && entries < w.storm/2 {
 		w.throttled = false
 		io.netCoalesce = 0
 		io.resynthNetHandler()
@@ -149,7 +132,7 @@ func (w *Watchdog) tick() {
 		w.stalled = 0
 	}
 	w.lastTail = tail
-	if w.stalled >= w.Cfg.WedgeWindows && !io.netGeneric {
+	if w.stalled >= wedgeWindows && !io.netGeneric {
 		io.netGeneric = true
 		io.resynthNetHandler()
 		m.PostInterrupt(m68k.IRQNet)

@@ -156,10 +156,6 @@ func Install(k *kernel.Kernel) uint32 {
 		}
 	}
 
-	vec := uint32(m68k.VecTrapBase+kernel.TrapUnix) * 4
-	k.M.Poke(k.ProtoVectors()+vec, 4, gate)
-	for _, t := range k.Threads {
-		k.M.Poke(t.TTE+kernel.TTEVec+vec, 4, gate)
-	}
+	k.SetVector(m68k.VecTrapBase+kernel.TrapUnix, gate)
 	return gate
 }

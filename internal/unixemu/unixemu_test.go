@@ -377,7 +377,7 @@ func (r *sysRig) dispatched(n int) []int {
 
 func (r *sysRig) peek(addr uint32) uint32 { return r.k.M.Peek(addr, 4) }
 func (r *sysRig) res(i uint32) int32      { return int32(r.peek(tabRes + 4*i)) }
-func (r *sysRig) fd(i int) string         { return r.main.FDs[i].Kind }
+func (r *sysRig) fd(i int) uint32         { return r.peek(kernel.FDCell(r.main.TTE, i, kernel.FDKind)) }
 
 // runSys boots a kernel (with the gate's counters when counted) and
 // runs body on the main thread, then stores D0, D1 and a 1 ("the last
@@ -434,11 +434,11 @@ func TestSyscallTablesCompleteAndClosed(t *testing.T) {
 	victim := func(r *sysRig) int32 { return int32(r.victim.TTE) }
 	natives := []call{
 		{kernel.SysOpen, func(e *synth.Emitter, r *sysRig) { r.native(e, kernel.SysOpen, tabNull, 0) },
-			func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == "null" }},
+			func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == kio.FDNull }},
 		{kernel.SysClose, func(e *synth.Emitter, r *sysRig) {
 			r.native(e, kernel.SysOpen, tabNull, 0)
 			r.native(e, kernel.SysClose, 0, 0)
-		}, func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == "" }},
+		}, func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == kio.FDFree }},
 		{kernel.SysCreate, func(e *synth.Emitter, r *sysRig) { r.native(e, kernel.SysCreate, int32(r.spin), tabStack) },
 			func(r *sysRig) bool { return r.k.Threads[uint32(r.res(0))] != nil }},
 		{kernel.SysDestroy, func(e *synth.Emitter, r *sysRig) { r.native(e, kernel.SysDestroy, victim(r), 0) },
@@ -463,10 +463,10 @@ func TestSyscallTablesCompleteAndClosed(t *testing.T) {
 			func(r *sysRig) bool { return r.res(2) == 0 }},
 		{kernel.SysPipe, func(e *synth.Emitter, r *sysRig) { r.native(e, kernel.SysPipe, 0, 0) },
 			func(r *sysRig) bool {
-				return r.res(0) == 0 && r.res(1) == 1 && r.fd(0) == "pipe-r" && r.fd(1) == "pipe-w"
+				return r.res(0) == 0 && r.res(1) == 1 && r.fd(0) == kio.FDPipeR && r.fd(1) == kio.FDPipeW
 			}},
 		{kernel.SysYield, func(e *synth.Emitter, r *sysRig) { r.native(e, kernel.SysYield, 0, 0) },
-			func(r *sysRig) bool { return r.res(0) == kernel.SysYield && r.fd(0) == "" }},
+			func(r *sysRig) bool { return r.res(0) == kernel.SysYield && r.fd(0) == kio.FDFree }},
 		{kernel.SysSeek, func(e *synth.Emitter, r *sysRig) {
 			r.native(e, kernel.SysOpen, tabFile, 0)
 			r.native(e, kernel.SysSeek, 0, 7)
@@ -474,7 +474,7 @@ func TestSyscallTablesCompleteAndClosed(t *testing.T) {
 			return r.res(0) == 7 && r.peek(kernel.FDCell(r.main.TTE, 0, kernel.FDPos)) == 7
 		}},
 		{kernel.SysSock, func(e *synth.Emitter, r *sysRig) { r.native(e, kernel.SysSock, 5, 9) },
-			func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == "sock" }},
+			func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == kio.FDSock }},
 	}
 	unixes := []call{
 		{unixemu.SysExit, func(e *synth.Emitter, r *sysRig) { r.unix(e, unixemu.SysExit, 0, 0, 0) },
@@ -488,11 +488,11 @@ func TestSyscallTablesCompleteAndClosed(t *testing.T) {
 			r.unix(e, unixemu.SysWrite, 0, tabBuf, 5)
 		}, func(r *sysRig) bool { return r.res(0) == 5 }},
 		{unixemu.SysOpen, func(e *synth.Emitter, r *sysRig) { r.unix(e, unixemu.SysOpen, tabNull, 0, 0) },
-			func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == "null" }},
+			func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == kio.FDNull }},
 		{unixemu.SysClose, func(e *synth.Emitter, r *sysRig) {
 			r.unix(e, unixemu.SysOpen, tabNull, 0, 0)
 			r.unix(e, unixemu.SysClose, 0, 0, 0)
-		}, func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == "" }},
+		}, func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == kio.FDFree }},
 		{unixemu.SysLseek, func(e *synth.Emitter, r *sysRig) {
 			r.unix(e, unixemu.SysOpen, tabFile, 0, 0)
 			r.unix(e, unixemu.SysLseek, 0, 7, 0)
@@ -501,10 +501,10 @@ func TestSyscallTablesCompleteAndClosed(t *testing.T) {
 		}},
 		{unixemu.SysPipe, func(e *synth.Emitter, r *sysRig) { r.unix(e, unixemu.SysPipe, 0, 0, 0) },
 			func(r *sysRig) bool {
-				return r.res(0) == 0 && r.res(1) == 1 && r.fd(0) == "pipe-r" && r.fd(1) == "pipe-w"
+				return r.res(0) == 0 && r.res(1) == 1 && r.fd(0) == kio.FDPipeR && r.fd(1) == kio.FDPipeW
 			}},
 		{unixemu.SysSocket, func(e *synth.Emitter, r *sysRig) { r.unix(e, unixemu.SysSocket, 5, 9, 0) },
-			func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == "sock" }},
+			func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == kio.FDSock }},
 	}
 	if len(natives) != kernel.NumSys || len(unixes) != len(unixNames) {
 		t.Fatalf("%d native cases for %d codes, %d UNIX cases for %d numbers", len(natives), kernel.NumSys, len(unixes), len(unixNames))

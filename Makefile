@@ -7,8 +7,9 @@
 # after it (queues + packet ring + measurement plane + fault plan and
 # injector, then the machine's two step loops and its
 # self-modifying-code tests in internal/m68k;
-# single-machine fault injection, the open/close churn plateau, pipe
-# churn returning its heap, the declared synthesis keys checked
+# single-machine fault injection, the open/close and socket churn
+# plateaus, pipe churn returning its heap, an exiting thread closing
+# its descriptors, the declared synthesis keys checked
 # against their templates, the block
 # copy preempted mid-group, the one-byte get's masked park with a tty
 # byte injected at every cycle of its window, and the quantum expiring
@@ -44,7 +45,7 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated' \
 		./internal/kio/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 

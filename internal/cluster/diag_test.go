@@ -56,7 +56,7 @@ func TestDiag(t *testing.T) {
 			for _, s := range vm.IO.NetSockets() {
 				m := vm.K.M
 				t.Logf("  sock %#x q=%#x head=%d tail=%d gauge=%d drops=%d errs=%d txfail=%d",
-					s.Local, s.Queue,
+					s.Port, s.Queue,
 					m.Peek(s.Queue+0, 4), m.Peek(s.Queue+4, 4),
 					m.Peek(s.Queue+12, 4), m.Peek(s.Queue+16, 4),
 					m.Peek(s.Queue+20, 4), m.Peek(s.Queue+24, 4))

@@ -23,8 +23,9 @@ const (
 // With churnEvery > 0 the thread closes and reopens its socket after
 // that many echoes, exercising handler resynthesis (the demux compare
 // chain is rebuilt on every open/close) under live fleet traffic. A
-// failed open (port still draining, descriptors exhausted, kernel
-// heap gone) exits the thread rather than spinning on a bad fd.
+// failed open (port still open, descriptors or the socket table full;
+// sockets take no heap) exits the thread rather than spinning on a bad
+// fd.
 func buildEchoThread(b *asmkit.Builder, local, reply, buf uint32, churnEvery int32) {
 	call := func(no int32) {
 		b.MoveL(m68k.Imm(no), m68k.D(0))

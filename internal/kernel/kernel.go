@@ -435,21 +435,24 @@ func (k *Kernel) registerServices() {
 		return 0
 	})
 	m.RegisterService(SvcFreeTTE, func(mm *m68k.Machine) uint64 {
-		tte := mm.D[1]
-		if t, ok := k.Threads[tte]; ok {
-			t.Dead = true
-			delete(k.Threads, tte)
-			// The TTE memory is reclaimed; its code region is not
-			// reused (code space is plentiful and the paper's kernel
-			// also leaks synthesized code on destroy).
-			k.Heap.Free(tte)
-		}
+		k.FreeThread(mm.D[1])
 		return 30
 	})
 	m.RegisterService(SvcFPResynth, func(mm *m68k.Machine) uint64 {
 		k.resynthesizeFP(k.Cur())
 		return 0
 	})
+}
+
+// FreeThread drops a dead thread from the table and frees its TTE. Its
+// code region is not reused (code space is plentiful and the paper's
+// kernel also leaks synthesized code on destroy).
+func (k *Kernel) FreeThread(tte uint32) {
+	if t, ok := k.Threads[tte]; ok {
+		t.Dead = true
+		delete(k.Threads, tte)
+		k.Heap.Free(tte)
+	}
 }
 
 // MarkDeltasMicros converts consecutive mark pairs into microsecond

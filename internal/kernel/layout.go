@@ -149,7 +149,8 @@ const (
 )
 
 // KCALL service ids. The I/O system (kio) registers SvcOpen, SvcClose,
-// SvcPipe and SvcSock; the kernel serves the rest.
+// SvcPipe and SvcSock, and SvcFreeTTE over the kernel's own (it closes
+// the thread's descriptors first); the kernel serves the rest.
 const (
 	SvcPanic       = 1  // unhandled exception: stop simulation loudly
 	SvcExit        = 2  // thread exit bookkeeping
@@ -160,6 +161,6 @@ const (
 	SvcPipe        = 7  // create pipe queue + fds
 	SvcFPResynth   = 8  // line-F trap: resynthesize switch code with FP
 	SvcRegister    = 9  // post-create registration of a thread
-	SvcSock        = 11 // open a network socket: queue alloc + send/recv synthesis
+	SvcSock        = 11 // open a network socket: table entry + send/recv synthesis
 	SvcThreadFault = 12 // bus-error reap: log the fault, thread-exit bookkeeping
 )

@@ -154,10 +154,24 @@ func TestWatchdogStormThrottleEngagesAndReleases(t *testing.T) {
 // handler runs but stops draining (here: the vector is clobbered with
 // an rte-only stub), the watchdog must notice the stalled cursor,
 // resynthesize the handler in the generic layered discipline and
-// recover the pending frames.
+// recover the pending frames. The generic walk then treats a closed
+// port's entry, which keeps the port, as nobody home.
 func TestWatchdogWedgeFallsBackToGeneric(t *testing.T) {
 	k, io := boot(t)
-	th := k.SpawnKernel("spin", emitSpin(k, 80_000))
+	// Spin, halt for the host to look and close the socket, spin again.
+	spin := func(e *synth.Emitter, label string) {
+		e.MoveL(m68k.Imm(80_000), m68k.D(5))
+		e.Label(label)
+		e.SubL(m68k.Imm(1), m68k.D(5))
+		e.Bne(label)
+	}
+	th := k.SpawnKernel("spin", k.C.Synthesize(nil, "spin", nil, func(e *synth.Emitter) {
+		spin(e, "first")
+		e.Halt()
+		e.Label("again") // the optimizer keeps what follows a halt only under a label
+		spin(e, "second")
+		exitSeq(e)
+	}))
 	if io.OpenSocket(th, 9, 5) != 0 {
 		t.Fatal("socket fd")
 	}
@@ -210,5 +224,23 @@ func TestWatchdogWedgeFallsBackToGeneric(t *testing.T) {
 	}
 	if pending := k.Net.RxPending(); pending != 0 {
 		t.Errorf("RxPending = %d after recovery, want 0", pending)
+	}
+
+	if !io.Close(th, 0) {
+		t.Fatal("close")
+	}
+	drops := io.NetStackDrops()
+	if !k.Net.InjectFrame(frame) {
+		t.Fatal("inject failed")
+	}
+	k.M.ClearHalt()
+	if err := k.Run(100_000_000); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got := io.NetStackDrops(); got != drops+1 {
+		t.Errorf("frame for the closed port: stack drops %d -> %d, want one more", drops, got)
+	}
+	if got := k.M.Peek(s.Queue+kio.NQGauge, 4); got != 3 {
+		t.Errorf("the closed port's queue gauge = %d, want 3", got)
 	}
 }

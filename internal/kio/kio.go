@@ -46,18 +46,16 @@ type IO struct {
 	nextDiskBlock uint32 // host-side block allocation cursor
 
 	// Network server state.
-	netIntH      uint32 // synthesized receive interrupt handler (current)
 	netRing      uint32 // NIC DMA receive ring base
 	netTailCell  uint32 // kernel mirror of the consumed-frame count
 	netDropCell  uint32 // frames for ports nobody has open
 	netStormCell uint32 // handler entries this watchdog window
 	netCoalCell  uint32 // coalescing front-end interrupt counter
-	netPortCount uint32 // generic fallback: open-socket count cell
-	netPortTab   uint32 // generic fallback: [port, queue] pair table
+	netSockTab   uint32 // socket table: MaxSockets [port][queue or 0] entries
+	netBlocks    uint32 // socket blocks, one per table entry
 	netGeneric   bool   // demux strategy: layered table walk, not compare chain
 	netCoalesce  uint32 // >0: storm throttle, drain every Nth interrupt
 	netWD        *Watchdog
-	socks        []*NSocket
 
 	// Metrics quaject state.
 	procLast []byte // bytes of the last snapshot cut by a /proc open
@@ -105,7 +103,8 @@ func Install(k *kernel.Kernel) *IO {
 // registerServices serves the native open, close, pipe and socket
 // calls. Open arrives with the directory entry fs_lookup left in D0.
 // Each call returns its descriptor, or -1, in D0 (pipe's write end in
-// D1); close returns 0 and charges 20 cycles.
+// D1); close returns 0 and charges 20 cycles. A dead thread's release
+// (TTE in D1, 30 cycles) closes its descriptors before freeing it.
 func (io *IO) registerServices() {
 	k := io.K
 	k.M.RegisterService(kernel.SvcOpen, func(mm *m68k.Machine) uint64 {
@@ -128,6 +127,14 @@ func (io *IO) registerServices() {
 	k.M.RegisterService(kernel.SvcSock, func(mm *m68k.Machine) uint64 {
 		mm.D[0] = uint32(io.OpenSocket(k.Cur(), mm.D[1], mm.D[2]))
 		return 0
+	})
+	k.M.RegisterService(kernel.SvcFreeTTE, func(mm *m68k.Machine) uint64 {
+		t := k.Threads[mm.D[1]]
+		for fd := int32(0); fd < kernel.MaxFD; fd++ {
+			io.Close(t, fd)
+		}
+		k.FreeThread(mm.D[1])
+		return 30
 	})
 }
 

@@ -29,17 +29,16 @@ func sockPrefix(local uint32) string {
 	return fmt.Sprintf("kio.sock.%d.", local)
 }
 
-// registerSockMetrics serves the socket's queue cells through the
-// registry. The closures capture the queue base; they are dropped by
-// unregisterSockMetrics before the queue is abandoned.
-func (io *IO) registerSockMetrics(s *NSocket) {
+// registerSockMetrics serves the queue cells of the socket on port
+// local through the registry. The closures capture the queue base;
+// unregisterSockMetrics drops them when the socket closes.
+func (io *IO) registerSockMetrics(local, q uint32) {
 	reg := io.reg()
 	if reg == nil {
 		return
 	}
 	m := io.K.M
-	q := s.Queue
-	p := sockPrefix(s.Local)
+	p := sockPrefix(local)
 	reg.Sample(p+"rx_frames", func() uint64 { return uint64(m.Peek(q+NQGauge, 4)) })
 	reg.Sample(p+"rx_drops", func() uint64 { return uint64(m.Peek(q+NQDrops, 4)) })
 	reg.Sample(p+"rx_errs", func() uint64 { return uint64(m.Peek(q+NQErrs, 4)) })
@@ -51,9 +50,9 @@ func (io *IO) registerSockMetrics(s *NSocket) {
 
 // unregisterSockMetrics drops the socket's sampled metrics when it
 // closes.
-func (io *IO) unregisterSockMetrics(s *NSocket) {
+func (io *IO) unregisterSockMetrics(local uint32) {
 	if reg := io.reg(); reg != nil {
-		reg.UnregisterPrefix(sockPrefix(s.Local))
+		reg.UnregisterPrefix(sockPrefix(local))
 	}
 }
 

@@ -60,13 +60,13 @@ func TestSocketMetricsServeQueueCells(t *testing.T) {
 	}
 
 	// The registry must serve the same values as the raw queue cells.
-	var sock9 *kio.NSocket
+	var sock9 kio.Socket
 	for _, s := range io.NetSockets() {
-		if s.Local == 9 {
+		if s.Port == 9 {
 			sock9 = s
 		}
 	}
-	if sock9 == nil {
+	if sock9.Queue == 0 {
 		t.Fatal("socket 9 not open")
 	}
 	cell := uint64(k.M.Peek(sock9.Queue+kio.NQGauge, 4))

@@ -16,9 +16,14 @@ import (
 // optimistic MP-SC queue of Figure 2 laid out in machine memory
 // (CAS-claimed head, per-slot valid flags, single consumer trusting
 // only the flags). The demultiplex chain is resynthesized on every
-// socket open, so the port numbers are compare-immediates in the
-// handler, not a table walk (Factoring Invariants applied to the
+// socket open and close, so the port numbers are compare-immediates in
+// the handler, not a table walk (Factoring Invariants applied to the
 // interrupt path itself).
+//
+// A socket is an entry of one table in machine memory, [port][queue],
+// the queue cell 0 while the entry is free. Each entry owns a queue
+// and staging frame for the kernel's life and a free entry keeps its
+// port, so a reopened port gets back its queue and the code built for it.
 //
 // Per-socket send and receive routines are synthesized by the socket
 // open: the peer ports, the staging buffer, the queue base and the
@@ -46,23 +51,19 @@ const (
 	nqSize      = NQSlots + NQSlotCount*NQSlotBytes
 )
 
-// NIC receive ring geometry (kernel side).
+// NIC receive ring geometry and socket table geometry. The cluster
+// fabric paces frame delivery against NetRingSlots, and multiplexes its
+// connections over at most MaxSockets guest sockets per VM. A socket
+// block is the packet queue and then the staging frame, one long past
+// FrameMax: the send path zero-pads the payload tail long before the
+// long-wise checksum.
 const (
-	netRingSlots  = 16
+	NetRingSlots  = 16
 	netRingSlotSz = 256
-	maxSockets    = 16 // generic-fallback port table capacity
+	MaxSockets    = 16
+	sockEntrySize = 8 // [port][queue or 0]
+	sockBlockSize = nqSize + synnet.FrameMax + 4
 )
-
-// NetRingSlots exports the NIC receive-ring depth so a host-side
-// injector (the cluster fabric) can pace frame delivery against
-// RxPending instead of blind-dropping at the device.
-const NetRingSlots = netRingSlots
-
-// MaxSockets exports the per-kernel socket capacity: the demux
-// compare chain and the generic-fallback port table are both sized to
-// it, so a fleet harness multiplexes its logical connections over at
-// most this many guest sockets per VM.
-const MaxSockets = maxSockets
 
 // Send retry policy: a refused launch (ring full) is retried with an
 // exponentially doubling unmasked spin, so the receive interrupt can
@@ -72,20 +73,22 @@ const (
 	sendBackoff0 = 32 // first backoff spin count, doubled per retry
 )
 
-// NSocket is one open socket's synthesis-time constants: the
-// descriptor slot holding it keeps its queue in FDAux.
-type NSocket struct {
-	Local, Remote uint32
-	Queue         uint32 // packet queue base in machine memory
-	Stage         uint32 // transmit staging buffer
+// Socket is one open socket's table entry: its local port and the
+// packet queue at the head of its block (host view, for tests).
+type Socket struct{ Port, Queue uint32 }
+
+// NetSockets reads the open sockets out of the socket table, in table
+// order.
+func (io *IO) NetSockets() []Socket {
+	var out []Socket
+	for i := uint32(0); i < MaxSockets; i++ {
+		e := io.netSockTab + i*sockEntrySize
+		if q := io.K.M.Peek(e+4, 4); q != 0 {
+			out = append(out, Socket{io.K.M.Peek(e, 4), q})
+		}
+	}
+	return out
 }
-
-// NetIntHandler returns the current synthesized network receive
-// interrupt handler's code address.
-func (io *IO) NetIntHandler() uint32 { return io.netIntH }
-
-// NetSockets returns the open sockets (host view, for tests).
-func (io *IO) NetSockets() []*NSocket { return io.socks }
 
 // NetStackDrops returns frames the handler discarded because no
 // socket owned their destination port (host view).
@@ -93,12 +96,15 @@ func (io *IO) NetStackDrops() uint32 {
 	return io.K.M.Peek(io.netDropCell, 4)
 }
 
-// installNet allocates the NIC's DMA receive ring, programs the
-// device, and installs the (initially socket-less) receive handler.
+// installNet allocates the NIC's DMA receive ring and the socket
+// table with its blocks, programs the device, and installs the
+// (initially socket-less) receive handler.
 func (io *IO) installNet() {
 	k := io.K
-	// [tail][stack-drop][storm][coalesce][port count][port table][ring]
-	base, err := k.Heap.Alloc(20 + maxSockets*8 + netRingSlots*netRingSlotSz)
+	// [tail][stack-drop][storm][coalesce][socket table][ring][socket blocks]
+	const cells = 16 + MaxSockets*sockEntrySize
+	const ring = NetRingSlots * netRingSlotSz
+	base, err := k.Heap.Alloc(cells + ring + MaxSockets*sockBlockSize)
 	if err != nil {
 		panic("kio: cannot allocate NIC receive ring")
 	}
@@ -106,15 +112,13 @@ func (io *IO) installNet() {
 	io.netDropCell = base + 4
 	io.netStormCell = base + 8
 	io.netCoalCell = base + 12
-	io.netPortCount = base + 16
-	io.netPortTab = base + 20
-	io.netRing = base + 20 + maxSockets*8
-	for off := uint32(0); off < 20+maxSockets*8; off += 4 {
-		k.M.Poke(base+off, 4, 0)
-	}
+	io.netSockTab = base + 16
+	io.netRing = base + cells
+	io.netBlocks = base + cells + ring
+	k.M.PokeBytes(base, make([]byte, cells))
 
 	k.M.Store(m68k.NetBase+m68k.NetRegRxBase, 4, io.netRing)
-	k.M.Store(m68k.NetBase+m68k.NetRegRxSlots, 4, netRingSlots)
+	k.M.Store(m68k.NetBase+m68k.NetRegRxSlots, 4, NetRingSlots)
 	k.M.Store(m68k.NetBase+m68k.NetRegSlotSz, 4, netRingSlotSz)
 	k.M.Store(m68k.NetBase+m68k.NetRegCtl, 4, 1)
 
@@ -124,18 +128,18 @@ func (io *IO) installNet() {
 
 // resynthNetHandler rebuilds the receive interrupt handler and
 // installs it in every vector table. The previous handler stays in
-// code space and in the creator's cache: reopening the same socket set
-// at the same queue addresses gets it back.
+// code space and in the creator's cache: the same live entries get it
+// back, since an entry's queue address never changes.
 //
 // The handler is synthesized in one of two demultiplex disciplines:
 // the Synthesis one (the open sockets' ports folded in as
 // compare-immediates) or — after the watchdog has declared the
 // synthesized handler wedged — the generic layered one, a run-time
-// walk of a port table kept in machine memory, the way a conventional
-// kernel would do it. When the watchdog has engaged the storm
-// throttle, a coalescing front-end is prepended: only every
-// netCoalesce-th interrupt runs the drain, so a screaming level costs
-// three instructions per scream instead of a full drain attempt.
+// walk of the socket table, the way a conventional kernel would do
+// it. When the watchdog has engaged the storm throttle, a coalescing
+// front-end is prepended: only every netCoalesce-th interrupt runs the
+// drain, so a screaming level costs three instructions per scream
+// instead of a full drain attempt.
 func (io *IO) resynthNetHandler() {
 	k := io.K
 	tailCell := io.netTailCell
@@ -143,16 +147,15 @@ func (io *IO) resynthNetHandler() {
 	ring := io.netRing
 	rxHead := m68k.NetBase + m68k.NetRegRxHead
 	rxTail := m68k.NetBase + m68k.NetRegRxTail
-	socks := append([]*NSocket(nil), io.socks...)
+	socks := io.NetSockets()
 	generic := io.netGeneric
 	coalesce := io.netCoalesce
-	io.pokePortTable()
 
 	name := "net_intr"
 	if generic {
 		name = "net_intr_generic"
 	}
-	io.netIntH = k.C.Build(nil, name).Named("kio." + name).Counted().Emit(func(e *synth.Emitter) {
+	h := k.C.Build(nil, name).Named("kio." + name).Counted().Emit(func(e *synth.Emitter) {
 		// Run to completion: the mask keeps the higher-level device
 		// handlers, whose wakes also splice the ready ring, from nesting
 		// inside the drain's wake and ready-ring insert. The quantum
@@ -200,35 +203,37 @@ func (io *IO) resynthNetHandler() {
 		e.MoveL(m68k.D(1), m68k.D(0))
 		// A0 = ring slot for this frame: base + (count & mask)*slotSz.
 		e.MoveL(m68k.D(0), m68k.D(1))
-		e.AndL(m68k.Imm(netRingSlots-1), m68k.D(1))
+		e.AndL(m68k.Imm(NetRingSlots-1), m68k.D(1))
 		e.LslL(m68k.Imm(8), m68k.D(1)) // * netRingSlotSz
 		e.Lea(m68k.Abs(ring), 0)
 		e.AddL(m68k.D(1), m68k.A(0))
 		// Demultiplex on the destination port in the frame header.
 		e.MoveL(m68k.Disp(4, 0), m68k.D(1)) // dst port
 		if generic {
-			// Layered discipline: walk the in-memory port table.
-			e.MoveL(m68k.Abs(io.netPortCount), m68k.D(3))
-			e.Beq("nd_nohome")
-			e.Lea(m68k.Abs(io.netPortTab), 2)
+			// Layered discipline: walk the whole socket table. A free
+			// entry keeps its port, so a match with no queue is a
+			// frame for a closed port.
+			e.MoveL(m68k.Imm(MaxSockets-1), m68k.D(3))
+			e.Lea(m68k.Abs(io.netSockTab), 2)
 			e.Label("nd_walk")
 			e.Cmp(4, m68k.Ind(2), m68k.D(1))
 			e.Beq("nd_hit")
-			e.Lea(m68k.Disp(8, 2), 2)
-			e.SubL(m68k.Imm(1), m68k.D(3))
-			e.Bne("nd_walk")
+			e.Lea(m68k.Disp(sockEntrySize, 2), 2)
+			e.Dbra(3, "nd_walk")
 			e.Label("nd_nohome")
 			e.AddL(m68k.Imm(1), m68k.Abs(dropCell)) // nobody home
 			e.Bra("nd_next")
 			e.Label("nd_hit")
-			e.MoveL(m68k.Disp(4, 2), m68k.A(2)) // queue base
+			e.MoveL(m68k.Disp(4, 2), m68k.D(3)) // queue base, 0 if closed
+			e.Beq("nd_nohome")
+			e.MoveL(m68k.D(3), m68k.A(2))
 			e.Bra("nd_dep")
 		} else {
 			// Synthesis discipline: the open sockets' ports are
 			// synthesis-time constants; the "port table" is this
 			// compare chain.
 			for i, s := range socks {
-				e.CmpL(m68k.Imm(int32(s.Local)), m68k.D(1))
+				e.CmpL(m68k.Imm(int32(s.Port)), m68k.D(1))
 				e.Beq(sockLabel(i))
 			}
 			e.AddL(m68k.Imm(1), m68k.Abs(dropCell)) // nobody home
@@ -332,64 +337,56 @@ func (io *IO) resynthNetHandler() {
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.Rte()
 	})
-	k.SetVector(m68k.VecAutovector+m68k.IRQNet, io.netIntH)
+	k.SetVector(m68k.VecAutovector+m68k.IRQNet, h)
 }
 
 func sockLabel(i int) string {
 	return "nd_s" + string(rune('0'+i))
 }
 
-// pokePortTable mirrors the open-socket set into the in-memory port
-// table the generic fallback handler walks. Maintained on every
-// open/close so the fallback can engage at any moment.
-func (io *IO) pokePortTable() {
-	m := io.K.M
-	m.Poke(io.netPortCount, 4, uint32(len(io.socks)))
-	for i, s := range io.socks {
-		m.Poke(io.netPortTab+uint32(i)*8, 4, s.Local)
-		m.Poke(io.netPortTab+uint32(i)*8+4, 4, s.Queue)
-	}
-}
-
 // OpenSocket binds a datagram socket to a local port, connected to a
-// remote port, synthesizing its send and receive routines and
-// installing them on a fresh descriptor of t. Returns -1 when the
-// port is taken or descriptors are exhausted.
+// remote port: it takes a free socket table entry, rebuilds the
+// demultiplex chain, and synthesizes the socket's send and receive
+// routines on a fresh descriptor of t. The entry is the one this port
+// last held, else one no port has held, else the first free one, so a
+// reopened port's routines fold in the queue they were built for.
+// Returns -1 when the port is open, or the table or t's descriptors
+// are full.
 func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
-	k := io.K
 	if t == nil {
 		return -1
 	}
-	for _, s := range io.socks {
-		if s.Local == local {
+	m := io.K.M
+	i, rank := -1, 3
+	for j := 0; j < MaxSockets; j++ {
+		e := io.netSockTab + uint32(j)*sockEntrySize
+		port, q := m.Peek(e, 4), m.Peek(e+4, 4)
+		r := 2 // a free entry
+		if port == local {
+			r = 0 // the entry this port last held, or holds
+		} else if port == 0 {
+			r = 1 // an entry no port has held
+		}
+		if q != 0 && r == 0 {
 			return -1
+		} else if q == 0 && r < rank {
+			i, rank = j, r
 		}
 	}
 	fd := io.allocFD(t)
-	if fd < 0 || len(io.socks) >= maxSockets {
+	if fd < 0 || i < 0 {
 		return -1
 	}
-	q, err := k.Heap.Alloc(nqSize)
-	if err != nil {
-		return -1
-	}
-	// One long of slack past FrameMax: the send path zero-pads the
-	// payload tail long before the long-wise checksum.
-	stage, err := k.Heap.Alloc(synnet.FrameMax + 4)
-	if err != nil {
-		_ = k.Heap.Free(q)
-		return -1
-	}
-	for off := uint32(0); off < NQSlots; off += 4 {
-		k.M.Poke(q+off, 4, 0)
-	}
-	s := &NSocket{Local: local, Remote: remote, Queue: q, Stage: stage}
-	io.socks = append(io.socks, s)
-	io.registerSockMetrics(s)
+	e := io.netSockTab + uint32(i)*sockEntrySize
+	q := io.netBlocks + uint32(i)*sockBlockSize
+	m.PokeBytes(q, make([]byte, NQSlots))
+	m.Poke(e, 4, local)
+	m.Poke(e+4, 4, q)
+	io.registerSockMetrics(local, q)
 	io.resynthNetHandler()
 
-	read := io.synthSockRecv(t, fd, s)
-	write := io.synthSockSend(t, fd, s)
+	read := io.synthSockRecv(t, fd, local, q)
+	write := io.synthSockSend(t, fd, local, remote, q)
 	io.setFDCell(t, fd, kernel.FDKind, FDSock)
 	io.setFDCell(t, fd, kernel.FDAux, q)
 	io.setFDCell(t, fd, kernel.FDPos, 0)
@@ -397,21 +394,14 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 	return fd
 }
 
-// closeSocket removes the socket on queue q from the demultiplex set,
-// rebuilds the handler, and only then — when no installed handler
-// names the queue any more — returns the receive queue and the staging
-// frame to the kernel heap.
+// closeSocket frees the table entry owning queue q: the entry keeps
+// its port and its block for the port's next open, its metrics go, and
+// the demultiplex chain is rebuilt without it.
 func (io *IO) closeSocket(q uint32) {
-	for i, s := range io.socks {
-		if s.Queue == q {
-			io.socks = append(io.socks[:i], io.socks[i+1:]...)
-			io.unregisterSockMetrics(s)
-			io.resynthNetHandler()
-			_ = io.K.Heap.Free(s.Queue)
-			_ = io.K.Heap.Free(s.Stage)
-			return
-		}
-	}
+	e := io.netSockTab + (q-io.netBlocks)/sockBlockSize*sockEntrySize
+	io.K.M.Poke(e+4, 4, 0)
+	io.unregisterSockMetrics(io.K.M.Peek(e, 4))
+	io.resynthNetHandler()
 }
 
 // synthSockSend emits the socket's write routine: send(d1=buf,
@@ -426,19 +416,18 @@ func (io *IO) closeSocket(q uint32) {
 // senders cannot interleave the address/length pair; a refused
 // launch (TxStat 0: ring full) is retried with exponential backoff,
 // spinning unmasked so the receive interrupt can drain the ring.
-func (io *IO) synthSockSend(t *kernel.Thread, fd int32, s *NSocket) uint32 {
-	stage := s.Stage
-	q := s.Queue
+func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32) uint32 {
+	stage := q + nqSize
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
 	txAddr := m68k.NetBase + m68k.NetRegTxAddr
 	txLen := m68k.NetBase + m68k.NetRegTxLen
 	txStat := m68k.NetBase + m68k.NetRegTxStat
 	return io.K.C.Build(t.Q, "sock_send").
-		Named(fmt.Sprintf("kio.sock%d.send", s.Local)).
+		Named(fmt.Sprintf("kio.sock%d.send", local)).
 		Counted().
-		Key("kio.sock_send", t.TTE, uint32(fd), s.Stage, s.Queue, s.Local, s.Remote).
-		Bind("remote", synth.ConstOf(s.Remote)).
-		Bind("local", synth.ConstOf(s.Local)).
+		Key("kio.sock_send", t.TTE, uint32(fd), q, local, remote).
+		Bind("remote", synth.ConstOf(remote)).
+		Bind("local", synth.ConstOf(local)).
 		Emit(func(e *synth.Emitter) {
 			e.CmpL(m68k.Imm(synnet.MTU), m68k.D(2))
 			e.Bls("ss_fit")
@@ -516,13 +505,12 @@ func (io *IO) synthSockSend(t *kernel.Thread, fd int32, s *NSocket) uint32 {
 // per-slot valid flag, parking on the reader cell with the interrupt
 // level raised across the check (the producer is the receive
 // interrupt handler).
-func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, s *NSocket) uint32 {
-	q := s.Queue
+func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, local, q uint32) uint32 {
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
 	return io.K.C.Build(t.Q, "sock_recv").
-		Named(fmt.Sprintf("kio.sock%d.recv", s.Local)).
+		Named(fmt.Sprintf("kio.sock%d.recv", local)).
 		Counted().
-		Key("kio.sock_recv", t.TTE, uint32(fd), s.Queue).
+		Key("kio.sock_recv", t.TTE, uint32(fd), q).
 		Emit(func(e *synth.Emitter) {
 			e.Label("sr_wait")
 			e.OrSR(kernel.SRIPLMask)

@@ -1,6 +1,7 @@
 package kio_test
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -19,9 +20,10 @@ func emitClose(e *synth.Emitter, fd int32) {
 	e.Trap(kernel.TrapSys)
 }
 
-// TestSocketChurnReturnsItsHeap: a closed socket gives its receive
-// queue and staging frame back (ROADMAP A(3): it used to keep both, so
-// a thread could open a socket 1,757 times per boot and never again).
+// TestSocketChurnReturnsItsHeap: socket churn costs no heap. A
+// socket's receive queue and staging frame are its table entry's block,
+// allocated once at boot, so an open takes none and a close gives none
+// back.
 func TestSocketChurnReturnsItsHeap(t *testing.T) {
 	k, _ := boot(t)
 	const cycles, res = 10_000, 0x9000
@@ -45,6 +47,120 @@ func TestSocketChurnReturnsItsHeap(t *testing.T) {
 	}
 	if got := k.Heap.FreeBytes(); got != free {
 		t.Errorf("%d socket cycles moved the heap's free bytes %d -> %d", cycles, free, got)
+	}
+}
+
+// TestSocketChurnPlateaus: a closed socket's table entry keeps its
+// port and its block, so a port that reopens, in whatever order, gets
+// its own queue back, and with it the send and receive routines and
+// demultiplex chains already built for that address: after one warm
+// pass, churn builds nothing and allocates nothing. Eight threads hold
+// one socket each; a pass closes every pair of them and reopens the
+// pair in swapped order. With "the first free entry" in place of each
+// port's own, the swaps permute ports over entries, and each pass
+// mints routines and chains for entries the ports never held before.
+func TestSocketChurnPlateaus(t *testing.T) {
+	k := kernel.Boot(kernel.Config{
+		Machine: m68k.Config{MemSize: 1 << 20},
+		Profile: true,
+	})
+	k.C.CheckKeys = true
+	io := kio.Install(k)
+	const threads, port, passes = 8, 100, 20
+	th := make([]*kernel.Thread, threads)
+	open := func(i int) {
+		t.Helper()
+		if fd := io.OpenSocket(th[i], port+uint32(i), port); fd != 0 {
+			t.Fatalf("%s: socket open = %d, want fd 0", th[i].Name, fd)
+		}
+	}
+	for i := range th {
+		th[i] = k.SpawnKernelStopped(fmt.Sprintf("t%d", i), 0)
+		open(i)
+	}
+	pass := func() {
+		for i := 0; i < threads; i++ {
+			for j := i + 1; j < threads; j++ {
+				io.Close(th[i], 0)
+				io.Close(th[j], 0)
+				open(j)
+				open(i)
+			}
+		}
+	}
+	type reading struct {
+		codeTop, heapFree uint32
+		entries, regions  int
+	}
+	read := func() reading {
+		return reading{k.M.CodeTop, k.Heap.FreeBytes(), k.C.CacheEntries(), k.Prof.Regions()}
+	}
+	pass()
+	warm := read()
+	for p := 0; p < passes; p++ {
+		pass()
+	}
+	if got := read(); got != warm {
+		t.Errorf("%d passes of socket churn moved the kernel:\n after warm-up: %+v\n after churn:   %+v", passes, warm, got)
+	}
+	socks := io.NetSockets()
+	for i, s := range socks {
+		if s.Port != port+uint32(i) {
+			t.Errorf("socket table entry %d holds port %d, want %d", i, s.Port, port+i)
+		}
+	}
+	if len(socks) != threads {
+		t.Errorf("%d sockets open, want %d", len(socks), threads)
+	}
+}
+
+// TestExitClosesDescriptors: a thread that exits while others live
+// closes what it had open. Its socket's port opens again, its
+// per-socket metrics are gone, and its pipe's queue and its TTE are
+// back in the heap. Without the closes the port would stay taken for
+// the kernel's life.
+func TestExitClosesDescriptors(t *testing.T) {
+	k, io, reg := bootMetrics(t)
+	const res = 0x9000
+	progA := k.C.Synthesize(nil, "a", nil, func(e *synth.Emitter) {
+		emitSock(e, 7, 7)
+		e.MoveL(m68k.Imm(kernel.SysPipe), m68k.D(0))
+		e.Trap(kernel.TrapSys)
+		exitSeq(e)
+	})
+	progB := k.C.Synthesize(nil, "b", nil, func(e *synth.Emitter) {
+		// Let a run to its exit, then take its port.
+		for i := 0; i < 4; i++ {
+			e.MoveL(m68k.Imm(kernel.SysYield), m68k.D(0))
+			e.Trap(kernel.TrapSys)
+		}
+		emitSock(e, 7, 7)
+		e.MoveL(m68k.D(0), m68k.Abs(res))
+		emitClose(e, 0)
+		exitSeq(e)
+	})
+	a := k.SpawnKernel("a", progA)
+	b := k.SpawnKernel("b", progB)
+	// The first open of port 7 allocates the invocation counters of its
+	// routines' names, which live as long as the registry does.
+	io.Close(b, io.OpenSocket(b, 7, 7))
+	// b exits last, and the last thread keeps its TTE.
+	size, _ := k.Heap.SizeOf(a.TTE)
+	free := k.Heap.FreeBytes() + size
+	run(t, k, a, 50_000_000)
+	if got := int32(k.M.Peek(res, 4)); got != 0 {
+		t.Errorf("b's open of a's port = %d, want fd 0", got)
+	}
+	if _, live := k.Threads[a.TTE]; live {
+		t.Error("a is still in the thread table")
+	}
+	for _, name := range reg.Names() {
+		if strings.HasPrefix(name, "kio.sock.7.") || strings.HasPrefix(name, "kio.pipe.") || strings.HasPrefix(name, "kio.fd.a.") {
+			t.Errorf("%s outlived its descriptor", name)
+		}
+	}
+	if got := k.Heap.FreeBytes(); got != free {
+		t.Errorf("heap free bytes = %d, want %d (all but b's TTE)", got, free)
 	}
 }
 

@@ -58,11 +58,10 @@ type Watchdog struct {
 	io    *IO
 	storm uint32 // handler entries per window that count as a storm
 
-	Events    []RecoveryEvent
-	throttled bool
-	lastTail  uint32
-	stalled   int
-	proc      uint32 // synthesized alarm procedure
+	Events   []RecoveryEvent
+	lastTail uint32
+	stalled  int
+	proc     uint32 // synthesized alarm procedure
 
 	// Metric handles (nil-safe no-ops without a wired registry).
 	mEvents    *metrics.Counter
@@ -110,13 +109,11 @@ func (w *Watchdog) tick() {
 	entries := m.Peek(io.netStormCell, 4)
 	m.Poke(io.netStormCell, 4, 0)
 
-	if !w.throttled && entries >= w.storm {
-		w.throttled = true
+	if !w.Throttled() && entries >= w.storm {
 		io.netCoalesce = coalesceBatch
 		io.resynthNetHandler()
 		w.event("throttle-on")
-	} else if w.throttled && entries < w.storm/2 {
-		w.throttled = false
+	} else if w.Throttled() && entries < w.storm/2 {
 		io.netCoalesce = 0
 		io.resynthNetHandler()
 		// Drain whatever the batching deferred.
@@ -145,7 +142,7 @@ func (w *Watchdog) event(kind string) {
 	w.Events = append(w.Events, RecoveryEvent{Cycle: w.io.K.M.Clock(), Kind: kind})
 	w.mEvents.Inc()
 	w.io.reg().Counter("kio.net.recovery." + kind).Inc()
-	w.mThrottled.Set(b2f(w.throttled))
+	w.mThrottled.Set(b2f(w.Throttled()))
 	w.mGeneric.Set(b2f(w.io.netGeneric))
 }
 
@@ -157,7 +154,7 @@ func b2f(b bool) float64 {
 }
 
 // Throttled reports whether the storm throttle is engaged.
-func (w *Watchdog) Throttled() bool { return w.throttled }
+func (w *Watchdog) Throttled() bool { return w.io.netCoalesce != 0 }
 
 // GenericFallback reports whether the receive path has fallen back to
 // the layered table-walk handler.

@@ -13,7 +13,9 @@
 # against their templates, the block
 # copy preempted mid-group, the one-byte get's masked park with a tty
 # byte injected at every cycle of its window, and the quantum expiring
-# at every cycle of the net, tty and A/D handlers' windows; 2-VM
+# at every cycle of the net, tty and A/D handlers' windows and of the
+# idle thread's step out of the ready ring; a runt frame dropped at the
+# NIC, and the send's copy-and-checksum at every payload tail shape; 2-VM
 # fleet churn; 2-VM fleet under link faults and a partition/heal
 # cycle, plus the fabric's held-frame queue and cut record driven directly:
 # throttle, delay, scripted and manual cuts). `make examples` runs the six self-checking examples, each of
@@ -45,7 +47,7 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape' \
 		./internal/kio/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 

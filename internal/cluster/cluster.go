@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,6 +125,8 @@ type VM struct {
 	// sync points the driver records at chunk boundaries. Nil unless
 	// tracing or the flight recorder is on.
 	clk *prof.ClockMap
+	// The driver's wall time, busy and parked, and its chunk count.
+	busyNS, parkNS, chunks *metrics.Counter
 }
 
 func (vm *VM) setErr(err error) {
@@ -287,17 +288,20 @@ func (c *Cluster) bootVM(id int) *VM {
 	if c.flight != nil {
 		mcfg = flightMachineConfig(mcfg)
 	}
+	reg := c.Reg.Sub(fmt.Sprintf("vm%d.", id))
 	k := kernel.Boot(kernel.Config{
 		Machine:         mcfg,
 		ChargeSynthesis: true,
 		Profile:         observed,
-		Metrics:         c.Reg.Sub(fmt.Sprintf("vm%d.", id)),
+		Metrics:         reg,
 	})
 	k.C.CheckKeys = checkKeys
 	io := kio.Install(k)
 	unixemu.Install(k)
 
-	vm := &VM{ID: id, K: k, IO: io, ingress: net.NewPacketRing(ingressSlots)}
+	vm := &VM{ID: id, K: k, IO: io, ingress: net.NewPacketRing(ingressSlots),
+		busyNS: reg.Counter("driver.busy_ns"), parkNS: reg.Counter("driver.park_ns"),
+		chunks: reg.Counter("driver.chunks")}
 	if observed {
 		vm.clk = prof.NewClockMap(mcfg.ClockMHz)
 	}
@@ -450,10 +454,13 @@ func (c *Cluster) Start() {
 // both empty nothing is owed, and the driver parks until the ingress
 // ring signals a frame (or KillVM, or Stop). Guest time stands still
 // meanwhile: no timer interrupt is simulated for a fleet member
-// nobody is talking to. Otherwise it yields the core and runs the next
-// chunk.
+// nobody is talking to. Otherwise it runs the next chunk and keeps its
+// core; the Go scheduler runs the load generator on another
+// (DESIGN.md §3a). One clock read per chunk and per wake splits its
+// wall time into driver.busy_ns and driver.park_ns.
 func (c *Cluster) drive(vm *VM) {
 	defer c.wg.Done()
+	last := time.Since(c.start)
 	for {
 		select {
 		case <-c.done:
@@ -468,10 +475,14 @@ func (c *Cluster) drive(vm *VM) {
 		c.drainIngress(vm)
 		err := vm.K.Run(chunkCycles)
 		parked := vm.K.M.Stopped() && vm.K.Net.RxPending() == 0 && vm.ingress.Len() == 0
+		now := time.Since(c.start) // the fleet clock (nowNS)
+		vm.busyNS.Add(uint64(now - last))
+		vm.chunks.Inc()
+		last = now
 		if vm.clk != nil {
 			// One sync point per chunk: the cycle↔wall relation the
 			// merged trace timeline interpolates between.
-			vm.clk.Sync(vm.K.M.Clock(), c.nowNS(time.Now()))
+			vm.clk.Sync(vm.K.M.Clock(), int64(now))
 		}
 		vm.mu.Unlock()
 		if err == nil {
@@ -485,7 +496,6 @@ func (c *Cluster) drive(vm *VM) {
 			return
 		}
 		if !parked {
-			runtime.Gosched()
 			continue
 		}
 		select {
@@ -493,11 +503,14 @@ func (c *Cluster) drive(vm *VM) {
 		case <-c.done:
 			return
 		}
+		now = time.Since(c.start)
+		vm.parkNS.Add(uint64(now - last))
+		last = now
 		if vm.clk != nil {
 			// The guest clock stood still while the wall clock ran:
 			// re-anchor the same cycle, or the timeline smears the
 			// next chunk's events back over the gap.
-			vm.clk.Sync(vm.K.M.Clock(), c.nowNS(time.Now()))
+			vm.clk.Sync(vm.K.M.Clock(), int64(now))
 		}
 	}
 }

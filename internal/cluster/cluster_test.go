@@ -247,6 +247,17 @@ func TestIdleFleetParks(t *testing.T) {
 	before := c.Replies()
 	c.Heal()
 	waitReplies(t, c, before+8, 10*time.Second)
+	// The driver clocks saw it: a woken driver books the stretch it
+	// slept (two 50 ms still checks at least) as parked.
+	s := c.Snapshot().Counters
+	if park := s["vm1.driver.park_ns"] + s["vm2.driver.park_ns"]; park < uint64(50*time.Millisecond) {
+		t.Errorf("driver.park_ns = %v over both VMs after a parked stretch, want >= 50ms", time.Duration(park))
+	}
+	for _, vm := range []string{"vm1", "vm2"} {
+		if s[vm+".driver.busy_ns"] == 0 || s[vm+".driver.chunks"] == 0 {
+			t.Errorf("%s: driver.busy_ns %d, driver.chunks %d, want both > 0", vm, s[vm+".driver.busy_ns"], s[vm+".driver.chunks"])
+		}
+	}
 
 	// So does KillVM.
 	cutAndPark(t, c)

@@ -184,21 +184,21 @@ func Boot(cfg Config) *Kernel {
 	k.Idle = k.newThread("idle", 0, 0, true)
 	m.Poke(GIdleTTE, 4, k.Idle.TTE)
 	idleEntry := k.C.Synthesize(nil, "idle", nil, func(e *synth.Emitter) {
+		// Masked from the ring check through the switch trap; only STOP
+		// reopens the mask, as it waits. An interrupt in between poisons
+		// the ready ring: a quantum runs the thread the check saw, which
+		// may block and leave this one to unlink itself from a ring of
+		// one; a wake splices against this TTE once it is unlinked.
 		e.Label("loop")
+		e.OrSR(SRIPLMask)
 		// Alone in the ring? (next == self)
 		e.MoveL(m68k.Abs(GIdleTTE), m68k.A(0))
 		e.Cmp(4, m68k.Disp(TTENext, 0), m68k.A(0))
 		e.Bne("leave")
-		e.Stop(m68k.FlagS) // wait for any interrupt, then re-check
+		e.Stop(m68k.FlagS) // unmask and wait for any interrupt, then re-check
 		e.Bra("loop")
 		e.Label("leave")
-		// Someone else is runnable: step out of their way. Masked from
-		// unlink through the switch trap: a device interrupt landing in
-		// between would wake a thread while GCurTTE is this already-
-		// unlinked TTE, and the ISR's rq_insert would splice against
-		// its zeroed TTENext and poison the ready ring. The STOP above
-		// reopens the mask on the next pass.
-		e.OrSR(SRIPLMask)
+		// Someone else is runnable: step out of their way.
 		e.Jsr(k.rtUnlink)
 		e.Trap(TrapSwitch) // re-entered here when re-inserted
 		e.Bra("loop")

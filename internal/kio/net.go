@@ -163,15 +163,11 @@ func (io *IO) resynthNetHandler() {
 		// expires during the drain stays pending until the RTE restores
 		// IPL 0 and is taken from thread context right after.
 		e.OrSR(kernel.SRIPLMask)
-		e.MoveL(m68k.D(0), m68k.PreDec(7))
-		e.MoveL(m68k.D(1), m68k.PreDec(7))
-		e.MoveL(m68k.D(2), m68k.PreDec(7))
-		e.MoveL(m68k.A(0), m68k.PreDec(7))
-		e.MoveL(m68k.A(1), m68k.PreDec(7))
-		e.MoveL(m68k.A(2), m68k.PreDec(7))
+		saved := uint16(0x0707) // D0-D2/A0-A2, and D3 for the table walk
 		if generic {
-			e.MoveL(m68k.D(3), m68k.PreDec(7))
+			saved |= 0x0008
 		}
+		e.MovemSave(saved, m68k.PreDec(7))
 		if io.netWD != nil {
 			// Watchdog storm gauge: one count per handler entry.
 			e.AddL(m68k.Imm(1), m68k.Abs(io.netStormCell))
@@ -254,16 +250,25 @@ func (io *IO) resynthNetHandler() {
 		// First verify the wire checksum: the NIC DMA zero-pads the
 		// slot tail to a long boundary, so the long-wise sum never
 		// reads stale bytes. A corrupt frame is counted on the owning
-		// socket and dropped before it touches the queue.
+		// socket and dropped before it touches the queue. The sum takes
+		// eight longs a pass, then the leftover longs.
 		e.Label("nd_dep")
-		e.MoveL(m68k.Ind(0), m68k.D(1))
-		e.SubL(m68k.Imm(synnet.HeaderBytes), m68k.D(1)) // payload bytes
-		e.MoveL(m68k.D(1), m68k.D(2))
-		e.AddL(m68k.Imm(3), m68k.D(2))
+		e.MoveL(m68k.Ind(0), m68k.D(2))
+		e.SubL(m68k.Imm(synnet.HeaderBytes-3), m68k.D(2))
 		e.LsrL(m68k.Imm(2), m68k.D(2)) // payload long count
 		e.Lea(m68k.Disp(4+synnet.HeaderBytes, 0), 1)
 		e.Clr(4, m68k.D(1))
-		e.Tst(4, m68k.D(2))
+		e.MoveL(m68k.D(2), m68k.D(0))
+		e.LsrL(m68k.Imm(3), m68k.D(0))
+		e.Beq("nd_cksum_longs")
+		e.SubL(m68k.Imm(1), m68k.D(0))
+		e.Label("nd_cksum_8")
+		for i := 0; i < 8; i++ {
+			e.AddL(m68k.PostInc(1), m68k.D(1))
+		}
+		e.Dbra(0, "nd_cksum_8")
+		e.Label("nd_cksum_longs")
+		e.AndL(m68k.Imm(7), m68k.D(2))
 		e.Beq("nd_cksum_done")
 		e.SubL(m68k.Imm(1), m68k.D(2))
 		e.Label("nd_cksum")
@@ -326,15 +331,7 @@ func (io *IO) resynthNetHandler() {
 		e.Bra("nd_drain")
 
 		e.Label("nd_done")
-		if generic {
-			e.MoveL(m68k.PostInc(7), m68k.D(3))
-		}
-		e.MoveL(m68k.PostInc(7), m68k.A(2))
-		e.MoveL(m68k.PostInc(7), m68k.A(1))
-		e.MoveL(m68k.PostInc(7), m68k.A(0))
-		e.MoveL(m68k.PostInc(7), m68k.D(2))
-		e.MoveL(m68k.PostInc(7), m68k.D(1))
-		e.MoveL(m68k.PostInc(7), m68k.D(0))
+		e.MovemRest(m68k.PostInc(7), saved)
 		e.Rte()
 	})
 	k.SetVector(m68k.VecAutovector+m68k.IRQNet, h)
@@ -409,9 +406,10 @@ func (io *IO) closeSocket(q uint32) {
 // full through the whole retry budget. The destination and source
 // ports are immediates stored straight into the staging frame — the
 // header "layer" has been collapsed into two constant stores — and
-// the checksum is a register loop over the staged payload with the
-// staging address folded in, stored straight into the header: no
-// separate checksum layer runs at call time. The NIC launch is two
+// the checksum is summed in the one pass that copies the payload into
+// the frame (Clark and Tennenhouse's integrated copy-and-checksum)
+// and stored straight into the header: no checksum layer runs, and
+// no second walk over the payload. The NIC launch is two
 // folded-address register stores under a brief mask so concurrent
 // senders cannot interleave the address/length pair; a refused
 // launch (TxStat 0: ring full) is retried with exponential backoff,
@@ -437,33 +435,15 @@ func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32)
 			// are Env constants folded straight into the emitted code.
 			e.MoveL(e.HoleOperand("remote"), m68k.Abs(stage+0))
 			e.MoveL(e.HoleOperand("local"), m68k.Abs(stage+4))
-			// Zero the staging long the payload tail lands in, so the
-			// long-wise checksum below sees zero padding (the stage is one
-			// long larger than FrameMax for exactly this).
-			e.MoveL(m68k.D(2), m68k.D(0))
-			e.AndL(m68k.Imm(^int32(3)), m68k.D(0))
-			e.Lea(m68k.Abs(stage+synnet.HeaderBytes), 0)
-			e.Clr(4, m68k.Idx(0, 0, 0, 1))
+			// Copy and checksum in one pass; the sum, zero-padded tail
+			// long included (the stage is one long larger than FrameMax
+			// for it), goes straight into the header slot.
 			e.MoveL(m68k.D(2), m68k.PreDec(7)) // payload length
 			e.MoveL(m68k.D(1), m68k.A(0))
 			e.Lea(m68k.Abs(stage+synnet.HeaderBytes), 1)
 			e.MoveL(m68k.D(2), m68k.D(1))
-			emitCopy(e, longCopy)
-			// Checksum the staged payload long-wise straight into the
-			// header slot: two instructions per long.
-			e.MoveL(m68k.Ind(7), m68k.D(0))
-			e.AddL(m68k.Imm(3), m68k.D(0))
-			e.LsrL(m68k.Imm(2), m68k.D(0)) // payload long count
-			e.Lea(m68k.Abs(stage+synnet.HeaderBytes), 0)
-			e.Clr(4, m68k.D(1))
-			e.Tst(4, m68k.D(0))
-			e.Beq("ss_ckdone")
-			e.SubL(m68k.Imm(1), m68k.D(0))
-			e.Label("ss_cksum")
-			e.AddL(m68k.PostInc(0), m68k.D(1))
-			e.Dbra(0, "ss_cksum")
-			e.Label("ss_ckdone")
-			e.MoveL(m68k.D(1), m68k.Abs(stage+8))
+			emitCopy(e, sumCopy)
+			e.MoveL(m68k.D(2), m68k.Abs(stage+8))
 			e.MoveL(m68k.PostInc(7), m68k.D(0)) // payload length
 			e.MoveL(m68k.Imm(sendRetries), m68k.D(2))
 			e.MoveL(m68k.Imm(sendBackoff0), m68k.A(1)) // backoff spin count

@@ -230,3 +230,81 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 		})
 	}
 }
+
+// TestIdleLeaveWindowEnumerated checks by enumeration that the idle
+// thread's step out of the ready ring is one atomic act. A reader
+// parks on its socket, so the idle thread is alone in the ring and in
+// STOP; a frame's interrupt wakes the reader, and the idle thread then
+// sees another thread in the ring and unlinks itself. The quantum is
+// made to expire at every cycle from the frame's arrival to the
+// reader's return, each on a fresh machine, and a second frame must
+// then reach the reader too.
+//
+// With the idle thread's ring check unmasked it fails: a quantum
+// between the check and the mask switches to the reader, which reads,
+// parks again and leaves the idle thread alone in the ring; the idle
+// thread then unlinks itself from a ring of one and spins at IPL 7
+// forever on a ring with no thread in it, the net interrupt never
+// taken. Multi-VM echo fleets met it once per few hundred thousand
+// echoes.
+func TestIdleLeaveWindowEnumerated(t *testing.T) {
+	const buf = 0x9300
+	payload := []byte("frame")
+	frame := synnet.EncodeFrame(synnet.Frame{Dst: 9, Src: 5, Sum: synnet.Checksum(payload), Payload: payload})
+	// run boots a fresh machine, steps it until the reader is parked
+	// and the CPU in STOP, arms the quantum to expire at cycle q (0:
+	// never), delivers one frame and then, once the reader has it and
+	// the CPU is back in STOP, a second. It returns the marks the
+	// reader left, one per frame, and the cycle the first frame
+	// arrived.
+	run := func(q uint64) ([]uint64, uint64) {
+		k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
+		kio.Install(k)
+		prog := k.C.Synthesize(nil, "reader", nil, func(e *synth.Emitter) {
+			emitSock(e, 9, 5) // fd 0
+			e.Label("loop")
+			e.MoveL(m68k.Imm(buf), m68k.D(1))
+			e.MoveL(m68k.Imm(64), m68k.D(2))
+			e.Trap(kernel.TrapRead + 0)
+			e.Kcall(kernel.SvcMark)
+			e.Bra("loop")
+		})
+		k.Start(k.SpawnKernel("reader", prog))
+		step := func(until func() bool) {
+			for limit := k.M.Cycles + 2_000_000; !until(); {
+				if err := k.M.Step(); err != nil || k.M.Cycles > limit {
+					return
+				}
+			}
+		}
+		step(k.M.Stopped)
+		at := k.M.Cycles
+		arm := uint32(0)
+		if q != 0 {
+			arm = uint32(q - at)
+		}
+		k.Timer.Store(m68k.TimerRegQuantum, 4, arm)
+		k.M.Kick(k.Timer)
+		k.Net.InjectFrame(frame)
+		step(func() bool { return len(k.Marks) == 1 })
+		step(k.M.Stopped)
+		k.Net.InjectFrame(frame)
+		step(func() bool { return len(k.Marks) == 2 })
+		return k.Marks, at
+	}
+	marks, from := run(0)
+	if len(marks) != 2 {
+		t.Fatalf("with no quantum the reader got %d of 2 frames", len(marks))
+	}
+	var lost []uint64
+	for q := from + 1; q <= marks[0]; q++ {
+		if marks, _ := run(q); len(marks) != 2 {
+			lost = append(lost, q)
+		}
+	}
+	if len(lost) > 0 {
+		t.Errorf("the second frame never reached the reader at %d of %d injection points (cycles %d..%d), first at cycle %d",
+			len(lost), marks[0]-from, from+1, marks[0], lost[0])
+	}
+	t.Logf("%d injection points, cycles %d..%d", marks[0]-from, from+1, marks[0])
+}

@@ -68,11 +68,14 @@ func (q *KQueue) Gauge(m *m68k.Machine) uint32 {
 	return m.Peek(q.Addr+KQGauge, 4)
 }
 
-// emitCopy's group forms; the block form moves through D2-D7/A2-A3.
-const longCopy, blockCopy, copyRegs = false, true, 0x0cfc
+// emitCopy's forms; the block form moves through D2-D7/A2-A3.
+const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, 0x0cfc
 
 // emitCopy emits an inline byte copier: D1 bytes from (A0)+ to (A1)+,
-// long words first, byte tail after. Clobbers D0 and D1. This is the
+// long words first, byte tail after. Clobbers D0 and D1. The summing
+// form also leaves the wire checksum in D2: each long is added from
+// where it landed, and the byte tail's long, zeroed first, once after
+// its bytes (A1 is left at that long). This is the
 // unrolled-into-the-caller block transfer of Section 6.2 ("the
 // generated code loads long words from one quaspace into registers
 // and stores them back in the other quaspace").
@@ -82,7 +85,19 @@ const longCopy, blockCopy, copyRegs = false, true, 0x0cfc
 // save and restore the registers: the block form pays from the sixth
 // group. Bulk file and pipe streams take it; datagrams (two groups at
 // 64 bytes), A/D elements (one) and /proc reads keep the long form.
-func emitCopy(e *synth.Emitter, block bool) {
+func emitCopy(e *synth.Emitter, form int) {
+	block, sum := form == blockCopy, form == sumCopy
+	long := func() {
+		if !sum {
+			e.MoveL(m68k.PostInc(0), m68k.PostInc(1))
+			return
+		}
+		e.MoveL(m68k.PostInc(0), m68k.Ind(1))
+		e.AddL(m68k.PostInc(1), m68k.D(2))
+	}
+	if sum {
+		e.Clr(4, m68k.D(2))
+	}
 	// 32-byte groups ("with unrolled loops this achieves the data
 	// transfer rate of about 8MB per second"), then leftover long
 	// words, then bytes.
@@ -100,7 +115,7 @@ func emitCopy(e *synth.Emitter, block bool) {
 		e.Lea(m68k.Disp(32, 1), 1)
 	} else {
 		for i := 0; i < 8; i++ {
-			e.MoveL(m68k.PostInc(0), m68k.PostInc(1))
+			long()
 		}
 	}
 	e.Dbra(0, "kcp_32")
@@ -114,15 +129,23 @@ func emitCopy(e *synth.Emitter, block bool) {
 	e.Beq("kcp_tail")
 	e.SubL(m68k.Imm(1), m68k.D(0))
 	e.Label("kcp_4")
-	e.MoveL(m68k.PostInc(0), m68k.PostInc(1))
+	long()
 	e.Dbra(0, "kcp_4")
 	e.Label("kcp_tail")
 	e.AndL(m68k.Imm(3), m68k.D(1))
 	e.Beq("kcp_done")
+	if sum {
+		e.Clr(4, m68k.Ind(1))
+		e.MoveL(m68k.A(1), m68k.D(0))
+	}
 	e.SubL(m68k.Imm(1), m68k.D(1))
 	e.Label("kcp_b")
 	e.MoveB(m68k.PostInc(0), m68k.PostInc(1))
 	e.Dbra(1, "kcp_b")
+	if sum {
+		e.MoveL(m68k.D(0), m68k.A(1))
+		e.AddL(m68k.Ind(1), m68k.D(2))
+	}
 	e.Label("kcp_done")
 }
 

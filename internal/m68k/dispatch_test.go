@@ -258,7 +258,7 @@ func TestRunEqualsSteps(t *testing.T) {
 			{Op: MOVE, Src: Imm(200), Dst: quantum},                       // 11
 			{Op: STOP, Src: Imm(0x2000)},                                  // 12: idle to the quantum
 			{Op: MOVE, Src: Imm(frame), Dst: Abs(NetBase + NetRegTxAddr)}, // 13
-			{Op: MOVE, Src: Imm(8), Dst: Abs(NetBase + NetRegTxLen)},      // 14: launches; the frame loops back and interrupts
+			{Op: MOVE, Src: Imm(12), Dst: Abs(NetBase + NetRegTxLen)},     // 14: launches; the frame loops back and interrupts
 			count,                                       // 15: the receive interrupt is taken before this
 			count,                                       // 16
 			{Op: ORSR, Src: Imm(int32(FlagT))},          // 17: trace on

@@ -29,9 +29,13 @@ const (
 	NetRegRxHead  uint32 = 0x18 // read: frames DMA'd so far (free-running)
 	NetRegRxTail  uint32 = 0x1c // write: frames consumed so far (frees slots)
 	NetRegTxCount uint32 = 0x20 // read: frames launched so far
-	NetRegDrops   uint32 = 0x24 // read: frames dropped (ring full/oversize/disabled)
+	NetRegDrops   uint32 = 0x24 // read: frames dropped (ring full/runt/oversize/disabled)
 	NetRegTxStat  uint32 = 0x28 // read: 1 = last launched frame was accepted by the receiver
 )
+
+// NetMinFrame is the wire header's size (net.HeaderBytes): the NIC
+// drops a shorter frame, a runt, as real NICs do.
+const NetMinFrame = 12
 
 // Net is the network interface device.
 type Net struct {
@@ -176,7 +180,7 @@ func (n *Net) Deliver(frame []byte) bool {
 // frame is not retained.
 func (n *Net) deliverRaw(frame []byte, delay uint64) bool {
 	if !n.enabled || n.rxSlots == 0 || n.slotSz == 0 ||
-		uint32(len(frame))+4 > n.slotSz ||
+		len(frame) < NetMinFrame || uint32(len(frame))+4 > n.slotSz ||
 		n.rxHead-n.rxTail >= n.rxSlots ||
 		(n.m.Inj != nil && n.m.Inj.RingFull()) {
 		n.drops++

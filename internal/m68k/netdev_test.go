@@ -95,7 +95,7 @@ func TestNetLoopbackDMA(t *testing.T) {
 	configureNet(m, ring, slots, slotSz)
 
 	// Stage a frame and launch it: the length store fires the DMA.
-	frame := []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}
+	frame := []byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 9, 0, 0, 0, 0, 0x01, 0x02}
 	m.PokeBytes(0x2000, frame)
 	m.Store(m68k.NetBase+m68k.NetRegTxAddr, 4, 0x2000)
 	m.Store(m68k.NetBase+m68k.NetRegTxLen, 4, uint32(len(frame)))
@@ -143,7 +143,7 @@ func TestNetRingFullDrops(t *testing.T) {
 	configureNet(m, 0x4000, 2, 64)
 
 	for i := 0; i < 3; i++ {
-		n.InjectFrame([]byte{byte(i)})
+		n.InjectFrame(make([]byte, m68k.NetMinFrame+i))
 	}
 	if n.RxPending() != 2 {
 		t.Fatalf("rx pending = %d, want 2 (ring size)", n.RxPending())
@@ -151,12 +151,15 @@ func TestNetRingFullDrops(t *testing.T) {
 	if n.Dropped() != 1 {
 		t.Fatalf("drops = %d, want 1", n.Dropped())
 	}
-	// Oversize frames and frames while disabled also count as drops.
+	// Runts, oversize frames and frames while disabled also count as
+	// drops.
+	m.Store(m68k.NetBase+m68k.NetRegRxTail, 4, 2)
+	n.InjectFrame(make([]byte, m68k.NetMinFrame-1))
 	n.InjectFrame(make([]byte, 64))
 	m.Store(m68k.NetBase+m68k.NetRegCtl, 4, 0)
-	n.InjectFrame([]byte{9})
-	if n.Dropped() != 3 {
-		t.Fatalf("drops = %d, want 3", n.Dropped())
+	n.InjectFrame(make([]byte, m68k.NetMinFrame))
+	if n.RxPending() != 0 || n.Dropped() != 4 {
+		t.Fatalf("rx pending = %d, drops = %d, want 0 and 4", n.RxPending(), n.Dropped())
 	}
 }
 
@@ -238,7 +241,7 @@ func TestNetTxHook(t *testing.T) {
 
 	// Detaching the hook restores loopback delivery.
 	n.Tx = nil
-	if stat := launch([]byte("local again")); stat != 1 {
+	if stat := launch([]byte("delivered locally")); stat != 1 {
 		t.Fatalf("tx stat after detach = %d, want 1", stat)
 	}
 	if n.RxPending() != 1 {
@@ -256,7 +259,7 @@ func TestNetCrossMachine(t *testing.T) {
 
 	configureNet(mb, 0x4000, 4, 64)
 
-	frame := []byte("hello, peer")
+	frame := []byte("hello, remote peer")
 	ma.PokeBytes(0x2000, frame)
 	ma.Store(m68k.NetBase+m68k.NetRegTxAddr, 4, 0x2000)
 	ma.Store(m68k.NetBase+m68k.NetRegTxLen, 4, uint32(len(frame)))

@@ -14,8 +14,10 @@
 # copy preempted mid-group, the one-byte get's masked park with a tty
 # byte injected at every cycle of its window, and the quantum expiring
 # at every cycle of the net, tty and A/D handlers' windows and of the
-# idle thread's step out of the ready ring; a runt frame dropped at the
-# NIC, and the send's copy-and-checksum at every payload tail shape; 2-VM
+# idle thread's step out of the ready ring, and a second frame and a tty
+# byte at every cycle of one receive-handler activation; a runt frame
+# dropped at the NIC, and the send's and the deposit's copy-and-checksum
+# at every payload tail shape; 2-VM
 # fleet churn; 2-VM fleet under link faults and a partition/heal
 # cycle, plus the fabric's held-frame queue and cut record driven directly:
 # throttle, delay, scripted and manual cuts). `make examples` runs the six self-checking examples, each of
@@ -47,7 +49,7 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated' \
 		./internal/kio/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 

@@ -51,7 +51,7 @@ func heapBuf(t *testing.T, k *kernel.Kernel, n uint32, fill byte) uint32 {
 }
 
 // TestBulkCopyPreservesRegisters holds the block form of the
-// synthesized copy (emitCopy with blockCopy: MOVEM through D2-D7/A2-A3,
+// synthesized copy (emitCopy with blockCopy: MOVEM through D3-D7/A3-A5,
 // saved around the loop) to its promises on the file and pipe paths
 // that use it. Every length from 0 through a byte past 4 KB that puts
 // the copy on a different branch — no 32-byte group, one, one and a
@@ -169,7 +169,7 @@ func (p *preemptProbe) ExceptionTaken(vec int, pc uint32, _ uint64) {
 	if vec != m68k.VecAutovector+m68k.IRQTimer || int(pc) >= len(p.m.Code) {
 		return
 	}
-	if in := p.m.Code[pc]; in.Op == m68k.MOVEM && in.Dir == 0 && in.Dst.Mode == m68k.ModeInd && in.Mask == 0x0cfc {
+	if in := p.m.Code[pc]; in.Op == m68k.MOVEM && in.Dir == 0 && in.Dst.Mode == m68k.ModeInd && in.Mask == 0x38f8 {
 		p.between++
 	}
 }

@@ -12,13 +12,17 @@ import (
 // The network device server: the Synthesis treatment of packet I/O.
 // The NIC DMAs arriving frames into a kernel descriptor ring; the
 // receive interrupt handler demultiplexes each frame by destination
-// port and deposits it into the owning socket's packet queue — the
-// optimistic MP-SC queue of Figure 2 laid out in machine memory
-// (CAS-claimed head, per-slot valid flags, single consumer trusting
-// only the flags). The demultiplex chain is resynthesized on every
-// socket open and close, so the port numbers are compare-immediates in
-// the handler, not a table walk (Factoring Invariants applied to the
-// interrupt path itself).
+// port and deposits it into the owning socket's packet queue. The
+// handler runs masked to completion, so it is the one producer of
+// every queue and the one consumer of the ring: the queue is Figure 1's
+// SP-SC queue specialized to that producer (a plain read-and-advance of
+// the head, no CAS), with Figure 2's per-slot valid flags kept so the
+// consumer trusts only the flags. The deposit copies and sums the
+// frame in one pass and publishes the slot only if the sum matches
+// (Collapsing Layers: no separate verify walk). The demultiplex chain
+// is resynthesized on every socket open and close, so the port numbers
+// are compare-immediates in the handler, not a table walk (Factoring
+// Invariants applied to the interrupt path itself).
 //
 // A socket is an entry of one table in machine memory, [port][queue],
 // the queue cell 0 while the entry is free. Each entry owns a queue
@@ -34,14 +38,15 @@ import (
 // Per-socket packet queue layout in machine memory. Head and tail are
 // free-running counts; slot index = count & (NQSlotCount-1). A slot
 // holds [payload length (4)][payload bytes]. The valid flags are one
-// byte per slot: the producer's CAS on the head only claims a slot —
-// the flag store publishes it, and the consumer trusts nothing else.
+// byte per slot: the producer fills the head slot, stores its flag and
+// only then advances the head, and the consumer trusts nothing but the
+// flag.
 const (
-	NQHead      = 0  // producer claim count (CAS target)
+	NQHead      = 0  // producer count: frames published
 	NQTail      = 4  // consumer count
 	NQRWait     = 8  // reader wait cell
 	NQGauge     = 12 // frames deposited (I/O gauge)
-	NQDrops     = 16 // frames dropped at a full queue
+	NQDrops     = 16 // frames dropped at a full queue, bad sum or not: room is checked before the summing copy
 	NQErrs      = 20 // frames dropped on checksum mismatch
 	NQTxFail    = 24 // sends abandoned after the retry budget
 	NQFlags     = 28 // NQSlotCount valid-flag bytes
@@ -181,28 +186,19 @@ func (io *IO) resynthNetHandler() {
 		}
 
 		// Drain every frame the NIC has DMA'd: one interrupt covers a
-		// whole delivery batch. Each ring slot is CLAIMED by CAS before
-		// it is touched. With the handler masked from entry and the
-		// quantum below it, one activation drains at a time; the claim
-		// keeps the walk single-counted should two ever overlap, where
-		// a read-process-increment walk pushes the tail past the head
-		// and — with an equality exit test — livelocks the drain on
-		// 2^32 stale slots.
+		// whole delivery batch. No other activation can be walking the
+		// ring (TestNetIntrOneActivationEnumerated), so the tail is a
+		// plain count: read here, and advanced and handed to the NIC
+		// only once its slot has been copied out.
 		e.Label("nd_drain")
-		e.MoveL(m68k.Abs(tailCell), m68k.D(1))
-		e.Cmp(4, m68k.Abs(rxHead), m68k.D(1))
+		e.MoveL(m68k.Abs(tailCell), m68k.D(0))
+		e.Cmp(4, m68k.Abs(rxHead), m68k.D(0))
 		e.Beq("nd_done")
-		e.MoveL(m68k.D(1), m68k.D(2))
-		e.AddL(m68k.Imm(1), m68k.D(2))
-		e.Cas(4, 1, 2, m68k.Abs(tailCell))
-		e.Bne("nd_drain") // lost the claim: D1 holds the fresh tail
-		e.MoveL(m68k.D(1), m68k.D(0))
 		// A0 = ring slot for this frame: base + (count & mask)*slotSz.
-		e.MoveL(m68k.D(0), m68k.D(1))
-		e.AndL(m68k.Imm(NetRingSlots-1), m68k.D(1))
-		e.LslL(m68k.Imm(8), m68k.D(1)) // * netRingSlotSz
+		e.AndL(m68k.Imm(NetRingSlots-1), m68k.D(0))
+		e.LslL(m68k.Imm(8), m68k.D(0)) // * netRingSlotSz
 		e.Lea(m68k.Abs(ring), 0)
-		e.AddL(m68k.D(1), m68k.A(0))
+		e.AddL(m68k.D(0), m68k.A(0))
 		// Demultiplex on the destination port in the frame header.
 		e.MoveL(m68k.Disp(4, 0), m68k.D(1)) // dst port
 		if generic {
@@ -246,88 +242,53 @@ func (io *IO) resynthNetHandler() {
 			}
 		}
 
-		// Shared deposit block: A0 = ring slot, A2 = socket queue.
-		// First verify the wire checksum: the NIC DMA zero-pads the
-		// slot tail to a long boundary, so the long-wise sum never
-		// reads stale bytes. A corrupt frame is counted on the owning
-		// socket and dropped before it touches the queue. The sum takes
-		// eight longs a pass, then the leftover longs.
+		// Shared deposit block: A0 = ring slot, A2 = socket queue. The
+		// SP-SC put of Figure 1: a full queue drops the frame whatever
+		// its sum; otherwise the frame is copied into the head slot and
+		// summed in the same pass, and the slot is published (flag,
+		// then head + 1) only if the sum matches the header's. A
+		// corrupt frame is counted on the owning socket and leaves the
+		// slot unpublished, for the next frame to overwrite.
 		e.Label("nd_dep")
-		e.MoveL(m68k.Ind(0), m68k.D(2))
-		e.SubL(m68k.Imm(synnet.HeaderBytes-3), m68k.D(2))
-		e.LsrL(m68k.Imm(2), m68k.D(2)) // payload long count
-		e.Lea(m68k.Disp(4+synnet.HeaderBytes, 0), 1)
-		e.Clr(4, m68k.D(1))
-		e.MoveL(m68k.D(2), m68k.D(0))
-		e.LsrL(m68k.Imm(3), m68k.D(0))
-		e.Beq("nd_cksum_longs")
-		e.SubL(m68k.Imm(1), m68k.D(0))
-		e.Label("nd_cksum_8")
-		for i := 0; i < 8; i++ {
-			e.AddL(m68k.PostInc(1), m68k.D(1))
-		}
-		e.Dbra(0, "nd_cksum_8")
-		e.Label("nd_cksum_longs")
-		e.AndL(m68k.Imm(7), m68k.D(2))
-		e.Beq("nd_cksum_done")
-		e.SubL(m68k.Imm(1), m68k.D(2))
-		e.Label("nd_cksum")
-		e.AddL(m68k.PostInc(1), m68k.D(1))
-		e.Dbra(2, "nd_cksum")
-		e.Label("nd_cksum_done")
-		e.Cmp(4, m68k.Disp(4+8, 0), m68k.D(1)) // header checksum word
-		e.Beq("nd_ckok")
-		e.AddL(m68k.Imm(1), m68k.Disp(NQErrs, 2))
-		e.Bra("nd_next")
-		e.Label("nd_ckok")
-		// Optimistic MP-SC insert: CAS claims a slot on the head
-		// count, the copy fills it, the flag store publishes it.
 		e.MoveL(m68k.Disp(NQHead, 2), m68k.D(1))
-		e.Label("nd_claim")
 		e.MoveL(m68k.D(1), m68k.D(2))
 		e.SubL(m68k.Disp(NQTail, 2), m68k.D(2))
 		e.CmpL(m68k.Imm(NQSlotCount), m68k.D(2))
 		e.Bcc("nd_full")
-		e.MoveL(m68k.D(1), m68k.D(2))
-		e.AddL(m68k.Imm(1), m68k.D(2))
-		e.Cas(4, 1, 2, m68k.Disp(NQHead, 2))
-		e.Bne("nd_claim") // lost the race: D1 holds the fresh head
-		// Claimed slot: A1 = destination, then strip the header as
-		// part of the copy setup — source starts past [len][dst][src].
+		// A1 = the head slot; the copy strips the header, starting past
+		// [len][dst][src][sum].
 		e.AndL(m68k.Imm(NQSlotCount-1), m68k.D(1))
-		e.MoveL(m68k.D(1), m68k.PreDec(7)) // slot index, for the flag
-		e.LslL(m68k.Imm(8), m68k.D(1))     // * NQSlotBytes
+		e.LslL(m68k.Imm(8), m68k.D(1)) // * NQSlotBytes
 		e.Lea(m68k.Disp(NQSlots, 2), 1)
 		e.AddL(m68k.D(1), m68k.A(1))
 		e.MoveL(m68k.Ind(0), m68k.D(1)) // frame length
 		e.SubL(m68k.Imm(synnet.HeaderBytes), m68k.D(1))
-		e.MoveL(m68k.D(1), m68k.Ind(1)) // slot payload length
-		e.Lea(m68k.Disp(4, 1), 1)
-		e.Lea(m68k.Disp(4+synnet.HeaderBytes, 0), 0)
-		emitCopy(e, longCopy) // D1 payload bytes, (A0)+ -> (A1)+
-		// Publish: only the flag makes the slot visible.
-		e.MoveL(m68k.PostInc(7), m68k.D(1))
-		e.MoveL(m68k.Imm(1), m68k.D(2))
-		e.Lea(m68k.Disp(NQFlags, 2), 0)
-		e.MoveB(m68k.D(2), m68k.Idx(0, 0, 1, 1)) // flags[index] = 1
+		e.MoveL(m68k.D(1), m68k.PostInc(1))          // slot payload length
+		e.MoveL(m68k.Disp(4+8, 0), m68k.PreDec(7))   // header checksum
+		e.Lea(m68k.Disp(4+synnet.HeaderBytes, 0), 0) // payload
+		emitCopy(e, sumCopy)
+		e.Cmp(4, m68k.PostInc(7), m68k.D(2))
+		e.Bne("nd_bad")
+		// Publish: the flag makes the slot visible, then the head moves.
+		e.MoveL(m68k.Disp(NQHead, 2), m68k.D(1))
+		e.AndL(m68k.Imm(NQSlotCount-1), m68k.D(1))
+		e.MoveB(m68k.Imm(1), m68k.Idx(NQFlags, 2, 1, 1)) // flags[index] = 1
+		e.AddL(m68k.Imm(1), m68k.Disp(NQHead, 2))
 		e.AddL(m68k.Imm(1), m68k.Disp(NQGauge, 2))
 		// "A waiting thread's unblocking procedure is chained to the
 		// end of the interrupt handling."
 		emitWake(e, k, m68k.Disp(NQRWait, 2), "nd_next")
 		e.Bra("nd_next")
+		e.Label("nd_bad")
+		e.AddL(m68k.Imm(1), m68k.Disp(NQErrs, 2))
+		e.Bra("nd_next")
 		e.Label("nd_full")
 		e.AddL(m68k.Imm(1), m68k.Disp(NQDrops, 2))
 
-		// Return ring slots to the NIC: the claim already advanced the
-		// tail cell, so publish its current value. A preempted sibling
-		// activation may still be copying out of a slot this store
-		// frees — if the device overwrites it mid-copy, the checksum
-		// verify above catches the tear and the frame is dropped for
-		// the sender's retransmission to cover, never corrupted
-		// silently.
+		// Return the slot to the NIC: advance the tail and publish it.
 		e.Label("nd_next")
-		e.MoveL(m68k.Abs(tailCell), m68k.D(0))
-		e.MoveL(m68k.D(0), m68k.Abs(rxTail))
+		e.AddL(m68k.Imm(1), m68k.Abs(tailCell))
+		e.MoveL(m68k.Abs(tailCell), m68k.Abs(rxTail))
 		e.Bra("nd_drain")
 
 		e.Label("nd_done")

@@ -292,3 +292,91 @@ func TestRuntFrameDropped(t *testing.T) {
 		t.Errorf("frames received = %d, want %d", got, kio.NetRingSlots+1)
 	}
 }
+
+// TestDepositChecksumEveryTailShape is the receive twin of
+// TestSendChecksumEveryTailShape: the receive interrupt copies a frame
+// into the head slot of its socket's queue and sums it in the same
+// pass, and publishes the slot only when the sum matches the header's.
+// At every shape of the copy each payload must land intact and
+// published. The same frame with one bit flipped — in the first long,
+// in the tail long beside the pad, in the last group — must be counted
+// in NQErrs, publish nothing, leave NQHead where it was, and leave its
+// slot to the next good frame. Checked to fail with the pad long not
+// summed, with the flag published before the compare, and with the
+// head advanced on a mismatch.
+func TestDepositChecksumEveryTailShape(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 31, 32, 33, 63, 64, 65, 239, 240} {
+		k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
+		io := kio.Install(k)
+		spin := k.C.Synthesize(nil, "spin", nil, func(e *synth.Emitter) {
+			e.Label("spin")
+			e.Bra("spin")
+		})
+		th := k.SpawnKernel("spin", spin)
+		if io.OpenSocket(th, 9, 5) != 0 {
+			t.Fatal("socket fd")
+		}
+		k.Start(th)
+		q := io.NetSockets()[0].Queue
+		cell := func(off uint32) uint32 { return k.M.Peek(q+off, 4) }
+		frame := func(seed byte) ([]byte, []byte) {
+			p := make([]byte, n)
+			for i := range p {
+				p[i] = seed ^ byte(i*7)
+			}
+			return p, synnet.EncodeFrame(synnet.Frame{Dst: 9, Src: 5, Sum: synnet.Checksum(p), Payload: p})
+		}
+		deliver := func(f []byte) {
+			t.Helper()
+			k.Net.InjectFrame(f)
+			if err := k.Run(k.M.Cycles + 20_000); !errors.Is(err, m68k.ErrCycleLimit) {
+				t.Fatalf("%d bytes: run: %v", n, err)
+			}
+		}
+		// good delivers a frame that must land published in the head
+		// slot.
+		good := func(seed byte) {
+			t.Helper()
+			p, f := frame(seed)
+			head := cell(kio.NQHead)
+			deliver(f)
+			slot := q + kio.NQSlots + head%kio.NQSlotCount*kio.NQSlotBytes
+			switch {
+			case cell(kio.NQHead) != head+1:
+				t.Fatalf("%d bytes: NQHead %d -> %d, want +1", n, head, cell(kio.NQHead))
+			case k.M.Peek(q+kio.NQFlags+head%kio.NQSlotCount, 1) != 1:
+				t.Fatalf("%d bytes: slot %d not published", n, head%kio.NQSlotCount)
+			case k.M.Peek(slot, 4) != uint32(n) || !bytes.Equal(k.M.PeekBytes(slot+4, n), p):
+				t.Fatalf("%d bytes: slot holds %d bytes % x, want % x", n, k.M.Peek(slot, 4), k.M.PeekBytes(slot+4, n), p)
+			}
+		}
+		// Bits to flip, numbered from the frame's first byte: the
+		// payload follows the header's [dst][src][sum].
+		flips := []int{8*8 + 1} // no payload: the header's sum
+		if n > 0 {
+			flips = []int{8 * synnet.HeaderBytes, 8*(synnet.HeaderBytes+n-1) + 3}
+			if n >= 32 {
+				flips = append(flips, 8*(synnet.HeaderBytes+n/32*32-13)+5)
+			}
+		}
+		good(0x5a)
+		for i, bit := range flips {
+			_, f := frame(byte(0x11 * i))
+			f[bit/8] ^= 1 << (bit % 8)
+			head, errs, gauge := cell(kio.NQHead), cell(kio.NQErrs), cell(kio.NQGauge)
+			deliver(f)
+			switch {
+			case cell(kio.NQErrs) != errs+1:
+				t.Fatalf("%d bytes, bit %d flipped: NQErrs %d -> %d, want +1", n, bit, errs, cell(kio.NQErrs))
+			case cell(kio.NQHead) != head || cell(kio.NQGauge) != gauge:
+				t.Fatalf("%d bytes, bit %d flipped: NQHead %d -> %d, gauge %d -> %d, want both unchanged", n, bit, head, cell(kio.NQHead), gauge, cell(kio.NQGauge))
+			case k.M.Peek(q+kio.NQFlags+head%kio.NQSlotCount, 1) != 0:
+				t.Fatalf("%d bytes, bit %d flipped: slot %d published", n, bit, head%kio.NQSlotCount)
+			}
+			good(byte(0x33 + i))
+		}
+		if d := cell(kio.NQDrops); d != 0 || k.Net.RxPending() != 0 {
+			t.Fatalf("%d bytes: NQDrops %d, %d frames left in the ring", n, d, k.Net.RxPending())
+		}
+	}
+}

@@ -11,6 +11,70 @@ import (
 	"synthesis/internal/synth"
 )
 
+// The enumerations below share one loop: a window of cycles is found on
+// one machine, then every cycle of it is an injection point, each on a
+// fresh one.
+
+// Device names the enumerations' readers open.
+const ttyName, adName = 0x9100, 0x9200
+
+// enumBoot boots a fresh machine for one injection point: the
+// measurement plane attached, kio installed and the raw tty and A/D
+// names in memory.
+func enumBoot() (*kernel.Kernel, *kio.IO) {
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}, Profile: true})
+	io := kio.Install(k)
+	pokeName(k, ttyName, "/dev/rawtty")
+	pokeName(k, adName, "/dev/ad")
+	return k, io
+}
+
+// stepUntil steps k until stop reports true, giving up 2,000,000 cycles
+// on; it returns the error that stopped the machine, if one did.
+func stepUntil(k *kernel.Kernel, stop func() bool) error {
+	for limit := k.M.Cycles + 2_000_000; !stop() && k.M.Cycles < limit; {
+		if err := k.M.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// armQuantum replaces the running quantum with one that expires at
+// cycle q (0: never).
+func armQuantum(k *kernel.Kernel, q uint64) {
+	arm := uint32(0)
+	if q != 0 {
+		arm = uint32(q - k.M.Cycles)
+	}
+	k.Timer.Store(m68k.TimerRegQuantum, 4, arm)
+	k.M.Kick(k.Timer)
+}
+
+// enumerate runs check at every injection point from..to and reports
+// each way of failing once, with its count of points and the first;
+// check returns why its run failed, or "" if it held.
+func enumerate(t *testing.T, from, to uint64, check func(at uint64) string) {
+	t.Helper()
+	var kinds []string
+	failed := map[string][]uint64{}
+	for at := from; at <= to; at++ {
+		why := check(at)
+		if why == "" {
+			continue
+		}
+		if failed[why] == nil {
+			kinds = append(kinds, why)
+		}
+		failed[why] = append(failed[why], at)
+	}
+	for _, why := range kinds {
+		t.Errorf("%s: %d of %d injection points (cycles %d..%d), first at cycle %d",
+			why, len(failed[why]), to-from+1, from, to, failed[why][0])
+	}
+	t.Logf("%d injection points, cycles %d..%d", to-from+1, from, to)
+}
+
 // TestQuantumInHandlerEnumerated checks by enumeration that the
 // quantum never preempts an interrupt handler. The quantum is the
 // lowest interrupt level, so a handler's own level masks it from entry
@@ -41,7 +105,7 @@ import (
 // Each way of failing is reported once, with its count of injection
 // points.
 func TestQuantumInHandlerEnumerated(t *testing.T) {
-	const res, ttyName, adName, buf = 0x9000, 0x9100, 0x9200, 0x9300
+	const res, buf = 0x9000, 0x9300
 	const arriveAfter = 1_000   // cycles from the spinner's start to the frame or byte
 	const deliverWithin = 5_000 // cycles from the handler's RTE to the reader's return
 	payload := []byte("frame")
@@ -117,10 +181,7 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 			// returns the quantum interrupts taken and the raise cycle of
 			// the latest device interrupt.
 			run := func(q uint64, done func(k *kernel.Kernel, reader *kernel.Thread) bool) (*kernel.Kernel, []quantum, uint64) {
-				k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}, Profile: true})
-				kio.Install(k)
-				pokeName(k, ttyName, "/dev/rawtty")
-				pokeName(k, adName, "/dev/ad")
+				k, _ := enumBoot()
 				var quanta []quantum
 				var raised uint64
 				k.Prof.OnIRQ = func(level, vec int, raisedAt, takenAt uint64) {
@@ -150,31 +211,21 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 				reader := k.SpawnKernel("reader", prog)
 				k.SpawnKernel("spinner", spin)
 				k.Start(reader)
-				for len(k.Marks) == 0 {
-					if err := k.M.Step(); err != nil {
-						t.Fatalf("before the spinner started: %v", err)
-					}
+				if err := stepUntil(k, func() bool { return len(k.Marks) != 0 }); err != nil || len(k.Marks) == 0 {
+					t.Fatalf("the spinner never started: %v", err)
 				}
 				if len(quanta) != 0 {
 					t.Fatal("a quantum expired before the spinner started")
 				}
 				// This replaces the quantum the spinner's sw_in armed.
-				arm := uint32(0)
-				if q != 0 {
-					arm = uint32(q - k.M.Cycles)
+				armQuantum(k, q)
+				err := stepUntil(k, func() bool { return k.M.Cycles >= k.Marks[0]+arriveAfter })
+				if err == nil {
+					sc.arrive(k)
+					err = stepUntil(k, func() bool { return done(k, reader) })
 				}
-				k.Timer.Store(m68k.TimerRegQuantum, 4, arm)
-				k.M.Kick(k.Timer)
-				for k.M.Cycles < k.Marks[0]+arriveAfter {
-					if err := k.M.Step(); err != nil {
-						t.Fatalf("quantum at cycle %d: %v", q, err)
-					}
-				}
-				sc.arrive(k)
-				for !done(k, reader) {
-					if err := k.M.Step(); err != nil {
-						t.Fatalf("quantum at cycle %d: %v", q, err)
-					}
+				if err != nil {
+					t.Fatalf("quantum at cycle %d: %v", q, err)
 				}
 				return k, quanta, raised
 			}
@@ -194,39 +245,26 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 				t.Fatalf("the device interrupt (cycle %d) came before the quantum was armed (%d)", from, k.Marks[0]+arriveAfter)
 			}
 
-			var kinds []string
-			failed := map[string][]uint64{}
-			for at := from; at <= to; at++ {
+			enumerate(t, from, to, func(at uint64) string {
 				k, quanta, _ := run(at, func(k *kernel.Kernel, _ *kernel.Thread) bool {
 					return len(k.Marks) == 2 || k.M.Cycles > to+deliverWithin
 				})
-				var why string
 				switch {
 				case len(quanta) != 1:
-					why = fmt.Sprintf("%d quantum interrupts, want 1", len(quanta))
+					return fmt.Sprintf("%d quantum interrupts, want 1", len(quanta))
 				case !quanta[0].swout:
-					why = "the quantum vector did not enter sw_out"
+					return "the quantum vector did not enter sw_out"
 				case quanta[0].stackedIPL != 0:
-					why = fmt.Sprintf("sw_out entered with IPL %d stacked, inside a handler", quanta[0].stackedIPL)
+					return fmt.Sprintf("sw_out entered with IPL %d stacked, inside a handler", quanta[0].stackedIPL)
 				case quanta[0].at < to:
-					why = "the switch came before the handler's RTE"
+					return "the switch came before the handler's RTE"
 				case len(k.Marks) != 2:
-					why = fmt.Sprintf("the reader did not return within %d cycles of the RTE", deliverWithin)
+					return fmt.Sprintf("the reader did not return within %d cycles of the RTE", deliverWithin)
 				case !sc.got(k):
-					why = "the reader did not get what the handler delivered"
-				default:
-					continue
+					return "the reader did not get what the handler delivered"
 				}
-				if failed[why] == nil {
-					kinds = append(kinds, why)
-				}
-				failed[why] = append(failed[why], at)
-			}
-			for _, why := range kinds {
-				t.Errorf("%s: %d of %d injection points (cycles %d..%d), first at cycle %d",
-					why, len(failed[why]), to-from+1, from, to, failed[why][0])
-			}
-			t.Logf("%d injection points, cycles %d..%d", to-from+1, from, to)
+				return ""
+			})
 		})
 	}
 }
@@ -258,8 +296,7 @@ func TestIdleLeaveWindowEnumerated(t *testing.T) {
 	// reader left, one per frame, and the cycle the first frame
 	// arrived.
 	run := func(q uint64) ([]uint64, uint64) {
-		k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
-		kio.Install(k)
+		k, _ := enumBoot()
 		prog := k.C.Synthesize(nil, "reader", nil, func(e *synth.Emitter) {
 			emitSock(e, 9, 5) // fd 0
 			e.Label("loop")
@@ -270,41 +307,144 @@ func TestIdleLeaveWindowEnumerated(t *testing.T) {
 			e.Bra("loop")
 		})
 		k.Start(k.SpawnKernel("reader", prog))
-		step := func(until func() bool) {
-			for limit := k.M.Cycles + 2_000_000; !until(); {
-				if err := k.M.Step(); err != nil || k.M.Cycles > limit {
-					return
-				}
-			}
-		}
-		step(k.M.Stopped)
+		// A machine that stops on an error shows as a lost frame.
+		stepUntil(k, k.M.Stopped)
 		at := k.M.Cycles
-		arm := uint32(0)
-		if q != 0 {
-			arm = uint32(q - at)
-		}
-		k.Timer.Store(m68k.TimerRegQuantum, 4, arm)
-		k.M.Kick(k.Timer)
+		armQuantum(k, q)
 		k.Net.InjectFrame(frame)
-		step(func() bool { return len(k.Marks) == 1 })
-		step(k.M.Stopped)
+		stepUntil(k, func() bool { return len(k.Marks) == 1 })
+		stepUntil(k, k.M.Stopped)
 		k.Net.InjectFrame(frame)
-		step(func() bool { return len(k.Marks) == 2 })
+		stepUntil(k, func() bool { return len(k.Marks) == 2 })
 		return k.Marks, at
 	}
 	marks, from := run(0)
 	if len(marks) != 2 {
 		t.Fatalf("with no quantum the reader got %d of 2 frames", len(marks))
 	}
-	var lost []uint64
-	for q := from + 1; q <= marks[0]; q++ {
+	enumerate(t, from+1, marks[0], func(q uint64) string {
 		if marks, _ := run(q); len(marks) != 2 {
-			lost = append(lost, q)
+			return "the second frame never reached the reader"
 		}
+		return ""
+	})
+}
+
+// TestNetIntrOneActivationEnumerated checks by enumeration that the
+// receive handler needs no CAS. Its mask is raised from entry to RTE,
+// so one activation runs at a time: it is the one consumer of the NIC
+// ring and the one producer of every socket queue, and it takes ring
+// and queue slots with a plain read and advance. A frame is delivered
+// to a machine whose one thread is parked on a tty read; a second frame
+// and a tty byte are then posted at every cycle of that frame's
+// activation, from its interrupt's entry to its RTE, each on a fresh
+// machine. Every run must:
+//   - begin no activation while another is live;
+//   - deposit each frame exactly once, in order;
+//   - leave the ring's tail equal to its head;
+//   - hand the tty byte to the reader.
+//
+// Checked to fail, in a scratch copy, with the handler unmasking itself
+// after entry (an AndSR back to IPL 0 right after its OrSR): the second
+// frame's interrupt then nests inside the first activation. With the
+// nesting check taken out, the deposit checks still fail: both
+// activations take the same ring slot, and the resumed outer one walks
+// the tail past the head, depositing stale slots until the queue fills
+// (8 deposits and 5 drops for the two frames).
+func TestNetIntrOneActivationEnumerated(t *testing.T) {
+	const res, buf = 0x9000, 0x9300
+	first, second := []byte("first frame"), []byte("second frame")
+	frame := func(p []byte) []byte {
+		return synnet.EncodeFrame(synnet.Frame{Dst: 9, Src: 5, Sum: synnet.Checksum(p), Payload: p})
 	}
-	if len(lost) > 0 {
-		t.Errorf("the second frame never reached the reader at %d of %d injection points (cycles %d..%d), first at cycle %d",
-			len(lost), marks[0]-from, from+1, marks[0], lost[0])
+	// run boots a fresh machine, steps it until the reader is parked and
+	// the CPU in STOP, delivers the first frame, and at cycle at (0:
+	// never) posts the second frame and the tty byte; it then steps to
+	// cycle until, and at least to the first activation's end. It
+	// returns the machine, the socket's queue, the cycles the first
+	// activation began and ended, and the activations that began while
+	// another was live.
+	run := func(at, until uint64) (k *kernel.Kernel, q uint32, from, to uint64, nested int) {
+		k, io := enumBoot()
+		// An activation is live from its interrupt's entry until the
+		// stack pointer rises above the frame the entry pushed.
+		live, sp := false, uint32(0)
+		k.Prof.OnIRQ = func(level, _ int, _, takenAt uint64) {
+			if level != m68k.IRQNet {
+				return
+			}
+			if live && k.M.A[7] < sp {
+				nested++
+			}
+			if from == 0 {
+				from = takenAt
+			}
+			live, sp = true, k.M.A[7]
+		}
+		prog := k.C.Synthesize(nil, "reader", nil, func(e *synth.Emitter) {
+			emitOpen(e, ttyName) // fd 1, after the socket
+			e.MoveL(m68k.Imm(buf), m68k.D(1))
+			e.MoveL(m68k.Imm(1), m68k.D(2))
+			e.Trap(kernel.TrapRead + 1)
+			e.MoveL(m68k.D(0), m68k.Abs(res))
+			e.Label("spin")
+			e.Bra("spin")
+		})
+		th := k.SpawnKernel("reader", prog)
+		if io.OpenSocket(th, 9, 5) != 0 {
+			t.Fatal("socket fd")
+		}
+		q = io.NetSockets()[0].Queue
+		k.Start(th)
+		step := func(stop func() bool) {
+			err := stepUntil(k, func() bool {
+				if live && k.M.A[7] > sp {
+					live = false
+					if to == 0 {
+						to = k.M.Cycles
+					}
+				}
+				return stop()
+			})
+			if err != nil {
+				t.Fatalf("posted at cycle %d: %v", at, err)
+			}
+		}
+		step(k.M.Stopped)
+		k.Net.InjectFrame(frame(first))
+		if at != 0 {
+			step(func() bool { return k.M.Cycles >= at })
+			k.Net.InjectFrame(frame(second))
+			k.TTY.InputNow('Q')
+		}
+		step(func() bool { return k.M.Cycles >= until && to != 0 })
+		return k, q, from, to, nested
 	}
-	t.Logf("%d injection points, cycles %d..%d", marks[0]-from, from+1, marks[0])
+	_, _, from, to, _ := run(0, 0)
+	if from == 0 || to == 0 {
+		t.Fatal("the first frame's activation never began or never ended")
+	}
+	// slot returns the payload in queue slot i.
+	slot := func(k *kernel.Kernel, q, i uint32) string {
+		a := q + kio.NQSlots + i*kio.NQSlotBytes
+		return string(k.M.PeekBytes(a+4, int(k.M.Peek(a, 4))))
+	}
+	enumerate(t, from, to, func(at uint64) string {
+		k, q, _, _, nested := run(at, to+10_000)
+		cell := func(off uint32) uint32 { return k.M.Peek(q+off, 4) }
+		switch {
+		case nested != 0:
+			return "an activation began inside another"
+		case cell(kio.NQGauge) != 2 || cell(kio.NQHead) != 2 || cell(kio.NQErrs) != 0 || cell(kio.NQDrops) != 0:
+			return fmt.Sprintf("deposited %d, head %d, errs %d, drops %d; want 2 frames deposited once",
+				cell(kio.NQGauge), cell(kio.NQHead), cell(kio.NQErrs), cell(kio.NQDrops))
+		case slot(k, q, 0) != string(first) || slot(k, q, 1) != string(second):
+			return fmt.Sprintf("the queue holds %q, %q", slot(k, q, 0), slot(k, q, 1))
+		case k.Net.RxPending() != 0:
+			return fmt.Sprintf("the ring tail is %d behind its head", k.Net.RxPending())
+		case k.M.Peek(res, 4) != 1 || k.M.Peek(buf, 1) != 'Q':
+			return fmt.Sprintf("the tty read returned %d, %q", int32(k.M.Peek(res, 4)), byte(k.M.Peek(buf, 1)))
+		}
+		return ""
+	})
 }

@@ -68,14 +68,13 @@ func (q *KQueue) Gauge(m *m68k.Machine) uint32 {
 	return m.Peek(q.Addr+KQGauge, 4)
 }
 
-// emitCopy's forms; the block form moves through D2-D7/A2-A3.
-const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, 0x0cfc
+// emitCopy's forms. The block forms move their groups through
+// D3-D7/A3-A5, saved around the group loop; the summing one keeps its
+// sum in D2.
+const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, 0x38f8
 
 // emitCopy emits an inline byte copier: D1 bytes from (A0)+ to (A1)+,
-// long words first, byte tail after. Clobbers D0 and D1. The summing
-// form also leaves the wire checksum in D2: each long is added from
-// where it landed, and the byte tail's long, zeroed first, once after
-// its bytes (A1 is left at that long). This is the
+// long words first, byte tail after. Clobbers D0 and D1. This is the
 // unrolled-into-the-caller block transfer of Section 6.2 ("the
 // generated code loads long words from one quaspace into registers
 // and stores them back in the other quaspace").
@@ -83,18 +82,19 @@ const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, 0x0cfc
 // A group is eight MOVE.L (A0)+,(A1)+ and a DBRA, 102 cycles at the SUN
 // 3/160 point, or two MOVEMs, a LEA and the DBRA, 87, plus 78 once to
 // save and restore the registers: the block form pays from the sixth
-// group. Bulk file and pipe streams take it; datagrams (two groups at
-// 64 bytes), A/D elements (one) and /proc reads keep the long form.
+// group. Bulk file and pipe streams take it; a socket's read (two
+// groups at 64 bytes), A/D elements (one) and /proc reads keep the long
+// form.
+//
+// The summing form is Clark and Tennenhouse's integrated
+// copy-and-checksum, taken by the send that stages a datagram and the
+// receive interrupt that deposits one: it also leaves in D2 the wire
+// checksum of the bytes zero-padded to a long. A group's eight longs
+// are added from the registers the MOVEM pair moved them through, a
+// leftover long from where it landed, and the byte tail's long, zeroed
+// first, once after its bytes (A1 is left at that long).
 func emitCopy(e *synth.Emitter, form int) {
-	block, sum := form == blockCopy, form == sumCopy
-	long := func() {
-		if !sum {
-			e.MoveL(m68k.PostInc(0), m68k.PostInc(1))
-			return
-		}
-		e.MoveL(m68k.PostInc(0), m68k.Ind(1))
-		e.AddL(m68k.PostInc(1), m68k.D(2))
-	}
+	sum := form == sumCopy
 	if sum {
 		e.Clr(4, m68k.D(2))
 	}
@@ -104,22 +104,30 @@ func emitCopy(e *synth.Emitter, form int) {
 	e.MoveL(m68k.D(1), m68k.D(0))
 	e.LsrL(m68k.Imm(5), m68k.D(0))
 	e.Beq("kcp_longs")
-	if block {
+	if form != longCopy {
 		e.MovemSave(copyRegs, m68k.PreDec(7))
 	}
 	e.SubL(m68k.Imm(1), m68k.D(0))
 	e.Label("kcp_32")
-	if block {
+	if form == longCopy {
+		for i := 0; i < 8; i++ {
+			e.MoveL(m68k.PostInc(0), m68k.PostInc(1))
+		}
+	} else {
 		e.MovemRest(m68k.PostInc(0), copyRegs)
 		e.MovemSave(copyRegs, m68k.Ind(1))
-		e.Lea(m68k.Disp(32, 1), 1)
-	} else {
-		for i := 0; i < 8; i++ {
-			long()
+		if sum {
+			for r := uint8(3); r < 8; r++ {
+				e.AddL(m68k.D(r), m68k.D(2))
+			}
+			for r := uint8(3); r < 6; r++ {
+				e.AddL(m68k.A(r), m68k.D(2))
+			}
 		}
+		e.Lea(m68k.Disp(32, 1), 1)
 	}
 	e.Dbra(0, "kcp_32")
-	if block {
+	if form != longCopy {
 		e.MovemRest(m68k.PostInc(7), copyRegs)
 	}
 	e.Label("kcp_longs")
@@ -129,7 +137,12 @@ func emitCopy(e *synth.Emitter, form int) {
 	e.Beq("kcp_tail")
 	e.SubL(m68k.Imm(1), m68k.D(0))
 	e.Label("kcp_4")
-	long()
+	if sum {
+		e.MoveL(m68k.PostInc(0), m68k.Ind(1))
+		e.AddL(m68k.PostInc(1), m68k.D(2))
+	} else {
+		e.MoveL(m68k.PostInc(0), m68k.PostInc(1))
+	}
 	e.Dbra(0, "kcp_4")
 	e.Label("kcp_tail")
 	e.AndL(m68k.Imm(3), m68k.D(1))

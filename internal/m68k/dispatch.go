@@ -855,9 +855,10 @@ func cMove(in *Instr) runFn {
 
 // cAddSub compiles ADD and SUB: a data register or immediate source into
 // Dn in a body that calls nothing it cannot inline, a long
-// register-relative source into Dn, a data register or immediate into
-// An, and a data register or immediate into memory, a read-modify-write
-// with the address computed once.
+// register-relative source into Dn, a long address register added into
+// Dn, a data register or immediate into An, and a data register or
+// immediate into memory, a read-modify-write with the address computed
+// once.
 func cAddSub(in *Instr) runFn {
 	sz := in.Size()
 	mask, sign := maskFor(sz)
@@ -904,6 +905,14 @@ func cAddSub(in *Instr) runFn {
 			} else {
 				m.setAddFlagsMask(old, s, nw, 0xffff_ffff, 0x8000_0000)
 			}
+			return nil
+		}
+	case in.Dst.Mode == ModeDReg && in.Src.Mode == ModeAReg && sz == 4 && !sub: // the summing copy's add.l an,d2
+		a := in.Src.Reg
+		return func(m *Machine) error {
+			s, old := m.A[a], m.D[r]
+			m.D[r] = old + s
+			m.setAddFlagsMask(old, s, old+s, 0xffff_ffff, 0x8000_0000)
 			return nil
 		}
 	case in.Dst.Mode == ModeAReg && regimm: // ADDA/SUBA set no flags

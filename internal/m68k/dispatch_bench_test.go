@@ -103,7 +103,7 @@ func BenchmarkCopyLoop(b *testing.B) { benchCopy(b, false) }
 func BenchmarkMovemCopyLoop(b *testing.B) { benchCopy(b, true) }
 
 func benchCopy(b *testing.B, block bool) {
-	const passes, regs = 100, 0x0cfc // D2-D7, A2-A3
+	const passes, regs = 100, 0x38f8 // D3-D7, A3-A5
 	m := New(Config{})
 	m.A[7] = 0x8000
 	entry := m.CodeTop

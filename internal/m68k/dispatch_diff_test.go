@@ -390,7 +390,8 @@ const (
 // modes into a data register, MOVE/CMP into an address register;
 // MOVE/ADD/SUB of a data register, address register or immediate to
 // each, and of a data register or immediate into an address register;
-// MOVE of an address register to either kind of register; ADD, SUB,
+// MOVE of an address register to either kind of register, ADD and SUB
+// of one into a data register; ADD, SUB,
 // CMP, AND, OR, EOR, LSL, LSR and ASR from a data register or immediate
 // into a data register, TST and CLR of one; LEA and the cell of a
 // memory-indirect JMP/JSR in each mode; JMP and JSR to a constant
@@ -417,7 +418,8 @@ const (
 // forming the destination address before the source load; the byte and
 // word load into Dn merging the loaded value unmasked; MOVE.L Dn,Dn
 // taking N/Z from the low word; MOVE.L #imm,Dn with N and Z swapped;
-// MOVE.L An,Dn setting no N/Z; MOVEA of Dn or #imm setting N/Z; MOVEA
+// MOVE.L An,Dn setting no N/Z; ADD.L An,Dn taking the flags from the
+// source's namesake Dn; MOVEA of Dn or #imm setting N/Z; MOVEA
 // An,An reading Dn; SUBA adding; the long absolute or indexed CMP into
 // Dn with its operands swapped; the byte and word CMP taking flags at
 // the long width; CMP.L into An comparing Dn; TST of a byte or word Dn
@@ -497,6 +499,12 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			}
 			in := Instr{Op: op, Sz: sz, Src: operand(sm, sr), Dst: operand(dm, dr)}
 			st := newState(c == dirUserNoSrc || c == dirUserNoDst || rng.Intn(2) == 0)
+			if sm == ModeAReg && sr != 7 && (dm == ModeDReg || dm == ModeAReg) {
+				// A source into a register, not an address: any value,
+				// both signs. Into memory it keeps its RAM address, so a
+				// same-register store is executed, not only faulted.
+				st.A[sr] = rng.Uint32()
+			}
 			// An indexed operand's index is a data register, or an address
 			// register that is neither operand's base, holding a small value.
 			index := func(o *Operand) {
@@ -621,7 +629,9 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			shape(op, ModeDReg, ModeAReg, sz)
 			shape(op, ModeImm, ModeAReg, sz)
 		}
-		shape(MOVE, ModeAReg, ModeDReg, sz)
+		for _, op := range []Op{MOVE, ADD, SUB} {
+			shape(op, ModeAReg, ModeDReg, sz)
+		}
 		shape(MOVE, ModeAReg, ModeAReg, sz)
 		shape(CLR, ModeNone, ModeDReg, sz)
 		for _, op := range []Op{AND, OR, EOR, LSL, LSR, ASR} {

@@ -2,9 +2,9 @@
 // Synthesis kernel's code synthesizer builds kernel routines with it:
 // templates append instructions through a Builder, branch targets are
 // symbolic labels, and Link resolves the labels and installs the
-// routine into the machine's code space. Installed code can be
-// patched in place, which is how executable data structures
-// (Section 2.2 of the paper) update themselves.
+// routine into the machine's code space. Installed code is patched in
+// place through the machine's PatchCode, which is how executable data
+// structures (Section 2.2 of the paper) update themselves.
 package asmkit
 
 import (
@@ -352,15 +352,6 @@ func (b *Builder) Bne(label string) *Builder { return b.branch(m68k.BNE, label) 
 // Blt appends blt label.
 func (b *Builder) Blt(label string) *Builder { return b.branch(m68k.BLT, label) }
 
-// Ble appends ble label.
-func (b *Builder) Ble(label string) *Builder { return b.branch(m68k.BLE, label) }
-
-// Bgt appends bgt label.
-func (b *Builder) Bgt(label string) *Builder { return b.branch(m68k.BGT, label) }
-
-// Bge appends bge label.
-func (b *Builder) Bge(label string) *Builder { return b.branch(m68k.BGE, label) }
-
 // Bhi appends bhi label (unsigned greater).
 func (b *Builder) Bhi(label string) *Builder { return b.branch(m68k.BHI, label) }
 
@@ -392,15 +383,6 @@ func (b *Builder) Jmp(addr uint32) *Builder {
 	return b.I(m68k.Instr{Op: m68k.JMP, Dst: m68k.Abs(addr)})
 }
 
-// JmpLabel appends jmp to a label in this routine.
-func (b *Builder) JmpLabel(label string) *Builder { return b.branch(m68k.JMP, label) }
-
-// JmpOp appends jmp through an arbitrary effective address (register
-// indirect, register+displacement, and so on).
-func (b *Builder) JmpOp(ea m68k.Operand) *Builder {
-	return b.I(m68k.Instr{Op: m68k.JMP, Dst: ea})
-}
-
 // JmpVia appends the 68020 memory-indirect jump "jmp ([cell])": the
 // target is loaded at run time from the memory location the operand
 // designates. The executable ready queue threads its context-switch
@@ -417,11 +399,6 @@ func (b *Builder) JsrVia(cell m68k.Operand) *Builder {
 // Jsr appends jsr to an absolute code address.
 func (b *Builder) Jsr(addr uint32) *Builder {
 	return b.I(m68k.Instr{Op: m68k.JSR, Dst: m68k.Abs(addr)})
-}
-
-// JsrOp appends jsr through an effective address.
-func (b *Builder) JsrOp(ea m68k.Operand) *Builder {
-	return b.I(m68k.Instr{Op: m68k.JSR, Dst: ea})
 }
 
 // Rts appends rts.
@@ -515,25 +492,4 @@ func (b *Builder) FmoveFrom(fp uint8, dst m68k.Operand) *Builder {
 // Fadd appends fadd src,FPn.
 func (b *Builder) Fadd(src m68k.Operand, fp uint8) *Builder {
 	return b.I(m68k.Instr{Op: m68k.FADD, Src: src, Fp: fp})
-}
-
-// Fmul appends fmul src,FPn.
-func (b *Builder) Fmul(src m68k.Operand, fp uint8) *Builder {
-	return b.I(m68k.Instr{Op: m68k.FMUL, Src: src, Fp: fp})
-}
-
-// ---------------------------------------------------------------------
-// In-place patch helpers for executable data structures.
-
-// PatchJmp rewrites the instruction at addr to jmp target. The ready
-// queue's context-switch chain is maintained with exactly this patch
-// (Figure 3: "a jmp instruction in each context-switch-out procedure
-// points to the context-switch-in procedure of the following thread").
-func PatchJmp(m *m68k.Machine, addr, target uint32) {
-	m.PatchCode(addr, m68k.Instr{Op: m68k.JMP, Dst: m68k.Abs(target)})
-}
-
-// PatchJsr rewrites the instruction at addr to jsr target.
-func PatchJsr(m *m68k.Machine, addr, target uint32) {
-	m.PatchCode(addr, m68k.Instr{Op: m68k.JSR, Dst: m68k.Abs(target)})
 }

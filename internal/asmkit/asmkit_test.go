@@ -103,34 +103,6 @@ func TestProgramExportImportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPatchJmpRedirectsInstalledCode(t *testing.T) {
-	m := newM()
-	t1 := asmkit.New()
-	t1.MoveL(m68k.Imm(111), m68k.D(0))
-	t1.Halt()
-	addr1 := t1.Link(m)
-	t2 := asmkit.New()
-	t2.MoveL(m68k.Imm(222), m68k.D(0))
-	t2.Halt()
-	addr2 := t2.Link(m)
-
-	b := asmkit.New()
-	b.Jmp(addr1)
-	entry := b.Link(m)
-	run(t, m, entry)
-	if m.D[0] != 111 {
-		t.Fatalf("pre-patch D0 = %d", m.D[0])
-	}
-	// Patch the jump in place: the executable-data-structure
-	// maintenance primitive.
-	asmkit.PatchJmp(m, entry, addr2)
-	m.ClearHalt()
-	run(t, m, entry)
-	if m.D[0] != 222 {
-		t.Errorf("post-patch D0 = %d, want 222", m.D[0])
-	}
-}
-
 func TestJmpViaFollowsCell(t *testing.T) {
 	m := newM()
 	t1 := asmkit.New()

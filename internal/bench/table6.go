@@ -204,7 +204,7 @@ func Table6() (Table, error) {
 	}
 	t.Rows = append(t.Rows,
 		Row{Name: "socket open, synthesized", Measured: sOpen, Unit: "usec",
-			Note: "includes charged synthesis of send/recv + handler resynthesis"},
+			Note: "charged synthesis of send/recv; the demux cell patch is charged 8 cycles, the per-instruction part"},
 		Row{Name: "socket open, generic sunos", Measured: uOpen, Unit: "usec",
 			Note: "table scans + falloc only"},
 	)

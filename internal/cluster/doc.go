@@ -7,7 +7,7 @@
 // changing it: a cluster address packs a node id into the high byte
 // of the 32-bit port word (net.MakeAddr), the fabric routes on that
 // byte, and pops it before a frame enters a VM — so the synthesized
-// receive handler's compare-immediate demux chains, the per-socket
+// receive handler's compare-immediate demux cells, the per-socket
 // send routines, and the NIC device are all byte-identical to the
 // single-machine configuration. Scale composes around the synthesized
 // code, never through it.

@@ -21,8 +21,9 @@ const (
 // here is the only generic part of the path.
 //
 // With churnEvery > 0 the thread closes and reopens its socket after
-// that many echoes, exercising handler resynthesis (the demux compare
-// chain is rebuilt on every open/close) under live fleet traffic. A
+// that many echoes, exercising the demux patch (each open and close
+// rewrites its socket's compare cell in the receive handler) under
+// live fleet traffic. A
 // failed open (port still open, descriptors or the socket table full;
 // sockets take no heap) exits the thread rather than spinning on a bad
 // fd.

@@ -53,7 +53,9 @@ type IO struct {
 	netCoalCell  uint32 // coalescing front-end interrupt counter
 	netSockTab   uint32 // socket table: MaxSockets [port][queue or 0] entries
 	netBlocks    uint32 // socket blocks, one per table entry
-	netGeneric   bool   // demux strategy: layered table walk, not compare chain
+	netCells     uint32 // MaxSockets longs: each entry's demux cell in netCode
+	netCode      uint32 // the receive handler's code region, netIntrSlots long
+	netGeneric   bool   // demux strategy: layered table walk, not compare cells
 	netCoalesce  uint32 // >0: storm throttle, drain every Nth interrupt
 	netWD        *Watchdog
 

@@ -100,11 +100,10 @@ func TestSocketMetricsServeQueueCells(t *testing.T) {
 	if got := snap.Counters["synth.kio.net_intr.calls"]; got < rounds {
 		t.Errorf("synth.kio.net_intr.calls = %d, want >= %d", got, rounds)
 	}
-	// The handler was resynthesized at install and on each of the two
-	// opens; the counter survives resynthesis because the plane keeps
-	// one cell per region name.
-	if got := snap.Counters["synth.kio.net_intr.resynth"]; got != 3 {
-		t.Errorf("synth.kio.net_intr.resynth = %d, want 3", got)
+	// The handler was synthesized once, at install: the two opens
+	// patched their demux cells.
+	if got := snap.Counters["synth.kio.net_intr.resynth"]; got != 1 {
+		t.Errorf("synth.kio.net_intr.resynth = %d, want 1", got)
 	}
 	if got := snap.Counters["kernel.spurious_irq"]; got != 0 {
 		t.Errorf("kernel.spurious_irq = %d", got)

@@ -19,10 +19,11 @@ import (
 // the head, no CAS), with Figure 2's per-slot valid flags kept so the
 // consumer trusts only the flags. The deposit copies and sums the
 // frame in one pass and publishes the slot only if the sum matches
-// (Collapsing Layers: no separate verify walk). The demultiplex chain
-// is resynthesized on every socket open and close, so the port numbers
-// are compare-immediates in the handler, not a table walk (Factoring
-// Invariants applied to the interrupt path itself).
+// (Collapsing Layers: no separate verify walk). The demultiplexer is an
+// executable data structure: one cell of the handler per socket table
+// entry, whose compare-immediate holds the port while the entry is open
+// (Factoring Invariants applied to the interrupt path itself, not a
+// table walk), rewritten by the entry's open and close.
 //
 // A socket is an entry of one table in machine memory, [port][queue],
 // the queue cell 0 while the entry is free. Each entry owns a queue
@@ -68,6 +69,9 @@ const (
 	MaxSockets    = 16
 	sockEntrySize = 8 // [port][queue or 0]
 	sockBlockSize = nqSize + synnet.FrameMax + 4
+	// The receive handler's code region, sized for its largest variant
+	// (demux cells, coalescing, storm gauge, counter): rebuilds are in place.
+	netIntrSlots = 152
 )
 
 // Send retry policy: a refused launch (ring full) is retried with an
@@ -101,13 +105,13 @@ func (io *IO) NetStackDrops() uint32 {
 	return io.K.M.Peek(io.netDropCell, 4)
 }
 
-// installNet allocates the NIC's DMA receive ring and the socket
-// table with its blocks, programs the device, and installs the
-// (initially socket-less) receive handler.
+// installNet allocates the NIC's DMA receive ring, the socket table
+// with its blocks and the receive handler's code region, programs the
+// device, and synthesizes the (initially socket-less) receive handler.
 func (io *IO) installNet() {
 	k := io.K
-	// [tail][stack-drop][storm][coalesce][socket table][ring][socket blocks]
-	const cells = 16 + MaxSockets*sockEntrySize
+	// [tail][stack-drop][storm][coalesce][socket table][demux cells][ring][socket blocks]
+	const cells = 16 + MaxSockets*sockEntrySize + MaxSockets*4
 	const ring = NetRingSlots * netRingSlotSz
 	base, err := k.Heap.Alloc(cells + ring + MaxSockets*sockBlockSize)
 	if err != nil {
@@ -118,9 +122,11 @@ func (io *IO) installNet() {
 	io.netStormCell = base + 8
 	io.netCoalCell = base + 12
 	io.netSockTab = base + 16
+	io.netCells = io.netSockTab + MaxSockets*sockEntrySize
 	io.netRing = base + cells
 	io.netBlocks = base + cells + ring
 	k.M.PokeBytes(base, make([]byte, cells))
+	io.netCode = k.M.AllocCode(netIntrSlots)
 
 	k.M.Store(m68k.NetBase+m68k.NetRegRxBase, 4, io.netRing)
 	k.M.Store(m68k.NetBase+m68k.NetRegRxSlots, 4, NetRingSlots)
@@ -131,14 +137,13 @@ func (io *IO) installNet() {
 	io.resynthNetHandler()
 }
 
-// resynthNetHandler rebuilds the receive interrupt handler and
-// installs it in every vector table. The previous handler stays in
-// code space and in the creator's cache: the same live entries get it
-// back, since an entry's queue address never changes.
+// resynthNetHandler synthesizes the receive interrupt handler into its
+// code region and installs it in every vector table, at install and on
+// the watchdog's mode changes only.
 //
 // The handler is synthesized in one of two demultiplex disciplines:
-// the Synthesis one (the open sockets' ports folded in as
-// compare-immediates) or — after the watchdog has declared the
+// the Synthesis one (one compare cell per socket table entry, written
+// from the table) or — after the watchdog has declared the
 // synthesized handler wedged — the generic layered one, a run-time
 // walk of the socket table, the way a conventional kernel would do
 // it. When the watchdog has engaged the storm throttle, a coalescing
@@ -152,7 +157,6 @@ func (io *IO) resynthNetHandler() {
 	ring := io.netRing
 	rxHead := m68k.NetBase + m68k.NetRegRxHead
 	rxTail := m68k.NetBase + m68k.NetRegRxTail
-	socks := io.NetSockets()
 	generic := io.netGeneric
 	coalesce := io.netCoalesce
 
@@ -160,7 +164,15 @@ func (io *IO) resynthNetHandler() {
 	if generic {
 		name = "net_intr_generic"
 	}
-	h := k.C.Build(nil, name).Named("kio." + name).Counted().Emit(func(e *synth.Emitter) {
+	b := k.C.Build(nil, name).Named("kio."+name).Counted().At(io.netCode, netIntrSlots)
+	cells := make([]string, MaxSockets)
+	for i := range cells {
+		cells[i] = fmt.Sprint("nd_c", i)
+	}
+	if !generic {
+		b.Table(io.netCells, cells)
+	}
+	h := b.Emit(func(e *synth.Emitter) {
 		// Run to completion: the mask keeps the higher-level device
 		// handlers, whose wakes also splice the ready ring, from nesting
 		// inside the drain's wake and ready-ring insert. The quantum
@@ -221,24 +233,23 @@ func (io *IO) resynthNetHandler() {
 			e.MoveL(m68k.D(3), m68k.A(2))
 			e.Bra("nd_dep")
 		} else {
-			// Synthesis discipline: the open sockets' ports are
-			// synthesis-time constants; the "port table" is this
-			// compare chain.
-			for i, s := range socks {
-				e.CmpL(m68k.Imm(int32(s.Port)), m68k.D(1))
-				e.Beq(sockLabel(i))
+			// Synthesis discipline: the "port table" is these cells,
+			// cmp.l #port,d1 and beq to the block that loads the entry's
+			// queue. The compares are placeholders: demuxCell writes
+			// every cell from the socket table once it is installed.
+			for _, c := range cells {
+				e.Label(c)
+				e.CmpL(m68k.Imm(0), m68k.D(1))
+				e.Beq(c + "q")
 			}
 			e.AddL(m68k.Imm(1), m68k.Abs(dropCell)) // nobody home
 			e.Bra("nd_next")
-			for i, s := range socks {
-				e.Label(sockLabel(i))
-				e.Lea(m68k.Abs(s.Queue), 2)
+			// Entry 0's block, the one a lone socket takes, falls through
+			// into the deposit.
+			for i := MaxSockets - 1; i >= 0; i-- {
+				e.Label(cells[i] + "q")
+				e.Lea(m68k.Abs(io.netBlocks+uint32(i)*sockBlockSize), 2)
 				e.Bra("nd_dep")
-			}
-			if len(socks) == 0 {
-				// Keep the shared deposit block reachable-by-label even
-				// with no sockets; it is simply never branched to.
-				e.Bra("nd_next")
 			}
 		}
 
@@ -295,16 +306,32 @@ func (io *IO) resynthNetHandler() {
 		e.MovemRest(m68k.PostInc(7), saved)
 		e.Rte()
 	})
+	if !generic {
+		for i := range uint32(MaxSockets) {
+			k.M.PatchCode(io.demuxCell(i))
+		}
+	}
 	k.SetVector(m68k.VecAutovector+m68k.IRQNet, h)
 }
 
-func sockLabel(i int) string {
-	return "nd_s" + string(rune('0'+i))
+// demuxCell returns entry i's demux cell and the instruction the
+// socket table puts there: the compare against the entry's port while
+// it is open, a branch over the cell's beq to the next cell while it is
+// free. An open or close patches the one slot inside its KCALL, so the
+// masked handler never sees half of it; the generic walk has no cells.
+func (io *IO) demuxCell(i uint32) (uint32, m68k.Instr) {
+	m := io.K.M
+	cell := m.Peek(io.netCells+4*i, 4)
+	e := io.netSockTab + i*sockEntrySize
+	if m.Peek(e+4, 4) == 0 {
+		return cell, m68k.Instr{Op: m68k.BRA, Dst: m68k.Abs(cell + 2)}
+	}
+	return cell, m68k.Instr{Op: m68k.CMP, Sz: 4, Src: m68k.Imm(int32(m.Peek(e, 4))), Dst: m68k.D(1)}
 }
 
 // OpenSocket binds a datagram socket to a local port, connected to a
-// remote port: it takes a free socket table entry, rebuilds the
-// demultiplex chain, and synthesizes the socket's send and receive
+// remote port: it takes a free socket table entry, patches the entry's
+// demux cell, and synthesizes the socket's send and receive
 // routines on a fresh descriptor of t. The entry is the one this port
 // last held, else one no port has held, else the first free one, so a
 // reopened port's routines fold in the queue they were built for.
@@ -341,7 +368,9 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 	m.Poke(e, 4, local)
 	m.Poke(e+4, 4, q)
 	io.registerSockMetrics(local, q)
-	io.resynthNetHandler()
+	if !io.netGeneric {
+		io.K.C.Patch(io.demuxCell(uint32(i)))
+	}
 
 	read := io.synthSockRecv(t, fd, local, q)
 	write := io.synthSockSend(t, fd, local, remote, q)
@@ -354,12 +383,15 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 
 // closeSocket frees the table entry owning queue q: the entry keeps
 // its port and its block for the port's next open, its metrics go, and
-// the demultiplex chain is rebuilt without it.
+// its demux cell becomes a branch past it.
 func (io *IO) closeSocket(q uint32) {
-	e := io.netSockTab + (q-io.netBlocks)/sockBlockSize*sockEntrySize
+	i := (q - io.netBlocks) / sockBlockSize
+	e := io.netSockTab + i*sockEntrySize
 	io.K.M.Poke(e+4, 4, 0)
 	io.unregisterSockMetrics(io.K.M.Peek(e, 4))
-	io.resynthNetHandler()
+	if !io.netGeneric {
+		io.K.C.Patch(io.demuxCell(i))
+	}
 }
 
 // synthSockSend emits the socket's write routine: send(d1=buf,

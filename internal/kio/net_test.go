@@ -3,6 +3,8 @@ package kio_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"synthesis/internal/kernel"
@@ -155,6 +157,109 @@ func TestSocketCloseRemovesDemux(t *testing.T) {
 	}
 	if n := len(io.NetSockets()); n != 1 {
 		t.Errorf("open sockets = %d, want 1", n)
+	}
+}
+
+// TestDemuxMatchesSocketTable checks the receive demux against the
+// socket table it encodes. Sixteen threads hold a port each; a seeded
+// sequence of 200 steps opens or closes one thread's socket, and after
+// every step one frame goes to each of the sixteen ports and one to a
+// port nobody has held. Each frame must add one to the gauge of the
+// entry the table says owns its port, or count one stack drop when no
+// open entry does, and move nothing else. The sequence runs three
+// ways: on the synthesized demux cells, on the watchdog's generic table
+// walk, and with the storm throttle engaged halfway, whose in-place
+// rebuild must write every cell from the table again.
+//
+// Checked to fail, in a scratch copy, with close leaving its cell's
+// compare in place (a closed port's frame is deposited), and with the
+// rebuild leaving the cells as the template lays them out instead of
+// writing them from the table (after the throttle every frame for an
+// open port is a stack drop).
+func TestDemuxMatchesSocketTable(t *testing.T) {
+	const port, stray, steps = 200, 999, 200
+	for _, mode := range []struct {
+		name           string
+		generic        bool
+		throttleAtStep int
+	}{
+		{"synthesized", false, -1},
+		{"generic", true, -1},
+		{"throttled halfway", false, steps / 2},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			k, io := boot(t)
+			io.SetNetMode(mode.generic, false)
+			th := make([]*kernel.Thread, kio.MaxSockets)
+			for i := range th {
+				th[i] = k.SpawnKernelStopped(fmt.Sprintf("t%d", i), 0)
+			}
+			k.Start(k.SpawnKernel("spin", k.C.Synthesize(nil, "spin", nil, func(e *synth.Emitter) {
+				e.Label("spin")
+				e.Bra("spin")
+			})))
+			// deliver injects one frame for each port and steps until the
+			// ring is drained and the handler has returned, posting the
+			// interrupt again for the throttle's batching.
+			deliver := func(ports ...uint32) {
+				t.Helper()
+				for _, p := range ports {
+					payload := []byte{byte(p), byte(p >> 8)}
+					k.Net.InjectFrame(synnet.EncodeFrame(synnet.Frame{Dst: p, Src: stray, Sum: synnet.Checksum(payload), Payload: payload}))
+				}
+				err := stepUntil(k, func() bool {
+					if k.M.IPL() != 0 {
+						return false
+					}
+					k.M.PostInterrupt(m68k.IRQNet)
+					return k.Net.RxPending() == 0
+				})
+				if err != nil || k.Net.RxPending() != 0 {
+					t.Fatalf("the ring did not drain: %v", err)
+				}
+			}
+			held := make([]bool, kio.MaxSockets)
+			ports := make([]uint32, kio.MaxSockets)
+			for i := range ports {
+				ports[i] = port + uint32(i)
+			}
+			rng := rand.New(rand.NewSource(7))
+			for step := range steps {
+				if step == mode.throttleAtStep {
+					io.SetNetMode(false, true)
+				}
+				i := rng.Intn(kio.MaxSockets)
+				if held[i] {
+					io.Close(th[i], 0)
+				} else if io.OpenSocket(th[i], ports[i], stray) != 0 {
+					t.Fatalf("step %d: %s could not open port %d", step, th[i].Name, ports[i])
+				}
+				held[i] = !held[i]
+
+				socks := io.NetSockets()
+				gauge := func(s kio.Socket) uint32 { return k.M.Peek(s.Queue+kio.NQGauge, 4) }
+				before := make([]uint32, len(socks))
+				for j, s := range socks {
+					if !held[s.Port-port] {
+						t.Fatalf("step %d: port %d is in the table but closed", step, s.Port)
+					}
+					before[j] = gauge(s)
+				}
+				drops := io.NetStackDrops()
+				deliver(ports...)
+				deliver(stray)
+				for j, s := range socks {
+					if got := gauge(s) - before[j]; got != 1 {
+						t.Fatalf("step %d: port %d took %d of its one frame", step, s.Port, got)
+					}
+					// The host reads the frame: the queue never fills.
+					k.M.Poke(s.Queue+kio.NQTail, 4, k.M.Peek(s.Queue+kio.NQHead, 4))
+				}
+				if got, want := io.NetStackDrops()-drops, uint32(kio.MaxSockets-len(socks)+1); got != want {
+					t.Fatalf("step %d: %d stack drops for %d frames nobody owns", step, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -1,10 +1,10 @@
 package kio_test
 
 import (
+	"fmt"
 	"testing"
 
 	"synthesis/internal/kernel"
-	"synthesis/internal/kio"
 	"synthesis/internal/m68k"
 	"synthesis/internal/synth"
 )
@@ -25,18 +25,16 @@ import (
 //     deleted;
 //   - the re-check moved before the OrSR that raises the mask.
 func TestOneByteGetParkWindowEnumerated(t *testing.T) {
-	const nameAddr, res, buf = 0x9100, 0x9000, 0x9300
+	const res, buf = 0x9000, 0x9300
 	const deliverWithin = 5_000 // cycles from the byte's arrival to the reader's return
 	// A parked read runs the empty check, the masked re-check and park,
 	// then the one-byte get: 29 instructions. A woken read that went
 	// through the bulk loop for its one byte would run 76.
 	const maxReadInstrs = 32
 	boot := func() (*kernel.Kernel, *kernel.Thread) {
-		k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}, Profile: true})
-		kio.Install(k)
-		pokeName(k, nameAddr, "/dev/rawtty")
+		k, _ := enumBoot()
 		prog := k.C.Synthesize(nil, "reader", nil, func(e *synth.Emitter) {
-			emitOpen(e, nameAddr) // fd 0
+			emitOpen(e, ttyName) // fd 0
 			e.MoveL(m68k.Imm(buf), m68k.D(1))
 			e.MoveL(m68k.Imm(1), m68k.D(2))
 			e.Kcall(kernel.SvcMark)
@@ -53,35 +51,34 @@ func TestOneByteGetParkWindowEnumerated(t *testing.T) {
 	// The window: from the mark in front of the trap to the first
 	// instruction another thread runs.
 	k, th := boot()
-	for len(k.Marks) == 0 || k.CurTTE() == th.TTE {
-		if err := k.M.Step(); err != nil {
-			t.Fatalf("reader never parked on an empty queue: %v", err)
-		}
+	parked := func() bool { return len(k.Marks) != 0 && k.CurTTE() != th.TTE }
+	if err := stepUntil(k, parked); err != nil || !parked() {
+		t.Fatalf("reader never parked on an empty queue: %v", err)
 	}
 	from, to := k.Marks[0], k.M.Cycles
 	if len(k.Marks) != 1 {
 		t.Fatalf("the reader returned without a byte")
 	}
 
-	for at := from; at <= to; at++ {
+	enumerate(t, from, to, func(at uint64) string {
 		k, _ := boot()
 		k.TTY.InputAt('Q', at)
 		err := k.Run(to + 2*deliverWithin)
 		switch {
 		case err != nil:
-			t.Fatalf("byte at cycle %d (window %d..%d): %v", at, from, to, err)
+			return fmt.Sprintf("the machine stopped: %v", err)
 		case len(k.Marks) != 2:
-			t.Fatalf("byte at cycle %d (window %d..%d): the reader never returned", at, from, to)
+			return "the reader never returned"
 		case k.M.Peek(res, 4) != 1 || k.M.Peek(buf, 1) != 'Q':
-			t.Fatalf("byte at cycle %d: read returned %d, %q", at, int32(k.M.Peek(res, 4)), byte(k.M.Peek(buf, 1)))
+			return "the read did not return the byte"
 		case k.Marks[1] > max(at, from)+deliverWithin:
-			t.Fatalf("byte at cycle %d reached the reader at cycle %d", at, k.Marks[1])
+			return fmt.Sprintf("the byte reached the reader more than %d cycles after it arrived", deliverWithin)
 		}
 		for _, st := range k.Prof.Top(0) {
 			if st.Name == "thread:reader.rawtty_read" && st.Instrs > maxReadInstrs {
-				t.Fatalf("byte at cycle %d: the read ran %d instructions, want at most %d (the woken get left the one-byte path)", at, st.Instrs, maxReadInstrs)
+				return fmt.Sprintf("the read ran more than %d instructions: the woken get left the one-byte path", maxReadInstrs)
 			}
 		}
-	}
-	t.Logf("%d injection points, cycles %d..%d", to-from+1, from, to)
+		return ""
+	})
 }

@@ -35,7 +35,7 @@ func DecodeFrame(b []byte) (Frame, bool) {
 
 // Fabric addressing: a cluster address packs a node id into the high
 // byte of the 32-bit port word, leaving 24 bits of port space — the
-// kio port compare chains never see the node byte because the fabric
+// kio port compare cells never see the node byte because the fabric
 // pops it before injecting a frame into the destination VM. Node 0 is
 // the host (the load generator); VM nodes are 1-based.
 const (

@@ -86,8 +86,8 @@ func Of(m *m68k.Machine) *Profiler {
 
 // RegisterRegion names the code-space extent [base, base+instrs).
 // Re-registering an existing name repoints it: in-place or moved
-// resynthesis (context-switch rewrite, net_intr rebuild on socket
-// open) keeps charging the same logical region. Pseudo-regions pass
+// resynthesis (context-switch rewrite, net_intr rebuild on a watchdog
+// mode change) keeps charging the same logical region. Pseudo-regions pass
 // instrs == 0 and get no address range.
 func (p *Profiler) RegisterRegion(name string, base uint32, instrs int) {
 	id, ok := p.ids[name]

@@ -20,8 +20,10 @@
 //     shape for a known value (env.go). Collapsing Layers: a layer is
 //     composed by calling its emit helper instead of emitting a JSR
 //     (kio's cooked tty read, /proc read and net handler each take the
-//     layer boundary as a parameter). Executable Data Structures:
-//     asmkit's patchable jumps; the kernel's ready queue uses them.
+//     layer boundary as a parameter). Executable Data Structures: a
+//     structure kept in code changes by rewriting one instruction
+//     (Creator.Patch; kio's receive demux cells) or one cell that code
+//     jumps through (the ready queue's next-switch cell in each TTE).
 //   - content cache: the emitted program is looked up by content; a
 //     hit skips the next stages' work but is accounted like a miss.
 //   - peephole cleanups: optimize.go.
@@ -31,21 +33,18 @@
 //
 // What reaches the cleanups is already folded and collapsed, and the
 // stage is sized to its traffic. Measured with per-pass counters over
-// all eleven golden tables (1,537 optimizer runs, 31,991
-// instructions; the seven `go run ./benchmark` workloads, quamon
-// -watch/-cluster/-churn, synsh and the examples fire the same four
-// passes on the same templates, plus kio.sock*.send on a fleet, and
-// none of the other four):
+// all eleven golden tables (1,425 optimizer runs, 29,244
+// instructions; the examples, quamon -watch/-cluster -churn and synsh
+// fire the same passes on the same templates, and the seven
+// `go run ./benchmark` workloads add their synthesis-cost probe
+// routine, which is built to exercise all four):
 //
 //	pass              firings  instrs  routines
 //	removeNops              2       2  two bench victim loops
-//	dropBranchToNext       13      13  kio.net_intr
-//	deadCode               45      45  kio.net_intr
-//	redundantMoves         71      71  kio.net_intr 58, kio.sock*.recv 13
-//	threadJumps             0       0  -
-//	foldConstants           0       0  - (one operand in /dev/ad's read)
-//	strengthReduce          0       0  -
-//	deadStores              0       0  -
+//	dropBranchToNext       46      46  kio.net_intr, once per build
+//	deadCode                0       0  - (the benchmark's probe routine)
+//	redundantMoves         13      13  kio.sock*.recv
+//	threadJumps, foldConstants, strengthReduce, deadStores: none
 //
 // optimize.go implements the four with traffic and not the four
 // without. Creator.OptRemoved and OptChanged (synth.optimize.* in the
@@ -338,4 +337,14 @@ func (b *Builder) install(p asmkit.Program) cached {
 		c.Regions.RegisterRegion(b.regionName(), addr, regionLen)
 	}
 	return cached{addr: addr, st: st}
+}
+
+// Patch rewrites one slot of installed code, the way an executable data
+// structure changes. With ChargeTime it is charged the cost model's
+// per-instruction part alone: no template runs, nothing is allocated.
+func (c *Creator) Patch(addr uint32, in m68k.Instr) {
+	c.M.PatchCode(addr, in)
+	if c.ChargeTime {
+		c.M.Charge(SynthPerInstrCycles, "synthesis")
+	}
 }

@@ -1,6 +1,7 @@
 package synth_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -150,6 +151,37 @@ func TestTableFillsLinkedLabels(t *testing.T) {
 	}
 	if c.CacheHits != 0 || c.CacheEntries() != 0 {
 		t.Errorf("table builds touched the cache: hits %d entries %d", c.CacheHits, c.CacheEntries())
+	}
+}
+
+// Patch rewrites one slot of installed code so the next run executes
+// the new instruction, not a stale translation of the old, and with
+// ChargeTime it charges the per-instruction part of the cost model and
+// nothing else.
+func TestPatchRewritesInstalledCode(t *testing.T) {
+	c := synth.NewCreator(newM())
+	entry := c.Synthesize(nil, "r", nil, func(e *synth.Emitter) {
+		e.MoveL(m68k.Imm(111), m68k.D(0))
+		e.Halt()
+	})
+	run := func() {
+		t.Helper()
+		c.M.ClearHalt()
+		c.M.PC = entry
+		if err := c.M.Run(1_000); !errors.Is(err, m68k.ErrHalted) {
+			t.Fatal(err)
+		}
+	}
+	run()
+	c.ChargeTime = true
+	before := c.M.Cycles
+	c.Patch(entry, m68k.Instr{Op: m68k.MOVE, Sz: 4, Src: m68k.Imm(222), Dst: m68k.D(0)})
+	if got := c.M.Cycles - before; got != synth.SynthPerInstrCycles {
+		t.Errorf("a patch charged %d cycles, want %d", got, synth.SynthPerInstrCycles)
+	}
+	run()
+	if c.M.D[0] != 222 {
+		t.Errorf("after the patch D0 = %d, want 222 (stale translation)", c.M.D[0])
 	}
 }
 

@@ -11,7 +11,8 @@
 # plateaus, the receive demux checked against the socket table in
 # each handler mode, pipe churn returning its heap, an exiting thread closing
 # its descriptors, the declared synthesis keys checked
-# against their templates, the block
+# against their templates, every descriptor kind's UNIX entry against
+# its native one, bad descriptors through the UNIX gate, the block
 # copy preempted mid-group, the one-byte get's masked park with a tty
 # byte injected at every cycle of its window, and the quantum expiring
 # at every cycle of the net, tty and A/D handlers' windows and of the
@@ -32,11 +33,15 @@
 # (-benchtime 1x), so a benchmark that fails fails CI. `make tables` prints every table, `make profile` runs
 # one Table 1 program under the profiler and emits trace.json (load in
 # about:tracing or ui.perfetto.dev). `make loc` prints the number
-# ROADMAP tracks: lines of non-test Go outside benchmark/.
+# ROADMAP tracks: lines of non-test Go outside benchmark/. `make
+# placement` prints where (*Machine).Run, the dispatcher's fast loop,
+# lands in the benchmark binary, mod 64: its placement alone has moved
+# every workload's host numbers by a few percent between equivalent
+# builds (docs/PERFORMANCE.md), so quote it beside a wall-clock delta.
 
 GO ?= go
 
-.PHONY: tier1 race soak cluster-soak chaos-soak examples bench tables profile loc
+.PHONY: tier1 race soak cluster-soak chaos-soak examples bench tables profile loc placement
 
 tier1:
 	test -z "$$(gofmt -l .)"
@@ -50,7 +55,7 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestKeyedBuildsMatchTemplates|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable|TestUnixEntryMatchesNative|TestBadDescriptorsThroughUnixGate' \
 		./internal/kio/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 
@@ -84,3 +89,9 @@ profile:
 
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+
+placement:
+	@dir=$$(mktemp -d) && $(GO) build -o $$dir/benchmark ./benchmark && \
+	addr=$$($(GO) tool nm $$dir/benchmark | awk '$$3 ~ /m68k\.\(\*Machine\)\.Run$$/ {print $$1}') && \
+	rm -rf $$dir && test -n "$$addr" && \
+	echo "(*Machine).Run at 0x$$addr: $$((0x$$addr % 64)) mod 64"

@@ -55,7 +55,7 @@ type Kernel struct {
 	rtLookup    uint32 // d1 = name ptr: hashed-backwards directory walk
 	rtCreate    uint32 // kcreate: TTE fill + registration
 	rtLineF     uint32 // first-FP-use trap: resynthesize the switch
-	protoVec    uint32 // prototype vector table copied into new TTEs
+	protoVec    uint32 // prototype vector table, then prototype TTEUnixRW cells, copied into new TTEs
 
 	// Thread bookkeeping mirrors (Go side).
 	Threads map[uint32]*Thread // keyed by TTE address
@@ -268,6 +268,16 @@ func (k *Kernel) SetVector(vec int, addr uint32) {
 	k.M.Poke(k.protoVec+off, 4, addr)
 	for _, t := range k.Threads {
 		k.M.Poke(t.TTE+TTEVec+off, 4, addr)
+	}
+}
+
+// SetUnixRW points trap's UNIX cell (UnixRWOff) at addr in the
+// prototype and every live thread, as SetVector does a vector.
+func (k *Kernel) SetUnixRW(trap int, addr uint32) {
+	off := UnixRWOff(trap)
+	k.M.Poke(k.protoVec+m68k.VectorTableBytes+off-TTEUnixRW, 4, addr)
+	for _, t := range k.Threads {
+		k.M.Poke(t.TTE+off, 4, addr)
 	}
 }
 

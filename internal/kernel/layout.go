@@ -88,7 +88,7 @@ const (
 	TTEWaitsOn = 528 // wait-queue cell address this thread is blocked on (0 = runnable)
 	TTEErrPC   = 536 // user-mode error signal handler (0 = none: panic)
 	TTEFDBase  = 544 // per-descriptor state: MaxFD slots x FDSlotSize bytes
-	TTEScratch = 928 // per-thread scratch (signal trampolines, chaining)
+	TTEUnixRW  = 928 // UNIX entries of the descriptor routines: 2*MaxFD code addresses (UnixRWOff)
 	TTESize    = 1024
 )
 
@@ -113,6 +113,11 @@ const (
 func FDCell(tte uint32, fd, off int) uint32 {
 	return tte + TTEFDBase + uint32(fd*FDSlotSize+off)
 }
+
+// UnixRWOff returns the TTE offset of the cell the UNIX gate jumps
+// through for trap TrapRead+fd or TrapWrite+fd: the UNIX entry of the
+// routine whose native entry that trap's vector holds.
+func UnixRWOff(trap int) uint32 { return TTEUnixRW + uint32(trap-TrapRead)*4 }
 
 // Trap assignments (vector = 32 + trap number; each thread's vector
 // table routes them independently).

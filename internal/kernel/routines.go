@@ -292,14 +292,15 @@ func (k *Kernel) synthesizeShared() {
 
 	// The prototype vector table address is folded into kcreate's
 	// copy loop as a synthesis-time invariant, so it must be
-	// allocated before the routines are synthesized.
-	k.protoVec = k.alloc(m68k.NumVectors * 4)
+	// allocated before the routines are synthesized. The prototype
+	// TTEUnixRW cells follow it, so the copy runs on into them.
+	k.protoVec = k.alloc(m68k.VectorTableBytes + TTESize - TTEUnixRW)
 
 	k.rtLookup = k.synthesizeLookup(kq)
 	k.rtCreate = k.synthesizeCreate(kq)
 	sysDisp := k.synthesizeDispatch(kq)
-	for v := 0; v < m68k.NumVectors; v++ {
-		m.Poke(k.protoVec+uint32(v)*4, 4, k.rtPanicVec)
+	for off := uint32(0); off < m68k.VectorTableBytes+TTESize-TTEUnixRW; off += 4 {
+		m.Poke(k.protoVec+off, 4, k.rtPanicVec)
 	}
 	set := func(vec int, addr uint32) { m.Poke(k.protoVec+uint32(vec)*4, 4, addr) }
 	// Interrupt levels default to the spurious counter; drivers that
@@ -414,8 +415,8 @@ func (k *Kernel) synthesizeCreate(kq *synth.Quaject) uint32 {
 	return k.C.Synthesize(kq, "kcreate", nil, func(e *synth.Emitter) {
 		e.Kcall(SvcAllocTTE) // D0 = raw TTE memory
 		e.MoveL(m68k.D(0), m68k.PreDec(7))
-		// Fill the non-vector part of the TTE with unrolled clears
-		// (the vector area is overwritten by the copy right after).
+		// Fill the TTE with unrolled clears, all but the vector area
+		// and the UNIX cells, which the copy right after overwrites.
 		e.MoveL(m68k.D(0), m68k.A(0))
 		e.MoveL(m68k.Imm(TTEVec/16-1), m68k.D(0))
 		e.Label("clr1")
@@ -425,7 +426,7 @@ func (k *Kernel) synthesizeCreate(kq *synth.Quaject) uint32 {
 		e.Dbra(0, "clr1")
 		e.MoveL(m68k.Ind(7), m68k.A(0))
 		e.Lea(m68k.Disp(TTEVec+m68k.VectorTableBytes, 0), 0)
-		e.MoveL(m68k.Imm((TTESize-TTEVec-m68k.VectorTableBytes)/16-1), m68k.D(0))
+		e.MoveL(m68k.Imm((TTEUnixRW-TTEVec-m68k.VectorTableBytes)/16-1), m68k.D(0))
 		e.Label("clr2")
 		for i := 0; i < 4; i++ {
 			e.Clr(4, m68k.PostInc(0))
@@ -441,6 +442,14 @@ func (k *Kernel) synthesizeCreate(kq *synth.Quaject) uint32 {
 			e.MoveL(m68k.PostInc(0), m68k.PostInc(1))
 		}
 		e.Dbra(0, "cpy")
+		// Then the prototype UNIX cells, which follow it.
+		e.Lea(m68k.Disp(TTEUnixRW-TTEVec-m68k.VectorTableBytes, 1), 1)
+		e.MoveL(m68k.Imm((TTESize-TTEUnixRW)/16-1), m68k.D(0))
+		e.Label("cpyu")
+		for i := 0; i < 4; i++ {
+			e.MoveL(m68k.PostInc(0), m68k.PostInc(1))
+		}
+		e.Dbra(0, "cpyu")
 		// Register: Go wires the fields and synthesizes (and charges)
 		// the per-thread procedures.
 		e.MoveL(m68k.PostInc(7), m68k.D(0))

@@ -32,10 +32,14 @@ func (k *Kernel) newThread(name string, ubase, ulimit uint32, kernelMode bool) *
 	return k.initThread(tte, name, ubase, ulimit, kernelMode)
 }
 
-// copyProtoVectors copies the prototype vector table into a TTE.
+// copyProtoVectors copies the prototype vector table and UNIX cells
+// into a TTE.
 func (k *Kernel) copyProtoVectors(tte uint32) {
-	for i := uint32(0); i < m68k.NumVectors*4; i += 4 {
+	for i := uint32(0); i < m68k.VectorTableBytes; i += 4 {
 		k.M.Poke(tte+TTEVec+i, 4, k.M.Peek(k.protoVec+i, 4))
+	}
+	for i := uint32(0); i < TTESize-TTEUnixRW; i += 4 {
+		k.M.Poke(tte+TTEUnixRW+i, 4, k.M.Peek(k.protoVec+m68k.VectorTableBytes+i, 4))
 	}
 }
 

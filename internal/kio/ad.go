@@ -162,14 +162,14 @@ func (q *ADQueue) Completed(m *m68k.Machine) uint32 {
 // transfers as many completed 32-byte elements as fit the caller's
 // buffer, blocking until at least one is available.
 // read(d1=buf, d2=len) -> d0 = bytes.
-func (io *IO) synthAD(t *kernel.Thread, fd int32) uint32 {
+func (io *IO) synthAD(t *kernel.Thread, fd int32) entries {
 	q := io.adQ
 	headC := q.Addr + adHead
 	tailC := q.Addr + adTail
 	rwait := q.Addr + adRWait
 	bufBase := q.Addr + adBuf
 
-	return io.K.C.Build(t.Q, "ad_read").Key("kio.ad_read").Emit(func(e *synth.Emitter) {
+	return buildRW(io.K.C.Build(t.Q, "ad_read").Key("kio.ad_read"), func(e *synth.Emitter) {
 		// Fewer than one element's worth requested: nothing to do.
 		e.CmpL(m68k.Imm(adChunkBytes), m68k.D(2))
 		e.Bcc("ar_ok")

@@ -82,7 +82,7 @@ func (io *IO) StoreDiskFile(name string, contents []byte) (*fs.File, error) {
 
 // synthDiskFile builds the read/write pair for a disk-resident file:
 // the memory-resident file's read body behind a demand-load prologue.
-func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write uint32) {
+func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write entries) {
 	k := io.K
 	data := f.Data
 	nblocks := (f.Cap + m68k.DiskBlockSize - 1) / m68k.DiskBlockSize
@@ -94,7 +94,7 @@ func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write
 	cachedCell := kernel.FDCell(t.TTE, int(fd), kernel.FDAux)
 	k.M.Poke(cachedCell, 4, 0)
 
-	read = k.C.Build(t.Q, "diskfile_read").Key("kio.diskfile_read", t.TTE, uint32(fd), f.Entry).Emit(func(e *synth.Emitter) {
+	read = buildRW(k.C.Build(t.Q, "diskfile_read").Key("kio.diskfile_read", t.TTE, uint32(fd), f.Entry), func(e *synth.Emitter) {
 		// Fault prologue: demand-load every block through the raw
 		// disk server on first use.
 		e.TstL(m68k.Abs(cachedCell))

@@ -10,3 +10,10 @@ func (io *IO) SetNetMode(generic, throttled bool) {
 	}
 	io.resynthNetHandler()
 }
+
+// BadFD returns the routine a descriptor that is not open enters, by
+// either convention.
+func (io *IO) BadFD() uint32 { return io.badFD }
+
+// TTYQueue returns the raw tty input queue's address.
+func (io *IO) TTYQueue() uint32 { return io.ttyQ }

@@ -18,29 +18,31 @@ import (
 
 // synthNull builds the /dev/null pair. Read returns 0 (end of file),
 // write claims everything was written: the whole routine is the
-// residue after every invariant folds away.
-func (io *IO) synthNull(t *kernel.Thread, fd int32) (read, write uint32) {
+// residue after every invariant folds away. The read reads no
+// argument, so one entry serves both conventions; the write reads
+// only the length, so its UNIX entry is its own copy reading D3.
+func (io *IO) synthNull(t *kernel.Thread, fd int32) (read, write entries) {
 	c := io.K.C
-	read = c.Build(t.Q, "null_read").Key("kio.null_read").Emit(func(e *synth.Emitter) {
+	r := c.Build(t.Q, "null_read").Key("kio.null_read").Emit(func(e *synth.Emitter) {
 		e.Clr(4, m68k.D(0))
 		e.Rte()
 	})
-	write = c.Build(t.Q, "null_write").Key("kio.null_write").Emit(func(e *synth.Emitter) {
+	write.native, write.unix = c.Build(t.Q, "null_write").Key("kio.null_write").EmitEntries(func(e *synth.Emitter) {
+		e.Entry(synth.EntryAlt)
+		e.MoveL(m68k.D(3), m68k.D(0))
+		e.Rte()
+		e.Entry(synth.EntryMain)
 		e.MoveL(m68k.D(2), m68k.D(0))
 		e.Rte()
 	})
-	return read, write
+	return entries{r, r}, write
 }
 
-// synthFile builds the read/write pair for a plain memory-resident
-// file ("Data already in kernel queues or buffer cache", Table 2).
-func (io *IO) synthFile(t *kernel.Thread, fd int32, f *fs.File) (read, write uint32) {
-	return io.synthFileRead(t, fd, f), io.synthFileWrite(t, fd, f)
-}
-
-// synthFileRead emits read(d1=buf, d2=len) -> d0 = n.
-func (io *IO) synthFileRead(t *kernel.Thread, fd int32, f *fs.File) uint32 {
-	return io.K.C.Build(t.Q, "file_read").Key("kio.file_read", t.TTE, uint32(fd), f.Entry).Emit(func(e *synth.Emitter) {
+// synthFileRead emits read(d1=buf, d2=len) -> d0 = n for a plain
+// memory-resident file ("Data already in kernel queues or buffer
+// cache", Table 2).
+func (io *IO) synthFileRead(t *kernel.Thread, fd int32, f *fs.File) entries {
+	return buildRW(io.K.C.Build(t.Q, "file_read").Key("kio.file_read", t.TTE, uint32(fd), f.Entry), func(e *synth.Emitter) {
 		emitFileReadBody(e, t, fd, f)
 	})
 }
@@ -79,13 +81,13 @@ func emitFileReadBody(e *synth.Emitter, t *kernel.Thread, fd int32, f *fs.File) 
 
 // synthFileWrite emits write(d1=buf, d2=len) -> d0 = n (bounded by
 // the file's capacity; the memory-resident file grows in place).
-func (io *IO) synthFileWrite(t *kernel.Thread, fd int32, f *fs.File) uint32 {
+func (io *IO) synthFileWrite(t *kernel.Thread, fd int32, f *fs.File) entries {
 	c := io.K.C
 	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
 	sizeCell := f.Entry + fs.EntSize
 	data := f.Data
 	capLimit := f.Cap
-	return c.Build(t.Q, "file_write").Key("kio.file_write", t.TTE, uint32(fd), f.Entry).Emit(func(e *synth.Emitter) {
+	return buildRW(c.Build(t.Q, "file_write").Key("kio.file_write", t.TTE, uint32(fd), f.Entry), func(e *synth.Emitter) {
 		e.MoveL(m68k.D(1), m68k.A(0))     // src
 		e.MoveL(m68k.Abs(pos), m68k.D(0)) // position
 		e.MoveL(m68k.Imm(int32(capLimit)), m68k.D(1))

@@ -22,7 +22,10 @@ import (
 // template folds would meet two values under one key. Each key
 // argument was removed in turn to see this test fail; it runs with and
 // without the metrics plane because the plane's counter cell tells
-// apart what only the port tells apart without it.
+// apart what only the port tells apart without it. Every routine here
+// is one build with two entries, so the counts are one build per
+// routine, and after each round every descriptor's UNIX cell must lie
+// in the routine its native vector enters (checkUnixCells).
 func TestKeyedBuildsMatchTemplates(t *testing.T) {
 	for _, plane := range []bool{true, false} {
 		t.Run(fmt.Sprintf("plane=%v", plane), func(t *testing.T) { keyedSoak(t, plane) })
@@ -36,6 +39,7 @@ func keyedSoak(t *testing.T, plane bool) {
 	}
 	k := kernel.Boot(cfg)
 	k.C.CheckKeys = true
+	regions := logRegions(k)
 	io := kio.Install(k)
 	for _, name := range []string{"/tmp/a", "/tmp/b"} {
 		if _, err := k.FS.CreateSized(name, []byte(name), 64); err != nil {
@@ -162,6 +166,8 @@ func keyedSoak(t *testing.T, plane bool) {
 			}
 			ops++
 		}
+		// Every open routine's two entries are one build's.
+		checkUnixCells(t, k, io, regions)
 		// Empty every table, so the next round fills the slots afresh.
 		for _, th := range threads {
 			for range kernel.MaxFD {

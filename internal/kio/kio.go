@@ -86,10 +86,13 @@ func Install(k *kernel.Kernel) *IO {
 		e.MoveL(m68k.Imm(-1), m68k.D(0))
 		e.Rte()
 	})
-	// A descriptor that was never opened fails like a closed one.
+	// A descriptor that was never opened fails like a closed one, in
+	// either convention: bad_fd reads no argument.
 	for fd := 0; fd < kernel.MaxFD; fd++ {
-		k.SetVector(m68k.VecTrapBase+kernel.TrapRead+fd, io.badFD)
-		k.SetVector(m68k.VecTrapBase+kernel.TrapWrite+fd, io.badFD)
+		for _, trap := range []int{kernel.TrapRead + fd, kernel.TrapWrite + fd} {
+			k.SetVector(m68k.VecTrapBase+trap, io.badFD)
+			k.SetUnixRW(trap, io.badFD)
+		}
 	}
 
 	io.installTTY()
@@ -185,18 +188,39 @@ func (io *IO) allocFD(t *kernel.Thread) int32 {
 	return -1
 }
 
-// installFD installs synthesized read/write handlers in the thread's
-// trap vectors for the descriptor.
-func (io *IO) installFD(t *kernel.Thread, fd int32, read, write uint32) {
-	m := io.K.M
-	if read == 0 {
-		read = io.badFD
+// entries are a descriptor routine's two entry points, from one build
+// (synth.Builder.EmitEntries): native (buffer D1, length D2) for its
+// trap vector, and unix (fd D1, buffer D2, length D3) for the UNIX
+// gate's TTEUnixRW cell. The zero value is no routine.
+type entries struct{ native, unix uint32 }
+
+// buildRW gives a template written for the native convention the
+// default UNIX entry: two moves that shuffle the registers and fall
+// into the native entry. emitQueueWrite, emitQueueRead and /dev/null's
+// write mark entries of their own; /dev/null's read is one for both.
+func buildRW(b *synth.Builder, body func(*synth.Emitter)) entries {
+	native, unix := b.EmitEntries(func(e *synth.Emitter) {
+		e.Label(synth.EntryAlt)
+		e.MoveL(m68k.D(2), m68k.D(1))
+		e.MoveL(m68k.D(3), m68k.D(2))
+		e.Entry(synth.EntryMain)
+		body(e)
+	})
+	return entries{native, unix}
+}
+
+// installFD installs the descriptor's read/write routines: native
+// entries in the thread's trap vectors, UNIX entries in its TTEUnixRW
+// cells. No routine means bad_fd in both.
+func (io *IO) installFD(t *kernel.Thread, fd int32, read, write entries) {
+	for i, r := range []entries{read, write} {
+		if r.native == 0 {
+			r = entries{io.badFD, io.badFD}
+		}
+		trap := []int{kernel.TrapRead, kernel.TrapWrite}[i] + int(fd)
+		io.K.M.Poke(t.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+trap)*4, 4, r.native)
+		io.K.M.Poke(t.TTE+kernel.UnixRWOff(trap), 4, r.unix)
 	}
-	if write == 0 {
-		write = io.badFD
-	}
-	m.Poke(t.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+kernel.TrapRead+int(fd))*4, 4, read)
-	m.Poke(t.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+kernel.TrapWrite+int(fd))*4, 4, write)
 }
 
 // Open opens the named file on t from the host: the name lookup the
@@ -219,7 +243,8 @@ func (io *IO) open(t *kernel.Thread, f *fs.File) int32 {
 	if fd < 0 {
 		return -1
 	}
-	var read, write, kind uint32
+	var read, write entries
+	var kind uint32
 	switch f.Special {
 	case fs.SpecialNull:
 		read, write = io.synthNull(t, fd)
@@ -240,7 +265,7 @@ func (io *IO) open(t *kernel.Thread, f *fs.File) int32 {
 		read = io.synthProcRead(t, fd, f)
 		kind = FDProc
 	default:
-		read, write = io.synthFile(t, fd, f)
+		read, write = io.synthFileRead(t, fd, f), io.synthFileWrite(t, fd, f)
 		kind = FDFile
 	}
 	io.setFDCell(t, fd, kernel.FDKind, kind)
@@ -278,6 +303,6 @@ func (io *IO) Close(t *kernel.Thread, fd int32) bool {
 		io.closePipeEnd(aux)
 	}
 	io.unregisterFDMetrics(t, fd)
-	io.installFD(t, fd, 0, 0)
+	io.installFD(t, fd, entries{}, entries{})
 	return true
 }

@@ -213,6 +213,18 @@ func TestPipeSameThread(t *testing.T) {
 	}
 }
 
+// A queue's size is a power of two: its one-byte paths wrap an index
+// with one AND.
+func TestPipeSizeIsPowerOfTwo(t *testing.T) {
+	_, io := boot(t)
+	defer func() {
+		if recover() == nil {
+			t.Error("a 100-byte pipe was allocated")
+		}
+	}()
+	io.NewPipe(100)
+}
+
 func TestPipeWrapAroundManyChunks(t *testing.T) {
 	k, io := boot(t)
 	// A small pipe forces wraparound and blocking between two

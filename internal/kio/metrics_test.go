@@ -235,3 +235,60 @@ func TestReopenedDescriptorCountsFromZero(t *testing.T) {
 		t.Errorf("thread gauge holds %d events after the closes, want %d", got, 5+3+2+4)
 	}
 }
+
+// A queue's gauge counts what its producer put, once: the tty
+// interrupt for kio.tty.rx_chars, the write end for
+// kio.pipe.<n>.bytes. The consumer leaves it alone, on the one-byte
+// path and the bulk path alike; when the read added to it too, five
+// characters read raw showed as 10 and every pipe byte as two.
+func TestQueueGaugesCountWhatWasPut(t *testing.T) {
+	k, _, reg := bootMetrics(t)
+	const nameAddr, buf, res = 0x9100, 0x9300, 0x9000
+	pokeName(k, nameAddr, "/dev/rawtty")
+	k.TTY.InputString("hello", 0, 0)
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		io := func(trap uint8, n int32) {
+			e.MoveL(m68k.Imm(buf), m68k.D(1))
+			e.MoveL(m68k.Imm(n), m68k.D(2))
+			e.Trap(trap)
+		}
+		emitOpen(e, nameAddr) // fd 0
+		// Two characters one at a time, then the rest in bulk reads.
+		io(kernel.TrapRead+0, 1)
+		io(kernel.TrapRead+0, 1)
+		e.MoveL(m68k.Imm(3), m68k.D(5))
+		e.Label("rest")
+		io(kernel.TrapRead+0, 16)
+		e.SubL(m68k.D(0), m68k.D(5))
+		e.Bne("rest")
+		e.MoveL(m68k.Imm(kernel.SysPipe), m68k.D(0))
+		e.Trap(kernel.TrapSys) // fd 1 reads, fd 2 writes
+		io(kernel.TrapWrite+2, 1)
+		io(kernel.TrapRead+1, 1)
+		io(kernel.TrapWrite+2, 1024)
+		io(kernel.TrapRead+1, 1024)
+		e.MoveL(m68k.D(0), m68k.Abs(res))
+		exitSeq(e)
+	})
+	run(t, k, k.SpawnKernel("main", prog), 20_000_000)
+	if got := k.M.Peek(res, 4); got != 1024 {
+		t.Fatalf("the bulk pipe read returned %d, want 1024", got)
+	}
+
+	snap := reg.Snapshot()
+	if got := snap.Counters["kio.tty.rx_chars"]; got != 5 {
+		t.Errorf("kio.tty.rx_chars = %d after 5 characters were received and read, want 5", got)
+	}
+	pipes := 0
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, "kio.pipe.") && strings.HasSuffix(name, ".bytes") {
+			pipes++
+			if v != 1+1024 {
+				t.Errorf("%s = %d after 1 + 1024 bytes were written and read, want %d", name, v, 1+1024)
+			}
+		}
+	}
+	if pipes != 1 {
+		t.Errorf("%d pipe byte counters, want 1", pipes)
+	}
+}

@@ -407,19 +407,19 @@ func (io *IO) closeSocket(q uint32) {
 // senders cannot interleave the address/length pair; a refused
 // launch (TxStat 0: ring full) is retried with exponential backoff,
 // spinning unmasked so the receive interrupt can drain the ring.
-func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32) uint32 {
+func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32) entries {
 	stage := q + nqSize
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
 	txAddr := m68k.NetBase + m68k.NetRegTxAddr
 	txLen := m68k.NetBase + m68k.NetRegTxLen
 	txStat := m68k.NetBase + m68k.NetRegTxStat
-	return io.K.C.Build(t.Q, "sock_send").
+	return buildRW(io.K.C.Build(t.Q, "sock_send").
 		Named(fmt.Sprintf("kio.sock%d.send", local)).
 		Counted().
 		Key("kio.sock_send", t.TTE, uint32(fd), q, local, remote).
 		Bind("remote", synth.ConstOf(remote)).
-		Bind("local", synth.ConstOf(local)).
-		Emit(func(e *synth.Emitter) {
+		Bind("local", synth.ConstOf(local)),
+		func(e *synth.Emitter) {
 			e.CmpL(m68k.Imm(synnet.MTU), m68k.D(2))
 			e.Bls("ss_fit")
 			e.MoveL(m68k.Imm(synnet.MTU), m68k.D(2))
@@ -478,13 +478,13 @@ func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32)
 // per-slot valid flag, parking on the reader cell with the interrupt
 // level raised across the check (the producer is the receive
 // interrupt handler).
-func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, local, q uint32) uint32 {
+func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, local, q uint32) entries {
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	return io.K.C.Build(t.Q, "sock_recv").
+	return buildRW(io.K.C.Build(t.Q, "sock_recv").
 		Named(fmt.Sprintf("kio.sock%d.recv", local)).
 		Counted().
-		Key("kio.sock_recv", t.TTE, uint32(fd), q).
-		Emit(func(e *synth.Emitter) {
+		Key("kio.sock_recv", t.TTE, uint32(fd), q),
+		func(e *synth.Emitter) {
 			e.Label("sr_wait")
 			e.OrSR(kernel.SRIPLMask)
 			e.MoveL(m68k.Abs(q+NQTail), m68k.D(0))

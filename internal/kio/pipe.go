@@ -21,8 +21,9 @@ import (
 // it back within a single thread without blocking.
 const DefaultPipeBytes = 8192
 
-// NewPipe allocates a pipe's kernel queue for host-side setup; heap
-// exhaustion panics. Open its ends with OpenPipeEnd.
+// NewPipe allocates a pipe's kernel queue of size bytes, a power of
+// two, for host-side setup; heap exhaustion panics. Open its ends with
+// OpenPipeEnd.
 func (io *IO) NewPipe(size int32) *KQueue {
 	q := io.newPipe(size)
 	if q == nil {
@@ -75,18 +76,14 @@ func (io *IO) OpenPipeEnd(t *kernel.Thread, q *KQueue, writeEnd bool) int32 {
 		return -1
 	}
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	var read, write uint32
-	kind := FDPipeR
+	var read, write entries
+	kind, end, name, emit := FDPipeR, &read, "pipe_read", io.emitQueueRead
 	if writeEnd {
-		write = io.K.C.Build(t.Q, "pipe_write").Key("kio.pipe_write", t.TTE, uint32(fd), q.Addr, uint32(q.Size)).Emit(func(e *synth.Emitter) {
-			io.emitQueueWrite(e, q, g)
-		})
-		kind = FDPipeW
-	} else {
-		read = io.K.C.Build(t.Q, "pipe_read").Key("kio.pipe_read", t.TTE, uint32(fd), q.Addr, uint32(q.Size)).Emit(func(e *synth.Emitter) {
-			io.emitQueueRead(e, q, g)
-		})
+		kind, end, name, emit = FDPipeW, &write, "pipe_write", io.emitQueueWrite
 	}
+	end.native, end.unix = io.K.C.Build(t.Q, name).Key("kio."+name, t.TTE, uint32(fd), q.Addr, uint32(q.Size)).EmitEntries(func(e *synth.Emitter) {
+		emit(e, q, g)
+	})
 	io.setFDCell(t, fd, kernel.FDKind, kind)
 	io.setFDCell(t, fd, kernel.FDAux, q.Addr)
 	io.installFD(t, fd, read, write)

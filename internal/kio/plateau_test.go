@@ -75,6 +75,7 @@ func TestSocketChurnPlateaus(t *testing.T) {
 		Profile: true,
 	})
 	k.C.CheckKeys = true
+	regions := logRegions(k)
 	io := kio.Install(k)
 	const threads, port, passes = 8, 100, 20
 	th := make([]*kernel.Thread, threads)
@@ -153,6 +154,7 @@ func TestSocketChurnPlateaus(t *testing.T) {
 			t.Errorf("port %d is in the socket table but was closed", s.Port)
 		}
 	}
+	checkUnixCells(t, k, io, regions)
 }
 
 // TestExitClosesDescriptors: a thread that exits while others live
@@ -212,12 +214,14 @@ func TestExitClosesDescriptors(t *testing.T) {
 // host process panicked inside the pipe service.
 func TestPipeChurnReturnsItsHeap(t *testing.T) {
 	k, io, reg := bootMetrics(t)
+	regions := logRegions(k)
 	// Across threads: the queue lives while either end is open.
 	q := io.NewPipe(64)
 	reader, writer := k.SpawnKernelStopped("reader", 0), k.SpawnKernelStopped("writer", 0)
 	if io.OpenPipeEnd(reader, q, false) != 0 || io.OpenPipeEnd(writer, q, true) != 0 {
 		t.Fatal("pipe end fds")
 	}
+	checkUnixCells(t, k, io, regions)
 	for _, end := range []*kernel.Thread{reader, writer} {
 		if _, live := k.Heap.SizeOf(q.Addr); !live {
 			t.Fatalf("the queue was freed before %s's end closed", end.Name)
@@ -274,6 +278,7 @@ func TestPipeChurnReturnsItsHeap(t *testing.T) {
 			t.Errorf("%s outlived its pipe", name)
 		}
 	}
+	checkUnixCells(t, k, io, regions)
 }
 
 // TestPipeFailsWhole: a pipe() that finds no heap for its queue, or
@@ -338,6 +343,7 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		Metrics: reg,
 	})
 	k.C.CheckKeys = true
+	regions := logRegions(k)
 	io := kio.Install(k)
 	if _, err := k.FS.CreateSized("/tmp/data", nil, 256); err != nil {
 		t.Fatal(err)
@@ -447,6 +453,7 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 	}
 
 	early := next(warm)
+	checkUnixCells(t, k, io, regions)
 	installed := slices.Clone(k.M.Code) // every cached routine, and the rest of code space
 	hits, keyedHits, misses := k.C.CacheHits, k.C.KeyedHits, k.C.CacheMisses
 	if late := next(cycles); late != early {

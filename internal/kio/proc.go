@@ -78,7 +78,7 @@ func (io *IO) renderProcSnapshot(name string) []byte {
 // synthProcRead implements the metrics quaject's open: cut + render a
 // snapshot, stage it in a per-open kernel buffer, and emit the
 // specialized read with the buffer geometry folded in.
-func (io *IO) synthProcRead(t *kernel.Thread, fd int32, f *fs.File) uint32 {
+func (io *IO) synthProcRead(t *kernel.Thread, fd int32, f *fs.File) entries {
 	k := io.K
 	data := io.renderProcSnapshot(f.Name)
 	io.procLast = append(io.procLast[:0], data...)
@@ -88,7 +88,7 @@ func (io *IO) synthProcRead(t *kernel.Thread, fd int32, f *fs.File) uint32 {
 		// Heap exhausted: the descriptor gets the bad-fd stub. Clear the
 		// aux cell so a later close does not free a stale address.
 		k.M.Poke(kernel.FDCell(t.TTE, int(fd), kernel.FDAux), 4, 0)
-		return 0
+		return entries{}
 	}
 	k.M.PokeBytes(buf, data)
 
@@ -99,13 +99,13 @@ func (io *IO) synthProcRead(t *kernel.Thread, fd int32, f *fs.File) uint32 {
 
 	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
 	gauge := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	return k.C.Build(t.Q, "proc_read").
+	return buildRW(k.C.Build(t.Q, "proc_read").
 		Named("kio.proc.read").
 		Counted().
 		Key("kio.proc_read", t.TTE, uint32(fd), buf, uint32(len(data))).
 		Bind("snap_base", synth.ConstOf(buf)).
-		Bind("snap_len", synth.ConstOf(uint32(len(data)))).
-		Emit(func(e *synth.Emitter) {
+		Bind("snap_len", synth.ConstOf(uint32(len(data)))),
+		func(e *synth.Emitter) {
 			emitProcReadBody(e, pos, gauge, nil)
 		})
 }
@@ -184,16 +184,16 @@ func (io *IO) SynthGenericProcRead(t *kernel.Thread, procFD int32) int32 {
 		e.Rts()
 	})
 
-	read := k.C.Build(t.Q, "proc_read_generic").
+	read := buildRW(k.C.Build(t.Q, "proc_read_generic").
 		Named("kio.proc.read_generic").
 		Bind("snap_base", synth.CellAt(srcAux)).
-		Bind("snap_len", synth.CellAt(srcLen)).
-		Emit(func(e *synth.Emitter) {
+		Bind("snap_len", synth.CellAt(srcLen)),
+		func(e *synth.Emitter) {
 			emitProcReadBody(e, pos, gauge, &bcopy)
 		})
 
 	io.setFDCell(t, fd, kernel.FDKind, FDProcGeneric)
-	io.installFD(t, fd, read, 0)
+	io.installFD(t, fd, read, entries{})
 	return fd
 }
 

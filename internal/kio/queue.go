@@ -1,8 +1,6 @@
 package kio
 
 import (
-	"cmp"
-
 	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
 	"synthesis/internal/synth"
@@ -28,19 +26,23 @@ const (
 	KQTail  = 4  // next byte the consumer drains
 	KQRWait = 8  // reader wait cell (thread blocked for data)
 	KQWWait = 12 // writer wait cell (thread blocked for space)
-	KQGauge = 16 // I/O gauge for the fine-grain scheduler
+	KQGauge = 16 // bytes the producer has put, ever (the consumer leaves it alone)
 	KQBuf   = 20 // the byte buffer
 )
 
 // KQueue describes one kernel queue (host-side mirror).
 type KQueue struct {
 	Addr uint32 // base address in machine memory
-	Size int32  // buffer bytes (capacity is Size-1)
+	Size int32  // buffer bytes, a power of two (capacity is Size-1)
 }
 
 // newKQueue allocates a kernel queue, or returns nil when the heap is
-// exhausted.
+// exhausted. The one-byte paths wrap an index with one AND, so size
+// must be a power of two.
 func (io *IO) newKQueue(size int32) *KQueue {
+	if size <= 0 || size&(size-1) != 0 {
+		panic("kio: queue size is not a power of two")
+	}
 	k := io.K
 	addr, err := k.Heap.Alloc(uint32(KQBuf + size))
 	if err != nil {
@@ -163,28 +165,81 @@ func emitCopy(e *synth.Emitter, form int) {
 }
 
 // emitWake wakes the thread parked on the wait cell, testing the cell
-// first and skipping the wake when it is empty: to after, or with
-// after "" to the next instruction (label "woke", so once per routine).
-// It follows the store that publishes the data, and a reader arms its
-// cell only in a masked section that re-checks the queue first, so an
-// empty cell means that re-check will see the data. Clobbers D0 and
-// A0-A1.
-func emitWake(e *synth.Emitter, k *kernel.Kernel, cell m68k.Operand, after string) {
-	skip := cmp.Or(after, "woke")
+// first and branching to skip, which the caller defines, when it is
+// empty. It follows the store that publishes the data, and a reader
+// arms its cell only in a masked section that re-checks the queue
+// first, so an empty cell means that re-check will see the data.
+// Clobbers D0 and A0-A1.
+func emitWake(e *synth.Emitter, k *kernel.Kernel, cell m68k.Operand, skip string) {
 	e.TstL(cell)
 	e.Beq(skip)
 	e.Lea(cell, 0)
 	e.Jsr(k.WakeCellRoutine())
-	if after == "" {
-		e.Label(skip)
-	}
 }
 
-// emitQueueWrite emits the body of a blocking bulk write into the
-// queue: D1 = source buffer, D2 = length; returns D0 = bytes written
-// (the full length) and ends with RTE. Clobbers D0-D2, A0, A1 (the
-// system-call scratch set). Must be emitted into a trap or interrupt
-// handler (it manipulates the interrupt mask).
+// emitPut1 emits Figure 1's put in its shortest form, behind the
+// paper's one-byte pipe numbers: the byte at the address in Dsrc into
+// the queue, the new head formed in Dnh; a full queue branches to full.
+// Counts the byte on the queue and the descriptor, wakes a reader and
+// returns 1. p prefixes its labels.
+func (io *IO) emitPut1(e *synth.Emitter, q *KQueue, fdGauge uint32, src, nh uint8, full, p string) {
+	e.MoveL(m68k.Abs(q.Addr+KQHead), m68k.D(0))
+	e.MoveL(m68k.D(0), m68k.D(nh))
+	e.AddL(m68k.Imm(1), m68k.D(nh))
+	e.AndL(m68k.Imm(q.Size-1), m68k.D(nh))
+	e.Cmp(4, m68k.Abs(q.Addr+KQTail), m68k.D(nh))
+	e.Beq(full)
+	e.MoveL(m68k.D(src), m68k.A(0))
+	e.Lea(m68k.Abs(q.Addr+KQBuf), 1)
+	e.MoveB(m68k.Ind(0), m68k.Idx(0, 1, 0, 1))   // buf[head] = *src
+	e.MoveL(m68k.D(nh), m68k.Abs(q.Addr+KQHead)) // publish
+	e.AddL(m68k.Imm(1), m68k.Abs(q.Addr+KQGauge))
+	e.AddL(m68k.Imm(1), m68k.Abs(fdGauge))
+	emitWake(e, io.K, m68k.Abs(q.Addr+KQRWait), p+"_woke")
+	e.Label(p + "_woke")
+	e.MoveL(m68k.Imm(1), m68k.D(0))
+	e.Rte()
+}
+
+// emitGet1 is Figure 1's get: one byte to the address in Ddst. An
+// empty queue is re-checked under the mask so no producer can slip in
+// before the park, and the get retried masked (the RTE restores the
+// caller's level); block_on keeps every data register. Counts the byte
+// on the descriptor alone, wakes a writer and returns 1.
+func (io *IO) emitGet1(e *synth.Emitter, q *KQueue, fdGauge uint32, dst uint8, p string) {
+	head, tail := q.Addr+KQHead, q.Addr+KQTail
+	e.Label(p + "_get")
+	e.MoveL(m68k.Abs(tail), m68k.D(0))
+	e.Cmp(4, m68k.Abs(head), m68k.D(0))
+	e.Beq(p + "_empty")
+	e.MoveL(m68k.D(dst), m68k.A(1))
+	e.Lea(m68k.Abs(q.Addr+KQBuf), 0)
+	e.MoveB(m68k.Idx(0, 0, 0, 1), m68k.Ind(1)) // *dst = buf[tail]
+	e.AddL(m68k.Imm(1), m68k.D(0))
+	e.AndL(m68k.Imm(q.Size-1), m68k.D(0))
+	e.MoveL(m68k.D(0), m68k.Abs(tail))
+	e.AddL(m68k.Imm(1), m68k.Abs(fdGauge))
+	emitWake(e, io.K, m68k.Abs(q.Addr+KQWWait), p+"_woke")
+	e.Label(p + "_woke")
+	e.MoveL(m68k.Imm(1), m68k.D(0))
+	e.Rte()
+	e.Label(p + "_empty")
+	e.OrSR(kernel.SRIPLMask)
+	e.MoveL(m68k.Abs(tail), m68k.D(0))
+	e.Cmp(4, m68k.Abs(head), m68k.D(0))
+	e.Bne(p + "_get")
+	e.Lea(m68k.Abs(q.Addr+KQRWait), 0)
+	e.Jsr(io.K.BlockOnRoutine())
+	e.Bra(p + "_get")
+}
+
+// emitQueueWrite emits a blocking bulk write into the queue with both
+// descriptor entries (synth.Builder.EmitEntries): the native one, D1 =
+// source buffer and D2 = length, and the UNIX one, fd in D1, buffer in
+// D2 and length in D3. Returns D0 = bytes written (the full length)
+// and ends with RTE. Clobbers D0-D2, A0, A1 (the system-call scratch
+// set). Must be emitted into a trap or interrupt handler (it
+// manipulates the interrupt mask).
 func (io *IO) emitQueueWrite(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	head := q.Addr + KQHead
 	tail := q.Addr + KQTail
@@ -194,33 +249,24 @@ func (io *IO) emitQueueWrite(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	gauge := q.Addr + KQGauge
 	size := q.Size
 
-	// Single-byte fast path: the overwhelmingly common case for
-	// character streams, and the Figure 1 put in its shortest form —
-	// the specialization behind the paper's one-byte pipe numbers.
+	// The single-byte fast path, the overwhelmingly common case for
+	// character streams, once per entry on that entry's registers. A
+	// UNIX call that misses it shuffles its registers into the native
+	// ones and joins the general path.
+	e.Entry(synth.EntryAlt)
+	e.CmpL(m68k.Imm(1), m68k.D(3))
+	e.Bne("qw_unix")
+	io.emitPut1(e, q, fdGauge, 2, 1, "qw_unix", "qu")
+	e.Entry(synth.EntryMain)
 	e.CmpL(m68k.Imm(1), m68k.D(2))
 	e.Bne("qw_general")
-	e.MoveL(m68k.Abs(head), m68k.D(0))
-	e.MoveL(m68k.D(0), m68k.D(2))
-	e.AddL(m68k.Imm(1), m68k.D(2))
-	e.CmpL(m68k.Imm(size), m68k.D(2))
-	e.Bne("qw_fw")
-	e.Clr(4, m68k.D(2))
-	e.Label("qw_fw")
-	e.Cmp(4, m68k.Abs(tail), m68k.D(2))
-	e.Beq("qw_slow1") // full: fall into the blocking path
-	e.MoveL(m68k.D(1), m68k.A(0))
-	e.Lea(m68k.Abs(buf), 1)
-	e.MoveB(m68k.Ind(0), m68k.Idx(0, 1, 0, 1)) // buf[head] = *src
-	e.MoveL(m68k.D(2), m68k.Abs(head))         // publish
-	e.AddL(m68k.Imm(1), m68k.Abs(gauge))
-	if fdGauge != 0 {
-		e.AddL(m68k.Imm(1), m68k.Abs(fdGauge))
-	}
-	emitWake(e, io.K, m68k.Abs(rwait), "")
-	e.MoveL(m68k.Imm(1), m68k.D(0))
-	e.Rte()
+	io.emitPut1(e, q, fdGauge, 1, 2, "qw_slow1", "qw")
 	e.Label("qw_slow1")
 	e.MoveL(m68k.Imm(1), m68k.D(2)) // restore the length
+	e.Bra("qw_general")
+	e.Label("qw_unix")
+	e.MoveL(m68k.D(2), m68k.D(1))
+	e.MoveL(m68k.D(3), m68k.D(2))
 
 	e.Label("qw_general")
 	e.TstL(m68k.D(2))
@@ -297,63 +343,39 @@ func (io *IO) emitQueueWrite(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	// queue's own gauge plus the opener's descriptor gauge that the
 	// fine-grain scheduler reads.
 	e.AddL(m68k.D(0), m68k.Abs(gauge))
-	if fdGauge != 0 {
-		e.AddL(m68k.D(0), m68k.Abs(fdGauge))
-	}
+	e.AddL(m68k.D(0), m68k.Abs(fdGauge))
 	e.Rte()
 	e.Label("qw_zero")
 	e.Clr(4, m68k.D(0))
 	e.Rte()
 }
 
-// emitQueueRead emits the body of a blocking bulk read: D1 =
-// destination buffer, D2 = length; returns D0 = bytes read (at least
-// one, up to length — UNIX semantics) and ends with RTE. Clobbers
-// D0-D2, A0, A1.
+// emitQueueRead emits a blocking bulk read with both descriptor
+// entries, as emitQueueWrite does: native D1 = destination buffer and
+// D2 = length, UNIX fd D1, buffer D2, length D3. Returns D0 = bytes
+// read (at least one, up to length — UNIX semantics) and ends with
+// RTE. Clobbers D0-D2, A0, A1. The queue's gauge is the producer's:
+// a read counts its bytes on the descriptor alone.
 func (io *IO) emitQueueRead(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	head := q.Addr + KQHead
 	tail := q.Addr + KQTail
 	buf := q.Addr + KQBuf
 	rwait := q.Addr + KQRWait
 	wwait := q.Addr + KQWWait
-	gauge := q.Addr + KQGauge
 	size := q.Size
 
-	// Single-byte fast path: Figure 1's get in its shortest form.
+	// The single-byte fast path, once per entry (see emitQueueWrite).
+	e.Entry(synth.EntryAlt)
+	e.CmpL(m68k.Imm(1), m68k.D(3))
+	e.Bne("qr_unix")
+	io.emitGet1(e, q, fdGauge, 2, "qu")
+	e.Entry(synth.EntryMain)
 	e.CmpL(m68k.Imm(1), m68k.D(2))
 	e.Bne("qr_general")
-	e.Label("qr_get1")
-	e.MoveL(m68k.Abs(tail), m68k.D(0))
-	e.Cmp(4, m68k.Abs(head), m68k.D(0))
-	e.Beq("qr_empty1")
-	e.MoveL(m68k.D(1), m68k.A(1))
-	e.Lea(m68k.Abs(buf), 0)
-	e.MoveB(m68k.Idx(0, 0, 0, 1), m68k.D(2))
-	e.MoveB(m68k.D(2), m68k.Ind(1)) // *dst = buf[tail]
-	e.AddL(m68k.Imm(1), m68k.D(0))
-	e.CmpL(m68k.Imm(size), m68k.D(0))
-	e.Bne("qr_fw")
-	e.Clr(4, m68k.D(0))
-	e.Label("qr_fw")
-	e.MoveL(m68k.D(0), m68k.Abs(tail))
-	e.AddL(m68k.Imm(1), m68k.Abs(gauge))
-	if fdGauge != 0 {
-		e.AddL(m68k.Imm(1), m68k.Abs(fdGauge))
-	}
-	emitWake(e, io.K, m68k.Abs(wwait), "")
-	e.MoveL(m68k.Imm(1), m68k.D(0))
-	e.Rte()
-	// Empty: re-check under the mask so no producer can slip in before
-	// the park, then park and retry the get (masked; the RTE restores
-	// the caller's level). block_on keeps D1 (buffer) and D2 (1).
-	e.Label("qr_empty1")
-	e.OrSR(kernel.SRIPLMask)
-	e.MoveL(m68k.Abs(tail), m68k.D(0))
-	e.Cmp(4, m68k.Abs(head), m68k.D(0))
-	e.Bne("qr_get1")
-	e.Lea(m68k.Abs(rwait), 0)
-	e.Jsr(io.K.BlockOnRoutine())
-	e.Bra("qr_get1")
+	io.emitGet1(e, q, fdGauge, 1, "qr")
+	e.Label("qr_unix")
+	e.MoveL(m68k.D(2), m68k.D(1))
+	e.MoveL(m68k.D(3), m68k.D(2))
 
 	// General path.
 	e.Label("qr_general")
@@ -418,10 +440,7 @@ func (io *IO) emitQueueRead(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	e.AndSR(^uint16(kernel.SRIPLMask))
 	e.MoveL(m68k.PostInc(7), m68k.D(0))
 	e.SubL(m68k.D(2), m68k.D(0)) // bytes read = requested - remaining
-	e.AddL(m68k.D(0), m68k.Abs(gauge))
-	if fdGauge != 0 {
-		e.AddL(m68k.D(0), m68k.Abs(fdGauge))
-	}
+	e.AddL(m68k.D(0), m68k.Abs(fdGauge))
 	e.Rte()
 	e.Label("qr_zero")
 	e.Clr(4, m68k.D(0))

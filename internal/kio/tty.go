@@ -92,24 +92,24 @@ func (io *IO) installTTY() {
 // has the raw get-character inlined rather than called — Collapsing
 // Layers, exactly the boot-time optimization Section 5.4 describes for
 // this filter.
-func (io *IO) synthTTY(t *kernel.Thread, fd int32) (read, write uint32) {
+func (io *IO) synthTTY(t *kernel.Thread, fd int32) (read, write entries) {
 	return io.synthCooked(t, "cooked_read", 0), io.synthTTYWrite(t)
 }
 
 // synthRawTTY builds the raw pair: read is the plain bulk queue read.
-func (io *IO) synthRawTTY(t *kernel.Thread, fd int32) (read, write uint32) {
+func (io *IO) synthRawTTY(t *kernel.Thread, fd int32) (read, write entries) {
 	q := &KQueue{Addr: io.ttyQ, Size: ttyQueueBytes}
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	read = io.K.C.Build(t.Q, "rawtty_read").Key("kio.rawtty_read", t.TTE, uint32(fd)).Emit(func(e *synth.Emitter) {
+	native, unix := io.K.C.Build(t.Q, "rawtty_read").Key("kio.rawtty_read", t.TTE, uint32(fd)).EmitEntries(func(e *synth.Emitter) {
 		io.emitQueueRead(e, q, g)
 	})
-	return read, io.synthTTYWrite(t)
+	return entries{native, unix}, io.synthTTYWrite(t)
 }
 
 // synthTTYWrite emits the output path: write(d1=buf, d2=len) -> d0.
 // Output goes byte by byte to the device register.
-func (io *IO) synthTTYWrite(t *kernel.Thread) uint32 {
-	return io.K.C.Build(t.Q, "tty_write").Key("kio.tty_write").Emit(func(e *synth.Emitter) {
+func (io *IO) synthTTYWrite(t *kernel.Thread) entries {
+	return buildRW(io.K.C.Build(t.Q, "tty_write").Key("kio.tty_write"), func(e *synth.Emitter) {
 		e.MoveL(m68k.D(2), m68k.D(0)) // return count
 		e.TstL(m68k.D(2))
 		e.Beq("tw_done")
@@ -162,8 +162,8 @@ func (io *IO) emitRawGetChar(e *synth.Emitter) {
 // line length. The layer boundary is the parameter: with getchar 0 the
 // raw get-character is emitted in place, otherwise it is a call to the
 // routine at that address.
-func (io *IO) synthCooked(t *kernel.Thread, entry string, getchar uint32) uint32 {
-	return io.K.C.Build(t.Q, entry).Key("kio.cooked_read", getchar).Emit(func(e *synth.Emitter) {
+func (io *IO) synthCooked(t *kernel.Thread, entry string, getchar uint32) entries {
+	return buildRW(io.K.C.Build(t.Q, entry).Key("kio.cooked_read", getchar), func(e *synth.Emitter) {
 		// Stack: [orig len][buf base] (top to bottom).
 		e.MoveL(m68k.D(1), m68k.A(1)) // cursor
 		e.MoveL(m68k.D(1), m68k.PreDec(7))
@@ -216,5 +216,5 @@ func (io *IO) SynthLayeredCookedRead(t *kernel.Thread) uint32 {
 		io.emitRawGetChar(e)
 		e.Rts()
 	})
-	return io.synthCooked(t, "cooked_read_layered", getchar)
+	return io.synthCooked(t, "cooked_read_layered", getchar).native
 }

@@ -54,6 +54,7 @@ package synth
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 
 	"synthesis/internal/asmkit"
@@ -198,12 +199,15 @@ func (b *Builder) regionName() string {
 }
 
 // cached is one synthesis-cache entry: where a routine was installed
-// and the statistics its synthesis produced, which is all a later
-// Emit of the same routine needs.
+// (and its second entry), and the statistics its synthesis produced,
+// which is all a later Emit of the same routine needs.
 type cached struct {
-	addr uint32
-	st   OptStats
+	addr, alt uint32
+	st        OptStats
 }
+
+// The labels of a two-entry routine's entries (EmitEntries).
+const EntryMain, EntryAlt = "entry", "entry_alt"
 
 // Emit runs the template closure and the rest of the pipeline, then
 // returns the installed entry address.
@@ -225,6 +229,20 @@ type cached struct {
 // it registers no region: a profiler charges a shared routine to the
 // name it was installed under.
 func (b *Builder) Emit(emit func(*Emitter)) uint32 {
+	return b.emit(emit, false).addr
+}
+
+// EmitEntries is Emit for a routine with two entries, one per register
+// convention of its callers, labelled EntryMain and EntryAlt: one build
+// returns both. A Counted routine counts where the template calls
+// Emitter.Entry, not at the start, so an entry that falls into the
+// other (a plain Label) is counted once, where it lands.
+func (b *Builder) EmitEntries(emit func(*Emitter)) (main, alt uint32) {
+	ent := b.emit(emit, true)
+	return ent.addr, ent.alt
+}
+
+func (b *Builder) emit(emit func(*Emitter), two bool) cached {
 	c := b.c
 	var cell uint32
 	if b.counted && c.Counters != nil {
@@ -257,7 +275,10 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 		}
 		e.Reset()
 		e.env = b.env
-		if cell != 0 {
+		e.cell = 0
+		if two {
+			e.cell = cell
+		} else if cell != 0 {
 			// Self-measurement stitched into the quaject: one AddL to a
 			// folded cell address before the template body runs.
 			e.AddL(m68k.Imm(1), m68k.Abs(cell))
@@ -265,21 +286,29 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 		emit(e)
 
 		if uncached {
-			ent = b.install(e.Export())
+			ent = b.install(e.Export(), two)
 		} else {
-			c.key = e.AppendKey(c.key[:0])
+			// The key leads with the routine's entry count, and a
+			// two-entry build's with where its entries are.
+			c.key = append(c.key[:0], 1)
+			if two {
+				c.key = append(c.key[:0], 2)
+				c.key = binary.LittleEndian.AppendUint32(c.key, e.AddrOf(EntryMain, 0))
+				c.key = binary.LittleEndian.AppendUint32(c.key, e.AddrOf(EntryAlt, 0))
+			}
+			c.key = e.AppendKey(c.key)
 			key := sha256.Sum256(c.key)
 			if got, hit := c.cache[key]; hit {
 				ent = got
 				c.CacheHits++
 			} else {
-				ent = b.install(e.Export())
+				ent = b.install(e.Export(), two)
 				c.cache[key] = ent
 				c.CacheMisses++
 			}
 		}
 		c.scratch = e
-		if keyedHit && ent.addr != want.addr {
+		if keyedHit && (ent.addr != want.addr || ent.alt != want.alt) {
 			panic(fmt.Sprintf("synth: key %s%v names the routine at %d, but its template now emits another", k.name, k.args, want.addr))
 		}
 		if k.name != "" {
@@ -301,12 +330,12 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 	c.TotalInstrs += st.InstrsAfter
 	c.TotalBytes += st.BytesAfter
 	c.Routines++
-	return ent.addr
+	return ent
 }
 
 // install is the part of the pipeline a cache hit skips: optimize,
 // link into code space and register the region.
-func (b *Builder) install(p asmkit.Program) cached {
+func (b *Builder) install(p asmkit.Program, two bool) cached {
 	c := b.c
 	p, st := Optimize(p)
 	if st.Removed > 0 {
@@ -335,6 +364,9 @@ func (b *Builder) install(p asmkit.Program) cached {
 	}
 	if c.Regions != nil {
 		c.Regions.RegisterRegion(b.regionName(), addr, regionLen)
+	}
+	if two {
+		return cached{addr: bb.AddrOf(EntryMain, addr), alt: bb.AddrOf(EntryAlt, addr), st: st}
 	}
 	return cached{addr: addr, st: st}
 }

@@ -373,6 +373,54 @@ func TestCheckKeysCatchesAnUndeclaredValue(t *testing.T) {
 	}
 }
 
+// A two-entry build (EmitEntries) is one routine: both entries come
+// back from the build and from either cache, a Counted routine's
+// counter sits where the template calls Entry, so an entry that falls
+// into another is counted once, and a one-entry build of the same
+// instructions is another routine.
+func TestTwoEntryBuilds(t *testing.T) {
+	c := synth.NewCreator(newM())
+	var plane tally
+	c.Counters, c.Regions = &plane, &plane
+	template := func(e *synth.Emitter) {
+		e.Label(synth.EntryAlt) // falls into the main entry
+		e.MoveL(m68k.D(2), m68k.D(1))
+		e.Entry(synth.EntryMain)
+		e.MoveL(m68k.D(1), m68k.D(0))
+		e.Rts()
+	}
+	main, alt := c.Build(nil, "r").Counted().Key("test.two").EmitEntries(template)
+	cell := plane.InvocationCell("r")
+	count := m68k.Instr{Op: m68k.ADD, Sz: 4, Src: m68k.Imm(1), Dst: m68k.Abs(cell)}
+	if main != alt+1 || c.M.Code[alt].Op != m68k.MOVE || c.M.Code[main] != count {
+		t.Fatalf("entries %d, %d: %v, %v; want the shuffle, then the counter at the main entry", alt, main, c.M.Code[alt], c.M.Code[main])
+	}
+	if m, a := c.Build(nil, "r").Counted().Key("test.two").EmitEntries(template); m != main || a != alt || c.KeyedHits != 1 {
+		t.Errorf("keyed rebuild: %d, %d (keyed hits %d), want %d, %d", m, a, c.KeyedHits, main, alt)
+	}
+	if m, a := c.Build(nil, "r").Counted().EmitEntries(template); m != main || a != alt || c.CacheHits != 2 {
+		t.Errorf("content rebuild: %d, %d (hits %d), want %d, %d", m, a, c.CacheHits, main, alt)
+	}
+	// Own paths: each entry counts its calls.
+	m, a := c.Build(nil, "s").Counted().EmitEntries(func(e *synth.Emitter) {
+		e.Entry(synth.EntryAlt)
+		e.Rts()
+		e.Entry(synth.EntryMain)
+		e.Rts()
+	})
+	if c.M.Code[a].Op != m68k.ADD || c.M.Code[m].Op != m68k.ADD || m != a+2 {
+		t.Errorf("own-path entries %d, %d: %v, %v; want a counter at each", a, m, c.M.Code[a], c.M.Code[m])
+	}
+	// Uncounted, the template's instructions are a one-entry build's too.
+	m, a = c.Build(nil, "u").EmitEntries(template)
+	if one := c.Build(nil, "u").Emit(template); one == a || one == m {
+		t.Errorf("a one-entry build of the same instructions was served the two-entry routine at %d", one)
+	}
+	if c.CacheMisses != 4 {
+		t.Errorf("%d misses, want 4", c.CacheMisses)
+	}
+}
+
 var sink uint32
 
 // BenchmarkSynthHit is what a rebuild of a routine the creator already

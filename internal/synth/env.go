@@ -37,7 +37,18 @@ type Env map[string]Binding
 // entirely in the Env.
 type Emitter struct {
 	*asmkit.Builder
-	env Env
+	env  Env
+	cell uint32 // a two-entry Counted build's counter cell (Entry)
+}
+
+// Entry marks an entry point of a two-entry routine here
+// (Builder.EmitEntries): label is EntryMain or EntryAlt. A Counted
+// routine counts the calls that enter here.
+func (e *Emitter) Entry(label string) {
+	e.Label(label)
+	if e.cell != 0 {
+		e.AddL(m68k.Imm(1), m68k.Abs(e.cell))
+	}
 }
 
 // NewEmitter creates an emitter over a fresh builder.

@@ -5,10 +5,11 @@
 // and the traditional baseline kernel.
 //
 // "In the simplest case, the emulator translates the UNIX kernel call
-// into an equivalent Synthesis kernel call." The translation is a
-// register shuffle followed by a tail-jump into the native
-// synthesized routine — the measured emulation-trap overhead of about
-// 2 microseconds in Table 2.
+// into an equivalent Synthesis kernel call." For read and write the
+// translation is a tail-jump into the descriptor's own synthesized
+// routine, at the second entry open built into it for the UNIX
+// registers — the measured emulation-trap overhead of about 2
+// microseconds in Table 2.
 package unixemu
 
 import (
@@ -111,23 +112,19 @@ func Install(k *kernel.Kernel) uint32 {
 		e.Lea(m68k.Abs(table), 1)
 		e.JmpVia(m68k.Idx(0, 1, 0, 4)) // [table + 4*D0]
 
-		// read and write: check the fd the same way, shuffle
-		// (fd,buf,len) from D1-D3 to the native convention (buf D1, len
-		// D2) and tail-jump into the thread's synthesized routine through
-		// its own vector table — the emulator "translates the UNIX kernel
-		// call into an equivalent Synthesis kernel call".
+		// read and write: check the fd the same way and tail-jump,
+		// (fd,buf,len) still in D1-D3, into the UNIX entry of the
+		// thread's synthesized routine, through its TTE's TTEUnixRW
+		// cells — the emulator "translates the UNIX kernel call into an
+		// equivalent Synthesis kernel call", and the routine does the
+		// translating.
 		rw := func(name string, trap int) {
 			e.Label(name)
 			count(e, name)
 			e.CmpL(m68k.Imm(kernel.MaxFD), m68k.D(1))
 			e.Bcc("fail")
 			e.MoveL(m68k.Abs(kernel.GCurTTE), m68k.A(0))
-			e.MoveL(m68k.D(1), m68k.D(0)) // fd
-			e.MoveL(m68k.D(2), m68k.D(1)) // buf
-			e.MoveL(m68k.D(3), m68k.D(2)) // len
-			e.JmpVia(m68k.Idx(
-				int32(kernel.TTEVec+uint32(m68k.VecTrapBase+trap)*4),
-				0, 0, 4)) // [TTE.vec[32+trap+fd]]
+			e.JmpVia(m68k.Idx(int32(kernel.UnixRWOff(trap)), 0, 1, 4)) // [TTE.unixrw[trap-8+fd]]
 		}
 		rw("read", kernel.TrapRead)
 		rw("write", kernel.TrapWrite)

@@ -28,12 +28,13 @@
 # BenchmarkStepLoop; BenchmarkShapes, one instruction shape at a time;
 # BenchmarkCopyLoop beside BenchmarkMovemCopyLoop, the copy loop's two
 # forms; host ns per guest instruction and per KB) and a synthesis-cache
-# hit by either index (internal/synth: BenchmarkSynthHit/{keyed,content},
-# host ns per build). CI runs every one of those benchmarks once
+# hit by declared key (internal/synth: BenchmarkSynthHit, host ns per
+# build). CI runs every one of those benchmarks once
 # (-benchtime 1x), so a benchmark that fails fails CI. `make tables` prints every table, `make profile` runs
 # one Table 1 program under the profiler and emits trace.json (load in
 # about:tracing or ui.perfetto.dev). `make loc` prints the number
-# ROADMAP tracks: lines of non-test Go outside benchmark/. `make
+# ROADMAP tracks: lines of non-test Go outside benchmark/ (CI's test
+# job logs it). `make
 # placement` prints where (*Machine).Run, the dispatcher's fast loop,
 # lands in the benchmark binary, mod 64: its placement alone has moved
 # every workload's host numbers by a few percent between equivalent

@@ -8,9 +8,7 @@
 package asmkit
 
 import (
-	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"synthesis/internal/m68k"
 )
@@ -119,9 +117,9 @@ func FromProgram(p Program) *Builder {
 	return b
 }
 
-// resolve produces the final instruction slice with labels resolved
-// against the given base address.
-func (b *Builder) resolve(base uint32) []m68k.Instr {
+// Resolve returns the routine as Link would install it at base: the
+// instructions with their labels resolved, without touching a machine.
+func (b *Builder) Resolve(base uint32) []m68k.Instr {
 	out := make([]m68k.Instr, len(b.ins))
 	copy(out, b.ins)
 	for _, f := range b.fixups {
@@ -138,66 +136,18 @@ func (b *Builder) resolve(base uint32) []m68k.Instr {
 	return out
 }
 
-// Encoded sizes in AppendKey: an instruction is a label flag and every
-// field of m68k.Instr; a fixup is (instruction, side, target).
-const (
-	keyInstrBytes = 24
-	keyFixupBytes = 9
-)
-
-// AppendKey appends a canonical encoding of the routine to dst:
-// everything the optimizer and the linker read from it — each
-// instruction, whether a label marks it, and each fixup as
-// (instruction, operand side, target position) — and nothing else.
-// Label names are absent, so two routines whose keys are equal link
-// to the same code at the same address however they were spelled.
-func (b *Builder) AppendKey(dst []byte) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, uint32(len(b.ins)))
-	base := len(dst)
-	// One flag past the last instruction: a label may mark the end.
-	fix := base + len(b.ins)*keyInstrBytes + 1
-	dst = slices.Grow(dst, fix-base+len(b.fixups)*keyFixupBytes)[:fix]
-	for i := range b.ins {
-		in, k := &b.ins[i], dst[base+i*keyInstrBytes:][:keyInstrBytes]
-		k[0], k[1], k[2], k[3], k[4], k[5] = 0, byte(in.Op), in.Sz, in.Dir, in.Vec, in.Fp
-		le.PutUint16(k[6:], in.Mask)
-		putOperand(k[8:16], &in.Src)
-		putOperand(k[16:24], &in.Dst)
-	}
-	dst[fix-1] = 0
-	for _, pos := range b.labels {
-		dst[base+pos*keyInstrBytes] = 1
-	}
-	for _, f := range b.fixups {
-		side := byte(0)
-		if f.src {
-			side = 1
-		}
-		dst = le.AppendUint32(dst, uint32(f.idx))
-		dst = append(dst, side)
-		dst = le.AppendUint32(dst, b.AddrOf(f.label, 0))
-	}
-	return dst
-}
-
-func putOperand(k []byte, o *m68k.Operand) {
-	k[0], k[1], k[2], k[3] = byte(o.Mode), o.Reg, o.Idx, o.Scale
-	binary.LittleEndian.PutUint32(k[4:], uint32(o.Imm))
-}
-
 // Link allocates code space on the machine, resolves labels and
 // installs the routine. It returns the routine's entry address.
 func (b *Builder) Link(m *m68k.Machine) uint32 {
 	base := m.AllocCode(len(b.ins))
-	m.SetCode(base, b.resolve(base))
+	m.SetCode(base, b.Resolve(base))
 	return base
 }
 
 // LinkAt installs the routine at a previously allocated code address.
 // The region must be at least Len() instructions.
 func (b *Builder) LinkAt(m *m68k.Machine, base uint32) {
-	m.SetCode(base, b.resolve(base))
+	m.SetCode(base, b.Resolve(base))
 }
 
 // AddrOf returns the absolute address a label will have when the

@@ -144,38 +144,3 @@ func TestLinkAtInstallsInPlace(t *testing.T) {
 		t.Errorf("LinkAt code did not run: D0 = %d", m.D[0])
 	}
 }
-
-// TestAppendKeyIsTheProgramWithoutItsNames: the key is equal across a
-// relabelling and a Reset-and-rebuild, and differs when any one thing
-// the linker reads does — here the one the emit helpers cannot vary on
-// their own, the operand a fixup patches.
-func TestAppendKeyIsTheProgramWithoutItsNames(t *testing.T) {
-	prog := func(label string, src bool) asmkit.Program {
-		return asmkit.Program{
-			Ins: []m68k.Instr{
-				{Op: m68k.MOVE, Sz: 4, Src: m68k.Imm(0), Dst: m68k.Abs(0)},
-				{Op: m68k.RTS},
-			},
-			Labels: map[string]int{label: 1},
-			Fixups: []asmkit.Fixup{{Idx: 0, Label: label, Src: src}},
-		}
-	}
-	key := func(p asmkit.Program) string { return string(asmkit.FromProgram(p).AppendKey(nil)) }
-	if key(prog("a", true)) != key(prog("b", true)) {
-		t.Error("label names are part of the key")
-	}
-	if key(prog("a", true)) == key(prog("a", false)) {
-		t.Error("the fixup's operand side is not part of the key")
-	}
-
-	b := asmkit.FromProgram(prog("a", true))
-	want := string(b.AppendKey(nil))
-	b.Reset()
-	if b.Len() != 0 || string(b.AppendKey(nil)) == want {
-		t.Error("Reset left the routine in the builder")
-	}
-	b.MoveLabelL("z", m68k.Abs(0)).Label("z").Rts()
-	if got := string(b.AppendKey([]byte("prefix"))); got != "prefix"+want {
-		t.Error("a rebuilt routine has a different key, or AppendKey does not append")
-	}
-}

@@ -82,11 +82,10 @@ type Kernel struct {
 // state that the machine touches, descriptors included, lives in the
 // TTE itself).
 type Thread struct {
-	TTE      uint32
-	Name     string
-	Q        *synth.Quaject // per-thread synthesized routines
-	CodeBase uint32         // preallocated code region for resynthesis
-	Dead     bool
+	TTE  uint32
+	Name string
+	Q    *synth.Quaject // per-thread synthesized routines
+	Dead bool
 }
 
 // FaultRecord is one thread reaped after an unhandled bus or address

@@ -84,7 +84,7 @@ const (
 	TTESigPC   = 512 // pending signal handler entry (0 = none)
 	TTESigOld  = 516 // interrupted PC stashed for the signal handler
 	TTESwinPtr = 520 // code address that switches this thread in: sw_in.mmu with a quaspace, plain sw_in without (fixed at creation, like TTEULimit)
-	TTESwoutPt = 524 // code address of this thread's own sw_out
+	TTESwoutPt = 524 // code address of this thread's own sw_out, the base of its code region
 	TTEWaitsOn = 528 // wait-queue cell address this thread is blocked on (0 = runnable)
 	TTEErrPC   = 536 // user-mode error signal handler (0 = none: panic)
 	TTEFDBase  = 544 // per-descriptor state: MaxFD slots x FDSlotSize bytes

@@ -32,10 +32,8 @@ func (k *Kernel) wireMetrics(reg *metrics.Registry) {
 	// The synthesis cache, the code space it keeps from growing, and
 	// what the optimization stage found to do.
 	reg.Sample("synth.cache.hits", func() uint64 { return k.C.CacheHits })
-	reg.Sample("synth.cache.keyed_hits", func() uint64 { return k.C.KeyedHits })
 	reg.Sample("synth.cache.misses", func() uint64 { return k.C.CacheMisses })
-	reg.SampleGauge("synth.cache.entries", func() float64 { return float64(k.C.CacheEntries()) })
-	reg.SampleGauge("synth.cache.keyed_entries", func() float64 { return float64(k.C.KeyedEntries()) })
+	reg.SampleGauge("synth.cache.entries", func() float64 { return float64(k.C.KeyedEntries()) })
 	reg.Sample("synth.optimize.removed", func() uint64 { return k.C.OptRemoved })
 	reg.Sample("synth.optimize.routines_changed", func() uint64 { return k.C.OptChanged })
 	reg.SampleGauge("m68k.code.slots", func() float64 { return float64(k.M.CodeTop) })

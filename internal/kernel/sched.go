@@ -51,12 +51,12 @@ func DefaultSchedParams() SchedParams {
 type Scheduler struct {
 	K      *Kernel
 	Params SchedParams
-	rate   map[uint32]float64 // smoothed I/O events per window, by TTE
+	rate   map[*Thread]float64 // smoothed I/O events per window, live threads only
 }
 
 // NewScheduler creates the policy with default parameters.
 func NewScheduler(k *Kernel) *Scheduler {
-	return &Scheduler{K: k, Params: DefaultSchedParams(), rate: make(map[uint32]float64)}
+	return &Scheduler{K: k, Params: DefaultSchedParams(), rate: make(map[*Thread]float64)}
 }
 
 // ioGauge reads and resets a thread's I/O gauge: the TTE cell plus
@@ -76,17 +76,20 @@ func (s *Scheduler) ioGauge(t *Thread) uint32 {
 // Adapt runs one adaptation step: read every thread's gauges, smooth
 // the rate estimate, and rewrite the quantum cells. The next time
 // each thread is switched in, its sw_in arms the timer with the new
-// value — no synchronization needed beyond the cell write.
+// value — no synchronization needed beyond the cell write. Only live
+// threads keep an estimate, so one given a dead thread's TTE starts
+// from the base quantum.
 func (s *Scheduler) Adapt() {
 	p := s.Params
 	mhz := s.K.M.ClockMHz
+	rate := make(map[*Thread]float64, len(s.rate))
 	for tte, t := range s.K.Threads {
 		if t.Dead || t == s.K.Idle {
 			continue
 		}
 		events := float64(s.ioGauge(t))
-		s.rate[tte] = p.Smoothing*s.rate[tte] + (1-p.Smoothing)*events
-		q := p.BaseQuantumUS + p.GainUS*s.rate[tte]
+		rate[t] = p.Smoothing*s.rate[t] + (1-p.Smoothing)*events
+		q := p.BaseQuantumUS + p.GainUS*rate[t]
 		if q < p.MinQuantumUS {
 			q = p.MinQuantumUS
 		}
@@ -95,6 +98,7 @@ func (s *Scheduler) Adapt() {
 		}
 		s.K.M.Poke(tte+TTEQuantum, 4, uint32(q*mhz))
 	}
+	s.rate = rate
 }
 
 // QuantumUS reads a thread's current quantum in microseconds.

@@ -2,6 +2,8 @@ package kernel_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"synthesis/internal/kernel"
@@ -63,6 +65,57 @@ func TestSchedulerAdaptsQuantumToIORate(t *testing.T) {
 	}
 	if got := s.QuantumUS(tIO); got > p.BaseQuantumUS*1.2 {
 		t.Errorf("quantum did not decay: %.0f usec (base %v)", got, p.BaseQuantumUS)
+	}
+}
+
+// The policy holds an estimate for live threads only: 100 rounds of
+// create, adapt and destroy leave it no larger than the live set, and a
+// thread given a dead thread's TTE starts from the base quantum, not
+// from the I/O rate of the thread that held it.
+func TestSchedulerForgetsDeadThreads(t *testing.T) {
+	k := boot(t)
+	s := kernel.NewScheduler(k)
+	spin := k.C.Synthesize(nil, "spin", nil, func(e *synth.Emitter) {
+		e.Label("loop")
+		e.Bra("loop")
+	})
+	live := func() (n int) {
+		for _, th := range k.Threads {
+			if !th.Dead && th != k.Idle {
+				n++
+			}
+		}
+		return n
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := s.Estimates(), live(); got > want {
+			t.Fatalf("%s: %d estimates for %d live threads", when, got, want)
+		}
+	}
+	base := s.Params.BaseQuantumUS
+	reused := 0
+	var last uint32
+	for round := range 100 {
+		th := k.SpawnKernelStopped(fmt.Sprintf("t%d", round), spin)
+		if th.TTE == last {
+			reused++
+		}
+		last = th.TTE
+		s.Adapt()
+		check(fmt.Sprintf("round %d", round))
+		if q := s.QuantumUS(th); math.Abs(q-base) > 1 {
+			t.Fatalf("round %d: a new thread's quantum is %.0f usec, want the base %v", round, q, base)
+		}
+		// A busy thread, then gone.
+		k.M.Poke(th.TTE+kernel.TTEIOGauge, 4, 1000)
+		s.Adapt()
+		k.FreeThread(th.TTE)
+	}
+	s.Adapt()
+	check("after the last destroy")
+	if reused == 0 {
+		t.Error("no TTE was handed out again")
 	}
 }
 

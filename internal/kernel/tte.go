@@ -49,10 +49,9 @@ func (k *Kernel) copyProtoVectors(tte uint32) {
 func (k *Kernel) initThread(tte uint32, name string, ubase, ulimit uint32, kernelMode bool) *Thread {
 	m := k.M
 	t := &Thread{
-		TTE:      tte,
-		Name:     name,
-		Q:        k.C.NewQuaject("thread:" + name),
-		CodeBase: m.AllocCode(perThreadCodeSlots),
+		TTE:  tte,
+		Name: name,
+		Q:    k.C.NewQuaject("thread:" + name),
 	}
 	k.Threads[tte] = t
 	k.mCreates.Inc()
@@ -71,7 +70,7 @@ func (k *Kernel) initThread(tte uint32, name string, ubase, ulimit uint32, kerne
 	// voluntary-switch) at the thread's own code — Figure 3: "the
 	// interrupt is vectored to thread-0's context-switch-out
 	// procedure".
-	k.synthesizeSwitch(t, false)
+	k.synthesizeSwitch(t, m.AllocCode(perThreadCodeSlots), false)
 	return t
 }
 
@@ -94,10 +93,10 @@ func (k *Kernel) setEntry(t *Thread, entry, userSP uint32, sr uint16) {
 }
 
 // synthesizeSwitch (re)builds the thread's sw_out and sw_in
-// procedures in its code region. withFP selects the variant that also
-// saves and restores the floating-point context; the default omits it
-// and the line-F trap upgrades the thread on first FP use.
-func (k *Kernel) synthesizeSwitch(t *Thread, withFP bool) {
+// procedures in its code region at swout. withFP selects the variant
+// that also saves and restores the floating-point context; the default
+// omits it and the line-F trap upgrades the thread on first FP use.
+func (k *Kernel) synthesizeSwitch(t *Thread, swout uint32, withFP bool) {
 	m := k.M
 	tte := t.TTE
 	fpTrap := int32(1)
@@ -105,10 +104,9 @@ func (k *Kernel) synthesizeSwitch(t *Thread, withFP bool) {
 		fpTrap = 0
 	}
 
-	// sw_out at CodeBase. The quantum vectors here directly: it is the
-	// lowest interrupt level (m68k.IRQTimer), so it is only ever taken
-	// at IPL 0, from thread context, never inside a handler.
-	swout := t.CodeBase
+	// sw_out at the region's base. The quantum vectors here directly:
+	// it is the lowest interrupt level (m68k.IRQTimer), so it is only
+	// ever taken at IPL 0, from thread context, never inside a handler.
 	k.C.Build(t.Q, "sw_out").At(swout, 16).Emit(func(e *synth.Emitter) {
 		// The whole switch runs with interrupts masked: a quantum
 		// interrupt landing mid-switch would re-enter sw_out and
@@ -181,9 +179,9 @@ func (k *Kernel) resynthesizeFP(t *Thread) {
 	if flags&TTEFlagFP != 0 {
 		return
 	}
-	// synthesizeSwitch re-emits in place and re-points the
-	// quantum/switch vectors.
-	k.synthesizeSwitch(t, true)
+	// synthesizeSwitch re-emits in place, at the region TTESwoutPt
+	// records, and re-points the quantum/switch vectors.
+	k.synthesizeSwitch(t, k.M.Peek(t.TTE+TTESwoutPt, 4), true)
 	k.M.Poke(t.TTE+TTEFlags, 4, flags|TTEFlagFP)
 	// The machine must stop trapping FP for this thread right now.
 	k.M.FPTrap = false

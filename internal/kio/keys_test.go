@@ -13,16 +13,18 @@ import (
 
 // TestKeyedBuildsMatchTemplates is the soundness check of every
 // declared key in this package (synth.Builder.Key): with CheckKeys on,
-// a keyed hit also runs its template and panics unless the template
-// emits the routine the key named. A few thousand seeded opens, closes
-// and reopens over three threads put every kind of descriptor on
-// every slot in a different order each round, with
-// two of everything a key names (files, disk files, pipes, ports,
-// peers, snapshot lengths), so a key that left out a value its
-// template folds would meet two values under one key. Each key
-// argument was removed in turn to see this test fail; it runs with and
-// without the metrics plane because the plane's counter cell tells
-// apart what only the port tells apart without it. Every routine here
+// a hit also runs its template and panics unless the template emits,
+// instruction for instruction, the code installed at the routine the
+// key named. A few thousand seeded opens, closes and reopens over
+// three threads put every kind of descriptor on every slot in a
+// different order each round, with two of everything a key names
+// (files, disk files, pipes, peers, snapshot lengths) and more ports
+// than the socket table has entries, so a key that left out a value
+// its template folds would meet two values under one key; a port that
+// reopens on another table entry is driven last. Each key argument was
+// removed in turn to see this test fail; it runs with and without the
+// metrics plane because the plane's counter cell tells apart what only
+// the port tells apart without it. Every routine here
 // is one build with two entries, so the counts are one build per
 // routine, and after each round every descriptor's UNIX cell must lie
 // in the routine its native vector enters (checkUnixCells).
@@ -97,7 +99,7 @@ func keyedSoak(t *testing.T, plane bool) {
 		open      func(th *kernel.Thread) bool
 	}{
 		{kio.FDTTY, "cooked_read tty_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/tty") }},
-		{kio.FDFree, "cooked_read (layered)", 1, func(th *kernel.Thread) bool { return io.SynthLayeredCookedRead(th) != 0 }},
+		{kio.FDFree, "cooked_read rawtty_getchar (layered)", 2, func(th *kernel.Thread) bool { return io.SynthLayeredCookedRead(th) != 0 }},
 		{kio.FDRawTTY, "rawtty_read tty_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/rawtty") }},
 		{kio.FDNull, "null_read null_write", 2, func(th *kernel.Thread) bool { return open(th, "/dev/null") }},
 		{kio.FDFile, "file_read file_write", 2, func(th *kernel.Thread) bool { return open(th, "/tmp/a", "/tmp/b") }},
@@ -109,7 +111,9 @@ func keyedSoak(t *testing.T, plane bool) {
 		{kio.FDPipeR, "pipe_read", 1, func(th *kernel.Thread) bool { return openEnd(th, false) }},
 		{kio.FDPipeW, "pipe_write", 1, func(th *kernel.Thread) bool { return openEnd(th, true) }},
 		{kio.FDSock, "sock_recv sock_send", 2, func(th *kernel.Thread) bool {
-			return io.OpenSocket(th, uint32(5+rng.Intn(3)), uint32(8+rng.Intn(2))) >= 0
+			// More ports than the table has entries, so an entry's queue
+			// changes ports and a port changes entries.
+			return io.OpenSocket(th, uint32(5+rng.Intn(kio.MaxSockets+4)), uint32(8+rng.Intn(2))) >= 0
 		}},
 	}
 	allHit := make([]int, len(kinds)) // opens that found every routine by key
@@ -121,8 +125,8 @@ func keyedSoak(t *testing.T, plane bool) {
 	}()
 	openKind := func(th *kernel.Thread, i int) {
 		op = "an open of " + kinds[i].templates + " on " + th.Name
-		before := k.C.KeyedHits
-		if kinds[i].open(th) && k.C.KeyedHits-before == kinds[i].keyed {
+		before := k.C.CacheHits
+		if kinds[i].open(th) && k.C.CacheHits-before == kinds[i].keyed {
 			allHit[i]++
 		}
 	}
@@ -176,11 +180,44 @@ func keyedSoak(t *testing.T, plane bool) {
 			}
 		}
 	}
+	// A port whose table entry another port took reopens on another
+	// entry, with its thread, descriptor and peer as before: the socket
+	// keys must name the queue. Sixteen other ports fill the table, so
+	// one of them takes port 100's entry, and one that did not makes
+	// room.
+	const port, peer = 100, 8
+	queueOf := func(th *kernel.Thread, fd int32) uint32 {
+		return k.M.Peek(kernel.FDCell(th.TTE, int(fd), kernel.FDAux), 4)
+	}
+	op = "the moved port's first open"
+	fd := io.OpenSocket(threads[0], port, peer)
+	was := queueOf(threads[0], fd)
+	io.Close(threads[0], fd)
+	type sock struct {
+		th *kernel.Thread
+		fd int32
+	}
+	var fill []sock
+	for i := range uint32(kio.MaxSockets) {
+		th := threads[1+i%2]
+		fill = append(fill, sock{th, io.OpenSocket(th, port+1+i, peer)})
+	}
+	for _, s := range fill {
+		if queueOf(s.th, s.fd) != was {
+			io.Close(s.th, s.fd)
+			break
+		}
+	}
+	op = "the moved port's reopen"
+	if fd2 := io.OpenSocket(threads[0], port, peer); fd2 != fd || queueOf(threads[0], fd2) == was {
+		t.Errorf("port %d reopened as fd %d on queue %#x, want fd %d on another queue than %#x",
+			port, fd2, queueOf(threads[0], fd2), fd, was)
+	}
 	for i, kind := range kinds {
 		if allHit[i] == 0 {
 			t.Errorf("%s: no open found its routines by key", kind.templates)
 		}
 	}
-	t.Logf("%d operations: %d keyed hits of %d routines, %d keyed entries, %d content entries",
-		ops, k.C.KeyedHits, k.C.Routines, k.C.KeyedEntries(), k.C.CacheEntries())
+	t.Logf("%d operations: %d hits of %d routines, %d entries",
+		ops, k.C.CacheHits, k.C.Routines, k.C.KeyedEntries())
 }

@@ -104,7 +104,7 @@ func TestSocketChurnPlateaus(t *testing.T) {
 		entries, regions  int
 	}
 	read := func() reading {
-		return reading{k.M.CodeTop, k.Heap.FreeBytes(), k.C.CacheEntries(), k.Prof.Regions()}
+		return reading{k.M.CodeTop, k.Heap.FreeBytes(), k.C.KeyedEntries(), k.Prof.Regions()}
 	}
 	pass()
 	warm := read()
@@ -437,7 +437,7 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		regions, metrics int
 		heapFree         uint32
 		codeTop          uint32
-		entries, keyed   int
+		entries          int
 	}
 	// next runs the guest to its next halt and takes a reading.
 	next := func(round uint32) reading {
@@ -449,26 +449,26 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		if round != 0 && k.M.D[5] != round {
 			t.Fatalf("halted after round %d, want %d", k.M.D[5], round)
 		}
-		return reading{k.Prof.Regions(), len(reg.Names()), k.Heap.FreeBytes(), k.M.CodeTop, k.C.CacheEntries(), k.C.KeyedEntries()}
+		return reading{k.Prof.Regions(), len(reg.Names()), k.Heap.FreeBytes(), k.M.CodeTop, k.C.KeyedEntries()}
 	}
 
 	early := next(warm)
 	checkUnixCells(t, k, io, regions)
 	installed := slices.Clone(k.M.Code) // every cached routine, and the rest of code space
-	hits, keyedHits, misses := k.C.CacheHits, k.C.KeyedHits, k.C.CacheMisses
+	hits, misses := k.C.CacheHits, k.C.CacheMisses
 	if late := next(cycles); late != early {
 		t.Errorf("rounds %d..%d of five kinds moved the kernel:\n after %4d: %+v\n after %4d: %+v",
 			warm, cycles, warm, early, cycles, late)
 	}
 	// A round is five reopens of two routines each, all found by key,
-	// so no template runs (hits - keyed hits + misses): the socket's
+	// so no template runs and nothing is installed: the socket's
 	// open and close patch its demux cell instead of rebuilding the net
 	// handler.
 	const rounds = cycles - warm
-	keyedHits, hits, misses = k.C.KeyedHits-keyedHits, k.C.CacheHits-hits, k.C.CacheMisses-misses
-	if keyedHits != 10*rounds || hits != keyedHits || misses != 0 {
-		t.Errorf("%d rounds: %d keyed hits, %d content hits, %d misses, want %d 0 0",
-			rounds, keyedHits, hits-keyedHits, misses, 10*rounds)
+	hits, misses = k.C.CacheHits-hits, k.C.CacheMisses-misses
+	if hits != 10*rounds || misses != 0 {
+		t.Errorf("%d rounds: %d hits, %d misses, want %d 0",
+			rounds, hits, misses, 10*rounds)
 	}
 
 	misses = k.C.CacheMisses
@@ -484,7 +484,7 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		t.Errorf("%d of %d /proc/metrics reopens built a new read routine", built, cycles-warm)
 	}
 	t.Logf("/proc/metrics: %d of %d reopens had a new snapshot length, %d code slots", built, cycles-warm, slots)
-	early.entries, early.keyed, early.codeTop = late.entries, early.keyed+built, early.codeTop+slots
+	early.entries, early.codeTop = late.entries, early.codeTop+slots
 	if late != early {
 		t.Errorf("rounds %d..%d of /proc/metrics moved more than its %d new read routines:\n after %4d: %+v\n after %4d: %+v",
 			warm, cycles, built, warm, early, cycles, late)

@@ -212,7 +212,7 @@ func (io *IO) synthCooked(t *kernel.Thread, entry string, getchar uint32) entrie
 // layered structure Collapsing Layers eliminates. Returns the read
 // routine's code address (installable on a descriptor by tests).
 func (io *IO) SynthLayeredCookedRead(t *kernel.Thread) uint32 {
-	getchar := io.K.C.Synthesize(t.Q, "rawtty_getchar", nil, func(e *synth.Emitter) {
+	getchar := io.K.C.Build(t.Q, "rawtty_getchar").Key("kio.rawtty_getchar").Emit(func(e *synth.Emitter) {
 		io.emitRawGetChar(e)
 		e.Rts()
 	})

@@ -7,12 +7,13 @@
 // per-thread switch procedures, per-open device paths — goes through
 // one pipeline (Builder.Emit, this file):
 //
-//	declared key -> template -> content cache -> cleanups -> charge -> install
+//	declared key -> template -> cleanups -> charge -> install
 //
 // Stage by stage:
 //
 //   - declared key: a build that names its template and the values it
 //     folds (Builder.Key) is looked up first; a hit goes to the charge.
+//     A build without a key is always installed.
 //   - template: the closure runs against its Env. This is where the
 //     paper's methods are applied. Factoring Invariants: a hole bound
 //     to a constant becomes an immediate, one bound to a cell a memory
@@ -24,8 +25,6 @@
 //     structure kept in code changes by rewriting one instruction
 //     (Creator.Patch; kio's receive demux cells) or one cell that code
 //     jumps through (the ready queue's next-switch cell in each TTE).
-//   - content cache: the emitted program is looked up by content; a
-//     hit skips the next stages' work but is accounted like a miss.
 //   - peephole cleanups: optimize.go.
 //   - charge: the cost model of cost.go, when ChargeTime is set.
 //   - install: link into code space (or in place, Builder.At) and
@@ -53,9 +52,8 @@
 package synth
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"synthesis/internal/asmkit"
 	"synthesis/internal/m68k"
@@ -101,6 +99,7 @@ type Builder struct {
 	size    int
 	inPlace bool
 	counted bool
+	two     bool // EmitEntries
 	key     declKey
 	table   uint32   // jump table the install fills (Table), 0 for none
 	targets []string // its cells' labels
@@ -199,11 +198,11 @@ func (b *Builder) regionName() string {
 }
 
 // cached is one synthesis-cache entry: where a routine was installed
-// (and its second entry), and the statistics its synthesis produced,
+// and where it is entered, and the statistics its synthesis produced,
 // which is all a later Emit of the same routine needs.
 type cached struct {
-	addr, alt uint32
-	st        OptStats
+	base, addr, alt uint32
+	st              OptStats
 }
 
 // The labels of a two-entry routine's entries (EmitEntries).
@@ -212,24 +211,20 @@ const EntryMain, EntryAlt = "entry", "entry_alt"
 // Emit runs the template closure and the rest of the pipeline, then
 // returns the installed entry address.
 //
-// Synthesized code is a pure function of what the template emitted,
-// so the optimize-link-install half of the pipeline runs once per
-// distinct routine: the emitted program is looked up in the creator's
-// cache under a digest of everything the later stages read
-// (asmkit.Builder.AppendKey) and a hit returns the address installed
-// the first time. A template is in turn a pure function of the values
-// it folds, so a build that declares them (Key) is looked up before
-// the template runs, and a hit there runs no stage at all. Sharing is
-// sound because installed code outside At regions is never patched; At
-// builds, whose regions the caller owns and rewrites, and Table builds,
-// whose install writes the table, are not cached.
-// A hit of either kind is accounted exactly like a miss
-// — the cycle model and the size tables describe the paper's kernel,
-// which synthesizes on every open (DESIGN.md Section 4) — except that
-// it registers no region: a profiler charges a shared routine to the
-// name it was installed under.
+// A template is a pure function of the values it folds, so a build
+// that declares them (Key) is looked up in the creator's cache before
+// the template runs: a hit returns the routine installed the first
+// time and runs no stage at all. Sharing is sound because installed
+// code outside At regions is never patched; At builds, whose regions
+// the caller owns and rewrites, and Table builds, whose install writes
+// the table, are not cached. A build without a key is always
+// installed. A hit is accounted exactly like a miss — the cycle model
+// and the size tables describe the paper's kernel, which synthesizes
+// on every open (DESIGN.md Section 4) — except that it registers no
+// region: a profiler charges a shared routine to the name it was
+// installed under.
 func (b *Builder) Emit(emit func(*Emitter)) uint32 {
-	return b.emit(emit, false).addr
+	return b.emit(emit).addr
 }
 
 // EmitEntries is Emit for a routine with two entries, one per register
@@ -238,11 +233,12 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 // Emitter.Entry, not at the start, so an entry that falls into the
 // other (a plain Label) is counted once, where it lands.
 func (b *Builder) EmitEntries(emit func(*Emitter)) (main, alt uint32) {
-	ent := b.emit(emit, true)
+	b.two = true
+	ent := b.emit(emit)
 	return ent.addr, ent.alt
 }
 
-func (b *Builder) emit(emit func(*Emitter), two bool) cached {
+func (b *Builder) emit(emit func(*Emitter)) cached {
 	c := b.c
 	var cell uint32
 	if b.counted && c.Counters != nil {
@@ -252,65 +248,19 @@ func (b *Builder) emit(emit func(*Emitter), two bool) cached {
 	}
 	k := b.key
 	k.args[maxKeyArgs] = cell
-	uncached := b.inPlace || b.table != 0
-	if uncached {
-		k.name = ""
-	}
-	want, keyedHit := c.keyed[k] // nothing is filed under the empty name
-	if keyedHit {
-		c.KeyedHits++
-	}
-	var ent cached
-	if keyedHit && !c.CheckKeys {
-		ent = want
+	ent, hit := c.keyed[k] // nothing is filed under the empty name
+	switch {
+	case b.inPlace || b.table != 0: // never cached (Emit)
+		ent = b.install(b.prepare(emit, cell))
+	case hit:
 		c.CacheHits++
-	} else {
-		// Templates emit into the creator's one emitter. It is checked out
-		// while in use, so a template that itself synthesizes gets a fresh
-		// one.
-		e := c.scratch
-		c.scratch = nil
-		if e == nil {
-			e = NewEmitter(nil)
+		if c.CheckKeys {
+			bb, _ := b.prepare(emit, cell)
+			b.check(k, ent, bb)
 		}
-		e.Reset()
-		e.env = b.env
-		e.cell = 0
-		if two {
-			e.cell = cell
-		} else if cell != 0 {
-			// Self-measurement stitched into the quaject: one AddL to a
-			// folded cell address before the template body runs.
-			e.AddL(m68k.Imm(1), m68k.Abs(cell))
-		}
-		emit(e)
-
-		if uncached {
-			ent = b.install(e.Export(), two)
-		} else {
-			// The key leads with the routine's entry count, and a
-			// two-entry build's with where its entries are.
-			c.key = append(c.key[:0], 1)
-			if two {
-				c.key = append(c.key[:0], 2)
-				c.key = binary.LittleEndian.AppendUint32(c.key, e.AddrOf(EntryMain, 0))
-				c.key = binary.LittleEndian.AppendUint32(c.key, e.AddrOf(EntryAlt, 0))
-			}
-			c.key = e.AppendKey(c.key)
-			key := sha256.Sum256(c.key)
-			if got, hit := c.cache[key]; hit {
-				ent = got
-				c.CacheHits++
-			} else {
-				ent = b.install(e.Export(), two)
-				c.cache[key] = ent
-				c.CacheMisses++
-			}
-		}
-		c.scratch = e
-		if keyedHit && (ent.addr != want.addr || ent.alt != want.alt) {
-			panic(fmt.Sprintf("synth: key %s%v names the routine at %d, but its template now emits another", k.name, k.args, want.addr))
-		}
+	default:
+		ent = b.install(b.prepare(emit, cell))
+		c.CacheMisses++
 		if k.name != "" {
 			c.keyed[k] = ent
 		}
@@ -333,42 +283,87 @@ func (b *Builder) emit(emit func(*Emitter), two bool) cached {
 	return ent
 }
 
-// install is the part of the pipeline a cache hit skips: optimize,
-// link into code space and register the region.
-func (b *Builder) install(p asmkit.Program, two bool) cached {
+// prepare runs the template and the cleanups, and returns the routine
+// ready to link.
+func (b *Builder) prepare(emit func(*Emitter), cell uint32) (*asmkit.Builder, OptStats) {
 	c := b.c
-	p, st := Optimize(p)
+	// Templates emit into the creator's one emitter. It is checked out
+	// while in use, so a template that itself synthesizes gets a fresh
+	// one.
+	e := c.scratch
+	c.scratch = nil
+	if e == nil {
+		e = NewEmitter(nil)
+	}
+	e.Reset()
+	e.env = b.env
+	e.cell = 0
+	if b.two {
+		e.cell = cell
+	} else if cell != 0 {
+		// Self-measurement stitched into the quaject: one AddL to a
+		// folded cell address before the template body runs.
+		e.AddL(m68k.Imm(1), m68k.Abs(cell))
+	}
+	emit(e)
+	p, st := Optimize(e.Export())
+	c.scratch = e
+	return asmkit.FromProgram(p), st
+}
+
+// entries returns where the routine is entered when linked at base.
+func (b *Builder) entries(bb *asmkit.Builder, base uint32) (addr, alt uint32) {
+	if b.two {
+		return bb.AddrOf(EntryMain, base), bb.AddrOf(EntryAlt, base)
+	}
+	return base, 0
+}
+
+// check is CheckKeys' oracle for a hit: the routine the template emits
+// now, resolved at the cached routine's base, must be the code
+// installed there, instruction for instruction, entered at the same
+// places.
+func (b *Builder) check(k declKey, ent cached, bb *asmkit.Builder) {
+	addr, alt := b.entries(bb, ent.base)
+	if n := bb.Len(); n != ent.st.InstrsAfter || addr != ent.addr || alt != ent.alt ||
+		!slices.Equal(bb.Resolve(ent.base), b.c.M.Code[ent.base:][:n]) {
+		panic(fmt.Sprintf("synth: key %s%v names the routine at %d, but its template now emits another", k.name, k.args, ent.addr))
+	}
+}
+
+// install links a prepared routine into code space and registers its
+// region.
+func (b *Builder) install(bb *asmkit.Builder, st OptStats) cached {
+	c := b.c
 	if st.Removed > 0 {
 		c.OptRemoved += uint64(st.Removed)
 		c.OptChanged++
 	}
-	if b.inPlace && len(p.Ins) > b.size {
+	if b.inPlace && bb.Len() > b.size {
 		panic("synth: routine does not fit its preallocated region: " + b.entry)
 	}
-	bb := asmkit.FromProgram(p)
-	addr := b.base
-	regionLen := len(p.Ins)
+	base := b.base
+	regionLen := bb.Len()
 	if b.inPlace {
 		bb.LinkAt(c.M, b.base)
-		for i := len(p.Ins); i < b.size; i++ {
+		for i := bb.Len(); i < b.size; i++ {
 			c.M.PatchCode(b.base+uint32(i), m68k.Instr{Op: m68k.NOP})
 		}
 		// The whole reserved region belongs to this routine: time in
 		// the NOP slack (if ever reached) is still its time.
 		regionLen = b.size
 	} else {
-		addr = bb.Link(c.M)
+		base = bb.Link(c.M)
 	}
 	for i, l := range b.targets {
-		c.M.Poke(b.table+uint32(i)*4, 4, bb.AddrOf(l, addr))
+		c.M.Poke(b.table+uint32(i)*4, 4, bb.AddrOf(l, base))
 	}
 	if c.Regions != nil {
-		c.Regions.RegisterRegion(b.regionName(), addr, regionLen)
+		c.Regions.RegisterRegion(b.regionName(), base, regionLen)
 	}
-	if two {
-		return cached{addr: bb.AddrOf(EntryMain, addr), alt: bb.AddrOf(EntryAlt, addr), st: st}
-	}
-	return cached{addr: addr, st: st}
+	ent := cached{base: base, st: st}
+	ent.addr, ent.alt = b.entries(bb, base)
+	return ent
 }
 
 // Patch rewrites one slot of installed code, the way an executable data

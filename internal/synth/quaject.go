@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"crypto/sha256"
 	"sort"
 
 	"synthesis/internal/m68k"
@@ -70,37 +69,32 @@ type Creator struct {
 	Routines    int
 	LastStats   OptStats
 
-	// What the optimization stage has done, over every run of it (a
-	// cache hit runs none): instructions removed, and routines it
-	// changed at all.
+	// What the optimization stage has done, over every install (a
+	// cache hit, checked or not, counts none): instructions removed,
+	// and routines it changed at all.
 	OptRemoved uint64
 	OptChanged uint64
 
-	// The synthesis cache (Builder.Emit): installed routines by the
-	// digest of the program their template emitted and by declared key,
-	// how often a build was served from it (KeyedHits: of CacheHits, the
-	// ones that ran no template), and the emitter and digest buffer every
-	// build reuses. CheckKeys, for test rigs, makes a keyed hit run its
-	// template anyway and panic unless the digest finds the same routine.
+	// The synthesis cache (Builder.Emit): installed routines by declared
+	// key, how often a build was served from it and how often one was
+	// installed outside an At or Table region, and the emitter every
+	// build reuses. CheckKeys, for test rigs, makes a hit run its
+	// template anyway and panic unless the code installed at the cached
+	// routine is what the template emits now.
 	CacheHits   uint64
-	KeyedHits   uint64
 	CacheMisses uint64
 	CheckKeys   bool
-	cache       map[[sha256.Size]byte]cached
 	keyed       map[declKey]cached
 	scratch     *Emitter
-	key         []byte
 }
 
-// CacheEntries returns the number of routines in the synthesis cache.
-func (c *Creator) CacheEntries() int { return len(c.cache) }
-
-// KeyedEntries returns the number of declared keys that name one.
+// KeyedEntries returns the number of routines in the synthesis cache,
+// one per declared key.
 func (c *Creator) KeyedEntries() int { return len(c.keyed) }
 
 // NewCreator returns a creator with time charging off (boot mode).
 func NewCreator(m *m68k.Machine) *Creator {
-	return &Creator{M: m, cache: make(map[[sha256.Size]byte]cached), keyed: make(map[declKey]cached)}
+	return &Creator{M: m, keyed: make(map[declKey]cached)}
 }
 
 // NewQuaject starts an empty quaject record.

@@ -25,7 +25,10 @@
 # throttle, delay, scripted and manual cuts). `make examples` runs the six self-checking examples, each of
 # which exits nonzero on failure. `make bench` runs the root Go
 # benchmarks once and then the dispatcher's inner loops for a second each (internal/m68k:
-# BenchmarkStepLoop; BenchmarkShapes, one instruction shape at a time;
+# BenchmarkStepLoop; BenchmarkShapes, one instruction shape at a time,
+# among them the six MOVEMs with bodies of their own: D3-D7/A3-A5 from
+# (A0)+ and to (An), D0-D2/A0-A2 to -(A7) and from (A7)+, D0-D7/A0-A6
+# to and from an absolute address;
 # BenchmarkCopyLoop beside BenchmarkMovemCopyLoop, the copy loop's two
 # forms; host ns per guest instruction and per KB) and a synthesis-cache
 # hit by declared key (internal/synth: BenchmarkSynthHit, host ns per

@@ -116,7 +116,7 @@ func (k *Kernel) synthesizeSwitch(t *Thread, swout uint32, withFP bool) {
 		// Save the integer context into the register save area; the
 		// TTE address is a synthesis-time constant for this thread
 		// (Factoring Invariants), so no pointer is ever chased.
-		e.MovemSave(0x7fff, m68k.Abs(tte+TTEReg)) // D0-D7, A0-A6
+		e.MovemSave(m68k.MovemContextRegs, m68k.Abs(tte+TTEReg)) // D0-D7, A0-A6
 		e.MovecFrom(m68k.CtrlUSP, m68k.D(0))
 		e.MoveL(m68k.D(0), m68k.Abs(tte+TTEUSP))
 		if withFP {
@@ -147,7 +147,7 @@ func (k *Kernel) synthesizeSwitch(t *Thread, swout uint32, withFP bool) {
 			e.FmovemRest(m68k.Abs(tte+TTEFP), 0xff)
 		}
 		e.MoveL(m68k.Abs(tte+TTESSP), m68k.A(7))
-		e.MovemRest(m68k.Abs(tte+TTEReg), 0x7fff)
+		e.MovemRest(m68k.Abs(tte+TTEReg), m68k.MovemContextRegs)
 		e.Rte()
 	})
 	// The plain sw_in entry skips the two quaspace loads; a thread with

@@ -2,12 +2,17 @@ package kio_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"synthesis/internal/kernel"
 	"synthesis/internal/kio"
 	"synthesis/internal/m68k"
+	"synthesis/internal/metrics"
+	"synthesis/internal/net"
 	"synthesis/internal/synth"
 )
 
@@ -227,5 +232,162 @@ func testPreemptedPipeStream(t *testing.T) {
 	}
 	if probe.between == 0 {
 		t.Error("no copy was preempted between a group's two MOVEMs")
+	}
+}
+
+// TestCopyFormsAgree holds emitCopy's three forms to each other and to
+// their contract on the same inputs: every length from 0 to three
+// 32-byte groups, seven leftover longs' worth of bytes past them, from
+// and to every alignment mod 4. Each form must leave the same bytes at
+// the destination, touch nothing before it or after it (the summing
+// form zeroes the rest of the tail's long, and nothing more), advance
+// A0 past the source and A1 past the destination (the summing form
+// leaves A1 at the tail's long), and leave every other register as it
+// found it but D0 and D1, and D2 in the summing form, which holds the
+// bytes' wire checksum.
+func TestCopyFormsAgree(t *testing.T) {
+	const (
+		maxLen   = 3*32 + 7
+		src, dst = 0x4000, 0x6000 // each copy starts 0-3 bytes in
+		stack    = 0x3000
+		guard    = 0xee
+		span     = maxLen + 16 // the destination's view: 8 bytes each side
+	)
+	m := m68k.New(m68k.Config{MemSize: 1 << 16})
+	c := synth.NewCreator(m)
+	forms := []int{kio.LongCopy, kio.BlockCopy, kio.SumCopy}
+	entry := make([]uint32, len(forms))
+	for i, form := range forms {
+		entry[i] = c.Synthesize(nil, fmt.Sprint("copy", form), nil, func(e *synth.Emitter) {
+			kio.EmitCopy(e, form)
+			e.Halt()
+		})
+	}
+	rng := rand.New(rand.NewSource(1))
+	payload := make([]byte, maxLen)
+	guards := bytes.Repeat([]byte{guard}, span)
+	for n := uint32(0); n <= maxLen; n++ {
+		for align := uint32(0); align < 16; align++ {
+			sa, da := align%4, align/4
+			rng.Read(payload[:n])
+			var d, a [8]uint32
+			for r := range d {
+				d[r], a[r] = rng.Uint32(), rng.Uint32()
+			}
+			a[0], a[1], a[7], d[1] = src+sa, dst+da, stack, n
+			var first []byte
+			for i, form := range forms {
+				what := fmt.Sprintf("form %d, %d bytes from %d mod 4 to %d mod 4", form, n, sa, da)
+				m.PokeBytes(dst-8, guards)
+				m.PokeBytes(src+sa, payload[:n])
+				m.D, m.A = d, a
+				m.PC = entry[i]
+				m.ClearHalt()
+				if err := m.Run(1 << 20); !errors.Is(err, m68k.ErrHalted) {
+					t.Fatalf("%s: %v", what, err)
+				}
+				view := m.PeekBytes(dst-8, span)
+				if first == nil {
+					first = view
+				}
+				at := 8 + da
+				if !bytes.Equal(view[at:at+n], payload[:n]) {
+					t.Errorf("%s: the wrong bytes arrived", what)
+				}
+				if !bytes.Equal(view[at:at+n], first[at:at+n]) {
+					t.Errorf("%s: other bytes than form %d's arrived", what, forms[0])
+				}
+				end, a1 := at+n, dst+da+n
+				if form == kio.SumCopy && n%4 != 0 {
+					end, a1 = at+n+4-n%4, dst+da+n&^3
+					if !bytes.Equal(view[at+n:end], make([]byte, end-at-n)) {
+						t.Errorf("%s: the tail's long is not zero-padded: % x", what, view[at+n:end])
+					}
+				}
+				if !bytes.Equal(view[:at], guards[:at]) || !bytes.Equal(view[end:], guards[end:]) {
+					t.Errorf("%s: wrote outside the destination", what)
+				}
+				wantD, wantA := d, a
+				wantA[0], wantA[1] = src+sa+n, a1
+				wantD[0], wantD[1] = m.D[0], m.D[1]
+				if form == kio.SumCopy {
+					wantD[2] = net.Checksum(payload[:n])
+				}
+				if m.D != wantD || m.A != wantA {
+					t.Errorf("%s: registers D %x A %x, want D %x A %x", what, m.D, m.A, wantD, wantA)
+				}
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}
+}
+
+// TestEmittedMovemsHaveBodies boots a kernel, opens a descriptor of
+// every kind and a socket, and scans code space: every MOVEM the
+// synthesizer emitted must have a body of its own in the dispatcher
+// (m68k.MovemHasBody), so a template that changes its register set
+// fails here instead of running through exec. The receive handler's
+// generic demultiplex, which the watchdog falls back to, saves D3 as
+// well and is the one MOVEM without a body.
+func TestEmittedMovemsHaveBodies(t *testing.T) {
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}, Metrics: metrics.New()})
+	k.C.CheckKeys = true
+	io := kio.Install(k)
+	if _, err := k.FS.CreateSized("/f", []byte("0123456789"), 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.StoreDiskFile("/disk/f", []byte("on the disk")); err != nil {
+		t.Fatal(err)
+	}
+	th := k.SpawnKernel("main", k.C.Synthesize(nil, "main", nil, exitSeq))
+	var procFD int32 // the last open's: the generic /proc read reads it
+	for _, name := range []string{"/dev/null", "/dev/tty", "/dev/rawtty", "/dev/ad", "/f", "/disk/f", kio.ProcMetricsPath} {
+		if procFD = io.Open(th, name); procFD < 0 {
+			t.Fatalf("open %s failed", name)
+		}
+	}
+	p := io.NewPipe(kio.DefaultPipeBytes)
+	if io.SynthGenericProcRead(th, procFD) < 0 || io.OpenPipeEnd(th, p, false) < 0 ||
+		io.OpenPipeEnd(th, p, true) < 0 || io.OpenSocket(th, 5, 9) < 0 {
+		t.Fatal("an open failed")
+	}
+	open := map[uint32]bool{}
+	for fd := range kernel.MaxFD {
+		open[k.M.Peek(kernel.FDCell(th.TTE, fd, kernel.FDKind), 4)] = true
+	}
+	for kind := kio.FDNull; kind <= kio.FDSock; kind++ {
+		if !open[kind] {
+			t.Errorf("no descriptor of kind %d is open", kind)
+		}
+	}
+
+	// scan returns how many MOVEMs of each mask code space holds and
+	// the masks of those without a body.
+	scan := func() (found map[uint16]int, slow []uint16) {
+		found = map[uint16]int{}
+		for _, in := range k.M.Code[:k.M.CodeTop] {
+			if in.Op == m68k.MOVEM {
+				found[in.Mask]++
+				if !m68k.MovemHasBody(in) {
+					slow = append(slow, in.Mask)
+				}
+			}
+		}
+		return found, slow
+	}
+	found, slow := scan()
+	if len(slow) != 0 {
+		t.Errorf("MOVEMs without a body, masks %#04x", slow)
+	}
+	for _, set := range []uint16{m68k.MovemCopyRegs, m68k.MovemIntrRegs, m68k.MovemContextRegs} {
+		if found[set] == 0 {
+			t.Errorf("no MOVEM of %#04x in code space: %v", set, found)
+		}
+	}
+	io.SetNetMode(true, false)
+	if _, slow := scan(); !slices.Equal(slow, []uint16{m68k.MovemIntrRegs | 0x0008, m68k.MovemIntrRegs | 0x0008}) {
+		t.Errorf("generic demultiplex: MOVEMs without a body, masks %#04x, want its save and restore", slow)
 	}
 }

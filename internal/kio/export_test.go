@@ -1,5 +1,7 @@
 package kio
 
+import "synthesis/internal/synth"
+
 // SetNetMode rebuilds the receive handler in the given demultiplex
 // discipline, with the storm throttle engaged or not, the way the
 // watchdog's mode changes do.
@@ -17,3 +19,9 @@ func (io *IO) BadFD() uint32 { return io.badFD }
 
 // TTYQueue returns the raw tty input queue's address.
 func (io *IO) TTYQueue() uint32 { return io.ttyQ }
+
+// EmitCopy emits emitCopy's form: LongCopy, BlockCopy or SumCopy.
+func EmitCopy(e *synth.Emitter, form int) { emitCopy(e, form) }
+
+// emitCopy's forms.
+const LongCopy, BlockCopy, SumCopy = longCopy, blockCopy, sumCopy

@@ -180,7 +180,7 @@ func (io *IO) resynthNetHandler() {
 		// expires during the drain stays pending until the RTE restores
 		// IPL 0 and is taken from thread context right after.
 		e.OrSR(kernel.SRIPLMask)
-		saved := uint16(0x0707) // D0-D2/A0-A2, and D3 for the table walk
+		saved := uint16(m68k.MovemIntrRegs) // D0-D2/A0-A2, and D3 for the table walk
 		if generic {
 			saved |= 0x0008
 		}

@@ -73,7 +73,7 @@ func (q *KQueue) Gauge(m *m68k.Machine) uint32 {
 // emitCopy's forms. The block forms move their groups through
 // D3-D7/A3-A5, saved around the group loop; the summing one keeps its
 // sum in D2.
-const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, 0x38f8
+const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, m68k.MovemCopyRegs
 
 // emitCopy emits an inline byte copier: D1 bytes from (A0)+ to (A1)+,
 // long words first, byte tail after. Clobbers D0 and D1. This is the

@@ -952,28 +952,39 @@ func cAddSub(in *Instr) runFn {
 	return nil
 }
 
-// cMovem compiles MOVEM.L as one block transfer, its register list and
-// address form resolved here: addr = A[r]&keep + disp (absolute keeps
-// no register, -(An) starts a block below An), with execMovem's
-// write-back. A block ramBlock does not admit whole runs execMovem
-// itself; the forms nothing emits (registers to (An)+, memory to -(An),
-// indexed) get no body, and nil sends them to cSlow.
+// The MOVEM register sets the synthesizer emits, each with a body of
+// its own in cMovem: kio's block copy group, net_intr's save, and the
+// integer context sw_out and sw_in keep in the TTE.
+const (
+	MovemCopyRegs    = 0x38f8 // D3-D7/A3-A5
+	MovemIntrRegs    = 0x0707 // D0-D2/A0-A2
+	MovemContextRegs = 0x7fff // D0-D7/A0-A6
+)
+
+// MovemHasBody reports whether in is a MOVEM with a body of its own:
+// one of the three register sets in a form cMovem compiles. Every
+// other MOVEM runs through exec.
+func MovemHasBody(in Instr) bool { return in.Op == MOVEM && cMovem(&in, 0) != nil }
+
+// cMovem compiles MOVEM.L of one of the three register sets as one
+// block transfer, its address form resolved here: addr = A[r]&keep +
+// disp (absolute keeps no register, -(An) starts a block below An).
+// Each set and direction has a written-out body that moves its
+// registers at constant offsets of one slice of RAM, and writes back as
+// execMovem does: -(An) before the stores and (An)+ after the loads, so
+// a base register in the list ends up holding the address. A block
+// ramBlock does not admit whole runs execMovem itself. Any other mask,
+// and the forms nothing emits (registers to (An)+, memory to -(An),
+// indexed), get no body, and nil sends them to cSlow. Generic bodies (a
+// loop over the mask's registers or over its runs, a switch over runs
+// unrolled by fallthrough) were measured and do not pay; constant
+// offsets do (docs/PERFORMANCE.md).
 func cMovem(in *Instr, pc uint32) runFn {
-	var dl, al []uint8 // data registers, then address registers, ascending
-	for r := uint8(0); r < 8; r++ {
-		if in.Mask&(1<<r) != 0 {
-			dl = append(dl, r)
-		}
-		if in.Mask&(0x100<<r) != 0 {
-			al = append(al, r)
-		}
-	}
-	n := len(dl) + len(al)
-	size := 4 * uint32(n)
 	toMem, o := in.Dir == 0, in.Src
 	if toMem {
 		o = in.Dst
 	}
+	size := 4 * uint32(popcount16(in.Mask))
 	base, keep, disp := o.Reg, ^uint32(0), uint32(0)
 	switch {
 	case o.Mode == ModeInd:
@@ -988,34 +999,144 @@ func cMovem(in *Instr, pc uint32) runFn {
 		return nil
 	}
 	step := o.Mode == ModePreDec || o.Mode == ModePostInc
-	return func(m *Machine) error {
-		addr := m.A[base]&keep + disp
-		if !m.ramBlock(addr, size) {
-			return m.execMovem(&m.Code[pc])
-		}
-		b := m.Mem[addr:]
-		if toMem {
+	be := binary.BigEndian
+	switch {
+	case in.Mask == MovemCopyRegs && toMem:
+		return func(m *Machine) error {
+			addr := m.A[base]&keep + disp
+			if !m.ramBlock(addr, 32) {
+				return m.execMovem(&m.Code[pc])
+			}
 			if step {
 				m.A[base] = addr
 			}
-			for i, r := range dl {
-				binary.BigEndian.PutUint32(b[4*i:], m.D[r])
+			b := (*[32]byte)(m.Mem[addr:])
+			be.PutUint32(b[0:], m.D[3])
+			be.PutUint32(b[4:], m.D[4])
+			be.PutUint32(b[8:], m.D[5])
+			be.PutUint32(b[12:], m.D[6])
+			be.PutUint32(b[16:], m.D[7])
+			be.PutUint32(b[20:], m.A[3])
+			be.PutUint32(b[24:], m.A[4])
+			be.PutUint32(b[28:], m.A[5])
+			m.chargeMem(8)
+			return nil
+		}
+	case in.Mask == MovemCopyRegs:
+		return func(m *Machine) error {
+			addr := m.A[base]&keep + disp
+			if !m.ramBlock(addr, 32) {
+				return m.execMovem(&m.Code[pc])
 			}
-			for i, r := range al {
-				binary.BigEndian.PutUint32(b[4*(len(dl)+i):], m.A[r])
+			b := (*[32]byte)(m.Mem[addr:])
+			m.D[3] = be.Uint32(b[0:])
+			m.D[4] = be.Uint32(b[4:])
+			m.D[5] = be.Uint32(b[8:])
+			m.D[6] = be.Uint32(b[12:])
+			m.D[7] = be.Uint32(b[16:])
+			m.A[3] = be.Uint32(b[20:])
+			m.A[4] = be.Uint32(b[24:])
+			m.A[5] = be.Uint32(b[28:])
+			if step {
+				m.A[base] = addr + 32
 			}
-		} else {
-			for i, r := range dl {
-				m.D[r] = binary.BigEndian.Uint32(b[4*i:])
-			}
-			for i, r := range al {
-				m.A[r] = binary.BigEndian.Uint32(b[4*(len(dl)+i):])
+			m.chargeMem(8)
+			return nil
+		}
+	case in.Mask == MovemIntrRegs && toMem:
+		return func(m *Machine) error {
+			addr := m.A[base]&keep + disp
+			if !m.ramBlock(addr, 24) {
+				return m.execMovem(&m.Code[pc])
 			}
 			if step {
-				m.A[base] = addr + size
+				m.A[base] = addr
 			}
+			b := (*[24]byte)(m.Mem[addr:])
+			be.PutUint32(b[0:], m.D[0])
+			be.PutUint32(b[4:], m.D[1])
+			be.PutUint32(b[8:], m.D[2])
+			be.PutUint32(b[12:], m.A[0])
+			be.PutUint32(b[16:], m.A[1])
+			be.PutUint32(b[20:], m.A[2])
+			m.chargeMem(6)
+			return nil
 		}
-		m.chargeMem(n)
-		return nil
+	case in.Mask == MovemIntrRegs:
+		return func(m *Machine) error {
+			addr := m.A[base]&keep + disp
+			if !m.ramBlock(addr, 24) {
+				return m.execMovem(&m.Code[pc])
+			}
+			b := (*[24]byte)(m.Mem[addr:])
+			m.D[0] = be.Uint32(b[0:])
+			m.D[1] = be.Uint32(b[4:])
+			m.D[2] = be.Uint32(b[8:])
+			m.A[0] = be.Uint32(b[12:])
+			m.A[1] = be.Uint32(b[16:])
+			m.A[2] = be.Uint32(b[20:])
+			if step {
+				m.A[base] = addr + 24
+			}
+			m.chargeMem(6)
+			return nil
+		}
+	case in.Mask == MovemContextRegs && toMem:
+		return func(m *Machine) error {
+			addr := m.A[base]&keep + disp
+			if !m.ramBlock(addr, 60) {
+				return m.execMovem(&m.Code[pc])
+			}
+			if step {
+				m.A[base] = addr
+			}
+			b := (*[60]byte)(m.Mem[addr:])
+			be.PutUint32(b[0:], m.D[0])
+			be.PutUint32(b[4:], m.D[1])
+			be.PutUint32(b[8:], m.D[2])
+			be.PutUint32(b[12:], m.D[3])
+			be.PutUint32(b[16:], m.D[4])
+			be.PutUint32(b[20:], m.D[5])
+			be.PutUint32(b[24:], m.D[6])
+			be.PutUint32(b[28:], m.D[7])
+			be.PutUint32(b[32:], m.A[0])
+			be.PutUint32(b[36:], m.A[1])
+			be.PutUint32(b[40:], m.A[2])
+			be.PutUint32(b[44:], m.A[3])
+			be.PutUint32(b[48:], m.A[4])
+			be.PutUint32(b[52:], m.A[5])
+			be.PutUint32(b[56:], m.A[6])
+			m.chargeMem(15)
+			return nil
+		}
+	case in.Mask == MovemContextRegs:
+		return func(m *Machine) error {
+			addr := m.A[base]&keep + disp
+			if !m.ramBlock(addr, 60) {
+				return m.execMovem(&m.Code[pc])
+			}
+			b := (*[60]byte)(m.Mem[addr:])
+			m.D[0] = be.Uint32(b[0:])
+			m.D[1] = be.Uint32(b[4:])
+			m.D[2] = be.Uint32(b[8:])
+			m.D[3] = be.Uint32(b[12:])
+			m.D[4] = be.Uint32(b[16:])
+			m.D[5] = be.Uint32(b[20:])
+			m.D[6] = be.Uint32(b[24:])
+			m.D[7] = be.Uint32(b[28:])
+			m.A[0] = be.Uint32(b[32:])
+			m.A[1] = be.Uint32(b[36:])
+			m.A[2] = be.Uint32(b[40:])
+			m.A[3] = be.Uint32(b[44:])
+			m.A[4] = be.Uint32(b[48:])
+			m.A[5] = be.Uint32(b[52:])
+			m.A[6] = be.Uint32(b[56:])
+			if step {
+				m.A[base] = addr + 60
+			}
+			m.chargeMem(15)
+			return nil
+		}
 	}
+	return nil
 }

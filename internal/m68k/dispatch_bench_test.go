@@ -42,9 +42,13 @@ func BenchmarkStepLoop(b *testing.B) {
 // run most (docs/PERFORMANCE.md has the op mix) and a NOP for the
 // dispatch floor. A prologue run once per pass resets the registers a
 // shape steps; jsr_abs+rts calls an RTS placed after the HALT, so its
-// ns/instr is the mean of the pair.
+// ns/instr is the mean of the pair. The MOVEM rows are the register sets
+// with bodies of their own, in the modes their templates use (the copy
+// group's store is to (A1) there); a MOVEM that loads D0, the loop
+// counter, counts the loop in a memory cell instead (SUB.L #1 and a BNE
+// in place of the DBRA).
 func BenchmarkShapes(b *testing.B) {
-	const cell, stack = 0x9000, 0x20000
+	const cell, stack, count = 0x9000, 0x80000, 0x8000
 	for _, s := range []struct {
 		name string
 		in   Instr
@@ -66,6 +70,12 @@ func BenchmarkShapes(b *testing.B) {
 		{"move.l_a0,-(a7)", Instr{Op: MOVE, Src: A(0), Dst: PreDec(7)}},
 		{"move.l_4(a0),a1", Instr{Op: MOVE, Src: Disp(4, 0), Dst: A(1)}},
 		{"jsr_abs+rts", Instr{Op: JSR}},
+		{"movem.l_(a0)+,d3-d7/a3-a5", Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(0)}},
+		{"movem.l_d3-d7/a3-a5,(a0)", Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Ind(0)}},
+		{"movem.l_d0-d2/a0-a2,-(a7)", Instr{Op: MOVEM, Mask: MovemIntrRegs, Dst: PreDec(7)}},
+		{"movem.l_(a7)+,d0-d2/a0-a2", Instr{Op: MOVEM, Mask: MovemIntrRegs, Dir: 1, Src: PostInc(7)}},
+		{"movem.l_d0-d7/a0-a6,abs", Instr{Op: MOVEM, Mask: MovemContextRegs, Dst: Abs(cell)}},
+		{"movem.l_abs,d0-d7/a0-a6", Instr{Op: MOVEM, Mask: MovemContextRegs, Dir: 1, Src: Abs(cell)}},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			m := New(Config{})
@@ -75,12 +85,17 @@ func BenchmarkShapes(b *testing.B) {
 				{Op: MOVE, Src: Imm(cell), Dst: A(0)},
 				{Op: MOVE, Src: Imm(stack), Dst: A(7)},
 			})
-			loop, in := m.CodeTop, s.in
+			in, end := s.in, []Instr{{Op: DBRA, Src: D(0), Dst: Abs(0)}}
+			if in.Op == MOVEM && in.Dir == 1 && in.Mask&1 != 0 {
+				m.Emit([]Instr{{Op: MOVE, Src: Imm(1000), Dst: Abs(count)}})
+				end = []Instr{{Op: SUB, Src: Imm(1), Dst: Abs(count)}, {Op: BNE}}
+			}
+			loop := m.CodeTop
+			end[len(end)-1].Dst = Abs(loop)
 			if in.Op == JSR {
 				in.Dst = Abs(loop + 18) // past the sixteen, the DBRA and the HALT
 			}
-			m.Emit(append(slices.Repeat([]Instr{in}, 16),
-				Instr{Op: DBRA, Src: D(0), Dst: Abs(loop)}, Instr{Op: HALT}, Instr{Op: RTS}))
+			m.Emit(slices.Concat(slices.Repeat([]Instr{in}, 16), end, []Instr{{Op: HALT}, {Op: RTS}}))
 			benchRun(b, m, entry)
 		})
 	}
@@ -103,7 +118,7 @@ func BenchmarkCopyLoop(b *testing.B) { benchCopy(b, false) }
 func BenchmarkMovemCopyLoop(b *testing.B) { benchCopy(b, true) }
 
 func benchCopy(b *testing.B, block bool) {
-	const passes, regs = 100, 0x38f8 // D3-D7, A3-A5
+	const passes, regs = 100, MovemCopyRegs
 	m := New(Config{})
 	m.A[7] = 0x8000
 	entry := m.CodeTop

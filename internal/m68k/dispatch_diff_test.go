@@ -434,10 +434,15 @@ const (
 // above devFloor or across the end of RAM. push and pop (these fail
 // TestStackMatchesMove): either's quaspace check dropped, A7 stepped
 // only after an access that succeeds, the RAM path taken at or above
-// devFloor or across the end of RAM, the RAM access uncharged. MOVEM: a block charged one
-// memory reference short; no (An)+ or -(An) write-back; the -(An) base 4
-// short; ramBlock admitting a block past the end of RAM, past devFloor,
-// or outside the quaspace in user state.
+// devFloor or across the end of RAM, the RAM access uncharged. MOVEM, in
+// each of the six written-out bodies (three register sets, two
+// directions): the first two registers' slots swapped, or the last data
+// register's and the first address register's; the (An)+ or -(An)
+// write-back dropped, or made on the other side of the transfer; the
+// block charged one memory reference short; the ramBlock test dropped.
+// And in their shared address form: the -(An) base 4 short; ramBlock
+// admitting a block past the end of RAM, past devFloor, or outside the
+// quaspace in user state.
 func TestDispatchMatchesExecDirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ref, xl := newDirSide(true), newDirSide(true)
@@ -692,12 +697,14 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 		}
 	}
 
-	// MOVEM, every form with a block body in both directions, 16 states
-	// for each way a block can meet the fast path: plain RAM, across the
-	// end of RAM, into the device window (straddling its floor or inside
-	// it), there with the injector faulting the block's direction, in
-	// user state with the quaspace cutting the block, and with the base
-	// register in the list.
+	// MOVEM, every form with a block body in both directions, each
+	// register set with a body and random masks (which run through
+	// exec), 16 states for each way a block can meet the fast path:
+	// plain RAM, across the end of RAM, into the device window
+	// (straddling its floor or inside it), there with the injector
+	// faulting the block's direction, in user state with the quaspace
+	// cutting the block, and with the base register in the list (one of
+	// the set's address registers).
 	const (
 		mvPlain = iota
 		mvRAMEnd
@@ -714,52 +721,63 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 		{0, ModeInd}, {0, ModePreDec}, {0, ModeDisp}, {0, ModeAbs},
 		{1, ModeInd}, {1, ModePostInc}, {1, ModeDisp}, {1, ModeAbs},
 	}
+	sets := []struct {
+		mask      uint16 // 0: a random mask each draw
+		lo, spanA int    // the set's address registers: A(lo) up, spanA of them
+	}{
+		{MovemCopyRegs, 3, 3}, {MovemIntrRegs, 0, 3}, {MovemContextRegs, 0, 7}, {0, 0, 8},
+	}
 	for _, f := range forms {
-		for n := 0; n < 16*mvCases; n++ {
-			c := n % mvCases
-			base := rng.Intn(8)
-			mask := uint16(rng.Intn(1 << 16))
-			if c == mvBaseInList {
-				mask |= 1 << (8 + base)
-			}
-			size := 4 * popcount16(mask)
-			o := operand(f.mode, base)
-			st := newState(c == mvUser || rng.Intn(2) == 0)
-			start := 0x400 + uint32(rng.Intn(0x400))
-			switch c {
-			case mvRAMEnd:
-				start = dirMem - uint32(rng.Intn(size+3))
-			case mvDev, mvDevFault:
-				start = dirDevBase + uint32(rng.Intn(dirDevSize)) - uint32(rng.Intn(size+1))
-			case mvUser:
-				cut := start + 4*uint32(rng.Intn(size/4+1))
-				if rng.Intn(2) == 0 {
-					st.UBase, st.ULimit = 0, cut
-				} else {
-					st.UBase, st.ULimit = cut, dirMem
+		for _, set := range sets {
+			for n := 0; n < 16*mvCases; n++ {
+				c := n % mvCases
+				base, mask := rng.Intn(8), set.mask
+				if mask == 0 {
+					mask = uint16(rng.Intn(1 << 16))
 				}
-			}
-			switch f.mode {
-			case ModeInd, ModePostInc:
-				st.A[base] = start
-			case ModePreDec:
-				st.A[base] = start + uint32(size)
-			case ModeDisp:
-				st.A[base] = start - uint32(o.Imm)
-			case ModeAbs:
-				o.Imm = int32(start)
-			}
-			st.faultReads, st.faultWrites = c == mvDevFault && f.dir == 1, c == mvDevFault && f.dir == 0
-			in := Instr{Op: MOVEM, Mask: mask, Dir: f.dir, Src: o}
-			if f.dir == 0 {
-				in.Src, in.Dst = Operand{}, o
-			}
-			a, b := ref, xl
-			if c == mvRAMEnd {
-				a, b = bareRef, bareXl
-			}
-			if d := dirDiff(a, b, in, st, image); d != "" {
-				t.Fatalf("%v (case %d) from %+v:\n%s", in, c, *st, d)
+				if c == mvBaseInList {
+					base = set.lo + rng.Intn(set.spanA)
+					mask |= 1 << (8 + base)
+				}
+				size := 4 * popcount16(mask)
+				o := operand(f.mode, base)
+				st := newState(c == mvUser || rng.Intn(2) == 0)
+				start := 0x400 + uint32(rng.Intn(0x400))
+				switch c {
+				case mvRAMEnd:
+					start = dirMem - uint32(rng.Intn(size+3))
+				case mvDev, mvDevFault:
+					start = dirDevBase + uint32(rng.Intn(dirDevSize)) - uint32(rng.Intn(size+1))
+				case mvUser:
+					cut := start + 4*uint32(rng.Intn(size/4+1))
+					if rng.Intn(2) == 0 {
+						st.UBase, st.ULimit = 0, cut
+					} else {
+						st.UBase, st.ULimit = cut, dirMem
+					}
+				}
+				switch f.mode {
+				case ModeInd, ModePostInc:
+					st.A[base] = start
+				case ModePreDec:
+					st.A[base] = start + uint32(size)
+				case ModeDisp:
+					st.A[base] = start - uint32(o.Imm)
+				case ModeAbs:
+					o.Imm = int32(start)
+				}
+				st.faultReads, st.faultWrites = c == mvDevFault && f.dir == 1, c == mvDevFault && f.dir == 0
+				in := Instr{Op: MOVEM, Mask: mask, Dir: f.dir, Src: o}
+				if f.dir == 0 {
+					in.Src, in.Dst = Operand{}, o
+				}
+				a, b := ref, xl
+				if c == mvRAMEnd {
+					a, b = bareRef, bareXl
+				}
+				if d := dirDiff(a, b, in, st, image); d != "" {
+					t.Fatalf("%v (case %d) from %+v:\n%s", in, c, *st, d)
+				}
 			}
 		}
 	}

@@ -245,45 +245,51 @@ func (m *Machine) setNZMask(v, mask, sign uint32) {
 	m.SR = sr
 }
 
-// setAddFlagsMask sets CCR after r = a + b.
+// setAddFlagsMask sets CCR after r = a + b. Each flag is one test the
+// compiler makes a conditional move, not a branch: the summing copy
+// adds payload words here, and a branch on their signs mispredicts.
+// The flags are gathered apart from SR and merged into it once, so the
+// moves are not in the chain from one instruction's SR to the next's.
 func (m *Machine) setAddFlagsMask(a, b, r, mask, sign uint32) {
-	sr := m.SR &^ (FlagN | FlagZ | FlagV | FlagC | FlagX)
 	a, b, r = a&mask, b&mask, r&mask
+	var f uint16
 	if r == 0 {
-		sr |= FlagZ
+		f |= FlagZ
 	}
 	if r&sign != 0 {
-		sr |= FlagN
+		f |= FlagN
 	}
-	if (a^b)&sign == 0 && (r^a)&sign != 0 {
-		sr |= FlagV
+	// Overflow: the result's sign differs from both operands'.
+	if (a^r)&(b^r)&sign != 0 {
+		f |= FlagV
 	}
 	// Unsigned carry: r < a means the add wrapped (b is truncated to
 	// the operand size, so r == a happens only when b == 0).
 	if r < a {
-		sr |= FlagC | FlagX
+		f |= FlagC | FlagX
 	}
-	m.SR = sr
+	m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC|FlagX) | f
 }
 
 // setSubFlagsMask sets CCR after r = a - b (also used by CMP with
-// a=dst, b=src).
+// a=dst, b=src), the way setAddFlagsMask does.
 func (m *Machine) setSubFlagsMask(a, b, r, mask, sign uint32) {
-	sr := m.SR &^ (FlagN | FlagZ | FlagV | FlagC | FlagX)
 	a, b, r = a&mask, b&mask, r&mask
+	var f uint16
 	if r == 0 {
-		sr |= FlagZ
+		f |= FlagZ
 	}
 	if r&sign != 0 {
-		sr |= FlagN
+		f |= FlagN
 	}
-	if (a^b)&sign != 0 && (r^b)&sign == 0 {
-		sr |= FlagV
+	// Overflow: the operands' signs differ and the result's is not a's.
+	if (a^b)&(a^r)&sign != 0 {
+		f |= FlagV
 	}
 	if b > a {
-		sr |= FlagC | FlagX
+		f |= FlagC | FlagX
 	}
-	m.SR = sr
+	m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC|FlagX) | f
 }
 
 // condition reports whether a branch on op is taken under status

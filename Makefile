@@ -26,11 +26,12 @@
 # which exits nonzero on failure. `make bench` runs the root Go
 # benchmarks once and then the dispatcher's inner loops for a second each (internal/m68k:
 # BenchmarkStepLoop; BenchmarkShapes, one instruction shape at a time,
-# among them the six MOVEMs with bodies of their own: D3-D7/A3-A5 from
-# (A0)+ and to (An), D0-D2/A0-A2 to -(A7) and from (A7)+, D0-D7/A0-A6
-# to and from an absolute address;
+# among them the seven MOVEMs with bodies of their own: D3-D7/A3-A5 from
+# (A0)+, to (An) and to 32(An), D0-D2/A0-A2 to -(A7) and from (A7)+,
+# D0-D7/A0-A6 to and from an absolute address;
 # BenchmarkCopyLoop beside BenchmarkMovemCopyLoop, the copy loop's two
-# forms; host ns per guest instruction and per KB) and a synthesis-cache
+# forms, the second a JSR to kio.block_copy's eight-group pass; host ns
+# per guest instruction and per KB) and a synthesis-cache
 # hit by declared key (internal/synth: BenchmarkSynthHit, host ns per
 # build). CI runs every one of those benchmarks once
 # (-benchtime 1x), so a benchmark that fails fails CI. `make tables` prints every table, `make profile` runs

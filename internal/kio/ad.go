@@ -209,7 +209,7 @@ func (io *IO) synthAD(t *kernel.Thread, fd int32) entries {
 		// Copy one element.
 		e.MoveL(m68k.Imm(adChunkBytes), m68k.D(1))
 		e.MoveL(m68k.D(0), m68k.PreDec(7))
-		emitCopy(e, longCopy)
+		emitCopy(e, longCopy, 0)
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		// tail = (tail+1) % chunks
 		e.AddL(m68k.Imm(1), m68k.D(0))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"synthesis/internal/kernel"
@@ -56,19 +57,20 @@ func heapBuf(t *testing.T, k *kernel.Kernel, n uint32, fill byte) uint32 {
 }
 
 // TestBulkCopyPreservesRegisters holds the block form of the
-// synthesized copy (emitCopy with blockCopy: MOVEM through D3-D7/A3-A5,
-// saved around the loop) to its promises on the file and pipe paths
-// that use it. Every length from 0 through a byte past 4 KB that puts
-// the copy on a different branch — no 32-byte group, one, one and a
-// tail, many — is written and read back between misaligned buffers:
-// the bytes must arrive, nothing past either end may be touched, and
-// the caller's registers must be as they were. Then two threads stream
-// through a small pipe on a short quantum, so copies are preempted
-// between a group's two MOVEMs, and both check their registers after
-// every call.
+// synthesized copy (emitCopy with blockCopy: a JSR to kio.block_copy,
+// which moves its groups by MOVEM through D3-D7/A3-A5, saved around its
+// loop) to its promises on the file and pipe paths that use it. Every
+// length from 0 through a byte past 4 KB that puts the copy on a
+// different branch — no 32-byte group, one, one and a tail, a pass of
+// eight and a leftover, many — is written and read back between
+// misaligned buffers: the bytes must arrive, nothing past either end
+// may be touched, and the caller's registers must be as they were. Then
+// two threads stream through a small pipe on a short quantum, so copies
+// are preempted between a group's two MOVEMs, inside a pass too, and
+// both check their registers after every call.
 func TestBulkCopyPreservesRegisters(t *testing.T) {
 	k, io := boot(t)
-	lengths := []uint32{0, 1, 3, 4, 31, 32, 33, 63, 64, 100, 1024, 1025, 4096}
+	lengths := []uint32{0, 1, 3, 4, 31, 32, 33, 63, 64, 100, 288, 1024, 1025, 2047, 4096}
 	const (
 		pipeRFD, pipeWFD, fileFD = 0, 1, 2
 		guard                    = 0xee
@@ -160,11 +162,13 @@ func TestBulkCopyPreservesRegisters(t *testing.T) {
 	t.Run("preempted stream", testPreemptedPipeStream)
 }
 
-// preemptProbe counts quantum interrupts taken with the PC on the
-// second MOVEM of a block-copy group: a copy preempted mid-group.
+// preemptProbe counts quantum interrupts taken with the PC on a MOVEM
+// that stores a block-copy group, to (An) or to d(An): a copy preempted
+// between a group's two MOVEMs. inPass counts those on a d(An) store,
+// the second to eighth group of a kio.block_copy pass.
 type preemptProbe struct {
-	m       *m68k.Machine
-	between int
+	m               *m68k.Machine
+	between, inPass int
 }
 
 func (p *preemptProbe) StepDone(uint32, uint64, uint64, bool)   {}
@@ -174,7 +178,15 @@ func (p *preemptProbe) ExceptionTaken(vec int, pc uint32, _ uint64) {
 	if vec != m68k.VecAutovector+m68k.IRQTimer || int(pc) >= len(p.m.Code) {
 		return
 	}
-	if in := p.m.Code[pc]; in.Op == m68k.MOVEM && in.Dir == 0 && in.Dst.Mode == m68k.ModeInd && in.Mask == 0x38f8 {
+	in := p.m.Code[pc]
+	if in.Op != m68k.MOVEM || in.Dir != 0 || in.Mask != m68k.MovemCopyRegs {
+		return
+	}
+	switch in.Dst.Mode {
+	case m68k.ModeDisp:
+		p.inPass++
+		fallthrough
+	case m68k.ModeInd:
 		p.between++
 	}
 }
@@ -233,40 +245,61 @@ func testPreemptedPipeStream(t *testing.T) {
 	if probe.between == 0 {
 		t.Error("no copy was preempted between a group's two MOVEMs")
 	}
+	if probe.inPass == 0 {
+		t.Error("no copy was preempted between a pass's displacement stores")
+	}
 }
 
 // TestCopyFormsAgree holds emitCopy's three forms to each other and to
-// their contract on the same inputs: every length from 0 to three
-// 32-byte groups, seven leftover longs' worth of bytes past them, from
-// and to every alignment mod 4. Each form must leave the same bytes at
-// the destination, touch nothing before it or after it (the summing
-// form zeroes the rest of the tail's long, and nothing more), advance
-// A0 past the source and A1 past the destination (the summing form
-// leaves A1 at the tail's long), and leave every other register as it
-// found it but D0 and D1, and D2 in the summing form, which holds the
-// bytes' wire checksum.
+// their contract on the same inputs, the block form through the shared
+// kio.block_copy routine: every length from 0 to three 32-byte groups
+// and seven leftover longs' worth of bytes past them, and k*32+t bytes
+// for k up to 19 groups and a tail t of 0, 4, 7 or 31 bytes (no pass of
+// eight groups, one and two, every leftover group count 0-7, a
+// long-word tail and a byte tail), from and to every alignment mod 4.
+// Each form must leave the same bytes at the destination, touch nothing
+// before it or after it (the summing form zeroes the rest of the tail's
+// long, and nothing more), advance A0 past the source and A1 past the
+// destination (the summing form leaves A1 at the tail's long), and
+// leave every other register as it found it but D0 and D1, and D2 in
+// the summing form, which holds the bytes' wire checksum. Each of these
+// mutations of emitBlockGroups fails it: one store's displacement off
+// by 32, the pass's LEA stride 224, the leftover mask 3 instead of 7,
+// the registers' restore dropped.
 func TestCopyFormsAgree(t *testing.T) {
 	const (
-		maxLen   = 3*32 + 7
+		maxLen   = 19*32 + 31
 		src, dst = 0x4000, 0x6000 // each copy starts 0-3 bytes in
 		stack    = 0x3000
 		guard    = 0xee
 		span     = maxLen + 16 // the destination's view: 8 bytes each side
 	)
+	var lengths []uint32
+	for n := uint32(0); n <= 3*32+7; n++ {
+		lengths = append(lengths, n)
+	}
+	for k := uint32(0); k < 20; k++ {
+		for _, tail := range []uint32{0, 4, 7, 31} {
+			if n := k*32 + tail; n > 3*32+7 {
+				lengths = append(lengths, n)
+			}
+		}
+	}
 	m := m68k.New(m68k.Config{MemSize: 1 << 16})
 	c := synth.NewCreator(m)
+	groups := c.Synthesize(nil, "block_copy", nil, kio.EmitBlockGroups)
 	forms := []int{kio.LongCopy, kio.BlockCopy, kio.SumCopy}
 	entry := make([]uint32, len(forms))
 	for i, form := range forms {
 		entry[i] = c.Synthesize(nil, fmt.Sprint("copy", form), nil, func(e *synth.Emitter) {
-			kio.EmitCopy(e, form)
+			kio.EmitCopy(e, form, groups)
 			e.Halt()
 		})
 	}
 	rng := rand.New(rand.NewSource(1))
 	payload := make([]byte, maxLen)
 	guards := bytes.Repeat([]byte{guard}, span)
-	for n := uint32(0); n <= maxLen; n++ {
+	for _, n := range lengths {
 		for align := uint32(0); align < 16; align++ {
 			sa, da := align%4, align/4
 			rng.Read(payload[:n])
@@ -389,5 +422,65 @@ func TestEmittedMovemsHaveBodies(t *testing.T) {
 	io.SetNetMode(true, false)
 	if _, slow := scan(); !slices.Equal(slow, []uint16{m68k.MovemIntrRegs | 0x0008, m68k.MovemIntrRegs | 0x0008}) {
 		t.Errorf("generic demultiplex: MOVEMs without a body, masks %#04x, want its save and restore", slow)
+	}
+}
+
+// TestBlockCopySharedOnce holds the block form's group loop to one
+// routine per kernel: with the creator reporting every region it
+// installs, a file and a pipe are opened twice each, and kio.block_copy
+// must have been registered once, at the address kio calls, while each
+// file and pipe read and write routine the opens synthesized calls it
+// by JSR and holds no MOVEM, so no group loop, of its own. The name
+// puts its cycles under the kio layer in a profile.
+func TestBlockCopySharedOnce(t *testing.T) {
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
+	k.C.CheckKeys = true
+	log := logRegions(k)
+	io := kio.Install(k)
+	if _, err := k.FS.CreateSized("/f", []byte("0123456789"), 64); err != nil {
+		t.Fatal(err)
+	}
+	th := k.SpawnKernel("main", k.C.Synthesize(nil, "main", nil, exitSeq))
+	for range 2 {
+		p := io.NewPipe(kio.DefaultPipeBytes)
+		if io.Open(th, "/f") < 0 || io.OpenPipeEnd(th, p, false) < 0 || io.OpenPipeEnd(th, p, true) < 0 {
+			t.Fatal("an open failed")
+		}
+	}
+
+	blk := io.BlockCopyRoutine()
+	shared, perOpen := 0, 0
+	for i, name := range log.names {
+		span := log.spans[i]
+		if name == "kio.block_copy" {
+			shared++
+			if span[0] != blk {
+				t.Errorf("kio.block_copy registered at %d, kio calls %d", span[0], blk)
+			}
+			continue
+		}
+		entry := name[strings.LastIndex(name, ".")+1:]
+		if !slices.Contains([]string{"file_read", "file_write", "pipe_read", "pipe_write"}, entry) {
+			continue
+		}
+		perOpen++
+		calls := 0
+		for _, in := range k.M.Code[span[0]:span[1]] {
+			if in.Op == m68k.MOVEM {
+				t.Errorf("%s holds a MOVEM of its own, mask %#04x", name, in.Mask)
+			}
+			if in.Op == m68k.JSR && in.Dst == m68k.Abs(blk) {
+				calls++
+			}
+		}
+		if calls != 1 {
+			t.Errorf("%s calls kio.block_copy %d times, want once", name, calls)
+		}
+	}
+	if shared != 1 {
+		t.Errorf("kio.block_copy registered %d times, want once", shared)
+	}
+	if perOpen != 8 {
+		t.Errorf("%d file and pipe routines synthesized, want 8", perOpen)
 	}
 }

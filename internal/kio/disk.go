@@ -132,7 +132,7 @@ func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write
 		e.MoveL(m68k.PostInc(7), m68k.D(2))
 		e.MoveL(m68k.PostInc(7), m68k.D(1))
 		e.Label("cached")
-		emitFileReadBody(e, t, fd, f)
+		io.emitFileReadBody(e, t, fd, f)
 	})
 
 	// Writes go to the cache buffer (write-back: nothing is flushed

@@ -20,8 +20,15 @@ func (io *IO) BadFD() uint32 { return io.badFD }
 // TTYQueue returns the raw tty input queue's address.
 func (io *IO) TTYQueue() uint32 { return io.ttyQ }
 
-// EmitCopy emits emitCopy's form: LongCopy, BlockCopy or SumCopy.
-func EmitCopy(e *synth.Emitter, form int) { emitCopy(e, form) }
+// EmitCopy emits emitCopy's form: LongCopy, BlockCopy or SumCopy. The
+// block form calls groups, a routine EmitBlockGroups emitted.
+func EmitCopy(e *synth.Emitter, form int, groups uint32) { emitCopy(e, form, groups) }
+
+// EmitBlockGroups emits kio.block_copy's template.
+func EmitBlockGroups(e *synth.Emitter) { emitBlockGroups(e) }
+
+// BlockCopyRoutine returns the kernel's kio.block_copy routine.
+func (io *IO) BlockCopyRoutine() uint32 { return io.copyGroups }
 
 // emitCopy's forms.
 const LongCopy, BlockCopy, SumCopy = longCopy, blockCopy, sumCopy

@@ -43,7 +43,7 @@ func (io *IO) synthNull(t *kernel.Thread, fd int32) (read, write entries) {
 // cache", Table 2).
 func (io *IO) synthFileRead(t *kernel.Thread, fd int32, f *fs.File) entries {
 	return buildRW(io.K.C.Build(t.Q, "file_read").Key("kio.file_read", t.TTE, uint32(fd), f.Entry), func(e *synth.Emitter) {
-		emitFileReadBody(e, t, fd, f)
+		io.emitFileReadBody(e, t, fd, f)
 	})
 }
 
@@ -51,7 +51,7 @@ func (io *IO) synthFileRead(t *kernel.Thread, fd int32, f *fs.File) entries {
 // in memory, shared by plain files and, behind their demand-load
 // prologue, disk-resident ones: the file's buffer, its size cell and
 // the descriptor's position and gauge cells are folded in.
-func emitFileReadBody(e *synth.Emitter, t *kernel.Thread, fd int32, f *fs.File) {
+func (io *IO) emitFileReadBody(e *synth.Emitter, t *kernel.Thread, fd int32, f *fs.File) {
 	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
 	e.MoveL(m68k.D(1), m68k.A(1))     // dst
 	e.MoveL(m68k.Abs(pos), m68k.D(0)) // position
@@ -71,8 +71,8 @@ func emitFileReadBody(e *synth.Emitter, t *kernel.Thread, fd int32, f *fs.File) 
 	e.AddL(m68k.D(0), m68k.A(0))
 	e.AddL(m68k.D(1), m68k.D(0))
 	e.MoveL(m68k.D(0), m68k.Abs(pos))
-	e.MoveL(m68k.D(1), m68k.PreDec(7)) // save n
-	emitCopy(e, blockCopy)             // n bytes, clobbers d0/d1
+	e.MoveL(m68k.D(1), m68k.PreDec(7))    // save n
+	emitCopy(e, blockCopy, io.copyGroups) // n bytes, clobbers d0/d1
 	e.MoveL(m68k.PostInc(7), m68k.D(0))
 	// Byte-rate gauge for the fine-grain scheduler.
 	e.AddL(m68k.D(0), m68k.Abs(kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)))
@@ -110,7 +110,7 @@ func (io *IO) synthFileWrite(t *kernel.Thread, fd int32, f *fs.File) entries {
 		e.MoveL(m68k.D(0), m68k.Abs(sizeCell))
 		e.Label("fw_nosz")
 		e.MoveL(m68k.D(1), m68k.PreDec(7))
-		emitCopy(e, blockCopy)
+		emitCopy(e, blockCopy, io.copyGroups)
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.AddL(m68k.D(0), m68k.Abs(kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)))
 		e.Rte()

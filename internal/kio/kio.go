@@ -26,7 +26,8 @@ type IO struct {
 	K *kernel.Kernel
 
 	// Shared routines.
-	badFD uint32 // handler for closed/never-opened descriptors
+	badFD      uint32 // handler for closed/never-opened descriptors
+	copyGroups uint32 // kio.block_copy: the block copy's 32-byte groups
 
 	// Raw tty server state.
 	ttyQ    uint32 // kernel byte queue fed by the tty interrupt
@@ -86,6 +87,7 @@ func Install(k *kernel.Kernel) *IO {
 		e.MoveL(m68k.Imm(-1), m68k.D(0))
 		e.Rte()
 	})
+	io.copyGroups = k.C.Build(nil, "block_copy").Named("kio.block_copy").Emit(emitBlockGroups)
 	// A descriptor that was never opened fails like a closed one, in
 	// either convention: bad_fd reads no argument.
 	for fd := 0; fd < kernel.MaxFD; fd++ {

@@ -277,7 +277,7 @@ func (io *IO) resynthNetHandler() {
 		e.MoveL(m68k.D(1), m68k.PostInc(1))          // slot payload length
 		e.MoveL(m68k.Disp(4+8, 0), m68k.PreDec(7))   // header checksum
 		e.Lea(m68k.Disp(4+synnet.HeaderBytes, 0), 0) // payload
-		emitCopy(e, sumCopy)
+		emitCopy(e, sumCopy, 0)
 		e.Cmp(4, m68k.PostInc(7), m68k.D(2))
 		e.Bne("nd_bad")
 		// Publish: the flag makes the slot visible, then the head moves.
@@ -435,7 +435,7 @@ func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32)
 			e.MoveL(m68k.D(1), m68k.A(0))
 			e.Lea(m68k.Abs(stage+synnet.HeaderBytes), 1)
 			e.MoveL(m68k.D(2), m68k.D(1))
-			emitCopy(e, sumCopy)
+			emitCopy(e, sumCopy, 0)
 			e.MoveL(m68k.D(2), m68k.Abs(stage+8))
 			e.MoveL(m68k.PostInc(7), m68k.D(0)) // payload length
 			e.MoveL(m68k.Imm(sendRetries), m68k.D(2))
@@ -513,7 +513,7 @@ func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, local, q uint32) entries
 			e.Lea(m68k.Disp(4, 0), 0)
 			e.MoveL(m68k.D(0), m68k.PreDec(7)) // return count
 			e.MoveL(m68k.D(0), m68k.D(1))
-			emitCopy(e, longCopy)
+			emitCopy(e, longCopy, 0)
 			e.MoveL(m68k.PostInc(7), m68k.D(0))
 			// Retire the slot: clear the flag first, then advance the
 			// tail — a producer may claim the slot the moment the tail

@@ -140,7 +140,7 @@ func emitProcReadBody(e *synth.Emitter, pos, gauge uint32, copyVia *uint32) {
 	if copyVia != nil {
 		e.Jsr(*copyVia)
 	} else {
-		emitCopy(e, longCopy)
+		emitCopy(e, longCopy, 0)
 	}
 	e.MoveL(m68k.PostInc(7), m68k.D(0))
 	e.AddL(m68k.D(0), m68k.Abs(gauge))

@@ -70,23 +70,29 @@ func (q *KQueue) Gauge(m *m68k.Machine) uint32 {
 	return m.Peek(q.Addr+KQGauge, 4)
 }
 
-// emitCopy's forms. The block forms move their groups through
-// D3-D7/A3-A5, saved around the group loop; the summing one keeps its
-// sum in D2.
+// emitCopy's forms. The block and summing forms move their groups
+// through D3-D7/A3-A5, saved around the group loop; the summing one
+// keeps its sum in D2.
 const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, m68k.MovemCopyRegs
 
-// emitCopy emits an inline byte copier: D1 bytes from (A0)+ to (A1)+,
-// long words first, byte tail after. Clobbers D0 and D1. This is the
-// unrolled-into-the-caller block transfer of Section 6.2 ("the
-// generated code loads long words from one quaspace into registers
-// and stores them back in the other quaspace").
+// emitCopy emits a byte copier: D1 bytes from (A0)+ to (A1)+, 32-byte
+// groups first, then leftover long words, then bytes. Clobbers D0 and
+// D1. This is the block transfer of Section 6.2 ("the generated code
+// loads long words from one quaspace into registers and stores them
+// back in the other quaspace").
 //
-// A group is eight MOVE.L (A0)+,(A1)+ and a DBRA, 102 cycles at the SUN
-// 3/160 point, or two MOVEMs, a LEA and the DBRA, 87, plus 78 once to
-// save and restore the registers: the block form pays from the sixth
-// group. Bulk file and pipe streams take it; a socket's read (two
-// groups at 64 bytes), A/D elements (one) and /proc reads keep the long
-// form.
+// The block form moves its groups by a JSR to groups, the
+// kio.block_copy routine (emitBlockGroups). The group loop reads only
+// registers, so it has no invariant to fold, and one unrolled copy of
+// it serves every caller. The long form moves a group inline as eight
+// MOVE.L (A0)+,(A1)+ and a DBRA, 102 cycles at the SUN 3/160 point,
+// against the shared routine's 79 plus about 120 once per copy for the
+// call, the register save and restore and the pass count: the block
+// form pays from the eighth group. Bulk file and pipe streams take it;
+// a socket's read (two groups at 64 bytes), A/D elements (one) and
+// /proc reads keep the long form, and pass groups 0, as the summing
+// form does. Every form keeps its long-word and byte tail inline, so a
+// copy shorter than a group pays no call.
 //
 // The summing form is Clark and Tennenhouse's integrated
 // copy-and-checksum, taken by the send that stages a datagram and the
@@ -95,41 +101,37 @@ const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, m68k.MovemCopyRegs
 // are added from the registers the MOVEM pair moved them through, a
 // leftover long from where it landed, and the byte tail's long, zeroed
 // first, once after its bytes (A1 is left at that long).
-func emitCopy(e *synth.Emitter, form int) {
+func emitCopy(e *synth.Emitter, form int, groups uint32) {
 	sum := form == sumCopy
 	if sum {
 		e.Clr(4, m68k.D(2))
 	}
-	// 32-byte groups ("with unrolled loops this achieves the data
-	// transfer rate of about 8MB per second"), then leftover long
-	// words, then bytes.
 	e.MoveL(m68k.D(1), m68k.D(0))
 	e.LsrL(m68k.Imm(5), m68k.D(0))
 	e.Beq("kcp_longs")
-	if form != longCopy {
-		e.MovemSave(copyRegs, m68k.PreDec(7))
-	}
-	e.SubL(m68k.Imm(1), m68k.D(0))
-	e.Label("kcp_32")
-	if form == longCopy {
+	switch form {
+	case blockCopy:
+		e.Jsr(groups)
+	case longCopy:
+		e.SubL(m68k.Imm(1), m68k.D(0))
+		e.Label("kcp_32")
 		for i := 0; i < 8; i++ {
 			e.MoveL(m68k.PostInc(0), m68k.PostInc(1))
 		}
-	} else {
-		e.MovemRest(m68k.PostInc(0), copyRegs)
-		e.MovemSave(copyRegs, m68k.Ind(1))
-		if sum {
-			for r := uint8(3); r < 8; r++ {
-				e.AddL(m68k.D(r), m68k.D(2))
-			}
-			for r := uint8(3); r < 6; r++ {
-				e.AddL(m68k.A(r), m68k.D(2))
-			}
+		e.Dbra(0, "kcp_32")
+	case sumCopy:
+		e.MovemSave(copyRegs, m68k.PreDec(7))
+		e.SubL(m68k.Imm(1), m68k.D(0))
+		e.Label("kcp_32")
+		emitGroup(e, 0)
+		for r := uint8(3); r < 8; r++ {
+			e.AddL(m68k.D(r), m68k.D(2))
+		}
+		for r := uint8(3); r < 6; r++ {
+			e.AddL(m68k.A(r), m68k.D(2))
 		}
 		e.Lea(m68k.Disp(32, 1), 1)
-	}
-	e.Dbra(0, "kcp_32")
-	if form != longCopy {
+		e.Dbra(0, "kcp_32")
 		e.MovemRest(m68k.PostInc(7), copyRegs)
 	}
 	e.Label("kcp_longs")
@@ -162,6 +164,50 @@ func emitCopy(e *synth.Emitter, form int) {
 		e.AddL(m68k.Ind(1), m68k.D(2))
 	}
 	e.Label("kcp_done")
+}
+
+// emitGroup emits one 32-byte group through copyRegs: the MOVEM that
+// loads it from (A0)+ and the one that stores it at off(A1).
+func emitGroup(e *synth.Emitter, off int32) {
+	e.MovemRest(m68k.PostInc(0), copyRegs)
+	dst := m68k.Disp(off, 1)
+	if off == 0 {
+		dst = m68k.Ind(1)
+	}
+	e.MovemSave(copyRegs, dst)
+}
+
+// emitBlockGroups is kio.block_copy, the group loop of emitCopy's block
+// form, synthesized once per kernel (Install): D0 groups, at least one,
+// from (A0)+ to (A1)+, where D1 is the whole copy's length in bytes.
+// It saves copyRegs once and moves eight groups a pass, the stores at
+// (A1), 32(A1) ... 224(A1) and then one LEA and one DBRA, then the
+// leftover D1/32 mod 8 groups one at a time. Clobbers D0 and nothing
+// else; returns with RTS.
+func emitBlockGroups(e *synth.Emitter) {
+	e.MovemSave(copyRegs, m68k.PreDec(7))
+	e.LsrL(m68k.Imm(3), m68k.D(0)) // passes of eight
+	e.Beq("bc_left")
+	e.SubL(m68k.Imm(1), m68k.D(0))
+	e.Label("bc_pass")
+	for i := int32(0); i < 8; i++ {
+		emitGroup(e, 32*i)
+	}
+	e.Lea(m68k.Disp(256, 1), 1)
+	e.Dbra(0, "bc_pass")
+	e.Label("bc_left")
+	e.MoveL(m68k.D(1), m68k.D(0))
+	e.LsrL(m68k.Imm(5), m68k.D(0))
+	e.AndL(m68k.Imm(7), m68k.D(0))
+	e.Beq("bc_done")
+	e.SubL(m68k.Imm(1), m68k.D(0))
+	e.Label("bc_1")
+	emitGroup(e, 0)
+	e.Lea(m68k.Disp(32, 1), 1)
+	e.Dbra(0, "bc_1")
+	e.Label("bc_done")
+	e.MovemRest(m68k.PostInc(7), copyRegs)
+	e.Rts()
 }
 
 // emitWake wakes the thread parked on the wait cell, testing the cell
@@ -324,8 +370,8 @@ func (io *IO) emitQueueWrite(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	e.Bne("qw_w1")
 	e.Clr(4, m68k.D(0))
 	e.Label("qw_w1")
-	e.MoveL(m68k.D(0), m68k.PreDec(7)) // save wrapped head
-	emitCopy(e, blockCopy)             // chunk bytes, clobbers D0/D1
+	e.MoveL(m68k.D(0), m68k.PreDec(7))    // save wrapped head
+	emitCopy(e, blockCopy, io.copyGroups) // chunk bytes, clobbers D0/D1
 	e.MoveL(m68k.PostInc(7), m68k.D(0))
 	e.MoveL(m68k.D(0), m68k.Abs(head)) // publish: last store, as in Figure 1
 	// Wake a reader blocked for data.
@@ -426,7 +472,7 @@ func (io *IO) emitQueueRead(e *synth.Emitter, q *KQueue, fdGauge uint32) {
 	e.Clr(4, m68k.D(0))
 	e.Label("qr_w1")
 	e.MoveL(m68k.D(0), m68k.PreDec(7)) // save wrapped tail
-	emitCopy(e, blockCopy)
+	emitCopy(e, blockCopy, io.copyGroups)
 	e.MoveL(m68k.PostInc(7), m68k.D(0))
 	e.MoveL(m68k.D(0), m68k.Abs(tail))
 	// Wake a writer blocked for space.

@@ -16,12 +16,13 @@ import (
 	"synthesis/internal/unixemu"
 )
 
-// regionLog records the code-space extent of every routine the creator
-// installs, so a test can tell which routine an address lies in. It
-// passes each registration on to the sink it replaced (the profiler,
-// when one is on).
+// regionLog records the name and code-space extent of every routine
+// the creator installs, so a test can tell which routine an address
+// lies in. It passes each registration on to the sink it replaced (the
+// profiler, when one is on).
 type regionLog struct {
 	next  synth.RegionSink
+	names []string
 	spans [][2]uint32
 }
 
@@ -34,6 +35,7 @@ func logRegions(k *kernel.Kernel) *regionLog {
 }
 
 func (l *regionLog) RegisterRegion(name string, base uint32, instrs int) {
+	l.names = append(l.names, name)
 	l.spans = append(l.spans, [2]uint32{base, base + uint32(instrs)})
 	if l.next != nil {
 		l.next.RegisterRegion(name, base, instrs)

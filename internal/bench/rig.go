@@ -82,16 +82,12 @@ func NewSynthRig() *SynthRig { return newSynthRig(false) }
 // attached from boot, so every synthesized routine is attributable.
 func NewProfiledSynthRig() *SynthRig { return newSynthRig(true) }
 
-// checkKeys (synth.Creator.CheckKeys on every rig) is set by tests only.
-var checkKeys bool
-
 func newSynthRig(profile bool) *SynthRig {
 	k := kernel.Boot(kernel.Config{
 		Machine:         m68k.Sun3Config(),
 		ChargeSynthesis: true,
 		Profile:         profile,
 	})
-	k.C.CheckKeys = checkKeys
 	io := kio.Install(k)
 	unixemu.Install(k)
 	if _, err := k.FS.CreateSized(benchFileName, make([]byte, 1024), 8192); err != nil {

@@ -273,9 +273,6 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// checkKeys (synth.Creator.CheckKeys on every VM) is set by tests only.
-var checkKeys bool
-
 // bootVM brings up one fleet member: a Sun 3/160-point kernel with
 // its metrics under a vm<i>. prefix, the NIC's Tx hook pointed at the
 // fabric, and one guest echo thread per socket.
@@ -295,7 +292,6 @@ func (c *Cluster) bootVM(id int) *VM {
 		Profile:         observed,
 		Metrics:         reg,
 	})
-	k.C.CheckKeys = checkKeys
 	io := kio.Install(k)
 	unixemu.Install(k)
 

@@ -1,19 +1,12 @@
 package cluster
 
 import (
-	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"synthesis/internal/net"
 )
-
-// Every VM the package's tests boot verifies its keyed synthesis hits.
-func TestMain(m *testing.M) {
-	checkKeys = true
-	os.Exit(m.Run())
-}
 
 // waitFor polls until cond holds or the deadline passes, failing the
 // test at once on a fleet error; it reports whether cond held.

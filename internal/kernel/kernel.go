@@ -58,7 +58,7 @@ type Kernel struct {
 	protoVec    uint32 // prototype vector table, then prototype TTEUnixRW cells, copied into new TTEs
 
 	// Thread bookkeeping mirrors (Go side).
-	Threads map[uint32]*Thread // keyed by TTE address
+	Threads map[uint32]*Thread // by TTE address
 	Idle    *Thread
 
 	// Marks records KCALL SvcMark timestamps for measurements.

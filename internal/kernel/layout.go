@@ -82,7 +82,7 @@ const (
 	TTEFlags   = 504 // bit0: thread uses the FP co-processor
 	TTEIOGauge = 508 // I/O event count for the fine-grain scheduler
 	TTESigPC   = 512 // pending signal handler entry (0 = none)
-	TTESigOld  = 516 // interrupted PC stashed for the signal handler
+	TTESigOld  = 516 // interrupted PC stashed for the signal or error handler; sig_return clears it
 	TTESwinPtr = 520 // code address that switches this thread in: sw_in.mmu with a quaspace, plain sw_in without (fixed at creation, like TTEULimit)
 	TTESwoutPt = 524 // code address of this thread's own sw_out, the base of its code region
 	TTEWaitsOn = 528 // wait-queue cell address this thread is blocked on (0 = runnable)

@@ -29,11 +29,7 @@ func (k *Kernel) wireMetrics(reg *metrics.Registry) {
 	k.mCreates = reg.Counter("kernel.thread.creates")
 	k.mPanics = reg.Counter("kernel.panics")
 
-	// The synthesis cache, the code space it keeps from growing, and
-	// what the optimization stage found to do.
-	reg.Sample("synth.cache.hits", func() uint64 { return k.C.CacheHits })
-	reg.Sample("synth.cache.misses", func() uint64 { return k.C.CacheMisses })
-	reg.SampleGauge("synth.cache.entries", func() float64 { return float64(k.C.KeyedEntries()) })
+	// What the optimization stage found to do, and the code space.
 	reg.Sample("synth.optimize.removed", func() uint64 { return k.C.OptRemoved })
 	reg.Sample("synth.optimize.routines_changed", func() uint64 { return k.C.OptChanged })
 	reg.SampleGauge("m68k.code.slots", func() float64 { return float64(k.M.CodeTop) })

@@ -176,12 +176,14 @@ func (k *Kernel) synthesizeShared() {
 	})
 
 	// --- signal return (trap #3): resume at the interrupted PC
-	// stashed by signal delivery.
+	// stashed by signal delivery, and clear it: the thread is in no
+	// handler (kio's open reads it, DESIGN.md Section 2a).
 	k.rtSigRet = c.Synthesize(kq, "sig_return", nil, func(e *synth.Emitter) {
 		e.MoveL(m68k.A(0), m68k.PreDec(7))
 		e.MoveL(m68k.D(0), m68k.PreDec(7))
 		e.MoveL(m68k.Abs(GCurTTE), m68k.A(0))
 		e.MoveL(m68k.Disp(TTESigOld, 0), m68k.D(0))
+		e.Clr(4, m68k.Disp(TTESigOld, 0))
 		e.MoveL(m68k.D(0), m68k.Disp(12, 7)) // frame PC slot
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.MoveL(m68k.PostInc(7), m68k.A(0))

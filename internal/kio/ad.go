@@ -162,14 +162,14 @@ func (q *ADQueue) Completed(m *m68k.Machine) uint32 {
 // transfers as many completed 32-byte elements as fit the caller's
 // buffer, blocking until at least one is available.
 // read(d1=buf, d2=len) -> d0 = bytes.
-func (io *IO) synthAD(t *kernel.Thread, fd int32) entries {
+func (io *IO) synthAD(t *kernel.Thread) entries {
 	q := io.adQ
 	headC := q.Addr + adHead
 	tailC := q.Addr + adTail
 	rwait := q.Addr + adRWait
 	bufBase := q.Addr + adBuf
 
-	return buildRW(io.K.C.Build(t.Q, "ad_read").Key("kio.ad_read"), func(e *synth.Emitter) {
+	return io.once(&io.adRead, io.K.C.Build(t.Q, "ad_read"), rw(func(e *synth.Emitter) {
 		// Fewer than one element's worth requested: nothing to do.
 		e.CmpL(m68k.Imm(adChunkBytes), m68k.D(2))
 		e.Bcc("ar_ok")
@@ -227,5 +227,5 @@ func (io *IO) synthAD(t *kernel.Thread, fd int32) entries {
 		e.MoveL(m68k.A(1), m68k.D(0))
 		e.SubL(m68k.PostInc(7), m68k.D(0)) // bytes = cursor - base
 		e.Rte()
-	})
+	}))
 }

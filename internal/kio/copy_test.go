@@ -366,7 +366,6 @@ func TestCopyFormsAgree(t *testing.T) {
 // well and is the one MOVEM without a body.
 func TestEmittedMovemsHaveBodies(t *testing.T) {
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}, Metrics: metrics.New()})
-	k.C.CheckKeys = true
 	io := kio.Install(k)
 	if _, err := k.FS.CreateSized("/f", []byte("0123456789"), 64); err != nil {
 		t.Fatal(err)
@@ -434,7 +433,6 @@ func TestEmittedMovemsHaveBodies(t *testing.T) {
 // puts its cycles under the kio layer in a profile.
 func TestBlockCopySharedOnce(t *testing.T) {
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
-	k.C.CheckKeys = true
 	log := logRegions(k)
 	io := kio.Install(k)
 	if _, err := k.FS.CreateSized("/f", []byte("0123456789"), 64); err != nil {

@@ -80,9 +80,15 @@ func (io *IO) StoreDiskFile(name string, contents []byte) (*fs.File, error) {
 	return k.FS.CreateOnDisk(name, start, uint32(len(contents)), uint32(nblocks*m68k.DiskBlockSize))
 }
 
-// synthDiskFile builds the read/write pair for a disk-resident file:
-// the memory-resident file's read body behind a demand-load prologue.
-func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write entries) {
+// synthDiskFileRead builds a disk-resident file's read into the slot's
+// region r: the memory-resident file's read body behind a demand-load
+// prologue. Writes go to the cache buffer through the memory-resident
+// file's write (write-back: nothing is flushed to the disk blocks,
+// matching the memory-resident semantics of the rest of the file
+// system). Note the demand-load ordering: a write through a descriptor
+// that has never faulted is clobbered when a later read faults the
+// blocks in; read before writing.
+func (io *IO) synthDiskFileRead(t *kernel.Thread, fd int32, f *fs.File, r *region) entries {
 	k := io.K
 	data := f.Data
 	nblocks := (f.Cap + m68k.DiskBlockSize - 1) / m68k.DiskBlockSize
@@ -94,7 +100,7 @@ func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write
 	cachedCell := kernel.FDCell(t.TTE, int(fd), kernel.FDAux)
 	k.M.Poke(cachedCell, 4, 0)
 
-	read = buildRW(k.C.Build(t.Q, "diskfile_read").Key("kio.diskfile_read", t.TTE, uint32(fd), f.Entry), func(e *synth.Emitter) {
+	return buildRW(r.at(k.C.Build(t.Q, "diskfile_read")), func(e *synth.Emitter) {
 		// Fault prologue: demand-load every block through the raw
 		// disk server on first use.
 		e.TstL(m68k.Abs(cachedCell))
@@ -134,12 +140,4 @@ func (io *IO) synthDiskFile(t *kernel.Thread, fd int32, f *fs.File) (read, write
 		e.Label("cached")
 		io.emitFileReadBody(e, t, fd, f)
 	})
-
-	// Writes go to the cache buffer (write-back: nothing is flushed
-	// to the disk blocks, matching the memory-resident semantics of
-	// the rest of the file system). Note the demand-load ordering: a
-	// write through a descriptor that has never faulted is clobbered
-	// when a later read faults the blocks in; read before writing.
-	write = io.synthFileWrite(t, fd, f)
-	return read, write
 }

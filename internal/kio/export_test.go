@@ -32,3 +32,7 @@ func (io *IO) BlockCopyRoutine() uint32 { return io.copyGroups }
 
 // emitCopy's forms.
 const LongCopy, BlockCopy, SumCopy = longCopy, blockCopy, sumCopy
+
+// A descriptor slot's code region: the fd-slot cell that holds its base,
+// and its size.
+const FDCode, FDCodeSlots = fdCode, fdCodeSlots

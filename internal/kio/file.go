@@ -16,18 +16,20 @@ import (
 // routine, so a later read never consults a descriptor table, vnode
 // or cache index.
 
-// synthNull builds the /dev/null pair. Read returns 0 (end of file),
+// synthNull returns the /dev/null pair. Read returns 0 (end of file),
 // write claims everything was written: the whole routine is the
 // residue after every invariant folds away. The read reads no
 // argument, so one entry serves both conventions; the write reads
 // only the length, so its UNIX entry is its own copy reading D3.
-func (io *IO) synthNull(t *kernel.Thread, fd int32) (read, write entries) {
+func (io *IO) synthNull(t *kernel.Thread) (read, write entries) {
 	c := io.K.C
-	r := c.Build(t.Q, "null_read").Key("kio.null_read").Emit(func(e *synth.Emitter) {
+	read = io.once(&io.nullRead, c.Build(t.Q, "null_read"), func(e *synth.Emitter) {
+		e.Label(synth.EntryAlt)
+		e.Label(synth.EntryMain)
 		e.Clr(4, m68k.D(0))
 		e.Rte()
 	})
-	write.native, write.unix = c.Build(t.Q, "null_write").Key("kio.null_write").EmitEntries(func(e *synth.Emitter) {
+	write = io.once(&io.nullWrite, c.Build(t.Q, "null_write"), func(e *synth.Emitter) {
 		e.Entry(synth.EntryAlt)
 		e.MoveL(m68k.D(3), m68k.D(0))
 		e.Rte()
@@ -35,14 +37,14 @@ func (io *IO) synthNull(t *kernel.Thread, fd int32) (read, write entries) {
 		e.MoveL(m68k.D(2), m68k.D(0))
 		e.Rte()
 	})
-	return entries{r, r}, write
+	return read, write
 }
 
 // synthFileRead emits read(d1=buf, d2=len) -> d0 = n for a plain
 // memory-resident file ("Data already in kernel queues or buffer
-// cache", Table 2).
-func (io *IO) synthFileRead(t *kernel.Thread, fd int32, f *fs.File) entries {
-	return buildRW(io.K.C.Build(t.Q, "file_read").Key("kio.file_read", t.TTE, uint32(fd), f.Entry), func(e *synth.Emitter) {
+// cache", Table 2) into the slot's region r.
+func (io *IO) synthFileRead(t *kernel.Thread, fd int32, f *fs.File, r *region) entries {
+	return buildRW(r.at(io.K.C.Build(t.Q, "file_read")), func(e *synth.Emitter) {
 		io.emitFileReadBody(e, t, fd, f)
 	})
 }
@@ -80,14 +82,15 @@ func (io *IO) emitFileReadBody(e *synth.Emitter, t *kernel.Thread, fd int32, f *
 }
 
 // synthFileWrite emits write(d1=buf, d2=len) -> d0 = n (bounded by
-// the file's capacity; the memory-resident file grows in place).
-func (io *IO) synthFileWrite(t *kernel.Thread, fd int32, f *fs.File) entries {
+// the file's capacity; the memory-resident file grows in place) into
+// the slot's region r.
+func (io *IO) synthFileWrite(t *kernel.Thread, fd int32, f *fs.File, r *region) entries {
 	c := io.K.C
 	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
 	sizeCell := f.Entry + fs.EntSize
 	data := f.Data
 	capLimit := f.Cap
-	return buildRW(c.Build(t.Q, "file_write").Key("kio.file_write", t.TTE, uint32(fd), f.Entry), func(e *synth.Emitter) {
+	return buildRW(r.at(c.Build(t.Q, "file_write")), func(e *synth.Emitter) {
 		e.MoveL(m68k.D(1), m68k.A(0))     // src
 		e.MoveL(m68k.Abs(pos), m68k.D(0)) // position
 		e.MoveL(m68k.Imm(int32(capLimit)), m68k.D(1))

@@ -29,6 +29,10 @@ type IO struct {
 	badFD      uint32 // handler for closed/never-opened descriptors
 	copyGroups uint32 // kio.block_copy: the block copy's 32-byte groups
 
+	// Descriptor routines built once (once).
+	nullRead, nullWrite, ttyWrite, cookedRead, adRead builtOnce
+	rawGetChar, layeredRead, procBcopy                builtOnce
+
 	// Raw tty server state.
 	ttyQ    uint32 // kernel byte queue fed by the tty interrupt
 	ttyIntH uint32 // synthesized tty interrupt handler
@@ -196,19 +200,82 @@ func (io *IO) allocFD(t *kernel.Thread) int32 {
 // gate's TTEUnixRW cell. The zero value is no routine.
 type entries struct{ native, unix uint32 }
 
-// buildRW gives a template written for the native convention the
-// default UNIX entry: two moves that shuffle the registers and fall
-// into the native entry. emitQueueWrite, emitQueueRead and /dev/null's
-// write mark entries of their own; /dev/null's read is one for both.
+// buildRW builds rw(body).
 func buildRW(b *synth.Builder, body func(*synth.Emitter)) entries {
-	native, unix := b.EmitEntries(func(e *synth.Emitter) {
+	native, unix := b.EmitEntries(rw(body))
+	return entries{native, unix}
+}
+
+// rw gives a template written for the native convention the default
+// UNIX entry: two moves that shuffle the registers and fall into the
+// native entry. emitQueueWrite, emitQueueRead and /dev/null's pair
+// mark entries of their own.
+func rw(body func(*synth.Emitter)) func(*synth.Emitter) {
+	return func(e *synth.Emitter) {
 		e.Label(synth.EntryAlt)
 		e.MoveL(m68k.D(2), m68k.D(1))
 		e.MoveL(m68k.D(3), m68k.D(2))
 		e.Entry(synth.EntryMain)
 		body(e)
-	})
-	return entries{native, unix}
+	}
+}
+
+// A descriptor owns its code: a slot's first open of a per-descriptor
+// kind (file, disk file, raw tty, pipe end, /proc, socket) takes a
+// region of fdCodeSlots, the largest pair a kind emits (DESIGN.md
+// Section 2a), kept in the slot's fdCode cell for the TTE's life.
+const fdCode, fdCodeSlots = 20, 131
+
+// region is a slot's region while an open builds into it, end to end
+// (synth.Builder.At): the last build's NOP fill runs to its end. An
+// open makes its region builds in turn, with no other build between.
+type region struct {
+	c         *synth.Creator
+	next, end uint32
+	built     bool
+}
+
+// at directs b past the region's earlier builds of this open.
+func (r *region) at(b *synth.Builder) *synth.Builder {
+	if r.built {
+		r.next += uint32(r.c.LastStats.InstrsAfter)
+	}
+	r.built = true
+	return b.At(r.next, int(r.end-r.next))
+}
+
+// slot returns fd's region on t, taking one on the slot's first open,
+// or nil, failing the open, while t is in a signal or error handler
+// (TTESigOld set): the code it interrupted may be the routine there.
+func (io *IO) slot(t *kernel.Thread, fd int32) *region {
+	m := io.K.M
+	base := io.fdCell(t, fd, fdCode)
+	if base == 0 {
+		base = m.AllocCode(fdCodeSlots)
+		io.setFDCell(t, fd, fdCode, base)
+	} else if m.Peek(t.TTE+kernel.TTESigOld, 4) != 0 {
+		return nil
+	}
+	return &region{c: io.K.C, next: base, end: base + fdCodeSlots}
+}
+
+// builtOnce is a routine that folds nothing per descriptor, built once
+// per kernel: its entries, and what its build cost.
+type builtOnce struct {
+	e  entries
+	st synth.OptStats
+}
+
+// once returns r's routine, building emit with b on first use; a later
+// use is charged and counted as the build was (synth.Builder.Account).
+func (io *IO) once(r *builtOnce, b *synth.Builder, emit func(*synth.Emitter)) entries {
+	if r.e.native == 0 {
+		r.e.native, r.e.unix = b.EmitEntries(emit)
+		r.st = io.K.C.LastStats
+	} else {
+		b.Account(r.e.native, r.st)
+	}
+	return r.e
 }
 
 // installFD installs the descriptor's read/write routines: native
@@ -249,26 +316,37 @@ func (io *IO) open(t *kernel.Thread, f *fs.File) int32 {
 	var kind uint32
 	switch f.Special {
 	case fs.SpecialNull:
-		read, write = io.synthNull(t, fd)
+		read, write = io.synthNull(t)
 		kind = FDNull
 	case fs.SpecialTTY:
-		read, write = io.synthTTY(t, fd)
+		read, write = io.synthCooked(t), io.synthTTYWrite(t)
 		kind = FDTTY
-	case fs.SpecialRawTTY:
-		read, write = io.synthRawTTY(t, fd)
-		kind = FDRawTTY
 	case fs.SpecialAD:
-		read = io.synthAD(t, fd)
+		read = io.synthAD(t)
 		kind = FDAD
-	case fs.SpecialDisk:
-		read, write = io.synthDiskFile(t, fd, f)
-		kind = FDDiskFile
-	case fs.SpecialMetrics:
-		read = io.synthProcRead(t, fd, f)
-		kind = FDProc
 	default:
-		read, write = io.synthFileRead(t, fd, f), io.synthFileWrite(t, fd, f)
-		kind = FDFile
+		r := io.slot(t, fd)
+		if r == nil {
+			return -1
+		}
+		switch f.Special {
+		case fs.SpecialRawTTY: // the plain bulk queue read
+			q := &KQueue{Addr: io.ttyQ, Size: ttyQueueBytes}
+			read.native, read.unix = r.at(io.K.C.Build(t.Q, "rawtty_read")).EmitEntries(func(e *synth.Emitter) {
+				io.emitQueueRead(e, q, kernel.FDCell(t.TTE, int(fd), kernel.FDGauge))
+			})
+			write = io.synthTTYWrite(t)
+			kind = FDRawTTY
+		case fs.SpecialDisk:
+			read, write = io.synthDiskFileRead(t, fd, f, r), io.synthFileWrite(t, fd, f, r)
+			kind = FDDiskFile
+		case fs.SpecialMetrics:
+			read = io.synthProcRead(t, fd, f, r)
+			kind = FDProc
+		default:
+			read, write = io.synthFileRead(t, fd, f, r), io.synthFileWrite(t, fd, f, r)
+			kind = FDFile
+		}
 	}
 	io.setFDCell(t, fd, kernel.FDKind, kind)
 	io.setFDCell(t, fd, kernel.FDPos, 0)
@@ -278,12 +356,11 @@ func (io *IO) open(t *kernel.Thread, f *fs.File) int32 {
 }
 
 // Close serves the close system call: point the vectors back at the
-// bad-fd stub and free the slot. The synthesized routines stay in code
-// space and in the creator's cache, so the next open of the same thing
-// on this slot finds them by key (synth.Builder.Key) and builds
-// nothing. The slot's byte gauge moves to the thread's, where the
-// scheduler still sees it, so the next descriptor here counts from
-// zero. Returns false for a slot that is not open.
+// bad-fd stub and free the slot. The slot keeps its code region, and
+// its next open of a per-descriptor kind builds into it. The slot's
+// byte gauge moves to the thread's, where the scheduler still sees
+// it, so the next descriptor here counts from zero. Returns false for
+// a slot that is not open.
 func (io *IO) Close(t *kernel.Thread, fd int32) bool {
 	if t == nil || fd < 0 || fd >= kernel.MaxFD {
 		return false

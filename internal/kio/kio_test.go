@@ -15,7 +15,6 @@ func boot(t *testing.T) (*kernel.Kernel, *kio.IO) {
 	k := kernel.Boot(kernel.Config{
 		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
 	})
-	k.C.CheckKeys = true
 	io := kio.Install(k)
 	return k, io
 }

@@ -22,7 +22,6 @@ func bootMetrics(t *testing.T) (*kernel.Kernel, *kio.IO, *metrics.Registry) {
 		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
 		Metrics: reg,
 	})
-	k.C.CheckKeys = true
 	io := kio.Install(k)
 	return k, io, reg
 }
@@ -141,7 +140,6 @@ func TestDisabledPlaneGeneratesIdenticalCode(t *testing.T) {
 			Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
 			Metrics: reg,
 		})
-		k.C.CheckKeys = true
 		kio.Install(k)
 		prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
 			emitSock(e, 5, 9)

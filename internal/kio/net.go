@@ -334,7 +334,7 @@ func (io *IO) demuxCell(i uint32) (uint32, m68k.Instr) {
 // demux cell, and synthesizes the socket's send and receive
 // routines on a fresh descriptor of t. The entry is the one this port
 // last held, else one no port has held, else the first free one, so a
-// reopened port's routines fold in the queue they were built for.
+// port keeps its queue across reopens.
 // Returns -1 when the port is open, or the table or t's descriptors
 // are full.
 func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
@@ -362,6 +362,10 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 	if fd < 0 || i < 0 {
 		return -1
 	}
+	r := io.slot(t, fd)
+	if r == nil {
+		return -1
+	}
 	e := io.netSockTab + uint32(i)*sockEntrySize
 	q := io.netBlocks + uint32(i)*sockBlockSize
 	m.PokeBytes(q, make([]byte, NQSlots))
@@ -372,8 +376,8 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 		io.K.C.Patch(io.demuxCell(uint32(i)))
 	}
 
-	read := io.synthSockRecv(t, fd, local, q)
-	write := io.synthSockSend(t, fd, local, remote, q)
+	read := io.synthSockRecv(t, fd, local, q, r)
+	write := io.synthSockSend(t, fd, local, remote, q, r)
 	io.setFDCell(t, fd, kernel.FDKind, FDSock)
 	io.setFDCell(t, fd, kernel.FDAux, q)
 	io.setFDCell(t, fd, kernel.FDPos, 0)
@@ -407,16 +411,15 @@ func (io *IO) closeSocket(q uint32) {
 // senders cannot interleave the address/length pair; a refused
 // launch (TxStat 0: ring full) is retried with exponential backoff,
 // spinning unmasked so the receive interrupt can drain the ring.
-func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32) entries {
+func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32, r *region) entries {
 	stage := q + nqSize
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
 	txAddr := m68k.NetBase + m68k.NetRegTxAddr
 	txLen := m68k.NetBase + m68k.NetRegTxLen
 	txStat := m68k.NetBase + m68k.NetRegTxStat
-	return buildRW(io.K.C.Build(t.Q, "sock_send").
+	return buildRW(r.at(io.K.C.Build(t.Q, "sock_send").
 		Named(fmt.Sprintf("kio.sock%d.send", local)).
-		Counted().
-		Key("kio.sock_send", t.TTE, uint32(fd), q, local, remote).
+		Counted()).
 		Bind("remote", synth.ConstOf(remote)).
 		Bind("local", synth.ConstOf(local)),
 		func(e *synth.Emitter) {
@@ -478,12 +481,11 @@ func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32)
 // per-slot valid flag, parking on the reader cell with the interrupt
 // level raised across the check (the producer is the receive
 // interrupt handler).
-func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, local, q uint32) entries {
+func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, local, q uint32, r *region) entries {
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	return buildRW(io.K.C.Build(t.Q, "sock_recv").
+	return buildRW(r.at(io.K.C.Build(t.Q, "sock_recv").
 		Named(fmt.Sprintf("kio.sock%d.recv", local)).
-		Counted().
-		Key("kio.sock_recv", t.TTE, uint32(fd), q),
+		Counted()),
 		func(e *synth.Emitter) {
 			e.Label("sr_wait")
 			e.OrSR(kernel.SRIPLMask)

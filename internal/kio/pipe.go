@@ -54,10 +54,10 @@ func (io *IO) pipe(t *kernel.Thread) (rfd, wfd int32) {
 	}
 	rfd = io.OpenPipeEnd(t, q, false)
 	wfd = io.OpenPipeEnd(t, q, true)
-	if wfd < 0 {
-		// Closing the read end, the only end, frees the queue; with no
-		// read end either, free it here.
-		if !io.Close(t, rfd) {
+	if rfd < 0 || wfd < 0 {
+		// Closing the one end that opened frees the queue; with neither
+		// open, free it here.
+		if !io.Close(t, rfd) && !io.Close(t, wfd) {
 			io.freePipe(q.Addr)
 		}
 		return -1, -1
@@ -66,13 +66,19 @@ func (io *IO) pipe(t *kernel.Thread) (rfd, wfd int32) {
 }
 
 // OpenPipeEnd synthesizes one end of the pipe on queue q for a thread
-// and installs it as a descriptor: writeEnd selects the writing side.
-// Returns the descriptor, or -1 when the thread's table is full.
+// into the descriptor slot's region and installs it as a descriptor:
+// writeEnd selects the writing side. Returns the descriptor, or -1
+// when the thread's table is full or the slot's region may not be
+// rebuilt (slot).
 // Both ends may live in the same thread (the Table 1 benchmarks) or
 // in different threads (a producer/consumer stream).
 func (io *IO) OpenPipeEnd(t *kernel.Thread, q *KQueue, writeEnd bool) int32 {
 	fd := io.allocFD(t)
 	if fd < 0 {
+		return -1
+	}
+	r := io.slot(t, fd)
+	if r == nil {
 		return -1
 	}
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
@@ -81,7 +87,7 @@ func (io *IO) OpenPipeEnd(t *kernel.Thread, q *KQueue, writeEnd bool) int32 {
 	if writeEnd {
 		kind, end, name, emit = FDPipeW, &write, "pipe_write", io.emitQueueWrite
 	}
-	end.native, end.unix = io.K.C.Build(t.Q, name).Key("kio."+name, t.TTE, uint32(fd), q.Addr, uint32(q.Size)).EmitEntries(func(e *synth.Emitter) {
+	end.native, end.unix = r.at(io.K.C.Build(t.Q, name)).EmitEntries(func(e *synth.Emitter) {
 		emit(e, q, g)
 	})
 	io.setFDCell(t, fd, kernel.FDKind, kind)

@@ -53,13 +53,11 @@ func TestSocketChurnReturnsItsHeap(t *testing.T) {
 
 // TestSocketChurnPlateaus: a closed socket's table entry keeps its
 // port and its block, so a port that reopens, in whatever order, gets
-// its own queue back, and with it the send and receive routines and
-// demultiplex chains already built for that address: after one warm
-// pass, churn builds nothing and allocates nothing. Eight threads hold
+// its own queue back, and each reopen builds its send and receive
+// routines into its descriptor slot's own code region: after one warm
+// pass, churn grows no code and allocates nothing. Eight threads hold
 // one socket each; a pass closes every pair of them and reopens the
-// pair in swapped order. With "the first free entry" in place of each
-// port's own, the swaps permute ports over entries, and each pass
-// mints routines and chains for entries the ports never held before.
+// pair in swapped order.
 //
 // A second churn fills the table: sixteen threads with a port each,
 // and each step opens or closes the socket of a thread drawn from a
@@ -74,7 +72,6 @@ func TestSocketChurnPlateaus(t *testing.T) {
 		Machine: m68k.Config{MemSize: 1 << 20},
 		Profile: true,
 	})
-	k.C.CheckKeys = true
 	regions := logRegions(k)
 	io := kio.Install(k)
 	const threads, port, passes = 8, 100, 20
@@ -101,10 +98,10 @@ func TestSocketChurnPlateaus(t *testing.T) {
 	}
 	type reading struct {
 		codeTop, heapFree uint32
-		entries, regions  int
+		regions           int
 	}
 	read := func() reading {
-		return reading{k.M.CodeTop, k.Heap.FreeBytes(), k.C.KeyedEntries(), k.Prof.Regions()}
+		return reading{k.M.CodeTop, k.Heap.FreeBytes(), k.Prof.Regions()}
 	}
 	pass()
 	warm := read()
@@ -328,13 +325,10 @@ func TestPipeFailsWhole(t *testing.T) {
 
 // TestOpenCloseChurnPlateaus: reopening what has been open before
 // costs no code space, no profiler region, no registry entry and no
-// heap, whatever kind of descriptor it is; the routines the cache
-// hands back are the ones it installed, and they still work.
-// /proc/metrics is the one kind whose reopen can be new: its read
-// folds in the snapshot's length, so a snapshot one digit longer is a
-// routine nobody has built — a few dozen in 2,000 opens, and nothing
-// else grows. After warm-up every reopen finds both its routines by
-// their declared keys, so no template runs for it.
+// heap, whatever kind of descriptor it is, /proc/metrics with a fresh
+// snapshot length included; every reopen is accounted its two
+// routines, code outside the slot's own region stays as it was, and
+// the routines still work.
 func TestOpenCloseChurnPlateaus(t *testing.T) {
 	reg := metrics.New()
 	k := kernel.Boot(kernel.Config{
@@ -342,7 +336,6 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		Profile: true,
 		Metrics: reg,
 	})
-	k.C.CheckKeys = true
 	regions := logRegions(k)
 	io := kio.Install(k)
 	if _, err := k.FS.CreateSized("/tmp/data", nil, 256); err != nil {
@@ -362,8 +355,8 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 	}
 	k.M.PokeBytes(wbuf, []byte("plateau!"))
 
-	// Every descriptor is fd 0 of the one thread, so a reopen emits
-	// the code the first open did.
+	// Every descriptor is fd 0 of the one thread, so every
+	// per-descriptor routine is built into that slot's region.
 	open := func(e *synth.Emitter, file uint32) {
 		emitOpen(e, names+file*32)
 		e.OrL(m68k.D(0), m68k.Abs(res))
@@ -409,9 +402,6 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 			sock(e)
 			closeFD(e)
 		})
-		// Every open here is served from the cache (while the heap is
-		// as the loop left it: the socket's routines fold its queue's
-		// address in).
 		open(e, tty)
 		rw(e, kernel.TrapWrite, wbuf, 8, res+4)
 		closeFD(e)
@@ -431,13 +421,12 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		})
 		exitSeq(e)
 	})
-	k.Start(k.SpawnKernel("main", prog))
+	main := k.SpawnKernel("main", prog)
+	k.Start(main)
 
 	type reading struct {
-		regions, metrics int
-		heapFree         uint32
-		codeTop          uint32
-		entries          int
+		regions, metrics  int
+		heapFree, codeTop uint32
 	}
 	// next runs the guest to its next halt and takes a reading.
 	next := func(round uint32) reading {
@@ -449,48 +438,38 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		if round != 0 && k.M.D[5] != round {
 			t.Fatalf("halted after round %d, want %d", k.M.D[5], round)
 		}
-		return reading{k.Prof.Regions(), len(reg.Names()), k.Heap.FreeBytes(), k.M.CodeTop, k.C.KeyedEntries()}
+		return reading{k.Prof.Regions(), len(reg.Names()), k.Heap.FreeBytes(), k.M.CodeTop}
 	}
 
+	// installed is code space outside fd 0's region, which every
+	// reopen rewrites.
+	installed := func() []m68k.Instr {
+		slot := k.M.Peek(kernel.FDCell(main.TTE, 0, kio.FDCode), 4)
+		return slices.Concat(k.M.Code[:slot], k.M.Code[slot+kio.FDCodeSlots:])
+	}
 	early := next(warm)
 	checkUnixCells(t, k, io, regions)
-	installed := slices.Clone(k.M.Code) // every cached routine, and the rest of code space
-	hits, misses := k.C.CacheHits, k.C.CacheMisses
+	before, routines := installed(), k.C.Routines
 	if late := next(cycles); late != early {
 		t.Errorf("rounds %d..%d of five kinds moved the kernel:\n after %4d: %+v\n after %4d: %+v",
 			warm, cycles, warm, early, cycles, late)
 	}
-	// A round is five reopens of two routines each, all found by key,
-	// so no template runs and nothing is installed: the socket's
-	// open and close patch its demux cell instead of rebuilding the net
-	// handler.
+	// A round is five reopens of two routines each: each is built again
+	// or, for a kernel-wide routine, accounted again, and nothing is
+	// installed outside fd 0's region. The socket's open and close patch
+	// its demux cell instead of rebuilding the net handler.
 	const rounds = cycles - warm
-	hits, misses = k.C.CacheHits-hits, k.C.CacheMisses-misses
-	if hits != 10*rounds || misses != 0 {
-		t.Errorf("%d rounds: %d hits, %d misses, want %d 0",
-			rounds, hits, misses, 10*rounds)
+	if got := k.C.Routines - routines; got != 10*rounds {
+		t.Errorf("%d rounds accounted %d routines, want %d", rounds, got, 10*rounds)
 	}
 
-	misses = k.C.CacheMisses
 	early = next(warm) // through the working descriptors into the /proc/metrics loop
-	if k.C.CacheMisses > misses+warm {
-		t.Errorf("%d routines built since the five kinds' loop, and only the %d /proc/metrics opens may have",
-			k.C.CacheMisses-misses, warm)
+	if late := next(cycles); late != early {
+		t.Errorf("rounds %d..%d of /proc/metrics moved the kernel:\n after %4d: %+v\n after %4d: %+v",
+			warm, cycles, warm, early, cycles, late)
 	}
-	late := next(cycles)
-	built := late.entries - early.entries
-	slots := uint32(built * k.C.LastStats.InstrsAfter) // the last build was a proc read
-	if built > cycles/20 {
-		t.Errorf("%d of %d /proc/metrics reopens built a new read routine", built, cycles-warm)
-	}
-	t.Logf("/proc/metrics: %d of %d reopens had a new snapshot length, %d code slots", built, cycles-warm, slots)
-	early.entries, early.codeTop = late.entries, early.codeTop+slots
-	if late != early {
-		t.Errorf("rounds %d..%d of /proc/metrics moved more than its %d new read routines:\n after %4d: %+v\n after %4d: %+v",
-			warm, cycles, built, warm, early, cycles, late)
-	}
-	if !slices.Equal(k.M.Code[:len(installed)], installed) {
-		t.Errorf("code installed by round %d changed under churn", warm)
+	if !slices.Equal(installed(), before) {
+		t.Errorf("code outside fd 0's region changed under churn after round %d", warm)
 	}
 
 	next(0) // to the exit

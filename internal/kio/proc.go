@@ -24,10 +24,8 @@ import (
 // synth.Builder's hole environment — Factoring Invariants: a later
 // read never consults a descriptor record, it executes code that
 // already knows where the snapshot lives and how long it is. Each
-// open resynthesizes the routine around the freshly cut snapshot;
-// close frees the buffer (the code, as everywhere else in this
-// kernel, stays in the creator's cache: an open whose snapshot lands
-// at the same address with the same length reuses it).
+// open resynthesizes the routine around the freshly cut snapshot, in
+// the descriptor slot's code region; close frees the buffer.
 //
 // SynthGenericProcRead builds the SAME template with both holes bound
 // to descriptor cells instead of constants and the block copy behind
@@ -77,8 +75,9 @@ func (io *IO) renderProcSnapshot(name string) []byte {
 
 // synthProcRead implements the metrics quaject's open: cut + render a
 // snapshot, stage it in a per-open kernel buffer, and emit the
-// specialized read with the buffer geometry folded in.
-func (io *IO) synthProcRead(t *kernel.Thread, fd int32, f *fs.File) entries {
+// specialized read with the buffer geometry folded in, into the slot's
+// region r.
+func (io *IO) synthProcRead(t *kernel.Thread, fd int32, f *fs.File, r *region) entries {
 	k := io.K
 	data := io.renderProcSnapshot(f.Name)
 	io.procLast = append(io.procLast[:0], data...)
@@ -99,10 +98,9 @@ func (io *IO) synthProcRead(t *kernel.Thread, fd int32, f *fs.File) entries {
 
 	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
 	gauge := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	return buildRW(k.C.Build(t.Q, "proc_read").
+	return buildRW(r.at(k.C.Build(t.Q, "proc_read").
 		Named("kio.proc.read").
-		Counted().
-		Key("kio.proc_read", t.TTE, uint32(fd), buf, uint32(len(data))).
+		Counted()).
 		Bind("snap_base", synth.ConstOf(buf)).
 		Bind("snap_len", synth.ConstOf(uint32(len(data)))),
 		func(e *synth.Emitter) {
@@ -164,6 +162,10 @@ func (io *IO) SynthGenericProcRead(t *kernel.Thread, procFD int32) int32 {
 	if fd < 0 {
 		return -1
 	}
+	r := io.slot(t, fd)
+	if r == nil {
+		return -1
+	}
 	srcAux := kernel.FDCell(t.TTE, int(procFD), kernel.FDAux)
 	srcLen := kernel.FDCell(t.TTE, int(procFD), fdProcLen)
 	pos := kernel.FDCell(t.TTE, int(fd), kernel.FDPos)
@@ -173,7 +175,9 @@ func (io *IO) SynthGenericProcRead(t *kernel.Thread, procFD int32) int32 {
 	// The generic server's copy layer: D1 bytes from (A0)+ to (A1)+,
 	// one byte per round — the bcopy a generic path calls instead of
 	// splicing an unrolled transfer into the caller.
-	bcopy := k.C.Build(t.Q, "proc_bcopy").Named("kio.proc.bcopy").Emit(func(e *synth.Emitter) {
+	bcopy := io.once(&io.procBcopy, k.C.Build(t.Q, "proc_bcopy").Named("kio.proc.bcopy"), func(e *synth.Emitter) {
+		e.Label(synth.EntryAlt)
+		e.Label(synth.EntryMain)
 		e.TstL(m68k.D(1))
 		e.Beq("bc_done")
 		e.Label("bc_loop")
@@ -182,10 +186,10 @@ func (io *IO) SynthGenericProcRead(t *kernel.Thread, procFD int32) int32 {
 		e.Bne("bc_loop")
 		e.Label("bc_done")
 		e.Rts()
-	})
+	}).native
 
-	read := buildRW(k.C.Build(t.Q, "proc_read_generic").
-		Named("kio.proc.read_generic").
+	read := buildRW(r.at(k.C.Build(t.Q, "proc_read_generic").
+		Named("kio.proc.read_generic")).
 		Bind("snap_base", synth.CellAt(srcAux)).
 		Bind("snap_len", synth.CellAt(srcLen)),
 		func(e *synth.Emitter) {
@@ -198,8 +202,7 @@ func (io *IO) SynthGenericProcRead(t *kernel.Thread, procFD int32) int32 {
 }
 
 // closeProc releases the open's snapshot buffer buf (0: the open
-// found no heap for one). The synthesized routine stays cached like
-// every other per-open routine.
+// found no heap for one).
 func (io *IO) closeProc(buf uint32) {
 	if buf != 0 {
 		_ = io.K.Heap.Free(buf)

@@ -27,7 +27,6 @@ func bootProcMetrics(t *testing.T) (*kernel.Kernel, *kio.IO, *metrics.Registry) 
 		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
 		Metrics: reg,
 	})
-	k.C.CheckKeys = true
 	io := kio.Install(k)
 	unixemu.Install(k)
 	return k, io, reg

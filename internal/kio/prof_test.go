@@ -19,7 +19,6 @@ func bootProfiled(t *testing.T) (*kernel.Kernel, *kio.IO) {
 		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
 		Profile: true,
 	})
-	k.C.CheckKeys = true
 	io := kio.Install(k)
 	return k, io
 }

@@ -87,29 +87,10 @@ func (io *IO) installTTY() {
 	mustCreate(k.FS.CreateSpecial("/dev/rawtty", fs.SpecialRawTTY))
 }
 
-// synthTTY builds the cooked read/write pair (synthRawTTY builds the
-// raw pair that /dev/rawtty's open installs instead). The read
-// has the raw get-character inlined rather than called — Collapsing
-// Layers, exactly the boot-time optimization Section 5.4 describes for
-// this filter.
-func (io *IO) synthTTY(t *kernel.Thread, fd int32) (read, write entries) {
-	return io.synthCooked(t, "cooked_read", 0), io.synthTTYWrite(t)
-}
-
-// synthRawTTY builds the raw pair: read is the plain bulk queue read.
-func (io *IO) synthRawTTY(t *kernel.Thread, fd int32) (read, write entries) {
-	q := &KQueue{Addr: io.ttyQ, Size: ttyQueueBytes}
-	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	native, unix := io.K.C.Build(t.Q, "rawtty_read").Key("kio.rawtty_read", t.TTE, uint32(fd)).EmitEntries(func(e *synth.Emitter) {
-		io.emitQueueRead(e, q, g)
-	})
-	return entries{native, unix}, io.synthTTYWrite(t)
-}
-
 // synthTTYWrite emits the output path: write(d1=buf, d2=len) -> d0.
 // Output goes byte by byte to the device register.
 func (io *IO) synthTTYWrite(t *kernel.Thread) entries {
-	return buildRW(io.K.C.Build(t.Q, "tty_write").Key("kio.tty_write"), func(e *synth.Emitter) {
+	return io.once(&io.ttyWrite, io.K.C.Build(t.Q, "tty_write"), rw(func(e *synth.Emitter) {
 		e.MoveL(m68k.D(2), m68k.D(0)) // return count
 		e.TstL(m68k.D(2))
 		e.Beq("tw_done")
@@ -121,7 +102,7 @@ func (io *IO) synthTTYWrite(t *kernel.Thread) entries {
 		e.Dbra(1, "tw_loop")
 		e.Label("tw_done")
 		e.Rte()
-	})
+	}))
 }
 
 // emitRawGetChar emits the raw server's get-character: wait for the
@@ -156,14 +137,22 @@ func (io *IO) emitRawGetChar(e *synth.Emitter) {
 	e.MoveL(m68k.D(1), m68k.Abs(tail))
 }
 
-// synthCooked emits the cooked (line-discipline) read: gather
+// synthCooked returns /dev/tty's read: the cooked read with the raw
+// get-character inlined rather than called — Collapsing Layers,
+// exactly the boot-time optimization Section 5.4 describes for this
+// filter.
+func (io *IO) synthCooked(t *kernel.Thread) entries {
+	return io.once(&io.cookedRead, io.K.C.Build(t.Q, "cooked_read"), io.cookedTemplate(0))
+}
+
+// cookedTemplate is the cooked (line-discipline) read: gather
 // characters into the caller's buffer, interpreting erase and kill,
 // until a newline or the buffer fills. read(d1=buf, d2=len) -> d0 =
 // line length. The layer boundary is the parameter: with getchar 0 the
 // raw get-character is emitted in place, otherwise it is a call to the
 // routine at that address.
-func (io *IO) synthCooked(t *kernel.Thread, entry string, getchar uint32) entries {
-	return buildRW(io.K.C.Build(t.Q, entry).Key("kio.cooked_read", getchar), func(e *synth.Emitter) {
+func (io *IO) cookedTemplate(getchar uint32) func(*synth.Emitter) {
+	return rw(func(e *synth.Emitter) {
 		// Stack: [orig len][buf base] (top to bottom).
 		e.MoveL(m68k.D(1), m68k.A(1)) // cursor
 		e.MoveL(m68k.D(1), m68k.PreDec(7))
@@ -212,9 +201,12 @@ func (io *IO) synthCooked(t *kernel.Thread, entry string, getchar uint32) entrie
 // layered structure Collapsing Layers eliminates. Returns the read
 // routine's code address (installable on a descriptor by tests).
 func (io *IO) SynthLayeredCookedRead(t *kernel.Thread) uint32 {
-	getchar := io.K.C.Build(t.Q, "rawtty_getchar").Key("kio.rawtty_getchar").Emit(func(e *synth.Emitter) {
+	c := io.K.C
+	getchar := io.once(&io.rawGetChar, c.Build(t.Q, "rawtty_getchar"), func(e *synth.Emitter) {
+		e.Label(synth.EntryAlt)
+		e.Label(synth.EntryMain)
 		io.emitRawGetChar(e)
 		e.Rts()
-	})
-	return io.synthCooked(t, "cooked_read_layered", getchar).native
+	}).native
+	return io.once(&io.layeredRead, c.Build(t.Q, "cooked_read_layered"), io.cookedTemplate(getchar)).native
 }

@@ -115,7 +115,6 @@ func entryRun(t *testing.T, c entryCase, n int32, unix bool) entryState {
 	t.Helper()
 	reg := metrics.New()
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256}, Metrics: reg})
-	k.C.CheckKeys = true
 	io := kio.Install(k)
 	unixemu.Install(k)
 	k.M.PokeBytes(entWBuf, []byte("hello, world, and the rest of it"))
@@ -150,7 +149,13 @@ func entryRun(t *testing.T, c entryCase, n int32, unix bool) entryState {
 	s := entryState{d0: k.M.Peek(entRes, 4), out: string(k.TTY.Output()), counters: map[string]uint64{}}
 	s.mem = append(s.mem, k.M.PeekBytes(entWBuf, entBufLen)...)
 	s.mem = append(s.mem, k.M.PeekBytes(entRBuf, entBufLen)...)
-	s.mem = append(s.mem, k.M.PeekBytes(th.TTE+kernel.TTEFDBase, kernel.MaxFD*kernel.FDSlotSize)...)
+	slots := k.M.PeekBytes(th.TTE+kernel.TTEFDBase, kernel.MaxFD*kernel.FDSlotSize)
+	for fd := range kernel.MaxFD {
+		// Where the slot's code region lies, which the two rigs'
+		// programs of different lengths move.
+		clear(slots[fd*kernel.FDSlotSize+kio.FDCode:][:4])
+	}
+	s.mem = append(s.mem, slots...)
 	s.mem = append(s.mem, k.M.PeekBytes(th.TTE+kernel.TTEIOGauge, 4)...)
 	s.mem = append(s.mem, k.M.PeekBytes(io.TTYQueue(), kio.KQBuf+8)...)
 	for _, name := range []string{"/f", "/disk/f"} {
@@ -285,7 +290,6 @@ func TestUnixEntryMatchesNative(t *testing.T) {
 // UNIX cell beside its native vector.
 func TestBadDescriptorsThroughUnixGate(t *testing.T) {
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256}})
-	k.C.CheckKeys = true
 	l := logRegions(k)
 	io := kio.Install(k)
 	unixemu.Install(k)

@@ -50,7 +50,7 @@ func (g *Gauge) Value() float64 {
 }
 
 // regState is the storage every Registry view shares: one mutex, one
-// set of name-keyed metric maps, one clock. A Registry is a (state,
+// set of metric maps by name, one clock. A Registry is a (state,
 // prefix) pair — see Sub — so a fleet of kernels can register into a
 // single plane under per-VM name prefixes while snapshots still see
 // everything at once.

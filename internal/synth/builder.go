@@ -7,13 +7,10 @@
 // per-thread switch procedures, per-open device paths — goes through
 // one pipeline (Builder.Emit, this file):
 //
-//	declared key -> template -> cleanups -> charge -> install
+//	template -> cleanups -> charge -> install
 //
 // Stage by stage:
 //
-//   - declared key: a build that names its template and the values it
-//     folds (Builder.Key) is looked up first; a hit goes to the charge.
-//     A build without a key is always installed.
 //   - template: the closure runs against its Env. This is where the
 //     paper's methods are applied. Factoring Invariants: a hole bound
 //     to a constant becomes an immediate, one bound to a cell a memory
@@ -27,8 +24,13 @@
 //     jumps through (the ready queue's next-switch cell in each TTE).
 //   - peephole cleanups: optimize.go.
 //   - charge: the cost model of cost.go, when ChargeTime is set.
-//   - install: link into code space (or in place, Builder.At) and
+//   - install: link into code space, or into a region its owner
+//     rewrites in place (Builder.At: a thread's switch code, kio's
+//     receive handler, each descriptor slot's read and write), and
 //     register the region with the measurement plane.
+//
+// Every Emit runs its template; a routine built once by its owner is
+// accounted on each reuse with Builder.Account.
 //
 // What reaches the cleanups is already folded and collapsed, and the
 // stage is sized to its traffic. Measured with per-pass counters over
@@ -52,9 +54,6 @@
 package synth
 
 import (
-	"fmt"
-	"slices"
-
 	"synthesis/internal/asmkit"
 	"synthesis/internal/m68k"
 )
@@ -99,8 +98,7 @@ type Builder struct {
 	size    int
 	inPlace bool
 	counted bool
-	two     bool // EmitEntries
-	key     declKey
+	two     bool     // EmitEntries
 	table   uint32   // jump table the install fills (Table), 0 for none
 	targets []string // its cells' labels
 }
@@ -129,7 +127,10 @@ func (b *Builder) Bind(hole string, bind Binding) *Builder {
 
 // At directs the install into a preallocated code region of the given
 // size instead of appending to code space; slack is NOP-filled so
-// stale tail instructions cannot execute (in-place resynthesis).
+// stale tail instructions cannot execute (in-place resynthesis). The
+// region registered for attribution is the routine's own extent, so a
+// later build into the slack (kio links a descriptor's write after its
+// read) registers its own.
 func (b *Builder) At(base uint32, size int) *Builder {
 	b.base = base
 	b.size = size
@@ -138,8 +139,7 @@ func (b *Builder) At(base uint32, size int) *Builder {
 }
 
 // Table makes the install fill a jump table in machine memory: the
-// long at cells+4*i gets the linked address of label targets[i]. Like
-// an At build, a table build is never served from the cache.
+// long at cells+4*i gets the linked address of label targets[i].
 func (b *Builder) Table(cells uint32, targets []string) *Builder {
 	b.table = cells
 	b.targets = targets
@@ -162,29 +162,6 @@ func (b *Builder) Counted() *Builder {
 	return b
 }
 
-// declKey is a declared key: a template name, up to maxKeyArgs values
-// and, in the last slot, the Counted cell, which Emit fills in.
-type declKey struct {
-	name string
-	args [maxKeyArgs + 1]uint32
-}
-
-const maxKeyArgs = 6
-
-// Key declares what the routine is a function of: a template name and
-// every value the template folds that can differ between two builds of
-// it on one creator. An Emit whose key was seen before returns the
-// routine installed then and does not run the template. DESIGN.md
-// Section 2a has the rule; Creator.CheckKeys checks it.
-func (b *Builder) Key(template string, args ...uint32) *Builder {
-	if len(args) > maxKeyArgs {
-		panic("synth: key of " + template + " has too many arguments")
-	}
-	b.key.name = template
-	copy(b.key.args[:], args)
-	return b
-}
-
 // regionName resolves the attribution name used for region
 // registration and invocation counting.
 func (b *Builder) regionName() string {
@@ -197,34 +174,14 @@ func (b *Builder) regionName() string {
 	return b.entry
 }
 
-// cached is one synthesis-cache entry: where a routine was installed
-// and where it is entered, and the statistics its synthesis produced,
-// which is all a later Emit of the same routine needs.
-type cached struct {
-	base, addr, alt uint32
-	st              OptStats
-}
-
 // The labels of a two-entry routine's entries (EmitEntries).
 const EntryMain, EntryAlt = "entry", "entry_alt"
 
 // Emit runs the template closure and the rest of the pipeline, then
 // returns the installed entry address.
-//
-// A template is a pure function of the values it folds, so a build
-// that declares them (Key) is looked up in the creator's cache before
-// the template runs: a hit returns the routine installed the first
-// time and runs no stage at all. Sharing is sound because installed
-// code outside At regions is never patched; At builds, whose regions
-// the caller owns and rewrites, and Table builds, whose install writes
-// the table, are not cached. A build without a key is always
-// installed. A hit is accounted exactly like a miss — the cycle model
-// and the size tables describe the paper's kernel, which synthesizes
-// on every open (DESIGN.md Section 4) — except that it registers no
-// region: a profiler charges a shared routine to the name it was
-// installed under.
 func (b *Builder) Emit(emit func(*Emitter)) uint32 {
-	return b.emit(emit).addr
+	main, _ := b.emit(emit)
+	return main
 }
 
 // EmitEntries is Emit for a routine with two entries, one per register
@@ -234,53 +191,55 @@ func (b *Builder) Emit(emit func(*Emitter)) uint32 {
 // other (a plain Label) is counted once, where it lands.
 func (b *Builder) EmitEntries(emit func(*Emitter)) (main, alt uint32) {
 	b.two = true
-	ent := b.emit(emit)
-	return ent.addr, ent.alt
+	return b.emit(emit)
 }
 
-func (b *Builder) emit(emit func(*Emitter)) cached {
-	c := b.c
-	var cell uint32
-	if b.counted && c.Counters != nil {
-		name := b.regionName()
-		cell = c.Counters.InvocationCell(name)
-		c.Counters.Resynthesized(name)
-	}
-	k := b.key
-	k.args[maxKeyArgs] = cell
-	ent, hit := c.keyed[k] // nothing is filed under the empty name
-	switch {
-	case b.inPlace || b.table != 0: // never cached (Emit)
-		ent = b.install(b.prepare(emit, cell))
-	case hit:
-		c.CacheHits++
-		if c.CheckKeys {
-			bb, _ := b.prepare(emit, cell)
-			b.check(k, ent, bb)
-		}
-	default:
-		ent = b.install(b.prepare(emit, cell))
-		c.CacheMisses++
-		if k.name != "" {
-			c.keyed[k] = ent
-		}
-	}
+func (b *Builder) emit(emit func(*Emitter)) (main, alt uint32) {
+	bb, st := b.prepare(emit, b.cell())
+	main, alt = b.install(bb, st)
+	b.account(main, st)
+	return main, alt
+}
 
-	// From here a hit and a miss are the same build.
-	st := &ent.st
-	c.LastStats = *st
+// Account is a build of the installed routine entered at main, whose
+// build produced st, that runs no stage: it is charged and counted as
+// that build was, and registers no region. The cycle model describes
+// the paper's kernel, which synthesizes on every open (DESIGN.md
+// Section 4), so a routine built once is accounted so on each reuse.
+func (b *Builder) Account(main uint32, st OptStats) {
+	b.cell()
+	b.account(main, st)
+}
+
+// cell returns the Counted routine's invocation-counter cell, 0 for
+// none, and notes one more generation of it.
+func (b *Builder) cell() uint32 {
+	c := b.c
+	if !b.counted || c.Counters == nil {
+		return 0
+	}
+	name := b.regionName()
+	cell := c.Counters.InvocationCell(name)
+	c.Counters.Resynthesized(name)
+	return cell
+}
+
+// account charges a build and adds it to its quaject's and the
+// creator's totals.
+func (b *Builder) account(main uint32, st OptStats) {
+	c := b.c
+	c.LastStats = st
 	if c.ChargeTime {
 		ChargeSynthesis(c.M, st.InstrsBefore)
 	}
 	if b.q != nil {
-		b.q.Entries[b.entry] = ent.addr
+		b.q.Entries[b.entry] = main
 		b.q.Instrs += st.InstrsAfter
 		b.q.Bytes += st.BytesAfter
 	}
 	c.TotalInstrs += st.InstrsAfter
 	c.TotalBytes += st.BytesAfter
 	c.Routines++
-	return ent
 }
 
 // prepare runs the template and the cleanups, and returns the routine
@@ -311,29 +270,9 @@ func (b *Builder) prepare(emit func(*Emitter), cell uint32) (*asmkit.Builder, Op
 	return asmkit.FromProgram(p), st
 }
 
-// entries returns where the routine is entered when linked at base.
-func (b *Builder) entries(bb *asmkit.Builder, base uint32) (addr, alt uint32) {
-	if b.two {
-		return bb.AddrOf(EntryMain, base), bb.AddrOf(EntryAlt, base)
-	}
-	return base, 0
-}
-
-// check is CheckKeys' oracle for a hit: the routine the template emits
-// now, resolved at the cached routine's base, must be the code
-// installed there, instruction for instruction, entered at the same
-// places.
-func (b *Builder) check(k declKey, ent cached, bb *asmkit.Builder) {
-	addr, alt := b.entries(bb, ent.base)
-	if n := bb.Len(); n != ent.st.InstrsAfter || addr != ent.addr || alt != ent.alt ||
-		!slices.Equal(bb.Resolve(ent.base), b.c.M.Code[ent.base:][:n]) {
-		panic(fmt.Sprintf("synth: key %s%v names the routine at %d, but its template now emits another", k.name, k.args, ent.addr))
-	}
-}
-
-// install links a prepared routine into code space and registers its
-// region.
-func (b *Builder) install(bb *asmkit.Builder, st OptStats) cached {
+// install links a prepared routine into code space, registers its
+// region, and returns where it is entered.
+func (b *Builder) install(bb *asmkit.Builder, st OptStats) (main, alt uint32) {
 	c := b.c
 	if st.Removed > 0 {
 		c.OptRemoved += uint64(st.Removed)
@@ -343,15 +282,11 @@ func (b *Builder) install(bb *asmkit.Builder, st OptStats) cached {
 		panic("synth: routine does not fit its preallocated region: " + b.entry)
 	}
 	base := b.base
-	regionLen := bb.Len()
 	if b.inPlace {
 		bb.LinkAt(c.M, b.base)
 		for i := bb.Len(); i < b.size; i++ {
 			c.M.PatchCode(b.base+uint32(i), m68k.Instr{Op: m68k.NOP})
 		}
-		// The whole reserved region belongs to this routine: time in
-		// the NOP slack (if ever reached) is still its time.
-		regionLen = b.size
 	} else {
 		base = bb.Link(c.M)
 	}
@@ -359,11 +294,12 @@ func (b *Builder) install(bb *asmkit.Builder, st OptStats) cached {
 		c.M.Poke(b.table+uint32(i)*4, 4, bb.AddrOf(l, base))
 	}
 	if c.Regions != nil {
-		c.Regions.RegisterRegion(b.regionName(), base, regionLen)
+		c.Regions.RegisterRegion(b.regionName(), base, bb.Len())
 	}
-	ent := cached{base: base, st: st}
-	ent.addr, ent.alt = b.entries(bb, base)
-	return ent
+	if b.two {
+		return bb.AddrOf(EntryMain, base), bb.AddrOf(EntryAlt, base)
+	}
+	return base, 0
 }
 
 // Patch rewrites one slot of installed code, the way an executable data

@@ -69,32 +69,17 @@ type Creator struct {
 	Routines    int
 	LastStats   OptStats
 
-	// What the optimization stage has done, over every install (a
-	// cache hit, checked or not, counts none): instructions removed,
-	// and routines it changed at all.
+	// What the optimization stage has done, over every build:
+	// instructions removed, and routines it changed at all.
 	OptRemoved uint64
 	OptChanged uint64
 
-	// The synthesis cache (Builder.Emit): installed routines by declared
-	// key, how often a build was served from it and how often one was
-	// installed outside an At or Table region, and the emitter every
-	// build reuses. CheckKeys, for test rigs, makes a hit run its
-	// template anyway and panic unless the code installed at the cached
-	// routine is what the template emits now.
-	CacheHits   uint64
-	CacheMisses uint64
-	CheckKeys   bool
-	keyed       map[declKey]cached
-	scratch     *Emitter
+	scratch *Emitter // the emitter every build reuses (Builder.Emit)
 }
-
-// KeyedEntries returns the number of routines in the synthesis cache,
-// one per declared key.
-func (c *Creator) KeyedEntries() int { return len(c.keyed) }
 
 // NewCreator returns a creator with time charging off (boot mode).
 func NewCreator(m *m68k.Machine) *Creator {
-	return &Creator{M: m, keyed: make(map[declKey]cached)}
+	return &Creator{M: m}
 }
 
 // NewQuaject starts an empty quaject record.

@@ -18,7 +18,6 @@ import (
 func boot(t *testing.T) *kernel.Kernel {
 	t.Helper()
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 128}})
-	k.C.CheckKeys = true
 	kio.Install(k)
 	unixemu.Install(k)
 	return k
@@ -124,7 +123,6 @@ func TestEmulationOverheadIsSmall(t *testing.T) {
 	// null write with a UNIX null write at the SUN 3/160 point.
 	mkKernel := func() (*kernel.Kernel, *kernel.Thread, uint32) {
 		k := kernel.Boot(kernel.Config{Machine: m68k.Sun3Config()})
-		k.C.CheckKeys = true
 		kio.Install(k)
 		unixemu.Install(k)
 		const nameAddr = 0x9100
@@ -389,7 +387,6 @@ func runSys(t *testing.T, counted bool, body func(e *synth.Emitter, r *sysRig)) 
 		r.reg = metrics.New()
 	}
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 1 << 14}, Metrics: r.reg})
-	k.C.CheckKeys = true
 	kio.Install(k)
 	r.k, r.gate = k, unixemu.Install(k)
 	if _, err := k.FS.CreateSized("/f", []byte("0123456789"), 32); err != nil {

@@ -4,7 +4,7 @@
 # byte-equal to bench/baseline); the wall-clock half is
 # `go run ./benchmark`, see docs/PERFORMANCE.md. `make race`, `soak`, `cluster-soak` and
 # `chaos-soak` are the bounded, seeded race-detector passes CI runs
-# after it (queues + packet ring + measurement plane + fault plan and
+# after it (the packet ring and the queue conformance tests + measurement plane + fault plan and
 # injector, then the machine's two step loops and its
 # self-modifying-code tests in internal/m68k;
 # single-machine fault injection, the open/close and socket churn
@@ -19,10 +19,11 @@
 # idle thread's step out of the ready ring, and a second frame and a tty
 # byte at every cycle of one receive-handler activation; a runt frame
 # dropped at the NIC, and the send's and the deposit's copy-and-checksum
-# at every payload tail shape; 2-VM
+# at every payload tail shape, and the packet ring raced at its full
+# and empty edges; 2-VM
 # fleet churn; 2-VM fleet under link faults and a partition/heal
 # cycle, plus the fabric's held-frame queue and cut record driven directly:
-# throttle, delay, scripted and manual cuts). `make examples` runs the six self-checking examples, each of
+# throttle, delay, scripted and manual cuts). `make examples` runs the five self-checking examples, each of
 # which exits nonzero on failure. `make bench` runs the root Go
 # benchmarks once and then the dispatcher's inner loops for a second each (internal/m68k:
 # BenchmarkStepLoop; BenchmarkShapes, one instruction shape at a time,
@@ -56,7 +57,7 @@ tier1:
 	$(GO) test -timeout 120s ./...
 
 race:
-	$(GO) test -race ./internal/queue/... ./internal/net/... ./internal/prof/... ./internal/metrics/... ./internal/fault/...
+	$(GO) test -race ./internal/net/... ./internal/queue/... ./internal/prof/... ./internal/metrics/... ./internal/fault/...
 	$(GO) test -race -count 1 -run 'TestRunEqualsSteps|TestSelfModifyingCode|TestPatchHelpersInvalidate' ./internal/m68k
 
 soak:
@@ -79,7 +80,7 @@ chaos-soak:
 		./internal/cluster/
 
 examples:
-	set -e; for ex in quickstart audio lockfree codegen netecho procmetrics; do \
+	set -e; for ex in quickstart audio codegen netecho procmetrics; do \
 		echo "== examples/$$ex"; $(GO) run ./examples/$$ex; \
 	done
 

@@ -1,21 +1,19 @@
 package synthesis_test
 
 // One benchmark per table and figure of the paper's evaluation
-// (Section 6), plus the Go-plane queue benchmarks for Figures 1-2 and
-// the locking ablation. The simulated measurements report their
-// results as sim-usec/op metrics (the Quamachine's cycle clock at the
-// SUN 3/160 emulation point); the queue benchmarks are ordinary
-// wall-clock ns/op.
+// (Section 6), plus Figure 2's queue on the fleet's packet ring. The
+// simulated measurements report their results as sim-usec/op metrics
+// (the Quamachine's cycle clock at the SUN 3/160 emulation point); the
+// packet ring's benchmark is ordinary wall-clock ns/op.
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 
 	"synthesis/internal/bench"
 	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
-	"synthesis/internal/queue"
+	"synthesis/internal/net"
 	"synthesis/internal/synth"
 )
 
@@ -79,120 +77,41 @@ func BenchmarkTable6_Network(b *testing.B) { reportTable(b, "6", bench.RunConfig
 // Figure 2's path-length claim on the simulated machine.
 func BenchmarkFigure2_PathLengths(b *testing.B) { reportTable(b, "pathlen", bench.RunConfig{}) }
 
+// Figure 2's puts under preemption, N producer threads on the machine.
+func BenchmarkFigure2_QueueContention(b *testing.B) {
+	reportTable(b, "queue_contention", bench.RunConfig{})
+}
+
 // Section 6.4: kernel size accounting.
 func BenchmarkSection64_KernelSize(b *testing.B) { reportTable(b, "size", bench.RunConfig{}) }
 
 // Ablations of the design choices DESIGN.md calls out.
 func BenchmarkAblations(b *testing.B) { reportTable(b, "ablations", bench.RunConfig{}) }
 
-// ---------------------------------------------------------------------
-// Figure 1: the SP-SC optimistic queue, Go plane (wall clock).
-
-func BenchmarkFigure1_SPSC(b *testing.B) {
-	q := queue.NewSPSC[int](1024)
+// Figure 2: the MP-SC queue with CAS claims, contended producers, on
+// the fleet fabric's packet ring (wall clock). The consumer keeps the
+// fabric's protocol: Get until empty, then wait on Ready.
+func BenchmarkFigure2_MPSC(b *testing.B) {
+	r := net.NewPacketRing(1024)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < b.N; i++ {
-			for {
-				if _, ok := q.TryGet(); ok {
-					break
-				}
-				runtime.Gosched()
+		for got := 0; got < b.N; {
+			if _, ok := r.Get(); ok {
+				got++
+				continue
 			}
+			<-r.Ready()
 		}
 	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for !q.TryPut(i) {
-			runtime.Gosched()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			for !r.Put(net.Frame{}) {
+				runtime.Gosched() // ring full: let the consumer drain
+			}
 		}
-	}
+	})
 	<-done
-}
-
-// Figure 2: the MP-SC queue with CAS claims, contended producers.
-func BenchmarkFigure2_MPSC(b *testing.B) {
-	q := queue.NewMPSC[int](1024)
-	var consumed sync.WaitGroup
-	consumed.Add(1)
-	stop := make(chan struct{})
-	go func() {
-		defer consumed.Done()
-		for {
-			if _, ok := q.TryGet(); !ok {
-				select {
-				case <-stop:
-					// Drain what is left.
-					for {
-						if _, ok := q.TryGet(); !ok {
-							return
-						}
-					}
-				default:
-					runtime.Gosched()
-				}
-			}
-		}
-	}()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			for !q.TryPut(i) {
-				runtime.Gosched()
-			}
-			i++
-		}
-	})
-	close(stop)
-	consumed.Wait()
-}
-
-// Figure 2's multi-item atomic insert.
-func BenchmarkFigure2_MPSC_Batch8(b *testing.B) {
-	q := queue.NewMPSC[int](4096)
-	go func() {
-		for {
-			if _, ok := q.TryGet(); !ok {
-				runtime.Gosched()
-			}
-		}
-	}()
-	batch := make([]int, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for !q.PutBatch(batch) {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Ablation: optimistic MP-MC queue vs the traditional mutex/condition
-// queue under the same contention.
-func BenchmarkAblation_QueueOptimisticMPMC(b *testing.B) {
-	q := queue.NewMPMC[int](1024)
-	benchContended(b, q.TryPut, q.TryGet)
-}
-
-func BenchmarkAblation_QueueLocked(b *testing.B) {
-	q := queue.NewLocked[int](1024)
-	benchContended(b, q.TryPut, q.TryGet)
-}
-
-func benchContended(b *testing.B, put func(int) bool, get func() (int, bool)) {
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if i%2 == 0 {
-				for !put(i) {
-					get() // make room under contention
-				}
-			} else {
-				get()
-			}
-			i++
-		}
-	})
 }
 
 // Figure 3: the executable ready queue — repeated quantum-driven

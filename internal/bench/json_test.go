@@ -12,7 +12,7 @@ import (
 )
 
 func TestNamesOrdering(t *testing.T) {
-	want := []string{"1", "2", "3", "4", "5", "6", "7", "ablations", "pathlen", "proc", "size"}
+	want := []string{"1", "2", "3", "4", "5", "6", "7", "ablations", "pathlen", "proc", "queue_contention", "size"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}

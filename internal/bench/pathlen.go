@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"synthesis/internal/asmkit"
+	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
 	"synthesis/internal/synth"
 )
@@ -20,22 +21,60 @@ import (
 // queue geometry folded in. The instruction counter of the Quamachine
 // counts the exact path.
 
-// queueGeom lays out an MP-SC queue for the path-length measurement.
+// queueGeom lays out an MP-SC queue. A nonzero retries cell counts
+// failed claims: the puts bump it on the retry path only, so the
+// normal path is the same instructions with or without it.
 type queueGeom struct {
 	head, tail, buf, flags uint32
 	size                   int32
+	retries                uint32
+}
+
+// retryLabel is where a failed claim branches: back to retry, or
+// through countRetries' block when g has a counter.
+func (g queueGeom) retryLabel() string {
+	if g.retries == 0 {
+		return "retry"
+	}
+	return "retried"
+}
+
+// countRetries emits the retryLabel block after a put's last RTS.
+func (g queueGeom) countRetries(e *synth.Emitter) {
+	if g.retries != 0 {
+		e.Label("retried")
+		e.AddL(m68k.Imm(1), m68k.Abs(g.retries))
+		e.Bra("retry")
+	}
+}
+
+// newQueueGeom lays out a queue of size slots on k's fresh heap, with
+// no retry counter. One slot stays empty, so it holds size-1 items.
+func newQueueGeom(k *kernel.Kernel, size int32) queueGeom {
+	alloc := func(n uint32) uint32 { a, _ := k.Heap.Alloc(n); return a }
+	return queueGeom{head: alloc(4), tail: alloc(4), buf: alloc(uint32(size)), flags: alloc(uint32(size)), size: size}
 }
 
 // synthFig2Put emits Q_put(data=D1) for one item; returns in D0 the
 // value 1 on success, 0 on queue-full. A nonzero interfere places a
 // KCALL to that service between the read of Q_head and the CAS: the
-// point where a competing processor's claim forces one retry.
-func synthFig2Put(c *synth.Creator, g queueGeom, interfere uint8) uint32 {
+// point where a competing processor's claim forces one retry. masked
+// emits the twin that claims under the interrupt mask with a plain
+// store instead of the CAS, so nothing can run inside its claim and it
+// has no retry loop; its fill and flag set run unmasked, as the CAS
+// put's do.
+func synthFig2Put(c *synth.Creator, g queueGeom, interfere uint8, masked bool) uint32 {
 	name := "fig2_qput"
 	if interfere != 0 {
 		name += "_interfered"
 	}
+	if masked {
+		name += "_masked"
+	}
 	return c.Synthesize(nil, name, nil, func(e *synth.Emitter) {
+		if masked {
+			e.OrSR(kernel.SRIPLMask)
+		}
 		e.Label("retry")
 		e.MoveL(m68k.Abs(g.head), m68k.D(0)) // h = Q_head
 		e.MoveL(m68k.D(0), m68k.D(2))        // hi = AddWrap(h, 1)
@@ -49,8 +88,13 @@ func synthFig2Put(c *synth.Creator, g queueGeom, interfere uint8) uint32 {
 		if interfere != 0 {
 			e.Kcall(interfere) // not counted: see PathLengths
 		}
-		e.Cas(4, 0, 2, m68k.Abs(g.head)) // stake the claim
-		e.Bne("retry")
+		if masked {
+			e.MoveL(m68k.D(2), m68k.Abs(g.head)) // the claim
+			e.AndSR(^uint16(kernel.SRIPLMask))
+		} else {
+			e.Cas(4, 0, 2, m68k.Abs(g.head)) // stake the claim
+			e.Bne(g.retryLabel())
+		}
 		// Fill the claimed slot, then publish it through the flag
 		// array ("as the producers fill each queue element, they also
 		// set a flag in the associated array").
@@ -61,8 +105,12 @@ func synthFig2Put(c *synth.Creator, g queueGeom, interfere uint8) uint32 {
 		e.MoveL(m68k.Imm(1), m68k.D(0))
 		e.Rts()
 		e.Label("full")
+		if masked {
+			e.AndSR(^uint16(kernel.SRIPLMask))
+		}
 		e.Clr(4, m68k.D(0))
 		e.Rts()
+		g.countRetries(e)
 	})
 }
 
@@ -80,22 +128,10 @@ func PathLengths() (Table, error) {
 	k := rig.K
 	m := k.M
 
-	heapAlloc := func(n uint32) uint32 {
-		a, err := k.Heap.Alloc(n)
-		if err != nil {
-			panic(err)
-		}
-		return a
-	}
-	g := queueGeom{
-		head:  heapAlloc(4),
-		tail:  heapAlloc(4),
-		buf:   heapAlloc(64),
-		flags: heapAlloc(64),
-		size:  64,
-	}
-	put := synthFig2Put(k.C, g, 0)
-	stack := heapAlloc(256) + 256
+	g := newQueueGeom(k, 64)
+	put := synthFig2Put(k.C, g, 0, false)
+	stack, _ := k.Heap.Alloc(256)
+	stack += 256
 
 	// Instruction-count a call: run from a jsr stub to completion.
 	countPut := func() (uint64, error) {
@@ -155,7 +191,7 @@ func PathLengths() (Table, error) {
 		}
 		return 0
 	})
-	put = synthFig2Put(k.C, g, competitor)
+	put = synthFig2Put(k.C, g, competitor, false)
 	interfered = false
 	n2, err := countPut()
 	if err != nil {
@@ -197,17 +233,18 @@ func synthFig2PutBatch(c *synth.Creator, g queueGeom, h int32) uint32 {
 		e.Bcs("nowrap")
 		e.SubL(m68k.Imm(g.size), m68k.D(2))
 		e.Label("nowrap")
-		// SpaceLeft(h) > H: t - h - 1 mod size must exceed H.
-		e.MoveL(m68k.Abs(g.tail), m68k.D(3))
-		e.SubL(m68k.D(0), m68k.D(3))
-		e.SubL(m68k.Imm(1), m68k.D(3))
+		// SpaceLeft(h) >= H: the h - t mod size slots in use and the H
+		// claimed must leave one slot empty.
+		e.MoveL(m68k.D(0), m68k.D(3))
+		e.SubL(m68k.Abs(g.tail), m68k.D(3))
 		e.Bcc("nofix")
 		e.AddL(m68k.Imm(g.size), m68k.D(3))
 		e.Label("nofix")
-		e.CmpL(m68k.Imm(h), m68k.D(3))
-		e.Bcs("full")
+		e.AddL(m68k.Imm(h), m68k.D(3))
+		e.CmpL(m68k.Imm(g.size), m68k.D(3))
+		e.Bcc("full")
 		e.Cas(4, 0, 2, m68k.Abs(g.head)) // one claim for the whole batch
-		e.Bne("retry")
+		e.Bne(g.retryLabel())
 		// Fill the claimed span: "the producer then proceeds to fill
 		// the space, at the same time as other producers are filling
 		// theirs", publishing each slot through its flag.
@@ -228,6 +265,7 @@ func synthFig2PutBatch(c *synth.Creator, g queueGeom, h int32) uint32 {
 		e.Label("full")
 		e.Clr(4, m68k.D(0))
 		e.Rts()
+		g.countRetries(e)
 	})
 }
 

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // The table runners are exercised with shape assertions: the paper's
 // reproducible claims are orderings and ratios, so that is what the
@@ -337,5 +340,56 @@ func TestFigure2PathLengths(t *testing.T) {
 	batch := row(t, tab, "Q_put, 8-item atomic batch").Measured
 	if batch/8 >= ok {
 		t.Errorf("batch insert %.1f instr/item not cheaper than single put (%.0f)", batch/8, ok)
+	}
+}
+
+func TestQueueContentionShape(t *testing.T) {
+	tab, err := QueueContention()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log("\n" + tab.String())
+	for _, n := range []string{"1", "8", "64"} {
+		single := row(t, tab, "CAS put, N="+n).Measured
+		if batch := row(t, tab, "8-item batch put, N="+n).Measured; batch >= single {
+			t.Errorf("N=%s: batch put %.2f usec/item not cheaper than the single put's %.2f", n, batch, single)
+		}
+	}
+	if r := row(t, tab, "CAS put, N=1: retries").Measured; r != 0 {
+		t.Errorf("a lone producer retried %.2f claims per 1k items", r)
+	}
+	// Contention is preemption inside the claim window: the shorter
+	// the quantum, the more claims are lost.
+	r50 := row(t, tab, "CAS put, N=8, 50 usec quantum: retries").Measured
+	r100 := row(t, tab, "CAS put, N=8: retries").Measured
+	r500 := row(t, tab, "CAS put, N=8, 500 usec quantum: retries").Measured
+	if !(r50 > r100 && r100 > r500) {
+		t.Errorf("retries per 1k at 50/100/500 usec quanta = %.2f/%.2f/%.2f, want falling", r50, r100, r500)
+	}
+}
+
+// The consumer's log check fails a lost, duplicated or reordered item
+// and a batch that does not arrive contiguous.
+func TestContentionLogCatchesViolations(t *testing.T) {
+	ok := []byte{0, 1, 2, 3, 4, 5, 6, 7} // producers 0 and 1 of 2, in order
+	if err := checkContentionLog(ok, 2, false); err != nil {
+		t.Fatalf("a good log failed: %v", err)
+	}
+	for name, log := range map[string][]byte{
+		"duplicated": {0, 1, 2, 3, 4, 5, 6, 6},
+		"reordered":  {2, 1, 0, 3, 4, 5, 6, 7},
+		"lost":       {0, 1, 2, 3, 4, 5, 7, 9},
+	} {
+		if checkContentionLog(log, 2, false) == nil {
+			t.Errorf("%s item passed", name)
+		}
+	}
+	batches := append(bytes.Repeat([]byte{0}, contentionBatch), bytes.Repeat([]byte{1}, contentionBatch)...)
+	if err := checkContentionLog(batches, 2, true); err != nil {
+		t.Fatalf("two contiguous batches failed: %v", err)
+	}
+	batches[3], batches[contentionBatch+3] = 1, 0
+	if checkContentionLog(batches, 2, true) == nil {
+		t.Error("interleaved batches passed")
 	}
 }

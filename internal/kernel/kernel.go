@@ -106,6 +106,9 @@ const SvcMark = 100
 // after the TTE.
 const kstackSize = 512
 
+// diskBlocks sizes the disk.
+const diskBlocks = 512
+
 // Config bundles boot options.
 type Config struct {
 	Machine m68k.Config
@@ -113,13 +116,9 @@ type Config struct {
 	// time per the cost model (on for measurements; boot-time
 	// synthesis is never charged).
 	ChargeSynthesis bool
-	// DiskBlocks sizes the disk (default 512 blocks).
-	DiskBlocks int
 	// Profile attaches the measurement plane before any code is
 	// synthesized, so every routine from boot onward is attributed.
 	Profile bool
-	// ProfileRing bounds the trace-event ring (0 = default depth).
-	ProfileRing int
 	// Metrics attaches an observability registry: kernel, I/O and
 	// synthesis counters register into it, and routines built with
 	// Counted() get per-quaject invocation cells. Nil (the default)
@@ -134,9 +133,6 @@ func Boot(cfg Config) *Kernel {
 	if cfg.Machine.MemSize == 0 {
 		cfg.Machine.MemSize = 4 << 20
 	}
-	if cfg.DiskBlocks == 0 {
-		cfg.DiskBlocks = 512
-	}
 	m := m68k.New(cfg.Machine)
 	k := &Kernel{
 		M:       m,
@@ -144,7 +140,7 @@ func Boot(cfg Config) *Kernel {
 		Threads: make(map[uint32]*Thread),
 	}
 	if cfg.Profile {
-		k.Prof = prof.Enable(m, cfg.ProfileRing)
+		k.Prof = prof.Enable(m, prof.DefaultRingDepth)
 		k.C.Regions = k.Prof
 	}
 	k.Heap = alloc.New(HeapBase, cfg.Machine.MemSize-HeapBase)
@@ -158,7 +154,7 @@ func Boot(cfg Config) *Kernel {
 	}
 	k.Timer = m68k.NewTimer(m)
 	k.TTY = m68k.NewTTY(m)
-	k.Disk = m68k.NewDisk(m, cfg.DiskBlocks)
+	k.Disk = m68k.NewDisk(m, diskBlocks)
 	k.AD = m68k.NewAD(m)
 	k.Cons = m68k.NewCons()
 	k.Net = m68k.NewNet(m)
@@ -431,9 +427,13 @@ func (k *Kernel) registerServices() {
 		return 0
 	})
 	m.RegisterService(SvcAllocTTE, func(mm *m68k.Machine) uint64 {
-		// Allocate TTE + kernel stack; return TTE in D0 and the
-		// prototype... the caller's VM code does the filling.
-		addr := k.alloc(TTESize + kstackSize)
+		// Allocate TTE + kernel stack and return the TTE in D0, or -1
+		// when the heap is exhausted; the caller's VM code does the
+		// filling.
+		addr, err := k.Heap.Alloc(TTESize + kstackSize)
+		if err != nil {
+			addr = ^uint32(0)
+		}
 		mm.D[0] = addr
 		return 40 // modeled allocator path cost
 	})

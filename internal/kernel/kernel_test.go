@@ -313,6 +313,50 @@ func TestCreateSyscallSpawnsThread(t *testing.T) {
 	}
 }
 
+// TestCreateFailsOnExhaustedHeap: a thread that creates threads until
+// the heap runs out gets -1 from the create call, as open gives on a
+// failed lookup, instead of taking the host down; a failed create
+// registers no thread and allocates no code.
+func TestCreateFailsOnExhaustedHeap(t *testing.T) {
+	k := boot(t)
+	const created, failed = 0x9000, 0x9004
+	prog := k.C.Synthesize(nil, "creator", nil, func(e *synth.Emitter) {
+		e.Label("loop")
+		e.Kcall(kernel.SvcMark)
+		e.MoveL(m68k.Imm(kernel.SysCreate), m68k.D(0))
+		e.MoveL(m68k.Imm(0), m68k.D(1)) // never started
+		e.MoveL(m68k.Imm(0), m68k.D(2))
+		e.Trap(kernel.TrapSys)
+		e.MoveL(m68k.D(0), m68k.Abs(failed))
+		e.TstL(m68k.D(0))
+		e.Bmi("out")
+		e.AddL(m68k.Imm(1), m68k.Abs(created))
+		e.Bra("loop")
+		e.Label("out")
+		exitSeq(e)
+	})
+	th := k.SpawnKernel("creator", prog)
+	// The mark before each create records what a failed one must
+	// leave as it found it.
+	var threads int
+	var codeTop uint32
+	k.M.RegisterService(kernel.SvcMark, func(m *m68k.Machine) uint64 {
+		threads, codeTop = len(k.Threads), m.CodeTop
+		return 0
+	})
+	runToCompletion(t, k, th, 2_000_000_000)
+	if got := int32(k.M.Peek(failed, 4)); got != -1 {
+		t.Fatalf("create on an exhausted heap returned %d, want -1", got)
+	}
+	if n := k.M.Peek(created, 4); n < 100 {
+		t.Fatalf("only %d creates succeeded on a 1 MB machine", n)
+	}
+	if len(k.Threads) != threads || k.M.CodeTop != codeTop {
+		t.Errorf("failed create left %d threads and code top %d, want %d and %d",
+			len(k.Threads), k.M.CodeTop, threads, codeTop)
+	}
+}
+
 func TestLazyFPResynthesis(t *testing.T) {
 	k := boot(t)
 	const res1, res2 = 0x9000, 0x9010

@@ -138,7 +138,7 @@ const (
 const (
 	SysOpen     = 0  // D1 = name pointer -> D0 = fd or ^0
 	SysClose    = 1  // D1 = fd
-	SysCreate   = 2  // D1 = entry point, D2 = user stack top -> D0 = TTE address
+	SysCreate   = 2  // D1 = entry point, D2 = user stack top -> D0 = TTE address or ^0
 	SysDestroy  = 3  // D1 = TTE address
 	SysStop     = 4  // D1 = TTE address
 	SysStart    = 5  // D1 = TTE address

@@ -412,10 +412,12 @@ func (k *Kernel) synthesizeLookup(kq *synth.Quaject) uint32 {
 // "Of these, about 100 [microseconds] are needed to fill
 // approximately 1KBytes in the TTE and the rest are used by code
 // synthesis" (Section 6.3). D1 = entry PC, D2 = user stack; returns
-// the new TTE address in D0.
+// the new TTE address in D0, or -1 when the heap is exhausted.
 func (k *Kernel) synthesizeCreate(kq *synth.Quaject) uint32 {
 	return k.C.Synthesize(kq, "kcreate", nil, func(e *synth.Emitter) {
-		e.Kcall(SvcAllocTTE) // D0 = raw TTE memory
+		e.Kcall(SvcAllocTTE) // D0 = raw TTE memory, or -1
+		e.TstL(m68k.D(0))
+		e.Bmi("fail")
 		e.MoveL(m68k.D(0), m68k.PreDec(7))
 		// Fill the TTE with unrolled clears, all but the vector area
 		// and the UNIX cells, which the copy right after overwrites.
@@ -456,6 +458,7 @@ func (k *Kernel) synthesizeCreate(kq *synth.Quaject) uint32 {
 		// the per-thread procedures.
 		e.MoveL(m68k.PostInc(7), m68k.D(0))
 		e.Kcall(SvcRegister)
+		e.Label("fail")
 		e.Rts()
 	})
 }

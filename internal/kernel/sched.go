@@ -24,39 +24,27 @@ import (
 // Scheduler parameters, in the paper's regime: "a typical quantum is
 // on the order of a few hundred microseconds", adjusted "as large as
 // possible while maintaining the fine granularity".
-type SchedParams struct {
-	MinQuantumUS  float64 // floor (default 100)
-	MaxQuantumUS  float64 // ceiling (default 2000)
-	BaseQuantumUS float64 // quantum at zero I/O rate (default 500)
-	// GainUS is the quantum boost per I/O event observed in the last
-	// adaptation window (default 2).
-	GainUS float64
-	// Smoothing in [0,1): how much of the previous estimate survives
-	// an adaptation step (default 0.5).
-	Smoothing float64
-}
-
-// DefaultSchedParams returns the standard policy settings.
-func DefaultSchedParams() SchedParams {
-	return SchedParams{
-		MinQuantumUS:  100,
-		MaxQuantumUS:  2000,
-		BaseQuantumUS: 500,
-		GainUS:        2,
-		Smoothing:     0.5,
-	}
-}
+const (
+	MinQuantumUS  = 100  // floor
+	MaxQuantumUS  = 2000 // ceiling
+	BaseQuantumUS = 500  // quantum at zero I/O rate, and a new thread's
+	// gainUS is the quantum boost per I/O event observed in the last
+	// adaptation window.
+	gainUS = 2
+	// smoothing, in [0,1), is how much of the previous estimate
+	// survives an adaptation step.
+	smoothing = 0.5
+)
 
 // Scheduler is the adaptation policy state.
 type Scheduler struct {
-	K      *Kernel
-	Params SchedParams
-	rate   map[*Thread]float64 // smoothed I/O events per window, live threads only
+	K    *Kernel
+	rate map[*Thread]float64 // smoothed I/O events per window, live threads only
 }
 
-// NewScheduler creates the policy with default parameters.
+// NewScheduler creates the policy.
 func NewScheduler(k *Kernel) *Scheduler {
-	return &Scheduler{K: k, Params: DefaultSchedParams(), rate: make(map[*Thread]float64)}
+	return &Scheduler{K: k, rate: make(map[*Thread]float64)}
 }
 
 // ioGauge reads and resets a thread's I/O gauge: the TTE cell plus
@@ -80,7 +68,6 @@ func (s *Scheduler) ioGauge(t *Thread) uint32 {
 // threads keep an estimate, so one given a dead thread's TTE starts
 // from the base quantum.
 func (s *Scheduler) Adapt() {
-	p := s.Params
 	mhz := s.K.M.ClockMHz
 	rate := make(map[*Thread]float64, len(s.rate))
 	for tte, t := range s.K.Threads {
@@ -88,14 +75,8 @@ func (s *Scheduler) Adapt() {
 			continue
 		}
 		events := float64(s.ioGauge(t))
-		rate[t] = p.Smoothing*s.rate[t] + (1-p.Smoothing)*events
-		q := p.BaseQuantumUS + p.GainUS*rate[t]
-		if q < p.MinQuantumUS {
-			q = p.MinQuantumUS
-		}
-		if q > p.MaxQuantumUS {
-			q = p.MaxQuantumUS
-		}
+		rate[t] = smoothing*s.rate[t] + (1-smoothing)*events
+		q := min(max(BaseQuantumUS+gainUS*rate[t], MinQuantumUS), MaxQuantumUS)
 		s.K.M.Poke(tte+TTEQuantum, 4, uint32(q*mhz))
 	}
 	s.rate = rate

@@ -48,11 +48,10 @@ func TestSchedulerAdaptsQuantumToIORate(t *testing.T) {
 	if qIO <= qCPU {
 		t.Errorf("I/O thread quantum %.0f usec not larger than compute thread's %.0f", qIO, qCPU)
 	}
-	p := s.Params
-	if qIO > p.MaxQuantumUS || qIO < p.MinQuantumUS {
-		t.Errorf("quantum %.0f outside [%v, %v]", qIO, p.MinQuantumUS, p.MaxQuantumUS)
+	if qIO > kernel.MaxQuantumUS || qIO < kernel.MinQuantumUS {
+		t.Errorf("quantum %.0f outside [%v, %v]", qIO, kernel.MinQuantumUS, kernel.MaxQuantumUS)
 	}
-	if qCPU < p.MinQuantumUS {
+	if qCPU < kernel.MinQuantumUS {
 		t.Errorf("compute quantum %.0f below floor", qCPU)
 	}
 	t.Logf("quanta after adaptation: io=%.0f usec, cpu=%.0f usec", qIO, qCPU)
@@ -63,8 +62,8 @@ func TestSchedulerAdaptsQuantumToIORate(t *testing.T) {
 		s.Adapt()
 		k.M.Poke(tIO.TTE+kernel.TTEIOGauge, 4, 0)
 	}
-	if got := s.QuantumUS(tIO); got > p.BaseQuantumUS*1.2 {
-		t.Errorf("quantum did not decay: %.0f usec (base %v)", got, p.BaseQuantumUS)
+	if got := s.QuantumUS(tIO); got > kernel.BaseQuantumUS*1.2 {
+		t.Errorf("quantum did not decay: %.0f usec (base %v)", got, kernel.BaseQuantumUS)
 	}
 }
 
@@ -93,7 +92,7 @@ func TestSchedulerForgetsDeadThreads(t *testing.T) {
 			t.Fatalf("%s: %d estimates for %d live threads", when, got, want)
 		}
 	}
-	base := s.Params.BaseQuantumUS
+	const base = kernel.BaseQuantumUS
 	reused := 0
 	var last uint32
 	for round := range 100 {
@@ -137,7 +136,7 @@ func TestSchedulerAlarmDriverRunsOnMachineTime(t *testing.T) {
 	}
 	// Several adaptation windows have elapsed; the busy thread's
 	// quantum should be above base.
-	if got := s.QuantumUS(th); got <= kernel.DefaultSchedParams().BaseQuantumUS {
+	if got := s.QuantumUS(th); got <= kernel.BaseQuantumUS {
 		t.Errorf("alarm-driven adaptation never raised the quantum: %.0f usec", got)
 	}
 }

@@ -74,10 +74,11 @@ func (k *Kernel) initThread(tte uint32, name string, ubase, ulimit uint32, kerne
 	return t
 }
 
-// defaultQuantumCycles is the initial CPU quantum: "a typical quantum
-// is on the order of a few hundred microseconds" (Section 4.4).
+// defaultQuantumCycles is the initial CPU quantum, BaseQuantumUS: "a
+// typical quantum is on the order of a few hundred microseconds"
+// (Section 4.4).
 func (k *Kernel) defaultQuantumCycles() uint64 {
-	return uint64(500 * k.M.ClockMHz) // 500 microseconds
+	return uint64(BaseQuantumUS * k.M.ClockMHz)
 }
 
 // setEntry builds the thread's initial exception frame so that the

@@ -50,7 +50,7 @@ func TestDispatchMatchesExec(t *testing.T) {
 	}
 
 	newPair := func() (*Machine, *Machine) {
-		a := New(Config{MemSize: 0x10000, CodeSize: 64})
+		a := New(Config{MemSize: 0x10000})
 		for i := range a.D {
 			a.D[i] = rng.Uint32()
 			// Address registers point into a safe middle of memory so
@@ -62,7 +62,7 @@ func TestDispatchMatchesExec(t *testing.T) {
 		for i := 0; i < 0x1000; i++ {
 			a.Poke(0x4000+uint32(i*4), 4, rng.Uint32())
 		}
-		b := New(Config{MemSize: 0x10000, CodeSize: 64})
+		b := New(Config{MemSize: 0x10000})
 		b.D, b.A = a.D, a.A
 		b.SR = a.SR
 		copy(b.Mem, a.Mem)
@@ -304,7 +304,7 @@ type dirSide struct {
 // with it attached devFloor alone would keep those accesses off the RAM
 // path and the end-of-RAM bound would go untested.
 func newDirSide(attach bool) *dirSide {
-	s := &dirSide{m: New(Config{MemSize: dirMem, CodeSize: 8}), dev: &recDev{}}
+	s := &dirSide{m: New(Config{MemSize: dirMem}), dev: &recDev{}}
 	if attach {
 		s.m.Attach(s.dev)
 	}

@@ -117,7 +117,6 @@ type Device interface {
 // emulation mode is 16 MHz with one wait state (Section 6.1).
 type Config struct {
 	MemSize    uint32  // bytes of RAM (default 4 MiB)
-	CodeSize   uint32  // instructions of code space (default 1 Mi)
 	ClockMHz   float64 // CPU clock (default 50)
 	WaitStates int     // extra cycles per memory reference (default 0)
 	TraceDepth int     // execution trace ring size (0 = tracing off)
@@ -240,9 +239,6 @@ type Machine struct {
 func New(cfg Config) *Machine {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = 4 << 20
-	}
-	if cfg.CodeSize == 0 {
-		cfg.CodeSize = 1 << 20
 	}
 	if cfg.ClockMHz == 0 {
 		cfg.ClockMHz = 50

@@ -1,34 +1,130 @@
+// The conformance tests of the paper's optimistic queues (Section 3.2),
+// each queue kind run against the one implementation the repository
+// keeps of it. The directory holds tests only: there is no queue
+// package to import.
+//
+//   - mpsc is net.PacketRing, Figure 2's discipline on frames, the
+//     fleet fabric's queue.
+//   - locked is the guest's Figure 2 queue with the masked put, the
+//     locked queue a uniprocessor kernel would otherwise use, its
+//     routines called from Go one at a time on a kernel of their own.
+//
+// The guest's masked and batch puts also run under kernel-thread
+// contention, through the runs of internal/bench's queue_contention
+// table. The guest queue holds bytes, an item's low byte, so the
+// guest cases keep their items below 256.
 package queue_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"synthesis/internal/queue"
+	"synthesis/internal/asmkit"
+	"synthesis/internal/bench"
+	"synthesis/internal/kernel"
+	"synthesis/internal/m68k"
+	"synthesis/internal/net"
 )
 
-// ---------------------------------------------------------------------
-// Basic FIFO behaviour shared by all queue kinds.
-
+// nb is the non-blocking queue every kind is driven through.
 type nb interface {
 	TryPut(int) bool
 	TryGet() (int, bool)
-	Len() int
 	Cap() int
+}
+
+// ring puts an item in a frame's Dst.
+type ring struct {
+	*net.PacketRing
+	capacity int
+}
+
+func newRing(capacity int) ring { return ring{net.NewPacketRing(capacity), capacity} }
+
+func (r ring) TryPut(v int) bool { return r.Put(net.Frame{Dst: uint32(v)}) }
+
+func (r ring) TryGet() (int, bool) {
+	f, ok := r.Get()
+	return int(f.Dst), ok
+}
+
+func (r ring) Cap() int { return r.capacity }
+
+// guestQueue calls the guest's Figure 2 routines through stubs that
+// JSR to one and halt.
+type guestQueue struct {
+	m        *m68k.Machine
+	put, get uint32
+	batch    func(h int32) uint32
+	batches  map[int]uint32 // batch put stubs by batch size
+	stack    uint32
+	capacity int
+}
+
+// newGuestQueue boots a kernel and lays out a queue for capacity
+// items on it, with the masked put.
+func newGuestQueue(capacity int) *guestQueue {
+	k := kernel.Boot(kernel.Config{Machine: m68k.Sun3Config()})
+	stack, _ := k.Heap.Alloc(256)
+	put, get, batch := bench.Fig2Queue(k, int32(capacity))
+	g := &guestQueue{m: k.M, batch: batch, batches: map[int]uint32{}, stack: stack + 256, capacity: capacity}
+	g.put, g.get = g.stub(put), g.stub(get)
+	return g
+}
+
+func (g *guestQueue) stub(routine uint32) uint32 {
+	return asmkit.New().Jsr(routine).Halt().Link(g.m)
+}
+
+// call runs stub from supervisor state with D1 = d1 and returns D0
+// and D1 at the halt.
+func (g *guestQueue) call(stub, d1 uint32) (d0, out uint32) {
+	m := g.m
+	m.ClearHalt()
+	m.PC, m.A[7], m.SR, m.D[1] = stub, g.stack, m68k.FlagS|7<<8, d1
+	for steps := 0; ; steps++ {
+		err := m.Step()
+		if m.Halted() {
+			return m.D[0], m.D[1]
+		}
+		if err != nil || steps > 10_000 {
+			panic(fmt.Sprintf("queue: guest call ran away at %d: %v", m.PC, err))
+		}
+	}
+}
+
+func (g *guestQueue) TryPut(v int) bool {
+	d0, _ := g.call(g.put, uint32(v))
+	return d0 == 1
+}
+
+func (g *guestQueue) TryGet() (int, bool) {
+	d0, v := g.call(g.get, 0)
+	return int(v & 0xff), d0 == 1
+}
+
+func (g *guestQueue) Cap() int { return g.capacity }
+
+// putBatch puts h copies of v with one claim.
+func (g *guestQueue) putBatch(h, v int) bool {
+	s, ok := g.batches[h]
+	if !ok {
+		s = g.stub(g.batch(int32(h)))
+		g.batches[h] = s
+	}
+	d0, _ := g.call(s, uint32(v))
+	return d0 == 1
 }
 
 func kinds(size int) map[string]func() nb {
 	return map[string]func() nb{
-		"spsc":   func() nb { return queue.NewSPSC[int](size) },
-		"mpsc":   func() nb { return queue.NewMPSC[int](size) },
-		"spmc":   func() nb { return queue.NewSPMC[int](size) },
-		"mpmc":   func() nb { return queue.NewMPMC[int](size) },
-		"locked": func() nb { return queue.NewLocked[int](size) },
+		"mpsc":   func() nb { return newRing(size) },
+		"locked": func() nb { return newGuestQueue(size) },
 	}
 }
 
@@ -54,29 +150,32 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestFullRejectsPut: a full queue refuses a put, and the ring counts
+// each refusal as a drop.
 func TestFullRejectsPut(t *testing.T) {
 	for name, mk := range kinds(4) {
 		t.Run(name, func(t *testing.T) {
 			q := mk()
-			n := 0
-			for q.TryPut(n) {
-				n++
-				if n > 100 {
-					t.Fatal("queue never filled")
+			for i := 0; i < q.Cap(); i++ {
+				if !q.TryPut(i) {
+					t.Fatalf("put %d failed on non-full queue", i)
 				}
 			}
-			if n < 3 {
-				t.Fatalf("filled after only %d items (cap should be ~4)", n)
+			if q.TryPut(4) {
+				t.Fatal("put into full queue succeeded")
 			}
 			// Draining one must admit exactly one more.
 			if _, ok := q.TryGet(); !ok {
 				t.Fatal("drain failed")
 			}
-			if !q.TryPut(999) {
+			if !q.TryPut(99) {
 				t.Error("put after drain failed")
 			}
-			if q.TryPut(1000) {
+			if q.TryPut(100) {
 				t.Error("put into full queue succeeded")
+			}
+			if r, ok := q.(ring); ok && r.Drops() != 2 {
+				t.Errorf("drops = %d, want 2", r.Drops())
 			}
 		})
 	}
@@ -105,58 +204,57 @@ func TestInterleavedWraparound(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Property test: any interleaving of puts and gets matches a model
-// FIFO exactly (single-threaded semantics).
-
+// TestQueueMatchesModel: any interleaving of puts and gets on the ring
+// matches a model FIFO exactly, and every put refused at a full ring
+// is counted as a drop.
 func TestQueueMatchesModel(t *testing.T) {
 	check := func(seed int64, sizeRaw uint8) bool {
 		size := int(sizeRaw%16) + 1
 		rng := rand.New(rand.NewSource(seed))
-		for name, mk := range kinds(size) {
-			q := mk()
-			var model []int
-			capSeen := q.Cap()
-			for op := 0; op < 200; op++ {
-				if rng.Intn(2) == 0 {
-					v := rng.Intn(1000)
-					ok := q.TryPut(v)
-					if ok {
-						model = append(model, v)
-					} else if len(model) < capSeen {
-						t.Logf("%s: put failed with %d/%d items", name, len(model), capSeen)
-						return false
-					}
-				} else {
-					v, ok := q.TryGet()
-					if ok {
-						if len(model) == 0 {
-							t.Logf("%s: got %d from empty queue", name, v)
-							return false
-						}
-						if v != model[0] {
-							t.Logf("%s: got %d, want %d", name, v, model[0])
-							return false
-						}
-						model = model[1:]
-					} else if len(model) != 0 {
-						t.Logf("%s: get failed with %d items queued", name, len(model))
-						return false
-					}
-				}
-			}
-			// Drain and compare the remainder.
-			for _, want := range model {
-				v, ok := q.TryGet()
-				if !ok || v != want {
-					t.Logf("%s: drain got (%d,%v), want %d", name, v, ok, want)
+		r := newRing(size)
+		var model []int
+		var drops uint64
+		for op := 0; op < 200; op++ {
+			if rng.Intn(2) == 0 {
+				v := rng.Intn(1000)
+				switch ok := r.TryPut(v); {
+				case ok && len(model) < size:
+					model = append(model, v)
+				case !ok && len(model) == size:
+					drops++
+				default:
+					t.Logf("put = %v with %d/%d frames", ok, len(model), size)
 					return false
 				}
+				if r.Drops() != drops {
+					t.Logf("drops = %d, want %d", r.Drops(), drops)
+					return false
+				}
+				continue
 			}
-			if _, ok := q.TryGet(); ok {
-				t.Logf("%s: queue not empty after drain", name)
+			v, ok := r.TryGet()
+			if ok != (len(model) > 0) {
+				t.Logf("get = (%d,%v) with %d frames queued", v, ok, len(model))
 				return false
 			}
+			if ok {
+				if v != model[0] {
+					t.Logf("got %d, want %d", v, model[0])
+					return false
+				}
+				model = model[1:]
+			}
+		}
+		// Drain and compare the remainder.
+		for _, want := range model {
+			if v, ok := r.TryGet(); !ok || v != want {
+				t.Logf("drain got (%d,%v), want %d", v, ok, want)
+				return false
+			}
+		}
+		if _, ok := r.TryGet(); ok {
+			t.Log("ring not empty after drain")
+			return false
 		}
 		return true
 	}
@@ -165,9 +263,61 @@ func TestQueueMatchesModel(t *testing.T) {
 	}
 }
 
+// TestPutBatchRejectsOversizeAndFull: the guest's batch put claims its
+// h slots only when all of them are free. A batch larger than the
+// queue and one larger than the room left are refused whole; then,
+// round and round the queue, so that the tail is behind the head and
+// ahead of it, a batch is accepted exactly when it fits, and every
+// batch comes out whole and in order.
+func TestPutBatchRejectsOversizeAndFull(t *testing.T) {
+	q := newGuestQueue(8)
+	if q.putBatch(9, 1) {
+		t.Error("batch larger than capacity accepted")
+	}
+	if !q.putBatch(6, 2) {
+		t.Error("fitting batch rejected")
+	}
+	if q.putBatch(3, 3) {
+		t.Error("batch exceeding remaining space accepted")
+	}
+	model := []int{2, 2, 2, 2, 2, 2}
+	get := func() {
+		v, ok := q.TryGet()
+		if !ok || v != model[0] {
+			t.Fatalf("get = (%d,%v), want (%d,true)", v, ok, model[0])
+		}
+		model = model[1:]
+	}
+	for range 3 {
+		get()
+	}
+	for step := 0; step < 60; step++ {
+		h, v := 1+step%5, 10+step
+		fits := len(model)+h <= q.Cap()
+		if got := q.putBatch(h, v); got != fits {
+			t.Fatalf("step %d: batch of %d with %d/%d queued: put = %v", step, h, len(model), q.Cap(), got)
+		}
+		if fits {
+			for range h {
+				model = append(model, v)
+			}
+		}
+		for range min(len(model), step%4+1) {
+			get()
+		}
+	}
+	for len(model) > 0 {
+		get()
+	}
+	if v, ok := q.TryGet(); ok {
+		t.Fatalf("empty queue yielded %d", v)
+	}
+}
+
 // ---------------------------------------------------------------------
-// Concurrency: no lost or duplicated items under contention. Run with
-// -race.
+// Concurrency: no lost or duplicated items under contention. The ring
+// runs on goroutines (run with -race); the guest's puts run on kernel
+// threads preempted inside their claims.
 
 // spinTimeout bounds every spin-wait below: the other side needs one
 // step of progress to end a spin, so a spin this long is a stall, and
@@ -191,41 +341,13 @@ func spinUntil(cond func() bool) bool {
 	return true
 }
 
-// checkTransfer runs producers and consumers and verifies the
-// multiset of received values: nothing lost, nothing duplicated.
-func checkTransfer(t *testing.T, producers, consumers, perProducer int,
-	put func(int) bool, get func() (int, bool)) {
+// checkTransfer runs producers against the one consumer and verifies
+// the set of received values: nothing lost, nothing duplicated.
+func checkTransfer(t *testing.T, producers, perProducer int, put func(int) bool, get func() (int, bool)) {
 	t.Helper()
-	total := int64(producers * perProducer)
-	var got sync.Map
+	total := producers * perProducer
+	seen := make([]bool, total)
 	var wg sync.WaitGroup
-	var received atomic.Int64
-
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var v int
-			var ok bool
-			poll := func() bool {
-				v, ok = get()
-				return ok || received.Load() >= total
-			}
-			for {
-				if !spinUntil(poll) {
-					t.Errorf("consumer stalled: received %d of %d items", received.Load(), total)
-					return
-				}
-				if !ok {
-					return
-				}
-				if _, dup := got.LoadOrStore(v, true); dup {
-					t.Errorf("duplicate item %d", v)
-				}
-				received.Add(1)
-			}
-		}()
-	}
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -235,168 +357,66 @@ func checkTransfer(t *testing.T, producers, consumers, perProducer int,
 			for i := 0; i < perProducer; i++ {
 				v = p*perProducer + i
 				if !spinUntil(try) {
-					t.Errorf("producer %d stalled at item %d of %d: received %d of %d items",
-						p, i, perProducer, received.Load(), total)
+					t.Errorf("producer %d stalled at item %d of %d", p, i, perProducer)
 					return
 				}
 			}
 		}(p)
 	}
-	wg.Wait()
-	count := int64(0)
-	got.Range(func(k, v any) bool { count++; return true })
-	if count != total {
-		t.Errorf("received %d distinct items, want %d", count, total)
+	var v int
+	poll := func() bool {
+		var ok bool
+		v, ok = get()
+		return ok
 	}
-}
-
-func TestSPSCConcurrent(t *testing.T) {
-	q := queue.NewSPSC[int](64)
-	checkTransfer(t, 1, 1, 20000, q.TryPut, q.TryGet)
+	for got := 0; got < total; got++ {
+		if !spinUntil(poll) {
+			t.Errorf("consumer stalled: received %d of %d items", got, total)
+			break
+		}
+		if seen[v] {
+			t.Errorf("duplicate item %d", v)
+		}
+		seen[v] = true
+	}
+	wg.Wait()
 }
 
 func TestMPSCConcurrent(t *testing.T) {
-	q := queue.NewMPSC[int](64)
-	checkTransfer(t, 8, 1, 5000, q.TryPut, q.TryGet)
+	r := newRing(64)
+	checkTransfer(t, 8, 5000, r.TryPut, r.TryGet)
 }
 
-func TestSPMCConcurrent(t *testing.T) {
-	q := queue.NewSPMC[int](64)
-	checkTransfer(t, 1, 8, 20000, q.TryPut, q.TryGet)
-}
+// contentionQuantumUS is queue_contention's quantum for its main sweep.
+const contentionQuantumUS = 100
 
-func TestMPMCConcurrent(t *testing.T) {
-	q := queue.NewMPMC[int](64)
-	checkTransfer(t, 8, 8, 5000, q.TryPut, q.TryGet)
-}
-
+// TestLockedConcurrent: the masked put with 8 and 64 producer threads
+// feeding one consumer thread; every item arrives once and in its
+// producer's order.
 func TestLockedConcurrent(t *testing.T) {
-	q := queue.NewLocked[int](64)
-	checkTransfer(t, 8, 8, 5000, q.TryPut, q.TryGet)
+	for _, n := range []int{8, 64} {
+		if _, _, err := bench.RunContention(bench.PutMasked, n, contentionQuantumUS); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
+// TestMPSCPutBatchAtomicity: batches from competing producer threads,
+// each preempted inside its claims, never interleave: every 8-item
+// batch arrives contiguous.
 func TestMPSCPutBatchAtomicity(t *testing.T) {
-	// Batches from competing producers must never interleave.
-	q := queue.NewMPSC[int](256)
-	const batch = 16
-	const perProducer = 200
-	const producers = 4
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			items := make([]int, batch)
-			for i := 0; i < perProducer; i++ {
-				base := (p*perProducer + i) * batch
-				for k := range items {
-					items[k] = base + k
-				}
-				if !spinUntil(func() bool { return q.PutBatch(items) }) {
-					t.Errorf("producer %d stalled at batch %d of %d", p, i, perProducer)
-					return
-				}
-			}
-		}(p)
-	}
-	const total = producers * perProducer * batch
-	got := 0
-	seen := make(map[int]bool)
-	// next waits for the next item, failing the test with the count
-	// received if none arrives.
-	next := func() int {
-		var v int
-		var ok bool
-		if !spinUntil(func() bool { v, ok = q.TryGet(); return ok }) {
-			t.Fatalf("consumer stalled: received %d of %d items", got, total)
+	for _, n := range []int{8, 64} {
+		if _, _, err := bench.RunContention(bench.PutBatch, n, contentionQuantumUS); err != nil {
+			t.Error(err)
 		}
-		return v
-	}
-	for got < total {
-		v := next()
-		if seen[v] {
-			t.Fatalf("duplicate %d", v)
-		}
-		seen[v] = true
-		// Check batch contiguity: items within one batch must arrive
-		// consecutively.
-		if v%batch == 0 {
-			for k := 1; k < batch; k++ {
-				w := next()
-				if w != v+k {
-					t.Fatalf("batch interleaved: got %d after %d, want %d", w, v, v+k)
-				}
-				seen[w] = true
-				got++
-			}
-		}
-		got++
-	}
-	wg.Wait()
-}
-
-func TestPutBatchRejectsOversizeAndFull(t *testing.T) {
-	q := queue.NewMPSC[int](8)
-	if q.PutBatch(make([]int, 9)) {
-		t.Error("batch larger than capacity accepted")
-	}
-	if !q.PutBatch([]int{1, 2, 3, 4, 5, 6}) {
-		t.Error("fitting batch rejected")
-	}
-	if q.PutBatch([]int{7, 8, 9}) {
-		t.Error("batch exceeding remaining space accepted")
-	}
-	if !q.PutBatch(nil) {
-		t.Error("empty batch rejected")
-	}
-	// Drain some, then it fits.
-	q.TryGet()
-	q.TryGet()
-	q.TryGet()
-	if !q.PutBatch([]int{7, 8, 9}) {
-		t.Error("batch rejected after drain")
-	}
-}
-
-func TestLockedBlockingPutGet(t *testing.T) {
-	q := queue.NewLocked[int](2)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			if !q.Put(i) {
-				t.Error("put failed before close")
-				return
-			}
-		}
-		q.Close()
-	}()
-	got := 0
-	for {
-		v, ok := q.Get()
-		if !ok {
-			break
-		}
-		if v != got {
-			t.Fatalf("got %d, want %d", v, got)
-		}
-		got++
-	}
-	if got != 50 {
-		t.Errorf("received %d items, want 50", got)
-	}
-	wg.Wait()
-	if q.Put(1) {
-		t.Error("put after close succeeded")
 	}
 }
 
 func TestZeroSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewSPSC(0) did not panic")
+			t.Error("NewPacketRing(0) did not panic")
 		}
 	}()
-	queue.NewSPSC[int](0)
+	net.NewPacketRing(0)
 }

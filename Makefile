@@ -1,7 +1,10 @@
 # `make tier1` is the CI gate: gofmt-clean, build, vet, and every test
 # under a bounded timeout. It includes the cycle-clock half of the
 # perf gate (internal/bench's TestGoldenTables holds every table
-# byte-equal to bench/baseline); the wall-clock half is
+# byte-equal to bench/baseline, and the paper-gap ledger
+# bench/baseline/PAPER_GAPS.md to what the tables render; TestPaperGaps
+# fails on a row beyond 1.5x of the paper with no owner; `go run
+# ./cmd/synbench -json bench/baseline` refreshes both); the wall-clock half is
 # `go run ./benchmark`, see docs/PERFORMANCE.md. `make race`, `soak`, `cluster-soak` and
 # `chaos-soak` are the bounded, seeded race-detector passes CI runs
 # after it (the packet ring and the queue conformance tests + measurement plane + fault plan and

@@ -17,13 +17,14 @@
 //	synbench -table 1                 # one table (see -table help for names)
 //	synbench -iters 500               # heavier Table 1 loops
 //	synbench -table 1 -profile        # Table 1 with attribution coverage row
-//	synbench -json bench/baseline     # also write BENCH_*.json artifacts
+//	synbench -json bench/baseline     # also write BENCH_*.json artifacts and PAPER_GAPS.md
 //	synbench -profile-run "open-close tty" -top 15 -trace-json trace.json
 //	synbench -table 7 -faults drop=0.2,spurious=7:50000 -fault-seed 42
 //
 // `synbench -json bench/baseline` (default -iters) regenerates the
 // committed artifacts that `go test ./internal/bench` holds every
-// table byte-equal to; run it when a change legitimately moves the
+// table byte-equal to, and with them the ledger of paper rows
+// (PAPER_GAPS.md); run it when a change legitimately moves the
 // numbers and review the diff.
 package main
 
@@ -31,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 
@@ -48,7 +50,7 @@ func main() {
 			strings.Join(bench.Table1ProgramNames(), ", "))
 	top := flag.Int("top", 10, "regions to show in the -profile-run report")
 	traceJSON := flag.String("trace-json", "", "write the -profile-run Chrome trace (about:tracing JSON) here")
-	jsonDir := flag.String("json", "", "also write each table as a BENCH_*.json artifact into this directory")
+	jsonDir := flag.String("json", "", "also write each table as a BENCH_*.json artifact into this directory, and with every table the PAPER_GAPS.md ledger")
 	faults := flag.String("faults", "", "inject faults into every machine the tables boot (see grammar below)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the -faults schedule; a seed replays exactly")
 	defaultUsage := flag.Usage
@@ -100,6 +102,7 @@ func main() {
 		}
 		names = []string{*table}
 	}
+	tables := map[string]bench.Table{}
 	for _, name := range names {
 		t, err := bench.Run(name, cfg)
 		if err != nil {
@@ -114,6 +117,13 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("artifact written to %s\n\n", path)
+		}
+		tables[name] = t
+	}
+	if *jsonDir != "" && *table == "all" {
+		if err := os.WriteFile(filepath.Join(*jsonDir, bench.GapsFile), []byte(bench.PaperGaps(tables)), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "synbench: %v\n", err)
+			os.Exit(1)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"synthesis/internal/asmkit"
 	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
-	"synthesis/internal/sunos"
 	"synthesis/internal/synth"
 )
 
@@ -113,77 +112,52 @@ func Ablations() (Table, error) {
 // sunFileRead1K measures the baseline's generic 1 KB read (cache
 // warm).
 func sunFileRead1K() (float64, error) {
-	r := NewSunRig()
-	b := asmkit.New()
-	b.MoveL(m68k.Imm(addrNameFile), m68k.D(1))
-	unixCall(b, 5)
-	// Warm the buffer cache with one untimed read.
-	b.MoveL(m68k.Imm(0), m68k.D(1))
-	b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
-	b.MoveL(m68k.Imm(1024), m68k.D(3))
-	unixCall(b, 3)
-	b.MoveL(m68k.Imm(0), m68k.D(1))
-	b.MoveL(m68k.Imm(0), m68k.D(2))
-	unixCall(b, 19) // rewind
-	mark(b)
-	b.MoveL(m68k.Imm(0), m68k.D(1))
-	b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
-	b.MoveL(m68k.Imm(1024), m68k.D(3))
-	unixCall(b, 3)
-	mark(b)
-	progExit(b)
-	entry := b.Link(r.Machine())
-	if err := r.Run(entry, 100_000_000); err != nil {
-		return 0, err
-	}
-	d := r.Marks()
-	if len(d) != 1 {
-		return 0, errMarks(len(d), 1)
-	}
-	return d[0], nil
+	d, err := runMarks(NewSunRig(), 100_000_000, 1, func(b *asmkit.Builder) {
+		b.MoveL(m68k.Imm(addrNameFile), m68k.D(1))
+		unixCall(b, 5)
+		// Warm the buffer cache with one untimed read.
+		b.MoveL(m68k.Imm(0), m68k.D(1))
+		b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
+		b.MoveL(m68k.Imm(1024), m68k.D(3))
+		unixCall(b, 3)
+		b.MoveL(m68k.Imm(0), m68k.D(1))
+		b.MoveL(m68k.Imm(0), m68k.D(2))
+		unixCall(b, 19) // rewind
+		mark(b)
+		b.MoveL(m68k.Imm(0), m68k.D(1))
+		b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
+		b.MoveL(m68k.Imm(1024), m68k.D(3))
+		unixCall(b, 3)
+		mark(b)
+		progExit(b)
+	})
+	return d[0], err
 }
 
 // sunSwitch measures the baseline's full context switch round trip.
 func sunSwitch() (float64, error) {
-	k := sunos.Boot(m68k.Sun3Config())
-	b := asmkit.New()
-	b.Kcall(sunos.SvcMark)
-	b.MoveL(m68k.Imm(1), m68k.D(1))
-	b.MoveL(m68k.Imm(1), m68k.D(2))
-	b.Jsr(k.SwitchRoutine())
-	b.Kcall(sunos.SvcMark)
-	b.MoveL(m68k.Imm(0), m68k.D(1))
-	b.MoveL(m68k.Imm(1), m68k.D(0))
-	b.Trap(0) // exit
-	k.ResetMarks()
-	if err := k.Run(b.Link(k.M), 50_000_000); err != nil {
-		return 0, err
-	}
-	d := k.MarkDeltasMicros()
-	if len(d) != 1 {
-		return 0, errMarks(len(d), 1)
-	}
-	return d[0], nil
+	r := NewSunRig()
+	d, err := runMarks(r, 50_000_000, 1, func(b *asmkit.Builder) {
+		mark(b)
+		b.MoveL(m68k.Imm(1), m68k.D(1))
+		b.MoveL(m68k.Imm(1), m68k.D(2))
+		b.Jsr(r.K.SwitchRoutine())
+		mark(b)
+		progExit(b)
+	})
+	return d[0], err
 }
 
 // adHandlers measures the buffered and unbuffered A/D handler bodies.
 func adHandlers() (buffered, unbuffered float64, err error) {
 	rig := NewSynthRig()
-	k := rig.K
 	unbuf := rig.IO.SynthUnbufferedADHandler()
-	b := asmkit.New()
-	fakeFrameCall(b, rig.IO.ADIntHandler(), "r1")
-	fakeFrameCall(b, unbuf, "r2")
-	progExit(b)
-	entry := b.Link(k.M)
-	if err := rig.Run(entry, 50_000_000); err != nil {
-		return 0, 0, err
-	}
-	d := rig.Marks()
-	if len(d) != 2 {
-		return 0, 0, errMarks(len(d), 2)
-	}
-	return d[0], d[1], nil
+	d, err := runMarks(rig, 50_000_000, 2, func(b *asmkit.Builder) {
+		fakeFrameCall(b, rig.IO.ADIntHandler(), "r1")
+		fakeFrameCall(b, unbuf, "r2")
+		progExit(b)
+	})
+	return d[0], d[1], err
 }
 
 // cookedVariants measures one cooked line read through the collapsed
@@ -276,31 +250,22 @@ func constVsCellBinding() (onUS, offUS float64, onLen, offLen int, err error) {
 
 	// A short routine called often is where specialization pays:
 	// time 64 calls of each variant.
-	b := asmkit.New()
-	callLoop := func(target uint32, label string) {
-		b.MoveL(m68k.Imm(63), m68k.D(7))
-		b.Label(label)
-		b.Jsr(target)
-		b.Dbra(7, label)
-	}
-	mark(b)
-	callLoop(special, "ls")
-	mark(b)
-	mark(b)
-	callLoop(generic, "lg")
-	mark(b)
-	progExit(b)
-	entry := b.Link(k.M)
-	if err = rig.Run(entry, 100_000_000); err != nil {
-		return
-	}
-	d := rig.Marks()
-	if len(d) != 2 {
-		err = errMarks(len(d), 2)
-		return
-	}
-	onUS, offUS = d[0]/64, d[1]/64
-	return
+	d, err := runMarks(rig, 100_000_000, 2, func(b *asmkit.Builder) {
+		callLoop := func(target uint32, label string) {
+			b.MoveL(m68k.Imm(63), m68k.D(7))
+			b.Label(label)
+			b.Jsr(target)
+			b.Dbra(7, label)
+		}
+		mark(b)
+		callLoop(special, "ls")
+		mark(b)
+		mark(b)
+		callLoop(generic, "lg")
+		mark(b)
+		progExit(b)
+	})
+	return d[0] / 64, d[1] / 64, onLen, offLen, err
 }
 
 // FineGrainPipe measures a cross-thread pipe transfer competing with
@@ -361,8 +326,7 @@ func FineGrainPipe(adaptive bool) (float64, error) {
 		return 0, fmt.Errorf("finegrain: reader fd")
 	}
 	if adaptive {
-		s := kernel.NewScheduler(k)
-		s.InstallAlarmDriver(2000)
+		k.OnAlarm(2000, k.Adapt)
 	}
 	k.Start(tw)
 	k.ResetMarks()

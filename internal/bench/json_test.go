@@ -126,6 +126,7 @@ func goldenDiff(name string, got Table, want []byte) string {
 // templates and trusted (what cmd/synbench runs): the same bytes.
 func TestGoldenTables(t *testing.T) {
 	names := Names()
+	tables := map[string]Table{}
 	for _, name := range names {
 		want, err := os.ReadFile(baselinePath(name))
 		if err != nil {
@@ -148,6 +149,11 @@ func TestGoldenTables(t *testing.T) {
 		if msg := goldenDiff(name, tab, want); msg != "" {
 			t.Error(msg)
 		}
+		tables[name] = tab
+	}
+	// The ledger of paper rows renders from the regenerated tables.
+	if want, err := os.ReadFile(gapsPath); err != nil || string(want) != PaperGaps(tables) {
+		t.Errorf("%s is not what the tables render (%v): run `go run ./cmd/synbench -json bench/baseline`", GapsFile, err)
 	}
 	// An artifact no table regenerates would sit ungated.
 	files, err := filepath.Glob(baselinePath("*"))

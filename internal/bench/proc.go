@@ -153,12 +153,12 @@ func TableProc() (Table, error) {
 	)
 
 	rOpen := newMetricsSynthRig()
-	openUS, err := runMarked(rOpen, 2_000_000_000, buildProcOpen)
+	open, err := runMarks(rOpen, 2_000_000_000, 1, buildProcOpen)
 	if err != nil {
 		return t, err
 	}
 	t.Rows = append(t.Rows,
-		Row{Name: "open /proc/metrics", Measured: openUS, Unit: "usec",
+		Row{Name: "open /proc/metrics", Measured: open[0], Unit: "usec",
 			Note: "snapshot cut + render + buffer poke + charged read synthesis"},
 	)
 	return t, nil

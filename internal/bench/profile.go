@@ -32,10 +32,8 @@ func RunProfiled(name string, iters int32) (*prof.Profiler, error) {
 			continue
 		}
 		r := NewProfiledSynthRig()
-		if _, err := runMarked(r, p.budget, p.build); err != nil {
-			return r.K.Prof, err
-		}
-		return r.K.Prof, nil
+		_, err := runMarks(r, p.budget, 1, p.build)
+		return r.K.Prof, err
 	}
 	return nil, fmt.Errorf("bench: unknown program %q (have %v)", name, Table1ProgramNames())
 }

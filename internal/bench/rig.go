@@ -148,9 +148,10 @@ func (r *SunRig) Marks() []float64 { return r.K.MarkDeltasMicros() }
 
 // ---------------------------------------------------------------------
 
-// runMarked builds the program on the rig's machine, runs it, and
-// returns the single marked interval.
-func runMarked(r Rig, budget uint64, build func(b *asmkit.Builder)) (float64, error) {
+// runMarks builds the program on the rig's machine, runs it, and
+// returns its n marked intervals. On an error they are zero, so a
+// caller may index them before it checks.
+func runMarks(r Rig, budget uint64, n int, build func(b *asmkit.Builder)) ([]float64, error) {
 	b := asmkit.New()
 	build(b)
 	entry := b.Link(r.Machine())
@@ -160,12 +161,13 @@ func runMarked(r Rig, budget uint64, build func(b *asmkit.Builder)) (float64, er
 		// time.
 		p.RegisterRegion("bench.program", entry, b.Len())
 	}
-	if err := r.Run(entry, budget); err != nil {
-		return 0, fmt.Errorf("%s: %w", r.Name(), err)
-	}
+	err := r.Run(entry, budget)
 	marks := r.Marks()
-	if len(marks) != 1 {
-		return 0, fmt.Errorf("%s: expected one marked interval, got %d", r.Name(), len(marks))
+	if err == nil && len(marks) != n {
+		err = errMarks(len(marks), n)
 	}
-	return marks[0], nil
+	if err != nil {
+		return make([]float64, n), fmt.Errorf("%s: %w", r.Name(), err)
+	}
+	return marks, nil
 }

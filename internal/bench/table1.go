@@ -59,15 +59,15 @@ func runOnBoth(build func(*asmkit.Builder), iters int32, budget uint64, profile 
 	if profile {
 		rig = NewProfiledSynthRig()
 	}
-	s, errS := runMarked(rig, budget, build)
-	if errS != nil {
-		return 0, 0, nil, errS
+	s, err := runMarks(rig, budget, 1, build)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	u, errU := runMarked(NewSunRig(), budget, build)
-	if errU != nil {
-		return 0, 0, nil, errU
+	u, err := runMarks(NewSunRig(), budget, 1, build)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	return s / float64(iters), u / float64(iters), rig.K.Prof, nil
+	return s[0] / float64(iters), u[0] / float64(iters), rig.K.Prof, nil
 }
 
 // t1prog is one Table 1 benchmark program.

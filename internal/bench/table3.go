@@ -32,55 +32,49 @@ func Table3() (Table, error) {
 		e.Trap(kernel.TrapSig)
 	})
 
-	b := asmkit.New()
-	sys := func(fn int32, d1 int32, d2 int32) {
-		b.MoveL(m68k.Imm(fn), m68k.D(0))
-		b.MoveL(m68k.Imm(d1), m68k.D(1))
-		b.MoveL(m68k.Imm(d2), m68k.D(2))
-		b.Trap(kernel.TrapSys)
-	}
-	measure := func(fn int32, d1, d2 int32) {
-		mark(b)
-		sys(fn, d1, d2)
-		mark(b)
-	}
-
 	vt := int32(victim.TTE)
-	// create: D0 returns the new TTE; destroy it right after (the
-	// second interval).
-	mark(b)
-	sys(kernel.SysCreate, 0, 0) // entry 0: never started
-	mark(b)
-	b.MoveL(m68k.D(0), m68k.D(4)) // keep the new TTE
-	mark(b)
-	b.MoveL(m68k.Imm(kernel.SysDestroy), m68k.D(0))
-	b.MoveL(m68k.D(4), m68k.D(1))
-	b.Trap(kernel.TrapSys)
-	mark(b)
-	// stop/start on the parked victim (it is not linked, but stop on
-	// a linked thread measures the same unlink; link it first).
-	b.MoveL(m68k.Imm(kernel.SysStart), m68k.D(0))
-	b.MoveL(m68k.Imm(vt), m68k.D(1))
-	b.Trap(kernel.TrapSys) // make it runnable once (unmeasured)
-	measure(kernel.SysStop, vt, 0)
-	measure(kernel.SysStart, vt, 0)
-	measure(kernel.SysStop, vt, 0) // leave it parked (unmeasured pairing)
-	// step: arm + insert; the stepped instruction itself runs later.
-	measure(kernel.SysStep, vt, 0)
-	// Let the victim absorb its step and trace-stop.
-	b.MoveL(m68k.Imm(kernel.SysYield), m68k.D(0))
-	b.Trap(kernel.TrapSys)
-	// signal.
-	measure(kernel.SysSignal, vt, int32(handler))
-	progExit(b)
-
-	entry := b.Link(k.M)
-	if err := rig.Run(entry, 500_000_000); err != nil {
+	d, err := runMarks(rig, 500_000_000, 7, func(b *asmkit.Builder) {
+		sys := func(fn int32, d1 int32, d2 int32) {
+			b.MoveL(m68k.Imm(fn), m68k.D(0))
+			b.MoveL(m68k.Imm(d1), m68k.D(1))
+			b.MoveL(m68k.Imm(d2), m68k.D(2))
+			b.Trap(kernel.TrapSys)
+		}
+		measure := func(fn int32, d1, d2 int32) {
+			mark(b)
+			sys(fn, d1, d2)
+			mark(b)
+		}
+		// create: D0 returns the new TTE; destroy it right after (the
+		// second interval).
+		mark(b)
+		sys(kernel.SysCreate, 0, 0) // entry 0: never started
+		mark(b)
+		b.MoveL(m68k.D(0), m68k.D(4)) // keep the new TTE
+		mark(b)
+		b.MoveL(m68k.Imm(kernel.SysDestroy), m68k.D(0))
+		b.MoveL(m68k.D(4), m68k.D(1))
+		b.Trap(kernel.TrapSys)
+		mark(b)
+		// stop/start on the parked victim (it is not linked, but stop on
+		// a linked thread measures the same unlink; link it first).
+		b.MoveL(m68k.Imm(kernel.SysStart), m68k.D(0))
+		b.MoveL(m68k.Imm(vt), m68k.D(1))
+		b.Trap(kernel.TrapSys) // make it runnable once (unmeasured)
+		measure(kernel.SysStop, vt, 0)
+		measure(kernel.SysStart, vt, 0)
+		measure(kernel.SysStop, vt, 0) // leave it parked (unmeasured pairing)
+		// step: arm + insert; the stepped instruction itself runs later.
+		measure(kernel.SysStep, vt, 0)
+		// Let the victim absorb its step and trace-stop.
+		b.MoveL(m68k.Imm(kernel.SysYield), m68k.D(0))
+		b.Trap(kernel.TrapSys)
+		// signal.
+		measure(kernel.SysSignal, vt, int32(handler))
+		progExit(b)
+	})
+	if err != nil {
 		return t, err
-	}
-	d := rig.Marks()
-	if len(d) != 7 {
-		return t, errMarks(len(d), 7)
 	}
 	paper := []struct {
 		name string

@@ -119,21 +119,14 @@ func partialSwitch() (float64, error) {
 	aToB := coYield(saveA, saveB)
 	bToA := coYield(saveB, saveA)
 
-	b := asmkit.New()
-	mark(b)
-	b.Jsr(aToB)
-	b.Jsr(bToA)
-	mark(b)
-	progExit(b)
-	entry := b.Link(k.M)
-	if err := rig.Run(entry, 50_000_000); err != nil {
-		return 0, err
-	}
-	d := rig.Marks()
-	if len(d) != 1 {
-		return 0, errMarks(len(d), 1)
-	}
-	return d[0] / 2, nil
+	d, err := runMarks(rig, 50_000_000, 1, func(b *asmkit.Builder) {
+		mark(b)
+		b.Jsr(aToB)
+		b.Jsr(bToA)
+		mark(b)
+		progExit(b)
+	})
+	return d[0] / 2, err
 }
 
 // blockUnblock measures the ready-ring unlink and insert of a peer
@@ -149,28 +142,21 @@ func blockUnblock() (blockUS, unblockUS float64, err error) {
 	peer := k.SpawnKernelStopped("peer", peerProg)
 	k.Link(peer, k.Idle) // make it part of the ring
 
-	b := asmkit.New()
-	b.Lea(m68k.Abs(peer.TTE), 0)
-	mark(b)
-	b.Jsr(k.UnlinkRoutine())
-	mark(b)
-	b.Lea(m68k.Abs(peer.TTE), 0)
-	mark(b)
-	b.Jsr(k.InsertRoutine())
-	mark(b)
-	// Unlink again so the peer never runs.
-	b.Lea(m68k.Abs(peer.TTE), 0)
-	b.Jsr(k.UnlinkRoutine())
-	progExit(b)
-	entry := b.Link(k.M)
-	if err := rig.Run(entry, 50_000_000); err != nil {
-		return 0, 0, err
-	}
-	d := rig.Marks()
-	if len(d) != 2 {
-		return 0, 0, errMarks(len(d), 2)
-	}
-	return d[0], d[1], nil
+	d, err := runMarks(rig, 50_000_000, 2, func(b *asmkit.Builder) {
+		b.Lea(m68k.Abs(peer.TTE), 0)
+		mark(b)
+		b.Jsr(k.UnlinkRoutine())
+		mark(b)
+		b.Lea(m68k.Abs(peer.TTE), 0)
+		mark(b)
+		b.Jsr(k.InsertRoutine())
+		mark(b)
+		// Unlink again so the peer never runs.
+		b.Lea(m68k.Abs(peer.TTE), 0)
+		b.Jsr(k.UnlinkRoutine())
+		progExit(b)
+	})
+	return d[0], d[1], err
 }
 
 func init() { Register("4", fixed(Table4)) }

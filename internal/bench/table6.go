@@ -194,35 +194,33 @@ func Table6() (Table, error) {
 	)
 
 	// Socket open: the synthesized side pays for code generation here.
-	sOpen, err := runMarked(NewSynthRig(), 2_000_000_000, buildSockOpen)
+	sOpen, err := runMarks(NewSynthRig(), 2_000_000_000, 1, buildSockOpen)
 	if err != nil {
 		return t, err
 	}
-	uOpen, err := runMarked(NewSunRig(), 2_000_000_000, buildSockOpen)
+	uOpen, err := runMarks(NewSunRig(), 2_000_000_000, 1, buildSockOpen)
 	if err != nil {
 		return t, err
 	}
 	t.Rows = append(t.Rows,
-		Row{Name: "socket open, synthesized", Measured: sOpen, Unit: "usec",
+		Row{Name: "socket open, synthesized", Measured: sOpen[0], Unit: "usec",
 			Note: "charged synthesis of send/recv; the demux cell patch is charged 8 cycles, the per-instruction part"},
-		Row{Name: "socket open, generic sunos", Measured: uOpen, Unit: "usec",
+		Row{Name: "socket open, generic sunos", Measured: uOpen[0], Unit: "usec",
 			Note: "table scans + falloc only"},
 	)
 
 	// Loopback throughput: interleaved send/recv exchanges.
 	const iters = 200
-	sUS, err := runMarked(NewSynthRig(), 4_000_000_000, func(b *asmkit.Builder) {
-		buildSockBounce(b, iters)
-	})
+	bounce := func(b *asmkit.Builder) { buildSockBounce(b, iters) }
+	s, err := runMarks(NewSynthRig(), 4_000_000_000, 1, bounce)
 	if err != nil {
 		return t, err
 	}
-	uUS, err := runMarked(NewSunRig(), 4_000_000_000, func(b *asmkit.Builder) {
-		buildSockBounce(b, iters)
-	})
+	u, err := runMarks(NewSunRig(), 4_000_000_000, 1, bounce)
 	if err != nil {
 		return t, err
 	}
+	sUS, uUS := s[0], u[0]
 	sFPS := float64(iters) * 1e6 / sUS
 	uFPS := float64(iters) * 1e6 / uUS
 	t.Rows = append(t.Rows,

@@ -79,13 +79,10 @@ func runARQ(rate float64, seed int64, iters int32) (us float64, retx uint32, st 
 	r := NewSynthRig()
 	inj := fault.New(fault.Plan{Wire: fault.Wire{Drop: rate}}, seed)
 	inj.Attach(r.Machine())
-	us, err = runMarked(r, 4_000_000_000, func(b *asmkit.Builder) {
+	d, err := runMarks(r, 4_000_000_000, 1, func(b *asmkit.Builder) {
 		buildSockARQ(b, iters)
 	})
-	if err != nil {
-		return 0, 0, st, err
-	}
-	return us, r.Machine().Peek(addrRetx, 4), inj.Stats, nil
+	return d[0], r.Machine().Peek(addrRetx, 4), inj.Stats, err
 }
 
 // stormRecovery measures the watchdog's reaction to an IRQ storm on

@@ -12,6 +12,7 @@ import (
 
 	"synthesis/internal/metrics"
 	"synthesis/internal/net"
+	"synthesis/internal/prof"
 )
 
 // The fleet trace plane: follow a sampled echo round trip across
@@ -410,44 +411,26 @@ func (c *Cluster) TraceCounts() (sampled, completed, incomplete, abandoned uint6
 
 // ---- merged Chrome trace export ----
 
-// traceEvent is one Chrome trace-format event. The merged fleet
-// trace uses one "process" per VM (pid = node id) plus pid 0 for the
-// fabric/load-generator plane; timestamps are wall microseconds
-// since cluster start, so all domains share one axis.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
 // WriteTrace writes the merged fleet Chrome trace (load it at
 // chrome://tracing or ui.perfetto.dev): pid 0 carries each retained
 // round trip as a waterfall of per-hop slices on the connection's
-// row; each VM's pid carries its profiler region timeline, mapped
-// from cycles onto the fleet wall clock by the VM's ClockMap, plus
-// instant markers for the traced requests' VM-side events. The
-// fleet is quiesced (all VM mutexes held) while rings are read.
+// row; each VM's pid (its node id) carries its profiler region
+// timeline, mapped from cycles onto the fleet wall clock by the VM's
+// ClockMap, plus instant markers for the traced requests' VM-side
+// events. Timestamps are wall microseconds since cluster start, so all
+// domains share one axis. The fleet is quiesced (all VM mutexes held)
+// while rings are read.
 func (c *Cluster) WriteTrace(w io.Writer) error {
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	tf := traceFile{DisplayTimeUnit: "ms"}
-	tf.TraceEvents = append(tf.TraceEvents, traceEvent{
+	tf := prof.TraceFile{DisplayTimeUnit: "ms"}
+	tf.TraceEvents = append(tf.TraceEvents, prof.TraceEvent{
 		Name: "process_name", Ph: "M", PID: 0,
 		Args: map[string]any{"name": "fabric/loadgen"},
 	})
 
 	for _, r := range c.Traces() {
 		for i := 0; i < HopCount; i++ {
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
+			tf.TraceEvents = append(tf.TraceEvents, prof.TraceEvent{
 				Name: hopNames[i], Ph: "X",
 				TS: us(r.T[i]), Dur: us(r.HopNS(i)),
 				PID: 0, TID: r.Conn,
@@ -457,7 +440,7 @@ func (c *Cluster) WriteTrace(w io.Writer) error {
 	}
 
 	for _, vm := range c.vms {
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
+		tf.TraceEvents = append(tf.TraceEvents, prof.TraceEvent{
 			Name: "process_name", Ph: "M", PID: vm.ID,
 			Args: map[string]any{"name": fmt.Sprintf("vm%d", vm.ID)},
 		})
@@ -466,7 +449,7 @@ func (c *Cluster) WriteTrace(w io.Writer) error {
 		clk := vm.clk
 		if p != nil && clk != nil {
 			for _, e := range p.Ring().Events() {
-				te := traceEvent{Name: e.Name, Ph: string(e.Ph), PID: vm.ID, TID: 0,
+				te := prof.TraceEvent{Name: e.Name, Ph: string(e.Ph), PID: vm.ID, TID: 0,
 					TS: us(clk.WallNS(e.At))}
 				if e.Ph == 'X' {
 					te.Dur = us(clk.WallNS(e.At+e.Dur) - clk.WallNS(e.At))
@@ -482,7 +465,7 @@ func (c *Cluster) WriteTrace(w io.Writer) error {
 	// VM-side instants of the traced requests, on the VM rows.
 	for _, r := range c.Traces() {
 		for _, ev := range [...]int{evNicDeposit, evIRQEntry, evDemux, evSendEntry, evTxLaunch} {
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
+			tf.TraceEvents = append(tf.TraceEvents, prof.TraceEvent{
 				Name: fmt.Sprintf("trace:%s conn%d", eventName(ev), r.Conn),
 				Ph:   "i", TS: us(r.T[ev]), PID: r.VM, TID: 0, S: "t",
 			})

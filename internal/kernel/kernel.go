@@ -61,6 +61,8 @@ type Kernel struct {
 	Threads map[uint32]*Thread // by TTE address
 	Idle    *Thread
 
+	alarmOwned bool // a host policy owns the alarm channel (OnAlarm)
+
 	// Marks records KCALL SvcMark timestamps for measurements.
 	Marks []uint64
 
@@ -393,16 +395,8 @@ func (k *Kernel) registerServices() {
 		return 0
 	})
 	m.RegisterService(SvcExit, func(mm *m68k.Machine) uint64 {
-		t := k.Cur()
-		if t != nil {
-			t.Dead = true
-		}
+		k.exitCur()
 		k.mExits.Inc()
-		live := k.g(GLiveThreads)
-		if live > 0 {
-			live--
-			k.setg(GLiveThreads, live)
-		}
 		return 0
 	})
 	m.RegisterService(SvcThreadFault, func(mm *m68k.Machine) uint64 {
@@ -415,15 +409,11 @@ func (k *Kernel) registerServices() {
 			PC:    mm.Peek(mm.A[7]+12, 4),
 			Cycle: mm.Cycles,
 		}
-		if t := k.Cur(); t != nil {
+		if t := k.exitCur(); t != nil {
 			rec.Name = t.Name
-			t.Dead = true
 		}
 		k.Faults = append(k.Faults, rec)
 		k.mFaults.Inc()
-		if live := k.g(GLiveThreads); live > 0 {
-			k.setg(GLiveThreads, live-1)
-		}
 		return 0
 	})
 	m.RegisterService(SvcAllocTTE, func(mm *m68k.Machine) uint64 {
@@ -451,6 +441,20 @@ func (k *Kernel) registerServices() {
 		k.resynthesizeFP(k.Cur())
 		return 0
 	})
+}
+
+// exitCur is the thread-exit bookkeeping of both exit services: the
+// running thread is marked dead and leaves the live count. It returns
+// the thread's mirror, nil if it has none.
+func (k *Kernel) exitCur() *Thread {
+	t := k.Cur()
+	if t != nil {
+		t.Dead = true
+	}
+	if live := k.g(GLiveThreads); live > 0 {
+		k.setg(GLiveThreads, live-1)
+	}
+	return t
 }
 
 // FreeThread drops a dead thread from the table and frees its TTE. Its

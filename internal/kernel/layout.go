@@ -71,6 +71,7 @@ const (
 	TTEReg     = 0   // D0-D7, A0-A6: 15 longs (A7 is saved separately)
 	TTESSP     = 60  // saved supervisor stack pointer (the exception frame lives there)
 	TTEUSP     = 64  // saved user stack pointer
+	TTERate    = 68  // fine-grain scheduler's smoothed I/O rate: a float64, 8 bytes; creation zeroes it
 	TTEVec     = 128 // the thread's vector table (NumVectors * 4 = 256 bytes)
 	TTENext    = 384 // ready-queue link: next TTE address
 	TTEPrev    = 388 // ready-queue link: previous TTE address

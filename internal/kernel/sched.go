@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"math"
+
 	"synthesis/internal/m68k"
 	"synthesis/internal/synth"
 )
@@ -15,11 +17,11 @@ import (
 // synthesized code bumping gauges (every queue operation counts
 // itself — see internal/kio), the per-thread quantum is a TTE cell the
 // thread's own sw_in re-arms the interval timer from, and the policy
-// below reads the gauges and rewrites the quantum cells. The policy
-// runs from the scheduler's adaptation interval; because it only
-// touches per-thread cells (Code Isolation: the running thread reads
-// its own quantum, the policy writes it between that thread's runs),
-// it needs no locks.
+// below reads the gauges and rewrites the quantum cells. Its only
+// state, the smoothed rate, is a TTE cell too. The policy runs from
+// the alarm channel (OnAlarm); because it only touches per-thread
+// cells (Code Isolation: the running thread reads its own quantum, the
+// policy writes it between that thread's runs), it needs no locks.
 
 // Scheduler parameters, in the paper's regime: "a typical quantum is
 // on the order of a few hundred microseconds", adjusted "as large as
@@ -36,21 +38,10 @@ const (
 	smoothing = 0.5
 )
 
-// Scheduler is the adaptation policy state.
-type Scheduler struct {
-	K    *Kernel
-	rate map[*Thread]float64 // smoothed I/O events per window, live threads only
-}
-
-// NewScheduler creates the policy.
-func NewScheduler(k *Kernel) *Scheduler {
-	return &Scheduler{K: k, rate: make(map[*Thread]float64)}
-}
-
 // ioGauge reads and resets a thread's I/O gauge: the TTE cell plus
 // the per-descriptor gauges the synthesized read/write routines bump.
-func (s *Scheduler) ioGauge(t *Thread) uint32 {
-	m := s.K.M
+func (k *Kernel) ioGauge(t *Thread) uint32 {
+	m := k.M
 	total := m.Peek(t.TTE+TTEIOGauge, 4)
 	m.Poke(t.TTE+TTEIOGauge, 4, 0)
 	for fd := 0; fd < MaxFD; fd++ {
@@ -62,46 +53,54 @@ func (s *Scheduler) ioGauge(t *Thread) uint32 {
 }
 
 // Adapt runs one adaptation step: read every thread's gauges, smooth
-// the rate estimate, and rewrite the quantum cells. The next time
-// each thread is switched in, its sw_in arms the timer with the new
-// value — no synchronization needed beyond the cell write. Only live
-// threads keep an estimate, so one given a dead thread's TTE starts
-// from the base quantum.
-func (s *Scheduler) Adapt() {
-	mhz := s.K.M.ClockMHz
-	rate := make(map[*Thread]float64, len(s.rate))
-	for tte, t := range s.K.Threads {
-		if t.Dead || t == s.K.Idle {
+// the rate estimate in its TTERate cell, and rewrite the quantum
+// cells. The next time each thread is switched in, its sw_in arms the
+// timer with the new value — no synchronization needed beyond the
+// cell write. Creation clears the TTE, so a thread given a dead
+// thread's TTE starts from the base quantum.
+func (k *Kernel) Adapt() {
+	m := k.M
+	for tte, t := range k.Threads {
+		if t.Dead || t == k.Idle {
 			continue
 		}
-		events := float64(s.ioGauge(t))
-		rate[t] = smoothing*s.rate[t] + (1-smoothing)*events
-		q := min(max(BaseQuantumUS+gainUS*rate[t], MinQuantumUS), MaxQuantumUS)
-		s.K.M.Poke(tte+TTEQuantum, 4, uint32(q*mhz))
+		old := math.Float64frombits(uint64(m.Peek(tte+TTERate, 4))<<32 | uint64(m.Peek(tte+TTERate+4, 4)))
+		rate := smoothing*old + (1-smoothing)*float64(k.ioGauge(t))
+		bits := math.Float64bits(rate)
+		m.Poke(tte+TTERate, 4, uint32(bits>>32))
+		m.Poke(tte+TTERate+4, 4, uint32(bits))
+		q := min(max(BaseQuantumUS+gainUS*rate, MinQuantumUS), MaxQuantumUS)
+		m.Poke(tte+TTEQuantum, 4, uint32(q*m.ClockMHz))
 	}
-	s.rate = rate
 }
 
 // QuantumUS reads a thread's current quantum in microseconds.
-func (s *Scheduler) QuantumUS(t *Thread) float64 {
-	return float64(s.K.M.Peek(t.TTE+TTEQuantum, 4)) / s.K.M.ClockMHz
+func (k *Kernel) QuantumUS(t *Thread) float64 {
+	return float64(k.M.Peek(t.TTE+TTEQuantum, 4)) / k.M.ClockMHz
 }
 
-// InstallAlarmDriver arranges for Adapt to run from the machine's
-// alarm channel every windowUS microseconds: the alarm procedure is a
-// KCALL stub (the policy is host code by DESIGN.md Section 4; its
-// trigger is real machine time). It returns the synthesized alarm
-// procedure's address. Only one driver may be installed per kernel.
-func (s *Scheduler) InstallAlarmDriver(windowUS float64) uint32 {
-	k := s.K
+// svcAlarm is the KCALL the alarm procedure makes into its host policy.
+const svcAlarm = 110
+
+// OnAlarm runs policy from the machine's alarm channel every windowUS
+// microseconds: the alarm procedure is a KCALL stub that re-arms the
+// alarm (a policy is host code by DESIGN.md Section 4; its trigger is
+// real machine time). The alarm interrupt dispatches through the one
+// GAlarmProc cell, so the channel has one owner: a second policy
+// panics instead of taking the cell from the first (a configuration
+// error, like a duplicate table registration).
+func (k *Kernel) OnAlarm(windowUS float64, policy func()) {
+	if k.alarmOwned {
+		panic("kernel: the alarm channel already has a host policy")
+	}
+	k.alarmOwned = true
 	cycles := int32(windowUS * k.M.ClockMHz)
-	const svcAdapt = 110
-	k.M.RegisterService(svcAdapt, func(mm *m68k.Machine) uint64 {
-		s.Adapt()
+	k.M.RegisterService(svcAlarm, func(*m68k.Machine) uint64 {
+		policy()
 		return 0
 	})
-	proc := k.C.Synthesize(nil, "sched_adapt", nil, func(e *synth.Emitter) {
-		e.Kcall(svcAdapt)
+	proc := k.C.Synthesize(nil, "alarm_policy", nil, func(e *synth.Emitter) {
+		e.Kcall(svcAlarm)
 		// Re-arm the alarm for the next window.
 		e.MoveL(m68k.Imm(cycles), m68k.Abs(m68k.TimerBase+m68k.TimerRegAlarm))
 		e.Rts()
@@ -109,5 +108,4 @@ func (s *Scheduler) InstallAlarmDriver(windowUS float64) uint32 {
 	k.M.Poke(GAlarmProc, 4, proc)
 	k.Timer.Store(m68k.TimerRegAlarm, 4, uint32(cycles))
 	k.M.Kick(k.Timer)
-	return proc
 }

@@ -17,7 +17,6 @@ import (
 
 func TestSchedulerAdaptsQuantumToIORate(t *testing.T) {
 	k := boot(t)
-	s := kernel.NewScheduler(k)
 
 	// Two spinning threads: one "does I/O" by bumping its own gauge
 	// (as every synthesized queue operation does), one computes.
@@ -41,10 +40,10 @@ func TestSchedulerAdaptsQuantumToIORate(t *testing.T) {
 		if err := k.Run(2_000_000); !errors.Is(err, m68k.ErrCycleLimit) {
 			t.Fatalf("run: %v", err)
 		}
-		s.Adapt()
+		k.Adapt()
 	}
-	qIO := s.QuantumUS(tIO)
-	qCPU := s.QuantumUS(tCPU)
+	qIO := k.QuantumUS(tIO)
+	qCPU := k.QuantumUS(tCPU)
 	if qIO <= qCPU {
 		t.Errorf("I/O thread quantum %.0f usec not larger than compute thread's %.0f", qIO, qCPU)
 	}
@@ -59,39 +58,23 @@ func TestSchedulerAdaptsQuantumToIORate(t *testing.T) {
 	// When the I/O stops, the quantum decays back toward base.
 	k.M.Poke(tIO.TTE+kernel.TTEIOGauge, 4, 0)
 	for i := 0; i < 12; i++ {
-		s.Adapt()
+		k.Adapt()
 		k.M.Poke(tIO.TTE+kernel.TTEIOGauge, 4, 0)
 	}
-	if got := s.QuantumUS(tIO); got > kernel.BaseQuantumUS*1.2 {
+	if got := k.QuantumUS(tIO); got > kernel.BaseQuantumUS*1.2 {
 		t.Errorf("quantum did not decay: %.0f usec (base %v)", got, kernel.BaseQuantumUS)
 	}
 }
 
-// The policy holds an estimate for live threads only: 100 rounds of
-// create, adapt and destroy leave it no larger than the live set, and a
-// thread given a dead thread's TTE starts from the base quantum, not
-// from the I/O rate of the thread that held it.
+// A thread given a dead thread's TTE starts from the base quantum, not
+// from the I/O rate of the thread that held it: creation clears the
+// TTERate cell the policy smooths in.
 func TestSchedulerForgetsDeadThreads(t *testing.T) {
 	k := boot(t)
-	s := kernel.NewScheduler(k)
 	spin := k.C.Synthesize(nil, "spin", nil, func(e *synth.Emitter) {
 		e.Label("loop")
 		e.Bra("loop")
 	})
-	live := func() (n int) {
-		for _, th := range k.Threads {
-			if !th.Dead && th != k.Idle {
-				n++
-			}
-		}
-		return n
-	}
-	check := func(when string) {
-		t.Helper()
-		if got, want := s.Estimates(), live(); got > want {
-			t.Fatalf("%s: %d estimates for %d live threads", when, got, want)
-		}
-	}
 	const base = kernel.BaseQuantumUS
 	reused := 0
 	var last uint32
@@ -101,18 +84,15 @@ func TestSchedulerForgetsDeadThreads(t *testing.T) {
 			reused++
 		}
 		last = th.TTE
-		s.Adapt()
-		check(fmt.Sprintf("round %d", round))
-		if q := s.QuantumUS(th); math.Abs(q-base) > 1 {
+		k.Adapt()
+		if q := k.QuantumUS(th); math.Abs(q-base) > 1 {
 			t.Fatalf("round %d: a new thread's quantum is %.0f usec, want the base %v", round, q, base)
 		}
 		// A busy thread, then gone.
 		k.M.Poke(th.TTE+kernel.TTEIOGauge, 4, 1000)
-		s.Adapt()
+		k.Adapt()
 		k.FreeThread(th.TTE)
 	}
-	s.Adapt()
-	check("after the last destroy")
 	if reused == 0 {
 		t.Error("no TTE was handed out again")
 	}
@@ -120,8 +100,7 @@ func TestSchedulerForgetsDeadThreads(t *testing.T) {
 
 func TestSchedulerAlarmDriverRunsOnMachineTime(t *testing.T) {
 	k := boot(t)
-	s := kernel.NewScheduler(k)
-	s.InstallAlarmDriver(1000) // adapt every simulated millisecond
+	k.OnAlarm(1000, k.Adapt) // adapt every simulated millisecond
 
 	prog := k.C.Synthesize(nil, "spin", nil, func(e *synth.Emitter) {
 		e.MoveL(m68k.Abs(kernel.GCurTTE), m68k.A(0))
@@ -136,7 +115,7 @@ func TestSchedulerAlarmDriverRunsOnMachineTime(t *testing.T) {
 	}
 	// Several adaptation windows have elapsed; the busy thread's
 	// quantum should be above base.
-	if got := s.QuantumUS(th); got <= kernel.BaseQuantumUS {
+	if got := k.QuantumUS(th); got <= kernel.BaseQuantumUS {
 		t.Errorf("alarm-driven adaptation never raised the quantum: %.0f usec", got)
 	}
 }

@@ -1,6 +1,7 @@
 package kio_test
 
 import (
+	"errors"
 	"testing"
 
 	"synthesis/internal/fault"
@@ -148,6 +149,53 @@ func TestWatchdogStormThrottleEngagesAndReleases(t *testing.T) {
 	if io.GenericFallback() {
 		t.Error("storm alone must not trigger the generic fallback")
 	}
+}
+
+// TestAlarmChannelHasOneOwner: the alarm interrupt dispatches through
+// one procedure cell, so whichever host policy is installed second,
+// the scheduler's or the watchdog's, is refused, and the first keeps
+// running: the scheduler still raises a busy thread's quantum, and the
+// watchdog still engages its storm throttle.
+func TestAlarmChannelHasOneOwner(t *testing.T) {
+	refused := func(t *testing.T, second string, install func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("the %s took the alarm channel from the first policy", second)
+			}
+		}()
+		install()
+	}
+	t.Run("scheduler first", func(t *testing.T) {
+		k, io := boot(t)
+		k.OnAlarm(1000, k.Adapt)
+		refused(t, "watchdog", func() { io.InstallWatchdog(8) })
+		th := k.SpawnKernel("io", k.C.Synthesize(nil, "io", nil, func(e *synth.Emitter) {
+			e.MoveL(m68k.Abs(kernel.GCurTTE), m68k.A(0))
+			e.Label("loop")
+			e.AddL(m68k.Imm(1), m68k.Disp(kernel.TTEIOGauge, 0))
+			e.Bra("loop")
+		}))
+		k.Start(th)
+		if err := k.Run(10_000_000); !errors.Is(err, m68k.ErrCycleLimit) {
+			t.Fatalf("run: %v", err)
+		}
+		if q := k.QuantumUS(th); q <= kernel.BaseQuantumUS {
+			t.Errorf("the scheduler stopped adapting: a busy thread's quantum is %.0f usec", q)
+		}
+	})
+	t.Run("watchdog first", func(t *testing.T) {
+		k, io := boot(t)
+		fault.New(fault.Plan{Storms: []fault.Storm{
+			{Level: m68k.IRQNet, At: k.M.Cycles + 20_000, Count: 1500, Gap: 100},
+		}}, 1).Attach(k.M)
+		wd := io.InstallWatchdog(8)
+		refused(t, "scheduler", func() { k.OnAlarm(1000, k.Adapt) })
+		run(t, k, k.SpawnKernel("spin", emitSpin(k, 80_000)), 100_000_000)
+		if len(wd.Events) == 0 || wd.Events[0].Kind != "throttle-on" {
+			t.Errorf("the watchdog stopped sampling: events %v", wd.Events)
+		}
+	})
 }
 
 // TestWatchdogWedgeFallsBackToGeneric: when the installed receive

@@ -1,10 +1,8 @@
 package kio
 
 import (
-	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
 	"synthesis/internal/metrics"
-	"synthesis/internal/synth"
 )
 
 // The network watchdog quaject: the recovery plane's policy half.
@@ -61,7 +59,6 @@ type Watchdog struct {
 	Events   []RecoveryEvent
 	lastTail uint32
 	stalled  int
-	proc     uint32 // synthesized alarm procedure
 
 	// Metric handles (nil-safe no-ops without a wired registry).
 	mEvents    *metrics.Counter
@@ -69,35 +66,20 @@ type Watchdog struct {
 	mGeneric   *metrics.Gauge
 }
 
-const svcWatchdog = 111
-
 // InstallWatchdog arranges for the watchdog to sample the network
-// handler from the machine's alarm channel. It owns the alarm channel
-// (like the scheduler's InstallAlarmDriver — install one or the
-// other) and resynthesizes the receive handler so it maintains the
-// storm gauge. stormThreshold is the handler entries per window that
+// handler from the machine's alarm channel, and resynthesizes the
+// receive handler so it maintains the storm gauge. The alarm channel
+// has one owner (kernel.OnAlarm): on a kernel where another host
+// policy, such as the fine-grain scheduler's, holds it, the install
+// panics. stormThreshold is the handler entries per window that
 // count as a storm. Call before spawning threads or after; the vector
 // pokes cover both.
 func (io *IO) InstallWatchdog(stormThreshold uint32) *Watchdog {
-	k := io.K
 	w := &Watchdog{io: io, storm: stormThreshold}
 	w.wireWatchdogMetrics()
 	io.netWD = w
 	io.resynthNetHandler() // now bumps the storm gauge
-
-	cycles := int32(windowUS * k.M.ClockMHz)
-	k.M.RegisterService(svcWatchdog, func(mm *m68k.Machine) uint64 {
-		w.tick()
-		return 0
-	})
-	w.proc = k.C.Synthesize(nil, "net_watchdog", nil, func(e *synth.Emitter) {
-		e.Kcall(svcWatchdog)
-		e.MoveL(m68k.Imm(cycles), m68k.Abs(m68k.TimerBase+m68k.TimerRegAlarm))
-		e.Rts()
-	})
-	k.M.Poke(kernel.GAlarmProc, 4, w.proc)
-	k.Timer.Store(m68k.TimerRegAlarm, 4, uint32(cycles))
-	k.M.Kick(k.Timer)
+	io.K.OnAlarm(windowUS, w.tick)
 	return w
 }
 

@@ -74,20 +74,21 @@ func (r *Ring) Events() []Event {
 }
 
 // Chrome trace-event JSON (the about:tracing / Perfetto "JSON Object
-// Format"): a traceEvents array of {name, ph, ts, dur, pid, tid}
-// records with ts in microseconds.
-type traceEvent struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`
-	Dur  float64 `json:"dur,omitempty"`
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-	S    string  `json:"s,omitempty"`
+// Format"): a TraceFile's traceEvents array of {name, ph, ts, dur, pid,
+// tid, args} records with ts in microseconds, the fleet's too.
+type TraceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	S    string         `json:"s,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
 }
 
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
+type TraceFile struct {
+	TraceEvents     []TraceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
@@ -100,14 +101,14 @@ func (p *Profiler) WriteChromeTrace(w io.Writer) error {
 		evs = append(evs, Event{Name: p.regions[p.cur].Name, Ph: 'X', At: p.curStart, Dur: p.m.Cycles - p.curStart})
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	out := traceFile{TraceEvents: make([]traceEvent, 0, len(evs)), DisplayTimeUnit: "ns"}
+	out := TraceFile{TraceEvents: make([]TraceEvent, 0, len(evs)), DisplayTimeUnit: "ns"}
 	for _, ev := range evs {
-		te := traceEvent{
+		te := TraceEvent{
 			Name: ev.Name,
 			Ph:   string(ev.Ph),
-			Ts:   p.m.Micros(ev.At),
-			Pid:  1,
-			Tid:  1,
+			TS:   p.m.Micros(ev.At),
+			PID:  1,
+			TID:  1,
 		}
 		if ev.Ph == 'X' {
 			te.Dur = p.m.Micros(ev.Dur)

@@ -159,6 +159,9 @@ type Kernel struct {
 
 	files map[string]*File
 
+	// marks records the SvcMark timestamps, as kernel.Kernel's do.
+	marks []uint64
+
 	halted bool
 }
 
@@ -174,9 +177,6 @@ type File struct {
 // SvcMark mirrors the Synthesis kernel's measurement service id so
 // benchmark programs are byte-identical.
 const SvcMark = 100
-
-// Marks records measurement timestamps.
-var _ = errors.New
 
 // Boot builds the baseline kernel.
 func Boot(cfg m68k.Config) *Kernel {
@@ -200,20 +200,17 @@ func Boot(cfg m68k.Config) *Kernel {
 	return k
 }
 
-// Marks retrieval mirrors kernel.Kernel.
-var marks []uint64
-
 // MarkDeltasMicros converts consecutive mark pairs to microseconds.
 func (k *Kernel) MarkDeltasMicros() []float64 {
 	var out []float64
-	for i := 1; i < len(marks); i += 2 {
-		out = append(out, k.M.Micros(marks[i]-marks[i-1]))
+	for i := 1; i < len(k.marks); i += 2 {
+		out = append(out, k.M.Micros(k.marks[i]-k.marks[i-1]))
 	}
 	return out
 }
 
 // ResetMarks clears recorded marks.
-func (k *Kernel) ResetMarks() { marks = nil }
+func (k *Kernel) ResetMarks() { k.marks = nil }
 
 func (k *Kernel) alloc(n uint32) uint32 {
 	a, err := k.Heap.Alloc(n)
@@ -422,7 +419,7 @@ func (k *Kernel) installVectors() {
 		return 0
 	})
 	m.RegisterService(SvcMark, func(mm *m68k.Machine) uint64 {
-		marks = append(marks, mm.Cycles)
+		k.marks = append(k.marks, mm.Cycles)
 		return 0
 	})
 	m.RegisterService(202, func(mm *m68k.Machine) uint64 {

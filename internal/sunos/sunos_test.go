@@ -440,3 +440,20 @@ func TestSocketRaggedPayloadSurvivesChecksum(t *testing.T) {
 		t.Errorf("payload %q, want %q", got, msg)
 	}
 }
+
+// Each kernel keeps its own marks: a second kernel's ResetMarks leaves
+// the first one's intervals in place.
+func TestMarksArePerKernel(t *testing.T) {
+	a := sunos.Boot(m68k.Sun3Config())
+	b := asmkit.New()
+	b.Kcall(sunos.SvcMark)
+	b.Kcall(sunos.SvcMark)
+	exit(b)
+	if err := a.Run(b.Link(a.M), 5_000_000); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	sunos.Boot(m68k.Sun3Config()).ResetMarks()
+	if d := a.MarkDeltasMicros(); len(d) != 1 {
+		t.Fatalf("kernel A's marks after kernel B's reset: %v, want one interval", d)
+	}
+}

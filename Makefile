@@ -22,7 +22,9 @@
 # idle thread's step out of the ready ring, and a second frame and a tty
 # byte at every cycle of one receive-handler activation; a runt frame
 # dropped at the NIC, and the send's and the deposit's copy-and-checksum
-# at every payload tail shape, and the packet ring raced at its full
+# at every payload tail shape, 1,000 mixed opens and closes leaving the
+# registry's names alone and snapshots read from the socket table and
+# the descriptor slots, and the packet ring raced at its full
 # and empty edges; 2-VM
 # fleet churn; 2-VM fleet under link faults and a partition/heal
 # cycle, plus the fabric's held-frame queue and cut record driven directly:
@@ -38,7 +40,10 @@
 # per guest instruction and per KB) and a reopen of a descriptor
 # (internal/kio: BenchmarkReopen, host ns per open+close of /dev/tty,
 # whose routines are built once per kernel, and of a file, whose are
-# built again into the slot's code region). CI runs every one of those benchmarks once
+# built again into the slot's code region, and of /dev/tty with the
+# metrics plane attached; internal/metrics: a handle update with the
+# plane off and on, and a snapshot; internal/prof: a step with the
+# profiler off and on). CI runs every one of those benchmarks once
 # (-benchtime 1x), so a benchmark that fails fails CI. `make tables` prints every table, `make profile` runs
 # one Table 1 program under the profiler and emits trace.json (load in
 # about:tracing or ui.perfetto.dev). `make loc` prints the number
@@ -65,7 +70,7 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestSlotChurnHoldsCodeFlat|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable|TestUnixEntryMatchesNative|TestBadDescriptorsThroughUnixGate' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestSlotChurnHoldsCodeFlat|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable|TestUnixEntryMatchesNative|TestBadDescriptorsThroughUnixGate|TestOpenCloseLeavesRegistryNames|TestSnapshotReadsOpenObjects' \
 		./internal/kio/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 
@@ -89,7 +94,7 @@ examples:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
-	$(GO) test -bench . -run ^$$ ./internal/m68k ./internal/kio
+	$(GO) test -bench . -run ^$$ ./internal/m68k ./internal/kio ./internal/metrics ./internal/prof
 
 tables:
 	$(GO) run ./cmd/synbench

@@ -16,7 +16,6 @@
 //	synbench                          # everything
 //	synbench -table 1                 # one table (see -table help for names)
 //	synbench -iters 500               # heavier Table 1 loops
-//	synbench -table 1 -profile        # Table 1 with attribution coverage row
 //	synbench -json bench/baseline     # also write BENCH_*.json artifacts and PAPER_GAPS.md
 //	synbench -profile-run "open-close tty" -top 15 -trace-json trace.json
 //	synbench -table 7 -faults drop=0.2,spurious=7:50000 -fault-seed 42
@@ -44,7 +43,6 @@ func main() {
 	table := flag.String("table", "all",
 		"which table to regenerate: all or one of "+strings.Join(bench.Names(), ","))
 	iters := flag.Int("iters", 200, "loop count for the Table 1 and Table 7 programs")
-	profile := flag.Bool("profile", false, "attach the profiler to Table 1 runs (adds a coverage row)")
 	profileRun := flag.String("profile-run", "",
 		"run one Table 1 program profiled and report attribution: one of "+
 			strings.Join(bench.Table1ProgramNames(), ", "))
@@ -93,7 +91,7 @@ func main() {
 		return
 	}
 
-	cfg := bench.RunConfig{Iters: int32(*iters), Profile: *profile, FaultSpec: *faults, FaultSeed: *faultSeed}
+	cfg := bench.RunConfig{Iters: int32(*iters), FaultSpec: *faults, FaultSeed: *faultSeed}
 	names := bench.Names()
 	if *table != "all" {
 		if !slices.Contains(names, *table) {

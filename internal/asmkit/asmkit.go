@@ -267,16 +267,6 @@ func (b *Builder) Btst(bit, dst m68k.Operand) *Builder {
 	return b.I(m68k.Instr{Op: m68k.BTST, Sz: 1, Src: bit, Dst: dst})
 }
 
-// Bset appends bset bit,dst.
-func (b *Builder) Bset(bit, dst m68k.Operand) *Builder {
-	return b.I(m68k.Instr{Op: m68k.BSET, Sz: 1, Src: bit, Dst: dst})
-}
-
-// Bclr appends bclr bit,dst.
-func (b *Builder) Bclr(bit, dst m68k.Operand) *Builder {
-	return b.I(m68k.Instr{Op: m68k.BCLR, Sz: 1, Src: bit, Dst: dst})
-}
-
 // Tas appends tas dst (atomic test-and-set of a byte's high bit).
 func (b *Builder) Tas(dst m68k.Operand) *Builder {
 	return b.I(m68k.Instr{Op: m68k.TAS, Sz: 1, Dst: dst})
@@ -437,9 +427,4 @@ func (b *Builder) FmoveTo(src m68k.Operand, fp uint8) *Builder {
 // FmoveFrom appends fmove FPn,dst (dst is a memory operand).
 func (b *Builder) FmoveFrom(fp uint8, dst m68k.Operand) *Builder {
 	return b.I(m68k.Instr{Op: m68k.FMOVE, Fp: fp, Dst: dst})
-}
-
-// Fadd appends fadd src,FPn.
-func (b *Builder) Fadd(src m68k.Operand, fp uint8) *Builder {
-	return b.I(m68k.Instr{Op: m68k.FADD, Src: src, Fp: fp})
 }

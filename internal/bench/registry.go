@@ -15,14 +15,12 @@ import (
 // -table <name> -json bench/baseline`) — no command edits.
 
 // RunConfig carries the knobs a caller can set uniformly across
-// tables. Tables without an iteration knob ignore Iters; tables
-// without profiling support ignore Profile. A non-empty FaultSpec
-// (see fault.SpecHelp for the grammar) attaches a seeded fault
-// injector to every rig the table boots, so any table can be rerun
-// under a fault schedule.
+// tables. Tables without an iteration knob ignore Iters. A non-empty
+// FaultSpec (see fault.SpecHelp for the grammar) attaches a seeded
+// fault injector to every rig the table boots, so any table can be
+// rerun under a fault schedule.
 type RunConfig struct {
 	Iters     int32
-	Profile   bool
 	FaultSpec string
 	FaultSeed int64
 }

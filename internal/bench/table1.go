@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"synthesis/internal/asmkit"
-	"synthesis/internal/prof"
 )
 
 // Table 1: the seven UNIX programs on SUNOS (traditional baseline)
@@ -20,20 +19,8 @@ import (
 // few hundred times slower than silicon); per-iteration cost is flat
 // in the loop count, which the harness asserts in its tests.
 
-// Table1Config controls the loop counts (reduced under -short) and
-// whether the Synthesis-side runs carry the measurement plane.
-type Table1Config struct {
-	Iters int32
-	// Profile attaches the profiler to every Synthesis rig and
-	// appends an attribution-coverage row (the acceptance bar is that
-	// at least 95% of all cycles land in named regions).
-	Profile bool
-}
-
 func init() {
-	Register("1", func(cfg RunConfig) (Table, error) {
-		return Table1(Table1Config{Iters: cfg.Iters, Profile: cfg.Profile})
-	})
+	Register("1", func(cfg RunConfig) (Table, error) { return Table1(cfg.Iters) })
 }
 
 // paperRatios are SUN time / Synthesis time from Table 1 (total
@@ -50,24 +37,17 @@ var paperRatios = map[string]float64{
 }
 
 // runOnBoth runs a program builder on fresh instances of both rigs
-// and returns per-iteration microseconds. With profile set, the
-// Synthesis rig carries the profiler, which is returned for coverage
-// accounting (nil otherwise: the baseline rig runs raw code with no
-// regions to attribute to).
-func runOnBoth(build func(*asmkit.Builder), iters int32, budget uint64, profile bool) (synthUS, sunUS float64, p *prof.Profiler, err error) {
-	rig := NewSynthRig()
-	if profile {
-		rig = NewProfiledSynthRig()
-	}
-	s, err := runMarks(rig, budget, 1, build)
+// and returns per-iteration microseconds.
+func runOnBoth(build func(*asmkit.Builder), iters int32, budget uint64) (synthUS, sunUS float64, err error) {
+	s, err := runMarks(NewSynthRig(), budget, 1, build)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, err
 	}
 	u, err := runMarks(NewSunRig(), budget, 1, build)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, err
 	}
-	return s[0] / float64(iters), u[0] / float64(iters), rig.K.Prof, nil
+	return s[0] / float64(iters), u[0] / float64(iters), nil
 }
 
 // t1prog is one Table 1 benchmark program.
@@ -92,9 +72,9 @@ func table1Programs(iters int32) []t1prog {
 	}
 }
 
-// Table1 regenerates the measured-UNIX-system-calls comparison.
-func Table1(cfg Table1Config) (Table, error) {
-	iters := cfg.Iters
+// Table1 regenerates the measured-UNIX-system-calls comparison at
+// iters loop iterations (200 when not positive).
+func Table1(iters int32) (Table, error) {
 	if iters <= 0 {
 		iters = 200
 	}
@@ -104,9 +84,8 @@ func Table1(cfg Table1Config) (Table, error) {
 			"paper's speedup ratio (SUN seconds / Synthesis seconds), ours alongside",
 	}
 
-	var sumAttr, sumWindow uint64
 	for _, p := range table1Programs(iters) {
-		synthUS, sunUS, pp, err := runOnBoth(p.build, p.iters, p.budget, cfg.Profile)
+		synthUS, sunUS, err := runOnBoth(p.build, p.iters, p.budget)
 		if err != nil {
 			return t, fmt.Errorf("%s: %w", p.name, err)
 		}
@@ -120,18 +99,6 @@ func Table1(cfg Table1Config) (Table, error) {
 				Note: fmt.Sprintf("synthesis %.1f us/it, sunos %.1f us/it",
 					synthUS, sunUS),
 			})
-		if pp != nil {
-			sumAttr += pp.Attributed()
-			sumWindow += pp.Window()
-		}
-	}
-	if cfg.Profile && sumWindow > 0 {
-		t.Rows = append(t.Rows, Row{
-			Name:     "profiler coverage (synthesis rig)",
-			Measured: 100 * float64(sumAttr) / float64(sumWindow),
-			Unit:     "%",
-			Note:     "cycles attributed to named regions across all seven programs",
-		})
 	}
 	return t, nil
 }

@@ -26,7 +26,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab, err := Table1(Table1Config{Iters: 40})
+	tab, err := Table1(40)
 	if err != nil {
 		t.Fatal(err)
 	}

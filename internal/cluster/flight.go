@@ -119,7 +119,7 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 		// missed-wake or masked-window bug shows.
 		for l := 7; l >= 1; l-- {
 			h := p.IRQ(l)
-			if h == nil || h.Count == 0 {
+			if h.Count == 0 {
 				continue
 			}
 			fmt.Fprintf(&b, "irq l%d: n=%d mean=%.0f max=%d cycles\n",

@@ -292,7 +292,7 @@ func (k *Kernel) SpawnKernel(name string, entry uint32) *Thread {
 	return t
 }
 
-// SpawnKernelStopped creates a kernel-mode thread that is NOT linked
+// SpawnKernelStopped creates a kernel-mode thread that is not linked
 // into the ready ring: it runs only when started (or stepped). It
 // does not count toward the live-thread total (the simulation may
 // halt while it is parked).

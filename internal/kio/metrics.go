@@ -2,6 +2,8 @@ package kio
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"synthesis/internal/kernel"
 	"synthesis/internal/metrics"
@@ -15,44 +17,57 @@ import (
 // snapshot time. Only the watchdog, whose policy already runs as host
 // code behind a KCALL, bumps atomic handles directly.
 //
-// Naming scheme (documented in README): kio.sock.<port>.<what> for
-// per-socket metrics, kio.net.<what> for the shared receive path.
-// Per-socket names are unregistered when the socket closes, per-pipe
-// names (kio.pipe.<n>.*) when the pipe's last end closes, so a
-// snapshot never mixes cells from a freed queue.
+// Naming scheme (documented in docs/OBSERVABILITY.md):
+// kio.sock.<port>.<what> for per-socket metrics, kio.fd.<thread>.<fd>.bytes
+// per descriptor, kio.pipe.<queue address>.<what> per pipe, and
+// kio.net.<what> for the shared receive path. The per-object families
+// are not registered at all: the socket table and the TTEs' descriptor
+// slots already record what is open, and collect reads them at
+// snapshot time, so open and close never touch the registry and a
+// snapshot never reads a freed queue.
 
 // reg returns the registry wired at Boot, or nil (all registration
 // below no-ops on a nil registry).
 func (io *IO) reg() *metrics.Registry { return io.K.Metrics }
 
-func sockPrefix(local uint32) string {
-	return fmt.Sprintf("kio.sock.%d.", local)
-}
-
-// registerSockMetrics serves the queue cells of the socket on port
-// local through the registry. The closures capture the queue base;
-// unregisterSockMetrics drops them when the socket closes.
-func (io *IO) registerSockMetrics(local, q uint32) {
-	reg := io.reg()
-	if reg == nil {
-		return
-	}
+// collect reports the families of the objects open right now: each
+// live socket table entry's queue cells, each open descriptor's byte
+// gauge, and each pipe queue an open pipe end names. A socket slot
+// and the generic /proc twin report no descriptor family.
+func (io *IO) collect(c metrics.Collector) {
 	m := io.K.M
-	p := sockPrefix(local)
-	reg.Sample(p+"rx_frames", func() uint64 { return uint64(m.Peek(q+NQGauge, 4)) })
-	reg.Sample(p+"rx_drops", func() uint64 { return uint64(m.Peek(q+NQDrops, 4)) })
-	reg.Sample(p+"rx_errs", func() uint64 { return uint64(m.Peek(q+NQErrs, 4)) })
-	reg.Sample(p+"tx_fail", func() uint64 { return uint64(m.Peek(q+NQTxFail, 4)) })
-	reg.SampleGauge(p+"queue_depth", func() float64 {
-		return float64(m.Peek(q+NQHead, 4) - m.Peek(q+NQTail, 4))
-	})
-}
-
-// unregisterSockMetrics drops the socket's sampled metrics when it
-// closes.
-func (io *IO) unregisterSockMetrics(local uint32) {
-	if reg := io.reg(); reg != nil {
-		reg.UnregisterPrefix(sockPrefix(local))
+	for j := uint32(0); j < MaxSockets; j++ {
+		e := io.netSockTab + j*sockEntrySize
+		q := m.Peek(e+4, 4)
+		if q == 0 {
+			continue
+		}
+		p := fmt.Sprintf("kio.sock.%d.", m.Peek(e, 4))
+		c.Counter(p+"rx_frames", uint64(m.Peek(q+NQGauge, 4)))
+		c.Counter(p+"rx_drops", uint64(m.Peek(q+NQDrops, 4)))
+		c.Counter(p+"rx_errs", uint64(m.Peek(q+NQErrs, 4)))
+		c.Counter(p+"tx_fail", uint64(m.Peek(q+NQTxFail, 4)))
+		c.Gauge(p+"queue_depth", float64(m.Peek(q+NQHead, 4)-m.Peek(q+NQTail, 4)))
+	}
+	pipes := map[uint32]bool{}
+	// In TTE order, so a repeated thread name reports the same slot on
+	// every snapshot.
+	for _, tte := range slices.Sorted(maps.Keys(io.K.Threads)) {
+		t := io.K.Threads[tte]
+		for fd := int32(0); fd < kernel.MaxFD; fd++ {
+			switch io.fdCell(t, fd, kernel.FDKind) {
+			case FDFree, FDSock, FDProcGeneric:
+				continue
+			case FDPipeR, FDPipeW:
+				if q := io.fdCell(t, fd, kernel.FDAux); !pipes[q] {
+					pipes[q] = true
+					p := fmt.Sprintf("kio.pipe.%d.", q)
+					c.Gauge(p+"depth", float64(io.pipeQueue(q).Len(m)))
+					c.Counter(p+"bytes", uint64(m.Peek(q+KQGauge, 4)))
+				}
+			}
+			c.Counter(fmt.Sprintf("kio.fd.%s.%d.bytes", t.Name, fd), uint64(io.fdCell(t, fd, kernel.FDGauge)))
+		}
 	}
 }
 
@@ -75,6 +90,10 @@ func (w *Watchdog) wireWatchdogMetrics() {
 	w.mEvents = reg.Counter("kio.net.recovery_events")
 	w.mThrottled = reg.Gauge("kio.net.throttled")
 	w.mGeneric = reg.Gauge("kio.net.generic_fallback")
+	w.mKinds = map[string]*metrics.Counter{}
+	for _, kind := range []string{"throttle-on", "throttle-off", "generic-fallback"} {
+		w.mKinds[kind] = reg.Counter("kio.net.recovery." + kind)
+	}
 }
 
 // wireIOMetrics registers the remaining device subsystems' cells as
@@ -107,59 +126,5 @@ func (io *IO) wireIOMetrics() {
 		}
 		return 0
 	})
-}
-
-// registerPipeMetrics serves one pipe's queue cells as kio.pipe.<n>.*,
-// n counting pipes in creation order.
-func (io *IO) registerPipeMetrics(q *KQueue) {
-	reg := io.reg()
-	if reg == nil {
-		return
-	}
-	m := io.K.M
-	pre := fmt.Sprintf("kio.pipe.%d.", io.pipeSeq)
-	io.pipeSeq++
-	if io.pipeMetrics == nil {
-		io.pipeMetrics = make(map[uint32]string)
-	}
-	io.pipeMetrics[q.Addr] = pre
-	reg.SampleGauge(pre+"depth", func() float64 { return float64(q.Len(m)) })
-	reg.Sample(pre+"bytes", func() uint64 { return uint64(m.Peek(q.Addr+KQGauge, 4)) })
-}
-
-// unregisterPipeMetrics drops the metrics of the pipe on queue q before
-// the queue is freed.
-func (io *IO) unregisterPipeMetrics(q uint32) {
-	if pre, ok := io.pipeMetrics[q]; ok {
-		io.reg().UnregisterPrefix(pre)
-		delete(io.pipeMetrics, q)
-	}
-}
-
-// fdPrefix names one descriptor's metrics: kio.fd.<thread>.<n>.*.
-func fdPrefix(t *kernel.Thread, fd int32) string {
-	return fmt.Sprintf("kio.fd.%s.%d.", t.Name, fd)
-}
-
-// registerFDMetrics serves the descriptor's byte gauge (the cell every
-// synthesized read/write bumps for the fine-grain scheduler) as a
-// sampled metric, tagged with what the descriptor is open on.
-func (io *IO) registerFDMetrics(t *kernel.Thread, fd int32) {
-	reg := io.reg()
-	if reg == nil {
-		return
-	}
-	m := io.K.M
-	cell := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	reg.Sample(fdPrefix(t, fd)+"bytes", func() uint64 {
-		return uint64(m.Peek(cell, 4))
-	})
-}
-
-// unregisterFDMetrics drops a descriptor's sampled metrics on close,
-// so a reused slot never serves a stale cell.
-func (io *IO) unregisterFDMetrics(t *kernel.Thread, fd int32) {
-	if reg := io.reg(); reg != nil {
-		reg.UnregisterPrefix(fdPrefix(t, fd))
-	}
+	reg.Collect(io.collect)
 }

@@ -109,11 +109,10 @@ func TestSocketMetricsServeQueueCells(t *testing.T) {
 	}
 }
 
-// TestSocketCloseUnregistersMetrics proves the per-socket family is
-// torn down with the socket, so later snapshots never read a freed
-// queue.
+// TestSocketCloseUnregistersMetrics proves the per-socket family goes
+// with the socket: a snapshot after the close reports none of it.
 func TestSocketCloseUnregistersMetrics(t *testing.T) {
-	k, _, reg := bootMetrics(t)
+	k, io, reg := bootMetrics(t)
 	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
 		emitSock(e, 5, 9) // fd 0
 		e.MoveL(m68k.Imm(kernel.SysClose), m68k.D(0))
@@ -121,12 +120,21 @@ func TestSocketCloseUnregistersMetrics(t *testing.T) {
 		e.Trap(kernel.TrapSys)
 		exitSeq(e)
 	})
+	// The family is there while the socket is open.
+	other := k.SpawnKernelStopped("other", 0)
+	if got := reported(reg, "kio.sock.5."); len(got) != 0 {
+		t.Fatalf("no socket is open and a snapshot reports %v", got)
+	}
+	fd := io.OpenSocket(other, 5, 9)
+	if got := reported(reg, "kio.sock.5."); len(got) != 5 {
+		t.Errorf("an open socket reports %v, want its five metrics", got)
+	}
+	io.Close(other, fd)
+
 	th := k.SpawnKernel("main", prog)
 	run(t, k, th, 20_000_000)
-	for _, n := range reg.Names() {
-		if strings.HasPrefix(n, "kio.sock.5.") {
-			t.Errorf("metric %s survived socket close", n)
-		}
+	if got := reported(reg, "kio.sock.5."); len(got) != 0 {
+		t.Errorf("metrics %v survived socket close", got)
 	}
 }
 
@@ -236,7 +244,7 @@ func TestReopenedDescriptorCountsFromZero(t *testing.T) {
 
 // A queue's gauge counts what its producer put, once: the tty
 // interrupt for kio.tty.rx_chars, the write end for
-// kio.pipe.<n>.bytes. The consumer leaves it alone, on the one-byte
+// kio.pipe.<queue>.bytes. The consumer leaves it alone, on the one-byte
 // path and the bulk path alike; when the read added to it too, five
 // characters read raw showed as 10 and every pipe byte as two.
 func TestQueueGaugesCountWhatWasPut(t *testing.T) {

@@ -371,7 +371,6 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 	m.PokeBytes(q, make([]byte, NQSlots))
 	m.Poke(e, 4, local)
 	m.Poke(e+4, 4, q)
-	io.registerSockMetrics(local, q)
 	if !io.netGeneric {
 		io.K.C.Patch(io.demuxCell(uint32(i)))
 	}
@@ -386,13 +385,12 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 }
 
 // closeSocket frees the table entry owning queue q: the entry keeps
-// its port and its block for the port's next open, its metrics go, and
-// its demux cell becomes a branch past it.
+// its port and its block for the port's next open, and its demux cell
+// becomes a branch past it.
 func (io *IO) closeSocket(q uint32) {
 	i := (q - io.netBlocks) / sockBlockSize
 	e := io.netSockTab + i*sockEntrySize
 	io.K.M.Poke(e+4, 4, 0)
-	io.unregisterSockMetrics(io.K.M.Peek(e, 4))
 	if !io.netGeneric {
 		io.K.C.Patch(io.demuxCell(i))
 	}

@@ -1,6 +1,8 @@
 package kio
 
 import (
+	"math/bits"
+
 	"synthesis/internal/kernel"
 	"synthesis/internal/synth"
 )
@@ -25,21 +27,19 @@ const DefaultPipeBytes = 8192
 // two, for host-side setup; heap exhaustion panics. Open its ends with
 // OpenPipeEnd.
 func (io *IO) NewPipe(size int32) *KQueue {
-	q := io.newPipe(size)
+	q := io.newKQueue(size)
 	if q == nil {
 		panic("kio: cannot allocate pipe queue")
 	}
 	return q
 }
 
-// newPipe allocates a pipe's queue and serves its metrics, or returns
-// nil when the heap is exhausted.
-func (io *IO) newPipe(size int32) *KQueue {
-	q := io.newKQueue(size)
-	if q != nil {
-		io.registerPipeMetrics(q)
-	}
-	return q
+// pipeQueue returns the pipe queue at addr. Its size is read back from
+// the heap block holding it: the largest power of two that fits after
+// the header, exact for every size from 4 up.
+func (io *IO) pipeQueue(addr uint32) *KQueue {
+	n, _ := io.K.Heap.SizeOf(addr)
+	return &KQueue{Addr: addr, Size: 1 << (bits.Len32(n-KQBuf) - 1)}
 }
 
 // pipe serves the native pipe call: both ends land in t. Returns -1, -1
@@ -48,7 +48,7 @@ func (io *IO) pipe(t *kernel.Thread) (rfd, wfd int32) {
 	if t == nil {
 		return -1, -1
 	}
-	q := io.newPipe(DefaultPipeBytes)
+	q := io.newKQueue(DefaultPipeBytes)
 	if q == nil {
 		return -1, -1
 	}
@@ -58,7 +58,7 @@ func (io *IO) pipe(t *kernel.Thread) (rfd, wfd int32) {
 		// Closing the one end that opened frees the queue; with neither
 		// open, free it here.
 		if !io.Close(t, rfd) && !io.Close(t, wfd) {
-			io.freePipe(q.Addr)
+			_ = io.K.Heap.Free(q.Addr)
 		}
 		return -1, -1
 	}
@@ -93,7 +93,6 @@ func (io *IO) OpenPipeEnd(t *kernel.Thread, q *KQueue, writeEnd bool) int32 {
 	io.setFDCell(t, fd, kernel.FDKind, kind)
 	io.setFDCell(t, fd, kernel.FDAux, q.Addr)
 	io.installFD(t, fd, read, write)
-	io.registerFDMetrics(t, fd)
 	return fd
 }
 
@@ -107,11 +106,5 @@ func (io *IO) closePipeEnd(q uint32) {
 			}
 		}
 	}
-	io.freePipe(q)
-}
-
-// freePipe drops a pipe's metrics and returns its queue to the heap.
-func (io *IO) freePipe(q uint32) {
-	io.unregisterPipeMetrics(q)
 	_ = io.K.Heap.Free(q)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"synthesis/internal/kernel"
@@ -194,10 +193,8 @@ func TestExitClosesDescriptors(t *testing.T) {
 	if _, live := k.Threads[a.TTE]; live {
 		t.Error("a is still in the thread table")
 	}
-	for _, name := range reg.Names() {
-		if strings.HasPrefix(name, "kio.sock.7.") || strings.HasPrefix(name, "kio.pipe.") || strings.HasPrefix(name, "kio.fd.a.") {
-			t.Errorf("%s outlived its descriptor", name)
-		}
+	for _, name := range reported(reg, "kio.sock.7.", "kio.pipe.", "kio.fd.a.") {
+		t.Errorf("%s outlived its descriptor", name)
 	}
 	if got := k.Heap.FreeBytes(); got != free {
 		t.Errorf("heap free bytes = %d, want %d (all but b's TTE)", got, free)
@@ -205,8 +202,9 @@ func TestExitClosesDescriptors(t *testing.T) {
 }
 
 // TestPipeChurnReturnsItsHeap: the last close of a pipe's ends, in
-// whichever thread, frees its 8 KB queue and its kio.pipe.<n>.*
-// metrics, and no earlier close does. Both used to stay, so a 1 MB
+// whichever thread, frees its 8 KB queue, and no earlier close does;
+// a snapshot reports the pipe's kio.pipe.* family while an end is
+// open and not after. The queue used to stay, so a 1 MB
 // kernel ran out of heap after ~118 pipe()/close/close rounds and the
 // host process panicked inside the pipe service.
 func TestPipeChurnReturnsItsHeap(t *testing.T) {
@@ -222,6 +220,9 @@ func TestPipeChurnReturnsItsHeap(t *testing.T) {
 	for _, end := range []*kernel.Thread{reader, writer} {
 		if _, live := k.Heap.SizeOf(q.Addr); !live {
 			t.Fatalf("the queue was freed before %s's end closed", end.Name)
+		}
+		if got := reported(reg, "kio.pipe."); len(got) != 2 {
+			t.Errorf("with %s's end open a snapshot reports %v, want the pipe's two metrics", end.Name, got)
 		}
 		io.Close(end, 0)
 	}
@@ -270,10 +271,8 @@ func TestPipeChurnReturnsItsHeap(t *testing.T) {
 	if got := k.Heap.FreeBytes(); got != free {
 		t.Errorf("%d pipe cycles moved the heap's free bytes %d -> %d", cycles, free, got)
 	}
-	for _, name := range reg.Names() {
-		if strings.HasPrefix(name, "kio.pipe.") {
-			t.Errorf("%s outlived its pipe", name)
-		}
+	for _, name := range reported(reg, "kio.pipe.") {
+		t.Errorf("%s outlived its pipe", name)
 	}
 	checkUnixCells(t, k, io, regions)
 }
@@ -306,7 +305,7 @@ func TestPipeFailsWhole(t *testing.T) {
 				}
 			}
 		}
-		free, names := k.Heap.FreeBytes(), len(reg.Names())
+		free := k.Heap.FreeBytes()
 		run(t, k, th, 50_000_000)
 		if r, w := int32(k.M.Peek(res, 4)), int32(k.M.Peek(res+4, 4)); r != -1 || w != -1 {
 			t.Errorf("short of %s: pipe() = %d, %d, want -1, -1", short, r, w)
@@ -314,8 +313,8 @@ func TestPipeFailsWhole(t *testing.T) {
 		if got := k.Heap.FreeBytes(); got != free {
 			t.Errorf("short of %s: the failed pipe() moved the heap's free bytes %d -> %d", short, free, got)
 		}
-		if got := len(reg.Names()); got != names {
-			t.Errorf("short of %s: the failed pipe() left %d metrics behind", short, got-names)
+		if got := reported(reg, "kio.pipe."); len(got) != 0 {
+			t.Errorf("short of %s: the failed pipe() left %v behind", short, got)
 		}
 		if got := k.M.Peek(kernel.FDCell(th.TTE, kernel.MaxFD-1, kernel.FDKind), 4); got != kio.FDFree {
 			t.Errorf("short of %s: the last slot holds kind %d", short, got)

@@ -54,7 +54,7 @@ func (io *IO) newKQueue(size int32) *KQueue {
 	return &KQueue{Addr: addr, Size: size}
 }
 
-// Len returns the current queue depth (host view, for tests).
+// Len returns the current queue depth (host view).
 func (q *KQueue) Len(m *m68k.Machine) int32 {
 	h := int32(m.Peek(q.Addr+KQHead, 4))
 	t := int32(m.Peek(q.Addr+KQTail, 4))

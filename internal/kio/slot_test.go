@@ -272,11 +272,15 @@ func TestErrorHandlerCannotRebuildInterruptedSlot(t *testing.T) {
 // BenchmarkReopen is the host's cost of one open and close of a
 // descriptor on a slot that has been open before: /dev/tty's routines
 // are built once per kernel and a reopen only accounts them, a file's
-// are built again into the slot's region.
+// are built again into the slot's region. tty_registry is tty with the
+// metrics plane attached, which an open and close leave alone.
 func BenchmarkReopen(b *testing.B) {
-	for _, c := range []struct{ name, path string }{{"tty", "/dev/tty"}, {"file", "/tmp/f"}} {
+	for _, c := range []struct {
+		name, path string
+		reg        *metrics.Registry
+	}{{"tty", "/dev/tty", nil}, {"file", "/tmp/f", nil}, {"tty_registry", "/dev/tty", metrics.New()}} {
 		b.Run(c.name, func(b *testing.B) {
-			k := kernel.Boot(kernel.Config{Machine: m68k.Sun3Config(), ChargeSynthesis: true})
+			k := kernel.Boot(kernel.Config{Machine: m68k.Sun3Config(), ChargeSynthesis: true, Metrics: c.reg})
 			io := kio.Install(k)
 			if _, err := k.FS.CreateSized("/tmp/f", []byte("data"), 64); err != nil {
 				b.Fatal(err)

@@ -64,6 +64,7 @@ type Watchdog struct {
 	mEvents    *metrics.Counter
 	mThrottled *metrics.Gauge
 	mGeneric   *metrics.Gauge
+	mKinds     map[string]*metrics.Counter // kio.net.recovery.<kind>
 }
 
 // InstallWatchdog arranges for the watchdog to sample the network
@@ -123,7 +124,7 @@ func (w *Watchdog) tick() {
 func (w *Watchdog) event(kind string) {
 	w.Events = append(w.Events, RecoveryEvent{Cycle: w.io.K.M.Clock(), Kind: kind})
 	w.mEvents.Inc()
-	w.io.reg().Counter("kio.net.recovery." + kind).Inc()
+	w.mKinds[kind].Inc()
 	w.mThrottled.Set(b2f(w.Throttled()))
 	w.mGeneric.Set(b2f(w.io.netGeneric))
 }

@@ -41,7 +41,6 @@ const (
 	cycTas       = 10 // read-modify-write bus lock
 	cycCas       = 12 // plus its memory references
 	cycBitOp     = 4
-	cycFpu       = 30 // FP arithmetic (coprocessor protocol + execute)
 	cycFpuMove   = 20
 	cycFpuMovem  = 14 // per register, plus its memory references; the
 	// paper quotes "hundred-plus bytes ... about 10 microseconds" for
@@ -81,10 +80,8 @@ func baseCost(i *Instr) uint64 {
 		c = cycTas
 	case CAS:
 		c = cycCas
-	case BTST, BSET, BCLR:
+	case BTST:
 		c = cycBitOp
-	case FADD, FSUB, FMUL, FDIV:
-		c = cycFpu
 	case FMOVE:
 		c = cycFpuMove
 	case FMOVEM:

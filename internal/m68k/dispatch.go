@@ -340,23 +340,17 @@ func compile(in *Instr, pc uint32) runFn {
 			return nil
 		}
 
-	case LSL, LSR, ASR:
+	case LSL, LSR:
 		if !toD || !regimm {
 			break
 		}
-		// ASR shifts at the operand width: o<<k>>k sign-extends from it.
-		op, k := in.Op, 32-8*uint32(sz)
+		op := in.Op
 		return func(m *Machine) error {
 			s, o := ri.val(m)&63, m.D[r]&mask
 			m.Cycles += uint64(s) / 2 // shifts cost ~2 cycles per 4 bits
-			var nw uint32
-			switch op {
-			case LSL:
+			nw := o >> s
+			if op == LSL {
 				nw = o << s
-			case LSR:
-				nw = o >> s
-			default:
-				nw = uint32(int32(o<<k) >> k >> s)
 			}
 			m.D[r] = m.D[r]&^mask | nw&mask
 			m.setNZMask(nw, mask, sign)
@@ -620,9 +614,9 @@ func compile(in *Instr, pc uint32) runFn {
 	}
 
 	// Every other shape executes through the reference switch: STOP,
-	// MOVEC, PEA, FP, CAS, multiply/divide, bit ops, NOT/NEG/EXT, the
-	// MOVEM forms cMovem leaves, and the operand combinations of the ops
-	// above that no workload runs at 0.5 % (docs/PERFORMANCE.md).
+	// MOVEC, FP, CAS, multiply/divide, BTST, the MOVEM forms cMovem
+	// leaves, and the operand combinations of the ops above that no
+	// workload runs at 0.5 % (docs/PERFORMANCE.md).
 	return cSlow(pc)
 }
 

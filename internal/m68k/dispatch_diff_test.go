@@ -19,8 +19,8 @@ func TestDispatchMatchesExec(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 
 	ops := []Op{
-		NOP, MOVE, LEA, PEA, CLR, ADD, SUB, MULU, DIVU, AND, OR, EOR,
-		NOT, NEG, EXT, LSL, LSR, ASR, CMP, TST, BTST, BSET, BCLR, TAS,
+		NOP, MOVE, LEA, CLR, ADD, SUB, MULU, DIVU, AND, OR, EOR,
+		LSL, LSR, CMP, TST, BTST, TAS,
 		BRA, BEQ, BNE, BLT, BLE, BGT, BGE, BHI, BLS, BCC, BCS, BMI, BPL,
 		DBRA, JMP, JSR, RTS, MOVEM,
 	}
@@ -88,12 +88,10 @@ func TestDispatchMatchesExec(t *testing.T) {
 		case JMP, JSR:
 			in.Src = Operand{}
 			in.Dst = Abs(1)
-		case LEA, PEA:
+		case LEA:
 			if !in.Src.Mode.IsMemory() {
 				in.Src = Abs(0x4000)
 			}
-		case EXT:
-			in.Dst = Operand{Mode: ModeDReg, Reg: uint8(rng.Intn(8))}
 		}
 
 		ma, mb := newPair()
@@ -392,7 +390,7 @@ const (
 // each, and of a data register or immediate into an address register;
 // MOVE of an address register to either kind of register, ADD and SUB
 // of one into a data register; ADD, SUB,
-// CMP, AND, OR, EOR, LSL, LSR and ASR from a data register or immediate
+// CMP, AND, OR, EOR, LSL and LSR from a data register or immediate
 // into a data register, TST and CLR of one; LEA and the cell of a
 // memory-indirect JMP/JSR in each mode; JMP and JSR to a constant
 // target, RTS and RTE, the stack slot directed like an operand; MOVE to
@@ -424,9 +422,9 @@ const (
 // Dn with its operands swapped; the byte and word CMP taking flags at
 // the long width; CMP.L into An comparing Dn; TST of a byte or word Dn
 // testing 32 bits; CLR, AND/OR/EOR writing all 32 bits of Dn at every
-// size; ASR sign-extending from bit 31 at every size; JMP to a constant
-// one past the target; JSR pushing the target instead of the return
-// address; exec's indirect cell read without the quaspace check. Forms
+// size; JMP to a constant one past the target; JSR pushing the target
+// instead of the return address; exec's indirect cell read without the
+// quaspace check. Forms
 // and accessors: stepping a register-relative register before forming
 // the address; memForm always register-relative; reading An where the
 // index is Dn; ignoring the scale; reading an immediate source as a
@@ -639,7 +637,7 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 		}
 		shape(MOVE, ModeAReg, ModeAReg, sz)
 		shape(CLR, ModeNone, ModeDReg, sz)
-		for _, op := range []Op{AND, OR, EOR, LSL, LSR, ASR} {
+		for _, op := range []Op{AND, OR, EOR, LSL, LSR} {
 			shape(op, ModeDReg, ModeDReg, sz)
 			shape(op, ModeImm, ModeDReg, sz)
 		}

@@ -275,7 +275,7 @@ func TestRunEqualsSteps(t *testing.T) {
 			{Op: DBRA, Src: D(4), Dst: Abs(base + patched)},        // 28
 			{Op: JSR, Dst: Ind(1)},                                 // 29: into grown code space
 			{Op: MOVE, Src: D(3), Dst: Abs(0x2_0000)},              // 30: bus fault
-			{Op: NOT, Dst: D(5)},                                   // 31: resumes here
+			{Op: MULU, Src: Imm(3), Dst: D(5)},                     // 31: resumes here
 			{Op: ORSR, Src: Imm(0x0700)},                           // 32: mask again
 			{Op: MOVE, Src: Imm(40), Dst: quantum},                 // 33: pends behind the mask
 			{Op: MOVE, Src: Imm(30), Dst: D(0)},                    // 34
@@ -304,7 +304,7 @@ func TestRunEqualsSteps(t *testing.T) {
 			sub := m.AllocCode(cap(m.Code) - len(m.Code) + 1)
 			m.SetCode(sub, []Instr{
 				{Op: BTST, Src: Imm(0), Dst: D(3)},
-				{Op: NEG, Dst: D(5)},
+				{Op: MULU, Src: Imm(5), Dst: D(5)},
 				{Op: RTS},
 			})
 			m.A[1] = sub

@@ -492,13 +492,6 @@ func (m *Machine) exec(in *Instr) error {
 		m.A[in.Dst.Reg] = addr
 		return nil
 
-	case PEA:
-		addr, err := m.ea(&in.Src, sz)
-		if err != nil {
-			return err
-		}
-		return m.push(addr)
-
 	case CLR:
 		if err := m.writeOp(&in.Dst, sz, 0); err != nil {
 			return err
@@ -583,35 +576,7 @@ func (m *Machine) exec(in *Instr) error {
 		m.setNZMask(nw, mask, sign)
 		return nil
 
-	case NOT:
-		_, nw, err := m.rmw(&in.Dst, sz, func(o uint32) uint32 { return ^o })
-		if err != nil {
-			return err
-		}
-		m.setNZMask(nw, mask, sign)
-		return nil
-
-	case NEG:
-		old, nw, err := m.rmw(&in.Dst, sz, func(o uint32) uint32 { return -o })
-		if err != nil {
-			return err
-		}
-		m.setSubFlagsMask(0, old, nw, mask, sign)
-		return nil
-
-	case EXT:
-		v := m.D[in.Dst.Reg]
-		switch sz {
-		case 1:
-			v = uint32(int32(int8(v)))
-		case 2:
-			v = uint32(int32(int16(v)))
-		}
-		m.D[in.Dst.Reg] = v
-		m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
-		return nil
-
-	case LSL, LSR, ASR:
+	case LSL, LSR:
 		s, err := m.readOp(&in.Src, sz)
 		if err != nil {
 			return err
@@ -620,21 +585,10 @@ func (m *Machine) exec(in *Instr) error {
 		m.Cycles += uint64(s) / 2 // shifts cost ~2 cycles per 4 bits
 		op := in.Op
 		_, nw, err := m.rmw(&in.Dst, sz, func(o uint32) uint32 {
-			switch op {
-			case LSL:
+			if op == LSL {
 				return o << s
-			case LSR:
-				return trunc(o, sz) >> s
-			default:
-				switch sz {
-				case 1:
-					return uint32(int32(int8(o)) >> s)
-				case 2:
-					return uint32(int32(int16(o)) >> s)
-				default:
-					return uint32(int32(o) >> s)
-				}
 			}
+			return trunc(o, sz) >> s
 		})
 		if err != nil {
 			return err
@@ -662,36 +616,18 @@ func (m *Machine) exec(in *Instr) error {
 		m.setNZMask(v, mask, sign)
 		return nil
 
-	case BTST, BSET, BCLR:
+	case BTST:
 		bitn, err := m.readOp(&in.Src, 4)
 		if err != nil {
 			return err
 		}
-		width := uint32(sz) * 8
-		bit := uint32(1) << (bitn % width)
-		op := in.Op
-		if op == BTST {
-			v, err := m.readOp(&in.Dst, sz)
-			if err != nil {
-				return err
-			}
-			m.SR &^= FlagZ
-			if v&bit == 0 {
-				m.SR |= FlagZ
-			}
-			return nil
-		}
-		old, _, err := m.rmw(&in.Dst, sz, func(o uint32) uint32 {
-			if op == BSET {
-				return o | bit
-			}
-			return o &^ bit
-		})
+		bit := uint32(1) << (bitn % (uint32(sz) * 8))
+		v, err := m.readOp(&in.Dst, sz)
 		if err != nil {
 			return err
 		}
 		m.SR &^= FlagZ
-		if old&bit == 0 {
+		if v&bit == 0 {
 			m.SR |= FlagZ
 		}
 		return nil
@@ -869,7 +805,7 @@ func (m *Machine) exec(in *Instr) error {
 		m.applySR(uint16(v))
 		return nil
 
-	case FMOVE, FADD, FSUB, FMUL, FDIV:
+	case FMOVE:
 		if m.FPTrap {
 			m.PC-- // re-execute this instruction after the handler returns
 			return m.Exception(VecLineF)
@@ -1067,21 +1003,7 @@ func (m *Machine) execFP(in *Instr) error {
 	if err != nil {
 		return err
 	}
-	switch in.Op {
-	case FMOVE:
-		m.FP[in.Fp] = s
-	case FADD:
-		m.FP[in.Fp] += s
-	case FSUB:
-		m.FP[in.Fp] -= s
-	case FMUL:
-		m.FP[in.Fp] *= s
-	case FDIV:
-		if s == 0 {
-			return m.Exception(VecZeroDivide)
-		}
-		m.FP[in.Fp] /= s
-	}
+	m.FP[in.Fp] = s
 	return nil
 }
 

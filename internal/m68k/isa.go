@@ -13,7 +13,6 @@ const (
 	NOP     Op = iota
 	MOVE       // move src to dst
 	LEA        // load effective address of src into dst (address register)
-	PEA        // push effective address of src
 	CLR        // clear dst
 	ADD        // dst += src
 	SUB        // dst -= src
@@ -22,17 +21,11 @@ const (
 	AND        // dst &= src
 	OR         // dst |= src
 	EOR        // dst ^= src
-	NOT        // dst = ^dst
-	NEG        // dst = -dst
-	EXT        // sign-extend dst from Sz to long
 	LSL        // dst <<= src
 	LSR        // dst >>= src (logical)
-	ASR        // dst >>= src (arithmetic)
 	CMP        // set CCR from dst - src
 	TST        // set CCR from src
 	BTST       // test bit src of dst into Z
-	BSET       // set bit src of dst
-	BCLR       // clear bit src of dst
 	TAS        // test and set high bit of byte dst (atomic)
 	CAS        // compare and swap: if dst == Dc then dst = Du; CCR.Z on success
 	BRA        // branch always
@@ -63,21 +56,17 @@ const (
 	MOVEFSR    // move SR to dst (privileged)
 	MOVETSR    // move src to SR (privileged)
 	FMOVE      // FP move between FP register and memory/register
-	FADD       // FP add
-	FSUB       // FP subtract
-	FMUL       // FP multiply
-	FDIV       // FP divide
 	FMOVEM     // FP move multiple registers (context switch)
 	KCALL      // host service escape with modeled cycle charge
 	opCount
 )
 
 var opNames = [opCount]string{
-	NOP: "nop", MOVE: "move", LEA: "lea", PEA: "pea", CLR: "clr",
+	NOP: "nop", MOVE: "move", LEA: "lea", CLR: "clr",
 	ADD: "add", SUB: "sub", MULU: "mulu", DIVU: "divu",
-	AND: "and", OR: "or", EOR: "eor", NOT: "not", NEG: "neg", EXT: "ext",
-	LSL: "lsl", LSR: "lsr", ASR: "asr",
-	CMP: "cmp", TST: "tst", BTST: "btst", BSET: "bset", BCLR: "bclr",
+	AND: "and", OR: "or", EOR: "eor",
+	LSL: "lsl", LSR: "lsr",
+	CMP: "cmp", TST: "tst", BTST: "btst",
 	TAS: "tas", CAS: "cas",
 	BRA: "bra", BEQ: "beq", BNE: "bne", BLT: "blt", BLE: "ble",
 	BGT: "bgt", BGE: "bge", BHI: "bhi", BLS: "bls", BCC: "bcc",
@@ -85,8 +74,7 @@ var opNames = [opCount]string{
 	JMP: "jmp", JSR: "jsr", RTS: "rts", RTE: "rte", TRAP: "trap",
 	STOP: "stop", HALT: "halt", MOVEM: "movem", MOVEC: "movec",
 	ORSR: "orsr", ANDSR: "andsr", MOVEFSR: "movefsr", MOVETSR: "movetsr",
-	FMOVE: "fmove", FADD: "fadd", FSUB: "fsub", FMUL: "fmul",
-	FDIV: "fdiv", FMOVEM: "fmovem", KCALL: "kcall",
+	FMOVE: "fmove", FMOVEM: "fmovem", KCALL: "kcall",
 }
 
 // String returns the mnemonic for the opcode.
@@ -223,7 +211,7 @@ type Instr struct {
 	Mask uint16  // register mask for MOVEM/FMOVEM
 	Dir  uint8   // MOVEM direction: 0 = registers to memory, 1 = memory to registers
 	Vec  uint8   // TRAP vector number / KCALL service id / MOVEC control register
-	Fp   uint8   // FP register number for FMOVE/FADD/...
+	Fp   uint8   // FP register number for FMOVE; Dc for CAS
 }
 
 // Size returns the effective operand size in bytes.
@@ -299,7 +287,7 @@ func (i Instr) String() string {
 		return fmt.Sprintf("and.w %s,sr", i.Src)
 	case CAS:
 		return fmt.Sprintf("cas%s d%d,d%d,%s", szSuffix(i.Size()), i.Src.Reg, i.Fp, i.Dst)
-	case FMOVE, FADD, FSUB, FMUL, FDIV:
+	case FMOVE:
 		if i.Dst.Mode == ModeNone {
 			return fmt.Sprintf("%s %s,fp%d", i.Op, i.Src, i.Fp)
 		}

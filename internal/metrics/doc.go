@@ -16,9 +16,12 @@
 // not mirrored on the hot path at all: they register as *sampled*
 // metrics, a closure the registry calls only at Snapshot time. The
 // generated code keeps its single AddL to a folded absolute address;
-// the registry serves the same cell to every consumer. Sampled names
-// are released with UnregisterPrefix when the object they describe
-// (a descriptor, a socket) is closed.
+// the registry serves the same cell to every consumer. A family whose
+// members come and go with the objects they describe (open sockets,
+// descriptors, pipes) is not registered name by name: one Collect
+// function reports it at Snapshot time from the record that already
+// holds the objects, so opening and closing one never edits the
+// registry.
 //
 // Naming follows "<subsystem>.<object>.<metric>" with dots, e.g.
 // kio.sock.7.tx_fail or kernel.spurious_irq; the Prometheus

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -62,6 +61,8 @@ type regState struct {
 	sampledC map[string]func() uint64  // counter-typed sampled reads
 	sampledG map[string]func() float64 // gauge-typed sampled reads
 	help     map[string]string         // optional per-metric description
+	// collectors report families at snapshot time (Collect).
+	collectors []collector
 
 	clock    func() uint64 // VM cycle source (Machine.Clock)
 	clockMHz float64
@@ -221,51 +222,38 @@ func (r *Registry) SampleGauge(name string, fn func() float64, help ...string) {
 	r.s.mu.Unlock()
 }
 
-// UnregisterPrefix removes every metric whose name starts with prefix
-// (socket close tears down its kio.sock.<port>.* family so snapshots
-// never read cells of a dead queue). The view's own prefix applies, so
-// a vm2. sub-registry unregistering "kio.sock.5." only tears down
-// vm2.kio.sock.5.*.
-func (r *Registry) UnregisterPrefix(prefix string) {
+// Collector reports one family of metrics into the snapshot being
+// cut, under the prefix of the view that registered it (Collect).
+type Collector struct {
+	prefix string
+	s      *Snapshot
+}
+
+// Counter reports a counter-typed value.
+func (c Collector) Counter(name string, v uint64) { c.s.Counters[c.prefix+name] = v }
+
+// Gauge reports a gauge-typed value.
+func (c Collector) Gauge(name string, v float64) { c.s.Gauges[c.prefix+name] = v }
+
+// Collect registers fn to report a family of metrics whose members
+// come and go with the objects they describe (kio's open sockets,
+// descriptors and pipes), read from the record that already holds
+// them. Like a Sample closure, fn runs only inside Snapshot, so a
+// caller that serializes snapshots with the machine covers its reads
+// of VM memory. Names does not list what fn reports.
+func (r *Registry) Collect(fn func(Collector)) {
 	if r == nil {
 		return
 	}
-	prefix = r.prefix + prefix
 	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	for n := range r.s.counters {
-		if hasPrefix(n, prefix) {
-			delete(r.s.counters, n)
-		}
-	}
-	for n := range r.s.gauges {
-		if hasPrefix(n, prefix) {
-			delete(r.s.gauges, n)
-		}
-	}
-	for n := range r.s.hists {
-		if hasPrefix(n, prefix) {
-			delete(r.s.hists, n)
-		}
-	}
-	for n := range r.s.sampledC {
-		if hasPrefix(n, prefix) {
-			delete(r.s.sampledC, n)
-		}
-	}
-	for n := range r.s.sampledG {
-		if hasPrefix(n, prefix) {
-			delete(r.s.sampledG, n)
-		}
-	}
-	for n := range r.s.help {
-		if hasPrefix(n, prefix) {
-			delete(r.s.help, n)
-		}
-	}
+	r.s.collectors = append(r.s.collectors, collector{r.prefix, fn})
+	r.s.mu.Unlock()
 }
 
-func hasPrefix(s, p string) bool { return strings.HasPrefix(s, p) }
+type collector struct {
+	prefix string
+	fn     func(Collector)
+}
 
 // Names returns every registered metric name, sorted. Names are
 // plane-wide and fully qualified (a Sub view sees the same list as the
@@ -322,7 +310,8 @@ func (s Snapshot) Micros() float64 {
 	return float64(s.Cycles) / s.ClockMHz
 }
 
-// Snapshot samples every metric, including the sampled cell readers.
+// Snapshot samples every metric, including the sampled cell readers
+// and the collectors.
 // On a shared multi-VM registry this is the "one registry snapshot"
 // for the whole fleet — every view's metrics appear, fully prefixed.
 func (r *Registry) Snapshot() Snapshot {
@@ -360,6 +349,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for n, h := range r.s.hists {
 		s.Hists[n] = h.Snapshot()
+	}
+	for _, c := range r.s.collectors {
+		c.fn(Collector{c.prefix, &s})
 	}
 	return s
 }

@@ -65,7 +65,7 @@ func TestNilHandlesAndNilRegistry(t *testing.T) {
 	r.Sample("x", func() uint64 { return 1 })
 	r.SampleGauge("x", func() float64 { return 1 })
 	r.SetClock(func() uint64 { return 0 }, 16)
-	r.UnregisterPrefix("x")
+	r.Collect(func(c Collector) { c.Counter("x", 1) })
 	if n := r.Names(); n != nil {
 		t.Errorf("nil registry Names = %v", n)
 	}
@@ -183,22 +183,6 @@ func TestSnapshotDeltaAndSampled(t *testing.T) {
 	}
 }
 
-func TestUnregisterPrefix(t *testing.T) {
-	r := New()
-	r.Counter("kio.sock.7.tx_fail")
-	r.SampleGauge("kio.sock.7.queue_depth", func() float64 { return 1 })
-	r.Counter("kio.sock.9.tx_fail")
-	r.Hist("prof.irq.l6.latency_cycles")
-	r.UnregisterPrefix("kio.sock.7.")
-	names := strings.Join(r.Names(), ",")
-	if strings.Contains(names, "sock.7") {
-		t.Errorf("sock.7 metrics survive unregister: %s", names)
-	}
-	if !strings.Contains(names, "kio.sock.9.tx_fail") || !strings.Contains(names, "prof.irq") {
-		t.Errorf("unrelated metrics were removed: %s", names)
-	}
-}
-
 // Sub views: per-VM prefixing over one shared plane. A cluster boots
 // each kernel against reg.Sub("vm<i>.") and one Snapshot sees the
 // whole fleet.
@@ -240,16 +224,6 @@ func TestSubPrefixSharing(t *testing.T) {
 		t.Error("vm1 and vm2 views share a counter handle")
 	}
 
-	// UnregisterPrefix is scoped by the view's own prefix.
-	vm1.UnregisterPrefix("kio.sock.5.")
-	names := strings.Join(r.Names(), ",")
-	if strings.Contains(names, "vm1.kio.sock.5.") {
-		t.Errorf("vm1 socket metrics survive unregister: %s", names)
-	}
-	if !strings.Contains(names, "vm2.kio.sock.5.rx_frames") {
-		t.Errorf("vm2 socket metrics were removed: %s", names)
-	}
-
 	// Sub views nest, and Sub of nil is a valid disabled plane.
 	if got := vm1.Sub("x.").Prefix(); got != "vm1.x." {
 		t.Errorf("nested Sub prefix = %q", got)
@@ -260,6 +234,69 @@ func TestSubPrefixSharing(t *testing.T) {
 		t.Error("Sub of nil registry is not nil")
 	}
 	sub.Counter("x").Inc() // must not panic
+}
+
+// A collector reports under the prefix of the view that registered
+// it, on every snapshot and only then, and Names never lists what it
+// reports.
+func TestCollect(t *testing.T) {
+	r := New()
+	vm1 := r.Sub("vm1.")
+	inner := vm1.Sub("kio.")
+	calls := 0
+	open := map[string]uint64{"sock.5.rx_frames": 3}
+	report := func(c Collector) {
+		calls++
+		for n, v := range open {
+			c.Counter(n, v)
+		}
+		c.Gauge("depth", float64(len(open)))
+	}
+	r.Collect(report)
+	inner.Collect(report)
+	r.Counter("registered")
+	if calls != 0 {
+		t.Fatalf("collectors ran %d times before a snapshot", calls)
+	}
+
+	s := vm1.Snapshot()
+	if calls != 2 {
+		t.Errorf("one snapshot ran the collectors %d times, want 2", calls)
+	}
+	want := map[string]uint64{"registered": 0, "sock.5.rx_frames": 3, "vm1.kio.sock.5.rx_frames": 3}
+	if len(s.Counters) != len(want) {
+		t.Errorf("counters = %v, want %v", s.Counters, want)
+	}
+	for n, v := range want {
+		if got, ok := s.Counters[n]; !ok || got != v {
+			t.Errorf("counter %s = %d (present %v), want %d", n, got, ok, v)
+		}
+	}
+	if s.Gauges["depth"] != 1 || s.Gauges["vm1.kio.depth"] != 1 {
+		t.Errorf("gauges = %v", s.Gauges)
+	}
+	if got := strings.Join(r.Names(), ","); got != "registered" {
+		t.Errorf("Names = %q, want only the registered metric", got)
+	}
+
+	// What is gone from the record is gone from the next snapshot.
+	delete(open, "sock.5.rx_frames")
+	open["fd.t.0.bytes"] = 9
+	s = r.Snapshot()
+	if _, ok := s.Counters["vm1.kio.sock.5.rx_frames"]; ok {
+		t.Errorf("closed object still reported: %v", s.Counters)
+	}
+	if s.Counters["vm1.kio.fd.t.0.bytes"] != 9 || s.Counters["fd.t.0.bytes"] != 9 {
+		t.Errorf("new object not reported: %v", s.Counters)
+	}
+
+	// A nil registry and its views take a collector and never run it.
+	var nr *Registry
+	nr.Sub("vm0.").Collect(report)
+	nr.Collect(report)
+	if s := nr.Snapshot(); calls != 4 || len(s.Counters) != 0 {
+		t.Errorf("nil registry ran a collector: calls %d, snapshot %+v", calls, s)
+	}
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
@@ -369,12 +406,6 @@ func TestHelpRegistration(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "Frames received") {
 		t.Errorf("help leaked into JSON:\n%s", buf.String())
-	}
-
-	// Teardown removes the description with the metric.
-	vm1.UnregisterPrefix("kio.sock.5.")
-	if h := r.Snapshot().Help; h["vm1.kio.sock.5.rx_frames"] != "" {
-		t.Errorf("help survived unregister: %q", h["vm1.kio.sock.5.rx_frames"])
 	}
 
 	// Nil plane: help variants must stay no-ops.

@@ -12,7 +12,7 @@ import "sync"
 // scheduling, not on ClockMHz. The map learns the relation from
 // periodic sync points (a (cycle, wall-nanosecond) pair recorded at
 // each chunk boundary, where the driver holds both clocks in hand)
-// and answers WallNS/CycleAt by interpolating between the bracketing
+// and answers WallNS by interpolating between the bracketing
 // sync points. Outside the observed range it extrapolates at
 // ClockMHz, the only rate available before the first chunk lands.
 //
@@ -117,60 +117,4 @@ func (cm *ClockMap) extrapolate(from syncPoint, cycle uint64) int64 {
 		return from.wall + int64(float64(cycle-from.cycle)*1e3/cm.mhz)
 	}
 	return from.wall - int64(float64(from.cycle-cycle)*1e3/cm.mhz)
-}
-
-// CycleAt inverts WallNS: the cycle the machine was (or would be) at
-// when the wall clock read wallNS. The same interpolation and
-// extrapolation rules apply.
-func (cm *ClockMap) CycleAt(wallNS int64) uint64 {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	n := len(cm.sync)
-	if n == 0 {
-		return cm.cycleFrom(syncPoint{}, wallNS)
-	}
-	if wallNS <= cm.sync[0].wall {
-		return cm.cycleFrom(cm.sync[0], wallNS)
-	}
-	if wallNS >= cm.sync[n-1].wall {
-		return cm.cycleFrom(cm.sync[n-1], wallNS)
-	}
-	lo, hi := 0, n-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if cm.sync[mid].wall <= wallNS {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	a, b := cm.sync[lo], cm.sync[hi]
-	if b.wall == a.wall {
-		return a.cycle
-	}
-	frac := float64(wallNS-a.wall) / float64(b.wall-a.wall)
-	return a.cycle + uint64(frac*float64(b.cycle-a.cycle))
-}
-
-// cycleFrom projects a wall reading to a cycle from an anchor at the
-// simulated rate, clamping below the epoch base (cycles are unsigned;
-// a query before the anchor's wall time cannot go below cycle 0).
-func (cm *ClockMap) cycleFrom(from syncPoint, wallNS int64) uint64 {
-	if wallNS >= from.wall {
-		d := uint64(float64(wallNS-from.wall) * cm.mhz / 1e3)
-		return from.cycle + d
-	}
-	d := uint64(float64(from.wall-wallNS) * cm.mhz / 1e3)
-	if d > from.cycle {
-		return 0
-	}
-	return from.cycle - d
-}
-
-// Syncs reports how many sync points the current epoch holds (tests
-// and diagnostics).
-func (cm *ClockMap) Syncs() int {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	return len(cm.sync)
 }

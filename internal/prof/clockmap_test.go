@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestClockMapRoundTrip exercises cycles→wall→cycles at several
-// simulated clock rates, with sync points spaced unevenly the way a
-// chunked fleet driver produces them.
+// TestClockMapRoundTrip exercises WallNS at several simulated clock
+// rates, with sync points spaced unevenly the way a chunked fleet
+// driver produces them: it must hit every sync point exactly,
+// interpolate linearly between them, and never run backwards.
 func TestClockMapRoundTrip(t *testing.T) {
 	for _, mhz := range []float64{1, 16, 25, 1000} {
 		cm := NewClockMap(mhz)
@@ -18,26 +19,18 @@ func TestClockMapRoundTrip(t *testing.T) {
 		walls := []int64{100_000, 250_000, 80_000, 500_000, 120_000}
 		for _, dw := range walls {
 			cm.Sync(cycle, wall)
+			if got := cm.WallNS(cycle); got != wall {
+				t.Fatalf("mhz=%v sync point %d: WallNS = %d, want %d", mhz, cycle, got, wall)
+			}
+			if cycle > 0 {
+				if mid, want := cm.WallNS(cycle-2048), wall-walls[cycle/4096-1]/2; mid != want {
+					t.Fatalf("mhz=%v halfway to %d: WallNS = %d, want %d", mhz, cycle, mid, want)
+				}
+			}
 			cycle += 4096
 			wall += dw
 		}
 		cm.Sync(cycle, wall)
-
-		for q := uint64(0); q <= cycle; q += 512 {
-			w := cm.WallNS(q)
-			back := cm.CycleAt(w)
-			// Round-trip tolerance: one interpolation quantum. The
-			// wall resolution of a cycle is at most maxWallStep/4096
-			// ns per cycle; allow a few cycles of slack for float
-			// rounding.
-			diff := int64(back) - int64(q)
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > 4 {
-				t.Fatalf("mhz=%v cycle %d → wall %d → cycle %d (diff %d)", mhz, q, w, back, diff)
-			}
-		}
 
 		// Interpolated wall times must be monotone in cycles.
 		prev := cm.WallNS(0)
@@ -69,16 +62,6 @@ func TestClockMapExtrapolation(t *testing.T) {
 	if got := cm.WallNS(8_400); got != 900_000 {
 		t.Fatalf("backward extrapolation: got %d, want 900000", got)
 	}
-	// CycleAt beyond the last sync.
-	if got := cm.CycleAt(2_100_000); got != 21_600 {
-		t.Fatalf("CycleAt forward: got %d, want 21600", got)
-	}
-	// CycleAt before cycle zero clamps at 0.
-	cm2 := NewClockMap(16)
-	cm2.Sync(100, 1_000_000)
-	if got := cm2.CycleAt(0); got != 0 {
-		t.Fatalf("CycleAt clamp: got %d, want 0", got)
-	}
 }
 
 // TestClockMapRestart simulates a VM restart: the cycle counter
@@ -93,8 +76,10 @@ func TestClockMapRestart(t *testing.T) {
 	// Restart: cycles drop to 4096, wall keeps going.
 	cm.Sync(4096, 25_000_000)
 	cm.Sync(8192, 26_000_000)
-	if cm.Syncs() != 2 {
-		t.Fatalf("old epoch not dropped: %d syncs", cm.Syncs())
+	// A cycle of the old epoch is read in the new one: extrapolated at
+	// 62.5 ns/cycle past its last sync, not interpolated to 15 ms.
+	if got, want := cm.WallNS(1_500_000), int64(26_000_000+(1_500_000-8192)*125/2); got != want {
+		t.Fatalf("old epoch not dropped: WallNS(1500000) = %d, want %d", got, want)
 	}
 	after := cm.WallNS(4096)
 	if after < before {
@@ -126,9 +111,6 @@ func TestClockMapOverflow(t *testing.T) {
 	if got := cm.WallNS(top); got != 1_030_000 {
 		t.Fatalf("extrapolation to MaxUint64: got %d, want 1030000", got)
 	}
-	if got := cm.CycleAt(1_030_000); got != top {
-		t.Fatalf("CycleAt at top: got %d, want %d", got, top)
-	}
 	// A wrap (cycle below the last sync) re-anchors as a new epoch
 	// rather than producing a huge bogus delta.
 	cm.Sync(100, 1_040_000)
@@ -148,8 +130,11 @@ func TestClockMapSyncCap(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cm.Sync(uint64(i)*1000, int64(i)*100_000)
 	}
-	if cm.Syncs() != 8 {
-		t.Fatalf("cap not enforced: %d syncs", cm.Syncs())
+	// The first point kept is cycle 92,000: a cycle before it is
+	// extrapolated from there at 62.5 ns/cycle, not interpolated on the
+	// 100 ns/cycle the dropped points held.
+	if got, want := cm.WallNS(50_000), int64(9_200_000-42_000*125/2); got != want {
+		t.Fatalf("cap not enforced: WallNS(50000) = %d, want %d", got, want)
 	}
 	// Recent range still interpolates exactly.
 	if got := cm.WallNS(98_500); got != 9_850_000 {

@@ -15,8 +15,9 @@
 //
 // Attachment is optional and costs nothing when absent: the machine's
 // step loop checks a single nil interface before doing any probe
-// work. When a metrics.Registry is present the profiler republishes
-// its interrupt-latency histograms there (prof.irq.l<ipl>.*), which
+// work. When a metrics.Registry is present the profiler's
+// interrupt-latency histograms are the registry's
+// prof.irq.l<ipl>.latency_cycles, which
 // is how they reach quamon -watch and the guest-visible /proc/metrics
 // snapshot.
 //

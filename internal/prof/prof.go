@@ -42,12 +42,13 @@ type Profiler struct {
 	start    uint64 // machine cycle count when profiling began
 	cur      int    // region executing the open trace slice
 	curStart uint64 // cycle the open slice began
-	irq      [8]LatencyHist
 	ring     *Ring
-	// mIRQ mirrors the per-level latency histograms into the metrics
-	// registry when both planes are on (PublishTo). Nil handles are
-	// no-ops, so an unpublished profiler pays only a nil check.
-	mIRQ [8]*metrics.Hist
+	// irq holds the raise-to-entry latency histogram of each IPL
+	// level, in cycles: the registry's own when one is attached
+	// (PublishTo). Section 5.3's bound — interrupts stay disabled only
+	// for the few instructions that commit a queue operation — shows
+	// as latencies in the low buckets.
+	irq [8]*metrics.Hist
 
 	// OnIRQ, when set, observes every interrupt dispatch (level,
 	// vector, raise and entry cycle). The fleet trace plane uses it to
@@ -74,6 +75,9 @@ func Enable(m *m68k.Machine, ringDepth int) *Profiler {
 	p.ids["(unattributed)"] = idUnattributed
 	p.ids["(idle)"] = idIdle
 	p.cur = -1
+	for l := range p.irq {
+		p.irq[l] = &metrics.Hist{}
+	}
 	m.Probe = p
 	return p
 }
@@ -165,8 +169,7 @@ func (p *Profiler) InterruptTaken(level, vec int, raisedAt, takenAt uint64) {
 	if raisedAt != 0 && takenAt >= raisedAt {
 		lat = takenAt - raisedAt
 	}
-	p.irq[level].Add(lat)
-	p.mIRQ[level].Observe(lat)
+	p.irq[level].Observe(lat)
 	p.ring.Push(Event{Name: fmt.Sprintf("irq l%d", level), Ph: 'i', At: takenAt})
 	if p.OnIRQ != nil {
 		p.OnIRQ(level, vec, raisedAt, takenAt)
@@ -187,14 +190,18 @@ func (p *Profiler) Charged(cycles uint64, what string) {
 	p.regions[id].Cycles += cycles
 }
 
-// PublishTo mirrors the profiler's per-level IRQ-latency histograms
-// into the metrics registry as prof.irq.l<level>.latency_cycles.
-// Observations are in Machine.Clock() cycles, the shared time base of
-// both planes (divide by ClockMHz for microseconds; the snapshot
-// carries the rate).
+// PublishTo makes the registry's prof.irq.l<level>.latency_cycles
+// the profiler's per-level IRQ-latency histograms, so both planes read
+// one object. Latencies observed before the call stay behind: a kernel
+// publishes at boot, before the first interrupt. Observations are in
+// Machine.Clock() cycles, the shared time base of both planes (divide
+// by ClockMHz for microseconds; the snapshot carries the rate).
 func (p *Profiler) PublishTo(reg *metrics.Registry) {
-	for l := range p.mIRQ {
-		p.mIRQ[l] = reg.Hist(fmt.Sprintf("prof.irq.l%d.latency_cycles", l))
+	if reg == nil {
+		return
+	}
+	for l := range p.irq {
+		p.irq[l] = reg.Hist(fmt.Sprintf("prof.irq.l%d.latency_cycles", l))
 	}
 }
 
@@ -224,12 +231,13 @@ func (p *Profiler) Coverage() float64 {
 	return float64(p.Attributed()) / float64(w)
 }
 
-// IRQ returns the latency histogram for one IPL level.
-func (p *Profiler) IRQ(level int) *LatencyHist {
+// IRQ returns a snapshot of one IPL level's latency histogram (empty
+// for a level out of range).
+func (p *Profiler) IRQ(level int) metrics.HistSnapshot {
 	if level < 0 || level >= len(p.irq) {
-		return nil
+		return metrics.HistSnapshot{}
 	}
-	return &p.irq[level]
+	return p.irq[level].Snapshot()
 }
 
 // Ring returns the trace-event ring.
@@ -275,7 +283,7 @@ func (p *Profiler) Report(n int) string {
 	}
 	fmt.Fprintf(&b, "coverage: %.1f%% of %d cycles attributed\n", 100*p.Coverage(), p.Window())
 	for l := len(p.irq) - 1; l >= 1; l-- {
-		h := &p.irq[l]
+		h := p.IRQ(l)
 		if h.Count == 0 {
 			continue
 		}

@@ -251,35 +251,3 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Error("no complete ('X') slices in trace")
 	}
 }
-
-// TestLatencyHist checks the histogram bucketing and summary stats.
-func TestLatencyHist(t *testing.T) {
-	var h prof.LatencyHist
-	for _, v := range []uint64{0, 1, 3, 8, 1 << 20} {
-		h.Add(v)
-	}
-	if h.Count != 5 {
-		t.Fatalf("Count = %d", h.Count)
-	}
-	if h.Min != 0 || h.Max != 1<<20 {
-		t.Errorf("Min/Max = %d/%d", h.Min, h.Max)
-	}
-	if h.Buckets[0] != 1 { // zero latency
-		t.Errorf("bucket 0 = %d, want 1", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 { // latency 1
-		t.Errorf("bucket 1 = %d, want 1", h.Buckets[1])
-	}
-	if h.Buckets[2] != 1 { // latency 3 -> [2,4)
-		t.Errorf("bucket 2 = %d, want 1", h.Buckets[2])
-	}
-	if h.Buckets[4] != 1 { // latency 8 -> [8,16)
-		t.Errorf("bucket 4 = %d, want 1", h.Buckets[4])
-	}
-	if h.Buckets[16] != 1 { // clamp
-		t.Errorf("overflow bucket = %d, want 1", h.Buckets[16])
-	}
-	if got := h.Mean(); got != float64(12+1<<20)/5 {
-		t.Errorf("Mean = %v", got)
-	}
-}

@@ -18,8 +18,11 @@
 # its native one, bad descriptors through the UNIX gate, the block
 # copy preempted mid-group, the one-byte get's masked park with a tty
 # byte injected at every cycle of its window, and the quantum expiring
-# at every cycle of the net, tty and A/D handlers' windows and of the
-# idle thread's step out of the ready ring, and a second frame and a tty
+# at every cycle of the net, tty and A/D handlers' windows, of the
+# idle thread's step out of the ready ring and of a yield's switch path,
+# each run ending with the ready ring's invariant checked, seeded
+# stop/start/block/wake/yield sequences over 2 to 8 threads with the
+# ring checked at every unmasked boundary, and a second frame and a tty
 # byte at every cycle of one receive-handler activation; a runt frame
 # dropped at the NIC, and the send's and the deposit's copy-and-checksum
 # at every payload tail shape, 1,000 mixed opens and closes leaving the
@@ -70,8 +73,9 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestSlotChurnHoldsCodeFlat|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable|TestUnixEntryMatchesNative|TestBadDescriptorsThroughUnixGate|TestOpenCloseLeavesRegistryNames|TestSnapshotReadsOpenObjects' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestSlotChurnHoldsCodeFlat|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable|TestUnixEntryMatchesNative|TestBadDescriptorsThroughUnixGate|TestOpenCloseLeavesRegistryNames|TestSnapshotReadsOpenObjects|TestQuantumInSwitchEnumerated' \
 		./internal/kio/
+	$(GO) test -race -count 1 -timeout 120s -run 'TestReadyRingRandomOps' ./internal/kernel/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 
 cluster-soak:

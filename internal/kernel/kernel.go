@@ -38,13 +38,12 @@ type Kernel struct {
 	Net   *m68k.Net
 
 	// Shared kernel routines (code addresses), synthesized at boot.
-	rtUnlink    uint32 // a0 = TTE: remove from ready ring
-	rtInsert    uint32 // a0 = TTE: insert after current (front of queue)
+	rtUnlink    uint32 // a0 = TTE: remove from ready ring (measurement only)
+	rtInsert    uint32 // a0 = TTE: insert after current (measurement only)
 	rtBlockOn   uint32 // a0 = wait cell: park current thread on it
 	rtWakeCell  uint32 // a0 = wait cell: unblock the waiter, if any
 	rtChain     uint32 // d1 = proc: procedure chaining (plain)
 	rtChainCAS  uint32 // d1 = proc: procedure chaining with CAS retry
-	rtLeave     uint32 // remove current from the ring, idle steps in if empty
 	rtTraceStop uint32 // trace-bit handler implementing step
 	rtAlarm     uint32 // shared alarm interrupt handler
 	rtSigRet    uint32 // trap #3: return from signal
@@ -174,10 +173,10 @@ func Boot(cfg Config) *Kernel {
 	k.buildBootVectors()
 
 	// The idle thread parks the CPU waiting for interrupts. It joins
-	// the ready ring only when the ring would otherwise empty (the
-	// leave-ring paths insert it), and it removes itself as soon as
-	// any other thread becomes runnable, so runnable threads never
-	// donate quanta to it.
+	// the ready ring only when the ring would otherwise empty (a
+	// thread leaving a ring of one leaves it there), and it removes
+	// itself as soon as any other thread becomes runnable, so runnable
+	// threads never donate quanta to it.
 	k.Idle = k.newThread("idle", 0, 0, true)
 	m.Poke(GIdleTTE, 4, k.Idle.TTE)
 	idleEntry := k.C.Synthesize(nil, "idle", nil, func(e *synth.Emitter) {
@@ -196,7 +195,7 @@ func Boot(cfg Config) *Kernel {
 		e.Bra("loop")
 		e.Label("leave")
 		// Someone else is runnable: step out of their way.
-		e.Jsr(k.rtUnlink)
+		emitUnlink(e)
 		e.Trap(TrapSwitch) // re-entered here when re-inserted
 		e.Bra("loop")
 	})
@@ -224,10 +223,13 @@ func (k *Kernel) setg(addr, v uint32)  { k.M.Poke(addr, 4, v) }
 
 // Routine addresses exposed for the I/O layer and tests.
 
-// UnlinkRoutine returns the ready-ring unlink routine (A0 = TTE).
+// UnlinkRoutine returns the ready-ring unlink routine (A0 = TTE): the
+// surgery every block, stop and destroy inlines, under its own mask.
+// Nothing in the kernel calls it; it is there to be timed.
 func (k *Kernel) UnlinkRoutine() uint32 { return k.rtUnlink }
 
-// InsertRoutine returns the ready-ring insert routine (A0 = TTE).
+// InsertRoutine returns the ready-ring insert routine (A0 = TTE), the
+// surgery every wake and start inlines, as UnlinkRoutine is unlink's.
 func (k *Kernel) InsertRoutine() uint32 { return k.rtInsert }
 
 // BlockOnRoutine returns the wait-cell park routine (A0 = cell).

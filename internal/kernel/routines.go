@@ -15,17 +15,75 @@ import (
 // Register conventions:
 //   - system calls (trap #1) may clobber D0-D2 and A0-A1; D0 (and D1
 //     for pipe) carry results;
-//   - ready-queue routines (unlink/insert/wake) clobber D0 and A1 and
-//     take their TTE/cell argument in A0; they mask interrupts around
-//     the ring surgery and restore the caller's level (the ring is
-//     the one structure shared by every context, so Code Isolation
-//     cannot apply to it; a raised IPL is the uniprocessor equivalent
-//     of the paper's brief critical sections);
+//   - block_on takes its wait cell in A0 and clobbers only A1;
+//     wake_cell takes its cell in A0 and clobbers D0 and A0-A1;
+//   - the ready ring (the one structure shared by every context, so
+//     Code Isolation cannot apply to it) is edited only at IPL 7, a
+//     raised IPL being the uniprocessor equivalent of the paper's
+//     brief critical sections. Its surgery is emitted inline by the
+//     helpers below, not called: emitUnlink and emitInsert take the
+//     TTE in A0, emitLeave the running thread's; all three need the
+//     caller to hold IPL 7 already, and clobber A1 only;
 //   - interrupt handlers save and restore every register they touch.
 
 // SRIPLMask is the status register's interrupt-level field: OR it in
 // to mask every device, AND its complement out to reopen them.
 const SRIPLMask = 0x0700
+
+// emitUnlink emits the unlink of the TTE in A0, which must be in the
+// ring: its neighbours are joined and its predecessor's switch steered
+// past it, into the successor's sw_in that A0's own TTENextSw already
+// names (the ring keeps every member's TTENextSw equal to its
+// successor's TTESwinPtr; CheckReadyRing states the rest of its
+// invariant). A0 is marked unlinked (TTENext = 0) but keeps its TTENextSw,
+// so a thread that unlinks itself still switches to its old successor.
+// This is the core of block, stop and destroy: Table 4's "Block
+// thread: 4 usec". Needs IPL 7; clobbers A1.
+func emitUnlink(e *synth.Emitter) {
+	e.MoveL(m68k.Disp(TTENext, 0), m68k.A(1))                 // next
+	e.MoveL(m68k.Disp(TTEPrev, 0), m68k.Disp(TTEPrev, 1))     // next.prev = prev
+	e.MoveL(m68k.Disp(TTEPrev, 0), m68k.A(1))                 // prev
+	e.MoveL(m68k.Disp(TTENext, 0), m68k.Disp(TTENext, 1))     // prev.next = next
+	e.MoveL(m68k.Disp(TTENextSw, 0), m68k.Disp(TTENextSw, 1)) // prev.nextsw = entry(next)
+	e.Clr(4, m68k.Disp(TTENext, 0))
+}
+
+// emitInsert emits the insert of the TTE in A0, which must be off the
+// ring, right after the running thread: the front of the ready queue,
+// "giving it immediate access to the CPU" (Section 4.4). Table 4's
+// "Unblock thread: 4 usec". Needs IPL 7; clobbers A1.
+func emitInsert(e *synth.Emitter) {
+	e.MoveL(m68k.Abs(GCurTTE), m68k.A(1))                      // cur
+	e.MoveL(m68k.Disp(TTENext, 1), m68k.Disp(TTENext, 0))      // new.next = oldnext
+	e.MoveL(m68k.A(1), m68k.Disp(TTEPrev, 0))                  // new.prev = cur
+	e.MoveL(m68k.Disp(TTENextSw, 1), m68k.Disp(TTENextSw, 0))  // new.nextsw = entry(oldnext)
+	e.MoveL(m68k.Disp(TTESwinPtr, 0), m68k.Disp(TTENextSw, 1)) // cur.nextsw = entry(new)
+	e.MoveL(m68k.A(0), m68k.Disp(TTENext, 1))                  // cur.next = new
+	e.MoveL(m68k.Disp(TTENext, 0), m68k.A(1))                  // oldnext
+	e.MoveL(m68k.A(0), m68k.Disp(TTEPrev, 1))                  // oldnext.prev = new
+	e.Clr(4, m68k.Disp(TTEWaitsOn, 0))
+}
+
+// emitLeave emits the running thread's step out of the ready ring, A0
+// = its TTE, ahead of its switch trap. Alone in the ring, it leaves the
+// idle thread alone in it instead, and switches to it, so the ring
+// never empties. Every self-removal (block, stop-self, exit,
+// destroy-self, trace stop, the bus trap's kill) runs it; p prefixes
+// its labels. Needs IPL 7, held through the switch trap; clobbers A1.
+func emitLeave(e *synth.Emitter, p string) {
+	e.Cmp(4, m68k.Disp(TTENext, 0), m68k.A(0)) // alone?
+	e.Bne(p + "_unlink")
+	e.MoveL(m68k.Abs(GIdleTTE), m68k.A(1))
+	e.MoveL(m68k.A(1), m68k.Disp(TTENext, 1)) // idle, a ring of one
+	e.MoveL(m68k.A(1), m68k.Disp(TTEPrev, 1))
+	e.MoveL(m68k.Disp(TTESwinPtr, 1), m68k.Disp(TTENextSw, 1))
+	e.MoveL(m68k.Disp(TTESwinPtr, 1), m68k.Disp(TTENextSw, 0)) // self.nextsw = entry(idle)
+	e.Clr(4, m68k.Disp(TTENext, 0))
+	e.Bra(p + "_left")
+	e.Label(p + "_unlink")
+	emitUnlink(e)
+	e.Label(p + "_left")
+}
 
 // synthesizeShared builds all shared routines and the prototype
 // vector table.
@@ -41,76 +99,29 @@ func (k *Kernel) synthesizeShared() {
 		e.Halt()
 	})
 
-	// --- unlink: remove the TTE in A0 from the ready ring and steer
-	// its predecessor's switch chain past it. This is the core of
-	// block, stop and destroy — Table 5's "Block thread: 4 usec".
+	// --- unlink and insert as routines, A0 = TTE: the ring surgery
+	// under its own mask, for callers that measure it (Table 4's block
+	// and unblock rows). Both are idempotent, as the stop and start
+	// bodies below are: a TTE off the ring is not unlinked, one on it
+	// is not inserted twice.
 	k.rtUnlink = c.Synthesize(kq, "rq_unlink", nil, func(e *synth.Emitter) {
 		e.MoveFromSR(m68k.PreDec(7))
 		e.OrSR(SRIPLMask)
-		// Not in the ring (TTENext == 0)? Nothing to do: unlink and
-		// insert are idempotent, so stop/start cannot corrupt the
-		// ring however callers pair them.
 		e.Tst(4, m68k.Disp(TTENext, 0))
 		e.Beq("out")
-		e.MoveL(m68k.A(2), m68k.PreDec(7))
-		e.MoveL(m68k.Disp(TTENext, 0), m68k.A(1)) // next
-		e.MoveL(m68k.Disp(TTEPrev, 0), m68k.A(2)) // prev
-		e.MoveL(m68k.A(1), m68k.Disp(TTENext, 2)) // prev.next = next
-		e.MoveL(m68k.A(2), m68k.Disp(TTEPrev, 1)) // next.prev = prev
-		// prev jumps past us now, into next's switch-in entry (the TTE
-		// holds the right one, quaspace or not).
-		e.MoveL(m68k.Disp(TTESwinPtr, 1), m68k.Disp(TTENextSw, 2))
-		e.Clr(4, m68k.Disp(TTENext, 0)) // mark unlinked
-		e.MoveL(m68k.PostInc(7), m68k.A(2))
+		emitUnlink(e)
 		e.Label("out")
 		e.MoveToSR(m68k.PostInc(7))
 		e.Rts()
 	})
-
-	// --- insert: put the TTE in A0 right after the current thread —
-	// the front of the ready queue, "giving it immediate access to
-	// the CPU" (Section 4.4). Table 4's "Unblock thread: 4 usec".
 	k.rtInsert = c.Synthesize(kq, "rq_insert", nil, func(e *synth.Emitter) {
 		e.MoveFromSR(m68k.PreDec(7))
 		e.OrSR(SRIPLMask)
-		// Already in the ring? A second start must not splice the
-		// TTE in twice.
 		e.Tst(4, m68k.Disp(TTENext, 0))
 		e.Bne("out")
-		e.MoveL(m68k.A(2), m68k.PreDec(7))
-		e.MoveL(m68k.Abs(GCurTTE), m68k.A(1))     // cur
-		e.MoveL(m68k.Disp(TTENext, 1), m68k.A(2)) // oldnext
-		e.MoveL(m68k.A(2), m68k.Disp(TTENext, 0))
-		e.MoveL(m68k.A(1), m68k.Disp(TTEPrev, 0))
-		e.MoveL(m68k.A(0), m68k.Disp(TTENext, 1))
-		e.MoveL(m68k.A(0), m68k.Disp(TTEPrev, 2))
-		e.Clr(4, m68k.Disp(TTEWaitsOn, 0))
-		e.MoveL(m68k.Disp(TTESwinPtr, 0), m68k.Disp(TTENextSw, 1)) // cur.nextsw = entry(new)
-		e.MoveL(m68k.Disp(TTESwinPtr, 2), m68k.Disp(TTENextSw, 0)) // new.nextsw = entry(oldnext)
-		e.MoveL(m68k.PostInc(7), m68k.A(2))
+		emitInsert(e)
 		e.Label("out")
 		e.MoveToSR(m68k.PostInc(7))
-		e.Rts()
-	})
-
-	// --- leaveRing: remove the current thread from the ready ring,
-	// inserting the idle thread first if the ring would empty.
-	// Preserves A0; clobbers D0 and A1. Every self-removal path
-	// (block, stop-self, exit, trace-stop) goes through here.
-	k.rtLeave = c.Synthesize(kq, "rq_leave", nil, func(e *synth.Emitter) {
-		e.MoveL(m68k.Abs(GCurTTE), m68k.A(1))
-		e.Cmp(4, m68k.Disp(TTENext, 1), m68k.A(1)) // alone?
-		e.Bne("notalone")
-		e.MoveL(m68k.A(0), m68k.PreDec(7))
-		e.MoveL(m68k.Abs(GIdleTTE), m68k.A(0))
-		e.Jsr(k.rtInsert)
-		e.MoveL(m68k.PostInc(7), m68k.A(0))
-		e.MoveL(m68k.Abs(GCurTTE), m68k.A(1))
-		e.Label("notalone")
-		e.MoveL(m68k.A(0), m68k.PreDec(7))
-		e.MoveL(m68k.A(1), m68k.A(0))
-		e.Jsr(k.rtUnlink)
-		e.MoveL(m68k.PostInc(7), m68k.A(0))
 		e.Rts()
 	})
 
@@ -118,36 +129,47 @@ func (k *Kernel) synthesizeShared() {
 	// in A0 and switch away. Resumed when some wake path re-inserts
 	// it. "Spreading the waiting threads makes blocking and
 	// unblocking faster. Since we have eliminated the general blocked
-	// queue, we do not have to traverse it" (Section 4.1).
+	// queue, we do not have to traverse it" (Section 4.1). Preserves
+	// A0 and every data register; clobbers A1.
 	k.rtBlockOn = c.Synthesize(kq, "block_on", nil, func(e *synth.Emitter) {
 		// The whole park runs with interrupts masked, cell-arm through
 		// context save. A wake interrupt landing half-way would either
 		// find the cell armed while the thread is still in the ring (a
-		// lost wakeup) or — after rq_leave, before the switch trap —
+		// lost wakeup) or — after the unlink, before the switch trap —
 		// find GCurTTE pointing at a TTE already unlinked, and the
-		// ISR's rq_insert would splice against its zeroed TTENext and
+		// ISR's insert would splice against its zeroed TTENext and
 		// poison the ring. The trap's stacked SR carries the mask
 		// through the park; the caller's level is restored on resume.
 		e.MoveFromSR(m68k.PreDec(7))
 		e.OrSR(SRIPLMask)
+		e.MoveL(m68k.A(0), m68k.PreDec(7))
 		e.MoveL(m68k.Abs(GCurTTE), m68k.A(1))
 		e.MoveL(m68k.A(1), m68k.Ind(0)) // cell = self
 		e.MoveL(m68k.A(0), m68k.Disp(TTEWaitsOn, 1))
-		e.Jsr(k.rtLeave)
-		e.Trap(TrapSwitch)          // save context, run someone else
-		e.MoveToSR(m68k.PostInc(7)) // resumed here after wake
+		e.MoveL(m68k.A(1), m68k.A(0))
+		emitLeave(e, "leave")
+		e.Trap(TrapSwitch)                  // save context, run someone else
+		e.MoveL(m68k.PostInc(7), m68k.A(0)) // resumed here after wake
+		e.MoveToSR(m68k.PostInc(7))
 		e.Rts()
 	})
 
 	// --- wakeCell: unblock the thread parked on the cell in A0, if
 	// any. Interrupt handlers chain this to hand data to waiting
-	// threads.
+	// threads. Clobbers D0 and A0-A1.
 	k.rtWakeCell = c.Synthesize(kq, "wake_cell", nil, func(e *synth.Emitter) {
 		e.MoveL(m68k.Ind(0), m68k.D(0))
 		e.Beq("empty")
 		e.Clr(4, m68k.Ind(0))
 		e.MoveL(m68k.D(0), m68k.A(0))
-		e.Jsr(k.rtInsert)
+		e.MoveFromSR(m68k.PreDec(7))
+		e.OrSR(SRIPLMask)
+		// Started while it waited? Then it is in the ring already.
+		e.Tst(4, m68k.Disp(TTENext, 0))
+		e.Bne("out")
+		emitInsert(e)
+		e.Label("out")
+		e.MoveToSR(m68k.PostInc(7))
 		e.Label("empty")
 		e.Rts()
 	})
@@ -200,9 +222,8 @@ func (k *Kernel) synthesizeShared() {
 		e.OrSR(SRIPLMask)
 		e.MoveL(m68k.A(0), m68k.PreDec(7))
 		e.MoveL(m68k.A(1), m68k.PreDec(7))
-		e.MoveL(m68k.D(0), m68k.PreDec(7))
-		e.Jsr(k.rtLeave)
-		e.MoveL(m68k.PostInc(7), m68k.D(0))
+		e.MoveL(m68k.Abs(GCurTTE), m68k.A(0))
+		emitLeave(e, "leave")
 		e.MoveL(m68k.PostInc(7), m68k.A(1))
 		e.MoveL(m68k.PostInc(7), m68k.A(0))
 		e.Trap(TrapSwitch) // park; restart continues below
@@ -271,7 +292,7 @@ func (k *Kernel) synthesizeShared() {
 		e.OrSR(SRIPLMask) // masked across leave-ring -> switch (see block_on)
 		e.MoveL(m68k.Abs(GCurTTE), m68k.A(0))
 		e.MoveL(m68k.A(0), m68k.D(1))
-		e.Jsr(k.rtLeave)
+		emitLeave(e, "leave")
 		e.Kcall(SvcFreeTTE)
 		e.Trap(TrapSwitch) // never resumed
 		e.Halt()
@@ -504,45 +525,67 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 		e.Jsr(k.rtCreate)
 		e.Rte()
 
+		// Stop and destroy mask before they compare the target with
+		// the running thread: on another thread they unlink it if it
+		// is in the ring, on this one they step out of the ring and
+		// switch away, masked through the trap. The RTE restores the
+		// caller's level.
 		e.Label("destroy")
 		e.MoveL(m68k.D(1), m68k.A(0))
+		e.OrSR(SRIPLMask)
 		e.Cmp(4, m68k.Abs(GCurTTE), m68k.D(1))
 		e.Beq("selfdestroy")
-		e.Jsr(k.rtUnlink)
+		e.Tst(4, m68k.Disp(TTENext, 0))
+		e.Beq("free")
+		emitUnlink(e)
+		e.Label("free")
 		e.Kcall(SvcFreeTTE)
 		e.Rte()
-		e.Label("selfdestroy")
-		e.OrSR(SRIPLMask) // masked across leave-ring -> switch (see block_on)
-		e.Jsr(k.rtLeave)
+
+		e.Label("exit")
+		e.Kcall(SvcExit)
+		e.Tst(4, m68k.Abs(GLiveThreads))
+		e.Bne("exitsw")
+		e.Halt() // simulation over: every user thread is done
+		e.Label("exitsw")
+		e.OrSR(SRIPLMask)
+		e.MoveL(m68k.Abs(GCurTTE), m68k.A(0))
+		e.MoveL(m68k.A(0), m68k.D(1))
+		e.Label("selfdestroy") // masked; A0 = D1 = the running TTE
+		emitLeave(e, "selfleave")
 		e.Kcall(SvcFreeTTE)
 		e.Trap(TrapSwitch) // never resumed
 		e.Halt()
 
 		e.Label("stop")
 		e.MoveL(m68k.D(1), m68k.A(0))
+		e.OrSR(SRIPLMask)
 		e.Cmp(4, m68k.Abs(GCurTTE), m68k.D(1))
 		e.Beq("stopself")
-		e.Jsr(k.rtUnlink)
+		e.Tst(4, m68k.Disp(TTENext, 0))
+		e.Beq("stopped")
+		emitUnlink(e)
+		e.Label("stopped")
 		e.Rte()
 		e.Label("stopself")
-		e.OrSR(SRIPLMask) // masked across leave-ring -> switch (see block_on)
-		e.Jsr(k.rtLeave)
+		emitLeave(e, "stopleave")
 		e.Trap(TrapSwitch) // parked until start
-		e.Rte()            // restores the caller's SR, and with it the level
-
-		e.Label("start")
-		e.MoveL(m68k.D(1), m68k.A(0))
-		e.Jsr(k.rtInsert)
 		e.Rte()
 
 		e.Label("step")
-		// Arm the trace bit in the target's stacked SR and let it
-		// run: it executes one instruction and the trace handler
-		// stops it again (Section 4.3).
+		// Arm the trace bit in the target's stacked SR and start it:
+		// it executes one instruction and the trace handler stops it
+		// again (Section 4.3).
 		e.MoveL(m68k.D(1), m68k.A(0))
 		e.MoveL(m68k.Disp(TTESSP, 0), m68k.A(1))
 		e.OrL(m68k.Imm(int32(m68k.FlagT)), m68k.Ind(1))
-		e.Jsr(k.rtInsert)
+		e.Label("start")
+		e.MoveL(m68k.D(1), m68k.A(0))
+		e.OrSR(SRIPLMask)
+		e.Tst(4, m68k.Disp(TTENext, 0)) // started twice: in the ring already
+		e.Bne("started")
+		emitInsert(e)
+		e.Label("started")
 		e.Rte()
 
 		e.Label("signal")
@@ -563,20 +606,6 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 		e.MoveL(m68k.D(2), m68k.Abs(GAlarmProc))
 		e.MoveL(m68k.D(1), m68k.Abs(uint32(timerAlarm)))
 		e.Rte()
-
-		e.Label("exit")
-		e.Kcall(SvcExit)
-		e.Tst(4, m68k.Abs(GLiveThreads))
-		e.Bne("exitsw")
-		e.Halt() // simulation over: every user thread is done
-		e.Label("exitsw")
-		e.OrSR(SRIPLMask) // masked across leave-ring -> switch (see block_on)
-		e.MoveL(m68k.Abs(GCurTTE), m68k.A(0))
-		e.MoveL(m68k.A(0), m68k.D(1))
-		e.Jsr(k.rtLeave)
-		e.Kcall(SvcFreeTTE)
-		e.Trap(TrapSwitch)
-		e.Halt()
 
 		e.Label("pipe")
 		e.Kcall(SvcPipe)

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"synthesis/internal/m68k"
 	"synthesis/internal/synth"
@@ -234,4 +235,55 @@ func (k *Kernel) Link(t *Thread, after *Thread) {
 	m.Poke(next+TTEPrev, 4, b)
 	m.Poke(a+TTENextSw, 4, m.Peek(b+TTESwinPtr, 4))
 	m.Poke(b+TTENextSw, 4, m.Peek(next+TTESwinPtr, 4))
+}
+
+// CheckReadyRing checks the ready ring in guest memory and returns the
+// first breach of its invariant, or nil. The invariant holds at every
+// instruction boundary below IPL 7, since every ring edit, and every
+// self-removal through to its switch, runs at IPL 7:
+//   - the ring, walked from GCurTTE, is closed, never empty and doubly
+//     linked (next.prev == self), every member a live thread;
+//   - every member's TTENextSw is its successor's TTESwinPtr, the
+//     entry its sw_out jumps to;
+//   - no member waits on a cell (TTEWaitsOn == 0);
+//   - every live thread off the ring has TTENext == 0.
+func (k *Kernel) CheckReadyRing() error {
+	peek := func(tte, off uint32) uint32 { return k.M.Peek(tte+off, 4) }
+	cur := k.CurTTE()
+	if k.Threads[cur] == nil {
+		return fmt.Errorf("GCurTTE %#x is no live thread", cur)
+	}
+	on := map[uint32]bool{}
+	for t := cur; !on[t]; {
+		on[t] = true
+		next := peek(t, TTENext)
+		switch {
+		case next == 0:
+			return fmt.Errorf("ring member %s has TTENext 0: the ring is not closed", k.Threads[t].Name)
+		case k.Threads[next] == nil:
+			return fmt.Errorf("ring member %s links to %#x, no live thread", k.Threads[t].Name, next)
+		case peek(next, TTEPrev) != t:
+			return fmt.Errorf("ring member %s's successor %s links back to %#x", k.Threads[t].Name, k.Threads[next].Name, peek(next, TTEPrev))
+		case peek(t, TTENextSw) != peek(next, TTESwinPtr):
+			return fmt.Errorf("ring member %s switches to %d, not its successor %s's sw_in %d",
+				k.Threads[t].Name, peek(t, TTENextSw), k.Threads[next].Name, peek(next, TTESwinPtr))
+		case peek(t, TTEWaitsOn) != 0:
+			return fmt.Errorf("ring member %s waits on cell %#x", k.Threads[t].Name, peek(t, TTEWaitsOn))
+		}
+		t = next
+		if on[t] && t != cur {
+			return fmt.Errorf("the ring from %s closes at %s, not at itself", k.Threads[cur].Name, k.Threads[t].Name)
+		}
+	}
+	ttes := make([]uint32, 0, len(k.Threads))
+	for tte := range k.Threads {
+		ttes = append(ttes, tte)
+	}
+	slices.Sort(ttes)
+	for _, tte := range ttes {
+		if !on[tte] && peek(tte, TTENext) != 0 {
+			return fmt.Errorf("thread %s is off the ring with TTENext %#x", k.Threads[tte].Name, peek(tte, TTENext))
+		}
+	}
+	return nil
 }

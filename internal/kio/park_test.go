@@ -17,7 +17,8 @@ import (
 // injected at every cycle from the reader's trap entry to its
 // switch-out, each on a fresh machine, and every run must hand that
 // byte to the reader within a bounded number of cycles, on the
-// one-byte path (the profiler counts the read routine's instructions).
+// one-byte path (the profiler counts the read routine's instructions),
+// and leave the ready ring whole (Kernel.CheckReadyRing).
 //
 // Mutations it was checked against (each makes some injection point
 // lose the wakeup, so the reader never returns):
@@ -73,6 +74,9 @@ func TestOneByteGetParkWindowEnumerated(t *testing.T) {
 			return "the read did not return the byte"
 		case k.Marks[1] > max(at, from)+deliverWithin:
 			return fmt.Sprintf("the byte reached the reader more than %d cycles after it arrived", deliverWithin)
+		}
+		if err := k.CheckReadyRing(); err != nil {
+			return err.Error()
 		}
 		for _, st := range k.Prof.Top(0) {
 			if st.Name == "thread:reader.rawtty_read" && st.Instrs > maxReadInstrs {

@@ -88,7 +88,8 @@ func enumerate(t *testing.T, from, to uint64, check func(at uint64) string) {
 // must:
 //   - take exactly one quantum interrupt;
 //   - enter sw_out from it with a stacked IPL of 0, after the RTE;
-//   - hand the handler's frame, byte or sample element to the reader.
+//   - hand the handler's frame, byte or sample element to the reader;
+//   - leave the ready ring whole (Kernel.CheckReadyRing).
 //
 // It fails on the two designs before this one (each checked in a
 // scratch copy):
@@ -263,6 +264,9 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 				case !sc.got(k):
 					return "the reader did not get what the handler delivered"
 				}
+				if err := k.CheckReadyRing(); err != nil {
+					return err.Error()
+				}
 				return ""
 			})
 		})
@@ -276,7 +280,7 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 // sees another thread in the ring and unlinks itself. The quantum is
 // made to expire at every cycle from the frame's arrival to the
 // reader's return, each on a fresh machine, and a second frame must
-// then reach the reader too.
+// then reach the reader too, with the ready ring whole.
 //
 // With the idle thread's ring check unmasked it fails: a quantum
 // between the check and the mask switches to the reader, which reads,
@@ -293,9 +297,9 @@ func TestIdleLeaveWindowEnumerated(t *testing.T) {
 	// and the CPU in STOP, arms the quantum to expire at cycle q (0:
 	// never), delivers one frame and then, once the reader has it and
 	// the CPU is back in STOP, a second. It returns the marks the
-	// reader left, one per frame, and the cycle the first frame
-	// arrived.
-	run := func(q uint64) ([]uint64, uint64) {
+	// reader left, one per frame, the cycle the first frame arrived and
+	// the machine.
+	run := func(q uint64) ([]uint64, uint64, *kernel.Kernel) {
 		k, _ := enumBoot()
 		prog := k.C.Synthesize(nil, "reader", nil, func(e *synth.Emitter) {
 			emitSock(e, 9, 5) // fd 0
@@ -316,15 +320,19 @@ func TestIdleLeaveWindowEnumerated(t *testing.T) {
 		stepUntil(k, k.M.Stopped)
 		k.Net.InjectFrame(frame)
 		stepUntil(k, func() bool { return len(k.Marks) == 2 })
-		return k.Marks, at
+		return k.Marks, at, k
 	}
-	marks, from := run(0)
+	marks, from, _ := run(0)
 	if len(marks) != 2 {
 		t.Fatalf("with no quantum the reader got %d of 2 frames", len(marks))
 	}
 	enumerate(t, from+1, marks[0], func(q uint64) string {
-		if marks, _ := run(q); len(marks) != 2 {
+		marks, _, k := run(q)
+		if len(marks) != 2 {
 			return "the second frame never reached the reader"
+		}
+		if err := k.CheckReadyRing(); err != nil {
+			return err.Error()
 		}
 		return ""
 	})
@@ -444,6 +452,82 @@ func TestNetIntrOneActivationEnumerated(t *testing.T) {
 			return fmt.Sprintf("the ring tail is %d behind its head", k.Net.RxPending())
 		case k.M.Peek(res, 4) != 1 || k.M.Peek(buf, 1) != 'Q':
 			return fmt.Sprintf("the tty read returned %d, %q", int32(k.M.Peek(res, 4)), byte(k.M.Peek(buf, 1)))
+		}
+		return ""
+	})
+}
+
+// TestQuantumInSwitchEnumerated checks by enumeration that a quantum
+// expiring inside the switch path does not outlive it. A thread yields
+// to a counting thread; the quantum is made to expire at every cycle
+// from the yield's trap to the counter's first instruction, each on a
+// fresh machine. Most of that path runs masked, so the expiry is held
+// back, and the counter's sw_in re-arms the quantum before its RTE
+// drops the mask. Every run must let the counter run a full quantum,
+// as many loop turns as in the run with no expiry, before it is first
+// preempted, and leave the ready ring whole.
+//
+// It fails when re-arming the quantum leaves an expiry already posted:
+// the counter is then preempted before its first turn, and with every
+// thread on a short quantum the whole machine livelocks on it, as
+// queue_contention's N = 8 runs on 25 and 28 µs quanta did.
+func TestQuantumInSwitchEnumerated(t *testing.T) {
+	const count = 0x9000
+	// run boots a fresh machine, steps it to the yielder's mark, arms
+	// the quantum to expire at cycle q (0: never) and steps until the
+	// counter is first preempted. It returns the counter's turns by
+	// then, the cycles of the yielder's and the counter's marks (0: the
+	// counter never ran), and the machine.
+	run := func(q uint64) (turns uint32, from, to uint64, k *kernel.Kernel) {
+		k, _ = enumBoot()
+		var counter *kernel.Thread
+		preempted := false
+		k.Prof.OnIRQ = func(level, _ int, _, _ uint64) {
+			if level == m68k.IRQTimer && k.CurTTE() == counter.TTE {
+				preempted = true
+			}
+		}
+		yielder := k.C.Synthesize(nil, "yielder", nil, func(e *synth.Emitter) {
+			e.Kcall(kernel.SvcMark)
+			e.MoveL(m68k.Imm(kernel.SysYield), m68k.D(0))
+			e.Trap(kernel.TrapSys)
+			e.Label("spin")
+			e.Bra("spin")
+		})
+		prog := k.C.Synthesize(nil, "counter", nil, func(e *synth.Emitter) {
+			e.Kcall(kernel.SvcMark)
+			e.Label("loop")
+			e.AddL(m68k.Imm(1), m68k.Abs(count))
+			e.Bra("loop")
+		})
+		// Linked after the idle thread in turn, so the ring runs idle,
+		// yielder, counter: the yield switches straight to the counter.
+		counter = k.SpawnKernel("counter", prog)
+		first := k.SpawnKernel("yielder", yielder)
+		k.Start(first)
+		if err := stepUntil(k, func() bool { return len(k.Marks) == 1 }); err != nil || len(k.Marks) != 1 {
+			t.Fatalf("the yielder never ran: %v", err)
+		}
+		armQuantum(k, q)
+		if err := stepUntil(k, func() bool { return preempted }); err != nil || !preempted {
+			t.Fatalf("quantum at cycle %d: the counter was never preempted: %v", q, err)
+		}
+		if len(k.Marks) == 2 {
+			to = k.Marks[1]
+		}
+		return k.M.Peek(count, 4), k.Marks[0], to, k
+	}
+	full, from, to, _ := run(0)
+	if full == 0 || to == 0 {
+		t.Fatal("with no expiry in the switch the counter never turned")
+	}
+	enumerate(t, from, to, func(q uint64) string {
+		turns, _, _, k := run(q)
+		if turns != full {
+			return fmt.Sprintf("the counter ran %d turns before its first preemption, want %d", turns, full)
+		}
+		if err := k.CheckReadyRing(); err != nil {
+			return err.Error()
 		}
 		return ""
 	})

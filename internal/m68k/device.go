@@ -35,7 +35,7 @@ const (
 
 // Timer register offsets.
 const (
-	TimerRegQuantum uint32 = 0x00 // write: cycles until quantum interrupt (0 disables)
+	TimerRegQuantum uint32 = 0x00 // write: cycles until quantum interrupt (0 disables); withdraws one still pending
 	TimerRegAlarm   uint32 = 0x04 // write: cycles until alarm interrupt (0 disables)
 	TimerRegNowLo   uint32 = 0x08 // read: low 32 bits of cycle counter
 	TimerRegNowHi   uint32 = 0x0c // read: high 32 bits of cycle counter
@@ -92,30 +92,33 @@ func (t *Timer) Load(off uint32, sz uint8) uint32 {
 func (t *Timer) Store(off uint32, sz uint8, val uint32) {
 	switch off {
 	case TimerRegQuantum:
-		if val == 0 {
-			t.quantumA = 0
-		} else {
-			t.quantumA = t.m.Clock() + t.arm(uint64(val))
-		}
+		// A new quantum replaces the old one's expiry even when the
+		// mask still holds it back: sw_in writes this register
+		// masked, mid-switch, and the thread it switches in must run
+		// a full quantum, not be preempted at its first instruction.
+		t.m.WithdrawInterrupt(IRQTimer)
+		t.cause &^= TimerCauseQuantum
+		t.quantumA = t.deadline(val)
 	case TimerRegAlarm:
-		if val == 0 {
-			t.alarmA = 0
-		} else {
-			t.alarmA = t.m.Clock() + t.arm(uint64(val))
-		}
+		t.alarmA = t.deadline(val)
 	}
 }
 
-// arm runs an arming interval through the fault injector's clock
-// jitter, keeping it at least one cycle so an armed channel fires.
-func (t *Timer) arm(cycles uint64) uint64 {
+// deadline is the cycle at which a channel armed with val fires, or 0
+// (off) for val 0. The interval runs through the fault injector's
+// clock jitter and stays at least one cycle, so an armed channel fires.
+func (t *Timer) deadline(val uint32) uint64 {
+	if val == 0 {
+		return 0
+	}
+	cycles := uint64(val)
 	if t.m.Inj != nil {
 		cycles = t.m.Inj.TimerArm(cycles)
 		if cycles == 0 {
 			cycles = 1
 		}
 	}
-	return cycles
+	return t.m.Clock() + cycles
 }
 
 // Tick implements Device. The two channels assert distinct interrupt

@@ -217,6 +217,47 @@ func TestTimerNowRegisters(t *testing.T) {
 	}
 }
 
+// TestQuantumWriteWithdrawsPendingQuantum: both timer channels expire
+// behind the mask, then the quantum is written again before the mask
+// drops. The expired quantum must not be taken, nor stay in the cause
+// bits; the alarm, at its own level, must be.
+func TestQuantumWriteWithdrawsPendingQuantum(t *testing.T) {
+	m := newM(t)
+	m.Attach(m68k.NewTimer(m))
+	handler := func(d uint8) uint32 {
+		h := asmkit.New()
+		h.AddL(m68k.Imm(1), m68k.D(d))
+		h.Rte()
+		return h.Link(m)
+	}
+	m.Poke(m.VBR+uint32(m68k.VecAutovector+m68k.IRQTimer)*4, 4, handler(5))
+	m.Poke(m.VBR+uint32(m68k.VecAutovector+m68k.IRQAlarm)*4, 4, handler(4))
+
+	b := asmkit.New()
+	b.OrSR(7 << 8)
+	b.MoveL(m68k.Imm(200), m68k.Abs(m68k.TimerBase+m68k.TimerRegQuantum))
+	b.MoveL(m68k.Imm(200), m68k.Abs(m68k.TimerBase+m68k.TimerRegAlarm))
+	b.MoveL(m68k.Imm(100), m68k.D(0))
+	b.Label("spin") // both channels expire here, held back by the mask
+	b.Dbra(0, "spin")
+	b.MoveL(m68k.Imm(0), m68k.Abs(m68k.TimerBase+m68k.TimerRegQuantum))
+	b.MoveL(m68k.Abs(m68k.TimerBase+m68k.TimerRegAck), m68k.D(6))
+	b.AndSR(^uint16(7 << 8))
+	b.Nop()
+	b.Nop()
+	b.Halt()
+	run(t, m, b.Link(m))
+	if m.D[5] != 0 {
+		t.Errorf("the withdrawn quantum was taken %d times", m.D[5])
+	}
+	if m.D[4] != 1 {
+		t.Errorf("the alarm was taken %d times, want 1", m.D[4])
+	}
+	if m.D[6] != m68k.TimerCauseAlarm {
+		t.Errorf("cause bits %#x after the quantum write, want the alarm's alone (%#x)", m.D[6], m68k.TimerCauseAlarm)
+	}
+}
+
 func TestRunUntilStopsAtTarget(t *testing.T) {
 	m := newM(t)
 	b := asmkit.New()

@@ -351,6 +351,15 @@ func (m *Machine) PostInterrupt(level int) {
 	}
 }
 
+// WithdrawInterrupt deasserts a pending level the CPU has not taken
+// yet: the timer withdraws a quantum expiry its re-arming overtook.
+// Withdrawing makes no step() condition true, so the horizon stands.
+func (m *Machine) WithdrawInterrupt(level int) {
+	if level >= 1 && level <= 7 {
+		m.pendIRQ &^= 1 << uint(level)
+	}
+}
+
 // deviceAt returns the index of the device mapping addr, or -1.
 func (m *Machine) deviceAt(addr uint32) int {
 	for i, w := range m.devWin {

@@ -412,6 +412,24 @@ func TestMPSCPutBatchAtomicity(t *testing.T) {
 	}
 }
 
+// TestShortQuantaComplete: with every thread on a 25 or 28 µs quantum,
+// 8 producers and the consumer still move every item. A quantum that
+// expires while the switch runs masked must not outlive it; when it
+// did, each thread switched in was preempted at its first instruction
+// and these runs spun to the cycle limit.
+func TestShortQuantaComplete(t *testing.T) {
+	for _, kind := range []bench.PutKind{bench.PutCAS, bench.PutMasked} {
+		for _, us := range []float64{25, 28} {
+			usPerItem, _, err := bench.RunContention(kind, 8, us)
+			if err != nil {
+				t.Errorf("put %d, %g µs quantum: %v", kind, us, err)
+				continue
+			}
+			t.Logf("put %d, %g µs quantum: %.1f µs per item", kind, us, usPerItem)
+		}
+	}
+}
+
 func TestZeroSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

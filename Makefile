@@ -22,7 +22,8 @@
 # idle thread's step out of the ready ring and of a yield's switch path,
 # each run ending with the ready ring's invariant checked, seeded
 # stop/start/block/wake/yield sequences over 2 to 8 threads with the
-# ring checked at every unmasked boundary, and a second frame and a tty
+# ring checked at every unmasked boundary, a parked thread started or
+# destroyed and its cell then woken, and a second frame and a tty
 # byte at every cycle of one receive-handler activation; a runt frame
 # dropped at the NIC, and the send's and the deposit's copy-and-checksum
 # at every payload tail shape, 1,000 mixed opens and closes leaving the
@@ -75,7 +76,7 @@ soak:
 	$(GO) test -race -count 1 -timeout 120s \
 		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestSlotChurnHoldsCodeFlat|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable|TestUnixEntryMatchesNative|TestBadDescriptorsThroughUnixGate|TestOpenCloseLeavesRegistryNames|TestSnapshotReadsOpenObjects|TestQuantumInSwitchEnumerated' \
 		./internal/kio/
-	$(GO) test -race -count 1 -timeout 120s -run 'TestReadyRingRandomOps' ./internal/kernel/
+	$(GO) test -race -count 1 -timeout 120s -run 'TestReadyRingRandomOps|TestLeavingAParkClearsTheCell' ./internal/kernel/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 
 cluster-soak:

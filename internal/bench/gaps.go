@@ -18,15 +18,13 @@ const (
 // gapOwners owns each row beyond GapBound, by registry name and row
 // name: a ROADMAP letter, or a one-line reason.
 var gapOwners = map[[2]string]string{
-	{"1", "pipe r/w 1 B (speedup sun/synthesis)"}:          "G",
-	{"1", "pipe r/w 1 KB (speedup sun/synthesis)"}:         "G",
-	{"1", "pipe r/w 4 KB (speedup sun/synthesis)"}:         "G",
-	{"1", "open-close null (speedup sun/synthesis)"}:       "G",
-	{"1", "open-close tty (speedup sun/synthesis)"}:        "G",
-	{"2", "open /dev/null"}:                                "not profiled: lookup and charged synthesis split as the paper's, the whole is slower",
-	{"2", "open file"}:                                     "not profiled: lookup and charged synthesis split as the paper's, the whole is slower",
-	{"2", "close"}:                                         "the slot keeps its code region for the next open, so close frees nothing (DESIGN.md §2a)",
-	{"2", "read N chars from file (per 8 chars)"}:          "the synthesized copy moves 32 bytes per MOVEM pair (EXPERIMENTS.md, Table 2)",
+	{"1", "pipe r/w 1 B (speedup sun/synthesis)"}:    "G",
+	{"1", "pipe r/w 1 KB (speedup sun/synthesis)"}:   "G",
+	{"1", "pipe r/w 4 KB (speedup sun/synthesis)"}:   "G",
+	{"1", "open-close null (speedup sun/synthesis)"}: "G",
+	{"1", "open-close tty (speedup sun/synthesis)"}:  "G",
+	{"2", "close"}: "the slot keeps its code region for the next open, so close frees nothing (DESIGN.md §2a)",
+	{"2", "read N chars from file (per 8 chars)"}: "the synthesized copy moves 32 bytes per MOVEM pair (EXPERIMENTS.md, Table 2)",
 	{"3", "start"}:                                         "C",
 	{"3", "step"}:                                          "C",
 	{"4", "full context switch"}:                           "C",

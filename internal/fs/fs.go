@@ -6,9 +6,11 @@
 // The directory lives in Quamachine memory so the kernel's open path
 // can hash and compare names as VM code: a bucket table of chained
 // entries, each entry carrying the file's metadata and its name
-// stored reversed. Storing names backwards makes mismatch detection
-// fast for the common case of long shared prefixes ("/dev/null" vs
-// "/dev/tty" differ at the end, i.e. at the first reversed byte).
+// stored backwards a long at a time (see create): the lookup finds
+// the name's end a byte at a time, then hashes and compares by longs
+// from there. Storing names backwards makes mismatch detection fast for
+// long shared prefixes ("/dev/null" and "/dev/tty" differ at the end,
+// i.e. at the first compared long).
 //
 // File contents also live in VM memory (allocated from the kernel
 // heap) so synthesized read routines copy them with machine
@@ -35,7 +37,7 @@ const (
 	EntSpecial = 16 // special-file kind (SpecialNone for plain files)
 	EntBlock   = 20 // first disk block for disk-resident files
 	EntNameLen = 24 // name length
-	EntName    = 28 // name bytes, reversed
+	EntName    = 28 // name bytes, stored backwards by longs (see create)
 )
 
 // Special file kinds.
@@ -91,19 +93,19 @@ func New(m *m68k.Machine, heap *alloc.Heap) *FS {
 	}
 }
 
-// Hash is the name hash, computed over the REVERSED string; the VM
-// lookup code implements exactly this recurrence so the two sides
-// agree: h = (h << 2) ^ byte over bytes from last to first, then the
-// word is folded down (h ^ h>>6 ^ h>>12 ^ h>>18) so every character —
-// including the early-processed final ones — influences the bucket.
+// Hash is the name hash. Its key is the name's length XOR its last
+// four bytes as a big-endian long (a shorter name's bytes
+// right-aligned), the long the VM lookup loads from the name's end;
+// the fold brings the key's upper bytes down to the bucket bits.
+// The VM lookup computes exactly this function.
 func Hash(name string) uint32 {
 	var h uint32
-	for i := len(name) - 1; i >= 0; i-- {
-		h = (h << 2) ^ uint32(name[i])
+	for i := max(0, len(name)-4); i < len(name); i++ {
+		h = h<<8 | uint32(name[i])
 	}
+	h ^= uint32(len(name))
+	h ^= h >> 16
 	h ^= h >> 6
-	h ^= h >> 12
-	h ^= h >> 18
 	return h & (NBuckets - 1)
 }
 
@@ -183,9 +185,17 @@ func (f *FS) create(name string, data []byte, capacity uint32, special uint32) (
 	m.Poke(ent+EntSpecial, 4, special)
 	m.Poke(ent+EntBlock, 4, 0)
 	m.Poke(ent+EntNameLen, 4, uint32(len(name)))
-	for i := 0; i < len(name); i++ {
-		// Stored backwards: first stored byte is the last character.
-		m.Poke(ent+EntName+uint32(i), 1, uint32(name[len(name)-1-i]))
+	// Stored backwards by longs, in the order move.l -(A0) reads the
+	// name from its end: its last four bytes first, then the four
+	// before them, ...; the leading len%4 bytes follow, last first.
+	at, end := ent+EntName, len(name)
+	for ; end >= 4; end -= 4 {
+		m.PokeBytes(at, []byte(name[end-4:end]))
+		at += 4
+	}
+	for ; end > 0; end-- {
+		m.Poke(at, 1, uint32(name[end-1]))
+		at++
 	}
 
 	f.byName[name] = file

@@ -51,16 +51,20 @@ func TestDuplicateRejected(t *testing.T) {
 
 func TestNamesStoredBackwards(t *testing.T) {
 	f, m := newFS(t)
-	file, err := f.Create("/ab", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The entry's name bytes are reversed: "ba/".
-	b0 := byte(m.Peek(file.Entry+fs.EntName, 1))
-	b1 := byte(m.Peek(file.Entry+fs.EntName+1, 1))
-	b2 := byte(m.Peek(file.Entry+fs.EntName+2, 1))
-	if b0 != 'b' || b1 != 'a' || b2 != '/' {
-		t.Errorf("stored name = %c%c%c, want 'ba/' (reversed)", b0, b1, b2)
+	// By longs from the end, then the leading len%4 bytes last first:
+	// the first stored unit is always the name's end.
+	for name, want := range map[string]string{
+		"/etc/motd": "motd" + "etc/" + "/",
+		"/dev/tty":  "/tty" + "/dev",
+		"/ab":       "ba/",
+	} {
+		file, err := f.Create(name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(m.PeekBytes(file.Entry+fs.EntName, len(name))); got != want {
+			t.Errorf("%s stored as %q, want %q", name, got, want)
+		}
 	}
 }
 

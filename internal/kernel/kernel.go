@@ -51,7 +51,7 @@ type Kernel struct {
 	rtBusTrap   uint32 // bus/address error: reflect, or reap the thread
 	rtSpurious  uint32 // unclaimed interrupt level: count and return
 	rtPanicVec  uint32 // catch-all for unexpected exceptions
-	rtLookup    uint32 // d1 = name ptr: hashed-backwards directory walk
+	rtLookup    uint32 // d1 = name ptr: strlen, hash the last long, compare backwards by longs
 	rtCreate    uint32 // kcreate: TTE fill + registration
 	rtLineF     uint32 // first-FP-use trap: resynthesize the switch
 	protoVec    uint32 // prototype vector table, then prototype TTEUnixRW cells, copied into new TTEs
@@ -244,7 +244,8 @@ func (k *Kernel) ChainRoutine() uint32 { return k.rtChain }
 // ChainCASRoutine returns the optimistic chaining routine.
 func (k *Kernel) ChainCASRoutine() uint32 { return k.rtChainCAS }
 
-// LookupRoutine returns the hashed-backwards name lookup (D1 = name).
+// LookupRoutine returns the name lookup (D1 = name): hashed by the
+// name's last long, compared backwards by longs.
 func (k *Kernel) LookupRoutine() uint32 { return k.rtLookup }
 
 // SysEntry returns the body of native function code fn, read from

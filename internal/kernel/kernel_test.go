@@ -608,7 +608,7 @@ func TestOpenLookupVMRoutineFindsFiles(t *testing.T) {
 		e.Jsr(k.LookupRoutine())
 		e.MoveL(m68k.D(0), m68k.Abs(result))
 		// Now a missing name.
-		e.MoveL(m68k.Imm(nameAddr+5), m68k.D(1)) // "/motd" does not exist... actually "motd"? offset 5 = "motd"
+		e.MoveL(m68k.Imm(nameAddr+5), m68k.D(1)) // "motd", the name's tail: no such file
 		e.Jsr(k.LookupRoutine())
 		e.MoveL(m68k.D(0), m68k.Abs(result+4))
 		exitSeq(e)

@@ -11,77 +11,130 @@ import (
 	"synthesis/internal/synth"
 )
 
+// The ring tests' command loop: every worker polls ringCmd, runs the
+// command it finds there with the argument in ringArg, and polls
+// again. Worker i blocks on the cell at ringCells+4*i.
+const ringCmd, ringArg, ringCells = 0x9000, 0x9004, 0x9100
+
+const (
+	opYield = iota + 1
+	opStop
+	opStart
+	opBlock
+	opWake
+	opDestroy
+)
+
+var opNames = []string{opYield: "yield", opStop: "stop", opStart: "start", opBlock: "block", opWake: "wake", opDestroy: "destroy"}
+
+// ringRig is n kernel threads, w0 to w(n-1), running the command loop
+// with the quantum off, so a command runs to its end, or to the switch
+// it asks for, before any other thread polls. w0 runs first; all n
+// start on the ring.
+type ringRig struct {
+	t       *testing.T
+	k       *kernel.Kernel
+	workers []*kernel.Thread
+	polls   map[uint32]bool
+}
+
+func newRingRig(t *testing.T, n int) *ringRig {
+	k := boot(t)
+	r := &ringRig{t: t, k: k, polls: map[uint32]bool{}}
+	for i := 0; i < n; i++ {
+		cell := ringCell(i)
+		prog := k.C.Synthesize(nil, fmt.Sprint("w", i), nil, func(e *synth.Emitter) {
+			e.Label("poll")
+			e.Tst(4, m68k.Abs(ringCmd))
+			e.Beq("poll")
+			e.MoveL(m68k.Abs(ringCmd), m68k.D(0))
+			e.Clr(4, m68k.Abs(ringCmd))
+			e.MoveL(m68k.Abs(ringArg), m68k.D(1))
+			sys := func(label string, fn int32) {
+				e.Label(label)
+				e.MoveL(m68k.Imm(fn), m68k.D(0))
+				e.Trap(kernel.TrapSys)
+				e.Bra("poll")
+			}
+			for op, label := range opNames {
+				if label != "" {
+					e.CmpL(m68k.Imm(int32(op)), m68k.D(0))
+					e.Beq(label)
+				}
+			}
+			e.Halt() // an unknown command
+			sys("yield", kernel.SysYield)
+			sys("stop", kernel.SysStop)
+			sys("start", kernel.SysStart)
+			sys("destroy", kernel.SysDestroy)
+			e.Label("block")
+			e.Lea(m68k.Abs(cell), 0)
+			e.Jsr(k.BlockOnRoutine())
+			e.Bra("poll")
+			e.Label("wake")
+			e.MoveL(m68k.D(1), m68k.A(0))
+			e.Jsr(k.WakeCellRoutine())
+			e.Bra("poll")
+		})
+		r.polls[prog], r.polls[prog+1] = true, true
+		w := k.SpawnKernel(fmt.Sprint("w", i), prog)
+		k.M.Poke(w.TTE+kernel.TTEQuantum, 4, 0)
+		r.workers = append(r.workers, w)
+	}
+	k.M.Poke(k.Idle.TTE+kernel.TTEQuantum, 4, 0)
+	k.Start(r.workers[0])
+	r.step("boot", r.polling)
+	return r
+}
+
+func ringCell(i int) uint32 { return ringCells + 4*uint32(i) }
+
+func (r *ringRig) polling() bool { return r.polls[r.k.M.PC] }
+
+// step runs the machine until done reports true, checking the ring at
+// every boundary below IPL 7.
+func (r *ringRig) step(what string, done func() bool) {
+	r.t.Helper()
+	k := r.k
+	for limit := k.M.Cycles + 200_000; !done(); {
+		if k.M.IPL() < 7 {
+			if err := k.CheckReadyRing(); err != nil {
+				r.t.Fatalf("%s, at cycle %d: %v", what, k.M.Cycles, err)
+			}
+		}
+		if err := k.M.Step(); err != nil || k.M.Cycles > limit {
+			r.t.Fatalf("%s: the machine stopped at cycle %d: %v", what, k.M.Cycles, err)
+		}
+	}
+}
+
+// post hands op with argument a to whichever thread polls next and
+// runs until it has run and some thread polls again.
+func (r *ringRig) post(what string, op int, a uint32) {
+	r.t.Helper()
+	r.k.M.Poke(ringArg, 4, a)
+	r.k.M.Poke(ringCmd, 4, uint32(op))
+	r.step(what, func() bool { return r.k.M.Peek(ringCmd, 4) == 0 })
+	r.step(what, r.polling)
+}
+
 // TestReadyRingRandomOps drives 2 to 8 kernel threads through a seeded
 // random sequence of stop, start, block, wake and yield, and checks the
 // ready ring at every instruction boundary below IPL 7
 // (Kernel.CheckReadyRing) and, after each operation, each thread's
 // place on it and its wait cell against a model.
 //
-// Every thread runs the same loop: poll a command cell, run the command
-// it finds there, poll again. The quantum is off, so a command runs to
-// its end, or to the switch it asks for, before any other thread polls.
-// The host posts a command only when one thread stays runnable after
-// it, so some thread always polls.
+// The threads run ringRig's command loop. The host posts a command
+// only when one thread stays runnable after it, so some thread always
+// polls.
 //
 // Checked to fail, in a scratch copy, with the insert's two TTENextSw
 // stores swapped and with the unlink's prev.next store dropped.
 func TestReadyRingRandomOps(t *testing.T) {
-	const cmd, arg, cells = 0x9000, 0x9004, 0x9100
-	const (
-		opYield = iota + 1
-		opStop
-		opStart
-		opBlock
-		opWake
-	)
-	names := []string{opYield: "yield", opStop: "stop", opStart: "start", opBlock: "block", opWake: "wake"}
 	for n := 2; n <= 8; n++ {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			k := boot(t)
-			var workers []*kernel.Thread
-			polls := map[uint32]bool{}
-			for i := 0; i < n; i++ {
-				cell := int32(cells + 4*i)
-				prog := k.C.Synthesize(nil, fmt.Sprint("w", i), nil, func(e *synth.Emitter) {
-					e.Label("poll")
-					e.Tst(4, m68k.Abs(cmd))
-					e.Beq("poll")
-					e.MoveL(m68k.Abs(cmd), m68k.D(0))
-					e.Clr(4, m68k.Abs(cmd))
-					e.MoveL(m68k.Abs(arg), m68k.D(1))
-					sys := func(label string, fn int32) {
-						e.Label(label)
-						e.MoveL(m68k.Imm(fn), m68k.D(0))
-						e.Trap(kernel.TrapSys)
-						e.Bra("poll")
-					}
-					for op, label := range names {
-						if label != "" {
-							e.CmpL(m68k.Imm(int32(op)), m68k.D(0))
-							e.Beq(label)
-						}
-					}
-					e.Halt() // an unknown command
-					sys("yield", kernel.SysYield)
-					sys("stop", kernel.SysStop)
-					sys("start", kernel.SysStart)
-					e.Label("block")
-					e.Lea(m68k.Abs(uint32(cell)), 0)
-					e.Jsr(k.BlockOnRoutine())
-					e.Bra("poll")
-					e.Label("wake")
-					e.MoveL(m68k.D(1), m68k.A(0))
-					e.Jsr(k.WakeCellRoutine())
-					e.Bra("poll")
-				})
-				polls[prog], polls[prog+1] = true, true
-				w := k.SpawnKernel(fmt.Sprint("w", i), prog)
-				k.M.Poke(w.TTE+kernel.TTEQuantum, 4, 0)
-				workers = append(workers, w)
-			}
-			k.M.Poke(k.Idle.TTE+kernel.TTEQuantum, 4, 0)
-			k.Start(workers[0])
-
+			r := newRingRig(t, n)
+			k, workers := r.k, r.workers
 			onRing := map[uint32]bool{}
 			for _, w := range workers {
 				onRing[w.TTE] = true
@@ -95,24 +148,7 @@ func TestReadyRingRandomOps(t *testing.T) {
 				}
 				return c
 			}
-			// step runs the machine until done reports true, checking
-			// the ring at every boundary below IPL 7.
-			step := func(what string, done func() bool) {
-				t.Helper()
-				for limit := k.M.Cycles + 200_000; !done(); {
-					if k.M.IPL() < 7 {
-						if err := k.CheckReadyRing(); err != nil {
-							t.Fatalf("%s, at cycle %d: %v", what, k.M.Cycles, err)
-						}
-					}
-					if err := k.M.Step(); err != nil || k.M.Cycles > limit {
-						t.Fatalf("%s: the machine stopped at cycle %d: %v", what, k.M.Cycles, err)
-					}
-				}
-			}
-			step("boot", func() bool { return polls[k.M.PC] })
-
-			cellOf := func(tte uint32) uint32 { return cells + 4*uint32(slices.Index(workers, k.Threads[tte])) }
+			cellOf := func(tte uint32) uint32 { return ringCell(slices.Index(workers, k.Threads[tte])) }
 			rng := rand.New(rand.NewSource(int64(n)))
 			for i := 0; i < 150; i++ {
 				op := 1 + rng.Intn(5)
@@ -125,12 +161,9 @@ func TestReadyRingRandomOps(t *testing.T) {
 				if op == opWake {
 					a = cellOf(target.TTE)
 				}
-				what := fmt.Sprintf("op %d, %s %s", i, names[op], target.Name)
-				k.M.Poke(arg, 4, a)
-				k.M.Poke(cmd, 4, uint32(op))
+				what := fmt.Sprintf("op %d, %s %s", i, opNames[op], target.Name)
 				claimer := k.CurTTE()
-				step(what, func() bool { return k.M.Peek(cmd, 4) == 0 })
-				step(what, func() bool { return polls[k.M.PC] })
+				r.post(what, op, a)
 
 				switch op {
 				case opStop:
@@ -153,6 +186,48 @@ func TestReadyRingRandomOps(t *testing.T) {
 						t.Fatalf("%s: %s on the ring is %v, want %v", what, w.Name, on, onRing[w.TTE])
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestLeavingAParkClearsTheCell parks w1 on its cell, takes it out of
+// the park without a wake, destroys it and then wakes the cell. The
+// start or destroy that ended the park must have cleared the cell, so
+// the wake finds no one. Each case failed while they did not, with
+// the wake splicing the freed TTE into the ring:
+//
+//   - destroy-then-wake: "wake w1's cell, at cycle 1680: ring member
+//     w0 links to 0x10e60, no live thread". The destroy freed the
+//     parked w1 and left its cell naming it.
+//   - start-then-wake: "wake w1's cell, at cycle 1954: ring member w0
+//     links to 0x10e60, no live thread". The start put w1 back on the
+//     ring with its cell still naming it; the destroy then unlinked
+//     and freed it.
+func TestLeavingAParkClearsTheCell(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  []int
+	}{
+		{"destroy-then-wake", []int{opDestroy}},
+		{"start-then-wake", []int{opStart, opDestroy}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRingRig(t, 2)
+			w1 := r.workers[1]
+			for r.k.CurTTE() != w1.TTE {
+				r.post("yield to w1", opYield, 0)
+			}
+			r.post("w1 blocks", opBlock, 0)
+			for _, op := range tc.ops {
+				r.post(opNames[op]+" w1", op, w1.TTE)
+			}
+			r.post("wake w1's cell", opWake, ringCell(1))
+			if got := r.k.M.Peek(ringCell(1), 4); got != 0 {
+				t.Errorf("w1's cell holds %#x after the wake", got)
+			}
+			if r.k.Threads[w1.TTE] != nil || r.k.CurTTE() != r.workers[0].TTE {
+				t.Errorf("w1 is not gone or w0 is not running: current TTE %#x", r.k.CurTTE())
 			}
 		})
 	}

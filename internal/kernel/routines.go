@@ -64,6 +64,18 @@ func emitInsert(e *synth.Emitter) {
 	e.Clr(4, m68k.Disp(TTEWaitsOn, 0))
 }
 
+// emitUnpark emits the clear of the wait cell the TTE in A0 is parked
+// on, if any, for a start or destroy that takes it out of its park
+// without a wake: left naming it, the cell's next wake would insert a
+// thread that has run on, or a freed TTE. An unparked TTE pays the
+// test and the branch to done. Needs IPL 7; clobbers A1.
+func emitUnpark(e *synth.Emitter, done string) {
+	e.Tst(4, m68k.Disp(TTEWaitsOn, 0))
+	e.Beq(done)
+	e.MoveL(m68k.Disp(TTEWaitsOn, 0), m68k.A(1))
+	e.Clr(4, m68k.Ind(1))
+}
+
 // emitLeave emits the running thread's step out of the ready ring, A0
 // = its TTE, ahead of its switch trap. Alone in the ring, it leaves the
 // idle thread alone in it instead, and switches to it, so the ring
@@ -344,19 +356,18 @@ func (k *Kernel) synthesizeShared() {
 	set(m68k.VecPrivilege, k.rtErrTrap)
 }
 
-// synthesizeLookup builds the open path's name resolution: hash the
-// NUL-terminated name at D1 backwards, walk the bucket chain and
-// compare names backwards ("hashed string names stored backwards",
-// Section 6.3 — reversed comparison rejects long-common-prefix names
-// like /dev/null vs /dev/tty at the first byte). Returns the
-// directory entry address in D0, or 0; the open service takes the
-// entry from D0. Clobbers D0, D2, A0, A1; preserves D1.
+// synthesizeLookup builds the open path's name resolution over
+// "hashed string names stored backwards" (Section 6.3). The name at D1
+// is read a byte at a time once, by strlen; from its end it is hashed
+// by one long (fs.Hash) and compared by longs, backwards, so /dev/null
+// and /dev/tty differ at the first compare. Returns the directory
+// entry in D0, or 0, for the open service. Clobbers D0, D2, A0, A1.
 func (k *Kernel) synthesizeLookup(kq *synth.Quaject) uint32 {
 	return k.C.Synthesize(kq, "fs_lookup", nil, func(e *synth.Emitter) {
 		e.MoveL(m68k.D(3), m68k.PreDec(7))
 		e.MoveL(m68k.D(4), m68k.PreDec(7))
 
-		// strlen: D0 = length.
+		// strlen: D0 = length, A0 just past the NUL.
 		e.MoveL(m68k.D(1), m68k.A(0))
 		e.Label("len")
 		e.Tst(1, m68k.PostInc(0))
@@ -364,68 +375,79 @@ func (k *Kernel) synthesizeLookup(kq *synth.Quaject) uint32 {
 		e.MoveL(m68k.A(0), m68k.D(0))
 		e.SubL(m68k.D(1), m68k.D(0))
 		e.SubL(m68k.Imm(1), m68k.D(0))
-		e.Beq("miss") // empty name never matches
+		e.Beq("out") // the empty name: D0 = 0, no entry
 
-		// hash backwards: h(D2) = (h<<2) ^ byte, last byte first.
-		// (The char register is cleared once; byte moves leave the
-		// upper bits alone.)
-		e.Lea(m68k.Disp(-1, 0), 0) // A0 just past the last character
-		e.Clr(4, m68k.D(2))
-		e.Clr(4, m68k.D(4))
-		e.MoveL(m68k.D(0), m68k.D(3))
-		e.SubL(m68k.Imm(1), m68k.D(3)) // dbra counter
+		// D2 = the last four bytes (a shorter name's right-aligned),
+		// XOR the length, folded to the bucket index.
+		e.CmpL(m68k.Imm(4), m68k.D(0))
+		e.Bcs("short")
+		e.MoveL(m68k.Disp(-5, 0), m68k.D(2))
 		e.Label("hash")
-		e.MoveB(m68k.PreDec(0), m68k.D(4))
-		e.LslL(m68k.Imm(2), m68k.D(2))
-		e.EorL(m68k.D(4), m68k.D(2))
-		e.Dbra(3, "hash")
-		// Fold the word so the early (last-character) contributions
-		// reach the bucket bits.
-		for _, sh := range []int32{6, 12, 18} {
+		e.EorL(m68k.D(0), m68k.D(2))
+		for _, sh := range []int32{16, 6} {
 			e.MoveL(m68k.D(2), m68k.D(4))
 			e.LsrL(m68k.Imm(sh), m68k.D(4))
 			e.EorL(m68k.D(4), m68k.D(2))
 		}
 		e.AndL(m68k.Imm(fs.NBuckets-1), m68k.D(2))
 
-		// A0 = first entry of the bucket chain.
-		e.LslL(m68k.Imm(2), m68k.D(2))
-		e.AddL(m68k.Imm(int32(k.FS.Buckets)), m68k.D(2)) // bucket table base: a boot-time invariant, folded in
-		e.MoveL(m68k.D(2), m68k.A(0))
-		e.MoveL(m68k.Ind(0), m68k.A(0))
+		// A0 = first entry of the bucket chain; the bucket table base
+		// is a boot-time invariant, folded in.
+		e.Lea(m68k.Abs(k.FS.Buckets), 0)
+		e.MoveL(m68k.Idx(0, 0, 2, 4), m68k.A(0))
 
-		// Walk the chain.
+		// Walk the chain; D2 keeps the entry under comparison.
 		e.Label("walk")
 		e.MoveL(m68k.A(0), m68k.D(2))
-		e.Beq("miss")
+		e.Beq("found") // the chain's end: D2 = 0, no entry
 		e.Cmp(4, m68k.Disp(fs.EntNameLen, 0), m68k.D(0))
 		e.Bne("next")
-		// Compare backwards: entry name is stored reversed, so walk
-		// it forward while walking the looked-up name from its end.
-		e.MoveL(m68k.A(0), m68k.PreDec(7)) // save entry
+		// Compare backwards: the name from its end by longs, then its
+		// leading len%4 bytes, against the entry's name in stored order.
 		e.Lea(m68k.Disp(fs.EntName, 0), 1)
 		e.MoveL(m68k.D(1), m68k.A(0))
-		e.AddL(m68k.D(0), m68k.Operand{Mode: m68k.ModeAReg, Reg: 0}) // A0 = name + len
+		e.AddL(m68k.D(0), m68k.A(0))
 		e.MoveL(m68k.D(0), m68k.D(3))
-		e.SubL(m68k.Imm(1), m68k.D(3)) // dbra counter (len >= 1 here)
-		e.Label("cmp")
+		e.LsrL(m68k.Imm(2), m68k.D(3))
+		e.Bra("lend")
+		e.Label("lcmp")
+		e.MoveL(m68k.PreDec(0), m68k.D(4))
+		e.Cmp(4, m68k.PostInc(1), m68k.D(4))
+		e.Bne("differ")
+		e.Label("lend")
+		e.Dbra(3, "lcmp")
+		e.MoveL(m68k.D(0), m68k.D(3))
+		e.AndL(m68k.Imm(3), m68k.D(3))
+		e.Bra("bend")
+		e.Label("bcmp")
 		e.MoveB(m68k.PreDec(0), m68k.D(4))
 		e.Cmp(1, m68k.PostInc(1), m68k.D(4))
-		e.Bne("nextpop")
-		e.Dbra(3, "cmp")
-		e.MoveL(m68k.PostInc(7), m68k.D(0)) // result: entry address
-		e.Bra("out")
-		e.Label("nextpop")
-		e.MoveL(m68k.PostInc(7), m68k.A(0))
-		e.Label("next")
-		e.MoveL(m68k.Disp(fs.EntNext, 0), m68k.A(0))
-		e.Bra("walk")
-		e.Label("miss")
-		e.Clr(4, m68k.D(0))
+		e.Bne("differ")
+		e.Label("bend")
+		e.Dbra(3, "bcmp")
+		e.Label("found")
+		e.MoveL(m68k.D(2), m68k.D(0)) // the entry, or 0
 		e.Label("out")
 		e.MoveL(m68k.PostInc(7), m68k.D(4))
 		e.MoveL(m68k.PostInc(7), m68k.D(3))
 		e.Rts()
+		e.Label("differ")
+		e.MoveL(m68k.D(2), m68k.A(0))
+		e.Label("next")
+		e.MoveL(m68k.Disp(fs.EntNext, 0), m68k.A(0))
+		e.Bra("walk")
+
+		// A name of one to three bytes, right-aligned in D2.
+		e.Label("short")
+		e.Clr(4, m68k.D(2))
+		e.MoveL(m68k.D(1), m68k.A(1))
+		e.MoveL(m68k.D(0), m68k.D(3))
+		e.SubL(m68k.Imm(1), m68k.D(3))
+		e.Label("sbyte")
+		e.LslL(m68k.Imm(8), m68k.D(2))
+		e.MoveB(m68k.PostInc(1), m68k.D(2))
+		e.Dbra(3, "sbyte")
+		e.Bra("hash")
 	})
 }
 
@@ -536,7 +558,10 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 		e.Cmp(4, m68k.Abs(GCurTTE), m68k.D(1))
 		e.Beq("selfdestroy")
 		e.Tst(4, m68k.Disp(TTENext, 0))
-		e.Beq("free")
+		e.Bne("destroyon")
+		emitUnpark(e, "free")
+		e.Bra("free")
+		e.Label("destroyon")
 		emitUnlink(e)
 		e.Label("free")
 		e.Kcall(SvcFreeTTE)
@@ -584,6 +609,8 @@ func (k *Kernel) synthesizeDispatch(kq *synth.Quaject) uint32 {
 		e.OrSR(SRIPLMask)
 		e.Tst(4, m68k.Disp(TTENext, 0)) // started twice: in the ring already
 		e.Bne("started")
+		emitUnpark(e, "insert")
+		e.Label("insert")
 		emitInsert(e)
 		e.Label("started")
 		e.Rte()

@@ -596,10 +596,11 @@ func TestTTYQueueOverflowDropsInput(t *testing.T) {
 	}
 }
 
-func TestLookupRoutineHonorsHashFold(t *testing.T) {
+func TestLookupRoutineHonorsLastLongHash(t *testing.T) {
 	// The VM lookup and the Go-side fs.Hash must agree: create files
-	// whose names differ only in the LAST character (the first byte
-	// compared backwards) and open each through the system call.
+	// whose names differ only in the LAST character (the low byte of
+	// the hashed long, and of the first long compared backwards) and
+	// open each through the system call.
 	k, _ := boot(t)
 	names := []string{"/x/aaa", "/x/aab", "/x/aac", "/x/aad"}
 	for i, n := range names {

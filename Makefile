@@ -38,7 +38,8 @@
 # BenchmarkStepLoop; BenchmarkShapes, one instruction shape at a time,
 # among them the seven MOVEMs with bodies of their own: D3-D7/A3-A5 from
 # (A0)+, to (An) and to 32(An), D0-D2/A0-A2 to -(A7) and from (A7)+,
-# D0-D7/A0-A6 to and from an absolute address;
+# D0-D7/A0-A6 to and from an absolute address, the JSR+RTS and TRAP+RTE
+# pairs, the SR moves and MOVEC's four bodies;
 # BenchmarkCopyLoop beside BenchmarkMovemCopyLoop, the copy loop's two
 # forms, the second a JSR to kio.block_copy's eight-group pass; host ns
 # per guest instruction and per KB) and a reopen of a descriptor
@@ -57,10 +58,17 @@
 # lands in the benchmark binary, mod 64: its placement alone has moved
 # every workload's host numbers by a few percent between equivalent
 # builds (docs/PERFORMANCE.md), so quote it beside a wall-clock delta.
+# `make inline` holds the dispatcher's RAM helpers (internal/m68k's
+# loadRAM32, storeRAM32, loadRAM, storeRAM) to what makes them pay: each
+# must report `can inline` under -gcflags=-m and be inlined at exactly
+# the number of call sites INLINE_SITES names. A helper pushed over the
+# inliner's budget of 80 turns every memory operand back into a Go call
+# with no test failing (docs/PERFORMANCE.md); a call site added or
+# removed changes the count, which is updated here with it.
 
 GO ?= go
 
-.PHONY: tier1 race soak cluster-soak chaos-soak examples bench tables profile loc placement
+.PHONY: tier1 race soak cluster-soak chaos-soak examples bench tables profile loc placement inline
 
 tier1:
 	test -z "$$(gofmt -l .)"
@@ -115,3 +123,17 @@ placement:
 	addr=$$($(GO) tool nm $$dir/benchmark | awk '$$3 ~ /m68k\.\(\*Machine\)\.Run$$/ {print $$1}') && \
 	rm -rf $$dir && test -n "$$addr" && \
 	echo "(*Machine).Run at 0x$$addr: $$((0x$$addr % 64)) mod 64"
+
+INLINE_SITES = loadRAM32:15 storeRAM32:8 loadRAM:5 storeRAM:4
+
+inline:
+	@out=$$($(GO) build -gcflags=-m ./internal/m68k 2>&1) || { echo "$$out"; exit 1; }; \
+	for hs in $(INLINE_SITES); do \
+		h=$${hs%%:*}; want=$${hs##*:}; \
+		echo "$$out" | grep -q "can inline (\*Machine)\.$$h\$$" || \
+			{ echo "inline: (*Machine).$$h does not inline"; exit 1; }; \
+		got=$$(echo "$$out" | grep -c "inlining call to (\*Machine)\.$$h\$$"); \
+		test "$$got" -eq "$$want" || \
+			{ echo "inline: (*Machine).$$h inlined at $$got call sites, want $$want"; exit 1; }; \
+	done; \
+	echo "inline: $(INLINE_SITES) (helper:call sites) all inlined"

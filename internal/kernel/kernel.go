@@ -38,23 +38,24 @@ type Kernel struct {
 	Net   *m68k.Net
 
 	// Shared kernel routines (code addresses), synthesized at boot.
-	rtUnlink    uint32 // a0 = TTE: remove from ready ring (measurement only)
-	rtInsert    uint32 // a0 = TTE: insert after current (measurement only)
-	rtBlockOn   uint32 // a0 = wait cell: park current thread on it
-	rtWakeCell  uint32 // a0 = wait cell: unblock the waiter, if any
-	rtChain     uint32 // d1 = proc: procedure chaining (plain)
-	rtChainCAS  uint32 // d1 = proc: procedure chaining with CAS retry
-	rtTraceStop uint32 // trace-bit handler implementing step
-	rtAlarm     uint32 // shared alarm interrupt handler
-	rtSigRet    uint32 // trap #3: return from signal
-	rtErrTrap   uint32 // error trap: reflect into a user-mode error signal
-	rtBusTrap   uint32 // bus/address error: reflect, or reap the thread
-	rtSpurious  uint32 // unclaimed interrupt level: count and return
-	rtPanicVec  uint32 // catch-all for unexpected exceptions
-	rtLookup    uint32 // d1 = name ptr: strlen, hash the last long, compare backwards by longs
-	rtCreate    uint32 // kcreate: TTE fill + registration
-	rtLineF     uint32 // first-FP-use trap: resynthesize the switch
-	protoVec    uint32 // prototype vector table, then prototype TTEUnixRW cells, copied into new TTEs
+	rtUnlink     uint32 // a0 = TTE: remove from ready ring (measurement only)
+	rtInsert     uint32 // a0 = TTE: insert after current (measurement only)
+	rtBlockOn    uint32 // a0 = wait cell: park current thread on it
+	rtWakeCell   uint32 // a0 = wait cell: unblock the waiter, if any
+	rtWakeLoaded uint32 // a0 = wait cell, d0 = its nonzero waiter: unblock it
+	rtChain      uint32 // d1 = proc: procedure chaining (plain)
+	rtChainCAS   uint32 // d1 = proc: procedure chaining with CAS retry
+	rtTraceStop  uint32 // trace-bit handler implementing step
+	rtAlarm      uint32 // shared alarm interrupt handler
+	rtSigRet     uint32 // trap #3: return from signal
+	rtErrTrap    uint32 // error trap: reflect into a user-mode error signal
+	rtBusTrap    uint32 // bus/address error: reflect, or reap the thread
+	rtSpurious   uint32 // unclaimed interrupt level: count and return
+	rtPanicVec   uint32 // catch-all for unexpected exceptions
+	rtLookup     uint32 // d1 = name ptr: strlen, hash the last long, compare backwards by longs
+	rtCreate     uint32 // kcreate: TTE fill + registration
+	rtLineF      uint32 // first-FP-use trap: resynthesize the switch
+	protoVec     uint32 // prototype vector table, then prototype TTEUnixRW cells, copied into new TTEs
 
 	// Thread bookkeeping mirrors (Go side).
 	Threads map[uint32]*Thread // by TTE address
@@ -237,6 +238,9 @@ func (k *Kernel) BlockOnRoutine() uint32 { return k.rtBlockOn }
 
 // WakeCellRoutine returns the wait-cell wake routine (A0 = cell).
 func (k *Kernel) WakeCellRoutine() uint32 { return k.rtWakeCell }
+
+// WakeLoadedRoutine returns wake_cell's entry past its test (A0 = cell, D0 = its waiter).
+func (k *Kernel) WakeLoadedRoutine() uint32 { return k.rtWakeLoaded }
 
 // ChainRoutine returns the procedure-chaining routine (D1 = proc).
 func (k *Kernel) ChainRoutine() uint32 { return k.rtChain }

@@ -16,7 +16,8 @@ import (
 //   - system calls (trap #1) may clobber D0-D2 and A0-A1; D0 (and D1
 //     for pipe) carry results;
 //   - block_on takes its wait cell in A0 and clobbers only A1;
-//     wake_cell takes its cell in A0 and clobbers D0 and A0-A1;
+//     wake_cell takes its cell in A0 and clobbers D0 and A0-A1; its
+//     second entry takes the cell's waiter in D0 as well;
 //   - the ready ring (the one structure shared by every context, so
 //     Code Isolation cannot apply to it) is edited only at IPL 7, a
 //     raised IPL being the uniprocessor equivalent of the paper's
@@ -168,10 +169,13 @@ func (k *Kernel) synthesizeShared() {
 
 	// --- wakeCell: unblock the thread parked on the cell in A0, if
 	// any. Interrupt handlers chain this to hand data to waiting
-	// threads. Clobbers D0 and A0-A1.
-	k.rtWakeCell = c.Synthesize(kq, "wake_cell", nil, func(e *synth.Emitter) {
+	// threads. Clobbers D0 and A0-A1. The second entry, past the load
+	// and test, takes a set cell's waiter in D0 (kio's emitWake).
+	k.rtWakeCell, k.rtWakeLoaded = c.Build(kq, "wake_cell").EmitEntries(func(e *synth.Emitter) {
+		e.Entry(synth.EntryMain)
 		e.MoveL(m68k.Ind(0), m68k.D(0))
 		e.Beq("empty")
+		e.Entry(synth.EntryAlt)
 		e.Clr(4, m68k.Ind(0))
 		e.MoveL(m68k.D(0), m68k.A(0))
 		e.MoveFromSR(m68k.PreDec(7))

@@ -210,17 +210,17 @@ func emitBlockGroups(e *synth.Emitter) {
 	e.Rts()
 }
 
-// emitWake wakes the thread parked on the wait cell, testing the cell
-// first and branching to skip, which the caller defines, when it is
-// empty. It follows the store that publishes the data, and a reader
-// arms its cell only in a masked section that re-checks the queue
-// first, so an empty cell means that re-check will see the data.
-// Clobbers D0 and A0-A1.
+// emitWake wakes the thread parked on the wait cell, loading it into D0
+// and branching to skip, which the caller defines, when it is empty; a
+// set cell enters wake_cell past its test. It follows the store that
+// publishes the data, and a reader arms its cell only in a masked
+// section that re-checks the queue first, so an empty cell means that
+// re-check will see the data. Clobbers D0 and A0-A1.
 func emitWake(e *synth.Emitter, k *kernel.Kernel, cell m68k.Operand, skip string) {
-	e.TstL(cell)
+	e.MoveL(cell, m68k.D(0))
 	e.Beq(skip)
 	e.Lea(cell, 0)
-	e.Jsr(k.WakeCellRoutine())
+	e.Jsr(k.WakeLoadedRoutine())
 }
 
 // emitPut1 emits Figure 1's put in its shortest form, behind the

@@ -52,23 +52,21 @@ import "encoding/binary"
 // other operand combination runs through exec (cSlow), and a Bcc's
 // condition is a truth table over N, Z, V and C filled in from exec's.
 // A handler checks each address against the quaspace itself, as exec's
-// readOp and writeOp do (checkUserAccess inlines; inside the accessors,
-// which do not, it cost compute 4 %), then calls an accessor in
-// machine.go: load32/store32 for a long, load/store for any size. Those
-// open-code plain RAM and nothing else: a device window, the injector,
-// Kick and the bus fault are reachable only through Machine.Load and
-// Machine.Store, which the accessors call for every address that is not
-// plain RAM. A handler never tests devFloor or builds a BusFault for a
-// memory access itself. MOVEM asks ramBlock once per block and leaves
-// any other to execMovem.
+// readOp and writeOp do, then tries an inlined RAM helper in machine.go
+// (loadRAM32/storeRAM32, or loadRAM/storeRAM for any size) and calls
+// Machine.Load or Machine.Store, the only way to a device, the injector,
+// Kick and the bus fault, when it returns false. JSR's and RTS's stack
+// slot is such an operand. RTE and Exception move a frame in one piece
+// when both longs are plain RAM. MOVEM asks ramBlock once per block and
+// leaves any other to execMovem.
 //
 // TestDispatchMatchesExec (random, over the whole op list) and
 // TestDispatchMatchesExecDirected (every body, driven into devices,
 // injected faults, the end of RAM and the quaspace bounds) hold
 // handlers to the switch one instruction at a time, TestStackMatchesMove
-// holds push and pop to MOVE.L on the stack, TestRunEqualsSteps holds
-// the two step loops to each other, and TestGoldenTables
-// (internal/bench) holds every table byte-equal to bench/baseline.
+// holds push and pop to MOVE.L, `make inline` keeps the RAM helpers
+// inlined, TestRunEqualsSteps holds the two step loops to each other,
+// and TestGoldenTables holds every table byte-equal to bench/baseline.
 
 // EmitBenchProgram emits the canonical dispatcher benchmark: a
 // representative mix of register ALU, memory read-modify-write,
@@ -294,8 +292,10 @@ func compile(in *Instr, pc uint32) runFn {
 				if err := m.checkUserAccess(dst); err != nil {
 					return err
 				}
-				if err := m.store32(dst, 0); err != nil {
-					return err
+				if !m.storeRAM32(dst, 0) {
+					if err := m.Store(dst, 4, 0); err != nil {
+						return err
+					}
 				}
 				m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC) | FlagZ
 				return nil
@@ -306,8 +306,10 @@ func compile(in *Instr, pc uint32) runFn {
 				if err := m.checkUserAccess(dst); err != nil {
 					return err
 				}
-				if err := m.store(dst, sz, 0); err != nil {
-					return err
+				if !m.storeRAM(dst, sz, 0) {
+					if err := m.Store(dst, sz, 0); err != nil {
+						return err
+					}
 				}
 				m.SR = m.SR&^(FlagN|FlagZ|FlagV|FlagC) | FlagZ
 				return nil
@@ -371,9 +373,12 @@ func compile(in *Instr, pc uint32) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				s, err := m.load32(src)
-				if err != nil {
-					return err
+				s, ok := m.loadRAM32(src)
+				if !ok {
+					var err error
+					if s, err = m.Load(src, 4); err != nil {
+						return err
+					}
 				}
 				d := m.D[r]
 				m.setSubFlagsMask(d, s, d-s, 0xffff_ffff, 0x8000_0000)
@@ -385,9 +390,12 @@ func compile(in *Instr, pc uint32) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				s, err := m.load(src, sz)
-				if err != nil {
-					return err
+				s, ok := m.loadRAM(src, sz)
+				if !ok {
+					var err error
+					if s, err = m.Load(src, sz); err != nil {
+						return err
+					}
 				}
 				d := m.D[r] & mask
 				m.setSubFlagsMask(d, s, d-s, mask, sign)
@@ -399,9 +407,12 @@ func compile(in *Instr, pc uint32) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				s, err := m.load32(src)
-				if err != nil {
-					return err
+				s, ok := m.loadRAM32(src)
+				if !ok {
+					var err error
+					if s, err = m.Load(src, 4); err != nil {
+						return err
+					}
 				}
 				d := m.A[r]
 				m.setSubFlagsMask(d, s, d-s, 0xffff_ffff, 0x8000_0000)
@@ -423,9 +434,12 @@ func compile(in *Instr, pc uint32) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				v, err := m.load32(src)
-				if err != nil {
-					return err
+				v, ok := m.loadRAM32(src)
+				if !ok {
+					var err error
+					if v, err = m.Load(src, 4); err != nil {
+						return err
+					}
 				}
 				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
 				return nil
@@ -436,9 +450,12 @@ func compile(in *Instr, pc uint32) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				v, err := m.load(src, sz)
-				if err != nil {
-					return err
+				v, ok := m.loadRAM(src, sz)
+				if !ok {
+					var err error
+					if v, err = m.Load(src, sz); err != nil {
+						return err
+					}
 				}
 				m.setNZMask(v, mask, sign)
 				return nil
@@ -490,9 +507,12 @@ func compile(in *Instr, pc uint32) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				t, err := m.load32(src)
-				if err != nil {
-					return err
+				t, ok := m.loadRAM32(src)
+				if !ok {
+					var err error
+					if t, err = m.Load(src, 4); err != nil {
+						return err
+					}
 				}
 				m.PC = t
 				return nil
@@ -508,9 +528,17 @@ func compile(in *Instr, pc uint32) runFn {
 				return nil
 			}
 		}
+		// The stack slot is push open-coded, as RTS's is pop.
 		return func(m *Machine) error {
-			if err := m.push(m.PC); err != nil {
+			a := m.A[7] - 4
+			m.A[7] = a
+			if err := m.checkUserAccess(a); err != nil {
 				return err
+			}
+			if !m.storeRAM32(a, m.PC) {
+				if err := m.Store(a, 4, m.PC); err != nil {
+					return err
+				}
 			}
 			m.PC = t
 			return nil
@@ -518,29 +546,36 @@ func compile(in *Instr, pc uint32) runFn {
 
 	case RTS:
 		return func(m *Machine) error {
-			pc, err := m.pop()
-			if err != nil {
+			a := m.A[7]
+			m.A[7] = a + 4
+			if err := m.checkUserAccess(a); err != nil {
 				return err
 			}
-			m.PC = pc
+			t, ok := m.loadRAM32(a)
+			if !ok {
+				var err error
+				if t, err = m.Load(a, 4); err != nil {
+					return err
+				}
+			}
+			m.PC = t
 			return nil
 		}
 
 	case RTE:
+		// Supervisor state, so no quaspace check; any other frame is exec's.
 		return func(m *Machine) error {
 			if m.SR&FlagS == 0 {
 				return m.Exception(VecPrivilege)
 			}
-			sr, err := m.pop()
-			if err != nil {
-				return err
+			a := m.A[7]
+			if !m.ram(a, 4) || !m.ram(a+4, 4) {
+				return m.exec(&m.Code[pc])
 			}
-			pc, err := m.pop()
-			if err != nil {
-				return err
-			}
-			m.applySR(uint16(sr))
-			m.PC = pc
+			m.A[7] = a + 8
+			m.chargeMem(2)
+			m.applySR(uint16(binary.BigEndian.Uint32(m.Mem[a:])))
+			m.PC = binary.BigEndian.Uint32(m.Mem[a+4:])
 			return nil
 		}
 
@@ -570,7 +605,11 @@ func compile(in *Instr, pc uint32) runFn {
 				if m.SR&FlagS == 0 {
 					return m.Exception(VecPrivilege)
 				}
-				return m.store32(f.addr(m), uint32(m.SR))
+				a, v := f.addr(m), uint32(m.SR)
+				if m.storeRAM32(a, v) {
+					return nil
+				}
+				return m.Store(a, 4, v)
 			}
 		}
 
@@ -580,11 +619,53 @@ func compile(in *Instr, pc uint32) runFn {
 				if m.SR&FlagS == 0 {
 					return m.Exception(VecPrivilege)
 				}
-				v, err := m.load32(f.addr(m))
-				if err != nil {
-					return err
+				a := f.addr(m)
+				v, ok := m.loadRAM32(a)
+				if !ok {
+					var err error
+					if v, err = m.Load(a, 4); err != nil {
+						return err
+					}
 				}
 				m.applySR(uint16(v))
+				return nil
+			}
+		}
+
+	// sw_in's and sw_out's forms; supervisor state, so no quaspace check.
+	case MOVEC:
+		c := in.Vec
+		switch {
+		case in.Src.Mode == ModeNone && toD:
+			return func(m *Machine) error {
+				if m.SR&FlagS == 0 {
+					return m.Exception(VecPrivilege)
+				}
+				m.D[r] = m.ctrl(c)
+				return nil
+			}
+		case long && regimm:
+			return func(m *Machine) error {
+				if m.SR&FlagS == 0 {
+					return m.Exception(VecPrivilege)
+				}
+				m.setCtrl(c, ri.val(m))
+				return nil
+			}
+		case in.Src.Mode == ModeAbs:
+			a := uint32(in.Src.Imm)
+			return func(m *Machine) error {
+				if m.SR&FlagS == 0 {
+					return m.Exception(VecPrivilege)
+				}
+				v, ok := m.loadRAM32(a)
+				if !ok {
+					var err error
+					if v, err = m.Load(a, 4); err != nil {
+						return err
+					}
+				}
+				m.setCtrl(c, v)
 				return nil
 			}
 		}
@@ -614,7 +695,7 @@ func compile(in *Instr, pc uint32) runFn {
 	}
 
 	// Every other shape executes through the reference switch: STOP,
-	// MOVEC, FP, CAS, multiply/divide, BTST, the MOVEM forms cMovem
+	// FP, CAS, multiply/divide, BTST, the MOVEM forms cMovem
 	// leaves, and the operand combinations of the ops above that no
 	// workload runs at 0.5 % (docs/PERFORMANCE.md).
 	return cSlow(pc)
@@ -650,16 +731,21 @@ func cMove(in *Instr) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				v, err := m.load32(src)
-				if err != nil {
-					return err
+				v, ok := m.loadRAM32(src)
+				if !ok {
+					var err error
+					if v, err = m.Load(src, 4); err != nil {
+						return err
+					}
 				}
 				dst := dr.addr(m)
 				if err := m.checkUserAccess(dst); err != nil {
 					return err
 				}
-				if err := m.store32(dst, v); err != nil {
-					return err
+				if !m.storeRAM32(dst, v) {
+					if err := m.Store(dst, 4, v); err != nil {
+						return err
+					}
 				}
 				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
 				return nil
@@ -696,9 +782,12 @@ func cMove(in *Instr) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				v, err := m.load32(src)
-				if err != nil {
-					return err
+				v, ok := m.loadRAM32(src)
+				if !ok {
+					var err error
+					if v, err = m.Load(src, 4); err != nil {
+						return err
+					}
 				}
 				m.D[r] = v
 				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
@@ -710,9 +799,12 @@ func cMove(in *Instr) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				v, err := m.load32(src)
-				if err != nil {
-					return err
+				v, ok := m.loadRAM32(src)
+				if !ok {
+					var err error
+					if v, err = m.Load(src, 4); err != nil {
+						return err
+					}
 				}
 				m.D[r] = v
 				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
@@ -729,9 +821,12 @@ func cMove(in *Instr) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				v, err := m.load32(src)
-				if err != nil {
-					return err
+				v, ok := m.loadRAM32(src)
+				if !ok {
+					var err error
+					if v, err = m.Load(src, 4); err != nil {
+						return err
+					}
 				}
 				m.A[r] = v
 				return nil
@@ -742,9 +837,12 @@ func cMove(in *Instr) runFn {
 				if err := m.checkUserAccess(src); err != nil {
 					return err
 				}
-				v, err := m.load32(src)
-				if err != nil {
-					return err
+				v, ok := m.loadRAM32(src)
+				if !ok {
+					var err error
+					if v, err = m.Load(src, 4); err != nil {
+						return err
+					}
 				}
 				m.A[r] = v
 				return nil
@@ -756,8 +854,10 @@ func cMove(in *Instr) runFn {
 				if err := m.checkUserAccess(dst); err != nil {
 					return err
 				}
-				if err := m.store32(dst, v); err != nil {
-					return err
+				if !m.storeRAM32(dst, v) {
+					if err := m.Store(dst, 4, v); err != nil {
+						return err
+					}
 				}
 				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
 				return nil
@@ -769,8 +869,10 @@ func cMove(in *Instr) runFn {
 				if err := m.checkUserAccess(dst); err != nil {
 					return err
 				}
-				if err := m.store32(dst, v); err != nil {
-					return err
+				if !m.storeRAM32(dst, v) {
+					if err := m.Store(dst, 4, v); err != nil {
+						return err
+					}
 				}
 				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
 				return nil
@@ -787,8 +889,10 @@ func cMove(in *Instr) runFn {
 				if err := m.checkUserAccess(dst); err != nil {
 					return err
 				}
-				if err := m.store32(dst, v); err != nil {
-					return err
+				if !m.storeRAM32(dst, v) {
+					if err := m.Store(dst, 4, v); err != nil {
+						return err
+					}
 				}
 				m.setNZMask(v, 0xffff_ffff, 0x8000_0000)
 				return nil
@@ -802,9 +906,12 @@ func cMove(in *Instr) runFn {
 			if err := m.checkUserAccess(src); err != nil {
 				return err
 			}
-			v, err := m.load(src, sz)
-			if err != nil {
-				return err
+			v, ok := m.loadRAM(src, sz)
+			if !ok {
+				var err error
+				if v, err = m.Load(src, sz); err != nil {
+					return err
+				}
 			}
 			m.D[r] = m.D[r]&^mask | v&mask
 			m.setNZMask(v, mask, sign)
@@ -817,8 +924,10 @@ func cMove(in *Instr) runFn {
 			if err := m.checkUserAccess(dst); err != nil {
 				return err
 			}
-			if err := m.store(dst, sz, v); err != nil {
-				return err
+			if !m.storeRAM(dst, sz, v) {
+				if err := m.Store(dst, sz, v); err != nil {
+					return err
+				}
 			}
 			m.setNZMask(v, mask, sign)
 			return nil
@@ -829,16 +938,21 @@ func cMove(in *Instr) runFn {
 			if err := m.checkUserAccess(src); err != nil {
 				return err
 			}
-			v, err := m.load(src, sz)
-			if err != nil {
-				return err
+			v, ok := m.loadRAM(src, sz)
+			if !ok {
+				var err error
+				if v, err = m.Load(src, sz); err != nil {
+					return err
+				}
 			}
 			dst := dm.addr(m)
 			if err := m.checkUserAccess(dst); err != nil {
 				return err
 			}
-			if err := m.store(dst, sz, v); err != nil {
-				return err
+			if !m.storeRAM(dst, sz, v) {
+				if err := m.Store(dst, sz, v); err != nil {
+					return err
+				}
 			}
 			m.setNZMask(v, mask, sign)
 			return nil
@@ -884,9 +998,12 @@ func cAddSub(in *Instr) runFn {
 			if err := m.checkUserAccess(src); err != nil {
 				return err
 			}
-			s, err := m.load32(src)
-			if err != nil {
-				return err
+			s, ok := m.loadRAM32(src)
+			if !ok {
+				var err error
+				if s, err = m.Load(src, 4); err != nil {
+					return err
+				}
 			}
 			old := m.D[r]
 			nw := old + s
@@ -924,16 +1041,21 @@ func cAddSub(in *Instr) runFn {
 			if err := m.checkUserAccess(addr); err != nil {
 				return err
 			}
-			old, err := m.load(addr, sz)
-			if err != nil {
-				return err
+			old, ok := m.loadRAM(addr, sz)
+			if !ok {
+				var err error
+				if old, err = m.Load(addr, sz); err != nil {
+					return err
+				}
 			}
 			nw := old + s
 			if sub {
 				nw = old - s
 			}
-			if err := m.store(addr, sz, nw); err != nil {
-				return err
+			if !m.storeRAM(addr, sz, nw) {
+				if err := m.Store(addr, sz, nw); err != nil {
+					return err
+				}
 			}
 			if sub {
 				m.setSubFlagsMask(old, s, nw, mask, sign)

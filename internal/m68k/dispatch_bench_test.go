@@ -41,8 +41,10 @@ func BenchmarkStepLoop(b *testing.B) {
 // a seventeenth of the loop's. The shapes are the ones the workloads
 // run most (docs/PERFORMANCE.md has the op mix) and a NOP for the
 // dispatch floor. A prologue run once per pass resets the registers a
-// shape steps; jsr_abs+rts calls an RTS placed after the HALT, so its
-// ns/instr is the mean of the pair. The MOVEM rows are the register sets
+// shape steps; jsr_abs+rts calls an RTS placed after the HALT, and
+// trap+rte enters an RTE placed after that through vector 32, so each
+// one's ns/instr is the mean of the pair. The MOVEC rows are the four
+// forms sw_in and sw_out run. The MOVEM rows are the register sets
 // with bodies of their own, in the modes their templates use (the copy
 // group's store is to (A1) there, and seven of a pass's eight to
 // d(A1)); a MOVEM that loads D0, the loop counter, counts the loop in a
@@ -70,6 +72,13 @@ func BenchmarkShapes(b *testing.B) {
 		{"move.l_a0,-(a7)", Instr{Op: MOVE, Src: A(0), Dst: PreDec(7)}},
 		{"move.l_4(a0),a1", Instr{Op: MOVE, Src: Disp(4, 0), Dst: A(1)}},
 		{"jsr_abs+rts", Instr{Op: JSR}},
+		{"trap+rte", Instr{Op: TRAP}},
+		{"move_sr,-(a7)", Instr{Op: MOVEFSR, Dst: PreDec(7)}},
+		{"move_(a7)+,sr", Instr{Op: MOVETSR, Src: PostInc(7)}},
+		{"movec_#imm,vbr", Instr{Op: MOVEC, Vec: CtrlVBR, Src: Imm(0)}},
+		{"movec_abs,ubase", Instr{Op: MOVEC, Vec: CtrlUBase, Src: Abs(cell)}},
+		{"movec_d2,usp", Instr{Op: MOVEC, Vec: CtrlUSP, Src: D(2)}},
+		{"movec_usp,d2", Instr{Op: MOVEC, Vec: CtrlUSP, Dst: D(2)}},
 		{"movem.l_(a0)+,d3-d7/a3-a5", Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(0)}},
 		{"movem.l_d3-d7/a3-a5,(a0)", Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Ind(0)}},
 		{"movem.l_d3-d7/a3-a5,32(a0)", Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Disp(32, 0)}},
@@ -93,10 +102,17 @@ func BenchmarkShapes(b *testing.B) {
 			}
 			loop := m.CodeTop
 			end[len(end)-1].Dst = Abs(loop)
-			if in.Op == JSR {
+			switch in.Op {
+			case JSR:
 				in.Dst = Abs(loop + 18) // past the sixteen, the DBRA and the HALT
+			case TRAP:
+				m.Poke(VecTrapBase*4, 4, loop+19) // the RTE after the RTS
+			case MOVETSR: // every long a pass pops holds a supervisor SR
+				for a := uint32(stack); a < stack+16*1000*4; a += 4 {
+					m.Poke(a, 4, uint32(m.SR))
+				}
 			}
-			m.Emit(slices.Concat(slices.Repeat([]Instr{in}, 16), end, []Instr{{Op: HALT}, {Op: RTS}}))
+			m.Emit(slices.Concat(slices.Repeat([]Instr{in}, 16), end, []Instr{{Op: HALT}, {Op: RTS}, {Op: RTE}}))
 			benchRun(b, m, entry)
 		})
 	}

@@ -150,8 +150,9 @@ func TestDispatchMatchesExec(t *testing.T) {
 	}
 }
 
-// TestStackMatchesMove holds push and pop, the stack side of JSR, RTS,
-// RTE, TRAP and every exception frame, to exec's MOVE.L D0,-(A7) and
+// TestStackMatchesMove holds push and pop, the stack side of exec's JSR,
+// RTS and RTE and of the dispatcher's stack and frame bodies when they
+// leave plain RAM, to exec's MOVE.L D0,-(A7) and
 // MOVE.L (A7)+,D0: the same A7 and D0, charge, memory-reference count,
 // memory, device accesses and fault, with the slot in plain RAM, across
 // the end of RAM, in a device window (with and without the injector
@@ -314,7 +315,7 @@ func (s *dirSide) reset(in Instr, st *dirState, image []byte) {
 	m := s.m
 	m.SetCode(2, []Instr{in})
 	m.D, m.A, m.SR = st.D, st.A, st.SR
-	m.USP, m.SSP, m.VBR, m.UBase, m.ULimit = st.USP, st.SSP, dirVBR, st.UBase, st.ULimit
+	m.USP, m.SSP, m.VBR, m.UBase, m.ULimit, m.FPTrap = st.USP, st.SSP, dirVBR, st.UBase, st.ULimit, false
 	m.Cycles, m.Instrs, m.MemRefs, m.stopped, m.halted = 0, 0, 0, false, false
 	copy(m.Mem, image)
 	s.dev.log, s.dev.ticks = s.dev.log[:0], 0
@@ -351,6 +352,9 @@ func dirCompare(ref, xl *dirSide, errA, errB error) string {
 	case a.SR != b.SR || a.PC != b.PC || a.USP != b.USP || a.SSP != b.SSP || a.stopped != b.stopped:
 		return fmt.Sprintf("control state: exec SR=%04x PC=%d USP=%#x SSP=%#x stopped=%v, dispatch SR=%04x PC=%d USP=%#x SSP=%#x stopped=%v",
 			a.SR, a.PC, a.USP, a.SSP, a.stopped, b.SR, b.PC, b.USP, b.SSP, b.stopped)
+	case a.VBR != b.VBR || a.UBase != b.UBase || a.ULimit != b.ULimit || a.FPTrap != b.FPTrap:
+		return fmt.Sprintf("control registers: exec VBR=%#x quaspace [%#x,%#x) FPTrap=%v, dispatch VBR=%#x quaspace [%#x,%#x) FPTrap=%v",
+			a.VBR, a.UBase, a.ULimit, a.FPTrap, b.VBR, b.UBase, b.ULimit, b.FPTrap)
 	case a.Cycles != b.Cycles || a.MemRefs != b.MemRefs:
 		return fmt.Sprintf("accounting: exec %d cycles %d refs, dispatch %d cycles %d refs", a.Cycles, a.MemRefs, b.Cycles, b.MemRefs)
 	case !bytes.Equal(a.Mem, b.Mem):
@@ -395,10 +399,11 @@ const (
 // memory-indirect JMP/JSR in each mode; JMP and JSR to a constant
 // target, RTS and RTE, the stack slot directed like an operand; MOVE to
 // and from SR through each register-relative mode; the six supervisor
-// ops with closures in both processor states; and the MOVEM block forms.
-// It compares registers, SR, PC, both stack pointers, accounting,
-// memory, the device's access log and Kick count, and the injector's
-// tally.
+// ops with closures in both processor states; JSR, RTS, RTE, TRAP, an
+// interrupt, the SR moves and MOVEC over the stack states; and the MOVEM
+// block forms. It compares registers, SR, PC, both stack pointers, the
+// control registers, accounting, memory, the device's access log and
+// Kick count, and the injector's tally.
 //
 // Mutation-checked against dispatch.go, exec.go and machine.go; with
 // TestStackMatchesMove, each of these fails it. Every body with a memory
@@ -425,11 +430,16 @@ const (
 // size; JMP to a constant one past the target; JSR pushing the target
 // instead of the return address; exec's indirect cell read without the
 // quaspace check. Forms
-// and accessors: stepping a register-relative register before forming
+// and RAM helpers: stepping a register-relative register before forming
 // the address; memForm always register-relative; reading An where the
 // index is Dn; ignoring the scale; reading an immediate source as a
-// register; load32, store32, load or store taking the RAM path at or
-// above devFloor or across the end of RAM. push and pop (these fail
+// register; loadRAM32, storeRAM32, loadRAM or storeRAM taking the RAM
+// path at or above devFloor or across the end of RAM, or storeRAM
+// leaving it uncharged. The stack and frame bodies: the mutations named
+// at their block below, the frame charged one reference short, JSR's or
+// RTS's slot check dropped, MOVE SR,-(An) never calling Store, a MOVEC
+// body dropping its privilege check or naming another control
+// register. push and pop (these fail
 // TestStackMatchesMove): either's quaspace check dropped, A7 stepped
 // only after an access that succeeds, the RAM path taken at or above
 // devFloor or across the end of RAM, the RAM access uncharged. MOVEM, in
@@ -695,6 +705,138 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 		}
 	}
 
+	// The stack and frame bodies over TestStackMatchesMove's six stack
+	// states and a seventh: a frame straddling devFloor, its PC long in
+	// the device window and its SR long in RAM (for RTE's pops, SR in RAM
+	// below PC in the window). JSR, RTS, RTE, the SR moves and MOVEC's
+	// four bodies (its absolute cell at the slot) run against exec; TRAP
+	// and an autovectored interrupt, which exec enters through the same
+	// Exception, against frameByPushes. Both stack pointers point at the
+	// slot, so a privilege violation's frame is directed too, and every
+	// vector holds its own number, so PC names the vector taken. It
+	// fails with Exception's frame stored, or RTE's read, when only one
+	// of its two longs is tested for plain RAM: the lower one
+	// (stkRAMEnd, or stkStraddle, where the device misses the PC long) or
+	// the upper one (stkRAMEnd's wrap: the body indexes past Mem's end).
+	const (
+		stkPlain = iota
+		stkRAMEnd
+		stkDev
+		stkDevFault
+		stkUserIn
+		stkUserOut
+		stkStraddle
+		stkCases
+	)
+	const stkIntr = Op(255) // not an instruction: an interrupt at a random level
+	ctrlReg := func() uint8 { return uint8(rng.Intn(int(CtrlFPTrap) + 1)) }
+	for _, op := range []struct {
+		in  Instr
+		pop bool // the first access is at A7, not below it
+	}{
+		{Instr{Op: JSR, Dst: Abs(1)}, false},
+		{Instr{Op: RTS}, true},
+		{Instr{Op: RTE}, true},
+		{Instr{Op: TRAP}, false},
+		{Instr{Op: stkIntr}, false},
+		{Instr{Op: MOVEFSR, Dst: PreDec(7)}, false},
+		{Instr{Op: MOVETSR, Src: PostInc(7)}, true},
+		{Instr{Op: MOVEC, Src: Imm(0)}, false},
+		{Instr{Op: MOVEC, Src: D(0)}, false},
+		{Instr{Op: MOVEC, Src: Abs(0)}, true},
+		{Instr{Op: MOVEC, Dst: D(0)}, false},
+	} {
+		for n := 0; n < 16*stkCases; n++ {
+			c := n % stkCases
+			st := newState(c == stkUserIn || c == stkUserOut)
+			for v := 0; v < NumVectors; v++ {
+				binary.BigEndian.PutUint32(image[dirVBR+4*v:], uint32(v))
+			}
+			slot := 0x400 + uint32(rng.Intn(0x800))
+			switch c {
+			case stkRAMEnd:
+				// Across the end of RAM, or a frame wrapping round the top
+				// of the address space: its upper long in RAM at 0 and its
+				// lower one at the top.
+				slot = ramEnd()
+				if rng.Intn(2) == 0 {
+					slot = uint32(rng.Intn(4))
+					if op.pop {
+						slot -= 4
+					}
+				}
+			case stkDev, stkDevFault:
+				slot = inDev()
+			case stkUserIn:
+				st.UBase, st.ULimit = slot, slot+4
+			case stkUserOut:
+				st.UBase, st.ULimit = slot+1, dirMem
+			case stkStraddle:
+				slot = dirDevBase
+				if op.pop {
+					slot -= 4
+				}
+			}
+			top := slot + 4
+			if op.pop {
+				top = slot
+			}
+			st.A[7], st.USP, st.SSP = top, top, top
+			st.faultReads, st.faultWrites = c == stkDevFault && op.pop, c == stkDevFault && !op.pop
+			in := op.in
+			switch {
+			case in.Op == TRAP:
+				in.Vec = uint8(rng.Intn(16))
+			case in.Op == MOVEC:
+				in.Vec = ctrlReg()
+				switch {
+				case in.Src.Mode == ModeImm:
+					in.Src.Imm = int32(rng.Uint32())
+				case in.Src.Mode == ModeAbs:
+					in.Src.Imm = int32(slot)
+				case in.Src.Mode == ModeDReg:
+					in.Src.Reg = uint8(rng.Intn(8))
+				default:
+					in.Dst.Reg = uint8(rng.Intn(8))
+				}
+			}
+			a, b := ref, xl
+			if c == stkRAMEnd {
+				a, b = bareRef, bareXl
+			}
+			var d string
+			switch in.Op {
+			case TRAP, stkIntr:
+				// An interrupt level above the mask.
+				l := 1 + rng.Intn(7)
+				st.SR = st.SR&^iplMask | uint16(rng.Intn(l))<<iplShift
+				a.reset(in, st, image)
+				b.reset(in, st, image)
+				var errA, errB error
+				if in.Op == TRAP {
+					a.m.Cycles += baseCost(&in)
+					errA = frameByPushes(a.m, VecTrapBase+int(in.Vec))
+					var e xent
+					b.m.translate(2, &e)
+					b.m.Cycles += e.cost
+					errB = e.run(b.m)
+				} else {
+					if errA = frameByPushes(a.m, VecAutovector+l); errA == nil {
+						a.m.SetIPL(l)
+					}
+					b.m.PostInterrupt(l)
+					_, errB = b.m.takeInterrupt()
+				}
+				d = dirCompare(a, b, errA, errB)
+			default:
+				d = dirDiff(a, b, in, st, image)
+			}
+			if d != "" {
+				t.Fatalf("%v (stack case %d, slot %#x) from %+v:\n%s", in, c, slot, *st, d)
+			}
+		}
+	}
+
 	// MOVEM, every form with a block body in both directions, each
 	// register set with a body and random masks (which run through
 	// exec), 16 states for each way a block can meet the fast path:
@@ -779,4 +921,28 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// frameByPushes is exception entry as exec's pushes make it: SR and PC
+// stacked by push, the handler read by Load. It is the oracle for
+// Exception's frame, whose RAM case stores both longs itself;
+// TestStackMatchesMove holds push to MOVE.L D0,-(A7).
+func frameByPushes(m *Machine, v int) error {
+	oldSR := m.SR
+	m.enterSupervisor()
+	m.SR &^= FlagT
+	m.stopped = false
+	m.Cycles += uint64(cycException)
+	if err := m.push(m.PC); err != nil {
+		return err
+	}
+	if err := m.push(uint32(oldSR)); err != nil {
+		return err
+	}
+	h, err := m.Load(m.VBR+uint32(v)*4, 4)
+	if err != nil {
+		return err
+	}
+	m.PC = h
+	return nil
 }

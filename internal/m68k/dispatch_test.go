@@ -444,9 +444,9 @@ func TestRunEqualsSteps(t *testing.T) {
 // had no closure, Translations counts slots translated. In a
 // trap-and-mask pass of the kind thread_ops spends a seventh of its
 // instructions in, 9 of 10 instructions are supervisor or slow-path
-// ops; with closures for ORSR, ANDSR, MOVEFSR, MOVETSR, TRAP and RTE
-// only the two no workload pays for (MOVEC, MULU) reach cSlow — 2 of
-// 10 where it would be 9 of 10 without them. EmitBenchProgram, the
+// ops; with closures for ORSR, ANDSR, MOVEFSR, MOVETSR, MOVEC, TRAP
+// and RTE only the two with none (BTST, MULU) reach cSlow — 2 of 10
+// where it would be 9 of 10 without them. EmitBenchProgram, the
 // dispatcher's best case, must read zero. SlowSteps counts the
 // boundaries Run handed to Step: with no device and no interrupt, one
 // per slot, its first fetch.
@@ -455,7 +455,7 @@ func TestDispatchCounters(t *testing.T) {
 	m.VBR, m.A[7], m.SSP = 0x100, 0x8000, 0x8000
 	m.Poke(m.VBR+uint32(VecTrapBase+1)*4, 4, m.Emit([]Instr{
 		{Op: ORSR, Src: Imm(0x0700)},
-		{Op: MOVEC, Vec: CtrlVBR, Dst: D(3)},
+		{Op: BTST, Src: Imm(3), Dst: D(3)},
 		{Op: RTE},
 	}))
 	const passes = 3

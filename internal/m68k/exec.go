@@ -751,40 +751,10 @@ func (m *Machine) exec(in *Instr) error {
 			if err != nil {
 				return err
 			}
-			switch in.Vec {
-			case CtrlVBR:
-				m.VBR = v
-			case CtrlUSP:
-				m.USP = v
-			case CtrlSSP:
-				m.SSP = v
-			case CtrlUBase:
-				m.UBase = v
-			case CtrlULimit:
-				m.ULimit = v
-			case CtrlFPTrap:
-				m.FPTrap = v != 0
-			}
+			m.setCtrl(in.Vec, v)
 			return nil
 		}
-		var v uint32
-		switch in.Vec {
-		case CtrlVBR:
-			v = m.VBR
-		case CtrlUSP:
-			v = m.USP
-		case CtrlSSP:
-			v = m.SSP
-		case CtrlUBase:
-			v = m.UBase
-		case CtrlULimit:
-			v = m.ULimit
-		case CtrlFPTrap:
-			if m.FPTrap {
-				v = 1
-			}
-		}
-		return m.writeOp(&in.Dst, 4, v)
+		return m.writeOp(&in.Dst, 4, m.ctrl(in.Vec))
 
 	case ORSR:
 		m.applySR(m.SR | uint16(in.Src.Imm))
@@ -828,6 +798,45 @@ func (m *Machine) exec(in *Instr) error {
 		return nil
 	}
 	return m.Exception(VecIllegal)
+}
+
+// ctrl reads the control register MOVEC names.
+func (m *Machine) ctrl(c uint8) uint32 {
+	switch c {
+	case CtrlVBR:
+		return m.VBR
+	case CtrlUSP:
+		return m.USP
+	case CtrlSSP:
+		return m.SSP
+	case CtrlUBase:
+		return m.UBase
+	case CtrlULimit:
+		return m.ULimit
+	case CtrlFPTrap:
+		if m.FPTrap {
+			return 1
+		}
+	}
+	return 0
+}
+
+// setCtrl writes the control register MOVEC names.
+func (m *Machine) setCtrl(c uint8, v uint32) {
+	switch c {
+	case CtrlVBR:
+		m.VBR = v
+	case CtrlUSP:
+		m.USP = v
+	case CtrlSSP:
+		m.SSP = v
+	case CtrlUBase:
+		m.UBase = v
+	case CtrlULimit:
+		m.ULimit = v
+	case CtrlFPTrap:
+		m.FPTrap = v != 0
+	}
 }
 
 // controlTarget resolves a JMP/JSR target. A populated Src operand

@@ -393,20 +393,12 @@ func (m *Machine) Kick(d Device) {
 	}
 }
 
-// Load reads sz bytes big-endian from addr. Device windows are routed
-// to the owning device. The access is charged to the cycle and
-// memory-reference counters.
+// Load reads sz bytes big-endian from addr, routing device windows to
+// the owning device and charging the access. It makes no use of
+// devFloor, so exec, which reaches memory only through Load and Store,
+// is an oracle for the RAM helpers below, which the dispatcher tries first.
 func (m *Machine) Load(addr uint32, sz uint8) (uint32, error) {
 	m.chargeMem(1)
-	// RAM fast path: every device window sits at or above devFloor, so
-	// an access strictly below it cannot hit a device (and device fault
-	// injection, which applies only to device windows, cannot apply).
-	if addr < m.devFloor {
-		if int(addr)+int(sz) > len(m.Mem) {
-			return 0, &BusFault{Addr: addr, PC: m.PC}
-		}
-		return m.loadRaw(addr, sz), nil
-	}
 	if i := m.deviceAt(addr); i >= 0 {
 		d, off := m.devices[i], addr-m.devWin[i].base
 		if m.Inj != nil && m.Inj.AccessFault(d, off, false) {
@@ -435,16 +427,9 @@ func (m *Machine) loadRaw(addr uint32, sz uint8) uint32 {
 }
 
 // Store writes sz bytes big-endian to addr, with device routing and
-// cycle charging.
+// cycle charging, as Load reads.
 func (m *Machine) Store(addr uint32, sz uint8, val uint32) error {
 	m.chargeMem(1)
-	if addr < m.devFloor { // RAM fast path, see Load
-		if int(addr)+int(sz) > len(m.Mem) {
-			return &BusFault{Addr: addr, Write: true, PC: m.PC}
-		}
-		m.storeRaw(addr, sz, val)
-		return nil
-	}
 	if i := m.deviceAt(addr); i >= 0 {
 		d, off := m.devices[i], addr-m.devWin[i].base
 		if m.Inj != nil && m.Inj.AccessFault(d, off, true) {
@@ -490,51 +475,50 @@ func (m *Machine) ramBlock(addr, size uint32) bool {
 	return m.SR&FlagS != 0 || m.ULimit == 0 || addr >= m.UBase && end <= uint64(m.ULimit)
 }
 
-// load32, store32, load and store are Load and Store with the RAM case
-// open-coded: same count, same charge, one bounds check and one
-// byte-swapped access. Every other address — a device window, the end
-// of RAM, unmapped space — is handed to Load or Store, so device
-// routing, Kick, fault injection and the bus fault are defined there
-// and nowhere else. The long forms serve the dispatcher's long bodies;
-// load and store take the size at run time. The quaspace check is the
-// caller's, made before the call as exec's readOp and writeOp make it:
-// inlined in each handler it is cheaper than inside these, which do not
-// inline (compute 4 % slower and thread_ops 5 % with it moved here).
-// push and pop open-code the same RAM case themselves: calling these
-// from them read pipe_rw 7 % lower than calling Load and Store, and
-// open-coded it reads 4–5 % higher.
-func (m *Machine) load32(addr uint32) (uint32, error) {
-	if m.ram(addr, 4) {
-		m.chargeMem(1)
-		return binary.BigEndian.Uint32(m.Mem[addr:]), nil
+// loadRAM32, storeRAM32, loadRAM and storeRAM are Load and Store's
+// plain-RAM case alone: the same charge, one bounds check and one
+// byte-swapped access, or false, with nothing charged, for any other
+// address, on which the caller calls Load or Store itself. With that
+// call inside them they cost 113–181 against the inliner's budget of
+// 80; without it they inline (`make inline` holds them to it), and
+// chargeMem(1) written out keeps the sized forms under it. The quaspace
+// check is the caller's, made first, as exec's readOp and writeOp make it.
+func (m *Machine) loadRAM32(addr uint32) (uint32, bool) {
+	if !m.ram(addr, 4) {
+		return 0, false
 	}
-	return m.Load(addr, 4)
+	m.MemRefs++
+	m.Cycles += m.memCost()
+	return binary.BigEndian.Uint32(m.Mem[addr:]), true
 }
 
-func (m *Machine) store32(addr, val uint32) error {
-	if m.ram(addr, 4) {
-		m.chargeMem(1)
-		binary.BigEndian.PutUint32(m.Mem[addr:], val)
-		return nil
+func (m *Machine) storeRAM32(addr, val uint32) bool {
+	if !m.ram(addr, 4) {
+		return false
 	}
-	return m.Store(addr, 4, val)
+	m.MemRefs++
+	m.Cycles += m.memCost()
+	binary.BigEndian.PutUint32(m.Mem[addr:], val)
+	return true
 }
 
-func (m *Machine) load(addr uint32, sz uint8) (uint32, error) {
-	if m.ram(addr, int(sz)) {
-		m.chargeMem(1)
-		return m.loadRaw(addr, sz), nil
+func (m *Machine) loadRAM(addr uint32, sz uint8) (uint32, bool) {
+	if !m.ram(addr, int(sz)) {
+		return 0, false
 	}
-	return m.Load(addr, sz)
+	m.MemRefs++
+	m.Cycles += m.memCost()
+	return m.loadRaw(addr, sz), true
 }
 
-func (m *Machine) store(addr uint32, sz uint8, val uint32) error {
-	if m.ram(addr, int(sz)) {
-		m.chargeMem(1)
-		m.storeRaw(addr, sz, val)
-		return nil
+func (m *Machine) storeRAM(addr uint32, sz uint8, val uint32) bool {
+	if !m.ram(addr, int(sz)) {
+		return false
 	}
-	return m.Store(addr, sz, val)
+	m.MemRefs++
+	m.Cycles += m.memCost()
+	m.storeRaw(addr, sz, val)
+	return true
 }
 
 // Peek reads memory for the benefit of the host (no cycle charge, no
@@ -614,17 +598,14 @@ func (m *Machine) Emit(code []Instr) uint32 {
 }
 
 // push stores a long word on the active stack, as MOVE.L to -(A7)
-// would: in user state the quaspace bounds apply, plain RAM is written
-// here and any other address goes to Store.
+// would: in user state the quaspace bounds apply.
 func (m *Machine) push(val uint32) error {
 	a := m.A[7] - 4
 	m.A[7] = a
 	if err := m.checkUserAccess(a); err != nil {
 		return err
 	}
-	if m.ram(a, 4) {
-		m.chargeMem(1)
-		binary.BigEndian.PutUint32(m.Mem[a:], val)
+	if m.storeRAM32(a, val) {
 		return nil
 	}
 	return m.Store(a, 4, val)
@@ -638,9 +619,8 @@ func (m *Machine) pop() (uint32, error) {
 	if err := m.checkUserAccess(addr); err != nil {
 		return 0, err
 	}
-	if m.ram(addr, 4) {
-		m.chargeMem(1)
-		return binary.BigEndian.Uint32(m.Mem[addr:]), nil
+	if v, ok := m.loadRAM32(addr); ok {
+		return v, nil
 	}
 	return m.Load(addr, 4)
 }
@@ -683,15 +663,25 @@ func (m *Machine) Exception(v int) error {
 	m.SR &^= FlagT
 	m.stopped = false
 	m.Cycles += uint64(cycException)
-	if err := m.push(m.PC); err != nil {
+	// The frame is two pushes, PC then SR: stored here when both longs are
+	// plain RAM, so a frame across devFloor or RAM's end faults as pushes do.
+	if sp := m.A[7] - 8; m.ram(sp, 4) && m.ram(sp+4, 4) {
+		m.A[7] = sp
+		m.chargeMem(2)
+		binary.BigEndian.PutUint32(m.Mem[sp+4:], m.PC)
+		binary.BigEndian.PutUint32(m.Mem[sp:], uint32(oldSR))
+	} else if err := m.push(m.PC); err != nil {
+		return err
+	} else if err := m.push(uint32(oldSR)); err != nil {
 		return err
 	}
-	if err := m.push(uint32(oldSR)); err != nil {
-		return err
-	}
-	handler, err := m.Load(m.VBR+uint32(v)*4, 4)
-	if err != nil {
-		return err
+	vec := m.VBR + uint32(v)*4
+	handler, ok := m.loadRAM32(vec)
+	if !ok {
+		var err error
+		if handler, err = m.Load(vec, 4); err != nil {
+			return err
+		}
 	}
 	if m.Trace != nil {
 		m.Trace.RecordException(v, m.PC)

@@ -241,17 +241,7 @@ func main() {
 	}
 
 	fmt.Printf("execution trace (last %d entries):\n", *traceN)
-	entries := k.M.Trace.Entries()
-	if len(entries) > *traceN {
-		entries = entries[len(entries)-*traceN:]
-	}
-	for _, e := range entries {
-		if e.Exc >= 0 {
-			fmt.Printf("%10d  ** exception vector %d (from pc %d)\n", e.Cycles, e.Exc, e.PC)
-			continue
-		}
-		fmt.Printf("%10d  %6d: %s\n", e.Cycles, e.PC, e.Instr)
-	}
+	fmt.Print(k.M.Trace.Tail(*traceN))
 
 	if *disasm {
 		fmt.Println("\nsynthesized quajects:")

@@ -1,8 +1,9 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Section 6.4: kernel size accounting. The paper breaks its 64 KB
@@ -72,7 +73,11 @@ func SizeTable() (Table, error) {
 	for _, th := range k.Threads {
 		qs = append(qs, qsize{th.Q.Name, th.Q.Bytes})
 	}
-	sort.Slice(qs, func(i, j int) bool { return qs[i].bytes > qs[j].bytes })
+	// Largest first, equal sizes by name: the map's order must not
+	// decide which of two equal quajects makes the cut.
+	slices.SortFunc(qs, func(a, b qsize) int {
+		return cmp.Or(cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.name, b.name))
+	})
 	for i, q := range qs {
 		if i >= 3 {
 			break

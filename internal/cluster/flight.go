@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -92,26 +91,20 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 		fmt.Fprintf(&b, "panic: %s\n", k.PanicMsg)
 	}
 
-	// Thread table, sorted by TTE for stable dumps.
-	ttes := make([]uint32, 0, len(k.Threads))
-	for tte := range k.Threads {
-		ttes = append(ttes, tte)
-	}
-	sort.Slice(ttes, func(i, j int) bool { return ttes[i] < ttes[j] })
-	// The state is read from the TTE: the ready ring's unlink clears
-	// TTENext, so a nonzero link means the thread is on the ring.
-	for _, tte := range ttes {
-		t := k.Threads[tte]
+	// Thread table, in TTE order for stable dumps. The state is read
+	// from the TTE: the ready ring's unlink clears TTENext, so a nonzero
+	// link means the thread is on the ring.
+	for _, t := range k.ThreadsByTTE() {
 		state := "blocked"
 		switch {
 		case t.Dead:
 			state = "dead"
-		case tte == k.CurTTE():
+		case t.TTE == k.CurTTE():
 			state = "running"
-		case m.Peek(tte+kernel.TTENext, 4) != 0:
+		case m.Peek(t.TTE+kernel.TTENext, 4) != 0:
 			state = "ready"
 		}
-		fmt.Fprintf(&b, "thread %-12s tte=%#x %s\n", t.Name, tte, state)
+		fmt.Fprintf(&b, "thread %-12s tte=%#x %s\n", t.Name, t.TTE, state)
 	}
 
 	if p := k.Prof; p != nil {
@@ -140,18 +133,9 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 	}
 
 	if m.Trace != nil && m.Trace.Len() > 0 {
-		ents := m.Trace.Entries()
-		if len(ents) > flightInstrTail {
-			ents = ents[len(ents)-flightInstrTail:]
-		}
-		fmt.Fprintf(&b, "-- last %d instructions --\n", len(ents))
-		for _, e := range ents {
-			if e.Exc >= 0 {
-				fmt.Fprintf(&b, "%12d  ** exception v%d (pc %d)\n", e.Cycles, e.Exc, e.PC)
-			} else {
-				fmt.Fprintf(&b, "%12d  %6d: %s\n", e.Cycles, e.PC, e.Instr)
-			}
-		}
+		n := min(m.Trace.Len(), flightInstrTail)
+		fmt.Fprintf(&b, "-- last %d instructions --\n", n)
+		b.WriteString(m.Trace.Tail(n))
 	}
 
 	if c.tr != nil {

@@ -3,6 +3,8 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"synthesis/internal/alloc"
 	"synthesis/internal/fs"
@@ -332,6 +334,17 @@ func (k *Kernel) CurTTE() uint32 { return k.g(GCurTTE) }
 
 // Cur returns the running thread's mirror.
 func (k *Kernel) Cur() *Thread { return k.Threads[k.CurTTE()] }
+
+// ThreadsByTTE returns the thread table's threads, a dead one not yet
+// freed included, in TTE order: the walk that reports them in the same
+// order on every run, where the map's own order would not.
+func (k *Kernel) ThreadsByTTE() []*Thread {
+	out := make([]*Thread, 0, len(k.Threads))
+	for _, tte := range slices.Sorted(maps.Keys(k.Threads)) {
+		out = append(out, k.Threads[tte])
+	}
+	return out
+}
 
 // buildBootVectors points every boot vector at the panic stub.
 func (k *Kernel) buildBootVectors() {

@@ -3,7 +3,6 @@ package kernel_test
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"synthesis/internal/fault"
@@ -40,12 +39,7 @@ func tail(k *kernel.Kernel) string {
 	if k.M.Trace == nil {
 		return "(no trace)"
 	}
-	s := k.M.Trace.String()
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) > 40 {
-		lines = lines[len(lines)-40:]
-	}
-	return strings.Join(lines, "\n")
+	return k.M.Trace.Tail(40)
 }
 
 func TestBootAndExit(t *testing.T) {

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"slices"
 
 	"synthesis/internal/m68k"
 	"synthesis/internal/synth"
@@ -275,14 +274,9 @@ func (k *Kernel) CheckReadyRing() error {
 			return fmt.Errorf("the ring from %s closes at %s, not at itself", k.Threads[cur].Name, k.Threads[t].Name)
 		}
 	}
-	ttes := make([]uint32, 0, len(k.Threads))
-	for tte := range k.Threads {
-		ttes = append(ttes, tte)
-	}
-	slices.Sort(ttes)
-	for _, tte := range ttes {
-		if !on[tte] && peek(tte, TTENext) != 0 {
-			return fmt.Errorf("thread %s is off the ring with TTENext %#x", k.Threads[tte].Name, peek(tte, TTENext))
+	for _, th := range k.ThreadsByTTE() {
+		if !on[th.TTE] && peek(th.TTE, TTENext) != 0 {
+			return fmt.Errorf("thread %s is off the ring with TTENext %#x", th.Name, peek(th.TTE, TTENext))
 		}
 	}
 	return nil

@@ -361,9 +361,7 @@ func TestCopyFormsAgree(t *testing.T) {
 // every kind and a socket, and scans code space: every MOVEM the
 // synthesizer emitted must have a body of its own in the dispatcher
 // (m68k.MovemHasBody), so a template that changes its register set
-// fails here instead of running through exec. The receive handler's
-// generic demultiplex, which the watchdog falls back to, saves D3 as
-// well and is the one MOVEM without a body.
+// fails here instead of running through exec.
 func TestEmittedMovemsHaveBodies(t *testing.T) {
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}, Metrics: metrics.New()})
 	io := kio.Install(k)
@@ -395,21 +393,18 @@ func TestEmittedMovemsHaveBodies(t *testing.T) {
 		}
 	}
 
-	// scan returns how many MOVEMs of each mask code space holds and
-	// the masks of those without a body.
-	scan := func() (found map[uint16]int, slow []uint16) {
-		found = map[uint16]int{}
-		for _, in := range k.M.Code[:k.M.CodeTop] {
-			if in.Op == m68k.MOVEM {
-				found[in.Mask]++
-				if !m68k.MovemHasBody(in) {
-					slow = append(slow, in.Mask)
-				}
+	// How many MOVEMs of each mask code space holds, and the masks of
+	// those without a body.
+	found := map[uint16]int{}
+	var slow []uint16
+	for _, in := range k.M.Code[:k.M.CodeTop] {
+		if in.Op == m68k.MOVEM {
+			found[in.Mask]++
+			if !m68k.MovemHasBody(in) {
+				slow = append(slow, in.Mask)
 			}
 		}
-		return found, slow
 	}
-	found, slow := scan()
 	if len(slow) != 0 {
 		t.Errorf("MOVEMs without a body, masks %#04x", slow)
 	}
@@ -417,10 +412,6 @@ func TestEmittedMovemsHaveBodies(t *testing.T) {
 		if found[set] == 0 {
 			t.Errorf("no MOVEM of %#04x in code space: %v", set, found)
 		}
-	}
-	io.SetNetMode(true, false)
-	if _, slow := scan(); !slices.Equal(slow, []uint16{m68k.MovemIntrRegs | 0x0008, m68k.MovemIntrRegs | 0x0008}) {
-		t.Errorf("generic demultiplex: MOVEMs without a body, masks %#04x, want its save and restore", slow)
 	}
 }
 

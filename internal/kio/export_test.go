@@ -2,16 +2,18 @@ package kio
 
 import "synthesis/internal/synth"
 
-// SetNetMode rebuilds the receive handler in the given demultiplex
-// discipline, with the storm throttle engaged or not, the way the
-// watchdog's mode changes do.
-func (io *IO) SetNetMode(generic, throttled bool) {
-	io.netGeneric, io.netCoalesce = generic, 0
+// SetNetMode rebuilds the receive handler with the storm throttle
+// engaged or not, the way the watchdog's mode changes do.
+func (io *IO) SetNetMode(throttled bool) {
+	io.netCoalesce = 0
 	if throttled {
 		io.netCoalesce = coalesceBatch
 	}
 	io.resynthNetHandler()
 }
+
+// WatchdogWindowUS is the watchdog's sampling window.
+const WatchdogWindowUS = windowUS
 
 // BadFD returns the routine a descriptor that is not open enters, by
 // either convention.

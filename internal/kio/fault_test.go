@@ -146,8 +146,8 @@ func TestWatchdogStormThrottleEngagesAndReleases(t *testing.T) {
 	if wd.Throttled() {
 		t.Error("throttle still engaged after the storm died")
 	}
-	if io.GenericFallback() {
-		t.Error("storm alone must not trigger the generic fallback")
+	if n := rebuilds(wd); n != 0 {
+		t.Errorf("a storm alone logged %d rebuilds: %v", n, kinds)
 	}
 }
 
@@ -198,14 +198,92 @@ func TestAlarmChannelHasOneOwner(t *testing.T) {
 	})
 }
 
-// TestWatchdogWedgeFallsBackToGeneric: when the installed receive
-// handler runs but stops draining (here: the vector is clobbered with
-// an rte-only stub), the watchdog must notice the stalled cursor,
-// resynthesize the handler in the generic layered discipline and
-// recover the pending frames. The generic walk then treats a closed
-// port's entry, which keeps the port, as nobody home.
-func TestWatchdogWedgeFallsBackToGeneric(t *testing.T) {
+// rebuilds counts the watchdog's rebuild events.
+func rebuilds(wd *kio.Watchdog) int {
+	n := 0
+	for _, ev := range wd.Events {
+		if ev.Kind == "rebuild" {
+			n++
+		}
+	}
+	return n
+}
+
+// wedgeRig is a kernel with port 9 open on its one thread and the
+// watchdog installed, its routines logged from before the install.
+type wedgeRig struct {
+	k       *kernel.Kernel
+	io      *kio.IO
+	th      *kernel.Thread
+	wd      *kio.Watchdog
+	regions *regionLog
+}
+
+// newWedgeRig builds the rig around a thread running prog.
+func newWedgeRig(t *testing.T, prog func(e *synth.Emitter)) *wedgeRig {
+	t.Helper()
 	k, io := boot(t)
+	th := k.SpawnKernel("spin", k.C.Synthesize(nil, "spin", nil, prog))
+	if io.OpenSocket(th, 9, 5) != 0 {
+		t.Fatal("socket fd")
+	}
+	regions := logRegions(k)
+	return &wedgeRig{k, io, th, io.InstallWatchdog(64), regions}
+}
+
+// handler returns the receive handler's region: its base and end.
+func (r *wedgeRig) handler(t *testing.T) (base, end uint32) {
+	t.Helper()
+	for i := len(r.regions.names) - 1; i >= 0; i-- {
+		if r.regions.names[i] == "kio.net_intr" {
+			return r.regions.spans[i][0], r.regions.spans[i][1]
+		}
+	}
+	t.Fatal("no kio.net_intr region was installed")
+	return 0, 0
+}
+
+// netVector is the net vector's offset in a vector table.
+const netVector = uint32(m68k.VecAutovector+m68k.IRQNet) * 4
+
+// clobberVector points the net vector, in the prototype table and the
+// thread's own, at a handler that acknowledges nothing.
+func (r *wedgeRig) clobberVector(stub uint32) {
+	r.k.M.Poke(r.k.ProtoVectors()+netVector, 4, stub)
+	r.k.M.Poke(r.th.TTE+kernel.TTEVec+netVector, 4, stub)
+}
+
+// inject delivers n valid frames for port 9 from outside.
+func (r *wedgeRig) inject(t *testing.T, n int) {
+	t.Helper()
+	payload := []byte("hello from the far side of the wire")
+	frame := synnet.EncodeFrame(synnet.Frame{Dst: 9, Src: 5, Sum: synnet.Checksum(payload), Payload: payload})
+	for range n {
+		if !r.k.Net.InjectFrame(frame) {
+			t.Fatal("inject failed")
+		}
+	}
+}
+
+// delivered returns the frames port 9's queue has taken.
+func (r *wedgeRig) delivered() uint32 {
+	return r.k.M.Peek(r.io.NetSockets()[0].Queue+kio.NQGauge, 4)
+}
+
+// stubHandler synthesizes a handler that acknowledges nothing.
+func stubHandler(k *kernel.Kernel) uint32 {
+	return k.C.Synthesize(nil, "wedged", nil, func(e *synth.Emitter) { e.Rte() })
+}
+
+// TestWatchdogWedgeRebuildsHandler: when the installed receive handler
+// runs but stops draining (here: the vector is clobbered with an
+// rte-only stub), the watchdog must notice the stalled cursor, rebuild
+// the specialized handler, point the vector back at it and recover
+// the pending frames. The rebuilt demux then treats a closed port's
+// entry, which keeps the port, as nobody home. In a scratch copy whose
+// watchdog only posts the interrupt on a wedge, it fails: no rebuild
+// is logged and no frame is recovered.
+func TestWatchdogWedgeRebuildsHandler(t *testing.T) {
 	// Spin, halt for the host to look and close the socket, spin again.
 	spin := func(e *synth.Emitter, label string) {
 		e.MoveL(m68k.Imm(80_000), m68k.D(5))
@@ -213,74 +291,40 @@ func TestWatchdogWedgeFallsBackToGeneric(t *testing.T) {
 		e.SubL(m68k.Imm(1), m68k.D(5))
 		e.Bne(label)
 	}
-	th := k.SpawnKernel("spin", k.C.Synthesize(nil, "spin", nil, func(e *synth.Emitter) {
+	r := newWedgeRig(t, func(e *synth.Emitter) {
 		spin(e, "first")
 		e.Halt()
 		e.Label("again") // the optimizer keeps what follows a halt only under a label
 		spin(e, "second")
 		exitSeq(e)
-	}))
-	if io.OpenSocket(th, 9, 5) != 0 {
-		t.Fatal("socket fd")
-	}
-	wd := io.InstallWatchdog(64)
+	})
+	k, io := r.k, r.io
+	r.clobberVector(stubHandler(k))
+	r.inject(t, 3)
+	run(t, k, r.th, 100_000_000)
 
-	// Wedge: clobber the net vector with a handler that acknowledges
-	// nothing, in the prototype table and the existing thread.
-	stub := k.C.Synthesize(nil, "wedged", nil, func(e *synth.Emitter) { e.Rte() })
-	vec := uint32(m68k.VecAutovector+m68k.IRQNet) * 4
-	k.M.Poke(k.ProtoVectors()+vec, 4, stub)
-	k.M.Poke(th.TTE+kernel.TTEVec+vec, 4, stub)
-
-	// Three valid frames for the open port arrive from outside.
-	payload := []byte("hello from the far side of the wire")
-	frame := make([]byte, synnet.HeaderBytes+len(payload))
-	put4 := func(off int, v uint32) {
-		frame[off] = byte(v >> 24)
-		frame[off+1] = byte(v >> 16)
-		frame[off+2] = byte(v >> 8)
-		frame[off+3] = byte(v)
+	if n := rebuilds(r.wd); n != 1 {
+		t.Fatalf("%d rebuild events, want 1: %v", n, r.wd.Events)
 	}
-	put4(0, 9) // dst port
-	put4(4, 5) // src port
-	put4(8, synnet.Checksum(payload))
-	copy(frame[synnet.HeaderBytes:], payload)
-	for i := 0; i < 3; i++ {
-		if !k.Net.InjectFrame(frame) {
-			t.Fatal("inject failed")
+	base, _ := r.handler(t)
+	for _, table := range []uint32{k.ProtoVectors(), r.th.TTE + kernel.TTEVec} {
+		if got := k.M.Peek(table+netVector, 4); got != base {
+			t.Errorf("net vector in the table at %#x = %d, want kio.net_intr at %d", table, got, base)
 		}
 	}
-
-	run(t, k, th, 100_000_000)
-
-	if !io.GenericFallback() {
-		t.Fatal("watchdog never fell back to the generic handler")
-	}
-	found := false
-	for _, ev := range wd.Events {
-		if ev.Kind == "generic-fallback" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no generic-fallback event: %v", wd.Events)
-	}
-	// The generic handler must have drained the wedged frames.
-	s := io.NetSockets()[0]
-	if got := k.M.Peek(s.Queue+kio.NQGauge, 4); got != 3 {
+	if got := r.delivered(); got != 3 {
 		t.Errorf("frames recovered = %d, want 3", got)
 	}
 	if pending := k.Net.RxPending(); pending != 0 {
 		t.Errorf("RxPending = %d after recovery, want 0", pending)
 	}
 
-	if !io.Close(th, 0) {
+	s := io.NetSockets()[0]
+	if !io.Close(r.th, 0) {
 		t.Fatal("close")
 	}
 	drops := io.NetStackDrops()
-	if !k.Net.InjectFrame(frame) {
-		t.Fatal("inject failed")
-	}
+	r.inject(t, 1)
 	k.M.ClearHalt()
 	if err := k.Run(100_000_000); err != nil {
 		t.Fatalf("run: %v", err)
@@ -290,5 +334,110 @@ func TestWatchdogWedgeFallsBackToGeneric(t *testing.T) {
 	}
 	if got := k.M.Peek(s.Queue+kio.NQGauge, 4); got != 3 {
 		t.Errorf("the closed port's queue gauge = %d, want 3", got)
+	}
+}
+
+// TestWatchdogWedgeRebuildsDemuxCell: a wedge inside the handler's
+// code region, not its vector. Port 9's demux cell is clobbered with a
+// branch to the handler's exit, so the handler runs, drains nothing
+// and returns. The rebuild must write the cell from the socket table
+// again and recover the pending frames.
+func TestWatchdogWedgeRebuildsDemuxCell(t *testing.T) {
+	r := newWedgeRig(t, func(e *synth.Emitter) {
+		e.MoveL(m68k.Imm(80_000), m68k.D(5))
+		e.Label("spin")
+		e.SubL(m68k.Imm(1), m68k.D(5))
+		e.Bne("spin")
+		exitSeq(e)
+	})
+	k := r.k
+	compare := m68k.Instr{Op: m68k.CMP, Sz: 4, Src: m68k.Imm(9), Dst: m68k.D(1)}
+	base, end := r.handler(t)
+	var cell, exit uint32
+	for a := base; a < end; a++ {
+		switch in := k.M.Code[a]; {
+		case in == compare:
+			cell = a
+		case in.Op == m68k.MOVEM && in.Dir == 1:
+			exit = a
+		}
+	}
+	if cell == 0 || exit == 0 {
+		t.Fatalf("no demux cell for port 9 (%d) or restoring MOVEM (%d) in kio.net_intr", cell, exit)
+	}
+	k.C.Patch(cell, m68k.Instr{Op: m68k.BRA, Dst: m68k.Abs(exit)})
+	r.inject(t, 3)
+	run(t, k, r.th, 100_000_000)
+
+	if n := rebuilds(r.wd); n != 1 {
+		t.Fatalf("%d rebuild events, want 1: %v", n, r.wd.Events)
+	}
+	if k.M.Code[cell] != compare {
+		t.Errorf("port 9's demux cell after the rebuild: %v, want %v", k.M.Code[cell], compare)
+	}
+	if got := r.delivered(); got != 3 {
+		t.Errorf("frames recovered = %d, want 3", got)
+	}
+	if pending := k.Net.RxPending(); pending != 0 {
+		t.Errorf("RxPending = %d after recovery, want 0", pending)
+	}
+}
+
+// TestWatchdogRebuildsOncePerStall: a wedge the rebuild cannot clear,
+// the vector clobbered again at the first instruction after each
+// rebuild, is rebuilt once and then left alone for as long as the
+// cursor stays put. Once the cursor has moved, the next wedge is
+// rebuilt again.
+func TestWatchdogRebuildsOncePerStall(t *testing.T) {
+	r := newWedgeRig(t, func(e *synth.Emitter) {
+		e.Label("spin")
+		e.Bra("spin")
+	})
+	k := r.k
+	base, _ := r.handler(t)
+	stub := stubHandler(k)
+	r.clobberVector(stub)
+	r.inject(t, 3)
+	k.Start(r.th)
+	window := uint64(kio.WatchdogWindowUS * k.M.ClockMHz)
+	reclobbered := 0
+	for limit := k.M.Cycles + 20*window; k.M.Cycles < limit; {
+		if err := k.M.Step(); err != nil {
+			t.Fatalf("step: %v", err)
+		}
+		if k.M.Peek(r.th.TTE+kernel.TTEVec+netVector, 4) != stub {
+			r.clobberVector(stub)
+			reclobbered++
+		}
+	}
+	if n := rebuilds(r.wd); n != 1 || reclobbered != 1 {
+		t.Fatalf("20 stalled windows: %d rebuilds and %d re-clobbers, want 1 and 1: %v", n, reclobbered, r.wd.Events)
+	}
+	if got := k.Net.RxPending(); got != 3 {
+		t.Fatalf("RxPending = %d under the stuck wedge, want 3", got)
+	}
+
+	// Move the cursor: the host puts the handler back and raises the
+	// level once.
+	k.SetVector(m68k.VecAutovector+m68k.IRQNet, base)
+	k.M.PostInterrupt(m68k.IRQNet)
+	if err := k.Run(2 * window); !errors.Is(err, m68k.ErrCycleLimit) {
+		t.Fatalf("run: %v", err)
+	}
+	if got := r.delivered(); got != 3 || k.Net.RxPending() != 0 {
+		t.Fatalf("after the host's repair: %d frames delivered, %d pending, want 3 and 0", got, k.Net.RxPending())
+	}
+
+	// A second wedge, which the rebuild clears.
+	r.clobberVector(stub)
+	r.inject(t, 2)
+	if err := k.Run(10 * window); !errors.Is(err, m68k.ErrCycleLimit) {
+		t.Fatalf("run: %v", err)
+	}
+	if n := rebuilds(r.wd); n != 2 {
+		t.Errorf("%d rebuilds after a second wedge, want 2: %v", n, r.wd.Events)
+	}
+	if got := r.delivered(); got != 5 || k.Net.RxPending() != 0 {
+		t.Errorf("after the second wedge: %d frames delivered, %d pending, want 5 and 0", got, k.Net.RxPending())
 	}
 }

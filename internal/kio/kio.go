@@ -55,7 +55,6 @@ type IO struct {
 	netBlocks    uint32 // socket blocks, one per table entry
 	netCells     uint32 // MaxSockets longs: each entry's demux cell in netCode
 	netCode      uint32 // the receive handler's code region, netIntrSlots long
-	netGeneric   bool   // demux strategy: layered table walk, not compare cells
 	netCoalesce  uint32 // >0: storm throttle, drain every Nth interrupt
 	netWD        *Watchdog
 

@@ -51,12 +51,7 @@ func tail(k *kernel.Kernel) string {
 	if k.M.Trace == nil {
 		return "(no trace)"
 	}
-	s := k.M.Trace.String()
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) > 50 {
-		lines = lines[len(lines)-50:]
-	}
-	return strings.Join(lines, "\n")
+	return k.M.Trace.Tail(50)
 }
 
 func TestOpenReadWriteNull(t *testing.T) {

@@ -2,8 +2,6 @@ package kio
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"synthesis/internal/kernel"
 	"synthesis/internal/metrics"
@@ -14,8 +12,8 @@ import (
 // queue cells NQGauge/NQDrops/NQErrs/NQTxFail, the handler's stack
 // drop cell), so the metrics plane never adds an instruction to a hot
 // path: the registry holds closures that read the cells only at
-// snapshot time. Only the watchdog, whose policy already runs as host
-// code behind a KCALL, bumps atomic handles directly.
+// snapshot time. The watchdog's policy runs as host code behind a
+// KCALL, and its metrics are read the same way, from its event log.
 //
 // Naming scheme (documented in docs/OBSERVABILITY.md):
 // kio.sock.<port>.<what> for per-socket metrics, kio.fd.<thread>.<fd>.bytes
@@ -33,9 +31,26 @@ func (io *IO) reg() *metrics.Registry { return io.K.Metrics }
 // collect reports the families of the objects open right now: each
 // live socket table entry's queue cells, each open descriptor's byte
 // gauge, and each pipe queue an open pipe end names. A socket slot
-// and the generic /proc twin report no descriptor family.
+// and the generic /proc twin report no descriptor family. Once the
+// watchdog is installed it also reports the watchdog's event counts,
+// each kind from 0, and whether the storm throttle is engaged.
 func (io *IO) collect(c metrics.Collector) {
 	m := io.K.M
+	if w := io.netWD; w != nil {
+		kinds := map[string]uint64{}
+		for _, ev := range w.Events {
+			kinds[ev.Kind]++
+		}
+		for _, kind := range eventKinds {
+			c.Counter("kio.net.recovery."+kind, kinds[kind])
+		}
+		c.Counter("kio.net.recovery_events", uint64(len(w.Events)))
+		throttled := 0.0
+		if w.Throttled() {
+			throttled = 1
+		}
+		c.Gauge("kio.net.throttled", throttled)
+	}
 	for j := uint32(0); j < MaxSockets; j++ {
 		e := io.netSockTab + j*sockEntrySize
 		q := m.Peek(e+4, 4)
@@ -52,8 +67,7 @@ func (io *IO) collect(c metrics.Collector) {
 	pipes := map[uint32]bool{}
 	// In TTE order, so a repeated thread name reports the same slot on
 	// every snapshot.
-	for _, tte := range slices.Sorted(maps.Keys(io.K.Threads)) {
-		t := io.K.Threads[tte]
+	for _, t := range io.K.ThreadsByTTE() {
 		for fd := int32(0); fd < kernel.MaxFD; fd++ {
 			switch io.fdCell(t, fd, kernel.FDKind) {
 			case FDFree, FDSock, FDProcGeneric:
@@ -81,19 +95,6 @@ func (io *IO) registerNetMetrics() {
 	m := io.K.M
 	drop := io.netDropCell
 	reg.Sample("kio.net.stack_drops", func() uint64 { return uint64(m.Peek(drop, 4)) })
-}
-
-// wireWatchdogMetrics attaches the watchdog's host-side counters and
-// mode gauges. Nil-registry handles make every bump a no-op.
-func (w *Watchdog) wireWatchdogMetrics() {
-	reg := w.io.reg()
-	w.mEvents = reg.Counter("kio.net.recovery_events")
-	w.mThrottled = reg.Gauge("kio.net.throttled")
-	w.mGeneric = reg.Gauge("kio.net.generic_fallback")
-	w.mKinds = map[string]*metrics.Counter{}
-	for _, kind := range []string{"throttle-on", "throttle-off", "generic-fallback"} {
-		w.mKinds[kind] = reg.Counter("kio.net.recovery." + kind)
-	}
 }
 
 // wireIOMetrics registers the remaining device subsystems' cells as

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"synthesis/internal/fault"
 	"synthesis/internal/kernel"
 	"synthesis/internal/kio"
 	"synthesis/internal/m68k"
@@ -297,4 +298,47 @@ func TestQueueGaugesCountWhatWasPut(t *testing.T) {
 	if pipes != 1 {
 		t.Errorf("%d pipe byte counters, want 1", pipes)
 	}
+}
+
+// TestWatchdogMetricsReadTheEventLog: the watchdog's metrics are read
+// from its event log and its throttle at snapshot time. Before the
+// install there are none; from the install each kind's counter reads
+// 0; after a storm each counter reads its kind's events, and the
+// throttle gauge reads the throttle.
+func TestWatchdogMetricsReadTheEventLog(t *testing.T) {
+	k, io, reg := bootMetrics(t)
+	if _, ok := reg.Snapshot().Counters["kio.net.recovery_events"]; ok {
+		t.Fatal("kio.net.recovery_events before the watchdog's install")
+	}
+	fault.New(fault.Plan{Storms: []fault.Storm{
+		{Level: m68k.IRQNet, At: k.M.Cycles + 20_000, Count: 1500, Gap: 100},
+	}}, 1).Attach(k.M)
+	wd := io.InstallWatchdog(8)
+	check := func(when string, throttled float64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		want := map[string]uint64{"throttle-on": 0, "throttle-off": 0, "rebuild": 0}
+		for _, ev := range wd.Events {
+			want[ev.Kind]++
+		}
+		for kind, n := range want {
+			if got, ok := snap.Counters["kio.net.recovery."+kind]; !ok || got != n {
+				t.Errorf("%s: kio.net.recovery.%s = %d (reported %v), want %d", when, kind, got, ok, n)
+			}
+		}
+		if got := snap.Counters["kio.net.recovery_events"]; got != uint64(len(wd.Events)) {
+			t.Errorf("%s: kio.net.recovery_events = %d, want %d", when, got, len(wd.Events))
+		}
+		if got, ok := snap.Gauges["kio.net.throttled"]; !ok || got != throttled {
+			t.Errorf("%s: kio.net.throttled = %g (reported %v), want %g", when, got, ok, throttled)
+		}
+	}
+	check("at install", 0)
+	run(t, k, k.SpawnKernel("spin", emitSpin(k, 80_000)), 100_000_000)
+	if len(wd.Events) < 2 {
+		t.Fatalf("the storm logged %v, want throttle-on ... throttle-off", wd.Events)
+	}
+	check("after the storm", 0)
+	io.SetNetMode(true)
+	check("throttled", 1)
 }

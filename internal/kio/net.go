@@ -138,15 +138,10 @@ func (io *IO) installNet() {
 }
 
 // resynthNetHandler synthesizes the receive interrupt handler into its
-// code region and installs it in every vector table, at install and on
-// the watchdog's mode changes only.
-//
-// The handler is synthesized in one of two demultiplex disciplines:
-// the Synthesis one (one compare cell per socket table entry, written
-// from the table) or — after the watchdog has declared the
-// synthesized handler wedged — the generic layered one, a run-time
-// walk of the socket table, the way a conventional kernel would do
-// it. When the watchdog has engaged the storm throttle, a coalescing
+// code region, writes every demux cell from the socket table and
+// installs the handler in every vector table: at install, on the
+// watchdog's storm mode changes and on its rebuild of a wedged handler.
+// When the watchdog has engaged the storm throttle, a coalescing
 // front-end is prepended: only every netCoalesce-th interrupt runs the
 // drain, so a screaming level costs three instructions per scream
 // instead of a full drain attempt.
@@ -157,21 +152,14 @@ func (io *IO) resynthNetHandler() {
 	ring := io.netRing
 	rxHead := m68k.NetBase + m68k.NetRegRxHead
 	rxTail := m68k.NetBase + m68k.NetRegRxTail
-	generic := io.netGeneric
 	coalesce := io.netCoalesce
 
-	name := "net_intr"
-	if generic {
-		name = "net_intr_generic"
-	}
-	b := k.C.Build(nil, name).Named("kio."+name).Counted().At(io.netCode, netIntrSlots)
 	cells := make([]string, MaxSockets)
 	for i := range cells {
 		cells[i] = fmt.Sprint("nd_c", i)
 	}
-	if !generic {
-		b.Table(io.netCells, cells)
-	}
+	b := k.C.Build(nil, "net_intr").Named("kio.net_intr").Counted().
+		At(io.netCode, netIntrSlots).Table(io.netCells, cells)
 	h := b.Emit(func(e *synth.Emitter) {
 		// Run to completion: the mask keeps the higher-level device
 		// handlers, whose wakes also splice the ready ring, from nesting
@@ -180,11 +168,7 @@ func (io *IO) resynthNetHandler() {
 		// expires during the drain stays pending until the RTE restores
 		// IPL 0 and is taken from thread context right after.
 		e.OrSR(kernel.SRIPLMask)
-		saved := uint16(m68k.MovemIntrRegs) // D0-D2/A0-A2, and D3 for the table walk
-		if generic {
-			saved |= 0x0008
-		}
-		e.MovemSave(saved, m68k.PreDec(7))
+		e.MovemSave(m68k.MovemIntrRegs, m68k.PreDec(7))
 		if io.netWD != nil {
 			// Watchdog storm gauge: one count per handler entry.
 			e.AddL(m68k.Imm(1), m68k.Abs(io.netStormCell))
@@ -213,44 +197,22 @@ func (io *IO) resynthNetHandler() {
 		e.AddL(m68k.D(0), m68k.A(0))
 		// Demultiplex on the destination port in the frame header.
 		e.MoveL(m68k.Disp(4, 0), m68k.D(1)) // dst port
-		if generic {
-			// Layered discipline: walk the whole socket table. A free
-			// entry keeps its port, so a match with no queue is a
-			// frame for a closed port.
-			e.MoveL(m68k.Imm(MaxSockets-1), m68k.D(3))
-			e.Lea(m68k.Abs(io.netSockTab), 2)
-			e.Label("nd_walk")
-			e.Cmp(4, m68k.Ind(2), m68k.D(1))
-			e.Beq("nd_hit")
-			e.Lea(m68k.Disp(sockEntrySize, 2), 2)
-			e.Dbra(3, "nd_walk")
-			e.Label("nd_nohome")
-			e.AddL(m68k.Imm(1), m68k.Abs(dropCell)) // nobody home
-			e.Bra("nd_next")
-			e.Label("nd_hit")
-			e.MoveL(m68k.Disp(4, 2), m68k.D(3)) // queue base, 0 if closed
-			e.Beq("nd_nohome")
-			e.MoveL(m68k.D(3), m68k.A(2))
+		// The "port table" is these cells, cmp.l #port,d1 and beq to
+		// the block that loads the entry's queue. The compares are placeholders: demuxCell writes
+		// every cell from the socket table once it is installed.
+		for _, c := range cells {
+			e.Label(c)
+			e.CmpL(m68k.Imm(0), m68k.D(1))
+			e.Beq(c + "q")
+		}
+		e.AddL(m68k.Imm(1), m68k.Abs(dropCell)) // nobody home
+		e.Bra("nd_next")
+		// Entry 0's block, the one a lone socket takes, falls through
+		// into the deposit.
+		for i := MaxSockets - 1; i >= 0; i-- {
+			e.Label(cells[i] + "q")
+			e.Lea(m68k.Abs(io.netBlocks+uint32(i)*sockBlockSize), 2)
 			e.Bra("nd_dep")
-		} else {
-			// Synthesis discipline: the "port table" is these cells,
-			// cmp.l #port,d1 and beq to the block that loads the entry's
-			// queue. The compares are placeholders: demuxCell writes
-			// every cell from the socket table once it is installed.
-			for _, c := range cells {
-				e.Label(c)
-				e.CmpL(m68k.Imm(0), m68k.D(1))
-				e.Beq(c + "q")
-			}
-			e.AddL(m68k.Imm(1), m68k.Abs(dropCell)) // nobody home
-			e.Bra("nd_next")
-			// Entry 0's block, the one a lone socket takes, falls through
-			// into the deposit.
-			for i := MaxSockets - 1; i >= 0; i-- {
-				e.Label(cells[i] + "q")
-				e.Lea(m68k.Abs(io.netBlocks+uint32(i)*sockBlockSize), 2)
-				e.Bra("nd_dep")
-			}
 		}
 
 		// Shared deposit block: A0 = ring slot, A2 = socket queue. The
@@ -303,13 +265,11 @@ func (io *IO) resynthNetHandler() {
 		e.Bra("nd_drain")
 
 		e.Label("nd_done")
-		e.MovemRest(m68k.PostInc(7), saved)
+		e.MovemRest(m68k.PostInc(7), m68k.MovemIntrRegs)
 		e.Rte()
 	})
-	if !generic {
-		for i := range uint32(MaxSockets) {
-			k.M.PatchCode(io.demuxCell(i))
-		}
+	for i := range uint32(MaxSockets) {
+		k.M.PatchCode(io.demuxCell(i))
 	}
 	k.SetVector(m68k.VecAutovector+m68k.IRQNet, h)
 }
@@ -318,7 +278,7 @@ func (io *IO) resynthNetHandler() {
 // socket table puts there: the compare against the entry's port while
 // it is open, a branch over the cell's beq to the next cell while it is
 // free. An open or close patches the one slot inside its KCALL, so the
-// masked handler never sees half of it; the generic walk has no cells.
+// masked handler never sees half of it.
 func (io *IO) demuxCell(i uint32) (uint32, m68k.Instr) {
 	m := io.K.M
 	cell := m.Peek(io.netCells+4*i, 4)
@@ -371,9 +331,7 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 	m.PokeBytes(q, make([]byte, NQSlots))
 	m.Poke(e, 4, local)
 	m.Poke(e+4, 4, q)
-	if !io.netGeneric {
-		io.K.C.Patch(io.demuxCell(uint32(i)))
-	}
+	io.K.C.Patch(io.demuxCell(uint32(i)))
 
 	read := io.synthSockRecv(t, fd, local, q, r)
 	write := io.synthSockSend(t, fd, local, remote, q, r)
@@ -391,9 +349,7 @@ func (io *IO) closeSocket(q uint32) {
 	i := (q - io.netBlocks) / sockBlockSize
 	e := io.netSockTab + i*sockEntrySize
 	io.K.M.Poke(e+4, 4, 0)
-	if !io.netGeneric {
-		io.K.C.Patch(io.demuxCell(i))
-	}
+	io.K.C.Patch(io.demuxCell(i))
 }
 
 // synthSockSend emits the socket's write routine: send(d1=buf,

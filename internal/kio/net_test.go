@@ -166,10 +166,10 @@ func TestSocketCloseRemovesDemux(t *testing.T) {
 // every step one frame goes to each of the sixteen ports and one to a
 // port nobody has held. Each frame must add one to the gauge of the
 // entry the table says owns its port, or count one stack drop when no
-// open entry does, and move nothing else. The sequence runs three
-// ways: on the synthesized demux cells, on the watchdog's generic table
-// walk, and with the storm throttle engaged halfway, whose in-place
-// rebuild must write every cell from the table again.
+// open entry does, and move nothing else. The sequence runs two ways:
+// on the demux cells as built at install, and with the storm throttle
+// engaged halfway, whose in-place rebuild must write every cell from
+// the table again.
 //
 // Checked to fail, in a scratch copy, with close leaving its cell's
 // compare in place (a closed port's frame is deposited), and with the
@@ -180,16 +180,13 @@ func TestDemuxMatchesSocketTable(t *testing.T) {
 	const port, stray, steps = 200, 999, 200
 	for _, mode := range []struct {
 		name           string
-		generic        bool
 		throttleAtStep int
 	}{
-		{"synthesized", false, -1},
-		{"generic", true, -1},
-		{"throttled halfway", false, steps / 2},
+		{"synthesized", -1},
+		{"throttled halfway", steps / 2},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			k, io := boot(t)
-			io.SetNetMode(mode.generic, false)
 			th := make([]*kernel.Thread, kio.MaxSockets)
 			for i := range th {
 				th[i] = k.SpawnKernelStopped(fmt.Sprintf("t%d", i), 0)
@@ -226,7 +223,7 @@ func TestDemuxMatchesSocketTable(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for step := range steps {
 				if step == mode.throttleAtStep {
-					io.SetNetMode(false, true)
+					io.SetNetMode(true)
 				}
 				i := rng.Intn(kio.MaxSockets)
 				if held[i] {

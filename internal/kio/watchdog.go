@@ -1,9 +1,6 @@
 package kio
 
-import (
-	"synthesis/internal/m68k"
-	"synthesis/internal/metrics"
-)
+import "synthesis/internal/m68k"
 
 // The network watchdog quaject: the recovery plane's policy half.
 //
@@ -27,26 +24,30 @@ import (
 //
 //   - Wedge: frames are pending (NIC head ahead of the kernel's
 //     consumed-frame cursor) but the cursor has not moved for
-//     wedgeWindows consecutive windows. The handler is resynthesized
-//     in the generic layered discipline — a run-time port-table walk,
-//     the way a conventional kernel demultiplexes — on the theory
-//     that the specialized code path is what broke. One interrupt is
-//     posted to restart the drain.
+//     wedgeWindows consecutive windows. The handler is rebuilt from its
+//     invariants — the same specialized handler, its whole code region
+//     rewritten, every demux cell written from the socket table and
+//     the vector re-pointed — on the theory that what broke is the
+//     installed code, not the table it was built from. One interrupt
+//     is posted to restart the drain. A rebuild happens at most once
+//     until the cursor moves again: a wedge the rebuild cannot clear
+//     is logged once, not once per window.
 //
 // Every transition is logged as a RecoveryEvent with the cycle it
-// happened at; Table 7 reports recovery latency from these.
+// happened at; Table 7 reports recovery latency from these, and the
+// metrics plane reads its kio.net.recovery* counts from the same log.
 
 // The policy's fixed settings.
 const (
 	windowUS      = 500 // alarm sampling window
 	coalesceBatch = 8   // drain every Nth interrupt while throttled (a power of two)
-	wedgeWindows  = 2   // stalled windows before the generic fallback
+	wedgeWindows  = 2   // stalled windows before a rebuild
 )
 
 // RecoveryEvent is one watchdog action, for reports and tests.
 type RecoveryEvent struct {
 	Cycle uint64
-	Kind  string // "throttle-on", "throttle-off", "generic-fallback"
+	Kind  string // one of eventKinds
 }
 
 // Watchdog is the policy state. Policy runs in Go behind a KCALL (the
@@ -59,13 +60,12 @@ type Watchdog struct {
 	Events   []RecoveryEvent
 	lastTail uint32
 	stalled  int
-
-	// Metric handles (nil-safe no-ops without a wired registry).
-	mEvents    *metrics.Counter
-	mThrottled *metrics.Gauge
-	mGeneric   *metrics.Gauge
-	mKinds     map[string]*metrics.Counter // kio.net.recovery.<kind>
+	rebuilt  bool // a rebuild since the cursor last moved
 }
+
+// eventKinds are the RecoveryEvent kinds, in the order the metrics
+// plane reports them.
+var eventKinds = []string{"throttle-on", "throttle-off", "rebuild"}
 
 // InstallWatchdog arranges for the watchdog to sample the network
 // handler from the machine's alarm channel, and resynthesizes the
@@ -77,7 +77,6 @@ type Watchdog struct {
 // pokes cover both.
 func (io *IO) InstallWatchdog(stormThreshold uint32) *Watchdog {
 	w := &Watchdog{io: io, storm: stormThreshold}
-	w.wireWatchdogMetrics()
 	io.netWD = w
 	io.resynthNetHandler() // now bumps the storm gauge
 	io.K.OnAlarm(windowUS, w.tick)
@@ -106,39 +105,27 @@ func (w *Watchdog) tick() {
 
 	// Wedge: frames pending but the drain cursor stalled.
 	tail := m.Peek(io.netTailCell, 4)
-	if io.K.Net.RxPending() > 0 && tail == w.lastTail {
+	moved := tail != w.lastTail
+	if moved {
+		w.rebuilt = false
+	}
+	if io.K.Net.RxPending() > 0 && !moved {
 		w.stalled++
 	} else {
 		w.stalled = 0
 	}
 	w.lastTail = tail
-	if w.stalled >= wedgeWindows && !io.netGeneric {
-		io.netGeneric = true
+	if w.stalled >= wedgeWindows && !w.rebuilt {
+		w.rebuilt = true
 		io.resynthNetHandler()
 		m.PostInterrupt(m68k.IRQNet)
-		w.event("generic-fallback")
-		w.stalled = 0
+		w.event("rebuild")
 	}
 }
 
 func (w *Watchdog) event(kind string) {
 	w.Events = append(w.Events, RecoveryEvent{Cycle: w.io.K.M.Clock(), Kind: kind})
-	w.mEvents.Inc()
-	w.mKinds[kind].Inc()
-	w.mThrottled.Set(b2f(w.Throttled()))
-	w.mGeneric.Set(b2f(w.io.netGeneric))
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Throttled reports whether the storm throttle is engaged.
 func (w *Watchdog) Throttled() bool { return w.io.netCoalesce != 0 }
-
-// GenericFallback reports whether the receive path has fallen back to
-// the layered table-walk handler.
-func (io *IO) GenericFallback() bool { return io.netGeneric }

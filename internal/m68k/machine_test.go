@@ -2,6 +2,7 @@ package m68k_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"synthesis/internal/asmkit"
@@ -698,6 +699,18 @@ func TestTraceRecords(t *testing.T) {
 	s := m.Trace.String()
 	if s == "" {
 		t.Error("empty trace listing")
+	}
+	// Tail is the listing's last lines, and never more than it holds.
+	lines := strings.SplitAfter(s, "\n")
+	lines = lines[:len(lines)-1] // the empty string after the last newline
+	if got, want := m.Trace.Tail(2), strings.Join(lines[len(lines)-2:], ""); got != want {
+		t.Errorf("Tail(2) = %q, want the listing's last two lines %q", got, want)
+	}
+	if got := m.Trace.Tail(m.Trace.Len() + 5); got != s {
+		t.Errorf("Tail past the ring's length = %q, want the whole listing %q", got, s)
+	}
+	if got := m.Trace.Tail(0); got != "" {
+		t.Errorf("Tail(0) = %q, want nothing", got)
 	}
 }
 

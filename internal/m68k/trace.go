@@ -68,9 +68,17 @@ func (t *Trace) Entries() []TraceEntry {
 func (t *Trace) Reset() { t.next, t.n = 0, 0 }
 
 // String renders the trace as a disassembly listing.
-func (t *Trace) String() string {
+func (t *Trace) String() string { return t.Tail(t.n) }
+
+// Tail renders the last n entries, oldest first, as String does: one
+// line each, led by the cycle count.
+func (t *Trace) Tail(n int) string {
+	ents := t.Entries()
+	if len(ents) > n {
+		ents = ents[len(ents)-n:]
+	}
 	var b strings.Builder
-	for _, e := range t.Entries() {
+	for _, e := range ents {
 		if e.Exc >= 0 {
 			fmt.Fprintf(&b, "%10d  ** exception vector %d (from pc %d)\n", e.Cycles, e.Exc, e.PC)
 			continue

@@ -1,7 +1,7 @@
 # One line per target; the tests a target runs are named in its recipe.
 #   tier1         the CI gate: gofmt, build, vet, every test (TestGoldenTables is the perf gate)
 #   race          the race detector over the packet ring, queues, planes and step loops
-#   soak          the seeded soaks and enumerations of kio, the ready ring and queues, -race
+#   soak          the seeded soaks and enumerations of kio, the ready ring, the live chain and queues, -race
 #   cluster-soak  2-VM fleet churn, snapshots and parking, -race
 #   chaos-soak    the fleet under link faults and partitions, -race; dumps go to FLIGHT_DIR
 #   examples      the five self-checking examples, each exiting nonzero on failure
@@ -30,7 +30,7 @@ soak:
 	$(GO) test -race -count 1 -timeout 120s \
 		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestSlotChurnHoldsCodeFlat|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable|TestUnixEntryMatchesNative|TestBadDescriptorsThroughUnixGate|TestOpenCloseLeavesRegistryNames|TestSnapshotReadsOpenObjects|TestQuantumInSwitchEnumerated' \
 		./internal/kio/
-	$(GO) test -race -count 1 -timeout 120s -run 'TestReadyRingRandomOps|TestLeavingAParkClearsTheCell' ./internal/kernel/
+	$(GO) test -race -count 1 -timeout 120s -run 'TestReadyRingRandomOps|TestLeavingAParkClearsTheCell|TestLiveChainChurn' ./internal/kernel/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 
 cluster-soak:
@@ -70,7 +70,7 @@ placement:
 	rm -rf $$dir && test -n "$$addr" && \
 	echo "(*Machine).Run at 0x$$addr: $$((0x$$addr % 64)) mod 64"
 
-INLINE_SITES = loadRAM32:15 storeRAM32:8 loadRAM:5 storeRAM:4
+INLINE_SITES = loadRAM32:14 storeRAM32:8 loadRAM:5 storeRAM:4
 
 inline:
 	@out=$$($(GO) build -gcflags=-m ./internal/m68k 2>&1) || { echo "$$out"; exit 1; }; \

@@ -47,7 +47,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -245,19 +244,10 @@ func main() {
 
 	if *disasm {
 		fmt.Println("\nsynthesized quajects:")
-		type named struct {
-			name string
-			t    *kernel.Thread
-		}
-		var list []named
-		for _, t := range k.Threads {
-			list = append(list, named{t.Name, t})
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i].name < list[j].name })
-		for _, n := range list {
-			fmt.Printf("\n--- thread %s ---\n", n.name)
-			for _, entry := range n.t.Q.EntryNames() {
-				addr := n.t.Q.Entries[entry]
+		for t := range k.Threads() {
+			fmt.Printf("\n--- thread %s ---\n", t.Name)
+			for _, entry := range t.Q.EntryNames() {
+				addr := t.Q.Entries[entry]
 				fmt.Printf("%s @ %d:\n%s", entry, addr, m68k.Disassemble(k.M.Code, addr, 18))
 			}
 		}

@@ -107,7 +107,7 @@ func runWatch(intervalUS float64, windows int, program string, iters int32, faul
 	})
 	io := kio.Install(k)
 	unixemu.Install(k)
-	io.InstallWatchdog(64)
+	io.InstallWatchdog(bench.StormThreshold)
 	if !faults.Empty() {
 		fault.New(faults, faultSeed).Attach(k.M)
 	}

@@ -348,5 +348,3 @@ func FineGrainPipe(adaptive bool) (float64, error) {
 	}
 	return d[0], nil
 }
-
-func init() { Register("ablations", fixed(Ablations)) }

@@ -240,5 +240,3 @@ func QueueContention() (Table, error) {
 	}
 	return t, nil
 }
-
-func init() { Register("queue_contention", fixed(QueueContention)) }

@@ -18,19 +18,6 @@ func TestNamesOrdering(t *testing.T) {
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "duplicate table registration") {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	}()
-	Register("1", fixed(Table3))
-}
-
 func TestArtifactName(t *testing.T) {
 	cases := map[string]string{
 		"1":         "BENCH_table1.json",

@@ -268,5 +268,3 @@ func synthFig2PutBatch(c *synth.Creator, g queueGeom, h int32) uint32 {
 		g.countRetries(e)
 	})
 }
-
-func init() { Register("pathlen", fixed(PathLengths)) }

@@ -109,7 +109,7 @@ func buildProcOpen(b *asmkit.Builder) {
 func hookProcGeneric(r *SynthRig) {
 	r.K.M.RegisterService(svcProcGeneric, func(mm *m68k.Machine) uint64 {
 		var bt *kernel.Thread
-		for _, th := range r.K.Threads {
+		for th := range r.K.Threads() {
 			if th.Name == "bench" {
 				bt = th
 			}
@@ -163,5 +163,3 @@ func TableProc() (Table, error) {
 	)
 	return t, nil
 }
-
-func init() { Register("proc", fixed(TableProc)) }

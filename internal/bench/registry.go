@@ -2,17 +2,14 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 
 	"synthesis/internal/fault"
 )
 
-// Table registry: every table file registers its generator in an
-// init(), and synbench, the golden test and the root benchmark suite
-// all dispatch through Names/Run. Adding a table means adding one file
-// with one Register call and its bench/baseline artifact (`synbench
-// -table <name> -json bench/baseline`) — no command edits.
+// Table list: synbench, the golden test and the root benchmark suite
+// all dispatch through Names/Run. Adding a table means one entry in
+// tables and its bench/baseline artifact (`synbench -table <name>
+// -json bench/baseline`) — no command edits.
 
 // RunConfig carries the knobs a caller can set uniformly across
 // tables. Tables without an iteration knob ignore Iters. A non-empty
@@ -28,43 +25,32 @@ type RunConfig struct {
 // TableFunc generates one table.
 type TableFunc func(RunConfig) (Table, error)
 
-var registry = map[string]TableFunc{}
-
-// Register adds a table generator under a name ("1".."7", "pathlen",
-// ...). Duplicate names are a programming error.
-func Register(name string, fn TableFunc) {
-	if _, dup := registry[name]; dup {
-		panic("bench: duplicate table registration: " + name)
-	}
-	registry[name] = fn
+// tables is every table's generator under its name, numbered tables
+// first, then the rest alphabetically: the order Names lists them in.
+var tables = []struct {
+	name string
+	fn   TableFunc
+}{
+	{"1", func(cfg RunConfig) (Table, error) { return Table1(cfg.Iters) }},
+	{"2", func(RunConfig) (Table, error) { return Table2() }},
+	{"3", func(RunConfig) (Table, error) { return Table3() }},
+	{"4", func(RunConfig) (Table, error) { return Table4() }},
+	{"5", func(RunConfig) (Table, error) { return Table5() }},
+	{"6", func(RunConfig) (Table, error) { return Table6() }},
+	{"7", Table7},
+	{"ablations", func(RunConfig) (Table, error) { return Ablations() }},
+	{"pathlen", func(RunConfig) (Table, error) { return PathLengths() }},
+	{"proc", func(RunConfig) (Table, error) { return TableProc() }},
+	{"queue_contention", func(RunConfig) (Table, error) { return QueueContention() }},
+	{"size", func(RunConfig) (Table, error) { return SizeTable() }},
 }
 
-// fixed adapts a parameterless generator to the registry signature.
-func fixed(fn func() (Table, error)) TableFunc {
-	return func(RunConfig) (Table, error) { return fn() }
-}
-
-// Names returns the registered table names, numbered tables first in
-// numeric order, then the rest alphabetically.
+// Names returns the table names in tables' order.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(tables))
+	for i, t := range tables {
+		names[i] = t.name
 	}
-	sort.Slice(names, func(i, j int) bool {
-		vi, errI := strconv.Atoi(names[i])
-		vj, errJ := strconv.Atoi(names[j])
-		switch {
-		case errI == nil && errJ == nil:
-			return vi < vj
-		case errI == nil:
-			return true
-		case errJ == nil:
-			return false
-		default:
-			return names[i] < names[j]
-		}
-	})
 	return names
 }
 
@@ -74,8 +60,13 @@ func Names() []string {
 // (link=/part=/vmfault=) need a fabric, which no table owns, and are
 // rejected.
 func Run(name string, cfg RunConfig) (Table, error) {
-	fn, ok := registry[name]
-	if !ok {
+	var fn TableFunc
+	for _, t := range tables {
+		if t.name == name {
+			fn = t.fn
+		}
+	}
+	if fn == nil {
 		return Table{}, fmt.Errorf("bench: unknown table %q (have %v)", name, Names())
 	}
 	if cfg.FaultSpec != "" {

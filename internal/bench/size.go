@@ -70,11 +70,10 @@ func SizeTable() (Table, error) {
 		bytes int
 	}
 	var qs []qsize
-	for _, th := range k.Threads {
+	for th := range k.Threads() {
 		qs = append(qs, qsize{th.Q.Name, th.Q.Bytes})
 	}
-	// Largest first, equal sizes by name: the map's order must not
-	// decide which of two equal quajects makes the cut.
+	// Largest first, equal sizes by name.
 	slices.SortFunc(qs, func(a, b qsize) int {
 		return cmp.Or(cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.name, b.name))
 	})
@@ -90,5 +89,3 @@ func SizeTable() (Table, error) {
 	}
 	return t, nil
 }
-
-func init() { Register("size", fixed(SizeTable)) }

@@ -19,10 +19,6 @@ import (
 // few hundred times slower than silicon); per-iteration cost is flat
 // in the loop count, which the harness asserts in its tests.
 
-func init() {
-	Register("1", func(cfg RunConfig) (Table, error) { return Table1(cfg.Iters) })
-}
-
 // paperRatios are SUN time / Synthesis time from Table 1 (total
 // column): compute 20/21.1, pipes 10/0.18, 15/0.96, 38/8.5, file
 // 21/2.4, open null 17/0.7, open tty 43/1.4.

@@ -157,5 +157,3 @@ func Table2() (Table, error) {
 
 	return t, nil
 }
-
-func init() { Register("2", fixed(Table2)) }

@@ -94,5 +94,3 @@ func Table3() (Table, error) {
 	}
 	return t, nil
 }
-
-func init() { Register("3", fixed(Table3)) }

@@ -158,5 +158,3 @@ func blockUnblock() (blockUS, unblockUS float64, err error) {
 	})
 	return d[0], d[1], err
 }
-
-func init() { Register("4", fixed(Table4)) }

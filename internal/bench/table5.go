@@ -132,5 +132,3 @@ func Table5() (Table, error) {
 	}
 	return t, nil
 }
-
-func init() { Register("5", fixed(Table5)) }

@@ -232,5 +232,3 @@ func Table6() (Table, error) {
 	)
 	return t, nil
 }
-
-func init() { Register("6", fixed(Table6)) }

@@ -85,6 +85,12 @@ func runARQ(rate float64, seed int64, iters int32) (us float64, retx uint32, st 
 	return d[0], r.Machine().Peek(addrRetx, 4), inj.Stats, err
 }
 
+// StormThreshold is the watchdog's storm threshold, in handler
+// entries per window, that Table 7 measures. Each entry costs ~150
+// cycles, which caps a storm near 50 entries per 500us window
+// regardless of its gap, so the threshold sits below that.
+const StormThreshold = 32
+
 // stormRecovery measures the watchdog's reaction to an IRQ storm on
 // the NIC level: cycles from the first scream to the coalescing
 // throttle engaging, and from the last scream to the throttle
@@ -102,10 +108,7 @@ func stormRecovery(seed int64) (engageUS, releaseUS float64, err error) {
 		{Level: m68k.IRQNet, At: stormAt, Count: stormCount, Gap: stormGap},
 	}}, seed)
 	inj.Attach(m)
-	// Each handler entry costs ~150 cycles, which caps the scream rate
-	// near 50 entries per 500us window regardless of the storm gap —
-	// set the threshold below that so the storm registers.
-	wd := r.IO.InstallWatchdog(32)
+	wd := r.IO.InstallWatchdog(StormThreshold)
 
 	// The foreground program just burns cycles long enough for the
 	// storm to run its course and the release window to pass.
@@ -186,5 +189,3 @@ func Table7(cfg RunConfig) (Table, error) {
 	)
 	return t, nil
 }
-
-func init() { Register("7", Table7) }

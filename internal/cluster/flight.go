@@ -91,14 +91,12 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 		fmt.Fprintf(&b, "panic: %s\n", k.PanicMsg)
 	}
 
-	// Thread table, in TTE order for stable dumps. The state is read
-	// from the TTE: the ready ring's unlink clears TTENext, so a nonzero
-	// link means the thread is on the ring.
-	for _, t := range k.ThreadsByTTE() {
+	// Live threads, in creation order. The state is read from the TTE:
+	// the ready ring's unlink clears TTENext, so a nonzero link means the
+	// thread is on the ring.
+	for t := range k.Threads() {
 		state := "blocked"
 		switch {
-		case t.Dead:
-			state = "dead"
 		case t.TTE == k.CurTTE():
 			state = "running"
 		case m.Peek(t.TTE+kernel.TTENext, 4) != 0:

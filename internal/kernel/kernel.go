@@ -3,8 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
+	"iter"
 
 	"synthesis/internal/alloc"
 	"synthesis/internal/fs"
@@ -59,8 +58,10 @@ type Kernel struct {
 	rtLineF      uint32 // first-FP-use trap: resynthesize the switch
 	protoVec     uint32 // prototype vector table, then prototype TTEUnixRW cells, copied into new TTEs
 
-	// Thread bookkeeping mirrors (Go side).
-	Threads map[uint32]*Thread // by TTE address
+	// handles holds each live TTE's Go handle, for its name and
+	// quaject: metadata only. Which threads are live is the TTE chain's
+	// to say (Threads); CheckReadyRing holds the keys equal to it.
+	handles map[uint32]*Thread
 	Idle    *Thread
 
 	alarmOwned bool // a host policy owns the alarm channel (OnAlarm)
@@ -83,13 +84,12 @@ type Kernel struct {
 }
 
 // Thread is the Go-side handle on a TTE (bookkeeping only; all thread
-// state that the machine touches, descriptors included, lives in the
-// TTE itself).
+// state that the machine touches, descriptors and liveness included,
+// lives in the TTE itself).
 type Thread struct {
 	TTE  uint32
 	Name string
 	Q    *synth.Quaject // per-thread synthesized routines
-	Dead bool
 }
 
 // FaultRecord is one thread reaped after an unhandled bus or address
@@ -141,7 +141,7 @@ func Boot(cfg Config) *Kernel {
 	k := &Kernel{
 		M:       m,
 		C:       synth.NewCreator(m),
-		Threads: make(map[uint32]*Thread),
+		handles: make(map[uint32]*Thread),
 	}
 	if cfg.Profile {
 		k.Prof = prof.Enable(m, prof.DefaultRingDepth)
@@ -272,7 +272,7 @@ func (k *Kernel) ProtoVectors() uint32 { return k.protoVec }
 func (k *Kernel) SetVector(vec int, addr uint32) {
 	off := uint32(vec) * 4
 	k.M.Poke(k.protoVec+off, 4, addr)
-	for _, t := range k.Threads {
+	for t := range k.Threads() {
 		k.M.Poke(t.TTE+TTEVec+off, 4, addr)
 	}
 }
@@ -282,7 +282,7 @@ func (k *Kernel) SetVector(vec int, addr uint32) {
 func (k *Kernel) SetUnixRW(trap int, addr uint32) {
 	off := UnixRWOff(trap)
 	k.M.Poke(k.protoVec+m68k.VectorTableBytes+off-TTEUnixRW, 4, addr)
-	for _, t := range k.Threads {
+	for t := range k.Threads() {
 		k.M.Poke(t.TTE+off, 4, addr)
 	}
 }
@@ -332,18 +332,30 @@ func (k *Kernel) AllocUserSpace(size uint32) (ubase, ulimit uint32) {
 // CurTTE returns the running thread's TTE address.
 func (k *Kernel) CurTTE() uint32 { return k.g(GCurTTE) }
 
-// Cur returns the running thread's mirror.
-func (k *Kernel) Cur() *Thread { return k.Threads[k.CurTTE()] }
+// Cur returns the running thread's handle.
+func (k *Kernel) Cur() *Thread { return k.handles[k.CurTTE()] }
 
-// ThreadsByTTE returns the thread table's threads, a dead one not yet
-// freed included, in TTE order: the walk that reports them in the same
-// order on every run, where the map's own order would not.
-func (k *Kernel) ThreadsByTTE() []*Thread {
-	out := make([]*Thread, 0, len(k.Threads))
-	for _, tte := range slices.Sorted(maps.Keys(k.Threads)) {
-		out = append(out, k.Threads[tte])
+// Threads walks the live threads in creation order: the chain GThreads
+// heads, through each TTE's TTELive cell.
+func (k *Kernel) Threads() iter.Seq[*Thread] {
+	return func(yield func(*Thread) bool) {
+		for tte := k.g(GThreads); tte != 0; tte = k.g(tte + TTELive) {
+			if !yield(k.handles[tte]) {
+				return
+			}
+		}
 	}
-	return out
+}
+
+// liveCell returns the chain cell holding tte: GThreads or a live TTE's
+// TTELive. For a TTE not on the chain, 0 included, it is the last cell,
+// which holds 0.
+func (k *Kernel) liveCell(tte uint32) uint32 {
+	cell := uint32(GThreads)
+	for v := k.g(cell); v != tte && v != 0; v = k.g(cell) {
+		cell = v + TTELive
+	}
+	return cell
 }
 
 // buildBootVectors points every boot vector at the panic stub.
@@ -449,8 +461,7 @@ func (k *Kernel) registerServices() {
 	})
 	m.RegisterService(SvcRegister, func(mm *m68k.Machine) uint64 {
 		// D0 = TTE address, D1 = entry PC, D2 = user stack top.
-		t := k.finishCreate(mm.D[0], mm.D[1], mm.D[2])
-		_ = t
+		k.finishCreate(mm.D[0], mm.D[1], mm.D[2])
 		return 0
 	})
 	m.RegisterService(SvcFreeTTE, func(mm *m68k.Machine) uint64 {
@@ -464,28 +475,27 @@ func (k *Kernel) registerServices() {
 }
 
 // exitCur is the thread-exit bookkeeping of both exit services: the
-// running thread is marked dead and leaves the live count. It returns
-// the thread's mirror, nil if it has none.
+// running thread leaves the live count (it stays on the chain until its
+// TTE is freed). It returns the thread's handle, nil if it has none.
 func (k *Kernel) exitCur() *Thread {
-	t := k.Cur()
-	if t != nil {
-		t.Dead = true
-	}
 	if live := k.g(GLiveThreads); live > 0 {
 		k.setg(GLiveThreads, live-1)
 	}
-	return t
+	return k.Cur()
 }
 
-// FreeThread drops a dead thread from the table and frees its TTE. Its
-// code region is not reused (code space is plentiful and the paper's
-// kernel also leaks synthesized code on destroy).
+// FreeThread unlinks a live thread from the chain, drops its handle and
+// frees its TTE; a TTE not on the chain is left alone. Its code region
+// is not reused (code space is plentiful and the paper's kernel also
+// leaks synthesized code on destroy).
 func (k *Kernel) FreeThread(tte uint32) {
-	if t, ok := k.Threads[tte]; ok {
-		t.Dead = true
-		delete(k.Threads, tte)
-		k.Heap.Free(tte)
+	cell := k.liveCell(tte)
+	if k.g(cell) == 0 {
+		return
 	}
+	k.setg(cell, k.g(tte+TTELive))
+	delete(k.handles, tte)
+	k.Heap.Free(tte)
 }
 
 // MarkDeltasMicros converts consecutive mark pairs into microsecond

@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"synthesis/internal/fault"
@@ -33,6 +34,16 @@ func runToCompletion(t *testing.T, k *kernel.Kernel, first *kernel.Thread, budge
 	if err := k.Run(budget); err != nil {
 		t.Fatalf("run: %v\ntrace tail:\n%s", err, tail(k))
 	}
+}
+
+// onChain reports whether tte is on the kernel's chain of live TTEs.
+func onChain(k *kernel.Kernel, tte uint32) bool {
+	for th := range k.Threads() {
+		if th.TTE == tte {
+			return true
+		}
+	}
+	return false
 }
 
 func tail(k *kernel.Kernel) string {
@@ -302,8 +313,8 @@ func TestCreateSyscallSpawnsThread(t *testing.T) {
 	if k.M.Peek(childFlag, 4) != 42 {
 		t.Error("created thread never ran")
 	}
-	if len(k.Threads) < 2 {
-		t.Error("thread registry did not grow")
+	if n := len(slices.Collect(k.Threads())); n < 2 {
+		t.Errorf("the live chain did not grow: %d threads", n)
 	}
 }
 
@@ -335,7 +346,7 @@ func TestCreateFailsOnExhaustedHeap(t *testing.T) {
 	var threads int
 	var codeTop uint32
 	k.M.RegisterService(kernel.SvcMark, func(m *m68k.Machine) uint64 {
-		threads, codeTop = len(k.Threads), m.CodeTop
+		threads, codeTop = len(slices.Collect(k.Threads())), m.CodeTop
 		return 0
 	})
 	runToCompletion(t, k, th, 2_000_000_000)
@@ -345,9 +356,9 @@ func TestCreateFailsOnExhaustedHeap(t *testing.T) {
 	if n := k.M.Peek(created, 4); n < 100 {
 		t.Fatalf("only %d creates succeeded on a 1 MB machine", n)
 	}
-	if len(k.Threads) != threads || k.M.CodeTop != codeTop {
+	if n := len(slices.Collect(k.Threads())); n != threads || k.M.CodeTop != codeTop {
 		t.Errorf("failed create left %d threads and code top %d, want %d and %d",
-			len(k.Threads), k.M.CodeTop, threads, codeTop)
+			n, k.M.CodeTop, threads, codeTop)
 	}
 }
 
@@ -409,7 +420,7 @@ func TestQuantumVectorIsSwitchVector(t *testing.T) {
 	k.SpawnKernel("kernel", prog)
 	ubase, ulimit := k.AllocUserSpace(4096)
 	k.SpawnUser("user", prog, ubase, ulimit)
-	for _, th := range k.Threads {
+	for th := range k.Threads() {
 		vec := func(v int) uint32 { return k.M.Peek(th.TTE+kernel.TTEVec+uint32(v)*4, 4) }
 		swout := k.M.Peek(th.TTE+kernel.TTESwoutPt, 4)
 		if q, sw := vec(m68k.VecAutovector+m68k.IRQTimer), vec(m68k.VecTrapBase+kernel.TrapSwitch); q != swout || sw != swout {
@@ -771,8 +782,8 @@ func TestBusErrorReapsFaultingThread(t *testing.T) {
 	if k.M.Peek(flagPeer, 4) != 1 {
 		t.Error("peer thread did not keep running after the fault")
 	}
-	if !tv.Dead {
-		t.Error("victim not marked dead")
+	if onChain(k, tv.TTE) {
+		t.Error("the reaped victim is still on the live chain")
 	}
 	if len(k.Faults) != 1 {
 		t.Fatalf("fault log: got %d records, want 1", len(k.Faults))
@@ -810,7 +821,7 @@ func TestBusErrorStillReflectsToHandler(t *testing.T) {
 	if len(k.Faults) != 0 {
 		t.Errorf("reflected fault must not be logged as a reap, got %v", k.Faults)
 	}
-	if !th.Dead {
+	if k.M.Peek(kernel.GLiveThreads, 4) != 0 {
 		t.Error("handler never exited the thread")
 	}
 }

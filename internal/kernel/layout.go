@@ -56,6 +56,11 @@ const (
 	// native function codes, filled when sys_dispatch is installed.
 	GSysTable = GlobalsBase + 24
 
+	// GThreads heads the chain of live TTEs, linked through each one's
+	// TTELive cell in creation order (0 = none): the one record of which
+	// threads exist.
+	GThreads = GSysTable + NumSys*4
+
 	// HeapBase is where the kernel heap begins.
 	HeapBase uint32 = 0x0001_0000
 )
@@ -72,6 +77,7 @@ const (
 	TTESSP     = 60  // saved supervisor stack pointer (the exception frame lives there)
 	TTEUSP     = 64  // saved user stack pointer
 	TTERate    = 68  // fine-grain scheduler's smoothed I/O rate: a float64, 8 bytes; creation zeroes it
+	TTELive    = 76  // next live TTE in creation order, 0 for the last: the chain GThreads heads
 	TTEVec     = 128 // the thread's vector table (NumVectors * 4 = 256 bytes)
 	TTENext    = 384 // ready-queue link: next TTE address
 	TTEPrev    = 388 // ready-queue link: previous TTE address

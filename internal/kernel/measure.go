@@ -20,7 +20,7 @@ const switchDispatchCycles = 34
 // The machine keeps running; callers can invoke it repeatedly.
 func MeasureSwitchMicros(k *Kernel) float64 {
 	m := k.M
-	cur := k.Threads[k.CurTTE()]
+	cur := k.Cur()
 	if cur == nil {
 		return -1
 	}

@@ -13,8 +13,9 @@ import (
 
 // The ring tests' command loop: every worker polls ringCmd, runs the
 // command it finds there with the argument in ringArg, and polls
-// again. Worker i blocks on the cell at ringCells+4*i.
-const ringCmd, ringArg, ringCells = 0x9000, 0x9004, 0x9100
+// again. Worker i blocks on the cell at ringCells+4*i; create leaves
+// the new TTE in ringRes.
+const ringCmd, ringArg, ringRes, ringCells = 0x9000, 0x9004, 0x9008, 0x9100
 
 const (
 	opYield = iota + 1
@@ -23,9 +24,13 @@ const (
 	opBlock
 	opWake
 	opDestroy
+	opCreate // the new thread runs worker 0's loop
+	opExit
+	opFault // a bus error with no handler: the thread is reaped
 )
 
-var opNames = []string{opYield: "yield", opStop: "stop", opStart: "start", opBlock: "block", opWake: "wake", opDestroy: "destroy"}
+var opNames = []string{opYield: "yield", opStop: "stop", opStart: "start", opBlock: "block", opWake: "wake",
+	opDestroy: "destroy", opCreate: "create", opExit: "exit", opFault: "fault"}
 
 // ringRig is n kernel threads, w0 to w(n-1), running the command loop
 // with the quantum off, so a command runs to its end, or to the switch
@@ -36,6 +41,7 @@ type ringRig struct {
 	k       *kernel.Kernel
 	workers []*kernel.Thread
 	polls   map[uint32]bool
+	entry   uint32 // worker 0's loop, where a created thread starts
 }
 
 func newRingRig(t *testing.T, n int) *ringRig {
@@ -67,6 +73,15 @@ func newRingRig(t *testing.T, n int) *ringRig {
 			sys("stop", kernel.SysStop)
 			sys("start", kernel.SysStart)
 			sys("destroy", kernel.SysDestroy)
+			sys("exit", kernel.SysExit)
+			e.Label("create")
+			e.MoveL(m68k.Imm(kernel.SysCreate), m68k.D(0))
+			e.Trap(kernel.TrapSys)
+			e.MoveL(m68k.D(0), m68k.Abs(ringRes))
+			e.Bra("poll")
+			e.Label("fault")
+			e.Tst(4, m68k.Abs(0x00e0_0000)) // unmapped
+			e.Bra("poll")
 			e.Label("block")
 			e.Lea(m68k.Abs(cell), 0)
 			e.Jsr(k.BlockOnRoutine())
@@ -77,6 +92,9 @@ func newRingRig(t *testing.T, n int) *ringRig {
 			e.Bra("poll")
 		})
 		r.polls[prog], r.polls[prog+1] = true, true
+		if i == 0 {
+			r.entry = prog
+		}
 		w := k.SpawnKernel(fmt.Sprint("w", i), prog)
 		k.M.Poke(w.TTE+kernel.TTEQuantum, 4, 0)
 		r.workers = append(r.workers, w)
@@ -148,7 +166,9 @@ func TestReadyRingRandomOps(t *testing.T) {
 				}
 				return c
 			}
-			cellOf := func(tte uint32) uint32 { return ringCell(slices.Index(workers, k.Threads[tte])) }
+			cellOf := func(tte uint32) uint32 {
+				return ringCell(slices.IndexFunc(workers, func(w *kernel.Thread) bool { return w.TTE == tte }))
+			}
 			rng := rand.New(rand.NewSource(int64(n)))
 			for i := 0; i < 150; i++ {
 				op := 1 + rng.Intn(5)
@@ -226,9 +246,133 @@ func TestLeavingAParkClearsTheCell(t *testing.T) {
 			if got := r.k.M.Peek(ringCell(1), 4); got != 0 {
 				t.Errorf("w1's cell holds %#x after the wake", got)
 			}
-			if r.k.Threads[w1.TTE] != nil || r.k.CurTTE() != r.workers[0].TTE {
+			if onChain(r.k, w1.TTE) || r.k.CurTTE() != r.workers[0].TTE {
 				t.Errorf("w1 is not gone or w0 is not running: current TTE %#x", r.k.CurTTE())
 			}
 		})
 	}
 }
+
+// TestLiveChainChurn drives every life-cycle path through a seeded
+// random sequence: the host's SpawnKernel (the rig's workers),
+// SpawnUser and SpawnKernelStopped, and the guest's create, start,
+// stop, destroy of another thread, self-destroy, exit and bus-error
+// reap. After each step the chain of live TTEs (Kernel.Threads) must
+// list exactly the model's threads in creation order; CheckReadyRing,
+// at every boundary below IPL 7, holds the handle table equal to it.
+//
+// Checked to fail, in a scratch copy, with FreeThread's unlink dropped
+// and with initThread's link dropped.
+func TestLiveChainChurn(t *testing.T) {
+	ran := map[int]int{}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			r := newRingRig(t, 3)
+			k := r.k
+			k.M.Poke(kernel.GLiveThreads, 4, 1000) // no exit halts the machine
+			model := []uint32{k.Idle.TTE}
+			for _, w := range r.workers {
+				model = append(model, w.TTE)
+			}
+			check := func(what string) {
+				t.Helper()
+				var chain []uint32
+				for th := range k.Threads() {
+					chain = append(chain, th.TTE)
+				}
+				if !slices.Equal(chain, model) {
+					t.Fatalf("%s: the live chain is %#x, want %#x", what, chain, model)
+				}
+				if err := k.CheckReadyRing(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			check("boot")
+			// The idle thread is still on the ring until some thread
+			// yields, so a host spawn may link after it.
+			ubase, ulimit := k.AllocUserSpace(4096)
+			user := k.SpawnUser("user", r.entry, ubase, ulimit)
+			model = append(model, user.TTE)
+			check("spawn user")
+			r.post("stop user", opStop, user.TTE) // its loop would fault outside its quaspace
+
+			on := func(tte uint32) bool { return k.M.Peek(tte+kernel.TTENext, 4) != 0 }
+			runnable := func() []uint32 {
+				return slices.DeleteFunc(slices.Clone(model), func(tte uint32) bool { return tte == k.Idle.TTE || !on(tte) })
+			}
+			stopped := func() []uint32 {
+				return slices.DeleteFunc(slices.Clone(model), func(tte uint32) bool { return tte == k.Idle.TTE || tte == user.TTE || on(tte) })
+			}
+			drop := func(tte uint32) { model = slices.DeleteFunc(model, func(m uint32) bool { return m == tte }) }
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 80; i++ {
+				cur := k.CurTTE()
+				var others []uint32
+				for _, tte := range model {
+					if tte != k.Idle.TTE && tte != cur {
+						others = append(others, tte)
+					}
+				}
+				pick := func(from []uint32) uint32 { return from[rng.Intn(len(from))] }
+				// A self-removal needs another runnable thread to poll next.
+				can := map[int]bool{
+					opCreate: len(model) < 8, opSpawnStopped: len(model) < 8,
+					opStart: len(stopped()) > 0, opStop: len(others) > 0, opDestroy: len(others) > 0,
+					opSelfDestroy: len(runnable()) > 1, opExit: len(runnable()) > 1, opFault: len(runnable()) > 1,
+				}
+				op := []int{opCreate, opSpawnStopped, opStart, opStop, opDestroy, opSelfDestroy, opExit, opFault}[rng.Intn(8)]
+				if !can[op] {
+					op = opYield
+				}
+				what := fmt.Sprintf("step %d, %s", i, churnNames[op])
+				switch op {
+				case opCreate:
+					r.post(what, opCreate, r.entry)
+					tte := k.M.Peek(ringRes, 4)
+					k.M.Poke(tte+kernel.TTEQuantum, 4, 0)
+					model = append(model, tte)
+				case opSpawnStopped:
+					th := k.SpawnKernelStopped("stopped", r.entry)
+					k.M.Poke(th.TTE+kernel.TTEQuantum, 4, 0)
+					model = append(model, th.TTE)
+				case opStart:
+					r.post(what, opStart, pick(stopped()))
+				case opStop:
+					r.post(what, opStop, pick(others))
+				case opDestroy:
+					tte := pick(others)
+					r.post(what, opDestroy, tte)
+					drop(tte)
+				case opSelfDestroy:
+					r.post(what, opDestroy, cur)
+					drop(cur)
+				case opExit, opFault:
+					faults := len(k.Faults)
+					r.post(what, op, 0)
+					drop(cur)
+					if op == opFault && len(k.Faults) != faults+1 {
+						t.Fatalf("%s: %d fault records, want %d", what, len(k.Faults), faults+1)
+					}
+				case opYield:
+					r.post(what, opYield, 0)
+				}
+				ran[op]++
+				check(what)
+			}
+		})
+	}
+	for op, name := range churnNames {
+		if ran[op] == 0 {
+			t.Errorf("no seed ran %s", name)
+		}
+	}
+}
+
+// The churn test's steps beyond the rig's commands.
+const (
+	opSpawnStopped = 100 + iota
+	opSelfDestroy
+)
+
+var churnNames = map[int]string{opCreate: "create", opSpawnStopped: "spawn stopped", opStart: "start", opStop: "stop",
+	opDestroy: "destroy", opSelfDestroy: "self-destroy", opExit: "exit", opFault: "fault", opYield: "yield"}

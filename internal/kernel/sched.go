@@ -60,10 +60,11 @@ func (k *Kernel) ioGauge(t *Thread) uint32 {
 // thread's TTE starts from the base quantum.
 func (k *Kernel) Adapt() {
 	m := k.M
-	for tte, t := range k.Threads {
-		if t.Dead || t == k.Idle {
+	for t := range k.Threads() {
+		if t == k.Idle {
 			continue
 		}
+		tte := t.TTE
 		old := math.Float64frombits(uint64(m.Peek(tte+TTERate, 4))<<32 | uint64(m.Peek(tte+TTERate+4, 4)))
 		rate := smoothing*old + (1-smoothing)*float64(k.ioGauge(t))
 		bits := math.Float64bits(rate)

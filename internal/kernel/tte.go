@@ -53,7 +53,8 @@ func (k *Kernel) initThread(tte uint32, name string, ubase, ulimit uint32, kerne
 		Name: name,
 		Q:    k.C.NewQuaject("thread:" + name),
 	}
-	k.Threads[tte] = t
+	k.handles[tte] = t
+	k.setg(k.liveCell(0), tte) // appended: the TTE is cleared, so its own TTELive ends the chain
 	k.mCreates.Inc()
 
 	if kernelMode {
@@ -236,20 +237,36 @@ func (k *Kernel) Link(t *Thread, after *Thread) {
 	m.Poke(b+TTENextSw, 4, m.Peek(next+TTESwinPtr, 4))
 }
 
-// CheckReadyRing checks the ready ring in guest memory and returns the
-// first breach of its invariant, or nil. The invariant holds at every
-// instruction boundary below IPL 7, since every ring edit, and every
-// self-removal through to its switch, runs at IPL 7:
+// CheckReadyRing checks the live chain and the ready ring in guest
+// memory and returns the first breach of their invariants, or nil. The
+// invariant holds at every instruction boundary below IPL 7, since
+// every ring edit, and every self-removal through to its switch, runs
+// at IPL 7:
+//   - the chain from GThreads ends, visits no TTE twice and lists
+//     exactly the handle table's TTEs;
 //   - the ring, walked from GCurTTE, is closed, never empty and doubly
-//     linked (next.prev == self), every member a live thread;
+//     linked (next.prev == self), every member on the chain;
 //   - every member's TTENextSw is its successor's TTESwinPtr, the
 //     entry its sw_out jumps to;
 //   - no member waits on a cell (TTEWaitsOn == 0);
 //   - every live thread off the ring has TTENext == 0.
 func (k *Kernel) CheckReadyRing() error {
 	peek := func(tte, off uint32) uint32 { return k.M.Peek(tte+off, 4) }
+	live := map[uint32]*Thread{}
+	for tte := k.g(GThreads); tte != 0; tte = peek(tte, TTELive) {
+		switch {
+		case live[tte] != nil:
+			return fmt.Errorf("the live chain returns to %s", live[tte].Name)
+		case k.handles[tte] == nil:
+			return fmt.Errorf("the live chain holds %#x, which has no handle", tte)
+		}
+		live[tte] = k.handles[tte]
+	}
+	if len(live) != len(k.handles) {
+		return fmt.Errorf("the live chain holds %d threads, the handle table %d", len(live), len(k.handles))
+	}
 	cur := k.CurTTE()
-	if k.Threads[cur] == nil {
+	if live[cur] == nil {
 		return fmt.Errorf("GCurTTE %#x is no live thread", cur)
 	}
 	on := map[uint32]bool{}
@@ -258,23 +275,23 @@ func (k *Kernel) CheckReadyRing() error {
 		next := peek(t, TTENext)
 		switch {
 		case next == 0:
-			return fmt.Errorf("ring member %s has TTENext 0: the ring is not closed", k.Threads[t].Name)
-		case k.Threads[next] == nil:
-			return fmt.Errorf("ring member %s links to %#x, no live thread", k.Threads[t].Name, next)
+			return fmt.Errorf("ring member %s has TTENext 0: the ring is not closed", live[t].Name)
+		case live[next] == nil:
+			return fmt.Errorf("ring member %s links to %#x, no live thread", live[t].Name, next)
 		case peek(next, TTEPrev) != t:
-			return fmt.Errorf("ring member %s's successor %s links back to %#x", k.Threads[t].Name, k.Threads[next].Name, peek(next, TTEPrev))
+			return fmt.Errorf("ring member %s's successor %s links back to %#x", live[t].Name, live[next].Name, peek(next, TTEPrev))
 		case peek(t, TTENextSw) != peek(next, TTESwinPtr):
 			return fmt.Errorf("ring member %s switches to %d, not its successor %s's sw_in %d",
-				k.Threads[t].Name, peek(t, TTENextSw), k.Threads[next].Name, peek(next, TTESwinPtr))
+				live[t].Name, peek(t, TTENextSw), live[next].Name, peek(next, TTESwinPtr))
 		case peek(t, TTEWaitsOn) != 0:
-			return fmt.Errorf("ring member %s waits on cell %#x", k.Threads[t].Name, peek(t, TTEWaitsOn))
+			return fmt.Errorf("ring member %s waits on cell %#x", live[t].Name, peek(t, TTEWaitsOn))
 		}
 		t = next
 		if on[t] && t != cur {
-			return fmt.Errorf("the ring from %s closes at %s, not at itself", k.Threads[cur].Name, k.Threads[t].Name)
+			return fmt.Errorf("the ring from %s closes at %s, not at itself", live[cur].Name, live[t].Name)
 		}
 	}
-	for _, th := range k.ThreadsByTTE() {
+	for th := range k.Threads() {
 		if !on[th.TTE] && peek(th.TTE, TTENext) != 0 {
 			return fmt.Errorf("thread %s is off the ring with TTENext %#x", th.Name, peek(th.TTE, TTENext))
 		}

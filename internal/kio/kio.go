@@ -134,9 +134,12 @@ func (io *IO) registerServices() {
 		return 0
 	})
 	k.M.RegisterService(kernel.SvcFreeTTE, func(mm *m68k.Machine) uint64 {
-		t := k.Threads[mm.D[1]]
-		for fd := int32(0); fd < kernel.MaxFD; fd++ {
-			io.Close(t, fd)
+		for t := range k.Threads() {
+			if t.TTE == mm.D[1] {
+				for fd := int32(0); fd < kernel.MaxFD; fd++ {
+					io.Close(t, fd)
+				}
+			}
 		}
 		k.FreeThread(mm.D[1])
 		return 30

@@ -47,6 +47,16 @@ func run(t *testing.T, k *kernel.Kernel, first *kernel.Thread, budget uint64) {
 	}
 }
 
+// onChain reports whether tte is on the kernel's chain of live TTEs.
+func onChain(k *kernel.Kernel, tte uint32) bool {
+	for th := range k.Threads() {
+		if th.TTE == tte {
+			return true
+		}
+	}
+	return false
+}
+
 func tail(k *kernel.Kernel) string {
 	if k.M.Trace == nil {
 		return "(no trace)"

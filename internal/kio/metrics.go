@@ -65,9 +65,9 @@ func (io *IO) collect(c metrics.Collector) {
 		c.Gauge(p+"queue_depth", float64(m.Peek(q+NQHead, 4)-m.Peek(q+NQTail, 4)))
 	}
 	pipes := map[uint32]bool{}
-	// In TTE order, so a repeated thread name reports the same slot on
-	// every snapshot.
-	for _, t := range io.K.ThreadsByTTE() {
+	// In creation order, so a repeated thread name reports the same slot
+	// on every snapshot.
+	for t := range io.K.Threads() {
 		for fd := int32(0); fd < kernel.MaxFD; fd++ {
 			switch io.fdCell(t, fd, kernel.FDKind) {
 			case FDFree, FDSock, FDProcGeneric:

@@ -160,7 +160,7 @@ func TestDisabledPlaneGeneratesIdenticalCode(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 		var send uint32
-		for _, th := range k.Threads {
+		for th := range k.Threads() {
 			if a, ok := th.Q.Entries["sock_send"]; ok {
 				send = a
 			}

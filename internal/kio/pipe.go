@@ -99,7 +99,7 @@ func (io *IO) OpenPipeEnd(t *kernel.Thread, q *KQueue, writeEnd bool) int32 {
 // closePipeEnd frees queue q once no live thread holds an end of it:
 // the descriptor slots are the only record, so it scans them.
 func (io *IO) closePipeEnd(q uint32) {
-	for _, t := range io.K.Threads {
+	for t := range io.K.Threads() {
 		for fd := int32(0); fd < kernel.MaxFD; fd++ {
 			if kind := io.fdCell(t, fd, kernel.FDKind); (kind == FDPipeR || kind == FDPipeW) && io.fdCell(t, fd, kernel.FDAux) == q {
 				return

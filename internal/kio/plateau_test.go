@@ -190,8 +190,8 @@ func TestExitClosesDescriptors(t *testing.T) {
 	if got := int32(k.M.Peek(res, 4)); got != 0 {
 		t.Errorf("b's open of a's port = %d, want fd 0", got)
 	}
-	if _, live := k.Threads[a.TTE]; live {
-		t.Error("a is still in the thread table")
+	if onChain(k, a.TTE) {
+		t.Error("a is still on the live chain")
 	}
 	for _, name := range reported(reg, "kio.sock.7.", "kio.pipe.", "kio.fd.a.") {
 		t.Errorf("%s outlived its descriptor", name)

@@ -91,7 +91,7 @@ func TestFaultSoak(t *testing.T) {
 
 	// The machine survived (run would have failed the test otherwise);
 	// the victim did not.
-	if !victim.Dead {
+	if onChain(k, victim.TTE) {
 		t.Error("victim thread survived its bus error")
 	}
 	if len(k.Faults) != 1 || k.Faults[0].Name != "victim" {

@@ -59,7 +59,7 @@ func (l *regionLog) of(addr uint32) (uint32, bool) {
 func checkUnixCells(t *testing.T, k *kernel.Kernel, io *kio.IO, l *regionLog) {
 	t.Helper()
 	bad := io.BadFD()
-	for _, th := range k.Threads {
+	for th := range k.Threads() {
 		for fd := range kernel.MaxFD {
 			open := k.M.Peek(kernel.FDCell(th.TTE, fd, kernel.FDKind), 4) != kio.FDFree
 			for _, trap := range []int{kernel.TrapRead + fd, kernel.TrapWrite + fd} {

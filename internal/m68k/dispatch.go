@@ -24,8 +24,8 @@ import "encoding/binary"
 // measured and do not pay: a prototype running straight-line blocks of
 // up to 32 slots, keeping that compare and the call per instruction,
 // read compute 6.58–7.02 M op/s against 6.43–6.93 M and the step loop
-// 7.6–8.8 ns/instr against 6.6–6.8. A NOP costs about 2 ns with the
-// loop; the time is in the handlers (docs/PERFORMANCE.md).
+// 7.6–8.8 ns/instr against 6.6–6.8. An empty handler cost about 2 ns
+// with the loop; the time is in the handlers (docs/PERFORMANCE.md).
 //
 // exec.go's switch is the ISA: complete, the only definition of every
 // instruction, and the fuzzer's oracle. The closures here are a cache
@@ -256,9 +256,6 @@ func compile(in *Instr, pc uint32) runFn {
 	sm, smem := memOperand(in.Src, sz)
 	dm, dmem := memOperand(in.Dst, sz)
 	switch in.Op {
-	case NOP:
-		return func(*Machine) error { return nil }
-
 	case MOVE:
 		if run := cMove(in); run != nil {
 			return run
@@ -497,8 +494,8 @@ func compile(in *Instr, pc uint32) runFn {
 		}
 
 	case JMP, JSR:
-		// A constant target, as exec's jumpTarget reads it; and JMP
-		// through a cell addressed absolute or indexed (the executable
+		// JSR to a constant target, as exec's jumpTarget reads it; and
+		// JMP through a cell addressed absolute or indexed (the executable
 		// data structures' "jmp ([next])"), read as exec's indirect does.
 		jsr := in.Op == JSR
 		if sabs && !jsr {
@@ -518,16 +515,10 @@ func compile(in *Instr, pc uint32) runFn {
 				return nil
 			}
 		}
-		if in.Src.Mode != ModeNone || in.Dst.Mode != ModeAbs && in.Dst.Mode != ModeImm {
+		if !jsr || in.Src.Mode != ModeNone || in.Dst.Mode != ModeAbs && in.Dst.Mode != ModeImm {
 			break
 		}
 		t := uint32(in.Dst.Imm)
-		if !jsr {
-			return func(m *Machine) error {
-				m.PC = t
-				return nil
-			}
-		}
 		// The stack slot is push open-coded, as RTS's is pop.
 		return func(m *Machine) error {
 			a := m.A[7] - 4
@@ -632,7 +623,8 @@ func compile(in *Instr, pc uint32) runFn {
 			}
 		}
 
-	// sw_in's and sw_out's forms; supervisor state, so no quaspace check.
+	// sw_in's and sw_out's register and immediate forms; supervisor
+	// state, so no quaspace check.
 	case MOVEC:
 		c := in.Vec
 		switch {
@@ -650,22 +642,6 @@ func compile(in *Instr, pc uint32) runFn {
 					return m.Exception(VecPrivilege)
 				}
 				m.setCtrl(c, ri.val(m))
-				return nil
-			}
-		case in.Src.Mode == ModeAbs:
-			a := uint32(in.Src.Imm)
-			return func(m *Machine) error {
-				if m.SR&FlagS == 0 {
-					return m.Exception(VecPrivilege)
-				}
-				v, ok := m.loadRAM32(a)
-				if !ok {
-					var err error
-					if v, err = m.Load(a, 4); err != nil {
-						return err
-					}
-				}
-				m.setCtrl(c, v)
 				return nil
 			}
 		}

@@ -39,16 +39,17 @@ func BenchmarkStepLoop(b *testing.B) {
 // BenchmarkShapes prices one instruction shape at a time: sixteen
 // copies of it in a DBRA loop, so ns/instr is the shape's own cost plus
 // a seventeenth of the loop's. The shapes are the ones the workloads
-// run most (docs/PERFORMANCE.md has the op mix) and a NOP for the
-// dispatch floor. A prologue run once per pass resets the registers a
-// shape steps; jsr_abs+rts calls an RTS placed after the HALT, and
-// trap+rte enters an RTE placed after that through vector 32, so each
-// one's ns/instr is the mean of the pair. The MOVEC rows are the four
-// forms sw_in and sw_out run. The MOVEM rows are the register sets
-// with bodies of their own, in the modes their templates use (the copy
-// group's store is to (A1) there, and seven of a pass's eight to
-// d(A1)); a MOVEM that loads D0, the loop counter, counts the loop in a
-// memory cell instead (SUB.L #1 and a BNE in place of the DBRA).
+// run most (docs/PERFORMANCE.md has the op mix) and a NOP, which has no
+// body, for the price of exec's path (cSlow). A prologue run once per
+// pass resets the registers a shape steps; jsr_abs+rts calls an RTS
+// placed after the HALT, and trap+rte enters an RTE placed after that
+// through vector 32, so each one's ns/instr is the mean of the pair.
+// The MOVEC rows are the three forms sw_in and sw_out run most, the
+// ones with bodies. The MOVEM rows are the register sets with bodies of
+// their own, in the modes their templates use (the copy group's store
+// is to (A1) there, and seven of a pass's eight to d(A1)); a MOVEM that
+// loads D0, the loop counter, counts the loop in a memory cell instead
+// (SUB.L #1 and a BNE in place of the DBRA).
 func BenchmarkShapes(b *testing.B) {
 	const cell, stack, count = 0x9000, 0x80000, 0x8000
 	for _, s := range []struct {
@@ -76,7 +77,6 @@ func BenchmarkShapes(b *testing.B) {
 		{"move_sr,-(a7)", Instr{Op: MOVEFSR, Dst: PreDec(7)}},
 		{"move_(a7)+,sr", Instr{Op: MOVETSR, Src: PostInc(7)}},
 		{"movec_#imm,vbr", Instr{Op: MOVEC, Vec: CtrlVBR, Src: Imm(0)}},
-		{"movec_abs,ubase", Instr{Op: MOVEC, Vec: CtrlUBase, Src: Abs(cell)}},
 		{"movec_d2,usp", Instr{Op: MOVEC, Vec: CtrlUSP, Src: D(2)}},
 		{"movec_usp,d2", Instr{Op: MOVEC, Vec: CtrlUSP, Dst: D(2)}},
 		{"movem.l_(a0)+,d3-d7/a3-a5", Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(0)}},

@@ -427,8 +427,7 @@ const (
 // Dn with its operands swapped; the byte and word CMP taking flags at
 // the long width; CMP.L into An comparing Dn; TST of a byte or word Dn
 // testing 32 bits; CLR, AND/OR/EOR writing all 32 bits of Dn at every
-// size; JMP to a constant one past the target; JSR pushing the target
-// instead of the return address; exec's indirect cell read without the
+// size; JSR pushing the target instead of the return address; exec's indirect cell read without the
 // quaspace check. Forms
 // and RAM helpers: stepping a register-relative register before forming
 // the address; memForm always register-relative; reading An where the
@@ -708,8 +707,9 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 	// The stack and frame bodies over TestStackMatchesMove's six stack
 	// states and a seventh: a frame straddling devFloor, its PC long in
 	// the device window and its SR long in RAM (for RTE's pops, SR in RAM
-	// below PC in the window). JSR, RTS, RTE, the SR moves and MOVEC's
-	// four bodies (its absolute cell at the slot) run against exec; TRAP
+	// below PC in the window). JSR, RTS, RTE, the SR moves, MOVEC's
+	// three bodies and its absolute form, which has none (its cell at the
+	// slot), run against exec; TRAP
 	// and an autovectored interrupt, which exec enters through the same
 	// Exception, against frameByPushes. Both stack pointers point at the
 	// slot, so a privilege violation's frame is directed too, and every

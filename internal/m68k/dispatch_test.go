@@ -480,7 +480,7 @@ func TestDispatchCounters(t *testing.T) {
 			m.Instrs, m.SlowInstrs, m.Translations, m.SlowSteps, want, 2*passes)
 	}
 	// A patched slot is translated again on its next fetch, and only it.
-	m.PatchCode(entry+4, Instr{Op: NOP})
+	m.PatchCode(entry+4, Instr{Op: MOVE, Src: D(1), Dst: D(2)})
 	m.ClearHalt()
 	m.PC = entry
 	if err := m.Run(1 << 20); err != ErrHalted {

@@ -377,6 +377,16 @@ func (r *sysRig) peek(addr uint32) uint32 { return r.k.M.Peek(addr, 4) }
 func (r *sysRig) res(i uint32) int32      { return int32(r.peek(tabRes + 4*i)) }
 func (r *sysRig) fd(i int) uint32         { return r.peek(kernel.FDCell(r.main.TTE, i, kernel.FDKind)) }
 
+// live reports whether tte is on the kernel's chain of live TTEs.
+func (r *sysRig) live(tte uint32) bool {
+	for th := range r.k.Threads() {
+		if th.TTE == tte {
+			return true
+		}
+	}
+	return false
+}
+
 // runSys boots a kernel (with the gate's counters when counted) and
 // runs body on the main thread, then stores D0, D1 and a 1 ("the last
 // call returned") at tabRes and exits.
@@ -437,14 +447,14 @@ func TestSyscallTablesCompleteAndClosed(t *testing.T) {
 			r.native(e, kernel.SysClose, 0, 0)
 		}, func(r *sysRig) bool { return r.res(0) == 0 && r.fd(0) == kio.FDFree }},
 		{kernel.SysCreate, func(e *synth.Emitter, r *sysRig) { r.native(e, kernel.SysCreate, int32(r.spin), tabStack) },
-			func(r *sysRig) bool { return r.k.Threads[uint32(r.res(0))] != nil }},
+			func(r *sysRig) bool { return r.live(uint32(r.res(0))) }},
 		{kernel.SysDestroy, func(e *synth.Emitter, r *sysRig) { r.native(e, kernel.SysDestroy, victim(r), 0) },
-			func(r *sysRig) bool { return r.k.Threads[r.victim.TTE] == nil }},
+			func(r *sysRig) bool { return !r.live(r.victim.TTE) }},
 		{kernel.SysStop, func(e *synth.Emitter, r *sysRig) {
 			r.native(e, kernel.SysStart, victim(r), 0)
 			r.native(e, kernel.SysStop, victim(r), 0)
 		}, func(r *sysRig) bool {
-			return r.peek(r.victim.TTE+kernel.TTENext) == 0 && r.k.Threads[r.victim.TTE] != nil
+			return r.peek(r.victim.TTE+kernel.TTENext) == 0 && r.live(r.victim.TTE)
 		}},
 		{kernel.SysStart, func(e *synth.Emitter, r *sysRig) { r.native(e, kernel.SysStart, victim(r), 0) },
 			func(r *sysRig) bool { return r.peek(r.victim.TTE+kernel.TTENext) != 0 }},

@@ -1,13 +1,13 @@
 # One line per target; the tests a target runs are named in its recipe.
 #   tier1         the CI gate: gofmt, build, vet, every test (TestGoldenTables is the perf gate)
 #   race          the race detector over the packet ring, queues, planes and step loops
-#   soak          the seeded soaks and enumerations of kio, the ready ring, the live chain and queues, -race
+#   soak          the seeded soaks and enumerations of kio (the socket receive's unmasked window among them), the ready ring, the live chain and queues, -race
 #   cluster-soak  2-VM fleet churn, snapshots and parking, -race
 #   chaos-soak    the fleet under link faults and partitions, -race; dumps go to FLIGHT_DIR
 #   examples      the five self-checking examples, each exiting nonzero on failure
 #   bench         the root benchmarks, then the dispatcher's, kio's, metrics' and profiler's
 #   tables        prints every evaluation table
-#   profile       one Table 1 program under the profiler, writing trace.json
+#   profile       one Table 1 program under the profiler, writing trace.json (-profile-run "sock echo 64 B" prices the datagram path)
 #   loc           lines of non-test Go outside benchmark/, the count ROADMAP tracks
 #   placement     (*Machine).Run's address mod 64, to quote beside a wall-clock delta
 #   inline        the dispatcher's RAM helpers inline at the call-site counts INLINE_SITES names
@@ -28,9 +28,9 @@ race:
 
 soak:
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestSlotChurnHoldsCodeFlat|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable|TestUnixEntryMatchesNative|TestBadDescriptorsThroughUnixGate|TestOpenCloseLeavesRegistryNames|TestSnapshotReadsOpenObjects|TestQuantumInSwitchEnumerated' \
+		-run 'TestFaultSoak|TestSendGivesUp|TestSendRetries|TestCorruptFrame|TestWatchdog|TestOpenCloseChurnPlateaus|TestSocketChurnPlateaus|TestExitClosesDescriptors|TestSocketChurnReturnsItsHeap|TestPipeChurnReturnsItsHeap|TestSlotChurnHoldsCodeFlat|TestBulkCopyPreservesRegisters|TestOneByteGetParkWindowEnumerated|TestQuantumInHandlerEnumerated|TestIdleLeaveWindowEnumerated|TestRuntFrameDropped|TestSendChecksumEveryTailShape|TestDepositChecksumEveryTailShape|TestNetIntrOneActivationEnumerated|TestDemuxMatchesSocketTable|TestUnixEntryMatchesNative|TestBadDescriptorsThroughUnixGate|TestOpenCloseLeavesRegistryNames|TestSnapshotReadsOpenObjects|TestQuantumInSwitchEnumerated|TestSockRecvWindowEnumerated' \
 		./internal/kio/
-	$(GO) test -race -count 1 -timeout 120s -run 'TestReadyRingRandomOps|TestLeavingAParkClearsTheCell|TestLiveChainChurn' ./internal/kernel/
+	$(GO) test -race -count 1 -timeout 120s -run 'TestReadyRingRandomOps|TestLeavingAParkClearsTheCell|TestLiveChainChurn|TestSpawnAfterIdleLeftTheRing' ./internal/kernel/
 	$(GO) test -race -count 1 -timeout 120s -run 'TestConcurrentFullEmptyRaces' ./internal/queue/
 
 cluster-soak:

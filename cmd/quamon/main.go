@@ -219,7 +219,7 @@ func main() {
 	}
 
 	if k.Prof != nil {
-		fmt.Printf("top regions by cycles:\n%s\n", k.Prof.Report(*top))
+		fmt.Printf("top regions by cycles:\n%s\n", k.Prof.Report(*top, 0))
 		if *traceJSON != "" {
 			f, err := os.Create(*traceJSON)
 			if err != nil {

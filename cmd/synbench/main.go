@@ -18,6 +18,7 @@
 //	synbench -iters 500               # heavier Table 1 loops
 //	synbench -json bench/baseline     # also write BENCH_*.json artifacts and PAPER_GAPS.md
 //	synbench -profile-run "open-close tty" -top 15 -trace-json trace.json
+//	synbench -profile-run "sock echo 64 B" -top 8   # the datagram path, instructions per iteration
 //	synbench -table 7 -faults drop=0.2,spurious=7:50000 -fault-seed 42
 //
 // `synbench -json bench/baseline` (default -iters) regenerates the
@@ -45,7 +46,7 @@ func main() {
 	iters := flag.Int("iters", 200, "loop count for the Table 1 and Table 7 programs")
 	profileRun := flag.String("profile-run", "",
 		"run one Table 1 program profiled and report attribution: one of "+
-			strings.Join(bench.Table1ProgramNames(), ", "))
+			strings.Join(bench.ProfiledProgramNames(), ", "))
 	top := flag.Int("top", 10, "regions to show in the -profile-run report")
 	traceJSON := flag.String("trace-json", "", "write the -profile-run Chrome trace (about:tracing JSON) here")
 	jsonDir := flag.String("json", "", "also write each table as a BENCH_*.json artifact into this directory, and with every table the PAPER_GAPS.md ledger")
@@ -74,7 +75,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("profile: %s (%d iterations)\n", *profileRun, *iters)
-		fmt.Print(p.Report(*top))
+		fmt.Print(p.Report(*top, uint64(*iters)))
 		if *traceJSON != "" {
 			f, err := os.Create(*traceJSON)
 			if err != nil {

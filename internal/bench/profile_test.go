@@ -3,8 +3,8 @@ package bench
 import "testing"
 
 // TestTable1AttributionCoverage is the acceptance check for the
-// measurement plane: across a full Table 1 program sweep on the
-// profiled Synthesis rig, at least 95% of all machine cycles must be
+// measurement plane: across every profiled program (Table 1's and the
+// socket echo) on the profiled Synthesis rig, at least 95% of all machine cycles must be
 // attributed to named regions (quaject routines, the benchmark
 // binary, idle, synthesis) rather than falling out as unattributed.
 func TestTable1AttributionCoverage(t *testing.T) {
@@ -13,7 +13,7 @@ func TestTable1AttributionCoverage(t *testing.T) {
 	}
 	iters := int32(40)
 	var sumAttr, sumWindow uint64
-	for _, name := range Table1ProgramNames() {
+	for _, name := range ProfiledProgramNames() {
 		p, err := RunProfiled(name, iters)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -21,7 +21,7 @@ func TestTable1AttributionCoverage(t *testing.T) {
 		cov := p.Coverage()
 		t.Logf("%-16s coverage %.3f (%d of %d cycles)", name, cov, p.Attributed(), p.Window())
 		if cov < 0.95 {
-			t.Errorf("%s: coverage %.3f < 0.95; top:\n%s", name, cov, p.Report(12))
+			t.Errorf("%s: coverage %.3f < 0.95; top:\n%s", name, cov, p.Report(12, 0))
 		}
 		sumAttr += p.Attributed()
 		sumWindow += p.Window()

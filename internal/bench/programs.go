@@ -124,3 +124,30 @@ func BuildOpenClose(b *asmkit.Builder, iters int32, nameAddr uint32) {
 	mark(b)
 	progExit(b)
 }
+
+// BuildSockEcho emits the socket echo loop: iters times, one 64-byte
+// datagram bounced 5 -> 9 -> 5 between two loopback sockets, each leg
+// a write and a read through the UNIX gate. An iteration is two sends,
+// two receives, two frames through the receive handler and four gate
+// calls.
+func BuildSockEcho(b *asmkit.Builder, iters int32) {
+	const payload = 64
+	sockPair(b)
+	rw := func(no int32, fd uint8, buf uint32) {
+		b.MoveL(m68k.D(fd), m68k.D(1))
+		b.MoveL(m68k.Imm(int32(buf)), m68k.D(2))
+		b.MoveL(m68k.Imm(payload), m68k.D(3))
+		unixCall(b, no)
+	}
+	mark(b)
+	b.MoveL(m68k.Imm(iters), m68k.D(5))
+	b.Label("loop")
+	rw(unixemu.SysWrite, 6, addrBufA)
+	rw(unixemu.SysRead, 7, addrBufB)
+	rw(unixemu.SysWrite, 7, addrBufB)
+	rw(unixemu.SysRead, 6, addrBufA)
+	b.SubL(m68k.Imm(1), m68k.D(5))
+	b.Bne("loop")
+	mark(b)
+	progExit(b)
+}

@@ -56,11 +56,11 @@ func buildSockARQ(b *asmkit.Builder, iters int32) {
 	// Remember the deposit gauge, send, and compare: an unchanged
 	// gauge means the wire ate the frame — count and retransmit.
 	b.MoveL(m68k.Abs(addrQBase), m68k.A(2))
-	b.MoveL(m68k.Disp(kio.NQGauge, 2), m68k.D(4))
+	b.MoveL(m68k.Disp(kio.NQHead, 2), m68k.D(4))
 	b.Label("try")
 	sockWrite(b)
 	b.MoveL(m68k.Abs(addrQBase), m68k.A(2))
-	b.MoveL(m68k.Disp(kio.NQGauge, 2), m68k.D(0))
+	b.MoveL(m68k.Disp(kio.NQHead, 2), m68k.D(0))
 	b.Cmp(4, m68k.D(4), m68k.D(0))
 	b.Bne("arrived")
 	b.AddL(m68k.Imm(1), m68k.Abs(addrRetx))

@@ -296,9 +296,20 @@ func (k *Kernel) SpuriousIRQs() uint32 { return k.g(GSpuriousIRQ) }
 func (k *Kernel) SpawnKernel(name string, entry uint32) *Thread {
 	t := k.newThread(name, 0, 0, true)
 	k.setEntry(t, entry, 0, m68k.FlagS)
-	k.Link(t, k.Idle)
+	k.Link(t, k.ringMember())
 	k.setg(GLiveThreads, k.g(GLiveThreads)+1)
 	return t
+}
+
+// ringMember returns a thread on the ready ring for a host spawn to
+// link after: the idle thread while it is on the ring (before the first
+// run, every spawn lands there), else the running thread, since idle
+// leaves the ring once another thread is runnable.
+func (k *Kernel) ringMember() *Thread {
+	if k.M.Peek(k.Idle.TTE+TTENext, 4) != 0 {
+		return k.Idle
+	}
+	return k.Cur()
 }
 
 // SpawnKernelStopped creates a kernel-mode thread that is not linked
@@ -317,7 +328,7 @@ func (k *Kernel) SpawnKernelStopped(name string, entry uint32) *Thread {
 func (k *Kernel) SpawnUser(name string, entry, ubase, ulimit uint32) *Thread {
 	t := k.newThread(name, ubase, ulimit, false)
 	k.setEntry(t, entry, ulimit-16, 0)
-	k.Link(t, k.Idle)
+	k.Link(t, k.ringMember())
 	k.setg(GLiveThreads, k.g(GLiveThreads)+1)
 	return t
 }

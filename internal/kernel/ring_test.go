@@ -253,6 +253,37 @@ func TestLeavingAParkClearsTheCell(t *testing.T) {
 	}
 }
 
+// TestSpawnAfterIdleLeftTheRing spawns a thread from the host once the
+// idle thread has left the ready ring: two workers yield to each other
+// twice, then SpawnKernel links a third. It must land on the ring after
+// a member and run. It failed while every spawn linked after the idle
+// thread: "thread idle is off the ring with TTENext …", the spawn
+// having written the new TTE into boot vector 33 (0 + TTEPrev).
+func TestSpawnAfterIdleLeftTheRing(t *testing.T) {
+	r := newRingRig(t, 2)
+	k := r.k
+	r.post("yield", opYield, 0)
+	r.post("yield", opYield, 0)
+	if k.M.Peek(k.Idle.TTE+kernel.TTENext, 4) != 0 {
+		t.Fatal("the idle thread is still on the ring after two yields")
+	}
+	low := k.M.Peek(kernel.TTEPrev, 4)
+	late := k.SpawnKernel("late", r.entry)
+	k.M.Poke(late.TTE+kernel.TTEQuantum, 4, 0)
+	if err := k.CheckReadyRing(); err != nil {
+		t.Fatalf("after the spawn: %v", err)
+	}
+	if got := k.M.Peek(kernel.TTEPrev, 4); got != low {
+		t.Fatalf("the spawn wrote %#x at address %#x, below every TTE", got, kernel.TTEPrev)
+	}
+	for i := 0; k.CurTTE() != late.TTE; i++ {
+		if i == 3 {
+			t.Fatal("the spawned thread never ran")
+		}
+		r.post("yield to the spawned thread", opYield, 0)
+	}
+}
+
 // TestLiveChainChurn drives every life-cycle path through a seeded
 // random sequence: the host's SpawnKernel (the rig's workers),
 // SpawnUser and SpawnKernelStopped, and the guest's create, start,

@@ -198,7 +198,7 @@ func TestSnapshotReadsOpenObjects(t *testing.T) {
 			for _, c := range []struct {
 				name string
 				off  uint32
-			}{{"rx_frames", kio.NQGauge}, {"rx_drops", kio.NQDrops}, {"rx_errs", kio.NQErrs}, {"tx_fail", kio.NQTxFail}} {
+			}{{"rx_drops", kio.NQDrops}, {"rx_errs", kio.NQErrs}, {"tx_fail", kio.NQTxFail}} {
 				v := r.rng.Uint32()
 				m.Poke(s.Queue+c.off, 4, v)
 				counters[p+c.name] = uint64(v)
@@ -206,6 +206,7 @@ func TestSnapshotReadsOpenObjects(t *testing.T) {
 			head, tail := r.rng.Uint32()%64, r.rng.Uint32()%64
 			m.Poke(s.Queue+kio.NQHead, 4, head)
 			m.Poke(s.Queue+kio.NQTail, 4, tail)
+			counters[p+"rx_frames"] = uint64(head)
 			gauges[p+"queue_depth"] = float64(head - tail)
 		}
 		for _, th := range r.threads {

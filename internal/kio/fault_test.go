@@ -71,7 +71,7 @@ func TestSendRetriesThroughTransientRingFull(t *testing.T) {
 		t.Fatal("injector never forced the ring full; test proves nothing")
 	}
 	recv := io.NetSockets()[1]
-	if got := k.M.Peek(recv.Queue+kio.NQGauge, 4); got != sends {
+	if got := k.M.Peek(recv.Queue+kio.NQHead, 4); got != sends {
 		t.Errorf("frames deposited = %d, want %d", got, sends)
 	}
 }
@@ -102,7 +102,7 @@ func TestCorruptFrameDroppedAndCounted(t *testing.T) {
 	if got := k.M.Peek(recv.Queue+kio.NQErrs, 4); got != 1 {
 		t.Errorf("NQErrs = %d, want 1", got)
 	}
-	if got := k.M.Peek(recv.Queue+kio.NQGauge, 4); got != 0 {
+	if got := k.M.Peek(recv.Queue+kio.NQHead, 4); got != 0 {
 		t.Errorf("corrupt frame was deposited: gauge = %d, want 0", got)
 	}
 }
@@ -267,7 +267,7 @@ func (r *wedgeRig) inject(t *testing.T, n int) {
 
 // delivered returns the frames port 9's queue has taken.
 func (r *wedgeRig) delivered() uint32 {
-	return r.k.M.Peek(r.io.NetSockets()[0].Queue+kio.NQGauge, 4)
+	return r.k.M.Peek(r.io.NetSockets()[0].Queue+kio.NQHead, 4)
 }
 
 // stubHandler synthesizes a handler that acknowledges nothing.
@@ -332,7 +332,7 @@ func TestWatchdogWedgeRebuildsHandler(t *testing.T) {
 	if got := io.NetStackDrops(); got != drops+1 {
 		t.Errorf("frame for the closed port: stack drops %d -> %d, want one more", drops, got)
 	}
-	if got := k.M.Peek(s.Queue+kio.NQGauge, 4); got != 3 {
+	if got := k.M.Peek(s.Queue+kio.NQHead, 4); got != 3 {
 		t.Errorf("the closed port's queue gauge = %d, want 3", got)
 	}
 }

@@ -203,6 +203,21 @@ func buildRW(b *synth.Builder, body func(*synth.Emitter)) entries {
 	return entries{native, unix}
 }
 
+// buildUnixRW is buildRW for a body written against the UNIX registers
+// (buffer D2, length D3): the native entry shuffles into them and falls
+// into the UNIX one. The socket routines take it, since their callers
+// come through the UNIX gate.
+func buildUnixRW(b *synth.Builder, body func(*synth.Emitter)) entries {
+	native, unix := b.EmitEntries(func(e *synth.Emitter) {
+		e.Label(synth.EntryMain)
+		e.MoveL(m68k.D(2), m68k.D(3))
+		e.MoveL(m68k.D(1), m68k.D(2))
+		e.Entry(synth.EntryAlt)
+		body(e)
+	})
+	return entries{native, unix}
+}
+
 // rw gives a template written for the native convention the default
 // UNIX entry: two moves that shuffle the registers and fall into the
 // native entry. emitQueueWrite, emitQueueRead and /dev/null's pair

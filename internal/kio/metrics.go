@@ -9,7 +9,7 @@ import (
 
 // kio's half of the observability plane. Every counter in this
 // package is maintained by synthesized machine code in VM memory (the
-// queue cells NQGauge/NQDrops/NQErrs/NQTxFail, the handler's stack
+// queue cells NQHead/NQDrops/NQErrs/NQTxFail, the handler's stack
 // drop cell), so the metrics plane never adds an instruction to a hot
 // path: the registry holds closures that read the cells only at
 // snapshot time. The watchdog's policy runs as host code behind a
@@ -58,7 +58,7 @@ func (io *IO) collect(c metrics.Collector) {
 			continue
 		}
 		p := fmt.Sprintf("kio.sock.%d.", m.Peek(e, 4))
-		c.Counter(p+"rx_frames", uint64(m.Peek(q+NQGauge, 4)))
+		c.Counter(p+"rx_frames", uint64(m.Peek(q+NQHead, 4)))
 		c.Counter(p+"rx_drops", uint64(m.Peek(q+NQDrops, 4)))
 		c.Counter(p+"rx_errs", uint64(m.Peek(q+NQErrs, 4)))
 		c.Counter(p+"tx_fail", uint64(m.Peek(q+NQTxFail, 4)))

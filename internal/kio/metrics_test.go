@@ -69,7 +69,7 @@ func TestSocketMetricsServeQueueCells(t *testing.T) {
 	if sock9.Queue == 0 {
 		t.Fatal("socket 9 not open")
 	}
-	cell := uint64(k.M.Peek(sock9.Queue+kio.NQGauge, 4))
+	cell := uint64(k.M.Peek(sock9.Queue+kio.NQHead, 4))
 	if cell != rounds {
 		t.Fatalf("queue gauge cell = %d, want %d", cell, rounds)
 	}

@@ -31,27 +31,27 @@ import (
 // port, so a reopened port gets back its queue and the code built for it.
 //
 // Per-socket send and receive routines are synthesized by the socket
-// open: the peer ports, the staging buffer, the queue base and the
-// ring geometry are all folded into the emitted code, and the frame
-// header construction is inlined into the copy setup (Collapsing
-// Layers — there is no separate "header layer" at run time).
+// open: the staging buffer, the queue base and the ring geometry are
+// folded into the emitted code, and the open writes the peer ports into
+// the staging frame's header once (Factoring Invariants into data, so
+// no "header layer" runs at send time).
 
 // Per-socket packet queue layout in machine memory. Head and tail are
 // free-running counts; slot index = count & (NQSlotCount-1). A slot
 // holds [payload length (4)][payload bytes]. The valid flags are one
 // byte per slot: the producer fills the head slot, stores its flag and
 // only then advances the head, and the consumer trusts nothing but the
-// flag.
+// flag. The head is also the count of frames deposited: one counter
+// per fact.
 const (
 	NQHead      = 0  // producer count: frames published
 	NQTail      = 4  // consumer count
 	NQRWait     = 8  // reader wait cell
-	NQGauge     = 12 // frames deposited (I/O gauge)
-	NQDrops     = 16 // frames dropped at a full queue, bad sum or not: room is checked before the summing copy
-	NQErrs      = 20 // frames dropped on checksum mismatch
-	NQTxFail    = 24 // sends abandoned after the retry budget
-	NQFlags     = 28 // NQSlotCount valid-flag bytes
-	NQSlots     = 36 // slot array
+	NQDrops     = 12 // frames dropped at a full queue, bad sum or not: room is checked before the summing copy
+	NQErrs      = 16 // frames dropped on checksum mismatch
+	NQTxFail    = 20 // sends abandoned after the retry budget
+	NQFlags     = 24 // NQSlotCount valid-flag bytes
+	NQSlots     = 32 // slot array
 	NQSlotCount = 8
 	NQSlotBytes = 256
 	nqSize      = NQSlots + NQSlotCount*NQSlotBytes
@@ -247,7 +247,6 @@ func (io *IO) resynthNetHandler() {
 		e.AndL(m68k.Imm(NQSlotCount-1), m68k.D(1))
 		e.MoveB(m68k.Imm(1), m68k.Idx(NQFlags, 2, 1, 1)) // flags[index] = 1
 		e.AddL(m68k.Imm(1), m68k.Disp(NQHead, 2))
-		e.AddL(m68k.Imm(1), m68k.Disp(NQGauge, 2))
 		// "A waiting thread's unblocking procedure is chained to the
 		// end of the interrupt handling."
 		emitWake(e, k, m68k.Disp(NQRWait, 2), "nd_next")
@@ -329,12 +328,16 @@ func (io *IO) OpenSocket(t *kernel.Thread, local, remote uint32) int32 {
 	e := io.netSockTab + uint32(i)*sockEntrySize
 	q := io.netBlocks + uint32(i)*sockBlockSize
 	m.PokeBytes(q, make([]byte, NQSlots))
+	// The staging frame's header longs are invariant per open: data,
+	// not per-call stores.
+	m.Poke(q+nqSize, 4, remote)
+	m.Poke(q+nqSize+4, 4, local)
 	m.Poke(e, 4, local)
 	m.Poke(e+4, 4, q)
 	io.K.C.Patch(io.demuxCell(uint32(i)))
 
 	read := io.synthSockRecv(t, fd, local, q, r)
-	write := io.synthSockSend(t, fd, local, remote, q, r)
+	write := io.synthSockSend(t, fd, local, q, r)
 	io.setFDCell(t, fd, kernel.FDKind, FDSock)
 	io.setFDCell(t, fd, kernel.FDAux, q)
 	io.setFDCell(t, fd, kernel.FDPos, 0)
@@ -352,133 +355,133 @@ func (io *IO) closeSocket(q uint32) {
 	io.K.C.Patch(io.demuxCell(i))
 }
 
-// synthSockSend emits the socket's write routine: send(d1=buf,
-// d2=len) -> d0 = payload bytes sent, or -1 when the NIC ring stayed
-// full through the whole retry budget. The destination and source
-// ports are immediates stored straight into the staging frame — the
-// header "layer" has been collapsed into two constant stores — and
-// the checksum is summed in the one pass that copies the payload into
-// the frame (Clark and Tennenhouse's integrated copy-and-checksum)
-// and stored straight into the header: no checksum layer runs, and
-// no second walk over the payload. The NIC launch is two
-// folded-address register stores under a brief mask so concurrent
-// senders cannot interleave the address/length pair; a refused
-// launch (TxStat 0: ring full) is retried with exponential backoff,
-// spinning unmasked so the receive interrupt can drain the ring.
-func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, remote, q uint32, r *region) entries {
+// synthSockSend emits the socket's write routine: send(d2=buf,
+// d3=len) -> d0 = payload bytes sent, or -1 when the NIC ring stayed
+// full through the whole retry budget; clobbers D1-D3, A0 and A1. The
+// staging frame's two port longs were written by the open, so the
+// header "layer" costs nothing per call, and the checksum is summed in
+// the one pass that copies the payload into the frame (Clark and
+// Tennenhouse's integrated copy-and-checksum) and stored straight into
+// the header: no checksum layer runs, and no second walk over the
+// payload. The NIC launch is two folded-address register stores under
+// a brief mask so concurrent senders cannot interleave the
+// address/length pair. A refused launch (TxStat 0: ring full) sets up
+// the retry budget and the backoff, and is retried with exponential
+// backoff, spinning unmasked so the receive interrupt can drain the
+// ring.
+func (io *IO) synthSockSend(t *kernel.Thread, fd int32, local, q uint32, r *region) entries {
 	stage := q + nqSize
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
 	txAddr := m68k.NetBase + m68k.NetRegTxAddr
 	txLen := m68k.NetBase + m68k.NetRegTxLen
 	txStat := m68k.NetBase + m68k.NetRegTxStat
-	return buildRW(r.at(io.K.C.Build(t.Q, "sock_send").
+	launch := func(e *synth.Emitter) {
+		// The receive interrupt for loopback traffic latches during the
+		// masked pair and is taken right after the unmask.
+		e.OrSR(kernel.SRIPLMask)
+		e.MoveL(m68k.Imm(int32(stage)), m68k.Abs(txAddr))
+		e.MoveL(m68k.D(3), m68k.D(1))
+		e.AddL(m68k.Imm(synnet.HeaderBytes), m68k.D(1))
+		e.MoveL(m68k.D(1), m68k.Abs(txLen)) // the store launches the frame
+		e.AndSR(^uint16(kernel.SRIPLMask))
+		e.Tst(4, m68k.Abs(txStat))
+	}
+	return buildUnixRW(r.at(io.K.C.Build(t.Q, "sock_send").
 		Named(fmt.Sprintf("kio.sock%d.send", local)).
-		Counted()).
-		Bind("remote", synth.ConstOf(remote)).
-		Bind("local", synth.ConstOf(local)),
+		Counted()),
 		func(e *synth.Emitter) {
-			e.CmpL(m68k.Imm(synnet.MTU), m68k.D(2))
+			e.CmpL(m68k.Imm(synnet.MTU), m68k.D(3))
 			e.Bls("ss_fit")
-			e.MoveL(m68k.Imm(synnet.MTU), m68k.D(2))
+			e.MoveL(m68k.Imm(synnet.MTU), m68k.D(3))
 			e.Label("ss_fit")
-			// The frame header, as two immediate stores: the peer ports
-			// are Env constants folded straight into the emitted code.
-			e.MoveL(e.HoleOperand("remote"), m68k.Abs(stage+0))
-			e.MoveL(e.HoleOperand("local"), m68k.Abs(stage+4))
 			// Copy and checksum in one pass; the sum, zero-padded tail
 			// long included (the stage is one long larger than FrameMax
-			// for it), goes straight into the header slot.
-			e.MoveL(m68k.D(2), m68k.PreDec(7)) // payload length
-			e.MoveL(m68k.D(1), m68k.A(0))
+			// for it), goes straight into the header slot. The copy
+			// keeps D3.
+			e.MoveL(m68k.D(2), m68k.A(0))
 			e.Lea(m68k.Abs(stage+synnet.HeaderBytes), 1)
-			e.MoveL(m68k.D(2), m68k.D(1))
+			e.MoveL(m68k.D(3), m68k.D(1))
 			emitCopy(e, sumCopy, 0)
 			e.MoveL(m68k.D(2), m68k.Abs(stage+8))
-			e.MoveL(m68k.PostInc(7), m68k.D(0)) // payload length
-			e.MoveL(m68k.Imm(sendRetries), m68k.D(2))
-			e.MoveL(m68k.Imm(sendBackoff0), m68k.A(1)) // backoff spin count
-			// Launch. The receive interrupt for loopback traffic latches
-			// during the masked pair and is taken right after the unmask.
-			e.Label("ss_try")
-			e.OrSR(kernel.SRIPLMask)
-			e.MoveL(m68k.Imm(int32(stage)), m68k.Abs(txAddr))
+			launch(e)
+			e.Beq("ss_refused")
+			e.Label("ss_sent")
+			e.AddL(m68k.D(3), m68k.Abs(g))
+			e.MoveL(m68k.D(3), m68k.D(0))
+			e.Rte()
+			// Refused: ring full. Back off and retry, bounded: D2 counts
+			// the retries left for the DBRA, which falls through at -1,
+			// so one launch made and sendRetries-2 make sendRetries; D0
+			// is the spin, doubled per retry.
+			e.Label("ss_refused")
+			e.MoveL(m68k.Imm(sendRetries-2), m68k.D(2))
+			e.MoveL(m68k.Imm(sendBackoff0), m68k.D(0))
+			e.Label("ss_retry")
 			e.MoveL(m68k.D(0), m68k.D(1))
-			e.AddL(m68k.Imm(synnet.HeaderBytes), m68k.D(1))
-			e.MoveL(m68k.D(1), m68k.Abs(txLen)) // the store launches the frame
-			e.AndSR(^uint16(kernel.SRIPLMask))
-			e.Tst(4, m68k.Abs(txStat))
-			e.Bne("ss_sent")
-			// Refused: ring full. Back off and retry, bounded.
-			e.SubL(m68k.Imm(1), m68k.D(2))
-			e.Beq("ss_fail")
-			e.MoveL(m68k.A(1), m68k.D(1))
 			e.Label("ss_spin")
 			e.SubL(m68k.Imm(1), m68k.D(1))
 			e.Bne("ss_spin")
-			e.MoveL(m68k.A(1), m68k.D(1))
-			e.AddL(m68k.D(1), m68k.D(1)) // double the backoff
-			e.MoveL(m68k.D(1), m68k.A(1))
-			e.Bra("ss_try")
-			e.Label("ss_fail")
+			e.AddL(m68k.D(0), m68k.D(0))
+			launch(e)
+			e.Bne("ss_sent")
+			e.Dbra(2, "ss_retry")
 			e.AddL(m68k.Imm(1), m68k.Abs(q+NQTxFail))
 			e.MoveL(m68k.Imm(-1), m68k.D(0))
-			e.Rte()
-			e.Label("ss_sent")
-			e.AddL(m68k.D(0), m68k.Abs(g))
 			e.Rte()
 		})
 }
 
-// synthSockRecv emits the socket's read routine: recv(d1=buf,
-// d2=len) -> d0 = payload bytes. The queue base, flag array and slot
-// geometry are folded constants; the consumer trusts only the
-// per-slot valid flag, parking on the reader cell with the interrupt
-// level raised across the check (the producer is the receive
-// interrupt handler).
+// synthSockRecv emits the socket's read routine: recv(d2=buf,
+// d3=len) -> d0 = payload bytes; clobbers D1-D3, A0 and A1. The queue
+// base, flag array and slot geometry are folded constants. The
+// consumer trusts only the per-slot valid flag (Figure 2), and tests it
+// unmasked: the receive interrupt handler, the one producer, sets a
+// flag only once its slot is whole, and cannot reuse the slot until the
+// tail moves, after the copy. So a set flag is cleared at once, through
+// the A0/D0 that tested it. Only an empty queue raises the interrupt
+// level, and re-tests the flag under it before parking on the reader
+// cell.
 func (io *IO) synthSockRecv(t *kernel.Thread, fd int32, local, q uint32, r *region) entries {
 	g := kernel.FDCell(t.TTE, int(fd), kernel.FDGauge)
-	return buildRW(r.at(io.K.C.Build(t.Q, "sock_recv").
+	return buildUnixRW(r.at(io.K.C.Build(t.Q, "sock_recv").
 		Named(fmt.Sprintf("kio.sock%d.recv", local)).
 		Counted()),
 		func(e *synth.Emitter) {
 			e.Label("sr_wait")
-			e.OrSR(kernel.SRIPLMask)
 			e.MoveL(m68k.Abs(q+NQTail), m68k.D(0))
 			e.AndL(m68k.Imm(NQSlotCount-1), m68k.D(0))
 			e.Lea(m68k.Abs(q+NQFlags), 0)
 			e.Tst(1, m68k.Idx(0, 0, 0, 1)) // flags[tail & mask]
-			e.Bne("sr_have")
-			e.Lea(m68k.Abs(q+NQRWait), 0)
-			e.Jsr(io.K.BlockOnRoutine())
-			e.AndSR(^uint16(kernel.SRIPLMask))
-			e.Bra("sr_wait")
-			e.Label("sr_have")
-			e.AndSR(^uint16(kernel.SRIPLMask))
-			// A0 = slot; the flag alone published it, so the copy runs
-			// unmasked.
-			e.MoveL(m68k.D(0), m68k.PreDec(7)) // slot index
-			e.LslL(m68k.Imm(8), m68k.D(0))     // * NQSlotBytes
+			e.Beq("sr_park")
+			e.Clr(1, m68k.Idx(0, 0, 0, 1))
+			// A0 = slot [length][payload]; clamp the length to the
+			// caller's buffer, straight into D3, the return count.
+			e.LslL(m68k.Imm(8), m68k.D(0)) // * NQSlotBytes
 			e.Lea(m68k.Abs(q+NQSlots), 0)
 			e.AddL(m68k.D(0), m68k.A(0))
-			e.MoveL(m68k.Ind(0), m68k.D(0)) // payload length
-			e.Cmp(4, m68k.D(2), m68k.D(0))
+			e.Cmp(4, m68k.PostInc(0), m68k.D(3))
 			e.Bls("sr_fit")
-			e.MoveL(m68k.D(2), m68k.D(0)) // clamp to the caller's buffer
+			e.MoveL(m68k.Disp(-4, 0), m68k.D(3))
 			e.Label("sr_fit")
-			e.MoveL(m68k.D(1), m68k.A(1))
-			e.Lea(m68k.Disp(4, 0), 0)
-			e.MoveL(m68k.D(0), m68k.PreDec(7)) // return count
-			e.MoveL(m68k.D(0), m68k.D(1))
+			e.MoveL(m68k.D(2), m68k.A(1))
+			e.MoveL(m68k.D(3), m68k.D(1))
 			emitCopy(e, longCopy, 0)
-			e.MoveL(m68k.PostInc(7), m68k.D(0))
-			// Retire the slot: clear the flag first, then advance the
-			// tail — a producer may claim the slot the moment the tail
-			// moves.
-			e.MoveL(m68k.PostInc(7), m68k.D(1))
-			e.Lea(m68k.Abs(q+NQFlags), 0)
-			e.Clr(1, m68k.Idx(0, 0, 1, 1))
+			// Retire the slot: the producer may claim it the moment the
+			// tail moves.
 			e.AddL(m68k.Imm(1), m68k.Abs(q+NQTail))
-			e.AddL(m68k.D(0), m68k.Abs(g))
+			e.AddL(m68k.D(3), m68k.Abs(g))
+			e.MoveL(m68k.D(3), m68k.D(0))
 			e.Rte()
+			// Empty: re-test under the mask, so no deposit can slip in
+			// between the test and the park.
+			e.Label("sr_park")
+			e.OrSR(kernel.SRIPLMask)
+			e.Tst(1, m68k.Idx(0, 0, 0, 1))
+			e.Bne("sr_again")
+			e.Lea(m68k.Abs(q+NQRWait), 0)
+			e.Jsr(io.K.BlockOnRoutine())
+			e.Label("sr_again")
+			e.AndSR(^uint16(kernel.SRIPLMask))
+			e.Bra("sr_wait")
 		})
 }

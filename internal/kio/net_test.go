@@ -234,7 +234,7 @@ func TestDemuxMatchesSocketTable(t *testing.T) {
 				held[i] = !held[i]
 
 				socks := io.NetSockets()
-				gauge := func(s kio.Socket) uint32 { return k.M.Peek(s.Queue+kio.NQGauge, 4) }
+				gauge := func(s kio.Socket) uint32 { return k.M.Peek(s.Queue+kio.NQHead, 4) }
 				before := make([]uint32, len(socks))
 				for j, s := range socks {
 					if !held[s.Port-port] {
@@ -284,8 +284,49 @@ func TestSocketQueueOverflowDrops(t *testing.T) {
 	if got := k.M.Peek(s.Queue+kio.NQDrops, 4); got != 4 {
 		t.Errorf("queue drops = %d, want 4", got)
 	}
-	if got := k.M.Peek(s.Queue+kio.NQGauge, 4); got != kio.NQSlotCount {
+	if got := k.M.Peek(s.Queue+kio.NQHead, 4); got != kio.NQSlotCount {
 		t.Errorf("frames deposited = %d, want %d", got, kio.NQSlotCount)
+	}
+}
+
+// TestReopenSendsToTheNewRemote: a socket's staging frame carries its
+// ports as data the open writes, not as stores in the send. A port
+// reopened with another remote must send there: port 5 sends to 9,
+// closes, reopens towards 7 and sends again, and 9 must get the first
+// datagram alone and 7 the second.
+func TestReopenSendsToTheNewRemote(t *testing.T) {
+	k, io := boot(t)
+	const wbuf = 0x9300
+	k.M.PokeBytes(wbuf, []byte("to 9to 7"))
+	send := func(e *synth.Emitter, off int32) {
+		e.MoveL(m68k.Imm(wbuf+off), m68k.D(1))
+		e.MoveL(m68k.Imm(4), m68k.D(2))
+		e.Trap(kernel.TrapWrite + 2)
+	}
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		send(e, 0)
+		e.MoveL(m68k.Imm(kernel.SysClose), m68k.D(0))
+		e.MoveL(m68k.Imm(2), m68k.D(1))
+		e.Trap(kernel.TrapSys)
+		emitSock(e, 5, 7) // fd 2 again
+		send(e, 4)
+		exitSeq(e)
+	})
+	th := k.SpawnKernel("main", prog)
+	if io.OpenSocket(th, 9, 5) != 0 || io.OpenSocket(th, 7, 5) != 1 || io.OpenSocket(th, 5, 9) != 2 {
+		t.Fatal("socket fds")
+	}
+	// The receivers' queues, which outlive the exit's closes.
+	socks := io.NetSockets()
+	run(t, k, th, 20_000_000)
+	for i, want := range []string{"to 9", "to 7"} {
+		q := socks[i].Queue
+		slot := q + kio.NQSlots
+		if head := k.M.Peek(q+kio.NQHead, 4); head != 1 {
+			t.Errorf("port %d received %d datagrams, want 1", socks[i].Port, head)
+		} else if got := string(k.M.PeekBytes(slot+4, int(k.M.Peek(slot, 4)))); got != want {
+			t.Errorf("port %d received %q, want %q", socks[i].Port, got, want)
+		}
 	}
 }
 
@@ -294,8 +335,9 @@ func TestSocketQueueOverflowDrops(t *testing.T) {
 // shape of the copy — no group, one to seven leftover longs, a byte
 // tail of one to three, whole groups, the MTU — the header sum must be
 // the wire checksum and the frame must reach the loopback receiver
-// intact. The stage and the bytes past the payload are poisoned, so a
-// tail long left unzeroed or a long too many shows. Checked to fail
+// intact. The stage from its sum long on and the bytes past the payload
+// are poisoned, so a tail long left unzeroed or a long too many shows;
+// the stage's port longs are the open's, written once. Checked to fail
 // with the zero-padded tail long not added, and with the group pass
 // count off by one.
 func TestSendChecksumEveryTailShape(t *testing.T) {
@@ -326,7 +368,7 @@ func TestSendChecksumEveryTailShape(t *testing.T) {
 		// A socket's staging frame follows its queue in its block.
 		socks := io.NetSockets()
 		stage := socks[0].Queue + kio.NQSlots + kio.NQSlotCount*kio.NQSlotBytes
-		k.M.PokeBytes(stage, bytes.Repeat([]byte{0xff}, synnet.FrameMax+4))
+		k.M.PokeBytes(stage+8, bytes.Repeat([]byte{0xff}, synnet.FrameMax-4))
 		k.Start(th)
 		err := k.Run(20_000_000)
 		if got, want := k.M.Peek(stage+8, 4), synnet.Checksum(payload); got != want {
@@ -465,13 +507,13 @@ func TestDepositChecksumEveryTailShape(t *testing.T) {
 		for i, bit := range flips {
 			_, f := frame(byte(0x11 * i))
 			f[bit/8] ^= 1 << (bit % 8)
-			head, errs, gauge := cell(kio.NQHead), cell(kio.NQErrs), cell(kio.NQGauge)
+			head, errs := cell(kio.NQHead), cell(kio.NQErrs)
 			deliver(f)
 			switch {
 			case cell(kio.NQErrs) != errs+1:
 				t.Fatalf("%d bytes, bit %d flipped: NQErrs %d -> %d, want +1", n, bit, errs, cell(kio.NQErrs))
-			case cell(kio.NQHead) != head || cell(kio.NQGauge) != gauge:
-				t.Fatalf("%d bytes, bit %d flipped: NQHead %d -> %d, gauge %d -> %d, want both unchanged", n, bit, head, cell(kio.NQHead), gauge, cell(kio.NQGauge))
+			case cell(kio.NQHead) != head:
+				t.Fatalf("%d bytes, bit %d flipped: NQHead %d -> %d, want unchanged", n, bit, head, cell(kio.NQHead))
 			case k.M.Peek(q+kio.NQFlags+head%kio.NQSlotCount, 1) != 0:
 				t.Fatalf("%d bytes, bit %d flipped: slot %d published", n, bit, head%kio.NQSlotCount)
 			}

@@ -61,7 +61,7 @@ func TestOneByteGetParkWindowEnumerated(t *testing.T) {
 		t.Fatalf("the reader returned without a byte")
 	}
 
-	enumerate(t, from, to, func(at uint64) string {
+	enumerate(t, cycles(from, to), func(at uint64) string {
 		k, _ := boot()
 		k.TTY.InputAt('Q', at)
 		err := k.Run(to + 2*deliverWithin)

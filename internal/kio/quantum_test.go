@@ -12,8 +12,8 @@ import (
 )
 
 // The enumerations below share one loop: a window of cycles is found on
-// one machine, then every cycle of it is an injection point, each on a
-// fresh one.
+// one machine, then every cycle of it, or every instruction boundary in
+// it, is an injection point, each on a fresh one.
 
 // Device names the enumerations' readers open.
 const ttyName, adName = 0x9100, 0x9200
@@ -51,14 +51,24 @@ func armQuantum(k *kernel.Kernel, q uint64) {
 	k.M.Kick(k.Timer)
 }
 
-// enumerate runs check at every injection point from..to and reports
-// each way of failing once, with its count of points and the first;
-// check returns why its run failed, or "" if it held.
-func enumerate(t *testing.T, from, to uint64, check func(at uint64) string) {
+// cycles lists every cycle from..to, each an injection point.
+func cycles(from, to uint64) []uint64 {
+	var at []uint64
+	for c := from; c <= to; c++ {
+		at = append(at, c)
+	}
+	return at
+}
+
+// enumerate runs check at every injection point, in cycle order, and
+// reports each way of failing once, with its count of points and the
+// first; check returns why its run failed, or "" if it held.
+func enumerate(t *testing.T, points []uint64, check func(at uint64) string) {
 	t.Helper()
 	var kinds []string
 	failed := map[string][]uint64{}
-	for at := from; at <= to; at++ {
+	from, to := points[0], points[len(points)-1]
+	for _, at := range points {
 		why := check(at)
 		if why == "" {
 			continue
@@ -70,9 +80,9 @@ func enumerate(t *testing.T, from, to uint64, check func(at uint64) string) {
 	}
 	for _, why := range kinds {
 		t.Errorf("%s: %d of %d injection points (cycles %d..%d), first at cycle %d",
-			why, len(failed[why]), to-from+1, from, to, failed[why][0])
+			why, len(failed[why]), len(points), from, to, failed[why][0])
 	}
-	t.Logf("%d injection points, cycles %d..%d", to-from+1, from, to)
+	t.Logf("%d injection points, cycles %d..%d", len(points), from, to)
 }
 
 // TestQuantumInHandlerEnumerated checks by enumeration that the
@@ -246,7 +256,7 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 				t.Fatalf("the device interrupt (cycle %d) came before the quantum was armed (%d)", from, k.Marks[0]+arriveAfter)
 			}
 
-			enumerate(t, from, to, func(at uint64) string {
+			enumerate(t, cycles(from, to), func(at uint64) string {
 				k, quanta, _ := run(at, func(k *kernel.Kernel, _ *kernel.Thread) bool {
 					return len(k.Marks) == 2 || k.M.Cycles > to+deliverWithin
 				})
@@ -326,7 +336,7 @@ func TestIdleLeaveWindowEnumerated(t *testing.T) {
 	if len(marks) != 2 {
 		t.Fatalf("with no quantum the reader got %d of 2 frames", len(marks))
 	}
-	enumerate(t, from+1, marks[0], func(q uint64) string {
+	enumerate(t, cycles(from+1, marks[0]), func(q uint64) string {
 		marks, _, k := run(q)
 		if len(marks) != 2 {
 			return "the second frame never reached the reader"
@@ -437,15 +447,15 @@ func TestNetIntrOneActivationEnumerated(t *testing.T) {
 		a := q + kio.NQSlots + i*kio.NQSlotBytes
 		return string(k.M.PeekBytes(a+4, int(k.M.Peek(a, 4))))
 	}
-	enumerate(t, from, to, func(at uint64) string {
+	enumerate(t, cycles(from, to), func(at uint64) string {
 		k, q, _, _, nested := run(at, to+10_000)
 		cell := func(off uint32) uint32 { return k.M.Peek(q+off, 4) }
 		switch {
 		case nested != 0:
 			return "an activation began inside another"
-		case cell(kio.NQGauge) != 2 || cell(kio.NQHead) != 2 || cell(kio.NQErrs) != 0 || cell(kio.NQDrops) != 0:
-			return fmt.Sprintf("deposited %d, head %d, errs %d, drops %d; want 2 frames deposited once",
-				cell(kio.NQGauge), cell(kio.NQHead), cell(kio.NQErrs), cell(kio.NQDrops))
+		case cell(kio.NQHead) != 2 || cell(kio.NQErrs) != 0 || cell(kio.NQDrops) != 0:
+			return fmt.Sprintf("deposited %d, errs %d, drops %d; want 2 frames deposited once",
+				cell(kio.NQHead), cell(kio.NQErrs), cell(kio.NQDrops))
 		case slot(k, q, 0) != string(first) || slot(k, q, 1) != string(second):
 			return fmt.Sprintf("the queue holds %q, %q", slot(k, q, 0), slot(k, q, 1))
 		case k.Net.RxPending() != 0:
@@ -454,6 +464,156 @@ func TestNetIntrOneActivationEnumerated(t *testing.T) {
 			return fmt.Sprintf("the tty read returned %d, %q", int32(k.M.Peek(res, 4)), byte(k.M.Peek(buf, 1)))
 		}
 		return ""
+	})
+}
+
+// TestSockRecvWindowEnumerated checks by enumeration that the socket
+// receive may test its slot's flag unmasked. A reader drains a full
+// queue of eight datagrams and reads a ninth, which arrives while it
+// drains. At every instruction boundary of the receive (both entries'
+// fast path, the copy, the retire, and the empty queue's masked re-test
+// up to its park), each on a fresh machine, either the ninth frame's
+// interrupt is posted or the quantum expires, and the frame is then
+// posted once the reader has been switched out. Every run must:
+//   - receive each deposited datagram exactly once, in order;
+//   - deposit or count as dropped every datagram, dropping one only
+//     while the queue was still full;
+//   - leave the ready ring whole (Kernel.CheckReadyRing).
+//
+// Checked to fail, in a scratch copy, with the flag cleared after the
+// tail advances (the deposit refills the slot and the late clear wipes
+// its flag, so the reader parks on it for good) and with the park
+// path's masked re-test dropped (a deposit between the unmasked test
+// and the mask wakes no one, and the reader parks with a datagram
+// queued).
+func TestSockRecvWindowEnumerated(t *testing.T) {
+	const count, buf, log = 0x9000, 0x9300, 0x9400
+	const payload = 64
+	const settle = 300_000 // cycles from the ninth frame's post to a verdict
+	frame := func(seq byte) []byte {
+		p := make([]byte, payload)
+		for i := range p {
+			p[i] = seq*31 + byte(i)
+		}
+		p[0], p[1], p[2], p[3] = 0, 0, 0, seq
+		return synnet.EncodeFrame(synnet.Frame{Dst: 9, Src: 5, Sum: synnet.Checksum(p), Payload: p})
+	}
+	// run boots a fresh machine: a reader holding the socket, its queue
+	// full, and a spinner. From the reader's first instruction on, the
+	// quantum expires at cycle quantum (0: never, and the reader's own
+	// quantum is off). The ninth frame is posted at cycle post, or with
+	// post 0 and a quantum, once the reader has been switched out after
+	// it; the machine then runs until every frame is received or
+	// dropped, or for settle cycles. at, if not nil, gets the cycle of
+	// every boundary the reader's receive runs before the post. It
+	// returns the machine, the queue and the tail at the post.
+	run := func(quantum, post uint64, at func(cycle uint64)) (*kernel.Kernel, uint32, uint32) {
+		k, io := enumBoot()
+		entry := k.C.Synthesize(nil, "reader", nil, func(e *synth.Emitter) {
+			e.Label("loop")
+			e.MoveL(m68k.Imm(buf), m68k.D(1))
+			e.MoveL(m68k.Imm(payload), m68k.D(2))
+			e.Trap(kernel.TrapRead + 0)
+			e.MoveL(m68k.Abs(count), m68k.D(0))
+			e.LslL(m68k.Imm(2), m68k.D(0))
+			e.Lea(m68k.Abs(log), 0)
+			e.MoveL(m68k.Abs(buf), m68k.Idx(0, 0, 0, 1)) // the sequence number
+			e.AddL(m68k.Imm(1), m68k.Abs(count))
+			e.Bra("loop")
+		})
+		reader := k.SpawnKernel("reader", entry)
+		k.M.Poke(reader.TTE+kernel.TTEQuantum, 4, 0)
+		k.SpawnKernel("spinner", k.C.Synthesize(nil, "spinner", nil, func(e *synth.Emitter) {
+			e.Label("spin")
+			e.Bra("spin")
+		}))
+		if io.OpenSocket(reader, 9, 5) != 0 {
+			t.Fatal("socket fd")
+		}
+		q := io.NetSockets()[0].Queue
+		vec := func(trap int) uint32 {
+			return k.M.Peek(reader.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+trap)*4, 4)
+		}
+		// The receive is built first in the slot's region, the send
+		// right after it.
+		recvFrom, recvTo := vec(kernel.TrapRead), vec(kernel.TrapWrite)
+		for i := range byte(kio.NQSlotCount) {
+			k.Net.InjectFrame(frame(i))
+		}
+		k.Start(reader)
+		if err := stepUntil(k, func() bool { return k.M.PC == entry }); err != nil {
+			t.Fatal(err)
+		}
+		armQuantum(k, quantum)
+		due := func() bool {
+			if post != 0 {
+				return k.M.Cycles >= post
+			}
+			return quantum != 0 && k.M.Cycles >= quantum && k.CurTTE() != reader.TTE
+		}
+		parked := func() bool { return k.M.Peek(count, 4) == kio.NQSlotCount && k.CurTTE() != reader.TTE }
+		err := stepUntil(k, func() bool {
+			if at != nil && k.CurTTE() == reader.TTE && k.M.PC >= recvFrom && k.M.PC < recvTo {
+				at(k.M.Cycles)
+			}
+			return due() || post == 0 && quantum == 0 && parked()
+		})
+		if err != nil {
+			t.Fatalf("quantum %d, post %d: %v", quantum, post, err)
+		}
+		if post == 0 && quantum == 0 {
+			return k, q, 0
+		}
+		tail := k.M.Peek(q+kio.NQTail, 4)
+		k.Net.InjectFrame(frame(kio.NQSlotCount))
+		for limit := k.M.Cycles + settle; k.M.Cycles < limit && err == nil; {
+			if k.M.Peek(count, 4)+k.M.Peek(q+kio.NQDrops, 4) == kio.NQSlotCount+1 {
+				break
+			}
+			err = k.M.Step()
+		}
+		if err != nil {
+			t.Fatalf("quantum %d, post %d: %v", quantum, post, err)
+		}
+		return k, q, tail
+	}
+
+	// The window: every boundary of the reader's eight receives and of
+	// the ninth up to its park.
+	var points []uint64
+	k, q, _ := run(0, 0, func(c uint64) { points = append(points, c) })
+	if n := k.M.Peek(count, 4); n != kio.NQSlotCount || len(points) == 0 {
+		t.Fatalf("the reader received %d of %d queued frames and ran %d receive boundaries", n, kio.NQSlotCount, len(points))
+	}
+	if k.M.Peek(q+kio.NQDrops, 4) != 0 {
+		t.Fatal("the queue did not hold all eight frames before the reader ran")
+	}
+	check := func(k *kernel.Kernel, q, tail uint32) string {
+		cell := func(off uint32) uint32 { return k.M.Peek(q+off, 4) }
+		n := k.M.Peek(count, 4)
+		for i := range n {
+			if got := k.M.Peek(log+4*i, 4); got != i {
+				return fmt.Sprintf("receive %d got datagram %d", i, got)
+			}
+		}
+		switch {
+		case n != cell(kio.NQHead):
+			return fmt.Sprintf("%d datagrams deposited, %d received", cell(kio.NQHead), n)
+		case cell(kio.NQHead)+cell(kio.NQDrops) != kio.NQSlotCount+1 || cell(kio.NQErrs) != 0:
+			return fmt.Sprintf("deposited %d, dropped %d, errs %d; want every datagram deposited or dropped", cell(kio.NQHead), cell(kio.NQDrops), cell(kio.NQErrs))
+		case tail != 0 && cell(kio.NQDrops) != 0:
+			return "the ninth datagram was dropped with a slot free"
+		}
+		if err := k.CheckReadyRing(); err != nil {
+			return err.Error()
+		}
+		return ""
+	}
+	t.Run("net_intr", func(t *testing.T) {
+		enumerate(t, points, func(at uint64) string { return check(run(0, at, nil)) })
+	})
+	t.Run("quantum", func(t *testing.T) {
+		enumerate(t, points, func(at uint64) string { return check(run(at, 0, nil)) })
 	})
 }
 
@@ -521,7 +681,7 @@ func TestQuantumInSwitchEnumerated(t *testing.T) {
 	if full == 0 || to == 0 {
 		t.Fatal("with no expiry in the switch the counter never turned")
 	}
-	enumerate(t, from, to, func(q uint64) string {
+	enumerate(t, cycles(from, to), func(q uint64) string {
 		turns, _, _, k := run(q)
 		if turns != full {
 			return fmt.Sprintf("the counter ran %d turns before its first preemption, want %d", turns, full)

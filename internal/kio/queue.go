@@ -76,8 +76,10 @@ func (q *KQueue) Gauge(m *m68k.Machine) uint32 {
 const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, m68k.MovemCopyRegs
 
 // emitCopy emits a byte copier: D1 bytes from (A0)+ to (A1)+, 32-byte
-// groups first, then leftover long words, then bytes. Clobbers D0 and
-// D1. This is the block transfer of Section 6.2 ("the generated code
+// groups first, then leftover long words, then bytes. After the groups
+// one test of D1 & 31 leaves a copy with no tail at once, so only a
+// tail pays the long and byte tests: every 64-byte datagram and every
+// kilobyte block skips them. Clobbers D0 and D1. This is the block transfer of Section 6.2 ("the generated code
 // loads long words from one quaspace into registers and stores them
 // back in the other quaspace").
 //
@@ -134,10 +136,11 @@ func emitCopy(e *synth.Emitter, form int, groups uint32) {
 		e.Dbra(0, "kcp_32")
 		e.MovemRest(m68k.PostInc(7), copyRegs)
 	}
+	e.AndL(m68k.Imm(31), m68k.D(1))
+	e.Beq("kcp_done")
 	e.Label("kcp_longs")
 	e.MoveL(m68k.D(1), m68k.D(0))
 	e.LsrL(m68k.Imm(2), m68k.D(0))
-	e.AndL(m68k.Imm(7), m68k.D(0))
 	e.Beq("kcp_tail")
 	e.SubL(m68k.Imm(1), m68k.D(0))
 	e.Label("kcp_4")

@@ -50,14 +50,14 @@ func TestFaultSoak(t *testing.T) {
 		e.MoveL(m68k.Imm(0), m68k.D(5))
 		e.Label("loop")
 		e.MoveL(m68k.Abs(addrQ), m68k.A(2))
-		e.MoveL(m68k.Disp(kio.NQGauge, 2), m68k.D(4))
+		e.MoveL(m68k.Disp(kio.NQHead, 2), m68k.D(4))
 		e.Label("try")
 		e.MoveL(m68k.D(5), m68k.Abs(wbuf)) // stamp the payload
 		e.MoveL(m68k.Imm(wbuf), m68k.D(1))
 		e.MoveL(m68k.Imm(16), m68k.D(2))
 		e.Trap(kernel.TrapWrite + 0)
 		e.MoveL(m68k.Abs(addrQ), m68k.A(2))
-		e.MoveL(m68k.Disp(kio.NQGauge, 2), m68k.D(0))
+		e.MoveL(m68k.Disp(kio.NQHead, 2), m68k.D(0))
 		e.Cmp(4, m68k.D(4), m68k.D(0))
 		e.Bne("arrived")
 		e.AddL(m68k.Imm(1), m68k.Abs(addrRetx))
@@ -117,10 +117,10 @@ func TestFaultSoak(t *testing.T) {
 	if errs := uint64(k.M.Peek(recv.Queue+kio.NQErrs, 4)); errs != inj.Stats.Corrupted {
 		t.Errorf("NQErrs = %d, injector corrupted %d", errs, inj.Stats.Corrupted)
 	}
-	if gauge := k.M.Peek(recv.Queue+kio.NQGauge, 4); gauge != frames {
-		t.Errorf("deposit gauge = %d, want %d (one per acked frame)", gauge, frames)
-	}
 	head, tail := k.M.Peek(recv.Queue+kio.NQHead, 4), k.M.Peek(recv.Queue+kio.NQTail, 4)
+	if head != frames {
+		t.Errorf("frames deposited = %d, want %d (one per acked frame)", head, frames)
+	}
 	if head != tail {
 		t.Errorf("receive queue not drained: head %d, tail %d", head, tail)
 	}

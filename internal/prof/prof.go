@@ -274,12 +274,22 @@ func (p *Profiler) Top(n int) []RegionStat {
 }
 
 // Report renders the top-n table plus coverage and interrupt-latency
-// summaries, in the fixed-width style of the bench tables.
-func (p *Profiler) Report(n int) string {
+// summaries, in the fixed-width style of the bench tables. For a run of
+// iters loop iterations (0: not a loop) each row also gives its
+// instructions per iteration.
+func (p *Profiler) Report(n int, iters uint64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-32s %14s %12s %7s\n", "region", "cycles", "instrs", "share")
+	fmt.Fprintf(&b, "%-32s %14s %12s %7s", "region", "cycles", "instrs", "share")
+	if iters > 0 {
+		fmt.Fprintf(&b, " %9s", "instrs/it")
+	}
+	b.WriteByte('\n')
 	for _, s := range p.Top(n) {
-		fmt.Fprintf(&b, "%-32s %14d %12d %6.1f%%\n", s.Name, s.Cycles, s.Instrs, 100*s.Share)
+		fmt.Fprintf(&b, "%-32s %14d %12d %6.1f%%", s.Name, s.Cycles, s.Instrs, 100*s.Share)
+		if iters > 0 {
+			fmt.Fprintf(&b, " %9.2f", float64(s.Instrs)/float64(iters))
+		}
+		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "coverage: %.1f%% of %d cycles attributed\n", 100*p.Coverage(), p.Window())
 	for l := len(p.irq) - 1; l >= 1; l-- {

@@ -83,7 +83,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	d := k.MarkDeltasMicros()
+	d := k.M.MarkMicros()
 	samples := k.M.Peek(0x9008, 4)
 	fmt.Println("A/D buffered-queue audio capture (simulated SUN 3/160):")
 	fmt.Printf("  %d samples captured in %.1f ms simulated (rate %.0f Hz; device nominal 44100)\n",

@@ -49,7 +49,7 @@ func buildEcho(b *asmkit.Builder) {
 	b.MoveL(m68k.Imm(5), m68k.D(2))
 	call(unixemu.SysSocket)
 	b.MoveL(m68k.D(0), m68k.D(7))
-	b.Kcall(100) // mark
+	b.Kcall(m68k.SvcMark)
 	b.MoveL(m68k.Imm(rounds), m68k.D(5))
 	b.Label("loop")
 	xfer(6, unixemu.SysWrite, wbuf) // 5 -> 9
@@ -58,7 +58,7 @@ func buildEcho(b *asmkit.Builder) {
 	xfer(6, unixemu.SysRead, rbuf)
 	b.SubL(m68k.Imm(1), m68k.D(5))
 	b.Bne("loop")
-	b.Kcall(100) // mark
+	b.Kcall(m68k.SvcMark)
 	b.MoveL(m68k.Imm(0), m68k.D(1))
 	call(unixemu.SysExit)
 }
@@ -77,7 +77,7 @@ func run(r bench.Rig) (float64, error) {
 	if err := r.Run(entry, 4_000_000_000); err != nil {
 		return 0, fmt.Errorf("%s: %w", r.Name(), err)
 	}
-	marks := r.Marks()
+	marks := m.MarkMicros()
 	if len(marks) != 1 {
 		return 0, fmt.Errorf("%s: %d marked intervals, want 1", r.Name(), len(marks))
 	}

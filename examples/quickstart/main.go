@@ -69,7 +69,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	d := k.MarkDeltasMicros()
+	d := k.M.MarkMicros()
 	fmt.Println("Synthesis quickstart (simulated SUN 3/160):")
 	fmt.Printf("  open  (name lookup + code synthesis): %6.2f usec\n", d[0])
 	fmt.Printf("  read  (open-specialized routine):     %6.2f usec\n", d[1])

@@ -112,7 +112,7 @@ func Ablations() (Table, error) {
 // sunFileRead1K measures the baseline's generic 1 KB read (cache
 // warm).
 func sunFileRead1K() (float64, error) {
-	d, err := runMarks(NewSunRig(), 100_000_000, 1, func(b *asmkit.Builder) {
+	d, err := runMarks(NewSunRig(), 1, func(b *asmkit.Builder) {
 		b.MoveL(m68k.Imm(addrNameFile), m68k.D(1))
 		unixCall(b, 5)
 		// Warm the buffer cache with one untimed read.
@@ -137,7 +137,7 @@ func sunFileRead1K() (float64, error) {
 // sunSwitch measures the baseline's full context switch round trip.
 func sunSwitch() (float64, error) {
 	r := NewSunRig()
-	d, err := runMarks(r, 50_000_000, 1, func(b *asmkit.Builder) {
+	d, err := runMarks(r, 1, func(b *asmkit.Builder) {
 		mark(b)
 		b.MoveL(m68k.Imm(1), m68k.D(1))
 		b.MoveL(m68k.Imm(1), m68k.D(2))
@@ -152,7 +152,7 @@ func sunSwitch() (float64, error) {
 func adHandlers() (buffered, unbuffered float64, err error) {
 	rig := NewSynthRig()
 	unbuf := rig.IO.SynthUnbufferedADHandler()
-	d, err := runMarks(rig, 50_000_000, 2, func(b *asmkit.Builder) {
+	d, err := runMarks(rig, 2, func(b *asmkit.Builder) {
 		fakeFrameCall(b, rig.IO.ADIntHandler(), "r1")
 		fakeFrameCall(b, unbuf, "r2")
 		progExit(b)
@@ -187,11 +187,10 @@ func cookedVariants() (collapsed, layered float64, err error) {
 			k.M.Poke(th.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+kernel.TrapRead+9)*4, 4, layeredRead)
 		}
 		k.Start(th)
-		k.ResetMarks()
-		if err := k.Run(200_000_000); err != nil {
+		if err := k.Run(runaway); err != nil {
 			return 0, err
 		}
-		d := k.MarkDeltasMicros()
+		d := k.M.MarkMicros()
 		if len(d) != 1 {
 			return 0, errMarks(len(d), 1)
 		}
@@ -250,7 +249,7 @@ func constVsCellBinding() (onUS, offUS float64, onLen, offLen int, err error) {
 
 	// A short routine called often is where specialization pays:
 	// time 64 calls of each variant.
-	d, err := runMarks(rig, 100_000_000, 2, func(b *asmkit.Builder) {
+	d, err := runMarks(rig, 2, func(b *asmkit.Builder) {
 		callLoop := func(target uint32, label string) {
 			b.MoveL(m68k.Imm(63), m68k.D(7))
 			b.Label(label)
@@ -329,8 +328,7 @@ func FineGrainPipe(adaptive bool) (float64, error) {
 		k.OnAlarm(2000, k.Adapt)
 	}
 	k.Start(tw)
-	k.ResetMarks()
-	for len(k.Marks) < 2 {
+	for len(k.M.Marks) < 2 {
 		err := k.Run(5_000_000)
 		if err == nil {
 			break // halted: both exited
@@ -342,7 +340,7 @@ func FineGrainPipe(adaptive bool) (float64, error) {
 			return 0, fmt.Errorf("finegrain: transfer never completed")
 		}
 	}
-	d := k.MarkDeltasMicros()
+	d := k.M.MarkMicros()
 	if len(d) < 1 {
 		return 0, errMarks(len(d), 1)
 	}

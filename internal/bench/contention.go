@@ -117,8 +117,9 @@ func RunContention(kind PutKind, n int, quantumUS float64) (usPerItem, retriesPe
 	if err := k.Run(200_000_000); err != nil {
 		return 0, 0, err
 	}
-	if len(k.Marks) != 2 {
-		return 0, 0, errMarks(len(k.Marks)/2, 1)
+	d := k.M.MarkMicros()
+	if len(d) != 1 {
+		return 0, 0, errMarks(len(d), 1)
 	}
 	log := make([]byte, contentionItems)
 	for i := range log {
@@ -127,7 +128,7 @@ func RunContention(kind PutKind, n int, quantumUS float64) (usPerItem, retriesPe
 	if err := checkContentionLog(log, n, kind == PutBatch); err != nil {
 		return 0, 0, fmt.Errorf("queue_contention: %s, %d producers: %w", putNames[kind], n, err)
 	}
-	return k.MarkDeltasMicros()[0] / contentionItems, float64(k.M.Peek(g.retries, 4)) * 1000 / contentionItems, nil
+	return d[0] / contentionItems, float64(k.M.Peek(g.retries, 4)) * 1000 / contentionItems, nil
 }
 
 // emitFig2Get emits Figure 2's get: it trusts the tail slot's flag and

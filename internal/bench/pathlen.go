@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 
 	"synthesis/internal/asmkit"
@@ -133,35 +134,24 @@ func PathLengths() (Table, error) {
 	stack, _ := k.Heap.Alloc(256)
 	stack += 256
 
-	// Instruction-count a call: run from a jsr stub to completion.
+	// Instruction-count a call: a mark pair brackets the jsr, so the
+	// interval is the jsr and the routine through its rts.
 	countPut := func() (uint64, error) {
 		b := asmkit.New()
 		b.MoveL(m68k.Imm('x'), m68k.D(1))
+		mark(b)
 		b.Jsr(put)
+		mark(b)
 		b.Halt()
-		entry := b.Link(m)
+		m.PC = b.Link(m)
 		m.ClearHalt()
-		m.PC = entry
 		m.A[7] = stack
 		m.SR = m68k.FlagS | 7<<8 // measure the bare path, no interrupts
-		// Skip the stub's own two instructions (move + jsr) and the
-		// final halt by sampling around the routine itself.
-		if err := m.RunUntil(put, 100_000); err != nil {
-			return 0, err
+		m.Marks = nil
+		if err := m.Run(runaway); !errors.Is(err, m68k.ErrHalted) {
+			return 0, fmt.Errorf("pathlen: %w", err)
 		}
-		start := m.Instrs
-		for {
-			if int(m.PC) < len(m.Code) && m.Code[m.PC].Op == m68k.RTS {
-				n := m.Instrs - start + 1 // include the rts
-				return n, nil
-			}
-			if err := m.Step(); err != nil {
-				return 0, err
-			}
-			if m.Instrs-start > 1000 {
-				return 0, fmt.Errorf("pathlen: runaway put")
-			}
-		}
+		return m.MarkInstrs()[0] - 1, nil // less the jsr
 	}
 
 	// Uncontended put.

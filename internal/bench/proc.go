@@ -30,8 +30,7 @@ import (
 const procChunk = 256
 
 // svcProcGeneric is the KCALL id of the host hook that installs the
-// generic twin descriptor (120/121 are the pathlen and counter
-// probes).
+// generic twin descriptor (120 is pathlen's competing processor).
 const svcProcGeneric = 122
 
 // newMetricsSynthRig boots the Synthesis rig with an observability
@@ -70,9 +69,8 @@ func procSeek(b *asmkit.Builder, fdReg uint8) {
 
 // buildProcPath emits the path-length program: open /proc/metrics
 // (descriptor in D6), ask the host hook for the generic twin (D7),
-// one unmeasured warm-up read on each, then pathRounds rounds of
-// rewind + probe-read-probe on both paths. The probe layout matches
-// pathMins: offset 0 = synthesized, offset 2 = generic.
+// one unmeasured warm-up read on each, then pathRounds rounds of a
+// rewind and a marked read on each path, synthesized first.
 func buildProcPath(b *asmkit.Builder) {
 	b.MoveL(m68k.Imm(addrNameProc), m68k.D(1))
 	unixCall(b, unixemu.SysOpen)
@@ -82,13 +80,13 @@ func buildProcPath(b *asmkit.Builder) {
 	procRead(b, 7)
 	for i := 0; i < pathRounds; i++ {
 		procSeek(b, 6)
-		b.Kcall(svcCount)
+		mark(b)
 		procRead(b, 6)
-		b.Kcall(svcCount)
+		mark(b)
 		procSeek(b, 7)
-		b.Kcall(svcCount)
+		mark(b)
 		procRead(b, 7)
-		b.Kcall(svcCount)
+		mark(b)
 	}
 	progExit(b)
 }
@@ -133,11 +131,7 @@ func TableProc() (Table, error) {
 
 	r := newMetricsSynthRig()
 	hookProcGeneric(r)
-	samples, err := runCounted(r, 2_000_000_000, buildProcPath)
-	if err != nil {
-		return t, err
-	}
-	spec, gen, err := pathMins(samples)
+	spec, gen, err := pathInstrs(r, buildProcPath)
 	if err != nil {
 		return t, err
 	}
@@ -153,7 +147,7 @@ func TableProc() (Table, error) {
 	)
 
 	rOpen := newMetricsSynthRig()
-	open, err := runMarks(rOpen, 2_000_000_000, 1, buildProcOpen)
+	open, err := runMarks(rOpen, 1, buildProcOpen)
 	if err != nil {
 		return t, err
 	}

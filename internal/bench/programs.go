@@ -21,7 +21,69 @@ func progExit(b *asmkit.Builder) {
 	unixCall(b, unixemu.SysExit)
 }
 
-func mark(b *asmkit.Builder) { b.Kcall(100) }
+func mark(b *asmkit.Builder) { b.Kcall(m68k.SvcMark) }
+
+// program is one named benchmark program: a Table 1 row, a
+// `synbench -profile-run` program, a `quamon -watch -program`
+// workload, or several of these.
+type program struct {
+	name  string  // Table 1 row and -profile-run name; "" for a loop without marks
+	short string  // -watch -program name; "" when not offered there
+	paper float64 // Table 1's SUN seconds / Synthesis seconds; 0 off Table 1
+	fixed int32   // the program's own loop count, in place of the caller's
+	build func(b *asmkit.Builder, iters int32)
+}
+
+// programs lists every named program. The paper ratios are Table 1's
+// total column: compute 20/21.1, pipes 10/0.18, 15/0.96, 38/8.5, file
+// 21/2.4, open null 17/0.7, open tty 43/1.4.
+var programs = []program{
+	{"compute", "compute", 20.0 / 21.1, 2000, BuildCompute},
+	{"pipe r/w 1 B", "pipe-1b", 10.0 / 0.18, 0, func(b *asmkit.Builder, n int32) { BuildPipeRW(b, n, 1) }},
+	{"pipe r/w 1 KB", "pipe-1k", 15.0 / 0.96, 0, func(b *asmkit.Builder, n int32) { BuildPipeRW(b, n, 1024) }},
+	{"pipe r/w 4 KB", "pipe-4k", 38.0 / 8.5, 0, func(b *asmkit.Builder, n int32) { BuildPipeRW(b, n, 4096) }},
+	{"file r/w 1 KB", "file-rw", 21.0 / 2.4, 0, BuildFileRW},
+	{"open-close null", "open-null", 17.0 / 0.7, 0, func(b *asmkit.Builder, n int32) { BuildOpenClose(b, n, addrNameNull) }},
+	{"open-close tty", "open-tty", 43.0 / 1.4, 0, func(b *asmkit.Builder, n int32) { BuildOpenClose(b, n, addrNameTTY) }},
+	// The guest path of the benchmark's sock_echo workload.
+	{"sock echo 64 B", "", 0, 0, BuildSockEcho},
+	{"", "procread", 0, 0, func(b *asmkit.Builder, _ int32) { BuildProcReadLoop(b) }},
+}
+
+// at returns p's builder and loop count for the caller's iteration
+// count (200 when not positive).
+func (p program) at(iters int32) (func(*asmkit.Builder), int32) {
+	if p.fixed != 0 {
+		iters = p.fixed
+	} else if iters <= 0 {
+		iters = 200
+	}
+	return func(b *asmkit.Builder) { p.build(b, iters) }, iters
+}
+
+// findProgram returns the program whose key is name.
+func findProgram(name string, key func(program) string) (program, bool) {
+	for _, p := range programs {
+		if name != "" && key(p) == name {
+			return p, true
+		}
+	}
+	return program{}, false
+}
+
+// programNames lists the programs' keys, skipping the empty ones.
+func programNames(key func(program) string) []string {
+	var names []string
+	for _, p := range programs {
+		if k := key(p); k != "" {
+			names = append(names, k)
+		}
+	}
+	return names
+}
+
+func rowName(p program) string   { return p.name }
+func shortName(p program) string { return p.short }
 
 // BuildCompute emits program 1: the compute-bound calibration test, a
 // Hofstadter Q-style chaotic sequence Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2))

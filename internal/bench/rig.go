@@ -33,8 +33,6 @@ type Rig interface {
 	Machine() *m68k.Machine
 	// Run executes a program built with Build until exit.
 	Run(entry uint32, budget uint64) error
-	// Marks returns the microsecond intervals between mark pairs.
-	Marks() []float64
 	// Name identifies the rig in reports.
 	Name() string
 }
@@ -106,14 +104,10 @@ func (r *SynthRig) Name() string { return "synthesis" }
 
 // Run implements Rig: the program becomes a kernel thread.
 func (r *SynthRig) Run(entry uint32, budget uint64) error {
-	r.K.ResetMarks()
 	t := r.K.SpawnKernel("bench", entry)
 	r.K.Start(t)
 	return r.K.Run(budget)
 }
-
-// Marks implements Rig.
-func (r *SynthRig) Marks() []float64 { return r.K.MarkDeltasMicros() }
 
 // ---------------------------------------------------------------------
 
@@ -138,20 +132,20 @@ func (r *SunRig) Machine() *m68k.Machine { return r.K.M }
 func (r *SunRig) Name() string { return "sunos-baseline" }
 
 // Run implements Rig.
-func (r *SunRig) Run(entry uint32, budget uint64) error {
-	r.K.ResetMarks()
-	return r.K.Run(entry, budget)
-}
-
-// Marks implements Rig.
-func (r *SunRig) Marks() []float64 { return r.K.MarkDeltasMicros() }
+func (r *SunRig) Run(entry uint32, budget uint64) error { return r.K.Run(entry, budget) }
 
 // ---------------------------------------------------------------------
 
+// runaway is the cycle budget that stops a program that never ends:
+// 20 minutes of guest time at the SUN 3/160 point, hundreds of times
+// what the longest table program needs at its default iterations.
+const runaway = 20_000_000_000
+
 // runMarks builds the program on the rig's machine, runs it, and
-// returns its n marked intervals. On an error they are zero, so a
+// returns its n marked intervals in microseconds; the machine's
+// MarkInstrs has them in instructions. On an error they are zero, so a
 // caller may index them before it checks.
-func runMarks(r Rig, budget uint64, n int, build func(b *asmkit.Builder)) ([]float64, error) {
+func runMarks(r Rig, n int, build func(b *asmkit.Builder)) ([]float64, error) {
 	b := asmkit.New()
 	build(b)
 	entry := b.Link(r.Machine())
@@ -161,8 +155,8 @@ func runMarks(r Rig, budget uint64, n int, build func(b *asmkit.Builder)) ([]flo
 		// time.
 		p.RegisterRegion("bench.program", entry, b.Len())
 	}
-	err := r.Run(entry, budget)
-	marks := r.Marks()
+	err := r.Run(entry, runaway)
+	marks := r.Machine().MarkMicros()
 	if err == nil && len(marks) != n {
 		err = errMarks(len(marks), n)
 	}

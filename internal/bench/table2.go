@@ -15,7 +15,7 @@ import (
 // measureSynth runs a marked program on a fresh Synthesis rig and
 // returns the marked microseconds.
 func measureSynth(build func(*asmkit.Builder)) (float64, error) {
-	d, err := runMarks(NewSynthRig(), 200_000_000, 1, build)
+	d, err := runMarks(NewSynthRig(), 1, build)
 	return d[0], err
 }
 

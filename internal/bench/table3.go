@@ -33,7 +33,7 @@ func Table3() (Table, error) {
 	})
 
 	vt := int32(victim.TTE)
-	d, err := runMarks(rig, 500_000_000, 7, func(b *asmkit.Builder) {
+	d, err := runMarks(rig, 7, func(b *asmkit.Builder) {
 		sys := func(fn int32, d1 int32, d2 int32) {
 			b.MoveL(m68k.Imm(fn), m68k.D(0))
 			b.MoveL(m68k.Imm(d1), m68k.D(1))

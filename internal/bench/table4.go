@@ -119,7 +119,7 @@ func partialSwitch() (float64, error) {
 	aToB := coYield(saveA, saveB)
 	bToA := coYield(saveB, saveA)
 
-	d, err := runMarks(rig, 50_000_000, 1, func(b *asmkit.Builder) {
+	d, err := runMarks(rig, 1, func(b *asmkit.Builder) {
 		mark(b)
 		b.Jsr(aToB)
 		b.Jsr(bToA)
@@ -142,7 +142,7 @@ func blockUnblock() (blockUS, unblockUS float64, err error) {
 	peer := k.SpawnKernelStopped("peer", peerProg)
 	k.Link(peer, k.Idle) // make it part of the ring
 
-	d, err := runMarks(rig, 50_000_000, 2, func(b *asmkit.Builder) {
+	d, err := runMarks(rig, 2, func(b *asmkit.Builder) {
 		b.Lea(m68k.Abs(peer.TTE), 0)
 		mark(b)
 		b.Jsr(k.UnlinkRoutine())

@@ -105,11 +105,10 @@ func Table5() (Table, error) {
 	k.M.Poke(th.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+5)*4, 4, chainTrap)
 	k.M.Poke(th.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+6)*4, 4, chainTrapCAS)
 	k.Start(th)
-	k.ResetMarks()
-	if err := k.Run(500_000_000); err != nil {
+	if err := k.Run(runaway); err != nil {
 		return t, err
 	}
-	d := k.MarkDeltasMicros()
+	d := k.M.MarkMicros()
 	if len(d) != 7 {
 		return t, errMarks(len(d), 7)
 	}

@@ -30,13 +30,6 @@ import (
 // netPayload is the datagram size for the Table 6 measurements.
 const netPayload = 128
 
-// svcCount is the KCALL id of the instruction-counter probe.
-const svcCount = 121
-
-// kcallProbeInstrs is the per-probe cost: a KCALL expands to two
-// instructions, and consecutive samples straddle exactly one probe.
-const kcallProbeInstrs = 2
-
 // sockOpen emits socket(local, remote) through the UNIX trap.
 func sockOpen(b *asmkit.Builder, local, remote int32) {
 	b.MoveL(m68k.Imm(local), m68k.D(1))
@@ -76,19 +69,19 @@ func sockPair(b *asmkit.Builder) {
 const pathRounds = 3
 
 // buildSockPath emits the path-length program: open the pair, one
-// unmeasured warm-up exchange, then pathRounds rounds of
-// probe-write-probe and probe-read-probe.
+// unmeasured warm-up exchange, then pathRounds rounds of a marked
+// write and a marked read.
 func buildSockPath(b *asmkit.Builder) {
 	sockPair(b)
 	sockWrite(b)
 	sockRead(b)
 	for i := 0; i < pathRounds; i++ {
-		b.Kcall(svcCount)
+		mark(b)
 		sockWrite(b)
-		b.Kcall(svcCount)
-		b.Kcall(svcCount)
+		mark(b)
+		mark(b)
 		sockRead(b)
-		b.Kcall(svcCount)
+		mark(b)
 	}
 	progExit(b)
 }
@@ -118,41 +111,22 @@ func buildSockBounce(b *asmkit.Builder, iters int32) {
 	progExit(b)
 }
 
-// runCounted builds and runs a program with the instruction-counter
-// probe registered and returns the sampled instruction counts.
-func runCounted(r Rig, budget uint64, build func(*asmkit.Builder)) ([]uint64, error) {
-	m := r.Machine()
-	var samples []uint64
-	m.RegisterService(svcCount, func(mm *m68k.Machine) uint64 {
-		samples = append(samples, mm.Instrs)
-		return 0
-	})
-	b := asmkit.New()
-	build(b)
-	entry := b.Link(m)
-	if err := r.Run(entry, budget); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.Name(), err)
+// pathInstrs runs a path-length program, whose pathRounds rounds each
+// mark path a and then path b, and returns each path's fewest
+// instructions over the rounds.
+func pathInstrs(r Rig, build func(*asmkit.Builder)) (a, b float64, err error) {
+	if _, err := runMarks(r, 2*pathRounds, build); err != nil {
+		return 0, 0, err
 	}
-	return samples, nil
-}
-
-// pathMins reduces the probe samples to (send, recv) instruction
-// counts, taking the minimum over the rounds.
-func pathMins(samples []uint64) (send, recv float64, err error) {
-	if len(samples) != 4*pathRounds {
-		return 0, 0, fmt.Errorf("table6: %d probe samples, want %d", len(samples), 4*pathRounds)
-	}
-	minDelta := func(off int) float64 {
-		best := ^uint64(0)
-		for i := 0; i < pathRounds; i++ {
-			d := samples[4*i+off+1] - samples[4*i+off]
-			if d < best {
-				best = d
-			}
+	d := r.Machine().MarkInstrs()
+	fewest := func(off int) float64 {
+		best := d[off]
+		for i := off + 2; i < len(d); i += 2 {
+			best = min(best, d[i])
 		}
-		return float64(best - kcallProbeInstrs)
+		return float64(best)
 	}
-	return minDelta(0), minDelta(2), nil
+	return fewest(0), fewest(1), nil
 }
 
 // Table6 regenerates the network socket comparison.
@@ -164,19 +138,11 @@ func Table6() (Table, error) {
 	}
 
 	// Path lengths: exact instruction counts on both kernels.
-	sSamp, err := runCounted(NewSynthRig(), 2_000_000_000, buildSockPath)
+	sSend, sRecv, err := pathInstrs(NewSynthRig(), buildSockPath)
 	if err != nil {
 		return t, err
 	}
-	sSend, sRecv, err := pathMins(sSamp)
-	if err != nil {
-		return t, err
-	}
-	uSamp, err := runCounted(NewSunRig(), 2_000_000_000, buildSockPath)
-	if err != nil {
-		return t, err
-	}
-	uSend, uRecv, err := pathMins(uSamp)
+	uSend, uRecv, err := pathInstrs(NewSunRig(), buildSockPath)
 	if err != nil {
 		return t, err
 	}
@@ -194,11 +160,11 @@ func Table6() (Table, error) {
 	)
 
 	// Socket open: the synthesized side pays for code generation here.
-	sOpen, err := runMarks(NewSynthRig(), 2_000_000_000, 1, buildSockOpen)
+	sOpen, err := runMarks(NewSynthRig(), 1, buildSockOpen)
 	if err != nil {
 		return t, err
 	}
-	uOpen, err := runMarks(NewSunRig(), 2_000_000_000, 1, buildSockOpen)
+	uOpen, err := runMarks(NewSunRig(), 1, buildSockOpen)
 	if err != nil {
 		return t, err
 	}
@@ -212,11 +178,11 @@ func Table6() (Table, error) {
 	// Loopback throughput: interleaved send/recv exchanges.
 	const iters = 200
 	bounce := func(b *asmkit.Builder) { buildSockBounce(b, iters) }
-	s, err := runMarks(NewSynthRig(), 4_000_000_000, 1, bounce)
+	s, err := runMarks(NewSynthRig(), 1, bounce)
 	if err != nil {
 		return t, err
 	}
-	u, err := runMarks(NewSunRig(), 4_000_000_000, 1, bounce)
+	u, err := runMarks(NewSunRig(), 1, bounce)
 	if err != nil {
 		return t, err
 	}

@@ -79,7 +79,7 @@ func runARQ(rate float64, seed int64, iters int32) (us float64, retx uint32, st 
 	r := NewSynthRig()
 	inj := fault.New(fault.Plan{Wire: fault.Wire{Drop: rate}}, seed)
 	inj.Attach(r.Machine())
-	d, err := runMarks(r, 4_000_000_000, 1, func(b *asmkit.Builder) {
+	d, err := runMarks(r, 1, func(b *asmkit.Builder) {
 		buildSockARQ(b, iters)
 	})
 	return d[0], r.Machine().Peek(addrRetx, 4), inj.Stats, err

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"synthesis/internal/asmkit"
 	"synthesis/internal/kernel"
@@ -11,47 +10,25 @@ import (
 )
 
 // Named workloads for `quamon -watch -program <name>`: the Table 1
-// programs under short command-line names, plus "procread", the
-// observability demo that makes the kernel read its own metrics. The
-// monitor runs whichever program is named under its sampling windows,
-// so any benchmark becomes a live metrics source.
+// programs under their short names, plus "procread", the observability
+// demo that makes the kernel read its own metrics. The monitor runs
+// whichever program is named under its sampling windows, so any
+// benchmark becomes a live metrics source. Finite programs exit and
+// end the watch early; "traffic" (the default) and "procread" run
+// until the windows are exhausted.
 
-// watchProgs maps -program names to builders. Finite programs exit
-// and end the watch early; "traffic" (the default) and "procread"
-// run until the windows are exhausted.
-func watchProgs(iters int32) map[string]func(*asmkit.Builder) {
-	return map[string]func(*asmkit.Builder){
-		"compute":   func(b *asmkit.Builder) { BuildCompute(b, 2000) },
-		"pipe-1b":   func(b *asmkit.Builder) { BuildPipeRW(b, iters, 1) },
-		"pipe-1k":   func(b *asmkit.Builder) { BuildPipeRW(b, iters, 1024) },
-		"pipe-4k":   func(b *asmkit.Builder) { BuildPipeRW(b, iters, 4096) },
-		"file-rw":   func(b *asmkit.Builder) { BuildFileRW(b, iters) },
-		"open-null": func(b *asmkit.Builder) { BuildOpenClose(b, iters, addrNameNull) },
-		"open-tty":  func(b *asmkit.Builder) { BuildOpenClose(b, iters, addrNameTTY) },
-		"procread":  BuildProcReadLoop,
-	}
-}
-
-// WatchProgramNames lists the names BuildWatchProgram accepts, sorted
-// for usage messages.
-func WatchProgramNames() []string {
-	m := watchProgs(1)
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// WatchProgramNames lists the names BuildWatchProgram accepts.
+func WatchProgramNames() []string { return programNames(shortName) }
 
 // BuildWatchProgram resolves a -program name to its builder. The
 // iteration count applies to the finite Table 1 programs.
 func BuildWatchProgram(name string, iters int32) (func(*asmkit.Builder), bool) {
-	if iters <= 0 {
-		iters = 200
+	p, ok := findProgram(name, shortName)
+	if !ok {
+		return nil, false
 	}
-	f, ok := watchProgs(iters)[name]
-	return f, ok
+	build, _ := p.at(iters)
+	return build, true
 }
 
 // BuildProcReadLoop emits the observability workload: forever open

@@ -66,9 +66,6 @@ type Kernel struct {
 
 	alarmOwned bool // a host policy owns the alarm channel (OnAlarm)
 
-	// Marks records KCALL SvcMark timestamps for measurements.
-	Marks []uint64
-
 	// PanicMsg is set when the panic service fires.
 	PanicMsg string
 
@@ -100,11 +97,6 @@ type FaultRecord struct {
 	PC    uint32 // faulting PC, from the exception frame
 	Cycle uint64
 }
-
-// SvcMark is the measurement service id: kcall #SvcMark records the
-// current cycle count (the Quamachine's microsecond-resolution
-// interval timer read, Section 6.1).
-const SvcMark = 100
 
 // kstackSize is the per-thread kernel stack, allocated contiguously
 // after the TTE.
@@ -433,10 +425,6 @@ func (k *Kernel) registerServices() {
 		mm.PatchCode(mm.PC, m68k.Instr{Op: m68k.HALT}) // stop right here
 		return 0
 	})
-	m.RegisterService(SvcMark, func(mm *m68k.Machine) uint64 {
-		k.Marks = append(k.Marks, mm.Cycles)
-		return 0
-	})
 	m.RegisterService(SvcExit, func(mm *m68k.Machine) uint64 {
 		k.exitCur()
 		k.mExits.Inc()
@@ -508,16 +496,3 @@ func (k *Kernel) FreeThread(tte uint32) {
 	delete(k.handles, tte)
 	k.Heap.Free(tte)
 }
-
-// MarkDeltasMicros converts consecutive mark pairs into microsecond
-// intervals.
-func (k *Kernel) MarkDeltasMicros() []float64 {
-	var out []float64
-	for i := 1; i < len(k.Marks); i += 2 {
-		out = append(out, k.M.Micros(k.Marks[i]-k.Marks[i-1]))
-	}
-	return out
-}
-
-// ResetMarks clears recorded marks.
-func (k *Kernel) ResetMarks() { k.Marks = nil }

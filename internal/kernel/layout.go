@@ -14,6 +14,8 @@
 // charged by the model in synth/cost.go.
 package kernel
 
+import "synthesis/internal/m68k"
+
 // Kernel memory map. The boot vector table and kernel globals sit at
 // the bottom of memory; everything else (TTEs, stacks, queue buffers,
 // file data, quaspaces) comes from the fast-fit heap.
@@ -162,7 +164,8 @@ const (
 
 // KCALL service ids. The I/O system (kio) registers SvcOpen, SvcClose,
 // SvcPipe and SvcSock, and SvcFreeTTE over the kernel's own (it closes
-// the thread's descriptors first); the kernel serves the rest.
+// the thread's descriptors first); the machine serves SvcMark and the
+// kernel the rest.
 const (
 	SvcPanic       = 1  // unhandled exception: stop simulation loudly
 	SvcExit        = 2  // thread exit bookkeeping
@@ -175,4 +178,5 @@ const (
 	SvcRegister    = 9  // post-create registration of a thread
 	SvcSock        = 11 // open a network socket: table entry + send/recv synthesis
 	SvcThreadFault = 12 // bus-error reap: log the fault, thread-exit bookkeeping
+	SvcMark        = m68k.SvcMark
 )

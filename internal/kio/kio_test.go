@@ -461,7 +461,7 @@ func TestDiskFileDemandLoading(t *testing.T) {
 			t.Fatalf("cached byte %d = %#x, want %#x", i, got, contents[i])
 		}
 	}
-	d := k.MarkDeltasMicros()
+	d := k.M.MarkMicros()
 	if len(d) != 2 {
 		t.Fatalf("marks: %v", d)
 	}

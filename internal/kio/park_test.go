@@ -52,12 +52,12 @@ func TestOneByteGetParkWindowEnumerated(t *testing.T) {
 	// The window: from the mark in front of the trap to the first
 	// instruction another thread runs.
 	k, th := boot()
-	parked := func() bool { return len(k.Marks) != 0 && k.CurTTE() != th.TTE }
+	parked := func() bool { return len(k.M.Marks) != 0 && k.CurTTE() != th.TTE }
 	if err := stepUntil(k, parked); err != nil || !parked() {
 		t.Fatalf("reader never parked on an empty queue: %v", err)
 	}
-	from, to := k.Marks[0], k.M.Cycles
-	if len(k.Marks) != 1 {
+	from, to := k.M.Marks[0].Cycles, k.M.Cycles
+	if len(k.M.Marks) != 1 {
 		t.Fatalf("the reader returned without a byte")
 	}
 
@@ -68,11 +68,11 @@ func TestOneByteGetParkWindowEnumerated(t *testing.T) {
 		switch {
 		case err != nil:
 			return fmt.Sprintf("the machine stopped: %v", err)
-		case len(k.Marks) != 2:
+		case len(k.M.Marks) != 2:
 			return "the reader never returned"
 		case k.M.Peek(res, 4) != 1 || k.M.Peek(buf, 1) != 'Q':
 			return "the read did not return the byte"
-		case k.Marks[1] > max(at, from)+deliverWithin:
+		case k.M.Marks[1].Cycles > max(at, from)+deliverWithin:
 			return fmt.Sprintf("the byte reached the reader more than %d cycles after it arrived", deliverWithin)
 		}
 		if err := k.CheckReadyRing(); err != nil {

@@ -222,7 +222,7 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 				reader := k.SpawnKernel("reader", prog)
 				k.SpawnKernel("spinner", spin)
 				k.Start(reader)
-				if err := stepUntil(k, func() bool { return len(k.Marks) != 0 }); err != nil || len(k.Marks) == 0 {
+				if err := stepUntil(k, func() bool { return len(k.M.Marks) != 0 }); err != nil || len(k.M.Marks) == 0 {
 					t.Fatalf("the spinner never started: %v", err)
 				}
 				if len(quanta) != 0 {
@@ -230,7 +230,7 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 				}
 				// This replaces the quantum the spinner's sw_in armed.
 				armQuantum(k, q)
-				err := stepUntil(k, func() bool { return k.M.Cycles >= k.Marks[0]+arriveAfter })
+				err := stepUntil(k, func() bool { return k.M.Cycles >= k.M.Marks[0].Cycles+arriveAfter })
 				if err == nil {
 					sc.arrive(k)
 					err = stepUntil(k, func() bool { return done(k, reader) })
@@ -252,13 +252,13 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 				return woken && k.M.IPL() == 0
 			})
 			to := k.M.Cycles
-			if from < k.Marks[0]+arriveAfter {
-				t.Fatalf("the device interrupt (cycle %d) came before the quantum was armed (%d)", from, k.Marks[0]+arriveAfter)
+			if from < k.M.Marks[0].Cycles+arriveAfter {
+				t.Fatalf("the device interrupt (cycle %d) came before the quantum was armed (%d)", from, k.M.Marks[0].Cycles+arriveAfter)
 			}
 
 			enumerate(t, cycles(from, to), func(at uint64) string {
 				k, quanta, _ := run(at, func(k *kernel.Kernel, _ *kernel.Thread) bool {
-					return len(k.Marks) == 2 || k.M.Cycles > to+deliverWithin
+					return len(k.M.Marks) == 2 || k.M.Cycles > to+deliverWithin
 				})
 				switch {
 				case len(quanta) != 1:
@@ -269,7 +269,7 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 					return fmt.Sprintf("sw_out entered with IPL %d stacked, inside a handler", quanta[0].stackedIPL)
 				case quanta[0].at < to:
 					return "the switch came before the handler's RTE"
-				case len(k.Marks) != 2:
+				case len(k.M.Marks) != 2:
 					return fmt.Sprintf("the reader did not return within %d cycles of the RTE", deliverWithin)
 				case !sc.got(k):
 					return "the reader did not get what the handler delivered"
@@ -309,7 +309,7 @@ func TestIdleLeaveWindowEnumerated(t *testing.T) {
 	// the CPU is back in STOP, a second. It returns the marks the
 	// reader left, one per frame, the cycle the first frame arrived and
 	// the machine.
-	run := func(q uint64) ([]uint64, uint64, *kernel.Kernel) {
+	run := func(q uint64) ([]m68k.Mark, uint64, *kernel.Kernel) {
 		k, _ := enumBoot()
 		prog := k.C.Synthesize(nil, "reader", nil, func(e *synth.Emitter) {
 			emitSock(e, 9, 5) // fd 0
@@ -326,17 +326,17 @@ func TestIdleLeaveWindowEnumerated(t *testing.T) {
 		at := k.M.Cycles
 		armQuantum(k, q)
 		k.Net.InjectFrame(frame)
-		stepUntil(k, func() bool { return len(k.Marks) == 1 })
+		stepUntil(k, func() bool { return len(k.M.Marks) == 1 })
 		stepUntil(k, k.M.Stopped)
 		k.Net.InjectFrame(frame)
-		stepUntil(k, func() bool { return len(k.Marks) == 2 })
-		return k.Marks, at, k
+		stepUntil(k, func() bool { return len(k.M.Marks) == 2 })
+		return k.M.Marks, at, k
 	}
 	marks, from, _ := run(0)
 	if len(marks) != 2 {
 		t.Fatalf("with no quantum the reader got %d of 2 frames", len(marks))
 	}
-	enumerate(t, cycles(from+1, marks[0]), func(q uint64) string {
+	enumerate(t, cycles(from+1, marks[0].Cycles), func(q uint64) string {
 		marks, _, k := run(q)
 		if len(marks) != 2 {
 			return "the second frame never reached the reader"
@@ -665,17 +665,17 @@ func TestQuantumInSwitchEnumerated(t *testing.T) {
 		counter = k.SpawnKernel("counter", prog)
 		first := k.SpawnKernel("yielder", yielder)
 		k.Start(first)
-		if err := stepUntil(k, func() bool { return len(k.Marks) == 1 }); err != nil || len(k.Marks) != 1 {
+		if err := stepUntil(k, func() bool { return len(k.M.Marks) == 1 }); err != nil || len(k.M.Marks) != 1 {
 			t.Fatalf("the yielder never ran: %v", err)
 		}
 		armQuantum(k, q)
 		if err := stepUntil(k, func() bool { return preempted }); err != nil || !preempted {
 			t.Fatalf("quantum at cycle %d: the counter was never preempted: %v", q, err)
 		}
-		if len(k.Marks) == 2 {
-			to = k.Marks[1]
+		if len(k.M.Marks) == 2 {
+			to = k.M.Marks[1].Cycles
 		}
-		return k.M.Peek(count, 4), k.Marks[0], to, k
+		return k.M.Peek(count, 4), k.M.Marks[0].Cycles, to, k
 	}
 	full, from, to, _ := run(0)
 	if full == 0 || to == 0 {

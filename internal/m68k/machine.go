@@ -233,7 +233,18 @@ type Machine struct {
 	Translations uint64
 	SlowInstrs   uint64
 	SlowSteps    uint64
+
+	Marks []Mark // the counters' readings at each SvcMark, in order
 }
+
+// SvcMark is the KCALL id of the mark, which New serves: a program
+// brackets what it measures with a pair of marks, and MarkMicros and
+// MarkInstrs read the intervals.
+const SvcMark = 100
+
+// Mark is one reading of the cycle and instruction counters, taken by
+// the SvcMark KCALL once its own cycles and instruction are counted.
+type Mark struct{ Cycles, Instrs uint64 }
 
 // New creates a machine with the given configuration.
 func New(cfg Config) *Machine {
@@ -254,7 +265,35 @@ func New(cfg Config) *Machine {
 	if cfg.TraceDepth > 0 {
 		m.Trace = NewTrace(cfg.TraceDepth)
 	}
+	m.services[SvcMark] = (*Machine).mark
 	return m
+}
+
+// mark is the SvcMark service.
+func (m *Machine) mark() uint64 {
+	m.Marks = append(m.Marks, Mark{m.Cycles, m.Instrs})
+	return 0
+}
+
+// MarkMicros returns the interval of each consecutive mark pair in
+// microseconds: the cycles after the first mark, up to and including
+// the second mark's KCALL.
+func (m *Machine) MarkMicros() []float64 {
+	var out []float64
+	for i := 1; i < len(m.Marks); i += 2 {
+		out = append(out, m.Micros(m.Marks[i].Cycles-m.Marks[i-1].Cycles))
+	}
+	return out
+}
+
+// MarkInstrs returns the number of instructions strictly between the
+// marks of each consecutive pair.
+func (m *Machine) MarkInstrs() []uint64 {
+	var out []uint64
+	for i := 1; i < len(m.Marks); i += 2 {
+		out = append(out, m.Marks[i].Instrs-m.Marks[i-1].Instrs-1)
+	}
+	return out
 }
 
 // Micros converts a cycle count to microseconds at the machine's

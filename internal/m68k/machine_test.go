@@ -816,3 +816,31 @@ func TestARegIndex(t *testing.T) {
 		t.Errorf("a-reg indexed store: mem[0x4008] = %d", got)
 	}
 }
+
+// TestMarkedNop: a mark pair around one NOP reads one instruction, and
+// the NOP's cycles plus the closing mark's own: a cycle interval runs
+// up to the end of its second KCALL, an instruction interval counts
+// only what lies strictly between the two.
+func TestMarkedNop(t *testing.T) {
+	mark := m68k.Instr{Op: m68k.KCALL, Vec: m68k.SvcMark}
+	run := func(prog ...m68k.Instr) *m68k.Machine {
+		m := m68k.New(m68k.Config{MemSize: 1 << 16})
+		m.PC = m.Emit(append(prog, m68k.Instr{Op: m68k.HALT}))
+		if err := m.Run(1000); !errors.Is(err, m68k.ErrHalted) {
+			t.Fatalf("run: %v", err)
+		}
+		return m
+	}
+	halt := run().Cycles
+	nop, kcall := run(m68k.Instr{Op: m68k.NOP}).Cycles-halt, run(mark).Cycles-halt
+	m := run(mark, m68k.Instr{Op: m68k.NOP}, mark)
+	if got := m.MarkInstrs(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("instruction intervals %v, want [1]", got)
+	}
+	if got := m.Marks[1].Cycles - m.Marks[0].Cycles; got != nop+kcall {
+		t.Errorf("cycle interval %d, want the NOP's %d + the KCALL's %d", got, nop, kcall)
+	}
+	if got := m.MarkMicros(); len(got) != 1 || got[0] != m.Micros(nop+kcall) {
+		t.Errorf("microsecond intervals %v, want [%v]", got, m.Micros(nop+kcall))
+	}
+}

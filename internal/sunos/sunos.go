@@ -33,7 +33,6 @@ package sunos
 
 import (
 	"errors"
-	"fmt"
 
 	"synthesis/internal/alloc"
 	"synthesis/internal/asmkit"
@@ -159,9 +158,6 @@ type Kernel struct {
 
 	files map[string]*File
 
-	// marks records the SvcMark timestamps, as kernel.Kernel's do.
-	marks []uint64
-
 	halted bool
 }
 
@@ -173,10 +169,6 @@ type File struct {
 	Size  uint32
 	Cap   uint32
 }
-
-// SvcMark mirrors the Synthesis kernel's measurement service id so
-// benchmark programs are byte-identical.
-const SvcMark = 100
 
 // Boot builds the baseline kernel.
 func Boot(cfg m68k.Config) *Kernel {
@@ -199,18 +191,6 @@ func Boot(cfg m68k.Config) *Kernel {
 	k.installVectors()
 	return k
 }
-
-// MarkDeltasMicros converts consecutive mark pairs to microseconds.
-func (k *Kernel) MarkDeltasMicros() []float64 {
-	var out []float64
-	for i := 1; i < len(k.marks); i += 2 {
-		out = append(out, k.M.Micros(k.marks[i]-k.marks[i-1]))
-	}
-	return out
-}
-
-// ResetMarks clears recorded marks.
-func (k *Kernel) ResetMarks() { k.marks = nil }
 
 func (k *Kernel) alloc(n uint32) uint32 {
 	a, err := k.Heap.Alloc(n)
@@ -418,10 +398,6 @@ func (k *Kernel) installVectors() {
 		k.halted = true
 		return 0
 	})
-	m.RegisterService(SvcMark, func(mm *m68k.Machine) uint64 {
-		k.marks = append(k.marks, mm.Cycles)
-		return 0
-	})
 	m.RegisterService(202, func(mm *m68k.Machine) uint64 {
 		// exit: record status and halt.
 		mm.Poke(gExitRes, 4, mm.D[1])
@@ -451,6 +427,3 @@ func (k *Kernel) Run(entry uint32, maxCycles uint64) error {
 
 // Panicked reports whether the panic stub fired.
 func (k *Kernel) Panicked() bool { return k.halted }
-
-// fmt is used by debug helpers in other files.
-var _ = fmt.Sprintf

@@ -230,18 +230,17 @@ func TestBaselineSlowerThanItsOwnNullCall(t *testing.T) {
 	b := asmkit.New()
 	b.MoveL(m68k.Imm(int32(nameAddr)), m68k.D(1))
 	call(b, 5)
-	b.Kcall(sunos.SvcMark)
+	b.Kcall(m68k.SvcMark)
 	b.MoveL(m68k.Imm(0), m68k.D(1))
 	b.MoveL(m68k.Imm(0x9200), m68k.D(2))
 	b.MoveL(m68k.Imm(1), m68k.D(3))
 	call(b, 4)
-	b.Kcall(sunos.SvcMark)
+	b.Kcall(m68k.SvcMark)
 	exit(b)
-	k.ResetMarks()
 	if err := k.Run(b.Link(k.M), 5_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	d := k.MarkDeltasMicros()
+	d := k.M.MarkMicros()
 	if len(d) != 1 {
 		t.Fatalf("marks %v", d)
 	}
@@ -254,17 +253,16 @@ func TestBaselineSlowerThanItsOwnNullCall(t *testing.T) {
 func TestFullSwitchRoutineRuns(t *testing.T) {
 	k := sunos.Boot(m68k.Sun3Config())
 	b := asmkit.New()
-	b.Kcall(sunos.SvcMark)
+	b.Kcall(m68k.SvcMark)
 	b.MoveL(m68k.Imm(1), m68k.D(1))
 	b.MoveL(m68k.Imm(1), m68k.D(2)) // switch to self: measurable round trip
 	b.Jsr(k.SwitchRoutine())
-	b.Kcall(sunos.SvcMark)
+	b.Kcall(m68k.SvcMark)
 	exit(b)
-	k.ResetMarks()
 	if err := k.Run(b.Link(k.M), 5_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	d := k.MarkDeltasMicros()
+	d := k.M.MarkMicros()
 	if len(d) != 1 {
 		t.Fatalf("marks %v", d)
 	}
@@ -441,19 +439,23 @@ func TestSocketRaggedPayloadSurvivesChecksum(t *testing.T) {
 	}
 }
 
-// Each kernel keeps its own marks: a second kernel's ResetMarks leaves
-// the first one's intervals in place.
+// Each kernel's marks are its own machine's: a mark pair run on a
+// second kernel adds no interval to the first one's.
 func TestMarksArePerKernel(t *testing.T) {
-	a := sunos.Boot(m68k.Sun3Config())
-	b := asmkit.New()
-	b.Kcall(sunos.SvcMark)
-	b.Kcall(sunos.SvcMark)
-	exit(b)
-	if err := a.Run(b.Link(a.M), 5_000_000); err != nil {
-		t.Fatalf("run: %v", err)
+	run := func() *sunos.Kernel {
+		k := sunos.Boot(m68k.Sun3Config())
+		b := asmkit.New()
+		b.Kcall(m68k.SvcMark)
+		b.Kcall(m68k.SvcMark)
+		exit(b)
+		if err := k.Run(b.Link(k.M), 5_000_000); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return k
 	}
-	sunos.Boot(m68k.Sun3Config()).ResetMarks()
-	if d := a.MarkDeltasMicros(); len(d) != 1 {
-		t.Fatalf("kernel A's marks after kernel B's reset: %v, want one interval", d)
+	a := run()
+	run()
+	if d := a.M.MarkMicros(); len(d) != 1 {
+		t.Fatalf("kernel A's intervals after kernel B's run: %v, want one", d)
 	}
 }

@@ -34,23 +34,25 @@
 //
 // What reaches the cleanups is already folded and collapsed, and the
 // stage is sized to its traffic. Measured with per-pass counters over
-// all eleven golden tables (1,425 optimizer runs, 29,244
-// instructions; the examples, quamon -watch/-cluster -churn and synsh
-// fire the same passes on the same templates, and the seven
+// every golden table (`go run ./cmd/synbench`: 2,409 optimizer runs,
+// 48,424 instructions; the examples, quamon -watch/-cluster -churn and
+// synsh fire the same passes on the same templates, and the seven
 // `go run ./benchmark` workloads add their synthesis-cost probe
 // routine, which is built to exercise all four):
 //
 //	pass              firings  instrs  routines
-//	removeNops              2       2  two bench victim loops
+//	removeNops              2       2  Table 3's victim and Table 4's peer loops
 //	dropBranchToNext       46      46  kio.net_intr, once per build
 //	deadCode                0       0  - (the benchmark's probe routine)
-//	redundantMoves         13      13  kio.sock*.recv
+//	redundantMoves          0       0  - (the benchmark's probe routine)
 //	threadJumps, foldConstants, strengthReduce, deadStores: none
 //
-// optimize.go implements the four with traffic and not the four
-// without. Creator.OptRemoved and OptChanged (synth.optimize.* in the
-// metrics registry) keep the question a counter read. Collapse
-// (collapse.go) is not a stage of the pipeline.
+// So two passes have kernel traffic. optimize.go implements those, and
+// deadCode and redundantMoves, which only the benchmark's probe routine
+// exercises; the four without any traffic are not implemented.
+// Creator.OptRemoved and OptChanged (synth.optimize.* in the metrics
+// registry) keep the question a counter read. Collapse (collapse.go)
+// is not a stage of the pipeline.
 package synth
 
 import (

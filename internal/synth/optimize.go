@@ -6,12 +6,14 @@ import (
 )
 
 // The optimization stage of the quaject creator (builder.go): four
-// peephole cleanups over asmkit.Program values, each of which has
-// traffic on a kernel routine (the measured table is in the package
-// comment). They tidy what template composition leaves behind — a
-// handler assembled from per-socket pieces ends a piece with a branch
-// to the next one, follows an unconditional exit with a shared tail,
-// hands a value back in the register it came from. Folding and
+// peephole cleanups over asmkit.Program values. Two have traffic on
+// kernel routines, removeNops and dropBranchToNext; deadCode and
+// redundantMoves have none, and only the benchmark's probe routine
+// exercises them (the measured table is in the package comment). They
+// tidy what template composition leaves behind — a handler assembled
+// from per-socket pieces ends a piece with a branch to the next one,
+// follows an unconditional exit with a shared tail, hands a value back
+// in the register it came from. Folding and
 // specialization are not here: they happen when the template runs
 // (env.go), before this stage sees the program.
 

@@ -159,7 +159,7 @@ func TestEmulationOverheadIsSmall(t *testing.T) {
 		if err := k.Run(10_000_000); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		d := k.MarkDeltasMicros()
+		d := k.M.MarkMicros()
 		if len(d) != 1 {
 			t.Fatalf("marks: %v", d)
 		}

@@ -69,13 +69,13 @@ func main() {
 	}
 
 	if *profileRun != "" {
-		p, err := bench.RunProfiled(*profileRun, int32(*iters))
+		p, loops, err := bench.RunProfiled(*profileRun, int32(*iters))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "synbench: profile-run: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("profile: %s (%d iterations)\n", *profileRun, *iters)
-		fmt.Print(p.Report(*top, uint64(*iters)))
+		fmt.Printf("profile: %s (%d iterations)\n", *profileRun, loops)
+		fmt.Print(p.Report(*top, uint64(loops)))
 		if *traceJSON != "" {
 			f, err := os.Create(*traceJSON)
 			if err != nil {

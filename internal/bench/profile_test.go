@@ -14,7 +14,7 @@ func TestTable1AttributionCoverage(t *testing.T) {
 	iters := int32(40)
 	var sumAttr, sumWindow uint64
 	for _, name := range ProfiledProgramNames() {
-		p, err := RunProfiled(name, iters)
+		p, _, err := RunProfiled(name, iters)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -33,9 +33,33 @@ func TestTable1AttributionCoverage(t *testing.T) {
 	}
 }
 
+// TestRunProfiledComputeLoops: compute runs its own 2,000-element loop
+// whatever the caller's count, and RunProfiled says so, so its program
+// reads its loop body, about 18 instructions, an iteration (179.87 when
+// the 2,000 iterations' instructions were divided by 200).
+func TestRunProfiledComputeLoops(t *testing.T) {
+	p, loops, err := RunProfiled("compute", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loops != 2000 {
+		t.Fatalf("compute ran %d loops, want its own 2000", loops)
+	}
+	for _, s := range p.Top(0) {
+		if s.Name != "bench.program" {
+			continue
+		}
+		if per := float64(s.Instrs) / float64(loops); per < 16 || per > 20 {
+			t.Errorf("compute's program runs %.2f instructions an iteration, want about 18", per)
+		}
+		return
+	}
+	t.Fatal("no bench.program region in the profile")
+}
+
 // TestRunProfiledUnknown rejects unknown program names.
 func TestRunProfiledUnknown(t *testing.T) {
-	if _, err := RunProfiled("no-such-program", 1); err == nil {
+	if _, _, err := RunProfiled("no-such-program", 1); err == nil {
 		t.Fatal("expected error for unknown program")
 	}
 }

@@ -559,7 +559,7 @@ func TestUserThreadQuaspaceConfinement(t *testing.T) {
 // executes a privileged instruction gets the error trap and nothing
 // else. RTE is the telling case: if it ran after vectoring it would pop
 // the trap's own frame, the handler would never run and the thread
-// would carry on past it. The dispatcher's three tallies are served
+// would carry on past it. The dispatcher's five tallies are served
 // from the same machine.
 func TestPrivilegedOpInUserThreadIsAnErrorTrap(t *testing.T) {
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256}, Metrics: metrics.New()})
@@ -583,13 +583,19 @@ func TestPrivilegedOpInUserThreadIsAnErrorTrap(t *testing.T) {
 	if k.M.Peek(ub+20, 4) != 0 {
 		t.Error("thread continued past its privileged instruction")
 	}
+	// The thread copies nothing, so the copy-loop tallies are set here, to
+	// two values no other tally holds.
+	k.M.CollapsedPasses, k.M.CollapseFallbacks = 1<<40+1, 1<<40+2
 	c := k.Metrics.Snapshot().Counters
 	if c["m68k.dispatch.translations"] != k.M.Translations || k.M.Translations == 0 ||
 		c["m68k.dispatch.slow_instrs"] != k.M.SlowInstrs ||
-		c["m68k.dispatch.slow_steps"] != k.M.SlowSteps || k.M.SlowSteps == 0 {
-		t.Errorf("registry serves %d translations, %d slow instructions and %d slow steps, the machine counted %d, %d and %d",
+		c["m68k.dispatch.slow_steps"] != k.M.SlowSteps || k.M.SlowSteps == 0 ||
+		c["m68k.dispatch.collapsed_passes"] != k.M.CollapsedPasses ||
+		c["m68k.dispatch.collapse_fallbacks"] != k.M.CollapseFallbacks {
+		t.Errorf("registry serves %d translations, %d slow instructions, %d slow steps, %d collapsed passes and %d fallbacks, the machine counted %d, %d, %d, %d and %d",
 			c["m68k.dispatch.translations"], c["m68k.dispatch.slow_instrs"], c["m68k.dispatch.slow_steps"],
-			k.M.Translations, k.M.SlowInstrs, k.M.SlowSteps)
+			c["m68k.dispatch.collapsed_passes"], c["m68k.dispatch.collapse_fallbacks"],
+			k.M.Translations, k.M.SlowInstrs, k.M.SlowSteps, k.M.CollapsedPasses, k.M.CollapseFallbacks)
 	}
 }
 

@@ -37,10 +37,15 @@ func (k *Kernel) wireMetrics(reg *metrics.Registry) {
 	// The dispatcher cache: over the run's instruction count, slow_instrs
 	// is the share of traffic with no closure and slow_steps the share of
 	// instruction boundaries that left Run's fast loop
-	// (docs/PERFORMANCE.md).
+	// (docs/PERFORMANCE.md). collapsed_passes counts the copy-loop passes
+	// run as one host copy, collapse_fallbacks those whose head ran its
+	// own MOVEM instead (an event due mid-pass, a block off plain RAM,
+	// overlapping blocks, or a Step).
 	reg.Sample("m68k.dispatch.translations", func() uint64 { return k.M.Translations })
 	reg.Sample("m68k.dispatch.slow_instrs", func() uint64 { return k.M.SlowInstrs })
 	reg.Sample("m68k.dispatch.slow_steps", func() uint64 { return k.M.SlowSteps })
+	reg.Sample("m68k.dispatch.collapsed_passes", func() uint64 { return k.M.CollapsedPasses })
+	reg.Sample("m68k.dispatch.collapse_fallbacks", func() uint64 { return k.M.CollapseFallbacks })
 
 	k.C.Counters = &synthCounters{k: k}
 }

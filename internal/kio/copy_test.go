@@ -415,6 +415,31 @@ func TestEmittedMovemsHaveBodies(t *testing.T) {
 	}
 }
 
+// TestBlockCopyLoopsCollapse: both loops of kio.block_copy, the pass
+// of eight groups and the leftover loop of one, are the shape the
+// dispatcher runs a pass of as one host copy (m68k's copyLoop), so an
+// edit to emitBlockGroups that breaks the shape fails here rather than
+// silently costing file_rw its copy speed.
+func TestBlockCopyLoopsCollapse(t *testing.T) {
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
+	log := logRegions(k)
+	kio.Install(k)
+	var groups []int
+	for i, name := range log.names {
+		if name != "kio.block_copy" {
+			continue
+		}
+		for pc := log.spans[i][0]; pc < log.spans[i][1]; pc++ {
+			if g := k.M.CopyLoopAt(pc); g > 0 {
+				groups = append(groups, g)
+			}
+		}
+	}
+	if !slices.Equal(groups, []int{8, 1}) {
+		t.Errorf("kio.block_copy's collapsed loop heads move %v groups a pass, want [8 1]", groups)
+	}
+}
+
 // TestBlockCopySharedOnce holds the block form's group loop to one
 // routine per kernel: with the creator reporting every region it
 // installs, a file and a pipe are opened twice each, and kio.block_copy

@@ -15,17 +15,23 @@ import "encoding/binary"
 // kernel's bread and butter — observes new instructions on the very
 // next fetch, exactly as the switch interpreter did.
 //
-// Granularity is deliberately one instruction, not one basic block:
-// the kernel's preemption-window story (DESIGN.md §3a) depends on
-// every instruction boundary being an interrupt point, and Run keeps
-// it one with a single compare per boundary — the clock against
-// Machine.horizon, which whatever posts an interrupt or moves a device
-// event earlier zeroes (machine.go states the rule). Blocks were
-// measured and do not pay: a prototype running straight-line blocks of
-// up to 32 slots, keeping that compare and the call per instruction,
-// read compute 6.58–7.02 M op/s against 6.43–6.93 M and the step loop
-// 7.6–8.8 ns/instr against 6.6–6.8. An empty handler cost about 2 ns
-// with the loop; the time is in the handlers (docs/PERFORMANCE.md).
+// Granularity is one instruction: the kernel's preemption-window story
+// (DESIGN.md §3a) depends on every instruction boundary being an
+// interrupt point, and Run keeps it one with a single compare per
+// boundary — the clock against Machine.horizon, which whatever posts an
+// interrupt or moves a device event earlier zeroes (machine.go states
+// the rule). The one exception is a recognized copy loop (copyLoop):
+// kio.block_copy's pass of eight MOVEM groups, a LEA and a DBRA runs as
+// one host copy, Piumarta and Riccardi's selective inlining taken from
+// the handler pair to the whole pass. The collapse stays exact under
+// three conditions, or the head runs its own MOVEM body: the clock at
+// the pass's end stays below the horizon, so no event comes due at a
+// boundary inside it; both blocks are plain RAM the current state may
+// touch, so no access inside it could have faulted or reached a device;
+// and the blocks do not overlap, so one copy moves what the groups
+// would. Step zeroes the horizon, so under the profiler or a trace ring
+// every instruction is still one step. Straight-line blocks in general
+// were measured and do not pay (docs/PERFORMANCE.md).
 //
 // exec.go's switch is the ISA: complete, the only definition of every
 // instruction, and the fuzzer's oracle. The closures here are a cache
@@ -66,7 +72,9 @@ import "encoding/binary"
 // handlers to the switch one instruction at a time, TestStackMatchesMove
 // holds push and pop to MOVE.L, `make inline` keeps the RAM helpers
 // inlined, TestRunEqualsSteps holds the two step loops to each other,
-// and TestGoldenTables holds every table byte-equal to bench/baseline.
+// TestCopyLoopMatchesSteps holds a collapsed pass to the instructions it
+// stands for, and TestGoldenTables holds every table byte-equal to
+// bench/baseline.
 
 // EmitBenchProgram emits the canonical dispatcher benchmark: a
 // representative mix of register ALU, memory read-modify-write,
@@ -91,12 +99,15 @@ func EmitBenchProgram(m *Machine) uint32 {
 
 // xent is one translation cache line: the compiled handler, the
 // precomputed base cycle cost (baseCost is pure in the instruction),
-// and the opcode (the step loop's trace-bit handling needs to know
-// RTE without re-reading code space). A zero xent is cold.
+// the opcode (the step loop's trace-bit handling needs to know RTE
+// without re-reading code space) and, in what would be padding, the
+// span of a collapsed copy loop. A write into any slot a head could span
+// invalidates it (invalidateCode). A zero xent is cold; it is 24 bytes.
 type xent struct {
 	run  runFn
 	cost uint64
 	op   Op
+	span uint8 // slots a collapsed copy loop's head runs, itself included; 0 otherwise
 }
 
 // runFn executes one translated instruction. It runs with PC already
@@ -112,7 +123,10 @@ func (m *Machine) translate(pc uint32, e *xent) {
 	m.Translations++
 	e.cost = baseCost(in)
 	e.op = in.Op
-	e.run = compile(in, pc)
+	e.run, e.span = compile(in, pc), 0
+	if k, an, am, dn := copyLoopShape(m.Code, pc); k > 0 {
+		e.run, e.span = copyLoop(pc, m.Code[pc+1:pc+uint32(2*k+2)], an, am, dn, e.run), uint8(2*k+2)
+	}
 }
 
 // rel is the four register-relative memory modes as one form — addr =
@@ -1231,4 +1245,97 @@ func cMovem(in *Instr, pc uint32) runFn {
 		}
 	}
 	return nil
+}
+
+// maxCopyGroups bounds the groups of a copy loop the dispatcher
+// collapses, and with it how far before a written slot invalidateCode
+// looks for a head whose span covers it.
+const maxCopyGroups = 8
+
+// copyLoopShape recognizes a copy loop headed at code[pc]: k groups, the
+// i-th MOVEM.L (An)+,D3-D7/A3-A5 then MOVEM.L D3-D7/A3-A5,32i(Am) (the
+// first to (Am)), then LEA 32k(Am),Am and DBRA Dn back to pc, with An,
+// Am and Dn apart from each other and from the registers the groups
+// load. It returns k, 0 for any other code, and the three registers.
+func copyLoopShape(code []Instr, pc uint32) (k int, an, am, dn uint8) {
+	ld := Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(code[pc].Src.Reg)}
+	code = code[pc:]
+	if len(code) < 4 || code[0] != ld {
+		return 0, 0, 0, 0
+	}
+	an, am = ld.Src.Reg, code[1].Dst.Reg
+	for k < maxCopyGroups && 2*k+3 < len(code) && code[2*k] == ld &&
+		(code[2*k+1] == Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Disp(int32(32*k), am)} ||
+			k == 0 && code[1] == Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Ind(am)}) {
+		k++
+	}
+	dn = code[2*k+1].Src.Reg
+	const regs = MovemCopyRegs
+	if k == 0 || an == am || regs>>(8+an)&1|regs>>(8+am)&1|regs>>dn&1 != 0 ||
+		code[2*k] != (Instr{Op: LEA, Src: Disp(int32(32*k), am), Dst: A(am)}) ||
+		code[2*k+1] != (Instr{Op: DBRA, Src: D(dn), Dst: Abs(pc)}) {
+		return 0, 0, 0, 0
+	}
+	return k, an, am, dn
+}
+
+// copyLoop is the handler of the copy loop copyLoopShape found at pc,
+// body its slots after the head. It runs a whole pass, the groups, the
+// LEA and the DBRA, as one host copy and leaves registers, memory, PC,
+// Instrs, Cycles and MemRefs as the instructions' own handlers would. A
+// pass that could end at or past the horizon (its DBRA's costlier
+// outcome), that touches anything but RAM the current state may use, or
+// whose blocks overlap runs head, the first MOVEM's own body, instead.
+// Either way it counts once a pass.
+func copyLoop(pc uint32, body []Instr, an, am, dn uint8, head runFn) runFn {
+	after := uint32(len(body)) // captured as a value: body lies in Code
+	n, refs, exit := 16*(after-1), 8*int(after-1), pc+after+1
+	var rest uint64 // the base cost of the slots after the head
+	for i := range body {
+		rest += baseCost(&body[i])
+	}
+	be := binary.BigEndian
+	return func(m *Machine) error {
+		src, dst := m.A[an], m.A[am]
+		if m.Cycles+rest+uint64(refs)*m.memCost()+cycDBRAExit-cycReg >= m.horizon ||
+			!m.ramBlock(src, n) || !m.ramBlock(dst, n) || src < dst+n && dst < src+n {
+			m.CollapseFallbacks++
+			return head(m)
+		}
+		copy(m.Mem[dst:dst+n], m.Mem[src:src+n])
+		g := (*[32]byte)(m.Mem[dst+n-32:]) // the last group stays in the registers
+		m.D[3] = be.Uint32(g[0:])
+		m.D[4] = be.Uint32(g[4:])
+		m.D[5] = be.Uint32(g[8:])
+		m.D[6] = be.Uint32(g[12:])
+		m.D[7] = be.Uint32(g[16:])
+		m.A[3] = be.Uint32(g[20:])
+		m.A[4] = be.Uint32(g[24:])
+		m.A[5] = be.Uint32(g[28:])
+		m.A[an], m.A[am] = src+n, dst+n
+		m.Instrs += uint64(after)
+		m.Cycles += rest
+		m.chargeMem(refs)
+		m.CollapsedPasses++
+		m.D[dn]--
+		if m.D[dn] != 0xffff_ffff {
+			m.Cycles += cycDBRATaken - cycReg
+			m.PC = pc
+		} else {
+			m.Cycles += cycDBRAExit - cycReg
+			m.PC = exit
+		}
+		return nil
+	}
+}
+
+// CopyLoopAt translates the slot at pc if it is cold, as its first fetch
+// would, and returns the groups a pass moves when the translation
+// collapses a copy loop (copyLoop), or 0.
+func (m *Machine) CopyLoopAt(pc uint32) int {
+	e := &m.xcache[pc]
+	if e.run == nil {
+		m.translate(pc, e)
+	}
+	return max(int(e.span)-2, 0) / 2
 }

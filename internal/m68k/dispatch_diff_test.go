@@ -49,25 +49,31 @@ func TestDispatchMatchesExec(t *testing.T) {
 		return o
 	}
 
-	newPair := func() (*Machine, *Machine) {
-		a := New(Config{MemSize: 0x10000})
-		for i := range a.D {
-			a.D[i] = rng.Uint32()
+	// One pair of machines serves every case, reset in place to the
+	// state two fresh ones would start in: fresh 64 KB machines per case
+	// spent half the test clearing and collecting memory.
+	ma, mb := New(Config{MemSize: 0x10000}), New(Config{MemSize: 0x10000})
+	fresh := *ma
+	resetPair := func() {
+		for _, m := range []*Machine{ma, mb} {
+			mem, code, xc := m.Mem, m.Code[:0], m.xcache[:0]
+			*m = fresh
+			m.Mem, m.Code, m.xcache = mem, code, xc
+		}
+		clear(ma.Mem)
+		for i := range ma.D {
+			ma.D[i] = rng.Uint32()
 			// Address registers point into a safe middle of memory so
 			// indirect modes mostly hit valid addresses (invalid ones
 			// are fine too: both machines must fault identically).
-			a.A[i] = 0x4000 + rng.Uint32()%0x800
+			ma.A[i] = 0x4000 + rng.Uint32()%0x800
 		}
-		a.A[7] = 0x8000
+		ma.A[7] = 0x8000
 		for i := 0; i < 0x1000; i++ {
-			a.Poke(0x4000+uint32(i*4), 4, rng.Uint32())
+			ma.Poke(0x4000+uint32(i*4), 4, rng.Uint32())
 		}
-		b := New(Config{MemSize: 0x10000})
-		b.D, b.A = a.D, a.A
-		b.SR = a.SR
-		copy(b.Mem, a.Mem)
-		b.Cycles, b.MemRefs = a.Cycles, a.MemRefs
-		return a, b
+		mb.D, mb.A = ma.D, ma.A
+		copy(mb.Mem, ma.Mem)
 	}
 
 	for iter := 0; iter < 20000; iter++ {
@@ -94,7 +100,7 @@ func TestDispatchMatchesExec(t *testing.T) {
 			}
 		}
 
-		ma, mb := newPair()
+		resetPair()
 		// Randomize flags; sometimes set N/Z/V/C to exercise branches.
 		sr := uint16(rng.Intn(32))
 		ma.SR, mb.SR = sr, sr

@@ -76,6 +76,9 @@ func (m *Machine) step() error {
 		m.Trace.Record(pc, m.Code[pc], m.Cycles)
 	}
 	traced := m.SR&FlagT != 0
+	// A collapsed copy loop runs a pass only below the horizon: zeroed,
+	// it keeps a Step one instruction, under a Probe and a trace ring too.
+	m.horizon = 0
 	if err := run(m); err != nil {
 		var bf *BusFault
 		if errors.As(err, &bf) {

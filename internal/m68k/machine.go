@@ -211,6 +211,9 @@ type Machine struct {
 	// service, which may have written SR, Probe or Trace directly.
 	// HALT and a double fault end Run with an error, and Run recomputes
 	// on entry, which covers whatever the host did between two calls.
+	// Step zeroes it before it runs a handler, so the one handler that
+	// reads it, a collapsed copy loop's head (dispatch.go), runs a whole
+	// pass only inside Run's fast loop.
 	horizon uint64
 
 	// xcache is the threaded-code translation cache, one entry per
@@ -233,6 +236,12 @@ type Machine struct {
 	Translations uint64
 	SlowInstrs   uint64
 	SlowSteps    uint64
+
+	// Passes of a copy loop the dispatcher ran as one host copy, and
+	// passes whose head ran its own MOVEM body instead (dispatch.go's
+	// copyLoop): one count a pass, never one an instruction.
+	CollapsedPasses   uint64
+	CollapseFallbacks uint64
 
 	Marks []Mark // the counters' readings at each SvcMark, in order
 }
@@ -620,13 +629,20 @@ func (m *Machine) SetCode(addr uint32, code []Instr) {
 // instruction.
 func (m *Machine) PatchCode(addr uint32, in Instr) {
 	m.Code[addr] = in
-	m.xcache[addr] = xent{}
+	m.invalidateCode(addr, 1)
 }
 
 // invalidateCode clears the translation cache lines covering
-// [addr, addr+n).
+// [addr, addr+n), and those of the copy-loop heads whose span could
+// reach into them, collapsed or not, so that whether a head collapses
+// always follows the code after it now (dispatch.go's copyLoopShape).
 func (m *Machine) invalidateCode(addr uint32, n int) {
 	clear(m.xcache[addr : addr+uint32(n)])
+	for h := addr - min(addr, 2*maxCopyGroups+1); h < addr; h++ {
+		if in := &m.Code[h]; in.Op == MOVEM && in.Mask == MovemCopyRegs && in.Dir == 1 {
+			m.xcache[h] = xent{}
+		}
+	}
 }
 
 // Emit appends code at the end of code space and returns its address.

@@ -415,28 +415,45 @@ func TestEmittedMovemsHaveBodies(t *testing.T) {
 	}
 }
 
-// TestBlockCopyLoopsCollapse: both loops of kio.block_copy, the pass
-// of eight groups and the leftover loop of one, are the shape the
-// dispatcher runs a pass of as one host copy (m68k's copyLoop), so an
-// edit to emitBlockGroups that breaks the shape fails here rather than
-// silently costing file_rw its copy speed.
+// TestBlockCopyLoopsCollapse: every copy loop kio emits is a shape the
+// dispatcher runs a pass of as one host copy (m68k's copyLoop):
+// kio.block_copy's pass of eight groups and leftover loop of one, the
+// summing form's group loop in a socket's send and in the receive
+// handler's deposit, and the long form's in a socket's receive and a
+// /proc read. An edit to a template that breaks a shape fails here
+// rather than silently costing file_rw or sock_echo its copy speed.
 func TestBlockCopyLoopsCollapse(t *testing.T) {
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
 	log := logRegions(k)
-	kio.Install(k)
-	var groups []int
+	io := kio.Install(k)
+	th := k.SpawnKernel("main", k.C.Synthesize(nil, "main", nil, exitSeq))
+	if io.OpenSocket(th, 5, 9) < 0 || io.Open(th, kio.ProcMetricsPath) < 0 {
+		t.Fatal("an open failed")
+	}
+	// Each routine's collapsed heads, named by the head's opcode and the
+	// bytes a pass moves.
+	got := map[string][]string{}
 	for i, name := range log.names {
-		if name != "kio.block_copy" {
-			continue
+		if strings.HasPrefix(name, "kio.sock") {
+			name = "kio.sockN" + name[strings.LastIndexByte(name, '.'):]
 		}
+		got[name] = nil // the last routine registered under the name
 		for pc := log.spans[i][0]; pc < log.spans[i][1]; pc++ {
-			if g := k.M.CopyLoopAt(pc); g > 0 {
-				groups = append(groups, g)
+			if n := k.M.CopyLoopAt(pc); n > 0 {
+				got[name] = append(got[name], fmt.Sprintf("%s %d", k.M.Code[pc].Op, n))
 			}
 		}
 	}
-	if !slices.Equal(groups, []int{8, 1}) {
-		t.Errorf("kio.block_copy's collapsed loop heads move %v groups a pass, want [8 1]", groups)
+	for name, want := range map[string][]string{
+		"kio.block_copy": {"movem 256", "movem 32"},
+		"kio.sockN.send": {"movem 32"},
+		"kio.net_intr":   {"movem 32"},
+		"kio.sockN.recv": {"move 32"},
+		"kio.proc.read":  {"move 32"},
+	} {
+		if !slices.Equal(got[name], want) {
+			t.Errorf("%s's collapsed loop heads are %q, want %q", name, got[name], want)
+		}
 	}
 }
 
@@ -496,5 +513,46 @@ func TestBlockCopySharedOnce(t *testing.T) {
 	}
 	if perOpen != 8 {
 		t.Errorf("%d file and pipe routines synthesized, want 8", perOpen)
+	}
+}
+
+// TestEchoCopiesCollapse bounces a 64-byte datagram between two
+// loopback sockets 300 times under Run, with no Probe and no trace ring,
+// and wants at most 5 % of the copy passes to run their instructions one
+// at a time: an echo's two sends, two deposits and two receives each
+// copy two 32-byte groups through a loop the dispatcher collapses, and
+// a horizon or quantum change that made those passes fall back would
+// cost sock_echo its copy speed and fail no other test.
+func TestEchoCopiesCollapse(t *testing.T) {
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
+	kio.Install(k)
+	const echoes, n = 300, 64
+	const res, abuf, bbuf = 0x9000, 0x9300, 0x9700
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		emitSock(e, 5, 9) // fd 0
+		emitSock(e, 9, 5) // fd 1
+		e.MoveL(m68k.Imm(echoes), m68k.D(5))
+		e.Label("echo")
+		for _, leg := range []struct {
+			trap uint8
+			buf  int32
+		}{{kernel.TrapWrite + 0, abuf}, {kernel.TrapRead + 1, bbuf}, {kernel.TrapWrite + 1, bbuf}, {kernel.TrapRead + 0, abuf}} {
+			e.MoveL(m68k.Imm(leg.buf), m68k.D(1))
+			e.MoveL(m68k.Imm(n), m68k.D(2))
+			e.Trap(leg.trap)
+			e.AddL(m68k.D(0), m68k.Abs(res))
+		}
+		e.SubL(m68k.Imm(1), m68k.D(5))
+		e.Bne("echo")
+		exitSeq(e)
+	})
+	run(t, k, k.SpawnKernel("main", prog), 200_000_000)
+	if got := k.M.Peek(res, 4); got != 4*echoes*n {
+		t.Fatalf("the echoes moved %d bytes, want %d", got, 4*echoes*n)
+	}
+	passes, fell := k.M.CollapsedPasses, k.M.CollapseFallbacks
+	if passes+fell != 12*echoes || 20*fell > passes {
+		t.Errorf("%d copy passes collapsed and %d fell back, want %d in all and at most 5 %% falling back",
+			passes, fell, 12*echoes)
 	}
 }

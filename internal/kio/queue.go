@@ -94,7 +94,10 @@ const longCopy, blockCopy, sumCopy, copyRegs = 0, 1, 2, m68k.MovemCopyRegs
 // a socket's read (two groups at 64 bytes), A/D elements (one) and
 // /proc reads keep the long form, and pass groups 0, as the summing
 // form does. Every form keeps its long-word and byte tail inline, so a
-// copy shorter than a group pays no call.
+// copy shorter than a group pays no call. On the host all three group
+// loops collapse, a pass run as one copy (m68k's copyLoop), so host time
+// does not tell the forms apart; the choice between them stays priced
+// in guest cycles alone.
 //
 // The summing form is Clark and Tennenhouse's integrated
 // copy-and-checksum, taken by the send that stages a datagram and the

@@ -2,16 +2,19 @@ package m68k
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"unsafe"
 )
 
 // The copy-loop collapse (dispatch.go's copyLoop) is held to the step
-// path here: a program moving 608 bytes through kio.block_copy's two
-// loops, two passes of eight groups and three of one, runs under Run,
-// where hot heads collapse, and under Step, where none does, and the two
-// must leave the same registers, PC, SR, counters, memory (the copy and
-// the handlers' cells) and device accesses.
+// path here, in each of the three forms kio emits: a program moving 608
+// bytes through kio.block_copy's two loops, two passes of eight groups
+// and three of one, or 160 bytes in five passes of emitCopy's summing or
+// long form, runs under Run, where hot heads collapse, and under Step,
+// where none does, and the two must leave the same registers, PC, SR,
+// counters, memory (the copy and the handlers' cells) and device
+// accesses.
 
 const (
 	clMem      = 0x4000 // RAM
@@ -24,6 +27,47 @@ const (
 	clULimit   = 0x2400
 	clIRQLevel = 5
 )
+
+// clForm is one of the copy loops kio emits.
+type clForm int
+
+const (
+	clMovem clForm = iota // kio.block_copy's: MOVEM groups, a LEA and a DBRA
+	clSum                 // emitCopy's summing pass: one MOVEM group added into Ds, a LEA and a DBRA
+	clLong                // emitCopy's long pass: eight MOVE.L (An)+,(Am)+ and a DBRA
+)
+
+var clForms = []struct {
+	name string
+	form clForm
+}{{"movem", clMovem}, {"sum", clSum}, {"long", clLong}}
+
+// clPass is a pass of form f headed at head, from (An)+ to (Am), counted
+// in Dn; the summing form adds into Ds and a MOVEM pass moves groups.
+func clPass(f clForm, head uint32, groups int32, an, am, dn, ds uint8) []Instr {
+	if f == clLong {
+		return append(slices.Repeat([]Instr{{Op: MOVE, Sz: 4, Src: PostInc(an), Dst: PostInc(am)}}, 8),
+			Instr{Op: DBRA, Src: D(dn), Dst: Abs(head)})
+	}
+	var p []Instr
+	for i := int32(0); i < groups; i++ {
+		st := Disp(32*i, am)
+		if i == 0 {
+			st = Ind(am)
+		}
+		p = append(p,
+			Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(an)},
+			Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: st})
+	}
+	if f == clSum {
+		for _, r := range []Operand{D(3), D(4), D(5), D(6), D(7), A(3), A(4), A(5)} {
+			p = append(p, Instr{Op: ADD, Sz: 4, Src: r, Dst: D(ds)})
+		}
+	}
+	return append(p,
+		Instr{Op: LEA, Src: Disp(32*groups, am), Dst: A(am)},
+		Instr{Op: DBRA, Src: D(dn), Dst: Abs(head)})
+}
 
 // clWindow is a device window inside RAM that records its accesses.
 type clWindow struct{ n, sum uint32 }
@@ -59,22 +103,27 @@ func (a *clAlarm) Tick(t uint64) (int, uint64) {
 	return a.level, 0
 }
 
-// clCase is where the copy runs.
+// clCase is what the copy runs and where.
 type clCase struct {
 	name     string
+	form     clForm
 	src, dst uint32
 	window   bool // the device window is attached
 	user     bool // user state, inside [clUBase, clULimit)
+	// payload: the source's last long is last, and D2 holds old just
+	// before the summing form adds it
+	payload   bool
+	last, old uint32
 }
 
 // clRig is one machine holding the program, and what it ran.
 type clRig struct {
-	m            *Machine
-	alarm        *clAlarm
-	window       *clWindow
-	entry        uint32
-	head8, head1 uint32 // the two loop heads
-	start        uint64 // Cycles when the measured run began
+	m      *Machine
+	alarm  *clAlarm
+	window *clWindow
+	entry  uint32
+	heads  []uint32 // the loop heads, kio.block_copy's pass of eight groups first
+	start  uint64   // Cycles when the measured run began
 }
 
 // clOutcome is what a run must leave the same under Run and Step.
@@ -106,32 +155,38 @@ func newCopyRig(c clCase) *clRig {
 		Instr{Op: ADD, Src: A(1), Dst: Abs(clIRQCell + 8)})
 	handler(VecBusError, clBusCell, Instr{Op: ADD, Src: Disp(4, 7), Dst: Abs(clBusCell + 4)})
 
-	const regs = MovemCopyRegs
-	load := Instr{Op: MOVEM, Mask: regs, Dir: 1, Src: PostInc(0)}
+	n, sum := uint32(5*32), uint32(0) // the bytes copied; D2 before the summing form's first add
+	if c.form == clMovem {
+		n = 608
+	}
+	if c.payload {
+		m.Poke(c.src+n-4, 4, c.last)
+		sum = c.old
+		for a := c.src; a < c.src+n-4; a += 4 {
+			sum -= m.Peek(a, 4)
+		}
+	}
 	r.entry = m.CodeTop
 	prog := []Instr{
 		{Op: MOVE, Src: Imm(int32(c.src)), Dst: A(0)},
 		{Op: MOVE, Src: Imm(int32(c.dst)), Dst: A(1)},
-		{Op: MOVE, Src: Imm(2 - 1), Dst: D(0)},
+		{Op: MOVE, Src: Imm(int32(sum)), Dst: D(2)},
+		{Op: MOVE, Src: Imm(-1), Dst: D(1)},
+		{Op: ADD, Src: Imm(1), Dst: D(1)}, // X set, for the long form to keep
 	}
-	r.head8 = r.entry + uint32(len(prog))
-	for i := int32(0); i < 8; i++ {
-		st := Disp(32*i, 1)
-		if i == 0 {
-			st = Ind(1)
-		}
-		prog = append(prog, load, Instr{Op: MOVEM, Mask: regs, Dst: st})
+	loop := func(passes, groups int32) {
+		prog = append(prog, Instr{Op: MOVE, Src: Imm(passes - 1), Dst: D(0)})
+		head := r.entry + uint32(len(prog))
+		r.heads = append(r.heads, head)
+		prog = append(prog, clPass(c.form, head, groups, 0, 1, 0, 2)...)
 	}
-	prog = append(prog,
-		Instr{Op: LEA, Src: Disp(256, 1), Dst: A(1)},
-		Instr{Op: DBRA, Src: D(0), Dst: Abs(r.head8)},
-		Instr{Op: MOVE, Src: Imm(3 - 1), Dst: D(0)})
-	r.head1 = r.entry + uint32(len(prog))
-	m.Emit(append(prog, load,
-		Instr{Op: MOVEM, Mask: regs, Dst: Ind(1)},
-		Instr{Op: LEA, Src: Disp(32, 1), Dst: A(1)},
-		Instr{Op: DBRA, Src: D(0), Dst: Abs(r.head1)},
-		Instr{Op: HALT}))
+	if c.form == clMovem {
+		loop(2, 8)
+		loop(3, 1)
+	} else {
+		loop(5, 1)
+	}
+	m.Emit(append(prog, Instr{Op: HALT}))
 
 	m.SR, m.A[7], m.SSP = FlagS, clSSP, clSSP
 	if c.user {
@@ -205,132 +260,188 @@ func clRun(t *testing.T, c clCase, prepare func(r *clRig)) [2]*clRig {
 	return rigs
 }
 
-// TestCopyLoopMatchesSteps runs the copy program where a pass collapses
-// (apart and adjacent blocks), where it must not because a block
-// straddles devFloor, the end of Mem or the quaspace limit (and a group
-// faults on the same instruction both ways) or the blocks overlap, and
-// then with an interrupt posted at every cycle of the run up to its
-// HALT, across both eight-group passes, and with a bare device event due
-// there.
+// TestCopyLoopMatchesSteps runs the copy program in each form where a
+// pass collapses (apart and adjacent blocks), where it must not because
+// a block straddles devFloor, the end of Mem or the quaspace limit (and
+// a pass faults on the same instruction both ways) or the blocks
+// overlap, and with payloads that leave each of X and C, V, Z and N set
+// and clear after the summing form's last add, and the long form's last
+// long zero, negative and positive. Then it posts an interrupt at every
+// cycle of the run up to its HALT, across every pass, and puts a bare
+// device event due there.
 func TestCopyLoopMatchesSteps(t *testing.T) {
-	for _, c := range []struct {
-		clCase
-		collapses, faults bool
-	}{
-		{clCase{name: "apart", src: 0x1000, dst: 0x2000}, true, false},
-		{clCase{name: "adjacent", src: 0x1000, dst: 0x1100}, true, false},
-		{clCase{name: "dst across devFloor", src: 0x1000, dst: clDevBase - 0x90, window: true}, false, false},
-		{clCase{name: "src across devFloor", src: clDevBase - 0x90, dst: 0x1000, window: true}, false, false},
-		{clCase{name: "dst across the end of Mem", src: 0x1000, dst: clMem - 0x90}, false, true},
-		{clCase{name: "src across the end of Mem", src: clMem - 0x90, dst: 0x1000}, false, true},
-		{clCase{name: "dst across the quaspace limit", src: 0x1000, dst: clULimit - 0x90, user: true}, false, true},
-		{clCase{name: "src across the quaspace limit", src: clULimit - 0x90, dst: 0x1000, user: true}, false, true},
-		{clCase{name: "overlapping, dst above", src: 0x1000, dst: 0x1040}, false, false},
-		{clCase{name: "overlapping, dst below", src: 0x1040, dst: 0x1000}, false, false},
-	} {
-		run := clRun(t, c.clCase, nil)[0]
-		m := run.m
-		if c.collapses && (m.CollapsedPasses != 5 || m.CollapseFallbacks != 0) {
-			t.Errorf("%s: %d passes collapsed and %d fell back, want 5 and 0", c.name, m.CollapsedPasses, m.CollapseFallbacks)
+	const xnzvc = FlagX | FlagN | FlagZ | FlagV | FlagC
+	for _, f := range clForms {
+		adjacent := uint32(0x20) // a pass's length
+		if f.form == clMovem {
+			adjacent = 0x100
 		}
-		if !c.collapses && m.CollapseFallbacks == 0 {
-			t.Errorf("%s: no pass fell back", c.name)
+		cases := []struct {
+			clCase
+			collapses, faults bool
+			flags             uint16 // X, N, Z, V and C at the HALT, with a payload
+		}{
+			{clCase{name: "apart", src: 0x1000, dst: 0x2000}, true, false, 0},
+			{clCase{name: "adjacent", src: 0x1000, dst: 0x1000 + adjacent}, true, false, 0},
+			{clCase{name: "dst across devFloor", src: 0x1000, dst: clDevBase - 0x90, window: true}, false, false, 0},
+			{clCase{name: "src across devFloor", src: clDevBase - 0x90, dst: 0x1000, window: true}, false, false, 0},
+			{clCase{name: "dst across the end of Mem", src: 0x1000, dst: clMem - 0x90}, false, true, 0},
+			{clCase{name: "src across the end of Mem", src: clMem - 0x90, dst: 0x1000}, false, true, 0},
+			{clCase{name: "dst across the quaspace limit", src: 0x1000, dst: clULimit - 0x90, user: true}, false, true, 0},
+			{clCase{name: "src across the quaspace limit", src: clULimit - 0x90, dst: 0x1000, user: true}, false, true, 0},
+			{clCase{name: "overlapping, dst above", src: 0x1000, dst: 0x1010}, false, false, 0},
+			{clCase{name: "overlapping, dst below", src: 0x1010, dst: 0x1000}, false, false, 0},
 		}
-		if faults := m.Peek(clBusCell, 4); c.faults != (faults != 0) {
-			t.Errorf("%s: %d bus errors", c.name, faults)
+		payload := func(name string, last, old uint32, flags uint16) {
+			cases = append(cases, struct {
+				clCase
+				collapses, faults bool
+				flags             uint16
+			}{clCase{name: name, src: 0x1000, dst: 0x2000, payload: true, last: last, old: old}, true, false, flags})
 		}
-		if c.window != (run.window.n != 0) {
-			t.Errorf("%s: %d device accesses", c.name, run.window.n)
+		switch f.form {
+		case clSum:
+			payload("no flag", 1, 1, 0)
+			payload("N and V", 1, 0x7fff_ffff, FlagN|FlagV)
+			payload("X and C", 2, 0xffff_ffff, FlagX|FlagC)
+			payload("X, Z, V and C", 0x8000_0000, 0x8000_0000, FlagX|FlagZ|FlagV|FlagC)
+			payload("N", 1, 0xffff_fff0, FlagN)
+		case clLong: // the prologue's add leaves X set, and a MOVE keeps it
+			payload("last long zero", 0, 0, FlagX|FlagZ)
+			payload("last long negative", 0x8000_0000, 0, FlagX|FlagN)
+			payload("last long positive", 5, 0, FlagX)
 		}
-	}
+		for _, c := range cases {
+			c.form, c.name = f.form, f.name+": "+c.name
+			run := clRun(t, c.clCase, nil)[0]
+			m := run.m
+			if c.collapses && (m.CollapsedPasses != 5 || m.CollapseFallbacks != 0) {
+				t.Errorf("%s: %d passes collapsed and %d fell back, want 5 and 0", c.name, m.CollapsedPasses, m.CollapseFallbacks)
+			}
+			if !c.collapses && m.CollapseFallbacks == 0 {
+				t.Errorf("%s: no pass fell back", c.name)
+			}
+			if faults := m.Peek(clBusCell, 4); c.faults != (faults != 0) {
+				t.Errorf("%s: %d bus errors", c.name, faults)
+			}
+			if c.window != (run.window.n != 0) {
+				t.Errorf("%s: %d device accesses", c.name, run.window.n)
+			}
+			if c.payload && m.SR&xnzvc != c.flags {
+				t.Errorf("%s: the flags are %05b, want %05b", c.name, m.SR&xnzvc, c.flags)
+			}
+		}
 
-	apart := clCase{name: "apart", src: 0x1000, dst: 0x2000}
-	ref := clRun(t, apart, nil)[0]
-	span := ref.m.Cycles - ref.start // the whole measured run
-	var collapsed, fellBack, taken uint64
-	for _, level := range []int{clIRQLevel, 0} {
-		for at := uint64(0); at+2 <= span; at++ { // due before the HALT
-			rigs := clRun(t, apart, func(r *clRig) {
-				r.alarm.at, r.alarm.level, r.alarm.armed = r.m.Cycles+at, level, true
-				r.m.Kick(r.alarm)
-			})
-			collapsed += rigs[0].m.CollapsedPasses
-			fellBack += rigs[0].m.CollapseFallbacks
-			taken += uint64(rigs[0].m.Peek(clIRQCell, 4))
+		apart := clCase{name: f.name + ": apart", form: f.form, src: 0x1000, dst: 0x2000}
+		ref := clRun(t, apart, nil)[0]
+		span := ref.m.Cycles - ref.start // the whole measured run
+		var collapsed, fellBack, taken uint64
+		for _, level := range []int{clIRQLevel, 0} {
+			for at := uint64(0); at+2 <= span; at++ { // due before the HALT
+				rigs := clRun(t, apart, func(r *clRig) {
+					r.alarm.at, r.alarm.level, r.alarm.armed = r.m.Cycles+at, level, true
+					r.m.Kick(r.alarm)
+				})
+				collapsed += rigs[0].m.CollapsedPasses
+				fellBack += rigs[0].m.CollapseFallbacks
+				taken += uint64(rigs[0].m.Peek(clIRQCell, 4))
+			}
 		}
-	}
-	if collapsed == 0 || fellBack == 0 || taken != span-1 {
-		t.Errorf("over the sweep %d passes collapsed, %d fell back and %d interrupts were taken; want some, some and %d",
-			collapsed, fellBack, taken, span-1)
+		if collapsed == 0 || fellBack == 0 || taken != span-1 {
+			t.Errorf("%s: over the sweep %d passes collapsed, %d fell back and %d interrupts were taken; want some, some and %d",
+				f.name, collapsed, fellBack, taken, span-1)
+		}
 	}
 }
 
-// TestCopyLoopPatchInvalidatesHead patches each slot of the eight-group
-// loop's span after its head is hot, runs the program again and wants
-// what Step runs; then puts the slot back and wants the head to collapse
-// again. A patch outside the span leaves the head's translation alone.
+// TestCopyLoopPatchInvalidatesHead patches each slot of the first loop's
+// span in each form after its head is hot, runs the program again and
+// wants what Step runs; then puts the slot back and wants the head to
+// collapse again. A patch outside the span leaves the head's translation
+// alone.
 func TestCopyLoopPatchInvalidatesHead(t *testing.T) {
-	apart := clCase{name: "apart", src: 0x1000, dst: 0x2000}
-	probe := newCopyRig(apart)
-	for slot := probe.head8; slot < probe.head8+18; slot++ {
-		c := apart
-		c.name = "patched " + probe.m.Code[slot].String()
-		var orig Instr
-		patch := func(r *clRig) {
-			orig = r.m.Code[slot]
-			alt := orig
-			switch orig.Op {
-			case MOVEM:
-				alt.Mask &^= 1 << 3 // D3 left out
-			case LEA:
-				alt.Src.Imm += 32
-			case DBRA:
-				alt.Dst.Imm += 2 // back to the second group
-			}
-			r.m.PatchCode(slot, alt)
+	for _, f := range clForms {
+		apart := clCase{name: f.name, form: f.form, src: 0x1000, dst: 0x2000}
+		probe := newCopyRig(apart)
+		head := probe.heads[0]
+		groups, want := int32(1), []int{32} // the bytes a pass of each loop moves
+		if f.form == clMovem {
+			groups, want = 8, []int{256, 32}
 		}
-		for _, r := range clRun(t, c, patch) {
-			if r.m.CopyLoopAt(r.head8) != 0 {
-				t.Fatalf("%s: the head still collapses", c.name)
+		span := uint32(len(clPass(f.form, head, groups, 0, 1, 0, 2)))
+		for slot := head; slot < head+span; slot++ {
+			c := apart
+			c.name = f.name + ": patched " + probe.m.Code[slot].String()
+			var orig Instr
+			patch := func(r *clRig) {
+				orig = r.m.Code[slot]
+				alt := orig
+				switch orig.Op {
+				case MOVEM:
+					alt.Mask &^= 1 << 3 // D3 left out
+				case ADD, MOVE:
+					alt.Sz = 2
+				case LEA:
+					alt.Src.Imm += 32
+				case DBRA:
+					alt.Dst.Imm += 2 // back to the second group or long
+				}
+				r.m.PatchCode(slot, alt)
 			}
-			r.m.PatchCode(slot, orig)
-			r.run(t, clLoops[0].drive)
-			r.m.CollapsedPasses = 0
-			r.run(t, clLoops[0].drive)
-			if r.m.CollapsedPasses != 5 {
-				t.Errorf("%s, then put back: %d passes collapsed, want 5", c.name, r.m.CollapsedPasses)
+			for _, r := range clRun(t, c, patch) {
+				if r.m.CopyLoopAt(head) != 0 {
+					t.Fatalf("%s: the head still collapses", c.name)
+				}
+				r.m.PatchCode(slot, orig)
+				r.run(t, clLoops[0].drive)
+				r.m.CollapsedPasses = 0
+				r.run(t, clLoops[0].drive)
+				if r.m.CollapsedPasses != 5 {
+					t.Errorf("%s, then put back: %d passes collapsed, want 5", c.name, r.m.CollapsedPasses)
+				}
 			}
 		}
-	}
-	// The slots just before and just after the span.
-	r := newCopyRig(apart)
-	r.run(t, clLoops[0].drive)
-	tr := r.m.Translations
-	r.m.PatchCode(r.head8-1, r.m.Code[r.head8-1])
-	r.m.PatchCode(r.head8+18, r.m.Code[r.head8+18])
-	if r.m.CopyLoopAt(r.head8) != 8 || r.m.CopyLoopAt(r.head1) != 1 || r.m.Translations != tr {
-		t.Error("a patch outside the span retranslated its head")
+		// The slots just before and just after the span.
+		r := newCopyRig(apart)
+		r.run(t, clLoops[0].drive)
+		var bytes []int
+		for _, h := range r.heads {
+			bytes = append(bytes, r.m.CopyLoopAt(h))
+		}
+		tr := r.m.Translations
+		r.m.PatchCode(head-1, r.m.Code[head-1])
+		r.m.PatchCode(head+span, r.m.Code[head+span])
+		for i, h := range r.heads {
+			if r.m.CopyLoopAt(h) != bytes[i] || r.m.Translations != tr {
+				t.Errorf("%s: a patch outside the span retranslated its head", f.name)
+			}
+		}
+		if !slices.Equal(bytes, want) {
+			t.Errorf("%s: the heads move %v bytes a pass, want %v", f.name, bytes, want)
+		}
 	}
 }
 
 // TestStepRunsOneInstructionPastAHotHead: a Step after a Run, which
 // leaves its horizon behind, runs a hot head as one instruction.
 func TestStepRunsOneInstructionPastAHotHead(t *testing.T) {
-	r := newCopyRig(clCase{name: "apart", src: 0x1000, dst: 0x2000})
-	r.run(t, clLoops[0].drive)
-	r.run(t, clLoops[0].drive)
-	if r.m.CollapsedPasses == 0 {
-		t.Fatal("nothing collapsed")
-	}
-	r.m.ClearHalt()
-	r.m.PC = r.entry
-	for r.m.PC != r.head8+1 {
-		i0 := r.m.Instrs
-		if err := r.m.Step(); err != nil {
-			t.Fatal(err)
+	for _, f := range clForms {
+		r := newCopyRig(clCase{name: f.name, form: f.form, src: 0x1000, dst: 0x2000})
+		r.run(t, clLoops[0].drive)
+		r.run(t, clLoops[0].drive)
+		if r.m.CollapsedPasses == 0 {
+			t.Fatalf("%s: nothing collapsed", f.name)
 		}
-		if r.m.Instrs != i0+1 {
-			t.Fatalf("a Step at the copy program ran %d instructions", r.m.Instrs-i0)
+		r.m.ClearHalt()
+		r.m.PC = r.entry
+		for r.m.PC != r.heads[0]+1 {
+			i0 := r.m.Instrs
+			if err := r.m.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if r.m.Instrs != i0+1 {
+				t.Fatalf("%s: a Step at the copy program ran %d instructions", f.name, r.m.Instrs-i0)
+			}
 		}
 	}
 }
@@ -343,54 +454,58 @@ func TestXentSize(t *testing.T) {
 	}
 }
 
-// TestCopyLoopShapes: a head collapses only the loop copyLoopShape
-// describes, with its three registers apart from each other and from
-// the eight the groups load.
+// TestCopyLoopShapes: a head collapses only the three loops
+// copyLoopShape describes, with a MOVEM pass's registers apart from each
+// other and from the eight its groups load, and the summing form's adds
+// long and in memory order.
 func TestCopyLoopShapes(t *testing.T) {
+	swap := func(i, j int) func([]Instr) {
+		return func(p []Instr) { p[i], p[j] = p[j], p[i] }
+	}
 	for _, c := range []struct {
-		name       string
-		an, am, dn uint8
-		groups     int
-		first      Operand // the first store's destination; (Am) when none
-		lea        int32   // the LEA's displacement; 32 × groups when 0
-		back       uint32  // added to the DBRA's target
-		want       int
+		name           string
+		form           clForm
+		an, am, dn, ds uint8
+		groups         int32
+		edit           func([]Instr) // applied to the pass before it is emitted
+		want           int           // bytes a pass
 	}{
-		{name: "kio.block_copy's pass", an: 0, am: 1, dn: 0, groups: 8, want: 8},
-		{name: "its leftover loop", an: 0, am: 1, dn: 0, groups: 1, want: 1},
-		{name: "three groups, 0(Am) first", an: 2, am: 6, dn: 2, groups: 3, first: Disp(0, 6), want: 3},
-		{name: "nine groups", an: 0, am: 1, dn: 0, groups: 9},
-		{name: "An is Am", an: 1, am: 1, dn: 0, groups: 8},
-		{name: "An loaded", an: 3, am: 1, dn: 0, groups: 8},
-		{name: "Am loaded", an: 0, am: 5, dn: 0, groups: 8},
-		{name: "Dn loaded", an: 0, am: 1, dn: 4, groups: 8},
-		{name: "LEA short of the pass", an: 0, am: 1, dn: 0, groups: 8, lea: 224},
-		{name: "DBRA past the head", an: 0, am: 1, dn: 0, groups: 8, back: 2},
+		{name: "kio.block_copy's pass", am: 1, groups: 8, want: 256},
+		{name: "its leftover loop", am: 1, groups: 1, want: 32},
+		{name: "three groups, 0(Am) first", an: 2, am: 6, dn: 2, groups: 3,
+			edit: func(p []Instr) { p[1].Dst = Disp(0, 6) }, want: 96},
+		{name: "emitCopy's summing pass", form: clSum, am: 1, ds: 2, groups: 1, want: 32},
+		{name: "emitCopy's long pass", form: clLong, am: 1, want: 32},
+		{name: "a long pass of size 0", form: clLong, am: 1,
+			edit: func(p []Instr) { p[0].Sz = 0 }, want: 32},
+		{name: "nine groups", am: 1, groups: 9},
+		{name: "An is Am", an: 1, am: 1, groups: 8},
+		{name: "An loaded", an: 3, am: 1, groups: 8},
+		{name: "Am loaded", am: 5, groups: 8},
+		{name: "Dn loaded", am: 1, dn: 4, groups: 8},
+		{name: "LEA short of the pass", am: 1, groups: 8, edit: func(p []Instr) { p[16].Src.Imm = 224 }},
+		{name: "DBRA past the head", am: 1, groups: 8, edit: func(p []Instr) { p[17].Dst.Imm += 2 }},
+		{name: "summing: Ds loaded", form: clSum, am: 1, ds: 3, groups: 1},
+		{name: "summing: Ds is Dn", form: clSum, am: 1, ds: 0, groups: 1},
+		{name: "summing: An is Am", form: clSum, an: 1, am: 1, ds: 2, groups: 1},
+		{name: "summing: an ADD.W", form: clSum, am: 1, ds: 2, groups: 1, edit: func(p []Instr) { p[5].Sz = 2 }},
+		{name: "summing: A3 added before D7", form: clSum, am: 1, ds: 2, groups: 1, edit: swap(6, 7)},
+		{name: "summing: two groups", form: clSum, am: 1, ds: 2, groups: 2},
+		{name: "summing: DBRA past the head", form: clSum, am: 1, ds: 2, groups: 1, edit: func(p []Instr) { p[11].Dst.Imm += 2 }},
+		{name: "long: An is Am", form: clLong, an: 1, am: 1},
+		{name: "long: a MOVE.W", form: clLong, am: 1, edit: func(p []Instr) { p[3].Sz = 2 }},
+		{name: "long: another register", form: clLong, am: 1, edit: func(p []Instr) { p[7].Dst.Reg = 2 }},
+		{name: "long: DBRA past the head", form: clLong, am: 1, edit: func(p []Instr) { p[8].Dst.Imm += 2 }},
 	} {
 		m := New(Config{MemSize: 0x1000})
 		head := m.CodeTop
-		var prog []Instr
-		for i := int32(0); i < int32(c.groups); i++ {
-			st := Disp(32*i, c.am)
-			if i == 0 {
-				st = Ind(c.am)
-				if c.first.Mode != ModeNone {
-					st = c.first
-				}
-			}
-			prog = append(prog,
-				Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(c.an)},
-				Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: st})
+		p := clPass(c.form, head, c.groups, c.an, c.am, c.dn, c.ds)
+		if c.edit != nil {
+			c.edit(p)
 		}
-		lea := c.lea
-		if lea == 0 {
-			lea = 32 * int32(c.groups)
-		}
-		m.Emit(append(prog,
-			Instr{Op: LEA, Src: Disp(lea, c.am), Dst: A(c.am)},
-			Instr{Op: DBRA, Src: D(c.dn), Dst: Abs(head + c.back)}))
+		m.Emit(p)
 		if got := m.CopyLoopAt(head); got != c.want {
-			t.Errorf("%s: the head collapses %d groups, want %d", c.name, got, c.want)
+			t.Errorf("%s: the head collapses %d bytes a pass, want %d", c.name, got, c.want)
 		}
 	}
 }

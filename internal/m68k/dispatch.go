@@ -20,18 +20,20 @@ import "encoding/binary"
 // interrupt point, and Run keeps it one with a single compare per
 // boundary — the clock against Machine.horizon, which whatever posts an
 // interrupt or moves a device event earlier zeroes (machine.go states
-// the rule). The one exception is a recognized copy loop (copyLoop):
-// kio.block_copy's pass of eight MOVEM groups, a LEA and a DBRA runs as
-// one host copy, Piumarta and Riccardi's selective inlining taken from
-// the handler pair to the whole pass. The collapse stays exact under
-// three conditions, or the head runs its own MOVEM body: the clock at
-// the pass's end stays below the horizon, so no event comes due at a
-// boundary inside it; both blocks are plain RAM the current state may
-// touch, so no access inside it could have faulted or reached a device;
-// and the blocks do not overlap, so one copy moves what the groups
-// would. Step zeroes the horizon, so under the profiler or a trace ring
-// every instruction is still one step. Straight-line blocks in general
-// were measured and do not pay (docs/PERFORMANCE.md).
+// the rule). The one exception is a recognized copy loop: one handler,
+// copyLoop, runs a pass of any of the three loops kio emits as one host
+// copy (kio.block_copy's MOVEM groups, emitCopy's summing pass, which
+// also adds the group into its checksum, and its long pass of eight
+// MOVE.L), Piumarta and Riccardi's selective inlining taken from the
+// handler pair to the whole pass. The collapse stays exact under three
+// conditions, or the head runs its own body: the clock at the pass's
+// end stays below the horizon, so no event comes due at a boundary
+// inside it; both blocks are plain RAM the current state may touch, so
+// no access inside it could have faulted or reached a device; and the
+// blocks do not overlap, so one copy moves what the instructions would.
+// Step zeroes the horizon, so under the profiler or a trace ring every
+// instruction is still one step. Straight-line blocks in general were
+// measured and do not pay (docs/PERFORMANCE.md).
 //
 // exec.go's switch is the ISA: complete, the only definition of every
 // instruction, and the fuzzer's oracle. The closures here are a cache
@@ -124,8 +126,9 @@ func (m *Machine) translate(pc uint32, e *xent) {
 	e.cost = baseCost(in)
 	e.op = in.Op
 	e.run, e.span = compile(in, pc), 0
-	if k, an, am, dn := copyLoopShape(m.Code, pc); k > 0 {
-		e.run, e.span = copyLoop(pc, m.Code[pc+1:pc+uint32(2*k+2)], an, am, dn, e.run), uint8(2*k+2)
+	if s := copyLoopShape(m.Code, pc); s.groups > 0 {
+		n := s.span()
+		e.run, e.span = copyLoop(pc, s, m.Code[pc+1:pc+n], e.run), uint8(n)
 	}
 }
 
@@ -1249,51 +1252,129 @@ func cMovem(in *Instr, pc uint32) runFn {
 
 // maxCopyGroups bounds the groups of a copy loop the dispatcher
 // collapses, and with it how far before a written slot invalidateCode
-// looks for a head whose span covers it.
+// looks for a head whose span covers it (copyReach).
 const maxCopyGroups = 8
 
-// copyLoopShape recognizes a copy loop headed at code[pc]: k groups, the
-// i-th MOVEM.L (An)+,D3-D7/A3-A5 then MOVEM.L D3-D7/A3-A5,32i(Am) (the
-// first to (Am)), then LEA 32k(Am),Am and DBRA Dn back to pc, with An,
-// Am and Dn apart from each other and from the registers the groups
-// load. It returns k, 0 for any other code, and the three registers.
-func copyLoopShape(code []Instr, pc uint32) (k int, an, am, dn uint8) {
-	ld := Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(code[pc].Src.Reg)}
-	code = code[pc:]
-	if len(code) < 4 || code[0] != ld {
-		return 0, 0, 0, 0
-	}
-	an, am = ld.Src.Reg, code[1].Dst.Reg
-	for k < maxCopyGroups && 2*k+3 < len(code) && code[2*k] == ld &&
-		(code[2*k+1] == Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Disp(int32(32*k), am)} ||
-			k == 0 && code[1] == Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Ind(am)}) {
-		k++
-	}
-	dn = code[2*k+1].Src.Reg
-	const regs = MovemCopyRegs
-	if k == 0 || an == am || regs>>(8+an)&1|regs>>(8+am)&1|regs>>dn&1 != 0 ||
-		code[2*k] != (Instr{Op: LEA, Src: Disp(int32(32*k), am), Dst: A(am)}) ||
-		code[2*k+1] != (Instr{Op: DBRA, Src: D(dn), Dst: Abs(pc)}) {
-		return 0, 0, 0, 0
-	}
-	return k, an, am, dn
+// copyShape is a copy loop copyLoopShape recognized: a pass moves groups
+// 32-byte groups from (An)+ to (Am) and counts down Dn. The zero
+// copyShape is no copy loop.
+type copyShape struct {
+	groups         uint32
+	long           bool // a group is eight MOVE.L (An)+,(Am)+, not a MOVEM pair
+	sum            bool // the pass adds its group into Ds
+	an, am, dn, ds uint8
 }
 
-// copyLoop is the handler of the copy loop copyLoopShape found at pc,
-// body its slots after the head. It runs a whole pass, the groups, the
-// LEA and the DBRA, as one host copy and leaves registers, memory, PC,
-// Instrs, Cycles and MemRefs as the instructions' own handlers would. A
-// pass that could end at or past the horizon (its DBRA's costlier
-// outcome), that touches anything but RAM the current state may use, or
-// whose blocks overlap runs head, the first MOVEM's own body, instead.
-// Either way it counts once a pass.
-func copyLoop(pc uint32, body []Instr, an, am, dn uint8, head runFn) runFn {
+// span is the slots a pass runs, its head included.
+func (s copyShape) span() uint32 {
+	switch {
+	case s.long:
+		return 9
+	case s.sum:
+		return 12
+	}
+	return 2*s.groups + 2
+}
+
+// copyReach is the most slots a copy loop headed by in could span, so a
+// write that far after in may change whether it collapses; 0 when in
+// heads none.
+func copyReach(in *Instr) uint32 {
+	switch {
+	case in.Op == MOVEM && in.Mask == MovemCopyRegs && in.Dir == 1:
+		return 2*maxCopyGroups + 2
+	case in.Op == MOVE && in.Src.Mode == ModePostInc && in.Dst.Mode == ModePostInc:
+		return 9
+	}
+	return 0
+}
+
+// copyLoopShape recognizes the three copy loops kio emits headed at
+// code[pc], each ending in DBRA Dn back to pc:
+//   - kio.block_copy's: k groups, the i-th MOVEM.L (An)+,D3-D7/A3-A5 then
+//     MOVEM.L D3-D7/A3-A5,32i(Am) (the first to (Am)), then LEA 32k(Am),Am;
+//   - emitCopy's summing pass: one such group, ADD.L D3-D7 then A3-A5
+//     into Ds in that order, then LEA 32(Am),Am;
+//   - emitCopy's long pass: eight MOVE.L (An)+,(Am)+.
+//
+// An and Am differ, and a MOVEM pass's An, Am, Dn and Ds are apart from
+// the registers its group loads and Ds from Dn. Any other code is the
+// zero copyShape.
+func copyLoopShape(code []Instr, pc uint32) copyShape {
+	code = code[pc:]
+	at := func(i uint32) Instr { // Sz 0 and 4 both read 4; past the end, nothing
+		if int(i) >= len(code) {
+			return Instr{}
+		}
+		c := code[i]
+		c.Sz = c.Size()
+		return c
+	}
+	is := func(i uint32, want Instr) bool {
+		want.Sz = want.Size()
+		return at(i) == want
+	}
+	s := copyShape{an: code[0].Src.Reg, am: code[0].Dst.Reg}
+	end := uint32(8) // the DBRA's slot
+	if code[0].Op == MOVE {
+		s.groups, s.long = 1, true
+		for i := range end {
+			if !is(i, Instr{Op: MOVE, Src: PostInc(s.an), Dst: PostInc(s.am)}) {
+				return copyShape{}
+			}
+		}
+	} else {
+		ld := Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(s.an)}
+		s.am = at(1).Dst.Reg
+		group := func(k uint32) bool {
+			st := Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Disp(int32(32*k), s.am)}
+			return is(2*k, ld) && (is(2*k+1, st) || k == 0 && is(1, Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Ind(s.am)}))
+		}
+		for s.groups < maxCopyGroups && group(s.groups) {
+			s.groups++
+		}
+		end = 2*s.groups + 1
+		if s.groups == 1 && at(2).Op == ADD {
+			s.sum, s.ds, end = true, at(2).Dst.Reg, 11
+			for i, r := range []Operand{D(3), D(4), D(5), D(6), D(7), A(3), A(4), A(5)} {
+				if !is(uint32(2+i), Instr{Op: ADD, Src: r, Dst: D(s.ds)}) {
+					return copyShape{}
+				}
+			}
+		}
+		if s.groups == 0 || !is(end-1, Instr{Op: LEA, Src: Disp(int32(32*s.groups), s.am), Dst: A(s.am)}) {
+			return copyShape{}
+		}
+	}
+	s.dn = at(end).Src.Reg
+	const regs = MovemCopyRegs
+	if s.an == s.am || !is(end, Instr{Op: DBRA, Src: D(s.dn), Dst: Abs(pc)}) ||
+		!s.long && regs>>(8+s.an)&1|regs>>(8+s.am)&1|regs>>s.dn&1 != 0 ||
+		s.sum && (regs>>s.ds&1 != 0 || s.ds == s.dn) {
+		return copyShape{}
+	}
+	return s
+}
+
+// copyLoop is the handler of the copy loop s that copyLoopShape found at
+// pc, body its slots after the head. It runs a whole pass as one host
+// copy and leaves registers, memory, PC, SR, Instrs, Cycles and MemRefs
+// as the instructions' own handlers would: a MOVEM pass leaves its last
+// group in D3-D7/A3-A5, the summing pass also adds that group's longs
+// into Ds in memory order, taking the CCR from the last add, and the
+// long pass sets N and Z from its last long. A pass that could end at or
+// past the horizon (its DBRA's costlier outcome), that touches anything
+// but RAM the current state may use, or whose blocks overlap runs head,
+// the first instruction's own body, instead. Either way it counts once
+// a pass.
+func copyLoop(pc uint32, s copyShape, body []Instr, head runFn) runFn {
 	after := uint32(len(body)) // captured as a value: body lies in Code
-	n, refs, exit := 16*(after-1), 8*int(after-1), pc+after+1
+	n, refs, exit := 32*s.groups, 16*int(s.groups), pc+after+1
 	var rest uint64 // the base cost of the slots after the head
 	for i := range body {
 		rest += baseCost(&body[i])
 	}
+	long, sum, an, am, dn, ds := s.long, s.sum, s.an, s.am, s.dn, s.ds
 	be := binary.BigEndian
 	return func(m *Machine) error {
 		src, dst := m.A[an], m.A[am]
@@ -1303,15 +1384,24 @@ func copyLoop(pc uint32, body []Instr, an, am, dn uint8, head runFn) runFn {
 			return head(m)
 		}
 		copy(m.Mem[dst:dst+n], m.Mem[src:src+n])
-		g := (*[32]byte)(m.Mem[dst+n-32:]) // the last group stays in the registers
-		m.D[3] = be.Uint32(g[0:])
-		m.D[4] = be.Uint32(g[4:])
-		m.D[5] = be.Uint32(g[8:])
-		m.D[6] = be.Uint32(g[12:])
-		m.D[7] = be.Uint32(g[16:])
-		m.A[3] = be.Uint32(g[20:])
-		m.A[4] = be.Uint32(g[24:])
-		m.A[5] = be.Uint32(g[28:])
+		g := (*[32]byte)(m.Mem[dst+n-32:]) // the last group
+		if long {
+			m.setNZMask(be.Uint32(g[28:]), 0xffff_ffff, 0x8000_0000)
+		} else {
+			m.D[3] = be.Uint32(g[0:])
+			m.D[4] = be.Uint32(g[4:])
+			m.D[5] = be.Uint32(g[8:])
+			m.D[6] = be.Uint32(g[12:])
+			m.D[7] = be.Uint32(g[16:])
+			m.A[3] = be.Uint32(g[20:])
+			m.A[4] = be.Uint32(g[24:])
+			m.A[5] = be.Uint32(g[28:])
+		}
+		if sum {
+			old := m.D[ds] + m.D[3] + m.D[4] + m.D[5] + m.D[6] + m.D[7] + m.A[3] + m.A[4]
+			m.D[ds] = old + m.A[5]
+			m.setAddFlagsMask(old, m.A[5], old+m.A[5], 0xffff_ffff, 0x8000_0000)
+		}
 		m.A[an], m.A[am] = src+n, dst+n
 		m.Instrs += uint64(after)
 		m.Cycles += rest
@@ -1330,12 +1420,15 @@ func copyLoop(pc uint32, body []Instr, an, am, dn uint8, head runFn) runFn {
 }
 
 // CopyLoopAt translates the slot at pc if it is cold, as its first fetch
-// would, and returns the groups a pass moves when the translation
+// would, and returns the bytes a pass moves when the translation
 // collapses a copy loop (copyLoop), or 0.
 func (m *Machine) CopyLoopAt(pc uint32) int {
 	e := &m.xcache[pc]
 	if e.run == nil {
 		m.translate(pc, e)
 	}
-	return max(int(e.span)-2, 0) / 2
+	if e.span == 0 {
+		return 0
+	}
+	return 32 * int(copyLoopShape(m.Code, pc).groups)
 }

@@ -120,13 +120,21 @@ func BenchmarkShapes(b *testing.B) {
 
 // BenchmarkCopyLoop runs kio's emitCopy in its long form, inline in
 // the routines that take it (eight MOVE.L (A0)+,(A1)+ and a DBRA a
-// group), 1 KB per pass between two RAM buffers: the dispatcher's cost
-// where file_rw spent 65 % of its instructions before the file and
-// pipe templates took the block form. Read it against BenchmarkStepLoop
-// in the same process: about 1.3x the floor with the long
-// memory-to-memory move fused, about 2.2x through the generic MOVE
-// body. ns/KB compares it with BenchmarkMovemCopyLoop.
-func BenchmarkCopyLoop(b *testing.B) { benchCopy(b, longCopyPass) }
+// group), 1 KB per pass between two RAM buffers: a socket's receive and
+// a /proc read copy this way. The dispatcher runs each group as one host
+// copy (copyLoop), so ns/KB is the collapsed handler's cost, to read
+// against BenchmarkMovemCopyLoop's and BenchmarkSumCopyLoop's.
+func BenchmarkCopyLoop(b *testing.B) {
+	benchCopy(b, func(entry uint32, passes int32) []Instr { return inlineCopyPass(clLong, entry, passes) })
+}
+
+// BenchmarkSumCopyLoop is the same 1 KB through emitCopy's summing form,
+// the copy-and-checksum of a socket's send and of the receive handler's
+// deposit: per group a MOVEM (A0)+ into D3-D7/A3-A5 and one out of them
+// to (A1), eight ADD.L of them into D2, a LEA 32(A1),A1 and the DBRA.
+func BenchmarkSumCopyLoop(b *testing.B) {
+	benchCopy(b, func(entry uint32, passes int32) []Instr { return inlineCopyPass(clSum, entry, passes) })
+}
 
 // BenchmarkMovemCopyLoop is the same 1 KB pass the way the file and
 // pipe routines run it, through emitCopy's block form: D0 = D1/32 groups
@@ -149,8 +157,9 @@ func benchCopy(b *testing.B, pass func(entry uint32, passes int32) []Instr) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes), "ns/KB")
 }
 
-// longCopyPass is BenchmarkCopyLoop's program at entry.
-func longCopyPass(entry uint32, passes int32) []Instr {
+// inlineCopyPass is BenchmarkCopyLoop's or BenchmarkSumCopyLoop's
+// program at entry: each pass 32 groups through the loop of form f.
+func inlineCopyPass(f clForm, entry uint32, passes int32) []Instr {
 	prog := []Instr{
 		{Op: MOVE, Src: Imm(passes - 1), Dst: D(1)}, // 0
 		{Op: MOVE, Src: Imm(0x9000), Dst: A(0)},     // 1: one pass
@@ -158,11 +167,7 @@ func longCopyPass(entry uint32, passes int32) []Instr {
 		{Op: MOVE, Src: Imm(1024/32 - 1), Dst: D(0)},
 	}
 	group := entry + uint32(len(prog))
-	for i := 0; i < 8; i++ {
-		prog = append(prog, Instr{Op: MOVE, Src: PostInc(0), Dst: PostInc(1)})
-	}
-	return append(prog,
-		Instr{Op: DBRA, Src: D(0), Dst: Abs(group)},
+	return append(append(prog, clPass(f, group, 1, 0, 1, 0, 2)...),
 		Instr{Op: DBRA, Src: D(1), Dst: Abs(entry + 1)},
 		Instr{Op: HALT})
 }

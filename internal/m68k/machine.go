@@ -633,13 +633,18 @@ func (m *Machine) PatchCode(addr uint32, in Instr) {
 }
 
 // invalidateCode clears the translation cache lines covering
-// [addr, addr+n), and those of the copy-loop heads whose span could
-// reach into them, collapsed or not, so that whether a head collapses
-// always follows the code after it now (dispatch.go's copyLoopShape).
+// [addr, addr+n), and those of the copy-loop heads whose span reaches
+// into them, or could once they collapse, so that whether a head
+// collapses always follows the code after it now (dispatch.go's
+// copyLoopShape).
 func (m *Machine) invalidateCode(addr uint32, n int) {
 	clear(m.xcache[addr : addr+uint32(n)])
 	for h := addr - min(addr, 2*maxCopyGroups+1); h < addr; h++ {
-		if in := &m.Code[h]; in.Op == MOVEM && in.Mask == MovemCopyRegs && in.Dir == 1 {
+		reach := copyReach(&m.Code[h])
+		if span := m.xcache[h].span; span != 0 {
+			reach = uint32(span)
+		}
+		if addr-h < reach {
 			m.xcache[h] = xent{}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"synthesis/internal/bench"
 	"synthesis/internal/fault"
 	"synthesis/internal/kernel"
-	"synthesis/internal/kio"
 	"synthesis/internal/m68k"
 	"synthesis/internal/metrics"
 	"synthesis/internal/unixemu"
@@ -98,24 +97,14 @@ func resolveProgram(program string, iters int32) (*asmkit.Builder, string, error
 // the process exit code.
 func runWatch(intervalUS float64, windows int, program string, iters int32, faults fault.Plan, faultSeed int64, metricsJSON, promOut string) (*kernel.Kernel, int) {
 	reg := metrics.New()
-	cfg := m68k.Sun3Config()
-	k := kernel.Boot(kernel.Config{
-		Machine:         cfg,
-		ChargeSynthesis: true,
-		Profile:         true, // Boot publishes prof.irq.* through reg
-		Metrics:         reg,
-	})
-	io := kio.Install(k)
-	unixemu.Install(k)
-	io.InstallWatchdog(bench.StormThreshold)
+	// Boot publishes prof.irq.* through reg. The rig readies the name
+	// strings, scratch buffer and benchmark file the named (and
+	// hand-assembled) workloads expect.
+	rig := bench.NewSynthRig(kernel.Config{Profile: true, Metrics: reg})
+	k := rig.K
+	rig.IO.InstallWatchdog(bench.StormThreshold)
 	if !faults.Empty() {
 		fault.New(faults, faultSeed).Attach(k.M)
-	}
-	// Name strings, scratch buffer, and the benchmark file the named
-	// (and hand-assembled) workloads expect.
-	if err := bench.PrepareWatchKernel(k); err != nil {
-		fmt.Fprintf(os.Stderr, "quamon: watch: %v\n", err)
-		return k, 1
 	}
 	for i := uint32(0); i < watchPayload; i += 4 {
 		k.M.Poke(watchBufA+i, 4, 0x5a5a0000+i)
@@ -133,12 +122,12 @@ func runWatch(intervalUS float64, windows int, program string, iters int32, faul
 	th := k.SpawnKernel(progName, entry)
 	k.Start(th)
 
-	intervalCycles := uint64(intervalUS * cfg.ClockMHz)
+	intervalCycles := uint64(intervalUS * k.M.ClockMHz)
 	if intervalCycles == 0 {
 		intervalCycles = 1
 	}
 	fmt.Printf("watching %q for %d windows of %.0f µs simulated (%d cycles at %.0f MHz)\n\n",
-		progName, windows, intervalUS, intervalCycles, cfg.ClockMHz)
+		progName, windows, intervalUS, intervalCycles, k.M.ClockMHz)
 
 	prev := reg.Snapshot()
 	for w := 1; w <= windows; w++ {

@@ -15,6 +15,7 @@ import (
 
 	"synthesis/internal/asmkit"
 	"synthesis/internal/bench"
+	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
 	"synthesis/internal/unixemu"
 )
@@ -94,7 +95,7 @@ func run(r bench.Rig) (float64, error) {
 func main() {
 	fmt.Printf("echoing %q over the loopback pair 5 <-> 9, %d round trips\n\n", message, rounds)
 
-	synth, err := run(bench.NewSynthRig())
+	synth, err := run(bench.NewSynthRig(kernel.Config{}))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netecho:", err)
 		os.Exit(1)

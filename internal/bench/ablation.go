@@ -10,198 +10,102 @@ import (
 )
 
 // Ablations: each isolates one design choice DESIGN.md calls out and
-// measures both sides on the same machine.
-
-// Ablations runs the full ablation suite.
-func Ablations() (Table, error) {
-	t := Table{
-		Title: "Ablations: Synthesis design choices isolated",
-		Note:  "pairs of measurements at the SUN 3/160 point (paper column empty: these are ours)",
-	}
-	add := func(name string, measured float64, note string) {
-		t.Rows = append(t.Rows, Row{Name: name, Measured: measured, Unit: "usec", Note: note})
-	}
-
-	// 1. Synthesized vs generic 1 KB file read on identical hardware.
-	synthUS, err := measureSynth(func(b *asmkit.Builder) {
-		nativeOpen(b, addrNameFile)
-		mark(b)
-		nativeRead(b, 0, addrBufB, 1024)
-		mark(b)
-		progExit(b)
-	})
-	if err != nil {
-		return t, err
-	}
-	sunUS, err := sunFileRead1K()
-	if err != nil {
-		return t, err
-	}
-	add("read 1 KB: synthesized (Synthesis)", synthUS, "open-specialized routine, folded cache address")
-	add("read 1 KB: generic layers (baseline)", sunUS,
-		fmt.Sprintf("getf+f_ops+readi+bread+uiomove; %.1fx", sunUS/synthUS))
-
-	// 2. Executable ready queue vs traditional swtch().
-	swSynth, err := switchBetween(false)
-	if err != nil {
-		return t, err
-	}
-	swSun, err := sunSwitch()
-	if err != nil {
-		return t, err
-	}
-	add("context switch: executable ready queue", swSynth, "jmp-chained sw_out/sw_in")
-	add("context switch: traditional swtch()", swSun,
-		fmt.Sprintf("full save + proc-table copy + run-queue scan + eager FP; %.1fx", swSun/swSynth))
-
-	// 3. Lazy vs eager FP context: the FP-carrying switch is what
-	// every thread would pay without the line-F resynthesis.
-	swFP, err := switchBetween(true)
-	if err != nil {
-		return t, err
-	}
-	add("switch without FP context (lazy default)", swSynth, "")
-	add("switch with FP context (post-upgrade)", swFP,
-		fmt.Sprintf("the cost non-FP threads avoid: %.1f usec", swFP-swSynth))
-
-	// 4. Buffered vs unbuffered A/D interrupt handler.
-	bufUS, unbufUS, err := adHandlers()
-	if err != nil {
-		return t, err
-	}
-	add("A/D interrupt: buffered queue (factor 8)", bufUS, "per-sample fast path")
-	add("A/D interrupt: unbuffered (factor 1)", unbufUS,
-		fmt.Sprintf("full queue advance every sample; %.1fx", unbufUS/bufUS))
-
-	// 5. Collapsed vs layered cooked tty read.
-	colUS, layUS, err := cookedVariants()
-	if err != nil {
-		return t, err
-	}
-	add("cooked tty read: collapsed layers", colUS, "get-character inlined (boot-time optimization)")
-	add("cooked tty read: layered", layUS,
-		fmt.Sprintf("jsr to the raw server per character; %.1fx", layUS/colUS))
-
-	// 6. Fine-grain scheduling: adaptive quanta vs fixed quanta for a
-	// pipe transfer competing with a compute-bound thread.
-	fgOn, err := FineGrainPipe(true)
-	if err != nil {
-		return t, err
-	}
-	fgOff, err := FineGrainPipe(false)
-	if err != nil {
-		return t, err
-	}
-	add("64 KB pipe transfer, fine-grain scheduling", fgOn, "I/O threads earn larger quanta from their gauges")
-	add("64 KB pipe transfer, fixed quanta", fgOff,
-		fmt.Sprintf("equal 500 usec round-robin slices; %.2fx", fgOff/fgOn))
-
-	// 7. Env binding, constants against cells: path length of the same
-	// template. The row names are the golden table's; the optimizer
-	// removes nothing from either variant.
-	onUS, offUS, onLen, offLen, err := constVsCellBinding()
-	if err != nil {
-		return t, err
-	}
-	add("32 B element put, invariants folded + optimized", onUS, fmt.Sprintf("%d instructions", onLen))
-	add("32 B element put, cell-bound + unoptimized", offUS, fmt.Sprintf("%d instructions", offLen))
-
-	return t, nil
-}
-
-// sunFileRead1K measures the baseline's generic 1 KB read (cache
-// warm).
-func sunFileRead1K() (float64, error) {
-	d, err := runMarks(NewSunRig(), 1, func(b *asmkit.Builder) {
-		b.MoveL(m68k.Imm(addrNameFile), m68k.D(1))
-		unixCall(b, 5)
-		// Warm the buffer cache with one untimed read.
-		b.MoveL(m68k.Imm(0), m68k.D(1))
-		b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
-		b.MoveL(m68k.Imm(1024), m68k.D(3))
-		unixCall(b, 3)
-		b.MoveL(m68k.Imm(0), m68k.D(1))
-		b.MoveL(m68k.Imm(0), m68k.D(2))
-		unixCall(b, 19) // rewind
-		mark(b)
-		b.MoveL(m68k.Imm(0), m68k.D(1))
-		b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
-		b.MoveL(m68k.Imm(1024), m68k.D(3))
-		unixCall(b, 3)
-		mark(b)
-		progExit(b)
-	})
-	return d[0], err
-}
-
-// sunSwitch measures the baseline's full context switch round trip.
-func sunSwitch() (float64, error) {
-	r := NewSunRig()
-	d, err := runMarks(r, 1, func(b *asmkit.Builder) {
-		mark(b)
+// measures both sides on the same machine: (1) a synthesized against
+// the generic 1 KB file read; (2) the executable ready queue against a
+// traditional swtch(); (3) the lazy FP context, the FP-carrying switch
+// being what every thread would pay without the line-F resynthesis;
+// (4) the buffered against the unbuffered A/D handler; (5) the
+// collapsed against the layered cooked tty read; (6) fine-grain
+// scheduling, adaptive against fixed quanta for a pipe transfer
+// competing with a compute-bound thread; (7) env binding, constants
+// against cells: the path length of the same template (the row names
+// are the golden table's; the optimizer removes nothing from either
+// variant).
+func ablations(mt *meter) []Row {
+	readUS := mt.one(synthRig(), bracket(addrNameFile, func(b *asmkit.Builder) { nativeRead(b, 0, addrBufB, 1024) }))
+	sunReadUS := mt.one(NewSunRig(), sunFileRead1K)
+	swSynth := switchBetween(mt, false)
+	sun := NewSunRig()
+	swSun := mt.one(sun, bracket(0, func(b *asmkit.Builder) {
 		b.MoveL(m68k.Imm(1), m68k.D(1))
 		b.MoveL(m68k.Imm(1), m68k.D(2))
-		b.Jsr(r.K.SwitchRoutine())
-		mark(b)
-		progExit(b)
-	})
-	return d[0], err
-}
-
-// adHandlers measures the buffered and unbuffered A/D handler bodies.
-func adHandlers() (buffered, unbuffered float64, err error) {
-	rig := NewSynthRig()
+		b.Jsr(sun.K.SwitchRoutine())
+	}))
+	swFP := switchBetween(mt, true)
+	rig := synthRig()
 	unbuf := rig.IO.SynthUnbufferedADHandler()
-	d, err := runMarks(rig, 2, func(b *asmkit.Builder) {
+	ad := mt.run(rig, 2, func(b *asmkit.Builder) {
 		fakeFrameCall(b, rig.IO.ADIntHandler(), "r1")
 		fakeFrameCall(b, unbuf, "r2")
 		progExit(b)
 	})
-	return d[0], d[1], err
+	collapsed, layered := cookedRead(mt, false), cookedRead(mt, true)
+	fgOn, fgOff := fineGrainPipe(mt, true), fineGrainPipe(mt, false)
+	onUS, offUS, onLen, offLen := constVsCellBinding(mt)
+	return []Row{
+		{"read 1 KB: synthesized (Synthesis)", 0, readUS, "usec", "open-specialized routine, folded cache address"},
+		{"read 1 KB: generic layers (baseline)", 0, sunReadUS, "usec",
+			fmt.Sprintf("getf+f_ops+readi+bread+uiomove; %.1fx", sunReadUS/readUS)},
+		{"context switch: executable ready queue", 0, swSynth, "usec", "jmp-chained sw_out/sw_in"},
+		{"context switch: traditional swtch()", 0, swSun, "usec",
+			fmt.Sprintf("full save + proc-table copy + run-queue scan + eager FP; %.1fx", swSun/swSynth)},
+		{"switch without FP context (lazy default)", 0, swSynth, "usec", ""},
+		{"switch with FP context (post-upgrade)", 0, swFP, "usec",
+			fmt.Sprintf("the cost non-FP threads avoid: %.1f usec", swFP-swSynth)},
+		{"A/D interrupt: buffered queue (factor 8)", 0, ad[0], "usec", "per-sample fast path"},
+		{"A/D interrupt: unbuffered (factor 1)", 0, ad[1], "usec",
+			fmt.Sprintf("full queue advance every sample; %.1fx", ad[1]/ad[0])},
+		{"cooked tty read: collapsed layers", 0, collapsed, "usec", "get-character inlined (boot-time optimization)"},
+		{"cooked tty read: layered", 0, layered, "usec",
+			fmt.Sprintf("jsr to the raw server per character; %.1fx", layered/collapsed)},
+		{"64 KB pipe transfer, fine-grain scheduling", 0, fgOn, "usec", "I/O threads earn larger quanta from their gauges"},
+		{"64 KB pipe transfer, fixed quanta", 0, fgOff, "usec",
+			fmt.Sprintf("equal 500 usec round-robin slices; %.2fx", fgOff/fgOn)},
+		{"32 B element put, invariants folded + optimized", 0, onUS, "usec", fmt.Sprintf("%d instructions", onLen)},
+		{"32 B element put, cell-bound + unoptimized", 0, offUS, "usec", fmt.Sprintf("%d instructions", offLen)},
+	}
 }
 
-// cookedVariants measures one cooked line read through the collapsed
-// and the layered filter. The layered routine is installed on a
+// sunFileRead1K is the baseline's generic 1 KB read (cache warm).
+func sunFileRead1K(b *asmkit.Builder) {
+	b.MoveL(m68k.Imm(addrNameFile), m68k.D(1))
+	unixCall(b, 5)
+	// Warm the buffer cache with one untimed read.
+	b.MoveL(m68k.Imm(0), m68k.D(1))
+	b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
+	b.MoveL(m68k.Imm(1024), m68k.D(3))
+	unixCall(b, 3)
+	b.MoveL(m68k.Imm(0), m68k.D(1))
+	b.MoveL(m68k.Imm(0), m68k.D(2))
+	unixCall(b, 19) // rewind
+	mark(b)
+	b.MoveL(m68k.Imm(0), m68k.D(1))
+	b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
+	b.MoveL(m68k.Imm(1024), m68k.D(3))
+	unixCall(b, 3)
+	mark(b)
+	progExit(b)
+}
+
+// cookedRead measures one cooked line read through the collapsed or
+// the layered filter. The layered routine is installed on a
 // descriptor slot that open never touches (the line discipline keeps
 // no per-descriptor state).
-func cookedVariants() (collapsed, layered float64, err error) {
-	measure := func(useLayered bool) (float64, error) {
-		rig := NewSynthRig()
-		k := rig.K
-		k.TTY.InputString("hello, tty\n", 0, 0)
-		fd := 0
-		b := asmkit.New()
-		if useLayered {
-			fd = 9
-		} else {
-			nativeOpen(b, addrNameTTY) // fd 0: collapsed cooked read
-		}
-		mark(b)
-		nativeRead(b, fd, addrBufB, 64)
-		mark(b)
-		progExit(b)
-		entry := b.Link(k.M)
-		th := k.SpawnKernel("bench", entry)
-		if useLayered {
-			layeredRead := rig.IO.SynthLayeredCookedRead(th)
-			k.M.Poke(th.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+kernel.TrapRead+9)*4, 4, layeredRead)
-		}
-		k.Start(th)
-		if err := k.Run(runaway); err != nil {
-			return 0, err
-		}
-		d := k.M.MarkMicros()
-		if len(d) != 1 {
-			return 0, errMarks(len(d), 1)
-		}
-		return d[0], nil
+func cookedRead(mt *meter, layered bool) float64 {
+	rig := synthRig()
+	k := rig.K
+	k.TTY.InputString("hello, tty\n", 0, 0)
+	name, fd := uint32(addrNameTTY), 0 // fd 0: collapsed cooked read
+	if layered {
+		name, fd = 0, 9
 	}
-	collapsed, err = measure(false)
-	if err != nil {
-		return 0, 0, err
+	b := asmkit.New()
+	bracket(name, func(b *asmkit.Builder) { nativeRead(b, fd, addrBufB, 64) })(b)
+	th := k.SpawnKernel("bench", b.Link(k.M))
+	if layered {
+		k.M.Poke(th.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+kernel.TrapRead+9)*4, 4, rig.IO.SynthLayeredCookedRead(th))
 	}
-	layered, err = measure(true)
-	return collapsed, layered, err
+	return mt.runThread(k, th, 1)[0]
 }
 
 // constVsCellBinding compares the quaject creator's factorization
@@ -210,8 +114,8 @@ func cookedVariants() (collapsed, layered float64, err error) {
 // folded in as constants or fetched from memory each call. This is the
 // specialization the open path performs on every read routine it
 // synthesizes.
-func constVsCellBinding() (onUS, offUS float64, onLen, offLen int, err error) {
-	rig := NewSynthRig()
+func constVsCellBinding(mt *meter) (onUS, offUS float64, onLen, offLen int) {
+	rig := synthRig()
 	k := rig.K
 	cells, _ := k.Heap.Alloc(16)
 	k.M.Poke(cells, 4, addrBufA) // source
@@ -249,7 +153,7 @@ func constVsCellBinding() (onUS, offUS float64, onLen, offLen int, err error) {
 
 	// A short routine called often is where specialization pays:
 	// time 64 calls of each variant.
-	d, err := runMarks(rig, 2, func(b *asmkit.Builder) {
+	d := mt.run(rig, 2, func(b *asmkit.Builder) {
 		callLoop := func(target uint32, label string) {
 			b.MoveL(m68k.Imm(63), m68k.D(7))
 			b.Label(label)
@@ -264,16 +168,16 @@ func constVsCellBinding() (onUS, offUS float64, onLen, offLen int, err error) {
 		mark(b)
 		progExit(b)
 	})
-	return d[0] / 64, d[1] / 64, onLen, offLen, err
+	return d[0] / 64, d[1] / 64, onLen, offLen
 }
 
-// FineGrainPipe measures a cross-thread pipe transfer competing with
+// fineGrainPipe measures a cross-thread pipe transfer competing with
 // a compute-bound thread, with and without the fine-grain scheduler's
 // quantum adaptation (Section 4.4): when the policy sees the I/O rate
 // it grows the pipe threads' quanta, so the transfer loses less time
 // to the compute thread's round-robin slices.
-func FineGrainPipe(adaptive bool) (float64, error) {
-	rig := NewSynthRig()
+func fineGrainPipe(mt *meter, adaptive bool) float64 {
+	rig := synthRig()
 	k := rig.K
 	io := rig.IO
 
@@ -318,31 +222,23 @@ func FineGrainPipe(adaptive bool) (float64, error) {
 	tw := k.SpawnKernel("writer", writer)
 	tr := k.SpawnKernel("reader", reader)
 	k.SpawnKernel("compute", compute)
-	if io.OpenPipeEnd(tw, p, true) != 0 {
-		return 0, fmt.Errorf("finegrain: writer fd")
-	}
-	if io.OpenPipeEnd(tr, p, false) != 0 {
-		return 0, fmt.Errorf("finegrain: reader fd")
+	if io.OpenPipeEnd(tw, p, true) != 0 || io.OpenPipeEnd(tr, p, false) != 0 {
+		mt.fail(fmt.Errorf("finegrain: pipe ends not descriptor 0"))
 	}
 	if adaptive {
 		k.OnAlarm(2000, k.Adapt)
 	}
 	k.Start(tw)
-	for len(k.M.Marks) < 2 {
+	for mt.err == nil && len(k.M.Marks) < 2 {
 		err := k.Run(5_000_000)
 		if err == nil {
 			break // halted: both exited
 		}
 		if err != m68k.ErrCycleLimit {
-			return 0, err
-		}
-		if k.M.Cycles > 5_000_000_000 {
-			return 0, fmt.Errorf("finegrain: transfer never completed")
+			mt.fail(err)
+		} else if k.M.Cycles > 5_000_000_000 {
+			mt.fail(fmt.Errorf("finegrain: transfer never completed"))
 		}
 	}
-	d := k.M.MarkMicros()
-	if len(d) < 1 {
-		return 0, errMarks(len(d), 1)
-	}
-	return d[0], nil
+	return mt.marks(k.M, 1)[0]
 }

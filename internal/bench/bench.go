@@ -4,11 +4,17 @@
 // kernel (with its UNIX emulator) and on the traditional SUNOS-style
 // baseline, both at the SUN 3/160 emulation point (16 MHz, one memory
 // wait state).
+//
+// A table is data: its title and note, and a list of rows, each the
+// paper's figure, the unit and the note beside the measurement that
+// fills it in. A meter (rig.go) runs the measurements.
 package bench
 
 import (
 	"fmt"
 	"strings"
+
+	"synthesis/internal/fault"
 )
 
 // Row is one experiment line: the paper's figure next to ours.
@@ -45,7 +51,99 @@ func (t Table) String() string {
 	return b.String()
 }
 
-// errMarks reports a mark-count mismatch.
-func errMarks(got, want int) error {
-	return fmt.Errorf("bench: recorded %d mark intervals, want %d", got, want)
+// RunConfig carries the knobs a caller can set uniformly across
+// tables. Tables without an iteration knob ignore Iters. A non-empty
+// FaultSpec (see fault.SpecHelp for the grammar) attaches a seeded
+// fault injector to every rig the table boots, so any table can be
+// rerun under a fault schedule.
+type RunConfig struct {
+	Iters     int32
+	FaultSpec string
+	FaultSeed int64
 }
+
+// tables is every table under its registry name, numbered tables
+// first, then the rest alphabetically: the order Names lists them in.
+// synbench, the golden test and the root benchmark suite all dispatch
+// through Names/Run, so adding a table is one entry here and its
+// bench/baseline artifact (`synbench -table <name> -json
+// bench/baseline`).
+var tables = []struct {
+	name, title, note string
+	rows              func(*meter) []Row
+}{
+	{"1", "Table 1: Measured UNIX system calls, SUNOS baseline vs Synthesis emulator",
+		"per-iteration microseconds at the SUN 3/160 point; 'paper' column is the\n" +
+			"paper's speedup ratio (SUN seconds / Synthesis seconds), ours alongside", table1},
+	{"2", "Table 2: File and Device I/O (microseconds)",
+		"native Synthesis kernel calls at the SUN 3/160 point; paper column = native", table2},
+	{"3", "Table 3: Thread Operations (microseconds)",
+		"native Synthesis calls at the SUN 3/160 point, code synthesis charged", table3},
+	{"4", "Table 4: Dispatcher/Scheduler (microseconds)",
+		"executable-data-structure context switching at the SUN 3/160 point", table4},
+	{"5", "Table 5: Interrupt Handling (microseconds)",
+		"synthesized handler bodies entered through a hand-built frame", table5},
+	{"6", "Table 6: Network loopback sockets, synthesized vs generic layers",
+		"128-byte datagrams between a loopback port pair, identical binaries;\n" +
+			"synthesized send counts include the receive interrupt and queue deposit", table6},
+	{"7", "Table 7: Throughput and recovery under injected faults",
+		"128-byte datagrams, stop-and-wait ARQ over a seeded lossy loopback wire;\n" +
+			"recovery latency is the extra time per lost frame vs the loss-free run", table7},
+	{"ablations", "Ablations: Synthesis design choices isolated",
+		"pairs of measurements at the SUN 3/160 point (paper column empty: these are ours)", ablations},
+	{"pathlen", "Figure 2: MP-SC optimistic queue put, path length (instructions)",
+		"Figure 2 transliterated to the Quamachine; instruction counter deltas", pathLengths},
+	{"proc", "Table proc: guest-visible /proc/metrics, synthesized vs generic read",
+		"256-byte reads of the kernel's own metrics snapshot from inside the VM;\n" +
+			"both descriptors serve the identical per-open snapshot buffer", tableProc},
+	{"queue_contention", "Figure 2 under contention: N producer threads, one consumer, 64-slot queue",
+		fmt.Sprintf("%d items in total per run, %d usec quantum unless named; "+
+			"a retry is a CAS that lost its claim to a producer that ran while this one was preempted",
+			contentionItems, contentionQuantumUS), queueContention},
+	{"size", "Section 6.4: Kernel size accounting",
+		"synthesized Quamachine code, encoded-size estimate in bytes", sizeTable},
+}
+
+// Names returns the table names in tables' order.
+func Names() []string {
+	names := make([]string, len(tables))
+	for i, t := range tables {
+		names[i] = t.name
+	}
+	return names
+}
+
+// Run generates the named table. A non-empty cfg.FaultSpec is parsed
+// and its machine items staged for every rig booted while the table
+// generates (see prepare in rig.go); the fleet clauses
+// (link=/part=/vmfault=) need a fabric, which no table owns, and are
+// rejected.
+func Run(name string, cfg RunConfig) (Table, error) {
+	for _, t := range tables {
+		if t.name != name {
+			continue
+		}
+		if cfg.FaultSpec != "" {
+			plan, err := fault.Parse(cfg.FaultSpec)
+			if err != nil {
+				return Table{}, err
+			}
+			if plan.Fleet() {
+				return Table{}, fmt.Errorf("bench: fault spec %q: link=/part=/vmfault= clauses need a fleet", cfg.FaultSpec)
+			}
+			activeFaults, activeFaultSeed = &plan, cfg.FaultSeed
+			defer func() { activeFaults = nil }()
+		}
+		m := &meter{RunConfig: cfg}
+		rows := t.rows(m)
+		return Table{Title: t.title, Note: t.note, Rows: rows}, m.err
+	}
+	return Table{}, fmt.Errorf("bench: unknown table %q (have %v)", name, Names())
+}
+
+// Staged fault schedule for the current Run call; rigs consult it at
+// boot. Bench runs are single-goroutine, so package cells suffice.
+var (
+	activeFaults    *fault.Plan
+	activeFaultSeed int64
+)

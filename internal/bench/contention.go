@@ -199,45 +199,33 @@ func checkContentionLog(log []byte, n int, batched bool) error {
 	return nil
 }
 
-// QueueContention is the queue_contention table.
-func QueueContention() (Table, error) {
-	t := Table{
-		Title: "Figure 2 under contention: N producer threads, one consumer, 64-slot queue",
-		Note: fmt.Sprintf("%d items in total per run, %d usec quantum unless named; "+
-			"a retry is a CAS that lost its claim to a producer that ran while this one was preempted",
-			contentionItems, contentionQuantumUS),
-	}
-	measure := func(kind PutKind, n int, quantumUS float64, label string) (float64, error) {
+// queueContention sweeps the three puts over 1, 8 and 64 producers at
+// the main quantum, then the CAS put at 8 producers over two more
+// quanta.
+func queueContention(mt *meter) (rows []Row) {
+	measure := func(kind PutKind, n int, quantumUS float64, label string) float64 {
+		if mt.err != nil {
+			return 0
+		}
 		us, retries, err := RunContention(kind, n, quantumUS)
-		if err != nil {
-			return 0, err
-		}
+		mt.fail(err)
 		name := fmt.Sprintf("%s, N=%d%s", putNames[kind], n, label)
-		t.Rows = append(t.Rows, Row{Name: name, Measured: us, Unit: "usec", Note: "per item"})
+		rows = append(rows, Row{name, 0, us, "usec", "per item"})
 		if kind != PutMasked {
-			t.Rows = append(t.Rows, Row{Name: name + ": retries", Measured: retries, Unit: "per 1k"})
+			rows = append(rows, Row{name + ": retries", 0, retries, "per 1k", ""})
 		}
-		return us, nil
+		return us
 	}
 	for _, n := range []int{1, 8, 64} {
-		cas, err := measure(PutCAS, n, contentionQuantumUS, "")
-		if err != nil {
-			return t, err
+		cas := measure(PutCAS, n, contentionQuantumUS, "")
+		masked := measure(PutMasked, n, contentionQuantumUS, "")
+		if mt.err == nil {
+			rows[len(rows)-1].Note += fmt.Sprintf("; %.3fx the CAS put", masked/cas)
 		}
-		masked, err := measure(PutMasked, n, contentionQuantumUS, "")
-		if err != nil {
-			return t, err
-		}
-		last := &t.Rows[len(t.Rows)-1]
-		last.Note += fmt.Sprintf("; %.3fx the CAS put", masked/cas)
-		if _, err := measure(PutBatch, n, contentionQuantumUS, ""); err != nil {
-			return t, err
-		}
+		measure(PutBatch, n, contentionQuantumUS, "")
 	}
 	for _, q := range []float64{50, 500} {
-		if _, err := measure(PutCAS, 8, q, fmt.Sprintf(", %g usec quantum", q)); err != nil {
-			return t, err
-		}
+		measure(PutCAS, 8, q, fmt.Sprintf(", %g usec quantum", q))
 	}
-	return t, nil
+	return rows
 }

@@ -87,7 +87,7 @@ func synthFig2Put(c *synth.Creator, g queueGeom, interfere uint8, masked bool) u
 		e.Cmp(4, m68k.Abs(g.tail), m68k.D(2)) // SpaceLeft(h) > 0 ?
 		e.Beq("full")
 		if interfere != 0 {
-			e.Kcall(interfere) // not counted: see PathLengths
+			e.Kcall(interfere) // not counted: see pathLengths
 		}
 		if masked {
 			e.MoveL(m68k.D(2), m68k.Abs(g.head)) // the claim
@@ -115,28 +115,23 @@ func synthFig2Put(c *synth.Creator, g queueGeom, interfere uint8, masked bool) u
 	})
 }
 
-// PathLengths measures the Figure 2 claims: instructions through
+// pathLengths measures the Figure 2 claims: instructions through
 // Q_put on the uncontended path and with exactly one CAS retry
 // (interference injected by a KCALL hook that bumps Q_head between
 // the producer's read and its compare-and-swap, standing in for the
-// competing processor).
-func PathLengths() (Table, error) {
-	t := Table{
-		Title: "Figure 2: MP-SC optimistic queue put, path length (instructions)",
-		Note:  "Figure 2 transliterated to the Quamachine; instruction counter deltas",
-	}
-	rig := NewSynthRig()
-	k := rig.K
+// competing processor), and through the multi-item atomic insert,
+// Figure 2 verbatim, whose one CAS claims 8 slots before the fill loop
+// sets data and flags, so the claim amortizes.
+func pathLengths(mt *meter) []Row {
+	k := synthRig().K
 	m := k.M
-
 	g := newQueueGeom(k, 64)
-	put := synthFig2Put(k.C, g, 0, false)
 	stack, _ := k.Heap.Alloc(256)
 	stack += 256
 
 	// Instruction-count a call: a mark pair brackets the jsr, so the
 	// interval is the jsr and the routine through its rts.
-	countPut := func() (uint64, error) {
+	countPut := func(put uint32) float64 {
 		b := asmkit.New()
 		b.MoveL(m68k.Imm('x'), m68k.D(1))
 		mark(b)
@@ -149,20 +144,12 @@ func PathLengths() (Table, error) {
 		m.SR = m68k.FlagS | 7<<8 // measure the bare path, no interrupts
 		m.Marks = nil
 		if err := m.Run(runaway); !errors.Is(err, m68k.ErrHalted) {
-			return 0, fmt.Errorf("pathlen: %w", err)
+			mt.fail(fmt.Errorf("pathlen: %w", err))
+			return 0
 		}
-		return m.MarkInstrs()[0] - 1, nil // less the jsr
+		return float64(m.MarkInstrs()[0] - 1) // less the jsr
 	}
-
-	// Uncontended put.
-	n1, err := countPut()
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, Row{
-		Name: "Q_put, no interference", Paper: 11, Measured: float64(n1),
-		Unit: "instr", Note: "space check + CAS claim + fill + flag set",
-	})
+	uncontended := countPut(synthFig2Put(k.C, g, 0, false))
 
 	// One retry: a hook on the CAS instruction's first execution
 	// advances Q_head underneath the producer, exactly what a
@@ -181,33 +168,14 @@ func PathLengths() (Table, error) {
 		}
 		return 0
 	})
-	put = synthFig2Put(k.C, g, competitor, false)
-	interfered = false
-	n2, err := countPut()
-	if err != nil {
-		return t, err
+	// The two KCALL probe instructions are not part of the algorithm.
+	retry := countPut(synthFig2Put(k.C, g, competitor, false)) - 2
+	batch := countPut(synthFig2PutBatch(k.C, g, 8))
+	return []Row{
+		{"Q_put, no interference", 11, uncontended, "instr", "space check + CAS claim + fill + flag set"},
+		{"Q_put, one CAS retry", 20, retry, "instr", "competing claim between the read and the CAS"},
+		{"Q_put, 8-item atomic batch", 0, batch, "instr", fmt.Sprintf("%.1f instructions/item: the claim amortizes", batch/8)},
 	}
-	n2 -= 2 // the two KCALL probe instructions are not part of the algorithm
-	t.Rows = append(t.Rows, Row{
-		Name: "Q_put, one CAS retry", Paper: 20, Measured: float64(n2),
-		Unit: "instr", Note: "competing claim between the read and the CAS",
-	})
-
-	// The multi-item atomic insert, Figure 2 verbatim: one CAS claims
-	// H slots, then the fill loop sets data and flags. Per-item cost
-	// amortizes the claim.
-	putBatch := synthFig2PutBatch(k.C, g, 8)
-	put = putBatch
-	n3, err := countPut()
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, Row{
-		Name: "Q_put, 8-item atomic batch", Measured: float64(n3),
-		Unit: "instr",
-		Note: fmt.Sprintf("%.1f instructions/item: the claim amortizes", float64(n3)/8),
-	})
-	return t, nil
 }
 
 // synthFig2PutBatch emits the multi-item Q_put of Figure 2: stake a

@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"fmt"
+
 	"synthesis/internal/asmkit"
+	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
+	"synthesis/internal/prof"
 	"synthesis/internal/unixemu"
 )
 
@@ -84,6 +88,45 @@ func programNames(key func(program) string) []string {
 
 func rowName(p program) string   { return p.name }
 func shortName(p program) string { return p.short }
+
+// ProfiledProgramNames lists the programs RunProfiled accepts: those
+// with marks, Table 1's and the socket echo loop.
+func ProfiledProgramNames() []string { return programNames(rowName) }
+
+// RunProfiled runs one program on a profiled Synthesis rig, the entry
+// point behind `synbench -profile-run` and `make profile`, and returns
+// the profiler holding the attribution and the loop count the program
+// ran: iters, or its own fixed count (compute's 2,000), which is what a
+// per-iteration figure divides by.
+func RunProfiled(name string, iters int32) (*prof.Profiler, int32, error) {
+	p, ok := findProgram(name, rowName)
+	if !ok {
+		return nil, 0, fmt.Errorf("bench: unknown program %q (have %v)", name, ProfiledProgramNames())
+	}
+	r := NewSynthRig(kernel.Config{Profile: true})
+	build, loops := p.at(iters)
+	mt := &meter{}
+	mt.run(r, 1, build)
+	return r.K.Prof, loops, mt.err
+}
+
+// WatchProgramNames lists the names BuildWatchProgram accepts: the
+// Table 1 programs under their short names, plus "procread".
+func WatchProgramNames() []string { return programNames(shortName) }
+
+// BuildWatchProgram resolves a `quamon -watch -program` name to its
+// builder, which the monitor runs under its sampling windows, so any
+// benchmark becomes a live metrics source. The iteration count applies
+// to the finite Table 1 programs, which exit and end the watch early;
+// "procread" runs until the windows are exhausted.
+func BuildWatchProgram(name string, iters int32) (func(*asmkit.Builder), bool) {
+	p, ok := findProgram(name, shortName)
+	if !ok {
+		return nil, false
+	}
+	build, _ := p.at(iters)
+	return build, true
+}
 
 // BuildCompute emits program 1: the compute-bound calibration test, a
 // Hofstadter Q-style chaotic sequence Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2))
@@ -212,4 +255,24 @@ func BuildSockEcho(b *asmkit.Builder, iters int32) {
 	b.Bne("loop")
 	mark(b)
 	progExit(b)
+}
+
+// BuildProcReadLoop emits the observability workload: forever open
+// /proc/metrics, read the snapshot to EOF in 256-byte chunks, and
+// close. Every round cuts a fresh snapshot and resynthesizes the read
+// routine, so a monitor watching the registry sees the kernel
+// watching itself (synth.kio.proc.read.calls counts the reads the
+// guest performs to learn the value of synth.kio.proc.read.calls).
+func BuildProcReadLoop(b *asmkit.Builder) {
+	b.Label("again")
+	b.MoveL(m68k.Imm(addrNameProc), m68k.D(1))
+	unixCall(b, unixemu.SysOpen)
+	b.MoveL(m68k.D(0), m68k.D(6))
+	b.Label("rd")
+	procRead(b, 6)
+	b.TstL(m68k.D(0))
+	b.Bne("rd")
+	b.MoveL(m68k.D(6), m68k.D(1))
+	unixCall(b, unixemu.SysClose)
+	b.Bra("again")
 }

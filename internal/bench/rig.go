@@ -37,17 +37,10 @@ type Rig interface {
 	Name() string
 }
 
-// attachFaults wires the staged fault schedule (from RunConfig's
-// FaultSpec) into a freshly booted rig machine. No-op when the
-// current Run has no schedule.
-func attachFaults(m *m68k.Machine) {
-	if activeFaults != nil {
-		fault.New(*activeFaults, activeFaultSeed).Attach(m)
-	}
-}
-
-// prepare pokes the shared name strings and file contents.
-func prepareNames(m *m68k.Machine) {
+// prepare pokes the shared name strings and the scratch buffer, and
+// attaches the staged fault schedule (from RunConfig's FaultSpec), if
+// the current Run has one.
+func prepare(m *m68k.Machine) {
 	poke := func(addr uint32, s string) {
 		for i := 0; i < len(s); i++ {
 			m.Poke(addr+uint32(i), 1, uint32(s[i]))
@@ -61,9 +54,10 @@ func prepareNames(m *m68k.Machine) {
 	for i := uint32(0); i < 8192; i += 4 {
 		m.Poke(addrBufA+i, 4, 0x55aa1234+i)
 	}
+	if activeFaults != nil {
+		fault.New(*activeFaults, activeFaultSeed).Attach(m)
+	}
 }
-
-// ---------------------------------------------------------------------
 
 // SynthRig runs programs on the Synthesis kernel through the UNIX
 // emulator (the Table 1 configuration).
@@ -73,26 +67,21 @@ type SynthRig struct {
 }
 
 // NewSynthRig boots Synthesis at the SUN 3/160 point with synthesis
-// time charged.
-func NewSynthRig() *SynthRig { return newSynthRig(false) }
-
-// NewProfiledSynthRig is NewSynthRig with the measurement plane
-// attached from boot, so every synthesized routine is attributable.
-func NewProfiledSynthRig() *SynthRig { return newSynthRig(true) }
-
-func newSynthRig(profile bool) *SynthRig {
-	k := kernel.Boot(kernel.Config{
-		Machine:         m68k.Sun3Config(),
-		ChargeSynthesis: true,
-		Profile:         profile,
-	})
+// time charged, plus what cfg attaches (the measurement plane, a
+// metrics registry), and readies it for the programs here and for
+// assembled `quamon -watch -program` files using their conventions:
+// kio and the UNIX emulator installed, the name strings poked
+// (/proc/metrics at 0xA030), the scratch buffer at 0xB000 filled and
+// the 1 KB benchmark file created.
+func NewSynthRig(cfg kernel.Config) *SynthRig {
+	cfg.Machine, cfg.ChargeSynthesis = m68k.Sun3Config(), true
+	k := kernel.Boot(cfg)
 	io := kio.Install(k)
 	unixemu.Install(k)
 	if _, err := k.FS.CreateSized(benchFileName, make([]byte, 1024), 8192); err != nil {
 		panic(err)
 	}
-	prepareNames(k.M)
-	attachFaults(k.M)
+	prepare(k.M)
 	return &SynthRig{K: k, IO: io}
 }
 
@@ -109,8 +98,6 @@ func (r *SynthRig) Run(entry uint32, budget uint64) error {
 	return r.K.Run(budget)
 }
 
-// ---------------------------------------------------------------------
-
 // SunRig runs the same programs on the traditional baseline.
 type SunRig struct {
 	K *sunos.Kernel
@@ -120,8 +107,7 @@ type SunRig struct {
 func NewSunRig() *SunRig {
 	k := sunos.Boot(m68k.Sun3Config())
 	k.CreateFile(benchFileName, make([]byte, 1024), 8192)
-	prepareNames(k.M)
-	attachFaults(k.M)
+	prepare(k.M)
 	return &SunRig{K: k}
 }
 
@@ -134,18 +120,45 @@ func (r *SunRig) Name() string { return "sunos-baseline" }
 // Run implements Rig.
 func (r *SunRig) Run(entry uint32, budget uint64) error { return r.K.Run(entry, budget) }
 
-// ---------------------------------------------------------------------
+// synthRig boots Synthesis as the tables run it.
+func synthRig() *SynthRig { return NewSynthRig(kernel.Config{}) }
 
 // runaway is the cycle budget that stops a program that never ends:
 // 20 minutes of guest time at the SUN 3/160 point, hundreds of times
 // what the longest table program needs at its default iterations.
 const runaway = 20_000_000_000
 
-// runMarks builds the program on the rig's machine, runs it, and
-// returns its n marked intervals in microseconds; the machine's
-// MarkInstrs has them in instructions. On an error they are zero, so a
-// caller may index them before it checks.
-func runMarks(r Rig, n int, build func(b *asmkit.Builder)) ([]float64, error) {
+// meter runs one table's measurements. Each boots its own rig, so they
+// are independent; the first error is the table's, and every
+// measurement after it runs nothing and reads zero, so a table is its
+// list of rows with no checks between them.
+type meter struct {
+	RunConfig
+	err error
+}
+
+// iters is the loop count for programs with an iteration knob.
+func (mt *meter) iters() int32 {
+	if mt.Iters <= 0 {
+		return 200
+	}
+	return mt.Iters
+}
+
+// fail records err unless an earlier error stands.
+func (mt *meter) fail(err error) {
+	if mt.err == nil {
+		mt.err = err
+	}
+}
+
+// run links the program build emits on r and runs it until it exits,
+// and returns its n marked intervals in microseconds; the machine's
+// MarkInstrs has them in instructions.
+func (mt *meter) run(r Rig, n int, build func(b *asmkit.Builder)) []float64 {
+	if mt.err != nil {
+		return make([]float64, n)
+	}
 	b := asmkit.New()
 	build(b)
 	entry := b.Link(r.Machine())
@@ -156,12 +169,52 @@ func runMarks(r Rig, n int, build func(b *asmkit.Builder)) ([]float64, error) {
 		p.RegisterRegion("bench.program", entry, b.Len())
 	}
 	err := r.Run(entry, runaway)
-	marks := r.Machine().MarkMicros()
-	if err == nil && len(marks) != n {
-		err = errMarks(len(marks), n)
+	if d := r.Machine().MarkMicros(); err == nil && len(d) != n {
+		err = errMarks(len(d), n)
 	}
 	if err != nil {
-		return make([]float64, n), fmt.Errorf("%s: %w", r.Name(), err)
+		mt.fail(fmt.Errorf("%s: %w", r.Name(), err))
 	}
-	return marks, nil
+	return mt.marks(r.Machine(), n)
+}
+
+// one is run's single interval.
+func (mt *meter) one(r Rig, build func(b *asmkit.Builder)) float64 {
+	return mt.run(r, 1, build)[0]
+}
+
+// marks returns m's n marked intervals in microseconds, or n zeros once
+// the table has failed.
+func (mt *meter) marks(m *m68k.Machine, n int) []float64 {
+	if d := m.MarkMicros(); len(d) != n {
+		mt.fail(errMarks(len(d), n))
+	} else if mt.err == nil {
+		return d
+	}
+	return make([]float64, n)
+}
+
+// errMarks reports a mark-count mismatch.
+func errMarks(got, want int) error {
+	return fmt.Errorf("bench: recorded %d mark intervals, want %d", got, want)
+}
+
+// fewest runs a path-length program, whose rounds each mark path a and
+// then path b, and returns each path's fewest instructions over the
+// rounds: the minimum filters out any quantum interrupt that lands
+// inside a bracket.
+func (mt *meter) fewest(r Rig, build func(*asmkit.Builder)) (a, b float64) {
+	mt.run(r, 2*pathRounds, build)
+	d := r.Machine().MarkInstrs()
+	if mt.err != nil {
+		return 0, 0
+	}
+	least := func(off int) float64 {
+		best := d[off]
+		for i := off + 2; i < len(d); i += 2 {
+			best = min(best, d[i])
+		}
+		return float64(best)
+	}
+	return least(0), least(1)
 }

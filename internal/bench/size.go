@@ -12,59 +12,35 @@ import (
 // per-quaject synthesized code is small ("with 3 processes running,
 // the Synthesis kernel occupies only 32K").
 
-// SizeTable reports the synthesized-code accounting of a freshly
-// booted Synthesis rig plus the marginal cost of threads and opens.
-func SizeTable() (Table, error) {
-	t := Table{
-		Title: "Section 6.4: Kernel size accounting",
-		Note:  "synthesized Quamachine code, encoded-size estimate in bytes",
-	}
-	rig := NewSynthRig()
+// sizeTable reports the synthesized-code accounting of a freshly
+// booted Synthesis rig plus the marginal cost of a thread and of an
+// open of each kind (through kio's host-side open), and the largest
+// quajects by synthesized size, for the curious.
+func sizeTable(mt *meter) []Row {
+	rig := synthRig()
 	k := rig.K
+	rows := []Row{{"static kernel (boot-time synthesized code)", 32768, // "the Synthesis kernel occupies only 32K"
+		float64(k.C.TotalBytes), "bytes", fmt.Sprintf("%d routines", k.C.Routines)}}
 
-	bootRoutines := k.C.Routines
-	bootBytes := k.C.TotalBytes
-	t.Rows = append(t.Rows, Row{
-		Name:     "static kernel (boot-time synthesized code)",
-		Paper:    32768, // "the Synthesis kernel occupies only 32K"
-		Measured: float64(bootBytes),
-		Unit:     "bytes",
-		Note:     fmt.Sprintf("%d routines", bootRoutines),
-	})
-
-	// Marginal thread cost: spawn one and diff.
 	preB, preR := k.C.TotalBytes, k.C.Routines
 	th := k.SpawnKernelStopped("sizer", 0)
-	t.Rows = append(t.Rows, Row{
-		Name:     "per-thread synthesized code",
-		Measured: float64(k.C.TotalBytes - preB),
-		Unit:     "bytes",
-		Note: fmt.Sprintf("%d routines (sw_out, sw_in); TTE data adds %d bytes",
-			k.C.Routines-preR, 1024),
-	})
-
-	// Marginal open cost per kind (through kio's host-side open).
-	kinds := []struct{ name, path string }{
+	rows = append(rows, Row{"per-thread synthesized code", 0, float64(k.C.TotalBytes - preB), "bytes",
+		fmt.Sprintf("%d routines (sw_out, sw_in); TTE data adds %d bytes", k.C.Routines-preR, 1024)})
+	for _, kind := range []struct{ name, path string }{
 		{"per-open /dev/null", "/dev/null"},
 		{"per-open /dev/tty", "/dev/tty"},
 		{"per-open file", benchFileName},
-	}
-	for _, kind := range kinds {
+	} {
 		preB = k.C.TotalBytes
 		fd := rig.IO.Open(th, kind.path)
 		if fd < 0 {
-			return t, fmt.Errorf("size: open %s failed", kind.path)
+			mt.fail(fmt.Errorf("size: open %s failed", kind.path))
+			return rows
 		}
-		t.Rows = append(t.Rows, Row{
-			Name:     kind.name,
-			Measured: float64(k.C.TotalBytes - preB),
-			Unit:     "bytes",
-			Note:     "synthesized read+write pair",
-		})
+		rows = append(rows, Row{kind.name, 0, float64(k.C.TotalBytes - preB), "bytes", "synthesized read+write pair"})
 		rig.IO.Close(th, fd)
 	}
 
-	// Largest quajects by synthesized size, for the curious.
 	type qsize struct {
 		name  string
 		bytes int
@@ -77,15 +53,8 @@ func SizeTable() (Table, error) {
 	slices.SortFunc(qs, func(a, b qsize) int {
 		return cmp.Or(cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.name, b.name))
 	})
-	for i, q := range qs {
-		if i >= 3 {
-			break
-		}
-		t.Rows = append(t.Rows, Row{
-			Name:     "quaject " + q.name,
-			Measured: float64(q.bytes),
-			Unit:     "bytes",
-		})
+	for _, q := range qs[:min(3, len(qs))] {
+		rows = append(rows, Row{"quaject " + q.name, 0, float64(q.bytes), "bytes", ""})
 	}
-	return t, nil
+	return rows
 }

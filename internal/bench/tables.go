@@ -1,0 +1,385 @@
+package bench
+
+import (
+	"fmt"
+
+	"synthesis/internal/asmkit"
+	"synthesis/internal/kernel"
+	"synthesis/internal/m68k"
+	"synthesis/internal/synth"
+	"synthesis/internal/unixemu"
+)
+
+// Table 1: the seven UNIX programs on SUNOS (traditional baseline)
+// versus the Synthesis kernel under UNIX emulation, identical
+// binaries, identical emulated hardware. The paper reports elapsed
+// seconds for an (unpublished) iteration count; the reproducible
+// quantity is the per-iteration cost and above all the RATIO —
+// "several times to several dozen times speedup". We report both
+// kernels' per-iteration microseconds and the speedup next to the
+// paper's, one row for each program with a paper ratio.
+//
+// Iteration counts are scaled down (the interpreted Quamachine is a
+// few hundred times slower than silicon); per-iteration cost is flat
+// in the loop count, which the harness asserts in its tests.
+func table1(mt *meter) (rows []Row) {
+	for _, p := range programs {
+		if p.paper == 0 {
+			continue
+		}
+		build, iters := p.at(mt.Iters)
+		synthUS := mt.one(synthRig(), build) / float64(iters)
+		sunUS := mt.one(NewSunRig(), build) / float64(iters)
+		if mt.err != nil {
+			mt.err = fmt.Errorf("%s: %w", p.name, mt.err)
+			return rows
+		}
+		rows = append(rows, Row{p.name + " (speedup sun/synthesis)", p.paper, sunUS / synthUS, "x",
+			fmt.Sprintf("synthesis %.1f us/it, sunos %.1f us/it", synthUS, sunUS)})
+	}
+	return rows
+}
+
+// nativeOpen emits the native Synthesis open (trap #1).
+func nativeOpen(b *asmkit.Builder, nameAddr uint32) {
+	b.MoveL(m68k.Imm(kernel.SysOpen), m68k.D(0))
+	b.MoveL(m68k.Imm(int32(nameAddr)), m68k.D(1))
+	b.Trap(kernel.TrapSys)
+}
+
+func nativeRead(b *asmkit.Builder, fd int, buf, n int32) {
+	b.MoveL(m68k.Imm(buf), m68k.D(1))
+	b.MoveL(m68k.Imm(n), m68k.D(2))
+	b.Trap(uint8(kernel.TrapRead + fd))
+}
+
+// bracket returns the program that opens the named file natively as
+// descriptor 0 (nothing when name is 0) and marks op alone.
+func bracket(name uint32, op func(b *asmkit.Builder)) func(*asmkit.Builder) {
+	return func(b *asmkit.Builder) {
+		if name != 0 {
+			nativeOpen(b, name)
+		}
+		mark(b)
+		op(b)
+		mark(b)
+		progExit(b)
+	}
+}
+
+// Table 2: file and device I/O in microseconds, native Synthesis
+// calls vs the same calls through the UNIX emulator. The emulation
+// overhead is a unix null write less a native one; the paper gives a
+// bulk file read as 9*N/8 usec, so ours reads 1 KB and reports the
+// figure per 8 characters.
+func table2(mt *meter) []Row {
+	native := func(name uint32, op func(b *asmkit.Builder)) float64 {
+		return mt.one(synthRig(), bracket(name, op))
+	}
+	open := func(name uint32) func(*asmkit.Builder) {
+		return func(b *asmkit.Builder) { nativeOpen(b, name) }
+	}
+	read := func(n int32) func(*asmkit.Builder) {
+		return func(b *asmkit.Builder) { nativeRead(b, 0, addrBufB, n) }
+	}
+	trapWrite := native(addrNameNull, func(b *asmkit.Builder) {
+		b.MoveL(m68k.Imm(addrBufA), m68k.D(1))
+		b.MoveL(m68k.Imm(1), m68k.D(2))
+		b.Trap(kernel.TrapWrite + 0)
+	})
+	unixWrite := native(addrNameNull, func(b *asmkit.Builder) {
+		b.MoveL(m68k.Imm(0), m68k.D(1))
+		b.MoveL(m68k.Imm(addrBufA), m68k.D(2))
+		b.MoveL(m68k.Imm(1), m68k.D(3))
+		unixCall(b, unixemu.SysWrite)
+	})
+	readN := native(addrNameFile, read(1024))
+	const synthesized = "includes charged code synthesis"
+	return []Row{
+		{"emulation trap overhead", 2, unixWrite - trapWrite, "usec", "unix write minus native write"},
+		{"open /dev/null", 43, native(0, open(addrNameNull)), "usec", synthesized},
+		{"open /dev/tty", 62, native(0, open(addrNameTTY)), "usec", synthesized},
+		{"open file", 73, native(0, open(addrNameFile)), "usec", synthesized},
+		{"close", 18, native(addrNameNull, func(b *asmkit.Builder) {
+			b.MoveL(m68k.Imm(kernel.SysClose), m68k.D(0))
+			b.MoveL(m68k.Imm(0), m68k.D(1))
+			b.Trap(kernel.TrapSys)
+		}), "usec", ""},
+		{"read 1 char from file", 9, native(addrNameFile, read(1)), "usec", "data in the memory-resident file"},
+		{"read N chars from file (per 8 chars)", 9, readN * 8 / 1024, "usec",
+			fmt.Sprintf("1 KB read took %.1f usec total", readN)},
+		{"read N from /dev/null", 6, native(addrNameNull, read(1024)), "usec", "constant-time synthesized stub"},
+	}
+}
+
+// spawnParked synthesizes a NOP loop and spawns it stopped: a thread
+// for the operations to act on that never runs during a measurement.
+func spawnParked(k *kernel.Kernel, name string) *kernel.Thread {
+	return k.SpawnKernelStopped(name, k.C.Synthesize(nil, name, nil, func(e *synth.Emitter) {
+		e.Label("loop")
+		e.Nop()
+		e.Bra("loop")
+	}))
+}
+
+// Table 3: thread operations in microseconds. Each operation is timed
+// from a driver thread with mark pairs around the native system call,
+// on a parked victim thread.
+func table3(mt *meter) []Row {
+	r := synthRig()
+	k := r.K
+	vt := int32(spawnParked(k, "victim").TTE)
+	handler := k.C.Synthesize(nil, "sig", nil, func(e *synth.Emitter) {
+		e.Trap(kernel.TrapSig)
+	})
+	d := mt.run(r, 7, func(b *asmkit.Builder) {
+		sys := func(fn int32, d1 int32, d2 int32) {
+			b.MoveL(m68k.Imm(fn), m68k.D(0))
+			b.MoveL(m68k.Imm(d1), m68k.D(1))
+			b.MoveL(m68k.Imm(d2), m68k.D(2))
+			b.Trap(kernel.TrapSys)
+		}
+		measure := func(fn int32, d1, d2 int32) {
+			mark(b)
+			sys(fn, d1, d2)
+			mark(b)
+		}
+		// create: D0 returns the new TTE; destroy it right after (the
+		// second interval).
+		mark(b)
+		sys(kernel.SysCreate, 0, 0) // entry 0: never started
+		mark(b)
+		b.MoveL(m68k.D(0), m68k.D(4)) // keep the new TTE
+		mark(b)
+		b.MoveL(m68k.Imm(kernel.SysDestroy), m68k.D(0))
+		b.MoveL(m68k.D(4), m68k.D(1))
+		b.Trap(kernel.TrapSys)
+		mark(b)
+		// stop/start on the parked victim (it is not linked, but stop on
+		// a linked thread measures the same unlink; link it first).
+		b.MoveL(m68k.Imm(kernel.SysStart), m68k.D(0))
+		b.MoveL(m68k.Imm(vt), m68k.D(1))
+		b.Trap(kernel.TrapSys) // make it runnable once (unmeasured)
+		measure(kernel.SysStop, vt, 0)
+		measure(kernel.SysStart, vt, 0)
+		measure(kernel.SysStop, vt, 0) // leave it parked (unmeasured pairing)
+		// step: arm + insert; the stepped instruction itself runs later.
+		measure(kernel.SysStep, vt, 0)
+		// Let the victim absorb its step and trace-stop.
+		b.MoveL(m68k.Imm(kernel.SysYield), m68k.D(0))
+		b.Trap(kernel.TrapSys)
+		// signal.
+		measure(kernel.SysSignal, vt, int32(handler))
+		progExit(b)
+	})
+	return []Row{
+		{"create", 142, d[0], "usec", "TTE fill in machine code + charged synthesis"},
+		{"destroy", 11, d[1], "usec", ""},
+		{"stop", 8, d[2], "usec", "ready-ring unlink"},
+		{"start", 8, d[3], "usec", "ready-ring insert at the front"},
+		{"step", 37, d[5], "usec", "arm trace bit + insert (execution is asynchronous)"},
+		{"signal", 8, d[6], "usec", "rewrites the target's saved resume PC"},
+	}
+}
+
+// Table 4: dispatcher and scheduler operations. Context switches run
+// through the executable ready queue, full (after both threads touched
+// the FP co-processor, the line-F trap resynthesized their switch code
+// to carry the FP context) and partial (a synthesized coroutine
+// handoff that moves only the registers in use); block and unblock are
+// the ready-ring unlink and insert of a third thread.
+func table4(mt *meter) []Row {
+	full, fp := switchBetween(mt, false), switchBetween(mt, true)
+	partial := partialSwitch(mt)
+	r := synthRig()
+	k := r.K
+	peer := spawnParked(k, "peer")
+	k.Link(peer, k.Idle) // make it part of the ring
+	d := mt.run(r, 2, func(b *asmkit.Builder) {
+		b.Lea(m68k.Abs(peer.TTE), 0)
+		mark(b)
+		b.Jsr(k.UnlinkRoutine())
+		mark(b)
+		b.Lea(m68k.Abs(peer.TTE), 0)
+		mark(b)
+		b.Jsr(k.InsertRoutine())
+		mark(b)
+		// Unlink again so the peer never runs.
+		b.Lea(m68k.Abs(peer.TTE), 0)
+		b.Jsr(k.UnlinkRoutine())
+		progExit(b)
+	})
+	return []Row{
+		{"full context switch", 11, full, "usec", "quantum interrupt -> sw_out -> jmp -> sw_in -> rte"},
+		{"full context switch (FP registers)", 21, fp, "usec", "lazily resynthesized switch with fmovem save/restore"},
+		{"partial context switch", 3, partial, "usec", "coroutine handoff, 5 live registers + stack"},
+		{"block thread", 4, d[0], "usec", "ready-ring unlink (per-resource wait cells, no blocked-queue search)"},
+		{"unblock thread", 4, d[1], "usec", "insert at the front of the ready queue"},
+	}
+}
+
+// switchBetween spawns two spinning kernel threads (optionally FP
+// users) and measures a quantum-driven context switch.
+func switchBetween(mt *meter, useFP bool) float64 {
+	k := synthRig().K
+	spin := func(name string) *kernel.Thread {
+		prog := k.C.Synthesize(nil, name, nil, func(e *synth.Emitter) {
+			if useFP {
+				e.FmoveTo(m68k.Imm(1), 0) // triggers the FP upgrade
+			}
+			e.Label("loop")
+			e.AddL(m68k.Imm(1), m68k.Abs(0x9000))
+			e.Bra("loop")
+		})
+		return k.SpawnKernel(name, prog)
+	}
+	t1 := spin("s1")
+	spin("s2")
+	k.Start(t1)
+	// Let both threads run (and upgrade to FP) before measuring.
+	if err := k.M.Run(3_000_000); err != nil && err != m68k.ErrCycleLimit {
+		mt.fail(err)
+	}
+	us := kernel.MeasureSwitchMicros(k)
+	if us < 0 {
+		mt.fail(fmt.Errorf("bench: no context switch measured"))
+	}
+	return us
+}
+
+// partialSwitch measures a synthesized coroutine pair that transfers
+// only the live register set — "we switch only the part of the
+// context being used, not all of it" (Section 4.2).
+func partialSwitch(mt *meter) float64 {
+	r := synthRig()
+	k := r.K
+	saveA, _ := k.Heap.Alloc(64)
+	saveB, _ := k.Heap.Alloc(64)
+
+	const liveMask = 0x0c38 // D3-D5, A2-A3: the registers in use
+
+	// coYield: save the live set into `from`, adopt `to`.
+	coYield := func(from, to uint32) uint32 {
+		return k.C.Synthesize(nil, "co_yield", nil, func(e *synth.Emitter) {
+			e.MovemSave(liveMask, m68k.Abs(from))
+			e.MovemRest(m68k.Abs(to), liveMask)
+			e.Rts()
+		})
+	}
+	aToB := coYield(saveA, saveB)
+	bToA := coYield(saveB, saveA)
+	return mt.one(r, bracket(0, func(b *asmkit.Builder) {
+		b.Jsr(aToB)
+		b.Jsr(bToA)
+	})) / 2
+}
+
+// fakeFrameCall emits: mark; push resume PC and SR; jmp handler; the
+// handler RTEs back to the resume label; mark.
+func fakeFrameCall(b *asmkit.Builder, handler uint32, resume string) {
+	mark(b)
+	b.MoveLabelL(resume, m68k.PreDec(7))
+	b.MoveFromSR(m68k.PreDec(7))
+	b.Jmp(handler)
+	b.Label(resume)
+	mark(b)
+}
+
+// runThread starts th on k, runs until every thread is done, and
+// returns the n marked intervals.
+func (mt *meter) runThread(k *kernel.Kernel, th *kernel.Thread, n int) []float64 {
+	k.Start(th)
+	if mt.err == nil {
+		mt.fail(k.Run(runaway))
+	}
+	return mt.marks(k.M, n)
+}
+
+// Table 5: interrupt handling, alarms, and procedure chaining. The
+// interrupt handlers are timed by entering them through a hand-built
+// exception frame (the handler's RTE resumes the measuring program),
+// which covers the handler body; the dispatch envelope is part of the
+// frame-build/RTE round trip.
+func table5(mt *meter) []Row {
+	rig := synthRig()
+	k := rig.K
+
+	// A no-op alarm procedure.
+	alarmProc := k.C.Synthesize(nil, "alarmproc", nil, func(e *synth.Emitter) {
+		e.Rts()
+	})
+	// A chained procedure that bounces straight back.
+	chained := k.C.Synthesize(nil, "chained", nil, func(e *synth.Emitter) {
+		e.JmpVia(m68k.Abs(kernel.GChainPC))
+	})
+	// Custom trap handlers that chain it, marked inside.
+	chainTrap := func(name string, chain uint32) uint32 {
+		return k.C.Synthesize(nil, name, nil, func(e *synth.Emitter) {
+			e.Kcall(kernel.SvcMark)
+			e.MoveL(m68k.Imm(int32(chained)), m68k.D(1))
+			e.Jsr(chain)
+			e.Kcall(kernel.SvcMark)
+			e.Rte()
+		})
+	}
+	trap5 := chainTrap("chain_trap", k.ChainRoutine())
+	trap6 := chainTrap("chain_trap_cas", k.ChainCASRoutine())
+
+	// A waiter thread blocked on a cell, for the chained-unblock
+	// measurement.
+	cellAddr, _ := k.Heap.Alloc(8)
+	waiterProg := k.C.Synthesize(nil, "waiter", nil, func(e *synth.Emitter) {
+		e.Lea(m68k.Abs(cellAddr), 0)
+		e.Jsr(k.BlockOnRoutine())
+		e.MoveL(m68k.Imm(kernel.SysExit), m68k.D(0))
+		e.Trap(kernel.TrapSys)
+	})
+
+	// One pending tty character so the handler takes its normal path.
+	k.TTY.InputNow('x')
+
+	b := asmkit.New()
+	// Give the waiter a chance to block first.
+	b.MoveL(m68k.Imm(kernel.SysYield), m68k.D(0))
+	b.Trap(kernel.TrapSys)
+	// 1: tty interrupt handler body.
+	fakeFrameCall(b, rig.IO.TTYIntHandler(), "r1")
+	// 2: A/D interrupt handler body.
+	fakeFrameCall(b, rig.IO.ADIntHandler(), "r2")
+	// 3: set alarm (native call).
+	mark(b)
+	b.MoveL(m68k.Imm(kernel.SysSetAlarm), m68k.D(0))
+	b.MoveL(m68k.Imm(100000), m68k.D(1))
+	b.MoveL(m68k.Imm(int32(alarmProc)), m68k.D(2))
+	b.Trap(kernel.TrapSys)
+	mark(b)
+	// 4: alarm interrupt handler body.
+	b.MoveL(m68k.Imm(int32(alarmProc)), m68k.Abs(kernel.GAlarmProc))
+	fakeFrameCall(b, k.AlarmRoutine(), "r3")
+	// 5/6: procedure chaining (the marks are inside the handlers).
+	b.Trap(5)
+	b.Trap(6)
+	// 7: chained unblock of the waiter (signal a thread).
+	b.Lea(m68k.Abs(cellAddr), 0)
+	mark(b)
+	b.Jsr(k.WakeCellRoutine())
+	mark(b)
+	progExit(b)
+	entry := b.Link(k.M)
+
+	k.SpawnKernel("waiter", waiterProg)
+	th := k.SpawnKernel("bench5", entry)
+	// Install the chain trap handlers in the measuring thread.
+	k.M.Poke(th.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+5)*4, 4, trap5)
+	k.M.Poke(th.TTE+kernel.TTEVec+uint32(m68k.VecTrapBase+6)*4, 4, trap6)
+	d := mt.runThread(k, th, 7)
+	return []Row{
+		{"service raw TTY interrupt", 16, d[0], "usec", "dedicated-queue insert + echo + chained wake"},
+		{"service raw A/D interrupt", 3, d[1], "usec", "buffered-queue fast path (1-in-8 advances the queue)"},
+		{"set alarm", 9, d[2], "usec", ""},
+		{"alarm interrupt", 7, d[3], "usec", "dispatch through the alarm procedure cell"},
+		{"chain to a procedure", 4, d[4], "usec", "return-address swap on the frame"},
+		{"chain to a procedure (CAS)", 7, d[5], "usec", "optimistic variant; paper's 7 usec is with one retry"},
+		{"chain (signal) a thread", 9, d[6], "usec", "wake-cell insert of a blocked thread"},
+	}
+}

@@ -26,7 +26,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab, err := Table1(40)
+	tab, err := Run("1", RunConfig{Iters: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	tab, err := Table2()
+	tab, err := Run("2", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	tab, err := Table3()
+	tab, err := Run("3", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	tab, err := Table4()
+	tab, err := Run("4", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tab, err := Table5()
+	tab, err := Run("5", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	tab, err := Table6()
+	tab, err := Run("6", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	tab, err := Table7(RunConfig{Iters: 100})
+	tab, err := Run("7", RunConfig{Iters: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestSizeTableShape(t *testing.T) {
-	tab, err := SizeTable()
+	tab, err := Run("size", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestAblationsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab, err := Ablations()
+	tab, err := Run("ablations", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestFigure2PathLengths(t *testing.T) {
-	tab, err := PathLengths()
+	tab, err := Run("pathlen", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestFigure2PathLengths(t *testing.T) {
 }
 
 func TestQueueContentionShape(t *testing.T) {
-	tab, err := QueueContention()
+	tab, err := Run("queue_contention", RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,8 @@ import "encoding/binary"
 // instruction, and the fuzzer's oracle. The closures here are a cache
 // in front of it, kept only for the (op, operand-mode) shapes the
 // benchmark workloads execute (at least 0.5 % of some workload's
-// dynamic instructions; docs/PERFORMANCE.md has the op mix and the
+// handler calls, a collapsed copy pass counting as one call;
+// docs/PERFORMANCE.md has the op mix and the
 // experiments that priced the alternatives). Every other shape runs
 // through exec itself (cSlow), so its cycle accounting, flags and
 // fault order cannot drift. A specialized shape must be bit-identical
@@ -1009,14 +1010,6 @@ func cAddSub(in *Instr) runFn {
 			} else {
 				m.setAddFlagsMask(old, s, nw, 0xffff_ffff, 0x8000_0000)
 			}
-			return nil
-		}
-	case in.Dst.Mode == ModeDReg && in.Src.Mode == ModeAReg && sz == 4 && !sub: // the summing copy's add.l an,d2
-		a := in.Src.Reg
-		return func(m *Machine) error {
-			s, old := m.A[a], m.D[r]
-			m.D[r] = old + s
-			m.setAddFlagsMask(old, s, old+s, 0xffff_ffff, 0x8000_0000)
 			return nil
 		}
 	case in.Dst.Mode == ModeAReg && regimm: // ADDA/SUBA set no flags

@@ -431,8 +431,7 @@ const (
 // forming the destination address before the source load; the byte and
 // word load into Dn merging the loaded value unmasked; MOVE.L Dn,Dn
 // taking N/Z from the low word; MOVE.L #imm,Dn with N and Z swapped;
-// MOVE.L An,Dn setting no N/Z; ADD.L An,Dn taking the flags from the
-// source's namesake Dn; MOVEA of Dn or #imm setting N/Z; MOVEA
+// MOVE.L An,Dn setting no N/Z; MOVEA of Dn or #imm setting N/Z; MOVEA
 // An,An reading Dn; SUBA adding; the long absolute or indexed CMP into
 // Dn with its operands swapped; the byte and word CMP taking flags at
 // the long width; CMP.L into An comparing Dn; TST of a byte or word Dn

@@ -36,20 +36,18 @@
 // stage is sized to its traffic. Measured with per-pass counters over
 // every golden table (`go run ./cmd/synbench`: 2,409 optimizer runs,
 // 48,424 instructions; the examples, quamon -watch/-cluster -churn and
-// synsh fire the same passes on the same templates, and the seven
-// `go run ./benchmark` workloads add their synthesis-cost probe
-// routine, which is built to exercise all four):
+// synsh fire the same passes on the same templates):
 //
 //	pass              firings  instrs  routines
 //	removeNops              2       2  Table 3's victim and Table 4's peer loops
 //	dropBranchToNext       46      46  kio.net_intr, once per build
-//	deadCode                0       0  - (the benchmark's probe routine)
-//	redundantMoves          0       0  - (the benchmark's probe routine)
-//	threadJumps, foldConstants, strengthReduce, deadStores: none
+//	deadCode, redundantMoves, threadJumps, foldConstants,
+//	strengthReduce, deadStores: none
 //
-// So two passes have kernel traffic. optimize.go implements those, and
-// deadCode and redundantMoves, which only the benchmark's probe routine
-// exercises; the four without any traffic are not implemented.
+// So two passes have kernel traffic, and optimize.go implements those
+// two; the passes without any are not implemented. The benchmark's
+// probe routine gives the same two passes its NOPs and its branch to
+// the next block.
 // Creator.OptRemoved and OptChanged (synth.optimize.* in the metrics
 // registry) keep the question a counter read. Collapse (collapse.go)
 // is not a stage of the pipeline.

@@ -5,15 +5,11 @@ import (
 	"synthesis/internal/m68k"
 )
 
-// The optimization stage of the quaject creator (builder.go): four
-// peephole cleanups over asmkit.Program values. Two have traffic on
-// kernel routines, removeNops and dropBranchToNext; deadCode and
-// redundantMoves have none, and only the benchmark's probe routine
-// exercises them (the measured table is in the package comment). They
-// tidy what template composition leaves behind — a handler assembled
-// from per-socket pieces ends a piece with a branch to the next one,
-// follows an unconditional exit with a shared tail, hands a value back
-// in the register it came from. Folding and
+// The optimization stage of the quaject creator (builder.go): the two
+// peephole cleanups kernel routines give work (the measured table is
+// in the package comment). They tidy what template composition leaves
+// behind: a padding NOP, or a handler assembled from per-socket pieces
+// that ends a piece with a branch to the next one. Folding and
 // specialization are not here: they happen when the template runs
 // (env.go), before this stage sees the program.
 
@@ -28,8 +24,9 @@ type OptStats struct {
 }
 
 // Optimize runs the peephole passes to a fixed point (bounded) and
-// returns the optimized program plus statistics. It consumes p: the
-// Labels map and Fixups array it was handed are rewritten in place.
+// returns the optimized program plus statistics. p is left intact: a
+// pass that removes an instruction writes new Labels and Fixups, so
+// optimizing one Program twice gives the same result twice.
 func Optimize(p asmkit.Program) (asmkit.Program, OptStats) {
 	var st OptStats
 	st.InstrsBefore = len(p.Ins)
@@ -40,8 +37,6 @@ func Optimize(p asmkit.Program) (asmkit.Program, OptStats) {
 		changed := false
 		changed = removeNops(&p, &st) || changed
 		changed = dropBranchToNext(&p, &st) || changed
-		changed = deadCode(&p, &st) || changed
-		changed = redundantMoves(&p, &st) || changed
 		if !changed {
 			break
 		}
@@ -53,28 +48,9 @@ func Optimize(p asmkit.Program) (asmkit.Program, OptStats) {
 	return p, st
 }
 
-// leaders marks instructions that are branch targets or fall-through
-// points after labels: control may arrive there from elsewhere, so
-// they are reachable and never the second half of a peephole pair.
-func leaders(p *asmkit.Program) []bool {
-	l := make([]bool, len(p.Ins)+1)
-	l[0] = true
-	for _, idx := range p.Labels {
-		if idx <= len(p.Ins) {
-			l[idx] = true
-		}
-	}
-	for _, f := range p.Fixups {
-		if t, ok := p.Labels[f.Label]; ok && t <= len(p.Ins) {
-			l[t] = true
-		}
-	}
-	return l
-}
-
 // compact removes instructions where keep[i] is false, remapping
-// labels and fixups. A label on a removed instruction moves to the
-// next kept one.
+// labels and fixups into a new map and array, so the caller's are never
+// written. A label on a removed instruction moves to the next kept one.
 func compact(p *asmkit.Program, keep []bool) {
 	remap := make([]int, len(p.Ins)+1)
 	out := make([]m68k.Instr, 0, len(p.Ins))
@@ -86,10 +62,12 @@ func compact(p *asmkit.Program, keep []bool) {
 	}
 	remap[len(p.Ins)] = len(out)
 	p.Ins = out
+	labels := make(map[string]int, len(p.Labels))
 	for name, idx := range p.Labels {
-		p.Labels[name] = remap[idx]
+		labels[name] = remap[idx]
 	}
-	fx := p.Fixups[:0]
+	p.Labels = labels
+	fx := make([]asmkit.Fixup, 0, len(p.Fixups))
 	for _, f := range p.Fixups {
 		if f.Idx < len(keep) && keep[f.Idx] {
 			f.Idx = remap[f.Idx]
@@ -121,28 +99,6 @@ func removeNops(p *asmkit.Program, st *OptStats) bool {
 	return removeIf(p, st, func(i int) bool { return p.Ins[i].Op == m68k.NOP })
 }
 
-// isBarrier reports whether control never falls through the
-// instruction.
-func isBarrier(op m68k.Op) bool {
-	switch op {
-	case m68k.BRA, m68k.JMP, m68k.RTS, m68k.RTE, m68k.HALT:
-		return true
-	}
-	return false
-}
-
-// deadCode removes instructions that cannot be reached: those between
-// a barrier and the next leader.
-func deadCode(p *asmkit.Program, st *OptStats) bool {
-	ld := leaders(p)
-	reachable := true
-	return removeIf(p, st, func(i int) bool {
-		dead := !reachable && !ld[i]
-		reachable = !dead && !isBarrier(p.Ins[i].Op)
-		return dead
-	})
-}
-
 // fixupAt returns the index in p.Fixups of the fixup attached to
 // instruction i's destination, or -1.
 func fixupAt(p *asmkit.Program, i int) int {
@@ -167,23 +123,5 @@ func dropBranchToNext(p *asmkit.Program, st *OptStats) bool {
 		}
 		t, ok := p.Labels[p.Fixups[fi].Label]
 		return ok && t == i+1
-	})
-}
-
-// redundantMoves removes the second move of a register-to-register
-// pair, move Dm,Dn immediately followed by move Dn,Dm: it rewrites the
-// same value and its flag effect equals the first move's.
-func redundantMoves(p *asmkit.Program, st *OptStats) bool {
-	ld := leaders(p)
-	return removeIf(p, st, func(i int) bool {
-		if i == 0 || ld[i] {
-			return false
-		}
-		a, b := &p.Ins[i-1], &p.Ins[i]
-		return a.Op == m68k.MOVE && b.Op == m68k.MOVE &&
-			a.Size() == 4 && b.Size() == 4 &&
-			a.Src.Mode == m68k.ModeDReg && a.Dst.Mode == m68k.ModeDReg &&
-			b.Src.Mode == m68k.ModeDReg && b.Dst.Mode == m68k.ModeDReg &&
-			a.Src.Reg == b.Dst.Reg && a.Dst.Reg == b.Src.Reg
 	})
 }

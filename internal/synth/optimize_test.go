@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -42,27 +43,6 @@ func optimizeOf(b *asmkit.Builder) (asmkit.Program, asmkit.Program, synth.OptSta
 	return p, q, st
 }
 
-func TestDeadCodeRemoval(t *testing.T) {
-	b := asmkit.New()
-	b.MoveL(m68k.Imm(1), m68k.D(0))
-	b.Bra("end")
-	b.MoveL(m68k.Imm(99), m68k.D(0)) // unreachable
-	b.MoveL(m68k.Imm(98), m68k.D(1)) // unreachable
-	b.Label("end")
-	b.Halt()
-	_, after, st := optimizeOf(b)
-	if st.Removed < 2 {
-		t.Errorf("removed %d instructions, want >= 2", st.Removed)
-	}
-	m, err := runProgram(after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.D[0] != 1 {
-		t.Errorf("D0 = %d, want 1", m.D[0])
-	}
-}
-
 func TestBranchToNextRemoved(t *testing.T) {
 	b := asmkit.New()
 	b.Bra("next")
@@ -97,22 +77,41 @@ func TestNopRemoval(t *testing.T) {
 	}
 }
 
-func TestRedundantMovePairRemoved(t *testing.T) {
+// Optimize leaves its argument intact, so a second run over the same
+// Program removes what the first did and no more (it once remapped the
+// caller's labels in place, and the second run deleted live code).
+func TestOptimizeTwiceSameResult(t *testing.T) {
 	b := asmkit.New()
-	b.MoveL(m68k.Imm(7), m68k.D(0))
-	b.MoveL(m68k.D(0), m68k.D(1))
-	b.MoveL(m68k.D(1), m68k.D(0)) // hands the value back: redundant
-	b.Halt()
-	_, after, st := optimizeOf(b)
-	if st.Removed != 1 || len(after.Ins) != 3 {
-		t.Errorf("removed %d, length %d, want 1, 3", st.Removed, len(after.Ins))
+	for i := 0; i < 16; i++ {
+		hop, next := fmt.Sprintf("h%d", i), fmt.Sprintf("n%d", i)
+		b.MoveL(m68k.Imm(int32(i)), m68k.D(0))
+		b.AddL(m68k.D(0), m68k.D(1))
+		b.CmpL(m68k.Imm(0), m68k.D(1))
+		b.Beq(hop)
+		b.MoveL(m68k.D(1), m68k.Abs(0x4000))
+		b.Label(hop)
+		b.Bra(next)
+		b.Nop()
+		b.Nop()
+		b.Label(next)
 	}
-	m, err := runProgram(after)
+	b.Halt()
+	p := b.Export()
+	q1, st1 := synth.Optimize(p)
+	q2, st2 := synth.Optimize(p)
+	if st1.Removed != 48 {
+		t.Errorf("first run removed %d instructions, want 48", st1.Removed)
+	}
+	if st1 != st2 || !reflect.DeepEqual(q1, q2) {
+		t.Errorf("second run differs: removed %d then %d, %d then %d instructions left",
+			st1.Removed, st2.Removed, len(q1.Ins), len(q2.Ins))
+	}
+	m, err := runProgram(q2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.D[0] != 7 || m.D[1] != 7 {
-		t.Errorf("D0=%d D1=%d, want 7, 7", m.D[0], m.D[1])
+	if m.D[1] != 120 || m.Peek(0x4000, 4) != 120 {
+		t.Errorf("D1 = %d, mem = %d, want 120, 120", m.D[1], m.Peek(0x4000, 4))
 	}
 }
 
@@ -178,19 +177,16 @@ func TestOptimizedCodeIsShorterAndCheaper(t *testing.T) {
 // Property test: for random programs, the optimizer preserves the
 // machine state observable at HALT (registers and memory).
 
-// What genProgram put in a program for each remaining pass to find.
+// What genProgram put in a program for each pass to find.
 const (
 	genNop     = 1 << iota // removeNops
 	genBraNext             // dropBranchToNext
-	genBraOver             // deadCode
-	genPair                // redundantMoves
-	genAll     = genNop | genBraNext | genBraOver | genPair
+	genAll     = genNop | genBraNext
 )
 
 // genProgram builds a random but well-formed program from the seed:
 // straight-line ALU code over D0-D7 and a scratch array, with forward
-// branches, NOPs and move pairs. It reports which of the gen* shapes
-// it emitted.
+// branches and NOPs. It reports which of the gen* shapes it emitted.
 func genProgram(seed int64) (asmkit.Program, int) {
 	rng := rand.New(rand.NewSource(seed))
 	b := asmkit.New()
@@ -223,7 +219,7 @@ func genProgram(seed int64) (asmkit.Program, int) {
 		sn := uint8(rng.Intn(8))
 		imm := int32(rng.Intn(1 << 16))
 		off := int32(rng.Intn(64)) * 4
-		switch rng.Intn(17) {
+		switch rng.Intn(16) {
 		case 0:
 			b.MoveL(m68k.Imm(imm), m68k.D(dn))
 		case 1:
@@ -262,8 +258,8 @@ func genProgram(seed int64) (asmkit.Program, int) {
 			shapes |= genNop
 		case 15:
 			// Forward unconditional branch: to the next instruction, or
-			// over 1-3 that become unreachable unless a pending label
-			// lands among them.
+			// over 1-3 that are unreachable unless a pending label lands
+			// among them.
 			labelN++
 			lbl := fmt.Sprintf("L%d", labelN)
 			b.Bra(lbl)
@@ -271,16 +267,7 @@ func genProgram(seed int64) (asmkit.Program, int) {
 			pend = append(pend, pending{label: lbl, left: 1 + over})
 			if over == 0 {
 				shapes |= genBraNext
-			} else {
-				shapes |= genBraOver
 			}
-		case 16:
-			// A pending label may land between the halves, where the
-			// second move is not redundant.
-			b.MoveL(m68k.D(sn), m68k.D(dn))
-			place()
-			b.MoveL(m68k.D(dn), m68k.D(sn))
-			shapes |= genPair
 		}
 		place()
 	}

@@ -439,7 +439,7 @@ func TestBlockCopyLoopsCollapse(t *testing.T) {
 		}
 		got[name] = nil // the last routine registered under the name
 		for pc := log.spans[i][0]; pc < log.spans[i][1]; pc++ {
-			if n := k.M.CopyLoopAt(pc); n > 0 {
+			if _, n := k.M.LoopAt(pc); n > 0 {
 				got[name] = append(got[name], fmt.Sprintf("%s %d", k.M.Code[pc].Op, n))
 			}
 		}
@@ -554,5 +554,46 @@ func TestEchoCopiesCollapse(t *testing.T) {
 	if passes+fell != 12*echoes || 20*fell > passes {
 		t.Errorf("%d copy passes collapsed and %d fell back, want %d in all and at most 5 %% falling back",
 			passes, fell, 12*echoes)
+	}
+}
+
+// TestLookupLoopsCollapse opens and closes /dev/tty 300 times under Run,
+// with no Probe and no trace ring, and wants fs_lookup's scan and long
+// compare to collapse on every open, at most 5 % of calls falling back; and its three loops, the scan and the long and
+// byte compares, to be shapes the dispatcher collapses. A template edit
+// or a horizon change that lost them would cost open_close its lookup
+// speed and fail no other test.
+func TestLookupLoopsCollapse(t *testing.T) {
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
+	kio.Install(k)
+	var loops []string
+	for pc := k.LookupRoutine(); k.M.Code[pc].Op != m68k.RTS; pc++ {
+		if form, n := k.M.LoopAt(pc); n > 0 {
+			loops = append(loops, fmt.Sprintf("%s %d", form, n))
+		}
+	}
+	if want := []string{"scan 1", "compare 4", "compare 1"}; !slices.Equal(loops, want) {
+		t.Errorf("fs_lookup's collapsed loop heads are %q, want %q", loops, want)
+	}
+	const opens, nameAddr = 300, 0x9100
+	pokeName(k, nameAddr, "/dev/tty")
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		e.MoveL(m68k.Imm(opens), m68k.D(5))
+		e.Label("open")
+		emitOpen(e, nameAddr)
+		e.MoveL(m68k.D(0), m68k.D(1))
+		e.MoveL(m68k.Imm(kernel.SysClose), m68k.D(0))
+		e.Trap(kernel.TrapSys)
+		e.SubL(m68k.Imm(1), m68k.D(5))
+		e.Bne("open")
+		exitSeq(e)
+	})
+	run(t, k, k.SpawnKernel("main", prog), 200_000_000)
+	// A call cut short by the horizon, or one that fell back, leaves the
+	// rest of its loop to another call.
+	passes, fell := k.M.CollapsedPasses, k.M.CollapseFallbacks
+	if passes < 2*opens || 20*fell > passes {
+		t.Errorf("%d lookup loop calls collapsed and %d fell back, want at least %d and at most 5 %% falling back",
+			passes, fell, 2*opens)
 	}
 }

@@ -20,8 +20,8 @@ const (
 	clMem      = 0x4000 // RAM
 	clVBR      = 0x0100
 	clSSP      = 0x0800 // the supervisor stack's top; the cells lie above it
-	clIRQCell  = 0x0800 // count, then the sums of D0 and A1, kept by the interrupt handler
-	clBusCell  = 0x0810 // count, then the sum of the stacked PCs, kept by the bus-error handler
+	clIRQCell  = 0x0800 // count, then the sums of D0, A1, A0, D3, D4 and the stacked SR, kept by the interrupt handler
+	clBusCell  = 0x0820 // count, then the sum of the stacked PCs, kept by the bus-error handler
 	clDevBase  = 0x3000 // the device window, where a case attaches it: devFloor
 	clUBase    = 0x1000 // the quaspace of the user-state cases
 	clULimit   = 0x2400
@@ -35,6 +35,9 @@ const (
 	clMovem clForm = iota // kio.block_copy's: MOVEM groups, a LEA and a DBRA
 	clSum                 // emitCopy's summing pass: one MOVEM group added into Ds, a LEA and a DBRA
 	clLong                // emitCopy's long pass: eight MOVE.L (An)+,(Am)+ and a DBRA
+	clScan                // fs_lookup's strlen: TST.B (A0)+ and a BNE back
+	clCmpL                // fs_lookup's long compare: MOVE.L -(A0),D4, CMP.L (A1)+,D4, BNE and DBRA D3
+	clCmpB                // its byte compare, the same in bytes
 )
 
 var clForms = []struct {
@@ -114,6 +117,10 @@ type clCase struct {
 	// before the summing form adds it
 	payload   bool
 	last, old uint32
+	// a search: a scan's nonzero bytes before the NUL, or a compare's
+	// units from src down and dst up, of which the differ-1'th differs
+	units, differ uint32
+	low           bool // a scan's bytes are below 0x80
 }
 
 // clRig is one machine holding the program, and what it ran.
@@ -124,6 +131,7 @@ type clRig struct {
 	entry  uint32
 	heads  []uint32 // the loop heads, kio.block_copy's pass of eight groups first
 	start  uint64   // Cycles when the measured run began
+	user   bool     // each run starts in user state
 }
 
 // clOutcome is what a run must leave the same under Run and Step.
@@ -137,7 +145,7 @@ type clOutcome struct {
 
 func newCopyRig(c clCase) *clRig {
 	m := New(Config{MemSize: clMem})
-	r := &clRig{m: m, alarm: &clAlarm{}, window: &clWindow{}}
+	r := &clRig{m: m, alarm: &clAlarm{}, window: &clWindow{}, user: c.user}
 	m.Attach(r.alarm)
 	if c.window {
 		m.Attach(r.window)
@@ -150,10 +158,16 @@ func newCopyRig(c clCase) *clRig {
 		m.Poke(clVBR+uint32(vec)*4, 4, m.Emit(append(append([]Instr{
 			{Op: ADD, Src: Imm(1), Dst: Abs(cell)}}, extra...), Instr{Op: RTE})))
 	}
-	handler(VecAutovector+clIRQLevel, clIRQCell,
-		Instr{Op: ADD, Src: D(0), Dst: Abs(clIRQCell + 4)},
-		Instr{Op: ADD, Src: A(1), Dst: Abs(clIRQCell + 8)})
-	handler(VecBusError, clBusCell, Instr{Op: ADD, Src: Disp(4, 7), Dst: Abs(clBusCell + 4)})
+	var irq []Instr
+	for i, r := range []Operand{D(0), A(1), A(0), D(3), D(4), Ind(7)} {
+		irq = append(irq, Instr{Op: ADD, Src: r, Dst: Abs(clIRQCell + 4 + 4*uint32(i))})
+	}
+	handler(VecAutovector+clIRQLevel, clIRQCell, irq...)
+	bus := []Instr{{Op: ADD, Src: Disp(4, 7), Dst: Abs(clBusCell + 4)}}
+	if c.form >= clScan { // a search that faults would fault again at each retry
+		bus = append(bus, Instr{Op: HALT})
+	}
+	handler(VecBusError, clBusCell, bus...)
 
 	n, sum := uint32(5*32), uint32(0) // the bytes copied; D2 before the summing form's first add
 	if c.form == clMovem {
@@ -166,6 +180,9 @@ func newCopyRig(c clCase) *clRig {
 			sum -= m.Peek(a, 4)
 		}
 	}
+	if c.form >= clScan {
+		pokeSearch(m, c)
+	}
 	r.entry = m.CodeTop
 	prog := []Instr{
 		{Op: MOVE, Src: Imm(int32(c.src)), Dst: A(0)},
@@ -174,16 +191,25 @@ func newCopyRig(c clCase) *clRig {
 		{Op: MOVE, Src: Imm(-1), Dst: D(1)},
 		{Op: ADD, Src: Imm(1), Dst: D(1)}, // X set, for the long form to keep
 	}
+	if c.form >= clScan {
+		head := r.entry + uint32(len(prog)) + 2
+		r.heads = []uint32{head}
+		prog = append(prog,
+			Instr{Op: MOVE, Src: Imm(int32(c.units) - 1), Dst: D(3)},
+			Instr{Op: MOVE, Src: Imm(0x1234_5678), Dst: D(4)})
+		prog = append(prog, clSearch(c.form, head)...)
+	}
 	loop := func(passes, groups int32) {
 		prog = append(prog, Instr{Op: MOVE, Src: Imm(passes - 1), Dst: D(0)})
 		head := r.entry + uint32(len(prog))
 		r.heads = append(r.heads, head)
 		prog = append(prog, clPass(c.form, head, groups, 0, 1, 0, 2)...)
 	}
-	if c.form == clMovem {
+	switch {
+	case c.form == clMovem:
 		loop(2, 8)
 		loop(3, 1)
-	} else {
+	case c.form < clScan:
 		loop(5, 1)
 	}
 	m.Emit(append(prog, Instr{Op: HALT}))
@@ -201,9 +227,18 @@ func (r *clRig) run(t *testing.T, drive func(*Machine) error) {
 	t.Helper()
 	r.m.ClearHalt()
 	r.m.PC = r.entry
+	if r.user { // a search's bus error halted in supervisor state
+		r.m.SR, r.m.A[7], r.m.SSP = 0, clUBase, clSSP
+	}
 	if err := drive(r.m); err != ErrHalted {
 		t.Fatalf("the copy program ended with %v, want ErrHalted", err)
 	}
+}
+
+// loopBytes is what LoopAt reports a collapsed head moves a pass.
+func loopBytes(m *Machine, pc uint32) int {
+	_, n := m.LoopAt(pc)
+	return n
 }
 
 func (r *clRig) outcome() clOutcome {
@@ -332,26 +367,37 @@ func TestCopyLoopMatchesSteps(t *testing.T) {
 			}
 		}
 
-		apart := clCase{name: f.name + ": apart", form: f.form, src: 0x1000, dst: 0x2000}
-		ref := clRun(t, apart, nil)[0]
-		span := ref.m.Cycles - ref.start // the whole measured run
-		var collapsed, fellBack, taken uint64
-		for _, level := range []int{clIRQLevel, 0} {
-			for at := uint64(0); at+2 <= span; at++ { // due before the HALT
-				rigs := clRun(t, apart, func(r *clRig) {
-					r.alarm.at, r.alarm.level, r.alarm.armed = r.m.Cycles+at, level, true
-					r.m.Kick(r.alarm)
-				})
-				collapsed += rigs[0].m.CollapsedPasses
-				fellBack += rigs[0].m.CollapseFallbacks
-				taken += uint64(rigs[0].m.Peek(clIRQCell, 4))
-			}
-		}
-		if collapsed == 0 || fellBack == 0 || taken != span-1 {
-			t.Errorf("%s: over the sweep %d passes collapsed, %d fell back and %d interrupts were taken; want some, some and %d",
-				f.name, collapsed, fellBack, taken, span-1)
+		clSweep(t, clCase{name: f.name + ": apart", form: f.form, src: 0x1000, dst: 0x2000})
+	}
+}
+
+// clSweep runs case c with an interrupt due at every cycle of its
+// measured run up to its HALT, then with a bare device event due there,
+// and wants some calls to collapse, some to fall back and every
+// interrupt taken. It returns how many interrupts found N set in the
+// SR they stacked.
+func clSweep(t *testing.T, c clCase) (negative uint64) {
+	t.Helper()
+	ref := clRun(t, c, nil)[0]
+	span := ref.m.Cycles - ref.start // the whole measured run
+	var collapsed, fellBack, taken uint64
+	for _, level := range []int{clIRQLevel, 0} {
+		for at := uint64(0); at+2 <= span; at++ { // due before the HALT
+			rigs := clRun(t, c, func(r *clRig) {
+				r.alarm.at, r.alarm.level, r.alarm.armed = r.m.Cycles+at, level, true
+				r.m.Kick(r.alarm)
+			})
+			collapsed += rigs[0].m.CollapsedPasses
+			fellBack += rigs[0].m.CollapseFallbacks
+			taken += uint64(rigs[0].m.Peek(clIRQCell, 4))
+			negative += uint64(rigs[0].m.Peek(clIRQCell+24, 4) & uint32(FlagN) >> 3)
 		}
 	}
+	if collapsed == 0 || fellBack == 0 || taken != span-1 {
+		t.Errorf("%s: over the sweep %d calls collapsed, %d fell back and %d interrupts were taken; want some, some and %d",
+			c.name, collapsed, fellBack, taken, span-1)
+	}
+	return negative
 }
 
 // TestCopyLoopPatchInvalidatesHead patches each slot of the first loop's
@@ -389,7 +435,7 @@ func TestCopyLoopPatchInvalidatesHead(t *testing.T) {
 				r.m.PatchCode(slot, alt)
 			}
 			for _, r := range clRun(t, c, patch) {
-				if r.m.CopyLoopAt(head) != 0 {
+				if loopBytes(r.m, head) != 0 {
 					t.Fatalf("%s: the head still collapses", c.name)
 				}
 				r.m.PatchCode(slot, orig)
@@ -406,13 +452,13 @@ func TestCopyLoopPatchInvalidatesHead(t *testing.T) {
 		r.run(t, clLoops[0].drive)
 		var bytes []int
 		for _, h := range r.heads {
-			bytes = append(bytes, r.m.CopyLoopAt(h))
+			bytes = append(bytes, loopBytes(r.m, h))
 		}
 		tr := r.m.Translations
 		r.m.PatchCode(head-1, r.m.Code[head-1])
 		r.m.PatchCode(head+span, r.m.Code[head+span])
 		for i, h := range r.heads {
-			if r.m.CopyLoopAt(h) != bytes[i] || r.m.Translations != tr {
+			if loopBytes(r.m, h) != bytes[i] || r.m.Translations != tr {
 				t.Errorf("%s: a patch outside the span retranslated its head", f.name)
 			}
 		}
@@ -425,8 +471,17 @@ func TestCopyLoopPatchInvalidatesHead(t *testing.T) {
 // TestStepRunsOneInstructionPastAHotHead: a Step after a Run, which
 // leaves its horizon behind, runs a hot head as one instruction.
 func TestStepRunsOneInstructionPastAHotHead(t *testing.T) {
+	var cases []clCase
 	for _, f := range clForms {
-		r := newCopyRig(clCase{name: f.name, form: f.form, src: 0x1000, dst: 0x2000})
+		cases = append(cases, clCase{name: f.name, form: f.form, src: 0x1000, dst: 0x2000})
+	}
+	for _, f := range slForms {
+		c := slCases(f.form)[0].clCase
+		c.name, c.form = f.name, f.form
+		cases = append(cases, c)
+	}
+	for _, f := range cases {
+		r := newCopyRig(f)
 		r.run(t, clLoops[0].drive)
 		r.run(t, clLoops[0].drive)
 		if r.m.CollapsedPasses == 0 {
@@ -454,10 +509,11 @@ func TestXentSize(t *testing.T) {
 	}
 }
 
-// TestCopyLoopShapes: a head collapses only the three loops
-// copyLoopShape describes, with a MOVEM pass's registers apart from each
-// other and from the eight its groups load, and the summing form's adds
-// long and in memory order.
+// TestCopyLoopShapes: a head collapses only the loops loopAt
+// describes, with a MOVEM pass's registers apart from each other and
+// from the eight its groups load, the summing form's adds long and in
+// memory order, a byte TST, and a long or byte compare whose CMP
+// matches its MOVE, with An apart from Am and Ds from Dn.
 func TestCopyLoopShapes(t *testing.T) {
 	swap := func(i, j int) func([]Instr) {
 		return func(p []Instr) { p[i], p[j] = p[j], p[i] }
@@ -496,15 +552,35 @@ func TestCopyLoopShapes(t *testing.T) {
 		{name: "long: a MOVE.W", form: clLong, am: 1, edit: func(p []Instr) { p[3].Sz = 2 }},
 		{name: "long: another register", form: clLong, am: 1, edit: func(p []Instr) { p[7].Dst.Reg = 2 }},
 		{name: "long: DBRA past the head", form: clLong, am: 1, edit: func(p []Instr) { p[8].Dst.Imm += 2 }},
+		{name: "fs_lookup's scan", form: clScan, want: 1},
+		{name: "scan: a TST.W", form: clScan, edit: func(p []Instr) { p[0].Sz = 2 }},
+		{name: "scan: a TST.L", form: clScan, edit: func(p []Instr) { p[0].Sz = 4 }},
+		{name: "scan: a TST.B (A0)", form: clScan, edit: func(p []Instr) { p[0].Src = Ind(0) }},
+		{name: "scan: a BEQ", form: clScan, edit: func(p []Instr) { p[1].Op = BEQ }},
+		{name: "scan: BNE past the head", form: clScan, edit: func(p []Instr) { p[1].Dst.Imm++ }},
+		{name: "fs_lookup's long compare", form: clCmpL, want: 4},
+		{name: "its byte compare", form: clCmpB, want: 1},
+		{name: "a compare of size 0", form: clCmpL, edit: func(p []Instr) { p[0].Sz, p[1].Sz = 0, 0 }, want: 4},
+		{name: "a word compare", form: clCmpL, edit: func(p []Instr) { p[0].Sz, p[1].Sz = 2, 2 }},
+		{name: "compare: CMP.B after MOVE.L", form: clCmpL, edit: func(p []Instr) { p[1].Sz = 1 }},
+		{name: "compare: An is Am", form: clCmpL, edit: func(p []Instr) { p[1].Src.Reg = 0 }},
+		{name: "compare: Ds is Dn", form: clCmpL, edit: func(p []Instr) { p[3].Src = D(4) }},
+		{name: "compare: CMP into another register", form: clCmpL, edit: func(p []Instr) { p[1].Dst = D(5) }},
+		{name: "compare: MOVE from (A0)", form: clCmpL, edit: func(p []Instr) { p[0].Src = Ind(0) }},
+		{name: "compare: a BEQ out", form: clCmpL, edit: func(p []Instr) { p[2].Op = BEQ }},
+		{name: "compare: DBRA past the head", form: clCmpL, edit: func(p []Instr) { p[3].Dst.Imm += 2 }},
 	} {
 		m := New(Config{MemSize: 0x1000})
 		head := m.CodeTop
 		p := clPass(c.form, head, c.groups, c.an, c.am, c.dn, c.ds)
+		if c.form >= clScan {
+			p = clSearch(c.form, head)
+		}
 		if c.edit != nil {
 			c.edit(p)
 		}
 		m.Emit(p)
-		if got := m.CopyLoopAt(head); got != c.want {
+		if got := loopBytes(m, head); got != c.want {
 			t.Errorf("%s: the head collapses %d bytes a pass, want %d", c.name, got, c.want)
 		}
 	}

@@ -1,6 +1,9 @@
 package m68k
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Threaded-code dispatch: the Synthesis trick applied to the machine
 // that hosts Synthesis. Instead of re-decoding every instruction on
@@ -20,26 +23,26 @@ import "encoding/binary"
 // interrupt point, and Run keeps it one with a single compare per
 // boundary — the clock against Machine.horizon, which whatever posts an
 // interrupt or moves a device event earlier zeroes (machine.go states
-// the rule). The one exception is a recognized copy loop: one handler,
-// copyLoop, runs a pass of any of the three loops kio emits as one host
-// copy (kio.block_copy's MOVEM groups, emitCopy's summing pass, which
-// also adds the group into its checksum, and its long pass of eight
-// MOVE.L), Piumarta and Riccardi's selective inlining taken from the
-// handler pair to the whole pass. The collapse stays exact under three
-// conditions, or the head runs its own body: the clock at the pass's
-// end stays below the horizon, so no event comes due at a boundary
-// inside it; both blocks are plain RAM the current state may touch, so
-// no access inside it could have faulted or reached a device; and the
-// blocks do not overlap, so one copy moves what the instructions would.
-// Step zeroes the horizon, so under the profiler or a trace ring every
-// instruction is still one step. Straight-line blocks in general were
-// measured and do not pay (docs/PERFORMANCE.md).
+// the rule). The one exception is a recognized copy and search loop,
+// Piumarta and Riccardi's selective inlining taken from the handler pair
+// to whole iterations: a head's handler runs a pass of any of the three
+// copy loops kio emits as one host copy (kio.block_copy's MOVEM groups,
+// emitCopy's summing pass, which also adds the group into its checksum,
+// and its long pass of eight MOVE.L), and iterations of the name
+// lookup's byte scan and backwards compare as one host search. A call
+// runs only whole iterations below the horizon, so no event comes due
+// at a boundary inside one, that touch only plain RAM the current state
+// may use, so no access inside one could fault or reach a device, and a
+// copy only apart blocks; when not one qualifies, the head runs its own
+// body. Step zeroes the horizon, so under the profiler or a trace ring
+// every instruction is still one step. Straight-line blocks in general
+// were measured and do not pay (docs/PERFORMANCE.md).
 //
 // exec.go's switch is the ISA: complete, the only definition of every
 // instruction, and the fuzzer's oracle. The closures here are a cache
 // in front of it, kept only for the (op, operand-mode) shapes the
 // benchmark workloads execute (at least 0.5 % of some workload's
-// handler calls, a collapsed copy pass counting as one call;
+// handler calls, a collapsed loop's call counting as one;
 // docs/PERFORMANCE.md has the op mix and the
 // experiments that priced the alternatives). Every other shape runs
 // through exec itself (cSlow), so its cycle accounting, flags and
@@ -75,9 +78,10 @@ import "encoding/binary"
 // handlers to the switch one instruction at a time, TestStackMatchesMove
 // holds push and pop to MOVE.L, `make inline` keeps the RAM helpers
 // inlined, TestRunEqualsSteps holds the two step loops to each other,
-// TestCopyLoopMatchesSteps holds a collapsed pass to the instructions it
-// stands for, and TestGoldenTables holds every table byte-equal to
-// bench/baseline.
+// TestCopyLoopMatchesSteps and TestSearchLoopMatchesSteps hold a
+// collapsed call to the instructions it stands for, internal/bench's
+// TestCollapsedRunMatchesSteps does so for every benchmark program, and
+// TestGoldenTables holds every table byte-equal to bench/baseline.
 
 // EmitBenchProgram emits the canonical dispatcher benchmark: a
 // representative mix of register ALU, memory read-modify-write,
@@ -104,13 +108,13 @@ func EmitBenchProgram(m *Machine) uint32 {
 // precomputed base cycle cost (baseCost is pure in the instruction),
 // the opcode (the step loop's trace-bit handling needs to know RTE
 // without re-reading code space) and, in what would be padding, the
-// span of a collapsed copy loop. A write into any slot a head could span
+// span of a collapsed loop. A write into any slot a head could span
 // invalidates it (invalidateCode). A zero xent is cold; it is 24 bytes.
 type xent struct {
 	run  runFn
 	cost uint64
 	op   Op
-	span uint8 // slots a collapsed copy loop's head runs, itself included; 0 otherwise
+	span uint8 // slots a collapsed loop's head runs, itself included; 0 otherwise
 }
 
 // runFn executes one translated instruction. It runs with PC already
@@ -127,9 +131,8 @@ func (m *Machine) translate(pc uint32, e *xent) {
 	e.cost = baseCost(in)
 	e.op = in.Op
 	e.run, e.span = compile(in, pc), 0
-	if s := copyLoopShape(m.Code, pc); s.groups > 0 {
-		n := s.span()
-		e.run, e.span = copyLoop(pc, s, m.Code[pc+1:pc+n], e.run), uint8(n)
+	if s := loopAt(m.Code, pc); s.form != "" {
+		e.run, e.span = s.collapse(pc, m.Code[pc:pc+s.span], e.run), uint8(s.span)
 	}
 }
 
@@ -1245,55 +1248,54 @@ func cMovem(in *Instr, pc uint32) runFn {
 
 // maxCopyGroups bounds the groups of a copy loop the dispatcher
 // collapses, and with it how far before a written slot invalidateCode
-// looks for a head whose span covers it (copyReach).
+// looks for a head whose span covers it (loopReach).
 const maxCopyGroups = 8
 
-// copyShape is a copy loop copyLoopShape recognized: a pass moves groups
-// 32-byte groups from (An)+ to (Am) and counts down Dn. The zero
-// copyShape is no copy loop.
-type copyShape struct {
-	groups         uint32
-	long           bool // a group is eight MOVE.L (An)+,(Am)+, not a MOVEM pair
-	sum            bool // the pass adds its group into Ds
+// loopShape is a loop loopAt recognized: its form ("movem", "sum",
+// "long", "scan" or "compare"; "" for none) and the slots an iteration
+// runs, its head included. A copy moves groups 32-byte groups from (An)+
+// to (Am), counts passes down in Dn and sums into Ds; a scan reads
+// (An)+ a byte at a time; a compare moves sz bytes from -(An) into Ds,
+// compares them with (Am)+ and counts down in Dn.
+type loopShape struct {
+	form           string
+	span, groups   uint32
+	sz             uint8
 	an, am, dn, ds uint8
 }
 
-// span is the slots a pass runs, its head included.
-func (s copyShape) span() uint32 {
-	switch {
-	case s.long:
-		return 9
-	case s.sum:
-		return 12
-	}
-	return 2*s.groups + 2
-}
-
-// copyReach is the most slots a copy loop headed by in could span, so a
+// loopReach is the most slots a loop headed by in could span, so a
 // write that far after in may change whether it collapses; 0 when in
 // heads none.
-func copyReach(in *Instr) uint32 {
+func loopReach(in *Instr) uint32 {
 	switch {
 	case in.Op == MOVEM && in.Mask == MovemCopyRegs && in.Dir == 1:
 		return 2*maxCopyGroups + 2
 	case in.Op == MOVE && in.Src.Mode == ModePostInc && in.Dst.Mode == ModePostInc:
 		return 9
+	case in.Op == MOVE && in.Src.Mode == ModePreDec && in.Dst.Mode == ModeDReg:
+		return 4
+	case in.Op == TST && in.Src.Mode == ModePostInc:
+		return 2
 	}
 	return 0
 }
 
-// copyLoopShape recognizes the three copy loops kio emits headed at
-// code[pc], each ending in DBRA Dn back to pc:
+// loopAt recognizes the loops headed at code[pc] that kio and the name
+// lookup emit:
 //   - kio.block_copy's: k groups, the i-th MOVEM.L (An)+,D3-D7/A3-A5 then
 //     MOVEM.L D3-D7/A3-A5,32i(Am) (the first to (Am)), then LEA 32k(Am),Am;
 //   - emitCopy's summing pass: one such group, ADD.L D3-D7 then A3-A5
 //     into Ds in that order, then LEA 32(Am),Am;
-//   - emitCopy's long pass: eight MOVE.L (An)+,(Am)+.
+//   - emitCopy's long pass: eight MOVE.L (An)+,(Am)+;
+//   - fs_lookup's scan: TST.B (An)+, then BNE back to it;
+//   - fs_lookup's compare, long or byte: MOVE -(An),Ds, CMP (Am)+,Ds and
+//     BNE out.
 //
-// An and Am differ, and a MOVEM pass's An, Am, Dn and Ds are apart from
-// the registers its group loads and Ds from Dn. Any other code is the
-// zero copyShape.
-func copyLoopShape(code []Instr, pc uint32) copyShape {
+// Each but the scan ends in DBRA Dn back to pc. An and Am differ, Ds
+// differs from Dn, and a MOVEM pass's An, Am, Dn and Ds are apart from
+// the registers its group loads. Any other code is the zero loopShape.
+func loopAt(code []Instr, pc uint32) loopShape {
 	code = code[pc:]
 	at := func(i uint32) Instr { // Sz 0 and 4 both read 4; past the end, nothing
 		if int(i) >= len(code) {
@@ -1307,18 +1309,31 @@ func copyLoopShape(code []Instr, pc uint32) copyShape {
 		want.Sz = want.Size()
 		return at(i) == want
 	}
-	s := copyShape{an: code[0].Src.Reg, am: code[0].Dst.Reg}
+	h := at(0)
+	s := loopShape{an: h.Src.Reg, am: h.Dst.Reg}
 	end := uint32(8) // the DBRA's slot
-	if code[0].Op == MOVE {
-		s.groups, s.long = 1, true
+	switch {
+	case h.Op == TST && h.Sz == 1 && h.Src.Mode == ModePostInc:
+		if !is(1, Instr{Op: BNE, Dst: Abs(pc)}) {
+			return loopShape{}
+		}
+		return loopShape{form: "scan", span: 2, sz: 1, an: h.Src.Reg}
+	case h.Op == MOVE && h.Src.Mode == ModePreDec && h.Dst.Mode == ModeDReg:
+		s.form, s.sz, s.am, s.ds, end = "compare", h.Sz, at(1).Src.Reg, h.Dst.Reg, 3
+		if h.Sz == 2 || !is(1, Instr{Op: CMP, Sz: h.Sz, Src: PostInc(s.am), Dst: D(s.ds)}) ||
+			!is(2, Instr{Op: BNE, Dst: Abs(uint32(at(2).Dst.Imm))}) {
+			return loopShape{}
+		}
+	case h.Op == MOVE:
+		s.form, s.groups = "long", 1
 		for i := range end {
 			if !is(i, Instr{Op: MOVE, Src: PostInc(s.an), Dst: PostInc(s.am)}) {
-				return copyShape{}
+				return loopShape{}
 			}
 		}
-	} else {
+	default:
 		ld := Instr{Op: MOVEM, Mask: MovemCopyRegs, Dir: 1, Src: PostInc(s.an)}
-		s.am = at(1).Dst.Reg
+		s.form, s.am = "movem", at(1).Dst.Reg
 		group := func(k uint32) bool {
 			st := Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Disp(int32(32*k), s.am)}
 			return is(2*k, ld) && (is(2*k+1, st) || k == 0 && is(1, Instr{Op: MOVEM, Mask: MovemCopyRegs, Dst: Ind(s.am)}))
@@ -1328,46 +1343,57 @@ func copyLoopShape(code []Instr, pc uint32) copyShape {
 		}
 		end = 2*s.groups + 1
 		if s.groups == 1 && at(2).Op == ADD {
-			s.sum, s.ds, end = true, at(2).Dst.Reg, 11
+			s.form, s.ds, end = "sum", at(2).Dst.Reg, 11
 			for i, r := range []Operand{D(3), D(4), D(5), D(6), D(7), A(3), A(4), A(5)} {
 				if !is(uint32(2+i), Instr{Op: ADD, Src: r, Dst: D(s.ds)}) {
-					return copyShape{}
+					return loopShape{}
 				}
 			}
 		}
 		if s.groups == 0 || !is(end-1, Instr{Op: LEA, Src: Disp(int32(32*s.groups), s.am), Dst: A(s.am)}) {
-			return copyShape{}
+			return loopShape{}
 		}
 	}
-	s.dn = at(end).Src.Reg
+	s.dn, s.span = at(end).Src.Reg, end+1
 	const regs = MovemCopyRegs
+	movem, sum := s.form == "movem", s.form == "sum"
 	if s.an == s.am || !is(end, Instr{Op: DBRA, Src: D(s.dn), Dst: Abs(pc)}) ||
-		!s.long && regs>>(8+s.an)&1|regs>>(8+s.am)&1|regs>>s.dn&1 != 0 ||
-		s.sum && (regs>>s.ds&1 != 0 || s.ds == s.dn) {
-		return copyShape{}
+		(movem || sum) && regs>>(8+s.an)&1|regs>>(8+s.am)&1|regs>>s.dn&1 != 0 ||
+		sum && regs>>s.ds&1 != 0 || (sum || s.form == "compare") && s.ds == s.dn {
+		return loopShape{}
 	}
 	return s
 }
 
-// copyLoop is the handler of the copy loop s that copyLoopShape found at
-// pc, body its slots after the head. It runs a whole pass as one host
-// copy and leaves registers, memory, PC, SR, Instrs, Cycles and MemRefs
-// as the instructions' own handlers would: a MOVEM pass leaves its last
-// group in D3-D7/A3-A5, the summing pass also adds that group's longs
-// into Ds in memory order, taking the CCR from the last add, and the
-// long pass sets N and Z from its last long. A pass that could end at or
-// past the horizon (its DBRA's costlier outcome), that touches anything
-// but RAM the current state may use, or whose blocks overlap runs head,
-// the first instruction's own body, instead. Either way it counts once
-// a pass.
-func copyLoop(pc uint32, s copyShape, body []Instr, head runFn) runFn {
+// collapse is the handler of the loop s that loopAt found at pc: code
+// its slots, head the first instruction's own body, which it runs when
+// not even one iteration may collapse. Either way it counts once a call.
+func (s loopShape) collapse(pc uint32, code []Instr, head runFn) runFn {
+	switch s.form {
+	case "scan":
+		return scanLoop(pc, s, code, head)
+	case "compare":
+		return cmpLoop(pc, s, code, head)
+	}
+	return copyLoop(pc, s, code[1:], head)
+}
+
+// copyLoop runs a whole copy pass as one host copy and leaves registers,
+// memory, PC, SR, Instrs, Cycles and MemRefs as the instructions' own
+// handlers would: a MOVEM pass leaves its last group in D3-D7/A3-A5, the
+// summing pass also adds that group's longs into Ds in memory order,
+// taking the CCR from the last add, and the long pass sets N and Z from
+// its last long. A pass runs its head instead if it could end at or past
+// the horizon (its DBRA's costlier outcome), touches anything but RAM
+// the current state may use, or has overlapping blocks.
+func copyLoop(pc uint32, s loopShape, body []Instr, head runFn) runFn {
 	after := uint32(len(body)) // captured as a value: body lies in Code
 	n, refs, exit := 32*s.groups, 16*int(s.groups), pc+after+1
 	var rest uint64 // the base cost of the slots after the head
 	for i := range body {
 		rest += baseCost(&body[i])
 	}
-	long, sum, an, am, dn, ds := s.long, s.sum, s.an, s.am, s.dn, s.ds
+	long, sum, an, am, dn, ds := s.form == "long", s.form == "sum", s.an, s.am, s.dn, s.ds
 	be := binary.BigEndian
 	return func(m *Machine) error {
 		src, dst := m.A[an], m.A[am]
@@ -1412,16 +1438,126 @@ func copyLoop(pc uint32, s copyShape, body []Instr, head runFn) runFn {
 	}
 }
 
-// CopyLoopAt translates the slot at pc if it is cold, as its first fetch
-// would, and returns the bytes a pass moves when the translation
-// collapses a copy loop (copyLoop), or 0.
-func (m *Machine) CopyLoopAt(pc uint32) int {
+// scanLoop runs a byte scan's iterations with one IndexByte: every byte
+// up to and including the NUL, or as many as are plain RAM the current
+// state may use and end below the horizon. An, SR (N and Z from the last
+// byte, X kept), PC and the counters end as TST.B and BNE would leave
+// them, each BNE charged its own outcome.
+func scanLoop(pc uint32, s loopShape, code []Instr, head runFn) runFn {
+	tst, bne := baseCost(&code[0]), baseCost(&code[1])
+	taken, last := tst+bne+cycBranchTak-cycReg, tst+bne+cycBranchNot-cycReg // but the memory reference
+	an := s.an
+	return func(m *Machine) error {
+		a, c, mc := m.A[an], m.Cycles-tst, m.memCost() // c: the clock as the first TST began
+		_, room := m.ramRoom(a)
+		var fit uint64 // the nonzero bytes whose iterations end below the horizon
+		if m.horizon > c {
+			fit = min((m.horizon-c-1)/(taken+mc), uint64(room))
+		}
+		// One byte more than fit, in case it is the NUL, whose untaken
+		// BNE is cheaper.
+		z := -1
+		if n := uint32(min(fit+1, uint64(room))); n > 0 {
+			z = bytes.IndexByte(m.Mem[a:a+n], 0)
+		}
+		k, end, final := fit, pc, taken
+		if z >= 0 && (uint64(z) < fit || c+fit*(taken+mc)+last+mc < m.horizon) {
+			k, end, final = uint64(z)+1, pc+2, last
+		}
+		if k == 0 {
+			m.CollapseFallbacks++
+			return head(m)
+		}
+		m.A[an] = a + uint32(k)
+		m.setNZMask(uint32(m.Mem[a+uint32(k)-1]), 0xff, 0x80)
+		m.Cycles = c + (k-1)*(taken+mc) + final + mc
+		m.Instrs += 2*k - 1
+		m.MemRefs += k
+		m.CollapsedPasses++
+		m.PC = end
+		return nil
+	}
+}
+
+// cmpLoop runs a backwards compare's iterations with one host compare
+// loop: up to a mismatch, which leaves by the BNE, or the DBRA's exit,
+// or as many as are plain RAM the current state may use and end below
+// the horizon. The registers (a byte compare writes Ds's low byte
+// alone), SR (the last CMP's flags), PC and the counters end as the four
+// instructions would leave them, each BNE and DBRA charged its outcome.
+func cmpLoop(pc uint32, s loopShape, code []Instr, head runFn) runFn {
+	move := baseCost(&code[0])
+	body := move + baseCost(&code[1]) + baseCost(&code[2]) // but the branches' outcomes and memory references
+	miss := body + cycBranchTak - cycReg
+	more := body + cycBranchNot - cycReg + baseCost(&code[3]) + cycDBRATaken - cycReg
+	exit := more + cycDBRAExit - cycDBRATaken
+	out := uint32(code[2].Dst.Imm)
+	long, size, an, am, dn, ds := s.sz == 4, uint32(s.sz), s.an, s.am, s.dn, s.ds
+	mask, sign := maskFor(s.sz)
+	be := binary.BigEndian
+	return func(m *Machine) error {
+		a, b, c, mc := m.A[an], m.A[am], m.Cycles-move, 2*m.memCost() // c: the clock as the first MOVE began
+		below, _ := m.ramRoom(a)
+		_, above := m.ramRoom(b)
+		var fit uint64 // the iterations that go on and end below the horizon
+		if m.horizon > c {
+			fit = (m.horizon - c - 1) / (more + mc)
+		}
+		// One more than fit, in case a mismatch ends the loop sooner.
+		n := uint32(min(uint64(min(below, above)/size), uint64(m.D[dn])+1, fit+1))
+		k, mem := uint32(0), m.Mem // k: the equal units
+		if long {
+			for k < n && be.Uint32(mem[a-4*k-4:]) == be.Uint32(mem[b+4*k:]) {
+				k++
+			}
+		} else {
+			for k < n && mem[a-k-1] == mem[b+k] {
+				k++
+			}
+		}
+		last, end, dbras := more, pc, k
+		switch {
+		case k < n: // the next unit differs
+			last, end, k = miss, out, k+1
+		case uint64(k) == uint64(m.D[dn])+1:
+			last, end = exit, pc+4
+		}
+		if k > 0 && c+uint64(k-1)*(more+mc)+last+mc >= m.horizon {
+			k, last, end, dbras = k-1, more, pc, k-1
+		}
+		if k == 0 {
+			m.CollapseFallbacks++
+			return head(m)
+		}
+		x, y := uint32(mem[a-k]), uint32(mem[b+k-1])
+		if long {
+			x, y = be.Uint32(mem[a-4*k:]), be.Uint32(mem[b+4*k-4:])
+		}
+		m.A[an], m.A[am] = a-size*k, b+size*k
+		m.D[ds] = m.D[ds]&^mask | x
+		m.D[dn] -= dbras
+		m.setSubFlagsMask(x, y, x-y, mask, sign)
+		m.Cycles = c + uint64(k-1)*(more+mc) + last + mc
+		m.Instrs += uint64(3*k + dbras - 1) // a MOVE, CMP and BNE an iteration, and the DBRAs
+		m.MemRefs += 2 * uint64(k)
+		m.CollapsedPasses++
+		m.PC = end
+		return nil
+	}
+}
+
+// LoopAt translates the slot at pc if it is cold, as its first fetch
+// would, and when the translation collapses a loop returns its form and
+// the bytes a pass copies, or an iteration reads from each side;
+// otherwise "" and 0.
+func (m *Machine) LoopAt(pc uint32) (string, int) {
 	e := &m.xcache[pc]
 	if e.run == nil {
 		m.translate(pc, e)
 	}
 	if e.span == 0 {
-		return 0
+		return "", 0
 	}
-	return 32 * int(copyLoopShape(m.Code, pc).groups)
+	s := loopAt(m.Code, pc)
+	return s.form, 32*int(s.groups) + int(s.sz) // a copy has no sz, a search no groups
 }

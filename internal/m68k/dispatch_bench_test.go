@@ -136,6 +136,62 @@ func BenchmarkSumCopyLoop(b *testing.B) {
 	benchCopy(b, func(entry uint32, passes int32) []Instr { return inlineCopyPass(clSum, entry, passes) })
 }
 
+// BenchmarkScanLoop runs fs_lookup's strlen, TST.B (A0)+ and a BNE
+// back to it, over a 64-byte string (63 bytes and the NUL), 100 scans a
+// run, and reports ns per byte read. The dispatcher runs a scan as one
+// IndexByte (scanLoop).
+func BenchmarkScanLoop(b *testing.B) {
+	benchSearch(b, 64, func(m *Machine, entry uint32) []Instr {
+		for i := uint32(0); i < 63; i++ {
+			m.Poke(0x9000+i, 1, 0x21+i)
+		}
+		return []Instr{
+			{Op: MOVE, Src: Imm(0x9000), Dst: A(0)}, // 0: one scan
+			{Op: TST, Sz: 1, Src: PostInc(0)},
+			{Op: BNE, Dst: Abs(entry + 1)},
+		}
+	})
+}
+
+// BenchmarkCompareLoop runs fs_lookup's long compare, MOVE.L -(A0),D4,
+// CMP.L (A1)+,D4, a BNE out and a DBRA D3 back, over two equal 64-byte
+// names, 100 compares a run, and reports ns per long compared. The
+// dispatcher runs a compare as one host loop (cmpLoop).
+func BenchmarkCompareLoop(b *testing.B) {
+	benchSearch(b, 16, func(m *Machine, entry uint32) []Instr {
+		for i := uint32(0); i < 16; i++ {
+			m.Poke(0x9040-4*(i+1), 4, 0x2f64_6576+i)
+			m.Poke(0xa000+4*i, 4, 0x2f64_6576+i)
+		}
+		return []Instr{
+			{Op: MOVE, Src: Imm(0x9040), Dst: A(0)}, // 0: one compare
+			{Op: MOVE, Src: Imm(0xa000), Dst: A(1)},
+			{Op: MOVE, Src: Imm(15), Dst: D(3)},
+			{Op: MOVE, Sz: 4, Src: PreDec(0), Dst: D(4)}, // 3
+			{Op: CMP, Sz: 4, Src: PostInc(1), Dst: D(4)},
+			{Op: BNE, Dst: Abs(entry + 8)}, // the HALT after the outer DBRA
+			{Op: DBRA, Src: D(3), Dst: Abs(entry + 3)},
+		}
+	})
+}
+
+// benchSearch runs the search body emits at the start of code space,
+// its first slot the loop's set-up, 100 times a run under an outer DBRA
+// back to it, and reports ns per unit, a search reading units of them.
+func benchSearch(b *testing.B, units int, body func(m *Machine, entry uint32) []Instr) {
+	const searches = 100
+	m := New(Config{})
+	entry := m.CodeTop + 1
+	p := body(m, entry)
+	m.Emit(slices.Concat([]Instr{{Op: MOVE, Src: Imm(searches - 1), Dst: D(1)}}, p,
+		[]Instr{{Op: DBRA, Src: D(1), Dst: Abs(entry)}, {Op: HALT}}))
+	benchRun(b, m, entry-1)
+	if m.SR&FlagZ == 0 {
+		b.Fatalf("the search ended with Z clear, not at its NUL or a match")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*searches*units), "ns/unit")
+}
+
 // BenchmarkMovemCopyLoop is the same 1 KB pass the way the file and
 // pipe routines run it, through emitCopy's block form: D0 = D1/32 groups
 // and a JSR to kio.block_copy's shape, which saves the eight registers,

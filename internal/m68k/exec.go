@@ -76,7 +76,7 @@ func (m *Machine) step() error {
 		m.Trace.Record(pc, m.Code[pc], m.Cycles)
 	}
 	traced := m.SR&FlagT != 0
-	// A collapsed copy loop runs a pass only below the horizon: zeroed,
+	// A collapsed loop runs iterations only below the horizon: zeroed,
 	// it keeps a Step one instruction, under a Probe and a trace ring too.
 	m.horizon = 0
 	if err := run(m); err != nil {

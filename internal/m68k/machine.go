@@ -212,8 +212,8 @@ type Machine struct {
 	// HALT and a double fault end Run with an error, and Run recomputes
 	// on entry, which covers whatever the host did between two calls.
 	// Step zeroes it before it runs a handler, so the one handler that
-	// reads it, a collapsed copy loop's head (dispatch.go), runs a whole
-	// pass only inside Run's fast loop.
+	// reads it, a collapsed loop's head (dispatch.go), runs whole
+	// iterations only inside Run's fast loop.
 	horizon uint64
 
 	// xcache is the threaded-code translation cache, one entry per
@@ -237,9 +237,9 @@ type Machine struct {
 	SlowInstrs   uint64
 	SlowSteps    uint64
 
-	// Passes of a copy loop the dispatcher ran as one host copy, and
-	// passes whose head ran its own MOVEM body instead (dispatch.go's
-	// copyLoop): one count a pass, never one an instruction.
+	// Calls of a collapsed loop's head that ran whole iterations as one
+	// host copy or search, and calls whose head ran its own body instead
+	// (dispatch.go's loopAt): one count a call, never one an instruction.
 	CollapsedPasses   uint64
 	CollapseFallbacks uint64
 
@@ -523,6 +523,21 @@ func (m *Machine) ramBlock(addr, size uint32) bool {
 	return m.SR&FlagS != 0 || m.ULimit == 0 || addr >= m.UBase && end <= uint64(m.ULimit)
 }
 
+// ramRoom is the plain RAM the current state may touch, by ramBlock's
+// rules, on either side of addr: the bytes below it and from it up, or
+// none either way when addr lies outside that RAM. ramBlock written over
+// it cost thread_ops 8 % (the context MOVEMs).
+func (m *Machine) ramRoom(addr uint32) (below, above uint32) {
+	lo, hi := uint32(0), uint32(min(uint64(m.devFloor), uint64(len(m.Mem))))
+	if m.SR&FlagS == 0 && m.ULimit != 0 {
+		lo, hi = m.UBase, min(hi, m.ULimit)
+	}
+	if addr < lo || addr > hi {
+		return 0, 0
+	}
+	return addr - lo, hi - addr
+}
+
 // loadRAM32, storeRAM32, loadRAM and storeRAM are Load and Store's
 // plain-RAM case alone: the same charge, one bounds check and one
 // byte-swapped access, or false, with nothing charged, for any other
@@ -633,14 +648,13 @@ func (m *Machine) PatchCode(addr uint32, in Instr) {
 }
 
 // invalidateCode clears the translation cache lines covering
-// [addr, addr+n), and those of the copy-loop heads whose span reaches
-// into them, or could once they collapse, so that whether a head
-// collapses always follows the code after it now (dispatch.go's
-// copyLoopShape).
+// [addr, addr+n), and those of the loop heads whose span reaches into
+// them, or could once they collapse, so that whether a head collapses
+// always follows the code after it now (dispatch.go's loopAt).
 func (m *Machine) invalidateCode(addr uint32, n int) {
 	clear(m.xcache[addr : addr+uint32(n)])
 	for h := addr - min(addr, 2*maxCopyGroups+1); h < addr; h++ {
-		reach := copyReach(&m.Code[h])
+		reach := loopReach(&m.Code[h])
 		if span := m.xcache[h].span; span != 0 {
 			reach = uint32(span)
 		}

@@ -233,7 +233,9 @@ func (b *Builder) account(main uint32, st OptStats) {
 		ChargeSynthesis(c.M, st.InstrsBefore)
 	}
 	if b.q != nil {
-		b.q.Entries[b.entry] = main
+		if old, ok := b.q.Entries[b.entry]; !ok || old != main { // a reopen's entry stands
+			b.q.Entries[b.entry] = main
+		}
 		b.q.Instrs += st.InstrsAfter
 		b.q.Bytes += st.BytesAfter
 	}

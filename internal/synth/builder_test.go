@@ -2,6 +2,7 @@ package synth_test
 
 import (
 	"errors"
+	"maps"
 	"testing"
 
 	"synthesis/internal/m68k"
@@ -161,6 +162,29 @@ func TestAccountMatchesBuild(t *testing.T) {
 	if q.Entry("r") != addr || c.M.CodeTop != top || plane.regions != 1 {
 		t.Errorf("after Account: entry %d (want %d), code top %d -> %d, %d regions registered (want 1)",
 			q.Entry("r"), addr, top, c.M.CodeTop, plane.regions)
+	}
+}
+
+// A reopen's Account finds its quaject's entry already naming the
+// routine and leaves the map alone, but is charged and counted as the
+// build was each time: the creator's instructions, routines and the
+// synthesis cycles on the clock.
+func TestReopenLeavesEntries(t *testing.T) {
+	c := synth.NewCreator(newM())
+	c.ChargeTime = true
+	q := c.NewQuaject("q")
+	addr := c.Build(q, "r").Emit(loop)
+	st := c.LastStats
+	entries := maps.Clone(q.Entries)
+	for range 2 {
+		instrs, routines, cycles := c.TotalInstrs, c.Routines, c.M.Cycles
+		c.Build(q, "r").Account(addr, st)
+		if !maps.Equal(q.Entries, entries) || c.TotalInstrs-instrs != st.InstrsAfter || c.Routines-routines != 1 ||
+			c.M.Cycles-cycles != synth.SynthesisCycles(st.InstrsBefore) {
+			t.Errorf("a reopen: entries %v (want %v), %d instructions, %d routines and %d cycles added (want %d, 1, %d)",
+				q.Entries, entries, c.TotalInstrs-instrs, c.Routines-routines, c.M.Cycles-cycles,
+				st.InstrsAfter, synth.SynthesisCycles(st.InstrsBefore))
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 #   profile       one Table 1 program under the profiler, writing trace.json (-profile-run "sock echo 64 B" prices the datagram path)
 #   loc           lines of non-test Go outside benchmark/, the count ROADMAP tracks
 #   placement     (*Machine).Run's address mod 64, to quote beside a wall-clock delta
-#   inline        the dispatcher's RAM helpers inline at the call-site counts INLINE_SITES names
+#   inline        the dispatcher's RAM helpers and the host's Peek and Poke inline at the call-site counts INLINE_SITES names
 
 GO ?= go
 
@@ -70,7 +70,7 @@ placement:
 	rm -rf $$dir && test -n "$$addr" && \
 	echo "(*Machine).Run at 0x$$addr: $$((0x$$addr % 64)) mod 64"
 
-INLINE_SITES = loadRAM32:14 storeRAM32:8 loadRAM:5 storeRAM:4
+INLINE_SITES = loadRAM32:14 storeRAM32:8 loadRAM:5 storeRAM:4 Peek:0 Poke:2
 
 inline:
 	@out=$$($(GO) build -gcflags=-m ./internal/m68k 2>&1) || { echo "$$out"; exit 1; }; \

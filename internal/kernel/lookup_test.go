@@ -136,6 +136,6 @@ func TestLookupMatchesDirectory(t *testing.T) {
 		check(buf, name[:len(name)-1])
 	}
 	for _, name := range []string{"/dev/tty", "/dev/null", names[0], names[5], names[len(names)-1], "/dev/ttx"} {
-		check(uint32(len(k.M.Mem)-len(name)-1), name)
+		check(k.M.MemSize()-uint32(len(name))-1, name)
 	}
 }

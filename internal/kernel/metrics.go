@@ -33,6 +33,8 @@ func (k *Kernel) wireMetrics(reg *metrics.Registry) {
 	reg.Sample("synth.optimize.removed", func() uint64 { return k.C.OptRemoved })
 	reg.Sample("synth.optimize.routines_changed", func() uint64 { return k.C.OptChanged })
 	reg.SampleGauge("m68k.code.slots", func() float64 { return float64(k.M.CodeTop) })
+	// The guest memory the machine holds: what its guest has reached.
+	reg.SampleGauge("m68k.mem.reached_bytes", func() float64 { return float64(len(k.M.Mem)) })
 
 	// The dispatcher cache: over the run's instruction count, slow_instrs
 	// is the share of traffic with no closure and slow_steps the share of

@@ -70,11 +70,9 @@ func (io *IO) StoreDiskFile(name string, contents []byte) (*fs.File, error) {
 		if int(start)+b >= len(k.Disk.Blocks) {
 			panic("kio: disk full")
 		}
-		blk := k.Disk.Blocks[start+uint32(b)]
-		for i := range blk {
-			blk[i] = 0
-		}
+		blk := make([]byte, m68k.DiskBlockSize)
 		copy(blk, contents[lo:hi])
+		k.Disk.Blocks[start+uint32(b)] = blk
 	}
 	io.nextDiskBlock += uint32(nblocks)
 	return k.FS.CreateOnDisk(name, start, uint32(len(contents)), uint32(nblocks*m68k.DiskBlockSize))

@@ -248,7 +248,7 @@ func TestHandlerCannotRebuildInterruptedSlot(t *testing.T) {
 func TestErrorHandlerCannotRebuildInterruptedSlot(t *testing.T) {
 	k, _ := handlerRig(t)
 	handler := k.C.Synthesize(nil, "handler", nil, emitReopenHandler)
-	end := int32(len(k.M.Mem))
+	end := int32(k.M.MemSize())
 	const wbuf = 0x9300
 	k.M.PokeBytes(wbuf, []byte("pipe!"))
 	th := k.SpawnKernel("main", k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {

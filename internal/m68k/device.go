@@ -274,11 +274,15 @@ const DiskBlockSize = 1024
 
 // Disk is a DMA block device with a fixed access latency, standing in
 // for the Quamachine's 390 MB hard disk. Transfers complete after
-// LatencyCycles and raise IRQDisk.
+// LatencyCycles and raise IRQDisk. A block is created by its first
+// write: a nil entry in Blocks is a block never written, and reads as
+// zeros. A transfer whose DMA address is not wholly in RAM moves no
+// bytes, still completes, and counts in Faults.
 type Disk struct {
 	m             *Machine
 	Blocks        [][]byte
 	LatencyCycles uint64
+	Faults        uint64
 	block         uint32
 	addr          uint32
 	busyUntil     uint64
@@ -286,17 +290,15 @@ type Disk struct {
 	done          bool
 }
 
+// noBlock is what a block never written reads as.
+var noBlock [DiskBlockSize]byte
+
 // NewDisk creates a disk with the given number of blocks. The default
 // latency models a fast controller with the data already under the
 // head (the paper's file benchmarks run from the in-memory cache, so
 // disk latency only matters for cache misses).
 func NewDisk(m *Machine, blocks int) *Disk {
-	d := &Disk{m: m, LatencyCycles: 20000}
-	d.Blocks = make([][]byte, blocks)
-	for i := range d.Blocks {
-		d.Blocks[i] = make([]byte, DiskBlockSize)
-	}
-	return d
+	return &Disk{m: m, Blocks: make([][]byte, blocks), LatencyCycles: 20000}
 }
 
 // Name implements Device.
@@ -346,12 +348,16 @@ func (d *Disk) Tick(now uint64) (int, uint64) {
 		return 0, d.busyUntil
 	}
 	// Complete the transfer by DMA.
-	if int(d.block) < len(d.Blocks) {
-		switch d.cmd {
-		case 1:
+	if int(d.block) < len(d.Blocks) && (d.cmd == 1 || d.cmd == 2) {
+		switch {
+		case uint64(d.addr)+DiskBlockSize > uint64(d.m.MemSize()):
+			d.Faults++
+		case d.cmd == 2:
+			d.Blocks[d.block] = d.m.PeekBytes(d.addr, DiskBlockSize)
+		case d.Blocks[d.block] == nil:
+			d.m.PokeBytes(d.addr, noBlock[:])
+		default:
 			d.m.PokeBytes(d.addr, d.Blocks[d.block])
-		case 2:
-			copy(d.Blocks[d.block], d.m.PeekBytes(d.addr, DiskBlockSize))
 		}
 	}
 	d.busyUntil = 0

@@ -2,6 +2,7 @@ package m68k_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"synthesis/internal/asmkit"
@@ -31,6 +32,64 @@ func TestDiskWriteCommand(t *testing.T) {
 	run(t, m, b.Link(m))
 	if got := string(disk.Blocks[5][:19]); got != "write me to block 5" {
 		t.Errorf("disk block 5 = %q", got)
+	}
+}
+
+// TestDMAOutsideRAMIsRefused points every DMA engine past the end of a
+// 1 MB machine's RAM. The NIC refuses a transmit whose frame is not
+// wholly in RAM, however long the guest says it is, and drops a frame
+// whose ring slot is not; the disk completes a transfer to or from an
+// address outside RAM without moving a byte and counts it as a fault.
+// None of them may take the host down.
+func TestDMAOutsideRAMIsRefused(t *testing.T) {
+	const out = 0x200000 // past the end of RAM
+	m := newMSized(t, 1<<20)
+	disk, nic := m68k.NewDisk(m, 4), m68k.NewNet(m)
+	m.Attach(disk)
+	m.Attach(nic)
+	h := asmkit.New()
+	h.AddL(m68k.Imm(1), m68k.D(5))
+	h.Rte()
+	m.Poke(m.VBR+uint32(m68k.VecAutovector+m68k.IRQDisk)*4, 4, h.Link(m))
+
+	b := asmkit.New()
+	for _, r := range [][2]int32{
+		{int32(m68k.NetRegRxBase), out}, {int32(m68k.NetRegRxSlots), 4},
+		{int32(m68k.NetRegSlotSz), 128}, {int32(m68k.NetRegCtl), 1},
+	} {
+		b.MoveL(m68k.Imm(r[1]), m68k.Abs(m68k.NetBase+uint32(r[0])))
+	}
+	// A frame staged outside RAM, one whose length runs it out of RAM,
+	// and one in RAM that the ring outside RAM cannot take: D6 sums
+	// their TxStat.
+	for _, f := range [][2]int32{{out, 64}, {0x1000, -16}, {0x1000, 64}} {
+		b.MoveL(m68k.Imm(f[0]), m68k.Abs(m68k.NetBase+m68k.NetRegTxAddr))
+		b.MoveL(m68k.Imm(f[1]), m68k.Abs(m68k.NetBase+m68k.NetRegTxLen))
+		b.AddL(m68k.Abs(m68k.NetBase+m68k.NetRegTxStat), m68k.D(6))
+	}
+	// A disk read into, then a write from, an address outside RAM.
+	for cmd := int32(1); cmd <= 2; cmd++ {
+		wait := fmt.Sprintf("wait%d", cmd)
+		b.MoveL(m68k.Imm(1), m68k.Abs(m68k.DiskBase+m68k.DiskRegBlock))
+		b.MoveL(m68k.Imm(out), m68k.Abs(m68k.DiskBase+m68k.DiskRegAddr))
+		b.MoveL(m68k.Imm(cmd), m68k.Abs(m68k.DiskBase+m68k.DiskRegCmd))
+		b.AndSR(^uint16(7 << 8))
+		b.Label(wait)
+		b.CmpL(m68k.Imm(cmd), m68k.D(5))
+		b.Bne(wait)
+		b.OrSR(7 << 8)
+	}
+	b.Halt()
+	run(t, m, b.Link(m))
+
+	if m.D[6] != 0 || nic.TxLaunched() != 3 || nic.Dropped() != 3 {
+		t.Errorf("transmits: TxStat sum %d, %d launched, %d dropped; want 0, 3, 3", m.D[6], nic.TxLaunched(), nic.Dropped())
+	}
+	if nic.InjectFrame(make([]byte, 64)) || nic.Dropped() != 4 || nic.RxPending() != 0 {
+		t.Errorf("a frame for a ring slot outside RAM was taken (%d dropped, %d pending)", nic.Dropped(), nic.RxPending())
+	}
+	if m.D[5] != 2 || disk.Faults != 2 || disk.Blocks[1] != nil {
+		t.Errorf("disk: %d transfers completed, %d faults, block 1 written: %v; want 2, 2, false", m.D[5], disk.Faults, disk.Blocks[1] != nil)
 	}
 }
 

@@ -160,7 +160,12 @@ type Machine struct {
 	// switch code to include FP state and clears the flag.
 	FPTrap bool
 
-	// Memory and code.
+	// Memory and code. Mem is the memory reached so far, not all of
+	// RAM: it starts at initialMem and grows on the access that first
+	// goes past its end (see reach), up to MemSize(), which is RAM. The
+	// unreached rest reads as zeros. A grow may move the slice, so no
+	// view of Mem may be held across a call that can grow it (Load,
+	// Store, Poke, PokeBytes).
 	Mem     []byte
 	Code    []Instr
 	CodeTop uint32 // next free code-space slot (bump allocated)
@@ -244,7 +249,13 @@ type Machine struct {
 	CollapseFallbacks uint64
 
 	Marks []Mark // the counters' readings at each SvcMark, in order
+
+	memSize int // bytes of RAM: how far Mem may grow
 }
+
+// initialMem is the memory New allocates; the rest is allocated as the
+// guest reaches it (see Machine.Mem).
+const initialMem = 64 << 10
 
 // SvcMark is the KCALL id of the mark, which New serves: a program
 // brackets what it measures with a pair of marks, and MarkMicros and
@@ -264,18 +275,38 @@ func New(cfg Config) *Machine {
 		cfg.ClockMHz = 50
 	}
 	m := &Machine{
-		Mem:        make([]byte, cfg.MemSize),
+		Mem:        make([]byte, min(cfg.MemSize, initialMem)),
 		Code:       make([]Instr, 0, 4096),
 		ClockMHz:   cfg.ClockMHz,
 		WaitStates: cfg.WaitStates,
 		SR:         FlagS | iplMask, // boot in supervisor state, interrupts masked
 		devFloor:   ^uint32(0),
+		memSize:    int(cfg.MemSize),
 	}
 	if cfg.TraceDepth > 0 {
 		m.Trace = NewTrace(cfg.TraceDepth)
 	}
 	m.services[SvcMark] = (*Machine).mark
 	return m
+}
+
+// MemSize returns the bytes of RAM, the end of the memory a guest may
+// reach; len(Mem) is the part reached so far.
+func (m *Machine) MemSize() uint32 { return uint32(m.memSize) }
+
+// reach grows Mem to cover [0, end), an end past len(Mem), and reports
+// whether end lies within RAM. Mem grows to 9/8 of end, capped at
+// MemSize: the length depends only on the highest address reached,
+// whatever the order, and each grow adds at least an eighth. Powers of
+// two made compute's set-up 1.6x slower: a 4 MB Mem for 2 MB reached
+// was zeroed in pages the Go runtime had returned to the OS. With reach
+// in it Poke costs the inliner's whole budget (make inline holds it).
+func (m *Machine) reach(end int) bool {
+	if end > m.memSize {
+		return false
+	}
+	m.Mem = append(m.Mem, make([]byte, min(m.memSize, end+end>>3)-len(m.Mem))...)
+	return true
 }
 
 // mark is the SvcMark service.
@@ -456,7 +487,7 @@ func (m *Machine) Load(addr uint32, sz uint8) (uint32, error) {
 		m.tickDevice(i, m.Cycles)
 		return v, nil
 	}
-	if int(addr)+int(sz) > len(m.Mem) {
+	if int(addr)+int(sz) > len(m.Mem) && !m.reach(int(addr)+int(sz)) {
 		return 0, &BusFault{Addr: addr, PC: m.PC}
 	}
 	return m.loadRaw(addr, sz), nil
@@ -487,7 +518,7 @@ func (m *Machine) Store(addr uint32, sz uint8, val uint32) error {
 		m.tickDevice(i, m.Cycles)
 		return nil
 	}
-	if int(addr)+int(sz) > len(m.Mem) {
+	if int(addr)+int(sz) > len(m.Mem) && !m.reach(int(addr)+int(sz)) {
 		return &BusFault{Addr: addr, Write: true, PC: m.PC}
 	}
 	m.storeRaw(addr, sz, val)
@@ -585,31 +616,41 @@ func (m *Machine) storeRAM(addr uint32, sz uint8, val uint32) bool {
 }
 
 // Peek reads memory for the benefit of the host (no cycle charge, no
-// device routing). Out-of-range reads return 0.
+// device routing). Memory not yet reached reads as zeros, and reads
+// outside RAM return 0.
 func (m *Machine) Peek(addr uint32, sz uint8) uint32 {
 	if int(addr)+int(sz) > len(m.Mem) {
-		return 0
+		var b [4]byte
+		copy(b[4-sz:], m.Mem[min(int(addr), len(m.Mem)):])
+		return binary.BigEndian.Uint32(b[:])
 	}
 	return m.loadRaw(addr, sz)
 }
 
 // Poke writes memory for the benefit of the host (no cycle charge).
+// Writes outside RAM are dropped.
 func (m *Machine) Poke(addr uint32, sz uint8, val uint32) {
-	if int(addr)+int(sz) <= len(m.Mem) {
+	if int(addr)+int(sz) <= len(m.Mem) || m.reach(int(addr)+int(sz)) {
 		m.storeRaw(addr, sz, val)
 	}
 }
 
-// PeekBytes copies n bytes out of memory for the host.
+// PeekBytes copies n bytes out of memory for the host, zeros for any
+// not yet reached or outside RAM.
 func (m *Machine) PeekBytes(addr uint32, n int) []byte {
 	out := make([]byte, n)
-	copy(out, m.Mem[addr:])
+	if int(addr) < len(m.Mem) {
+		copy(out, m.Mem[addr:])
+	}
 	return out
 }
 
-// PokeBytes copies bytes into memory for the host.
+// PokeBytes copies bytes into memory for the host; bytes that would
+// not all land in RAM are dropped.
 func (m *Machine) PokeBytes(addr uint32, b []byte) {
-	copy(m.Mem[addr:], b)
+	if int(addr)+len(b) <= len(m.Mem) || m.reach(int(addr)+len(b)) {
+		copy(m.Mem[addr:], b)
+	}
 }
 
 // AllocCode reserves n instruction slots in code space and returns

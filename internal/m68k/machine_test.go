@@ -13,7 +13,13 @@ import (
 // vectors pointing at a HALT stub, supervisor stack at 0x8000.
 func newM(t *testing.T) *m68k.Machine {
 	t.Helper()
-	m := m68k.New(m68k.Config{MemSize: 1 << 16, TraceDepth: 64})
+	return newMSized(t, 1<<16)
+}
+
+// newMSized is newM with size bytes of RAM.
+func newMSized(t *testing.T, size uint32) *m68k.Machine {
+	t.Helper()
+	m := m68k.New(m68k.Config{MemSize: size, TraceDepth: 64})
 	stub := m.Emit([]m68k.Instr{{Op: m68k.HALT}})
 	m.VBR = 0x100
 	for v := 0; v < m68k.NumVectors; v++ {
@@ -594,7 +600,8 @@ func TestDiskDMA(t *testing.T) {
 	m := newM(t)
 	disk := m68k.NewDisk(m, 16)
 	m.Attach(disk)
-	copy(disk.Blocks[3], []byte("hello disk"))
+	disk.Blocks[3] = make([]byte, m68k.DiskBlockSize)
+	copy(disk.Blocks[3], "hello disk")
 
 	h := asmkit.New()
 	h.MoveL(m68k.Imm(1), m68k.D(5))

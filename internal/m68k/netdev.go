@@ -29,7 +29,7 @@ const (
 	NetRegRxHead  uint32 = 0x18 // read: frames DMA'd so far (free-running)
 	NetRegRxTail  uint32 = 0x1c // write: frames consumed so far (frees slots)
 	NetRegTxCount uint32 = 0x20 // read: frames launched so far
-	NetRegDrops   uint32 = 0x24 // read: frames dropped (ring full/runt/oversize/disabled)
+	NetRegDrops   uint32 = 0x24 // read: frames dropped (ring full/runt/oversize/disabled/not in RAM)
 	NetRegTxStat  uint32 = 0x28 // read: 1 = last launched frame was accepted by the receiver
 )
 
@@ -119,6 +119,8 @@ func (n *Net) Store(off uint32, sz uint8, val uint32) {
 		}
 		var ok bool
 		switch end := uint64(n.txAddr) + uint64(val); {
+		case end > uint64(n.m.MemSize()):
+			n.drops++ // the frame is not wholly in RAM
 		case n.Tx != nil:
 			ok = n.Tx(n.m.PeekBytes(n.txAddr, int(val)))
 		case target.m.Inj == nil && end <= uint64(len(n.m.Mem)):
@@ -179,16 +181,18 @@ func (n *Net) Deliver(frame []byte) bool {
 // deliverRaw DMAs one post-injection frame into the receive ring. The
 // frame is not retained.
 func (n *Net) deliverRaw(frame []byte, delay uint64) bool {
+	slot := n.rxBase + (n.rxHead&(n.rxSlots-1))*n.slotSz
 	if !n.enabled || n.rxSlots == 0 || n.slotSz == 0 ||
 		len(frame) < NetMinFrame || uint32(len(frame))+4 > n.slotSz ||
 		n.rxHead-n.rxTail >= n.rxSlots ||
+		uint64(slot)+4+uint64(len(frame)+3)&^3 > uint64(n.m.MemSize()) ||
 		(n.m.Inj != nil && n.m.Inj.RingFull()) {
 		n.drops++
 		return false
 	}
 	// The bytes go first: frame may be a view of the sender's memory,
-	// and that view must be read as it was when the frame launched.
-	slot := n.rxBase + (n.rxHead&(n.rxSlots-1))*n.slotSz
+	// and that view must be read as it was when the frame launched. A
+	// grow of Mem here leaves the bytes under the view as they were.
 	n.m.PokeBytes(slot+4, frame)
 	n.m.Poke(slot, 4, uint32(len(frame)))
 	// The DMA engine writes whole long words: zero the pad up to the

@@ -411,7 +411,7 @@ func (k *Kernel) Run(entry uint32, maxCycles uint64) error {
 	// User stack near the top of memory; the baseline runs the
 	// program in supervisor state on its single kernel stack (no
 	// quaspaces — faithful to the flat single-process comparison).
-	m.A[7] = uint32(len(m.Mem) - 16)
+	m.A[7] = m.MemSize() - 16
 	m.SSP = m.A[7]
 	// The baseline is fully polled (tty status loops, disk untouched)
 	// and single-process, so it runs with interrupts masked — device

@@ -94,9 +94,9 @@ func TestChaosSoak(t *testing.T) {
 	// Partition vm1 from the host mid-traffic, hold, heal. 32 conns
 	// dealt round-robin over 2 VMs put 16 behind the cut.
 	const severed = 16
-	c.Cut([]int{net.HostNode}, []int{1})
+	cutLinks(c, []int{net.HostNode}, []int{1})
 	time.Sleep(250 * time.Millisecond)
-	c.Heal()
+	healLinks(c)
 
 	// Every severed connection must complete a post-heal round trip,
 	// each landing one observation in the recovery histogram.

@@ -122,8 +122,8 @@ type VM struct {
 	ingress *net.PacketRing
 	err     error
 	// clk maps this VM's cycle clock onto the fleet wall clock from
-	// sync points the driver records at chunk boundaries. Nil unless
-	// tracing or the flight recorder is on.
+	// sync points the driver records at chunk boundaries, for WriteTrace.
+	// Nil unless tracing is on.
 	clk *prof.ClockMap
 	// The driver's wall time, busy and parked, and its chunk count.
 	busyNS, parkNS, chunks *metrics.Counter
@@ -298,10 +298,8 @@ func (c *Cluster) bootVM(id int) *VM {
 	vm := &VM{ID: id, K: k, IO: io, ingress: net.NewPacketRing(ingressSlots),
 		busyNS: reg.Counter("driver.busy_ns"), parkNS: reg.Counter("driver.park_ns"),
 		chunks: reg.Counter("driver.chunks")}
-	if observed {
-		vm.clk = prof.NewClockMap(mcfg.ClockMHz)
-	}
 	if c.tr != nil {
+		vm.clk = prof.NewClockMap(mcfg.ClockMHz)
 		k.Prof.OnIRQ = func(level, vec int, raisedAt, takenAt uint64) {
 			if level == m68k.IRQNet && c.tr.active.Load() > 0 {
 				c.tr.onIRQ(id, takenAt)

@@ -207,7 +207,7 @@ func cutAndPark(t *testing.T, c *Cluster) {
 		time.Sleep(50 * time.Millisecond)
 		return c.GuestInstrs() == n
 	}
-	c.Cut([]int{net.HostNode}, []int{1, 2})
+	cutLinks(c, []int{net.HostNode}, []int{1, 2})
 	for deadline := time.Now().Add(10 * time.Second); !still(); {
 		if time.Now().After(deadline) {
 			t.Fatal("a cut-off fleet keeps executing guest instructions: its drivers never park")
@@ -238,7 +238,7 @@ func TestIdleFleetParks(t *testing.T) {
 	// resends get through and echoes resume.
 	cutAndPark(t, c)
 	before := c.Replies()
-	c.Heal()
+	healLinks(c)
 	waitReplies(t, c, before+8, 10*time.Second)
 	// The driver clocks saw it: a woken driver books the stretch it
 	// slept (two 50 ms still checks at least) as parked.

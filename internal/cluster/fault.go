@@ -93,9 +93,7 @@ func (ls *linkState) slots(now time.Time, n int) (time.Time, bool) {
 	return at, true
 }
 
-// cutRec is one cut, scripted (part=) or manual (Cluster.Cut): every
-// link between a and b is severed until heal, which is zero for a
-// manual cut until Heal.
+// cutRec is one cut: every link between a and b is severed until heal.
 type cutRec struct {
 	a, b []int
 	heal time.Time
@@ -157,9 +155,8 @@ type faultPlane struct {
 	mHeals           *metrics.Counter
 }
 
-// newFaultPlane builds the plane from a plan. Always constructed (so
-// Cut/Heal work on any cluster); enabled only once it has something to
-// do.
+// newFaultPlane builds the plane from a plan. Always constructed;
+// enabled only once it has something to do.
 func newFaultPlane(c *Cluster, plan fault.Plan, seed int64) *faultPlane {
 	fp := &faultPlane{
 		c:      c,
@@ -316,8 +313,8 @@ func (fp *faultPlane) step(now time.Time) {
 	}
 }
 
-// cut severs every link between node sets a and b until heal (zero:
-// until Heal); callers hold mu.
+// cut severs every link between node sets a and b until heal; callers
+// hold mu.
 func (fp *faultPlane) cut(a, b []int, heal time.Time) {
 	fp.cuts = append(fp.cuts, &cutRec{a: slices.Clone(a), b: slices.Clone(b), heal: heal})
 	fp.mCuts.Inc()
@@ -328,7 +325,7 @@ func (fp *faultPlane) cut(a, b []int, heal time.Time) {
 func (fp *faultPlane) heal(now time.Time) {
 	live := fp.cuts[:0]
 	for _, c := range fp.cuts {
-		if c.heal.IsZero() || now.Before(c.heal) {
+		if now.Before(c.heal) {
 			live = append(live, c)
 			continue
 		}
@@ -367,30 +364,4 @@ func (c *Cluster) faultPump() {
 			return
 		}
 	}
-}
-
-// Cut severs every link between node sets a and b (both directions,
-// node 0 = the host) until Heal. Programmatic twin of the part=
-// schedule clause; benchmarks use it to place the heal instant
-// precisely.
-func (c *Cluster) Cut(a, b []int) {
-	c.fp.mu.Lock()
-	c.fp.cut(a, b, time.Time{})
-	c.fp.mu.Unlock()
-	c.fp.enabled.Store(true)
-}
-
-// Heal heals every manual cut now, stamping the heal so the load
-// generator can measure each affected connection's time to first
-// reply. Scheduled (part=) cuts heal on their own schedule.
-func (c *Cluster) Heal() {
-	now := time.Now()
-	c.fp.mu.Lock()
-	for _, cut := range c.fp.cuts {
-		if cut.heal.IsZero() {
-			cut.heal = now
-		}
-	}
-	c.fp.heal(now)
-	c.fp.mu.Unlock()
 }

@@ -414,9 +414,9 @@ func (c *Cluster) TraceCounts() (sampled, completed, incomplete, abandoned uint6
 // WriteTrace writes the merged fleet Chrome trace (load it at
 // chrome://tracing or ui.perfetto.dev): pid 0 carries each retained
 // round trip as a waterfall of per-hop slices on the connection's
-// row; each VM's pid (its node id) carries its profiler region
-// timeline, mapped from cycles onto the fleet wall clock by the VM's
-// ClockMap, plus instant markers for the traced requests' VM-side
+// row; each VM's pid (its node id) carries, when tracing is on, its
+// profiler region timeline, mapped from cycles onto the fleet wall clock
+// by the VM's ClockMap, plus instant markers for the traced requests' VM-side
 // events. Timestamps are wall microseconds since cluster start, so all
 // domains share one axis. The fleet is quiesced (all VM mutexes held)
 // while rings are read.

@@ -38,7 +38,6 @@ type IO struct {
 	ttyIntH uint32 // synthesized tty interrupt handler
 	adIntH  uint32 // synthesized A/D interrupt handler
 	adQ     *ADQueue
-	echo    bool
 
 	// Raw disk server state.
 	diskIntH      uint32 // synthesized disk completion handler
@@ -74,7 +73,7 @@ func (io *IO) ADIntHandler() uint32 { return io.adIntH }
 // services. Must run before user threads are created so they inherit
 // the interrupt vectors.
 func Install(k *kernel.Kernel) *IO {
-	io := &IO{K: k, echo: true}
+	io := &IO{K: k}
 
 	// Device files.
 	mustCreate(k.FS.CreateSpecial("/dev/null", fs.SpecialNull))

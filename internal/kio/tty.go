@@ -40,7 +40,6 @@ func (io *IO) installTTY() {
 	rwait := q.Addr + KQRWait
 	gauge := q.Addr + KQGauge
 	size := q.Size
-	echo := io.echo
 
 	io.ttyIntH = k.C.Build(nil, "tty_intr").Named("kio.tty_intr").Emit(func(e *synth.Emitter) {
 		e.MoveL(m68k.D(0), m68k.PreDec(7))
@@ -50,13 +49,11 @@ func (io *IO) installTTY() {
 		// Pick up the character (the act of reading clears the
 		// interrupt condition).
 		e.MoveL(m68k.Abs(m68k.TTYBase+m68k.TTYRegData), m68k.D(0))
-		if echo {
-			// Echoing shares the output with user writes, which is
-			// why the paper routes echo through an optimistic queue;
-			// our output register accepts interleaved bytes, so the
-			// echo is a single store.
-			e.MoveB(m68k.D(0), m68k.Abs(m68k.TTYBase+m68k.TTYRegData))
-		}
+		// Echoing shares the output with user writes, which is why the
+		// paper routes echo through an optimistic queue; our output
+		// register accepts interleaved bytes, so the echo is a single
+		// store.
+		e.MoveB(m68k.D(0), m68k.Abs(m68k.TTYBase+m68k.TTYRegData))
 		// Dedicated-queue insert: this handler is the only producer.
 		e.MoveL(m68k.Abs(head), m68k.D(1))
 		e.Lea(m68k.Abs(buf), 0)

@@ -22,7 +22,7 @@ const (
 	clSSP      = 0x0800 // the supervisor stack's top; the cells lie above it
 	clIRQCell  = 0x0800 // count, then the sums of D0, A1, A0, D3, D4 and the stacked SR, kept by the interrupt handler
 	clBusCell  = 0x0820 // count, then the sum of the stacked PCs, kept by the bus-error handler
-	clDevBase  = 0x3000 // the device window, where a case attaches it: devFloor
+	clDevBase  = IOBase // the device window, where a case attaches it
 	clUBase    = 0x1000 // the quaspace of the user-state cases
 	clULimit   = 0x2400
 	clIRQLevel = 5
@@ -37,7 +37,6 @@ const (
 	clLong                // emitCopy's long pass: eight MOVE.L (An)+,(Am)+ and a DBRA
 	clScan                // fs_lookup's strlen: TST.B (A0)+ and a BNE back
 	clCmpL                // fs_lookup's long compare: MOVE.L -(A0),D4, CMP.L (A1)+,D4, BNE and DBRA D3
-	clCmpB                // its byte compare, the same in bytes
 )
 
 var clForms = []struct {
@@ -72,7 +71,7 @@ func clPass(f clForm, head uint32, groups int32, an, am, dn, ds uint8) []Instr {
 		Instr{Op: DBRA, Src: D(dn), Dst: Abs(head)})
 }
 
-// clWindow is a device window inside RAM that records its accesses.
+// clWindow is a device window that records its accesses.
 type clWindow struct{ n, sum uint32 }
 
 func (*clWindow) Name() string                          { return "window" }
@@ -297,7 +296,7 @@ func clRun(t *testing.T, c clCase, prepare func(r *clRig)) [2]*clRig {
 
 // TestCopyLoopMatchesSteps runs the copy program in each form where a
 // pass collapses (apart and adjacent blocks), where it must not because
-// a block straddles devFloor, the end of Mem or the quaspace limit (and
+// a block straddles the end of Mem or the quaspace limit (and
 // a pass faults on the same instruction both ways) or the blocks
 // overlap, and with payloads that leave each of X and C, V, Z and N set
 // and clear after the summing form's last add, and the long form's last
@@ -318,8 +317,6 @@ func TestCopyLoopMatchesSteps(t *testing.T) {
 		}{
 			{clCase{name: "apart", src: 0x1000, dst: 0x2000}, true, false, 0},
 			{clCase{name: "adjacent", src: 0x1000, dst: 0x1000 + adjacent}, true, false, 0},
-			{clCase{name: "dst across devFloor", src: 0x1000, dst: clDevBase - 0x90, window: true}, false, false, 0},
-			{clCase{name: "src across devFloor", src: clDevBase - 0x90, dst: 0x1000, window: true}, false, false, 0},
 			{clCase{name: "dst across the end of Mem", src: 0x1000, dst: clMem - 0x90}, false, true, 0},
 			{clCase{name: "src across the end of Mem", src: clMem - 0x90, dst: 0x1000}, false, true, 0},
 			{clCase{name: "dst across the quaspace limit", src: 0x1000, dst: clULimit - 0x90, user: true}, false, true, 0},
@@ -512,8 +509,8 @@ func TestXentSize(t *testing.T) {
 // TestCopyLoopShapes: a head collapses only the loops loopAt
 // describes, with a MOVEM pass's registers apart from each other and
 // from the eight its groups load, the summing form's adds long and in
-// memory order, a byte TST, and a long or byte compare whose CMP
-// matches its MOVE, with An apart from Am and Ds from Dn.
+// memory order, a byte TST, and a long compare whose CMP matches its
+// MOVE, with An apart from Am and Ds from Dn.
 func TestCopyLoopShapes(t *testing.T) {
 	swap := func(i, j int) func([]Instr) {
 		return func(p []Instr) { p[i], p[j] = p[j], p[i] }
@@ -559,7 +556,7 @@ func TestCopyLoopShapes(t *testing.T) {
 		{name: "scan: a BEQ", form: clScan, edit: func(p []Instr) { p[1].Op = BEQ }},
 		{name: "scan: BNE past the head", form: clScan, edit: func(p []Instr) { p[1].Dst.Imm++ }},
 		{name: "fs_lookup's long compare", form: clCmpL, want: 4},
-		{name: "its byte compare", form: clCmpB, want: 1},
+		{name: "a byte compare", form: clCmpL, edit: func(p []Instr) { p[0].Sz, p[1].Sz = 1, 1 }},
 		{name: "a compare of size 0", form: clCmpL, edit: func(p []Instr) { p[0].Sz, p[1].Sz = 0, 0 }, want: 4},
 		{name: "a word compare", form: clCmpL, edit: func(p []Instr) { p[0].Sz, p[1].Sz = 2, 2 }},
 		{name: "compare: CMP.B after MOVE.L", form: clCmpL, edit: func(p []Instr) { p[1].Sz = 1 }},

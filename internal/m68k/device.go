@@ -272,33 +272,35 @@ const (
 // DiskBlockSize is the transfer unit.
 const DiskBlockSize = 1024
 
+// DiskLatencyCycles is every transfer's access latency: a fast
+// controller with the data already under the head (the paper's file
+// benchmarks run from the in-memory cache, so disk latency only matters
+// for cache misses).
+const DiskLatencyCycles = 20000
+
 // Disk is a DMA block device with a fixed access latency, standing in
 // for the Quamachine's 390 MB hard disk. Transfers complete after
-// LatencyCycles and raise IRQDisk. A block is created by its first
+// DiskLatencyCycles and raise IRQDisk. A block is created by its first
 // write: a nil entry in Blocks is a block never written, and reads as
 // zeros. A transfer whose DMA address is not wholly in RAM moves no
 // bytes, still completes, and counts in Faults.
 type Disk struct {
-	m             *Machine
-	Blocks        [][]byte
-	LatencyCycles uint64
-	Faults        uint64
-	block         uint32
-	addr          uint32
-	busyUntil     uint64
-	cmd           uint32
-	done          bool
+	m         *Machine
+	Blocks    [][]byte
+	Faults    uint64
+	block     uint32
+	addr      uint32
+	busyUntil uint64
+	cmd       uint32
+	done      bool
 }
 
 // noBlock is what a block never written reads as.
 var noBlock [DiskBlockSize]byte
 
-// NewDisk creates a disk with the given number of blocks. The default
-// latency models a fast controller with the data already under the
-// head (the paper's file benchmarks run from the in-memory cache, so
-// disk latency only matters for cache misses).
+// NewDisk creates a disk with the given number of blocks.
 func NewDisk(m *Machine, blocks int) *Disk {
-	return &Disk{m: m, Blocks: make([][]byte, blocks), LatencyCycles: 20000}
+	return &Disk{m: m, Blocks: make([][]byte, blocks)}
 }
 
 // Name implements Device.
@@ -335,7 +337,7 @@ func (d *Disk) Store(off uint32, sz uint8, val uint32) {
 		d.addr = val
 	case DiskRegCmd:
 		d.cmd = val
-		d.busyUntil = d.m.Clock() + d.LatencyCycles
+		d.busyUntil = d.m.Clock() + DiskLatencyCycles
 	}
 }
 
@@ -374,12 +376,14 @@ const (
 	ADRegStatus uint32 = 0x08 // read: samples dropped because not consumed in time
 )
 
-// AD is the two-channel 16-bit analog input sampler. While running it
-// raises IRQAD once per sample period; the paper's configuration is
+// ADRate is the sampler's rate in samples per second, the paper's
 // 44,100 interrupts per second (Section 5.4).
+const ADRate = 44100
+
+// AD is the two-channel 16-bit analog input sampler. While running it
+// raises IRQAD once per sample period, ADRate times a second.
 type AD struct {
 	m       *Machine
-	Rate    float64 // samples per second
 	running bool
 	nextAt  uint64
 	seq     uint32
@@ -388,8 +392,8 @@ type AD struct {
 	Dropped uint64
 }
 
-// NewAD creates the sampler at the paper's 44.1 kHz rate.
-func NewAD(m *Machine) *AD { return &AD{m: m, Rate: 44100} }
+// NewAD creates the sampler.
+func NewAD(m *Machine) *AD { return &AD{m: m} }
 
 // Name implements Device.
 func (a *AD) Name() string { return "ad" }
@@ -402,7 +406,7 @@ func (a *AD) Size() uint32 { return 0x100 }
 
 // periodCycles converts the sample rate to cycles.
 func (a *AD) periodCycles() uint64 {
-	return uint64(a.m.ClockMHz * 1e6 / a.Rate)
+	return uint64(a.m.ClockMHz * 1e6 / ADRate)
 }
 
 // Load implements Device.

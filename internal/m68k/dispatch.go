@@ -989,7 +989,7 @@ func cAddSub(in *Instr) runFn {
 			m.setAddFlagsMask(old, s, nw, mask, sign)
 			return nil
 		}
-	case in.Dst.Mode == ModeDReg && srel && sz == 4: // the checksum loop's add.l (a0)+,d1
+	case in.Dst.Mode == ModeDReg && srel && sz == 4: // SUB.L d(An),Dn is the one shape the workloads run here
 		return func(m *Machine) error {
 			src := sr.addr(m)
 			if err := m.checkUserAccess(src); err != nil {
@@ -1255,8 +1255,8 @@ const maxCopyGroups = 8
 // "long", "scan" or "compare"; "" for none) and the slots an iteration
 // runs, its head included. A copy moves groups 32-byte groups from (An)+
 // to (Am), counts passes down in Dn and sums into Ds; a scan reads
-// (An)+ a byte at a time; a compare moves sz bytes from -(An) into Ds,
-// compares them with (Am)+ and counts down in Dn.
+// (An)+ a byte at a time; a compare moves a long from -(An) into Ds,
+// compares it with (Am)+ and counts down in Dn.
 type loopShape struct {
 	form           string
 	span, groups   uint32
@@ -1289,8 +1289,10 @@ func loopReach(in *Instr) uint32 {
 //     into Ds in that order, then LEA 32(Am),Am;
 //   - emitCopy's long pass: eight MOVE.L (An)+,(Am)+;
 //   - fs_lookup's scan: TST.B (An)+, then BNE back to it;
-//   - fs_lookup's compare, long or byte: MOVE -(An),Ds, CMP (Am)+,Ds and
-//     BNE out.
+//   - fs_lookup's long compare: MOVE.L -(An),Ds, CMP.L (Am)+,Ds and BNE
+//     out. Its byte tail, at most three bytes, runs instruction by
+//     instruction: of the benchmark's workloads only file_rw's set-up
+//     meets one.
 //
 // Each but the scan ends in DBRA Dn back to pc. An and Am differ, Ds
 // differs from Dn, and a MOVEM pass's An, Am, Dn and Ds are apart from
@@ -1319,8 +1321,8 @@ func loopAt(code []Instr, pc uint32) loopShape {
 		}
 		return loopShape{form: "scan", span: 2, sz: 1, an: h.Src.Reg}
 	case h.Op == MOVE && h.Src.Mode == ModePreDec && h.Dst.Mode == ModeDReg:
-		s.form, s.sz, s.am, s.ds, end = "compare", h.Sz, at(1).Src.Reg, h.Dst.Reg, 3
-		if h.Sz == 2 || !is(1, Instr{Op: CMP, Sz: h.Sz, Src: PostInc(s.am), Dst: D(s.ds)}) ||
+		s.form, s.sz, s.am, s.ds, end = "compare", 4, at(1).Src.Reg, h.Dst.Reg, 3
+		if h.Sz != 4 || !is(1, Instr{Op: CMP, Src: PostInc(s.am), Dst: D(s.ds)}) ||
 			!is(2, Instr{Op: BNE, Dst: Abs(uint32(at(2).Dst.Imm))}) {
 			return loopShape{}
 		}
@@ -1479,12 +1481,12 @@ func scanLoop(pc uint32, s loopShape, code []Instr, head runFn) runFn {
 	}
 }
 
-// cmpLoop runs a backwards compare's iterations with one host compare
-// loop: up to a mismatch, which leaves by the BNE, or the DBRA's exit,
-// or as many as are plain RAM the current state may use and end below
-// the horizon. The registers (a byte compare writes Ds's low byte
-// alone), SR (the last CMP's flags), PC and the counters end as the four
-// instructions would leave them, each BNE and DBRA charged its outcome.
+// cmpLoop runs a backwards long compare's iterations with one host
+// compare loop: up to a mismatch, which leaves by the BNE, or the DBRA's
+// exit, or as many as are plain RAM the current state may use and end
+// below the horizon. The registers, SR (the last CMP's flags), PC and
+// the counters end as the four instructions would leave them, each BNE
+// and DBRA charged its outcome.
 func cmpLoop(pc uint32, s loopShape, code []Instr, head runFn) runFn {
 	move := baseCost(&code[0])
 	body := move + baseCost(&code[1]) + baseCost(&code[2]) // but the branches' outcomes and memory references
@@ -1492,8 +1494,8 @@ func cmpLoop(pc uint32, s loopShape, code []Instr, head runFn) runFn {
 	more := body + cycBranchNot - cycReg + baseCost(&code[3]) + cycDBRATaken - cycReg
 	exit := more + cycDBRAExit - cycDBRATaken
 	out := uint32(code[2].Dst.Imm)
-	long, size, an, am, dn, ds := s.sz == 4, uint32(s.sz), s.an, s.am, s.dn, s.ds
-	mask, sign := maskFor(s.sz)
+	an, am, dn, ds := s.an, s.am, s.dn, s.ds
+	mask, sign := maskFor(4)
 	be := binary.BigEndian
 	return func(m *Machine) error {
 		a, b, c, mc := m.A[an], m.A[am], m.Cycles-move, 2*m.memCost() // c: the clock as the first MOVE began
@@ -1504,20 +1506,14 @@ func cmpLoop(pc uint32, s loopShape, code []Instr, head runFn) runFn {
 			fit = (m.horizon - c - 1) / (more + mc)
 		}
 		// One more than fit, in case a mismatch ends the loop sooner.
-		n := uint32(min(uint64(min(below, above)/size), uint64(m.D[dn])+1, fit+1))
-		k, mem := uint32(0), m.Mem // k: the equal units
-		if long {
-			for k < n && be.Uint32(mem[a-4*k-4:]) == be.Uint32(mem[b+4*k:]) {
-				k++
-			}
-		} else {
-			for k < n && mem[a-k-1] == mem[b+k] {
-				k++
-			}
+		n := uint32(min(uint64(min(below, above)/4), uint64(m.D[dn])+1, fit+1))
+		k, mem := uint32(0), m.Mem // k: the equal longs
+		for k < n && be.Uint32(mem[a-4*k-4:]) == be.Uint32(mem[b+4*k:]) {
+			k++
 		}
 		last, end, dbras := more, pc, k
 		switch {
-		case k < n: // the next unit differs
+		case k < n: // the next long differs
 			last, end, k = miss, out, k+1
 		case uint64(k) == uint64(m.D[dn])+1:
 			last, end = exit, pc+4
@@ -1529,12 +1525,9 @@ func cmpLoop(pc uint32, s loopShape, code []Instr, head runFn) runFn {
 			m.CollapseFallbacks++
 			return head(m)
 		}
-		x, y := uint32(mem[a-k]), uint32(mem[b+k-1])
-		if long {
-			x, y = be.Uint32(mem[a-4*k:]), be.Uint32(mem[b+4*k-4:])
-		}
-		m.A[an], m.A[am] = a-size*k, b+size*k
-		m.D[ds] = m.D[ds]&^mask | x
+		x, y := be.Uint32(mem[a-4*k:]), be.Uint32(mem[b+4*k-4:])
+		m.A[an], m.A[am] = a-4*k, b+4*k
+		m.D[ds] = x
 		m.D[dn] -= dbras
 		m.setSubFlagsMask(x, y, x-y, mask, sign)
 		m.Cycles = c + uint64(k-1)*(more+mc) + last + mc

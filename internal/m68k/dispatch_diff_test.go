@@ -169,11 +169,11 @@ func TestDispatchMatchesExec(t *testing.T) {
 // faulting the access), and in user state inside and outside the
 // quaspace. It fails with the quaspace check dropped from push or pop,
 // with either one stepping A7 only after an access that succeeds, taking
-// its open-coded RAM path at or above devFloor or across the end of RAM,
-// or leaving that access uncharged.
+// its open-coded RAM path across the end of RAM, or leaving that access
+// uncharged.
 func TestStackMatchesMove(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	sides := [2][2]*dirSide{{newDirSide(true), newDirSide(true)}, {newDirSide(false), newDirSide(false)}}
+	ref, st := newDirSide(), newDirSide()
 	image := make([]byte, dirMem)
 	const (
 		stPlain = iota
@@ -211,10 +211,6 @@ func TestStackMatchesMove(t *testing.T) {
 			in = Instr{Op: MOVE, Src: PostInc(7), Dst: D(0)}
 			s.A[7] = slot
 		}
-		ref, st := sides[0][0], sides[0][1]
-		if c == stRAMEnd {
-			ref, st = sides[1][0], sides[1][1]
-		}
 		ref.reset(in, s, image)
 		st.reset(in, s, image)
 		errA := ref.m.exec(&ref.m.Code[2])
@@ -245,8 +241,8 @@ func TestStackMatchesMove(t *testing.T) {
 
 const (
 	dirMem     = 0x1000 // RAM size: small, so a fresh image per state is cheap
-	dirDevBase = 0x0e00 // the device window lies inside the RAM range, so only
-	dirDevSize = 0x0040 // devFloor keeps an access to it off the RAM path
+	dirDevBase = IOBase // the device window
+	dirDevSize = 0x0040
 	dirVBR     = 0x0100
 )
 
@@ -308,15 +304,10 @@ type dirSide struct {
 	inj *dirFaulter
 }
 
-// newDirSide builds one side, with the recording device attached or,
-// for the end-of-RAM cases, without it: the window lies inside RAM, so
-// with it attached devFloor alone would keep those accesses off the RAM
-// path and the end-of-RAM bound would go untested.
-func newDirSide(attach bool) *dirSide {
+// newDirSide builds one side, with the recording device attached.
+func newDirSide() *dirSide {
 	s := &dirSide{m: New(Config{MemSize: dirMem}), dev: &recDev{}}
-	if attach {
-		s.m.Attach(s.dev)
-	}
+	s.m.Attach(s.dev)
 	s.m.Emit([]Instr{{Op: HALT}, {Op: HALT}, {Op: NOP}}) // 0, 1: vector targets; 2: the instruction under test
 	return s
 }
@@ -442,27 +433,25 @@ const (
 // the address; memForm always register-relative; reading An where the
 // index is Dn; ignoring the scale; reading an immediate source as a
 // register; loadRAM32, storeRAM32, loadRAM or storeRAM taking the RAM
-// path at or above devFloor or across the end of RAM, or storeRAM
-// leaving it uncharged. The stack and frame bodies: the mutations named
+// path across the end of RAM, or storeRAM leaving it uncharged. The stack and frame bodies: the mutations named
 // at their block below, the frame charged one reference short, JSR's or
 // RTS's slot check dropped, MOVE SR,-(An) never calling Store, a MOVEC
 // body dropping its privilege check or naming another control
 // register. push and pop (these fail
 // TestStackMatchesMove): either's quaspace check dropped, A7 stepped
-// only after an access that succeeds, the RAM path taken at or above
-// devFloor or across the end of RAM, the RAM access uncharged. MOVEM, in
+// only after an access that succeeds, the RAM path taken across the end
+// of RAM, the RAM access uncharged. MOVEM, in
 // each of the six written-out bodies (three register sets, two
 // directions): the first two registers' slots swapped, or the last data
 // register's and the first address register's; the (An)+ or -(An)
 // write-back dropped, or made on the other side of the transfer; the
 // block charged one memory reference short; the ramBlock test dropped.
 // And in their shared address form: the -(An) base 4 short; ramBlock
-// admitting a block past the end of RAM, past devFloor, or outside the
-// quaspace in user state.
+// admitting a block past the end of RAM or outside the quaspace in user
+// state.
 func TestDispatchMatchesExecDirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	ref, xl := newDirSide(true), newDirSide(true)
-	bareRef, bareXl := newDirSide(false), newDirSide(false)
+	ref, xl := newDirSide(), newDirSide()
 	image := make([]byte, dirMem)
 	relModes := []AddrMode{ModeInd, ModePostInc, ModePreDec, ModeDisp}
 
@@ -598,18 +587,14 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 			switch {
 			case c != dirUserNoSrc && c != dirUserNoDst:
 				if rng.Intn(4) == 0 {
-					st.UBase, st.ULimit = 0, dirMem // on, and admits everything mapped
+					st.UBase, st.ULimit = 0, dirDevBase+dirDevSize // on, and admits everything mapped
 				}
 			case other > out:
 				st.UBase, st.ULimit = out+1, dirMem
 			default:
 				st.UBase, st.ULimit = 0, out
 			}
-			a, b := ref, xl
-			if c == dirSrcRAMEnd || c == dirDstRAMEnd {
-				a, b = bareRef, bareXl
-			}
-			if d := dirDiff(a, b, in, st, image); d != "" {
+			if d := dirDiff(ref, xl, in, st, image); d != "" {
 				t.Fatalf("%v (case %d) from %+v:\n%s", in, c, *st, d)
 			}
 		}
@@ -714,9 +699,9 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 	}
 
 	// The stack and frame bodies over TestStackMatchesMove's six stack
-	// states and a seventh: a frame straddling devFloor, its PC long in
-	// the device window and its SR long in RAM (for RTE's pops, SR in RAM
-	// below PC in the window). JSR, RTS, RTE, the SR moves, MOVEC's
+	// states and a seventh: a frame straddling the window's base, its PC
+	// long in the device window and its SR long below it, where nothing
+	// is mapped (for RTE's pops, SR there below PC in the window). JSR, RTS, RTE, the SR moves, MOVEC's
 	// three bodies and its absolute form, which has none (its cell at the
 	// slot), run against exec; TRAP
 	// and an autovectored interrupt, which exec enters through the same
@@ -724,9 +709,8 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 	// slot, so a privilege violation's frame is directed too, and every
 	// vector holds its own number, so PC names the vector taken. It
 	// fails with Exception's frame stored, or RTE's read, when only one
-	// of its two longs is tested for plain RAM: the lower one
-	// (stkRAMEnd, or stkStraddle, where the device misses the PC long) or
-	// the upper one (stkRAMEnd's wrap: the body indexes past Mem's end).
+	// of its two longs is tested for plain RAM: the lower one (stkRAMEnd)
+	// or the upper one (stkRAMEnd's wrap: the body indexes past Mem's end).
 	const (
 		stkPlain = iota
 		stkRAMEnd
@@ -809,36 +793,32 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 					in.Dst.Reg = uint8(rng.Intn(8))
 				}
 			}
-			a, b := ref, xl
-			if c == stkRAMEnd {
-				a, b = bareRef, bareXl
-			}
 			var d string
 			switch in.Op {
 			case TRAP, stkIntr:
 				// An interrupt level above the mask.
 				l := 1 + rng.Intn(7)
 				st.SR = st.SR&^iplMask | uint16(rng.Intn(l))<<iplShift
-				a.reset(in, st, image)
-				b.reset(in, st, image)
+				ref.reset(in, st, image)
+				xl.reset(in, st, image)
 				var errA, errB error
 				if in.Op == TRAP {
-					a.m.Cycles += baseCost(&in)
-					errA = frameByPushes(a.m, VecTrapBase+int(in.Vec))
+					ref.m.Cycles += baseCost(&in)
+					errA = frameByPushes(ref.m, VecTrapBase+int(in.Vec))
 					var e xent
-					b.m.translate(2, &e)
-					b.m.Cycles += e.cost
-					errB = e.run(b.m)
+					xl.m.translate(2, &e)
+					xl.m.Cycles += e.cost
+					errB = e.run(xl.m)
 				} else {
-					if errA = frameByPushes(a.m, VecAutovector+l); errA == nil {
-						a.m.SetIPL(l)
+					if errA = frameByPushes(ref.m, VecAutovector+l); errA == nil {
+						ref.m.SetIPL(l)
 					}
-					b.m.PostInterrupt(l)
-					_, errB = b.m.takeInterrupt()
+					xl.m.PostInterrupt(l)
+					_, errB = xl.m.takeInterrupt()
 				}
-				d = dirCompare(a, b, errA, errB)
+				d = dirCompare(ref, xl, errA, errB)
 			default:
-				d = dirDiff(a, b, in, st, image)
+				d = dirDiff(ref, xl, in, st, image)
 			}
 			if d != "" {
 				t.Fatalf("%v (stack case %d, slot %#x) from %+v:\n%s", in, c, slot, *st, d)
@@ -850,7 +830,7 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 	// register set with a body and random masks (which run through
 	// exec), 16 states for each way a block can meet the fast path:
 	// plain RAM, across the end of RAM, into the device window
-	// (straddling its floor or inside it), there with the injector
+	// (straddling its base or inside it), there with the injector
 	// faulting the block's direction, in user state with the quaspace
 	// cutting the block, and with the base register in the list (one of
 	// the set's address registers).
@@ -920,11 +900,7 @@ func TestDispatchMatchesExecDirected(t *testing.T) {
 				if f.dir == 0 {
 					in.Src, in.Dst = Operand{}, o
 				}
-				a, b := ref, xl
-				if c == mvRAMEnd {
-					a, b = bareRef, bareXl
-				}
-				if d := dirDiff(a, b, in, st, image); d != "" {
+				if d := dirDiff(ref, xl, in, st, image); d != "" {
 					t.Fatalf("%v (case %d) from %+v:\n%s", in, c, *st, d)
 				}
 			}

@@ -116,7 +116,7 @@ type Device interface {
 // adjusted to the Quamachine's native configuration; SUN 3/160
 // emulation mode is 16 MHz with one wait state (Section 6.1).
 type Config struct {
-	MemSize    uint32  // bytes of RAM (default 4 MiB)
+	MemSize    uint32  // bytes of RAM (default 4 MiB; at most IOBase)
 	ClockMHz   float64 // CPU clock (default 50)
 	WaitStates int     // extra cycles per memory reference (default 0)
 	TraceDepth int     // execution trace ring size (0 = tracing off)
@@ -194,7 +194,6 @@ type Machine struct {
 	devices     []Device
 	devWin      []devWindow // per-device register window, read once at Attach
 	devNext     []uint64    // per-device next event time (0 = none)
-	devFloor    uint32      // lowest device window base (max uint32 = none)
 	nextPoll    uint64      // cached earliest devNext (0 = none); see tickDevice
 	pendIRQ     uint8       // bitmask of pending interrupt levels
 	irqRaisedAt [8]uint64   // cycle each pending level was first asserted
@@ -266,10 +265,16 @@ const SvcMark = 100
 // the SvcMark KCALL once its own cycles and instruction are counted.
 type Mark struct{ Cycles, Instrs uint64 }
 
-// New creates a machine with the given configuration.
+// New creates a machine with the given configuration. The address map
+// is fixed: RAM from 0 up to MemSize, which may not pass IOBase, and
+// every device window from IOBase up (see Attach), so an address inside
+// Mem is plain RAM, the one bound the dispatcher's RAM checks test.
 func New(cfg Config) *Machine {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = 4 << 20
+	}
+	if cfg.MemSize > IOBase {
+		panic(fmt.Sprintf("m68k: MemSize %#x runs into the I/O window at %#x", cfg.MemSize, IOBase))
 	}
 	if cfg.ClockMHz == 0 {
 		cfg.ClockMHz = 50
@@ -280,7 +285,6 @@ func New(cfg Config) *Machine {
 		ClockMHz:   cfg.ClockMHz,
 		WaitStates: cfg.WaitStates,
 		SR:         FlagS | iplMask, // boot in supervisor state, interrupts masked
-		devFloor:   ^uint32(0),
 		memSize:    int(cfg.MemSize),
 	}
 	if cfg.TraceDepth > 0 {
@@ -393,14 +397,15 @@ func (m *Machine) RegisterService(id uint8, s Service) {
 // devWindow is a device's register window, [base, end).
 type devWindow struct{ base, end uint32 }
 
-// Attach adds a memory-mapped device.
+// Attach adds a memory-mapped device. Its window must lie at or above
+// IOBase, clear of RAM (see New).
 func (m *Machine) Attach(d Device) {
+	if d.Base() < IOBase {
+		panic(fmt.Sprintf("m68k: device %s's window at %#x lies below the I/O window at %#x", d.Name(), d.Base(), IOBase))
+	}
 	m.devices = append(m.devices, d)
 	m.devWin = append(m.devWin, devWindow{d.Base(), d.Base() + d.Size()})
 	m.devNext = append(m.devNext, 0)
-	if d.Base() < m.devFloor {
-		m.devFloor = d.Base()
-	}
 	m.tickDevice(len(m.devices)-1, m.Cycles)
 }
 
@@ -473,9 +478,10 @@ func (m *Machine) Kick(d Device) {
 }
 
 // Load reads sz bytes big-endian from addr, routing device windows to
-// the owning device and charging the access. It makes no use of
-// devFloor, so exec, which reaches memory only through Load and Store,
-// is an oracle for the RAM helpers below, which the dispatcher tries first.
+// the owning device and charging the access. It decodes the device
+// windows first and tests RAM's bound after, the other way round from
+// the RAM helpers below, which the dispatcher tries first, so exec,
+// which reaches memory only through Load and Store, is their oracle.
 func (m *Machine) Load(addr uint32, sz uint8) (uint32, error) {
 	m.chargeMem(1)
 	if i := m.deviceAt(addr); i >= 0 {
@@ -537,18 +543,18 @@ func (m *Machine) storeRaw(addr uint32, sz uint8, val uint32) {
 	}
 }
 
-// ram reports whether [addr, addr+sz) is plain RAM: below every device
-// window (see Load) and inside Mem.
+// ram reports whether [addr, addr+sz) is plain RAM: inside Mem, which
+// ends below every device window (see New).
 func (m *Machine) ram(addr uint32, sz int) bool {
-	return addr < m.devFloor && int(addr)+sz <= len(m.Mem)
+	return int(addr)+sz <= len(m.Mem)
 }
 
 // ramBlock reports whether the size-byte block at addr is plain RAM the
-// current state may touch: below devFloor, inside Mem and, in user
-// state, inside the quaspace (supervisor code pays one SR test).
+// current state may touch: inside Mem and, in user state, inside the
+// quaspace (supervisor code pays one SR test).
 func (m *Machine) ramBlock(addr, size uint32) bool {
 	end := uint64(addr) + uint64(size)
-	if end > uint64(m.devFloor) || end > uint64(len(m.Mem)) {
+	if end > uint64(len(m.Mem)) {
 		return false
 	}
 	return m.SR&FlagS != 0 || m.ULimit == 0 || addr >= m.UBase && end <= uint64(m.ULimit)
@@ -559,7 +565,7 @@ func (m *Machine) ramBlock(addr, size uint32) bool {
 // none either way when addr lies outside that RAM. ramBlock written over
 // it cost thread_ops 8 % (the context MOVEMs).
 func (m *Machine) ramRoom(addr uint32) (below, above uint32) {
-	lo, hi := uint32(0), uint32(min(uint64(m.devFloor), uint64(len(m.Mem))))
+	lo, hi := uint32(0), uint32(len(m.Mem))
 	if m.SR&FlagS == 0 && m.ULimit != 0 {
 		lo, hi = m.UBase, min(hi, m.ULimit)
 	}
@@ -779,7 +785,8 @@ func (m *Machine) Exception(v int) error {
 	m.stopped = false
 	m.Cycles += uint64(cycException)
 	// The frame is two pushes, PC then SR: stored here when both longs are
-	// plain RAM, so a frame across devFloor or RAM's end faults as pushes do.
+	// plain RAM, so a frame across RAM's end or round the top of the
+	// address space faults as pushes do.
 	if sp := m.A[7] - 8; m.ram(sp, 4) && m.ram(sp+4, 4) {
 		m.A[7] = sp
 		m.chargeMem(2)

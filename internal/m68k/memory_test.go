@@ -192,3 +192,70 @@ func growSame(t *testing.T, c growCase) {
 		}
 	}
 }
+
+// mapDev is a bare device window at base, size bytes long.
+type mapDev struct{ base, size uint32 }
+
+func (d mapDev) Name() string                { return "map" }
+func (d mapDev) Base() uint32                { return d.base }
+func (d mapDev) Size() uint32                { return d.size }
+func (d mapDev) Load(uint32, uint8) uint32   { return 0 }
+func (d mapDev) Store(uint32, uint8, uint32) {}
+func (d mapDev) Tick(uint64) (int, uint64)   { return 0, 0 }
+
+// TestAddressMap holds the one address map the RAM checks rely on: RAM
+// up to MemSize, at most IOBase, and device windows from IOBase up, so
+// what lies between is no memory at all and an access there bus-faults
+// through exec and through the dispatcher's RAM helpers alike.
+func TestAddressMap(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	if !panics(func() { New(Config{MemSize: IOBase + 4}) }) {
+		t.Error("New accepted RAM that runs into the I/O window")
+	}
+	if panics(func() { New(Config{MemSize: IOBase}) }) {
+		t.Error("New refused RAM that ends at the I/O window")
+	}
+	m := New(Config{})
+	if !panics(func() { m.Attach(mapDev{IOBase - 0x100, 0x100}) }) {
+		t.Error("Attach accepted a window below IOBase")
+	}
+	if panics(func() { m.Attach(mapDev{0xffff_ff00, 0}) }) { // the fault injector's
+		t.Error("Attach refused a zero-size window above IOBase")
+	}
+
+	for _, addr := range []uint32{m.MemSize(), m.MemSize() + 0x1000, IOBase - 4} {
+		if m.ram(addr, 1) || m.ramBlock(addr, 4) {
+			t.Errorf("%#x passes the RAM check", addr)
+		}
+		if below, above := m.ramRoom(addr); below != 0 || above != 0 {
+			t.Errorf("%#x has %d bytes of RAM below it and %d above", addr, below, above)
+		}
+		for _, in := range []Instr{
+			{Op: MOVE, Sz: 4, Src: Abs(addr), Dst: D(0)},
+			{Op: MOVE, Sz: 1, Src: Abs(addr), Dst: D(0)},
+			{Op: MOVE, Sz: 4, Src: D(0), Dst: Abs(addr)},
+			{Op: MOVE, Sz: 2, Src: D(0), Dst: Abs(addr)},
+		} {
+			pc := m.Emit([]Instr{in})
+			var e xent
+			m.translate(pc, &e)
+			for how, run := range map[string]func() error{
+				"exec":       func() error { return m.exec(&m.Code[pc]) },
+				"dispatcher": func() error { return e.run(m) },
+			} {
+				var bf *BusFault
+				write := in.Dst.Mode == ModeAbs
+				if err := run(); !errors.As(err, &bf) || bf.Addr != addr || bf.Write != write {
+					t.Errorf("%v through %s: %v, want a bus fault at %#x (write %v)", in, how, err, addr, write)
+				}
+			}
+		}
+	}
+	if n := len(m.Mem); n != initialMem {
+		t.Errorf("the faulting accesses grew Mem to %d bytes", n)
+	}
+}

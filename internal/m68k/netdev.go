@@ -41,11 +41,6 @@ const NetMinFrame = 12
 type Net struct {
 	m *Machine
 
-	// LatencyCycles delays the receive interrupt after a frame lands.
-	// The default of zero models cut-through loopback: the frame is in
-	// the ring before the transmitting store completes.
-	LatencyCycles uint64
-
 	// Tx, when set, intercepts every launched frame instead of the
 	// peer/loopback delivery: this is how a switch fabric attaches a
 	// NIC to N peers instead of one. Its return value reports whether
@@ -202,8 +197,11 @@ func (n *Net) deliverRaw(frame []byte, delay uint64) bool {
 		n.m.Poke(slot+4+off, 1, 0)
 	}
 	n.rxHead++
+	// The receive interrupt is due at once, but for an injected delay:
+	// cut-through loopback, the frame in the ring before the
+	// transmitting store completes.
 	if n.irqAt == 0 {
-		n.irqAt = n.m.Clock() + n.LatencyCycles + delay
+		n.irqAt = n.m.Clock() + delay
 		if n.irqAt == 0 {
 			n.irqAt = 1 // cycle 0 would read as "no interrupt pending"
 		}

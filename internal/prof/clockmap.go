@@ -32,9 +32,10 @@ type syncPoint struct {
 	wall  int64 // nanoseconds on the caller's wall axis
 }
 
-// defaultSyncCap bounds the retained sync points; older points slide
-// out (traced requests complete within a few chunks, so only the
-// recent window matters).
+// defaultSyncCap bounds the retained sync points: a Sync past it drops
+// the older half at once, so each Sync moves O(1) points on average
+// (traced requests complete within a few chunks, so only the recent
+// window matters).
 const defaultSyncCap = 4096
 
 // NewClockMap creates a map for a machine running at mhz (the
@@ -72,7 +73,7 @@ func (cm *ClockMap) Sync(cycle uint64, wallNS int64) {
 	}
 	cm.sync = append(cm.sync, syncPoint{cycle: cycle, wall: wallNS})
 	if len(cm.sync) > cm.cap {
-		cm.sync = append(cm.sync[:0], cm.sync[len(cm.sync)-cm.cap:]...)
+		cm.sync = append(cm.sync[:0], cm.sync[len(cm.sync)-cm.cap/2:]...)
 	}
 }
 

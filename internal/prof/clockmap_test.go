@@ -122,22 +122,39 @@ func TestClockMapOverflow(t *testing.T) {
 	}
 }
 
-// TestClockMapSyncCap checks the bounded ring keeps the most recent
-// points.
+// TestClockMapSyncCap checks the bounded window keeps the most recent
+// points: past the cap it drops the older half at once.
 func TestClockMapSyncCap(t *testing.T) {
 	cm := NewClockMap(16)
 	cm.cap = 8
 	for i := 0; i < 100; i++ {
 		cm.Sync(uint64(i)*1000, int64(i)*100_000)
+		if n := len(cm.sync); n > cm.cap || i >= cm.cap/2 && n < cm.cap/2 {
+			t.Fatalf("after %d syncs the map holds %d points, want %d to %d", i+1, n, cm.cap/2, cm.cap)
+		}
 	}
-	// The first point kept is cycle 92,000: a cycle before it is
-	// extrapolated from there at 62.5 ns/cycle, not interpolated on the
-	// 100 ns/cycle the dropped points held.
-	if got, want := cm.WallNS(50_000), int64(9_200_000-42_000*125/2); got != want {
+	// The 9th sync and every fifth after it, up to the 99th, dropped the
+	// older half: the first point kept is cycle 95,000, and a cycle
+	// before it is extrapolated from there at 62.5 ns/cycle, not
+	// interpolated on the 100 ns/cycle the dropped points held.
+	if got, want := cm.WallNS(50_000), int64(9_500_000-45_000*125/2); got != want {
 		t.Fatalf("cap not enforced: WallNS(50000) = %d, want %d", got, want)
 	}
 	// Recent range still interpolates exactly.
 	if got := cm.WallNS(98_500); got != 9_850_000 {
 		t.Fatalf("recent interpolation after cap: got %d, want 9850000", got)
+	}
+}
+
+// BenchmarkClockMapSync is one Sync on a full map, as a fleet driver
+// makes one per chunk once its VM has run 4,096 of them.
+func BenchmarkClockMapSync(b *testing.B) {
+	cm := NewClockMap(16)
+	for i := range defaultSyncCap {
+		cm.Sync(uint64(i)*4096, int64(i)*1000)
+	}
+	b.ResetTimer()
+	for i := defaultSyncCap; i < defaultSyncCap+b.N; i++ {
+		cm.Sync(uint64(i)*4096, int64(i)*1000)
 	}
 }

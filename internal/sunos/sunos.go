@@ -55,6 +55,9 @@ const (
 	gMStat   = globBase + 32 // mbuf allocation statistics (mbstat)
 
 	heapBase uint32 = 0x0001_0000
+
+	// stackBytes is the kernel stack, the heap's first block.
+	stackBytes = 8 << 10
 )
 
 // u-area file table.
@@ -155,6 +158,7 @@ type Kernel struct {
 	uarea    uint32
 	rootDir  uint32
 	sockPool uint32 // static socket table (nsock entries)
+	stackTop uint32
 
 	files map[string]*File
 
@@ -186,6 +190,7 @@ func Boot(cfg m68k.Config) *Kernel {
 	m.Attach(k.TTYDev)
 	m.Attach(m68k.NewCons())
 
+	k.stackTop = k.alloc(stackBytes) + stackBytes - 16
 	k.initStructures()
 	k.buildRoutines()
 	k.installVectors()
@@ -408,10 +413,10 @@ func (k *Kernel) installVectors() {
 // Run executes the user program at entry until exit.
 func (k *Kernel) Run(entry uint32, maxCycles uint64) error {
 	m := k.M
-	// User stack near the top of memory; the baseline runs the
-	// program in supervisor state on its single kernel stack (no
-	// quaspaces — faithful to the flat single-process comparison).
-	m.A[7] = m.MemSize() - 16
+	// The baseline runs the program in supervisor state on its single
+	// kernel stack (no quaspaces — faithful to the flat single-process
+	// comparison).
+	m.A[7] = k.stackTop
 	m.SSP = m.A[7]
 	// The baseline is fully polled (tty status loops, disk untouched)
 	// and single-process, so it runs with interrupts masked — device

@@ -32,6 +32,21 @@ func pokeName(k *sunos.Kernel, addr uint32, s string) {
 	k.M.Poke(addr+uint32(len(s)), 1, 0)
 }
 
+// TestRunHoldsLittleMemory boots the baseline with its default 4 MB of
+// RAM and runs a program that only exits: the machine must hold no more
+// of its memory than boot reaches, so the stack lies inside it.
+func TestRunHoldsLittleMemory(t *testing.T) {
+	k := sunos.Boot(m68k.Config{})
+	b := asmkit.New()
+	exit(b)
+	if err := k.Run(b.Link(k.M), 1_000_000); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if n := len(k.M.Mem); n >= 256<<10 {
+		t.Errorf("an exit reached %d bytes of Mem, want under 256 KB of the %d of RAM", n, k.M.MemSize())
+	}
+}
+
 func TestNullDeviceThroughLayers(t *testing.T) {
 	k := boot(t)
 	const nameAddr, res = 0x9100, 0x9000

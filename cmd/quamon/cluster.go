@@ -1,8 +1,8 @@
 // Cluster mode: `quamon -cluster` boots an N-Quamachine fleet on the
 // switch fabric (internal/cluster), drives it with the host load
 // generator, and streams wall-clock metric windows in the same format
-// as -watch. With -listen the live fleet is scrapeable over HTTP
-// while it runs:
+// as the single-machine run. With -listen the live fleet is
+// scrapeable over HTTP while it runs:
 //
 //	GET /metrics       Prometheus text exposition
 //	GET /metrics.json  the same snapshot as JSON

@@ -45,8 +45,8 @@ func main() {
 		"which table to regenerate: all or one of "+strings.Join(bench.Names(), ","))
 	iters := flag.Int("iters", 200, "loop count for the Table 1 and Table 7 programs")
 	profileRun := flag.String("profile-run", "",
-		"run one Table 1 program profiled and report attribution: one of "+
-			strings.Join(bench.ProfiledProgramNames(), ", "))
+		"run one bench program profiled and report attribution: one of "+
+			strings.Join(bench.ProgramNames(), ", ")+" (the endless ones run under quamon)")
 	top := flag.Int("top", 10, "regions to show in the -profile-run report")
 	traceJSON := flag.String("trace-json", "", "write the -profile-run Chrome trace (about:tracing JSON) here")
 	jsonDir := flag.String("json", "", "also write each table as a BENCH_*.json artifact into this directory, and with every table the PAPER_GAPS.md ledger")

@@ -8,7 +8,7 @@ import (
 	"synthesis/internal/m68k"
 )
 
-// Text assembler: the front end behind `quamon -watch -program
+// Text assembler: the front end behind `quamon -program
 // <file>`. It accepts a small m68k-style dialect covering the subset
 // of the Quamachine ISA that guest workloads use, so a monitoring
 // workload can be written as a text file instead of a Go builder

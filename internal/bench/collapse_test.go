@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"synthesis/internal/asmkit"
@@ -27,15 +28,13 @@ func (nopProbe) Charged(uint64, string)                  {}
 // the same clock, counters, marks, registers and memory. The golden
 // tables compare only their µs rows; this pins the whole machine for
 // every collapse. An open-close program must also collapse at least its
-// name lookup's scan and compare on each open. procread loops forever,
-// so every program runs to the same cycle budget or its exit.
+// name lookup's scan and compare on each open. The endless programs
+// loop forever, so every program runs to the same cycle budget or its
+// exit.
 func TestCollapsedRunMatchesSteps(t *testing.T) {
 	const iters, budget = 8, 5_000_000
 	for _, p := range programs {
 		name := p.name
-		if name == "" {
-			name = p.short
-		}
 		build, loops := p.at(iters)
 		var ms [2]*m68k.Machine
 		var errs [2]string
@@ -48,7 +47,7 @@ func TestCollapsedRunMatchesSteps(t *testing.T) {
 			ms[i] = r.K.M
 		}
 		run, step := ms[0], ms[1]
-		if errs[0] != errs[1] || p.name != "" && (errs[0] != "<nil>" || len(run.Marks) == 0) {
+		if errs[0] != errs[1] || !p.endless && (errs[0] != "<nil>" || len(run.Marks) == 0) {
 			t.Fatalf("%s: Run ended with %s and Step with %s after %d marks; want both to exit after marking",
 				name, errs[0], errs[1], len(run.Marks))
 		}
@@ -77,7 +76,7 @@ func TestCollapsedRunMatchesSteps(t *testing.T) {
 		if step.CollapsedPasses != 0 {
 			t.Errorf("%s: %d passes collapsed under Step", name, step.CollapsedPasses)
 		}
-		if p.short == "open-null" || p.short == "open-tty" {
+		if strings.HasPrefix(name, "open-close") {
 			if run.CollapsedPasses < 2*uint64(loops) {
 				t.Errorf("%s: %d passes collapsed over %d opens, want at least 2 an open", name, run.CollapsedPasses, loops)
 			}

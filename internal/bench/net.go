@@ -154,11 +154,10 @@ func table6(mt *meter) []Row {
 // time per lost frame relative to the loss-free run of the identical
 // binary.
 
-// Data cells for the ARQ program, in the scratch region between the
-// benchmark buffers and the chaos array.
+// Data cells for the ARQ program, after the name strings.
 const (
-	addrQBase = 0x1F000 // receive socket's packet-queue base
-	addrRetx  = 0x1F004 // retransmission counter
+	addrQBase = 0xA040 // receive socket's packet-queue base
+	addrRetx  = 0xA044 // retransmission counter
 )
 
 // lossRates are the frame-loss probabilities the table sweeps.

@@ -13,7 +13,11 @@ func TestTable1AttributionCoverage(t *testing.T) {
 	}
 	iters := int32(40)
 	var sumAttr, sumWindow uint64
-	for _, name := range ProfiledProgramNames() {
+	for _, prog := range programs {
+		if prog.endless {
+			continue
+		}
+		name := prog.name
 		p, _, err := RunProfiled(name, iters)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -55,6 +59,28 @@ func TestRunProfiledComputeLoops(t *testing.T) {
 		return
 	}
 	t.Fatal("no bench.program region in the profile")
+}
+
+// TestEveryProgramRuns: every name in the one list resolves, each
+// program that exits runs through RunProfiled at 2 iterations and marks
+// its loop, and RunProfiled refuses each endless one, which would run
+// to the runaway budget. quamon's tests run the endless ones.
+func TestEveryProgramRuns(t *testing.T) {
+	for _, name := range ProgramNames() {
+		_, endless, err := Program(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _, err := RunProfiled(name, 2)
+		switch {
+		case endless && err == nil:
+			t.Errorf("%s: RunProfiled ran an endless program", name)
+		case !endless && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case !endless && p.Window() == 0:
+			t.Errorf("%s: profiled no cycles", name)
+		}
+	}
 }
 
 // TestRunProfiledUnknown rejects unknown program names.

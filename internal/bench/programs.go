@@ -28,30 +28,32 @@ func progExit(b *asmkit.Builder) {
 func mark(b *asmkit.Builder) { b.Kcall(m68k.SvcMark) }
 
 // program is one named benchmark program: a Table 1 row, a
-// `synbench -profile-run` program, a `quamon -watch -program`
-// workload, or several of these.
+// `synbench -profile-run` program, a `quamon -program` workload, or
+// several of these, under the one name all of them use.
 type program struct {
-	name  string  // Table 1 row and -profile-run name; "" for a loop without marks
-	short string  // -watch -program name; "" when not offered there
-	paper float64 // Table 1's SUN seconds / Synthesis seconds; 0 off Table 1
-	fixed int32   // the program's own loop count, in place of the caller's
-	build func(b *asmkit.Builder, iters int32)
+	name    string
+	paper   float64 // Table 1's SUN seconds / Synthesis seconds; 0 off Table 1
+	fixed   int32   // the program's own loop count, in place of the caller's
+	endless bool    // loops until its caller stops the machine, as quamon's windows do
+	build   func(b *asmkit.Builder, iters int32)
 }
 
 // programs lists every named program. The paper ratios are Table 1's
 // total column: compute 20/21.1, pipes 10/0.18, 15/0.96, 38/8.5, file
 // 21/2.4, open null 17/0.7, open tty 43/1.4.
 var programs = []program{
-	{"compute", "compute", 20.0 / 21.1, 2000, BuildCompute},
-	{"pipe r/w 1 B", "pipe-1b", 10.0 / 0.18, 0, func(b *asmkit.Builder, n int32) { BuildPipeRW(b, n, 1) }},
-	{"pipe r/w 1 KB", "pipe-1k", 15.0 / 0.96, 0, func(b *asmkit.Builder, n int32) { BuildPipeRW(b, n, 1024) }},
-	{"pipe r/w 4 KB", "pipe-4k", 38.0 / 8.5, 0, func(b *asmkit.Builder, n int32) { BuildPipeRW(b, n, 4096) }},
-	{"file r/w 1 KB", "file-rw", 21.0 / 2.4, 0, BuildFileRW},
-	{"open-close null", "open-null", 17.0 / 0.7, 0, func(b *asmkit.Builder, n int32) { BuildOpenClose(b, n, addrNameNull) }},
-	{"open-close tty", "open-tty", 43.0 / 1.4, 0, func(b *asmkit.Builder, n int32) { BuildOpenClose(b, n, addrNameTTY) }},
+	{"compute", 20.0 / 21.1, 2000, false, buildCompute},
+	{"pipe r/w 1 B", 10.0 / 0.18, 0, false, func(b *asmkit.Builder, n int32) { buildPipeRW(b, n, 1) }},
+	{"pipe r/w 1 KB", 15.0 / 0.96, 0, false, func(b *asmkit.Builder, n int32) { buildPipeRW(b, n, 1024) }},
+	{"pipe r/w 4 KB", 38.0 / 8.5, 0, false, func(b *asmkit.Builder, n int32) { buildPipeRW(b, n, 4096) }},
+	{"file r/w 1 KB", 21.0 / 2.4, 0, false, buildFileRW},
+	{"open-close null", 17.0 / 0.7, 0, false, func(b *asmkit.Builder, n int32) { buildOpenClose(b, n, addrNameNull) }},
+	{"open-close tty", 43.0 / 1.4, 0, false, func(b *asmkit.Builder, n int32) { buildOpenClose(b, n, addrNameTTY) }},
 	// The guest path of the benchmark's sock_echo workload.
-	{"sock echo 64 B", "", 0, 0, BuildSockEcho},
-	{"", "procread", 0, 0, func(b *asmkit.Builder, _ int32) { BuildProcReadLoop(b) }},
+	{"sock echo 64 B", 0, 0, false, buildSockEcho},
+	// Table 6's loopback exchange without end, quamon's default.
+	{"sock traffic 128 B", 0, 0, true, func(b *asmkit.Builder, _ int32) { buildSockTraffic(b) }},
+	{"procread", 0, 0, true, func(b *asmkit.Builder, _ int32) { buildProcReadLoop(b) }},
 }
 
 // at returns p's builder and loop count for the caller's iteration
@@ -65,43 +67,51 @@ func (p program) at(iters int32) (func(*asmkit.Builder), int32) {
 	return func(b *asmkit.Builder) { p.build(b, iters) }, iters
 }
 
-// findProgram returns the program whose key is name.
-func findProgram(name string, key func(program) string) (program, bool) {
-	for _, p := range programs {
-		if name != "" && key(p) == name {
-			return p, true
-		}
-	}
-	return program{}, false
-}
-
-// programNames lists the programs' keys, skipping the empty ones.
-func programNames(key func(program) string) []string {
-	var names []string
-	for _, p := range programs {
-		if k := key(p); k != "" {
-			names = append(names, k)
-		}
+// ProgramNames lists every program's name, in list order.
+func ProgramNames() []string {
+	names := make([]string, len(programs))
+	for i, p := range programs {
+		names[i] = p.name
 	}
 	return names
 }
 
-func rowName(p program) string   { return p.name }
-func shortName(p program) string { return p.short }
+// findProgram returns the program called name.
+func findProgram(name string) (program, error) {
+	for _, p := range programs {
+		if p.name == name {
+			return p, nil
+		}
+	}
+	return program{}, fmt.Errorf("bench: unknown program %q (have %q)", name, ProgramNames())
+}
 
-// ProfiledProgramNames lists the programs RunProfiled accepts: those
-// with marks, Table 1's and the socket echo loop.
-func ProfiledProgramNames() []string { return programNames(rowName) }
+// Program resolves name, one of ProgramNames, to the builder that emits
+// the program at iters loops, as RunProfiled counts them, and reports
+// whether the program is endless. quamon runs any of them under its
+// sampling windows, so every benchmark is also a live metrics source.
+func Program(name string, iters int32) (build func(*asmkit.Builder), endless bool, err error) {
+	p, err := findProgram(name)
+	if err != nil {
+		return nil, false, err
+	}
+	build, _ = p.at(iters)
+	return build, p.endless, nil
+}
 
 // RunProfiled runs one program on a profiled Synthesis rig, the entry
 // point behind `synbench -profile-run` and `make profile`, and returns
 // the profiler holding the attribution and the loop count the program
 // ran: iters, or its own fixed count (compute's 2,000), which is what a
-// per-iteration figure divides by.
+// per-iteration figure divides by. An endless program is refused: it
+// would run to the runaway budget.
 func RunProfiled(name string, iters int32) (*prof.Profiler, int32, error) {
-	p, ok := findProgram(name, rowName)
-	if !ok {
-		return nil, 0, fmt.Errorf("bench: unknown program %q (have %v)", name, ProfiledProgramNames())
+	p, err := findProgram(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	if p.endless {
+		return nil, 0, fmt.Errorf("bench: %q never exits; watch it with quamon -program", name)
 	}
 	r := NewSynthRig(kernel.Config{Profile: true})
 	build, loops := p.at(iters)
@@ -110,28 +120,10 @@ func RunProfiled(name string, iters int32) (*prof.Profiler, int32, error) {
 	return r.K.Prof, loops, mt.err
 }
 
-// WatchProgramNames lists the names BuildWatchProgram accepts: the
-// Table 1 programs under their short names, plus "procread".
-func WatchProgramNames() []string { return programNames(shortName) }
-
-// BuildWatchProgram resolves a `quamon -watch -program` name to its
-// builder, which the monitor runs under its sampling windows, so any
-// benchmark becomes a live metrics source. The iteration count applies
-// to the finite Table 1 programs, which exit and end the watch early;
-// "procread" runs until the windows are exhausted.
-func BuildWatchProgram(name string, iters int32) (func(*asmkit.Builder), bool) {
-	p, ok := findProgram(name, shortName)
-	if !ok {
-		return nil, false
-	}
-	build, _ := p.at(iters)
-	return build, true
-}
-
-// BuildCompute emits program 1: the compute-bound calibration test, a
+// buildCompute emits program 1: the compute-bound calibration test, a
 // Hofstadter Q-style chaotic sequence Q(n) = Q(n-Q(n-1)) + Q(n-Q(n-2))
 // that "touches a large array at non-contiguous points".
-func BuildCompute(b *asmkit.Builder, n int32) {
+func buildCompute(b *asmkit.Builder, n int32) {
 	q := int32(addrQArray)
 	b.MoveL(m68k.Imm(1), m68k.Abs(uint32(q+4)))
 	b.MoveL(m68k.Imm(1), m68k.Abs(uint32(q+8)))
@@ -161,9 +153,9 @@ func BuildCompute(b *asmkit.Builder, n int32) {
 	progExit(b)
 }
 
-// BuildPipeRW emits programs 2-4: create a pipe, then iters times
+// buildPipeRW emits programs 2-4: create a pipe, then iters times
 // write and read back a chunk of the given size.
-func BuildPipeRW(b *asmkit.Builder, iters, chunk int32) {
+func buildPipeRW(b *asmkit.Builder, iters, chunk int32) {
 	unixCall(b, unixemu.SysPipe) // D0 = rfd, D1 = wfd
 	b.MoveL(m68k.D(0), m68k.D(6))
 	b.MoveL(m68k.D(1), m68k.D(7))
@@ -184,10 +176,10 @@ func BuildPipeRW(b *asmkit.Builder, iters, chunk int32) {
 	progExit(b)
 }
 
-// BuildFileRW emits program 5: open the benchmark file and iters
+// buildFileRW emits program 5: open the benchmark file and iters
 // times rewind-write-rewind-read one kilobyte (the file stays in the
 // cache / memory-resident file system on both kernels).
-func BuildFileRW(b *asmkit.Builder, iters int32) {
+func buildFileRW(b *asmkit.Builder, iters int32) {
 	b.MoveL(m68k.Imm(addrNameFile), m68k.D(1))
 	unixCall(b, unixemu.SysOpen) // fd 0
 	mark(b)
@@ -214,9 +206,9 @@ func BuildFileRW(b *asmkit.Builder, iters int32) {
 	progExit(b)
 }
 
-// BuildOpenClose emits programs 6-7: iters times open and close the
+// buildOpenClose emits programs 6-7: iters times open and close the
 // named file (descriptor 0 is reused every round).
-func BuildOpenClose(b *asmkit.Builder, iters int32, nameAddr uint32) {
+func buildOpenClose(b *asmkit.Builder, iters int32, nameAddr uint32) {
 	mark(b)
 	b.MoveL(m68k.Imm(iters), m68k.D(5))
 	b.Label("loop")
@@ -230,12 +222,12 @@ func BuildOpenClose(b *asmkit.Builder, iters int32, nameAddr uint32) {
 	progExit(b)
 }
 
-// BuildSockEcho emits the socket echo loop: iters times, one 64-byte
+// buildSockEcho emits the socket echo loop: iters times, one 64-byte
 // datagram bounced 5 -> 9 -> 5 between two loopback sockets, each leg
 // a write and a read through the UNIX gate. An iteration is two sends,
 // two receives, two frames through the receive handler and four gate
 // calls.
-func BuildSockEcho(b *asmkit.Builder, iters int32) {
+func buildSockEcho(b *asmkit.Builder, iters int32) {
 	const payload = 64
 	sockPair(b)
 	rw := func(no int32, fd uint8, buf uint32) {
@@ -257,13 +249,13 @@ func BuildSockEcho(b *asmkit.Builder, iters int32) {
 	progExit(b)
 }
 
-// BuildProcReadLoop emits the observability workload: forever open
+// buildProcReadLoop emits the observability workload: forever open
 // /proc/metrics, read the snapshot to EOF in 256-byte chunks, and
 // close. Every round cuts a fresh snapshot and resynthesizes the read
 // routine, so a monitor watching the registry sees the kernel
 // watching itself (synth.kio.proc.read.calls counts the reads the
 // guest performs to learn the value of synth.kio.proc.read.calls).
-func BuildProcReadLoop(b *asmkit.Builder) {
+func buildProcReadLoop(b *asmkit.Builder) {
 	b.Label("again")
 	b.MoveL(m68k.Imm(addrNameProc), m68k.D(1))
 	unixCall(b, unixemu.SysOpen)
@@ -275,4 +267,14 @@ func BuildProcReadLoop(b *asmkit.Builder) {
 	b.MoveL(m68k.D(6), m68k.D(1))
 	unixCall(b, unixemu.SysClose)
 	b.Bra("again")
+}
+
+// buildSockTraffic emits the loopback traffic workload: open Table 6's
+// pair, then exchange 128-byte datagrams forever.
+func buildSockTraffic(b *asmkit.Builder) {
+	sockPair(b)
+	b.Label("loop")
+	sockWrite(b)
+	sockRead(b)
+	b.Bra("loop")
 }

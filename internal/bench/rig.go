@@ -14,15 +14,16 @@ import (
 )
 
 // Fixed data addresses shared by both rigs so the benchmark binaries
-// are identical.
+// are identical. All lie below both kernels' heaps, which start at
+// 0x10000, so no program writes over a block either kernel hands out.
 const (
 	addrNameNull = 0xA000
 	addrNameTTY  = 0xA010
 	addrNameFile = 0xA020
 	addrNameProc = 0xA030
 	addrBufA     = 0xB000 // 8 KB scratch
-	addrBufB     = 0xD000
-	addrQArray   = 0x20000 // chaos sequence array
+	addrBufB     = 0xD000 // 4 KB, the largest read
+	addrQArray   = 0xE000 // chaos sequence array, 8 KB
 )
 
 const benchFileName = "/bench/data"
@@ -69,7 +70,7 @@ type SynthRig struct {
 // NewSynthRig boots Synthesis at the SUN 3/160 point with synthesis
 // time charged, plus what cfg attaches (the measurement plane, a
 // metrics registry), and readies it for the programs here and for
-// assembled `quamon -watch -program` files using their conventions:
+// assembled `quamon -program` files using their conventions:
 // kio and the UNIX emulator installed, the name strings poked
 // (/proc/metrics at 0xA030), the scratch buffer at 0xB000 filled and
 // the 1 KB benchmark file created.
@@ -120,6 +121,18 @@ func (r *SunRig) Name() string { return "sunos-baseline" }
 // Run implements Rig.
 func (r *SunRig) Run(entry uint32, budget uint64) error { return r.K.Run(entry, budget) }
 
+// Link links the program in b onto m and returns its entry. On a
+// profiled machine it registers the program as the region
+// "bench.program": the benchmark binary is raw asmkit, not quaject
+// code, so its loop cycles must not read as kernel time.
+func Link(m *m68k.Machine, b *asmkit.Builder) uint32 {
+	entry := b.Link(m)
+	if p := prof.Of(m); p != nil {
+		p.RegisterRegion("bench.program", entry, b.Len())
+	}
+	return entry
+}
+
 // synthRig boots Synthesis as the tables run it.
 func synthRig() *SynthRig { return NewSynthRig(kernel.Config{}) }
 
@@ -161,14 +174,7 @@ func (mt *meter) run(r Rig, n int, build func(b *asmkit.Builder)) []float64 {
 	}
 	b := asmkit.New()
 	build(b)
-	entry := b.Link(r.Machine())
-	if p := prof.Of(r.Machine()); p != nil {
-		// The benchmark binary is raw asmkit, not quaject code, so it
-		// registers itself: its loop cycles must not read as kernel
-		// time.
-		p.RegisterRegion("bench.program", entry, b.Len())
-	}
-	err := r.Run(entry, runaway)
+	err := r.Run(Link(r.Machine(), b), runaway)
 	if d := r.Machine().MarkMicros(); err == nil && len(d) != n {
 		err = errMarks(len(d), n)
 	}

@@ -156,7 +156,7 @@ func (c *Cluster) drainIngress(vm *VM) {
 			break
 		}
 		f.Dst = net.PortOf(f.Dst)
-		nic.InjectFrame(net.EncodeFrame(f))
+		nic.Deliver(net.EncodeFrame(f))
 		if c.tr != nil && c.tr.active.Load() > 0 {
 			c.tr.onDeposit(vm.ID, &f, vm.K.M.Clock())
 		}

@@ -116,7 +116,7 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 			fmt.Fprintf(&b, "irq l%d: n=%d mean=%.0f max=%d cycles\n",
 				l, h.Count, h.Mean(), h.Max)
 		}
-		evs := p.Ring().Events()
+		evs := p.Ring().Items()
 		if len(evs) > flightEventTail {
 			evs = evs[len(evs)-flightEventTail:]
 		}

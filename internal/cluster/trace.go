@@ -126,12 +126,9 @@ type tracer struct {
 	active atomic.Int32
 
 	mu      sync.Mutex
-	pending map[int]*traceReq // by VM id
-	byConn  map[int]int       // conn id → VM id, for loadgen-side lookup
-	done    []TraceRec        // bounded ring of completed traces
-	doneN   int               // next write slot
-	doneLen int               // filled entries
-	total   uint64            // completed traces ever
+	pending map[int]*traceReq    // by VM id
+	byConn  map[int]int          // conn id → VM id, for loadgen-side lookup
+	done    *prof.Ring[TraceRec] // completed traces, the most recent traceKeep
 
 	mSampled   *metrics.Counter
 	mCompleted *metrics.Counter
@@ -146,7 +143,7 @@ func newTracer(c *Cluster, every int) *tracer {
 		every:   uint64(every),
 		pending: make(map[int]*traceReq),
 		byConn:  make(map[int]int),
-		done:    make([]TraceRec, traceKeep),
+		done:    prof.NewRing[TraceRec](traceKeep),
 		mSampled: c.Reg.Counter("cluster.trace.sampled",
 			"Echo requests sampled into the trace plane."),
 		mCompleted: c.Reg.Counter("cluster.trace.completed",
@@ -370,12 +367,7 @@ func (tr *tracer) onRecv(conn int, seq uint32, now time.Time) {
 	for i := 0; i < numEvents-1; i++ {
 		tr.hHop[i].Observe(uint64(req.rec.HopNS(i)) / 1000)
 	}
-	tr.done[tr.doneN] = req.rec
-	tr.doneN = (tr.doneN + 1) % len(tr.done)
-	if tr.doneLen < len(tr.done) {
-		tr.doneLen++
-	}
-	tr.total++
+	tr.done.Push(req.rec)
 	tr.mCompleted.Inc()
 }
 
@@ -387,15 +379,7 @@ func (c *Cluster) Traces() []TraceRec {
 	tr := c.tr
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	out := make([]TraceRec, 0, tr.doneLen)
-	start := tr.doneN - tr.doneLen
-	if start < 0 {
-		start += len(tr.done)
-	}
-	for i := 0; i < tr.doneLen; i++ {
-		out = append(out, tr.done[(start+i)%len(tr.done)])
-	}
-	return out
+	return tr.done.Items()
 }
 
 // TraceCounts reports the trace plane's bookkeeping: requests
@@ -448,7 +432,7 @@ func (c *Cluster) WriteTrace(w io.Writer) error {
 		p := vm.K.Prof
 		clk := vm.clk
 		if p != nil && clk != nil {
-			for _, e := range p.Ring().Events() {
+			for _, e := range p.Ring().Items() {
 				te := prof.TraceEvent{Name: e.Name, Ph: string(e.Ph), PID: vm.ID, TID: 0,
 					TS: us(clk.WallNS(e.At))}
 				if e.Ph == 'X' {

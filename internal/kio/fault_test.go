@@ -259,7 +259,7 @@ func (r *wedgeRig) inject(t *testing.T, n int) {
 	payload := []byte("hello from the far side of the wire")
 	frame := synnet.EncodeFrame(synnet.Frame{Dst: 9, Src: 5, Sum: synnet.Checksum(payload), Payload: payload})
 	for range n {
-		if !r.k.Net.InjectFrame(frame) {
+		if !r.k.Net.Deliver(frame) {
 			t.Fatal("inject failed")
 		}
 	}

@@ -202,7 +202,7 @@ func TestDemuxMatchesSocketTable(t *testing.T) {
 				t.Helper()
 				for _, p := range ports {
 					payload := []byte{byte(p), byte(p >> 8)}
-					k.Net.InjectFrame(synnet.EncodeFrame(synnet.Frame{Dst: p, Src: stray, Sum: synnet.Checksum(payload), Payload: payload}))
+					k.Net.Deliver(synnet.EncodeFrame(synnet.Frame{Dst: p, Src: stray, Sum: synnet.Checksum(payload), Payload: payload}))
 				}
 				err := stepUntil(k, func() bool {
 					if k.M.IPL() != 0 {
@@ -418,7 +418,7 @@ func TestRuntFrameDropped(t *testing.T) {
 	frame := synnet.EncodeFrame(synnet.Frame{Dst: 9, Src: 5, Sum: synnet.Checksum(payload), Payload: payload})
 	deliver := func(f []byte) {
 		t.Helper()
-		k.Net.InjectFrame(f)
+		k.Net.Deliver(f)
 		if err := k.Run(4_000_000); !errors.Is(err, m68k.ErrCycleLimit) || k.M.Halted() {
 			t.Fatalf("after a %d-byte frame: run %v, halted %v, pc %#x", len(f), err, k.M.Halted(), k.M.PC)
 		}
@@ -472,7 +472,7 @@ func TestDepositChecksumEveryTailShape(t *testing.T) {
 		}
 		deliver := func(f []byte) {
 			t.Helper()
-			k.Net.InjectFrame(f)
+			k.Net.Deliver(f)
 			if err := k.Run(k.M.Cycles + 20_000); !errors.Is(err, m68k.ErrCycleLimit) {
 				t.Fatalf("%d bytes: run: %v", n, err)
 			}

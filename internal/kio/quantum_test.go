@@ -144,7 +144,7 @@ func TestQuantumInHandlerEnumerated(t *testing.T) {
 			e.MoveL(m68k.Imm(64), m68k.D(2))
 			e.Trap(kernel.TrapRead + 0)
 		},
-		arrive: func(k *kernel.Kernel) { k.Net.InjectFrame(frame) },
+		arrive: func(k *kernel.Kernel) { k.Net.Deliver(frame) },
 		got: func(k *kernel.Kernel) bool {
 			return int(k.M.Peek(res, 4)) == len(payload) && string(k.M.PeekBytes(buf, len(payload))) == string(payload)
 		},
@@ -325,10 +325,10 @@ func TestIdleLeaveWindowEnumerated(t *testing.T) {
 		stepUntil(k, k.M.Stopped)
 		at := k.M.Cycles
 		armQuantum(k, q)
-		k.Net.InjectFrame(frame)
+		k.Net.Deliver(frame)
 		stepUntil(k, func() bool { return len(k.M.Marks) == 1 })
 		stepUntil(k, k.M.Stopped)
-		k.Net.InjectFrame(frame)
+		k.Net.Deliver(frame)
 		stepUntil(k, func() bool { return len(k.M.Marks) == 2 })
 		return k.M.Marks, at, k
 	}
@@ -429,10 +429,10 @@ func TestNetIntrOneActivationEnumerated(t *testing.T) {
 			}
 		}
 		step(k.M.Stopped)
-		k.Net.InjectFrame(frame(first))
+		k.Net.Deliver(frame(first))
 		if at != 0 {
 			step(func() bool { return k.M.Cycles >= at })
-			k.Net.InjectFrame(frame(second))
+			k.Net.Deliver(frame(second))
 			k.TTY.InputNow('Q')
 		}
 		step(func() bool { return k.M.Cycles >= until && to != 0 })
@@ -538,7 +538,7 @@ func TestSockRecvWindowEnumerated(t *testing.T) {
 		// right after it.
 		recvFrom, recvTo := vec(kernel.TrapRead), vec(kernel.TrapWrite)
 		for i := range byte(kio.NQSlotCount) {
-			k.Net.InjectFrame(frame(i))
+			k.Net.Deliver(frame(i))
 		}
 		k.Start(reader)
 		if err := stepUntil(k, func() bool { return k.M.PC == entry }); err != nil {
@@ -565,7 +565,7 @@ func TestSockRecvWindowEnumerated(t *testing.T) {
 			return k, q, 0
 		}
 		tail := k.M.Peek(q+kio.NQTail, 4)
-		k.Net.InjectFrame(frame(kio.NQSlotCount))
+		k.Net.Deliver(frame(kio.NQSlotCount))
 		for limit := k.M.Cycles + settle; k.M.Cycles < limit && err == nil; {
 			if k.M.Peek(count, 4)+k.M.Peek(q+kio.NQDrops, 4) == kio.NQSlotCount+1 {
 				break

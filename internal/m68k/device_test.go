@@ -85,7 +85,7 @@ func TestDMAOutsideRAMIsRefused(t *testing.T) {
 	if m.D[6] != 0 || nic.TxLaunched() != 3 || nic.Dropped() != 3 {
 		t.Errorf("transmits: TxStat sum %d, %d launched, %d dropped; want 0, 3, 3", m.D[6], nic.TxLaunched(), nic.Dropped())
 	}
-	if nic.InjectFrame(make([]byte, 64)) || nic.Dropped() != 4 || nic.RxPending() != 0 {
+	if nic.Deliver(make([]byte, 64)) || nic.Dropped() != 4 || nic.RxPending() != 0 {
 		t.Errorf("a frame for a ring slot outside RAM was taken (%d dropped, %d pending)", nic.Dropped(), nic.RxPending())
 	}
 	if m.D[5] != 2 || disk.Faults != 2 || disk.Blocks[1] != nil {

@@ -11,9 +11,9 @@ package m68k
 // count and raising IRQNet. Software consumes slots in order and
 // returns them by advancing the tail register.
 //
-// Wiring is a loopback link: a NIC delivers into its peer, which by
-// default is itself, so two sockets on one machine exchange frames;
-// ConnectNet cross-wires two machines.
+// Wiring is a loopback link: a NIC delivers into its own receive ring,
+// so two sockets on one machine exchange frames, unless its Tx hook
+// carries the frame elsewhere.
 
 // NetBase is the NIC's 256-byte register window.
 const NetBase = IOBase + 0x500
@@ -42,15 +42,13 @@ type Net struct {
 	m *Machine
 
 	// Tx, when set, intercepts every launched frame instead of the
-	// peer/loopback delivery: this is how a switch fabric attaches a
-	// NIC to N peers instead of one. Its return value reports whether
-	// the fabric accepted the frame and lands in NetRegTxStat, so the
-	// synthesized send's retry/backoff sees fabric backpressure exactly
-	// as it sees a full peer ring. The frame slice is freshly allocated
+	// loopback delivery: this is how a switch fabric attaches a NIC to
+	// N peers. Its return value reports whether the fabric accepted the
+	// frame and lands in NetRegTxStat, so the synthesized send's
+	// retry/backoff sees fabric backpressure exactly as it sees a full
+	// peer ring. The frame slice is freshly allocated
 	// per launch (PeekBytes copies), so the hook may retain it.
 	Tx func(frame []byte) bool
-
-	peer *Net // delivery target; nil = self (loopback)
 
 	txAddr  uint32
 	rxBase  uint32
@@ -69,13 +67,6 @@ type Net struct {
 
 // NewNet creates a NIC looped back onto itself.
 func NewNet(m *Machine) *Net { return &Net{m: m} }
-
-// ConnectNet cross-wires two NICs (typically on two machines): frames
-// launched on one land in the other's receive ring.
-func ConnectNet(a, b *Net) {
-	a.peer = b
-	b.peer = a
-}
 
 // Name implements Device.
 func (n *Net) Name() string { return "net" }
@@ -108,22 +99,18 @@ func (n *Net) Store(off uint32, sz uint8, val uint32) {
 		n.txAddr = val
 	case NetRegTxLen:
 		n.txCnt++
-		target := n.peer
-		if target == nil {
-			target = n
-		}
 		var ok bool
 		switch end := uint64(n.txAddr) + uint64(val); {
 		case end > uint64(n.m.MemSize()):
 			n.drops++ // the frame is not wholly in RAM
 		case n.Tx != nil:
 			ok = n.Tx(n.m.PeekBytes(n.txAddr, int(val)))
-		case target.m.Inj == nil && end <= uint64(len(n.m.Mem)):
+		case n.m.Inj == nil && end <= uint64(len(n.m.Mem)):
 			// Nothing on the way can keep the frame, so it is DMA'd
 			// straight from the sender's memory into the receive ring.
-			ok = target.deliverRaw(n.m.Mem[n.txAddr:end], 0)
+			ok = n.deliverRaw(n.m.Mem[n.txAddr:end], 0)
 		default:
-			ok = target.Deliver(n.m.PeekBytes(n.txAddr, int(val)))
+			ok = n.Deliver(n.m.PeekBytes(n.txAddr, int(val)))
 		}
 		n.txStat = 0
 		if ok {
@@ -157,8 +144,8 @@ func (n *Net) Store(off uint32, sz uint8, val uint32) {
 // reports whether the receive ring accepted every frame that survived
 // the wire: ring backpressure is visible to the transmitter (via
 // NetRegTxStat), silent wire loss is not — that is what checksums and
-// retransmission are for. InjectFrame is the host-facing alias for
-// tests and traffic generators.
+// retransmission are for. Tests, traffic generators and the fleet's
+// fabric call it to hand the NIC a frame from outside.
 func (n *Net) Deliver(frame []byte) bool {
 	if n.m.Inj != nil {
 		out, delay := n.m.Inj.Frame(frame)
@@ -209,9 +196,6 @@ func (n *Net) deliverRaw(frame []byte, delay uint64) bool {
 	n.m.Kick(n)
 	return true
 }
-
-// InjectFrame delivers a frame as if it arrived from the network.
-func (n *Net) InjectFrame(frame []byte) bool { return n.Deliver(frame) }
 
 // RxPending returns how many DMA'd frames await consumption (host
 // view, for tests).

@@ -143,7 +143,7 @@ func TestNetRingFullDrops(t *testing.T) {
 	configureNet(m, 0x4000, 2, 64)
 
 	for i := 0; i < 3; i++ {
-		n.InjectFrame(make([]byte, m68k.NetMinFrame+i))
+		n.Deliver(make([]byte, m68k.NetMinFrame+i))
 	}
 	if n.RxPending() != 2 {
 		t.Fatalf("rx pending = %d, want 2 (ring size)", n.RxPending())
@@ -154,10 +154,10 @@ func TestNetRingFullDrops(t *testing.T) {
 	// Runts, oversize frames and frames while disabled also count as
 	// drops.
 	m.Store(m68k.NetBase+m68k.NetRegRxTail, 4, 2)
-	n.InjectFrame(make([]byte, m68k.NetMinFrame-1))
-	n.InjectFrame(make([]byte, 64))
+	n.Deliver(make([]byte, m68k.NetMinFrame-1))
+	n.Deliver(make([]byte, 64))
 	m.Store(m68k.NetBase+m68k.NetRegCtl, 4, 0)
-	n.InjectFrame(make([]byte, m68k.NetMinFrame))
+	n.Deliver(make([]byte, m68k.NetMinFrame))
 	if n.RxPending() != 0 || n.Dropped() != 4 {
 		t.Fatalf("rx pending = %d, drops = %d, want 0 and 4", n.RxPending(), n.Dropped())
 	}
@@ -255,7 +255,7 @@ func TestNetCrossMachine(t *testing.T) {
 	na, nb := m68k.NewNet(ma), m68k.NewNet(mb)
 	ma.Attach(na)
 	mb.Attach(nb)
-	m68k.ConnectNet(na, nb)
+	na.Tx, nb.Tx = nb.Deliver, na.Deliver // cross-wired: each launch lands in the other ring
 
 	configureNet(mb, 0x4000, 4, 64)
 

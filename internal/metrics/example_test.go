@@ -75,7 +75,7 @@ func ExampleRegistry_Sample() {
 	// 41
 }
 
-// Delta subtracts two snapshots — the idiom behind quamon -watch's
+// Delta subtracts two snapshots — the idiom behind quamon's
 // per-window rates.
 func ExampleSnapshot_Delta() {
 	r := metrics.New()

@@ -18,7 +18,7 @@
 // work. When a metrics.Registry is present the profiler's
 // interrupt-latency histograms are the registry's
 // prof.irq.l<ipl>.latency_cycles, which
-// is how they reach quamon -watch and the guest-visible /proc/metrics
+// is how they reach quamon and the guest-visible /proc/metrics
 // snapshot.
 //
 // Reports: Top/Report for per-region tables, Coverage for the

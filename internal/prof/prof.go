@@ -42,7 +42,7 @@ type Profiler struct {
 	start    uint64 // machine cycle count when profiling began
 	cur      int    // region executing the open trace slice
 	curStart uint64 // cycle the open slice began
-	ring     *Ring
+	ring     *Ring[Event]
 	// irq holds the raise-to-entry latency histogram of each IPL
 	// level, in cycles: the registry's own when one is attached
 	// (PublishTo). Section 5.3's bound — interrupts stay disabled only
@@ -69,7 +69,7 @@ func Enable(m *m68k.Machine, ringDepth int) *Profiler {
 		m:     m,
 		ids:   map[string]int{},
 		start: m.Clock(),
-		ring:  NewRing(ringDepth),
+		ring:  NewRing[Event](ringDepth),
 	}
 	p.regions = []Region{{Name: "(unattributed)"}, {Name: "(idle)"}}
 	p.ids["(unattributed)"] = idUnattributed
@@ -241,7 +241,7 @@ func (p *Profiler) IRQ(level int) metrics.HistSnapshot {
 }
 
 // Ring returns the trace-event ring.
-func (p *Profiler) Ring() *Ring { return p.ring }
+func (p *Profiler) Ring() *Ring[Event] { return p.ring }
 
 // RegionStat is one row of the attribution report.
 type RegionStat struct {

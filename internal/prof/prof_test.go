@@ -165,7 +165,7 @@ func TestIdleAttribution(t *testing.T) {
 // TestRingOverflow fills a tiny ring past capacity and checks the
 // overwrite-oldest contract.
 func TestRingOverflow(t *testing.T) {
-	r := prof.NewRing(4)
+	r := prof.NewRing[prof.Event](4)
 	for i := 0; i < 10; i++ {
 		r.Push(prof.Event{Name: "e", Ph: 'i', At: uint64(i)})
 	}
@@ -178,7 +178,7 @@ func TestRingOverflow(t *testing.T) {
 	if r.Dropped() != 6 {
 		t.Fatalf("Dropped = %d, want 6", r.Dropped())
 	}
-	evs := r.Events()
+	evs := r.Items()
 	for i, ev := range evs {
 		if want := uint64(6 + i); ev.At != want {
 			t.Errorf("event %d: At = %d, want %d (oldest first, oldest evicted)", i, ev.At, want)

@@ -20,50 +20,51 @@ type Event struct {
 // DefaultRingDepth bounds the trace ring when Enable is passed 0.
 const DefaultRingDepth = 8192
 
-// Ring is a fixed-capacity trace-event buffer that overwrites the
-// oldest events when full, counting what it drops. A long run keeps
-// its most recent window instead of growing without bound — the same
-// policy as the machine's instruction trace.
-type Ring struct {
-	buf     []Event
+// Ring is a fixed-capacity buffer that overwrites its oldest items when
+// full, counting what it drops. A long run keeps its most recent window
+// instead of growing without bound — the same policy as the machine's
+// instruction trace. It holds the profiler's trace events and the
+// fleet tracer's completed round trips.
+type Ring[T any] struct {
+	buf     []T
 	next    int
 	full    bool
 	dropped uint64
 }
 
-// NewRing returns a ring holding up to depth events (0 selects
+// NewRing returns a ring holding up to depth items (0 selects
 // DefaultRingDepth).
-func NewRing(depth int) *Ring {
+func NewRing[T any](depth int) *Ring[T] {
 	if depth <= 0 {
 		depth = DefaultRingDepth
 	}
-	return &Ring{buf: make([]Event, 0, depth)}
+	return &Ring[T]{buf: make([]T, 0, depth)}
 }
 
-// Push appends an event, evicting the oldest when full.
-func (r *Ring) Push(ev Event) {
+// Push appends an item, evicting the oldest when full.
+func (r *Ring[T]) Push(v T) {
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
+		r.buf = append(r.buf, v)
 		return
 	}
-	r.buf[r.next] = ev
+	r.buf[r.next] = v
 	r.next = (r.next + 1) % len(r.buf)
 	r.full = true
 	r.dropped++
 }
 
-// Len returns the number of retained events.
-func (r *Ring) Len() int { return len(r.buf) }
+// Len returns the number of retained items.
+func (r *Ring[T]) Len() int { return len(r.buf) }
 
 // Cap returns the ring capacity.
-func (r *Ring) Cap() int { return cap(r.buf) }
+func (r *Ring[T]) Cap() int { return cap(r.buf) }
 
-// Dropped returns how many events were evicted.
-func (r *Ring) Dropped() uint64 { return r.dropped }
+// Dropped returns how many items were evicted.
+func (r *Ring[T]) Dropped() uint64 { return r.dropped }
 
-// Events returns the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
+// Items returns the retained items, oldest first.
+func (r *Ring[T]) Items() []T {
+	out := make([]T, 0, len(r.buf))
 	if r.full {
 		out = append(out, r.buf[r.next:]...)
 		out = append(out, r.buf[:r.next]...)
@@ -96,7 +97,7 @@ type TraceFile struct {
 // slice, closed at the current cycle) as Chrome trace JSON. Events
 // are sorted by cycle time so ts is monotonic.
 func (p *Profiler) WriteChromeTrace(w io.Writer) error {
-	evs := p.ring.Events()
+	evs := p.ring.Items()
 	if p.cur >= 0 && p.m.Cycles > p.curStart {
 		evs = append(evs, Event{Name: p.regions[p.cur].Name, Ph: 'X', At: p.curStart, Dur: p.m.Cycles - p.curStart})
 	}

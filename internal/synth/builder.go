@@ -35,7 +35,7 @@
 // What reaches the cleanups is already folded and collapsed, and the
 // stage is sized to its traffic. Measured with per-pass counters over
 // every golden table (`go run ./cmd/synbench`: 2,409 optimizer runs,
-// 48,424 instructions; the examples, quamon -watch/-cluster -churn and
+// 48,424 instructions; the examples, quamon, quamon -cluster -churn and
 // synsh fire the same passes on the same templates):
 //
 //	pass              firings  instrs  routines

@@ -2,15 +2,17 @@
 // include an instruction counter, a memory reference counter, hardware
 // program tracing"): it boots a Synthesis kernel, runs one program
 // from the bench list under sampling windows, streaming metric deltas,
-// and then reports the machine counters, the execution trace, the
-// per-quaject disassembly and, with -profile, which named quaject
-// regions the cycles went to, with optional Chrome trace export.
+// and then reports the machine counters, the profiler's program
+// trace, the per-quaject disassembly and, with -profile, which named
+// quaject regions the cycles went to, with optional Chrome trace
+// export.
 //
 // Usage:
 //
 //	quamon                      # loopback socket traffic, 8 windows of deltas, then the report
 //	quamon -disasm              # also disassemble the synthesized quajects
 //	quamon -trace 64            # show the last N trace entries
+//	quamon -trace 0             # no profiler: the fast loop production runs
 //	quamon -profile -top 12     # per-region cycle attribution
 //	quamon -profile -trace-json trace.json
 //	quamon -faults spurious=7:20000,buserr=net@3 -fault-seed 7
@@ -30,7 +32,10 @@
 // names; the default is the endless loopback exchange "sock traffic
 // 128 B") or a file assembled with the asmkit text assembler.
 // -metrics-json and -prom write the final snapshot (use "-" for
-// stdout).
+// stdout). The profiler is attached only when -profile, -trace-json or
+// -trace N>0 reads it, since it takes every instruction through Step:
+// -trace 0 alone runs the fast loop and the collapsed copy loops, and
+// its windows carry no prof.irq.* histograms.
 //
 // -cluster boots N Quamachines bridged by the switch fabric under
 // multiplexed echo load and streams wall-clock metric windows;
@@ -51,11 +56,13 @@ import (
 
 	"synthesis/internal/bench"
 	"synthesis/internal/fault"
+	"synthesis/internal/prof"
 )
 
 func main() {
 	disasm := flag.Bool("disasm", false, "disassemble the synthesized quajects")
-	traceN := flag.Int("trace", 48, "trace entries to display")
+	traceN := flag.Int("trace", 48, fmt.Sprintf("program-trace entries to display, at most %d "+
+		"(0: none, and without -profile or -trace-json the profiler stays off)", prof.DefaultRingDepth))
 	profile := flag.Bool("profile", false, "report the measurement plane's cycle attribution by region")
 	top := flag.Int("top", 10, "regions to show in the -profile report")
 	traceJSON := flag.String("trace-json", "",

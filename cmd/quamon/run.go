@@ -24,7 +24,11 @@ import (
 // ClockMHz (the snapshot carries both). After the last window, or
 // when the program exits, comes the report: tty output, machine
 // counters, injector statistics, the profile, the exports, the
-// execution trace's tail and the disassembly.
+// program trace's tail and the disassembly. The profiler is attached
+// only when -profile, -trace-json or -trace N>0 reads it: attached, it
+// takes every instruction through Step, so without it the machine
+// runs Run's fast loop and collapsed copy loops, as production does,
+// and prof.irq.* is absent from the windows and exports.
 
 // runOpts carries the single-machine flag set.
 type runOpts struct {
@@ -66,19 +70,18 @@ func resolveProgram(name string, iters int32) (*asmkit.Builder, error) {
 // kernel and the process exit code.
 func run(o runOpts) (*kernel.Kernel, int) {
 	reg := metrics.New()
-	// Boot publishes prof.irq.* through reg. The rig readies the name
-	// strings, scratch buffers and benchmark file the bench programs
-	// (and hand-assembled ones) expect.
-	rig := bench.NewSynthRig(kernel.Config{Profile: true, Metrics: reg})
+	// Boot publishes prof.irq.* through reg when it attaches the
+	// profiler. The rig readies the name strings, scratch buffers and
+	// benchmark file the bench programs (and hand-assembled ones)
+	// expect.
+	profile := o.profile || o.traceJSON != "" || o.traceN > 0
+	rig := bench.NewSynthRig(kernel.Config{Profile: profile, Metrics: reg})
 	k := rig.K
 	rig.IO.InstallWatchdog(bench.StormThreshold)
 	var inj *fault.Injector
 	if !o.faults.Empty() {
 		inj = fault.New(o.faults, o.faultSeed)
 		inj.Attach(k.M)
-	}
-	if o.traceN > 0 {
-		k.M.Trace = m68k.NewTrace(o.traceN)
 	}
 
 	b, err := resolveProgram(o.program, o.iters)
@@ -111,7 +114,7 @@ func run(o runOpts) (*kernel.Kernel, int) {
 
 // report prints what the run left: tty output, machine counters,
 // injector statistics, the profile (and its Chrome trace), the metrics
-// exports, the execution trace's tail and, with -disasm, every
+// exports, the program trace's tail and, with -disasm, every
 // thread's synthesized quaject entries. It returns the exit code.
 func report(k *kernel.Kernel, inj *fault.Injector, o runOpts) int {
 	fmt.Printf("tty output: %q\n\n", string(k.TTY.Output()))
@@ -147,9 +150,9 @@ func report(k *kernel.Kernel, inj *fault.Injector, o runOpts) int {
 	if rc := exportSnapshot(k.Metrics.Snapshot(), o.metricsJSON, o.prom); rc != 0 {
 		return rc
 	}
-	if k.M.Trace != nil {
+	if o.traceN > 0 {
 		fmt.Printf("execution trace (last %d entries):\n", o.traceN)
-		fmt.Print(k.M.Trace.Tail(o.traceN))
+		fmt.Print(k.Prof.Tail(o.traceN))
 	}
 	if o.disasm {
 		fmt.Println("\nsynthesized quajects:")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"synthesis/internal/bench"
@@ -69,5 +70,34 @@ func TestWatchThrottlesAStorm(t *testing.T) {
 	}
 	if n := k.Metrics.Snapshot().Counters["kio.net.recovery.throttle-on"]; n < 1 {
 		t.Errorf("kio.net.recovery.throttle-on = %d after six windows of storm, want at least 1", n)
+	}
+}
+
+// TestTraceZeroRunsTheFastLoop: with -trace 0 and neither -profile nor
+// -trace-json, no profiler is attached, so the default program runs
+// Run's fast loop and its collapsed copy loops, as production does;
+// -trace N attaches one and its program trace holds N entries.
+func TestTraceZeroRunsTheFastLoop(t *testing.T) {
+	k, rc := run(runOpts{program: traffic, intervalUS: 2000, windows: 2})
+	if rc != 0 {
+		t.Fatalf("run exit code %d", rc)
+	}
+	c := k.Metrics.Snapshot().Counters
+	passes, slow := c["m68k.dispatch.collapsed_passes"], c["m68k.dispatch.slow_steps"]
+	if k.Prof != nil || passes == 0 || slow*10 > k.M.Instrs {
+		t.Errorf("profiler %v, %d collapsed passes, %d slow steps of %d instructions; "+
+			"want none, some, and under a tenth", k.Prof != nil, passes, slow, k.M.Instrs)
+	}
+
+	const n = 48
+	k, rc = run(runOpts{program: traffic, intervalUS: 2000, windows: 2, traceN: n})
+	if rc != 0 {
+		t.Fatalf("-trace %d: run exit code %d", n, rc)
+	}
+	if k.Prof == nil {
+		t.Fatalf("-trace %d attached no profiler", n)
+	}
+	if got := strings.Count(k.Prof.Tail(n), "\n"); got != n {
+		t.Errorf("-trace %d: the program trace's tail has %d entries", n, got)
 	}
 }

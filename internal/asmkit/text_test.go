@@ -11,7 +11,7 @@ import (
 
 func newTextM(t *testing.T) *m68k.Machine {
 	t.Helper()
-	m := m68k.New(m68k.Config{MemSize: 1 << 16, TraceDepth: 64})
+	m := m68k.New(m68k.Config{MemSize: 1 << 16})
 	stub := m.Emit([]m68k.Instr{{Op: m68k.HALT}})
 	m.VBR = 0x100
 	for v := 0; v < m68k.NumVectors; v++ {

@@ -79,8 +79,8 @@ type Config struct {
 	// tracing is an observability mode, not a benchmark default.
 	TraceEvery int
 	// Flight arms the per-VM flight recorder: the profiler's event
-	// ring plus a hardware instruction-trace ring, rendered into a
-	// dump the moment a VM driver fails (see flight.go).
+	// ring and program trace, rendered into a dump the moment a VM
+	// driver fails (see flight.go).
 	Flight bool
 }
 
@@ -282,9 +282,6 @@ func (c *Cluster) bootVM(id int) *VM {
 	// pays its per-step cost) when asked for.
 	observed := c.tr != nil || c.flight != nil
 	mcfg := m68k.Sun3Config()
-	if c.flight != nil {
-		mcfg = flightMachineConfig(mcfg)
-	}
 	reg := c.Reg.Sub(fmt.Sprintf("vm%d.", id))
 	k := kernel.Boot(kernel.Config{
 		Machine:         mcfg,

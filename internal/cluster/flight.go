@@ -7,26 +7,21 @@ import (
 	"sync"
 
 	"synthesis/internal/kernel"
-	"synthesis/internal/m68k"
 )
 
 // The flight recorder: when Config.Flight is set, every VM boots
 // with the profiler attached (its event ring is the recent
-// sched/IRQ/region history) and a hardware instruction-trace ring,
-// and a VM driver error — guest panic, halt, unexpected machine
-// fault — renders the whole tail into a dump the moment it happens.
+// sched/IRQ/region history, its program trace the recent
+// instructions), and a VM driver error — guest panic, halt,
+// unexpected machine fault — renders the whole tail into a dump the
+// moment it happens.
 // The two scheduler bugs of PR 6 and PR 7 each took a soak-and-bisect
 // hunt to see; this turns the next one into reading a dump.
-
-// flightTraceDepth is the instruction-trace ring armed on flight
-// VMs: deep enough to hold a few handler activations around the
-// failure, shallow enough that per-step recording stays cheap.
-const flightTraceDepth = 512
 
 // flightEventTail bounds the profiler events rendered in a dump.
 const flightEventTail = 64
 
-// flightInstrTail bounds the instruction-trace entries rendered.
+// flightInstrTail bounds the program-trace entries rendered.
 const flightInstrTail = 48
 
 type flightState struct {
@@ -128,12 +123,10 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 				fmt.Fprintf(&b, "%12d          * %s\n", e.At, e.Name)
 			}
 		}
-	}
-
-	if m.Trace != nil && m.Trace.Len() > 0 {
-		n := min(m.Trace.Len(), flightInstrTail)
-		fmt.Fprintf(&b, "-- last %d instructions --\n", n)
-		b.WriteString(m.Trace.Tail(n))
+		if n := min(p.Trace().Len(), flightInstrTail); n > 0 {
+			fmt.Fprintf(&b, "-- last %d instructions --\n", n)
+			b.WriteString(p.Tail(n))
+		}
 	}
 
 	if c.tr != nil {
@@ -143,10 +136,4 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 			s, done, inc, ab)
 	}
 	return b.String()
-}
-
-// flightMachineConfig arms the instruction trace on a flight VM.
-func flightMachineConfig(cfg m68k.Config) m68k.Config {
-	cfg.TraceDepth = flightTraceDepth
-	return cfg
 }

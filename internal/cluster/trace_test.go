@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -143,15 +145,13 @@ func TestWriteTrace(t *testing.T) {
 
 // TestFlightRecorderDump kills a guest and expects the flight
 // recorder to capture the failure's tail: the error, the thread
-// table, profiler events, and the instruction trace.
+// table, profiler events, and, last, the profiler's final
+// flightInstrTail program-trace entries.
 func TestFlightRecorderDump(t *testing.T) {
 	c := New(Config{
 		VMs: 1, SocketsPerVM: 2, Conns: 2, PayloadBytes: 32,
 		Flight: true, Seed: 5,
 	})
-	if c.vms[0].K.M.Trace == nil {
-		t.Fatal("flight VM booted without an instruction trace ring")
-	}
 	c.Start()
 	defer c.Stop()
 	waitReplies(t, c, 50, 20*time.Second)
@@ -178,6 +178,18 @@ func TestFlightRecorderDump(t *testing.T) {
 	} {
 		if !strings.Contains(d, want) {
 			t.Errorf("flight dump missing %q:\n%s", want, d)
+		}
+	}
+	head := fmt.Sprintf("-- last %d instructions --\n", flightInstrTail)
+	_, instrs, ok := strings.Cut(d, head)
+	lines := strings.SplitAfter(instrs, "\n")
+	entry := regexp.MustCompile(`^ *\d+  ( *\d+: \S|\*\* exception vector \d+ \(from pc \d+\)$)`)
+	if !ok || len(lines) != flightInstrTail+1 || lines[flightInstrTail] != "" {
+		t.Fatalf("flight dump does not end with %q and %d entries:\n%s", head, flightInstrTail, d)
+	}
+	for _, l := range lines[:flightInstrTail] {
+		if !entry.MatchString(strings.TrimSuffix(l, "\n")) {
+			t.Errorf("flight dump's program trace has a line %q", l)
 		}
 	}
 

@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -16,7 +17,7 @@ import (
 func boot(t *testing.T) *kernel.Kernel {
 	t.Helper()
 	k := kernel.Boot(kernel.Config{
-		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
+		Machine: m68k.Config{MemSize: 1 << 20},
 	})
 	return k
 }
@@ -32,7 +33,7 @@ func runToCompletion(t *testing.T, k *kernel.Kernel, first *kernel.Thread, budge
 	t.Helper()
 	k.Start(first)
 	if err := k.Run(budget); err != nil {
-		t.Fatalf("run: %v\ntrace tail:\n%s", err, tail(k))
+		t.Fatalf("run: %v\n%s", err, where(k))
 	}
 }
 
@@ -46,11 +47,12 @@ func onChain(k *kernel.Kernel, tte uint32) bool {
 	return false
 }
 
-func tail(k *kernel.Kernel) string {
-	if k.M.Trace == nil {
-		return "(no trace)"
-	}
-	return k.M.Trace.Tail(40)
+// where renders the machine's registers and the code around its PC,
+// for a failure message.
+func where(k *kernel.Kernel) string {
+	m := k.M
+	return fmt.Sprintf("pc=%d sr=%#04x\nd=%08x\na=%08x\n%s",
+		m.PC, m.SR, m.D, m.A, m68k.Disassemble(m.Code, m.PC-min(m.PC, 4), 8))
 }
 
 func TestBootAndExit(t *testing.T) {
@@ -562,7 +564,7 @@ func TestUserThreadQuaspaceConfinement(t *testing.T) {
 // would carry on past it. The dispatcher's five tallies are served
 // from the same machine.
 func TestPrivilegedOpInUserThreadIsAnErrorTrap(t *testing.T) {
-	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256}, Metrics: metrics.New()})
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}, Metrics: metrics.New()})
 	ub, ul := k.AllocUserSpace(4096)
 	handler := k.C.Synthesize(nil, "errh", nil, func(e *synth.Emitter) {
 		e.AddL(m68k.Imm(1), m68k.Abs(ub+16))
@@ -774,7 +776,7 @@ func TestBusErrorReapsFaultingThread(t *testing.T) {
 	k.SpawnKernel("peer", peer)
 	k.Start(tv)
 	if err := k.Run(10_000_000); err != nil {
-		t.Fatalf("run: %v\ntrace tail:\n%s", err, tail(k))
+		t.Fatalf("run: %v\n%s", err, where(k))
 	}
 	if k.PanicMsg != "" {
 		t.Fatalf("kernel panicked: %s", k.PanicMsg)

@@ -90,7 +90,6 @@ const (
 	TTEFP      = 408 // FP register save area: 8 slots x 12 bytes
 	TTEFlags   = 504 // bit0: thread uses the FP co-processor
 	TTEIOGauge = 508 // I/O event count for the fine-grain scheduler
-	TTESigPC   = 512 // pending signal handler entry (0 = none)
 	TTESigOld  = 516 // interrupted PC stashed for the signal or error handler; sig_return clears it
 	TTESwinPtr = 520 // code address that switches this thread in: sw_in.mmu with a quaspace, plain sw_in without (fixed at creation, like TTEULimit)
 	TTESwoutPt = 524 // code address of this thread's own sw_out, the base of its code region

@@ -517,12 +517,12 @@ func TestBlockCopySharedOnce(t *testing.T) {
 }
 
 // TestEchoCopiesCollapse bounces a 64-byte datagram between two
-// loopback sockets 300 times under Run, with no Probe and no trace ring,
-// and wants at most 5 % of the copy passes to run their instructions one
-// at a time: an echo's two sends, two deposits and two receives each
-// copy two 32-byte groups through a loop the dispatcher collapses, and
-// a horizon or quantum change that made those passes fall back would
-// cost sock_echo its copy speed and fail no other test.
+// loopback sockets 300 times under Run, with no Probe, and wants at
+// most 5 % of the copy passes to run their instructions one at a time:
+// an echo's two sends, two deposits and two receives each copy two
+// 32-byte groups through a loop the dispatcher collapses, and a horizon
+// or quantum change that made those passes fall back would cost
+// sock_echo its copy speed and fail no other test.
 func TestEchoCopiesCollapse(t *testing.T) {
 	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
 	kio.Install(k)
@@ -558,10 +558,10 @@ func TestEchoCopiesCollapse(t *testing.T) {
 }
 
 // TestLookupLoopsCollapse opens and closes /dev/tty 300 times under Run,
-// with no Probe and no trace ring, and wants fs_lookup's scan and long
-// compare to collapse on every open, at most 5 % of calls falling back;
-// and those two loops to be the shapes the dispatcher collapses, its
-// byte compare, a tail of at most three bytes, not. A template edit or a
+// with no Probe, and wants fs_lookup's scan and long compare to
+// collapse on every open, at most 5 % of calls falling back; and those
+// two loops to be the shapes the dispatcher collapses, its byte
+// compare, a tail of at most three bytes, not. A template edit or a
 // horizon change that lost them would cost open_close its lookup speed
 // and fail no other test.
 func TestLookupLoopsCollapse(t *testing.T) {

@@ -1,6 +1,8 @@
 package kio_test
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 func boot(t *testing.T) (*kernel.Kernel, *kio.IO) {
 	t.Helper()
 	k := kernel.Boot(kernel.Config{
-		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
+		Machine: m68k.Config{MemSize: 1 << 20},
 	})
 	io := kio.Install(k)
 	return k, io
@@ -43,7 +45,7 @@ func run(t *testing.T, k *kernel.Kernel, first *kernel.Thread, budget uint64) {
 	t.Helper()
 	k.Start(first)
 	if err := k.Run(budget); err != nil {
-		t.Fatalf("run: %v\ntrace:\n%s", err, tail(k))
+		t.Fatalf("run: %v\n%s", err, where(k))
 	}
 }
 
@@ -57,11 +59,12 @@ func onChain(k *kernel.Kernel, tte uint32) bool {
 	return false
 }
 
-func tail(k *kernel.Kernel) string {
-	if k.M.Trace == nil {
-		return "(no trace)"
-	}
-	return k.M.Trace.Tail(50)
+// where renders the machine's registers and the code around its PC,
+// for a failure message.
+func where(k *kernel.Kernel) string {
+	m := k.M
+	return fmt.Sprintf("pc=%d sr=%#04x\nd=%08x\na=%08x\n%s",
+		m.PC, m.SR, m.D, m.A, m68k.Disassemble(m.Code, m.PC-min(m.PC, 4), 8))
 }
 
 func TestOpenReadWriteNull(t *testing.T) {
@@ -214,6 +217,43 @@ func TestPipeSameThread(t *testing.T) {
 	}
 	if got := string(k.M.PeekBytes(rbuf, 8)); got != "abcdefgh" {
 		t.Errorf("pipe data %q", got)
+	}
+}
+
+// TestPipeKilobyteCollapses: a functional boot runs Run's fast loop,
+// as production does, so a 1 KB pipe write and read go through the
+// shared block copy as collapsed passes, not one Step an instruction.
+func TestPipeKilobyteCollapses(t *testing.T) {
+	k, _ := boot(t)
+	const n, res, wbuf, rbuf = 1024, 0x9000, 0x20000, 0x24000
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*13 + 5)
+	}
+	k.M.PokeBytes(wbuf, data)
+	prog := k.C.Synthesize(nil, "main", nil, func(e *synth.Emitter) {
+		e.MoveL(m68k.Imm(kernel.SysPipe), m68k.D(0))
+		e.Trap(kernel.TrapSys) // rfd=0 in D0, wfd=1 in D1
+		e.MoveL(m68k.Imm(wbuf), m68k.D(1))
+		e.MoveL(m68k.Imm(n), m68k.D(2))
+		e.Trap(kernel.TrapWrite + 1)
+		e.MoveL(m68k.D(0), m68k.Abs(res))
+		e.MoveL(m68k.Imm(rbuf), m68k.D(1))
+		e.MoveL(m68k.Imm(n), m68k.D(2))
+		e.Trap(kernel.TrapRead + 0)
+		e.MoveL(m68k.D(0), m68k.Abs(res+4))
+		exitSeq(e)
+	})
+	run(t, k, k.SpawnKernel("main", prog), 5_000_000)
+	if w, r := k.M.Peek(res, 4), k.M.Peek(res+4, 4); w != n || r != n {
+		t.Errorf("pipe write = %d, read = %d, want %d each", w, r, n)
+	}
+	if !bytes.Equal(k.M.PeekBytes(rbuf, n), data) {
+		t.Error("the bytes read differ from those written")
+	}
+	if k.M.CollapsedPasses == 0 {
+		t.Errorf("no collapsed pass in %d instructions (%d slow steps): the boot steps every instruction",
+			k.M.Instrs, k.M.SlowSteps)
 	}
 }
 

@@ -20,7 +20,7 @@ func bootMetrics(t *testing.T) (*kernel.Kernel, *kio.IO, *metrics.Registry) {
 	t.Helper()
 	reg := metrics.New()
 	k := kernel.Boot(kernel.Config{
-		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
+		Machine: m68k.Config{MemSize: 1 << 20},
 		Metrics: reg,
 	})
 	io := kio.Install(k)
@@ -146,7 +146,7 @@ func TestSocketCloseUnregistersMetrics(t *testing.T) {
 func TestDisabledPlaneGeneratesIdenticalCode(t *testing.T) {
 	build := func(reg *metrics.Registry) (*kernel.Kernel, uint32) {
 		k := kernel.Boot(kernel.Config{
-			Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
+			Machine: m68k.Config{MemSize: 1 << 20},
 			Metrics: reg,
 		})
 		kio.Install(k)

@@ -331,7 +331,7 @@ func TestPipeFailsWhole(t *testing.T) {
 func TestOpenCloseChurnPlateaus(t *testing.T) {
 	reg := metrics.New()
 	k := kernel.Boot(kernel.Config{
-		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
+		Machine: m68k.Config{MemSize: 1 << 20},
 		Profile: true,
 		Metrics: reg,
 	})
@@ -432,7 +432,7 @@ func TestOpenCloseChurnPlateaus(t *testing.T) {
 		t.Helper()
 		k.M.ClearHalt()
 		if err := k.Run(4_000_000_000); err != nil {
-			t.Fatalf("run: %v\ntrace:\n%s", err, tail(k))
+			t.Fatalf("run: %v\n%s", err, where(k))
 		}
 		if round != 0 && k.M.D[5] != round {
 			t.Fatalf("halted after round %d, want %d", k.M.D[5], round)

@@ -24,7 +24,7 @@ func bootProcMetrics(t *testing.T) (*kernel.Kernel, *kio.IO, *metrics.Registry) 
 	t.Helper()
 	reg := metrics.New()
 	k := kernel.Boot(kernel.Config{
-		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
+		Machine: m68k.Config{MemSize: 1 << 20},
 		Metrics: reg,
 	})
 	io := kio.Install(k)

@@ -16,7 +16,7 @@ import (
 func bootProfiled(t *testing.T) (*kernel.Kernel, *kio.IO) {
 	t.Helper()
 	k := kernel.Boot(kernel.Config{
-		Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256},
+		Machine: m68k.Config{MemSize: 1 << 20},
 		Profile: true,
 	})
 	io := kio.Install(k)

@@ -114,7 +114,7 @@ const (
 func entryRun(t *testing.T, c entryCase, n int32, unix bool) entryState {
 	t.Helper()
 	reg := metrics.New()
-	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256}, Metrics: reg})
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}, Metrics: reg})
 	io := kio.Install(k)
 	unixemu.Install(k)
 	k.M.PokeBytes(entWBuf, []byte("hello, world, and the rest of it"))
@@ -289,7 +289,7 @@ func TestUnixEntryMatchesNative(t *testing.T) {
 // fd = MaxFD and fd = -1 — and the walk of every live TTE finds each
 // UNIX cell beside its native vector.
 func TestBadDescriptorsThroughUnixGate(t *testing.T) {
-	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 256}})
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
 	l := logRegions(k)
 	io := kio.Install(k)
 	unixemu.Install(k)

@@ -34,8 +34,8 @@ import (
 // at a boundary inside one, that touch only plain RAM the current state
 // may use, so no access inside one could fault or reach a device, and a
 // copy only apart blocks; when not one qualifies, the head runs its own
-// body. Step zeroes the horizon, so under the profiler or a trace ring
-// every instruction is still one step. Straight-line blocks in general
+// body. Step zeroes the horizon, so under a Probe (the profiler) every
+// instruction is still one step. Straight-line blocks in general
 // were measured and do not pay (docs/PERFORMANCE.md).
 //
 // exec.go's switch is the ISA: complete, the only definition of every

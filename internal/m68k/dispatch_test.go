@@ -156,14 +156,13 @@ func (timer2) Base() uint32 { return IOBase + 0x600 }
 // adds the spin counter D1 to a cell of its own, so where an interrupt
 // or exception landed shows in memory, not only that it did. The
 // program is executed by one Run, by Run in slices of 97, 1 and 0
-// cycles, and by repeated Step, each bare, with a Probe and with a
-// Trace ring. Every run must leave identical registers, SR, memory,
-// code-space size and Cycles/Instrs/MemRefs, every run with the same
-// plane identical Probe events and trace entries, and none may move
-// once halted.
+// cycles, and by repeated Step, each bare and with a Probe. Every run
+// must leave identical registers, SR, memory, code-space size and
+// Cycles/Instrs/MemRefs, every run with the same plane identical Probe
+// events, and none may move once halted.
 //
 // Mutation-checked against exec.go, machine.go and dispatch.go: it
-// fails with any one condition dropped from runHorizon (Probe, Trace,
+// fails with any one condition dropped from runHorizon (Probe,
 // halted, stopped, deliverable interrupt, T, nextPoll), and with any one
 // horizon = 0 deleted — PostInterrupt's (the NIC store's interrupt
 // lands late), tickDevice's (the quantum does), applySR's for T (ORSR
@@ -190,7 +189,6 @@ func TestRunEqualsSteps(t *testing.T) {
 	const (
 		bare = iota
 		probed
-		traced
 		planes
 	)
 	type outcome struct {
@@ -201,18 +199,13 @@ func TestRunEqualsSteps(t *testing.T) {
 		codeLen, serviceCalls   int
 		counts                  [6]uint32 // the handlers' cells, in the order above
 	}
-	// seen is what the measurement planes recorded: it depends on which
-	// plane is armed, never on how the machine was driven.
+	// seen is what the measurement plane recorded: it depends on
+	// whether the plane is armed, never on how the machine was driven.
 	type seen struct {
 		events, late []loopEvent // the Probe's, and those of the one the service attached
-		trace        []TraceEntry
 	}
 	execute := func(plane int, drive func(m *Machine) error) (outcome, seen, []byte) {
-		cfg := Config{MemSize: 1 << 16}
-		if plane == traced {
-			cfg.TraceDepth = 1 << 12 // the whole run
-		}
-		m := New(cfg)
+		m := New(Config{MemSize: 1 << 16})
 		m.Attach(NewTimer(m))
 		nic := NewNet(m)
 		m.Attach(nic)
@@ -360,9 +353,6 @@ func TestRunEqualsSteps(t *testing.T) {
 		if rec != nil {
 			log.events = rec.events
 		}
-		if m.Trace != nil {
-			log.trace = m.Trace.Entries()
-		}
 		return o, log, m.Mem
 	}
 
@@ -409,7 +399,7 @@ func TestRunEqualsSteps(t *testing.T) {
 		t.Fatal("the Probe the service attached saw nothing")
 	}
 	for plane := 0; plane < planes; plane++ {
-		name := [planes]string{"", " with probe", " with trace ring"}[plane]
+		name := [planes]string{"", " with probe"}[plane]
 		var first seen // what this plane recorded of the one Run
 		for i, d := range drivers {
 			got, log, mem := execute(plane, d.drive)
@@ -422,13 +412,10 @@ func TestRunEqualsSteps(t *testing.T) {
 				if plane == probed && !idle {
 					t.Fatal("no idle step recorded: STOP never waited")
 				}
-				if plane == traced && uint64(len(log.trace)) < got.Instrs {
-					t.Fatalf("trace ring holds %d entries of a run of %d instructions", len(log.trace), got.Instrs)
-				}
 			}
 			if !reflect.DeepEqual(log, first) {
-				t.Errorf("%s%s: probes saw %d and %d events and the ring %d entries, differing from the %d, %d and %d of Run",
-					d.name, name, len(log.events), len(log.late), len(log.trace), len(first.events), len(first.late), len(first.trace))
+				t.Errorf("%s%s: probes saw %d and %d events, differing from the %d and %d of Run",
+					d.name, name, len(log.events), len(log.late), len(first.events), len(first.late))
 			}
 			if !bytes.Equal(mem, refMem) {
 				t.Errorf("%s%s: memory image differs from Run", d.name, name)

@@ -10,7 +10,8 @@
 // context switching, lazy floating-point context via a trap on first
 // FP use, memory-mapped devices, and hardware measurement facilities
 // (instruction counter, memory-reference counter, microsecond clock,
-// execution trace) matching Section 6.1 of the paper.
+// and the Probe hook internal/prof records the execution trace
+// through) matching Section 6.1 of the paper.
 //
 // Code is held in a separate code space addressed by instruction index
 // rather than encoded bytes; this keeps run-time code synthesis (the

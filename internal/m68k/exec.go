@@ -9,11 +9,66 @@ import (
 // interrupt and no device has a scheduled event: simulated deadlock.
 var ErrIdle = errors.New("m68k: stopped with no pending device events")
 
+// Run executes until HALT, an unrecoverable error, or the cycle
+// budget is exhausted.
+//
+// Nothing step() tests can change between two events (a device coming
+// due, an interrupt posted, T set, STOP, a KCALL service, the cycle
+// limit), so runHorizon folds the tests into Machine.horizon — the
+// field states the rule that keeps it current — and the fast loop runs
+// translated handlers, with no call frame between instructions, while
+// the clock is short of it: it reads Cycles, horizon, PC and the cache
+// line, nothing else. A boundary the loop cannot cross (an event is
+// due, the slot is cold) goes to Step(), the reference path and the
+// only place the conditions are acted on; TestRunEqualsSteps holds the
+// two loops behaviourally identical.
+func (m *Machine) Run(maxCycles uint64) error {
+	limit := m.Cycles + maxCycles
+	for {
+		m.horizon = m.runHorizon(limit)
+		ran := false
+		for m.Cycles < m.horizon {
+			xc, pc := m.xcache, uint(m.PC)
+			if pc >= uint(len(xc)) {
+				break
+			}
+			e := &xc[pc]
+			run := e.run
+			if run == nil {
+				break
+			}
+			m.PC++
+			m.Instrs++
+			m.Cycles += e.cost
+			ran = true
+			if err := run(m); err != nil {
+				var bf *BusFault
+				if !errors.As(err, &bf) {
+					return err
+				}
+				if err := m.fault(bf); err != nil {
+					return err
+				}
+			}
+		}
+		if !ran {
+			m.SlowSteps++
+			if err := m.Step(); err != nil {
+				return err
+			}
+		}
+		if m.Cycles >= limit {
+			return ErrCycleLimit
+		}
+	}
+}
+
 // Step executes one instruction (or dispatches one interrupt, or
 // advances stopped time to the next device event). With a probe
 // attached, each step's cycle and instruction delta is reported
-// against the PC the step began at; without one, the wrapper is a
-// single nil check.
+// against the PC the step began at — the profiler's attribution and
+// its program trace both come from that one report; without one,
+// the wrapper is a single nil check.
 func (m *Machine) Step() error {
 	if m.Probe == nil {
 		return m.step()
@@ -72,12 +127,9 @@ func (m *Machine) step() error {
 	m.PC++
 	m.Instrs++
 	m.Cycles += e.cost
-	if m.Trace != nil {
-		m.Trace.Record(pc, m.Code[pc], m.Cycles)
-	}
 	traced := m.SR&FlagT != 0
 	// A collapsed loop runs iterations only below the horizon: zeroed,
-	// it keeps a Step one instruction, under a Probe and a trace ring too.
+	// it keeps a Step one instruction, under a Probe too.
 	m.horizon = 0
 	if err := run(m); err != nil {
 		var bf *BusFault
@@ -119,67 +171,13 @@ func (m *Machine) nextDeviceEvent() uint64 {
 	return next
 }
 
-// Run executes until HALT, an unrecoverable error, or the cycle
-// budget is exhausted.
-//
-// Nothing step() tests can change between two events (a device coming
-// due, an interrupt posted, T set, STOP, a KCALL service, the cycle
-// limit), so runHorizon folds the tests into Machine.horizon — the
-// field states the rule that keeps it current — and the fast loop runs
-// translated handlers, with no call frame between instructions, while
-// the clock is short of it: it reads Cycles, horizon, PC and the cache
-// line, nothing else. A boundary the loop cannot cross (an event is
-// due, the slot is cold) goes to Step(), the reference path and the
-// only place the conditions are acted on; TestRunEqualsSteps holds the
-// two loops behaviourally identical.
-func (m *Machine) Run(maxCycles uint64) error {
-	limit := m.Cycles + maxCycles
-	for {
-		m.horizon = m.runHorizon(limit)
-		ran := false
-		for m.Cycles < m.horizon {
-			xc, pc := m.xcache, uint(m.PC)
-			if pc >= uint(len(xc)) {
-				break
-			}
-			e := &xc[pc]
-			run := e.run
-			if run == nil {
-				break
-			}
-			m.PC++
-			m.Instrs++
-			m.Cycles += e.cost
-			ran = true
-			if err := run(m); err != nil {
-				var bf *BusFault
-				if !errors.As(err, &bf) {
-					return err
-				}
-				if err := m.fault(bf); err != nil {
-					return err
-				}
-			}
-		}
-		if !ran {
-			m.SlowSteps++
-			if err := m.Step(); err != nil {
-				return err
-			}
-		}
-		if m.Cycles >= limit {
-			return ErrCycleLimit
-		}
-	}
-}
-
 // runHorizon returns the cycle up to which Run may execute without
 // consulting step(): 0 if any condition step() acts on holds now,
 // otherwise the earlier of the cycle limit and the next device event.
 // A masked interrupt is not such a condition (pendingLevel's rule,
 // without its search); applySR zeroes the horizon when SR changes under one.
 func (m *Machine) runHorizon(limit uint64) uint64 {
-	if m.Probe != nil || m.Trace != nil || m.halted || m.stopped ||
+	if m.Probe != nil || m.halted || m.stopped ||
 		m.pendIRQ>>(m.IPL()+1)|m.pendIRQ>>7 != 0 || m.SR&FlagT != 0 {
 		return 0
 	}

@@ -1,6 +1,9 @@
 package m68k
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Op identifies an instruction opcode.
 type Op uint8
@@ -309,4 +312,13 @@ func (i Instr) String() string {
 		return fmt.Sprintf("%s%s %s", i.Op, szSuffix(i.Size()), i.Src)
 	}
 	return fmt.Sprintf("%s%s %s,%s", i.Op, szSuffix(i.Size()), i.Src, i.Dst)
+}
+
+// Disassemble renders n instructions of code space starting at addr.
+func Disassemble(code []Instr, addr uint32, n int) string {
+	var b strings.Builder
+	for i := 0; i < n && int(addr)+i < len(code); i++ {
+		fmt.Fprintf(&b, "%6d: %s\n", addr+uint32(i), code[addr+uint32(i)])
+	}
+	return b.String()
 }

@@ -72,9 +72,9 @@ type Service func(m *Machine) uint64
 
 // Probe receives execution events for a measurement plane (the
 // Quamachine's Section 6.1 instrumentation: cycle attribution,
-// interrupt-latency tracing). A nil Probe — the default — disables
-// all event delivery; the only cost the feature adds to an unprobed
-// machine is one nil check per Step.
+// interrupt-latency tracing, the program trace). A nil Probe — the
+// default — disables all event delivery; the only cost the feature
+// adds to an unprobed machine is one nil check per Step.
 type Probe interface {
 	// StepDone reports one completed Step: the PC the step started
 	// at, the cycles and instructions it consumed, and whether the
@@ -119,7 +119,6 @@ type Config struct {
 	MemSize    uint32  // bytes of RAM (default 4 MiB; at most IOBase)
 	ClockMHz   float64 // CPU clock (default 50)
 	WaitStates int     // extra cycles per memory reference (default 0)
-	TraceDepth int     // execution trace ring size (0 = tracing off)
 }
 
 // Sun3Config returns the configuration that emulates a SUN 3/160 as
@@ -180,10 +179,10 @@ type Machine struct {
 	Cycles  uint64
 	Instrs  uint64
 	MemRefs uint64
-	Trace   *Trace
 
 	// Probe is the attached measurement plane, nil when profiling is
-	// off (see the Probe interface).
+	// off (see the Probe interface): the machine's one per-step hook,
+	// and the program trace's source (prof keeps the instruction ring).
 	Probe Probe
 
 	// Inj is the attached fault-injection plane, nil when fault
@@ -204,7 +203,7 @@ type Machine struct {
 
 	// horizon is the cycle up to which Run's fast loop may execute
 	// without testing anything else: runHorizon folds every condition
-	// step() acts on (probe, trace ring, halted, stopped, deliverable
+	// step() acts on (probe, halted, stopped, deliverable
 	// interrupt, T bit, next device event, cycle limit) into it. One rule
 	// keeps it sound: whatever can make one of those conditions true
 	// while the loop runs zeroes the horizon, which ends the loop at the
@@ -212,7 +211,7 @@ type Machine struct {
 	// point. The sites are PostInterrupt, tickDevice where it lowers
 	// nextPoll, applySR when the new SR has T or an interrupt is pending
 	// (the new mask may let it through), STOP, and the return of a KCALL
-	// service, which may have written SR, Probe or Trace directly.
+	// service, which may have written SR or Probe directly.
 	// HALT and a double fault end Run with an error, and Run recomputes
 	// on entry, which covers whatever the host did between two calls.
 	// Step zeroes it before it runs a handler, so the one handler that
@@ -286,9 +285,6 @@ func New(cfg Config) *Machine {
 		WaitStates: cfg.WaitStates,
 		SR:         FlagS | iplMask, // boot in supervisor state, interrupts masked
 		memSize:    int(cfg.MemSize),
-	}
-	if cfg.TraceDepth > 0 {
-		m.Trace = NewTrace(cfg.TraceDepth)
 	}
 	m.services[SvcMark] = (*Machine).mark
 	return m
@@ -804,9 +800,6 @@ func (m *Machine) Exception(v int) error {
 		if handler, err = m.Load(vec, 4); err != nil {
 			return err
 		}
-	}
-	if m.Trace != nil {
-		m.Trace.RecordException(v, m.PC)
 	}
 	if m.Probe != nil {
 		m.Probe.ExceptionTaken(v, m.PC, m.Cycles)

@@ -2,7 +2,7 @@ package m68k_test
 
 import (
 	"errors"
-	"strings"
+	"fmt"
 	"testing"
 
 	"synthesis/internal/asmkit"
@@ -19,7 +19,7 @@ func newM(t *testing.T) *m68k.Machine {
 // newMSized is newM with size bytes of RAM.
 func newMSized(t *testing.T, size uint32) *m68k.Machine {
 	t.Helper()
-	m := m68k.New(m68k.Config{MemSize: size, TraceDepth: 64})
+	m := m68k.New(m68k.Config{MemSize: size})
 	stub := m.Emit([]m68k.Instr{{Op: m68k.HALT}})
 	m.VBR = 0x100
 	for v := 0; v < m68k.NumVectors; v++ {
@@ -36,15 +36,15 @@ func run(t *testing.T, m *m68k.Machine, entry uint32) {
 	t.Helper()
 	m.PC = entry
 	if err := m.Run(10_000_000); !errors.Is(err, m68k.ErrHalted) {
-		t.Fatalf("run: %v\ntrace:\n%s", err, traceOf(m))
+		t.Fatalf("run: %v\n%s", err, where(m))
 	}
 }
 
-func traceOf(m *m68k.Machine) string {
-	if m.Trace == nil {
-		return "(no trace)"
-	}
-	return m.Trace.String()
+// where renders the registers and the code around the PC, for a
+// failure message.
+func where(m *m68k.Machine) string {
+	return fmt.Sprintf("pc=%d sr=%#04x\nd=%08x\na=%08x\n%s",
+		m.PC, m.SR, m.D, m.A, m68k.Disassemble(m.Code, m.PC-min(m.PC, 4), 8))
 }
 
 func TestMoveImmediateAndFlags(t *testing.T) {
@@ -690,34 +690,6 @@ func TestMicrosConversion(t *testing.T) {
 	n := m68k.New(m68k.NativeConfig())
 	if got := n.Micros(500); got != 10 {
 		t.Errorf("500 cycles at 50 MHz = %v µs, want 10", got)
-	}
-}
-
-func TestTraceRecords(t *testing.T) {
-	m := newM(t)
-	b := asmkit.New()
-	b.MoveL(m68k.Imm(1), m68k.D(0))
-	b.AddL(m68k.Imm(2), m68k.D(0))
-	b.Halt()
-	run(t, m, b.Link(m))
-	if m.Trace.Len() < 3 {
-		t.Errorf("trace recorded %d entries, want >= 3", m.Trace.Len())
-	}
-	s := m.Trace.String()
-	if s == "" {
-		t.Error("empty trace listing")
-	}
-	// Tail is the listing's last lines, and never more than it holds.
-	lines := strings.SplitAfter(s, "\n")
-	lines = lines[:len(lines)-1] // the empty string after the last newline
-	if got, want := m.Trace.Tail(2), strings.Join(lines[len(lines)-2:], ""); got != want {
-		t.Errorf("Tail(2) = %q, want the listing's last two lines %q", got, want)
-	}
-	if got := m.Trace.Tail(m.Trace.Len() + 5); got != s {
-		t.Errorf("Tail past the ring's length = %q, want the whole listing %q", got, s)
-	}
-	if got := m.Trace.Tail(0); got != "" {
-		t.Errorf("Tail(0) = %q, want nothing", got)
 	}
 }
 

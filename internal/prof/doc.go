@@ -1,6 +1,7 @@
 // Package prof is the Quamachine measurement plane: per-region cycle
-// and instruction attribution, interrupt-latency histograms, and a
-// trace-event ring exportable as Chrome trace JSON.
+// and instruction attribution, interrupt-latency histograms, a
+// trace-event ring exportable as Chrome trace JSON, and the program
+// trace of the recent instructions and exceptions (Trace, Tail).
 //
 // Section 6.1 of the paper measures everything on the Quamachine's
 // built-in instrumentation — microsecond timer, instruction and
@@ -15,7 +16,8 @@
 //
 // Attachment is optional and costs nothing when absent: the machine's
 // step loop checks a single nil interface before doing any probe
-// work. When a metrics.Registry is present the profiler's
+// work. Attached, it takes every instruction through Step, so Run's
+// fast loop and its collapsed loops stay off while it is. When a metrics.Registry is present the profiler's
 // interrupt-latency histograms are the registry's
 // prof.irq.l<ipl>.latency_cycles, which
 // is how they reach quamon and the guest-visible /proc/metrics

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"synthesis/internal/asmkit"
@@ -14,7 +17,7 @@ import (
 // newM builds a machine with a vector table pointing at a HALT stub.
 func newM(t *testing.T) *m68k.Machine {
 	t.Helper()
-	m := m68k.New(m68k.Config{MemSize: 1 << 16, TraceDepth: 64})
+	m := m68k.New(m68k.Config{MemSize: 1 << 16})
 	stub := m.Emit([]m68k.Instr{{Op: m68k.HALT}})
 	m.VBR = 0x100
 	for v := 0; v < m68k.NumVectors; v++ {
@@ -159,6 +162,67 @@ func TestIdleAttribution(t *testing.T) {
 	}
 	if c := p.Coverage(); c < 0.999 {
 		t.Errorf("coverage with idle = %v, want ~1.0", c)
+	}
+}
+
+// TestProgramTrace: the profiler's program trace holds every step in
+// execution order — an instruction before the exception it raised, an
+// interrupt dispatch as its exception alone, a stopped step not at all
+// — and Tail renders its last n entries.
+func TestProgramTrace(t *testing.T) {
+	m := newM(t)
+	p := prof.Enable(m, 64)
+	m.Attach(m68k.NewTimer(m))
+	b := asmkit.New()
+	b.MoveL(m68k.Imm(1), m68k.D(0))
+	b.AddL(m68k.Imm(2), m68k.D(0))
+	b.Trap(3)
+	entry := b.Link(m)
+	run(t, m, entry) // the trap's handler is the HALT stub
+	m.ClearHalt()
+	b = asmkit.New()
+	b.MoveL(m68k.Imm(2000), m68k.Abs(m68k.TimerBase+m68k.TimerRegAlarm))
+	b.Stop(0x2000) // until the alarm's interrupt, whose handler halts too
+	idle := b.Link(m)
+	run(t, m, idle)
+
+	type step struct {
+		pc  uint32
+		exc int
+	}
+	stub := m.Peek(m.VBR, 4)
+	want := []step{
+		{entry, -1}, {entry + 1, -1}, {entry + 2, -1}, {entry + 3, m68k.VecTrapBase + 3}, {stub, -1},
+		{idle, -1}, {idle + 1, -1}, {idle + 2, m68k.VecAutovector + m68k.IRQAlarm}, {stub, -1},
+	}
+	var got []step
+	var last uint64
+	for _, e := range p.Trace().Items() {
+		got = append(got, step{e.PC, e.Exc})
+		if e.Cycles < last {
+			t.Errorf("entry at pc %d: cycle %d before the previous entry's %d", e.PC, e.Cycles, last)
+		}
+		last = e.Cycles
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace (pc, vector) = %v, want %v\n%s", got, want, p.Tail(64))
+	}
+
+	// Tail is the listing's last lines, and never more than it holds.
+	s := p.Tail(p.Trace().Len())
+	lines := strings.SplitAfter(s, "\n")
+	lines = lines[:len(lines)-1] // the empty string after the last newline
+	if len(lines) != len(want) || !strings.Contains(lines[3], fmt.Sprintf("** exception vector %d ", m68k.VecTrapBase+3)) {
+		t.Errorf("listing = %q, want %d lines, the fourth the trap's", s, len(want))
+	}
+	if got, want := p.Tail(2), strings.Join(lines[len(lines)-2:], ""); got != want {
+		t.Errorf("Tail(2) = %q, want the listing's last two lines %q", got, want)
+	}
+	if got := p.Tail(p.Trace().Len() + 5); got != s {
+		t.Errorf("Tail past the ring's length = %q, want the whole listing %q", got, s)
+	}
+	if got := p.Tail(0); got != "" {
+		t.Errorf("Tail(0) = %q, want nothing", got)
 	}
 }
 

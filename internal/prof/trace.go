@@ -2,8 +2,12 @@ package prof
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
+	"strings"
+
+	"synthesis/internal/m68k"
 )
 
 // Event is one trace record: a complete slice (Ph 'X', one region's
@@ -17,14 +21,26 @@ type Event struct {
 	Dur  uint64
 }
 
-// DefaultRingDepth bounds the trace ring when Enable is passed 0.
+// TraceEntry is one record of the program trace: an executed
+// instruction, or an exception dispatch (Exc >= 0, with the PC it was
+// taken from). Section 6.3's kernel-call timings were counted from
+// exactly such a trace.
+type TraceEntry struct {
+	PC     uint32
+	Instr  m68k.Instr
+	Cycles uint64 // the cycle the instruction began, or the handler was entered
+	Exc    int    // exception vector, or -1 for an instruction
+}
+
+// DefaultRingDepth bounds the trace-event ring and the program trace
+// when Enable is passed 0.
 const DefaultRingDepth = 8192
 
 // Ring is a fixed-capacity buffer that overwrites its oldest items when
 // full, counting what it drops. A long run keeps its most recent window
-// instead of growing without bound — the same policy as the machine's
-// instruction trace. It holds the profiler's trace events and the
-// fleet tracer's completed round trips.
+// instead of growing without bound. It holds the profiler's trace
+// events and its program trace, and the fleet tracer's completed round
+// trips.
 type Ring[T any] struct {
 	buf     []T
 	next    int
@@ -72,6 +88,26 @@ func (r *Ring[T]) Items() []T {
 		out = append(out, r.buf...)
 	}
 	return out
+}
+
+// Trace returns the program trace: the recent instructions and
+// exceptions, oldest first by Items.
+func (p *Profiler) Trace() *Ring[TraceEntry] { return p.trace }
+
+// Tail renders the program trace's last n entries, oldest first: one
+// line each, led by its cycle.
+func (p *Profiler) Tail(n int) string {
+	ents := p.trace.Items()
+	ents = ents[len(ents)-min(n, len(ents)):]
+	var b strings.Builder
+	for _, e := range ents {
+		if e.Exc >= 0 {
+			fmt.Fprintf(&b, "%10d  ** exception vector %d (from pc %d)\n", e.Cycles, e.Exc, e.PC)
+			continue
+		}
+		fmt.Fprintf(&b, "%10d  %6d: %s\n", e.Cycles, e.PC, e.Instr)
+	}
+	return b.String()
 }
 
 // Chrome trace-event JSON (the about:tracing / Perfetto "JSON Object

@@ -22,7 +22,7 @@ func exit(b *asmkit.Builder) {
 
 func boot(t *testing.T) *sunos.Kernel {
 	t.Helper()
-	return sunos.Boot(m68k.Config{MemSize: 1 << 20, TraceDepth: 128})
+	return sunos.Boot(m68k.Config{MemSize: 1 << 20})
 }
 
 func pokeName(k *sunos.Kernel, addr uint32, s string) {

@@ -11,13 +11,14 @@ import (
 	"synthesis/internal/kio"
 	"synthesis/internal/m68k"
 	"synthesis/internal/metrics"
+	"synthesis/internal/prof"
 	"synthesis/internal/synth"
 	"synthesis/internal/unixemu"
 )
 
 func boot(t *testing.T) *kernel.Kernel {
 	t.Helper()
-	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 128}})
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}})
 	kio.Install(k)
 	unixemu.Install(k)
 	return k
@@ -305,6 +306,7 @@ func TestDescriptorOutOfRangeFails(t *testing.T) {
 type sysRig struct {
 	k            *kernel.Kernel
 	reg          *metrics.Registry
+	prof         *prof.Profiler // its program trace holds the whole run
 	gate, spin   uint32
 	main, victim *kernel.Thread
 	want         map[string]uint64
@@ -357,7 +359,7 @@ func (r *sysRig) dispatched(n int) []int {
 	}
 	var out []int
 	ran := -1
-	for _, te := range r.k.M.Trace.Entries() {
+	for _, te := range r.prof.Trace().Items() {
 		switch {
 		case te.Exc == m68k.VecTrapBase+n:
 			ran = 0
@@ -396,9 +398,9 @@ func runSys(t *testing.T, counted bool, body func(e *synth.Emitter, r *sysRig)) 
 	if counted {
 		r.reg = metrics.New()
 	}
-	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20, TraceDepth: 1 << 14}, Metrics: r.reg})
+	k := kernel.Boot(kernel.Config{Machine: m68k.Config{MemSize: 1 << 20}, Metrics: r.reg})
 	kio.Install(k)
-	r.k, r.gate = k, unixemu.Install(k)
+	r.k, r.gate, r.prof = k, unixemu.Install(k), prof.Enable(k.M, 1<<14)
 	if _, err := k.FS.CreateSized("/f", []byte("0123456789"), 32); err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +573,7 @@ func TestSyscallTablesCompleteAndClosed(t *testing.T) {
 			// The bound check's compare and branch, then the panic call:
 			// not a jump through some cell past the table's end.
 			ran := -1
-			for _, te := range r.k.M.Trace.Entries() {
+			for _, te := range r.prof.Trace().Items() {
 				switch {
 				case te.Exc == m68k.VecTrapBase+kernel.TrapSys:
 					ran = 0

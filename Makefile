@@ -4,7 +4,7 @@
 #   soak          the seeded soaks and enumerations of kio (the socket receive's unmasked window among them), the ready ring, the live chain and queues, -race
 #   cluster-soak  2-VM fleet churn, snapshots and parking, -race
 #   chaos-soak    the fleet under link faults and partitions, -race; dumps go to FLIGHT_DIR
-#   examples      the five self-checking examples, each exiting nonzero on failure
+#   examples      every directory under examples/, each self-checking and exiting nonzero on failure
 #   bench         the root benchmarks, then the dispatcher's, kio's, metrics' and profiler's
 #   tables        prints every evaluation table
 #   profile       one Table 1 program under the profiler, writing trace.json (-profile-run "sock echo 64 B" prices the datagram path)
@@ -47,8 +47,8 @@ chaos-soak:
 		./internal/cluster/
 
 examples:
-	set -e; for ex in quickstart audio codegen netecho procmetrics; do \
-		echo "== examples/$$ex"; $(GO) run ./examples/$$ex; \
+	set -e; for ex in examples/*/; do \
+		echo "== $${ex%/}"; $(GO) run ./$$ex; \
 	done
 
 bench:

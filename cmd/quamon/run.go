@@ -12,6 +12,7 @@ import (
 	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
 	"synthesis/internal/metrics"
+	"synthesis/internal/prof"
 )
 
 // The single-machine run: boot the bench rig's Synthesis kernel
@@ -77,6 +78,9 @@ func run(o runOpts) (*kernel.Kernel, int) {
 	profile := o.profile || o.traceJSON != "" || o.traceN > 0
 	rig := bench.NewSynthRig(kernel.Config{Profile: profile, Metrics: reg})
 	k := rig.K
+	if o.traceN > 0 {
+		k.Prof.ArmTrace(min(o.traceN, prof.DefaultRingDepth))
+	}
 	rig.IO.InstallWatchdog(bench.StormThreshold)
 	var inj *fault.Injector
 	if !o.faults.Empty() {

@@ -1,10 +1,10 @@
 // Procmetrics: the kernel reads its own dashboard. A guest program —
-// written as assembly text and run through the asmkit text assembler —
-// opens /proc/metrics through the UNIX emulator, reads the kernel's
-// metrics snapshot chunk by chunk, and echoes it to the tty. The host
-// then checks that the bytes the guest saw are exactly the snapshot
-// the kernel cut at open time, and decodes them with the same JSON
-// schema the host-side exporters use.
+// assembly text run through the asmkit text assembler on the bench
+// rig — opens /proc/metrics through the UNIX emulator, reads the
+// kernel's metrics snapshot chunk by chunk, and echoes it to the tty.
+// The host then checks that the bytes the guest saw are exactly the
+// snapshot the kernel cut at open time, and decodes them with the same
+// JSON schema the host-side exporters use.
 //
 //	go run ./examples/procmetrics
 package main
@@ -16,11 +16,9 @@ import (
 	"os"
 
 	"synthesis/internal/asmkit"
+	"synthesis/internal/bench"
 	"synthesis/internal/kernel"
-	"synthesis/internal/kio"
-	"synthesis/internal/m68k"
 	"synthesis/internal/metrics"
-	"synthesis/internal/unixemu"
 )
 
 // The guest workload in the text-assembler dialect. UNIX trap
@@ -72,37 +70,18 @@ func main() {
 // instead of exiting so the tier-1 test suite can run the example
 // end to end (see main_test.go).
 func run(w io.Writer) error {
-	reg := metrics.New()
-	k := kernel.Boot(kernel.Config{
-		Machine:         m68k.Sun3Config(),
-		ChargeSynthesis: true,
-		Metrics:         reg,
-	})
-	plane := kio.Install(k)
-	unixemu.Install(k)
-
-	// The two names the guest passes to open.
-	poke := func(addr uint32, s string) {
-		for i := 0; i < len(s); i++ {
-			k.M.Poke(addr+uint32(i), 1, uint32(s[i]))
-		}
-		k.M.Poke(addr+uint32(len(s)), 1, 0)
-	}
-	poke(0xA030, kio.ProcMetricsPath)
-	poke(0xA010, "/dev/tty")
-
+	// The rig pokes the two names the guest passes to open:
+	// "/dev/tty" at 0xA010 and "/proc/metrics" at 0xA030.
+	rig := bench.NewSynthRig(kernel.Config{Metrics: metrics.New()})
 	prog, err := asmkit.Assemble(guestSrc)
 	if err != nil {
 		return fmt.Errorf("assemble: %w", err)
 	}
-	th := k.SpawnKernel("procmetrics", prog.Link(k.M))
-	k.Start(th)
-	if err := k.Run(50_000_000); err != nil {
+	if err := rig.Run(bench.Link(rig.K.M, prog), 50_000_000); err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
 
-	guest := k.TTY.Output()
-	want := plane.ProcLast()
+	guest, want := rig.K.TTY.Output(), rig.IO.ProcLast()
 	fmt.Fprintf(w, "guest read %d bytes of /proc/metrics through the UNIX emulator\n", len(guest))
 	if string(guest) != string(want) {
 		return fmt.Errorf("guest bytes differ from the snapshot the open cut (%d vs %d bytes)",

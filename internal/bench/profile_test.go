@@ -63,13 +63,21 @@ func TestRunProfiledComputeLoops(t *testing.T) {
 
 // TestEveryProgramRuns: every name in the one list resolves, each
 // program that exits runs through RunProfiled at 2 iterations and marks
-// its loop, and RunProfiled refuses each endless one, which would run
-// to the runaway budget. quamon's tests run the endless ones.
+// its loop, and so does the same binary on the SunOS baseline, and
+// RunProfiled refuses each endless one, which would run to the runaway
+// budget. quamon's tests run the endless ones.
 func TestEveryProgramRuns(t *testing.T) {
 	for _, name := range ProgramNames() {
-		_, endless, err := Program(name, 2)
+		build, endless, err := Program(name, 2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !endless {
+			mt := &meter{}
+			mt.run(NewSunRig(), 1, build)
+			if mt.err != nil {
+				t.Errorf("%s: %v", name, mt.err)
+			}
 		}
 		p, _, err := RunProfiled(name, 2)
 		switch {

@@ -295,6 +295,9 @@ func (c *Cluster) bootVM(id int) *VM {
 	vm := &VM{ID: id, K: k, IO: io, ingress: net.NewPacketRing(ingressSlots),
 		busyNS: reg.Counter("driver.busy_ns"), parkNS: reg.Counter("driver.park_ns"),
 		chunks: reg.Counter("driver.chunks")}
+	if c.flight != nil {
+		k.Prof.ArmTrace(flightInstrTail)
+	}
 	if c.tr != nil {
 		vm.clk = prof.NewClockMap(mcfg.ClockMHz)
 		k.Prof.OnIRQ = func(level, vec int, raisedAt, takenAt uint64) {

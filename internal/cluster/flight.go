@@ -21,7 +21,7 @@ import (
 // flightEventTail bounds the profiler events rendered in a dump.
 const flightEventTail = 64
 
-// flightInstrTail bounds the program-trace entries rendered.
+// flightInstrTail is the program-trace depth a flight recorder arms.
 const flightInstrTail = 48
 
 type flightState struct {
@@ -123,9 +123,9 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 				fmt.Fprintf(&b, "%12d          * %s\n", e.At, e.Name)
 			}
 		}
-		if n := min(p.Trace().Len(), flightInstrTail); n > 0 {
-			fmt.Fprintf(&b, "-- last %d instructions --\n", n)
-			b.WriteString(p.Tail(n))
+		if t := p.Trace(); t != nil && t.Len() > 0 {
+			fmt.Fprintf(&b, "-- last %d instructions --\n", t.Len())
+			b.WriteString(p.Tail(t.Len()))
 		}
 	}
 

@@ -136,7 +136,7 @@ func Boot(cfg Config) *Kernel {
 		handles: make(map[uint32]*Thread),
 	}
 	if cfg.Profile {
-		k.Prof = prof.Enable(m, prof.DefaultRingDepth)
+		k.Prof = prof.Enable(m, 0)
 		k.C.Regions = k.Prof
 	}
 	k.Heap = alloc.New(HeapBase, cfg.Machine.MemSize-HeapBase)

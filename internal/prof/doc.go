@@ -1,7 +1,8 @@
 // Package prof is the Quamachine measurement plane: per-region cycle
 // and instruction attribution, interrupt-latency histograms, a
 // trace-event ring exportable as Chrome trace JSON, and the program
-// trace of the recent instructions and exceptions (Trace, Tail).
+// trace of the recent instructions and exceptions (Trace, Tail),
+// recorded only once a reader arms it (ArmTrace).
 //
 // Section 6.1 of the paper measures everything on the Quamachine's
 // built-in instrumentation — microsecond timer, instruction and

@@ -44,10 +44,10 @@ type Profiler struct {
 	curStart uint64 // cycle the open slice began
 	ring     *Ring[Event]
 	// trace is the program trace (Section 6.1's hardware tracing): the
-	// recent instructions and exceptions in execution order. An
-	// exception reaches the probe while its step runs, before StepDone
-	// reports the instruction that raised it, so it waits in pending
-	// until that instruction is in.
+	// recent instructions and exceptions in execution order, nil until
+	// a reader arms it (ArmTrace). An exception reaches the probe while
+	// its step runs, before StepDone reports the instruction that
+	// raised it, so it waits in pending until that instruction is in.
 	trace   *Ring[TraceEntry]
 	pending []TraceEntry
 	// irq holds the raise-to-entry latency histogram of each IPL
@@ -70,15 +70,18 @@ type Profiler struct {
 }
 
 // Enable attaches a new profiler to the machine and returns it.
-// ringDepth bounds the trace-event ring and the program trace (0
-// selects the default).
+// ringDepth bounds the trace-event ring (0 selects the default); a
+// positive ringDepth also arms the program trace at that depth, which
+// a profiler enabled with 0 records only once its reader arms it.
 func Enable(m *m68k.Machine, ringDepth int) *Profiler {
 	p := &Profiler{
 		m:     m,
 		ids:   map[string]int{},
 		start: m.Clock(),
 		ring:  NewRing[Event](ringDepth),
-		trace: NewRing[TraceEntry](ringDepth),
+	}
+	if ringDepth > 0 {
+		p.ArmTrace(ringDepth)
 	}
 	p.regions = []Region{{Name: "(unattributed)"}, {Name: "(idle)"}}
 	p.ids["(unattributed)"] = idUnattributed
@@ -142,7 +145,7 @@ func (p *Profiler) regionAt(pc uint32) int {
 // StepDone implements m68k.Probe: charge the step's cycle and
 // instruction deltas to the region owning the step's PC, and maintain
 // the trace-slice ring across region changes; add the step's
-// instruction, then the exceptions it raised, to the program trace.
+// instruction, then the exceptions it raised, to an armed program trace.
 func (p *Profiler) StepDone(pc uint32, cycles, instrs uint64, idle bool) {
 	id := idIdle
 	if !idle {
@@ -151,13 +154,15 @@ func (p *Profiler) StepDone(pc uint32, cycles, instrs uint64, idle bool) {
 	p.regions[id].Cycles += cycles
 	p.regions[id].Instrs += instrs
 	stepStart := p.m.Clock() - cycles
-	if instrs > 0 {
-		p.trace.Push(TraceEntry{PC: pc, Instr: p.m.Code[pc], Cycles: stepStart, Exc: -1})
+	if p.trace != nil {
+		if instrs > 0 {
+			p.trace.Push(TraceEntry{PC: pc, Instr: p.m.Code[pc], Cycles: stepStart, Exc: -1})
+		}
+		for _, e := range p.pending {
+			p.trace.Push(e)
+		}
+		p.pending = p.pending[:0]
 	}
-	for _, e := range p.pending {
-		p.trace.Push(e)
-	}
-	p.pending = p.pending[:0]
 	if id != p.cur {
 		if p.cur >= 0 && stepStart > p.curStart {
 			p.ring.Push(Event{Name: p.regions[p.cur].Name, Ph: 'X', At: p.curStart, Dur: stepStart - p.curStart})
@@ -171,12 +176,14 @@ func (p *Profiler) StepDone(pc uint32, cycles, instrs uint64, idle bool) {
 }
 
 // ExceptionTaken implements m68k.Probe: drop an instant event in the
-// trace, and hold the exception for the program trace until StepDone
-// has recorded the instruction that raised it (an interrupt dispatch
-// raises it with no instruction).
+// trace, and hold the exception for an armed program trace until
+// StepDone has recorded the instruction that raised it (an interrupt
+// dispatch raises it with no instruction).
 func (p *Profiler) ExceptionTaken(vec int, pc uint32, at uint64) {
 	p.ring.Push(Event{Name: fmt.Sprintf("exception v%d", vec), Ph: 'i', At: at})
-	p.pending = append(p.pending, TraceEntry{PC: pc, Cycles: at, Exc: vec})
+	if p.trace != nil {
+		p.pending = append(p.pending, TraceEntry{PC: pc, Cycles: at, Exc: vec})
+	}
 }
 
 // InterruptTaken implements m68k.Probe: histogram the raise-to-entry

@@ -226,6 +226,36 @@ func TestProgramTrace(t *testing.T) {
 	}
 }
 
+// TestUnarmedTraceRecordsNothing: a profiler enabled with depth 0
+// attributes every step but records no program trace, not even the
+// exception a trap raises, until ArmTrace; then the trace holds only
+// what ran after arming, at the armed depth.
+func TestUnarmedTraceRecordsNothing(t *testing.T) {
+	m := newM(t)
+	p := prof.Enable(m, 0)
+	b := asmkit.New()
+	b.MoveL(m68k.Imm(1), m68k.D(0))
+	b.Trap(3)
+	entry := b.Link(m)
+	run(t, m, entry)
+	if p.Trace() != nil || p.Tail(8) != "" {
+		t.Fatalf("unarmed profiler recorded a trace:\n%s", p.Tail(8))
+	}
+	if len(p.Top(0)) == 0 {
+		t.Fatal("unarmed profiler charged no cycles")
+	}
+
+	p.ArmTrace(2)
+	m.ClearHalt()
+	run(t, m, entry)
+	if got := p.Trace().Len(); got != 2 || p.Trace().Cap() != 2 {
+		t.Fatalf("armed at depth 2: %d entries of %d", got, p.Trace().Cap())
+	}
+	if last := p.Trace().Items()[1]; last.PC != m.Peek(m.VBR, 4) || last.Exc != -1 {
+		t.Errorf("last entry %+v, want the HALT stub's instruction", last)
+	}
+}
+
 // TestRingOverflow fills a tiny ring past capacity and checks the
 // overwrite-oldest contract.
 func TestRingOverflow(t *testing.T) {

@@ -32,8 +32,7 @@ type TraceEntry struct {
 	Exc    int    // exception vector, or -1 for an instruction
 }
 
-// DefaultRingDepth bounds the trace-event ring and the program trace
-// when Enable is passed 0.
+// DefaultRingDepth bounds the trace-event ring when Enable is passed 0.
 const DefaultRingDepth = 8192
 
 // Ring is a fixed-capacity buffer that overwrites its oldest items when
@@ -90,13 +89,22 @@ func (r *Ring[T]) Items() []T {
 	return out
 }
 
+// ArmTrace starts an empty program trace that keeps the last depth
+// entries (0 selects DefaultRingDepth), the depth its reader reads.
+func (p *Profiler) ArmTrace(depth int) {
+	p.trace = NewRing[TraceEntry](depth)
+}
+
 // Trace returns the program trace: the recent instructions and
-// exceptions, oldest first by Items.
+// exceptions, oldest first by Items. It is nil until armed.
 func (p *Profiler) Trace() *Ring[TraceEntry] { return p.trace }
 
 // Tail renders the program trace's last n entries, oldest first: one
-// line each, led by its cycle.
+// line each, led by its cycle. An unarmed trace renders nothing.
 func (p *Profiler) Tail(n int) string {
+	if p.trace == nil {
+		return ""
+	}
 	ents := p.trace.Items()
 	ents = ents[len(ents)-min(n, len(ents)):]
 	var b strings.Builder

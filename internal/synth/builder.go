@@ -35,8 +35,8 @@
 // What reaches the cleanups is already folded and collapsed, and the
 // stage is sized to its traffic. Measured with per-pass counters over
 // every golden table (`go run ./cmd/synbench`: 2,409 optimizer runs,
-// 48,424 instructions; the examples, quamon, quamon -cluster -churn and
-// synsh fire the same passes on the same templates):
+// 48,424 instructions; the examples, quamon and quamon -cluster -churn
+// fire the same passes on the same templates):
 //
 //	pass              firings  instrs  routines
 //	removeNops              2       2  Table 3's victim and Table 4's peer loops

@@ -5,7 +5,7 @@
 #   cluster-soak  2-VM fleet churn, snapshots and parking, -race
 #   chaos-soak    the fleet under link faults and partitions, -race; dumps go to FLIGHT_DIR
 #   examples      every directory under examples/, each self-checking and exiting nonzero on failure
-#   bench         the root benchmarks, then the dispatcher's, kio's, metrics' and profiler's
+#   bench         the benchmarks of the dispatcher, kio, metrics, the profiler, the packet ring and the ready queue
 #   tables        prints every evaluation table
 #   profile       one Table 1 program under the profiler, writing trace.json (-profile-run "sock echo 64 B" prices the datagram path)
 #   loc           lines of non-test Go outside benchmark/, the count ROADMAP tracks
@@ -52,8 +52,7 @@ examples:
 	done
 
 bench:
-	$(GO) test -bench . -benchtime 1x -run ^$$ .
-	$(GO) test -bench . -run ^$$ ./internal/m68k ./internal/kio ./internal/metrics ./internal/prof
+	$(GO) test -bench . -run ^$$ ./internal/m68k ./internal/kio ./internal/metrics ./internal/prof ./internal/net ./internal/kernel
 
 tables:
 	$(GO) run ./cmd/synbench

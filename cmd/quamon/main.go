@@ -15,11 +15,10 @@
 //	quamon -trace 0             # no profiler: the fast loop production runs
 //	quamon -profile -top 12     # per-region cycle attribution
 //	quamon -profile -trace-json trace.json
-//	quamon -faults spurious=7:20000,buserr=net@3 -fault-seed 7
+//	quamon -faults spurious=7:20000,buserr=net@3 -seed 7
 //	quamon -interval-us 1000 -windows 20 -prom metrics.prom
 //	quamon -program procread             # another bench program, by its one name
 //	quamon -program "open-close tty"     # a finite one ends the windows when it exits
-//	quamon -program workload.s           # or an assembly text file
 //	quamon -cluster -vms 4 -conns 128    # boot a fleet on the switch fabric
 //	quamon -cluster -windows 0 -listen :9090   # serve live fleet metrics over HTTP
 //	quamon -cluster -trace-every 8 -trace-json fleet.json   # merged per-hop fleet trace
@@ -30,7 +29,8 @@
 // counter rates, histogram percentiles and recovery events. -program
 // takes any name in the bench program list (synbench -profile-run's
 // names; the default is the endless loopback exchange "sock traffic
-// 128 B") or a file assembled with the asmkit text assembler.
+// 128 B"). -seed seeds the -faults schedule, and with -cluster the
+// load generator too.
 // -metrics-json and -prom write the final snapshot (use "-" for
 // stdout). The profiler is attached only when -profile, -trace-json or
 // -trace N>0 reads it, since it takes every instruction through Step:
@@ -70,9 +70,8 @@ func main() {
 	iters := flag.Int("iters", 200, "loop count for the -program workloads that exit")
 	faults := flag.String("faults", "", "inject faults into the machine; with -cluster, "+
 		"fleet clauses (link=/part=/vmfault=) drive the fabric fault plane (see grammar below)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the -faults schedule; a seed replays exactly")
 	program := flag.String("program", "sock traffic 128 B",
-		fmt.Sprintf("the program to run: one of %q, or an assembly text file", bench.ProgramNames()))
+		fmt.Sprintf("the program to run: one of %q", bench.ProgramNames()))
 	intervalUS := flag.Float64("interval-us", 2000,
 		"microseconds per sampling window: simulated time, or wall time with -cluster (default 500000 there)")
 	windows := flag.Int("windows", 8, "number of windows before stopping (0 with -cluster: run until ^C)")
@@ -80,7 +79,7 @@ func main() {
 	vms := flag.Int("vms", 4, "Quamachine count for -cluster")
 	conns := flag.Int("conns", 128, "logical connection count for -cluster")
 	churn := flag.Int("churn", 0, "with -cluster, close and reopen each guest socket every N echoes (0 = never)")
-	seed := flag.Int64("seed", 1, "payload and fault seed for the -cluster load generator")
+	seed := flag.Int64("seed", 1, "seed for the -faults schedule and the -cluster load generator; a seed replays exactly")
 	timeout := flag.Duration("timeout", 500*time.Millisecond,
 		"with -cluster, resend timeout per in-flight echo (backoff doubles it per resend)")
 	maxResends := flag.Int("max-resends", 0,
@@ -138,7 +137,7 @@ func main() {
 	}
 	_, rc := run(runOpts{
 		program: *program, iters: int32(*iters), intervalUS: *intervalUS, windows: *windows,
-		faults: plan, faultSeed: *faultSeed,
+		faults: plan, seed: *seed,
 		traceN: *traceN, profile: *profile, top: *top, traceJSON: *traceJSON, disasm: *disasm,
 		metricsJSON: *metricsJSON, prom: *promOut,
 	})

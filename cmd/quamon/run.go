@@ -17,10 +17,10 @@ import (
 
 // The single-machine run: boot the bench rig's Synthesis kernel
 // (network, UNIX emulator, watchdog), run one program from the bench
-// list or an assembly file, and sample the metrics registry on a
-// VM-time interval — the chunked Run makes the machine pause every
-// intervalUS simulated microseconds so a snapshot delta can be
-// streamed: counter rates, histogram percentiles, recovery events.
+// list, and sample the metrics registry on a VM-time interval — the
+// chunked Run makes the machine pause every intervalUS simulated
+// microseconds so a snapshot delta can be streamed: counter rates,
+// histogram percentiles, recovery events.
 // Everything is timed in Machine.Clock() cycles; µs = cycles /
 // ClockMHz (the snapshot carries both). After the last window, or
 // when the program exits, comes the report: tty output, machine
@@ -38,7 +38,7 @@ type runOpts struct {
 	intervalUS        float64
 	windows           int
 	faults            fault.Plan
-	faultSeed         int64
+	seed              int64
 	traceN            int
 	profile           bool
 	top               int
@@ -47,23 +47,15 @@ type runOpts struct {
 	metricsJSON, prom string
 }
 
-// resolveProgram turns -program into the builder to link: a bench
-// program by name, or else an assembly text file.
+// resolveProgram turns -program, a bench program's name, into the
+// builder to link.
 func resolveProgram(name string, iters int32) (*asmkit.Builder, error) {
 	build, _, err := bench.Program(name, iters)
-	if err == nil {
-		b := asmkit.New()
-		build(b)
-		return b, nil
-	}
-	src, ferr := os.ReadFile(name)
-	if ferr != nil {
-		return nil, fmt.Errorf("%w; nor is it a readable file: %w", err, ferr)
-	}
-	b, err := asmkit.Assemble(string(src))
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, err
 	}
+	b := asmkit.New()
+	build(b)
 	return b, nil
 }
 
@@ -73,8 +65,7 @@ func run(o runOpts) (*kernel.Kernel, int) {
 	reg := metrics.New()
 	// Boot publishes prof.irq.* through reg when it attaches the
 	// profiler. The rig readies the name strings, scratch buffers and
-	// benchmark file the bench programs (and hand-assembled ones)
-	// expect.
+	// benchmark file the bench programs expect.
 	profile := o.profile || o.traceJSON != "" || o.traceN > 0
 	rig := bench.NewSynthRig(kernel.Config{Profile: profile, Metrics: reg})
 	k := rig.K
@@ -84,7 +75,7 @@ func run(o runOpts) (*kernel.Kernel, int) {
 	rig.IO.InstallWatchdog(bench.StormThreshold)
 	var inj *fault.Injector
 	if !o.faults.Empty() {
-		inj = fault.New(o.faults, o.faultSeed)
+		inj = fault.New(o.faults, o.seed)
 		inj.Attach(k.M)
 	}
 

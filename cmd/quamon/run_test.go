@@ -39,7 +39,7 @@ func TestWatchFaultSpecWithSemicolons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, rc := run(runOpts{program: traffic, intervalUS: 2000, windows: 1, faults: plan, faultSeed: 1})
+	k, rc := run(runOpts{program: traffic, intervalUS: 2000, windows: 1, faults: plan, seed: 1})
 	if rc != 0 {
 		t.Fatalf("run exit code %d", rc)
 	}
@@ -64,7 +64,7 @@ func TestWatchThrottlesAStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, rc := run(runOpts{program: traffic, intervalUS: 2000, windows: 6, faults: plan, faultSeed: 1})
+	k, rc := run(runOpts{program: traffic, intervalUS: 2000, windows: 6, faults: plan, seed: 1})
 	if rc != 0 {
 		t.Fatalf("run exit code %d", rc)
 	}
@@ -99,5 +99,18 @@ func TestTraceZeroRunsTheFastLoop(t *testing.T) {
 	}
 	if got := strings.Count(k.Prof.Tail(n), "\n"); got != n {
 		t.Errorf("-trace %d: the program trace's tail has %d entries", n, got)
+	}
+}
+
+// TestProgramTakesListNamesOnly: -program resolves bench program names
+// and nothing else; a path to a file that exists is an unknown program,
+// and the error lists the names it would take.
+func TestProgramTakesListNamesOnly(t *testing.T) {
+	_, err := resolveProgram("run.go", 0)
+	if err == nil {
+		t.Fatal(`resolveProgram("run.go") succeeded`)
+	}
+	if !strings.Contains(err.Error(), "unknown program") || !strings.Contains(err.Error(), traffic) {
+		t.Errorf(`resolveProgram("run.go"): %v; want the unknown-program error listing the names`, err)
 	}
 }

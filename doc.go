@@ -23,6 +23,5 @@
 //
 // See DESIGN.md for the system inventory and the per-experiment index,
 // EXPERIMENTS.md for paper-versus-measured results, and the examples/
-// directory for runnable programs. The benchmarks in bench_test.go
-// regenerate every table with `go test -bench=.`.
+// directory for runnable programs.
 package synthesis

@@ -108,12 +108,12 @@ func goldenDiff(name string, got Table, want []byte) string {
 // code path changed; if the change is intended, refresh with
 // `go run ./cmd/synbench -json bench/baseline` and review the diff.
 // Decoding the artifact and re-encoding it must also reproduce the
-// bytes, which is the JSON round-trip on every real table. The tables
-// run twice, with declared synthesis keys checked against their
-// templates and trusted (what cmd/synbench runs): the same bytes.
+// bytes, which is the JSON round-trip on every real table, and the
+// file WriteArtifact writes, as `synbench -json` does, must hold them.
 func TestGoldenTables(t *testing.T) {
 	names := Names()
 	tables := map[string]Table{}
+	dir := t.TempDir()
 	for _, name := range names {
 		want, err := os.ReadFile(baselinePath(name))
 		if err != nil {
@@ -135,6 +135,10 @@ func TestGoldenTables(t *testing.T) {
 		}
 		if msg := goldenDiff(name, tab, want); msg != "" {
 			t.Error(msg)
+		} else if path, err := WriteArtifact(dir, name, tab); err != nil {
+			t.Errorf("table %s: %v", name, err)
+		} else if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("table %s: WriteArtifact wrote %s unlike the baseline (%v)", name, path, err)
 		}
 		tables[name] = tab
 	}

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // TestTable1AttributionCoverage is the acceptance check for the
 // measurement plane: across every profiled program (Table 1's and the
@@ -40,7 +44,9 @@ func TestTable1AttributionCoverage(t *testing.T) {
 // TestRunProfiledComputeLoops: compute runs its own 2,000-element loop
 // whatever the caller's count, and RunProfiled says so, so its program
 // reads its loop body, about 18 instructions, an iteration (179.87 when
-// the 2,000 iterations' instructions were divided by 200).
+// the 2,000 iterations' instructions were divided by 200), in the
+// profile and in the instrs/it column of the report synbench
+// -profile-run prints.
 func TestRunProfiledComputeLoops(t *testing.T) {
 	p, loops, err := RunProfiled("compute", 200)
 	if err != nil {
@@ -53,10 +59,20 @@ func TestRunProfiledComputeLoops(t *testing.T) {
 		if s.Name != "bench.program" {
 			continue
 		}
-		if per := float64(s.Instrs) / float64(loops); per < 16 || per > 20 {
+		per := float64(s.Instrs) / float64(loops)
+		if per < 16 || per > 20 {
 			t.Errorf("compute's program runs %.2f instructions an iteration, want about 18", per)
 		}
-		return
+		report := p.Report(0, uint64(loops))
+		for line := range strings.Lines(report) {
+			if strings.HasPrefix(line, "bench.program ") {
+				if want := fmt.Sprintf(" %.2f\n", per); !strings.HasSuffix(line, want) {
+					t.Errorf("report line %q does not end in instrs/it%q", line, want)
+				}
+				return
+			}
+		}
+		t.Fatalf("no bench.program line in the report:\n%s", report)
 	}
 	t.Fatal("no bench.program region in the profile")
 }
@@ -98,8 +114,8 @@ func TestRunProfiledUnknown(t *testing.T) {
 	}
 }
 
-// TestRegistry covers the Run contract the front ends (synbench, the
-// root benchmark suite) rely on; TestNamesOrdering covers Names.
+// TestRegistry covers the Run contract synbench relies on;
+// TestNamesOrdering covers Names.
 func TestRegistry(t *testing.T) {
 	if _, err := Run("no-such-table", RunConfig{}); err == nil {
 		t.Fatal("expected error for unknown table")

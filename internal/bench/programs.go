@@ -28,8 +28,9 @@ func progExit(b *asmkit.Builder) {
 func mark(b *asmkit.Builder) { b.Kcall(m68k.SvcMark) }
 
 // program is one named benchmark program: a Table 1 row, a
-// `synbench -profile-run` program, a `quamon -program` workload, or
-// several of these, under the one name all of them use.
+// `synbench -profile-run` program, a `quamon -program` workload, an
+// example's program, or several of these, under the one name all of
+// them use.
 type program struct {
 	name    string
 	paper   float64 // Table 1's SUN seconds / Synthesis seconds; 0 off Table 1
@@ -54,6 +55,8 @@ var programs = []program{
 	// Table 6's loopback exchange without end, quamon's default.
 	{"sock traffic 128 B", 0, 0, true, func(b *asmkit.Builder, _ int32) { buildSockTraffic(b) }},
 	{"procread", 0, 0, true, func(b *asmkit.Builder, _ int32) { buildProcReadLoop(b) }},
+	// examples/procmetrics' reader: one snapshot, copied to the tty.
+	{"proc cat", 0, 1, false, buildProcCat},
 }
 
 // at returns p's builder and loop count for the caller's iteration
@@ -267,6 +270,35 @@ func buildProcReadLoop(b *asmkit.Builder) {
 	b.MoveL(m68k.D(6), m68k.D(1))
 	unixCall(b, unixemu.SysClose)
 	b.Bra("again")
+}
+
+// buildProcCat emits the /proc reader: open /proc/metrics and
+// /dev/tty, then, in one marked interval, copy the snapshot to the tty
+// in procChunk reads until one returns 0 or an error, then close and
+// exit. The baseline has no /proc, so there the first read fails.
+func buildProcCat(b *asmkit.Builder, _ int32) {
+	b.MoveL(m68k.Imm(addrNameProc), m68k.D(1))
+	unixCall(b, unixemu.SysOpen)
+	b.MoveL(m68k.D(0), m68k.D(6))
+	b.MoveL(m68k.Imm(addrNameTTY), m68k.D(1))
+	unixCall(b, unixemu.SysOpen)
+	b.MoveL(m68k.D(0), m68k.D(7))
+	mark(b)
+	b.Label("loop")
+	procRead(b, 6)
+	b.TstL(m68k.D(0))
+	b.Beq("done")
+	b.Bmi("done")
+	b.MoveL(m68k.D(0), m68k.D(3)) // write what the read returned
+	b.MoveL(m68k.D(7), m68k.D(1))
+	b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
+	unixCall(b, unixemu.SysWrite)
+	b.Bra("loop")
+	b.Label("done")
+	mark(b)
+	b.MoveL(m68k.D(6), m68k.D(1))
+	unixCall(b, unixemu.SysClose)
+	progExit(b)
 }
 
 // buildSockTraffic emits the loopback traffic workload: open Table 6's

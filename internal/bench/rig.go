@@ -69,11 +69,10 @@ type SynthRig struct {
 
 // NewSynthRig boots Synthesis at the SUN 3/160 point with synthesis
 // time charged, plus what cfg attaches (the measurement plane, a
-// metrics registry), and readies it for the programs here and for
-// assembled `quamon -program` files using their conventions:
-// kio and the UNIX emulator installed, the name strings poked
-// (/proc/metrics at 0xA030), the scratch buffer at 0xB000 filled and
-// the 1 KB benchmark file created.
+// metrics registry), and readies it for the programs here: kio and
+// the UNIX emulator installed, the name strings poked (/proc/metrics
+// at 0xA030), the scratch buffer at 0xB000 filled and the 1 KB
+// benchmark file created.
 func NewSynthRig(cfg kernel.Config) *SynthRig {
 	cfg.Machine, cfg.ChargeSynthesis = m68k.Sun3Config(), true
 	k := kernel.Boot(cfg)

@@ -162,3 +162,34 @@ func TestUnblockedThreadRunsBeforeQueueTail(t *testing.T) {
 		t.Errorf("execution order = %d, want 12 (woken thread first)", got)
 	}
 }
+
+// BenchmarkFigure3_ExecutableReadyQueue: Figure 3's executable ready
+// queue, repeated quantum-driven context switches between two spinning
+// threads on the simulated machine (sim-usec per switch).
+func BenchmarkFigure3_ExecutableReadyQueue(b *testing.B) {
+	k := kernel.Boot(kernel.Config{Machine: m68k.Sun3Config()})
+	spin := func(name string) *kernel.Thread {
+		prog := k.C.Synthesize(nil, name, nil, func(e *synth.Emitter) {
+			e.Label("loop")
+			e.AddL(m68k.Imm(1), m68k.Abs(0x9000))
+			e.Bra("loop")
+		})
+		return k.SpawnKernel(name, prog)
+	}
+	t1 := spin("a")
+	spin("b")
+	k.Start(t1)
+	if err := k.M.Run(2_000_000); err != nil && !errors.Is(err, m68k.ErrCycleLimit) {
+		b.Fatal(err)
+	}
+	var total float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		us := kernel.MeasureSwitchMicros(k)
+		if us < 0 {
+			b.Fatal("switch measurement failed")
+		}
+		total += us
+	}
+	b.ReportMetric(total/float64(b.N), "sim-usec/switch")
+}

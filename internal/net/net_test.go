@@ -158,3 +158,30 @@ func TestPacketRingReady(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkFigure2_MPSC: Figure 2's MP-SC queue with CAS claims,
+// contended producers, on the fleet fabric's packet ring (wall clock).
+// The consumer keeps the fabric's protocol: Get until empty, then wait
+// on Ready.
+func BenchmarkFigure2_MPSC(b *testing.B) {
+	r := NewPacketRing(1024)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for got := 0; got < b.N; {
+			if _, ok := r.Get(); ok {
+				got++
+				continue
+			}
+			<-r.Ready()
+		}
+	}()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			for !r.Put(Frame{}) {
+				runtime.Gosched() // ring full: let the consumer drain
+			}
+		}
+	})
+	<-done
+}

@@ -18,7 +18,7 @@
 //	quamon -faults spurious=7:20000,buserr=net@3 -seed 7
 //	quamon -interval-us 1000 -windows 20 -prom metrics.prom
 //	quamon -program procread             # another bench program, by its one name
-//	quamon -program "open-close tty"     # a finite one ends the windows when it exits
+//	quamon -program "open-close tty" -windows 10   # a finite one ends the windows when it exits
 //	quamon -cluster -vms 4 -conns 128    # boot a fleet on the switch fabric
 //	quamon -cluster -windows 0 -listen :9090   # serve live fleet metrics over HTTP
 //	quamon -cluster -trace-every 8 -trace-json fleet.json   # merged per-hop fleet trace
@@ -67,7 +67,6 @@ func main() {
 	top := flag.Int("top", 10, "regions to show in the -profile report")
 	traceJSON := flag.String("trace-json", "",
 		"write the Chrome trace (about:tracing JSON) here: the profile's with -profile, the merged fleet trace with -cluster")
-	iters := flag.Int("iters", 200, "loop count for the -program workloads that exit")
 	faults := flag.String("faults", "", "inject faults into the machine; with -cluster, "+
 		"fleet clauses (link=/part=/vmfault=) drive the fabric fault plane (see grammar below)")
 	program := flag.String("program", "sock traffic 128 B",
@@ -136,7 +135,7 @@ func main() {
 		}))
 	}
 	_, rc := run(runOpts{
-		program: *program, iters: int32(*iters), intervalUS: *intervalUS, windows: *windows,
+		program: *program, intervalUS: *intervalUS, windows: *windows,
 		faults: plan, seed: *seed,
 		traceN: *traceN, profile: *profile, top: *top, traceJSON: *traceJSON, disasm: *disasm,
 		metricsJSON: *metricsJSON, prom: *promOut,

@@ -34,7 +34,6 @@ import (
 // runOpts carries the single-machine flag set.
 type runOpts struct {
 	program           string
-	iters             int32
 	intervalUS        float64
 	windows           int
 	faults            fault.Plan
@@ -49,8 +48,8 @@ type runOpts struct {
 
 // resolveProgram turns -program, a bench program's name, into the
 // builder to link.
-func resolveProgram(name string, iters int32) (*asmkit.Builder, error) {
-	build, _, err := bench.Program(name, iters)
+func resolveProgram(name string) (*asmkit.Builder, error) {
+	build, _, _, err := bench.Program(name)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +78,7 @@ func run(o runOpts) (*kernel.Kernel, int) {
 		inj.Attach(k.M)
 	}
 
-	b, err := resolveProgram(o.program, o.iters)
+	b, err := resolveProgram(o.program)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "quamon: -program %v\n", err)
 		return k, 2

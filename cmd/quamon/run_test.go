@@ -18,7 +18,7 @@ const traffic = "sock traffic 128 B"
 func TestEndlessProgramsRunWindows(t *testing.T) {
 	const windows, intervalUS = 2, 2000
 	for _, name := range bench.ProgramNames() {
-		if _, endless, _ := bench.Program(name, 0); !endless {
+		if _, _, endless, _ := bench.Program(name); !endless {
 			continue
 		}
 		k, rc := run(runOpts{program: name, intervalUS: intervalUS, windows: windows})
@@ -28,6 +28,25 @@ func TestEndlessProgramsRunWindows(t *testing.T) {
 		if want := uint64(windows * intervalUS * k.M.ClockMHz); k.M.Instrs == 0 || k.M.Cycles < want {
 			t.Errorf("%s: %d instructions in %d cycles, want some in at least %d", name, k.M.Instrs, k.M.Cycles, want)
 		}
+	}
+}
+
+// TestFiniteProgramEndsTheWindows: "open-close tty" runs its 200 loops
+// in about 16.7 ms of guest time, so ten windows of 2,000 µs outlast it
+// and the run ends by the program's exit, not the last window: the
+// machine has halted, so the kernel's Run returns nil, and the program
+// closed its one marked interval.
+func TestFiniteProgramEndsTheWindows(t *testing.T) {
+	const windows, intervalUS = 10, 2000
+	k, rc := run(runOpts{program: "open-close tty", intervalUS: intervalUS, windows: windows})
+	if rc != 0 {
+		t.Fatalf("exit code %d", rc)
+	}
+	if err := k.Run(1); err != nil {
+		t.Fatalf("the program had not exited after %d windows: %v", windows, err)
+	}
+	if n := len(k.M.MarkMicros()); n != 1 {
+		t.Errorf("%d marked intervals, want 1", n)
 	}
 }
 
@@ -106,7 +125,7 @@ func TestTraceZeroRunsTheFastLoop(t *testing.T) {
 // and nothing else; a path to a file that exists is an unknown program,
 // and the error lists the names it would take.
 func TestProgramTakesListNamesOnly(t *testing.T) {
-	_, err := resolveProgram("run.go", 0)
+	_, err := resolveProgram("run.go")
 	if err == nil {
 		t.Fatal(`resolveProgram("run.go") succeeded`)
 	}

@@ -15,17 +15,18 @@
 //
 //	synbench                          # everything
 //	synbench -table 1                 # one table (see -table help for names)
-//	synbench -iters 500               # heavier Table 1 loops
 //	synbench -json bench/baseline     # also write BENCH_*.json artifacts and PAPER_GAPS.md
 //	synbench -profile-run "open-close tty" -top 15 -trace-json trace.json
 //	synbench -profile-run "sock echo 64 B" -top 8   # the datagram path, instructions per iteration
-//	synbench -table 7 -faults drop=0.2,spurious=7:50000 -fault-seed 42
 //
-// `synbench -json bench/baseline` (default -iters) regenerates the
-// committed artifacts that `go test ./internal/bench` holds every
+// Every table and program runs in its one configuration: a program's
+// loop count is its bench-list entry's, and Table 7 seeds its own loss
+// and storm schedules. So `synbench -json bench/baseline` regenerates
+// the committed artifacts that `go test ./internal/bench` holds every
 // table byte-equal to, and with them the ledger of paper rows
-// (PAPER_GAPS.md); run it when a change legitimately moves the
-// numbers and review the diff.
+// (PAPER_GAPS.md); run it when a change legitimately moves the numbers
+// and review the diff. `quamon -program NAME -faults SPEC -seed N` runs
+// a list program under faults.
 package main
 
 import (
@@ -37,39 +38,21 @@ import (
 	"strings"
 
 	"synthesis/internal/bench"
-	"synthesis/internal/fault"
 )
 
 func main() {
 	table := flag.String("table", "all",
 		"which table to regenerate: all or one of "+strings.Join(bench.Names(), ","))
-	iters := flag.Int("iters", 200, "loop count for the Table 1 and Table 7 programs")
 	profileRun := flag.String("profile-run", "",
 		"run one bench program profiled and report attribution: one of "+
 			strings.Join(bench.ProgramNames(), ", ")+" (the endless ones run under quamon)")
 	top := flag.Int("top", 10, "regions to show in the -profile-run report")
 	traceJSON := flag.String("trace-json", "", "write the -profile-run Chrome trace (about:tracing JSON) here")
 	jsonDir := flag.String("json", "", "also write each table as a BENCH_*.json artifact into this directory, and with every table the PAPER_GAPS.md ledger")
-	faults := flag.String("faults", "", "inject faults into every machine the tables boot (see grammar below)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the -faults schedule; a seed replays exactly")
-	defaultUsage := flag.Usage
-	flag.Usage = func() {
-		defaultUsage()
-		fmt.Fprintf(flag.CommandLine.Output(), "\n%s\n", fault.SpecHelp)
-	}
 	flag.Parse()
 
-	plan, err := fault.Parse(*faults)
-	if err == nil && plan.Fleet() {
-		err = fmt.Errorf("link=/part=/vmfault= clauses need a fleet (quamon -cluster)")
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "synbench: %v\n%s\n", err, fault.SpecHelp)
-		os.Exit(2)
-	}
-
 	if *profileRun != "" {
-		p, loops, err := bench.RunProfiled(*profileRun, int32(*iters))
+		p, loops, err := bench.RunProfiled(*profileRun)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "synbench: profile-run: %v\n", err)
 			os.Exit(1)
@@ -92,7 +75,6 @@ func main() {
 		return
 	}
 
-	cfg := bench.RunConfig{Iters: int32(*iters), FaultSpec: *faults, FaultSeed: *faultSeed}
 	names := bench.Names()
 	if *table != "all" {
 		if !slices.Contains(names, *table) {
@@ -103,7 +85,7 @@ func main() {
 	}
 	tables := map[string]bench.Table{}
 	for _, name := range names {
-		t, err := bench.Run(name, cfg)
+		t, err := bench.Run(name)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "synbench: table %s: %v\n", name, err)
 			os.Exit(1)

@@ -20,14 +20,14 @@ import (
 
 const (
 	program            = "sock echo 64 B"
-	rounds             = 50
 	sent, echoed, size = 0xB000, 0xD000, 64 // the rigs' two scratch buffers; the datagram
 )
 
 // run runs the echo on r and returns its microseconds per packet: a
-// round trip is two datagrams, each sent and received once.
+// round trip, one of the program's loops, is two datagrams, each sent
+// and received once.
 func run(r bench.Rig) (float64, error) {
-	build, _, err := bench.Program(program, rounds)
+	build, rounds, _, err := bench.Program(program)
 	if err != nil {
 		return 0, err
 	}
@@ -47,11 +47,11 @@ func run(r bench.Rig) (float64, error) {
 				r.Name(), i, echoed, sent)
 		}
 	}
-	return marks[0] / (2 * rounds), nil
+	return marks[0] / float64(2*rounds), nil
 }
 
 func main() {
-	fmt.Printf("running %q over the loopback pair 5 <-> 9, %d round trips\n\n", program, rounds)
+	fmt.Printf("running %q over the loopback pair 5 <-> 9\n\n", program)
 	synth := must(run(bench.NewSynthRig(kernel.Config{})))
 	fmt.Printf("synthesis (synthesized sockets, NIC DMA + rx interrupt): %7.1f usec/packet\n", synth)
 	sun := must(run(bench.NewSunRig()))

@@ -31,7 +31,7 @@ func main() {
 // instead of exiting so the tier-1 test suite can run the example
 // end to end (see main_test.go).
 func run(w io.Writer) error {
-	build, _, err := bench.Program("proc cat", 0)
+	build, _, _, err := bench.Program("proc cat")
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"synthesis/internal/kernel"
 	"synthesis/internal/m68k"
 	"synthesis/internal/synth"
+	"synthesis/internal/unixemu"
 )
 
 // Ablations: each isolates one design choice DESIGN.md calls out and
@@ -69,20 +70,20 @@ func ablations(mt *meter) []Row {
 // sunFileRead1K is the baseline's generic 1 KB read (cache warm).
 func sunFileRead1K(b *asmkit.Builder) {
 	b.MoveL(m68k.Imm(addrNameFile), m68k.D(1))
-	unixCall(b, 5)
+	unixCall(b, unixemu.SysOpen)
 	// Warm the buffer cache with one untimed read.
 	b.MoveL(m68k.Imm(0), m68k.D(1))
 	b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
 	b.MoveL(m68k.Imm(1024), m68k.D(3))
-	unixCall(b, 3)
+	unixCall(b, unixemu.SysRead)
 	b.MoveL(m68k.Imm(0), m68k.D(1))
 	b.MoveL(m68k.Imm(0), m68k.D(2))
-	unixCall(b, 19) // rewind
+	unixCall(b, unixemu.SysLseek) // rewind
 	mark(b)
 	b.MoveL(m68k.Imm(0), m68k.D(1))
 	b.MoveL(m68k.Imm(addrBufB), m68k.D(2))
 	b.MoveL(m68k.Imm(1024), m68k.D(3))
-	unixCall(b, 3)
+	unixCall(b, unixemu.SysRead)
 	mark(b)
 	progExit(b)
 }

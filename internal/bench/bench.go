@@ -13,8 +13,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-
-	"synthesis/internal/fault"
 )
 
 // Row is one experiment line: the paper's figure next to ours.
@@ -49,17 +47,6 @@ func (t Table) String() string {
 		fmt.Fprintf(&b, "%-42s %12s %12.2f %-8s %s\n", r.Name, paper, r.Measured, r.Unit, r.Note)
 	}
 	return b.String()
-}
-
-// RunConfig carries the knobs a caller can set uniformly across
-// tables. Tables without an iteration knob ignore Iters. A non-empty
-// FaultSpec (see fault.SpecHelp for the grammar) attaches a seeded
-// fault injector to every rig the table boots, so any table can be
-// rerun under a fault schedule.
-type RunConfig struct {
-	Iters     int32
-	FaultSpec string
-	FaultSeed int64
 }
 
 // tables is every table under its registry name, numbered tables
@@ -113,37 +100,15 @@ func Names() []string {
 	return names
 }
 
-// Run generates the named table. A non-empty cfg.FaultSpec is parsed
-// and its machine items staged for every rig booted while the table
-// generates (see prepare in rig.go); the fleet clauses
-// (link=/part=/vmfault=) need a fabric, which no table owns, and are
-// rejected.
-func Run(name string, cfg RunConfig) (Table, error) {
+// Run generates the named table. A table takes no configuration: its
+// loop counts are the program list's and its seeds its own.
+func Run(name string) (Table, error) {
 	for _, t := range tables {
-		if t.name != name {
-			continue
+		if t.name == name {
+			m := &meter{}
+			rows := t.rows(m)
+			return Table{Title: t.title, Note: t.note, Rows: rows}, m.err
 		}
-		if cfg.FaultSpec != "" {
-			plan, err := fault.Parse(cfg.FaultSpec)
-			if err != nil {
-				return Table{}, err
-			}
-			if plan.Fleet() {
-				return Table{}, fmt.Errorf("bench: fault spec %q: link=/part=/vmfault= clauses need a fleet", cfg.FaultSpec)
-			}
-			activeFaults, activeFaultSeed = &plan, cfg.FaultSeed
-			defer func() { activeFaults = nil }()
-		}
-		m := &meter{RunConfig: cfg}
-		rows := t.rows(m)
-		return Table{Title: t.title, Note: t.note, Rows: rows}, m.err
 	}
 	return Table{}, fmt.Errorf("bench: unknown table %q (have %v)", name, Names())
 }
-
-// Staged fault schedule for the current Run call; rigs consult it at
-// boot. Bench runs are single-goroutine, so package cells suffice.
-var (
-	activeFaults    *fault.Plan
-	activeFaultSeed int64
-)

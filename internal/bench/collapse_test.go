@@ -35,14 +35,14 @@ func TestCollapsedRunMatchesSteps(t *testing.T) {
 	const iters, budget = 8, 5_000_000
 	for _, p := range programs {
 		name := p.name
-		build, loops := p.at(iters)
+		loops := min(p.loops, iters)
 		var ms [2]*m68k.Machine
 		var errs [2]string
 		for i, probe := range []m68k.Probe{nil, nopProbe{}} {
 			r := NewSynthRig(kernel.Config{})
 			r.K.M.Probe = probe
 			b := asmkit.New()
-			build(b)
+			p.build(b, loops)
 			errs[i] = fmt.Sprint(r.Run(b.Link(r.K.M), budget))
 			ms[i] = r.K.M
 		}

@@ -64,10 +64,6 @@ func TestDecodeRejectsWrongSchema(t *testing.T) {
 	}
 }
 
-// goldenIters is the config bench/baseline was generated at: synbench's
-// default -iters.
-const goldenIters = 200
-
 func baselinePath(name string) string {
 	return filepath.Join("..", "..", "bench", "baseline", ArtifactName(name))
 }
@@ -102,8 +98,8 @@ func goldenDiff(name string, got Table, want []byte) string {
 }
 
 // TestGoldenTables is the cycle-clock perf gate: every registered
-// table, regenerated at the baseline's config, must encode byte-equal
-// to its committed bench/baseline artifact. The simulator has no wall
+// table, regenerated, must encode byte-equal to its committed
+// bench/baseline artifact. The simulator has no wall
 // time or randomness on a measured path, so any difference means a
 // code path changed; if the change is intended, refresh with
 // `go run ./cmd/synbench -json bench/baseline` and review the diff.
@@ -128,7 +124,7 @@ func TestGoldenTables(t *testing.T) {
 		if msg := goldenDiff(name, base, want); msg != "" {
 			t.Errorf("baseline does not survive decode/encode: %s", msg)
 		}
-		tab, err := Run(name, RunConfig{Iters: goldenIters})
+		tab, err := runTable(name)
 		if err != nil {
 			t.Errorf("table %s: %v", name, err)
 			continue

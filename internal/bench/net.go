@@ -201,11 +201,7 @@ func buildSockARQ(b *asmkit.Builder, iters int32) {
 }
 
 func table7(mt *meter) (rows []Row) {
-	iters := mt.iters()
-	seed := mt.FaultSeed
-	if seed == 0 {
-		seed = 1
-	}
+	const iters, seed = 200, 1
 	var baseUS float64
 	for i, rate := range lossRates {
 		r := synthRig()

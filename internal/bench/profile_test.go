@@ -15,14 +15,13 @@ func TestTable1AttributionCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 1 sweep under -short")
 	}
-	iters := int32(40)
 	var sumAttr, sumWindow uint64
 	for _, prog := range programs {
 		if prog.endless {
 			continue
 		}
 		name := prog.name
-		p, _, err := RunProfiled(name, iters)
+		p, _, err := RunProfiled(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -41,14 +40,12 @@ func TestTable1AttributionCoverage(t *testing.T) {
 	}
 }
 
-// TestRunProfiledComputeLoops: compute runs its own 2,000-element loop
-// whatever the caller's count, and RunProfiled says so, so its program
-// reads its loop body, about 18 instructions, an iteration (179.87 when
-// the 2,000 iterations' instructions were divided by 200), in the
-// profile and in the instrs/it column of the report synbench
-// -profile-run prints.
+// TestRunProfiledComputeLoops: compute's list count is its own 2,000,
+// and RunProfiled returns it, so its program reads its loop body,
+// about 18 instructions, an iteration, in the profile and in the
+// instrs/it column of the report synbench -profile-run prints.
 func TestRunProfiledComputeLoops(t *testing.T) {
-	p, loops, err := RunProfiled("compute", 200)
+	p, loops, err := RunProfiled("compute")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +75,13 @@ func TestRunProfiledComputeLoops(t *testing.T) {
 }
 
 // TestEveryProgramRuns: every name in the one list resolves, each
-// program that exits runs through RunProfiled at 2 iterations and marks
-// its loop, and so does the same binary on the SunOS baseline, and
+// program that exits runs through RunProfiled at its list count and
+// marks its loop, and so does the same binary on the SunOS baseline, and
 // RunProfiled refuses each endless one, which would run to the runaway
 // budget. quamon's tests run the endless ones.
 func TestEveryProgramRuns(t *testing.T) {
 	for _, name := range ProgramNames() {
-		build, endless, err := Program(name, 2)
+		build, _, endless, err := Program(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +92,7 @@ func TestEveryProgramRuns(t *testing.T) {
 				t.Errorf("%s: %v", name, mt.err)
 			}
 		}
-		p, _, err := RunProfiled(name, 2)
+		p, _, err := RunProfiled(name)
 		switch {
 		case endless && err == nil:
 			t.Errorf("%s: RunProfiled ran an endless program", name)
@@ -109,7 +106,7 @@ func TestEveryProgramRuns(t *testing.T) {
 
 // TestRunProfiledUnknown rejects unknown program names.
 func TestRunProfiledUnknown(t *testing.T) {
-	if _, _, err := RunProfiled("no-such-program", 1); err == nil {
+	if _, _, err := RunProfiled("no-such-program"); err == nil {
 		t.Fatal("expected error for unknown program")
 	}
 }
@@ -117,12 +114,7 @@ func TestRunProfiledUnknown(t *testing.T) {
 // TestRegistry covers the Run contract synbench relies on;
 // TestNamesOrdering covers Names.
 func TestRegistry(t *testing.T) {
-	if _, err := Run("no-such-table", RunConfig{}); err == nil {
+	if _, err := Run("no-such-table"); err == nil {
 		t.Fatal("expected error for unknown table")
-	}
-	// No table owns a fabric, so fleet clauses are not part of the
-	// grammar here.
-	if _, err := Run("2", RunConfig{FaultSpec: "link=0>1:drop=0.1"}); err == nil {
-		t.Fatal("fleet fault clause accepted by a single-machine table")
 	}
 }

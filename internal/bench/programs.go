@@ -34,24 +34,25 @@ func mark(b *asmkit.Builder) { b.Kcall(m68k.SvcMark) }
 type program struct {
 	name    string
 	paper   float64 // Table 1's SUN seconds / Synthesis seconds; 0 off Table 1
-	fixed   int32   // the program's own loop count, in place of the caller's
+	loops   int32   // the loop count build is given, which a per-iteration figure divides by
 	endless bool    // loops until its caller stops the machine, as quamon's windows do
-	build   func(b *asmkit.Builder, iters int32)
+	build   func(b *asmkit.Builder, loops int32)
 }
 
 // programs lists every named program. The paper ratios are Table 1's
 // total column: compute 20/21.1, pipes 10/0.18, 15/0.96, 38/8.5, file
-// 21/2.4, open null 17/0.7, open tty 43/1.4.
+// 21/2.4, open null 17/0.7, open tty 43/1.4. The paper never published
+// its loop counts, so each program's is ours, written here once.
 var programs = []program{
 	{"compute", 20.0 / 21.1, 2000, false, buildCompute},
-	{"pipe r/w 1 B", 10.0 / 0.18, 0, false, func(b *asmkit.Builder, n int32) { buildPipeRW(b, n, 1) }},
-	{"pipe r/w 1 KB", 15.0 / 0.96, 0, false, func(b *asmkit.Builder, n int32) { buildPipeRW(b, n, 1024) }},
-	{"pipe r/w 4 KB", 38.0 / 8.5, 0, false, func(b *asmkit.Builder, n int32) { buildPipeRW(b, n, 4096) }},
-	{"file r/w 1 KB", 21.0 / 2.4, 0, false, buildFileRW},
-	{"open-close null", 17.0 / 0.7, 0, false, func(b *asmkit.Builder, n int32) { buildOpenClose(b, n, addrNameNull) }},
-	{"open-close tty", 43.0 / 1.4, 0, false, func(b *asmkit.Builder, n int32) { buildOpenClose(b, n, addrNameTTY) }},
+	{"pipe r/w 1 B", 10.0 / 0.18, 200, false, func(b *asmkit.Builder, n int32) { buildPipeRW(b, n, 1) }},
+	{"pipe r/w 1 KB", 15.0 / 0.96, 200, false, func(b *asmkit.Builder, n int32) { buildPipeRW(b, n, 1024) }},
+	{"pipe r/w 4 KB", 38.0 / 8.5, 200, false, func(b *asmkit.Builder, n int32) { buildPipeRW(b, n, 4096) }},
+	{"file r/w 1 KB", 21.0 / 2.4, 200, false, buildFileRW},
+	{"open-close null", 17.0 / 0.7, 200, false, func(b *asmkit.Builder, n int32) { buildOpenClose(b, n, addrNameNull) }},
+	{"open-close tty", 43.0 / 1.4, 200, false, func(b *asmkit.Builder, n int32) { buildOpenClose(b, n, addrNameTTY) }},
 	// The guest path of the benchmark's sock_echo workload.
-	{"sock echo 64 B", 0, 0, false, buildSockEcho},
+	{"sock echo 64 B", 0, 200, false, buildSockEcho},
 	// Table 6's loopback exchange without end, quamon's default.
 	{"sock traffic 128 B", 0, 0, true, func(b *asmkit.Builder, _ int32) { buildSockTraffic(b) }},
 	{"procread", 0, 0, true, func(b *asmkit.Builder, _ int32) { buildProcReadLoop(b) }},
@@ -59,16 +60,8 @@ var programs = []program{
 	{"proc cat", 0, 1, false, buildProcCat},
 }
 
-// at returns p's builder and loop count for the caller's iteration
-// count (200 when not positive).
-func (p program) at(iters int32) (func(*asmkit.Builder), int32) {
-	if p.fixed != 0 {
-		iters = p.fixed
-	} else if iters <= 0 {
-		iters = 200
-	}
-	return func(b *asmkit.Builder) { p.build(b, iters) }, iters
-}
+// emit emits p at its own loop count.
+func (p program) emit(b *asmkit.Builder) { p.build(b, p.loops) }
 
 // ProgramNames lists every program's name, in list order.
 func ProgramNames() []string {
@@ -90,25 +83,23 @@ func findProgram(name string) (program, error) {
 }
 
 // Program resolves name, one of ProgramNames, to the builder that emits
-// the program at iters loops, as RunProfiled counts them, and reports
-// whether the program is endless. quamon runs any of them under its
-// sampling windows, so every benchmark is also a live metrics source.
-func Program(name string, iters int32) (build func(*asmkit.Builder), endless bool, err error) {
+// the program, the loop count it runs, which a per-iteration figure
+// divides by, and whether it is endless. quamon runs any of them under
+// its sampling windows, so every benchmark is also a live metrics
+// source.
+func Program(name string) (build func(*asmkit.Builder), loops int32, endless bool, err error) {
 	p, err := findProgram(name)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
-	build, _ = p.at(iters)
-	return build, p.endless, nil
+	return p.emit, p.loops, p.endless, nil
 }
 
 // RunProfiled runs one program on a profiled Synthesis rig, the entry
 // point behind `synbench -profile-run` and `make profile`, and returns
-// the profiler holding the attribution and the loop count the program
-// ran: iters, or its own fixed count (compute's 2,000), which is what a
-// per-iteration figure divides by. An endless program is refused: it
-// would run to the runaway budget.
-func RunProfiled(name string, iters int32) (*prof.Profiler, int32, error) {
+// the profiler holding the attribution and the program's loop count.
+// An endless program is refused: it would run to the runaway budget.
+func RunProfiled(name string) (*prof.Profiler, int32, error) {
 	p, err := findProgram(name)
 	if err != nil {
 		return nil, 0, err
@@ -117,10 +108,9 @@ func RunProfiled(name string, iters int32) (*prof.Profiler, int32, error) {
 		return nil, 0, fmt.Errorf("bench: %q never exits; watch it with quamon -program", name)
 	}
 	r := NewSynthRig(kernel.Config{Profile: true})
-	build, loops := p.at(iters)
 	mt := &meter{}
-	mt.run(r, 1, build)
-	return r.K.Prof, loops, mt.err
+	mt.run(r, 1, p.emit)
+	return r.K.Prof, p.loops, mt.err
 }
 
 // buildCompute emits program 1: the compute-bound calibration test, a

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"synthesis/internal/asmkit"
-	"synthesis/internal/fault"
 	"synthesis/internal/kernel"
 	"synthesis/internal/kio"
 	"synthesis/internal/m68k"
@@ -38,9 +37,7 @@ type Rig interface {
 	Name() string
 }
 
-// prepare pokes the shared name strings and the scratch buffer, and
-// attaches the staged fault schedule (from RunConfig's FaultSpec), if
-// the current Run has one.
+// prepare pokes the shared name strings and the scratch buffer.
 func prepare(m *m68k.Machine) {
 	poke := func(addr uint32, s string) {
 		for i := 0; i < len(s); i++ {
@@ -54,9 +51,6 @@ func prepare(m *m68k.Machine) {
 	poke(addrNameProc, kio.ProcMetricsPath)
 	for i := uint32(0); i < 8192; i += 4 {
 		m.Poke(addrBufA+i, 4, 0x55aa1234+i)
-	}
-	if activeFaults != nil {
-		fault.New(*activeFaults, activeFaultSeed).Attach(m)
 	}
 }
 
@@ -137,7 +131,7 @@ func synthRig() *SynthRig { return NewSynthRig(kernel.Config{}) }
 
 // runaway is the cycle budget that stops a program that never ends:
 // 20 minutes of guest time at the SUN 3/160 point, hundreds of times
-// what the longest table program needs at its default iterations.
+// what the longest table program needs at its loop count.
 const runaway = 20_000_000_000
 
 // meter runs one table's measurements. Each boots its own rig, so they
@@ -145,16 +139,7 @@ const runaway = 20_000_000_000
 // measurement after it runs nothing and reads zero, so a table is its
 // list of rows with no checks between them.
 type meter struct {
-	RunConfig
 	err error
-}
-
-// iters is the loop count for programs with an iteration knob.
-func (mt *meter) iters() int32 {
-	if mt.Iters <= 0 {
-		return 200
-	}
-	return mt.Iters
 }
 
 // fail records err unless an earlier error stands.

@@ -25,7 +25,7 @@ func TestFixedAddressesOutsideHeaps(t *testing.T) {
 		{"ARQ cells", addrQBase, addrRetx + 4 - addrQBase},
 		{"buffer A", addrBufA, 8192},
 		{"buffer B", addrBufB, 4096},
-		{"chaos array", addrQArray, uint32(compute.fixed+1) * 4},
+		{"chaos array", addrQArray, uint32(compute.loops+1) * 4},
 	}
 	heaps := []struct {
 		name string

@@ -19,17 +19,16 @@ import (
 // kernels' per-iteration microseconds and the speedup next to the
 // paper's, one row for each program with a paper ratio.
 //
-// Iteration counts are scaled down (the interpreted Quamachine is a
+// Loop counts are the program list's (the interpreted Quamachine is a
 // few hundred times slower than silicon); per-iteration cost is flat
-// in the loop count, which the harness asserts in its tests.
+// in the loop count.
 func table1(mt *meter) (rows []Row) {
 	for _, p := range programs {
 		if p.paper == 0 {
 			continue
 		}
-		build, iters := p.at(mt.Iters)
-		synthUS := mt.one(synthRig(), build) / float64(iters)
-		sunUS := mt.one(NewSunRig(), build) / float64(iters)
+		synthUS := mt.one(synthRig(), p.emit) / float64(p.loops)
+		sunUS := mt.one(NewSunRig(), p.emit) / float64(p.loops)
 		if mt.err != nil {
 			mt.err = fmt.Errorf("%s: %w", p.name, mt.err)
 			return rows

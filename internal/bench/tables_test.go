@@ -11,6 +11,23 @@ import (
 // assert ranges so honest cost-model recalibration does not break the
 // suite.)
 
+// runs holds each table's one run in this test binary, so the shape
+// assertions hold on the rows TestGoldenTables pins to bench/baseline.
+var runs = map[string]struct {
+	tab Table
+	err error
+}{}
+
+// runTable returns the named table's run, generating it on first use.
+func runTable(name string) (Table, error) {
+	r, ok := runs[name]
+	if !ok {
+		r.tab, r.err = Run(name)
+		runs[name] = r
+	}
+	return r.tab, r.err
+}
+
 func row(t *testing.T, tab Table, name string) Row {
 	t.Helper()
 	for _, r := range tab.Rows {
@@ -23,10 +40,7 @@ func row(t *testing.T, tab Table, name string) Row {
 }
 
 func TestTable1Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tab, err := Run("1", RunConfig{Iters: 40})
+	tab, err := runTable("1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +73,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	tab, err := Run("2", RunConfig{})
+	tab, err := runTable("2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +107,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	tab, err := Run("3", RunConfig{})
+	tab, err := runTable("3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +130,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	tab, err := Run("4", RunConfig{})
+	tab, err := runTable("4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +154,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tab, err := Run("5", RunConfig{})
+	tab, err := runTable("5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +185,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	tab, err := Run("6", RunConfig{})
+	tab, err := runTable("6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +227,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	tab, err := Run("7", RunConfig{Iters: 100})
+	tab, err := runTable("7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +276,7 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestSizeTableShape(t *testing.T) {
-	tab, err := Run("size", RunConfig{})
+	tab, err := runTable("size")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +296,7 @@ func TestSizeTableShape(t *testing.T) {
 }
 
 func TestAblationsShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tab, err := Run("ablations", RunConfig{})
+	tab, err := runTable("ablations")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +332,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestFigure2PathLengths(t *testing.T) {
-	tab, err := Run("pathlen", RunConfig{})
+	tab, err := runTable("pathlen")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +355,7 @@ func TestFigure2PathLengths(t *testing.T) {
 }
 
 func TestQueueContentionShape(t *testing.T) {
-	tab, err := Run("queue_contention", RunConfig{})
+	tab, err := runTable("queue_contention")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,10 @@ const (
 	guestPortBase = 0x50
 	replyPortBase = 0x900
 
-	ingressSlots = 1024 // per-VM fabric ingress ring
-	hostSlots    = 4096 // host-bound (reply) ring
+	// minRingSlots is the least a fabric ring holds (see ringSlots):
+	// room for a throttled link's whole queue, released at once, and
+	// as many again.
+	minRingSlots = 2 * throttleSlots
 
 	chunkCycles = 4096 // guest cycles a driver runs between looks at its ingress ring
 	traceKeep   = 512  // completed traces retained for Chrome export
@@ -84,6 +86,21 @@ type Config struct {
 	Flight bool
 }
 
+// ringSlots sizes a fabric ring for n connections. The load generator
+// keeps one message in flight per connection, so n slots hold every
+// frame a healthy fleet can have queued; the floor and the round up to
+// a power of two leave room for resends, duplicates and frames the
+// fault plane releases together, and a frame past them is a counted
+// drop the generator resends. Each slot holds a whole frame, so a ring
+// sized for the worst case would be most of a fleet's heap.
+func ringSlots(n int) int {
+	s := minRingSlots
+	for s < n {
+		s <<= 1
+	}
+	return s
+}
+
 func (cfg *Config) setDefaults() {
 	if cfg.VMs <= 0 {
 		cfg.VMs = 2
@@ -120,13 +137,15 @@ type VM struct {
 
 	mu      sync.Mutex // held around drain+Run chunks and by Snapshot
 	ingress *net.PacketRing
+	wire    [net.FrameMax]byte // the frame drainIngress hands the NIC
 	err     error
 	// clk maps this VM's cycle clock onto the fleet wall clock from
 	// sync points the driver records at chunk boundaries, for WriteTrace.
 	// Nil unless tracing is on.
 	clk *prof.ClockMap
-	// The driver's wall time, busy and parked, and its chunk count.
-	busyNS, parkNS, chunks *metrics.Counter
+	// The driver's wall time, busy and parked, its chunk count and how
+	// often it parked.
+	busyNS, parkNS, chunks, parks *metrics.Counter
 }
 
 func (vm *VM) setErr(err error) {
@@ -156,7 +175,7 @@ func (c *Cluster) drainIngress(vm *VM) {
 			break
 		}
 		f.Dst = net.PortOf(f.Dst)
-		nic.Deliver(net.EncodeFrame(f))
+		nic.Deliver(vm.wire[:net.PutFrame(vm.wire[:], f)])
 		if c.tr != nil && c.tr.active.Load() > 0 {
 			c.tr.onDeposit(vm.ID, &f, vm.K.M.Clock())
 		}
@@ -184,10 +203,12 @@ type Cluster struct {
 	// lgMu guards the load generator's state; the generator holds it
 	// across each pass, probes (AwaitingRecovery, SeqSum) take it
 	// briefly. sweepAt is the earliest deadline among the connections:
-	// when the generator's next sweep is due.
+	// when the generator's next sweep is due. lgBuf is where it builds
+	// each payload; the fabric copies what it keeps.
 	lgMu    sync.Mutex
 	conns   []lgConn
 	sweepAt time.Time
+	lgBuf   [net.MTU]byte
 
 	// done is closed by Stop: every fleet goroutine waits on it beside
 	// whatever wakes it for work.
@@ -203,6 +224,7 @@ type Cluster struct {
 	mUndecodable *metrics.Counter
 	mSent        *metrics.Counter
 	mReplies     *metrics.Counter
+	mWakes       *metrics.Counter
 	mTimeouts    *metrics.Counter
 	mResends     *metrics.Counter
 	mGaveUp      *metrics.Counter
@@ -225,7 +247,7 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{
 		cfg:      cfg,
 		Reg:      reg,
-		hostRing: net.NewPacketRing(hostSlots),
+		hostRing: net.NewPacketRing(ringSlots(cfg.Conns)),
 		padSeed:  uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 1,
 		start:    time.Now(),
 		done:     make(chan struct{}),
@@ -236,6 +258,7 @@ func New(cfg Config) *Cluster {
 		mUndecodable: reg.Counter("cluster.fabric.undecodable"),
 		mSent:        reg.Counter("cluster.loadgen.sent"),
 		mReplies:     reg.Counter("cluster.loadgen.replies"),
+		mWakes:       reg.Counter("cluster.loadgen.wakes"),
 		mTimeouts:    reg.Counter("cluster.loadgen.timeouts"),
 		mResends:     reg.Counter("cluster.loadgen.resends"),
 		mGaveUp:      reg.Counter("cluster.loadgen.gave_up"),
@@ -292,9 +315,12 @@ func (c *Cluster) bootVM(id int) *VM {
 	io := kio.Install(k)
 	unixemu.Install(k)
 
-	vm := &VM{ID: id, K: k, IO: io, ingress: net.NewPacketRing(ingressSlots),
+	// Connections are dealt round-robin, so this VM serves every
+	// VMs-th one from its own index on.
+	conns := (c.cfg.Conns - id + c.cfg.VMs) / c.cfg.VMs
+	vm := &VM{ID: id, K: k, IO: io, ingress: net.NewPacketRing(ringSlots(conns)),
 		busyNS: reg.Counter("driver.busy_ns"), parkNS: reg.Counter("driver.park_ns"),
-		chunks: reg.Counter("driver.chunks")}
+		chunks: reg.Counter("driver.chunks"), parks: reg.Counter("driver.parks")}
 	if c.flight != nil {
 		k.Prof.ArmTrace(flightInstrTail)
 	}
@@ -346,6 +372,8 @@ func (c *Cluster) bootVM(id int) *VM {
 }
 
 // routeRaw is the NIC Tx hook: wire bytes off a VM into the switch.
+// The bytes are a view of the VM's memory, so nothing on the way keeps
+// them: the rings and the fault plane copy what they hold.
 func (c *Cluster) routeRaw(from int, frame []byte) bool {
 	f, ok := net.DecodeFrame(frame)
 	if !ok {
@@ -449,9 +477,10 @@ func (c *Cluster) Start() {
 // ring signals a frame (or KillVM, or Stop). Guest time stands still
 // meanwhile: no timer interrupt is simulated for a fleet member
 // nobody is talking to. Otherwise it runs the next chunk and keeps its
-// core; the Go scheduler runs the load generator on another
-// (DESIGN.md §3a). One clock read per chunk and per wake splits its
-// wall time into driver.busy_ns and driver.park_ns.
+// core; the load generator, readied onto this goroutine's P, mostly
+// runs while the driver is parked (DESIGN.md §3a). One clock read per chunk and per wake splits its
+// wall time into driver.busy_ns and driver.park_ns; driver.parks
+// counts the parks.
 func (c *Cluster) drive(vm *VM) {
 	defer c.wg.Done()
 	last := time.Since(c.start)
@@ -492,6 +521,7 @@ func (c *Cluster) drive(vm *VM) {
 		if !parked {
 			continue
 		}
+		vm.parks.Inc()
 		select {
 		case <-vm.ingress.Ready():
 		case <-c.done:

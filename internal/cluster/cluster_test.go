@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +176,32 @@ func TestClusterSoak(t *testing.T) {
 	}
 }
 
+// TestEchoAllocatesNothing: once the fleet is warm, an echo allocates
+// no Go memory on its way round — the generator builds each payload in
+// one buffer, the NIC hands the fabric a view of guest memory, the
+// rings copy frames into slots they own, and the ingress drain encodes
+// into the VM's own buffer.
+func TestEchoAllocatesNothing(t *testing.T) {
+	const echoes = 10_000
+	c := New(Config{VMs: 1, SocketsPerVM: 8, Conns: 32, PayloadBytes: 64, Seed: 11,
+		Timeout: 500 * time.Millisecond})
+	c.Start()
+	defer c.Stop()
+	waitActive(t, c, 32, 30*time.Second)
+	waitReplies(t, c, c.Replies()+1000, 30*time.Second)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r0 := c.Replies()
+	waitReplies(t, c, r0+echoes, 60*time.Second)
+	runtime.ReadMemStats(&after)
+	n := c.Replies() - r0
+	if per := float64(after.Mallocs-before.Mallocs) / float64(n); per >= 0.05 {
+		t.Errorf("%d allocations over %d echoes: %.3f an echo, want < 0.05",
+			after.Mallocs-before.Mallocs, n, per)
+	}
+}
+
 // TestSnapshotDuringRun races locked snapshots against the running
 // fleet: the per-VM mutexes must keep the sampled VM-memory reads off
 // mid-chunk state (this is the -race witness for the metrics plane).
@@ -247,9 +274,13 @@ func TestIdleFleetParks(t *testing.T) {
 		t.Errorf("driver.park_ns = %v over both VMs after a parked stretch, want >= 50ms", time.Duration(park))
 	}
 	for _, vm := range []string{"vm1", "vm2"} {
-		if s[vm+".driver.busy_ns"] == 0 || s[vm+".driver.chunks"] == 0 {
-			t.Errorf("%s: driver.busy_ns %d, driver.chunks %d, want both > 0", vm, s[vm+".driver.busy_ns"], s[vm+".driver.chunks"])
+		if s[vm+".driver.busy_ns"] == 0 || s[vm+".driver.chunks"] == 0 || s[vm+".driver.parks"] == 0 {
+			t.Errorf("%s: driver.busy_ns %d, driver.chunks %d, driver.parks %d, want all > 0",
+				vm, s[vm+".driver.busy_ns"], s[vm+".driver.chunks"], s[vm+".driver.parks"])
 		}
+	}
+	if s["cluster.loadgen.wakes"] == 0 {
+		t.Error("cluster.loadgen.wakes = 0 after replies woke the generator")
 	}
 
 	// So does KillVM.

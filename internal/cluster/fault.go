@@ -255,8 +255,12 @@ func (fp *faultPlane) transit(src, dst int, f *net.Frame) (deliver, ok bool) {
 		}
 	}
 	if due.After(now) {
+		// The payload is the sender's buffer or a view of its VM's
+		// memory, valid only until route returns: the hold keeps a copy.
+		h := *f
+		h.Payload = slices.Clone(f.Payload)
 		i := sort.Search(len(fp.held), func(i int) bool { return fp.held[i].due.After(due) })
-		fp.held = slices.Insert(fp.held, i, slices.Repeat([]pending{{due, dst, *f}}, n)...)
+		fp.held = slices.Insert(fp.held, i, slices.Repeat([]pending{{due, dst, h}}, n)...)
 		return false, true // the pump releases it
 	}
 

@@ -146,6 +146,37 @@ func TestLinkDelayHoldsAndReleases(t *testing.T) {
 	}
 }
 
+// TestHeldFramesKeepTheirPayload: the plane holds every host-to-VM
+// frame 2 ms and sends some twice, while the generator rebuilds its one
+// payload buffer for the next launch and the rings reuse their slots.
+// A hold that kept the sender's bytes instead of a copy would deliver
+// another message's payload under this one's checksum, and the guest
+// would drop it. Once the fleet is warm every echo must come back
+// without a resend, and none with a bad sum. (Two connections a socket
+// leave room in its queue for both copies of each.)
+func TestHeldFramesKeepTheirPayload(t *testing.T) {
+	cfg := fleetConfig(t, 1, "link=0>1:delay=1:2,dup=0.3")
+	cfg.SocketsPerVM, cfg.Conns, cfg.PayloadBytes = 4, 8, 64
+	c := New(cfg)
+	c.Start()
+	defer c.Stop()
+	waitActive(t, c, cfg.Conns, 10*time.Second)
+	timeouts := c.mTimeouts.Value()
+	waitReplies(t, c, c.Replies()+1000, 10*time.Second)
+	c.Stop()
+	s := c.Snapshot().Counters
+	if s["cluster.fault.link.delayed"] == 0 || s["cluster.fault.link.duplicated"] == 0 {
+		t.Fatalf("link.delayed %d, link.duplicated %d: the rule held or duplicated nothing",
+			s["cluster.fault.link.delayed"], s["cluster.fault.link.duplicated"])
+	}
+	if n := s["cluster.loadgen.timeouts"] - timeouts; n != 0 {
+		t.Errorf("%d echoes of a warm fleet went unanswered and were resent", n)
+	}
+	if s["cluster.loadgen.bad_sum"] != 0 {
+		t.Errorf("bad_sum = %d, want 0", s["cluster.loadgen.bad_sum"])
+	}
+}
+
 // TestThrottleBackpressure: a rate-limited link queues up to
 // throttleSlots frames, then refuses — the one fault that is
 // transmitter-visible — and the pump's token refill drains the queue.
@@ -302,7 +333,8 @@ func TestScheduledPartition(t *testing.T) {
 func TestFabricDropAccountingExact(t *testing.T) {
 	const overflow = 37
 	c := New(Config{VMs: 1, SocketsPerVM: 1, Conns: 1, Seed: 1})
-	for i := 0; i < ingressSlots; i++ {
+	ingressSlots := uint64(c.vms[0].ingress.Cap())
+	for i := uint64(0); i < ingressSlots; i++ {
 		if !c.route(net.HostNode, hostFrame(1, byte(i))) {
 			t.Fatalf("frame %d refused with ring space left", i)
 		}

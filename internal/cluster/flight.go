@@ -81,7 +81,7 @@ func renderFlight(vm *VM, err error, c *Cluster) string {
 		fmt.Fprintf(&b, "error: %v\n", err)
 	}
 	fmt.Fprintf(&b, "cycles=%d pc=%d sr=%#x cur_tte=%#x ingress=%d/%d\n",
-		m.Clock(), m.PC, m.SR, k.CurTTE(), vm.ingress.Len(), ingressSlots)
+		m.Clock(), m.PC, m.SR, k.CurTTE(), vm.ingress.Len(), vm.ingress.Cap())
 	if k.PanicMsg != "" {
 		fmt.Fprintf(&b, "panic: %s\n", k.PanicMsg)
 	}

@@ -47,23 +47,32 @@ type lgConn struct {
 	recoverFrom time.Time
 }
 
-// payload renders [conn id (4)][seq (4)][seeded padding] at the
-// configured message size. The padding is deterministic in (seed,
-// conn, seq) so runs are reproducible and corruption is detectable
-// end to end by the wire checksum alone.
-func (c *Cluster) payload(id int, seq uint32) []byte {
-	p := make([]byte, c.cfg.PayloadBytes)
+// payload renders [conn id (4)][seq (4)][seeded padding] into p, at
+// least 8 bytes long, and returns its wire checksum, summed as it
+// fills. The padding is deterministic in (seed, conn, seq) so runs are
+// reproducible and corruption is detectable end to end by the wire
+// checksum alone.
+func (c *Cluster) payload(p []byte, id int, seq uint32) uint32 {
 	binary.BigEndian.PutUint32(p[0:], uint32(id))
 	binary.BigEndian.PutUint32(p[4:], seq)
+	sum := uint32(id) + seq
 	x := c.padSeed ^ uint64(id)<<32 ^ uint64(seq)
-	for i := 8; i < len(p); i++ {
-		// xorshift64: cheap, stateless per (conn, seq).
+	for i := 8; i < len(p); i += 8 {
+		// xorshift64: cheap, stateless per (conn, seq); eight bytes a
+		// step, two checksum long words.
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		p[i] = byte(x)
+		if len(p)-i >= 8 {
+			binary.BigEndian.PutUint64(p[i:], x)
+			sum += uint32(x>>32) + uint32(x)
+			continue
+		}
+		var w [8]byte
+		binary.BigEndian.PutUint64(w[:], x)
+		sum += net.Checksum(w[:copy(p[i:], w[:])])
 	}
-	return p
+	return sum
 }
 
 // backoffDoublings bounds the resend wait at 16x Timeout.
@@ -78,20 +87,20 @@ func (c *Cluster) backoff(resends int) time.Duration {
 }
 
 // sendConn launches (or relaunches) the connection's current message
-// into the fabric toward its guest socket. Callers hold lgMu.
-func (c *Cluster) sendConn(id int, cn *lgConn) {
-	p := c.payload(id, cn.seq)
+// into the fabric toward its guest socket, built in lgBuf. now is the
+// caller's clock read. Callers hold lgMu.
+func (c *Cluster) sendConn(id int, cn *lgConn, now time.Time) {
+	p := c.lgBuf[:c.cfg.PayloadBytes]
 	f := net.Frame{
 		Dst:     net.MakeAddr(cn.vm, cn.port),
 		Src:     net.MakeAddr(net.HostNode, replyPortBase+uint32(id)%uint32(c.cfg.SocketsPerVM)),
-		Sum:     net.Checksum(p),
+		Sum:     c.payload(p, id, cn.seq),
 		Payload: p,
 	}
 	// The launch clock read happens before the frame enters the
 	// fabric: the trace plane's first hop stamp and the RTT's sentAt
 	// are the same instant, so a traced request's hop deltas
 	// telescope to exactly the measured RTT.
-	now := time.Now()
 	if c.tr != nil && cn.resends == 0 {
 		c.tr.onSend(cn.vm, id, cn.seq, cn.port, now)
 	}
@@ -130,6 +139,7 @@ func (c *Cluster) handleReply(f net.Frame) {
 		c.mStale.Inc()
 		return
 	}
+	// One clock read closes this attempt and launches the next.
 	now := time.Now()
 	c.hRTT.Observe(uint64(now.Sub(cn.sentAt) / time.Microsecond))
 	if c.tr != nil {
@@ -155,7 +165,7 @@ func (c *Cluster) handleReply(f net.Frame) {
 	cn.seq++
 	c.mReplies.Inc()
 	if !cn.gaveUp {
-		c.sendConn(id, cn)
+		c.sendConn(id, cn, now)
 	}
 }
 
@@ -199,7 +209,7 @@ func (c *Cluster) sweep(now time.Time) {
 		case cn.gaveUp:
 			// Past the resend cap: silent until the run ends.
 		case !cn.inflight:
-			c.sendConn(i, cn)
+			c.sendConn(i, cn, now)
 		case now.After(cn.deadline):
 			c.mTimeouts.Inc()
 			if c.tr != nil {
@@ -214,7 +224,7 @@ func (c *Cluster) sweep(now time.Time) {
 			}
 			cn.resends++
 			c.mResends.Inc()
-			c.sendConn(i, cn)
+			c.sendConn(i, cn, now)
 		case cn.deadline.Before(c.sweepAt):
 			c.sweepAt = cn.deadline
 		}
@@ -224,6 +234,7 @@ func (c *Cluster) sweep(now time.Time) {
 // loadgen is the generator goroutine: woken by the host ring it drains
 // replies, each of which relaunches its connection; woken by the timer
 // it sweeps. sweepAt starts at the zero time, so the first pass sweeps.
+// cluster.loadgen.wakes counts the wake-ups.
 func (c *Cluster) loadgen() {
 	defer c.wg.Done()
 	timer := time.NewTimer(0)
@@ -249,5 +260,6 @@ func (c *Cluster) loadgen() {
 		case <-c.done:
 			return
 		}
+		c.mWakes.Inc()
 	}
 }

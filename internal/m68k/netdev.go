@@ -46,8 +46,8 @@ type Net struct {
 	// N peers. Its return value reports whether the fabric accepted the
 	// frame and lands in NetRegTxStat, so the synthesized send's
 	// retry/backoff sees fabric backpressure exactly as it sees a full
-	// peer ring. The frame slice is freshly allocated
-	// per launch (PeekBytes copies), so the hook may retain it.
+	// peer ring. The frame is usually a view of guest memory, valid only
+	// for the call: a hook that keeps any of it must copy it.
 	Tx func(frame []byte) bool
 
 	txAddr  uint32
@@ -100,17 +100,24 @@ func (n *Net) Store(off uint32, sz uint8, val uint32) {
 	case NetRegTxLen:
 		n.txCnt++
 		var ok bool
-		switch end := uint64(n.txAddr) + uint64(val); {
-		case end > uint64(n.m.MemSize()):
+		if end := uint64(n.txAddr) + uint64(val); end > uint64(n.m.MemSize()) {
 			n.drops++ // the frame is not wholly in RAM
-		case n.Tx != nil:
-			ok = n.Tx(n.m.PeekBytes(n.txAddr, int(val)))
-		case n.m.Inj == nil && end <= uint64(len(n.m.Mem)):
-			// Nothing on the way can keep the frame, so it is DMA'd
-			// straight from the sender's memory into the receive ring.
-			ok = n.deliverRaw(n.m.Mem[n.txAddr:end], 0)
-		default:
-			ok = n.Deliver(n.m.PeekBytes(n.txAddr, int(val)))
+		} else {
+			// A frame wholly in Mem goes out as a view of the sender's
+			// memory: neither the hook nor Deliver keeps it (an injector
+			// copies what it lets through). One reaching past Mem reads
+			// the unreached RAM as zeros.
+			var frame []byte
+			if end <= uint64(len(n.m.Mem)) {
+				frame = n.m.Mem[n.txAddr:end:end]
+			} else {
+				frame = n.m.PeekBytes(n.txAddr, int(val))
+			}
+			if n.Tx != nil {
+				ok = n.Tx(frame)
+			} else {
+				ok = n.Deliver(frame)
+			}
 		}
 		n.txStat = 0
 		if ok {

@@ -10,7 +10,10 @@
 // planes agree on what a frame is.
 package net
 
-import "sync/atomic"
+import (
+	"encoding/binary"
+	"sync/atomic"
+)
 
 // Wire format: a frame is a 12-byte header — destination port, source
 // port and payload checksum, each a 32-bit word so synthesized
@@ -26,15 +29,22 @@ const (
 // as big-endian long words, the last word zero-padded on the right.
 // Long-wise so the VM planes compute it at one add per long — the
 // synthesized send folds it into the staging copy (Collapsing Layers),
-// the generic baseline runs it as its own layer.
+// the generic baseline runs it as its own layer. The host reads two
+// long words per load.
 func Checksum(p []byte) uint32 {
 	var sum uint32
-	for i := 0; i < len(p); i += 4 {
-		var w uint32
-		for j := 0; j < 4 && i+j < len(p); j++ {
-			w |= uint32(p[i+j]) << uint(24-8*j)
-		}
-		sum += w
+	for ; len(p) >= 8; p = p[8:] {
+		x := binary.BigEndian.Uint64(p)
+		sum += uint32(x>>32) + uint32(x)
+	}
+	if len(p) >= 4 {
+		sum += binary.BigEndian.Uint32(p)
+		p = p[4:]
+	}
+	if len(p) > 0 {
+		var w [4]byte
+		copy(w[:], p)
+		sum += binary.BigEndian.Uint32(w[:])
 	}
 	return sum
 }
@@ -56,6 +66,11 @@ type Frame struct {
 // closes the ABA window a wrapped compare-and-swap would have under
 // arbitrary producer stalls.
 //
+// Each slot owns MTU bytes of payload storage, so a frame moves
+// through the ring without allocating: Put copies the payload in and
+// Get copies it out into the consumer's own buffer. The ring's memory
+// is its capacity times FrameMax, so callers size it to the traffic.
+//
 // It is the paper's asynchronous queue (Section 3.2): nobody blocks in
 // it, and every Put signals the consumer, which is what lets the
 // consumer sleep instead of polling. The consumer's half of the
@@ -63,12 +78,20 @@ type Frame struct {
 // after the failed Get leaves a signal behind, so none is missed; a
 // signal left by a frame already taken costs one empty pass.
 type PacketRing struct {
-	buf   []Frame
-	flag  []atomic.Bool
+	slots []slot
 	head  atomic.Int64 // next position producers claim
 	tail  atomic.Int64 // next position the consumer drains
 	drops atomic.Uint64
 	ready chan struct{} // capacity 1: signals coalesce, none is lost
+	out   [MTU]byte     // the consumer's copy of the frame Get returned last
+}
+
+// slot is one ring position: a frame's header and its payload bytes.
+type slot struct {
+	full          atomic.Bool
+	dst, src, sum uint32
+	n             uint32 // payload length
+	buf           [MTU]byte
 }
 
 // NewPacketRing creates a ring holding up to slots frames.
@@ -76,13 +99,19 @@ func NewPacketRing(slots int) *PacketRing {
 	if slots < 1 {
 		panic("net: ring size must be positive")
 	}
-	return &PacketRing{buf: make([]Frame, slots), flag: make([]atomic.Bool, slots), ready: make(chan struct{}, 1)}
+	return &PacketRing{slots: make([]slot, slots), ready: make(chan struct{}, 1)}
 }
 
-// Put deposits one frame and signals the consumer, dropping the frame
-// (and counting the drop) when the ring is full — senders never block.
+// Put copies one frame into the ring and signals the consumer. It
+// drops the frame, counting the drop, when the ring is full or the
+// payload is longer than MTU: senders never block, and the caller may
+// reuse the payload as soon as Put returns.
 func (r *PacketRing) Put(f Frame) bool {
-	size := int64(len(r.buf))
+	if len(f.Payload) > MTU {
+		r.drops.Add(1)
+		return false
+	}
+	size := int64(len(r.slots))
 	for {
 		h := r.head.Load()
 		if h-r.tail.Load() >= size {
@@ -90,9 +119,10 @@ func (r *PacketRing) Put(f Frame) bool {
 			return false
 		}
 		if r.head.CompareAndSwap(h, h+1) {
-			i := h % size
-			r.buf[i] = f
-			r.flag[i].Store(true)
+			s := &r.slots[h%size]
+			s.dst, s.src, s.sum = f.Dst, f.Src, f.Sum
+			s.n = uint32(copy(s.buf[:], f.Payload))
+			s.full.Store(true)
 			r.Wake()
 			return true
 		}
@@ -105,25 +135,31 @@ func (r *PacketRing) Put(f Frame) bool {
 func (r *PacketRing) Ready() <-chan struct{} { return r.ready }
 
 // Wake signals the consumer without a frame — for whoever needs it to
-// look at something other than the ring.
+// look at something other than the ring. A pending signal already
+// covers this one, so Wake then skips the channel operation: the same
+// lock-free fullness test a non-blocking send makes first, without the
+// call into the runtime.
 func (r *PacketRing) Wake() {
+	if len(r.ready) != 0 {
+		return
+	}
 	select {
 	case r.ready <- struct{}{}:
-	default: // a signal is already pending
+	default: // another producer signalled first
 	}
 }
 
 // Get removes the oldest frame; ok is false when the ring is empty
-// or the tail slot is claimed but not yet filled.
+// or the tail slot is claimed but not yet filled. The payload is the
+// ring's copy for its one consumer: it stays valid until the next Get.
 func (r *PacketRing) Get() (Frame, bool) {
 	t := r.tail.Load()
-	i := t % int64(len(r.buf))
-	if !r.flag[i].Load() {
+	s := &r.slots[t%int64(len(r.slots))]
+	if !s.full.Load() {
 		return Frame{}, false
 	}
-	f := r.buf[i]
-	r.buf[i] = Frame{}
-	r.flag[i].Store(false)
+	f := Frame{Dst: s.dst, Src: s.src, Sum: s.sum, Payload: r.out[:copy(r.out[:], s.buf[:s.n])]}
+	s.full.Store(false)
 	r.tail.Store(t + 1)
 	return f, true
 }
@@ -132,5 +168,9 @@ func (r *PacketRing) Get() (Frame, bool) {
 // not yet filled.
 func (r *PacketRing) Len() int { return int(max(r.head.Load()-r.tail.Load(), 0)) }
 
-// Drops reports how many frames were discarded at a full ring.
+// Cap reports how many frames the ring holds.
+func (r *PacketRing) Cap() int { return len(r.slots) }
+
+// Drops reports how many frames were refused: at a full ring, or over
+// MTU.
 func (r *PacketRing) Drops() uint64 { return r.drops.Load() }

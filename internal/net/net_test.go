@@ -1,11 +1,87 @@
 package net
 
 import (
+	"bytes"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestChecksumMatchesByteReference holds the long-word Checksum to the
+// wire definition computed a byte at a time, for every payload length
+// up to MTU and random contents.
+func TestChecksumMatchesByteReference(t *testing.T) {
+	ref := func(p []byte) uint32 {
+		var sum uint32
+		for i, b := range p {
+			sum += uint32(b) << (24 - 8*(i%4))
+		}
+		return sum
+	}
+	rng := rand.New(rand.NewSource(1))
+	p := make([]byte, MTU)
+	for round := 0; round < 8; round++ {
+		rng.Read(p)
+		for n := 0; n <= MTU; n++ {
+			if got, want := Checksum(p[:n]), ref(p[:n]); got != want {
+				t.Fatalf("round %d, %d bytes: Checksum = %#x, want %#x", round, n, got, want)
+			}
+		}
+	}
+}
+
+// TestPacketRingOwnsItsFrames: Put copies the payload into the slot,
+// so a producer that reuses its buffer at once cannot change a frame
+// already queued, and Get's copy stays intact until the next Get. A
+// payload over MTU is refused and counted as a drop.
+func TestPacketRingOwnsItsFrames(t *testing.T) {
+	r := NewPacketRing(4)
+	buf := []byte("first frame")
+	if !r.Put(Frame{Dst: 1, Sum: Checksum(buf), Payload: buf}) {
+		t.Fatal("Put refused a frame into an empty ring")
+	}
+	copy(buf, "SECOND FRAM")
+	if !r.Put(Frame{Dst: 2, Sum: Checksum(buf), Payload: buf}) {
+		t.Fatal("Put refused a second frame")
+	}
+	copy(buf, "overwritten")
+
+	f, ok := r.Get()
+	if !ok || f.Dst != 1 || string(f.Payload) != "first frame" || f.Sum != Checksum(f.Payload) {
+		t.Fatalf("first Get = %+v %q, %v; want Dst 1 \"first frame\"", f, f.Payload, ok)
+	}
+	if !r.Put(Frame{Dst: 3, Payload: buf}) {
+		t.Fatal("Put refused a third frame")
+	}
+	if string(f.Payload) != "first frame" {
+		t.Fatalf("a Put changed the consumer's copy: %q", f.Payload)
+	}
+	if g, ok := r.Get(); !ok || g.Dst != 2 || string(g.Payload) != "SECOND FRAM" {
+		t.Fatalf("second Get = %+v %q, %v; want Dst 2 \"SECOND FRAM\"", g, g.Payload, ok)
+	}
+
+	big := bytes.Repeat([]byte{0xa5}, MTU+1)
+	if r.Put(Frame{Dst: 4, Payload: big}) {
+		t.Fatal("Put accepted a payload over MTU")
+	}
+	if r.Drops() != 1 || r.Len() != 1 {
+		t.Fatalf("after an over-MTU Put: drops %d, len %d; want 1, 1", r.Drops(), r.Len())
+	}
+	if !r.Put(Frame{Dst: 5, Payload: big[:MTU]}) {
+		t.Fatal("Put refused a payload of exactly MTU")
+	}
+	if g, ok := r.Get(); !ok || g.Dst != 3 {
+		t.Fatalf("third Get = %+v, %v; want Dst 3", g, ok)
+	}
+	if g, ok := r.Get(); !ok || g.Dst != 5 || !bytes.Equal(g.Payload, big[:MTU]) {
+		t.Fatalf("MTU Get = Dst %d, %d bytes, %v; want Dst 5, %d bytes", g.Dst, len(g.Payload), ok, MTU)
+	}
+	if r.Cap() != 4 {
+		t.Fatalf("Cap = %d, want 4", r.Cap())
+	}
+}
 
 // TestPacketRingNoLossNoDup is the MPSC property test: N goroutine
 // producers racing puts against a single consumer. Every frame put

@@ -12,11 +12,18 @@ import "encoding/binary"
 // big-endian long words followed by the payload.
 func EncodeFrame(f Frame) []byte {
 	b := make([]byte, HeaderBytes+len(f.Payload))
+	PutFrame(b, f)
+	return b
+}
+
+// PutFrame is EncodeFrame into storage the caller owns: it writes f in
+// wire layout at the start of b, which must hold HeaderBytes plus the
+// payload, and returns the bytes written.
+func PutFrame(b []byte, f Frame) int {
 	binary.BigEndian.PutUint32(b[0:], f.Dst)
 	binary.BigEndian.PutUint32(b[4:], f.Src)
 	binary.BigEndian.PutUint32(b[8:], f.Sum)
-	copy(b[HeaderBytes:], f.Payload)
-	return b
+	return HeaderBytes + copy(b[HeaderBytes:], f.Payload)
 }
 
 // DecodeFrame parses wire bytes back into a frame. ok is false when

@@ -43,7 +43,7 @@ FLIGHT_DIR ?= bench/flight
 
 chaos-soak:
 	FLIGHT_DIR=$(FLIGHT_DIR) $(GO) test -race -count 1 -timeout 180s \
-		-run 'TestChaosSoak|TestFabricDropAccountingExact|TestThrottleBackpressure|TestLinkDelayHoldsAndReleases|TestScheduledPartition|TestManualCutHeal' \
+		-run 'TestChaosSoak|TestFabricDropAccountingExact|TestThrottleBackpressure|TestLinkDelayHoldsAndReleases|TestScheduledPartition|TestManualCutHeal|TestHeldFrameWakesTheGenerator' \
 		./internal/cluster/
 
 examples:

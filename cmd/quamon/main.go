@@ -31,6 +31,10 @@
 // names; the default is the endless loopback exchange "sock traffic
 // 128 B"). -seed seeds the -faults schedule, and with -cluster the
 // load generator too.
+// The list's socket programs never resend: under a drop= or corrupt=
+// item they stall for good once a frame is lost. Wire-loss recovery is
+// measured by Table 7's stop-and-wait ARQ program (synbench -table 7)
+// and by -cluster, whose load generator resends.
 // -metrics-json and -prom write the final snapshot (use "-" for
 // stdout). The profiler is attached only when -profile, -trace-json or
 // -trace N>0 reads it, since it takes every instruction through Step:

@@ -70,9 +70,6 @@ type Config struct {
 	// injector, per-link fabric rules, scripted partitions, and per-VM
 	// plans (see fault.SpecHelp). The zero value injects nothing.
 	Faults fault.Plan
-	// Metrics is the shared registry; each VM registers under a
-	// vm<i>. prefix. A fresh registry is created when nil.
-	Metrics *metrics.Registry
 	// TraceEvery samples one in N fresh request launches into the
 	// fleet trace plane (see trace.go). 0 — the default — disables
 	// tracing entirely: the hot paths pay one nil check. Enabling it
@@ -177,7 +174,7 @@ func (c *Cluster) drainIngress(vm *VM) {
 		f.Dst = net.PortOf(f.Dst)
 		nic.Deliver(vm.wire[:net.PutFrame(vm.wire[:], f)])
 		if c.tr != nil && c.tr.active.Load() > 0 {
-			c.tr.onDeposit(vm.ID, &f, vm.K.M.Clock())
+			c.tr.onDeposit(vm.ID, &f)
 		}
 	}
 }
@@ -240,10 +237,7 @@ type Cluster struct {
 // Start.
 func New(cfg Config) *Cluster {
 	cfg.setDefaults()
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.New()
-	}
+	reg := metrics.New()
 	c := &Cluster{
 		cfg:      cfg,
 		Reg:      reg,
@@ -328,12 +322,12 @@ func (c *Cluster) bootVM(id int) *VM {
 		vm.clk = prof.NewClockMap(mcfg.ClockMHz)
 		k.Prof.OnIRQ = func(level, vec int, raisedAt, takenAt uint64) {
 			if level == m68k.IRQNet && c.tr.active.Load() > 0 {
-				c.tr.onIRQ(id, takenAt)
+				c.tr.onIRQ(id)
 			}
 		}
 		k.Prof.OnRegionEnter = func(name string, at uint64) {
 			if c.tr.active.Load() > 0 {
-				c.tr.onRegion(id, name, at)
+				c.tr.onRegion(id, name)
 			}
 		}
 	}
@@ -406,7 +400,7 @@ func (c *Cluster) route(from int, f net.Frame) bool {
 		// A traced reply leaving its VM: stamp the launch before the
 		// return fabric transit (fault delays land in fabric_back).
 		if c.tr != nil && from != net.HostNode && c.tr.active.Load() > 0 {
-			c.tr.onTx(from, &f, c.vms[from-1].K.M.Clock())
+			c.tr.onTx(from, &f)
 		}
 	}
 	if c.fp.enabled.Load() {
@@ -419,7 +413,7 @@ func (c *Cluster) route(from int, f net.Frame) bool {
 }
 
 // deliver puts one frame on its destination ring, counting the
-// outcome. The plane's pump and dup paths re-enter here, so held and
+// outcome. The plane's step and dup paths re-enter here, so held and
 // duplicated frames share the routed/dropped accounting.
 func (c *Cluster) deliver(node int, f net.Frame) bool {
 	var ring *net.PacketRing
@@ -445,19 +439,15 @@ func (c *Cluster) deliver(node int, f net.Frame) bool {
 	return true
 }
 
-// Start launches the per-VM drivers and the load generator.
+// Start launches the per-VM drivers and the load generator, and
+// schedules the fault plan's part= windows from now. The generator is
+// the fleet's one wall-clock actor: it also steps the fault plane.
 func (c *Cluster) Start() {
 	if c.started {
 		return
 	}
 	c.started = true
-	c.fp.mu.Lock()
-	c.fp.epoch = time.Now()
-	c.fp.mu.Unlock()
-	if c.fp.timed {
-		c.wg.Add(1)
-		go c.faultPump()
-	}
+	c.fp.schedule(time.Now(), c.cfg.Faults.Partitions)
 	for _, vm := range c.vms {
 		c.wg.Add(1)
 		go c.drive(vm)
@@ -631,7 +621,7 @@ func (c *Cluster) GuestInstrs() uint64 {
 	return n
 }
 
-// AwaitingRecovery reports how many connections a heal event marked
+// AwaitingRecovery reports how many connections a heal marked
 // that have not yet completed their first post-heal round trip. Zero
 // once the fleet has fully recovered.
 func (c *Cluster) AwaitingRecovery() int {

@@ -18,11 +18,12 @@
 // RxPending, so device backpressure is honored, not bypassed) and
 // executing a bounded cycle chunk, and parking on that ring's signal
 // whenever the guest's CPU is in STOP with nothing queued for it — no
-// goroutine in the fleet polls or sleeps to pass the time (the fault
-// plane's wall-clock pump aside). Egress rides the NIC's Tx hook:
-// the fabric's verdict lands in NetRegTxStat, so the synthesized
-// send's bounded retry/backoff sees fabric congestion exactly as it
-// sees a full loopback ring.
+// goroutine in the fleet polls or sleeps to pass the time. The load
+// generator is the one wall-clock actor: it also steps the fault
+// plane's queue of held frames, cuts and heals. Egress rides the NIC's
+// Tx hook: the fabric's verdict lands in NetRegTxStat, so the
+// synthesized send's bounded retry/backoff sees fabric congestion
+// exactly as it sees a full loopback ring.
 //
 // Beyond steady-state traffic the package carries the fleet's
 // measurement and failure planes: per-VM-prefixed fleet metrics

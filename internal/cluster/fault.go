@@ -49,19 +49,15 @@ const (
 	reorderHoldMax = 3 * time.Millisecond
 )
 
-// healEvent tells the load generator a cut was healed: used to stamp
-// time-to-first-reply-after-heal per affected connection.
-type healEvent struct {
-	at  time.Time
-	vms map[int]bool // member VMs the cut severed from the host
-}
-
-// pending is one frame the plane holds — delayed, reordered or
-// throttled — until its due time.
-type pending struct {
-	due time.Time
-	dst int
-	f   net.Frame
+// event is one entry of the plane's due-ordered queue: a held frame
+// (delayed, reordered or throttled) leaving for node dst when cut is
+// nil, otherwise the cut beginning or, with heal set, healing.
+type event struct {
+	due  time.Time
+	cut  *cutRec
+	heal bool
+	dst  int
+	f    net.Frame
 }
 
 // linkState is one rule's runtime state: next is the throttle's next
@@ -93,7 +89,8 @@ func (ls *linkState) slots(now time.Time, n int) (time.Time, bool) {
 	return at, true
 }
 
-// cutRec is one cut: every link between a and b is severed until heal.
+// cutRec is one cut: every link between a and b is severed from its
+// beginning until heal.
 type cutRec struct {
 	a, b []int
 	heal time.Time
@@ -126,22 +123,24 @@ func (c *cutRec) hostSevered() map[int]bool {
 }
 
 // faultPlane is the fabric's fault machinery. All state is guarded by
-// mu; route paths take it only when enabled is set, so a fleet with no
-// fault plan pays one atomic load per frame.
+// mu; route paths and the load generator take it only when enabled is
+// set, so a fleet with no fault plan pays one atomic load per frame and
+// per generator pass.
+//
+// Everything the plane does at a time rather than to a frame in
+// transit — a held frame leaving, a cut beginning, a cut healing — is
+// one entry of queue, and the load generator, the fleet's one
+// wall-clock actor, steps the plane when the head is due. An entry that
+// becomes the head wakes it, so its one timer is never set late.
 type faultPlane struct {
 	c       *Cluster
 	enabled atomic.Bool
-	timed   bool // needs the pump: a scripted window or a rule that holds frames
 
 	mu    sync.Mutex
 	rng   *rand.Rand
 	links []*linkState
-	cuts  []*cutRec
-	parts []fault.Partition // scripted windows not yet begun
-	epoch time.Time         // set at Start; the schedule's t=0
-	held  []pending         // every held frame, in due order
-
-	healCh chan healEvent
+	cuts  []*cutRec // the cuts in force
+	queue []event   // everything timed, in due order
 
 	mLinkDropped     *metrics.Counter
 	mLinkCorrupted   *metrics.Counter
@@ -159,11 +158,8 @@ type faultPlane struct {
 // enabled only once it has something to do.
 func newFaultPlane(c *Cluster, plan fault.Plan, seed int64) *faultPlane {
 	fp := &faultPlane{
-		c:      c,
-		rng:    rand.New(rand.NewSource(seed ^ 0x5eed_fab1)),
-		parts:  slices.Clone(plan.Partitions),
-		timed:  len(plan.Partitions) > 0,
-		healCh: make(chan healEvent, 16),
+		c:   c,
+		rng: rand.New(rand.NewSource(seed ^ 0x5eed_fab1)),
 
 		mLinkDropped:     c.Reg.Counter("cluster.fault.link.dropped"),
 		mLinkCorrupted:   c.Reg.Counter("cluster.fault.link.corrupted"),
@@ -178,14 +174,13 @@ func newFaultPlane(c *Cluster, plan fault.Plan, seed int64) *faultPlane {
 	}
 	for _, r := range plan.Links {
 		fp.links = append(fp.links, &linkState{rule: r})
-		fp.timed = fp.timed || r.Delay > 0 || r.Reorder > 0 || r.Rate > 0
 	}
 	c.Reg.SampleGauge("cluster.fault.active_cuts", func() float64 {
 		fp.mu.Lock()
 		defer fp.mu.Unlock()
 		return float64(len(fp.cuts))
 	})
-	if len(fp.links) > 0 || len(fp.parts) > 0 {
+	if len(fp.links) > 0 || len(plan.Partitions) > 0 {
 		fp.enabled.Store(true)
 	}
 	return fp
@@ -235,7 +230,7 @@ func (fp *faultPlane) transit(src, dst int, f *net.Frame) (deliver, ok bool) {
 		fp.mLinkDuplicated.Inc()
 	}
 
-	// Every hold is a due time in the one held queue; the frame and its
+	// Every hold is a due time in the plane's queue; the frame and its
 	// dup leave together, after anything due no later.
 	due := now
 	switch {
@@ -259,9 +254,8 @@ func (fp *faultPlane) transit(src, dst int, f *net.Frame) (deliver, ok bool) {
 		// memory, valid only until route returns: the hold keeps a copy.
 		h := *f
 		h.Payload = slices.Clone(f.Payload)
-		i := sort.Search(len(fp.held), func(i int) bool { return fp.held[i].due.After(due) })
-		fp.held = slices.Insert(fp.held, i, slices.Repeat([]pending{{due, dst, h}}, n)...)
-		return false, true // the pump releases it
+		fp.push(event{due: due, dst: dst, f: h}, n)
+		return false, true // a step releases it
 	}
 
 	if dup {
@@ -285,87 +279,85 @@ func (fp *faultPlane) corrupt(f *net.Frame) {
 	f.Payload = p
 }
 
-// step runs the time-driven machinery once: scripted windows open,
-// due cuts heal, due held frames leave. Called by the pump and driven
-// directly (with a synthetic clock) by tests.
-func (fp *faultPlane) step(now time.Time) {
-	fp.mu.Lock()
+// push queues n copies of e behind every entry due no later, and wakes
+// the load generator when e becomes the head: the generator's timer is
+// set for the old one. Callers hold mu.
+func (fp *faultPlane) push(e event, n int) {
+	i := sort.Search(len(fp.queue), func(i int) bool { return fp.queue[i].due.After(e.due) })
+	fp.queue = slices.Insert(fp.queue, i, slices.Repeat([]event{e}, n)...)
+	if i == 0 {
+		fp.c.hostRing.Wake()
+	}
+}
 
-	// A window first seen after its end never cuts.
-	since := now.Sub(fp.epoch)
-	waiting := fp.parts[:0]
-	for _, p := range fp.parts {
+// schedule queues the beginning of every part= window, measured from
+// epoch. Start calls it with the fleet's start; tests drive it with a
+// synthetic clock.
+func (fp *faultPlane) schedule(epoch time.Time, parts []fault.Partition) {
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	for _, p := range parts {
+		cut := &cutRec{a: slices.Clone(p.A), b: slices.Clone(p.B), heal: epoch.Add(p.To)}
+		fp.push(event{due: epoch.Add(p.From), cut: cut}, 1)
+	}
+}
+
+// begin puts a cut in force and queues its heal. Callers hold mu.
+func (fp *faultPlane) begin(cut *cutRec) {
+	fp.cuts = append(fp.cuts, cut)
+	fp.mCuts.Inc()
+	fp.push(event{due: cut.heal, cut: cut, heal: true}, 1)
+}
+
+// step pops every entry due by now, in due order: a held frame leaves
+// for its node, a cut begins (a window first stepped after its end
+// never cuts), a cut heals. It returns, for each healed cut, the member
+// VMs that cut had severed from the host, and when the new head falls
+// due (the zero time when nothing is queued). The load generator steps
+// the plane; tests step it with a synthetic clock.
+func (fp *faultPlane) step(now time.Time) (healed []map[int]bool, next time.Time) {
+	var out []event
+	fp.mu.Lock()
+	for len(fp.queue) > 0 && !fp.queue[0].due.After(now) {
+		e := fp.queue[0]
+		fp.queue[0] = event{} // the popped slot keeps no payload alive
+		fp.queue = fp.queue[1:]
 		switch {
-		case since < p.From:
-			waiting = append(waiting, p)
-		case since < p.To:
-			fp.cut(p.A, p.B, fp.epoch.Add(p.To))
+		case e.cut == nil:
+			out = append(out, e)
+		case !e.heal:
+			if now.Before(e.cut.heal) {
+				fp.begin(e.cut)
+			}
+		default:
+			fp.cuts = slices.DeleteFunc(fp.cuts, func(c *cutRec) bool { return c == e.cut })
+			fp.mHeals.Inc()
+			healed = append(healed, e.cut.hostSevered())
 		}
 	}
-	fp.parts = waiting
-	fp.heal(now)
-
-	n := sort.Search(len(fp.held), func(i int) bool { return fp.held[i].due.After(now) })
-	out := slices.Clone(fp.held[:n])
-	fp.held = slices.Delete(fp.held, 0, n)
+	if len(fp.queue) > 0 {
+		next = fp.queue[0].due
+	}
 	fp.mu.Unlock()
 
 	// Deliver outside the lock: deliver takes ring paths and counters
 	// only, but keeping the plane lock narrow keeps route() snappy.
-	for _, p := range out {
-		fp.c.deliver(p.dst, p.f)
+	for _, e := range out {
+		fp.c.deliver(e.dst, e.f)
 	}
+	return healed, next
 }
 
-// cut severs every link between node sets a and b until heal; callers
-// hold mu.
-func (fp *faultPlane) cut(a, b []int, heal time.Time) {
-	fp.cuts = append(fp.cuts, &cutRec{a: slices.Clone(a), b: slices.Clone(b), heal: heal})
-	fp.mCuts.Inc()
-}
-
-// heal removes every cut whose heal time has come and emits its heal
-// event; callers hold mu.
-func (fp *faultPlane) heal(now time.Time) {
-	live := fp.cuts[:0]
-	for _, c := range fp.cuts {
-		if now.Before(c.heal) {
-			live = append(live, c)
-			continue
-		}
-		fp.mHeals.Inc()
-		select {
-		case fp.healCh <- healEvent{at: now, vms: c.hostSevered()}:
-		default: // nobody draining (manually driven fleet): drop the event
-		}
-	}
-	fp.cuts = live
-}
-
-// flush discards everything still held once the fleet has stopped
+// flush discards every frame still held once the fleet has stopped
 // (Cluster.Stop calls it after the last goroutine has exited),
-// counting each frame so the conservation identity stays exact.
+// counting each so the conservation identity stays exact.
 func (fp *faultPlane) flush() {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
-	fp.mFlushed.Add(uint64(len(fp.held)))
-	fp.held = nil
-}
-
-// faultPump is the plane's goroutine: it executes the partition
-// schedule and releases held frames, on a wall-clock tick because the
-// schedules it executes are wall-clock ones. Started only when the
-// plan needs time.
-func (c *Cluster) faultPump() {
-	defer c.wg.Done()
-	tick := time.NewTicker(200 * time.Microsecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			c.fp.step(time.Now())
-		case <-c.done:
-			return
+	for _, e := range fp.queue {
+		if e.cut == nil {
+			fp.mFlushed.Inc()
 		}
 	}
+	fp.queue = nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -177,9 +178,24 @@ func TestHeldFramesKeepTheirPayload(t *testing.T) {
 	}
 }
 
+// TestHeldFrameWakesTheGenerator: every host-to-VM frame is held 5 ms
+// and the resend timeout is 10 s, so the generator's sweep timer is far
+// off whenever it queues a frame. Only the wake of an entry that
+// becomes the plane's head brings the generator back to release it; a
+// generator left asleep on its sweep timer would see no reply for 10 s.
+func TestHeldFrameWakesTheGenerator(t *testing.T) {
+	cfg := fleetConfig(t, 1, "link=0>1:delay=1:5")
+	cfg.SocketsPerVM, cfg.Conns, cfg.Timeout = 2, 4, 10*time.Second
+	c := New(cfg)
+	c.Start()
+	defer c.Stop()
+	waitReplies(t, c, 20, 2*time.Second)
+}
+
 // TestThrottleBackpressure: a rate-limited link queues up to
 // throttleSlots frames, then refuses — the one fault that is
-// transmitter-visible — and the pump's token refill drains the queue.
+// transmitter-visible — and stepping through its release slots drains
+// the queue.
 func TestThrottleBackpressure(t *testing.T) {
 	c := New(fleetConfig(t, 1, "link=0>1:rate=5"))
 	// First frame rides the initial token inline.
@@ -218,26 +234,35 @@ func TestThrottleBackpressure(t *testing.T) {
 // instants of its own choosing, which a part= window, fixed when the
 // fleet is built, cannot be.
 func cutLinks(c *Cluster, a, b []int) {
-	c.fp.mu.Lock()
-	c.fp.cut(a, b, time.Now().Add(time.Hour))
-	c.fp.mu.Unlock()
 	c.fp.enabled.Store(true)
+	c.fp.mu.Lock()
+	c.fp.begin(&cutRec{a: a, b: b, heal: time.Now().Add(time.Hour)})
+	c.fp.mu.Unlock()
 }
 
-// healLinks heals every cut now, as a part= window's end does.
+// healLinks moves every queued heal to now, as a part= window's end
+// does: the heals become the plane's head, which wakes a running
+// generator to step them.
 func healLinks(c *Cluster) {
 	now := time.Now()
 	c.fp.mu.Lock()
-	for _, cut := range c.fp.cuts {
-		cut.heal = now
+	defer c.fp.mu.Unlock()
+	var heals []event
+	c.fp.queue = slices.DeleteFunc(c.fp.queue, func(e event) bool {
+		if e.heal {
+			heals = append(heals, e)
+		}
+		return e.heal
+	})
+	for _, e := range heals {
+		e.due = now
+		c.fp.push(e, 1)
 	}
-	c.fp.heal(now)
-	c.fp.mu.Unlock()
 }
 
 // TestManualCutHeal: a cut placed by the test severs host<->vm1
-// silently both ways, and healing it restores the link and emits the
-// heal event naming the severed VMs.
+// silently both ways, and healing it restores the link and returns
+// from step the severed VMs.
 func TestManualCutHeal(t *testing.T) {
 	c := New(Config{VMs: 2, SocketsPerVM: 1, Conns: 1, Seed: 1})
 	cutLinks(c, []int{net.HostNode}, []int{1})
@@ -261,13 +286,12 @@ func TestManualCutHeal(t *testing.T) {
 	}
 
 	healLinks(c)
-	select {
-	case ev := <-c.fp.healCh:
-		if !ev.vms[1] || ev.vms[2] {
-			t.Fatalf("heal event names VMs %v, want {1}", ev.vms)
-		}
-	default:
-		t.Fatal("heal emitted no event")
+	healed, _ := c.fp.step(time.Now())
+	if len(healed) != 1 {
+		t.Fatalf("step healed %d cuts, want 1", len(healed))
+	}
+	if vms := healed[0]; !vms[1] || vms[2] {
+		t.Fatalf("heal names VMs %v, want {1}", vms)
 	}
 	if !c.route(net.HostNode, hostFrame(1, 1)) || c.vms[0].ingress.Len() != 1 {
 		t.Fatal("healed link still dropping")
@@ -277,15 +301,16 @@ func TestManualCutHeal(t *testing.T) {
 	}
 }
 
-// TestScheduledPartition drives a part= window between the host and
-// vm1 of a two-VM fleet with a synthetic clock: the cut activates inside
-// [From, To), eats frames silently in both directions, leaves vm2's
-// link alone and counts each drop, and at To heals, emitting the heal
-// event that names vm1 alone.
+// TestScheduledPartition drives two part= windows of a two-VM fleet
+// with a synthetic clock. The first, between the host and vm1, activates
+// inside [From, To), eats frames silently in both directions, leaves
+// vm2's link alone and counts each drop, and at To heals, naming vm1
+// alone. The second, between the host and vm2, is first stepped after
+// its end and never cuts.
 func TestScheduledPartition(t *testing.T) {
-	c := New(fleetConfig(t, 2, "part=0|1@100-200"))
+	c := New(fleetConfig(t, 2, "part=0|1@100-200;part=0|2@300-400"))
 	base := time.Now()
-	c.fp.epoch = base
+	c.fp.schedule(base, c.cfg.Faults.Partitions)
 
 	c.fp.step(base.Add(50 * time.Millisecond))
 	if !c.route(net.HostNode, hostFrame(1, 0)) || c.vms[0].ingress.Len() != 1 {
@@ -308,22 +333,32 @@ func TestScheduledPartition(t *testing.T) {
 	if got := c.fp.mPartDropped.Value(); got != 2 {
 		t.Fatalf("part_dropped = %d, want 2", got)
 	}
-	c.fp.step(base.Add(250 * time.Millisecond))
+	healed, _ := c.fp.step(base.Add(250 * time.Millisecond))
 	if !c.route(net.HostNode, hostFrame(1, 2)) || c.vms[0].ingress.Len() != 2 {
 		t.Fatal("scripted cut still active past its window")
 	}
-	select {
-	case ev := <-c.fp.healCh:
-		if !ev.vms[1] || ev.vms[2] {
-			t.Fatalf("scheduled heal names VMs %v, want {1}", ev.vms)
-		}
-	default:
-		t.Fatal("scheduled heal emitted no event")
+	if len(healed) != 1 {
+		t.Fatalf("scheduled heal: step healed %d cuts, want 1", len(healed))
+	}
+	if vms := healed[0]; !vms[1] || vms[2] {
+		t.Fatalf("scheduled heal names VMs %v, want {1}", vms)
 	}
 	// The window is one-shot: stepping back through it must not re-cut.
 	c.fp.step(base.Add(150 * time.Millisecond))
 	if c.fp.mCuts.Value() != 1 || c.fp.mHeals.Value() != 1 {
 		t.Fatalf("cuts/heals = %d/%d, want 1/1 (a window re-armed?)", c.fp.mCuts.Value(), c.fp.mHeals.Value())
+	}
+	// A window first stepped after its end never cuts, so never heals.
+	healed, next := c.fp.step(base.Add(500 * time.Millisecond))
+	if len(healed) != 0 || c.fp.mCuts.Value() != 1 || c.fp.mHeals.Value() != 1 {
+		t.Fatalf("late window: %d healed, cuts/heals = %d/%d, want 0, 1/1",
+			len(healed), c.fp.mCuts.Value(), c.fp.mHeals.Value())
+	}
+	if !c.route(net.HostNode, hostFrame(2, 1)) || c.vms[1].ingress.Len() != 2 {
+		t.Fatal("a window stepped after its end cut vm2")
+	}
+	if !next.IsZero() {
+		t.Fatalf("queue's head falls due at %v after every window passed, want empty", next.Sub(base))
 	}
 }
 

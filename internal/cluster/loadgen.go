@@ -40,9 +40,9 @@ type lgConn struct {
 	resends  int       // consecutive resends of the current message
 	gaveUp   bool      // hit MaxResends; the connection is silent
 
-	// Recovery bookkeeping: set when a heal event names this
-	// connection's VM, cleared by the first reply after it, whose
-	// latency from the heal instant lands in cluster.loadgen.recovery_ms.
+	// Recovery bookkeeping: set when a healed cut had severed this
+	// connection's VM from the host, cleared by the first reply after
+	// it, whose latency from the heal lands in cluster.loadgen.recovery_ms.
 	recovering  bool
 	recoverFrom time.Time
 }
@@ -169,29 +169,23 @@ func (c *Cluster) handleReply(f net.Frame) {
 	}
 }
 
-// drainHeals applies pending heal events: every live connection whose
-// VM the cut had severed from the host starts a recovery-latency
-// measurement from the heal instant.
-func (c *Cluster) drainHeals() {
-	for {
-		select {
-		case ev := <-c.fp.healCh:
-			if len(ev.vms) == 0 {
-				continue // the cut never separated the host from anyone
+// stepFaults steps the fault plane (held frames leave, cuts begin and
+// heal) and returns when its head next falls due, the zero time when
+// nothing is queued. Every live connection whose VM a healed cut had
+// severed from the host starts a recovery-latency measurement from
+// now. Callers hold lgMu.
+func (c *Cluster) stepFaults(now time.Time) time.Time {
+	healed, next := c.fp.step(now)
+	for _, vms := range healed {
+		for i := range c.conns {
+			cn := &c.conns[i]
+			if vms[cn.vm] && !cn.gaveUp && !cn.recovering {
+				cn.recovering = true
+				cn.recoverFrom = now
 			}
-			c.lgMu.Lock()
-			for i := range c.conns {
-				cn := &c.conns[i]
-				if ev.vms[cn.vm] && !cn.gaveUp && !cn.recovering {
-					cn.recovering = true
-					cn.recoverFrom = ev.at
-				}
-			}
-			c.lgMu.Unlock()
-		default:
-			return
 		}
 	}
+	return next
 }
 
 // sweep is the generator's timed half, run when the earliest deadline
@@ -231,16 +225,19 @@ func (c *Cluster) sweep(now time.Time) {
 	}
 }
 
-// loadgen is the generator goroutine: woken by the host ring it drains
-// replies, each of which relaunches its connection; woken by the timer
-// it sweeps. sweepAt starts at the zero time, so the first pass sweeps.
+// loadgen is the generator goroutine, the fleet's one wall-clock
+// actor: woken by the host ring it drains replies, each of which
+// relaunches its connection; woken by the timer it sweeps. With a fault
+// plane armed, every pass also steps the plane, and the one timer is
+// set for the earlier of the sweep and the plane's head; an entry that
+// becomes the head wakes the generator through the host ring. sweepAt
+// starts at the zero time, so the first pass sweeps.
 // cluster.loadgen.wakes counts the wake-ups.
 func (c *Cluster) loadgen() {
 	defer c.wg.Done()
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for {
-		c.drainHeals()
 		c.lgMu.Lock()
 		for {
 			f, ok := c.hostRing.Get()
@@ -249,10 +246,18 @@ func (c *Cluster) loadgen() {
 			}
 			c.handleReply(f)
 		}
-		if now := time.Now(); !now.Before(c.sweepAt) {
+		now := time.Now()
+		var next time.Time
+		if c.fp.enabled.Load() {
+			next = c.stepFaults(now)
+		}
+		if !now.Before(c.sweepAt) {
 			c.sweep(now)
 		}
-		timer.Reset(time.Until(c.sweepAt))
+		if next.IsZero() || c.sweepAt.Before(next) {
+			next = c.sweepAt
+		}
+		timer.Reset(time.Until(next))
 		c.lgMu.Unlock()
 		select {
 		case <-c.hostRing.Ready():

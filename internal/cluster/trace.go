@@ -25,8 +25,9 @@ import (
 // reply landing on the host ring, and the load generator matching
 // it. Every stamp is taken where the hop actually happens — the NIC
 // and profiler hooks run synchronously inside the VM's driver
-// goroutine, so a wall-clock read at hook time is exact, and the VM
-// cycle count rides along for the per-VM trace timeline.
+// goroutine, so a wall-clock read at hook time is exact. WriteTrace
+// places these instants by their wall stamps, and each VM's timeline by
+// its ClockMap.
 //
 // Because the first and last stamps are the same clock reads the
 // load generator uses for its own RTT measurement, the hop deltas
@@ -82,14 +83,12 @@ var hopHelp = [numEvents - 1]string{
 }
 
 // TraceRec is one completed round-trip trace. T holds wall
-// nanoseconds since cluster start for each event; Cyc holds the VM
-// cycle stamp for the events that happen on the VM (0 elsewhere).
+// nanoseconds since cluster start for each event.
 type TraceRec struct {
 	Conn int
 	VM   int
 	Seq  uint32
 	T    [numEvents]int64
-	Cyc  [numEvents]uint64
 }
 
 // HopNS returns the duration of hop i (the interval ending at event
@@ -257,8 +256,8 @@ func (tr *tracer) onDeliver(node int, f *net.Frame, now time.Time) {
 }
 
 // onDeposit stamps the NIC DMA deposit (evNicDeposit). Called from
-// the driver's ingress drain with the VM cycle at deposit time.
-func (tr *tracer) onDeposit(vmID int, f *net.Frame, cycle uint64) {
+// the driver's ingress drain.
+func (tr *tracer) onDeposit(vmID int, f *net.Frame) {
 	conn, seq, ok := connSeq(f)
 	if !ok {
 		return
@@ -270,7 +269,6 @@ func (tr *tracer) onDeposit(vmID int, f *net.Frame, cycle uint64) {
 		return
 	}
 	req.rec.T[evNicDeposit] = tr.c.nowNS(time.Now())
-	req.rec.Cyc[evNicDeposit] = cycle
 	req.next = evIRQEntry
 }
 
@@ -280,7 +278,7 @@ func (tr *tracer) onDeposit(vmID int, f *net.Frame, cycle uint64) {
 // itself is invisible here, so the monotone chain does the
 // attribution: the first net IRQ after the traced deposit is taken
 // as ours (concurrent traffic can blur this split, never the sum).
-func (tr *tracer) onIRQ(vmID int, takenAt uint64) {
+func (tr *tracer) onIRQ(vmID int) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	req := tr.pending[vmID]
@@ -288,7 +286,6 @@ func (tr *tracer) onIRQ(vmID int, takenAt uint64) {
 		return
 	}
 	req.rec.T[evIRQEntry] = tr.c.nowNS(time.Now())
-	req.rec.Cyc[evIRQEntry] = takenAt
 	req.next = evDemux
 }
 
@@ -296,7 +293,7 @@ func (tr *tracer) onIRQ(vmID int, takenAt uint64) {
 // (evDemux, region kio.net_intr*) and the traced socket's send
 // routine (evSendEntry, exact-name match — the echo turning around).
 // Fed by the profiler's OnRegionEnter hook.
-func (tr *tracer) onRegion(vmID int, name string, at uint64) {
+func (tr *tracer) onRegion(vmID int, name string) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	req := tr.pending[vmID]
@@ -316,14 +313,13 @@ func (tr *tracer) onRegion(vmID int, name string, at uint64) {
 		return
 	}
 	req.rec.T[req.next] = tr.c.nowNS(time.Now())
-	req.rec.Cyc[req.next] = at
 	req.next++
 }
 
 // onTx stamps the reply leaving the VM's NIC (evTxLaunch). Called
 // from route, in the driver goroutine, before the return fabric
 // transit.
-func (tr *tracer) onTx(vmID int, f *net.Frame, cycle uint64) {
+func (tr *tracer) onTx(vmID int, f *net.Frame) {
 	conn, seq, ok := connSeq(f)
 	if !ok {
 		return
@@ -335,7 +331,6 @@ func (tr *tracer) onTx(vmID int, f *net.Frame, cycle uint64) {
 		return
 	}
 	req.rec.T[evTxLaunch] = tr.c.nowNS(time.Now())
-	req.rec.Cyc[evTxLaunch] = cycle
 	req.next = evHostEnq
 }
 

@@ -35,7 +35,6 @@ type Kernel struct {
 	TTY   *m68k.TTY
 	Disk  *m68k.Disk
 	AD    *m68k.AD
-	Cons  *m68k.Cons
 	Net   *m68k.Net
 
 	// Shared kernel routines (code addresses), synthesized at boot.
@@ -152,13 +151,11 @@ func Boot(cfg Config) *Kernel {
 	k.TTY = m68k.NewTTY(m)
 	k.Disk = m68k.NewDisk(m, diskBlocks)
 	k.AD = m68k.NewAD(m)
-	k.Cons = m68k.NewCons()
 	k.Net = m68k.NewNet(m)
 	m.Attach(k.Timer)
 	m.Attach(k.TTY)
 	m.Attach(k.Disk)
 	m.Attach(k.AD)
-	m.Attach(k.Cons)
 	m.Attach(k.Net)
 
 	k.FS = fs.New(m, k.Heap)

@@ -14,7 +14,6 @@ const (
 	TTYBase          = IOBase + 0x100
 	DiskBase         = IOBase + 0x200
 	ADBase           = IOBase + 0x300
-	ConsBase         = IOBase + 0x400
 )
 
 // Interrupt priority levels, ascending urgency per the 68k scheme. The
@@ -455,39 +454,3 @@ func (a *AD) Tick(now uint64) (int, uint64) {
 	a.nextAt = now + a.periodCycles()
 	return IRQAD, a.nextAt
 }
-
-// ------------------------------------------------------------- console
-
-// Cons is a write-only debug console, separate from the tty so kernel
-// diagnostics do not disturb tty experiments.
-type Cons struct {
-	out []byte
-}
-
-// NewCons creates the debug console.
-func NewCons() *Cons { return &Cons{} }
-
-// Name implements Device.
-func (c *Cons) Name() string { return "cons" }
-
-// Base implements Device.
-func (c *Cons) Base() uint32 { return ConsBase }
-
-// Size implements Device.
-func (c *Cons) Size() uint32 { return 0x100 }
-
-// Load implements Device.
-func (c *Cons) Load(off uint32, sz uint8) uint32 { return 0 }
-
-// Store implements Device.
-func (c *Cons) Store(off uint32, sz uint8, val uint32) {
-	if off == 0 {
-		c.out = append(c.out, byte(val))
-	}
-}
-
-// Tick implements Device.
-func (c *Cons) Tick(now uint64) (int, uint64) { return 0, 0 }
-
-// Output returns everything written to the console.
-func (c *Cons) Output() string { return string(c.out) }

@@ -116,21 +116,6 @@ func TestADDropCounting(t *testing.T) {
 	}
 }
 
-func TestConsoleDevice(t *testing.T) {
-	m := newM(t)
-	cons := m68k.NewCons()
-	m.Attach(cons)
-	b := asmkit.New()
-	for _, c := range []byte("ok") {
-		b.MoveB(m68k.Imm(int32(c)), m68k.Abs(m68k.ConsBase))
-	}
-	b.Halt()
-	run(t, m, b.Link(m))
-	if cons.Output() != "ok" {
-		t.Errorf("console output %q", cons.Output())
-	}
-}
-
 func TestMoveFromToSR(t *testing.T) {
 	m := newM(t)
 	b := asmkit.New()

@@ -17,7 +17,6 @@ func newDeviceM(t *testing.T) *m68k.Machine {
 	m.Attach(m68k.NewTTY(m))
 	m.Attach(m68k.NewDisk(m, 4))
 	m.Attach(m68k.NewAD(m))
-	m.Attach(m68k.NewCons())
 	m.Attach(m68k.NewNet(m))
 	return m
 }
@@ -38,7 +37,6 @@ func TestDeviceWindowDispatch(t *testing.T) {
 		{"tty", m68k.TTYBase},
 		{"disk", m68k.DiskBase},
 		{"ad", m68k.ADBase},
-		{"cons", m68k.ConsBase},
 		{"net", m68k.NetBase},
 	}
 	for _, c := range cases {
@@ -61,9 +59,12 @@ func TestDeviceWindowDispatch(t *testing.T) {
 		}
 	}
 
-	// Gaps in the I/O region — past the last window and far into the
-	// unclaimed space — must fault, not fall through to RAM.
+	// Gaps in the I/O region — the window below the NIC's, past the
+	// last window and far into the unclaimed space — must fault, not
+	// fall through to RAM.
 	for _, addr := range []uint32{
+		m68k.IOBase + 0x400,  // the unclaimed window between the A/D's and the NIC's
+		m68k.NetBase - 4,     // its last longword
 		m68k.NetBase + 0x100, // first byte past the last window
 		m68k.IOBase + 0x800,
 		m68k.IOBase + 0xfffc,

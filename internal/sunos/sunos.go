@@ -188,7 +188,6 @@ func Boot(cfg m68k.Config) *Kernel {
 	k.TTYDev = m68k.NewTTY(m)
 	m.Attach(m68k.NewTimer(m))
 	m.Attach(k.TTYDev)
-	m.Attach(m68k.NewCons())
 
 	k.stackTop = k.alloc(stackBytes) + stackBytes - 16
 	k.initStructures()
